@@ -9,8 +9,8 @@
 //! (estimated 399 521 groups vs 84 actual; Section 5.3.3).
 
 use crate::histogram::Histogram;
-use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::OnceLock;
 use tpch::distributions::{self, Distribution};
 use tpch::schema::{ColRef, TableId, ALL_TABLES};
 
@@ -26,7 +26,10 @@ pub struct Catalog {
     /// Scale factor.
     pub sf: f64,
     seed: u64,
-    histograms: Mutex<HashMap<ColRef, Histogram>>,
+    /// One slot per column of the schema, filled on first use. The set of
+    /// keys never changes, so a lookup takes no lock and hands out a
+    /// reference.
+    histograms: HashMap<ColRef, OnceLock<Histogram>>,
 }
 
 impl Catalog {
@@ -37,7 +40,11 @@ impl Catalog {
         Catalog {
             sf,
             seed,
-            histograms: Mutex::new(HashMap::new()),
+            histograms: ALL_TABLES
+                .iter()
+                .flat_map(|&t| t.columns().iter().map(move |&c| ColRef::new(t, c)))
+                .map(|col| (col, OnceLock::new()))
+                .collect(),
         }
     }
 
@@ -92,11 +99,14 @@ impl Catalog {
     }
 
     /// Histogram of a column (built lazily, cached).
-    pub fn histogram(&self, col: ColRef) -> Histogram {
-        let mut map = self.histograms.lock();
-        map.entry(col)
-            .or_insert_with(|| Histogram::build(col, self.sf, self.seed))
-            .clone()
+    ///
+    /// # Panics
+    /// Panics on a column the schema does not have.
+    pub fn histogram(&self, col: ColRef) -> &Histogram {
+        self.histograms
+            .get(&col)
+            .unwrap_or_else(|| panic!("unmodeled column {col}"))
+            .get_or_init(|| Histogram::build(col, self.sf, self.seed))
     }
 
     /// Total pages across all tables (for buffer-pool sizing heuristics).
@@ -165,7 +175,8 @@ mod tests {
         let c = Catalog::new(1.0, 1);
         let a = c.histogram(col(TableId::Lineitem, "l_shipdate"));
         let b = c.histogram(col(TableId::Lineitem, "l_shipdate"));
-        assert_eq!(a, b);
+        assert!(std::ptr::eq(a, b), "the second lookup must not rebuild");
+        assert_eq!(*a, Histogram::build(col(TableId::Lineitem, "l_shipdate"), 1.0, 1));
     }
 
     #[test]

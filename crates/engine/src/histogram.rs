@@ -34,6 +34,19 @@ impl Histogram {
 
     /// Builds with an explicit bucket count (for resolution experiments).
     pub fn build_with_buckets(col: ColRef, sf: f64, seed: u64, buckets: usize) -> Histogram {
+        Self::build_from_cdf(col, sf, seed, buckets, |v| {
+            distributions::selectivity(col, CmpOp::Le, v, sf)
+        })
+    }
+
+    /// Builds from `cdf`, the column's true P(col <= v).
+    fn build_from_cdf(
+        col: ColRef,
+        sf: f64,
+        seed: u64,
+        buckets: usize,
+        cdf: impl Fn(f64) -> f64,
+    ) -> Histogram {
         assert!(buckets >= 1, "histogram needs at least one bucket");
         let mut rng = StdRng::seed_from_u64(seed ^ hash_col(col));
         let (lo, hi) = distributions::value_range(col, sf);
@@ -43,7 +56,7 @@ impl Histogram {
             let q = b as f64 / buckets as f64;
             // Invert the true CDF at quantile q by bisection on the
             // selectivity function, then perturb.
-            let v = invert_cdf(col, sf, q, lo, hi);
+            let v = invert_cdf(col, &cdf, q, lo, hi);
             let noise = if b == 0 || b == buckets {
                 0.0
             } else {
@@ -119,7 +132,7 @@ fn hash_col(col: ColRef) -> u64 {
 }
 
 /// Inverts the column's true CDF at quantile `q` by bisection.
-fn invert_cdf(col: ColRef, sf: f64, q: f64, mut lo: f64, mut hi: f64) -> f64 {
+fn invert_cdf(col: ColRef, cdf: impl Fn(f64) -> f64, q: f64, mut lo: f64, mut hi: f64) -> f64 {
     // Discrete distributions make the CDF a step function; bisection on
     // P(col <= x) converges to a boundary consistent with equi-depth
     // semantics.
@@ -135,8 +148,7 @@ fn invert_cdf(col: ColRef, sf: f64, q: f64, mut lo: f64, mut hi: f64) -> f64 {
     }
     for _ in 0..60 {
         let mid = 0.5 * (lo + hi);
-        let c = distributions::selectivity(col, CmpOp::Le, mid, sf);
-        if c < q {
+        if cdf(mid) < q {
             lo = mid;
         } else {
             hi = mid;
@@ -194,6 +206,25 @@ mod tests {
         let other = Histogram::build(c, 1.0, 2);
         assert_eq!(a, b);
         assert_ne!(a, other);
+    }
+
+    #[test]
+    fn every_histogram_equals_one_built_through_the_reference_selectivity() {
+        // tpch memoises the date-lag tables; `selectivity_reference`
+        // works from a table it builds itself.
+        for sf in [0.01, 0.1, 1.0] {
+            for t in tpch::schema::ALL_TABLES {
+                for &name in t.columns() {
+                    let c = col(t, name);
+                    let sel = distributions::selectivity_reference(c, sf);
+                    let reference =
+                        Histogram::build_from_cdf(c, sf, 1, DEFAULT_BUCKETS, |v| sel(CmpOp::Le, v));
+                    let built = Histogram::build(c, sf, 1);
+                    let bits = |h: &Histogram| h.bounds.iter().map(|b| b.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&built), bits(&reference), "{c} at sf {sf}");
+                }
+            }
+        }
     }
 
     #[test]

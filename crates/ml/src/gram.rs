@@ -41,15 +41,12 @@ const MAX_CACHED_FLOATS: usize = 8 << 20;
 fn default_cap_floats() -> usize {
     static CAP: OnceLock<usize> = OnceLock::new();
     *CAP.get_or_init(|| {
-        match cap_floats_from(std::env::var("QPP_GRAM_CACHE_CAP").ok().as_deref()) {
-            Ok(floats) => floats,
-            Err(reason) => {
-                eprintln!(
-                    "warning: ignoring invalid {reason}; using the default 64 MiB budget"
-                );
-                MAX_CACHED_FLOATS
-            }
-        }
+        crate::knob::from_env(
+            "QPP_GRAM_CACHE_CAP",
+            cap_floats_from,
+            "the default 64 MiB budget",
+        )
+        .unwrap_or(MAX_CACHED_FLOATS)
     })
 }
 

@@ -23,8 +23,11 @@
 //!   predictive risk, RMSE, MAE.
 //! - [`dataset`] — a lightweight (rows × columns) design-matrix container
 //!   shared by the learners.
-//! - [`par`] — deterministic fork-join parallelism on `std::thread::scope`
-//!   used across the training pipeline.
+//! - [`par`] — deterministic fork-join parallelism on a process-wide set
+//!   of parked worker threads, used across the training and batched
+//!   prediction pipelines.
+//! - [`knob`] — the one reader of the `QPP_*` environment knobs (parse,
+//!   warn once, fall back).
 //! - [`gram`] — a content-addressed cache of kernel (Gram) matrices shared
 //!   by the SMO solvers, built by a blocked lane-parallel SIMD kernel.
 //! - [`compiled`] — post-training compilation of trained models (flat
@@ -38,6 +41,7 @@ pub mod cv;
 pub mod dataset;
 pub mod feature_selection;
 pub mod gram;
+pub mod knob;
 pub mod linalg;
 pub mod linreg;
 pub mod metrics;

@@ -28,12 +28,11 @@
 //! invalid value warns once and falls back to the documented default,
 //! the same contract as `QPP_THREADS` (see `ml::par`).
 
-use std::collections::HashSet;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -120,48 +119,32 @@ pub(crate) fn parse_millis_knob(name: &str, raw: Option<&str>) -> Result<Option<
     }
 }
 
-/// Warns exactly once per knob name per process, so a misconfigured
-/// environment does not spam every `from_env` call.
-fn warn_once(name: &'static str, reason: &str, fallback: &str) {
-    static WARNED: OnceLock<Mutex<HashSet<&'static str>>> = OnceLock::new();
-    let warned = WARNED.get_or_init(|| Mutex::new(HashSet::new()));
-    if warned.lock().unwrap().insert(name) {
-        eprintln!("warning: ignoring invalid {reason}; using the documented default ({fallback})");
-    }
-}
-
 impl NetConfig {
     /// The default configuration with any `QPP_NET_*` environment knobs
     /// applied. Invalid values warn once (naming the knob and the reason)
     /// and fall back to the documented default — never a crash, never a
     /// silent surprise.
     pub fn from_env() -> NetConfig {
+        fn knob<T>(
+            name: &'static str,
+            parse: fn(&str, Option<&str>) -> Result<Option<T>, String>,
+            default: &str,
+        ) -> Option<T> {
+            let fallback = format!("the documented default ({default})");
+            ml::knob::from_env(name, |raw| parse(name, raw), &fallback).flatten()
+        }
         let mut cfg = NetConfig::default();
-        match parse_count_knob("QPP_NET_MAX_CONNS", std::env::var("QPP_NET_MAX_CONNS").ok().as_deref()) {
-            Ok(Some(n)) => cfg.max_connections = n,
-            Ok(None) => {}
-            Err(reason) => warn_once("QPP_NET_MAX_CONNS", &reason, "8 connections"),
+        if let Some(n) = knob("QPP_NET_MAX_CONNS", parse_count_knob, "8 connections") {
+            cfg.max_connections = n;
         }
-        match parse_count_knob("QPP_NET_BACKLOG", std::env::var("QPP_NET_BACKLOG").ok().as_deref()) {
-            Ok(Some(n)) => cfg.accept_backlog = n,
-            Ok(None) => {}
-            Err(reason) => warn_once("QPP_NET_BACKLOG", &reason, "32 pending connections"),
+        if let Some(n) = knob("QPP_NET_BACKLOG", parse_count_knob, "32 pending connections") {
+            cfg.accept_backlog = n;
         }
-        match parse_millis_knob(
-            "QPP_NET_READ_TIMEOUT_MS",
-            std::env::var("QPP_NET_READ_TIMEOUT_MS").ok().as_deref(),
-        ) {
-            Ok(Some(d)) => cfg.read_timeout = d,
-            Ok(None) => {}
-            Err(reason) => warn_once("QPP_NET_READ_TIMEOUT_MS", &reason, "2000 ms"),
+        if let Some(d) = knob("QPP_NET_READ_TIMEOUT_MS", parse_millis_knob, "2000 ms") {
+            cfg.read_timeout = d;
         }
-        match parse_millis_knob(
-            "QPP_NET_WRITE_TIMEOUT_MS",
-            std::env::var("QPP_NET_WRITE_TIMEOUT_MS").ok().as_deref(),
-        ) {
-            Ok(Some(d)) => cfg.write_timeout = d,
-            Ok(None) => {}
-            Err(reason) => warn_once("QPP_NET_WRITE_TIMEOUT_MS", &reason, "2000 ms"),
+        if let Some(d) = knob("QPP_NET_WRITE_TIMEOUT_MS", parse_millis_knob, "2000 ms") {
+            cfg.write_timeout = d;
         }
         cfg
     }

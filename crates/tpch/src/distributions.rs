@@ -13,6 +13,8 @@
 //! The `joint` functions at the bottom compute exact probabilities for the
 //! correlated predicate combinations used by the query templates.
 
+use std::sync::OnceLock;
+
 use crate::dicts;
 use crate::schema::{ColRef, TableId};
 use crate::types::{CmpOp, END_DATE};
@@ -209,10 +211,29 @@ pub fn selectivity(c: ColRef, op: CmpOp, value: f64, sf: f64) -> f64 {
         Distribution::UniformFloat { lo, hi } => uniform_float_sel(lo, hi, op, value),
         Distribution::Categorical { n } => uniform_int_sel(0, (n - 1) as i64, op, value),
         Distribution::OrderDate => uniform_int_sel(0, (ORDERDATE_VALUES - 1) as i64, op, value),
-        Distribution::ShipDate => lagged_date_sel(op, value, &ship_lags()),
-        Distribution::CommitDate => lagged_date_sel(op, value, &commit_lags()),
-        Distribution::ReceiptDate => lagged_date_sel(op, value, &receipt_lags()),
+        Distribution::ShipDate => lagged_date_sel(op, value, ship_lags()),
+        Distribution::CommitDate => lagged_date_sel(op, value, commit_lags()),
+        Distribution::ReceiptDate => lagged_date_sel(op, value, receipt_lags()),
         Distribution::Text => 0.0,
+    }
+}
+
+/// [`selectivity`] of one column over a lag table built afresh by the
+/// uncached constructor instead of the process-wide memo: the reference
+/// the identity tests (here and in `engine::histogram`) hold the memoised
+/// path to. A column that is not a derived date has no table and goes to
+/// [`selectivity`].
+#[doc(hidden)]
+pub fn selectivity_reference(c: ColRef, sf: f64) -> impl Fn(CmpOp, f64) -> f64 {
+    let lags = match column_distribution(c) {
+        Distribution::ShipDate => Some(ship_lags_uncached()),
+        Distribution::CommitDate => Some(commit_lags_uncached()),
+        Distribution::ReceiptDate => Some(receipt_lags_uncached()),
+        _ => None,
+    };
+    move |op, value| match &lags {
+        Some(lags) => lagged_date_sel(op, value, lags),
+        None => selectivity(c, op, value, sf),
     }
 }
 
@@ -259,18 +280,37 @@ fn uniform_float_sel(lo: f64, hi: f64, op: CmpOp, value: f64) -> f64 {
     }
 }
 
-/// Lag distributions as (offset, probability) lists.
-fn ship_lags() -> Vec<(i32, f64)> {
+/// Lag distributions as (offset, probability) lists. The tables are
+/// constants of the generative model, so each is built once per process:
+/// a histogram build inverts the CDF through ~6 000 [`selectivity`] calls,
+/// and rebuilding the receipt convolution inside each was most of a cold
+/// start (DESIGN.md §7).
+fn ship_lags() -> &'static [(i32, f64)] {
+    static TABLE: OnceLock<Vec<(i32, f64)>> = OnceLock::new();
+    TABLE.get_or_init(ship_lags_uncached)
+}
+
+fn commit_lags() -> &'static [(i32, f64)] {
+    static TABLE: OnceLock<Vec<(i32, f64)>> = OnceLock::new();
+    TABLE.get_or_init(commit_lags_uncached)
+}
+
+fn receipt_lags() -> &'static [(i32, f64)] {
+    static TABLE: OnceLock<Vec<(i32, f64)>> = OnceLock::new();
+    TABLE.get_or_init(receipt_lags_uncached)
+}
+
+fn ship_lags_uncached() -> Vec<(i32, f64)> {
     let p = 1.0 / SHIP_LAG_MAX as f64;
     (1..=SHIP_LAG_MAX).map(|d| (d, p)).collect()
 }
 
-fn commit_lags() -> Vec<(i32, f64)> {
+fn commit_lags_uncached() -> Vec<(i32, f64)> {
     let n = (COMMIT_LAG.1 - COMMIT_LAG.0 + 1) as f64;
     (COMMIT_LAG.0..=COMMIT_LAG.1).map(|d| (d, 1.0 / n)).collect()
 }
 
-fn receipt_lags() -> Vec<(i32, f64)> {
+fn receipt_lags_uncached() -> Vec<(i32, f64)> {
     // receipt = orderdate + ship_lag + receipt_lag: convolve the two lags.
     let mut out = Vec::new();
     let ps = 1.0 / SHIP_LAG_MAX as f64;
@@ -336,7 +376,7 @@ pub fn p_name_contains_color_mean() -> f64 {
 pub fn joint_order_before_ship_after(cut: i32) -> f64 {
     let n = ORDERDATE_VALUES as f64;
     let mut total = 0.0;
-    for (d, p) in ship_lags() {
+    for &(d, p) in ship_lags() {
         // o < cut and o > cut - d  =>  o in (cut-d, cut) intersect domain.
         let lo = (cut - d + 1).max(0);
         let hi = (cut - 1).min(ORDERDATE_VALUES - 1);
@@ -351,6 +391,11 @@ pub fn joint_order_before_ship_after(cut: i32) -> f64 {
 /// and 21's "late delivery" predicate). Under the generative model this is
 /// P(commit_lag < ship_lag + receipt_lag).
 pub fn p_commit_before_receipt() -> f64 {
+    static P: OnceLock<f64> = OnceLock::new();
+    *P.get_or_init(p_commit_before_receipt_uncached)
+}
+
+fn p_commit_before_receipt_uncached() -> f64 {
     let mut total = 0.0;
     let ps = 1.0 / SHIP_LAG_MAX as f64;
     let pr = 1.0 / (RECEIPT_LAG.1 - RECEIPT_LAG.0 + 1) as f64;
@@ -370,7 +415,19 @@ pub fn p_commit_before_receipt() -> f64 {
 /// P(template 12's predicate chain): `l_shipdate < l_commitdate` ∧
 /// `l_commitdate < l_receiptdate` ∧ `l_receiptdate ∈ [year_start,
 /// year_start + 365)`.
+///
+/// Memoised per start day inside the calendar (template 12 draws five of
+/// them); a start outside it is computed directly.
 pub fn joint_t12_chain(year_start: i32) -> f64 {
+    const DAYS: usize = END_DATE as usize + 1;
+    static BY_START: [OnceLock<f64>; DAYS] = [const { OnceLock::new() }; DAYS];
+    match usize::try_from(year_start).ok().and_then(|d| BY_START.get(d)) {
+        Some(slot) => *slot.get_or_init(|| joint_t12_chain_uncached(year_start)),
+        None => joint_t12_chain_uncached(year_start),
+    }
+}
+
+fn joint_t12_chain_uncached(year_start: i32) -> f64 {
     let ps = 1.0 / SHIP_LAG_MAX as f64;
     let pr = 1.0 / (RECEIPT_LAG.1 - RECEIPT_LAG.0 + 1) as f64;
     let pc = 1.0 / (COMMIT_LAG.1 - COMMIT_LAG.0 + 1) as f64;
@@ -507,6 +564,64 @@ mod tests {
         // Weights are a probability distribution.
         let total: f64 = (0..dicts::N_COLORS).map(color_weight).sum();
         assert!((total - 1.0).abs() < 1e-9);
+    }
+
+    fn assert_same_table(memoised: &[(i32, f64)], reference: &[(i32, f64)]) {
+        assert_eq!(memoised.len(), reference.len());
+        for (m, r) in memoised.iter().zip(reference) {
+            assert_eq!((m.0, m.1.to_bits()), (r.0, r.1.to_bits()));
+        }
+    }
+
+    #[test]
+    fn memoised_lag_tables_equal_the_uncached_constructors() {
+        // Twice: the first call may be the one that fills the table.
+        for _ in 0..2 {
+            assert_same_table(ship_lags(), &ship_lags_uncached());
+            assert_same_table(commit_lags(), &commit_lags_uncached());
+            assert_same_table(receipt_lags(), &receipt_lags_uncached());
+        }
+    }
+
+    #[test]
+    fn date_selectivity_equals_the_reference_on_a_grid() {
+        const OPS: [CmpOp; 6] = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
+        for name in ["l_shipdate", "l_commitdate", "l_receiptdate"] {
+            let c = col(TableId::Lineitem, name);
+            let reference = selectivity_reference(c, 1.0);
+            // Whole days and half days, from before the calendar to past
+            // the last receipt date.
+            for step in -10..=110 {
+                let value = step as f64 * 25.5;
+                for op in OPS {
+                    assert_eq!(
+                        selectivity(c, op, value, 1.0).to_bits(),
+                        reference(op, value).to_bits(),
+                        "{c} {op:?} {value}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn memoised_joints_equal_the_uncached_functions() {
+        for _ in 0..2 {
+            // Every year start template 12 can draw, and one on each side
+            // of the memo's domain.
+            let starts = (1993..=1997).map(|y| date(y, 1, 1));
+            for start in starts.chain([-1, 0, END_DATE, END_DATE + 1]) {
+                assert_eq!(
+                    joint_t12_chain(start).to_bits(),
+                    joint_t12_chain_uncached(start).to_bits(),
+                    "year start {start}"
+                );
+            }
+            assert_eq!(
+                p_commit_before_receipt().to_bits(),
+                p_commit_before_receipt_uncached().to_bits()
+            );
+        }
     }
 
     #[test]

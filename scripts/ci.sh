@@ -27,6 +27,12 @@ cargo test -q -p qpp-ml --features force-scalar --test gram_blocked_props
 cargo test -q -p qpp-ml --features force-scalar --test smo_vector_props
 cargo test -q -p qpp-ml --features force-scalar --test zero_alloc
 
+# ml::par's workers park on a condition variable between fan-outs, so a
+# lost wake-up or a miscounted worker shows up as a hang, not a failure.
+# A hard timeout turns that hang into a CI failure.
+echo "==> ml::par pool tests (bounded time)"
+timeout 60 cargo test -q -p qpp-ml --lib par::
+
 echo "==> cargo test -q --test parallel_determinism"
 cargo test -q --test parallel_determinism
 
@@ -66,6 +72,13 @@ echo "==> network chaos gate (bounded time)"
 timeout 60 cargo test -q --test net_chaos
 timeout 60 cargo test -q --test healer_supervision
 timeout 60 cargo test -q -p qpp-serve --test codec_props
+
+# The staircase benchmark's own smoke suite (< 2 s of tests), built the
+# way BENCHMARK.json builds it: a change to ml::par or tpch that breaks the
+# benchmark harness fails here and not in the benchmark driver. The stubs
+# are a different dependency graph, hence the target directory of its own.
+echo "==> e2e smoke suite (offline stubs)"
+cargo test --offline --config crates/e2e/stubs/offline.toml --target-dir target/offline -p qpp-e2e
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
