@@ -139,8 +139,15 @@ impl CrossValidation {
     }
 }
 
-/// Minimum `rows × cols` before fold training fans out to worker threads;
-/// below this, per-fold fits are too cheap to amortize thread spawns.
+/// Minimum `rows × cols` before fold training fans out over
+/// [`crate::par`]. Forward selection's 112 × ≤ 7 matrices never reach it.
+/// The bound is there for memory, not time: fanning those folds out makes
+/// a training faster (8.3 ms against 11.1 ms per `train` op of the
+/// staircase benchmark), but Gram matrices built on a worker come from
+/// that thread's malloc arena, the wholesale-evicted
+/// [`crate::gram::GramCache`] then peaks once per arena, and the
+/// benchmark's `train/peak_rss_mb` grows from 76 to 83 MiB. Lift it once
+/// the cache no longer outlives a training (ROADMAP).
 const PARALLEL_CELLS: usize = 2048;
 
 /// Trains `learner` on each fold's training rows and predicts its test rows;

@@ -232,9 +232,10 @@ fn hash_dataset(xs: &Dataset) -> u64 {
 }
 
 /// Computes the dense Gram matrix directly, evaluating the kernel once per
-/// unordered row pair and mirroring across the diagonal. Rows are computed
-/// in parallel when the matrix is large enough to amortize thread spawns;
-/// each entry's value is independent of the worker count.
+/// unordered row pair and mirroring across the diagonal. Rows are handed
+/// to `ml::par` from 64 rows up (below that the whole matrix costs less
+/// than the fan-out's bookkeeping); each entry's value is independent of
+/// the worker count.
 ///
 /// Public so tests can compare cached matrices against a fresh computation.
 pub fn compute_gram(xs: &Dataset, kernel: Kernel, gamma: f64) -> Vec<f64> {

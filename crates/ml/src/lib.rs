@@ -51,6 +51,9 @@ pub mod scaler;
 pub mod stats;
 pub mod svr;
 
+#[cfg(test)]
+mod solver_tests;
+
 pub use compiled::{CompiledModel, CompiledSvr, PredictScratch};
 pub use cv::{holdout, kfold, stratified_kfold, CrossValidation};
 pub use dataset::Dataset;
@@ -86,10 +89,11 @@ pub enum MlError {
     InvalidParameter(&'static str),
     /// Training data (features or targets) contained NaN or infinities.
     NonFiniteData,
-    /// An iterative solver exhausted its iteration budget without
-    /// satisfying its stopping condition.
+    /// An iterative solver gave up without satisfying its stopping
+    /// condition: it exhausted its iteration budget, or could make no
+    /// further progress while still far from it.
     DidNotConverge {
-        /// The iteration cap that was exhausted.
+        /// Iterations taken (the cap, when the budget was exhausted).
         iterations: usize,
     },
 }
@@ -239,9 +243,10 @@ impl Learner for LearnerKind {
     }
 }
 
-/// An SVR solver that exhausts its iteration budget falls back to ridge
-/// regression: a degraded-but-sane model beats failing the whole training
-/// run on the serving path. Other errors propagate untouched.
+/// An SVR solver that does not converge (budget exhausted, or stalled far
+/// from its stopping condition) falls back to ridge regression: a
+/// degraded-but-sane model beats failing the whole training run on the
+/// serving path. Other errors propagate untouched.
 fn ridge_fallback(
     fit: Result<SvrModel, MlError>,
     x: &Dataset,

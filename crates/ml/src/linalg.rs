@@ -6,9 +6,10 @@
 //! so normal equations with a ridge term are numerically adequate and far
 //! simpler than QR/SVD.
 //!
-//! The SMO primitives ([`grad_pair_update`], [`scan_violating`]) follow
-//! the same discipline as `ml::compiled`: every dispatched path — AVX2,
-//! unrolled scalar, parallel chunks — performs the identical per-element
+//! The SMO primitives ([`grad_pair_update`], [`scan_violating`],
+//! [`scan_second_order`]) follow the same discipline as `ml::compiled`:
+//! every dispatched path — AVX2, unrolled scalar, parallel chunks —
+//! performs the identical per-element
 //! operation sequence, so results are bit-for-bit equal to the naive
 //! sequential loop on any host. A runtime override ([`set_force_scalar`])
 //! routes dispatch down the scalar paths so benchmarks and identity tests
@@ -353,8 +354,8 @@ impl ScanResult {
     }
 }
 
-/// Parallel fan-out threshold for [`scan_violating`]: below this many
-/// elements the per-call thread-spawn cost dwarfs the scan itself.
+/// Parallel fan-out threshold for [`scan_violating`]: a scan of fewer
+/// elements takes less time than waking one parked `ml::par` worker.
 const PAR_SCAN_MIN: usize = 16_384;
 /// Elements per parallel scan chunk.
 const SCAN_CHUNK: usize = 4_096;
@@ -526,6 +527,195 @@ unsafe fn scan_violating_avx2(a: &[f64], g: &[f64], c: f64, flipped: bool) -> Sc
     r
 }
 
+/// Outcome of a second-order working-set scan ([`scan_second_order`])
+/// over one contiguous block. The index is local to the scanned slice and
+/// `usize::MAX` when no element was eligible.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SecondOrderPick {
+    /// Smallest objective estimate `-(g_max - v)^2 / quad` among eligible
+    /// elements (`+inf` when none).
+    pub obj_min: f64,
+    /// First index attaining `obj_min` (`usize::MAX` when none eligible).
+    pub j: usize,
+}
+
+impl SecondOrderPick {
+    /// The neutral element: nothing selected yet.
+    pub fn empty() -> SecondOrderPick {
+        SecondOrderPick {
+            obj_min: f64::INFINITY,
+            j: usize::MAX,
+        }
+    }
+
+    /// Folds in the pick of the block that *follows* this one in index
+    /// order (`offset` is the later block's starting index); the strict
+    /// comparison keeps the earlier block's winner on ties.
+    pub fn merge_later(&mut self, later: SecondOrderPick, offset: usize) {
+        if later.j != usize::MAX && later.obj_min < self.obj_min {
+            self.obj_min = later.obj_min;
+            self.j = later.j + offset;
+        }
+    }
+}
+
+/// Curvature of the dual along every pair `(i, t)` for a fixed `i`:
+/// `quad[t] = max(k_ii + diag[t] - 2 * row_i[t], 1e-12)` with `row_i` the
+/// Gram row of `i`, `diag` the Gram diagonal and `k_ii = diag[i]`. The
+/// clamp is the one the pair step itself applies (libsvm's `TAU`); it
+/// engages for `t == i`, i.e. the `α_i`/`α*_i` pair of one training row.
+/// Element-wise with one fixed expression, so every compilation of the
+/// loop yields the same bits.
+///
+/// # Panics
+/// Panics if the three slices differ in length.
+pub fn second_order_quad(diag: &[f64], row_i: &[f64], k_ii: f64, quad: &mut [f64]) {
+    assert!(
+        diag.len() == quad.len() && row_i.len() == quad.len(),
+        "second_order_quad length mismatch"
+    );
+    for ((q, &d), &r) in quad.iter_mut().zip(diag).zip(row_i) {
+        *q = (k_ii + d - 2.0 * r).max(1e-12);
+    }
+}
+
+/// Second-order working-set selection (Fan, Chen & Lin 2005, libsvm's
+/// default rule): given the maximal up-violation `g_max` found by
+/// [`scan_violating`], picks among the "low"-eligible elements that
+/// violate against it (`v < g_max`, with `v` and eligibility exactly as
+/// in [`scan_violating`]) the one whose pair step promises the largest
+/// decrease of the dual objective, `-(g_max - v)^2 / quad[t]`, and
+/// returns the first index attaining the minimum. `quad` comes from
+/// [`second_order_quad`] and must be positive.
+///
+/// Bit-identical to the sequential scalar loop on every path, by the
+/// same construction as [`scan_violating`]: the AVX2 pass performs the
+/// scalar body's operations per lane (subtract, multiply, negate, true
+/// division — no FMA, no reciprocal), keeps per-lane minima with strict
+/// compares, and combines lanes breaking exact ties toward the smaller
+/// index; ordered compares never select a NaN estimate on either path.
+///
+/// # Panics
+/// Panics if `a`, `g` and `quad` differ in length.
+pub fn scan_second_order(
+    a: &[f64],
+    g: &[f64],
+    quad: &[f64],
+    c: f64,
+    g_max: f64,
+    flipped: bool,
+) -> SecondOrderPick {
+    assert!(
+        a.len() == g.len() && quad.len() == g.len(),
+        "scan_second_order length mismatch"
+    );
+    #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
+    if simd_enabled() && a.len() >= 8 {
+        // SAFETY: AVX2 support was just checked.
+        return unsafe { scan_second_order_avx2(a, g, quad, c, g_max, flipped) };
+    }
+    let mut pick = SecondOrderPick::empty();
+    scan_second_order_scalar(a, g, quad, c, g_max, flipped, 0, &mut pick);
+    pick
+}
+
+/// The definition of [`scan_second_order`], from index `from` on,
+/// continuing from the running `pick`.
+#[allow(clippy::too_many_arguments)]
+fn scan_second_order_scalar(
+    a: &[f64],
+    g: &[f64],
+    quad: &[f64],
+    c: f64,
+    g_max: f64,
+    flipped: bool,
+    from: usize,
+    pick: &mut SecondOrderPick,
+) {
+    for t in from..a.len() {
+        let v = if flipped { g[t] } else { -g[t] };
+        let low_ok = if flipped { a[t] < c } else { a[t] > 0.0 };
+        let diff = g_max - v;
+        if low_ok && diff > 0.0 {
+            let obj = -(diff * diff) / quad[t];
+            if obj < pick.obj_min {
+                pick.obj_min = obj;
+                pick.j = t;
+            }
+        }
+    }
+}
+
+#[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
+#[target_feature(enable = "avx2")]
+unsafe fn scan_second_order_avx2(
+    a: &[f64],
+    g: &[f64],
+    quad: &[f64],
+    c: f64,
+    g_max: f64,
+    flipped: bool,
+) -> SecondOrderPick {
+    use std::arch::x86_64::*;
+    let n = a.len();
+    let cv = _mm256_set1_pd(c);
+    let gm = _mm256_set1_pd(g_max);
+    let zero = _mm256_setzero_pd();
+    let sign = _mm256_set1_pd(-0.0);
+    let pos_inf = _mm256_set1_pd(f64::INFINITY);
+    // Per-lane running minimum and the (f64-encoded) index of its first
+    // occurrence; +inf marks "nothing selected in this lane", as in
+    // `scan_violating_avx2`.
+    let mut min_v = pos_inf;
+    let mut min_i = pos_inf;
+    let mut idx = _mm256_setr_pd(0.0, 1.0, 2.0, 3.0);
+    let four = _mm256_set1_pd(4.0);
+    let mut t = 0;
+    while t + 4 <= n {
+        let av = _mm256_loadu_pd(a.as_ptr().add(t));
+        let gv = _mm256_loadu_pd(g.as_ptr().add(t));
+        let qv = _mm256_loadu_pd(quad.as_ptr().add(t));
+        let v = if flipped { gv } else { _mm256_xor_pd(gv, sign) };
+        let low_ok = if flipped {
+            _mm256_cmp_pd(av, cv, _CMP_LT_OQ)
+        } else {
+            _mm256_cmp_pd(av, zero, _CMP_GT_OQ)
+        };
+        let diff = _mm256_sub_pd(gm, v);
+        let ok = _mm256_and_pd(low_ok, _mm256_cmp_pd(diff, zero, _CMP_GT_OQ));
+        // Same shape as the scalar body: mul, negate, divide.
+        let obj = _mm256_div_pd(_mm256_xor_pd(_mm256_mul_pd(diff, diff), sign), qv);
+        // Ineligible lanes become +inf so the strict compare never picks
+        // them — the same effect as the scalar eligibility guard.
+        let cand = _mm256_blendv_pd(pos_inf, obj, ok);
+        let better = _mm256_cmp_pd(cand, min_v, _CMP_LT_OQ);
+        min_v = _mm256_blendv_pd(min_v, cand, better);
+        min_i = _mm256_blendv_pd(min_i, idx, better);
+        idx = _mm256_add_pd(idx, four);
+        t += 4;
+    }
+    let mut nv = [0.0f64; 4];
+    let mut ni = [0.0f64; 4];
+    _mm256_storeu_pd(nv.as_mut_ptr(), min_v);
+    _mm256_storeu_pd(ni.as_mut_ptr(), min_i);
+    // Lane combine: strictly smaller wins, exactly equal wins only with a
+    // smaller index — the sequential first-occurrence rule.
+    let mut pick = SecondOrderPick::empty();
+    let mut j_f = f64::INFINITY;
+    for lane in 0..4 {
+        if nv[lane] < pick.obj_min || (nv[lane] == pick.obj_min && ni[lane] < j_f) {
+            pick.obj_min = nv[lane];
+            j_f = ni[lane];
+        }
+    }
+    if j_f.is_finite() {
+        pick.j = j_f as usize;
+    }
+    // Scalar tail: later indices, strict compares keep earlier winners.
+    scan_second_order_scalar(a, g, quad, c, g_max, flipped, t, &mut pick);
+    pick
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -695,6 +885,41 @@ mod tests {
         let full = vec![1.0; 9];
         let r = scan_violating(&full, &g[..9], c, false);
         assert_eq!(r.i_up, usize::MAX);
+    }
+
+    #[test]
+    fn second_order_scan_matches_sequential_rule() {
+        // Gram row of i = 5 over unit-diagonal RBF-like values; the own
+        // entry clamps, every third alpha sits on a bound.
+        for n in [0usize, 1, 7, 8, 9, 12, 33, 100] {
+            let diag = vec![1.0; n];
+            let row: Vec<f64> = (0..n)
+                .map(|t| if t == 5 { 1.0 } else { 0.9 / (1.0 + t as f64) })
+                .collect();
+            let mut quad = vec![0.0; n];
+            second_order_quad(&diag, &row, 1.0, &mut quad);
+            if n > 5 {
+                assert_eq!(quad[5], 1e-12);
+            }
+            let a: Vec<f64> = (0..n).map(|t| (t % 3) as f64 * 0.5).collect();
+            let g: Vec<f64> = (0..n).map(|t| ((t * 7 % 13) as f64 - 6.0) * 0.5).collect();
+            for flipped in [false, true] {
+                let mut want = SecondOrderPick::empty();
+                for t in 0..n {
+                    let v = if flipped { g[t] } else { -g[t] };
+                    let low_ok = if flipped { a[t] < 1.0 } else { a[t] > 0.0 };
+                    if low_ok && v < 1.25 {
+                        let obj = -((1.25 - v) * (1.25 - v)) / quad[t];
+                        if obj < want.obj_min {
+                            want = SecondOrderPick { obj_min: obj, j: t };
+                        }
+                    }
+                }
+                let got = scan_second_order(&a, &g, &quad, 1.0, 1.25, flipped);
+                assert_eq!(got.j, want.j, "n={n} flipped={flipped}");
+                assert_eq!(got.obj_min.to_bits(), want.obj_min.to_bits());
+            }
+        }
     }
 
     #[test]

@@ -8,11 +8,16 @@
 //! `Σ(αᵢ + αᵢ*) = C·ν·l`, solved here with libsvm's `Solver_NU` scheme:
 //! the two sign classes maintain separate violating pairs and updates
 //! always pair variables of the same class, so both constraints stay
-//! satisfied.
+//! satisfied. Working-set selection is libsvm's second-order rule, run
+//! per class: each class's `i` is its maximal up-violator, and `j` is the
+//! violating same-class partner, over both classes, whose pair step
+//! promises the largest decrease of the dual.
 
 use crate::dataset::Dataset;
-use crate::scaler::{StandardScaler, TargetScaler};
-use crate::svr::{Kernel, SvrModel};
+use crate::linalg::{
+    scan_second_order, scan_violating, second_order_quad, ScanResult, SecondOrderPick,
+};
+use crate::svr::{DualState, Kernel, Prepared, SmoExit, SmoOutcome, SvrModel};
 use crate::MlError;
 use serde::{Deserialize, Serialize};
 
@@ -68,55 +73,82 @@ impl NuSvr {
         }
         crate::svr::check_finite(x, y)?;
 
-        let x_scaler = StandardScaler::fit(x);
-        let y_scaler = TargetScaler::fit(y);
-        let xs = x_scaler.transform(x);
-        let ys = y_scaler.transform(y);
+        let pre = Prepared::new(x, y, p.kernel);
+        nu_smo_solve(&pre.xs, &pre.ys, p, pre.gamma, second_order_pair)
+            .into_model(p.tol, p.kernel, pre)
+    }
+}
 
-        let gamma = match p.kernel {
-            Kernel::Rbf { gamma } if gamma > 0.0 => gamma,
-            Kernel::Rbf { .. } => 1.0 / x.n_cols().max(1) as f64,
-            Kernel::Linear => 0.0,
-        };
-
-        let (beta, bias, converged) = nu_smo_solve(&xs, &ys, p, gamma);
-        if !converged {
-            return Err(MlError::DidNotConverge {
-                iterations: p.max_iter,
-            });
+/// The production rule (libsvm's `Solver_NU` WSS2): per class, `i` is the
+/// class's maximal up-violator and the candidates are the class's
+/// low-eligible `t` with `v_t < g_max`; the pair returned is the one
+/// minimising `-(g_max - v_t)^2 / quad_it` over both classes (the alpha
+/// class wins an exact tie). `classes` holds the block-local first-pass
+/// scans; the indices returned are global.
+pub(crate) fn second_order_pair(
+    st: &DualState<'_>,
+    classes: &[ScanResult; 2],
+    quad: &mut [f64],
+) -> Option<(usize, usize)> {
+    let l = quad.len();
+    let mut best = SecondOrderPick::empty();
+    let mut best_i = usize::MAX;
+    for (class, r) in classes.iter().enumerate() {
+        // No low candidate below `g_max`: nothing in this class violates.
+        if r.i_up == usize::MAX || r.i_low == usize::MAX || r.g_max <= r.g_min {
+            continue;
         }
+        let lo = class * l;
+        let ii = r.i_up;
+        second_order_quad(st.diag, &st.k[ii * l..(ii + 1) * l], st.diag[ii], quad);
+        let (a, g) = (&st.a[lo..lo + l], &st.g[lo..lo + l]);
+        let pick = scan_second_order(a, g, quad, st.c, r.g_max, false);
+        if pick.j != usize::MAX && pick.obj_min < best.obj_min {
+            best = SecondOrderPick {
+                obj_min: pick.obj_min,
+                j: pick.j + lo,
+            };
+            best_i = r.i_up + lo;
+        }
+    }
+    (best.j != usize::MAX).then_some((best_i, best.j))
+}
 
-        let mut support = Vec::new();
-        let mut coefs = Vec::new();
-        for (i, &b) in beta.iter().enumerate() {
-            if b.abs() > 1e-12 {
-                support.push(xs.row(i).to_vec());
-                coefs.push(b);
+/// The first-order rule this solver used before (the maximal violating
+/// pair of the class with the wider gap): kept as the reference the
+/// second-order rule is tested against.
+#[cfg(test)]
+pub(crate) fn first_order_pair(
+    _st: &DualState<'_>,
+    classes: &[ScanResult; 2],
+    quad: &mut [f64],
+) -> Option<(usize, usize)> {
+    let l = quad.len();
+    let mut best: Option<(usize, usize, f64)> = None;
+    for (class, r) in classes.iter().enumerate() {
+        if r.i_up != usize::MAX && r.i_low != usize::MAX {
+            let gap = r.g_max - r.g_min;
+            if best.map(|(_, _, bg)| gap > bg).unwrap_or(true) {
+                best = Some((r.i_up + class * l, r.i_low + class * l, gap));
             }
         }
-        if !bias.is_finite() || coefs.iter().any(|c| !c.is_finite()) {
-            return Err(MlError::DidNotConverge {
-                iterations: p.max_iter,
-            });
-        }
-        Ok(SvrModel {
-            kernel: p.kernel,
-            gamma,
-            support_vectors: support,
-            coefficients: coefs,
-            bias,
-            x_scaler,
-            y_scaler,
-            n_features: x.n_cols(),
-        })
     }
+    best.map(|(i, j, _)| (i, j))
 }
 
 /// Solver_NU-style SMO: 2l variables (alpha block then alpha* block), two
 /// equality constraints maintained by pairing same-class variables only.
-/// The third return value is false only when the iteration budget ran out
-/// before the stopping rule fired.
-fn nu_smo_solve(xs: &Dataset, ys: &[f64], p: &NuSvrParams, gamma: f64) -> (Vec<f64>, f64, bool) {
+/// See [`SmoOutcome::converged`] for what each exit guarantees.
+/// `pick_pair` is the working-set rule: [`second_order_pair`] always,
+/// except that unit tests also run `first_order_pair` through this
+/// very loop.
+pub(crate) fn nu_smo_solve(
+    xs: &Dataset,
+    ys: &[f64],
+    p: &NuSvrParams,
+    gamma: f64,
+    pick_pair: impl Fn(&DualState<'_>, &[ScanResult; 2], &mut [f64]) -> Option<(usize, usize)>,
+) -> SmoOutcome {
     let l = xs.n_rows();
     let c = p.c;
 
@@ -124,6 +156,8 @@ fn nu_smo_solve(xs: &Dataset, ys: &[f64], p: &NuSvrParams, gamma: f64) -> (Vec<f
     let k_shared = crate::gram::GramCache::global().gram(xs, p.kernel, gamma);
     let k: &[f64] = &k_shared;
     let kij = |i: usize, j: usize| k[i * l + j];
+    let diag: Vec<f64> = (0..l).map(|t| kij(t, t)).collect();
+    let mut quad = vec![0.0f64; l];
 
     // Initialization (libsvm): fill both blocks with min(C, remaining
     // budget) so that sum(alpha + alpha*) = C * nu * l exactly.
@@ -163,42 +197,54 @@ fn nu_smo_solve(xs: &Dataset, ys: &[f64], p: &NuSvrParams, gamma: f64) -> (Vec<f
         *gt = s * dots[ti] + if t < l { -ys[ti] } else { ys[ti] };
     }
 
-    let mut converged = false;
-    for _iter in 0..p.max_iter {
-        // Per-class maximal violating pairs. For both classes the update
-        // direction that increases a[i] and decreases a[j] keeps both
-        // constraints intact; the violation measure for class s is
-        // m = max_{a_i < C} (-G_i), M = min_{a_j > 0} (-G_j).
-        let mut best: Option<(usize, usize, f64)> = None;
-        for class in 0..2usize {
-            let lo = if class == 0 { 0 } else { l };
-            // Each class block is one blocked SIMD scan (v = −G, up-set
-            // `a < C`, low-set `a > 0`), bit-identical to the sequential
-            // loop it replaces; indices come back block-local.
-            let r = crate::linalg::scan_violating(&a[lo..lo + l], &g[lo..lo + l], c, false);
-            if r.i_up != usize::MAX && r.i_low != usize::MAX {
-                let gap = r.g_max - r.g_min;
-                if best.map(|(_, _, bg)| gap > bg).unwrap_or(true) {
-                    best = Some((r.i_up + lo, r.i_low + lo, gap));
-                }
-            }
+    let mut exit = SmoExit::IterationCap;
+    let mut iterations = 0usize;
+    let mut gap = f64::INFINITY;
+    while iterations < p.max_iter {
+        // First pass: per-class maximal violating pairs. For both classes
+        // the update direction that increases a[i] and decreases a[j]
+        // keeps both constraints intact; the violation measure for class
+        // s is m = max_{a_i < C} (-G_i), M = min_{a_j > 0} (-G_j). Each
+        // class block is one blocked SIMD scan (v = −G, up-set `a < C`,
+        // low-set `a > 0`) with block-local indices. The stopping rule
+        // looks at the wider of the two gaps.
+        let classes = [
+            scan_violating(&a[..l], &g[..l], c, false),
+            scan_violating(&a[l..], &g[l..], c, false),
+        ];
+        gap = classes
+            .iter()
+            .filter(|r| r.i_up != usize::MAX && r.i_low != usize::MAX)
+            .map(|r| r.g_max - r.g_min)
+            .fold(f64::NEG_INFINITY, f64::max);
+        if gap < p.tol {
+            exit = SmoExit::Kkt;
+            break;
         }
-        let Some((i, j, gap)) = best else {
-            converged = true;
+        // Second pass: the rule picks the pair (a gap of at least
+        // `tol > 0` guarantees one; `tol <= 0` may leave none).
+        let state = DualState {
+            a: &a,
+            g: &g,
+            k,
+            diag: &diag,
+            c,
+        };
+        let Some((i, j)) = pick_pair(&state, &classes, &mut quad) else {
+            exit = SmoExit::Kkt;
             break;
         };
-        if gap < p.tol {
-            converged = true;
-            break;
-        }
+        iterations += 1;
         // Same-class pair update: increase a[i] by d, decrease a[j] by d.
         let (ii, jj) = (i % l, j % l);
-        let quad = (kij(ii, ii) + kij(jj, jj) - 2.0 * kij(ii, jj)).max(1e-12);
-        let mut d = (-g[i] + g[j]) / quad;
+        let q_ij = (kij(ii, ii) + kij(jj, jj) - 2.0 * kij(ii, jj)).max(1e-12);
+        let mut d = (-g[i] + g[j]) / q_ij;
         d = d.min(c - a[i]).min(a[j]);
         if d <= 0.0 {
-            // Stalled at the box boundary: no further progress is possible.
-            converged = true;
+            // Stalled at the box boundary: this pair cannot move and the
+            // rule would select it again. Whether that counts as
+            // converged depends on `gap`.
+            exit = SmoExit::Stalled;
             break;
         }
         a[i] += d;
@@ -253,8 +299,13 @@ fn nu_smo_solve(xs: &Dataset, ys: &[f64], p: &NuSvrParams, gamma: f64) -> (Vec<f
     let r2 = class_r(l, 2 * l, &a, &g);
     let bias = -(r1 - r2) / 2.0;
 
-    let beta: Vec<f64> = (0..l).map(|i| a[i] - a[i + l]).collect();
-    (beta, bias, converged)
+    SmoOutcome {
+        a,
+        bias,
+        exit,
+        iterations,
+        gap,
+    }
 }
 
 #[cfg(test)]

@@ -4,13 +4,16 @@
 //! closely-related epsilon-SVR (same model family and kernel machinery;
 //! epsilon parameterizes the tube width directly instead of nu). The dual
 //! problem is solved with a libsvm-style sequential minimal optimization
-//! (SMO) loop using maximal-violating-pair working-set selection.
+//! (SMO) loop using libsvm's second-order working-set selection (Fan,
+//! Chen & Lin 2005): `i` is the maximal up-violator, `j` the violating
+//! partner whose pair step promises the largest decrease of the dual.
 //!
 //! Features and targets are standardized internally (see [`crate::scaler`]),
 //! so `epsilon` is expressed in target standard deviations and the default
 //! RBF `gamma` of `1 / n_features` is meaningful.
 
 use crate::dataset::Dataset;
+use crate::linalg::{scan_second_order, scan_violating, second_order_quad, ScanResult};
 use crate::scaler::{StandardScaler, TargetScaler};
 use crate::MlError;
 use serde::{Deserialize, Serialize};
@@ -91,49 +94,37 @@ impl Svr {
         }
         check_finite(x, y)?;
 
+        let pre = Prepared::new(x, y, p.kernel);
+        smo_solve(&pre.xs, &pre.ys, p, pre.gamma, second_order_j).into_model(p.tol, p.kernel, pre)
+    }
+}
+
+/// What both SVR flavours hand their solver: standardized features and
+/// targets, the scalers that produced them, and the resolved RBF width.
+pub(crate) struct Prepared {
+    pub xs: Dataset,
+    pub ys: Vec<f64>,
+    pub x_scaler: StandardScaler,
+    pub y_scaler: TargetScaler,
+    /// `gamma <= 0` resolved to `1 / n_features`; 0 for the linear kernel.
+    pub gamma: f64,
+}
+
+impl Prepared {
+    pub fn new(x: &Dataset, y: &[f64], kernel: Kernel) -> Prepared {
         let x_scaler = StandardScaler::fit(x);
         let y_scaler = TargetScaler::fit(y);
-        let xs = x_scaler.transform(x);
-        let ys = y_scaler.transform(y);
-
-        let gamma = match p.kernel {
-            Kernel::Rbf { gamma } if gamma > 0.0 => gamma,
-            Kernel::Rbf { .. } => 1.0 / x.n_cols().max(1) as f64,
-            Kernel::Linear => 0.0,
-        };
-
-        let (beta, bias, converged) = smo_solve(&xs, &ys, p, gamma);
-        if !converged {
-            return Err(MlError::DidNotConverge {
-                iterations: p.max_iter,
-            });
-        }
-
-        // Keep only support vectors (nonzero coefficients).
-        let mut support = Vec::new();
-        let mut coefs = Vec::new();
-        for (i, &b) in beta.iter().enumerate() {
-            if b.abs() > 1e-12 {
-                support.push(xs.row(i).to_vec());
-                coefs.push(b);
-            }
-        }
-        if !bias.is_finite() || coefs.iter().any(|c| !c.is_finite()) {
-            return Err(MlError::DidNotConverge {
-                iterations: p.max_iter,
-            });
-        }
-
-        Ok(SvrModel {
-            kernel: p.kernel,
-            gamma,
-            support_vectors: support,
-            coefficients: coefs,
-            bias,
+        Prepared {
+            xs: x_scaler.transform(x),
+            ys: y_scaler.transform(y),
             x_scaler,
             y_scaler,
-            n_features: x.n_cols(),
-        })
+            gamma: match kernel {
+                Kernel::Rbf { gamma } if gamma > 0.0 => gamma,
+                Kernel::Rbf { .. } => 1.0 / x.n_cols().max(1) as f64,
+                Kernel::Linear => 0.0,
+            },
+        }
     }
 }
 
@@ -148,13 +139,151 @@ pub(crate) fn check_finite(x: &Dataset, y: &[f64]) -> Result<(), MlError> {
     }
 }
 
+/// Which of its three exits an SMO solve took.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum SmoExit {
+    /// The stopping rule fired: `g_max - g_min < tol` (or one of the two
+    /// candidate sets was empty, which leaves no violating pair at all).
+    Kkt,
+    /// The step on the selected pair changed neither variable (no room
+    /// left in floating point); the rule would pick the same pair again,
+    /// so the loop ends rather than spin to the cap.
+    Stalled,
+    /// `max_iter` pair steps were taken without either of the above.
+    IterationCap,
+}
+
+/// A stalled solve is accepted when its KKT gap is within this factor of
+/// `tol`; a stall further out is reported as non-convergence.
+pub(crate) const STALL_SLACK: f64 = 10.0;
+
+/// What an SMO solve hands back: the raw dual variables (alpha block, then
+/// alpha* block), the bias, and how the loop ended.
+#[derive(Debug, Clone)]
+pub(crate) struct SmoOutcome {
+    /// The `2l` dual variables.
+    pub a: Vec<f64>,
+    /// Primal bias, in standardized target units.
+    pub bias: f64,
+    /// The exit taken.
+    pub exit: SmoExit,
+    /// Pair steps taken (a stalled step counts: it was selected and tried).
+    pub iterations: usize,
+    /// `g_max - g_min` at the last working-set scan.
+    pub gap: f64,
+}
+
+impl SmoOutcome {
+    /// What a caller may assume about the KKT conditions: after
+    /// [`SmoExit::Kkt`] the maximal violation is below `tol`; after
+    /// [`SmoExit::Stalled`] it is below `STALL_SLACK * tol` — a looser
+    /// guarantee, taken because the one pair that violates by more has no
+    /// room left to move in floating point. A stall with a wider gap and
+    /// an exhausted budget are both non-convergence.
+    pub fn converged(&self, tol: f64) -> bool {
+        match self.exit {
+            SmoExit::Kkt => true,
+            SmoExit::Stalled => self.gap < STALL_SLACK * tol,
+            SmoExit::IterationCap => false,
+        }
+    }
+
+    /// Turns a converged solve into the dense model (support vectors are
+    /// the rows with a nonzero net coefficient `a_i - a_{i+l}`), or
+    /// reports [`MlError::DidNotConverge`].
+    pub fn into_model(self, tol: f64, kernel: Kernel, pre: Prepared) -> Result<SvrModel, MlError> {
+        let Prepared {
+            xs,
+            x_scaler,
+            y_scaler,
+            gamma,
+            ..
+        } = pre;
+        let did_not_converge = MlError::DidNotConverge {
+            iterations: self.iterations,
+        };
+        if !self.converged(tol) {
+            return Err(did_not_converge);
+        }
+        let l = xs.n_rows();
+        let mut support = Vec::new();
+        let mut coefs = Vec::new();
+        for i in 0..l {
+            let b = self.a[i] - self.a[i + l];
+            if b.abs() > 1e-12 {
+                support.push(xs.row(i).to_vec());
+                coefs.push(b);
+            }
+        }
+        if !self.bias.is_finite() || coefs.iter().any(|c| !c.is_finite()) {
+            return Err(did_not_converge);
+        }
+        Ok(SvrModel {
+            kernel,
+            gamma,
+            support_vectors: support,
+            coefficients: coefs,
+            bias: self.bias,
+            x_scaler,
+            y_scaler,
+            n_features: xs.n_cols(),
+        })
+    }
+}
+
+/// The solver state a working-set rule reads when it picks a partner.
+pub(crate) struct DualState<'a> {
+    /// Dual variables.
+    pub a: &'a [f64],
+    /// Gradient.
+    pub g: &'a [f64],
+    /// Row-major `l x l` Gram matrix.
+    pub k: &'a [f64],
+    /// Its diagonal.
+    pub diag: &'a [f64],
+    /// Box constraint.
+    pub c: f64,
+}
+
+/// The production rule (libsvm's WSS2): with `i = sel.i_up`, among the
+/// low-eligible `t` with `v_t < g_max` the one minimising
+/// `-(g_max - v_t)^2 / quad_it`. Both sign halves share one `quad` vector
+/// because `t` and `t + l` are the same training row. Returns
+/// `usize::MAX` when nothing violates against `i`.
+pub(crate) fn second_order_j(st: &DualState<'_>, sel: &ScanResult, quad: &mut [f64]) -> usize {
+    let l = quad.len();
+    let ii = sel.i_up % l;
+    second_order_quad(st.diag, &st.k[ii * l..(ii + 1) * l], st.diag[ii], quad);
+    let mut pick = scan_second_order(&st.a[..l], &st.g[..l], quad, st.c, sel.g_max, false);
+    pick.merge_later(
+        scan_second_order(&st.a[l..], &st.g[l..], quad, st.c, sel.g_max, true),
+        l,
+    );
+    pick.j
+}
+
+/// The first-order rule this solver used before (`j` = the minimal
+/// low-violator): kept as the reference the second-order rule is tested
+/// against — same optimum, many more steps.
+#[cfg(test)]
+pub(crate) fn first_order_j(_st: &DualState<'_>, sel: &ScanResult, _quad: &mut [f64]) -> usize {
+    sel.i_low
+}
+
 /// SMO over the 2l-variable epsilon-SVR dual (libsvm formulation):
 /// variables `a`, signs `s_t` (+1 for the alpha block, -1 for alpha*),
 /// linear term `p_t = eps - y` / `eps + y`, constraint `sum s_t a_t = 0`,
-/// box `[0, C]`. Returns `(beta, bias, converged)` with
-/// `beta_i = a_i - a_{i+l}`; `converged` is false only when the iteration
-/// budget ran out before the KKT stopping rule fired.
-fn smo_solve(xs: &Dataset, ys: &[f64], p: &SvrParams, gamma: f64) -> (Vec<f64>, f64, bool) {
+/// box `[0, C]`. See [`SmoOutcome::converged`] for what each exit
+/// guarantees. `pick_j` is the working-set rule: [`second_order_j`]
+/// always, except that unit tests also run `first_order_j` through
+/// this very loop.
+pub(crate) fn smo_solve(
+    xs: &Dataset,
+    ys: &[f64],
+    p: &SvrParams,
+    gamma: f64,
+    pick_j: impl Fn(&DualState<'_>, &ScanResult, &mut [f64]) -> usize,
+) -> SmoOutcome {
     let l = xs.n_rows();
     let n = 2 * l;
     let c = p.c;
@@ -167,6 +296,8 @@ fn smo_solve(xs: &Dataset, ys: &[f64], p: &SvrParams, gamma: f64) -> (Vec<f64>, 
     let kij = |i: usize, j: usize| k[i * l + j];
     let sign = |t: usize| if t < l { 1.0 } else { -1.0 };
     let idx = |t: usize| if t < l { t } else { t - l };
+    let diag: Vec<f64> = (0..l).map(|t| kij(t, t)).collect();
+    let mut quad = vec![0.0f64; l];
 
     let mut a = vec![0.0f64; n];
     // Gradient G_t = sum_u Qbar_tu a_u + p_t; starts at p_t since a = 0.
@@ -180,22 +311,38 @@ fn smo_solve(xs: &Dataset, ys: &[f64], p: &SvrParams, gamma: f64) -> (Vec<f64>, 
         })
         .collect();
 
-    let mut converged = false;
-    for _iter in 0..p.max_iter {
-        // Working-set selection: maximal violating pair. The 2l scan
+    let mut exit = SmoExit::IterationCap;
+    let mut iterations = 0usize;
+    let mut gap = f64::INFINITY;
+    while iterations < p.max_iter {
+        // Working-set selection, first pass: the maximal violating pair,
+        // which fixes `i` and decides the stopping rule. The 2l scan
         // splits at l into two sign-contiguous halves (s = +1, then
         // s = −1 where `-s*g` reduces exactly to `g`), each a blocked
         // SIMD pass; merging with strict comparisons preserves the
         // sequential loop's first-wins rule bit for bit.
-        let mut sel = crate::linalg::scan_violating(&a[..l], &g[..l], c, false);
-        sel.merge_later(crate::linalg::scan_violating(&a[l..], &g[l..], c, true), l);
-        let (i_sel, j_sel) = (sel.i_up, sel.i_low);
-        let (g_max, g_min) = (sel.g_max, sel.g_min);
-        if i_sel == usize::MAX || j_sel == usize::MAX || g_max - g_min < p.tol {
-            converged = true;
+        let mut sel = scan_violating(&a[..l], &g[..l], c, false);
+        sel.merge_later(scan_violating(&a[l..], &g[l..], c, true), l);
+        gap = sel.g_max - sel.g_min;
+        if sel.i_up == usize::MAX || sel.i_low == usize::MAX || gap < p.tol {
+            exit = SmoExit::Kkt;
             break;
         }
-        let (i, j) = (i_sel, j_sel);
+        // Second pass: the rule picks `j` (a gap of at least `tol > 0`
+        // guarantees a violating partner; `tol <= 0` may leave none).
+        let state = DualState {
+            a: &a,
+            g: &g,
+            k,
+            diag: &diag,
+            c,
+        };
+        let (i, j) = (sel.i_up, pick_j(&state, &sel, &mut quad));
+        if j == usize::MAX {
+            exit = SmoExit::Kkt;
+            break;
+        }
+        iterations += 1;
         let (si, sj) = (sign(i), sign(j));
         let (ii, jj) = (idx(i), idx(j));
         let q_ii = kij(ii, ii);
@@ -259,10 +406,14 @@ fn smo_solve(xs: &Dataset, ys: &[f64], p: &SvrParams, gamma: f64) -> (Vec<f64>, 
 
         let da_i = a[i] - old_ai;
         let da_j = a[j] - old_aj;
-        if da_i.abs() < 1e-15 && da_j.abs() < 1e-15 {
-            // Stalled at the box boundary: no further progress is possible,
-            // treat as converged rather than spinning to the cap.
-            converged = true;
+        if da_i == 0.0 && da_j == 0.0 {
+            // Stalled at the box boundary: this pair cannot move and the
+            // rule would select it again, so stop rather than spin to the
+            // cap. Whether that counts as converged depends on `gap`. A
+            // step that only clears a rounding residue (a variable
+            // 1e-16 inside the box snapping onto the bound) is not a
+            // stall: it changes which variables are eligible.
+            exit = SmoExit::Stalled;
             break;
         }
         // Hoisted row slices and sign-folded step sizes: multiplying by
@@ -313,8 +464,13 @@ fn smo_solve(xs: &Dataset, ys: &[f64], p: &SvrParams, gamma: f64) -> (Vec<f64>, 
         }
     };
 
-    let beta: Vec<f64> = (0..l).map(|i| a[i] - a[i + l]).collect();
-    (beta, bias, converged)
+    SmoOutcome {
+        a,
+        bias,
+        exit,
+        iterations,
+        gap,
+    }
 }
 
 /// A fitted SVR model.

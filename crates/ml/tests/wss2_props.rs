@@ -1,0 +1,243 @@
+//! Second-order working-set scan: path identity.
+//!
+//! `ml::linalg::scan_second_order` picks the SMO solvers' `j`. Like
+//! `scan_violating` it has a scalar loop that *is* the definition and an
+//! AVX2 twin, and the solvers' whole-fit bit-identity
+//! (`tests/smo_vector_props.rs`) rests on the two agreeing on the selected
+//! index and on every bit of the winning estimate — including exact ties
+//! (first occurrence wins), signed zeros, an empty candidate set and the
+//! `1e-12` curvature clamp of `second_order_quad`. The definition is
+//! restated here as a naive loop and both dispatch paths are held to it.
+//!
+//! A deterministic seed grid (always on) plus proptest twins, mirroring
+//! `tests/smo_vector_props.rs`.
+
+// Offline builds may substitute an inert `proptest` whose macro bodies
+// compile away, which strands some imports and helpers as "unused".
+#![allow(dead_code, unused_imports)]
+
+use ml::linalg::{scan_second_order, second_order_quad, SecondOrderPick};
+use proptest::prelude::*;
+use std::sync::{Mutex, MutexGuard};
+
+/// The force-scalar override is a process global; tests that flip it
+/// serialize on this lock and restore the default on drop (also on panic).
+static TOGGLES: Mutex<()> = Mutex::new(());
+
+struct ToggleGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
+
+impl ToggleGuard {
+    fn acquire() -> ToggleGuard {
+        ToggleGuard(TOGGLES.lock().unwrap_or_else(|e| e.into_inner()))
+    }
+}
+
+impl Drop for ToggleGuard {
+    fn drop(&mut self) {
+        ml::linalg::set_force_scalar(false);
+    }
+}
+
+/// The rule, as the solvers' documentation states it.
+fn naive(a: &[f64], g: &[f64], quad: &[f64], c: f64, g_max: f64, flipped: bool) -> SecondOrderPick {
+    let mut pick = SecondOrderPick::empty();
+    for t in 0..a.len() {
+        let v = if flipped { g[t] } else { -g[t] };
+        let low_ok = if flipped { a[t] < c } else { a[t] > 0.0 };
+        if low_ok && v < g_max {
+            let diff = g_max - v;
+            let obj = -(diff * diff) / quad[t];
+            if obj < pick.obj_min {
+                pick = SecondOrderPick { obj_min: obj, j: t };
+            }
+        }
+    }
+    pick
+}
+
+/// Both dispatch paths, both orientations, against the naive rule.
+fn assert_paths_agree(a: &[f64], g: &[f64], quad: &[f64], c: f64, g_max: f64) {
+    let _guard = ToggleGuard::acquire();
+    for flipped in [false, true] {
+        let want = naive(a, g, quad, c, g_max, flipped);
+        for scalar in [true, false] {
+            ml::linalg::set_force_scalar(scalar);
+            let got = scan_second_order(a, g, quad, c, g_max, flipped);
+            assert_eq!(
+                (got.j, got.obj_min.to_bits()),
+                (want.j, want.obj_min.to_bits()),
+                "n={} flipped={flipped} force_scalar={scalar}: got {got:?}, want {want:?}",
+                a.len()
+            );
+        }
+    }
+}
+
+/// Closed-form solver-like state: alphas on both bounds and inside the
+/// box, gradients of both signs, curvature from a synthetic Gram row whose
+/// own entry (`t == i`) clamps.
+fn state(n: usize, seed: u64, c: f64) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+    let phase = (seed % 13) as f64;
+    let a: Vec<f64> = (0..n)
+        .map(|t| match (t as u64 + seed) % 4 {
+            0 => 0.0,
+            1 => c,
+            _ => c * (((t as f64) * 0.61 + phase).sin() * 0.5 + 0.5),
+        })
+        .collect();
+    let g: Vec<f64> = (0..n)
+        .map(|t| ((t as f64) * 0.37 + phase).cos() * 2.0)
+        .collect();
+    // An RBF-like row: unit diagonal, K_it in (0, 1], exactly 1 at t == i.
+    let i = if n == 0 { 0 } else { (seed as usize * 7) % n };
+    let diag = vec![1.0; n];
+    let row: Vec<f64> = (0..n)
+        .map(|t| {
+            let d = t as f64 - i as f64;
+            (-0.05 * d * d).exp()
+        })
+        .collect();
+    let mut quad = vec![0.0; n];
+    second_order_quad(&diag, &row, 1.0, &mut quad);
+    (a, g, quad)
+}
+
+#[test]
+fn scan_paths_agree_on_the_seed_grid() {
+    let c = 10.0;
+    for n in [0usize, 1, 3, 4, 5, 7, 8, 9, 16, 31, 33, 100, 112, 257] {
+        for seed in 0..6u64 {
+            let (a, g, quad) = state(n, seed, c);
+            for g_max in [1.5, 0.0, -0.75, f64::NEG_INFINITY] {
+                assert_paths_agree(&a, &g, &quad, c, g_max);
+            }
+        }
+    }
+}
+
+#[test]
+fn exact_ties_keep_the_first_occurrence() {
+    // Every candidate has the same estimate; lanes 0..3 of every vector
+    // block tie, and so do the blocks and the scalar tail.
+    for n in [4usize, 8, 12, 13, 30] {
+        let a = vec![0.5; n];
+        let g = vec![1.0; n];
+        let quad = vec![2.0; n];
+        assert_paths_agree(&a, &g, &quad, 1.0, 3.0);
+        assert_eq!(scan_second_order(&a, &g, &quad, 1.0, 3.0, false).j, 0);
+    }
+    // Two tying minima late in the slice, in different lanes.
+    let a = vec![0.5; 14];
+    let mut g = vec![0.0; 14];
+    g[6] = 2.0;
+    g[9] = 2.0;
+    g[13] = 2.0;
+    let quad = vec![1.0; 14];
+    assert_paths_agree(&a, &g, &quad, 1.0, 1.0);
+    assert_eq!(scan_second_order(&a, &g, &quad, 1.0, 1.0, false).j, 6);
+}
+
+#[test]
+fn signed_zeros_do_not_violate() {
+    // v = ∓0.0 against g_max = ±0.0: the difference is a zero of either
+    // sign, never `> 0`, so nothing is eligible on either path.
+    let a = vec![0.5; 12];
+    let g: Vec<f64> = (0..12)
+        .map(|t| if t % 2 == 0 { 0.0 } else { -0.0 })
+        .collect();
+    let quad = vec![1.0; 12];
+    for g_max in [0.0, -0.0] {
+        assert_paths_agree(&a, &g, &quad, 1.0, g_max);
+        let pick = scan_second_order(&a, &g, &quad, 1.0, g_max, false);
+        assert_eq!(pick, SecondOrderPick::empty());
+    }
+    // A tiny violation squares to an underflowed -0.0 estimate: still a
+    // candidate, and equal estimates still go to the first of them.
+    let mut g = vec![0.0; 12];
+    g[5] = 1e-200;
+    g[7] = 1e-200;
+    assert_paths_agree(&a, &g, &quad, 1.0, 0.0);
+}
+
+#[test]
+fn empty_low_set_selects_nothing() {
+    let c = 1.0;
+    let g: Vec<f64> = (0..20).map(|t| (t as f64 * 0.9).sin()).collect();
+    let quad = vec![1.0; 20];
+    // a == 0 leaves no low candidate in the alpha half, a == C none in
+    // the (flipped) alpha* half.
+    for (a, flipped) in [(vec![0.0; 20], false), (vec![c; 20], true)] {
+        assert_paths_agree(&a, &g, &quad, c, 5.0);
+        let pick = scan_second_order(&a, &g, &quad, c, 5.0, flipped);
+        assert_eq!(pick, SecondOrderPick::empty());
+    }
+}
+
+#[test]
+fn clamped_curvature_wins_the_scan() {
+    // The alpha_i / alpha*_i pair of one row: K_ii + K_ii - 2 K_ii = 0
+    // clamps to 1e-12, and that estimate dwarfs every other.
+    let n = 24;
+    let i = 17;
+    let diag = vec![1.0; n];
+    let row: Vec<f64> = (0..n).map(|t| if t == i { 1.0 } else { 0.25 }).collect();
+    let mut quad = vec![0.0; n];
+    second_order_quad(&diag, &row, 1.0, &mut quad);
+    assert_eq!(quad[i], 1e-12);
+    assert!(quad.iter().enumerate().all(|(t, &q)| t == i || q == 1.5));
+    let a = vec![0.5; n];
+    let g: Vec<f64> = (0..n).map(|t| 1.0 - t as f64 * 0.01).collect();
+    assert_paths_agree(&a, &g, &quad, 1.0, 0.1);
+    let pick = scan_second_order(&a, &g, &quad, 1.0, 0.1, false);
+    assert_eq!(pick.j, i);
+}
+
+#[test]
+fn merge_keeps_the_earlier_block_on_ties() {
+    let mut first = SecondOrderPick {
+        obj_min: -2.0,
+        j: 3,
+    };
+    first.merge_later(
+        SecondOrderPick {
+            obj_min: -2.0,
+            j: 0,
+        },
+        10,
+    );
+    assert_eq!(first.j, 3);
+    first.merge_later(
+        SecondOrderPick {
+            obj_min: -2.5,
+            j: 1,
+        },
+        10,
+    );
+    assert_eq!((first.j, first.obj_min), (11, -2.5));
+    first.merge_later(SecondOrderPick::empty(), 20);
+    assert_eq!(first.j, 11);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Values drawn from small sets so that exact ties, bound alphas and
+    /// zero differences are common rather than measure-zero.
+    #[test]
+    fn scan_paths_agree_for_any_state(
+        cells in prop::collection::vec((0usize..5, -4i32..5, 0usize..4), 0..80),
+        g_max_step in -4i32..6,
+    ) {
+        let c = 2.0;
+        let a: Vec<f64> = cells.iter().map(|&(k, _, _)| [0.0, c, 0.5, 1.0, 1e-16][k]).collect();
+        let g: Vec<f64> = cells.iter().map(|&(_, s, _)| s as f64 * 0.5).collect();
+        let quad: Vec<f64> = cells.iter().map(|&(_, _, q)| [1e-12, 0.5, 1.0, 4.0][q]).collect();
+        assert_paths_agree(&a, &g, &quad, c, g_max_step as f64 * 0.5);
+    }
+
+    #[test]
+    fn scan_paths_agree_for_any_seed(n in 0usize..300, seed in any::<u64>()) {
+        let (a, g, quad) = state(n, seed % 1000, 10.0);
+        assert_paths_agree(&a, &g, &quad, 10.0, 1.0);
+    }
+}

@@ -15,6 +15,7 @@ cargo test -q -p qpp-ml --test simd_props
 cargo test -q -p qpp-ml --test compiled_props
 cargo test -q -p qpp-ml --test gram_blocked_props
 cargo test -q -p qpp-ml --test smo_vector_props
+cargo test -q -p qpp-ml --test wss2_props
 cargo test -q -p qpp-ml --test zero_alloc
 cargo test -q -p qpp-core --test arena_props
 
@@ -25,6 +26,7 @@ cargo test -q -p qpp-ml --features force-scalar --test simd_props
 cargo test -q -p qpp-ml --features force-scalar --test compiled_props
 cargo test -q -p qpp-ml --features force-scalar --test gram_blocked_props
 cargo test -q -p qpp-ml --features force-scalar --test smo_vector_props
+cargo test -q -p qpp-ml --features force-scalar --test wss2_props
 cargo test -q -p qpp-ml --features force-scalar --test zero_alloc
 
 # ml::par's workers park on a condition variable between fan-outs, so a
