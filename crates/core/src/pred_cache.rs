@@ -22,11 +22,10 @@
 //!
 //! Determinism: a hit returns bit-identical values to the recomputation it
 //! replaces, so batch predictions remain bit-identical to a cold serial
-//! loop regardless of hit pattern or thread interleaving. Eviction follows
-//! the same policy as `ml::gram::GramCache`: when the entry cap is
-//! reached, the map is cleared wholesale — trivially correct (pure
-//! memoization has nothing to invalidate) and cheap relative to model
-//! evaluation.
+//! loop regardless of hit pattern or thread interleaving. Eviction is
+//! wholesale: when the entry cap is reached, the map is cleared —
+//! trivially correct (pure memoization has nothing to invalidate) and
+//! cheap relative to model evaluation.
 
 use crate::features::NodeView;
 use std::collections::HashMap;

@@ -3,6 +3,12 @@
 //! The paper's static-workload results use 5-fold cross-validation with
 //! *stratified sampling*: folds contain roughly equal numbers of queries
 //! from each TPC-H template. Strata here are arbitrary `usize` labels.
+//!
+//! [`cross_validate`] trains its folds on [`crate::par`] whatever their
+//! size: a fold's fit keeps nothing once it returns ([`crate::gram`]), so
+//! fanning out costs no memory, and on the parked-worker pool it pays even
+//! for 112-row SVR fits and for the operator models' linear ones
+//! (DESIGN.md §7).
 
 use crate::dataset::Dataset;
 use crate::metrics::mean_relative_error;
@@ -139,24 +145,14 @@ impl CrossValidation {
     }
 }
 
-/// Minimum `rows × cols` before fold training fans out over
-/// [`crate::par`]. Forward selection's 112 × ≤ 7 matrices never reach it.
-/// The bound is there for memory, not time: fanning those folds out makes
-/// a training faster (8.3 ms against 11.1 ms per `train` op of the
-/// staircase benchmark), but Gram matrices built on a worker come from
-/// that thread's malloc arena, the wholesale-evicted
-/// [`crate::gram::GramCache`] then peaks once per arena, and the
-/// benchmark's `train/peak_rss_mb` grows from 76 to 83 MiB. Lift it once
-/// the cache no longer outlives a training (ROADMAP).
-const PARALLEL_CELLS: usize = 2048;
-
 /// Trains `learner` on each fold's training rows and predicts its test rows;
 /// reports per-fold mean relative error and the out-of-fold predictions.
 ///
-/// Folds are trained in parallel when the problem is large enough; every
-/// fold's fit and predictions depend only on that fold's rows and results
-/// are merged in fold order, so the output (including which error is
-/// reported on failure) is identical to the serial loop.
+/// Folds fan out over [`crate::par`] (which runs them inline with one
+/// thread or on a pool worker); every fold's fit and predictions depend
+/// only on that fold's rows and results are merged in fold order, so the
+/// output (including which error is reported on failure) is identical to
+/// the serial loop.
 pub fn cross_validate<L: Learner + Sync>(
     learner: &L,
     x: &Dataset,
@@ -185,14 +181,7 @@ pub fn cross_validate<L: Learner + Sync>(
         };
         Ok((preds, err))
     };
-    let parallel = folds.len() > 1
-        && crate::par::threads() > 1
-        && x.n_rows() * x.n_cols().max(1) >= PARALLEL_CELLS;
-    let outcomes: Vec<FoldOut> = if parallel {
-        crate::par::par_map(folds, |_, fold| run_fold(fold))
-    } else {
-        folds.iter().map(run_fold).collect()
-    };
+    let outcomes: Vec<FoldOut> = crate::par::par_map(folds, |_, fold| run_fold(fold));
     let mut fold_errors = Vec::with_capacity(folds.len());
     let mut predictions = vec![f64::NAN; y.len()];
     for outcome in outcomes {

@@ -11,6 +11,13 @@
 //!    feature; keep it if cross-validated error improves.
 //! 3. Stop after `patience` consecutive non-improving additions (best-first
 //!    with a bounded frontier).
+//!
+//! Plan-level features duplicate each other on narrow workloads (a count
+//! and a row total that coincide on every query of the log). A candidate
+//! whose column is bit-equal to one already rejected against the same
+//! selected set would be scored on the very same matrix, so it takes that
+//! candidate's error without being refitted; it still counts as a
+//! non-improving addition.
 
 use crate::cv::{cross_validate, Fold};
 use crate::dataset::Dataset;
@@ -78,6 +85,8 @@ pub fn forward_select<L: Learner + Sync>(
     let mut selected: Vec<usize> = Vec::new();
     let mut best_error = f64::INFINITY;
     let mut misses = 0usize;
+    // Candidates rejected since `selected` last changed, with their errors.
+    let mut rejected: Vec<(usize, f64)> = Vec::new();
 
     for &candidate in &ranked {
         if config.max_features > 0 && selected.len() >= config.max_features {
@@ -85,12 +94,17 @@ pub fn forward_select<L: Learner + Sync>(
         }
         let mut trial = selected.clone();
         trial.push(candidate);
-        let sub = x.select_columns(&trial);
-        let err = match cross_validate(learner, &sub, y, folds) {
-            Ok(cv) => cv.mean_error(),
-            // A candidate that makes the system unsolvable is simply skipped.
-            Err(_) => f64::INFINITY,
-        };
+        let inherited = rejected
+            .iter()
+            .find(|&&(earlier, _)| columns_bit_equal(x, earlier, candidate))
+            .map(|&(_, err)| err);
+        let err = inherited.unwrap_or_else(|| {
+            match cross_validate(learner, &x.select_columns(&trial), y, folds) {
+                Ok(cv) => cv.mean_error(),
+                // A candidate that makes the system unsolvable is simply skipped.
+                Err(_) => f64::INFINITY,
+            }
+        });
         // Absolute floor of 1e-12 keeps numerical jitter from counting as
         // an improvement once the error is essentially zero.
         let improved = err.is_finite()
@@ -100,7 +114,9 @@ pub fn forward_select<L: Learner + Sync>(
             selected = trial;
             best_error = err;
             misses = 0;
+            rejected.clear();
         } else {
+            rejected.push((candidate, err));
             misses += 1;
             if misses > config.patience {
                 break;
@@ -128,13 +144,185 @@ pub fn forward_select<L: Learner + Sync>(
     })
 }
 
+/// Whether columns `a` and `b` of `x` hold the same bits in every row.
+fn columns_bit_equal(x: &Dataset, a: usize, b: usize) -> bool {
+    x.rows().all(|row| row[a].to_bits() == row[b].to_bits())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cv::kfold;
-    use crate::LearnerKind;
+    use crate::{LearnerKind, SvrParams, TrainedModel};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// The reference `forward_select` must agree with: the selection loop
+    /// without the duplicate rule, every candidate scored by
+    /// cross-validation.
+    fn forward_select_refitting<L: Learner + Sync>(
+        config: &ForwardSelection,
+        learner: &L,
+        x: &Dataset,
+        y: &[f64],
+        folds: &[Fold],
+    ) -> SelectionResult {
+        let mut selected: Vec<usize> = Vec::new();
+        let mut best_error = f64::INFINITY;
+        let mut misses = 0usize;
+        for &candidate in &rank_by_correlation(x, y) {
+            if config.max_features > 0 && selected.len() >= config.max_features {
+                break;
+            }
+            let mut trial = selected.clone();
+            trial.push(candidate);
+            let sub = x.select_columns(&trial);
+            let err = match cross_validate(learner, &sub, y, folds) {
+                Ok(cv) => cv.mean_error(),
+                Err(_) => f64::INFINITY,
+            };
+            let improved = err.is_finite()
+                && (best_error.is_infinite()
+                    || err < best_error * (1.0 - config.min_improvement) - 1e-12);
+            if improved {
+                selected = trial;
+                best_error = err;
+                misses = 0;
+            } else {
+                misses += 1;
+                if misses > config.patience {
+                    break;
+                }
+            }
+        }
+        assert!(
+            !selected.is_empty(),
+            "the reference has no degenerate-data fallback"
+        );
+        SelectionResult {
+            selected,
+            cv_error: best_error,
+        }
+    }
+
+    /// A learner that counts its fits.
+    struct Counting<L> {
+        inner: L,
+        fits: AtomicUsize,
+    }
+
+    impl<L> Counting<L> {
+        fn new(inner: L) -> Self {
+            Counting {
+                inner,
+                fits: AtomicUsize::new(0),
+            }
+        }
+
+        fn fits(&self) -> usize {
+            self.fits.load(Ordering::Relaxed)
+        }
+    }
+
+    impl<L: Learner> Learner for Counting<L> {
+        fn fit(&self, x: &Dataset, y: &[f64]) -> Result<TrainedModel, MlError> {
+            self.fits.fetch_add(1, Ordering::Relaxed);
+            self.inner.fit(x, y)
+        }
+    }
+
+    /// Runs both loops; asserts they agree to the bit and returns the
+    /// result with (fits with the duplicate rule, fits refitting).
+    fn select_both_ways<L: Learner + Sync + Clone>(
+        config: &ForwardSelection,
+        learner: &L,
+        x: &Dataset,
+        y: &[f64],
+        folds: &[Fold],
+    ) -> (SelectionResult, usize, usize) {
+        let skipping = Counting::new(learner.clone());
+        let refitting = Counting::new(learner.clone());
+        let got = forward_select(config, &skipping, x, y, folds).expect("selection");
+        let want = forward_select_refitting(config, &refitting, x, y, folds);
+        assert_eq!(got.selected, want.selected);
+        assert_eq!(got.cv_error.to_bits(), want.cv_error.to_bits());
+        (got, skipping.fits(), refitting.fits())
+    }
+
+    #[test]
+    fn fixture_log_selection_equals_the_refitting_loop() {
+        let log = crate::solver_tests::plan_log();
+        let learner = LearnerKind::Svr(SvrParams::default());
+        let (_, skipping, refitting) = select_both_ways(
+            &ForwardSelection::default(),
+            &learner,
+            &log.x,
+            &log.y,
+            &log.folds,
+        );
+        // `aggregate_rows` is rejected, then `aggregate_cnt` holds the
+        // same bits: one candidate set of five folds is not refitted.
+        assert_eq!((skipping, refitting), (50, 55));
+    }
+
+    /// Closed-form noise in [0, 1): identical on every host and under
+    /// either `rand`.
+    fn noise(i: usize, k: usize) -> f64 {
+        ((i as f64 * 12.9898 + k as f64 * 78.233).sin() * 43_758.545_3).rem_euclid(1.0)
+    }
+
+    /// 80 rows whose columns rank `a, a, b, m1, m1, m2, m2, c`: `y` is
+    /// `4a + 2b + 0.3c`, the `m`s are `a` under heavy noise (correlated
+    /// with `y`, useless beside `a`), and `c` correlates least although
+    /// it is the one column left that helps.
+    fn duplicated_columns() -> (Dataset, Vec<f64>) {
+        let mut rows = Vec::new();
+        let mut y = Vec::new();
+        for i in 0..80 {
+            let (a, b, c) = (noise(i, 0) * 10.0, noise(i, 1) * 10.0, noise(i, 2) * 10.0);
+            let (m1, m2) = (a + noise(i, 3) * 25.0, a + noise(i, 4) * 35.0);
+            rows.push(vec![a, a, b, m1, m1, m2, m2, c]);
+            y.push(4.0 * a + 2.0 * b + 0.3 * c + 5.0);
+        }
+        (Dataset::from_rows(rows), y)
+    }
+
+    #[test]
+    fn duplicates_of_rejected_columns_are_misses_that_are_not_refitted() {
+        let (x, y) = duplicated_columns();
+        assert_eq!(rank_by_correlation(&x, &y), [0, 1, 2, 3, 4, 5, 6, 7]);
+        // Dealt by hand: `kfold`'s shuffle depends on which `rand` is linked.
+        let folds: Vec<Fold> = (0..4)
+            .map(|f| Fold {
+                train: (0..x.n_rows()).filter(|i| i % 4 != f).collect(),
+                test: (0..x.n_rows()).filter(|i| i % 4 == f).collect(),
+            })
+            .collect();
+        let learner = LearnerKind::Linear { ridge: 1e-9 };
+        let with_patience = |patience| {
+            let config = ForwardSelection {
+                patience,
+                ..ForwardSelection::default()
+            };
+            select_both_ways(&config, &learner, &x, &y, &folds)
+        };
+
+        // Column 1 duplicates the *accepted* column 0: `[0, 1]` is a
+        // matrix nothing has scored, so it is fitted (and rejected).
+        // Columns 4 and 6 duplicate the rejected 3 and 5 against the same
+        // `[0, 2]`: they inherit the error. Four misses in a row are
+        // within a patience of 4, so `c` is reached and accepted.
+        let (sel, skipping, refitting) = with_patience(4);
+        assert_eq!(sel.selected, [0, 2, 7]);
+        assert_eq!((skipping, refitting), (6 * 4, 8 * 4));
+
+        // With a patience of 3 the fourth miss — the duplicate column 6,
+        // which is not fitted — is the one that ends the search.
+        let (sel, skipping, refitting) = with_patience(3);
+        assert_eq!(sel.selected, [0, 2]);
+        assert_eq!((skipping, refitting), (5 * 4, 7 * 4));
+    }
 
     /// y depends on columns 0 and 2; column 1 is pure noise, column 3 is
     /// constant.

@@ -1,23 +1,23 @@
-//! A process-wide cache of dense SVR kernel (Gram) matrices.
+//! Kernel (Gram) matrices for the SMO solvers: built by a blocked SIMD
+//! kernel, alive exactly as long as the fit that reads them.
 //!
-//! The SMO solvers repeatedly need the full Gram matrix of the same
-//! standardized design matrix: the start-time and run-time heads of a
-//! sub-plan model train on one shared feature matrix, and forward
-//! selection re-scores identical column subsets across search rounds.
-//! Entries are keyed by a content hash of the (already scaled) dataset
-//! plus the resolved kernel, so the cache never needs explicit
-//! invalidation — different data simply hashes to a different key.
-//! Matrices are computed once (upper triangle, mirrored — the kernel is
-//! symmetric) and shared via `Arc`.
+//! A solve leases its dense `l × l` matrix from [`GramCache`] and hands
+//! the buffer back when it ends, so the next fit builds into memory that
+//! is already mapped instead of asking the allocator for another matrix.
+//! Nothing else is retained: an idle buffer exists only because a fit
+//! returned it, so there are never more of them than fits that once ran
+//! at the same time — at most one per thread — and a training leaves
+//! behind one matrix per thread however many it built.
 //!
-//! Eviction is wholesale: when inserting an entry would push the cache
-//! past its capacity, the whole map is cleared first. Training sets here
-//! are small and matrices are transient, so a simple bound beats LRU
-//! bookkeeping. The capacity defaults to 64 MiB and can be set per
-//! process with the `QPP_GRAM_CACHE_CAP` environment variable (bytes) so
-//! long drift-loop runs can bound the resident set.
+//! A returned buffer still holds the last matrix and a copy of the scaled
+//! rows it was built from. A fit whose rows, kernel and resolved gamma
+//! equal that copy **bit for bit** takes the matrix as it is (the start-
+//! and run-time heads of a sub-plan model train on one feature matrix,
+//! and stratified folds can standardise a per-template constant to the
+//! same column); nothing is ever handed back on a hash, so no two
+//! datasets can be served each other's matrix.
 //!
-//! Construction itself is the blocked, lane-padded SoA kernel
+//! Construction is the blocked, lane-padded SoA kernel
 //! [`compute_gram_blocked`]: the lower triangle is tiled into L1-sized
 //! row tiles written in place and each row evaluates 8 kernel columns at
 //! once, with runtime-dispatched AVX2 and an order-identical scalar
@@ -27,208 +27,136 @@
 use crate::dataset::Dataset;
 use crate::par;
 use crate::svr::Kernel;
-use std::collections::HashMap;
+use std::mem::{discriminant, Discriminant};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
-/// Total `f64` entries the cache may hold before it clears itself
-/// (64 MiB worth) when `QPP_GRAM_CACHE_CAP` doesn't override it.
-const MAX_CACHED_FLOATS: usize = 8 << 20;
-
-/// Default capacity in floats: `QPP_GRAM_CACHE_CAP` (a byte budget) when
-/// set and valid, else the built-in 64 MiB. An invalid value warns once
-/// per process instead of being silently ignored.
-fn default_cap_floats() -> usize {
-    static CAP: OnceLock<usize> = OnceLock::new();
-    *CAP.get_or_init(|| {
-        crate::knob::from_env(
-            "QPP_GRAM_CACHE_CAP",
-            cap_floats_from,
-            "the default 64 MiB budget",
-        )
-        .unwrap_or(MAX_CACHED_FLOATS)
-    })
+/// How often a fit's matrix had to be built.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct GramCacheStats {
+    /// Fits that took an idle matrix built from exactly their input.
+    pub hits: usize,
+    /// Matrices built.
+    pub misses: usize,
 }
 
-/// Parses a `QPP_GRAM_CACHE_CAP` byte budget into a float count. Unset
-/// falls back to the 64 MiB default; unparsable or smaller-than-one-float
-/// values are rejected with a reason so the caller can warn instead of
-/// silently ignoring the knob.
-fn cap_floats_from(bytes: Option<&str>) -> Result<usize, String> {
-    let Some(raw) = bytes else {
-        return Ok(MAX_CACHED_FLOATS);
-    };
-    match raw.trim().parse::<u64>() {
-        Ok(b) if b >= 8 => Ok((b / 8) as usize),
-        Ok(b) => Err(format!(
-            "QPP_GRAM_CACHE_CAP={b} (bytes); the budget must fit at least one 8-byte float"
-        )),
-        Err(_) => Err(format!(
-            "QPP_GRAM_CACHE_CAP={raw:?}: not a byte count"
-        )),
+/// What decides a Gram matrix besides the cells: rows, columns, kernel
+/// family, and the resolved gamma's bits.
+type Shape = (usize, usize, Discriminant<Kernel>, u64);
+
+/// A Gram matrix and the exact input it was built from.
+struct Built {
+    /// Row-major copy of the dataset.
+    cells: Vec<f64>,
+    shape: Shape,
+    k: Vec<f64>,
+}
+
+impl Built {
+    fn is_of(&self, xs: &Dataset, shape: Shape) -> bool {
+        // Bits, not `==`: equal means the same input, with no reasoning
+        // about which differences a kernel forgives.
+        let same_bits = |(a, b): (&f64, &f64)| a.to_bits() == b.to_bits();
+        self.shape == shape && self.cells.iter().zip(xs.as_flat()).all(same_bits)
     }
 }
 
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-struct GramKey {
-    data_hash: u64,
-    n_rows: usize,
-    n_cols: usize,
-    kernel_kind: u8,
-    gamma_bits: u64,
-}
-
-/// Counters describing cache effectiveness and occupancy.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GramCacheStats {
-    /// Lookups served from the cache.
-    pub hits: usize,
-    /// Lookups that had to compute the matrix.
-    pub misses: usize,
-    /// Matrices currently cached.
-    pub entries: usize,
-    /// Bytes currently held by cached matrices.
-    pub bytes_resident: usize,
-    /// Wholesale capacity evictions since creation (or the last
-    /// [`GramCache::clear`]).
-    pub evictions: usize,
-}
-
-/// Cached matrices plus the total number of cached floats (for the
-/// capacity bound).
-type GramMap = (HashMap<GramKey, Arc<Vec<f64>>>, usize);
-
-/// A content-addressed cache of Gram matrices; see the module docs.
+/// Where the SMO solvers get their Gram matrix; see the module docs.
+#[derive(Default)]
 pub struct GramCache {
-    map: Mutex<GramMap>,
+    /// Buffers between fits, most recently returned last.
+    idle: Mutex<Vec<Built>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
-    evictions: AtomicUsize,
-    cap_floats: usize,
+}
+
+/// One fit's hold on its row-major `l × l` Gram matrix. Dropping it hands
+/// the buffer back for the next fit.
+pub struct GramLease<'a> {
+    home: &'a GramCache,
+    /// `Some` until dropped.
+    built: Option<Built>,
+}
+
+impl std::ops::Deref for GramLease<'_> {
+    type Target = [f64];
+
+    fn deref(&self) -> &[f64] {
+        &self.built.as_ref().expect("held until drop").k
+    }
+}
+
+impl Drop for GramLease<'_> {
+    fn drop(&mut self) {
+        self.home.idle().extend(self.built.take());
+    }
 }
 
 impl GramCache {
-    /// Creates an empty cache with the default capacity (64 MiB, or the
-    /// `QPP_GRAM_CACHE_CAP` byte budget when set).
+    /// Creates a cache holding nothing.
     pub fn new() -> GramCache {
-        GramCache::with_capacity_floats(default_cap_floats())
+        GramCache::default()
     }
 
-    /// Creates an empty cache bounded to roughly `cap_bytes` of matrix
-    /// storage. A matrix larger than the whole budget is still computed
-    /// and returned — it just isn't retained.
-    pub fn with_capacity(cap_bytes: usize) -> GramCache {
-        GramCache::with_capacity_floats(cap_bytes / std::mem::size_of::<f64>())
-    }
-
-    fn with_capacity_floats(cap_floats: usize) -> GramCache {
-        GramCache {
-            map: Mutex::new((HashMap::new(), 0)),
-            hits: AtomicUsize::new(0),
-            misses: AtomicUsize::new(0),
-            evictions: AtomicUsize::new(0),
-            cap_floats,
-        }
-    }
-
-    /// The process-wide cache the SMO solvers share.
+    /// The process-wide instance the SMO solvers use.
     pub fn global() -> &'static GramCache {
         static GLOBAL: OnceLock<GramCache> = OnceLock::new();
         GLOBAL.get_or_init(GramCache::new)
     }
 
-    /// Returns the row-major `l × l` Gram matrix of `xs` under `kernel`
-    /// with the resolved `gamma`, computing and caching it on a miss.
-    pub fn gram(&self, xs: &Dataset, kernel: Kernel, gamma: f64) -> Arc<Vec<f64>> {
-        let key = GramKey {
-            data_hash: hash_dataset(xs),
-            n_rows: xs.n_rows(),
-            n_cols: xs.n_cols(),
-            kernel_kind: match kernel {
-                Kernel::Linear => 0,
-                Kernel::Rbf { .. } => 1,
-            },
-            gamma_bits: gamma.to_bits(),
-        };
-        {
-            let guard = self
-                .map
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if let Some(hit) = guard.0.get(&key) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Arc::clone(hit);
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let m = Arc::new(compute_gram_blocked(xs, kernel, gamma));
-        let mut guard = self
-            .map
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let (map, floats) = &mut *guard;
-        if *floats + m.len() > self.cap_floats && !map.is_empty() {
-            map.clear();
-            *floats = 0;
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        if m.len() <= self.cap_floats {
-            // A racing thread may have inserted the same key; keeping the
-            // existing entry is fine (identical contents by construction).
-            if map.insert(key, Arc::clone(&m)).is_none() {
-                *floats += m.len();
-            }
-        }
-        m
+    /// A push or a pop leaves the list valid, so a poisoned lock is
+    /// recovered.
+    fn idle(&self) -> MutexGuard<'_, Vec<Built>> {
+        self.idle.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Current hit/miss/occupancy/eviction counters.
+    /// Leases the Gram matrix of `xs` under `kernel` with the resolved
+    /// `gamma`: an idle matrix built from exactly this input if there is
+    /// one, else [`compute_gram_blocked`] into the most recently returned
+    /// buffer.
+    pub fn gram(&self, xs: &Dataset, kernel: Kernel, gamma: f64) -> GramLease<'_> {
+        let (l, kind) = (xs.n_rows(), discriminant(&kernel));
+        let shape = (l, xs.n_cols(), kind, gamma.to_bits());
+        let recycled = {
+            let mut idle = self.idle();
+            if let Some(at) = idle.iter().rposition(|b| b.is_of(xs, shape)) {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return self.lease(idle.remove(at));
+            }
+            idle.pop()
+        };
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let (mut cells, mut k) = recycled.map(|b| (b.cells, b.k)).unwrap_or_default();
+        cells.clear();
+        cells.extend_from_slice(xs.as_flat());
+        // The build writes every entry, so what the buffer held is not
+        // cleared first.
+        k.resize(l * l, 0.0);
+        fill_gram_blocked(xs, kernel, gamma, &mut k);
+        self.lease(Built { cells, shape, k })
+    }
+
+    fn lease(&self, built: Built) -> GramLease<'_> {
+        GramLease {
+            home: self,
+            built: Some(built),
+        }
+    }
+
+    /// Current hit/miss counters.
     pub fn stats(&self) -> GramCacheStats {
-        let guard = self
-            .map
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
         GramCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            entries: guard.0.len(),
-            bytes_resident: guard.1 * std::mem::size_of::<f64>(),
-            evictions: self.evictions.load(Ordering::Relaxed),
         }
     }
 
-    /// Drops all cached matrices and resets the counters.
+    /// Frees the idle buffers and resets the counters.
     pub fn clear(&self) {
-        let mut guard = self
-            .map
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        guard.0.clear();
-        guard.1 = 0;
+        self.idle().clear();
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
     }
-}
-
-impl Default for GramCache {
-    fn default() -> Self {
-        GramCache::new()
-    }
-}
-
-/// FNV-1a over the dataset's shape and raw `f64` bit patterns.
-fn hash_dataset(xs: &Dataset) -> u64 {
-    let mix = |h: u64, v: u64| (h ^ v).wrapping_mul(0x1000_0000_01b3);
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    h = mix(h, xs.n_rows() as u64);
-    h = mix(h, xs.n_cols() as u64);
-    for row in xs.rows() {
-        for &v in row {
-            h = mix(h, v.to_bits());
-        }
-    }
-    h
 }
 
 /// Computes the dense Gram matrix directly, evaluating the kernel once per
@@ -237,7 +165,7 @@ fn hash_dataset(xs: &Dataset) -> u64 {
 /// than the fan-out's bookkeeping); each entry's value is independent of
 /// the worker count.
 ///
-/// Public so tests can compare cached matrices against a fresh computation.
+/// Public so tests can compare leased matrices against a fresh computation.
 pub fn compute_gram(xs: &Dataset, kernel: Kernel, gamma: f64) -> Vec<f64> {
     let l = xs.n_rows();
     let mut k = vec![0.0f64; l * l];
@@ -574,10 +502,18 @@ impl MatPtr {
 /// any host, under the `force-scalar` feature, and under the
 /// [`crate::linalg::set_force_scalar`] runtime override.
 pub fn compute_gram_blocked(xs: &Dataset, kernel: Kernel, gamma: f64) -> Vec<f64> {
+    let mut k = vec![0.0f64; xs.n_rows() * xs.n_rows()];
+    fill_gram_blocked(xs, kernel, gamma, &mut k);
+    k
+}
+
+/// [`compute_gram_blocked`] into a caller-supplied `l × l` buffer, every
+/// entry of which is overwritten.
+fn fill_gram_blocked(xs: &Dataset, kernel: Kernel, gamma: f64, k: &mut [f64]) {
     let l = xs.n_rows();
-    let mut k = vec![0.0f64; l * l];
+    assert_eq!(k.len(), l * l, "Gram buffer is not {l} x {l}");
     if l == 0 {
-        return k;
+        return;
     }
     let soa = pack_soa(xs);
     let use_simd = crate::linalg::simd_enabled();
@@ -626,7 +562,6 @@ pub fn compute_gram_blocked(xs: &Dataset, kernel: Kernel, gamma: f64) -> Vec<f64
             }
         }
     });
-    k
 }
 
 #[cfg(test)]
@@ -637,34 +572,128 @@ mod tests {
         Dataset::from_rows((0..8).map(|i| vec![i as f64, (i * i) as f64]).collect())
     }
 
-    #[test]
-    fn second_lookup_is_a_hit_sharing_the_same_matrix() {
-        let cache = GramCache::new();
-        let xs = toy();
-        let a = cache.gram(&xs, Kernel::Rbf { gamma: 0.5 }, 0.5);
-        let b = cache.gram(&xs, Kernel::Rbf { gamma: 0.5 }, 0.5);
-        assert!(Arc::ptr_eq(&a, &b));
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
+    fn assert_bits_eq(got: &[f64], want: &[f64], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (at, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}: entry {at}");
+        }
     }
 
     #[test]
-    fn different_kernels_get_different_entries() {
+    fn equal_input_is_a_hit_on_the_returned_buffer() {
         let cache = GramCache::new();
         let xs = toy();
-        let a = cache.gram(&xs, Kernel::Linear, 0.0);
-        let b = cache.gram(&xs, Kernel::Rbf { gamma: 0.5 }, 0.5);
-        assert!(!Arc::ptr_eq(&a, &b));
-        assert_eq!(cache.stats().entries, 2);
+        let rbf = Kernel::Rbf { gamma: 0.5 };
+        let first = cache.gram(&xs, rbf, 0.5);
+        let at = first.as_ptr();
+        // While the first fit holds its matrix there is nothing to reuse.
+        let concurrent = cache.gram(&xs, rbf, 0.5);
+        assert_ne!(concurrent.as_ptr(), at);
+        assert_eq!(cache.stats(), GramCacheStats { hits: 0, misses: 2 });
+        drop(concurrent);
+        drop(first);
+        let again = cache.gram(&xs, rbf, 0.5);
+        assert_eq!(again.as_ptr(), at);
+        assert_eq!(cache.stats(), GramCacheStats { hits: 1, misses: 2 });
+        assert_bits_eq(&again, &compute_gram(&xs, rbf, 0.5), "hit");
     }
 
     #[test]
-    fn clear_empties_the_cache() {
+    fn another_kernel_gamma_or_shape_rebuilds_into_the_same_buffer() {
         let cache = GramCache::new();
         let xs = toy();
-        let _ = cache.gram(&xs, Kernel::Linear, 0.0);
+        let at = cache.gram(&xs, Kernel::Rbf { gamma: 0.5 }, 0.5).as_ptr();
+        let fewer_rows = xs.select_rows(&[0, 1, 2, 3, 4]);
+        // A zero-column dataset has no cells to tell two row counts apart.
+        let no_cols = Dataset::from_rows(vec![vec![]; 8]);
+        let cases = [
+            (&xs, Kernel::Linear, 0.0),
+            (&xs, Kernel::Rbf { gamma: 0.25 }, 0.25),
+            (&fewer_rows, Kernel::Rbf { gamma: 0.25 }, 0.25),
+            (&xs, Kernel::Rbf { gamma: 0.5 }, 0.5),
+            (&no_cols, Kernel::Rbf { gamma: 0.5 }, 0.5),
+            (
+                &no_cols.select_rows(&[0, 1]),
+                Kernel::Rbf { gamma: 0.5 },
+                0.5,
+            ),
+        ];
+        for (case, (data, kernel, gamma)) in cases.into_iter().enumerate() {
+            let k = cache.gram(data, kernel, gamma);
+            assert_bits_eq(
+                &k,
+                &compute_gram(data, kernel, gamma),
+                &format!("case {case}"),
+            );
+            if k.len() == 64 {
+                assert_eq!(k.as_ptr(), at, "case {case} did not recycle the buffer");
+            }
+        }
+        assert_eq!(cache.stats(), GramCacheStats { hits: 0, misses: 7 });
+    }
+
+    /// The hazard of the hash-keyed cache this one replaced: FNV over whole
+    /// 64-bit words cancels an even number of sign-bit flips, so these
+    /// datasets shared a key. Each must get its own matrix.
+    #[test]
+    fn datasets_differing_in_two_signs_get_their_own_matrices() {
+        let xs = toy();
+        let flip = |cells: &[(usize, usize)]| {
+            let mut rows: Vec<Vec<f64>> = xs.rows().map(<[f64]>::to_vec).collect();
+            for &(i, j) in cells {
+                rows[i][j] = -rows[i][j];
+            }
+            Dataset::from_rows(rows)
+        };
+        let two_cells = flip(&[(1, 0), (5, 1)]);
+        let column: Vec<(usize, usize)> = (0..xs.n_rows()).map(|i| (i, 0)).collect();
+        let negated_column = flip(&column);
+        for (kernel, gamma) in [(Kernel::Linear, 0.0), (Kernel::Rbf { gamma: 0.05 }, 0.05)] {
+            let cache = GramCache::new();
+            let want = compute_gram(&xs, kernel, gamma);
+            assert_ne!(want, compute_gram(&two_cells, kernel, gamma));
+            for round in 0..2 {
+                for (name, data) in [
+                    ("original", &xs),
+                    ("two cells", &two_cells),
+                    ("negated column", &negated_column),
+                ] {
+                    assert_bits_eq(
+                        &cache.gram(data, kernel, gamma),
+                        &compute_gram(data, kernel, gamma),
+                        &format!("{kernel:?} {name}, round {round}"),
+                    );
+                }
+            }
+            assert_eq!(cache.stats(), GramCacheStats { hits: 0, misses: 6 });
+        }
+    }
+
+    #[test]
+    fn clear_frees_the_idle_buffers_and_resets_the_counters() {
+        let cache = GramCache::new();
+        let xs = toy();
+        drop(cache.gram(&xs, Kernel::Linear, 0.0));
+        assert_eq!(cache.idle().len(), 1);
         cache.clear();
+        assert!(cache.idle().is_empty());
         assert_eq!(cache.stats(), GramCacheStats::default());
+        // The matrix that was kept is gone with it.
+        drop(cache.gram(&xs, Kernel::Linear, 0.0));
+        assert_eq!(cache.stats(), GramCacheStats { hits: 0, misses: 1 });
+    }
+
+    #[test]
+    fn idle_buffers_never_outnumber_concurrent_fits() {
+        let cache = GramCache::new();
+        let xs = toy();
+        for round in 0..10 {
+            let gamma = 0.1 + round as f64;
+            let a = cache.gram(&xs, Kernel::Rbf { gamma }, gamma);
+            let b = cache.gram(&xs, Kernel::Linear, gamma);
+            drop((a, b));
+            assert_eq!(cache.idle().len(), 2, "round {round}");
+        }
     }
 
     #[test]
@@ -730,56 +759,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn capacity_parse_handles_garbage_and_small_values() {
-        // Unset: documented 64 MiB default, no warning.
-        assert_eq!(cap_floats_from(None), Ok(MAX_CACHED_FLOATS));
-        // Valid byte budgets convert to float counts.
-        assert_eq!(cap_floats_from(Some("8")), Ok(1));
-        assert_eq!(cap_floats_from(Some(" 1048576 ")), Ok(131_072));
-        // Garbage and too-small budgets are rejected with a reason naming
-        // the knob, so the OnceLock init can warn once and fall back.
-        for bad in ["nonsense", "", "-1", "64MiB", "1e6"] {
-            let err = cap_floats_from(Some(bad)).unwrap_err();
-            assert!(
-                err.contains("QPP_GRAM_CACHE_CAP") && err.contains("byte count"),
-                "{bad:?} -> {err}"
-            );
-        }
-        for small in ["0", "7"] {
-            let err = cap_floats_from(Some(small)).unwrap_err();
-            assert!(err.contains("at least one"), "{small:?} -> {err}");
-        }
-    }
-
-    #[test]
-    fn tiny_capacity_evicts_wholesale_and_counts_it() {
-        // toy() is 8 rows -> a 64-float matrix; cap fits exactly one.
-        let cache = GramCache::with_capacity(64 * 8);
-        let xs = toy();
-        let _ = cache.gram(&xs, Kernel::Linear, 0.0);
-        let s = cache.stats();
-        assert_eq!((s.entries, s.evictions), (1, 0));
-        assert_eq!(s.bytes_resident, 64 * 8);
-        // A second, different matrix exceeds the cap -> wholesale clear.
-        let _ = cache.gram(&xs, Kernel::Rbf { gamma: 0.5 }, 0.5);
-        let s = cache.stats();
-        assert_eq!((s.entries, s.evictions), (1, 1));
-        assert_eq!(s.bytes_resident, 64 * 8);
-        // clear() resets every counter, including evictions.
-        cache.clear();
-        assert_eq!(cache.stats(), GramCacheStats::default());
-    }
-
-    #[test]
-    fn oversized_matrix_is_returned_but_not_retained() {
-        let cache = GramCache::with_capacity(8); // one float: nothing fits
-        let xs = toy();
-        let m = cache.gram(&xs, Kernel::Linear, 0.0);
-        assert_eq!(m.len(), 64);
-        let s = cache.stats();
-        assert_eq!((s.entries, s.bytes_resident), (0, 0));
     }
 }

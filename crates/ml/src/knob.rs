@@ -1,5 +1,5 @@
 //! The one reader of the process's `QPP_*` environment knobs
-//! (`QPP_THREADS`, `QPP_GRAM_CACHE_CAP`, `QPP_NET_*`): parse, and on an
+//! (`QPP_THREADS`, `QPP_NET_*`): parse, and on an
 //! invalid value warn once and let the caller fall back to its documented
 //! default — never a crash, never a silent surprise.
 

@@ -28,8 +28,9 @@
 //!   prediction pipelines.
 //! - [`knob`] — the one reader of the `QPP_*` environment knobs (parse,
 //!   warn once, fall back).
-//! - [`gram`] — a content-addressed cache of kernel (Gram) matrices shared
-//!   by the SMO solvers, built by a blocked lane-parallel SIMD kernel.
+//! - [`gram`] — the kernel (Gram) matrix of an SMO solve, built by a
+//!   blocked lane-parallel SIMD kernel into a buffer that is recycled from
+//!   fit to fit; no matrix outlives the fit that reads it.
 //! - [`compiled`] — post-training compilation of trained models (flat
 //!   support-vector storage, pruning, allocation-free batch prediction)
 //!   for the low-latency inference path.

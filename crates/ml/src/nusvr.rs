@@ -152,9 +152,9 @@ pub(crate) fn nu_smo_solve(
     let l = xs.n_rows();
     let c = p.c;
 
-    // Kernel matrix, shared through the process-wide Gram cache.
-    let k_shared = crate::gram::GramCache::global().gram(xs, p.kernel, gamma);
-    let k: &[f64] = &k_shared;
+    // Kernel matrix, leased for this solve (see `svr::smo_solve`).
+    let k_lease = crate::gram::GramCache::global().gram(xs, p.kernel, gamma);
+    let k: &[f64] = &k_lease;
     let kij = |i: usize, j: usize| k[i * l + j];
     let diag: Vec<f64> = (0..l).map(|t| kij(t, t)).collect();
     let mut quad = vec![0.0f64; l];

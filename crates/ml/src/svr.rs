@@ -289,10 +289,9 @@ pub(crate) fn smo_solve(
     let c = p.c;
 
     // Dense kernel matrix; training sets are small (<= a few thousand rows).
-    // Fetched from the shared cache: the start/run heads of a sub-plan
-    // model and forward-selection re-scores reuse the same scaled rows.
-    let k_shared = crate::gram::GramCache::global().gram(xs, p.kernel, gamma);
-    let k: &[f64] = &k_shared;
+    // Leased for this solve: the buffer goes back when the solve returns.
+    let k_lease = crate::gram::GramCache::global().gram(xs, p.kernel, gamma);
+    let k: &[f64] = &k_lease;
     let kij = |i: usize, j: usize| k[i * l + j];
     let sign = |t: usize| if t < l { 1.0 } else { -1.0 };
     let idx = |t: usize| if t < l { t } else { t - l };

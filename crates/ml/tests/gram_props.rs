@@ -1,63 +1,187 @@
-//! Property tests for the Gram cache: a cached matrix must be exactly the
-//! matrix a direct kernel evaluation produces, and repeated lookups must be
-//! hits that share the same allocation.
+//! Property tests for the Gram lease (`ml::gram::GramCache`).
+//!
+//! Whatever sequence of fits went before, the matrix a solver reads must
+//! be exactly — `f64::to_bits` — the one `compute_gram` gives for *its*
+//! rows, symmetric; every look-up is counted as a hit or as a miss; and a
+//! hit happens only when the rows, kernel and gamma equal those of the
+//! matrix left behind, bit for bit. The pool of datasets a sequence draws
+//! from is built to collide under anything weaker than a full comparison:
+//! an equal copy, the same rows with two signs flipped (which the FNV key
+//! of the cache this replaced could not tell apart), with one column
+//! negated, with one cell moved by one ulp, and with the last row missing.
+//!
+//! The same property runs twice: a deterministic seed sweep (always on)
+//! and a proptest version over the same generator.
 
 // Offline builds may substitute an inert `proptest` whose macro bodies
 // compile away, which strands these imports and helpers as "unused".
 #![allow(dead_code, unused_imports)]
 
-use ml::gram::{compute_gram, GramCache};
+use ml::gram::{compute_gram, GramCache, GramCacheStats};
 use ml::svr::Kernel;
 use ml::Dataset;
 use proptest::prelude::*;
-use std::sync::Arc;
+use rand::{rngs::StdRng, Rng, SeedableRng};
+
+/// Gammas a look-up chooses from; few, so that repeats occur.
+const GAMMAS: [f64; 2] = [0.3, 1.1];
+
+/// Datasets of one look-up sequence.
+const POOL: usize = 6;
+
+/// One look-up: which dataset of the pool, linear or RBF, which gamma.
+type Lookup = (usize, bool, usize);
+
+fn with_cells(base: &Dataset, edit: impl Fn(usize, usize, f64) -> f64) -> Dataset {
+    let rows = base.rows().enumerate();
+    Dataset::from_rows(
+        rows.map(|(i, row)| {
+            row.iter()
+                .enumerate()
+                .map(|(j, &v)| edit(i, j, v))
+                .collect()
+        })
+        .collect(),
+    )
+}
+
+fn pool(l: usize, d: usize, seed: u64) -> [Dataset; POOL] {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let rows: Vec<Vec<f64>> = (0..l)
+        .map(|_| (0..d).map(|_| rng.gen_range(-10.0..10.0)).collect())
+        .collect();
+    let base = Dataset::from_rows(rows);
+    let last = l - 1;
+    [
+        base.clone(),
+        with_cells(&base, |i, j, v| {
+            if (i, j) == (0, d - 1) || (i, j) == (last, 0) {
+                -v
+            } else {
+                v
+            }
+        }),
+        with_cells(&base, |_, j, v| if j == 0 { -v } else { v }),
+        with_cells(&base, |i, j, v| {
+            if (i, j) == (0, 0) {
+                f64::from_bits(v.to_bits() + 1)
+            } else {
+                v
+            }
+        }),
+        base.select_rows(&(0..last.max(1)).collect::<Vec<_>>()),
+        base,
+    ]
+}
+
+/// Everything that decides a Gram matrix, as bits.
+fn content(xs: &Dataset, linear: bool, gamma: f64) -> (Vec<u64>, usize, bool, u64) {
+    let cells = xs.rows().flatten().map(|v| v.to_bits()).collect();
+    (cells, xs.n_cols(), linear, gamma.to_bits())
+}
+
+/// Runs `lookups` through one cache, a fit at a time, so that exactly the
+/// previous look-up's matrix is there to be handed back.
+fn check_sequence(pool: &[Dataset; POOL], lookups: &[Lookup]) {
+    let cache = GramCache::new();
+    let mut left_behind = None;
+    let mut want = GramCacheStats::default();
+    for (step, &(which, linear, gamma)) in lookups.iter().enumerate() {
+        let xs = &pool[which];
+        let l = xs.n_rows();
+        let (kernel, gamma) = if linear {
+            (Kernel::Linear, 0.0)
+        } else {
+            (
+                Kernel::Rbf {
+                    gamma: GAMMAS[gamma],
+                },
+                GAMMAS[gamma],
+            )
+        };
+        let asked = Some(content(xs, linear, gamma));
+        if asked == left_behind {
+            want.hits += 1;
+        } else {
+            want.misses += 1;
+        }
+        left_behind = asked;
+
+        let k = cache.gram(xs, kernel, gamma);
+        let direct = compute_gram(xs, kernel, gamma);
+        assert_eq!(k.len(), l * l);
+        for i in 0..l {
+            for j in 0..l {
+                let at = i * l + j;
+                assert_eq!(
+                    k[at].to_bits(),
+                    direct[at].to_bits(),
+                    "step {step}: ({i},{j}) of pool[{which}] under {kernel:?}"
+                );
+                assert_eq!(k[at].to_bits(), k[j * l + i].to_bits());
+            }
+        }
+        drop(k);
+        assert_eq!(cache.stats(), want, "after step {step} of {lookups:?}");
+    }
+    assert_eq!(want.hits + want.misses, lookups.len());
+}
+
+/// Deterministic sweep: shapes around the lane width, and sequences long
+/// enough that every pool member follows every other.
+#[test]
+fn leased_gram_is_the_callers_own_seed_grid() {
+    for &(l, d) in &[(1usize, 1usize), (2, 2), (7, 3), (8, 4), (9, 1), (23, 4)] {
+        for seed in 0..3u64 {
+            let mut rng = StdRng::seed_from_u64(seed ^ ((l as u64) << 8));
+            let lookups: Vec<Lookup> = (0..96)
+                .map(|_| {
+                    (
+                        rng.gen_range(0..POOL),
+                        rng.gen_range(0..4) == 0,
+                        rng.gen_range(0..GAMMAS.len()),
+                    )
+                })
+                .collect();
+            check_sequence(&pool(l, d, seed), &lookups);
+        }
+    }
+}
+
+/// The first and last pool members are equal copies in different
+/// allocations: content decides, not identity.
+#[test]
+fn an_equal_copy_hits_and_every_near_copy_misses() {
+    let pool = pool(12, 3, 7);
+    let cache = GramCache::new();
+    let rbf = Kernel::Rbf { gamma: 0.3 };
+    drop(cache.gram(&pool[0], rbf, 0.3));
+    drop(cache.gram(&pool[POOL - 1], rbf, 0.3));
+    assert_eq!(cache.stats(), GramCacheStats { hits: 1, misses: 1 });
+    for near in &pool[1..POOL - 1] {
+        drop(cache.gram(near, rbf, 0.3));
+        drop(cache.gram(&pool[0], rbf, 0.3));
+    }
+    assert_eq!(
+        cache.stats(),
+        GramCacheStats {
+            hits: 1,
+            misses: 1 + 2 * (POOL - 2)
+        }
+    );
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn cached_gram_equals_direct_kernel_evals(
-        rows in proptest::collection::vec(
-            proptest::collection::vec(-10.0f64..10.0, 4), 1..24),
-        gamma in 0.01f64..2.0,
-        linear in any::<bool>(),
+    fn leased_gram_is_the_callers_own(
+        l in 1usize..24,
+        d in 1usize..5,
+        seed in any::<u64>(),
+        lookups in proptest::collection::vec(
+            (0usize..POOL, any::<bool>(), 0usize..GAMMAS.len()), 1..24),
     ) {
-        let ds = Dataset::from_rows(rows);
-        let l = ds.n_rows();
-        let (kernel, g) = if linear {
-            (Kernel::Linear, 0.0)
-        } else {
-            (Kernel::Rbf { gamma }, gamma)
-        };
-
-        let cache = GramCache::global();
-        let first = cache.gram(&ds, kernel, g);
-        let again = cache.gram(&ds, kernel, g);
-        // The second lookup is a hit sharing the same allocation.
-        prop_assert!(Arc::ptr_eq(&first, &again));
-
-        let direct = compute_gram(&ds, kernel, g);
-        prop_assert_eq!(first.len(), l * l);
-        for i in 0..l {
-            for j in 0..l {
-                // Bit-identical to a direct computation, symmetric, and
-                // within tolerance of the textbook kernel formula.
-                prop_assert_eq!(first[i * l + j].to_bits(), direct[i * l + j].to_bits());
-                prop_assert_eq!(first[i * l + j].to_bits(), first[j * l + i].to_bits());
-                let want = if linear {
-                    ds.row(i).iter().zip(ds.row(j)).map(|(a, b)| a * b).sum::<f64>()
-                } else {
-                    let sq: f64 = ds
-                        .row(i)
-                        .iter()
-                        .zip(ds.row(j))
-                        .map(|(a, b)| (a - b) * (a - b))
-                        .sum();
-                    (-g * sq).exp()
-                };
-                let tol = 1e-9 * want.abs().max(1.0);
-                prop_assert!((first[i * l + j] - want).abs() <= tol);
-            }
-        }
+        check_sequence(&pool(l, d, seed), &lookups);
     }
 }

@@ -17,6 +17,7 @@ cargo test -q -p qpp-ml --test gram_blocked_props
 cargo test -q -p qpp-ml --test smo_vector_props
 cargo test -q -p qpp-ml --test wss2_props
 cargo test -q -p qpp-ml --test zero_alloc
+cargo test -q -p qpp-ml --test train_memory
 cargo test -q -p qpp-core --test arena_props
 
 # The portable scalar tree must keep passing with the AVX2 path compiled

@@ -81,7 +81,6 @@ fn parallel_collection_is_bit_identical_to_serial() {
 #[test]
 fn parallel_cv_is_identical() {
     let _guard = THREADS_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    // 300 × 12 cells: large enough to take the parallel fold path.
     let mut rng = StdRng::seed_from_u64(42);
     let rows: Vec<Vec<f64>> = (0..300)
         .map(|_| (0..12).map(|_| rng.gen_range(0.0..5.0)).collect())
@@ -107,6 +106,53 @@ fn parallel_cv_is_identical() {
     for (a, b) in serial.predictions.iter().zip(&parallel.predictions) {
         assert_eq!(a.to_bits(), b.to_bits());
     }
+}
+
+/// The benchmark fixture's plan-level training log (see
+/// `ml::solver_tests`): per row its test fold, the latency, 33 features.
+const PLAN_LOG: &str = include_str!("../crates/ml/testdata/plan_log_seed42.csv");
+
+/// Forward selection on the fixture log scores 112-row matrices of at most
+/// seven columns — fits of ~100 µs, which stayed serial until Gram matrices
+/// stopped outliving their fit. Folds and selection must not depend on
+/// who ran them.
+#[test]
+fn small_fold_fan_out_is_identical_at_1_2_and_8_threads() {
+    let _guard = THREADS_LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    let mut x = ml::Dataset::new(33);
+    let (mut y, mut fold_of) = (Vec::new(), Vec::new());
+    for line in PLAN_LOG.lines().skip(1) {
+        let mut cells = line.split(',').map(|c| c.parse::<f64>().expect("a number"));
+        fold_of.push(cells.next().expect("fold") as usize);
+        y.push(cells.next().expect("latency").max(0.0).ln_1p());
+        x.push_row(&cells.collect::<Vec<f64>>());
+    }
+    let folds: Vec<ml::cv::Fold> = (0..5)
+        .map(|f| ml::cv::Fold {
+            train: (0..y.len()).filter(|&i| fold_of[i] != f).collect(),
+            test: (0..y.len()).filter(|&i| fold_of[i] == f).collect(),
+        })
+        .collect();
+    let learner = ml::LearnerKind::Svr(ml::SvrParams::default());
+    let run = || {
+        ml::gram::GramCache::global().clear();
+        let sel = ml::forward_select(&ml::ForwardSelection::default(), &learner, &x, &y, &folds)
+            .expect("selection");
+        let cv = ml::cv::cross_validate(&learner, &x.select_columns(&sel.selected), &y, &folds)
+            .expect("cv");
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<u64>>();
+        (
+            sel.selected,
+            sel.cv_error.to_bits(),
+            bits(&cv.fold_errors),
+            bits(&cv.predictions),
+        )
+    };
+    let serial = with_threads(1, run);
+    assert_eq!(serial.0.len(), 4, "the fixture log selects four features");
+    assert_eq!(serial.2.len(), 5);
+    assert_eq!(serial, with_threads(2, run));
+    assert_eq!(serial, with_threads(8, run));
 }
 
 #[test]
