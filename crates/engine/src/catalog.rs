@@ -109,6 +109,14 @@ impl Catalog {
             .get_or_init(|| Histogram::build(col, self.sf, self.seed))
     }
 
+    /// Whether anything has asked for — and so built — `col`'s histogram.
+    #[cfg(test)]
+    pub(crate) fn has_histogram(&self, col: ColRef) -> bool {
+        self.histograms
+            .get(&col)
+            .is_some_and(|slot| slot.get().is_some())
+    }
+
     /// Total pages across all tables (for buffer-pool sizing heuristics).
     pub fn total_pages(&self) -> f64 {
         ALL_TABLES.iter().map(|t| self.pages(*t)).sum()

@@ -7,6 +7,7 @@
 //! real optimizers make on TPC-H.
 
 use crate::catalog::Catalog;
+use crate::histogram::eq_selectivity;
 use tpch::spec::Predicate;
 use tpch::schema::ColRef;
 use tpch::types::CmpOp;
@@ -34,8 +35,17 @@ impl<'a> Estimator<'a> {
     pub fn predicate(&self, p: &Predicate) -> f64 {
         match p {
             Predicate::Cmp { col, op, value } => {
-                let h = self.catalog.histogram(*col);
-                h.selectivity(*op, value.as_f64(), self.catalog.ndistinct_est(*col))
+                let ndistinct = self.catalog.ndistinct_est(*col);
+                // `=` and `<>` read no histogram, so they must not be the
+                // reason the catalog builds one.
+                match op {
+                    CmpOp::Eq => eq_selectivity(ndistinct),
+                    CmpOp::Ne => 1.0 - eq_selectivity(ndistinct),
+                    _ => {
+                        let h = self.catalog.histogram(*col);
+                        h.selectivity(*op, value.as_f64(), ndistinct)
+                    }
+                }
             }
             Predicate::Between { col, lo, hi } => {
                 let h = self.catalog.histogram(*col);
@@ -147,6 +157,54 @@ mod tests {
         };
         let s = e.predicate(&p);
         assert!((s - 0.48).abs() < 0.06, "s = {s}");
+    }
+
+    #[test]
+    fn equality_reads_the_distinct_count_and_builds_no_histogram() {
+        use rand::{rngs::StdRng, SeedableRng};
+        let c = Catalog::new(0.1, 1);
+        let planner = crate::planner::Planner::new(&c);
+        let mut rng = StdRng::seed_from_u64(3);
+        // Template 3 filters `c_mktsegment = ..`, template 10
+        // `l_returnflag = ..`, and both filter date ranges.
+        for t in [3, 10] {
+            planner.plan(&tpch::templates::instantiate(t, 0.1, &mut rng));
+        }
+        let equality_only = [
+            col(TableId::Customer, "c_mktsegment"),
+            col(TableId::Lineitem, "l_returnflag"),
+        ];
+        assert!(c.has_histogram(col(TableId::Orders, "o_orderdate")));
+        assert!(c.has_histogram(col(TableId::Lineitem, "l_shipdate")));
+        for column in equality_only {
+            assert!(
+                !c.has_histogram(column),
+                "{column} is only ever compared for equality"
+            );
+        }
+        // What the estimator answers without the histogram is what the
+        // histogram would have answered.
+        let e = Estimator::new(&c);
+        for column in equality_only {
+            let estimates = [CmpOp::Eq, CmpOp::Ne].map(|op| {
+                let p = Predicate::Cmp {
+                    col: column,
+                    op,
+                    value: Scalar::Cat(1),
+                };
+                (op, e.predicate(&p))
+            });
+            assert!(!c.has_histogram(column));
+            let (h, ndistinct) = (c.histogram(column), c.ndistinct_est(column));
+            for (op, estimate) in estimates {
+                let through_histogram = h.selectivity(op, 1.0, ndistinct);
+                assert_eq!(
+                    estimate.to_bits(),
+                    through_histogram.to_bits(),
+                    "{column} {op:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -5,6 +5,20 @@
 //! quantiles* and then perturb the bucket boundaries deterministically, so
 //! the estimator sees realistic (imperfect) statistics without us having to
 //! materialize terabytes of rows.
+//!
+//! A quantile is the fixed point of 60 halvings of the column's range on
+//! `cdf(mid) < q`. For a continuous column that is what runs. Most columns
+//! are drawn from integers, and their CDF is a step function that cannot
+//! tell `mid` from `mid.floor()`
+//! ([`Distribution::steps_on_integers`]); there the build first finds the
+//! smallest integer `k` with `cdf(k) >= q` by binary search (12
+//! evaluations over a date range, not 60), and then runs the same 60
+//! halvings on `mid.floor() < k`. The CDF is a monotone fold of monotone
+//! terms, so `cdf(mid) < q` exactly when `mid.floor() < k`: the halvings
+//! take the same branches and every bound keeps every bit, at a fifth of
+//! the CDF evaluations — which for a lagged date are 61- to 150-term sums
+//! and were most of a cold start (DESIGN.md §7). Nothing is remembered
+//! between builds.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -47,20 +61,36 @@ impl Histogram {
         buckets: usize,
         cdf: impl Fn(f64) -> f64,
     ) -> Histogram {
+        let dist = distributions::column_distribution(col);
+        Self::build_from_quantiles(col, sf, seed, buckets, |q, lo, hi| {
+            invert_cdf(dist, &cdf, q, lo, hi)
+        })
+    }
+
+    /// Builds from `quantile(q, lo, hi)`, the inverse of the column's true
+    /// CDF over its value range `[lo, hi]`, asked for `0 < q < 1` only.
+    fn build_from_quantiles(
+        col: ColRef,
+        sf: f64,
+        seed: u64,
+        buckets: usize,
+        quantile: impl Fn(f64, f64, f64) -> f64,
+    ) -> Histogram {
         assert!(buckets >= 1, "histogram needs at least one bucket");
         let mut rng = StdRng::seed_from_u64(seed ^ hash_col(col));
         let (lo, hi) = distributions::value_range(col, sf);
         let span = (hi - lo).max(f64::MIN_POSITIVE);
         let mut bounds = Vec::with_capacity(buckets + 1);
         for b in 0..=buckets {
-            let q = b as f64 / buckets as f64;
-            // Invert the true CDF at quantile q by bisection on the
-            // selectivity function, then perturb.
-            let v = invert_cdf(col, &cdf, q, lo, hi);
-            let noise = if b == 0 || b == buckets {
-                0.0
+            // The ends are the range's; the interior bounds are the true
+            // quantiles, perturbed.
+            let (v, noise) = if b == 0 {
+                (lo, 0.0)
+            } else if b == buckets {
+                (hi, 0.0)
             } else {
-                rng.gen_range(-0.02..0.02) * span / buckets as f64 * 2.0
+                let v = quantile(b as f64 / buckets as f64, lo, hi);
+                (v, rng.gen_range(-0.02..0.02) * span / buckets as f64 * 2.0)
             };
             bounds.push(v + noise);
         }
@@ -105,7 +135,7 @@ impl Histogram {
     /// Estimated selectivity of a range operator against a constant, given
     /// the estimated distinct count for equality terms.
     pub fn selectivity(&self, op: CmpOp, v: f64, ndistinct: f64) -> f64 {
-        let eq = 1.0 / ndistinct.max(1.0);
+        let eq = eq_selectivity(ndistinct);
         match op {
             CmpOp::Eq => eq,
             CmpOp::Ne => 1.0 - eq,
@@ -118,9 +148,16 @@ impl Histogram {
 
     /// Estimated selectivity of `lo <= col <= hi`.
     pub fn between(&self, lo: f64, hi: f64, ndistinct: f64) -> f64 {
-        let eq = 1.0 / ndistinct.max(1.0);
+        let eq = eq_selectivity(ndistinct);
         ((self.cdf(hi) - self.cdf(lo)) + eq).clamp(0.0, 1.0)
     }
+}
+
+/// Estimated selectivity of `col = constant`: every one of the estimated
+/// `ndistinct` values is taken to be equally frequent. `=` and `<>` read
+/// this and no histogram.
+pub fn eq_selectivity(ndistinct: f64) -> f64 {
+    1.0 / ndistinct.max(1.0)
 }
 
 /// Deterministic 64-bit mix of a column reference for seeding.
@@ -131,30 +168,72 @@ fn hash_col(col: ColRef) -> u64 {
     h.finish()
 }
 
-/// Inverts the column's true CDF at quantile `q` by bisection.
-fn invert_cdf(col: ColRef, cdf: impl Fn(f64) -> f64, q: f64, mut lo: f64, mut hi: f64) -> f64 {
-    // Discrete distributions make the CDF a step function; bisection on
-    // P(col <= x) converges to a boundary consistent with equi-depth
-    // semantics.
-    if q <= 0.0 {
-        return lo;
+/// Inverts the true CDF of a column drawn from `dist` at quantile
+/// `0 < q < 1` over the value range `[lo, hi]`.
+fn invert_cdf(dist: Distribution, cdf: impl Fn(f64) -> f64, q: f64, lo: f64, hi: f64) -> f64 {
+    match dist {
+        // Text columns have no predicate math; fall back to the raw range.
+        Distribution::Text => lo + q * (hi - lo),
+        // A step function on the integers: find the step that reaches `q`,
+        // then let the halvings converge on it. They land on the bound the
+        // real-line bisection lands on (module docs), a boundary consistent
+        // with equi-depth semantics.
+        _ if dist.steps_on_integers() => {
+            let k = first_integer_reaching(cdf, q, lo, hi);
+            bisect(lo, hi, |mid| mid.floor() < k)
+        }
+        _ => bisect(lo, hi, |mid| cdf(mid) < q),
     }
-    if q >= 1.0 {
-        return hi;
-    }
-    // Text columns have no predicate math; fall back to the raw range.
-    if matches!(distributions::column_distribution(col), Distribution::Text) {
-        return lo + q * (hi - lo);
-    }
+}
+
+/// The fixed point of 60 halvings of `[lo, hi]`, each keeping the upper
+/// half when `below(mid)`.
+fn bisect(mut lo: f64, mut hi: f64, below: impl Fn(f64) -> bool) -> f64 {
     for _ in 0..60 {
         let mid = 0.5 * (lo + hi);
-        if cdf(mid) < q {
+        if below(mid) {
             lo = mid;
         } else {
             hi = mid;
         }
     }
     0.5 * (lo + hi)
+}
+
+/// The smallest integer `k` in `[lo.floor(), hi.floor()]` with
+/// `cdf(k) >= q`, for a non-decreasing `cdf`; one past `hi.floor()` when
+/// the CDF stays below `q` on the whole range. Those are all the integers
+/// a midpoint inside `[lo, hi]` can floor to.
+fn first_integer_reaching(cdf: impl Fn(f64) -> f64, q: f64, lo: f64, hi: f64) -> f64 {
+    // Every k < first has cdf(k) < q; `end` does not, or is the sentinel.
+    let (mut first, mut end) = (lo.floor() as i64, hi.floor() as i64 + 1);
+    while first < end {
+        let mid = first + (end - first) / 2;
+        if cdf(mid as f64) < q {
+            first = mid + 1;
+        } else {
+            end = mid;
+        }
+    }
+    first as f64
+}
+
+/// [`invert_cdf`] as it was before step CDFs were searched on the
+/// integers: the 60 halvings on the CDF itself, whatever the column is
+/// drawn from. The reference the identity tests build their histograms
+/// through.
+#[cfg(test)]
+fn invert_cdf_on_the_real_line(
+    dist: Distribution,
+    cdf: impl Fn(f64) -> f64,
+    q: f64,
+    lo: f64,
+    hi: f64,
+) -> f64 {
+    match dist {
+        Distribution::Text => lo + q * (hi - lo),
+        _ => bisect(lo, hi, |mid| cdf(mid) < q),
+    }
 }
 
 #[cfg(test)]
@@ -208,23 +287,97 @@ mod tests {
         assert_ne!(a, other);
     }
 
+    fn bits(h: &Histogram) -> Vec<u64> {
+        h.bounds.iter().map(|b| b.to_bits()).collect()
+    }
+
     #[test]
     fn every_histogram_equals_one_built_through_the_reference_selectivity() {
-        // tpch memoises the date-lag tables; `selectivity_reference`
-        // works from a table it builds itself.
-        for sf in [0.01, 0.1, 1.0] {
+        // The reference side shares neither shortcut with the build: tpch
+        // memoises the date-lag tables, `selectivity_reference` works from
+        // a table it builds itself; the build searches step CDFs on the
+        // integers, the reference halves the real line 60 times.
+        for sf in [0.01, 0.1, 1.0, 10.0] {
             for t in tpch::schema::ALL_TABLES {
                 for &name in t.columns() {
                     let c = col(t, name);
+                    let dist = distributions::column_distribution(c);
                     let sel = distributions::selectivity_reference(c, sf);
-                    let reference =
-                        Histogram::build_from_cdf(c, sf, 1, DEFAULT_BUCKETS, |v| sel(CmpOp::Le, v));
-                    let built = Histogram::build(c, sf, 1);
-                    let bits = |h: &Histogram| h.bounds.iter().map(|b| b.to_bits()).collect::<Vec<_>>();
-                    assert_eq!(bits(&built), bits(&reference), "{c} at sf {sf}");
+                    for buckets in [1, 7, DEFAULT_BUCKETS, 250] {
+                        let reference =
+                            Histogram::build_from_quantiles(c, sf, 1, buckets, |q, lo, hi| {
+                                invert_cdf_on_the_real_line(dist, |v| sel(CmpOp::Le, v), q, lo, hi)
+                            });
+                        let built = Histogram::build_with_buckets(c, sf, 1, buckets);
+                        assert_eq!(
+                            bits(&built),
+                            bits(&reference),
+                            "{c} at sf {sf}, {buckets} buckets"
+                        );
+                    }
                 }
             }
         }
+    }
+
+    #[test]
+    fn integer_search_lands_where_the_real_line_bisection_does() {
+        let step = Distribution::UniformInt { lo: 0, hi: 6 };
+        // P(col <= k) for k = 0..=6, with a plateau at exactly 0.5.
+        let table = [0.1, 0.25, 0.5, 0.5, 0.5, 0.9, 1.0];
+        let plateau = |v: f64| match v.floor() {
+            k if k < 0.0 => 0.0,
+            k => table[(k as usize).min(6)],
+        };
+        // Never reaches 0.45: the search ends on its sentinel, one past
+        // the range.
+        let short = |v: f64| 0.4 * plateau(v);
+        // Integer ends, ends between integers, and a range whose first
+        // integer already holds the quantile.
+        for (lo, hi) in [
+            (0.0, 6.0),
+            (-2.5, 7.25),
+            (0.75, 5.5),
+            (2.0, 6.0),
+            (3.0, 3.0),
+        ] {
+            for q in [0.05, 0.1, 0.45, 0.5, 0.500_000_1, 0.9, 0.95] {
+                for (name, cdf) in [
+                    ("plateau", &plateau as &dyn Fn(f64) -> f64),
+                    ("short", &short),
+                ] {
+                    assert_eq!(
+                        invert_cdf(step, cdf, q, lo, hi).to_bits(),
+                        invert_cdf_on_the_real_line(step, cdf, q, lo, hi).to_bits(),
+                        "{name} at q = {q} over [{lo}, {hi}]"
+                    );
+                }
+            }
+        }
+        assert_eq!(first_integer_reaching(plateau, 0.5, 0.0, 6.0), 2.0);
+        assert_eq!(first_integer_reaching(short, 0.45, 0.0, 6.0), 7.0);
+    }
+
+    #[test]
+    fn a_step_cdf_is_evaluated_a_fifth_as_often() {
+        let evaluations = |c: ColRef| {
+            let count = std::cell::Cell::new(0usize);
+            let h = Histogram::build_from_cdf(c, 0.1, 1, DEFAULT_BUCKETS, |v| {
+                count.set(count.get() + 1);
+                distributions::selectivity(c, CmpOp::Le, v, 0.1)
+            });
+            assert_eq!(h, Histogram::build(c, 0.1, 1));
+            count.get()
+        };
+        // 99 interior quantiles x 12 halvings of 2 555 days at most; the
+        // real-line bisection made 99 x 60 = 5 940 of these 150-term sums.
+        let receipt = evaluations(col(TableId::Lineitem, "l_receiptdate"));
+        assert!(receipt <= 1200, "l_receiptdate: {receipt} CDF evaluations");
+        // A continuous CDF has no integers to search.
+        assert_eq!(
+            evaluations(col(TableId::Partsupp, "ps_supplycost")),
+            99 * 60
+        );
     }
 
     #[test]

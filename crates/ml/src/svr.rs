@@ -33,13 +33,22 @@ pub enum Kernel {
 impl Kernel {
     pub(crate) fn eval(&self, a: &[f64], b: &[f64], resolved_gamma: f64) -> f64 {
         match self {
-            Kernel::Linear => a.iter().zip(b).map(|(x, y)| x * y).sum(),
+            Kernel::Linear => sum_over_pairs(a, b, |x, y| x * y),
             Kernel::Rbf { .. } => {
-                let sq: f64 = a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum();
+                let sq = sum_over_pairs(a, b, |x, y| (x - y) * (x - y));
                 (-resolved_gamma * sq).exp()
             }
         }
     }
+}
+
+/// Left-to-right sum of `term` over the paired cells, started at +0.0 as
+/// the accumulators of the blocked Gram kernel are. `Sum` starts at -0.0,
+/// so a sum of nothing but -0.0 terms (or of no terms) would differ from
+/// `gram::compute_gram_blocked` in the sign of its zero; any other sum is
+/// the same either way.
+fn sum_over_pairs(a: &[f64], b: &[f64], term: impl Fn(f64, f64) -> f64) -> f64 {
+    a.iter().zip(b).fold(0.0, |acc, (&x, &y)| acc + term(x, y))
 }
 
 /// Hyper-parameters for epsilon-SVR.

@@ -59,9 +59,18 @@ fn random_rows(l: usize, d: usize, seed: u64) -> Dataset {
 /// Core property: blocked == direct to the bit, across thread counts and
 /// both sides of the runtime force-scalar toggle.
 fn assert_blocked_matches_direct(xs: &Dataset, kernel: Kernel, gamma: f64) {
+    assert_blocked_matches_direct_at(&[1, 2, 4], xs, kernel, gamma);
+}
+
+fn assert_blocked_matches_direct_at(
+    thread_counts: &[usize],
+    xs: &Dataset,
+    kernel: Kernel,
+    gamma: f64,
+) {
     let _guard = ToggleGuard::acquire();
     let direct = compute_gram(xs, kernel, gamma);
-    for threads in [1usize, 2, 4] {
+    for &threads in thread_counts {
         ml::par::set_threads(threads);
         for scalar in [false, true] {
             ml::linalg::set_force_scalar(scalar);
@@ -93,6 +102,41 @@ fn blocked_gram_identity_seed_grid() {
                 assert_blocked_matches_direct(&xs, Kernel::Linear, 0.0);
                 assert_blocked_matches_direct(&xs, Kernel::Rbf { gamma: 0.7 }, 0.7);
             }
+        }
+    }
+}
+
+/// Zero cells: `0.0 * -3.0` is `-0.0`, and a dot product of nothing but
+/// such terms (or of no terms at all) is a zero whose sign is the fold's
+/// starting value. Both paths start at `+0.0`.
+#[test]
+fn blocked_gram_identity_with_signed_zero_cells() {
+    for &l in &[9usize, 70] {
+        for &d in &[0usize, 1, 3, 8] {
+            let mut rng = StdRng::seed_from_u64(0x2e50 ^ ((l as u64) << 16) ^ ((d as u64) << 8));
+            let mut rows: Vec<Vec<f64>> = (0..l)
+                .map(|_| {
+                    let cell = |_| match rng.gen_range(0..4) {
+                        0 => 0.0,
+                        1 => -0.0,
+                        _ => rng.gen_range(-100.0..100.0),
+                    };
+                    (0..d).map(cell).collect()
+                })
+                .collect();
+            // An all-zero row against an all-negative one: every term of
+            // their dot product is -0.0.
+            rows[0].fill(0.0);
+            rows[1].iter_mut().for_each(|v| *v = -1.0 - v.abs());
+            // An all-zero column, and one of negative zeros.
+            for row in &mut rows[2..] {
+                for (column, zero) in row.iter_mut().zip([0.0, -0.0]) {
+                    *column = zero;
+                }
+            }
+            let xs = Dataset::from_rows(rows);
+            assert_blocked_matches_direct_at(&[1, 2, 8], &xs, Kernel::Linear, 0.0);
+            assert_blocked_matches_direct_at(&[1, 2, 8], &xs, Kernel::Rbf { gamma: 0.7 }, 0.7);
         }
     }
 }

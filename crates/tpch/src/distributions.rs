@@ -69,6 +69,34 @@ pub enum Distribution {
     Text,
 }
 
+impl Distribution {
+    /// Whether the column's CDF is a step function on the integers:
+    /// `selectivity(c, Le, v) == selectivity(c, Le, v.floor())` to the bit
+    /// for every finite `v`.
+    ///
+    /// True of everything drawn from integers — keys, uniform ints,
+    /// categorical codes and the four date families. For a lagged date
+    /// the claim is about floats, not only about the model: `v − lag` is
+    /// exact whenever `v ≥ lag` (the difference is no larger than `v` and
+    /// on `v`'s grid), and when `v < lag` both `v − lag` and
+    /// `⌊v⌋ − lag` are negative and select nothing, so every term of the
+    /// lag sum keeps its bits. `engine::histogram` inverts such a CDF by
+    /// searching the integers instead of the real line.
+    pub fn steps_on_integers(self) -> bool {
+        match self {
+            Distribution::SerialKey
+            | Distribution::ForeignKey(_)
+            | Distribution::UniformInt { .. }
+            | Distribution::Categorical { .. }
+            | Distribution::OrderDate
+            | Distribution::ShipDate
+            | Distribution::CommitDate
+            | Distribution::ReceiptDate => true,
+            Distribution::UniformFloat { .. } | Distribution::Text => false,
+        }
+    }
+}
+
 /// Returns the generative distribution of a column.
 ///
 /// # Panics
@@ -282,7 +310,7 @@ fn uniform_float_sel(lo: f64, hi: f64, op: CmpOp, value: f64) -> f64 {
 
 /// Lag distributions as (offset, probability) lists. The tables are
 /// constants of the generative model, so each is built once per process:
-/// a histogram build inverts the CDF through ~6 000 [`selectivity`] calls,
+/// a histogram build inverts the CDF through ~1 200 [`selectivity`] calls,
 /// and rebuilding the receipt convolution inside each was most of a cold
 /// start (DESIGN.md §7).
 fn ship_lags() -> &'static [(i32, f64)] {
@@ -599,6 +627,67 @@ mod tests {
                         reference(op, value).to_bits(),
                         "{c} {op:?} {value}"
                     );
+                }
+            }
+        }
+    }
+
+    /// Every midpoint the 60-step bisection of `engine::histogram` visits
+    /// on its way to `target` inside `[lo, hi]`.
+    fn bisection_midpoints(mut lo: f64, mut hi: f64, target: f64) -> Vec<f64> {
+        let mut mids = Vec::with_capacity(60);
+        for _ in 0..60 {
+            let mid = 0.5 * (lo + hi);
+            mids.push(mid);
+            if mid < target {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        mids
+    }
+
+    #[test]
+    fn integer_step_cdfs_do_not_see_the_fraction() {
+        for sf in [0.01, 1.0, 10.0] {
+            for t in crate::schema::ALL_TABLES {
+                for &name in t.columns() {
+                    let c = col(t, name);
+                    let (lo, hi) = value_range(c, sf);
+                    let le = |v: f64| selectivity(c, CmpOp::Le, v, sf).to_bits();
+                    let dist = column_distribution(c);
+                    if !dist.steps_on_integers() {
+                        // The predicate is exact: a continuous column
+                        // does see the fraction, a text column has no CDF.
+                        let continuous = matches!(dist, Distribution::UniformFloat { .. });
+                        assert_eq!(le(lo + 0.5) != le((lo + 0.5).floor()), continuous, "{c}");
+                        continue;
+                    }
+                    let mut grid = Vec::new();
+                    // Dyadic midpoints: towards a value between two
+                    // integers, and towards integers, which the halving
+                    // approaches from both sides down to the last ulp.
+                    for share in [0.0, 0.013, 0.25, 0.5, 0.77, 1.0] {
+                        let at = lo + share * (hi - lo);
+                        grid.extend(bisection_midpoints(lo, hi, at));
+                        grid.extend(bisection_midpoints(lo, hi, at.floor()));
+                    }
+                    // Both neighbours of the integers a lag shifts onto
+                    // the ends of the order-date range, and of the range's
+                    // own ends.
+                    let lags = [0, 1, 2, 30, 31, 90, 91, 121, 122, 151];
+                    for base in [0.0, lo, hi, (ORDERDATE_VALUES - 1) as f64] {
+                        for k in lags.map(|d| base + d as f64) {
+                            grid.extend([k.next_down(), k, k.next_up()]);
+                        }
+                    }
+                    // Outside the range, far outside it, and the zeros.
+                    grid.extend([lo - 10.5, lo - 1.0, hi + 0.5, hi + 1000.25]);
+                    grid.extend([-1e9, -0.5, -0.0, 0.0, f64::MIN_POSITIVE, 1e-20, 1e18]);
+                    for v in grid {
+                        assert_eq!(le(v), le(v.floor()), "{c} at sf {sf}, v = {v:?}");
+                    }
                 }
             }
         }
