@@ -126,8 +126,12 @@ fn bench_compiled_inference(c: &mut Criterion) {
     c.bench_function("predict/svr_compiled_single_row", |b| {
         b.iter(|| std::hint::black_box(compiled.predict_into(&probes[0], &mut scratch)))
     });
+    let mut out = Vec::with_capacity(probes.len());
     c.bench_function("predict/svr_compiled_batch_256", |b| {
-        b.iter(|| std::hint::black_box(compiled.predict_batch(&probes)))
+        b.iter(|| {
+            compiled.predict_batch_into(&probes, &mut out, &mut scratch);
+            std::hint::black_box(out.last().copied())
+        })
     });
 }
 
@@ -248,7 +252,7 @@ fn bench_simd_kernel(c: &mut Criterion) {
         .collect();
     let mut scratch = ml::PredictScratch::new();
     c.bench_function("kernel/unblocked_single_row", |b| {
-        b.iter(|| std::hint::black_box(compiled.predict_into_unblocked(&probes[0], &mut scratch)))
+        b.iter(|| std::hint::black_box(model.predict(&probes[0])))
     });
     c.bench_function("kernel/scalar_tree_single_row", |b| {
         b.iter(|| std::hint::black_box(compiled.predict_into_scalar(&probes[0], &mut scratch)))
@@ -256,12 +260,13 @@ fn bench_simd_kernel(c: &mut Criterion) {
     c.bench_function("kernel/dispatched_single_row", |b| {
         b.iter(|| std::hint::black_box(compiled.predict_into(&probes[0], &mut scratch)))
     });
-    c.bench_function("kernel/pair_rows", |b| {
+    let mut out = Vec::with_capacity(probes.len());
+    c.bench_function("kernel/block_4_rows", |b| {
         b.iter(|| {
-            std::hint::black_box(compiled.predict_into_pair(&probes[0], &probes[1], &mut scratch))
+            compiled.predict_batch_into(&probes[..4], &mut out, &mut scratch);
+            std::hint::black_box(out.last().copied())
         })
     });
-    let mut out = Vec::with_capacity(probes.len());
     c.bench_function("kernel/batch_256", |b| {
         b.iter(|| {
             compiled.predict_batch_into(&probes, &mut out, &mut scratch);

@@ -133,7 +133,7 @@ impl ExecutedQuery {
 
     /// Observed physical disk traffic in 8 KiB pages (the second
     /// performance metric of the paper family — Section 6 discusses
-    /// predicting multiple metrics; reference [1] predicts disk I/O).
+    /// predicting multiple metrics; reference \[1\] predicts disk I/O).
     pub fn total_io_pages(&self) -> f64 {
         self.trace.io_pages.iter().sum()
     }

@@ -89,9 +89,9 @@ pub struct FeatureModel {
     /// the model's applicability region.
     pub feature_ranges: Vec<(f64, f64)>,
     /// Lazily compiled form of `model` (flat support-vector layout, fused
-    /// scaling); built on first prediction, bit-identical to the reference
-    /// path, and deliberately not serialized — a deserialized model simply
-    /// recompiles on first use.
+    /// scaling); built on first prediction and deliberately not
+    /// serialized — a deserialized model simply recompiles on first use,
+    /// to the same bits.
     #[serde(skip)]
     compiled: OnceLock<CompiledModel>,
 }
@@ -145,8 +145,13 @@ impl FeatureModel {
 
     /// The compiled form of the underlying model, built on first use.
     ///
-    /// Compiled predictions are bit-identical to [`TrainedModel::predict`]
-    /// (see `ml::compiled`), so every caller below routes through this.
+    /// Every caller below routes through this, so it is the compiled
+    /// form's numeric contract that this model's predictions carry (see
+    /// `ml::compiled`): a linear model is bit-identical to
+    /// [`TrainedModel::predict`]; an SVR sums in one fixed lane-tree
+    /// order — the same bits on any host, thread count or batch size —
+    /// which agrees with `TrainedModel::predict`'s left-to-right fold to
+    /// summation-reordering rounding, not bit for bit.
     pub fn compiled(&self) -> &CompiledModel {
         self.compiled.get_or_init(|| self.model.compile())
     }

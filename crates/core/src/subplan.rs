@@ -214,7 +214,7 @@ impl SubplanIndex {
 /// plan, indexed by pre-order position. Iterates the arena's post-order
 /// cursor (children's hashes land before their parent reads them), so the
 /// whole plan costs O(n) hash work with no recursion. Must agree exactly
-/// with [`hash_node`], which stays the single-subtree entry point used at
+/// with `hash_node`, which stays the single-subtree entry point used at
 /// predict time.
 pub fn arena_structure_hashes(arena: &PlanArena<'_>) -> Vec<u64> {
     let mut hashes = vec![0u64; arena.len()];

@@ -7,73 +7,68 @@
 //! the paper's models are evaluated once per candidate plan under latency
 //! pressure.
 //!
-//! [`CompiledModel`] is a post-training compilation of a trained model:
+//! [`CompiledModel`] is a post-training compilation of a trained model.
+//! A linear model is already a flat weight vector and passes through
+//! unchanged. For an SVR model ([`CompiledSvr`]):
 //!
 //! - support vectors with a zero dual coefficient are pruned,
-//! - the surviving vectors are packed twice: once row-major
-//!   ([`CompiledSvr::predict_into_unblocked`], the order-preserving
-//!   reference layout) and once as **lane-padded SoA blocks** of
-//!   [`LANES`] = 8 support vectors each, feature-major within a block and
+//! - the survivors are packed as **lane-padded SoA blocks** of [`LANES`]
+//!   = 8 support vectors each, feature-major within a block and
 //!   zero-padded to a whole block (padding carries a zero coefficient, so
 //!   padded lanes only ever add `+0.0` to their own accumulator),
 //! - the kernel dispatch is hoisted out of the per-support-vector loop,
 //! - scaling, the kernel expansion, the bias, and the target inverse run in
-//!   a single pass over a caller-provided scratch buffer
-//!   ([`CompiledSvr::predict_into`]), so a steady-state prediction performs
-//!   zero heap allocations (`tests/zero_alloc.rs` counts them),
-//! - batched prediction blocks rows four at a time
-//!   ([`CompiledSvr::predict_into_quad`]): each support-vector lane vector
-//!   is loaded once and feeds four rows' accumulators, turning the
-//!   load-bound per-row loop into an arithmetic-bound sweep.
+//!   a single pass over a caller-provided scratch buffer, so a
+//!   steady-state prediction performs zero heap allocations
+//!   (`tests/zero_alloc.rs` counts them).
+//!
+//! There are two entry points. [`CompiledSvr::predict_into`] evaluates one
+//! row. [`CompiledSvr::predict_batch_into`] evaluates rows in blocks of
+//! four (tail rows one at a time): each support-vector lane vector is
+//! loaded once and feeds four rows' accumulators, turning the load-bound
+//! per-row loop into an arithmetic-bound sweep.
 //!
 //! # Accumulation order
 //!
-//! The hot path evaluates the kernel sum in a **fixed reduction-tree
-//! order**: eight independent lane accumulators `s0..s7` (support vector
-//! `i` always lands in lane `i % 8`), each updated once per block in block
-//! order, combined at the end as
-//! `((s0+s1)+(s2+s3)) + ((s4+s5)+(s6+s7))`. That order is part of the
-//! model's numeric contract: it does not depend on the thread count, the
-//! batch size, or which implementation runs. Two implementations exist —
-//! an unrolled scalar tree (portable fallback) and an AVX2 path using two
-//! 4-wide `f64` vectors, runtime-dispatched on
-//! `is_x86_feature_detected!("avx2")` — and they are **bit-identical to
-//! each other** by construction: the per-lane operation sequences are the
-//! same scalar IEEE ops in the same order (the RBF `exp` stays scalar per
-//! lane in both), only their interleaving across independent lanes
-//! differs. `tests/simd_props.rs` enforces exact equality across random
-//! models and arities. The `force-scalar` cargo feature compiles the
-//! dispatch out so CI can exercise the fallback on AVX2 hosts.
+//! The kernel sum is evaluated in a **fixed reduction-tree order**: eight
+//! independent lane accumulators `s0..s7` (support vector `i` always lands
+//! in lane `i % 8`), each updated once per block in block order, combined
+//! at the end as `((s0+s1)+(s2+s3)) + ((s4+s5)+(s6+s7))`. That order is
+//! part of the model's numeric contract: it does not depend on the thread
+//! count, on how many rows are evaluated together, or on which
+//! implementation runs. Two implementations exist — an unrolled scalar
+//! tree (the portable fallback, and the reference the other is tested
+//! against) and one AVX2 kernel generic over the number of rows it
+//! evaluates at once, using two 4-wide `f64` vectors per row,
+//! runtime-dispatched on `is_x86_feature_detected!("avx2")` — and they
+//! are **bit-identical to each other** by construction: the per-lane
+//! operation sequences are the same scalar IEEE ops in the same order
+//! (the RBF `exp` stays scalar per lane in both), only their interleaving
+//! across independent lanes and rows differs. `tests/simd_props.rs`
+//! enforces exact equality across random models, arities and batch
+//! lengths. The `force-scalar` cargo feature compiles the dispatch out so
+//! CI can exercise the fallback on AVX2 hosts.
 //!
 //! Relative to the *reference* [`crate::SvrModel::predict`] (a single
-//! left-to-right fold), the tree order regroups the same additions, so
-//! compiled predictions agree with the reference to summation-reordering
-//! rounding (a few ULPs of the term magnitudes — `tests/compiled_props.rs`
-//! bounds it against the condition of the sum) rather than bit-for-bit.
-//! The fold order is retained as
-//! [`CompiledSvr::predict_into_unblocked`], which *is* bit-identical to
-//! the reference path and serves as the pre-SIMD baseline in
-//! `perf_trajectory`. The left-to-right fold is a loop-carried dependence
-//! chain — one f64 add latency per support vector — which is exactly what
-//! the lane tree exists to break.
+//! left-to-right fold, the only one in the crate), the tree order regroups
+//! the same additions, so compiled predictions agree with the reference to
+//! summation-reordering rounding — within `1e-12 · (1 +`
+//! [`crate::SvrModel::sum_magnitude`]`)`, which `tests/compiled_props.rs`
+//! asserts — rather than bit-for-bit. The left-to-right fold is a
+//! loop-carried dependence chain — one f64 add latency per support vector
+//! — which is exactly what the lane tree exists to break.
 
 use crate::linreg::LinearModel;
 use crate::scaler::{StandardScaler, TargetScaler};
 use crate::svr::{Kernel, SvrModel};
-use crate::{MlError, Model};
-use std::cell::RefCell;
+use crate::MlError;
 
 /// Support vectors per lane-padded SoA block (two 4-wide AVX2 vectors).
 pub const LANES: usize = 8;
 
-/// Row-count threshold above which [`CompiledSvr::predict_batch`] fans out
-/// over [`crate::par`]; below it the fork-join overhead outweighs the work.
-const PAR_MIN_ROWS: usize = 64;
-
-/// Rows per parallel chunk in [`CompiledSvr::predict_batch`]: large enough
-/// that each worker amortizes its scratch over many 4-row blocks, small
-/// enough to balance uneven worker speeds.
-const BATCH_CHUNK: usize = 32;
+/// Rows [`CompiledSvr::predict_batch_into`] evaluates per pass over the
+/// support vectors.
+const BLOCK_ROWS: usize = 4;
 
 /// True when the dispatched hot path will use the AVX2 kernel on this
 /// host. Always false with the `force-scalar` feature or off x86_64.
@@ -95,82 +90,40 @@ fn combine_tree(s: &[f64; LANES]) -> f64 {
     ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]))
 }
 
-/// Reusable scratch space for [`CompiledSvr::predict_into`].
+/// Reusable scratch space for [`CompiledSvr::predict_into`] and
+/// [`CompiledSvr::predict_batch_into`].
 ///
-/// Holds the scaled-row buffer so repeated predictions (loops, batches)
-/// allocate nothing after the first call. A scratch can be reused across
-/// models with different feature counts; it simply resizes (retaining
-/// capacity) as needed.
+/// Holds the scaled rows of one kernel call so repeated predictions
+/// (loops, batches) allocate nothing after the first call. A scratch can
+/// be reused across models with different feature counts and across
+/// single-row and batched calls; it simply resizes (retaining capacity)
+/// as needed.
 #[derive(Debug, Clone, Default)]
 pub struct PredictScratch {
+    /// `ROWS × n_features` scaled values, row-major.
     xr: Vec<f64>,
-    /// Second scaled-row buffer for the pair-row batched kernel.
-    xr2: Vec<f64>,
-    /// Third and fourth scaled-row buffers for the 4-row blocked kernel.
-    xr3: Vec<f64>,
-    xr4: Vec<f64>,
 }
 
 impl PredictScratch {
-    /// Creates an empty scratch; buffers grow on first use.
+    /// Creates an empty scratch; the buffer grows on first use.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Runs `f` with a thread-local scratch, avoiding both a per-call
-    /// allocation and the need to thread a scratch through caller APIs.
-    /// Falls back to a fresh scratch if the thread-local one is already
-    /// borrowed (re-entrant use).
-    pub fn with_thread_local<T>(f: impl FnOnce(&mut PredictScratch) -> T) -> T {
-        thread_local! {
-            static SCRATCH: RefCell<PredictScratch> = RefCell::new(PredictScratch::new());
-        }
-        SCRATCH.with(|s| match s.try_borrow_mut() {
-            Ok(mut guard) => f(&mut guard),
-            Err(_) => f(&mut PredictScratch::new()),
-        })
-    }
-
-    fn scaled_row(&mut self, n: usize) -> &mut [f64] {
+    fn zeroed(&mut self, len: usize) -> &mut [f64] {
         self.xr.clear();
-        self.xr.resize(n, 0.0);
+        self.xr.resize(len, 0.0);
         &mut self.xr
-    }
-
-    fn scaled_pair(&mut self, n: usize) -> (&mut [f64], &mut [f64]) {
-        self.xr.clear();
-        self.xr.resize(n, 0.0);
-        self.xr2.clear();
-        self.xr2.resize(n, 0.0);
-        (&mut self.xr, &mut self.xr2)
-    }
-
-    #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
-    #[allow(clippy::type_complexity)]
-    fn scaled_quad(&mut self, n: usize) -> (&mut [f64], &mut [f64], &mut [f64], &mut [f64]) {
-        self.xr.clear();
-        self.xr.resize(n, 0.0);
-        self.xr2.clear();
-        self.xr2.resize(n, 0.0);
-        self.xr3.clear();
-        self.xr3.resize(n, 0.0);
-        self.xr4.clear();
-        self.xr4.resize(n, 0.0);
-        (&mut self.xr, &mut self.xr2, &mut self.xr3, &mut self.xr4)
     }
 }
 
-/// An SVR model compiled for low-latency inference: flat support-vector
-/// storage (row-major and lane-padded SoA), zero-coefficient vectors
-/// pruned, fused scale → kernel → bias → target-inverse evaluation.
+/// An SVR model compiled for low-latency inference: lane-padded SoA
+/// support-vector storage, zero-coefficient vectors pruned, fused scale →
+/// kernel → bias → target-inverse evaluation.
 #[derive(Debug, Clone)]
 pub struct CompiledSvr {
     kernel: Kernel,
     gamma: f64,
-    /// Support vectors, row-major, `coef.len() * n_features` values
-    /// (reference-order baseline path).
-    sv: Vec<f64>,
-    coef: Vec<f64>,
     /// Lane-padded SoA blocks: `n_blocks * n_features * LANES` values.
     /// Block `b`, feature `k`, lane `l` lives at
     /// `b * n_features * LANES + k * LANES + l` and holds feature `k` of
@@ -178,6 +131,8 @@ pub struct CompiledSvr {
     sv_lanes: Vec<f64>,
     /// Coefficients padded with zeros to `n_blocks * LANES`.
     coef_lanes: Vec<f64>,
+    /// Support vectors retained after pruning.
+    n_support_vectors: usize,
     /// AVX2 detected at compile() time (and not compiled out).
     use_simd: bool,
     bias: f64,
@@ -187,34 +142,31 @@ pub struct CompiledSvr {
 }
 
 impl CompiledSvr {
-    /// Compiles a trained [`SvrModel`] (see module docs for the layouts).
+    /// Compiles a trained [`SvrModel`] (see module docs for the layout).
     pub fn compile(model: &SvrModel) -> Self {
         let d = model.n_features;
-        let mut sv = Vec::new();
-        let mut coef = Vec::new();
-        for (row, &c) in model.support_vectors.iter().zip(&model.coefficients) {
-            if c != 0.0 {
-                sv.extend_from_slice(row);
-                coef.push(c);
-            }
-        }
-        let n_blocks = coef.len().div_ceil(LANES);
+        let kept: Vec<(&Vec<f64>, f64)> = model
+            .support_vectors
+            .iter()
+            .zip(model.coefficients.iter().copied())
+            .filter(|&(_, c)| c != 0.0)
+            .collect();
+        let n_blocks = kept.len().div_ceil(LANES);
         let mut sv_lanes = vec![0.0; n_blocks * d * LANES];
         let mut coef_lanes = vec![0.0; n_blocks * LANES];
-        for (i, &c) in coef.iter().enumerate() {
+        for (i, &(sv, c)) in kept.iter().enumerate() {
             let (b, l) = (i / LANES, i % LANES);
             coef_lanes[b * LANES + l] = c;
             for k in 0..d {
-                sv_lanes[b * d * LANES + k * LANES + l] = sv[i * d + k];
+                sv_lanes[b * d * LANES + k * LANES + l] = sv[k];
             }
         }
         CompiledSvr {
             kernel: model.kernel,
             gamma: model.gamma,
-            sv,
-            coef,
             sv_lanes,
             coef_lanes,
+            n_support_vectors: kept.len(),
             use_simd: simd_available(),
             bias: model.bias,
             x_scaler: model.x_scaler.clone(),
@@ -230,7 +182,7 @@ impl CompiledSvr {
 
     /// Number of support vectors retained after pruning.
     pub fn n_support_vectors(&self) -> usize {
-        self.coef.len()
+        self.n_support_vectors
     }
 
     /// Predicts one (unscaled) feature row, reusing `scratch` so the call
@@ -241,25 +193,26 @@ impl CompiledSvr {
     /// with a `debug_assert!` only; use [`CompiledSvr::try_predict_into`]
     /// for a checked variant.
     pub fn predict_into(&self, row: &[f64], scratch: &mut PredictScratch) -> f64 {
-        debug_assert_eq!(
-            row.len(),
-            self.n_features,
-            "compiled svr expects {} features, got {}",
-            self.n_features,
-            row.len()
-        );
-        let xr = scratch.scaled_row(self.n_features);
-        self.x_scaler.transform_row_into(row, xr);
-        self.y_scaler.inverse(self.bias + self.kernel_sum(xr))
+        self.predict_rows([row], scratch)[0]
+    }
+
+    /// Checked variant of [`CompiledSvr::predict_into`]: returns
+    /// [`MlError::ShapeMismatch`] instead of asserting on a wrong-arity row.
+    pub fn try_predict_into(&self, row: &[f64], scratch: &mut PredictScratch) -> Result<f64, MlError> {
+        if row.len() != self.n_features {
+            return Err(MlError::ShapeMismatch {
+                expected: self.n_features,
+                got: row.len(),
+            });
+        }
+        Ok(self.predict_into(row, scratch))
     }
 
     /// Forces the unrolled scalar-tree kernel regardless of host features
     /// (same bits as the dispatched path; used by tests and benches).
     pub fn predict_into_scalar(&self, row: &[f64], scratch: &mut PredictScratch) -> f64 {
-        debug_assert_eq!(row.len(), self.n_features);
-        let xr = scratch.scaled_row(self.n_features);
-        self.x_scaler.transform_row_into(row, xr);
-        self.y_scaler.inverse(self.bias + self.kernel_sum_scalar(xr))
+        let [xr] = self.scaled([row], scratch);
+        self.finish(self.kernel_sum_scalar(xr))
     }
 
     /// Forces the AVX2 kernel; `None` when it is unavailable (non-x86_64,
@@ -269,157 +222,88 @@ impl CompiledSvr {
         #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
         {
             if std::arch::is_x86_feature_detected!("avx2") {
-                debug_assert_eq!(row.len(), self.n_features);
-                let xr = scratch.scaled_row(self.n_features);
-                self.x_scaler.transform_row_into(row, xr);
-                // SAFETY: AVX2 presence was just verified.
-                let sum = unsafe { self.kernel_sum_avx2(xr) };
-                return Some(self.y_scaler.inverse(self.bias + sum));
+                let xrs = self.scaled([row], scratch);
+                // SAFETY: AVX2 presence was just verified, and `scaled`
+                // hands out rows of exactly `n_features` values.
+                let [sum] = unsafe { self.kernel_sums_avx2(xrs) };
+                return Some(self.finish(sum));
             }
         }
         let _ = (row, scratch);
         None
     }
 
-    /// Predicts two rows at once, sharing support-vector block loads
-    /// between them on the AVX2 path (each row keeps its own lane
-    /// accumulators and per-lane operation order, so both results are
-    /// bit-identical to two [`CompiledSvr::predict_into`] calls). This is
-    /// what makes the batched path faster than a per-row loop: the
-    /// kernel becomes arithmetic-bound instead of load-bound. Falls back
-    /// to two sequential scalar-tree calls when SIMD is unavailable.
-    pub fn predict_into_pair(
+    /// Serial batched prediction into a caller-owned output buffer: zero
+    /// heap allocations once `out`'s capacity and the scratch have warmed
+    /// up. Rows go through the kernel four at a time — one pass over the
+    /// support vectors feeds four rows' accumulators — and the up to three
+    /// tail rows one at a time. Each row keeps its own lane accumulators
+    /// and per-lane operation order, so the output has the same bits as a
+    /// per-row [`CompiledSvr::predict_into`] loop.
+    pub fn predict_batch_into<R: AsRef<[f64]>>(
         &self,
-        row0: &[f64],
-        row1: &[f64],
+        rows: &[R],
+        out: &mut Vec<f64>,
         scratch: &mut PredictScratch,
-    ) -> (f64, f64) {
-        #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
-        {
-            if self.use_simd && self.n_features > 0 {
-                debug_assert_eq!(row0.len(), self.n_features);
-                debug_assert_eq!(row1.len(), self.n_features);
-                let (xr0, xr1) = scratch.scaled_pair(self.n_features);
-                self.x_scaler.transform_row_into(row0, xr0);
-                self.x_scaler.transform_row_into(row1, xr1);
-                // SAFETY: `use_simd` is only set when AVX2 was detected.
-                let (s0, s1) = unsafe { self.kernel_sum_avx2_pair(xr0, xr1) };
-                return (
-                    self.y_scaler.inverse(self.bias + s0),
-                    self.y_scaler.inverse(self.bias + s1),
-                );
-            }
+    ) {
+        out.clear();
+        out.reserve(rows.len());
+        let mut blocks = rows.chunks_exact(BLOCK_ROWS);
+        for block in &mut blocks {
+            let block: [&[f64]; BLOCK_ROWS] = std::array::from_fn(|r| block[r].as_ref());
+            out.extend_from_slice(&self.predict_rows(block, scratch));
         }
-        (
-            self.predict_into(row0, scratch),
-            self.predict_into(row1, scratch),
-        )
+        for row in blocks.remainder() {
+            out.push(self.predict_into(row.as_ref(), scratch));
+        }
     }
 
-    /// Predicts four rows at once: one pass over the SoA blocks loading
-    /// each support-vector lane vector once and feeding all four rows'
-    /// accumulators. Each row keeps its own lane accumulators and per-lane
-    /// operation order, so all four results are bit-identical to four
-    /// [`CompiledSvr::predict_into`] calls — only the interleaving in time
-    /// differs. Doubles down on the pair kernel's insight: at four rows
-    /// per support-vector load the linear kernel is fully
-    /// arithmetic-bound. Falls back to four sequential scalar-tree calls
-    /// when SIMD is unavailable.
-    pub fn predict_into_quad(
-        &self,
-        rows: [&[f64]; 4],
-        scratch: &mut PredictScratch,
-    ) -> [f64; 4] {
-        #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
-        {
-            if self.use_simd && self.n_features > 0 {
-                for r in rows {
-                    debug_assert_eq!(r.len(), self.n_features);
-                }
-                let (xr0, xr1, xr2, xr3) = scratch.scaled_quad(self.n_features);
-                self.x_scaler.transform_row_into(rows[0], xr0);
-                self.x_scaler.transform_row_into(rows[1], xr1);
-                self.x_scaler.transform_row_into(rows[2], xr2);
-                self.x_scaler.transform_row_into(rows[3], xr3);
-                // SAFETY: `use_simd` is only set when AVX2 was detected.
-                let s = unsafe { self.kernel_sum_avx2_quad([xr0, xr1, xr2, xr3]) };
-                return [
-                    self.y_scaler.inverse(self.bias + s[0]),
-                    self.y_scaler.inverse(self.bias + s[1]),
-                    self.y_scaler.inverse(self.bias + s[2]),
-                    self.y_scaler.inverse(self.bias + s[3]),
-                ];
-            }
-        }
-        [
-            self.predict_into(rows[0], scratch),
-            self.predict_into(rows[1], scratch),
-            self.predict_into(rows[2], scratch),
-            self.predict_into(rows[3], scratch),
-        ]
-    }
-
-    /// The pre-SIMD (PR 3) path: row-major storage, single left-to-right
-    /// fold in support-vector order. Bit-identical to the reference
-    /// [`SvrModel::predict`]; retained as the perf-trajectory baseline and
-    /// as the order oracle for `tests/compiled_props.rs`.
-    pub fn predict_into_unblocked(&self, row: &[f64], scratch: &mut PredictScratch) -> f64 {
-        debug_assert_eq!(
-            row.len(),
-            self.n_features,
-            "compiled svr expects {} features, got {}",
-            self.n_features,
-            row.len()
-        );
-        let xr = scratch.scaled_row(self.n_features);
-        self.x_scaler.transform_row_into(row, xr);
-        let d = self.n_features;
-        let mut acc = self.bias;
-        if d == 0 {
-            // Degenerate zero-feature model: every kernel row is empty.
-            for &c in &self.coef {
-                acc += c * self.kernel.eval(&[], &[], self.gamma);
-            }
-            return self.y_scaler.inverse(acc);
-        }
-        acc = match self.kernel {
-            Kernel::Linear => match d {
-                1 => self.expand_linear::<1>(acc, xr),
-                2 => self.expand_linear::<2>(acc, xr),
-                3 => self.expand_linear::<3>(acc, xr),
-                4 => self.expand_linear::<4>(acc, xr),
-                5 => self.expand_linear::<5>(acc, xr),
-                6 => self.expand_linear::<6>(acc, xr),
-                7 => self.expand_linear::<7>(acc, xr),
-                8 => self.expand_linear::<8>(acc, xr),
-                _ => self.expand_linear_dyn(acc, xr),
-            },
-            Kernel::Rbf { .. } => match d {
-                1 => self.expand_rbf::<1>(acc, xr),
-                2 => self.expand_rbf::<2>(acc, xr),
-                3 => self.expand_rbf::<3>(acc, xr),
-                4 => self.expand_rbf::<4>(acc, xr),
-                5 => self.expand_rbf::<5>(acc, xr),
-                6 => self.expand_rbf::<6>(acc, xr),
-                7 => self.expand_rbf::<7>(acc, xr),
-                8 => self.expand_rbf::<8>(acc, xr),
-                _ => self.expand_rbf_dyn(acc, xr),
-            },
-        };
-        self.y_scaler.inverse(acc)
-    }
-
-    /// Dispatched lane-tree kernel sum over the scaled row.
+    /// `ROWS` predictions from one dispatched pass over the support
+    /// vectors.
     #[inline]
-    fn kernel_sum(&self, xr: &[f64]) -> f64 {
+    fn predict_rows<const ROWS: usize>(
+        &self,
+        rows: [&[f64]; ROWS],
+        scratch: &mut PredictScratch,
+    ) -> [f64; ROWS] {
+        let xrs = self.scaled(rows, scratch);
         #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
         {
             if self.use_simd && self.n_features > 0 {
-                // SAFETY: `use_simd` is only set when AVX2 was detected.
-                return unsafe { self.kernel_sum_avx2(xr) };
+                // SAFETY: `use_simd` is only set when AVX2 was detected,
+                // and `scaled` hands out rows of exactly `n_features`
+                // values.
+                return unsafe { self.kernel_sums_avx2(xrs) }.map(|s| self.finish(s));
             }
         }
-        self.kernel_sum_scalar(xr)
+        xrs.map(|xr| self.finish(self.kernel_sum_scalar(xr)))
+    }
+
+    /// Scales `rows` into the scratch and returns them as slices of
+    /// exactly `n_features` values each — the length the kernels rely on,
+    /// whatever the caller passed (a wrong-arity row is a caller bug,
+    /// caught by the `debug_assert!`).
+    #[inline]
+    fn scaled<'s, const ROWS: usize>(
+        &self,
+        rows: [&[f64]; ROWS],
+        scratch: &'s mut PredictScratch,
+    ) -> [&'s [f64]; ROWS] {
+        let d = self.n_features;
+        let buf = scratch.zeroed(ROWS * d);
+        for (r, row) in rows.iter().enumerate() {
+            debug_assert_eq!(row.len(), d, "compiled svr expects {d} features");
+            self.x_scaler
+                .transform_row_into(row, &mut buf[r * d..(r + 1) * d]);
+        }
+        let buf: &'s [f64] = buf;
+        std::array::from_fn(|r| &buf[r * d..(r + 1) * d])
+    }
+
+    /// Bias and target inverse: the shared tail of every kernel sum.
+    #[inline(always)]
+    fn finish(&self, kernel_sum: f64) -> f64 {
+        self.y_scaler.inverse(self.bias + kernel_sum)
     }
 
     /// Unrolled scalar reduction tree: eight independent lane
@@ -476,192 +360,35 @@ impl CompiledSvr {
         combine_tree(&acc)
     }
 
-    /// AVX2 reduction tree: two 4-wide vectors per block (lanes 0–3 and
-    /// 4–7). Per lane this performs the same scalar IEEE operations in the
-    /// same order as [`CompiledSvr::kernel_sum_scalar`] — multiplies and
-    /// adds vectorize element-wise, the RBF `exp` stays scalar per lane —
-    /// so the two paths are bit-identical.
-    ///
-    /// # Safety
-    /// Callers must ensure AVX2 is available. `xr` must hold
-    /// `self.n_features > 0` values.
-    #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
-    #[target_feature(enable = "avx2")]
-    unsafe fn kernel_sum_avx2(&self, xr: &[f64]) -> f64 {
-        use std::arch::x86_64::*;
-        let d = self.n_features;
-        let n_blocks = self.coef_lanes.len() / LANES;
-        let sv = self.sv_lanes.as_ptr();
-        let cf = self.coef_lanes.as_ptr();
-        let mut acc = [0.0f64; LANES];
-        match self.kernel {
-            Kernel::Linear => {
-                let mut acc_lo = _mm256_setzero_pd();
-                let mut acc_hi = _mm256_setzero_pd();
-                for b in 0..n_blocks {
-                    let base = b * d * LANES;
-                    let mut dot_lo = _mm256_setzero_pd();
-                    let mut dot_hi = _mm256_setzero_pd();
-                    for k in 0..d {
-                        let x = _mm256_set1_pd(*xr.get_unchecked(k));
-                        let p = sv.add(base + k * LANES);
-                        dot_lo = _mm256_add_pd(dot_lo, _mm256_mul_pd(_mm256_loadu_pd(p), x));
-                        dot_hi = _mm256_add_pd(dot_hi, _mm256_mul_pd(_mm256_loadu_pd(p.add(4)), x));
-                    }
-                    let cp = cf.add(b * LANES);
-                    acc_lo = _mm256_add_pd(acc_lo, _mm256_mul_pd(_mm256_loadu_pd(cp), dot_lo));
-                    acc_hi = _mm256_add_pd(acc_hi, _mm256_mul_pd(_mm256_loadu_pd(cp.add(4)), dot_hi));
-                }
-                _mm256_storeu_pd(acc.as_mut_ptr(), acc_lo);
-                _mm256_storeu_pd(acc.as_mut_ptr().add(4), acc_hi);
-            }
-            Kernel::Rbf { .. } => {
-                for b in 0..n_blocks {
-                    let base = b * d * LANES;
-                    let mut sq_lo = _mm256_setzero_pd();
-                    let mut sq_hi = _mm256_setzero_pd();
-                    for k in 0..d {
-                        let x = _mm256_set1_pd(*xr.get_unchecked(k));
-                        let p = sv.add(base + k * LANES);
-                        let dl = _mm256_sub_pd(_mm256_loadu_pd(p), x);
-                        let dh = _mm256_sub_pd(_mm256_loadu_pd(p.add(4)), x);
-                        sq_lo = _mm256_add_pd(sq_lo, _mm256_mul_pd(dl, dl));
-                        sq_hi = _mm256_add_pd(sq_hi, _mm256_mul_pd(dh, dh));
-                    }
-                    let mut sq = [0.0f64; LANES];
-                    _mm256_storeu_pd(sq.as_mut_ptr(), sq_lo);
-                    _mm256_storeu_pd(sq.as_mut_ptr().add(4), sq_hi);
-                    // Scalar exp per lane keeps bit-identity with the
-                    // scalar tree (and dominates the block cost anyway).
-                    for (l, (a, &sqv)) in acc.iter_mut().zip(&sq).enumerate() {
-                        *a += *cf.add(b * LANES + l) * (-self.gamma * sqv).exp();
-                    }
-                }
-            }
-        }
-        combine_tree(&acc)
-    }
-
-    /// Two-row AVX2 kernel: one pass over the SoA blocks computing both
-    /// rows' kernel sums, loading each support-vector lane vector once.
-    /// Per row, every lane performs the exact operation sequence of
-    /// [`CompiledSvr::kernel_sum_avx2`] — only the interleaving in time
-    /// differs — so each result is bit-identical to the single-row path.
-    ///
-    /// # Safety
-    /// Callers must ensure AVX2 is available. `xr0` and `xr1` must hold
-    /// `self.n_features > 0` values each.
-    #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
-    #[target_feature(enable = "avx2")]
-    unsafe fn kernel_sum_avx2_pair(&self, xr0: &[f64], xr1: &[f64]) -> (f64, f64) {
-        use std::arch::x86_64::*;
-        let d = self.n_features;
-        let n_blocks = self.coef_lanes.len() / LANES;
-        let sv = self.sv_lanes.as_ptr();
-        let cf = self.coef_lanes.as_ptr();
-        let mut acc0 = [0.0f64; LANES];
-        let mut acc1 = [0.0f64; LANES];
-        match self.kernel {
-            Kernel::Linear => {
-                let mut a0_lo = _mm256_setzero_pd();
-                let mut a0_hi = _mm256_setzero_pd();
-                let mut a1_lo = _mm256_setzero_pd();
-                let mut a1_hi = _mm256_setzero_pd();
-                for b in 0..n_blocks {
-                    let base = b * d * LANES;
-                    let mut d0_lo = _mm256_setzero_pd();
-                    let mut d0_hi = _mm256_setzero_pd();
-                    let mut d1_lo = _mm256_setzero_pd();
-                    let mut d1_hi = _mm256_setzero_pd();
-                    for k in 0..d {
-                        let x0 = _mm256_set1_pd(*xr0.get_unchecked(k));
-                        let x1 = _mm256_set1_pd(*xr1.get_unchecked(k));
-                        let p = sv.add(base + k * LANES);
-                        let s_lo = _mm256_loadu_pd(p);
-                        let s_hi = _mm256_loadu_pd(p.add(4));
-                        d0_lo = _mm256_add_pd(d0_lo, _mm256_mul_pd(s_lo, x0));
-                        d0_hi = _mm256_add_pd(d0_hi, _mm256_mul_pd(s_hi, x0));
-                        d1_lo = _mm256_add_pd(d1_lo, _mm256_mul_pd(s_lo, x1));
-                        d1_hi = _mm256_add_pd(d1_hi, _mm256_mul_pd(s_hi, x1));
-                    }
-                    let cp = cf.add(b * LANES);
-                    let c_lo = _mm256_loadu_pd(cp);
-                    let c_hi = _mm256_loadu_pd(cp.add(4));
-                    a0_lo = _mm256_add_pd(a0_lo, _mm256_mul_pd(c_lo, d0_lo));
-                    a0_hi = _mm256_add_pd(a0_hi, _mm256_mul_pd(c_hi, d0_hi));
-                    a1_lo = _mm256_add_pd(a1_lo, _mm256_mul_pd(c_lo, d1_lo));
-                    a1_hi = _mm256_add_pd(a1_hi, _mm256_mul_pd(c_hi, d1_hi));
-                }
-                _mm256_storeu_pd(acc0.as_mut_ptr(), a0_lo);
-                _mm256_storeu_pd(acc0.as_mut_ptr().add(4), a0_hi);
-                _mm256_storeu_pd(acc1.as_mut_ptr(), a1_lo);
-                _mm256_storeu_pd(acc1.as_mut_ptr().add(4), a1_hi);
-            }
-            Kernel::Rbf { .. } => {
-                for b in 0..n_blocks {
-                    let base = b * d * LANES;
-                    let mut sq0_lo = _mm256_setzero_pd();
-                    let mut sq0_hi = _mm256_setzero_pd();
-                    let mut sq1_lo = _mm256_setzero_pd();
-                    let mut sq1_hi = _mm256_setzero_pd();
-                    for k in 0..d {
-                        let x0 = _mm256_set1_pd(*xr0.get_unchecked(k));
-                        let x1 = _mm256_set1_pd(*xr1.get_unchecked(k));
-                        let p = sv.add(base + k * LANES);
-                        let s_lo = _mm256_loadu_pd(p);
-                        let s_hi = _mm256_loadu_pd(p.add(4));
-                        let e0_lo = _mm256_sub_pd(s_lo, x0);
-                        let e0_hi = _mm256_sub_pd(s_hi, x0);
-                        let e1_lo = _mm256_sub_pd(s_lo, x1);
-                        let e1_hi = _mm256_sub_pd(s_hi, x1);
-                        sq0_lo = _mm256_add_pd(sq0_lo, _mm256_mul_pd(e0_lo, e0_lo));
-                        sq0_hi = _mm256_add_pd(sq0_hi, _mm256_mul_pd(e0_hi, e0_hi));
-                        sq1_lo = _mm256_add_pd(sq1_lo, _mm256_mul_pd(e1_lo, e1_lo));
-                        sq1_hi = _mm256_add_pd(sq1_hi, _mm256_mul_pd(e1_hi, e1_hi));
-                    }
-                    let mut sq0 = [0.0f64; LANES];
-                    let mut sq1 = [0.0f64; LANES];
-                    _mm256_storeu_pd(sq0.as_mut_ptr(), sq0_lo);
-                    _mm256_storeu_pd(sq0.as_mut_ptr().add(4), sq0_hi);
-                    _mm256_storeu_pd(sq1.as_mut_ptr(), sq1_lo);
-                    _mm256_storeu_pd(sq1.as_mut_ptr().add(4), sq1_hi);
-                    for l in 0..LANES {
-                        let c = *cf.add(b * LANES + l);
-                        acc0[l] += c * (-self.gamma * sq0[l]).exp();
-                        acc1[l] += c * (-self.gamma * sq1[l]).exp();
-                    }
-                }
-            }
-        }
-        (combine_tree(&acc0), combine_tree(&acc1))
-    }
-
-    /// Four-row AVX2 kernel: one pass over the SoA blocks computing all
-    /// four rows' kernel sums, loading each support-vector lane vector
-    /// once. Per row, every lane performs the exact operation sequence of
-    /// [`CompiledSvr::kernel_sum_avx2`] — only the interleaving in time
-    /// differs — so each result is bit-identical to the single-row path.
+    /// AVX2 reduction tree for `ROWS` rows at once: two 4-wide vectors per
+    /// block and row (lanes 0–3 and 4–7), each support-vector lane vector
+    /// loaded once and fed to every row's accumulators. Per row and lane
+    /// this performs the same scalar IEEE operations in the same order as
+    /// [`CompiledSvr::kernel_sum_scalar`] — multiplies and adds vectorize
+    /// element-wise, the RBF `exp` stays scalar per lane — so the result
+    /// for a row is bit-identical to the scalar tree's whatever `ROWS` is;
+    /// only the interleaving in time differs.
     ///
     /// # Safety
     /// Callers must ensure AVX2 is available. Every row in `xrs` must hold
-    /// `self.n_features > 0` values.
+    /// at least `self.n_features` values.
     #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
     #[target_feature(enable = "avx2")]
-    unsafe fn kernel_sum_avx2_quad(&self, xrs: [&[f64]; 4]) -> [f64; 4] {
+    unsafe fn kernel_sums_avx2<const ROWS: usize>(&self, xrs: [&[f64]; ROWS]) -> [f64; ROWS] {
         use std::arch::x86_64::*;
         let d = self.n_features;
         let n_blocks = self.coef_lanes.len() / LANES;
         let sv = self.sv_lanes.as_ptr();
         let cf = self.coef_lanes.as_ptr();
-        let mut acc = [[0.0f64; LANES]; 4];
+        let mut acc = [[0.0f64; LANES]; ROWS];
         match self.kernel {
             Kernel::Linear => {
-                let mut a_lo = [_mm256_setzero_pd(); 4];
-                let mut a_hi = [_mm256_setzero_pd(); 4];
+                let mut a_lo = [_mm256_setzero_pd(); ROWS];
+                let mut a_hi = [_mm256_setzero_pd(); ROWS];
                 for b in 0..n_blocks {
                     let base = b * d * LANES;
-                    let mut d_lo = [_mm256_setzero_pd(); 4];
-                    let mut d_hi = [_mm256_setzero_pd(); 4];
+                    let mut d_lo = [_mm256_setzero_pd(); ROWS];
+                    let mut d_hi = [_mm256_setzero_pd(); ROWS];
                     for k in 0..d {
                         let p = sv.add(base + k * LANES);
                         let s_lo = _mm256_loadu_pd(p);
@@ -675,12 +402,12 @@ impl CompiledSvr {
                     let cp = cf.add(b * LANES);
                     let c_lo = _mm256_loadu_pd(cp);
                     let c_hi = _mm256_loadu_pd(cp.add(4));
-                    for r in 0..4 {
+                    for r in 0..ROWS {
                         a_lo[r] = _mm256_add_pd(a_lo[r], _mm256_mul_pd(c_lo, d_lo[r]));
                         a_hi[r] = _mm256_add_pd(a_hi[r], _mm256_mul_pd(c_hi, d_hi[r]));
                     }
                 }
-                for r in 0..4 {
+                for r in 0..ROWS {
                     _mm256_storeu_pd(acc[r].as_mut_ptr(), a_lo[r]);
                     _mm256_storeu_pd(acc[r].as_mut_ptr().add(4), a_hi[r]);
                 }
@@ -688,8 +415,8 @@ impl CompiledSvr {
             Kernel::Rbf { .. } => {
                 for b in 0..n_blocks {
                     let base = b * d * LANES;
-                    let mut sq_lo = [_mm256_setzero_pd(); 4];
-                    let mut sq_hi = [_mm256_setzero_pd(); 4];
+                    let mut sq_lo = [_mm256_setzero_pd(); ROWS];
+                    let mut sq_hi = [_mm256_setzero_pd(); ROWS];
                     for k in 0..d {
                         let p = sv.add(base + k * LANES);
                         let s_lo = _mm256_loadu_pd(p);
@@ -702,10 +429,12 @@ impl CompiledSvr {
                             sq_hi[r] = _mm256_add_pd(sq_hi[r], _mm256_mul_pd(e_hi, e_hi));
                         }
                     }
-                    for r in 0..4 {
+                    for r in 0..ROWS {
                         let mut sq = [0.0f64; LANES];
                         _mm256_storeu_pd(sq.as_mut_ptr(), sq_lo[r]);
                         _mm256_storeu_pd(sq.as_mut_ptr().add(4), sq_hi[r]);
+                        // Scalar exp per lane keeps bit-identity with the
+                        // scalar tree (and dominates the block cost anyway).
                         for (l, &sqv) in sq.iter().enumerate() {
                             acc[r][l] += *cf.add(b * LANES + l) * (-self.gamma * sqv).exp();
                         }
@@ -713,193 +442,7 @@ impl CompiledSvr {
                 }
             }
         }
-        [
-            combine_tree(&acc[0]),
-            combine_tree(&acc[1]),
-            combine_tree(&acc[2]),
-            combine_tree(&acc[3]),
-        ]
-    }
-
-    /// Linear-kernel expansion with the feature count fixed at compile
-    /// time; the dot loop fully unrolls but keeps `Kernel::eval`'s
-    /// accumulation order, so results are bit-identical to the reference.
-    fn expand_linear<const D: usize>(&self, mut acc: f64, xr: &[f64]) -> f64 {
-        let xa: &[f64; D] = xr[..D].try_into().expect("scratch sized to n_features");
-        for (sv, &c) in self.sv.chunks_exact(D).zip(&self.coef) {
-            let sa: &[f64; D] = sv.try_into().expect("chunks_exact yields D values");
-            let mut dot = 0.0;
-            for k in 0..D {
-                dot += sa[k] * xa[k];
-            }
-            acc += c * dot;
-        }
-        acc
-    }
-
-    /// RBF expansion with the feature count fixed at compile time; same
-    /// order-preservation argument as [`CompiledSvr::expand_linear`].
-    fn expand_rbf<const D: usize>(&self, mut acc: f64, xr: &[f64]) -> f64 {
-        let xa: &[f64; D] = xr[..D].try_into().expect("scratch sized to n_features");
-        for (sv, &c) in self.sv.chunks_exact(D).zip(&self.coef) {
-            let sa: &[f64; D] = sv.try_into().expect("chunks_exact yields D values");
-            let mut sq = 0.0;
-            for k in 0..D {
-                let diff = sa[k] - xa[k];
-                sq += diff * diff;
-            }
-            acc += c * (-self.gamma * sq).exp();
-        }
-        acc
-    }
-
-    /// Linear-kernel expansion for feature counts without a specialized
-    /// body.
-    fn expand_linear_dyn(&self, mut acc: f64, xr: &[f64]) -> f64 {
-        for (sv, &c) in self.sv.chunks_exact(self.n_features).zip(&self.coef) {
-            let mut dot = 0.0;
-            for (a, b) in sv.iter().zip(xr.iter()) {
-                dot += a * b;
-            }
-            acc += c * dot;
-        }
-        acc
-    }
-
-    /// RBF expansion for feature counts without a specialized body.
-    fn expand_rbf_dyn(&self, mut acc: f64, xr: &[f64]) -> f64 {
-        for (sv, &c) in self.sv.chunks_exact(self.n_features).zip(&self.coef) {
-            let mut sq = 0.0;
-            for (a, b) in sv.iter().zip(xr.iter()) {
-                let diff = a - b;
-                sq += diff * diff;
-            }
-            acc += c * (-self.gamma * sq).exp();
-        }
-        acc
-    }
-
-    /// Checked variant of [`CompiledSvr::predict_into`]: returns
-    /// [`MlError::ShapeMismatch`] instead of asserting on a wrong-arity row.
-    pub fn try_predict_into(&self, row: &[f64], scratch: &mut PredictScratch) -> Result<f64, MlError> {
-        if row.len() != self.n_features {
-            return Err(MlError::ShapeMismatch {
-                expected: self.n_features,
-                got: row.len(),
-            });
-        }
-        Ok(self.predict_into(row, scratch))
-    }
-
-    /// Predicts one row with a thread-local scratch buffer.
-    pub fn predict(&self, row: &[f64]) -> f64 {
-        PredictScratch::with_thread_local(|s| self.predict_into(row, s))
-    }
-
-    /// Predicts a batch of rows, returning predictions in input order.
-    ///
-    /// Scratch buffers are reused across rows, and large batches fan out
-    /// over [`crate::par`] in chunks of [`BATCH_CHUNK`] rows (one
-    /// thread-local scratch per worker), so every worker rides the 4-row
-    /// blocked kernel rather than a per-row loop. The serial path is the
-    /// same quad-then-pair [`CompiledSvr::predict_batch_into`] sweep.
-    /// Results are bit-identical to a serial `predict` loop regardless of
-    /// the thread count or blocking (every path runs the same fixed-order
-    /// lane tree per row).
-    pub fn predict_batch<R: AsRef<[f64]> + Sync>(&self, rows: &[R]) -> Vec<f64> {
-        if rows.len() >= PAR_MIN_ROWS && crate::par::threads() > 1 {
-            let n_chunks = rows.len().div_ceil(BATCH_CHUNK);
-            let parts = crate::par::par_map_n(n_chunks, |ci| {
-                let lo = ci * BATCH_CHUNK;
-                let hi = (lo + BATCH_CHUNK).min(rows.len());
-                let mut part = Vec::new();
-                PredictScratch::with_thread_local(|s| {
-                    self.predict_batch_into(&rows[lo..hi], &mut part, s);
-                });
-                part
-            });
-            let mut out = Vec::with_capacity(rows.len());
-            for p in parts {
-                out.extend_from_slice(&p);
-            }
-            out
-        } else {
-            let mut out = Vec::new();
-            let mut scratch = PredictScratch::new();
-            self.predict_batch_into(rows, &mut out, &mut scratch);
-            out
-        }
-    }
-
-    /// The reordering-error scale of a prediction on `row`, in target
-    /// units: `(|bias| + Σ|c_i·K_i|) · |target slope|`. Any regrouping of
-    /// the kernel sum — the lane tree included — agrees with the
-    /// reference left-to-right fold to within a few ULPs of this
-    /// magnitude; the tolerance tests in `tests/compiled_props.rs` are
-    /// phrased against it.
-    pub fn sum_magnitude(&self, row: &[f64], scratch: &mut PredictScratch) -> f64 {
-        let xr = scratch.scaled_row(self.n_features);
-        self.x_scaler.transform_row_into(row, xr);
-        let mut mag = self.bias.abs();
-        if self.n_features == 0 {
-            for &c in &self.coef {
-                mag += (c * self.kernel.eval(&[], &[], self.gamma)).abs();
-            }
-        } else {
-            for (sv, &c) in self.sv.chunks_exact(self.n_features).zip(&self.coef) {
-                mag += (c * self.kernel.eval(sv, xr, self.gamma)).abs();
-            }
-        }
-        mag * self.y_scaler.slope_abs()
-    }
-
-    /// Serial batched prediction into a caller-owned output buffer: zero
-    /// heap allocations once `out`'s capacity and the scratch have warmed
-    /// up. Rows are processed four at a time through
-    /// [`CompiledSvr::predict_into_quad`], a leftover pair through
-    /// [`CompiledSvr::predict_into_pair`], then a single tail row; same
-    /// bits as a per-row [`CompiledSvr::predict_into`] loop.
-    pub fn predict_batch_into<R: AsRef<[f64]>>(
-        &self,
-        rows: &[R],
-        out: &mut Vec<f64>,
-        scratch: &mut PredictScratch,
-    ) {
-        out.clear();
-        out.reserve(rows.len());
-        let mut i = 0;
-        while i + 3 < rows.len() {
-            let q = self.predict_into_quad(
-                [
-                    rows[i].as_ref(),
-                    rows[i + 1].as_ref(),
-                    rows[i + 2].as_ref(),
-                    rows[i + 3].as_ref(),
-                ],
-                scratch,
-            );
-            out.extend_from_slice(&q);
-            i += 4;
-        }
-        if i + 1 < rows.len() {
-            let (a, b) = self.predict_into_pair(rows[i].as_ref(), rows[i + 1].as_ref(), scratch);
-            out.push(a);
-            out.push(b);
-            i += 2;
-        }
-        if i < rows.len() {
-            out.push(self.predict_into(rows[i].as_ref(), scratch));
-        }
-    }
-}
-
-impl Model for CompiledSvr {
-    fn predict(&self, row: &[f64]) -> f64 {
-        CompiledSvr::predict(self, row)
-    }
-
-    fn n_features(&self) -> usize {
-        self.n_features
+        acc.map(|a| combine_tree(&a))
     }
 }
 
@@ -939,15 +482,6 @@ impl CompiledModel {
         }
     }
 
-    /// Predicts a batch of rows in input order (see
-    /// [`CompiledSvr::predict_batch`] for the determinism contract).
-    pub fn predict_batch<R: AsRef<[f64]> + Sync>(&self, rows: &[R]) -> Vec<f64> {
-        match self {
-            CompiledModel::Linear(m) => m.predict_batch(rows),
-            CompiledModel::Svr(m) => m.predict_batch(rows),
-        }
-    }
-
     /// Serial batched prediction into a caller-owned buffer; zero heap
     /// allocations at steady state for both variants.
     pub fn predict_batch_into<R: AsRef<[f64]>>(
@@ -965,22 +499,6 @@ impl CompiledModel {
                 }
             }
             CompiledModel::Svr(m) => m.predict_batch_into(rows, out, scratch),
-        }
-    }
-}
-
-impl Model for CompiledModel {
-    fn predict(&self, row: &[f64]) -> f64 {
-        match self {
-            CompiledModel::Linear(m) => m.predict(row),
-            CompiledModel::Svr(m) => CompiledSvr::predict(m, row),
-        }
-    }
-
-    fn n_features(&self) -> usize {
-        match self {
-            CompiledModel::Linear(m) => m.n_features(),
-            CompiledModel::Svr(m) => m.n_features(),
         }
     }
 }
@@ -1018,21 +536,6 @@ mod tests {
     }
 
     #[test]
-    fn unblocked_matches_reference_bit_for_bit() {
-        for kernel in [Kernel::Linear, Kernel::Rbf { gamma: 0.0 }] {
-            let (x, m) = fitted(kernel);
-            let c = CompiledSvr::compile(&m);
-            let mut scratch = PredictScratch::new();
-            for row in probe_rows(&x) {
-                assert_eq!(
-                    m.predict(&row).to_bits(),
-                    c.predict_into_unblocked(&row, &mut scratch).to_bits()
-                );
-            }
-        }
-    }
-
-    #[test]
     fn lane_tree_paths_agree_bit_for_bit() {
         for kernel in [Kernel::Linear, Kernel::Rbf { gamma: 0.0 }] {
             let (x, m) = fitted(kernel);
@@ -1058,7 +561,7 @@ mod tests {
             for row in probe_rows(&x) {
                 let reference = m.predict(&row);
                 let compiled = c.predict_into(&row, &mut scratch);
-                let tol = 1e-12 * (1.0 + c.sum_magnitude(&row, &mut scratch));
+                let tol = 1e-12 * (1.0 + m.sum_magnitude(&row));
                 assert!(
                     (reference - compiled).abs() <= tol,
                     "|{reference} - {compiled}| > {tol}"
@@ -1094,7 +597,7 @@ mod tests {
     }
 
     #[test]
-    fn quad_kernel_matches_single_row_bits_for_all_tail_shapes() {
+    fn batch_matches_single_row_bits_for_all_tail_shapes() {
         for kernel in [Kernel::Linear, Kernel::Rbf { gamma: 0.0 }] {
             let (x, m) = fitted(kernel);
             let c = CompiledSvr::compile(&m);
@@ -1104,46 +607,17 @@ mod tests {
                 .iter()
                 .map(|r| c.predict_into(r, &mut scratch).to_bits())
                 .collect();
-            // Direct quad call vs four single-row calls.
-            let q = c.predict_into_quad(
-                [&rows[0], &rows[1], &rows[2], &rows[3]],
-                &mut scratch,
-            );
-            for (got, &want) in q.iter().zip(&expect) {
-                assert_eq!(got.to_bits(), want);
-            }
-            // Every batch length from 1 to 9 covers the quad loop, the
-            // leftover pair, and the single tail in all combinations.
-            let mut out = Vec::new();
-            for n in 1..=9.min(rows.len()) {
+            // Every batch length from 0 to 9 covers whole 4-row blocks
+            // and one, two and three tail rows in all combinations; the
+            // full set checks input order over many blocks.
+            let mut out = vec![f64::NAN];
+            for n in (0..=9).chain([rows.len()]) {
                 let slice: Vec<&[f64]> = rows[..n].iter().map(Vec::as_slice).collect();
                 c.predict_batch_into(&slice, &mut out, &mut scratch);
                 let got: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
                 assert_eq!(got, expect[..n], "batch length {n}");
             }
         }
-    }
-
-    #[test]
-    fn batch_matches_loop_and_preserves_order() {
-        let (x, m) = fitted(Kernel::Rbf { gamma: 0.0 });
-        let c = m.compile();
-        let rows: Vec<&[f64]> = x.rows().collect();
-        let batch = c.predict_batch(&rows);
-        assert_eq!(batch.len(), rows.len());
-        let mut scratch = PredictScratch::new();
-        for (row, got) in rows.iter().zip(&batch) {
-            assert_eq!(
-                c.predict_into(row, &mut scratch).to_bits(),
-                got.to_bits()
-            );
-        }
-        let mut out = Vec::new();
-        c.predict_batch_into(&rows, &mut out, &mut scratch);
-        assert_eq!(
-            batch.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            out.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
     }
 
     #[test]
@@ -1169,10 +643,11 @@ mod tests {
         let cm = tm.compile();
         assert!(matches!(cm, CompiledModel::Svr(_)));
         let row = x.row(3);
+        let mut scratch = PredictScratch::new();
         // The wrapper runs the same compiled kernel as the bare CompiledSvr.
         assert_eq!(
-            crate::Model::predict(&cm, row).to_bits(),
-            c.predict(row).to_bits()
+            cm.predict_into(row, &mut scratch).to_bits(),
+            c.predict_into(row, &mut scratch).to_bits()
         );
 
         let lm = TrainedModel::Linear(LinearModel {
@@ -1183,7 +658,7 @@ mod tests {
         // Linear models pass through compilation unchanged.
         assert_eq!(
             crate::Model::predict(&lm, &[4.0, 5.0]).to_bits(),
-            crate::Model::predict(&clm, &[4.0, 5.0]).to_bits()
+            clm.predict_into(&[4.0, 5.0], &mut scratch).to_bits()
         );
     }
 }

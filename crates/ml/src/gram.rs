@@ -488,8 +488,8 @@ impl MatPtr {
 
 /// Blocked, lane-padded SoA construction of the same matrix as
 /// [`compute_gram`]: the rows are tiled into L1-sized groups (at most
-/// [`TILE_ROWS`], shrunk when a thread pool needs more tiles to balance
-/// the triangle), each row evaluates [`GRAM_LANES`] kernel columns at
+/// `TILE_ROWS`, shrunk when a thread pool needs more tiles to balance
+/// the triangle), each row evaluates `GRAM_LANES` kernel columns at
 /// once (runtime-dispatched AVX2 with an order-identical scalar
 /// fallback), and tiles fan out over [`crate::par`], each writing its
 /// lower-triangle rows **in place** — no private buffers, no merge copy.

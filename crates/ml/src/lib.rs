@@ -188,16 +188,6 @@ impl TrainedModel {
         }
     }
 
-    /// Predicts a batch of rows in input order via the compiled path,
-    /// bit-identical to a serial *compiled* predict loop; large batches
-    /// fan out over [`par`].
-    pub fn predict_batch<R: AsRef<[f64]> + Sync>(&self, rows: &[R]) -> Vec<f64> {
-        match self {
-            TrainedModel::Linear(m) => m.predict_batch(rows),
-            TrainedModel::Svr(m) => m.predict_batch(rows),
-        }
-    }
-
     /// True when every learned parameter of the underlying model is finite
     /// — the registry's snapshot validation gate. A model that fails this
     /// check would silently emit NaN predictions if served.

@@ -142,16 +142,6 @@ impl LinearModel {
         Ok(self.predict(row))
     }
 
-    /// Predicts a batch of rows in input order, bit-identical to a serial
-    /// `predict` loop; large batches fan out over [`crate::par`].
-    pub fn predict_batch<R: AsRef<[f64]> + Sync>(&self, rows: &[R]) -> Vec<f64> {
-        if rows.len() >= 64 && crate::par::threads() > 1 {
-            crate::par::par_map(rows, |_, r| self.predict(r.as_ref()))
-        } else {
-            rows.iter().map(|r| self.predict(r.as_ref())).collect()
-        }
-    }
-
     /// Number of input features.
     pub fn n_features(&self) -> usize {
         self.weights.len()

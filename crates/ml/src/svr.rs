@@ -560,23 +560,29 @@ impl SvrModel {
         Ok(self.predict(row))
     }
 
+    /// The reordering-error scale of a prediction on `row`, in target
+    /// units: `(|bias| + Σ|c_i·K_i|) · |target slope|`. Any regrouping of
+    /// the left-to-right fold in [`SvrModel::predict`] — the compiled lane
+    /// tree included — agrees with it to within a few ULPs of this
+    /// magnitude; the tolerance tests in `tests/compiled_props.rs` are
+    /// phrased against it.
+    pub fn sum_magnitude(&self, row: &[f64]) -> f64 {
+        let xr = self.x_scaler.transform_row(row);
+        let mut mag = self.bias.abs();
+        for (sv, coef) in self.support_vectors.iter().zip(&self.coefficients) {
+            mag += (coef * self.kernel.eval(sv, &xr, self.gamma)).abs();
+        }
+        mag * self.y_scaler.slope_abs()
+    }
+
     /// Compiles this model for low-latency inference (lane-padded
     /// support-vector storage, zero-coefficient pruning, allocation-free
     /// prediction); see [`crate::compiled`]. The compiled kernel sums in a
     /// fixed reduction-tree order, so its predictions agree with this
-    /// model's to summation-reordering rounding rather than bit-for-bit
-    /// (the compiled `predict_into_unblocked` keeps the exact fold order).
+    /// model's to summation-reordering rounding (bounded through
+    /// [`SvrModel::sum_magnitude`]) rather than bit-for-bit.
     pub fn compile(&self) -> crate::compiled::CompiledSvr {
         crate::compiled::CompiledSvr::compile(self)
-    }
-
-    /// Predicts a batch of rows in input order via the compiled kernel,
-    /// bit-identical to a serial *compiled* `predict` loop (see
-    /// [`crate::compiled`] for how it relates to [`SvrModel::predict`]).
-    /// Compiles once and amortizes scaling buffers across the batch;
-    /// large batches fan out over [`crate::par`].
-    pub fn predict_batch<R: AsRef<[f64]> + Sync>(&self, rows: &[R]) -> Vec<f64> {
-        self.compile().predict_batch(rows)
     }
 
     /// Number of input features.

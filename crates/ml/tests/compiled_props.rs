@@ -1,16 +1,14 @@
 //! Property tests for the compiled inference path's numeric contracts.
 //!
-//! For any fitted SVR — across kernels, gamma, dimensionality
-//! (specialized and dynamic expansions), and support-vector counts:
+//! For any fitted SVR — across kernels, gamma, dimensionality, and
+//! support-vector counts:
 //!
-//! - the retained unblocked path (`predict_into_unblocked`) is
-//!   **bit-identical** to the reference model (same left-to-right fold),
 //! - the dispatched lane-tree path equals the forced scalar tree **bit
 //!   for bit** (SIMD-vs-scalar identity lives in `tests/simd_props.rs`),
 //! - batches equal a serial compiled loop bit for bit, in input order,
-//! - the lane tree agrees with the reference to summation-reordering
-//!   rounding, bounded by the condition of the kernel sum
-//!   (`CompiledSvr::sum_magnitude`).
+//! - the lane tree agrees with the reference model's left-to-right fold
+//!   (`SvrModel::predict`) to summation-reordering rounding, bounded by
+//!   the condition of the kernel sum (`SvrModel::sum_magnitude`).
 
 // Offline builds may substitute an inert `proptest` whose macro bodies
 // compile away, which strands some imports and helpers as "unused".
@@ -18,7 +16,7 @@
 
 use ml::compiled::PredictScratch;
 use ml::svr::Kernel;
-use ml::{Dataset, MlError, Model, Svr, SvrParams, TrainedModel};
+use ml::{Dataset, MlError, Svr, SvrParams, TrainedModel};
 use proptest::prelude::*;
 
 proptest! {
@@ -67,11 +65,6 @@ proptest! {
         let mut scratch = PredictScratch::new();
         for row in &probes {
             let reference = model.predict(row);
-            // Unblocked keeps the reference fold order exactly.
-            prop_assert_eq!(
-                reference.to_bits(),
-                compiled.predict_into_unblocked(row, &mut scratch).to_bits()
-            );
             // The dispatched lane tree equals the forced scalar tree.
             let tree = compiled.predict_into(row, &mut scratch);
             prop_assert_eq!(
@@ -79,32 +72,18 @@ proptest! {
                 compiled.predict_into_scalar(row, &mut scratch).to_bits()
             );
             // And stays within reordering rounding of the reference.
-            let tol = 1e-12 * (1.0 + compiled.sum_magnitude(row, &mut scratch));
+            let tol = 1e-12 * (1.0 + model.sum_magnitude(row));
             prop_assert!(
                 (reference - tree).abs() <= tol,
                 "|{} - {}| > {}", reference, tree, tol
             );
         }
 
-        // Batch output equals the serial compiled loop, in input order,
-        // through both the reference-model entry point and the compiled
-        // one, including the zero-alloc predict_batch_into form.
+        // Batch output equals the serial compiled loop, in input order.
         let loop_bits: Vec<u64> = probes
             .iter()
             .map(|r| compiled.predict_into(r, &mut scratch).to_bits())
             .collect();
-        let batch_bits: Vec<u64> = model
-            .predict_batch(&probes)
-            .into_iter()
-            .map(f64::to_bits)
-            .collect();
-        prop_assert_eq!(&loop_bits, &batch_bits);
-        let compiled_batch_bits: Vec<u64> = compiled
-            .predict_batch(&probes)
-            .into_iter()
-            .map(f64::to_bits)
-            .collect();
-        prop_assert_eq!(&loop_bits, &compiled_batch_bits);
         let mut out = Vec::new();
         compiled.predict_batch_into(&probes, &mut out, &mut scratch);
         let into_bits: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
@@ -114,8 +93,11 @@ proptest! {
         let wrapped = TrainedModel::Svr(model);
         let wrapped_compiled = wrapped.compile();
         for (row, &bits) in probes.iter().zip(&loop_bits) {
-            prop_assert_eq!(wrapped_compiled.predict(row).to_bits(), bits);
+            prop_assert_eq!(wrapped_compiled.predict_into(row, &mut scratch).to_bits(), bits);
         }
+        wrapped_compiled.predict_batch_into(&probes, &mut out, &mut scratch);
+        let wrapped_bits: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
+        prop_assert_eq!(&loop_bits, &wrapped_bits);
 
         // Checked prediction rejects wrong arity instead of panicking.
         let bad = vec![0.0; x.n_cols() + 1];

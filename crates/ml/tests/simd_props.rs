@@ -5,10 +5,12 @@
 //! their outputs must be **exactly equal** — `f64::to_bits`, not a ULP
 //! tolerance — for any model whatsoever. Models are hand-built through
 //! `SvrModel::from_parts` to sweep shapes a fit would rarely produce:
-//! arities through the specialized range and past it, support-vector
-//! counts across lane-padding boundaries (0, partial block, exact
-//! multiples of 8), zero coefficients interleaved for pruning, extreme
-//! coefficient magnitudes.
+//! arities from 1 to 13, support-vector counts across lane-padding
+//! boundaries (0, partial block, exact multiples of 8), zero coefficients
+//! interleaved for pruning, extreme coefficient magnitudes. Each model is
+//! also run through the batched entry point at every length from 0 to 9,
+//! which must reproduce the single-row bits whatever block or tail
+//! position a row lands in.
 //!
 //! The same properties run twice: a deterministic seed-grid sweep (always
 //! on), and proptest shrink-capable versions over the same generator.
@@ -124,16 +126,16 @@ fn build_model(d: usize, n_sv: usize, seed: u64, linear: bool) -> (RawModel, Vec
         y_scaler,
         d,
     };
-    let probes: Vec<Vec<f64>> = (0..4)
+    let probes: Vec<Vec<f64>> = (0..9)
         .map(|_| (0..d).map(|_| rng.gen_range(-200.0..200.0)).collect())
         .collect();
     (raw, probes)
 }
 
 /// Core property: dispatched == scalar tree == (if available) AVX2, to
-/// the bit, on every probe; the pair-row and 4-row kernels and the
-/// batched path (which rides them) must reproduce the same bits. Returns
-/// the scalar-tree bits for reuse.
+/// the bit, on every probe; and the batched path — 4-row blocks through
+/// the kernel, tail rows one at a time — reproduces the per-row bits at
+/// every batch length. Returns the scalar-tree bits for reuse.
 fn assert_paths_identical(model: &SvrModel, probes: &[Vec<f64>]) -> Vec<u64> {
     let c = model.compile();
     let mut scratch = PredictScratch::new();
@@ -155,63 +157,30 @@ fn assert_paths_identical(model: &SvrModel, probes: &[Vec<f64>]) -> Vec<u64> {
         }
         bits.push(scalar.to_bits());
     }
-    // Pair kernel: shared SV loads, per-row order preserved — every
-    // pairing (adjacent, and same-row twice) must match the single-row
-    // bits exactly.
-    for pair in probes.windows(2) {
-        let (a, b) = c.predict_into_pair(&pair[0], &pair[1], &mut scratch);
-        assert_eq!(
-            a.to_bits(),
-            c.predict_into(&pair[0], &mut scratch).to_bits(),
-            "pair kernel (first row) diverged on {:?}",
-            pair[0]
-        );
-        assert_eq!(
-            b.to_bits(),
-            c.predict_into(&pair[1], &mut scratch).to_bits(),
-            "pair kernel (second row) diverged on {:?}",
-            pair[1]
-        );
+    // Every prefix length 0..=9 puts each probe in a whole block of four
+    // (shared SV loads, per-row order preserved) and in a tail of one, two
+    // and three rows; each must match the single-row bits exactly.
+    assert!(
+        probes.len() >= 9,
+        "the sweep needs two blocks and a tail row"
+    );
+    let mut out = vec![f64::NAN];
+    for n in 0..=9 {
+        c.predict_batch_into(&probes[..n], &mut out, &mut scratch);
+        let got: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(got, bits[..n], "batch of {n} diverged from per-row bits");
     }
-    if let Some(row) = probes.first() {
-        let (a, b) = c.predict_into_pair(row, row, &mut scratch);
-        assert_eq!(a.to_bits(), b.to_bits(), "pair of identical rows differs");
-    }
-    // Quad kernel: four rows per SV load, each row keeping the single-row
-    // per-lane operation order.
-    if probes.len() >= 4 {
-        let q = c.predict_into_quad(
-            [
-                probes[0].as_slice(),
-                probes[1].as_slice(),
-                probes[2].as_slice(),
-                probes[3].as_slice(),
-            ],
-            &mut scratch,
-        );
-        for (i, v) in q.iter().enumerate() {
-            assert_eq!(
-                v.to_bits(),
-                c.predict_into(&probes[i], &mut scratch).to_bits(),
-                "quad kernel (row {i}) diverged on {:?}",
-                probes[i]
-            );
-        }
-    }
-    if let Some(row) = probes.first() {
-        let q = c.predict_into_quad([row, row, row, row], &mut scratch);
+    // k copies of one row: every position of a block, and the tail,
+    // computes the same bits.
+    for k in 1..=9 {
+        let copies = vec![probes[0].as_slice(); k];
+        c.predict_batch_into(&copies, &mut out, &mut scratch);
+        assert_eq!(out.len(), k);
         assert!(
-            q.iter().all(|v| v.to_bits() == q[0].to_bits()),
-            "quad of identical rows differs"
+            out.iter().all(|v| v.to_bits() == bits[0]),
+            "{k} copies of one row differ"
         );
     }
-    // Batched path (quads and pairs internally, including the tails).
-    let batch_bits: Vec<u64> = c
-        .predict_batch(probes)
-        .into_iter()
-        .map(f64::to_bits)
-        .collect();
-    assert_eq!(batch_bits, bits, "batched path diverged from per-row bits");
     bits
 }
 
@@ -223,7 +192,7 @@ fn assert_pruning_invariant(raw: &RawModel, probes: &[Vec<f64>]) {
     assert_eq!(full_bits, pruned_bits, "pruning changed prediction bits");
 }
 
-/// Deterministic sweep: every arity around the specialization boundary ×
+/// Deterministic sweep: arities below, at and above the lane width ×
 /// SV counts around lane-block boundaries × several seeds. Runs in full
 /// in every environment (the proptest versions below add shrinking when
 /// the real proptest crate is present).

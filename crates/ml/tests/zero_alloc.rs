@@ -1,11 +1,12 @@
 //! Steady-state allocation counter for the compiled inference path.
 //!
-//! PR 3's claim — and this PR's SIMD rework must preserve it — is that
 //! `predict_into` and the batched `predict_batch_into` perform **zero
-//! heap allocations** once their scratch/output buffers have warmed up.
-//! A counting `#[global_allocator]` makes that a hard assertion instead
-//! of a doc comment. The whole check lives in one `#[test]` so the
-//! process-wide counter never races another test thread.
+//! heap allocations** once their scratch/output buffers have warmed up —
+//! also when one `PredictScratch` is shared between single-row and
+//! batched calls and between models of different arity (it resizes,
+//! retaining capacity). A counting `#[global_allocator]` makes that a
+//! hard assertion instead of a doc comment. The whole check lives in one
+//! `#[test]` so the process-wide counter never races another test thread.
 
 use ml::compiled::PredictScratch;
 use ml::svr::Kernel;
@@ -113,6 +114,50 @@ fn steady_state_prediction_allocates_nothing() {
             allocations(),
             before,
             "predict_batch_into allocated ({kernel:?})"
+        );
+
+        // One scratch serves one row and four rows alternately: it shrinks
+        // and grows inside the capacity the batch above left behind.
+        let before = allocations();
+        for r in &rows {
+            sink += compiled.predict_into(r, &mut scratch);
+            compiled.predict_batch_into(&rows[..7], &mut out, &mut scratch);
+            sink += out[6];
+        }
+        assert_eq!(
+            allocations(),
+            before,
+            "interleaved single-row and batched calls allocated ({kernel:?})"
+        );
+
+        // The same scratch shared with a model of another arity: once it
+        // has held the wider model's block, switching between the two
+        // never reallocates.
+        let wide_rows: Vec<Vec<f64>> = rows
+            .iter()
+            .map(|r| vec![r[0], r[1], r[2], r[0] - r[1], r[2] * 0.5])
+            .collect();
+        let wide = Svr::new(SvrParams {
+            kernel,
+            ..SvrParams::default()
+        })
+        .fit(&Dataset::from_rows(wide_rows.clone()), &y)
+        .expect("fit")
+        .compile();
+        let mut wide_out = Vec::new();
+        wide.predict_batch_into(&wide_rows, &mut wide_out, &mut scratch);
+        let before = allocations();
+        for (r, w) in rows.iter().zip(&wide_rows) {
+            sink += compiled.predict_into(r, &mut scratch);
+            sink += wide.predict_into(w, &mut scratch);
+            compiled.predict_batch_into(&rows[..6], &mut out, &mut scratch);
+            wide.predict_batch_into(&wide_rows[..5], &mut wide_out, &mut scratch);
+            sink += out[5] + wide_out[4];
+        }
+        assert_eq!(
+            allocations(),
+            before,
+            "a scratch shared between arities 3 and 5 allocated ({kernel:?})"
         );
 
         // Keep `sink` observable so the predict loops cannot be optimized

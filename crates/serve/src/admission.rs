@@ -1,4 +1,4 @@
-//! Admission control: token-bucket rate limiting plus queue-depth shedding.
+//! Admission control: queue-depth shedding plus token-bucket rate limiting.
 //!
 //! Both mechanisms run *before* a request touches the queue, on the
 //! submitting thread, so rejection cost stays O(1) no matter how far gone
@@ -75,8 +75,8 @@ pub enum ShedReason {
     Shutdown,
 }
 
-/// The serving front door: rate limit first (cheapest signal), then
-/// queue-depth shedding.
+/// The serving front door: queue-depth shedding first, then the rate
+/// limit, so a request the queue already doomed spends no token.
 #[derive(Debug, Clone)]
 pub struct AdmissionController {
     bucket: Option<TokenBucket>,

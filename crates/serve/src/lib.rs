@@ -8,24 +8,28 @@
 //! front-end for that regime, layered over the hot-swap
 //! [`qpp::ModelRegistry`]:
 //!
-//! - [`queue`] — bounded MPMC request queue; full queues reject
-//!   synchronously (backpressure) instead of growing latency unboundedly.
-//! - [`admission`] — token-bucket rate limiting and queue-depth load
-//!   shedding over explicit virtual time, so shed fractions are exactly
+//! - [`queue`] — bounded MPMC FIFO with rejecting push; holds the TCP
+//!   door's accepted connections (prediction requests queue in
+//!   [`tenant::WeightedFairQueue`]).
+//! - [`admission`] — queue-depth load shedding and token-bucket rate
+//!   limiting over explicit virtual time, so shed fractions are exactly
 //!   reproducible from seeded arrival streams.
 //! - [`deadline`] — per-request budgets mapped onto the five-tier
 //!   degradation chain: a request that cannot afford its asked-for tier
 //!   is served by the best tier its remaining budget covers.
 //! - [`stats`] — per-endpoint SLO accounting (log-bucketed latency
 //!   quantiles, shed / deadline-miss / degraded-tier counters).
-//! - [`server`] — the worker pool tying it together, with request
-//!   coalescing into the compiled batch path and per-batch model
-//!   snapshots that make registry hot swaps safe under load.
-//! - [`tenant`] — multi-tenant bulkheads over the same machinery:
+//! - [`tenant`] — the one worker pool, queue and `submit` of the crate:
 //!   per-tenant registries, admission budgets, queue quotas and
-//!   weighted-fair dequeue (with dynamic add/remove under load), plus the
-//!   closed SLO → drift-monitor healing loop (quarantine → shadow retrain
-//!   → validated promote, per tenant).
+//!   weighted-fair dequeue (with dynamic add/remove under load) in front
+//!   of workers that coalesce requests into the batched predictor path
+//!   and snapshot the model once per batch, so registry hot swaps are
+//!   safe under load; plus the closed SLO → drift-monitor healing loop
+//!   (quarantine → shadow retrain → validated promote, per tenant).
+//! - [`server`] — [`PredictionServer`], the front-end over a single
+//!   registry: a [`TenantServer`] with exactly one tenant. Also the
+//!   request plumbing both share (the queued job, the reply handle, how
+//!   one popped batch is served).
 //! - [`healer`] — a supervised background thread driving that healing
 //!   loop unattended on a jittered cadence, surviving panicking heals via
 //!   `catch_unwind` and breaker-style backoff.

@@ -1,11 +1,13 @@
 //! Bounded MPMC work queue with rejecting push.
 //!
-//! The serving front-end's first line of defence: the queue never grows
-//! past its capacity, so a burst cannot convert into unbounded memory and
-//! unbounded latency. Producers that find it full are *rejected
-//! synchronously* (backpressure) rather than blocked — the caller turns
-//! that into [`qpp::QppError::Overloaded`] and the client backs off.
-//! Consumers block efficiently on a condvar and drain in FIFO order.
+//! The TCP door's backlog of accepted connections ([`crate::net`]): the
+//! queue never grows past its capacity, so a burst cannot convert into
+//! unbounded memory and unbounded latency. Producers that find it full
+//! are *rejected synchronously* (backpressure) rather than blocked — the
+//! caller turns that into [`qpp::QppError::Overloaded`] and the client
+//! backs off. Consumers block efficiently on a condvar and drain in FIFO
+//! order. (Prediction requests queue per tenant, in
+//! [`crate::tenant::WeightedFairQueue`].)
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
@@ -94,22 +96,6 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Non-blocking drain of up to `n` more items into `out`, preserving
-    /// FIFO order. Used by workers to coalesce a batch behind the first
-    /// popped item without waiting for stragglers.
-    pub fn drain_up_to(&self, n: usize, out: &mut Vec<T>) {
-        if n == 0 {
-            return;
-        }
-        let mut inner = self.inner.lock().unwrap();
-        for _ in 0..n {
-            match inner.items.pop_front() {
-                Some(item) => out.push(item),
-                None => break,
-            }
-        }
-    }
-
     /// Closes the queue: subsequent pushes are rejected, blocked
     /// consumers drain what is left and then observe shutdown.
     pub fn close(&self) {
@@ -142,23 +128,6 @@ mod tests {
         assert_eq!(q.try_push(5).unwrap(), 2);
         assert_eq!(q.pop_blocking(), Some(3));
         assert_eq!(q.pop_blocking(), Some(5));
-    }
-
-    #[test]
-    fn drain_up_to_coalesces_without_blocking() {
-        let q = BoundedQueue::new(8);
-        for i in 0..5 {
-            q.try_push(i).unwrap();
-        }
-        let first = q.pop_blocking().unwrap();
-        let mut batch = vec![first];
-        q.drain_up_to(3, &mut batch);
-        assert_eq!(batch, vec![0, 1, 2, 3]);
-        assert_eq!(q.len(), 1);
-        // Draining an empty queue is a no-op, not a block.
-        let mut empty = Vec::new();
-        q.drain_up_to(0, &mut empty);
-        assert!(empty.is_empty());
     }
 
     #[test]

@@ -1,38 +1,40 @@
-//! The concurrent prediction front-end.
+//! The single-registry prediction front-end, and the request plumbing it
+//! shares with [`crate::tenant`].
 //!
-//! [`PredictionServer`] puts the hot-swap [`ModelRegistry`] behind a
-//! bounded queue and a worker pool, adding the four behaviours a
-//! predictor on a live system's critical path needs (Section 1's
-//! admission-control and workload-management use cases):
+//! [`PredictionServer`] puts one hot-swap [`ModelRegistry`] behind
+//! admission control and a worker pool. It owns no thread, queue or
+//! admission state of its own: it *is* a [`TenantServer`] with exactly one
+//! tenant whose lane quota is unbounded, so the only limits a caller can
+//! meet are the service-wide ones and every refusal is typed
+//! [`QppError::Overloaded`]. The four behaviours a predictor on a live
+//! system's critical path needs (Section 1's admission-control and
+//! workload-management use cases) are the tenant server's:
 //!
-//! 1. **Backpressure** — admission control (token bucket + queue-depth
-//!    shedding) rejects excess load synchronously with
+//! 1. **Backpressure** — admission control (queue-depth shedding, then a
+//!    token bucket) rejects excess load synchronously with
 //!    [`QppError::Overloaded`] instead of queueing it unboundedly.
 //! 2. **Deadlines** — each request may carry a budget; workers enter the
 //!    degradation chain at the most accurate tier the remaining budget
 //!    affords, and refuse with [`QppError::DeadlineExceeded`] when even
 //!    the training prior cannot answer in time.
-//! 3. **Coalescing** — a worker drains up to `max_batch` queued requests
-//!    behind the first one and funnels same-method groups through the
-//!    compiled batch path, whose results are bit-identical to the serial
-//!    checked loop.
+//! 3. **Coalescing** — a worker pops up to `max_batch` queued requests at
+//!    once and funnels same-method groups through the batched predictor
+//!    path, whose results are bit-identical to the serial checked loop.
 //! 4. **Swap safety** — workers snapshot `registry.current()` per batch,
 //!    so a promote/rollback mid-flight never mixes model versions inside
 //!    one batch and never tears a single prediction.
 
 use engine::faults::ServeFaultPlan;
 use qpp::{
-    Method, ModelRegistry, Prediction, PredictionCache, QppError, QppPredictor,
+    Method, ModelRegistry, MonitorConfig, Prediction, PredictionCache, QppError, QppPredictor,
 };
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use crate::admission::{AdmissionController, RateLimit};
+use crate::admission::RateLimit;
 use crate::deadline::{entry_tier, TierCosts};
-use crate::queue::{BoundedQueue, PushError};
 use crate::stats::{Endpoint, ServeStats, ServeStatsSnapshot};
+use crate::tenant::{TenantBudget, TenantServeConfig, TenantServer, TenantSpec};
 
 /// Serving configuration.
 #[derive(Debug, Clone)]
@@ -41,11 +43,8 @@ pub struct ServeConfig {
     /// `ml::par` setting (`QPP_THREADS` / `set_threads`), so one knob
     /// sizes the training fan-outs and the serving pool alike.
     pub workers: Option<usize>,
-    /// Bounded queue capacity.
+    /// Bounded queue capacity: the depth at which admission sheds.
     pub queue_capacity: usize,
-    /// Queue depth at which admission starts shedding (defaults to the
-    /// queue capacity when 0).
-    pub shed_depth: usize,
     /// Optional token-bucket rate limit at the front door.
     pub rate_limit: Option<RateLimit>,
     /// Most requests a worker coalesces into one batch (at least 1).
@@ -64,7 +63,6 @@ impl Default for ServeConfig {
         ServeConfig {
             workers: None,
             queue_capacity: 256,
-            shed_depth: 0,
             rate_limit: None,
             max_batch: 32,
             default_deadline: None,
@@ -121,56 +119,47 @@ impl PendingPrediction {
     }
 }
 
+/// The name of a [`PredictionServer`]'s one tenant.
+const TENANT: &str = "default";
+
 /// A concurrent, overload-resilient prediction service over a hot-swap
-/// model registry. Dropping the server closes the queue, drains what was
-/// already admitted, and joins all workers.
+/// model registry: the one-tenant case of [`TenantServer`]. Dropping the
+/// server closes the queue, drains what was already admitted, and joins
+/// all workers.
 pub struct PredictionServer {
     registry: Arc<ModelRegistry>,
-    queue: Arc<BoundedQueue<Job>>,
-    stats: Arc<ServeStats>,
-    admission: Mutex<AdmissionController>,
-    default_deadline: Option<Duration>,
-    started: Instant,
-    next_id: AtomicU64,
-    workers: Vec<JoinHandle<()>>,
+    inner: TenantServer,
 }
 
 impl PredictionServer {
     /// Starts a server with `config.workers` (resolved against the
     /// process-wide `ml::par` setting) worker threads over `registry`.
     pub fn start(registry: Arc<ModelRegistry>, config: ServeConfig) -> PredictionServer {
-        let worker_count = ml::par::resolve_workers(config.workers);
-        let shed_depth = if config.shed_depth == 0 {
-            config.queue_capacity
-        } else {
-            config.shed_depth
+        let tenant = TenantSpec {
+            name: TENANT.to_string(),
+            registry: Arc::clone(&registry),
+            budget: TenantBudget {
+                rate_limit: None,
+                // Never the binding limit: a full queue is the service's
+                // (`Overloaded`), not the tenant's (`TenantOverloaded`).
+                queue_quota: usize::MAX,
+                weight: 1.0,
+                default_deadline: config.default_deadline,
+            },
         };
-        let queue = Arc::new(BoundedQueue::new(config.queue_capacity));
-        let stats = Arc::new(ServeStats::new());
-        let admission = Mutex::new(AdmissionController::new(config.rate_limit, shed_depth));
-        let max_batch = config.max_batch.max(1);
-        let workers = (0..worker_count)
-            .map(|_| {
-                let queue = Arc::clone(&queue);
-                let stats = Arc::clone(&stats);
-                let registry = Arc::clone(&registry);
-                let faults = config.faults.clone();
-                let tier_costs = config.tier_costs;
-                std::thread::spawn(move || {
-                    worker_loop(&queue, &stats, &registry, &faults, tier_costs, max_batch)
-                })
-            })
-            .collect();
-        PredictionServer {
-            registry,
-            queue,
-            stats,
-            admission,
-            default_deadline: config.default_deadline,
-            started: Instant::now(),
-            next_id: AtomicU64::new(0),
-            workers,
-        }
+        let inner = TenantServer::start(
+            vec![tenant],
+            TenantServeConfig {
+                workers: config.workers,
+                global_capacity: config.queue_capacity,
+                global_rate_limit: config.rate_limit,
+                max_batch: config.max_batch,
+                tier_costs: config.tier_costs,
+                faults: config.faults,
+                monitor: MonitorConfig::default(),
+            },
+        );
+        PredictionServer { registry, inner }
     }
 
     /// The registry this server predicts from.
@@ -180,7 +169,9 @@ impl PredictionServer {
 
     /// Serving statistics snapshot.
     pub fn stats(&self) -> ServeStatsSnapshot {
-        self.stats.snapshot()
+        self.inner
+            .stats(TENANT)
+            .expect("the one tenant is never removed")
     }
 
     /// Submits a prediction request. Admission control runs synchronously
@@ -195,45 +186,7 @@ impl PredictionServer {
         method: Method,
         deadline: Option<Duration>,
     ) -> Result<PendingPrediction, QppError> {
-        self.stats.record_submitted();
-        let now = Instant::now();
-        let queue_depth = self.queue.len();
-        let decision = {
-            let mut admission = self.admission.lock().unwrap();
-            admission.admit(self.started.elapsed().as_secs_f64(), queue_depth)
-        };
-        if let Err(reason) = decision {
-            self.stats.record_shed(reason);
-            return Err(QppError::Overloaded {
-                queue_depth,
-            });
-        }
-        let budget = deadline.or(self.default_deadline);
-        let (tx, rx) = mpsc::channel();
-        let job = Job {
-            id: self.next_id.fetch_add(1, Ordering::Relaxed),
-            query,
-            method,
-            submitted: now,
-            deadline: budget.map(|d| now + d),
-            budget_secs: budget.map_or(f64::INFINITY, |d| d.as_secs_f64()),
-            reply: tx,
-        };
-        match self.queue.try_push(job) {
-            Ok(_) => Ok(PendingPrediction {
-                rx,
-            }),
-            Err(PushError::Full(_, depth)) => {
-                // Raced past the admission check into a full queue: shed.
-                self.stats.record_shed(crate::admission::ShedReason::QueueFull);
-                Err(QppError::Overloaded {
-                    queue_depth: depth,
-                })
-            }
-            Err(PushError::Closed(_)) => Err(QppError::Internal(
-                "prediction server is shutting down",
-            )),
-        }
+        self.inner.submit(TENANT, query, method, deadline)
     }
 
     /// Convenience: submit and block for the answer.
@@ -245,60 +198,12 @@ impl PredictionServer {
     ) -> Result<Prediction, QppError> {
         self.submit(query, method, deadline)?.wait()
     }
-
 }
 
-impl Drop for PredictionServer {
-    fn drop(&mut self) {
-        self.queue.close();
-        for handle in self.workers.drain(..) {
-            // A panicking worker would already have poisoned the run;
-            // surface it instead of hiding it.
-            if let Err(p) = handle.join() {
-                std::panic::resume_unwind(p);
-            }
-        }
-    }
-}
-
-fn worker_loop(
-    queue: &BoundedQueue<Job>,
-    stats: &ServeStats,
-    registry: &ModelRegistry,
-    faults: &ServeFaultPlan,
-    tier_costs: TierCosts,
-    max_batch: usize,
-) {
-    while let Some(first) = queue.pop_blocking() {
-        let mut batch = vec![first];
-        queue.drain_up_to(max_batch - 1, &mut batch);
-        stats.record_batch(batch.len());
-
-        // Injected serving faults key off the first job of the batch, so
-        // a (plan, workload) pair exercises the same stalls every run.
-        let outcome = faults.decide(batch[0].id);
-        if outcome.stall_secs > 0.0 {
-            stats.record_stall();
-            std::thread::sleep(Duration::from_secs_f64(outcome.stall_secs));
-        }
-
-        // Snapshot the serving model once per batch: a concurrent
-        // promote/rollback affects the *next* batch, never a torn one.
-        let predictor = registry.current();
-        let cache = Arc::clone(registry.pred_cache());
-
-        serve_batch(batch, stats, &predictor, &cache, tier_costs);
-
-        if outcome.slow_consumer {
-            // The client side drains replies slowly; the worker is held
-            // up just like a blocking write to a saturated socket.
-            std::thread::sleep(Duration::from_secs_f64(
-                faults.stall_secs.max(0.0) * 0.5,
-            ));
-        }
-    }
-}
-
+/// Serves one popped batch against one model snapshot: expired jobs are
+/// refused, jobs whose budget forces a deeper entry tier are answered one
+/// by one, the rest go through the batched predictor path grouped by
+/// method. Every job is answered and recorded in `stats` exactly once.
 pub(crate) fn serve_batch(
     batch: Vec<Job>,
     stats: &ServeStats,
@@ -347,7 +252,7 @@ pub(crate) fn serve_batch(
 }
 
 fn refuse_expired(stats: &ServeStats, job: Job) {
-    stats.record_deadline_miss(Endpoint::of(job.method));
+    stats.record_deadline_miss();
     let _ = job.reply.send(Err(QppError::DeadlineExceeded {
         budget_secs: job.budget_secs,
     }));

@@ -187,7 +187,7 @@ impl ServeStats {
     }
 
     /// A request's deadline expired before any tier could answer.
-    pub fn record_deadline_miss(&self, _endpoint: Endpoint) {
+    pub fn record_deadline_miss(&self) {
         self.inner.lock().unwrap().deadline_missed += 1;
     }
 
@@ -322,7 +322,7 @@ mod tests {
         stats.record_shed(ShedReason::RateLimited);
         stats.record_shed(ShedReason::QueueFull);
         stats.record_shed(ShedReason::QueueFull);
-        stats.record_deadline_miss(Endpoint::Hybrid);
+        stats.record_deadline_miss();
         stats.record_batch(3);
         stats.record_batch(1);
         for i in 0..6 {

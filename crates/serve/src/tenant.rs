@@ -1,12 +1,13 @@
 //! Multi-tenant bulkhead serving with a closed-loop SLO → drift healing
 //! path.
 //!
-//! The single-queue [`crate::server::PredictionServer`] protects the
-//! *service* from overload, but not tenants from each other: one noisy
-//! workload fills the shared queue and every other caller's p99 pays for
-//! it — the per-workload heterogeneity that production studies of learned
-//! QPP report as a dominant failure mode. This module partitions the
-//! front-end into bulkheads:
+//! This module is the crate's one prediction worker pool:
+//! [`crate::server::PredictionServer`] is a [`TenantServer`] with a single
+//! tenant. One lane protects the *service* from overload, but not tenants
+//! from each other: one noisy workload fills the shared queue and every
+//! other caller's p99 pays for it — the per-workload heterogeneity that
+//! production studies of learned QPP report as a dominant failure mode.
+//! So the front-end is partitioned into bulkheads:
 //!
 //! - **Per-tenant shards.** Each tenant owns its own hot-swap
 //!   [`ModelRegistry`], token-bucket admission budget, queue-depth quota,
@@ -483,9 +484,11 @@ impl TenantServer {
             shards: Arc::clone(&shards),
             by_name: RwLock::new(HashMap::new()),
             queue: Arc::clone(&queue),
+            // Sheds on the global depth *before* spending a rate token, so
+            // requests the full queue dooms do not drain the rate budget.
             global_admission: Mutex::new(AdmissionController::new(
                 config.global_rate_limit,
-                usize::MAX >> 1,
+                config.global_capacity,
             )),
             tier_costs: config.tier_costs,
             monitor_config: config.monitor.clone(),
@@ -608,12 +611,14 @@ impl TenantServer {
     /// Submits a prediction request on behalf of `tenant`. Admission runs
     /// synchronously on the calling thread, bulkhead checks first:
     ///
-    /// 1. the global rate budget ([`QppError::Overloaded`] — the service
-    ///    as a whole is saturated),
+    /// 1. the global capacity, then the global rate budget
+    ///    ([`QppError::Overloaded`] — the service as a whole is saturated;
+    ///    a request the full queue refuses spends no rate token),
     /// 2. the tenant's own rate budget
     ///    ([`QppError::TenantOverloaded`] — only this tenant is shed),
-    /// 3. the tenant's queue quota (`TenantOverloaded`) and the global
-    ///    capacity (`Overloaded`), enforced atomically inside the queue.
+    /// 3. the tenant's queue quota (`TenantOverloaded`) and, for a request
+    ///    that raced past step 1, the global capacity again
+    ///    (`Overloaded`), enforced atomically inside the queue.
     pub fn submit(
         &self,
         tenant: &str,
@@ -626,14 +631,13 @@ impl TenantServer {
         let now = Instant::now();
         let now_secs = self.started.elapsed().as_secs_f64();
         let total_depth = self.queue.len();
-        if self
+        let global = self
             .global_admission
             .lock()
             .unwrap()
-            .admit(now_secs, total_depth)
-            .is_err()
-        {
-            shard.stats.record_shed(ShedReason::RateLimited);
+            .admit(now_secs, total_depth);
+        if let Err(reason) = global {
+            shard.stats.record_shed(reason);
             return Err(QppError::Overloaded {
                 queue_depth: total_depth,
             });

@@ -86,6 +86,11 @@ cargo test --offline --config crates/e2e/stubs/offline.toml --target-dir target/
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Intra-doc links rot silently when public items are deleted or made
+# private; a stale link is a warning here and therefore a failure.
+echo "==> rustdoc gate"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p qpp-tpch -p qpp-engine -p qpp-ml -p qpp-core -p qpp-serve
+
 echo "==> cargo bench --workspace --no-run"
 cargo bench --workspace --no-run
 

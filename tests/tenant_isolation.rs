@@ -316,3 +316,84 @@ fn slo_pressure_quarantines_and_heals_one_tenant_without_touching_the_other() {
     let _ = std::fs::remove_dir_all(temp_dir("heal-analytics"));
     let _ = std::fs::remove_dir_all(temp_dir("heal-reporting"));
 }
+
+/// DESIGN.md §9: "requests doomed to queue-shedding don't drain the rate
+/// budget". The global controller sheds on the global depth before it
+/// spends a token, and records the reason it refused for.
+#[test]
+fn a_full_queue_refuses_without_spending_the_global_rate_budget() {
+    use serve::RateLimit;
+    let ds = collect(
+        &Workload::generate(&[1, 3, 6, 14], 6, 0.1, 7),
+        &quiet_sim(),
+        &DriftPlan::none(),
+    );
+    let query = Arc::new(ds.queries[0].clone());
+    let registry = registry_over(&ds, "doomed");
+    let server = TenantServer::start(
+        vec![spec("t", &registry, TenantBudget::default())],
+        TenantServeConfig {
+            workers: Some(1),
+            global_capacity: 2,
+            // Four tokens and, for the length of this test, no refill.
+            global_rate_limit: Some(RateLimit {
+                rate: 1e-3,
+                burst: 4.0,
+            }),
+            max_batch: 1,
+            // The one worker sleeps on every request it pops, so what is
+            // submitted behind it stays queued.
+            faults: ServeFaultPlan {
+                stall_prob: 1.0,
+                stall_secs: 0.25,
+                slow_consumer_prob: 0.0,
+                seed: 1,
+            },
+            ..TenantServeConfig::default()
+        },
+    );
+    let submit = || server.submit("t", Arc::clone(&query), Method::PlanLevel, None);
+
+    // Token 1: popped at once; the worker stalls holding it.
+    let mut pending = vec![submit().expect("first request admitted")];
+    while server.stats("t").unwrap().batches == 0 {
+        std::thread::yield_now();
+    }
+    // Tokens 2 and 3 fill the queue behind the stalled worker.
+    pending.push(submit().expect("queue has room"));
+    pending.push(submit().expect("queue has room"));
+    // Refused by depth: typed as service overload, recorded as queue-full,
+    // and the fourth token stays in the bucket.
+    for _ in 0..5 {
+        match submit() {
+            Err(QppError::Overloaded { queue_depth }) => assert_eq!(queue_depth, 2),
+            Err(other) => panic!("expected Overloaded, got {other:?}"),
+            Ok(_) => panic!("a full queue admitted a request"),
+        }
+    }
+    let full = server.stats("t").unwrap();
+    assert_eq!(full.shed_queue_full, 5);
+    assert_eq!(full.shed_rate_limited, 0, "a doomed request spent a token");
+
+    for p in pending {
+        p.wait().expect("admitted requests are served");
+    }
+    // The queue has drained: the unspent token admits, and it was the last.
+    submit()
+        .expect("the token the full queue did not burn")
+        .wait()
+        .expect("served");
+    assert!(matches!(submit(), Err(QppError::Overloaded { .. })));
+
+    let done = server.stats("t").unwrap();
+    assert_eq!(done.submitted, 10);
+    assert_eq!(done.served, 4);
+    assert_eq!(done.shed_queue_full, 5);
+    assert_eq!(done.shed_rate_limited, 1);
+    assert_eq!(
+        done.served + done.deadline_missed + done.shed(),
+        done.submitted
+    );
+    drop(server);
+    let _ = std::fs::remove_dir_all(temp_dir("doomed"));
+}
