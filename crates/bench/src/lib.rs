@@ -16,7 +16,6 @@ use engine::{Catalog, Simulator};
 use ml::cv::{stratified_kfold, Fold};
 use ml::metrics::mean_relative_error;
 use qpp::dataset::{ExecutedQuery, QueryDataset, ONE_HOUR_SECS};
-use qpp::hybrid::{train_hybrid, HybridConfig, HybridModel};
 use qpp::op_model::{OpLevelModel, OpModelConfig};
 use qpp::plan_model::{PlanLevelModel, PlanModelConfig};
 use tpch::Workload;
@@ -35,13 +34,9 @@ pub const WORKLOAD_SEED: u64 = 20120401;
 /// Execution-noise seed.
 pub const EXEC_SEED: u64 = 777;
 
-/// Builds the Section 5.1 dataset: `PER_TEMPLATE` instances per template,
-/// executed cold with the one-hour limit applied.
-pub fn build_dataset(sf: f64, templates: &[u8]) -> QueryDataset {
-    build_dataset_sized(sf, templates, PER_TEMPLATE)
-}
-
-/// Dataset with an explicit per-template instance count (smoke tests).
+/// Builds the Section 5.1 dataset at `per_template` instances per template
+/// ([`PER_TEMPLATE`] in the paper's protocol), executed cold with the
+/// one-hour limit applied.
 pub fn build_dataset_sized(sf: f64, templates: &[u8], per_template: usize) -> QueryDataset {
     let catalog = Catalog::new(sf, 1);
     let workload = Workload::generate(templates, per_template, sf, WORKLOAD_SEED);
@@ -130,12 +125,7 @@ pub fn cross_validate_method<M: Send>(
             })
             .collect()
     };
-    let fold_rows: Vec<Vec<FoldRow>> =
-        if folds.len() > 1 && ml::par::threads() > 1 {
-            ml::par::par_map(&folds, |_, fold| run_fold(fold))
-        } else {
-            folds.iter().map(run_fold).collect()
-        };
+    let fold_rows: Vec<Vec<FoldRow>> = ml::par::par_map(&folds, |_, fold| run_fold(fold));
     let mut rows = vec![(0u8, 0.0, 0.0); ds.len()];
     for per_fold in fold_rows {
         for (i, row) in per_fold {
@@ -162,21 +152,6 @@ pub fn op_level_cv(ds: &QueryDataset, config: &OpModelConfig) -> CvOutcome {
         config.seed,
         |train| OpLevelModel::train(train, config).expect("op-level training"),
         |m, q| m.predict(q),
-    )
-}
-
-/// Hybrid CV (used by the ablations; Figure 8 uses the in-training
-/// trajectory instead).
-pub fn hybrid_cv(ds: &QueryDataset, op: &OpModelConfig, hybrid: &HybridConfig) -> CvOutcome {
-    cross_validate_method(
-        ds,
-        hybrid.seed,
-        |train| {
-            let op_model = OpLevelModel::train(train, op).expect("op-level training");
-            let (m, _) = train_hybrid(train, op_model, hybrid).expect("hybrid training");
-            m
-        },
-        |m: &HybridModel, q| m.predict(q),
     )
 }
 
@@ -215,28 +190,6 @@ mod tests {
     fn plan_level_cv_runs_end_to_end_small() {
         let ds = build_dataset_sized(0.05, &[1, 3, 6], 8);
         let out = plan_level_cv(&ds, &PlanModelConfig::default());
-        assert_eq!(out.rows.len(), ds.len());
-        assert!(out.overall_error().is_finite());
-    }
-}
-
-#[cfg(test)]
-mod hybrid_cv_tests {
-    use super::*;
-    use qpp::hybrid::HybridConfig;
-
-    #[test]
-    fn hybrid_cv_runs_end_to_end_small() {
-        let ds = build_dataset_sized(0.05, &[1, 3, 6], 8);
-        let out = hybrid_cv(
-            &ds,
-            &OpModelConfig::default(),
-            &HybridConfig {
-                max_iterations: 3,
-                min_frequency: 3,
-                ..HybridConfig::default()
-            },
-        );
         assert_eq!(out.rows.len(), ds.len());
         assert!(out.overall_error().is_finite());
     }

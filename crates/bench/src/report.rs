@@ -17,15 +17,6 @@ pub fn print_template_errors(title: &str, errors: &[(u8, f64)]) {
     println!("{:<10} {:>12.1}", "AVG", avg * 100.0);
 }
 
-/// Prints an (x, y) series for a line plot.
-pub fn print_series(title: &str, x_label: &str, y_label: &str, series: &[(f64, f64)]) {
-    println!("\n== {title} ==");
-    println!("{:<14} {:>14}", x_label, y_label);
-    for (x, y) in series {
-        println!("{x:<14.3} {y:>14.4}");
-    }
-}
-
 /// Prints a scatter of (actual, estimate) pairs, ordered by actual — the
 /// paper's Figure 5 / 6(b) / 6(e) data.
 pub fn print_scatter(title: &str, pairs: &[(f64, f64)], max_rows: usize) {
@@ -55,27 +46,4 @@ pub fn print_xy(title: &str, x_label: &str, y_label: &str, pairs: &[(f64, f64)],
         }
     }
     println!("({} points total, printed every {})", sorted.len(), stride);
-}
-
-/// Formats a seconds value compactly.
-pub fn fmt_secs(s: f64) -> String {
-    if s >= 3600.0 {
-        format!("{:.1}h", s / 3600.0)
-    } else if s >= 60.0 {
-        format!("{:.1}m", s / 60.0)
-    } else {
-        format!("{s:.1}s")
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fmt_secs_scales() {
-        assert_eq!(fmt_secs(5.0), "5.0s");
-        assert_eq!(fmt_secs(120.0), "2.0m");
-        assert_eq!(fmt_secs(7200.0), "2.0h");
-    }
 }

@@ -1,7 +1,7 @@
 //! `BENCH-v1` — the stable bench-report contract.
 //!
-//! Every harness binary (`perf_trajectory`, `serve_load`, `drift_loop`)
-//! emits the same JSON document shape, and `bench_compare` consumes it:
+//! Both harness binaries (`perf_trajectory`, `drift_loop`) emit the same
+//! JSON document shape, and `bench_compare` consumes it:
 //!
 //! ```json
 //! {

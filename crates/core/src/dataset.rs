@@ -308,16 +308,7 @@ impl QueryDataset {
                 })),
             }
         };
-        let results: Vec<QueryAttemptResult> = if workload.len() > 1 && ml::par::threads() > 1 {
-            ml::par::par_map(&workload.queries, run_query)
-        } else {
-            workload
-                .queries
-                .iter()
-                .enumerate()
-                .map(|(i, spec)| run_query(i, spec))
-                .collect()
-        };
+        let results: Vec<QueryAttemptResult> = ml::par::par_map(&workload.queries, run_query);
         for r in results {
             for attempt in 1..=r.retried {
                 report.retried += 1;

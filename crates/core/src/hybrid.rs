@@ -18,7 +18,7 @@ use crate::dataset::ExecutedQuery;
 use crate::error::QppError;
 use crate::features::{plan_features, plan_features_slice, NodeView};
 use crate::op_model::OpLevelModel;
-use crate::plan_model::FeatureModel;
+use crate::plan_model::{FeatureModel, PAR_BATCH_MIN};
 use crate::pred_cache::{views_hash, PredictionCache, SubplanPredKey};
 use crate::subplan::{arena_structure_hashes, StructureKey, SubplanIndex};
 use engine::arena::PlanArena;
@@ -296,7 +296,7 @@ impl HybridModel {
             let (_, run) = self.compose_memo(&ctx, 0);
             run.max(0.0)
         };
-        if queries.len() > 1 && ml::par::threads() > 1 {
+        if queries.len() >= PAR_BATCH_MIN && ml::par::threads() > 1 {
             ml::par::par_map(queries, |_, q| one(q))
         } else {
             queries.iter().map(|q| one(q)).collect()
@@ -414,11 +414,7 @@ pub fn train_hybrid(
 ) -> Result<(HybridModel, Vec<IterationRecord>), QppError> {
     let source = op_model.source();
     let mut model = HybridModel::operator_only(op_model);
-    let views: Vec<Vec<NodeView>> = if queries.len() > 1 && ml::par::threads() > 1 {
-        ml::par::par_map(queries, |_, q| q.views(source))
-    } else {
-        queries.iter().map(|q| q.views(source)).collect()
-    };
+    let views: Vec<Vec<NodeView>> = ml::par::par_map(queries, |_, q| q.views(source));
     let plans: Vec<(u8, &PlanNode)> = queries.iter().map(|q| (q.template, &q.plan)).collect();
     let index = SubplanIndex::build(&plans, config.min_size);
 
@@ -522,15 +518,9 @@ pub fn training_error(
     views: &[Vec<NodeView>],
 ) -> f64 {
     let actual: Vec<f64> = queries.iter().map(|q| q.latency()).collect();
-    let preds: Vec<f64> = if queries.len() > 1 && ml::par::threads() > 1 {
-        ml::par::par_map(queries, |qi, q| model.predict_plan(&q.plan, &views[qi]).latency)
-    } else {
-        queries
-            .iter()
-            .zip(views)
-            .map(|(q, v)| model.predict_plan(&q.plan, v).latency)
-            .collect()
-    };
+    let preds: Vec<f64> = ml::par::par_map(queries, |qi, q| {
+        model.predict_plan(&q.plan, &views[qi]).latency
+    });
     mean_relative_error(&actual, &preds)
 }
 
@@ -568,16 +558,7 @@ fn next_candidate(
     // Per query: node coverage flags plus (node index, relative error)
     // pairs for the operator-modeled nodes.
     type NodeWalk = (Vec<bool>, Vec<(usize, f64)>);
-    let walked: Vec<NodeWalk> =
-        if queries.len() > 1 && ml::par::threads() > 1 {
-            ml::par::par_map(queries, |qi, q| per_query_walk(qi, q))
-        } else {
-            queries
-                .iter()
-                .enumerate()
-                .map(|(qi, q)| per_query_walk(qi, q))
-                .collect()
-        };
+    let walked: Vec<NodeWalk> = ml::par::par_map(queries, |qi, q| per_query_walk(qi, q));
     let mut node_errors: HashMap<(usize, usize), f64> = HashMap::new();
     let mut covered: Vec<Vec<bool>> = Vec::with_capacity(queries.len());
     for (qi, (cov, errs)) in walked.into_iter().enumerate() {

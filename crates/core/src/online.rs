@@ -179,11 +179,7 @@ impl<'a> OnlinePredictor<'a> {
             let slice = &self.views[occ.query][occ.node_idx..occ.node_idx + occ.size];
             crate::features::plan_features(node, slice)
         };
-        let feats: Vec<Vec<f64>> = if occs.len() > 1 && ml::par::threads() > 1 {
-            ml::par::par_map(occs, |_, occ| feat_of(occ))
-        } else {
-            occs.iter().map(feat_of).collect()
-        };
+        let feats: Vec<Vec<f64>> = ml::par::par_map(occs, |_, occ| feat_of(occ));
         let actuals: Vec<f64> = occs
             .iter()
             .map(|occ| self.train[occ.query].trace.timings[occ.node_idx].run)
@@ -232,11 +228,8 @@ impl<'a> OnlinePredictor<'a> {
             }
             (plan_err, op_err, n)
         };
-        let fold_scores: Vec<(f64, f64, usize)> = if folds.len() > 1 && ml::par::threads() > 1 {
-            ml::par::par_map(&folds, |_, fold| score_fold(fold))
-        } else {
-            folds.iter().map(score_fold).collect()
-        };
+        let fold_scores: Vec<(f64, f64, usize)> =
+            ml::par::par_map(&folds, |_, fold| score_fold(fold));
         let mut plan_err = 0.0;
         let mut op_err = 0.0;
         let mut n = 0usize;

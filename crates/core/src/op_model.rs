@@ -10,7 +10,7 @@
 
 use crate::dataset::ExecutedQuery;
 use crate::features::{op_features, FeatureSource, NodeView, OP_FEATURE_NAMES};
-use crate::plan_model::FeatureModel;
+use crate::plan_model::{FeatureModel, PAR_BATCH_MIN};
 use engine::plan::{OpType, PlanNode, ALL_OP_TYPES};
 use ml::cv::kfold;
 use ml::{Dataset, ForwardSelection, LearnerKind, MlError};
@@ -112,12 +112,7 @@ impl OpLevelModel {
         };
         // (operator type index, feature row, start-time, run-time).
         type OpRow = (usize, Vec<f64>, f64, f64);
-        let per_query: Vec<Vec<OpRow>> =
-            if queries.len() > 1 && ml::par::threads() > 1 {
-                ml::par::par_map(queries, |_, q| rows_of(q))
-            } else {
-                queries.iter().map(|&q| rows_of(q)).collect()
-            };
+        let per_query: Vec<Vec<OpRow>> = ml::par::par_map(queries, |_, q| rows_of(q));
         for rows in &per_query {
             for (k, row, start, run) in rows {
                 xs[*k].push_row(row);
@@ -155,11 +150,7 @@ impl OpLevelModel {
             Ok(Some((start_model, run_model)))
         };
         let fitted: Vec<Result<Option<(FeatureModel, FeatureModel)>, MlError>> =
-            if ml::par::threads() > 1 {
-                ml::par::par_map_n(n_types, fit_type)
-            } else {
-                (0..n_types).map(fit_type).collect()
-            };
+            ml::par::par_map_n(n_types, fit_type);
         let mut per_type = Vec::with_capacity(n_types);
         for outcome in fitted {
             per_type.push(outcome?);
@@ -231,7 +222,7 @@ impl OpLevelModel {
     /// serial [`OpLevelModel::predict`] loop; large batches fan out over
     /// `ml::par`.
     pub fn predict_batch(&self, queries: &[&ExecutedQuery]) -> Vec<f64> {
-        if queries.len() >= 64 && ml::par::threads() > 1 {
+        if queries.len() >= PAR_BATCH_MIN && ml::par::threads() > 1 {
             ml::par::par_map(queries, |_, q| self.predict(q))
         } else {
             queries.iter().map(|q| self.predict(q)).collect()

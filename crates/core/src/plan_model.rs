@@ -16,6 +16,13 @@ use ml::{
 use std::cell::RefCell;
 use std::sync::OnceLock;
 
+/// Smallest batch the plan-, operator- and hybrid-level inference paths
+/// hand to `ml::par`. A query is a few microseconds of arithmetic and
+/// waking a parked helper costs about ten, so a smaller batch (a coalesced
+/// serve batch is at most a few dozen requests) is finished sooner by the
+/// thread that holds it.
+pub(crate) const PAR_BATCH_MIN: usize = 64;
+
 /// Which performance metric a plan-level model predicts.
 ///
 /// The techniques are metric-agnostic (Section 1: "can be used in the
@@ -177,7 +184,7 @@ impl FeatureModel {
     pub fn predict_batch<R: AsRef<[f64]> + Sync>(&self, rows: &[R]) -> Vec<f64> {
         // Compile once up front so workers never race on the OnceLock.
         self.compiled();
-        if rows.len() >= 64 && ml::par::threads() > 1 {
+        if rows.len() >= PAR_BATCH_MIN && ml::par::threads() > 1 {
             ml::par::par_map(rows, |_, r| {
                 PredictBuffers::with_thread_local(|buf| self.predict_into(r.as_ref(), buf))
             })
@@ -385,7 +392,7 @@ impl PlanLevelModel {
     /// serial [`PlanLevelModel::predict`] loop. Feature extraction and
     /// model evaluation both fan out over `ml::par` for large batches.
     pub fn predict_batch(&self, queries: &[&ExecutedQuery]) -> Vec<f64> {
-        let rows: Vec<Vec<f64>> = if queries.len() >= 64 && ml::par::threads() > 1 {
+        let rows: Vec<Vec<f64>> = if queries.len() >= PAR_BATCH_MIN && ml::par::threads() > 1 {
             ml::par::par_map(queries, |_, q| {
                 let views = q.views(self.source);
                 plan_features(&q.plan, &views)

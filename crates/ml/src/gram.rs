@@ -18,14 +18,14 @@
 //! datasets can be served each other's matrix.
 //!
 //! Construction is the blocked, lane-padded SoA kernel
-//! [`compute_gram_blocked`]: the lower triangle is tiled into L1-sized
+//! [`compute_gram_blocked`]: the lower triangle is walked in L1-sized
 //! row tiles written in place and each row evaluates 8 kernel columns at
 //! once, with runtime-dispatched AVX2 and an order-identical scalar
 //! fallback — bit-identical to the direct per-pair [`compute_gram`] on
-//! every path.
+//! every path. The build runs on the thread that fits: fits run side by
+//! side, nothing inside one fans out.
 
 use crate::dataset::Dataset;
-use crate::par;
 use crate::svr::Kernel;
 use std::mem::{discriminant, Discriminant};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -160,33 +160,18 @@ impl GramCache {
 }
 
 /// Computes the dense Gram matrix directly, evaluating the kernel once per
-/// unordered row pair and mirroring across the diagonal. Rows are handed
-/// to `ml::par` from 64 rows up (below that the whole matrix costs less
-/// than the fan-out's bookkeeping); each entry's value is independent of
-/// the worker count.
+/// unordered row pair and mirroring across the diagonal: the reference
+/// [`compute_gram_blocked`] is compared against.
 ///
 /// Public so tests can compare leased matrices against a fresh computation.
 pub fn compute_gram(xs: &Dataset, kernel: Kernel, gamma: f64) -> Vec<f64> {
     let l = xs.n_rows();
     let mut k = vec![0.0f64; l * l];
-    if l >= 64 && par::threads() > 1 {
-        let tri: Vec<Vec<f64>> = par::par_map_n(l, |i| {
-            let ri = xs.row(i);
-            (0..=i).map(|j| kernel.eval(ri, xs.row(j), gamma)).collect()
-        });
-        for (i, row) in tri.iter().enumerate() {
-            for (j, &v) in row.iter().enumerate() {
-                k[i * l + j] = v;
-                k[j * l + i] = v;
-            }
-        }
-    } else {
-        for i in 0..l {
-            for j in 0..=i {
-                let v = kernel.eval(xs.row(i), xs.row(j), gamma);
-                k[i * l + j] = v;
-                k[j * l + i] = v;
-            }
+    for i in 0..l {
+        for j in 0..=i {
+            let v = kernel.eval(xs.row(i), xs.row(j), gamma);
+            k[i * l + j] = v;
+            k[j * l + i] = v;
         }
     }
     k
@@ -467,35 +452,13 @@ fn tile_rows_lower(
     }
 }
 
-/// Raw pointer into the output matrix, shareable across the tile fan-out.
-///
-/// SAFETY (of the `Sync` impl): every task that receives a copy writes a
-/// row range no other concurrent task touches, and reads only entries no
-/// concurrent task writes, so shared access never races.
-#[derive(Clone, Copy)]
-struct MatPtr(*mut f64);
-unsafe impl Send for MatPtr {}
-unsafe impl Sync for MatPtr {}
-
-impl MatPtr {
-    /// The wrapped pointer. Going through a method (rather than the
-    /// field) makes closures capture the whole `Sync` wrapper instead of
-    /// edition-2021 field capture picking the raw pointer, which isn't.
-    fn get(self) -> *mut f64 {
-        self.0
-    }
-}
-
 /// Blocked, lane-padded SoA construction of the same matrix as
-/// [`compute_gram`]: the rows are tiled into L1-sized groups (at most
-/// `TILE_ROWS`, shrunk when a thread pool needs more tiles to balance
-/// the triangle), each row evaluates `GRAM_LANES` kernel columns at
-/// once (runtime-dispatched AVX2 with an order-identical scalar
-/// fallback), and tiles fan out over [`crate::par`], each writing its
-/// lower-triangle rows **in place** — no private buffers, no merge copy.
-/// A second tiled pass mirrors the strict upper triangle, also fanned
-/// out. Neither pass reorders any entry's fold, so the result is
-/// independent of the worker count.
+/// [`compute_gram`]: the rows are walked in L1-sized tiles of `TILE_ROWS`,
+/// each row evaluates `GRAM_LANES` kernel columns at once
+/// (runtime-dispatched AVX2 with an order-identical scalar fallback) and
+/// writes its lower-triangle entries **in place**; a second tiled pass
+/// mirrors the strict upper triangle. One thread does all of it: a fit is
+/// serial, and the fits around it are what fan out (DESIGN.md §7).
 ///
 /// Every entry is produced by the same ascending-`k` fold as
 /// `Kernel::eval`, making this bit-identical to [`compute_gram`] on
@@ -517,51 +480,30 @@ fn fill_gram_blocked(xs: &Dataset, kernel: Kernel, gamma: f64, k: &mut [f64]) {
     }
     let soa = pack_soa(xs);
     let use_simd = crate::linalg::simd_enabled();
-    // Lower-triangle tiles carry very uneven work (the bottom tile holds
-    // O(n_tiles) times the top one's entries), so with a thread pool the
-    // tiles are shrunk until there are ~4 per worker for the dynamic
-    // scheduler to balance, and handed out heaviest (bottom) first. Tile
-    // boundaries never change any entry's fold, only who computes it.
-    let workers = par::threads();
-    let tile_rows = if workers > 1 {
-        l.div_ceil(4 * workers).clamp(GRAM_LANES, TILE_ROWS)
-    } else {
-        TILE_ROWS
-    };
-    let n_tiles = l.div_ceil(tile_rows);
-    let kp = MatPtr(k.as_mut_ptr());
-    par::par_map_n(n_tiles, |rev| {
-        let t = n_tiles - 1 - rev;
-        let r0 = t * tile_rows;
-        let r1 = (r0 + tile_rows).min(l);
-        // SAFETY: tiles partition the rows, so each task's slab is a
-        // disjoint region of `k`, which outlives the fan-out.
-        let slab = unsafe { std::slice::from_raw_parts_mut(kp.get().add(r0 * l), (r1 - r0) * l) };
-        tile_rows_lower(xs, &soa, kernel, gamma, use_simd, r0..r1, slab);
-    });
+    for (t, slab) in k.chunks_mut(TILE_ROWS * l).enumerate() {
+        let r0 = t * TILE_ROWS;
+        let rows = r0..r0 + slab.len() / l;
+        tile_rows_lower(xs, &soa, kernel, gamma, use_simd, rows, slab);
+    }
     // Mirror the strict upper triangle from the lower one, `MIR`-square
     // tiles at a time so both the reads and the transposed writes stay
     // cache-resident within each tile (the naive `k[j*l+i] = v` store
     // during construction walks the matrix at a column stride — 4 KiB at
-    // SMO sizes — and costs more than the kernel arithmetic). Tasks own
-    // disjoint destination row bands `jb..j_hi` and read only strictly
-    // lower entries, which no mirror task writes.
+    // SMO sizes — and costs more than the kernel arithmetic).
     const MIR: usize = 64;
-    par::par_map_n(l.div_ceil(MIR), |m| {
-        let p = kp.get();
-        let jb = m * MIR;
+    for jb in (0..l).step_by(MIR) {
         let j_hi = (jb + MIR).min(l);
         for ib in (jb..l).step_by(MIR) {
             for i in ib..(ib + MIR).min(l) {
+                // Row `i`'s entries left of the diagonal become column
+                // `i` of the rows above it.
+                let (above, row_i) = k.split_at_mut(i * l);
                 for j in jb..j_hi.min(i) {
-                    // SAFETY: writes land in rows `jb..j_hi` (upper
-                    // triangle), reads come from the finished lower
-                    // triangle; the sets are disjoint across all tasks.
-                    unsafe { *p.add(j * l + i) = *p.add(i * l + j) };
+                    above[j * l + i] = row_i[j];
                 }
             }
         }
-    });
+    }
 }
 
 #[cfg(test)]

@@ -354,12 +354,6 @@ impl ScanResult {
     }
 }
 
-/// Parallel fan-out threshold for [`scan_violating`]: a scan of fewer
-/// elements takes less time than waking one parked `ml::par` worker.
-const PAR_SCAN_MIN: usize = 16_384;
-/// Elements per parallel scan chunk.
-const SCAN_CHUNK: usize = 4_096;
-
 /// Working-set selection scan for the SMO solvers. For each `t` the
 /// violation value is `v = -g[t]` (or `v = g[t]` when `flipped` — used
 /// for the alpha* half of the epsilon dual, whose sign is −1, where
@@ -375,32 +369,12 @@ const SCAN_CHUNK: usize = 4_096;
 /// strictly-better values, breaking exact ties toward the smaller index
 /// — which reconstructs the sequential first-wins rule, including the
 /// `±0.0` and NaN cases (ordered compares never select NaN, exactly as
-/// `v > g_max` never does). Large scans fan out over [`crate::par`] in
-/// fixed chunks merged in index order, so the result is independent of
-/// the worker count.
+/// `v > g_max` never does).
 ///
 /// # Panics
 /// Panics if `a` and `g` differ in length.
 pub fn scan_violating(a: &[f64], g: &[f64], c: f64, flipped: bool) -> ScanResult {
     assert_eq!(a.len(), g.len(), "scan_violating length mismatch");
-    let n = a.len();
-    if n >= PAR_SCAN_MIN && crate::par::threads() > 1 {
-        let n_chunks = n.div_ceil(SCAN_CHUNK);
-        let parts = crate::par::par_map_n(n_chunks, |ch| {
-            let lo = ch * SCAN_CHUNK;
-            let hi = (lo + SCAN_CHUNK).min(n);
-            scan_violating_block(&a[lo..hi], &g[lo..hi], c, flipped)
-        });
-        let mut out = ScanResult::empty();
-        for (ch, part) in parts.into_iter().enumerate() {
-            out.merge_later(part, ch * SCAN_CHUNK);
-        }
-        return out;
-    }
-    scan_violating_block(a, g, c, flipped)
-}
-
-fn scan_violating_block(a: &[f64], g: &[f64], c: f64, flipped: bool) -> ScanResult {
     #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
     if simd_enabled() && a.len() >= 8 {
         // SAFETY: AVX2 support was just checked.

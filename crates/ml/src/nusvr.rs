@@ -173,9 +173,7 @@ pub(crate) fn nu_smo_solve(
     // Gradient of 0.5 aᵀ Q̄ a + pᵀ a with p = [-y; +y] and
     // Q̄_tu = s_t s_u K_tu. Initial a is nonzero, so compute fully. The
     // net coefficients and the per-row dots are hoisted (each dot serves
-    // both blocks), and the O(l²) dot pass fans out for large problems —
-    // each dot's summation order is fixed, so the values are independent
-    // of the worker count.
+    // both blocks).
     let beta0: Vec<f64> = (0..l).map(|i| a[i] - a[i + l]).collect();
     let dot_of = |ti: usize| -> f64 {
         let row = &k[ti * l..(ti + 1) * l];
@@ -185,11 +183,7 @@ pub(crate) fn nu_smo_solve(
         }
         dot
     };
-    let dots: Vec<f64> = if l >= 256 && crate::par::threads() > 1 {
-        crate::par::par_map_n(l, dot_of)
-    } else {
-        (0..l).map(dot_of).collect()
-    };
+    let dots: Vec<f64> = (0..l).map(dot_of).collect();
     let mut g = vec![0.0f64; 2 * l];
     for (t, gt) in g.iter_mut().enumerate() {
         let ti = t % l;

@@ -7,9 +7,9 @@
 //! operation sequence in `Kernel::eval`'s order (see `ml::gram`'s module
 //! docs). The property must hold under the AVX2 path, the scalar fallback
 //! (runtime `set_force_scalar` toggle and the `force-scalar` feature
-//! alike), and every thread count — the row-tile fan-out merges private
-//! triangle buffers in tile order, so parallelism never reorders a single
-//! floating-point operation.
+//! alike), and at every thread count — the build walks fixed 64-row tiles
+//! and 64-row mirror bands on the calling thread and never asks how many
+//! threads there are; the sweep keeps it so.
 //!
 //! The same properties run twice: a deterministic seed-grid sweep (always
 //! on), and proptest shrink-capable versions over the same generator —
@@ -90,12 +90,12 @@ fn assert_blocked_matches_direct_at(
     }
 }
 
-/// Deterministic sweep: row counts around the lane (8) and tile (64)
-/// boundaries × several arities, kernels, and seeds. Runs in full in
-/// every environment.
+/// Deterministic sweep: row counts around the lane (8) boundary and the
+/// first two tile and mirror-band (64) edges × several arities, kernels,
+/// and seeds. Runs in full in every environment.
 #[test]
 fn blocked_gram_identity_seed_grid() {
-    for &l in &[1usize, 2, 7, 8, 9, 16, 63, 64, 65, 130] {
+    for &l in &[1usize, 2, 7, 8, 9, 16, 63, 64, 65, 127, 128, 129, 130] {
         for &d in &[1usize, 2, 5, 8, 13] {
             for seed in 0..2u64 {
                 let xs = random_rows(l, d, seed ^ ((l as u64) << 16) ^ ((d as u64) << 8));

@@ -44,14 +44,13 @@
 //!
 //! Under a seeded overload of 4x the service rate the server sheds and
 //! degrades deterministically instead of queueing unboundedly — see
-//! `tests/serve_overload.rs` and the `serve_load` bench binary. Under a
-//! seeded one-hot tenant burst the noisy tenant is shed at its own
-//! bulkhead while quiet tenants keep their deadline budgets — see
-//! `tests/tenant_isolation.rs` and the `tenant_load` bench binary. Under
-//! seeded network chaos (partial writes, mid-frame disconnects, corrupt
-//! frames, stalled readers) quiet tenants' responses stay bit-identical
-//! to the fault-free run — see `tests/net_chaos.rs` and the `net_load`
-//! bench binary.
+//! `tests/serve_overload.rs`. Under a seeded one-hot tenant burst the
+//! noisy tenant is shed at its own bulkhead while quiet tenants keep their
+//! deadline budgets — see `tests/tenant_isolation.rs`. Under seeded
+//! network chaos (partial writes, mid-frame disconnects, corrupt frames,
+//! stalled readers) quiet tenants' responses stay bit-identical to the
+//! fault-free run — see `tests/net_chaos.rs`. Throughput and latency of
+//! each rung are measured by the staircase benchmark (`crates/e2e`).
 
 #![warn(missing_docs)]
 

@@ -1,32 +1,24 @@
 #!/usr/bin/env bash
-# Reproducible benchmark run: builds the release harness and regenerates
-# every committed BENCH-v1 document at the repo root, one file per
-# harness binary, all named BENCH_<suffix>.json:
+# Regenerates the two committed BENCH-v1 documents at the repo root, the
+# ones that measure what the staircase benchmark (crates/e2e,
+# BENCHMARK.json) has no probe for yet:
 #
-#   BENCH_pr8.json    perf_trajectory — gated kernel hot path (unblocked
-#                     baseline vs dispatched lane tree, single row, quad
-#                     block and batched), training hot path (blocked Gram
-#                     build, vectorized SMO solve, arena featurization,
-#                     scalar-vs-vectorized end-to-end train), training
-#                     trajectory, hybrid inference
-#   BENCH_serve.json  serve_load — serving front-end under closed-loop
-#                     and bursty-overload load
+#   BENCH_hot.json    perf_trajectory — scalar-vs-vectorized ratios of the
+#                     kernel hot path (reference fold vs dispatched lane
+#                     tree: single row, quad block, batched) and of the
+#                     training hot path (blocked Gram build, SMO solve,
+#                     arena featurization, one plan-level training)
 #   BENCH_drift.json  drift_loop — drift detection / shadow-retrain /
 #                     promotion lifecycle
-#   BENCH_tenant.json tenant_load — multi-tenant bulkheads: noisy-neighbor
-#                     isolation, weighted-fair dequeue, SLO -> drift
-#                     healing loop
-#   BENCH_net.json    net_load — the TCP front door: clean wire
-#                     throughput/latency, seeded wire chaos, graceful
-#                     drain reconciliation
 #
-# (BENCH_pr7.json is the frozen PR-7 artifact, kept for history; it is
-# schema-checked but no longer regenerated.)
+# Throughput, latency, training time and memory are measured by
+# `cargo run --release -p qpp-e2e -- --workload <name>`; its README holds
+# the reference readings.
 #
-# Every document is validated against the BENCH-v1 schema afterwards.
+# Both documents are validated against the BENCH-v1 schema afterwards.
 # Diff a fresh run against the committed baseline with:
 #
-#   ./target/release/bench_compare BENCH_pr8.json FRESH.json --filter kernel/
+#   ./target/release/bench_compare BENCH_hot.json FRESH.json --filter kernel/
 #
 # Usage: scripts/bench.sh [--per-template N]
 set -euo pipefail
@@ -35,20 +27,11 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release -p qpp-bench"
 cargo build --release -p qpp-bench
 
-echo "==> perf_trajectory BENCH_pr8.json $*"
-./target/release/perf_trajectory BENCH_pr8.json "$@"
-
-echo "==> serve_load BENCH_serve.json"
-timeout 600 ./target/release/serve_load BENCH_serve.json
+echo "==> perf_trajectory BENCH_hot.json $*"
+./target/release/perf_trajectory BENCH_hot.json "$@"
 
 echo "==> drift_loop BENCH_drift.json"
 timeout 600 ./target/release/drift_loop BENCH_drift.json
 
-echo "==> tenant_load BENCH_tenant.json"
-timeout 600 ./target/release/tenant_load BENCH_tenant.json
-
-echo "==> net_load BENCH_net.json"
-timeout 600 ./target/release/net_load BENCH_net.json
-
 echo "==> bench_compare --check-schema"
-./target/release/bench_compare --check-schema BENCH_pr8.json BENCH_pr7.json BENCH_serve.json BENCH_drift.json BENCH_tenant.json BENCH_net.json
+./target/release/bench_compare --check-schema BENCH_hot.json BENCH_drift.json

@@ -8,7 +8,8 @@
 //!    run of the same request sequence,
 //! 2. no worker thread dies: every session panic would be counted, and
 //!    the front door still serves fresh connections after the chaos,
-//! 3. shutdown reconciles exactly, at both layers: the front door's
+//! 3. shutdown — with three clients still mid-burst — reconciles exactly,
+//!    at both layers: the front door's
 //!    `accepted == served + shed + missed + aborted`, and the tenant
 //!    server's per-tenant `accepted == served + deadline_missed`.
 
@@ -163,7 +164,7 @@ fn seeded_wire_chaos_spares_the_quiet_tenant_and_reconciles_exactly() {
     // Chaos run: same quiet sequence, now interleaved with a seeded
     // noisy fault stream on fresh connections.
     let mut net =
-        NetServer::bind(("127.0.0.1", 0), Arc::clone(&server), net_config).unwrap();
+        NetServer::bind(("127.0.0.1", 0), Arc::clone(&server), net_config.clone()).unwrap();
     let addr = net.local_addr();
     let plan = NetFaultPlan {
         partial_write_prob: 0.3,
@@ -254,6 +255,71 @@ fn seeded_wire_chaos_spares_the_quiet_tenant_and_reconciles_exactly() {
     // Chaos adds the quiet calls plus every noisy frame that survived
     // its faults intact enough to decode as a request.
     assert!(snap.accepted > rounds as u64, "{snap:?}");
+
+    // Drain under load, on a front door of its own so that every count is
+    // this burst's: three persistent clients are mid-burst when it shuts
+    // down. A client gets its reply or a closed connection, and every
+    // request a session took leaves by exactly one exit.
+    let mut net = NetServer::bind(("127.0.0.1", 0), Arc::clone(&server), net_config).unwrap();
+    let addr = net.local_addr();
+    let airborne = 60u64;
+    let (first_reply, first_replies) = std::sync::mpsc::channel();
+    let loaders: Vec<_> = (0..3)
+        .map(|_| {
+            let queries = queries.clone();
+            let first_reply = first_reply.clone();
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr).expect("loader connect");
+                let mut delivered = 0u64;
+                for i in 0.. {
+                    let request = Request {
+                        id: i as u64,
+                        tenant: "quiet".to_string(),
+                        method: Method::PlanLevel,
+                        deadline_micros: None,
+                        query: queries[i % queries.len()].clone(),
+                    };
+                    // A typed refusal leaves by `shed` or `missed`; a
+                    // transport error is the drain closing the session.
+                    match client.request(request) {
+                        Ok(reply) => {
+                            if i == 0 {
+                                first_reply.send(()).expect("the test is waiting");
+                            }
+                            delivered += u64::from(reply.is_ok());
+                        }
+                        Err(_) => break,
+                    }
+                }
+                delivered
+            })
+        })
+        .collect();
+    // The plug is pulled on a count, not a sleep: every client has a
+    // session and the burst is in flight.
+    for _ in 0..3 {
+        first_replies
+            .recv()
+            .expect("a loader died before its first reply");
+    }
+    while net.stats().served < airborne {
+        std::thread::yield_now();
+    }
+    let snap = net.shutdown();
+    let delivered: u64 = loaders
+        .into_iter()
+        .map(|h| h.join().expect("loader thread"))
+        .sum();
+    assert!(
+        snap.reconciles(),
+        "drain ledger must balance exactly: {snap:?}"
+    );
+    assert!(snap.served >= airborne, "{snap:?}");
+    assert_eq!(
+        snap.served, delivered,
+        "a served request is one whose reply the peer received: {snap:?}"
+    );
+    assert_eq!(snap.session_panics, 0, "{snap:?}");
 
     // The tenant server's own ledgers balance too, per tenant.
     let report = server.shutdown();
