@@ -1,4 +1,4 @@
-//! Diff a fresh `BENCH-v1` run against a committed baseline, or validate
+//! Diff a fresh `BENCH-v2` run against a committed baseline, or validate
 //! documents against the schema.
 //!
 //! ```text
@@ -7,7 +7,7 @@
 //! ```
 //!
 //! Schema mode parses and validates each file, exiting non-zero on the
-//! first malformed document — CI runs it over every committed BENCH_*.json
+//! first malformed document — CI runs it over every committed BENCH_*.txt
 //! so the contract can't silently drift.
 //!
 //! Compare mode diffs `FRESH` against `BASELINE` entry by entry. The
@@ -28,8 +28,7 @@ fn usage() -> ExitCode {
 fn load(path: &str) -> Result<BenchDoc, String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("{path}: read failed: {e}"))?;
-    let doc: BenchDoc =
-        serde_json::from_str(&text).map_err(|e| format!("{path}: parse failed: {e:?}"))?;
+    let doc = BenchDoc::parse(&text).map_err(|e| format!("{path}: parse failed: {e}"))?;
     doc.validate().map_err(|e| format!("{path}: invalid: {e}"))?;
     Ok(doc)
 }

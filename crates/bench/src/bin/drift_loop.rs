@@ -4,8 +4,8 @@
 //! of the lost accuracy the promoted model recovers.
 //!
 //! Prints a stage-by-stage narrative to stderr and writes a
-//! machine-readable JSON report (default `BENCH_drift.json`) in the
-//! `BENCH-v1` schema (see `qpp_bench::schema`).
+//! machine-readable report (default `BENCH_drift.txt`) in the `BENCH-v2`
+//! text form (see `qpp_bench::schema`).
 //!
 //! Usage: `drift_loop [OUT_PATH] [--per-template N] [--magnitude M]`
 
@@ -60,7 +60,7 @@ fn main() {
         .get(1)
         .filter(|a| !a.starts_with("--"))
         .cloned()
-        .unwrap_or_else(|| "BENCH_drift.json".to_string());
+        .unwrap_or_else(|| "BENCH_drift.txt".to_string());
     let flag = |name: &str, default: f64| -> f64 {
         args.iter()
             .position(|a| a == name)
@@ -145,17 +145,12 @@ fn main() {
          (stale incumbent was {drifted_mre:.4})"
     );
 
-    let mut doc = BenchDoc::new(
-        "drift_loop",
-        7,
-        serde_json::json!({
-            "templates": TEMPLATES,
-            "per_template": per_template,
-            "magnitude": magnitude,
-            "promoted": report.promoted,
-            "serving_version": registry.version(),
-        }),
-    );
+    let mut doc = BenchDoc::new("drift_loop", 21);
+    doc.note("templates", format_args!("{TEMPLATES:?}"));
+    doc.note("per_template", per_template);
+    doc.note("magnitude", magnitude);
+    doc.note("promoted", report.promoted);
+    doc.note("serving_version", registry.version());
     doc.push("mre/clean_incumbent", clean_mre, "mre");
     doc.push("mre/drifted_incumbent", drifted_mre, "mre");
     doc.push("mre/promoted_on_drifted", recovered_mre, "mre");
@@ -163,9 +158,8 @@ fn main() {
     doc.push("detect/queries_to_quarantine", detected_after as f64, "queries");
     doc.push("retrain/incumbent_holdout_mre", report.incumbent_error, "mre");
     doc.push("retrain/candidate_holdout_mre", report.candidate_error, "mre");
-    doc.validate().expect("emitted document violates BENCH-v1");
-    let rendered = serde_json::to_string_pretty(&doc).expect("serialize bench report");
-    std::fs::write(&out_path, rendered + "\n").expect("write bench report");
+    doc.validate().expect("emitted document violates BENCH-v2");
+    std::fs::write(&out_path, doc.render()).expect("write bench report");
     println!("{out_path}");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,36 +1,33 @@
-//! `BENCH-v1` — the stable bench-report contract.
+//! `BENCH-v2` — the bench-report contract.
 //!
 //! Both harness binaries (`perf_trajectory`, `drift_loop`) emit the same
-//! JSON document shape, and `bench_compare` consumes it:
+//! text document, and `bench_compare` consumes it — the `# key value` /
+//! `name value unit` lines `qpp-e2e` prints:
 //!
-//! ```json
-//! {
-//!   "schema": "BENCH-v1",
-//!   "tool": "perf_trajectory",
-//!   "pr": 7,
-//!   "context": { "templates": [1, 3, 5], "threads": 1 },
-//!   "benches": [
-//!     { "name": "kernel/compiled_single_row", "value": 1.2e6, "unit": "rows/s" }
-//!   ]
-//! }
+//! ```text
+//! # BENCH-v2
+//! # tool perf_trajectory
+//! # pr 8
+//! # threads 1
+//! kernel/compiled_single_row 1200000.0 rows/s
 //! ```
 //!
-//! `context` carries tool-specific knobs (workload size, client count,
-//! noise magnitude) so a reader can tell whether two documents are
-//! comparable; `benches` is the flat measurement list. Regression
-//! direction is *inferred from the unit*, never stored: throughput units
-//! (`rows/s`, `queries/s`, `rps`) and speedup ratios (`x`) are
-//! higher-is-better, latencies (`s`, `ms`) and error metrics (`mre`) are
-//! lower-is-better, and anything else is informational — reported but
-//! never gated on.
+//! The first line names the format, `tool` and `pr` follow, and every
+//! further `#` line is context: tool-specific knobs (workload size, noise
+//! magnitude) so a reader can tell whether two documents are comparable.
+//! The other lines are the flat measurement list, each value printed with
+//! every digit (`{:?}`), so a document read back holds the same bits.
+//! Regression direction is *inferred from the unit*, never stored:
+//! throughput units (`rows/s`, `queries/s`, `rps`) and speedup ratios
+//! (`x`) are higher-is-better, latencies (`s`, `ms`) and error metrics
+//! (`mre`) are lower-is-better, and anything else is informational —
+//! reported but never gated on.
 
-use serde::{Deserialize, Serialize};
-
-/// The schema identifier every conforming document must carry.
-pub const SCHEMA_ID: &str = "BENCH-v1";
+/// The first line of every conforming document, after `# `.
+pub const SCHEMA_ID: &str = "BENCH-v2";
 
 /// One measurement.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BenchEntry {
     /// Stable `group/metric` name, e.g. `kernel/compiled_single_row`.
     pub name: String,
@@ -42,16 +39,15 @@ pub struct BenchEntry {
 }
 
 /// A full bench report.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BenchDoc {
-    /// Must equal [`SCHEMA_ID`].
-    pub schema: String,
     /// Emitting binary, e.g. `perf_trajectory`.
     pub tool: String,
     /// PR number whose trajectory this document belongs to.
     pub pr: u64,
-    /// Tool-specific configuration the measurements were taken under.
-    pub context: serde_json::Value,
+    /// Tool-specific configuration the measurements were taken under, as
+    /// `(key, value)` lines in the order they were noted.
+    pub context: Vec<(String, String)>,
     /// The measurements.
     pub benches: Vec<BenchEntry>,
 }
@@ -78,15 +74,19 @@ pub fn direction_for_unit(unit: &str) -> Direction {
 }
 
 impl BenchDoc {
-    /// Convenience constructor stamping [`SCHEMA_ID`].
-    pub fn new(tool: &str, pr: u64, context: serde_json::Value) -> Self {
+    /// An empty report of `tool`.
+    pub fn new(tool: &str, pr: u64) -> Self {
         BenchDoc {
-            schema: SCHEMA_ID.to_string(),
             tool: tool.to_string(),
             pr,
-            context,
+            context: Vec::new(),
             benches: Vec::new(),
         }
+    }
+
+    /// Appends one context line.
+    pub fn note(&mut self, key: &str, value: impl std::fmt::Display) {
+        self.context.push((key.to_string(), value.to_string()));
     }
 
     /// Appends one measurement.
@@ -103,26 +103,25 @@ impl BenchDoc {
         self.benches.iter().find(|b| b.name == name)
     }
 
-    /// Structural validity: schema id, non-empty tool, at least one
-    /// measurement, unique non-empty names, finite values, non-empty
-    /// units. Returns the first violation.
+    /// Structural validity: non-empty tool, at least one measurement,
+    /// unique names, finite values, and no name, unit or context key that
+    /// would not survive the whitespace-separated text form. Returns the
+    /// first violation.
     pub fn validate(&self) -> Result<(), String> {
-        if self.schema != SCHEMA_ID {
-            return Err(format!(
-                "schema is {:?}, expected {:?}",
-                self.schema, SCHEMA_ID
-            ));
+        let one_word = |s: &str| !s.is_empty() && !s.contains(char::is_whitespace);
+        if !one_word(&self.tool) {
+            return Err(format!("tool {:?} is not one word", self.tool));
         }
-        if self.tool.is_empty() {
-            return Err("tool is empty".to_string());
+        if let Some((key, _)) = self.context.iter().find(|(key, _)| !one_word(key)) {
+            return Err(format!("context key {key:?} is not one word"));
         }
         if self.benches.is_empty() {
             return Err("benches is empty".to_string());
         }
         let mut seen = std::collections::HashSet::new();
         for b in &self.benches {
-            if b.name.is_empty() {
-                return Err("bench entry with empty name".to_string());
+            if !one_word(&b.name) || b.name.starts_with('#') {
+                return Err(format!("bench name {:?} is not one word", b.name));
             }
             if !seen.insert(b.name.as_str()) {
                 return Err(format!("duplicate bench name {:?}", b.name));
@@ -130,11 +129,63 @@ impl BenchDoc {
             if !b.value.is_finite() {
                 return Err(format!("{}: value {} is not finite", b.name, b.value));
             }
-            if b.unit.is_empty() {
-                return Err(format!("{}: unit is empty", b.name));
+            if !one_word(&b.unit) {
+                return Err(format!("{}: unit {:?} is not one word", b.name, b.unit));
             }
         }
         Ok(())
+    }
+
+    /// The text form (see the module docs).
+    pub fn render(&self) -> String {
+        use std::fmt::Write;
+        let mut out = format!("# {SCHEMA_ID}\n# tool {}\n# pr {}\n", self.tool, self.pr);
+        for (key, value) in &self.context {
+            writeln!(out, "# {key} {value}").expect("writing to a String");
+        }
+        for b in &self.benches {
+            writeln!(out, "{} {:?} {}", b.name, b.value, b.unit).expect("writing to a String");
+        }
+        out
+    }
+
+    /// Reads the text form back; the error names the offending line.
+    pub fn parse(text: &str) -> Result<BenchDoc, String> {
+        let mut lines = text.lines().enumerate().map(|(i, line)| (i + 1, line));
+        let mut header = |prefix: &str| -> Result<&str, String> {
+            let (n, line) = lines
+                .next()
+                .ok_or_else(|| format!("ends before the `{prefix}` line"))?;
+            line.strip_prefix(prefix)
+                .ok_or_else(|| format!("line {n}: expected `{prefix}…`, found {line:?}"))
+        };
+        if header("# ")? != SCHEMA_ID {
+            return Err(format!("line 1: not a {SCHEMA_ID} document"));
+        }
+        let tool = header("# tool ")?;
+        let pr = header("# pr ")?;
+        let pr = pr
+            .parse()
+            .map_err(|_| format!("pr {pr:?} is not a number"))?;
+        let mut doc = BenchDoc::new(tool, pr);
+        for (n, line) in lines {
+            if let Some(context) = line.strip_prefix("# ") {
+                let (key, value) = context.split_once(' ').unwrap_or((context, ""));
+                doc.note(key, value);
+                continue;
+            }
+            let mut words = line.split_whitespace();
+            match (words.next(), words.next(), words.next(), words.next()) {
+                (Some(name), Some(value), Some(unit), None) => {
+                    let value = value
+                        .parse()
+                        .map_err(|_| format!("line {n}: {value:?} is not a number"))?;
+                    doc.push(name, value, unit);
+                }
+                _ => return Err(format!("line {n}: expected `name value unit`, found {line:?}")),
+            }
+        }
+        Ok(doc)
     }
 }
 
@@ -237,7 +288,7 @@ mod tests {
     use super::*;
 
     fn doc(entries: &[(&str, f64, &str)]) -> BenchDoc {
-        let mut d = BenchDoc::new("test", 7, serde_json::json!({}));
+        let mut d = BenchDoc::new("test", 7);
         for (n, v, u) in entries {
             d.push(n, *v, u);
         }
@@ -262,8 +313,13 @@ mod tests {
     fn validate_rejects_malformed_documents() {
         assert!(doc(&[("a", 1.0, "s")]).validate().is_ok());
         let mut bad = doc(&[("a", 1.0, "s")]);
-        bad.schema = "BENCH-v0".to_string();
+        bad.tool = "two words".to_string();
         assert!(bad.validate().is_err());
+        let mut bad = doc(&[("a", 1.0, "s")]);
+        bad.note("two words", 1);
+        assert!(bad.validate().is_err());
+        assert!(doc(&[("a b", 1.0, "s")]).validate().is_err());
+        assert!(doc(&[("#a", 1.0, "s")]).validate().is_err());
         assert!(doc(&[]).validate().is_err());
         assert!(doc(&[("a", 1.0, "s"), ("a", 2.0, "s")]).validate().is_err());
         assert!(doc(&[("a", f64::NAN, "s")]).validate().is_err());
@@ -322,18 +378,43 @@ mod tests {
     }
 
     #[test]
-    fn documents_round_trip_through_json() {
-        let mut d = BenchDoc::new("perf_trajectory", 7, serde_json::json!({"threads": 1}));
+    fn documents_round_trip_through_text() {
+        let mut d = BenchDoc::new("perf_trajectory", 7);
+        d.note("threads", 1);
+        d.note("templates", "1,3,5");
         d.push("kernel/compiled_single_row", 1.25e6, "rows/s");
-        d.push("kernel/speedup_single", 1.75, "x");
-        let text = serde_json::to_string_pretty(&d).unwrap();
-        let back: BenchDoc = serde_json::from_str(&text).unwrap();
+        d.push("kernel/speedup_single", 0.1 + 0.2, "x");
+        let text = d.render();
+        assert!(text.starts_with("# BENCH-v2\n# tool perf_trajectory\n# pr 7\n# threads 1\n"));
+        let back = BenchDoc::parse(&text).unwrap();
         assert!(back.validate().is_ok());
+        assert_eq!((back.tool.as_str(), back.pr), ("perf_trajectory", 7));
+        assert_eq!(back.context, d.context);
         assert_eq!(back.benches.len(), 2);
         assert_eq!(
-            back.get("kernel/compiled_single_row").unwrap().value.to_bits(),
-            1.25e6f64.to_bits()
+            back.get("kernel/speedup_single").unwrap().value.to_bits(),
+            (0.1f64 + 0.2).to_bits()
         );
         assert_eq!(back.get("kernel/speedup_single").unwrap().unit, "x");
+        assert_eq!(back.render(), text);
+    }
+
+    #[test]
+    fn text_that_is_not_a_document_is_refused_with_its_line() {
+        let good = "# BENCH-v2\n# tool t\n# pr 1\na 1.0 s\n";
+        assert!(BenchDoc::parse(good).is_ok());
+        for (bad, needle) in [
+            ("", "ends before"),
+            ("{\n  \"schema\": \"BENCH-v1\"\n}\n", "line 1"),
+            ("# BENCH-v1\n# tool t\n# pr 1\na 1.0 s\n", "line 1"),
+            ("# BENCH-v2\n# pr 1\n# tool t\na 1.0 s\n", "line 2"),
+            ("# BENCH-v2\n# tool t\n# pr one\na 1.0 s\n", "not a number"),
+            ("# BENCH-v2\n# tool t\n# pr 1\na fast s\n", "line 4"),
+            ("# BENCH-v2\n# tool t\n# pr 1\na 1.0\n", "line 4"),
+            ("# BENCH-v2\n# tool t\n# pr 1\na 1.0 s extra\n", "line 4"),
+        ] {
+            let err = BenchDoc::parse(bad).unwrap_err();
+            assert!(err.contains(needle), "{bad:?}: {err}");
+        }
     }
 }

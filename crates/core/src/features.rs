@@ -8,15 +8,33 @@
 
 use engine::plan::{OpType, PlanNode, ALL_OP_TYPES};
 use engine::recost::TruthCosts;
+use ml::bytes::{Malformed, Reader};
 
 /// Which annotation side feature values are read from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FeatureSource {
     /// Optimizer estimates (the deployable configuration).
     Estimated,
     /// True cardinalities and re-costed values (Section 5.3.3's
     /// actual-value experiments; not available before execution).
     Actual,
+}
+
+impl FeatureSource {
+    pub(crate) fn encode(self, out: &mut Vec<u8>) {
+        out.push(match self {
+            FeatureSource::Estimated => 0,
+            FeatureSource::Actual => 1,
+        });
+    }
+
+    pub(crate) fn decode(r: &mut Reader) -> Result<FeatureSource, Malformed> {
+        match r.u8()? {
+            0 => Ok(FeatureSource::Estimated),
+            1 => Ok(FeatureSource::Actual),
+            _ => Err(Malformed("unknown feature-source tag")),
+        }
+    }
 }
 
 /// A view of one node's feature values under a [`FeatureSource`].
@@ -246,8 +264,7 @@ pub fn op_histogram(plan: &PlanNode) -> Vec<(OpType, usize)> {
 mod tests {
     use super::*;
     use engine::{Catalog, Planner};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rng::StdRng;
 
     fn plan(t: u8) -> PlanNode {
         let catalog = Catalog::new(0.1, 1);

@@ -23,6 +23,7 @@ use crate::pred_cache::{views_hash, PredictionCache, SubplanPredKey};
 use crate::subplan::{arena_structure_hashes, StructureKey, SubplanIndex};
 use engine::arena::PlanArena;
 use engine::plan::PlanNode;
+use ml::bytes::{put_str, Malformed, Reader};
 use ml::cv::kfold;
 use ml::metrics::{mean_relative_error, relative_error};
 use ml::{Dataset, ForwardSelection, LearnerKind};
@@ -93,7 +94,7 @@ impl Default for HybridConfig {
 }
 
 /// Plan-level model of one sub-plan structure: start- and run-time heads.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SubplanModel {
     /// Start-time model.
     pub start: FeatureModel,
@@ -101,6 +102,24 @@ pub struct SubplanModel {
     pub run: FeatureModel,
     /// Structure description (diagnostics).
     pub description: String,
+}
+
+impl SubplanModel {
+    /// The description is a diagnostic: a snapshot keeps its first
+    /// [`ml::bytes::MAX_STRING`] bytes.
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
+        self.start.encode(out);
+        self.run.encode(out);
+        put_str(out, &self.description);
+    }
+
+    pub(crate) fn decode(r: &mut Reader) -> Result<SubplanModel, Malformed> {
+        Ok(SubplanModel {
+            start: FeatureModel::decode(r)?,
+            run: FeatureModel::decode(r)?,
+            description: r.str()?.to_string(),
+        })
+    }
 }
 
 /// The hybrid predictor: operator-level models plus a set of sub-plan

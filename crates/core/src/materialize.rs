@@ -1,15 +1,20 @@
 //! Model materialization (Section 1's "pre-build and materialize").
 //!
 //! The paper pre-builds models offline so they are immediately available
-//! for future predictions. This module serializes a trained model set to
-//! JSON and reloads it without retraining — the training logs are not
-//! needed at prediction time, only the materialized models.
+//! for future predictions. This module turns a trained model set into
+//! bytes and back without retraining — the training logs are not needed
+//! at prediction time, only the materialized models.
 //!
-//! Loading validates before deserializing into the serving path: a
-//! snapshot with non-finite weights or mismatched feature arity is
+//! The bytes are the `QPPSNAP v2` payload (layout in DESIGN.md §8, "Snapshot format"):
+//! every float travels as its IEEE-754 bits, so an unknown calibration
+//! (NaN) is a value like any other. They are outside input when they come
+//! back: decoding is bounds-checked ([`ml::bytes`]) and then validated, so
+//! a snapshot with non-finite weights or mismatched feature arity is
 //! rejected with [`QppError::InvalidSnapshot`] instead of silently
-//! producing NaN predictions later. The versioned, checksummed on-disk
-//! envelope around this JSON lives in [`crate::registry`].
+//! producing NaN predictions later. The versioned, checksummed envelope
+//! around the payload, and the only public way in and out
+//! ([`crate::encode_snapshot`] / [`crate::decode_snapshot`]), live in
+//! [`crate::registry`].
 
 use crate::error::QppError;
 use crate::hybrid::{HybridModel, SubplanModel};
@@ -17,30 +22,23 @@ use crate::op_model::OpLevelModel;
 use crate::plan_model::PlanLevelModel;
 use crate::predictor::QppPredictor;
 use crate::subplan::StructureKey;
-use serde::{Deserialize, Serialize};
+use ml::bytes::{put_count, put_f64, put_u64, Malformed, Reader};
 
-fn nan_default() -> f64 {
-    f64::NAN
-}
-
-/// A serializable snapshot of all trained models.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// A snapshot of all trained models.
+#[derive(Debug, Clone)]
 pub struct MaterializedModels {
     /// Plan-level model.
     pub plan_level: PlanLevelModel,
     /// Operator-level models.
     pub op_level: OpLevelModel,
-    /// Hybrid sub-plan models as (structure key, model) pairs (JSON maps
-    /// require string keys; a pair list avoids lossy conversions).
+    /// Hybrid sub-plan models as (structure key, model) pairs, ascending
+    /// by key so equal model sets encode to equal bytes.
     pub hybrid_plan_models: Vec<(u64, SubplanModel)>,
     /// Median observed seconds per optimizer cost unit at training time —
-    /// the cost-scaling fallback's calibration. NaN when unknown (older
-    /// snapshots, or no training query had a usable cost estimate).
-    #[serde(default = "nan_default")]
+    /// the cost-scaling fallback's calibration. NaN when unknown (no
+    /// training query had a usable cost estimate).
     pub secs_per_cost: f64,
-    /// Median training latency — the last-resort prior. 0.0 when unknown
-    /// (older snapshots).
-    #[serde(default)]
+    /// Median training latency — the last-resort prior. 0.0 when unknown.
     pub prior_latency: f64,
 }
 
@@ -79,20 +77,51 @@ impl MaterializedModels {
         mat
     }
 
-    /// Serializes to JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("models serialize")
+    /// The snapshot payload: plan-level model, operator-level models, the
+    /// counted sub-plan models, then the two calibration floats.
+    pub(crate) fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.plan_level.encode(&mut out);
+        self.op_level.encode(&mut out);
+        put_count(&mut out, self.hybrid_plan_models.len());
+        for (key, model) in &self.hybrid_plan_models {
+            put_u64(&mut out, *key);
+            model.encode(&mut out);
+        }
+        put_f64(&mut out, self.secs_per_cost);
+        put_f64(&mut out, self.prior_latency);
+        out
     }
 
-    /// Deserializes from JSON and validates the result (see
-    /// [`MaterializedModels::validate`]); malformed JSON and model sets
-    /// that would serve garbage are both rejected with
+    /// Reads a payload and validates the result (see
+    /// [`MaterializedModels::validate`]); bytes that are not a payload and
+    /// model sets that would serve garbage are both rejected with
     /// [`QppError::InvalidSnapshot`].
-    pub fn from_json(json: &str) -> Result<MaterializedModels, QppError> {
-        let mat: MaterializedModels = serde_json::from_str(json)
-            .map_err(|e| QppError::InvalidSnapshot(format!("malformed JSON: {e}")))?;
+    pub(crate) fn decode(payload: &[u8]) -> Result<MaterializedModels, QppError> {
+        let malformed = |e| QppError::InvalidSnapshot(format!("malformed payload: {e}"));
+        let mut r = Reader::new(payload);
+        let mat = Self::decode_from(&mut r).map_err(malformed)?;
+        if !r.is_empty() {
+            return Err(malformed(Malformed("trailing bytes after the model set")));
+        }
         mat.validate()?;
         Ok(mat)
+    }
+
+    fn decode_from(r: &mut Reader) -> Result<MaterializedModels, Malformed> {
+        let plan_level = PlanLevelModel::decode(r)?;
+        let op_level = OpLevelModel::decode(r)?;
+        let n = r.count(8)?;
+        let hybrid_plan_models = (0..n)
+            .map(|_| Ok((r.u64()?, SubplanModel::decode(r)?)))
+            .collect::<Result<_, _>>()?;
+        Ok(MaterializedModels {
+            plan_level,
+            op_level,
+            hybrid_plan_models,
+            secs_per_cost: r.f64()?,
+            prior_latency: r.f64()?,
+        })
     }
 
     /// Validation gate run at load time: every model in the set must have
@@ -148,7 +177,9 @@ mod tests {
     use super::*;
     use crate::dataset::QueryDataset;
     use crate::hybrid::PlanOrdering;
+    use crate::plan_model::FeatureModel;
     use crate::predictor::{Method, QppConfig, QppPredictor};
+    use crate::registry::{decode_snapshot, encode_snapshot, seal};
     use crate::ExecutedQuery;
     use engine::{Catalog, Simulator};
     use tpch::Workload;
@@ -166,32 +197,77 @@ mod tests {
         (ds, qpp)
     }
 
+    /// The models of `trained()` plus one hand-made sub-plan model (hybrid
+    /// training accepts none on that seed, and the payload has a branch
+    /// for them): a linear start-time head and an SVR run-time head over
+    /// the full plan feature vector.
+    fn materialized(qpp: &QppPredictor) -> MaterializedModels {
+        let arity = crate::features::plan_feature_count();
+        let rows: Vec<Vec<f64>> = (0..12)
+            .map(|i| (0..arity).map(|j| ((i * 7 + j * 3) % 11) as f64).collect())
+            .collect();
+        let x = ml::Dataset::from_rows(rows);
+        let y: Vec<f64> = (0..12).map(|i| 1.0 + i as f64).collect();
+        let head = |learner| FeatureModel::train_full(&x, &y, &learner, false).unwrap();
+        let mut mat = MaterializedModels::from_predictor(qpp);
+        mat.hybrid_plan_models.push((
+            0x5EED,
+            SubplanModel {
+                start: head(ml::LearnerKind::Linear { ridge: 1e-3 }),
+                run: head(ml::LearnerKind::Svr(ml::SvrParams::default())),
+                description: "HashJoin(SeqScan[orders], Hash(SeqScan[lineitem]))".to_string(),
+            },
+        ));
+        mat
+    }
+
+    fn expect_invalid<T: std::fmt::Debug>(result: Result<T, QppError>, gate: &str) {
+        match result {
+            Err(QppError::InvalidSnapshot(msg)) => assert!(msg.contains(gate), "{msg}"),
+            other => panic!("expected InvalidSnapshot({gate:?}), got {other:?}"),
+        }
+    }
+
     #[test]
-    fn models_roundtrip_through_json() {
+    fn models_roundtrip_through_a_snapshot() {
         let (ds, qpp) = trained();
         let refs: Vec<&ExecutedQuery> = ds.queries.iter().collect();
 
-        let mat = MaterializedModels::from_predictor(&qpp);
-        let json = mat.to_json();
-        assert!(json.len() > 100);
-        let back = MaterializedModels::from_json(&json).unwrap();
+        let mat = materialized(&qpp);
+        let bytes = encode_snapshot(&mat);
+        assert!(bytes.len() > 100);
+        let back = decode_snapshot(&bytes).unwrap();
+        assert_eq!(back.encode(), mat.encode());
 
-        // Reloaded models agree with the originals on every query.
+        // Reloaded models agree with the originals on every query, to the
+        // bit: floats travel as their bits.
         let hybrid = back.hybrid();
         for q in &refs {
             let a = qpp.predict(q, Method::PlanLevel);
             let b = back.plan_level.predict(q);
-            assert!((a - b).abs() < 1e-9, "plan-level {a} vs {b}");
+            assert_eq!(a.to_bits(), b.to_bits(), "plan-level {a} vs {b}");
             let c = qpp.predict(q, Method::Hybrid(PlanOrdering::ErrorBased));
             let d = hybrid.predict(q);
-            assert!((c - d).abs() < 1e-9, "hybrid {c} vs {d}");
+            assert_eq!(c.to_bits(), d.to_bits(), "hybrid {c} vs {d}");
             let e = qpp.predict(q, Method::OperatorLevel);
             let f = back.op_level.predict(q);
-            assert!((e - f).abs() < 1e-9, "op-level {e} vs {f}");
+            assert_eq!(e.to_bits(), f.to_bits(), "op-level {e} vs {f}");
         }
         // The fallback calibration rides along.
         assert_eq!(back.secs_per_cost, qpp.secs_per_cost());
         assert_eq!(back.prior_latency, qpp.prior_latency());
+    }
+
+    #[test]
+    fn an_unknown_calibration_survives_the_snapshot() {
+        // `new` leaves the calibration unknown (NaN). The JSON snapshot
+        // wrote that as `null` and then refused to read it back.
+        let (_, qpp) = trained();
+        let mat = MaterializedModels::new(&qpp.plan_level, &qpp.op_level, &qpp.hybrid);
+        assert!(mat.secs_per_cost.is_nan());
+        let back = decode_snapshot(&encode_snapshot(&mat)).unwrap();
+        assert_eq!(back.secs_per_cost.to_bits(), mat.secs_per_cost.to_bits());
+        assert_eq!(back.encode(), mat.encode());
     }
 
     #[test]
@@ -213,73 +289,99 @@ mod tests {
     }
 
     #[test]
-    fn malformed_json_is_a_typed_error() {
-        for bad in ["", "{", "nonsense", "{\"plan_level\": 3}"] {
-            match MaterializedModels::from_json(bad) {
-                Err(QppError::InvalidSnapshot(msg)) => {
-                    assert!(msg.contains("malformed JSON"), "{msg}")
-                }
-                other => panic!("expected InvalidSnapshot, got {other:?}"),
-            }
+    fn bytes_that_are_not_a_payload_are_a_typed_error() {
+        for bad in [&b""[..], b"{", b"nonsense", b"{\"plan_level\": 3}"] {
+            expect_invalid(decode_snapshot(&seal(bad)), "malformed payload");
+        }
+        let (_, qpp) = trained();
+        let mut payload = materialized(&qpp).encode();
+        payload.push(0);
+        expect_invalid(decode_snapshot(&seal(&payload)), "trailing bytes");
+    }
+
+    #[test]
+    fn a_hostile_element_count_is_refused_before_any_allocation() {
+        // The payload opens with the plan-level model's selected-column
+        // count: announce four billion columns and supply sixteen bytes.
+        let mut payload = u32::MAX.to_le_bytes().to_vec();
+        payload.extend_from_slice(&[0; 16]);
+        expect_invalid(
+            decode_snapshot(&seal(&payload)),
+            "element count exceeds payload",
+        );
+    }
+
+    #[test]
+    fn every_prefix_of_a_snapshot_is_an_error_not_a_panic() {
+        let (_, qpp) = trained();
+        let mat = materialized(&qpp);
+        let bytes = encode_snapshot(&mat);
+        let payload = mat.encode();
+        // A torn file fails the envelope's length check; a torn payload
+        // under a correct checksum has to stop at a bounds check.
+        for cut in 0..bytes.len() {
+            assert!(decode_snapshot(&bytes[..cut]).is_err(), "file cut at {cut}");
+        }
+        for cut in 0..payload.len() {
+            expect_invalid(decode_snapshot(&seal(&payload[..cut])), "malformed payload");
         }
     }
 
     #[test]
-    fn truncated_json_is_a_typed_error() {
+    fn single_byte_mutations_never_panic() {
         let (_, qpp) = trained();
-        let json = MaterializedModels::from_predictor(&qpp).to_json();
-        // A torn write: the file ends mid-object.
-        let truncated = &json[..json.len() / 2];
-        match MaterializedModels::from_json(truncated) {
-            Err(QppError::InvalidSnapshot(msg)) => {
-                assert!(msg.contains("malformed JSON"), "{msg}")
-            }
-            other => panic!("expected InvalidSnapshot, got {other:?}"),
-        }
+        let mat = materialized(&qpp);
+        let bytes = encode_snapshot(&mat);
+        let payload = mat.encode();
+        let header_len = bytes.len() - payload.len();
+        rng::cases(512, |rng| {
+            let flip = rng.gen_range(1..=255u8);
+            // Anywhere in the file: the checksum catches every payload
+            // byte; a header byte may also be an equivalent spelling.
+            let at = rng.gen_range(0..bytes.len());
+            let mut file = bytes.clone();
+            file[at] ^= flip;
+            let result = decode_snapshot(&file);
+            assert!(at < header_len || result.is_err(), "byte {at} ^ {flip:#x}");
+            // Under a correct checksum the payload decoder is on its own:
+            // it may accept (a float's low bit) but must not panic.
+            let at = rng.gen_range(0..payload.len());
+            let mut mutated = payload.clone();
+            mutated[at] ^= flip;
+            let _ = decode_snapshot(&seal(&mutated));
+        });
     }
 
     #[test]
-    fn non_finite_weights_are_rejected_by_validate() {
-        // JSON itself cannot carry NaN/infinity, so this gate guards the
-        // *in-memory* path: the registry validates freshly trained
-        // candidates before serializing them.
+    fn non_finite_weights_are_rejected_in_memory_and_at_load() {
         let (_, qpp) = trained();
+        let mut mat = materialized(&qpp);
+        let start = &mut mat.hybrid_plan_models[0].1.start;
+        start.model = ml::TrainedModel::Linear(ml::LinearModel {
+            intercept: f64::NAN,
+            weights: vec![0.0; start.selected.len()],
+        });
+        // In memory: the registry validates a freshly trained candidate
+        // before writing it.
+        expect_invalid(mat.validate(), "non-finite");
+        // At load: bytes carry a NaN as readily as any float, and this
+        // file's checksum is correct.
+        expect_invalid(decode_snapshot(&encode_snapshot(&mat)), "non-finite");
+
         let mut mat = MaterializedModels::from_predictor(&qpp);
-        if let Some((_, m)) = mat.hybrid_plan_models.first_mut() {
-            m.start.model = ml::TrainedModel::Linear(ml::LinearModel {
-                intercept: f64::NAN,
-                weights: vec![0.0; m.start.selected.len()],
-            });
-            match mat.validate() {
-                Err(QppError::InvalidSnapshot(msg)) => {
-                    assert!(msg.contains("non-finite"), "{msg}")
-                }
-                other => panic!("expected InvalidSnapshot, got {other:?}"),
-            }
-        } else {
-            // No sub-plan models accepted on this seed: poison the
-            // calibration instead so the gate is still exercised.
-            mat.secs_per_cost = f64::INFINITY;
-            assert!(matches!(mat.validate(), Err(QppError::InvalidSnapshot(_))));
-        }
+        mat.secs_per_cost = f64::INFINITY;
+        expect_invalid(decode_snapshot(&encode_snapshot(&mat)), "secs-per-cost");
     }
 
     #[test]
     fn mismatched_arity_is_rejected_at_load() {
         let (_, qpp) = trained();
-        let mat = MaterializedModels::from_predictor(&qpp);
-        let mut value: serde_json::Value = serde_json::from_str(&mat.to_json()).unwrap();
+        let mut mat = materialized(&qpp);
         // Point a selected feature index far outside the plan feature
-        // vector: deserialization alone would accept it and panic later at
+        // vector: decoding alone would accept it and panic later at
         // prediction time.
-        value["plan_level"]["inner"]["selected"][0] = serde_json::json!(9999);
-        let json = serde_json::to_string(&value).unwrap();
-        match MaterializedModels::from_json(&json) {
-            Err(QppError::InvalidSnapshot(msg)) => {
-                assert!(msg.contains("out of range"), "{msg}")
-            }
-            other => panic!("expected InvalidSnapshot, got {other:?}"),
-        }
+        mat.hybrid_plan_models[0].1.run.selected[0] = 9999;
+        expect_invalid(decode_snapshot(&encode_snapshot(&mat)), "out of range");
     }
 
     #[test]
@@ -287,12 +389,6 @@ mod tests {
         let (_, qpp) = trained();
         let mut mat = MaterializedModels::from_predictor(&qpp);
         mat.prior_latency = -1.0;
-        match mat.validate() {
-            Err(QppError::InvalidSnapshot(msg)) => {
-                assert!(msg.contains("prior latency"), "{msg}")
-            }
-            other => panic!("expected InvalidSnapshot, got {other:?}"),
-        }
+        expect_invalid(mat.validate(), "prior latency");
     }
-
 }

@@ -12,6 +12,7 @@ use crate::dataset::ExecutedQuery;
 use crate::features::{op_features, FeatureSource, NodeView, OP_FEATURE_NAMES};
 use crate::plan_model::{FeatureModel, PAR_BATCH_MIN};
 use engine::plan::{OpType, PlanNode, ALL_OP_TYPES};
+use ml::bytes::{put_count, Malformed, Reader};
 use ml::cv::kfold;
 use ml::{Dataset, ForwardSelection, LearnerKind, MlError};
 
@@ -52,7 +53,7 @@ impl Default for OpModelConfig {
 }
 
 /// Per-operator-type start-/run-time models.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OpLevelModel {
     per_type: Vec<Option<(FeatureModel, FeatureModel)>>,
     source: FeatureSource,
@@ -193,6 +194,39 @@ impl OpLevelModel {
             }
         }
         Ok(())
+    }
+
+    /// Appends the per-type slots (a presence byte, then the start- and
+    /// run-time models of a present one) and the two training switches.
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
+        put_count(out, self.per_type.len());
+        for pair in &self.per_type {
+            out.push(u8::from(pair.is_some()));
+            if let Some((start, run)) = pair {
+                start.encode(out);
+                run.encode(out);
+            }
+        }
+        self.source.encode(out);
+        out.push(u8::from(self.include_start_features));
+    }
+
+    pub(crate) fn decode(r: &mut Reader) -> Result<OpLevelModel, Malformed> {
+        let n = r.count(1)?;
+        let per_type = (0..n)
+            .map(|_| {
+                Ok(if r.bool()? {
+                    Some((FeatureModel::decode(r)?, FeatureModel::decode(r)?))
+                } else {
+                    None
+                })
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(OpLevelModel {
+            per_type,
+            source: FeatureSource::decode(r)?,
+            include_start_features: r.bool()?,
+        })
     }
 
     /// Content fingerprint over every per-operator model (see

@@ -8,6 +8,7 @@
 use crate::dataset::ExecutedQuery;
 use crate::features::{plan_feature_names, plan_features, FeatureSource, NodeView};
 use engine::plan::PlanNode;
+use ml::bytes::{put_count, put_f64, put_u32, Malformed, Reader};
 use ml::cv::{stratified_kfold, Fold};
 use ml::{
     forward_select, CompiledModel, Dataset, ForwardSelection, Learner, LearnerKind, MlError, Model,
@@ -28,12 +29,29 @@ pub(crate) const PAR_BATCH_MIN: usize = 64;
 /// The techniques are metric-agnostic (Section 1: "can be used in the
 /// prediction of other metrics"); latency is the paper's focus, disk I/O
 /// the natural second target.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TargetMetric {
     /// Query execution latency in seconds.
     Latency,
     /// Physical disk traffic in pages.
     DiskIo,
+}
+
+impl TargetMetric {
+    fn encode(self, out: &mut Vec<u8>) {
+        out.push(match self {
+            TargetMetric::Latency => 0,
+            TargetMetric::DiskIo => 1,
+        });
+    }
+
+    fn decode(r: &mut Reader) -> Result<TargetMetric, Malformed> {
+        match r.u8()? {
+            0 => Ok(TargetMetric::Latency),
+            1 => Ok(TargetMetric::DiskIo),
+            _ => Err(Malformed("unknown target-metric tag")),
+        }
+    }
 }
 
 /// Configuration of plan-level model training.
@@ -76,7 +94,7 @@ impl Default for PlanModelConfig {
 /// transformed back — appropriate when the target spans orders of
 /// magnitude and the accuracy metric is *relative* error (query latencies
 /// at 10 GB span 20 s to an hour).
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FeatureModel {
     /// Selected column indices into the full feature vector.
     pub selected: Vec<usize>,
@@ -96,10 +114,9 @@ pub struct FeatureModel {
     /// the model's applicability region.
     pub feature_ranges: Vec<(f64, f64)>,
     /// Lazily compiled form of `model` (flat support-vector layout, fused
-    /// scaling); built on first prediction and deliberately not
-    /// serialized — a deserialized model simply recompiles on first use,
-    /// to the same bits.
-    #[serde(skip)]
+    /// scaling); built on first prediction and deliberately not part of a
+    /// snapshot — a decoded model simply recompiles on first use, to the
+    /// same bits.
     compiled: OnceLock<CompiledModel>,
 }
 
@@ -264,6 +281,47 @@ impl FeatureModel {
         Ok(())
     }
 
+    /// Appends the model to a snapshot payload; column indices travel as
+    /// `u32`.
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
+        put_count(out, self.selected.len());
+        for &j in &self.selected {
+            put_u32(out, u32::try_from(j).expect("feature index fits u32"));
+        }
+        put_count(out, self.feature_ranges.len());
+        for &(lo, hi) in &self.feature_ranges {
+            put_f64(out, lo);
+            put_f64(out, hi);
+        }
+        self.model.encode(out);
+        put_f64(out, self.cv_error);
+        out.push(u8::from(self.log_target));
+        put_f64(out, self.target_range.0);
+        put_f64(out, self.target_range.1);
+    }
+
+    /// Reads what [`FeatureModel::encode`] wrote. Shapes only:
+    /// [`FeatureModel::validate`] judges the values afterwards.
+    pub(crate) fn decode(r: &mut Reader) -> Result<FeatureModel, Malformed> {
+        let n = r.count(4)?;
+        let selected = (0..n)
+            .map(|_| r.u32().map(|j| j as usize))
+            .collect::<Result<_, _>>()?;
+        let n = r.count(16)?;
+        let feature_ranges = (0..n)
+            .map(|_| Ok((r.f64()?, r.f64()?)))
+            .collect::<Result<_, _>>()?;
+        Ok(FeatureModel {
+            selected,
+            feature_ranges,
+            model: TrainedModel::decode(r)?,
+            cv_error: r.f64()?,
+            log_target: r.bool()?,
+            target_range: (r.f64()?, r.f64()?),
+            compiled: OnceLock::new(),
+        })
+    }
+
     /// Content fingerprint for cache-key signatures: hashes the selected
     /// columns, training-time ranges, and CV error, so models trained on
     /// different data (or with different selections) fingerprint
@@ -329,7 +387,7 @@ fn transform(y: &[f64], log_target: bool) -> Vec<f64> {
 }
 
 /// The plan-level QPP model.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PlanLevelModel {
     inner: FeatureModel,
     source: FeatureSource,
@@ -434,6 +492,20 @@ impl PlanLevelModel {
         self.inner
             .validate(crate::features::plan_feature_count())
             .map_err(|e| format!("plan-level model: {e}"))
+    }
+
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
+        self.inner.encode(out);
+        self.source.encode(out);
+        self.metric.encode(out);
+    }
+
+    pub(crate) fn decode(r: &mut Reader) -> Result<PlanLevelModel, Malformed> {
+        Ok(PlanLevelModel {
+            inner: FeatureModel::decode(r)?,
+            source: FeatureSource::decode(r)?,
+            metric: TargetMetric::decode(r)?,
+        })
     }
 }
 

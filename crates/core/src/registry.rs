@@ -8,10 +8,10 @@
 //! - **Checksummed, atomic snapshots.** Every version is one file,
 //!   `v{N}.qppsnap`, written temp-then-rename so a crash can never leave a
 //!   half-written current version. The file starts with a header line
-//!   `QPPSNAP v1 <fnv64> <len>` followed by the model JSON; loads verify
-//!   format version, payload length, and FNV-1a checksum before the JSON
-//!   is even parsed, then run [`MaterializedModels::validate`]'s
-//!   finite-weights/arity gates.
+//!   `QPPSNAP v2 <fnv64> <len>` followed by the binary model payload of
+//!   [`crate::materialize`]; loads verify format version, payload length,
+//!   and FNV-1a checksum before the payload is even parsed, then run
+//!   [`MaterializedModels::validate`]'s finite-weights/arity gates.
 //! - **Hot swap.** The serving predictor hangs under an `Arc`; promotion
 //!   builds the replacement off to the side, validates it end-to-end
 //!   (including a read-back of the just-written snapshot), and swaps the
@@ -43,7 +43,7 @@ use std::sync::{Arc, RwLock};
 
 /// Snapshot format magic + version accepted by this build.
 const SNAPSHOT_MAGIC: &str = "QPPSNAP";
-const SNAPSHOT_VERSION: &str = "v1";
+const SNAPSHOT_VERSION: &str = "v2";
 
 /// FNV-1a over raw bytes (the sibling of `pred_cache`'s u64 variant).
 fn fnv64(bytes: &[u8]) -> u64 {
@@ -56,23 +56,27 @@ fn fnv64(bytes: &[u8]) -> u64 {
 }
 
 /// Encodes a model set into the on-disk snapshot envelope:
-/// `QPPSNAP v1 <fnv64-hex> <payload-len>\n<json>`.
+/// `QPPSNAP v2 <fnv64-hex> <payload-len>\n<payload>`.
 pub fn encode_snapshot(mat: &MaterializedModels) -> Vec<u8> {
-    let payload = mat.to_json();
+    seal(&mat.encode())
+}
+
+/// Puts the header line in front of a payload.
+pub(crate) fn seal(payload: &[u8]) -> Vec<u8> {
     let mut out = format!(
         "{SNAPSHOT_MAGIC} {SNAPSHOT_VERSION} {:016x} {}\n",
-        fnv64(payload.as_bytes()),
+        fnv64(payload),
         payload.len()
     )
     .into_bytes();
-    out.extend_from_slice(payload.as_bytes());
+    out.extend_from_slice(payload);
     out
 }
 
 /// Decodes and fully validates a snapshot envelope: header shape, format
 /// version, payload length (catches truncation), FNV-1a checksum (catches
-/// bit rot), then the model-level gates of
-/// [`MaterializedModels::from_json`].
+/// bit rot), then the payload's bounds-checked decode and the model-level
+/// gates of [`MaterializedModels::validate`].
 pub fn decode_snapshot(bytes: &[u8]) -> Result<MaterializedModels, QppError> {
     let invalid = QppError::InvalidSnapshot;
     let newline = bytes
@@ -118,9 +122,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<MaterializedModels, QppError> {
             "checksum mismatch: header says {expected_sum:016x}, payload hashes to {actual_sum:016x}"
         )));
     }
-    let json = std::str::from_utf8(payload)
-        .map_err(|_| invalid("snapshot payload is not UTF-8".to_string()))?;
-    MaterializedModels::from_json(json)
+    MaterializedModels::decode(payload)
 }
 
 /// Configuration of [`ModelRegistry::shadow_retrain`].
@@ -480,7 +482,7 @@ mod tests {
         let mat = MaterializedModels::from_predictor(&qpp);
         let bytes = encode_snapshot(&mat);
         let back = decode_snapshot(&bytes).unwrap();
-        assert_eq!(back.to_json(), mat.to_json());
+        assert_eq!(back.encode(), mat.encode());
     }
 
     #[test]
@@ -507,16 +509,17 @@ mod tests {
             other => panic!("expected truncation error, got {other:?}"),
         }
 
-        // Future format version.
-        let futuristic = String::from_utf8(bytes.clone())
-            .unwrap()
-            .replacen("QPPSNAP v1 ", "QPPSNAP v9 ", 1)
-            .into_bytes();
-        match decode_snapshot(&futuristic) {
-            Err(QppError::InvalidSnapshot(msg)) => {
-                assert!(msg.contains("unsupported format version"), "{msg}")
+        // A future format version, and the JSON one this build replaced.
+        assert!(bytes.starts_with(b"QPPSNAP v2 "));
+        for digit in [b'9', b'1'] {
+            let mut other_version = bytes.clone();
+            other_version[9] = digit;
+            match decode_snapshot(&other_version) {
+                Err(QppError::InvalidSnapshot(msg)) => {
+                    assert!(msg.contains("unsupported format version"), "{msg}")
+                }
+                other => panic!("expected version error, got {other:?}"),
             }
-            other => panic!("expected version error, got {other:?}"),
         }
 
         // Not a snapshot at all.

@@ -11,7 +11,7 @@ use engine::plan::{OpDetail, PlanNode};
 use std::collections::HashMap;
 
 /// Structural key of a plan fragment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct StructureKey(pub u64);
 
 /// Computes the structural key of the subtree rooted at `node`.
@@ -313,8 +313,7 @@ pub fn subtree_at(plan: &PlanNode, node_idx: usize) -> &PlanNode {
 mod tests {
     use super::*;
     use engine::{Catalog, Planner};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rng::StdRng;
 
     fn plans(templates: &[u8], n: usize) -> Vec<(u8, PlanNode)> {
         let catalog = Catalog::new(0.1, 1);

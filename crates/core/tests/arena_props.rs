@@ -18,25 +18,18 @@
 //! Plans come from two generators: the real planner over the TPC-H
 //! templates (exercising Join details, Hash wrappers, SubqueryScan), and
 //! hand-built random trees sweeping shapes the planner never emits (deep
-//! chains, arity > 2, detail-free joins). A deterministic seed grid always
-//! runs; proptest versions of the same properties add shrinking where the
-//! real proptest crate is present.
-
-// Offline builds may substitute an inert `proptest` whose macro bodies
-// compile away, which strands some imports and helpers as "unused".
-#![allow(dead_code, unused_imports)]
+//! chains, arity > 2, detail-free joins). Each runs a deterministic grid,
+//! then seeds drawn at random.
 
 use engine::arena::PlanArena;
 use engine::plan::{NodeEst, NodeTruth, OpDetail, OpType, PlanNode};
 use engine::{Catalog, Planner};
-use proptest::prelude::*;
 use qpp::features::{node_views, FeatureSource};
 use qpp::{
-    arena_structure_hashes, plan_features, plan_features_slice, structure_key,
-    subtree_hash_sizes, StructureKey,
+    arena_structure_hashes, plan_features, plan_features_slice, structure_key, subtree_hash_sizes,
+    StructureKey,
 };
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rng::StdRng;
 use tpch::schema::TableId;
 
 const TEMPLATES: [u8; 8] = [1, 3, 5, 6, 10, 12, 14, 18];
@@ -126,7 +119,9 @@ fn synth_tree(rng: &mut StdRng, depth: usize) -> PlanNode {
     ];
     let op = internal[rng.gen_range(0..internal.len())];
     let n_children = rng.gen_range(1..4usize);
-    let children = (0..n_children).map(|_| synth_tree(rng, depth - 1)).collect();
+    let children = (0..n_children)
+        .map(|_| synth_tree(rng, depth - 1))
+        .collect();
     synth_node(rng, op, children)
 }
 
@@ -183,21 +178,29 @@ fn check_arena_equivalences(plan: &PlanNode) {
 }
 
 #[test]
-fn arena_equivalences_hold_on_planner_plans_seed_grid() {
+fn arena_equivalences_hold_for_planner_plans() {
     for &t in &TEMPLATES {
         for seed in 0..3u64 {
             check_arena_equivalences(&planner_plan(t, seed * 31 + t as u64));
         }
     }
+    rng::cases(48, |rng| {
+        let t = TEMPLATES[rng.gen_range(0usize..8)];
+        check_arena_equivalences(&planner_plan(t, rng.next_u64()));
+    });
 }
 
 #[test]
-fn arena_equivalences_hold_on_synthetic_trees_seed_grid() {
+fn arena_equivalences_hold_for_random_trees() {
     for seed in 0..40u64 {
         let mut rng = StdRng::seed_from_u64(seed);
         let depth = 1 + (seed as usize % 5);
         check_arena_equivalences(&synth_tree(&mut rng, depth));
     }
+    rng::cases(48, |rng| {
+        let depth = rng.gen_range(1usize..6);
+        check_arena_equivalences(&synth_tree(rng, depth));
+    });
 }
 
 #[test]
@@ -279,19 +282,4 @@ fn cached_batch_predictions_match_the_direct_arena_walk() {
         .map(f64::to_bits)
         .collect();
     assert_eq!(direct_bits, batch_bits, "batch walk differs from direct");
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn arena_equivalences_hold_for_random_trees(seed in any::<u64>(), depth in 1usize..6) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        check_arena_equivalences(&synth_tree(&mut rng, depth));
-    }
-
-    #[test]
-    fn arena_equivalences_hold_for_planner_plans(seed in any::<u64>(), t in 0usize..8) {
-        check_arena_equivalences(&planner_plan(TEMPLATES[t], seed));
-    }
 }

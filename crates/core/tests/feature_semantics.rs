@@ -5,8 +5,7 @@ use engine::{Catalog, Planner};
 use qpp::features::{
     node_views, op_histogram, plan_feature_names, plan_features, FeatureSource,
 };
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rng::StdRng;
 
 fn plan(t: u8, sf: f64) -> engine::PlanNode {
     let catalog = Catalog::new(sf, 1);

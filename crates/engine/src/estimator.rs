@@ -161,7 +161,7 @@ mod tests {
 
     #[test]
     fn equality_reads_the_distinct_count_and_builds_no_histogram() {
-        use rand::{rngs::StdRng, SeedableRng};
+        use rng::StdRng;
         let c = Catalog::new(0.1, 1);
         let planner = crate::planner::Planner::new(&c);
         let mut rng = StdRng::seed_from_u64(3);

@@ -117,8 +117,7 @@ mod tests {
     use crate::catalog::Catalog;
     use crate::planner::Planner;
     use crate::sim::Simulator;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rng::StdRng;
     use tpch::templates;
 
     #[test]

@@ -10,8 +10,7 @@
 //! same faults.
 
 use crate::plan::PlanNode;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rng::StdRng;
 
 /// Why an execution failed.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -107,10 +106,10 @@ impl FaultPlan {
         let mut rng = StdRng::seed_from_u64(
             self.seed ^ exec_seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xFA_017,
         );
-        let abort = rng.gen::<f64>() < self.abort_prob;
-        let abort_progress = rng.gen::<f64>();
-        let straggler = rng.gen::<f64>() < self.straggler_prob;
-        let corrupt = rng.gen::<f64>() < self.corrupt_prob;
+        let abort = rng.gen_f64() < self.abort_prob;
+        let abort_progress = rng.gen_f64();
+        let straggler = rng.gen_f64() < self.straggler_prob;
+        let corrupt = rng.gen_f64() < self.corrupt_prob;
         FaultOutcome {
             abort,
             abort_progress,
@@ -299,8 +298,8 @@ impl ServeFaultPlan {
         let mut rng = StdRng::seed_from_u64(
             self.seed ^ request_id.wrapping_mul(0xA24B_AED4_963E_E407) ^ 0x5E_4FE,
         );
-        let stall = rng.gen::<f64>() < self.stall_prob;
-        let slow = rng.gen::<f64>() < self.slow_consumer_prob;
+        let stall = rng.gen_f64() < self.stall_prob;
+        let slow = rng.gen_f64() < self.slow_consumer_prob;
         ServeFaultOutcome {
             stall_secs: if stall { self.stall_secs.max(0.0) } else { 0.0 },
             slow_consumer: slow,
@@ -386,10 +385,10 @@ impl NetFaultPlan {
         let mut rng = StdRng::seed_from_u64(
             self.seed ^ frame_id.wrapping_mul(0xD6E8_FEB8_6659_FD93) ^ 0x3E_7C0,
         );
-        let partial = rng.gen::<f64>() < self.partial_write_prob;
-        let disconnect = rng.gen::<f64>() < self.disconnect_prob;
-        let corrupt = rng.gen::<f64>() < self.corrupt_prob;
-        let stall = rng.gen::<f64>() < self.stall_prob;
+        let partial = rng.gen_f64() < self.partial_write_prob;
+        let disconnect = rng.gen_f64() < self.disconnect_prob;
+        let corrupt = rng.gen_f64() < self.corrupt_prob;
+        let stall = rng.gen_f64() < self.stall_prob;
         // Draw the offsets and mask unconditionally so the decision of
         // *whether* a fault fires never perturbs the stream feeding
         // *where* it lands (same idiom as FaultPlan::decide).
@@ -467,7 +466,7 @@ impl ArrivalPattern {
                 let mut out = Vec::with_capacity(n);
                 for _ in 0..n {
                     out.push(t);
-                    let u: f64 = rng.gen();
+                    let u = rng.gen_f64();
                     t += -(1.0 - u).max(1e-12).ln() / rate;
                 }
                 out
@@ -482,7 +481,7 @@ impl ArrivalPattern {
                 let mut out = Vec::with_capacity(n);
                 for i in 0..n {
                     let b = i / burst;
-                    let jitter: f64 = rng.gen();
+                    let jitter = rng.gen_f64();
                     out.push(b as f64 * period + jitter * spread);
                 }
                 // Jitter can reorder members within a burst; restore the
@@ -651,7 +650,7 @@ impl TenantLoadPattern {
                     } else {
                         1.0 / rate
                     };
-                    let jitter = 0.8 + 0.4 * rng.gen::<f64>();
+                    let jitter = 0.8 + 0.4 * rng.gen_f64();
                     t += dt * jitter;
                 }
                 out
@@ -663,7 +662,7 @@ impl TenantLoadPattern {
 fn shift_node(node: &mut PlanNode, factor: f64, rng: &mut StdRng) {
     // ±10% jitter around the systematic shift keeps nodes decorrelated
     // without hiding the drift signal.
-    let jitter = 0.9 + 0.2 * rng.gen::<f64>();
+    let jitter = 0.9 + 0.2 * rng.gen_f64();
     let f = (factor * jitter).max(1.0);
     node.est.rows *= f;
     node.est.pages *= f;
@@ -674,7 +673,7 @@ fn shift_node(node: &mut PlanNode, factor: f64, rng: &mut StdRng) {
 }
 
 fn corrupt_node(node: &mut PlanNode, rng: &mut StdRng) {
-    if rng.gen::<f64>() < 0.35 {
+    if rng.gen_f64() < 0.35 {
         match rng.gen_range(0u8..3) {
             0 => {
                 node.est.rows = f64::NAN;

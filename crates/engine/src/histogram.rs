@@ -20,8 +20,7 @@
 //! and were most of a cold start (DESIGN.md §7). Nothing is remembered
 //! between builds.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rng::StdRng;
 use tpch::distributions::{self, Distribution};
 use tpch::schema::ColRef;
 use tpch::types::CmpOp;

@@ -6,12 +6,11 @@
 //! `Materialize` helper nodes), the three aggregation strategies, `Limit`,
 //! and a `SubqueryScan` wrapper for InitPlan/SubPlan structures.
 
-use serde::Serialize;
 use tpch::schema::{ColRef, TableId};
 use tpch::spec::{JoinKind, Predicate};
 
 /// Physical operator types.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum OpType {
     /// Sequential heap scan.
     SeqScan,
@@ -87,7 +86,7 @@ impl OpType {
 
 /// Optimizer-side annotations of a plan node (the paper's static features
 /// come from these).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeEst {
     /// Cost until the first output tuple (PostgreSQL `startup_cost`).
     pub startup_cost: f64,
@@ -104,7 +103,7 @@ pub struct NodeEst {
 }
 
 /// Ground-truth annotations (the simulator's inputs).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeTruth {
     /// Actual output rows.
     pub rows: f64,
@@ -115,7 +114,7 @@ pub struct NodeTruth {
 }
 
 /// Operator-specific details needed by the simulator and the explainers.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum OpDetail {
     /// Scans (sequential or index).
     Scan {
@@ -168,7 +167,7 @@ pub enum OpDetail {
 }
 
 /// A physical plan node.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlanNode {
     /// Operator type.
     pub op: OpType,

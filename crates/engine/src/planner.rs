@@ -634,8 +634,7 @@ fn node_cost(n: &PlanNode) -> Cost {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rng::StdRng;
     use tpch::templates;
 
     fn plan_template(t: u8, sf: f64, seed: u64) -> PlanNode {

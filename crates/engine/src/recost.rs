@@ -103,8 +103,7 @@ mod tests {
     use super::*;
     use crate::catalog::Catalog;
     use crate::planner::Planner;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rng::StdRng;
 
     #[test]
     fn truth_costs_align_with_plan_and_reflect_cardinality_gaps() {

@@ -29,9 +29,7 @@
 use crate::estimator::cardenas;
 use crate::faults::{DriftPlan, ExecError, FaultPlan};
 use crate::plan::{OpDetail, OpType, PlanNode};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use rand_distr::{Distribution, LogNormal};
+use rng::StdRng;
 use std::collections::HashMap;
 use tpch::schema::TableId;
 
@@ -190,9 +188,7 @@ impl ExecState {
         if self.sigma <= 0.0 {
             return 1.0;
         }
-        LogNormal::new(0.0, self.sigma)
-            .expect("valid sigma")
-            .sample(&mut self.rng)
+        self.rng.log_normal(0.0, self.sigma)
     }
 
     fn cached_fraction(&self, table: TableId, pages: f64) -> f64 {
@@ -240,9 +236,7 @@ impl Simulator {
         let q = {
             let mut qrng = StdRng::seed_from_u64(seed ^ 0x5EED_CAFE);
             if self.config.query_noise_sigma > 0.0 {
-                LogNormal::new(0.0, self.config.query_noise_sigma)
-                    .expect("valid sigma")
-                    .sample(&mut qrng)
+                qrng.log_normal(0.0, self.config.query_noise_sigma)
             } else {
                 1.0
             }
@@ -252,10 +246,7 @@ impl Simulator {
         let add = {
             let mut arng = StdRng::seed_from_u64(seed ^ 0xADD_17E);
             if self.config.additive_noise_secs > 0.0 {
-                LogNormal::new(0.0, 0.8)
-                    .expect("valid sigma")
-                    .sample(&mut arng)
-                    * self.config.additive_noise_secs
+                arng.log_normal(0.0, 0.8) * self.config.additive_noise_secs
                     * 0.5
             } else {
                 0.0
@@ -706,8 +697,7 @@ mod tests {
     use super::*;
     use crate::catalog::Catalog;
     use crate::planner::Planner;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rng::StdRng;
     use tpch::templates;
 
     fn simulate(t: u8, sf: f64, seed: u64) -> (Trace, PlanNode) {

@@ -3,8 +3,7 @@
 
 use engine::plan::{OpDetail, OpType, PlanNode};
 use engine::{Catalog, Planner, PlannerConfig, SimConfig, Simulator};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rng::StdRng;
 use tpch::spec::JoinKind;
 
 fn plan_t(template: u8, sf: f64, seed: u64) -> PlanNode {

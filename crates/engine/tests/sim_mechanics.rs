@@ -2,8 +2,7 @@
 //! numeric CPU, noise structure.
 
 use engine::{Catalog, Planner, SimConfig, Simulator};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rng::StdRng;
 
 fn noiseless() -> SimConfig {
     SimConfig {

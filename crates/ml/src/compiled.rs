@@ -217,7 +217,7 @@ impl CompiledSvr {
 
     /// Forces the AVX2 kernel; `None` when it is unavailable (non-x86_64,
     /// no AVX2, or the `force-scalar` feature). Used by the bit-identity
-    /// proptests and benches.
+    /// property tests and benches.
     pub fn predict_into_simd(&self, row: &[f64], scratch: &mut PredictScratch) -> Option<f64> {
         #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
         {

@@ -13,9 +13,7 @@
 use crate::dataset::Dataset;
 use crate::metrics::mean_relative_error;
 use crate::{Learner, MlError, Model};
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use rng::StdRng;
 
 /// One train/test split: indices into the original dataset.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,7 +35,7 @@ pub fn kfold(n: usize, k: usize, seed: u64) -> Vec<Fold> {
     assert!(k >= 2, "k-fold requires k >= 2");
     assert!(k <= n, "k-fold requires k <= n (k={k}, n={n})");
     let mut order: Vec<usize> = (0..n).collect();
-    order.shuffle(&mut StdRng::seed_from_u64(seed));
+    StdRng::seed_from_u64(seed).shuffle(&mut order);
     folds_from_order(&order, k, n)
 }
 
@@ -64,7 +62,7 @@ pub fn stratified_kfold(strata: &[usize], k: usize, seed: u64) -> Vec<Fold> {
     let mut assignment = vec![0usize; n];
     let mut next_fold = 0usize;
     for (_, mut members) in by_stratum {
-        members.shuffle(&mut rng);
+        rng.shuffle(&mut members);
         for m in members {
             assignment[m] = next_fold;
             next_fold = (next_fold + 1) % k;
@@ -102,7 +100,7 @@ pub fn holdout(n: usize, test_frac: f64, seed: u64) -> (Vec<usize>, Vec<usize>) 
         "holdout test_frac must be in (0, 1), got {test_frac}"
     );
     let mut order: Vec<usize> = (0..n).collect();
-    order.shuffle(&mut StdRng::seed_from_u64(seed));
+    StdRng::seed_from_u64(seed).shuffle(&mut order);
     let n_test = ((n as f64 * test_frac).round() as usize).clamp(1, n - 1);
     let test = order[..n_test].to_vec();
     let train = order[n_test..].to_vec();

@@ -154,8 +154,7 @@ mod tests {
     use super::*;
     use crate::cv::kfold;
     use crate::{LearnerKind, SvrParams, TrainedModel};
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use rng::StdRng;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// The reference `forward_select` must agree with: the selection loop
@@ -266,8 +265,7 @@ mod tests {
         assert_eq!((skipping, refitting), (50, 55));
     }
 
-    /// Closed-form noise in [0, 1): identical on every host and under
-    /// either `rand`.
+    /// Closed-form noise in [0, 1): identical on every host.
     fn noise(i: usize, k: usize) -> f64 {
         ((i as f64 * 12.9898 + k as f64 * 78.233).sin() * 43_758.545_3).rem_euclid(1.0)
     }

@@ -31,12 +31,15 @@
 //! - [`gram`] — the kernel (Gram) matrix of an SMO solve, built by a
 //!   blocked lane-parallel SIMD kernel into a buffer that is recycled from
 //!   fit to fit; no matrix outlives the fit that reads it.
+//! - [`bytes`] — the bounds-checked reader and the writers under the model
+//!   snapshot and the wire protocol.
 //! - [`compiled`] — post-training compilation of trained models (flat
 //!   support-vector storage, pruning, allocation-free batch prediction)
 //!   for the low-latency inference path.
 
 #![warn(missing_docs)]
 
+pub mod bytes;
 pub mod compiled;
 pub mod cv;
 pub mod dataset;
@@ -66,8 +69,6 @@ pub use scaler::StandardScaler;
 pub use stats::{RollingWindow, Welford};
 pub use nusvr::{NuSvr, NuSvrParams};
 pub use svr::{Kernel, Svr, SvrModel, SvrParams};
-
-use serde::{Deserialize, Serialize};
 
 /// Errors produced by the learning substrate.
 #[derive(Debug, Clone, PartialEq)]
@@ -138,11 +139,12 @@ pub trait Learner {
     fn fit(&self, x: &Dataset, y: &[f64]) -> Result<TrainedModel, MlError>;
 }
 
-/// A concrete, serializable trained model (linear regression or SVR).
+/// A concrete trained model (linear regression or SVR).
 ///
 /// The paper *materializes* pre-built models so they are ready for future
-/// predictions (Section 1); a closed enum keeps that serialization simple.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// predictions (Section 1); a closed enum keeps [`TrainedModel::encode`]
+/// a tag byte and a body.
+#[derive(Debug, Clone)]
 pub enum TrainedModel {
     /// Ordinary least squares / ridge regression model.
     Linear(LinearModel),
@@ -197,11 +199,38 @@ impl TrainedModel {
             TrainedModel::Svr(m) => m.weights_finite(),
         }
     }
+
+    /// Appends the model to a snapshot payload: a tag byte, then the
+    /// variant's parameters with floats as their bits (see [`bytes`]).
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            TrainedModel::Linear(m) => {
+                out.push(0);
+                m.encode(out);
+            }
+            TrainedModel::Svr(m) => {
+                out.push(1);
+                m.encode(out);
+            }
+        }
+    }
+
+    /// Reads what [`TrainedModel::encode`] wrote. The bytes are outside
+    /// input: any shape is refused with [`bytes::Malformed`] rather than a
+    /// panic, but the values are not judged here
+    /// ([`TrainedModel::weights_finite`] does that).
+    pub fn decode(r: &mut bytes::Reader) -> Result<TrainedModel, bytes::Malformed> {
+        match r.u8()? {
+            0 => LinearModel::decode(r).map(TrainedModel::Linear),
+            1 => SvrModel::decode(r).map(TrainedModel::Svr),
+            _ => Err(bytes::Malformed("unknown model tag")),
+        }
+    }
 }
 
 /// The two learner configurations used by the paper: linear regression for
 /// operator-level models, SVR for plan-level models.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum LearnerKind {
     /// Ridge regression with the given regularization strength.
     Linear {
@@ -303,12 +332,16 @@ mod tests {
     }
 
     #[test]
-    fn trained_model_roundtrips_through_serde() {
+    fn trained_model_roundtrips_through_its_bytes() {
         let x = Dataset::from_rows(vec![vec![0.0], vec![1.0], vec![2.0]]);
         let y = [1.0, 3.0, 5.0];
         let m = LearnerKind::Linear { ridge: 0.0 }.fit(&x, &y).unwrap();
-        let json = serde_json::to_string(&m).unwrap();
-        let back: TrainedModel = serde_json::from_str(&json).unwrap();
-        assert!((back.predict(&[3.0]) - 7.0).abs() < 1e-6);
+        let mut bytes = Vec::new();
+        m.encode(&mut bytes);
+        let mut r = bytes::Reader::new(&bytes);
+        let back = TrainedModel::decode(&mut r).unwrap();
+        assert!(r.is_empty());
+        assert_eq!(back.predict(&[3.0]).to_bits(), m.predict(&[3.0]).to_bits());
+        assert!(TrainedModel::decode(&mut bytes::Reader::new(&[7])).is_err());
     }
 }

@@ -5,10 +5,10 @@
 //! ridge term through Cholesky factorization; if the system is still
 //! singular the ridge is escalated a few times before giving up.
 
+use crate::bytes::{put_f64, put_f64s, Malformed, Reader};
 use crate::dataset::Dataset;
 use crate::linalg::{dot, normal_equations};
 use crate::MlError;
-use serde::{Deserialize, Serialize};
 
 /// Ridge-regularized linear regression learner.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -106,7 +106,7 @@ fn usable_columns(x: &Dataset) -> Vec<usize> {
 }
 
 /// A fitted linear model `y = intercept + w · x`.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinearModel {
     /// Bias term.
     pub intercept: f64,
@@ -151,6 +151,18 @@ impl LinearModel {
     /// registry's snapshot validation gate.
     pub fn weights_finite(&self) -> bool {
         self.intercept.is_finite() && self.weights.iter().all(|w| w.is_finite())
+    }
+
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
+        put_f64(out, self.intercept);
+        put_f64s(out, &self.weights);
+    }
+
+    pub(crate) fn decode(r: &mut Reader) -> Result<LinearModel, Malformed> {
+        Ok(LinearModel {
+            intercept: r.f64()?,
+            weights: r.counted_f64s()?,
+        })
     }
 }
 

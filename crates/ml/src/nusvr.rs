@@ -19,10 +19,9 @@ use crate::linalg::{
 };
 use crate::svr::{DualState, Kernel, Prepared, SmoExit, SmoOutcome, SvrModel};
 use crate::MlError;
-use serde::{Deserialize, Serialize};
 
 /// Hyper-parameters for nu-SVR.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NuSvrParams {
     /// Box constraint; larger fits harder.
     pub c: f64,
@@ -361,8 +360,7 @@ mod tests {
         // non-empty. Note: the classical "ν lower-bounds the SV fraction"
         // statement counts raw α/α* activity — net coefficients
         // `β = α − α*` can cancel, so the dense model may store fewer.
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let mut rng = rng::StdRng::seed_from_u64(5);
         let rows: Vec<Vec<f64>> = (0..90).map(|_| vec![rng.gen_range(0.0..10.0)]).collect();
         let y: Vec<f64> = rows
             .iter()

@@ -4,15 +4,15 @@
 //! span many orders of magnitude (costs in the millions next to operator
 //! counts below ten), so features are standardized before training.
 
+use crate::bytes::{put_count, put_f64, Malformed, Reader};
 use crate::dataset::Dataset;
 use crate::stats;
-use serde::{Deserialize, Serialize};
 
 /// Per-column standardizer: `x' = (x - mean) / std`.
 ///
 /// Columns that are constant in the training data get `std = 1` so they map
 /// to zero rather than NaN.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StandardScaler {
     means: Vec<f64>,
     stds: Vec<f64>,
@@ -62,6 +62,22 @@ impl StandardScaler {
             && self.stds.iter().all(|s| s.is_finite() && *s != 0.0)
     }
 
+    /// Writes the column count once, then the means, then the stds.
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
+        put_count(out, self.means.len());
+        for &v in self.means.iter().chain(&self.stds) {
+            put_f64(out, v);
+        }
+    }
+
+    pub(crate) fn decode(r: &mut Reader) -> Result<StandardScaler, Malformed> {
+        let n = r.count(16)?;
+        Ok(StandardScaler {
+            means: r.f64s(n)?,
+            stds: r.f64s(n)?,
+        })
+    }
+
     /// Standardizes one row into the provided buffer.
     ///
     /// This sits on the prediction hot path (both the reference and the
@@ -80,7 +96,7 @@ impl StandardScaler {
 
 /// Standardizer for the target vector; used so SVR's epsilon-tube width is
 /// expressed in target standard deviations.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TargetScaler {
     mean: f64,
     std: f64,
@@ -110,6 +126,18 @@ impl TargetScaler {
     /// the snapshot finite-weights validation.
     pub fn is_finite(&self) -> bool {
         self.mean.is_finite() && self.std.is_finite() && self.std != 0.0
+    }
+
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
+        put_f64(out, self.mean);
+        put_f64(out, self.std);
+    }
+
+    pub(crate) fn decode(r: &mut Reader) -> Result<TargetScaler, Malformed> {
+        Ok(TargetScaler {
+            mean: r.f64()?,
+            std: r.f64()?,
+        })
     }
 
     /// Magnitude of the inverse transform's slope. A perturbation of `e`

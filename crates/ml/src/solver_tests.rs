@@ -312,7 +312,7 @@ where
 }
 
 /// The benchmark fixture's training log (`crates/e2e`: `DATA_SEED` 42,
-/// sf 0.1, 7 templates × 20 queries, offline-stub RNG), as
+/// sf 0.1, 7 templates × 20 queries, drawn through `rng::StdRng`), as
 /// `PlanLevelModel::train` sees it: the plan-level design matrix, the
 /// latency target and each row's stratified test fold (`seed` 42).
 const PLAN_LOG: &str = include_str!("../testdata/plan_log_seed42.csv");

@@ -12,14 +12,14 @@
 //! so `epsilon` is expressed in target standard deviations and the default
 //! RBF `gamma` of `1 / n_features` is meaningful.
 
+use crate::bytes::{put_f64, put_f64s, Malformed, Reader};
 use crate::dataset::Dataset;
 use crate::linalg::{scan_second_order, scan_violating, second_order_quad, ScanResult};
 use crate::scaler::{StandardScaler, TargetScaler};
 use crate::MlError;
-use serde::{Deserialize, Serialize};
 
 /// Kernel functions for SVR.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Kernel {
     /// Dot-product kernel (linear SVR).
     Linear,
@@ -31,6 +31,24 @@ pub enum Kernel {
 }
 
 impl Kernel {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match *self {
+            Kernel::Linear => out.push(0),
+            Kernel::Rbf { gamma } => {
+                out.push(1);
+                put_f64(out, gamma);
+            }
+        }
+    }
+
+    fn decode(r: &mut Reader) -> Result<Kernel, Malformed> {
+        match r.u8()? {
+            0 => Ok(Kernel::Linear),
+            1 => Ok(Kernel::Rbf { gamma: r.f64()? }),
+            _ => Err(Malformed("unknown kernel tag")),
+        }
+    }
+
     pub(crate) fn eval(&self, a: &[f64], b: &[f64], resolved_gamma: f64) -> f64 {
         match self {
             Kernel::Linear => sum_over_pairs(a, b, |x, y| x * y),
@@ -52,7 +70,7 @@ fn sum_over_pairs(a: &[f64], b: &[f64], term: impl Fn(f64, f64) -> f64) -> f64 {
 }
 
 /// Hyper-parameters for epsilon-SVR.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SvrParams {
     /// Box constraint (regularization/cost); larger fits harder.
     pub c: f64,
@@ -482,7 +500,7 @@ pub(crate) fn smo_solve(
 }
 
 /// A fitted SVR model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SvrModel {
     pub(crate) kernel: Kernel,
     pub(crate) gamma: f64,
@@ -499,7 +517,7 @@ impl SvrModel {
     /// snapshot deserialization are the production paths; this exists so
     /// tests and benches can hand-build models with arbitrary
     /// support-vector counts, arities, and coefficient patterns (the
-    /// compiled-path bit-identity proptests sweep shapes a fit would
+    /// compiled-path bit-identity property tests sweep shapes a fit would
     /// rarely produce). Support vectors are taken as already living in
     /// scaled space, like a fitted model's.
     #[allow(clippy::too_many_arguments)]
@@ -608,6 +626,49 @@ impl SvrModel {
                 .all(|sv| sv.iter().all(|v| v.is_finite()))
             && self.x_scaler.is_finite()
             && self.y_scaler.is_finite()
+    }
+
+    /// Appends every learned parameter, floats as their bits: two fits
+    /// encode to equal bytes exactly when they are the same model. The
+    /// feature count travels once, in the scaler, and the support-vector
+    /// count once, with the coefficients, so the shapes a decoded model
+    /// relies on cannot disagree.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        self.kernel.encode(out);
+        put_f64(out, self.gamma);
+        put_f64(out, self.bias);
+        self.x_scaler.encode(out);
+        self.y_scaler.encode(out);
+        put_f64s(out, &self.coefficients);
+        for sv in &self.support_vectors {
+            for &v in sv {
+                put_f64(out, v);
+            }
+        }
+    }
+
+    /// Reads what [`SvrModel::encode`] wrote.
+    pub fn decode(r: &mut Reader) -> Result<SvrModel, Malformed> {
+        let kernel = Kernel::decode(r)?;
+        let gamma = r.f64()?;
+        let bias = r.f64()?;
+        let x_scaler = StandardScaler::decode(r)?;
+        let y_scaler = TargetScaler::decode(r)?;
+        let coefficients = r.counted_f64s()?;
+        let n_features = x_scaler.n_cols();
+        let support_vectors = (0..coefficients.len())
+            .map(|_| r.f64s(n_features))
+            .collect::<Result<_, _>>()?;
+        Ok(SvrModel {
+            kernel,
+            gamma,
+            support_vectors,
+            coefficients,
+            bias,
+            x_scaler,
+            y_scaler,
+            n_features,
+        })
     }
 }
 
@@ -745,12 +806,20 @@ mod tests {
     }
 
     #[test]
-    fn model_roundtrips_through_serde() {
+    fn model_roundtrips_through_its_bytes() {
         let (x, y) = grid_2d();
         let m = Svr::new(SvrParams::default()).fit(&x, &y).unwrap();
-        let json = serde_json::to_string(&m).unwrap();
-        let back: SvrModel = serde_json::from_str(&json).unwrap();
+        let mut bytes = Vec::new();
+        m.encode(&mut bytes);
+        let back = SvrModel::decode(&mut Reader::new(&bytes)).unwrap();
+        let mut again = Vec::new();
+        back.encode(&mut again);
+        assert_eq!(again, bytes);
         let r = x.row(42);
-        assert!((m.predict(r) - back.predict(r)).abs() < 1e-12);
+        assert_eq!(m.predict(r).to_bits(), back.predict(r).to_bits());
+        // A torn write stops at a bounds check, not at an index.
+        for cut in [0, 1, bytes.len() / 2, bytes.len() - 1] {
+            assert!(SvrModel::decode(&mut Reader::new(&bytes[..cut])).is_err());
+        }
     }
 }

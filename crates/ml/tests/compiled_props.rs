@@ -10,27 +10,25 @@
 //!   (`SvrModel::predict`) to summation-reordering rounding, bounded by
 //!   the condition of the kernel sum (`SvrModel::sum_magnitude`).
 
-// Offline builds may substitute an inert `proptest` whose macro bodies
-// compile away, which strands some imports and helpers as "unused".
-#![allow(dead_code, unused_imports)]
-
 use ml::compiled::PredictScratch;
 use ml::svr::Kernel;
 use ml::{Dataset, MlError, Svr, SvrParams, TrainedModel};
-use proptest::prelude::*;
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn compiled_contracts_hold_for_fitted_models(
-        rows in proptest::collection::vec(
-            proptest::collection::vec(-10.0f64..10.0, 1..10), 6..24),
-        gamma in 0.01f64..2.0,
-        linear in any::<bool>(),
-        probe_scale in 1.0f64..50.0,
-    ) {
-        let kernel = if linear { Kernel::Linear } else { Kernel::Rbf { gamma } };
+#[test]
+fn compiled_contracts_hold_for_fitted_models() {
+    rng::cases(32, |rng| {
+        let n_cols = rng.gen_range(1usize..10);
+        let rows: Vec<Vec<f64>> = (0..rng.gen_range(6usize..24))
+            .map(|_| (0..n_cols).map(|_| rng.gen_range(-10.0f64..10.0)).collect())
+            .collect();
+        let gamma = rng.gen_range(0.01f64..2.0);
+        let linear = rng.gen_bool(0.5);
+        let probe_scale = rng.gen_range(1.0f64..50.0);
+        let kernel = if linear {
+            Kernel::Linear
+        } else {
+            Kernel::Rbf { gamma }
+        };
         // A mildly nonlinear target so the fit keeps plenty of SVs.
         let y: Vec<f64> = rows
             .iter()
@@ -50,11 +48,11 @@ proptest! {
             Ok(m) => m,
             // Non-convergence on an adversarial draw is not this test's
             // concern; the learner-level fallback covers it.
-            Err(MlError::DidNotConverge { .. }) => return Ok(()),
+            Err(MlError::DidNotConverge { .. }) => return,
             Err(e) => panic!("fit failed: {e}"),
         };
         let compiled = model.compile();
-        prop_assert!(compiled.n_support_vectors() <= rows.len());
+        assert!(compiled.n_support_vectors() <= rows.len());
 
         // Training rows plus probes well outside the training region
         // (extrapolation must not change the contracts).
@@ -67,15 +65,18 @@ proptest! {
             let reference = model.predict(row);
             // The dispatched lane tree equals the forced scalar tree.
             let tree = compiled.predict_into(row, &mut scratch);
-            prop_assert_eq!(
+            assert_eq!(
                 tree.to_bits(),
                 compiled.predict_into_scalar(row, &mut scratch).to_bits()
             );
             // And stays within reordering rounding of the reference.
             let tol = 1e-12 * (1.0 + model.sum_magnitude(row));
-            prop_assert!(
+            assert!(
                 (reference - tree).abs() <= tol,
-                "|{} - {}| > {}", reference, tree, tol
+                "|{} - {}| > {}",
+                reference,
+                tree,
+                tol
             );
         }
 
@@ -87,23 +88,29 @@ proptest! {
         let mut out = Vec::new();
         compiled.predict_batch_into(&probes, &mut out, &mut scratch);
         let into_bits: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
-        prop_assert_eq!(&loop_bits, &into_bits);
+        assert_eq!(&loop_bits, &into_bits);
 
         // The TrainedModel wrapper dispatches to the same compiled code.
         let wrapped = TrainedModel::Svr(model);
         let wrapped_compiled = wrapped.compile();
         for (row, &bits) in probes.iter().zip(&loop_bits) {
-            prop_assert_eq!(wrapped_compiled.predict_into(row, &mut scratch).to_bits(), bits);
+            assert_eq!(
+                wrapped_compiled.predict_into(row, &mut scratch).to_bits(),
+                bits
+            );
         }
         wrapped_compiled.predict_batch_into(&probes, &mut out, &mut scratch);
         let wrapped_bits: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
-        prop_assert_eq!(&loop_bits, &wrapped_bits);
+        assert_eq!(&loop_bits, &wrapped_bits);
 
         // Checked prediction rejects wrong arity instead of panicking.
         let bad = vec![0.0; x.n_cols() + 1];
-        prop_assert_eq!(
+        assert_eq!(
             wrapped.try_predict(&bad),
-            Err(MlError::ShapeMismatch { expected: x.n_cols(), got: x.n_cols() + 1 })
+            Err(MlError::ShapeMismatch {
+                expected: x.n_cols(),
+                got: x.n_cols() + 1
+            })
         );
-    }
+    });
 }

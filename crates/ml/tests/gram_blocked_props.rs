@@ -10,20 +10,11 @@
 //! alike), and at every thread count — the build walks fixed 64-row tiles
 //! and 64-row mirror bands on the calling thread and never asks how many
 //! threads there are; the sweep keeps it so.
-//!
-//! The same properties run twice: a deterministic seed-grid sweep (always
-//! on), and proptest shrink-capable versions over the same generator —
-//! mirroring `tests/simd_props.rs`.
-
-// Offline builds may substitute an inert `proptest` whose macro bodies
-// compile away, which strands some imports and helpers as "unused".
-#![allow(dead_code, unused_imports)]
 
 use ml::gram::{compute_gram, compute_gram_blocked};
 use ml::svr::Kernel;
 use ml::Dataset;
-use proptest::prelude::*;
-use rand::{rngs::StdRng, Rng, SeedableRng};
+use rng::StdRng;
 use std::sync::{Mutex, MutexGuard};
 
 /// The force-scalar override and the worker count are process globals;
@@ -90,11 +81,11 @@ fn assert_blocked_matches_direct_at(
     }
 }
 
-/// Deterministic sweep: row counts around the lane (8) boundary and the
-/// first two tile and mirror-band (64) edges × several arities, kernels,
-/// and seeds. Runs in full in every environment.
+/// First a grid: row counts around the lane (8) boundary and the first
+/// two tile and mirror-band (64) edges × several arities, kernels and
+/// seeds. Then shapes, seeds, kernels and gammas drawn at random.
 #[test]
-fn blocked_gram_identity_seed_grid() {
+fn blocked_gram_equals_direct_exactly() {
     for &l in &[1usize, 2, 7, 8, 9, 16, 63, 64, 65, 127, 128, 129, 130] {
         for &d in &[1usize, 2, 5, 8, 13] {
             for seed in 0..2u64 {
@@ -104,6 +95,21 @@ fn blocked_gram_identity_seed_grid() {
             }
         }
     }
+    rng::cases(96, |rng| {
+        let xs = random_rows(
+            rng.gen_range(1usize..80),
+            rng.gen_range(1usize..12),
+            rng.next_u64(),
+        );
+        let linear = rng.gen_bool(0.5);
+        let gamma = rng.gen_range(0.001f64..3.0);
+        let kernel = if linear {
+            Kernel::Linear
+        } else {
+            Kernel::Rbf { gamma }
+        };
+        assert_blocked_matches_direct(&xs, kernel, gamma);
+    });
 }
 
 /// Zero cells: `0.0 * -3.0` is `-0.0`, and a dot product of nothing but
@@ -166,22 +172,5 @@ fn blocked_gram_handles_duplicate_rows_and_symmetry() {
                 assert_eq!(g[i * l + j].to_bits(), g[j * l + i].to_bits());
             }
         }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    #[test]
-    fn blocked_gram_equals_direct_exactly(
-        l in 1usize..80,
-        d in 1usize..12,
-        seed in any::<u64>(),
-        linear in any::<bool>(),
-        gamma in 0.001f64..3.0,
-    ) {
-        let xs = random_rows(l, d, seed);
-        let kernel = if linear { Kernel::Linear } else { Kernel::Rbf { gamma } };
-        assert_blocked_matches_direct(&xs, kernel, gamma);
     }
 }

@@ -9,19 +9,11 @@
 //! an equal copy, the same rows with two signs flipped (which the FNV key
 //! of the cache this replaced could not tell apart), with one column
 //! negated, with one cell moved by one ulp, and with the last row missing.
-//!
-//! The same property runs twice: a deterministic seed sweep (always on)
-//! and a proptest version over the same generator.
-
-// Offline builds may substitute an inert `proptest` whose macro bodies
-// compile away, which strands these imports and helpers as "unused".
-#![allow(dead_code, unused_imports)]
 
 use ml::gram::{compute_gram, GramCache, GramCacheStats};
 use ml::svr::Kernel;
 use ml::Dataset;
-use proptest::prelude::*;
-use rand::{rngs::StdRng, Rng, SeedableRng};
+use rng::StdRng;
 
 /// Gammas a look-up chooses from; few, so that repeats occur.
 const GAMMAS: [f64; 2] = [0.3, 1.1];
@@ -127,25 +119,37 @@ fn check_sequence(pool: &[Dataset; POOL], lookups: &[Lookup]) {
     assert_eq!(want.hits + want.misses, lookups.len());
 }
 
-/// Deterministic sweep: shapes around the lane width, and sequences long
-/// enough that every pool member follows every other.
+/// `len` look-ups over the pool, one in `linear_one_in` of them linear.
+fn lookups(rng: &mut StdRng, len: usize, linear_one_in: u32) -> Vec<Lookup> {
+    (0..len)
+        .map(|_| {
+            (
+                rng.gen_range(0..POOL),
+                rng.gen_range(0..linear_one_in) == 0,
+                rng.gen_range(0..GAMMAS.len()),
+            )
+        })
+        .collect()
+}
+
+/// First a grid of shapes around the lane width, with sequences long
+/// enough that every pool member follows every other; then shapes, seeds
+/// and sequences drawn at random.
 #[test]
-fn leased_gram_is_the_callers_own_seed_grid() {
+fn leased_gram_is_the_callers_own() {
     for &(l, d) in &[(1usize, 1usize), (2, 2), (7, 3), (8, 4), (9, 1), (23, 4)] {
         for seed in 0..3u64 {
             let mut rng = StdRng::seed_from_u64(seed ^ ((l as u64) << 8));
-            let lookups: Vec<Lookup> = (0..96)
-                .map(|_| {
-                    (
-                        rng.gen_range(0..POOL),
-                        rng.gen_range(0..4) == 0,
-                        rng.gen_range(0..GAMMAS.len()),
-                    )
-                })
-                .collect();
-            check_sequence(&pool(l, d, seed), &lookups);
+            check_sequence(&pool(l, d, seed), &lookups(&mut rng, 96, 4));
         }
     }
+    rng::cases(48, |rng| {
+        let l = rng.gen_range(1usize..24);
+        let d = rng.gen_range(1usize..5);
+        let seed = rng.next_u64();
+        let len = rng.gen_range(1usize..24);
+        check_sequence(&pool(l, d, seed), &lookups(rng, len, 2));
+    });
 }
 
 /// The first and last pool members are equal copies in different
@@ -169,19 +173,4 @@ fn an_equal_copy_hits_and_every_near_copy_misses() {
             misses: 1 + 2 * (POOL - 2)
         }
     );
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn leased_gram_is_the_callers_own(
-        l in 1usize..24,
-        d in 1usize..5,
-        seed in any::<u64>(),
-        lookups in proptest::collection::vec(
-            (0usize..POOL, any::<bool>(), 0usize..GAMMAS.len()), 1..24),
-    ) {
-        check_sequence(&pool(l, d, seed), &lookups);
-    }
 }

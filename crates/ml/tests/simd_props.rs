@@ -12,22 +12,16 @@
 //! which must reproduce the single-row bits whatever block or tail
 //! position a row lands in.
 //!
-//! The same properties run twice: a deterministic seed-grid sweep (always
-//! on), and proptest shrink-capable versions over the same generator.
+//! Each property runs a deterministic grid, then shapes drawn at random.
 //! On hosts without AVX2 (or with `--features force-scalar`)
 //! `predict_into_simd` returns `None` and the properties degenerate to
 //! scalar-vs-dispatched identity, which must hold everywhere.
-
-// Offline builds may substitute an inert `proptest` whose macro bodies
-// compile away, which strands some imports and helpers as "unused".
-#![allow(dead_code, unused_imports)]
 
 use ml::compiled::PredictScratch;
 use ml::scaler::{StandardScaler, TargetScaler};
 use ml::svr::{Kernel, SvrModel};
 use ml::Dataset;
-use proptest::prelude::*;
-use rand::{rngs::StdRng, Rng, SeedableRng};
+use rng::StdRng;
 
 /// Raw parts of a hand-built model, kept so the pruning property can
 /// assemble a pre-pruned variant of the same model.
@@ -82,8 +76,8 @@ impl RawModel {
 
 /// Hand-builds a model plus probe rows from scalar draws. `d` and `n_sv`
 /// choose the shape; everything else comes from the seeded generator so
-/// the construction stays deterministic (and stub-friendly) while still
-/// covering extreme values.
+/// the construction stays deterministic while still covering extreme
+/// values.
 fn build_model(d: usize, n_sv: usize, seed: u64, linear: bool) -> (RawModel, Vec<Vec<f64>>) {
     let mut rng = StdRng::seed_from_u64(seed);
     let gamma = rng.gen_range(0.001..3.0);
@@ -192,12 +186,18 @@ fn assert_pruning_invariant(raw: &RawModel, probes: &[Vec<f64>]) {
     assert_eq!(full_bits, pruned_bits, "pruning changed prediction bits");
 }
 
-/// Deterministic sweep: arities below, at and above the lane width ×
-/// SV counts around lane-block boundaries × several seeds. Runs in full
-/// in every environment (the proptest versions below add shrinking when
-/// the real proptest crate is present).
+/// A shape, seed and kernel of the random sweeps.
+fn any_model(rng: &mut StdRng) -> (RawModel, Vec<Vec<f64>>) {
+    let d = rng.gen_range(1usize..14);
+    let n_sv = rng.gen_range(0usize..41);
+    let seed = rng.next_u64();
+    build_model(d, n_sv, seed, rng.gen_bool(0.5))
+}
+
+/// Arities below, at and above the lane width × SV counts around
+/// lane-block boundaries × several seeds, then random shapes.
 #[test]
-fn simd_scalar_identity_seed_grid() {
+fn simd_equals_scalar_tree_exactly() {
     for &d in &[1usize, 2, 3, 5, 6, 7, 8, 9, 12, 13] {
         for &n_sv in &[0usize, 1, 3, 7, 8, 9, 15, 16, 17, 40] {
             for seed in 0..4u64 {
@@ -208,10 +208,14 @@ fn simd_scalar_identity_seed_grid() {
             }
         }
     }
+    rng::cases(192, |rng| {
+        let (raw, probes) = any_model(rng);
+        assert_paths_identical(&raw.build(), &probes);
+    });
 }
 
 #[test]
-fn pruning_invariance_seed_grid() {
+fn pruning_zero_coefficients_never_changes_bits() {
     for &d in &[1usize, 3, 6, 8, 11] {
         for &n_sv in &[0usize, 5, 8, 13, 24] {
             for seed in 100..103u64 {
@@ -222,30 +226,8 @@ fn pruning_invariance_seed_grid() {
             }
         }
     }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(192))]
-
-    #[test]
-    fn simd_equals_scalar_tree_exactly(
-        d in 1usize..14,
-        n_sv in 0usize..41,
-        seed in any::<u64>(),
-        linear in any::<bool>(),
-    ) {
-        let (raw, probes) = build_model(d, n_sv, seed, linear);
-        assert_paths_identical(&raw.build(), &probes);
-    }
-
-    #[test]
-    fn pruning_zero_coefficients_never_changes_bits(
-        d in 1usize..14,
-        n_sv in 0usize..41,
-        seed in any::<u64>(),
-        linear in any::<bool>(),
-    ) {
-        let (raw, probes) = build_model(d, n_sv, seed, linear);
+    rng::cases(192, |rng| {
+        let (raw, probes) = any_model(rng);
         assert_pruning_invariant(&raw, &probes);
-    }
+    });
 }

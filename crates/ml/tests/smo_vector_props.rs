@@ -7,23 +7,16 @@
 //! — the same support vectors, the same alphas (dual coefficients), the
 //! same bias — whichever path executes: AVX2 or scalar (runtime
 //! `set_force_scalar` toggle and the `force-scalar` feature alike), one
-//! thread or many. Models are compared through their serde serialization,
-//! which round-trips every `f64` exactly (including `-0.0`), so string
-//! equality is value-bit equality across all learned parameters.
+//! thread or many. Models are compared through `SvrModel::encode`, which
+//! writes every `f64` as its bits (`-0.0` included), so byte equality is
+//! value-bit equality across all learned parameters.
 //!
-//! A deterministic seed grid (always on) plus proptest shrink-capable
-//! sweeps, mirroring `tests/simd_props.rs`; data comes from closed-form
-//! deterministic generators, not an RNG, so the cases are identical in
-//! every environment.
-
-// Offline builds may substitute an inert `proptest` whose macro bodies
-// compile away, which strands some imports and helpers as "unused".
-#![allow(dead_code, unused_imports)]
+//! Data comes from closed-form generators; only the shapes of the random
+//! sweep are drawn.
 
 use ml::nusvr::{NuSvr, NuSvrParams};
 use ml::svr::{Kernel, Svr, SvrParams};
 use ml::Dataset;
-use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard};
 
 /// The force-scalar override and the worker count are process globals;
@@ -87,16 +80,18 @@ fn nu_params(kernel: Kernel) -> NuSvrParams {
     }
 }
 
-/// Serializes a fit so equality covers every learned parameter: support
+/// Encodes a fit so equality covers every learned parameter: support
 /// vectors, dual coefficients, bias, kernel, and scalers.
-fn fit_json(x: &Dataset, y: &[f64], kernel: Kernel, nu: bool) -> String {
+fn fit_bytes(x: &Dataset, y: &[f64], kernel: Kernel, nu: bool) -> Vec<u8> {
     let model = if nu {
         NuSvr::new(nu_params(kernel)).fit(x, y)
     } else {
         Svr::new(svr_params(kernel)).fit(x, y)
     }
     .expect("fit must converge on the deterministic grid data");
-    serde_json::to_string(&model).expect("svr models serialize")
+    let mut bytes = Vec::new();
+    model.encode(&mut bytes);
+    bytes
 }
 
 /// Core property: for both solvers and both kernels, every
@@ -108,14 +103,15 @@ fn assert_fit_config_invariant(l: usize, d: usize, seed: u64, kernel: Kernel) {
     for nu in [false, true] {
         ml::par::set_threads(1);
         ml::linalg::set_force_scalar(true);
-        let reference = fit_json(&x, &y, kernel, nu);
+        let reference = fit_bytes(&x, &y, kernel, nu);
         for threads in [1usize, 2, 4] {
             for scalar in [false, true] {
                 ml::par::set_threads(threads);
                 ml::linalg::set_force_scalar(scalar);
-                let got = fit_json(&x, &y, kernel, nu);
+                let got = fit_bytes(&x, &y, kernel, nu);
                 assert_eq!(
-                    got, reference,
+                    got,
+                    reference,
                     "{} fit diverged from the scalar reference for {kernel:?} \
                      l={l} d={d} threads={threads} force_scalar={scalar}",
                     if nu { "nu-SVR" } else { "epsilon-SVR" },
@@ -125,16 +121,27 @@ fn assert_fit_config_invariant(l: usize, d: usize, seed: u64, kernel: Kernel) {
     }
 }
 
-/// Deterministic sweep: row counts spanning the gram tile boundary (64)
-/// × arities × kernels.
+/// First a grid of row counts spanning the gram tile boundary (64) ×
+/// arities × kernels, then shapes drawn at random.
 #[test]
-fn smo_fit_identity_seed_grid() {
+fn smo_fit_identical_for_any_shape() {
     for &(l, d) in &[(12usize, 2usize), (30, 3), (65, 1), (90, 4)] {
         for seed in 0..2u64 {
             assert_fit_config_invariant(l, d, seed, Kernel::Linear);
             assert_fit_config_invariant(l, d, seed, Kernel::Rbf { gamma: 0.0 });
         }
     }
+    rng::cases(12, |rng| {
+        let l = rng.gen_range(8usize..70);
+        let d = rng.gen_range(1usize..5);
+        let seed = rng.next_u64();
+        let kernel = if rng.gen_bool(0.5) {
+            Kernel::Linear
+        } else {
+            Kernel::Rbf { gamma: 0.0 }
+        };
+        assert_fit_config_invariant(l, d, seed, kernel);
+    });
 }
 
 /// Solver-sized fits scan a few hundred elements; the primitive is swept
@@ -159,20 +166,5 @@ fn large_scan_matches_the_sequential_rule() {
                 "scan diverged (flipped={flipped} force_scalar={scalar})"
             );
         }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    fn smo_fit_identical_for_any_shape(
-        l in 8usize..70,
-        d in 1usize..5,
-        seed in any::<u64>(),
-        linear in any::<bool>(),
-    ) {
-        let kernel = if linear { Kernel::Linear } else { Kernel::Rbf { gamma: 0.0 } };
-        assert_fit_config_invariant(l, d, seed, kernel);
     }
 }

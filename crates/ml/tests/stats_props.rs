@@ -3,37 +3,39 @@
 //! two-pass mean/variance computation within 1e-9, and the rolling window
 //! must always equal the mean of the last `cap` values.
 
-// Offline builds may substitute an inert `proptest` whose macro bodies
-// compile away, which strands these imports and helpers as "unused".
-#![allow(dead_code, unused_imports)]
-
 use ml::stats::{mean, variance, RollingWindow, Welford};
-use proptest::prelude::*;
+use rng::StdRng;
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
+const CASES: u64 = 96;
 
-    #[test]
-    fn welford_matches_two_pass_within_1e9(
-        xs in proptest::collection::vec(-1e6f64..1e6, 0..256),
-    ) {
+fn floats(rng: &mut StdRng, len: std::ops::Range<usize>, bound: f64) -> Vec<f64> {
+    (0..rng.gen_range(len))
+        .map(|_| rng.gen_range(-bound..bound))
+        .collect()
+}
+
+#[test]
+fn welford_matches_two_pass_within_1e9() {
+    rng::cases(CASES, |rng| {
+        let xs = floats(rng, 0..256, 1e6);
         let mut w = Welford::new();
         for &x in &xs {
             w.push(x);
         }
-        prop_assert_eq!(w.count(), xs.len() as u64);
+        assert_eq!(w.count(), xs.len() as u64);
         // Tolerance scales with the data's magnitude: Welford is stable,
         // but both sides carry round-off proportional to the values.
         let scale = xs.iter().fold(1.0f64, |a, x| a.max(x.abs()));
-        prop_assert!((w.mean() - mean(&xs)).abs() <= 1e-9 * scale);
-        prop_assert!((w.variance() - variance(&xs)).abs() <= 1e-9 * scale * scale);
-    }
+        assert!((w.mean() - mean(&xs)).abs() <= 1e-9 * scale);
+        assert!((w.variance() - variance(&xs)).abs() <= 1e-9 * scale * scale);
+    });
+}
 
-    #[test]
-    fn welford_merge_matches_sequential(
-        xs in proptest::collection::vec(-1e4f64..1e4, 2..128),
-        split_frac in 0.0f64..1.0,
-    ) {
+#[test]
+fn welford_merge_matches_sequential() {
+    rng::cases(CASES, |rng| {
+        let xs = floats(rng, 2..128, 1e4);
+        let split_frac = rng.gen_range(0.0f64..1.0);
         let split = ((xs.len() as f64 * split_frac) as usize).min(xs.len());
         let mut all = Welford::new();
         for &x in &xs {
@@ -49,25 +51,26 @@ proptest! {
         }
         left.merge(&right);
         let scale = xs.iter().fold(1.0f64, |a, x| a.max(x.abs()));
-        prop_assert_eq!(left.count(), all.count());
-        prop_assert!((left.mean() - all.mean()).abs() <= 1e-9 * scale);
-        prop_assert!((left.variance() - all.variance()).abs() <= 1e-9 * scale * scale);
-    }
+        assert_eq!(left.count(), all.count());
+        assert!((left.mean() - all.mean()).abs() <= 1e-9 * scale);
+        assert!((left.variance() - all.variance()).abs() <= 1e-9 * scale * scale);
+    });
+}
 
-    #[test]
-    fn rolling_window_mean_matches_tail(
-        xs in proptest::collection::vec(-1e6f64..1e6, 1..128),
-        cap in 1usize..32,
-    ) {
+#[test]
+fn rolling_window_mean_matches_tail() {
+    rng::cases(CASES, |rng| {
+        let xs = floats(rng, 1..128, 1e6);
+        let cap = rng.gen_range(1usize..32);
         let mut w = RollingWindow::new(cap);
         for &x in &xs {
             w.push(x);
         }
         let tail_start = xs.len().saturating_sub(cap);
         let tail = &xs[tail_start..];
-        prop_assert_eq!(w.len(), tail.len());
-        prop_assert!(w.is_full() == (xs.len() >= cap));
+        assert_eq!(w.len(), tail.len());
+        assert!(w.is_full() == (xs.len() >= cap));
         let scale = tail.iter().fold(1.0f64, |a, x| a.max(x.abs()));
-        prop_assert!((w.mean() - mean(tail)).abs() <= 1e-9 * scale);
-    }
+        assert!((w.mean() - mean(tail)).abs() <= 1e-9 * scale);
+    });
 }

@@ -8,16 +8,8 @@
 //! (first occurrence wins), signed zeros, an empty candidate set and the
 //! `1e-12` curvature clamp of `second_order_quad`. The definition is
 //! restated here as a naive loop and both dispatch paths are held to it.
-//!
-//! A deterministic seed grid (always on) plus proptest twins, mirroring
-//! `tests/smo_vector_props.rs`.
-
-// Offline builds may substitute an inert `proptest` whose macro bodies
-// compile away, which strands some imports and helpers as "unused".
-#![allow(dead_code, unused_imports)]
 
 use ml::linalg::{scan_second_order, second_order_quad, SecondOrderPick};
-use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard};
 
 /// The force-scalar override is a process global; tests that flip it
@@ -102,8 +94,10 @@ fn state(n: usize, seed: u64, c: f64) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
     (a, g, quad)
 }
 
+/// First a grid of lengths around the lane width against several
+/// `g_max`, then lengths and seeds drawn at random.
 #[test]
-fn scan_paths_agree_on_the_seed_grid() {
+fn scan_paths_agree_for_any_seed() {
     let c = 10.0;
     for n in [0usize, 1, 3, 4, 5, 7, 8, 9, 16, 31, 33, 100, 112, 257] {
         for seed in 0..6u64 {
@@ -113,6 +107,32 @@ fn scan_paths_agree_on_the_seed_grid() {
             }
         }
     }
+    rng::cases(64, |rng| {
+        let n = rng.gen_range(0usize..300);
+        let (a, g, quad) = state(n, rng.next_u64() % 1000, c);
+        assert_paths_agree(&a, &g, &quad, c, 1.0);
+    });
+}
+
+/// Values drawn from small sets so that exact ties, bound alphas and
+/// zero differences are common rather than measure-zero.
+#[test]
+fn scan_paths_agree_for_any_state() {
+    rng::cases(64, |rng| {
+        let c = 2.0;
+        let n = rng.gen_range(0usize..80);
+        let a: Vec<f64> = (0..n)
+            .map(|_| [0.0, c, 0.5, 1.0, 1e-16][rng.gen_range(0usize..5)])
+            .collect();
+        let g: Vec<f64> = (0..n)
+            .map(|_| rng.gen_range(-4i32..5) as f64 * 0.5)
+            .collect();
+        let quad: Vec<f64> = (0..n)
+            .map(|_| [1e-12, 0.5, 1.0, 4.0][rng.gen_range(0usize..4)])
+            .collect();
+        let g_max = rng.gen_range(-4i32..6) as f64 * 0.5;
+        assert_paths_agree(&a, &g, &quad, c, g_max);
+    });
 }
 
 #[test]
@@ -216,28 +236,4 @@ fn merge_keeps_the_earlier_block_on_ties() {
     assert_eq!((first.j, first.obj_min), (11, -2.5));
     first.merge_later(SecondOrderPick::empty(), 20);
     assert_eq!(first.j, 11);
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Values drawn from small sets so that exact ties, bound alphas and
-    /// zero differences are common rather than measure-zero.
-    #[test]
-    fn scan_paths_agree_for_any_state(
-        cells in prop::collection::vec((0usize..5, -4i32..5, 0usize..4), 0..80),
-        g_max_step in -4i32..6,
-    ) {
-        let c = 2.0;
-        let a: Vec<f64> = cells.iter().map(|&(k, _, _)| [0.0, c, 0.5, 1.0, 1e-16][k]).collect();
-        let g: Vec<f64> = cells.iter().map(|&(_, s, _)| s as f64 * 0.5).collect();
-        let quad: Vec<f64> = cells.iter().map(|&(_, _, q)| [1e-12, 0.5, 1.0, 4.0][q]).collect();
-        assert_paths_agree(&a, &g, &quad, c, g_max_step as f64 * 0.5);
-    }
-
-    #[test]
-    fn scan_paths_agree_for_any_seed(n in 0usize..300, seed in any::<u64>()) {
-        let (a, g, quad) = state(n, seed % 1000, 10.0);
-        assert_paths_agree(&a, &g, &quad, 10.0, 1.0);
-    }
 }

@@ -115,7 +115,7 @@ struct WfqInner<T> {
 /// lane with the smallest virtual time is drained up to the batch limit,
 /// and its vtime is charged `items / weight`, which makes long-run service
 /// proportional to weight for continuously backlogged lanes (the classic
-/// virtual-time WFQ argument; the proptests in `tenant_props.rs` pin the
+/// virtual-time WFQ argument; the properties in `tenant_props.rs` pin the
 /// `batch / min_weight` fairness bound exactly).
 ///
 /// Lanes can be added ([`WeightedFairQueue::add_tenant`]) and removed
@@ -249,7 +249,7 @@ impl<T> WeightedFairQueue<T> {
 
     /// Non-blocking weighted-fair pop; `None` when every lane is empty.
     /// Same selection and vtime accounting as
-    /// [`WeightedFairQueue::pop_blocking_batch`] — the proptests drive
+    /// [`WeightedFairQueue::pop_blocking_batch`] — the property tests drive
     /// this entry point in virtual time.
     pub fn try_pop_batch(&self, max_batch: usize) -> Option<(usize, Vec<T>)> {
         let mut inner = self.inner.lock().unwrap();

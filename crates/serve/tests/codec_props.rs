@@ -3,12 +3,7 @@
 //! identity (`encode(decode(bytes)) == bytes`), responses and error
 //! frames via full value equality — and the decode-never-panics
 //! guarantee over arbitrary byte strings and single-byte mutations of
-//! valid frames. Seeded plain-`#[test]` twins of each property run even
-//! where the proptest harness is stubbed out.
-
-// Offline builds may substitute an inert `proptest` whose macro bodies
-// compile away, which strands these imports and helpers as "unused".
-#![allow(dead_code, unused_imports)]
+//! valid frames.
 
 use engine::catalog::Catalog;
 use engine::faults::ExecError;
@@ -16,16 +11,15 @@ use engine::planner::Planner;
 use engine::recost::recost_truth;
 use engine::sim::Simulator;
 use ml::MlError;
-use proptest::prelude::*;
 use qpp::{ExecutedQuery, Method, PlanOrdering, Prediction, QppError, ALL_TIERS};
-use rand::prelude::*;
+use rng::StdRng;
 use serve::{ErrorFrame, Frame, Request, Response, DEFAULT_MAX_FRAME};
 use std::sync::OnceLock;
 use tpch::templates;
 
 /// A small pool of real executed queries, one per supported template,
 /// built once: request payload variety comes from the pool index and the
-/// proptest-drawn envelope fields layered on top.
+/// drawn envelope fields layered on top.
 fn query_pool() -> &'static Vec<ExecutedQuery> {
     static POOL: OnceLock<Vec<ExecutedQuery>> = OnceLock::new();
     POOL.get_or_init(|| {
@@ -93,7 +87,13 @@ fn error_from(selector: usize, n: u64, x: f64, s: &str) -> QppError {
     }
 }
 
-fn request_roundtrips(id: u64, tenant: &str, method_i: usize, deadline: Option<u64>, pool_i: usize) {
+fn request_roundtrips(
+    id: u64,
+    tenant: &str,
+    method_i: usize,
+    deadline: Option<u64>,
+    pool_i: usize,
+) {
     let pool = query_pool();
     let req = Request {
         id,
@@ -152,138 +152,116 @@ fn error_roundtrips(id: u64, err: QppError) {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Every request frame round-trips to its canonical bytes, across
-    /// all templates, methods, deadlines, ids, and tenant names.
-    #[test]
-    fn request_frames_round_trip(
-        id in any::<u64>(),
-        tenant in "[a-z][a-z0-9_-]{0,24}",
-        method_i in 0usize..5,
-        deadline in proptest::option::of(any::<u64>()),
-        pool_i in any::<usize>(),
-    ) {
-        request_roundtrips(id, &tenant, method_i, deadline, pool_i);
-    }
-
-    /// Every response frame round-trips with bit-exact floats — the
-    /// value is drawn from raw bits, so NaNs and infinities are covered.
-    #[test]
-    fn response_frames_round_trip(
-        id in any::<u64>(),
-        value_bits in any::<u64>(),
-        tier_i in any::<usize>(),
-        degraded in any::<bool>(),
-    ) {
-        response_roundtrips(id, value_bits, tier_i, degraded);
-    }
-
-    /// Every error variant round-trips variant-exactly with its stable
-    /// wire code, across varying payload fields.
-    #[test]
-    fn error_frames_round_trip(
-        id in any::<u64>(),
-        selector in any::<usize>(),
-        n in 0u64..100_000,
-        x in 0.0f64..1e6,
-        s in "[ -~]{0,48}",
-    ) {
-        error_roundtrips(id, error_from(selector, n, x, &s));
-    }
-
-    /// `Frame::decode` never panics on arbitrary byte strings: every
-    /// outcome is `Ok` or a typed `DecodeError`.
-    #[test]
-    fn decode_never_panics_on_arbitrary_bytes(
-        bytes in proptest::collection::vec(any::<u8>(), 0..2048),
-    ) {
-        let _ = Frame::decode(&bytes, DEFAULT_MAX_FRAME);
-    }
-
-    /// Nor on single-byte corruptions of valid frames — the adversarial
-    /// neighborhood a seeded chaos run actually visits.
-    #[test]
-    fn decode_never_panics_on_mutated_valid_frames(
-        id in any::<u64>(),
-        pool_i in any::<usize>(),
-        offset in any::<usize>(),
-        mask in 1u8..=255,
-    ) {
-        let pool = query_pool();
-        let req = Request {
-            id,
-            tenant: "mutant".to_string(),
-            method: Method::PlanLevel,
-            deadline_micros: Some(1_000),
-            query: pool[pool_i % pool.len()].clone(),
-        };
-        let mut bytes = Frame::Request(req).encode();
-        let at = offset % bytes.len();
-        bytes[at] ^= mask;
-        let _ = Frame::decode(&bytes, DEFAULT_MAX_FRAME);
-    }
+/// A string of `len` characters drawn from `alphabet`.
+fn string_of(rng: &mut StdRng, alphabet: &[u8], len: std::ops::RangeInclusive<usize>) -> String {
+    (0..rng.gen_range(len))
+        .map(|_| alphabet[rng.gen_range(0..alphabet.len())] as char)
+        .collect()
 }
 
-/// Seeded twin of the round-trip properties: exercises every template,
-/// every method, every tier, and every error variant without the
-/// proptest harness.
+/// Every request frame round-trips to its canonical bytes: first every
+/// template under every method, then drawn ids, tenant names
+/// (`[a-z][a-z0-9_-]{0,24}`), methods, deadlines and templates.
 #[test]
-fn seeded_round_trips_cover_every_frame_kind() {
-    let pool = query_pool();
+fn request_frames_round_trip() {
     let mut rng = StdRng::seed_from_u64(0xC0DEC);
-    for i in 0..pool.len() * 3 {
-        let deadline = if i % 3 == 0 { None } else { Some(rng.gen()) };
-        request_roundtrips(rng.gen(), &format!("tenant-{i}"), i, deadline, i);
+    for i in 0..query_pool().len() * 5 {
+        let deadline = (i % 3 != 0).then(|| rng.next_u64());
+        request_roundtrips(rng.next_u64(), &format!("tenant-{i}"), i, deadline, i / 5);
     }
-    for i in 0..64 {
-        response_roundtrips(rng.gen(), rng.gen(), i, i % 2 == 0);
-    }
-    for i in 0..30 {
-        error_roundtrips(
-            rng.gen(),
-            error_from(i, rng.gen_range(0..100_000), rng.gen_range(0.0..1e6), "peer"),
+    rng::cases(32, |rng| {
+        let tenant = string_of(rng, b"abcdefghijklmnopqrstuvwxyz", 1..=1)
+            + &string_of(rng, b"abcdefghijklmnopqrstuvwxyz0123456789_-", 0..=24);
+        let deadline = rng.gen_bool(0.5).then(|| rng.next_u64());
+        request_roundtrips(
+            rng.next_u64(),
+            &tenant,
+            rng.gen_range(0usize..5),
+            deadline,
+            rng.gen_range(0..usize::MAX),
         );
-    }
+    });
 }
 
-/// Seeded twin of the never-panics properties: 10k arbitrary byte
-/// strings (length-skewed toward header-sized prefixes) and 2k
-/// single-byte mutations of a valid request frame.
+/// Every response frame round-trips with bit-exact floats — the value is
+/// drawn from raw bits, so NaNs and infinities are covered — first for
+/// every tier, degraded and not, then for drawn tiers.
 #[test]
-fn seeded_fuzz_decode_never_panics() {
-    let mut rng = StdRng::seed_from_u64(0xF0_2211);
-    for _ in 0..10_000 {
+fn response_frames_round_trip() {
+    let mut rng = StdRng::seed_from_u64(0xC0DEC);
+    for i in 0..ALL_TIERS.len() * 2 {
+        response_roundtrips(rng.next_u64(), rng.next_u64(), i / 2, i % 2 == 0);
+    }
+    response_roundtrips(7, f64::NAN.to_bits(), 0, true);
+    response_roundtrips(7, f64::NEG_INFINITY.to_bits(), 0, false);
+    rng::cases(32, |rng| {
+        response_roundtrips(
+            rng.next_u64(),
+            rng.next_u64(),
+            rng.gen_range(0..usize::MAX),
+            rng.gen_bool(0.5),
+        );
+    });
+}
+
+/// Every error variant round-trips variant-exactly with its stable wire
+/// code: first each variant in turn, then drawn variants and payload
+/// fields (messages are printable ASCII, `[ -~]{0,48}`).
+#[test]
+fn error_frames_round_trip() {
+    let printable: Vec<u8> = (b' '..=b'~').collect();
+    let mut rng = StdRng::seed_from_u64(0xC0DEC);
+    for selector in 0..15 {
+        let n = rng.gen_range(0..100_000);
+        let x = rng.gen_range(0.0..1e6);
+        error_roundtrips(rng.next_u64(), error_from(selector, n, x, "peer"));
+    }
+    rng::cases(32, |rng| {
+        let selector = rng.gen_range(0..usize::MAX);
+        let n = rng.gen_range(0u64..100_000);
+        let x = rng.gen_range(0.0f64..1e6);
+        let s = string_of(rng, &printable, 0..=48);
+        error_roundtrips(rng.next_u64(), error_from(selector, n, x, &s));
+    });
+}
+
+/// `Frame::decode` never panics on arbitrary byte strings: every outcome
+/// is `Ok` or a typed `DecodeError`. Lengths are skewed toward
+/// header-sized prefixes.
+#[test]
+fn decode_never_panics_on_arbitrary_bytes() {
+    rng::cases(10_000, |rng| {
         let len = if rng.gen_bool(0.5) {
             rng.gen_range(0..32)
         } else {
             rng.gen_range(0..2048)
         };
-        let mut bytes = vec![0u8; len];
-        for b in &mut bytes {
-            *b = rng.gen_range(0u8..=255);
-        }
+        let mut bytes: Vec<u8> = (0..len).map(|_| rng.gen_range(0u8..=255)).collect();
         // Half the cases start with valid magic so decode gets past the
         // first gate and into the payload parsers.
         if rng.gen_bool(0.5) && len >= 4 {
             bytes[..4].copy_from_slice(b"QPW1");
         }
         let _ = Frame::decode(&bytes, DEFAULT_MAX_FRAME);
-    }
+    });
+}
 
-    let valid = Frame::Request(Request {
-        id: 1,
-        tenant: "fuzz".to_string(),
-        method: Method::Hybrid(PlanOrdering::ErrorBased),
-        deadline_micros: Some(250_000),
-        query: query_pool()[0].clone(),
-    })
-    .encode();
-    for _ in 0..2_000 {
-        let mut bytes = valid.clone();
+/// Nor on single-byte corruptions of valid frames — the adversarial
+/// neighborhood a seeded chaos run actually visits.
+#[test]
+fn decode_never_panics_on_mutated_valid_frames() {
+    let pool = query_pool();
+    rng::cases(2_000, |rng| {
+        let req = Request {
+            id: rng.next_u64(),
+            tenant: "mutant".to_string(),
+            method: method_from_index(rng.gen_range(0usize..5)),
+            deadline_micros: Some(250_000),
+            query: pool[rng.gen_range(0..pool.len())].clone(),
+        };
+        let mut bytes = Frame::Request(req).encode();
         let at = rng.gen_range(0..bytes.len());
         bytes[at] ^= rng.gen_range(1u8..=255);
         let _ = Frame::decode(&bytes, DEFAULT_MAX_FRAME);
-    }
+    });
 }

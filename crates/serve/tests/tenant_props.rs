@@ -6,28 +6,22 @@
 //! every submitted request is accounted shed or served, per tenant and
 //! globally, over seeded tenant-skewed arrival streams.
 
-// Offline builds may substitute an inert `proptest` whose macro bodies
-// compile away, which strands these imports and helpers as "unused".
-#![allow(dead_code, unused_imports)]
-
 use engine::faults::TenantLoadPattern;
-use proptest::prelude::*;
-use serve::{
-    AdmissionController, RateLimit, TenantPushError, TokenBucket, WeightedFairQueue,
-};
+use serve::{AdmissionController, RateLimit, TenantPushError, TokenBucket, WeightedFairQueue};
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+const CASES: u64 = 64;
 
-    /// The bucket never admits more than `burst + rate * elapsed` requests
-    /// over any prefix of a monotone arrival stream, and replaying the
-    /// stream reproduces every decision bit-for-bit.
-    #[test]
-    fn token_bucket_caps_admissions_and_replays(
-        rate in 0.5f64..200.0,
-        burst in 1.0f64..32.0,
-        gaps in proptest::collection::vec(0.0f64..0.5, 1..256),
-    ) {
+/// The bucket never admits more than `burst + rate * elapsed` requests
+/// over any prefix of a monotone arrival stream, and replaying the
+/// stream reproduces every decision bit-for-bit.
+#[test]
+fn token_bucket_caps_admissions_and_replays() {
+    rng::cases(CASES, |rng| {
+        let rate = rng.gen_range(0.5f64..200.0);
+        let burst = rng.gen_range(1.0f64..32.0);
+        let gaps: Vec<f64> = (0..rng.gen_range(1usize..256))
+            .map(|_| rng.gen_range(0.0f64..0.5))
+            .collect();
         let limit = RateLimit { rate, burst };
         let mut bucket = TokenBucket::new(limit);
         let mut now = 0.0;
@@ -40,10 +34,13 @@ proptest! {
             if ok {
                 accepted += 1;
                 // The cap holds at every prefix, not just the end.
-                prop_assert!(
+                assert!(
                     accepted as f64 <= burst + rate * now + 1.0 + 1e-6,
                     "admitted {} by t={} with rate {} burst {}",
-                    accepted, now, rate, burst
+                    accepted,
+                    now,
+                    rate,
+                    burst
                 );
             }
         }
@@ -51,21 +48,24 @@ proptest! {
         let mut now = 0.0;
         for (i, &g) in gaps.iter().enumerate() {
             now += g;
-            prop_assert_eq!(replay.try_acquire(now), decisions[i]);
+            assert_eq!(replay.try_acquire(now), decisions[i]);
         }
-    }
+    });
+}
 
-    /// With every lane continuously backlogged, normalized service
-    /// `served[t] / weight[t]` stays within one batch-charge of every
-    /// other lane's at all times — the virtual-time WFQ fairness bound.
-    /// Implies no starvation: every lane is served within `tenants` pops.
-    /// Per-lane FIFO order is checked along the way.
-    #[test]
-    fn wfq_service_tracks_weights_and_preserves_fifo(
-        weights in proptest::collection::vec(0.25f64..8.0, 2..6),
-        max_batch in 1usize..8,
-        pops in 8usize..64,
-    ) {
+/// With every lane continuously backlogged, normalized service
+/// `served[t] / weight[t]` stays within one batch-charge of every
+/// other lane's at all times — the virtual-time WFQ fairness bound.
+/// Implies no starvation: every lane is served within `tenants` pops.
+/// Per-lane FIFO order is checked along the way.
+#[test]
+fn wfq_service_tracks_weights_and_preserves_fifo() {
+    rng::cases(CASES, |rng| {
+        let weights: Vec<f64> = (0..rng.gen_range(2usize..6))
+            .map(|_| rng.gen_range(0.25f64..8.0))
+            .collect();
+        let max_batch = rng.gen_range(1usize..8);
+        let pops = rng.gen_range(8usize..64);
         let tenants = weights.len();
         let fill = pops * max_batch + 1; // no lane can drain below a full batch
         let q = WeightedFairQueue::new(fill * tenants);
@@ -74,7 +74,7 @@ proptest! {
         }
         for t in 0..tenants {
             for seq in 0..fill {
-                prop_assert!(q.try_push(t, seq as i64).is_ok());
+                assert!(q.try_push(t, seq as i64).is_ok());
             }
         }
         let min_w = weights.iter().cloned().fold(f64::INFINITY, f64::min);
@@ -83,77 +83,88 @@ proptest! {
         let mut next_seq = vec![0i64; tenants];
         for _ in 0..pops {
             let (t, batch) = q.try_pop_batch(max_batch).expect("lanes are backlogged");
-            prop_assert_eq!(batch.len(), max_batch);
+            assert_eq!(batch.len(), max_batch);
             for &seq in &batch {
-                prop_assert_eq!(seq, next_seq[t], "lane {} broke FIFO order", t);
+                assert_eq!(seq, next_seq[t], "lane {} broke FIFO order", t);
                 next_seq[t] += 1;
             }
             served[t] += batch.len();
             for i in 0..tenants {
                 for j in 0..tenants {
-                    prop_assert!(
+                    assert!(
                         served[i] as f64 / weights[i] - served[j] as f64 / weights[j] <= bound,
                         "normalized service diverged past one batch-charge: \
                          served {:?} weights {:?}",
-                        served, weights
+                        served,
+                        weights
                     );
                 }
             }
         }
         if pops >= tenants {
             for (t, &s) in served.iter().enumerate() {
-                prop_assert!(s > 0, "lane {} starved across {} pops", t, pops);
+                assert!(s > 0, "lane {} starved across {} pops", t, pops);
             }
         }
-    }
+    });
+}
 
-    /// Quotas are bulkheads: pushing one lane to (and past) its quota
-    /// rejects only that lane with `TenantFull`, and never consumes
-    /// another lane's quota.
-    #[test]
-    fn tenant_quota_never_bleeds_into_another_lane(
-        quota_a in 1usize..8,
-        extra in 1usize..16,
-        quota_b in 1usize..8,
-    ) {
+/// Quotas are bulkheads: pushing one lane to (and past) its quota
+/// rejects only that lane with `TenantFull`, and never consumes
+/// another lane's quota.
+#[test]
+fn tenant_quota_never_bleeds_into_another_lane() {
+    rng::cases(CASES, |rng| {
+        let quota_a = rng.gen_range(1usize..8);
+        let extra = rng.gen_range(1usize..16);
+        let quota_b = rng.gen_range(1usize..8);
         let q = WeightedFairQueue::new(1024);
         let a = q.add_tenant(1.0, quota_a);
         let b = q.add_tenant(1.0, quota_b);
         for i in 0..quota_a {
-            prop_assert!(q.try_push(a, i).is_ok());
+            assert!(q.try_push(a, i).is_ok());
         }
         for i in 0..extra {
             match q.try_push(a, quota_a + i) {
-                Err(TenantPushError::TenantFull(_, depth)) => prop_assert_eq!(depth, quota_a),
-                other => prop_assert!(false, "expected TenantFull, got {:?}", other.is_ok()),
+                Err(TenantPushError::TenantFull(_, depth)) => assert_eq!(depth, quota_a),
+                other => panic!("expected TenantFull, got {:?}", other.is_ok()),
             }
         }
         // The noisy lane being saturated must not cost lane b anything.
         for i in 0..quota_b {
-            prop_assert!(q.try_push(b, i).is_ok(), "quiet lane rejected at depth {}", i);
+            assert!(
+                q.try_push(b, i).is_ok(),
+                "quiet lane rejected at depth {}",
+                i
+            );
         }
-        prop_assert_eq!(q.tenant_len(a), quota_a);
-        prop_assert_eq!(q.tenant_len(b), quota_b);
-    }
+        assert_eq!(q.tenant_len(a), quota_a);
+        assert_eq!(q.tenant_len(b), quota_b);
+    });
+}
 
-    /// The full admission pipeline (per-tenant token bucket, per-tenant
-    /// quota, global capacity) over a seeded one-hot tenant burst stream
-    /// reconciles exactly: `submitted == shed + served` for every tenant
-    /// and globally, with zero requests unaccounted for.
-    #[test]
-    fn admission_and_quotas_reconcile_exactly(
-        seed in any::<u32>(),
-        tenants in 2usize..5,
-        n in 50usize..400,
-        rate in 20.0f64..200.0,
-        quota in 1usize..16,
-        bucket_rate in 1.0f64..50.0,
-        drain_every in 1usize..8,
-        max_batch in 1usize..8,
-    ) {
-        let pattern = TenantLoadPattern::OneHotBurst { hot: 0, burst: 32, seed: seed as u64 };
+/// The full admission pipeline (per-tenant token bucket, per-tenant
+/// quota, global capacity) over a seeded one-hot tenant burst stream
+/// reconciles exactly: `submitted == shed + served` for every tenant
+/// and globally, with zero requests unaccounted for.
+#[test]
+fn admission_and_quotas_reconcile_exactly() {
+    rng::cases(CASES, |rng| {
+        let seed = rng.gen_range(0..=u32::MAX);
+        let tenants = rng.gen_range(2usize..5);
+        let n = rng.gen_range(50usize..400);
+        let rate = rng.gen_range(20.0f64..200.0);
+        let quota = rng.gen_range(1usize..16);
+        let bucket_rate = rng.gen_range(1.0f64..50.0);
+        let drain_every = rng.gen_range(1usize..8);
+        let max_batch = rng.gen_range(1usize..8);
+        let pattern = TenantLoadPattern::OneHotBurst {
+            hot: 0,
+            burst: 32,
+            seed: seed as u64,
+        };
         let arrivals = pattern.arrivals(tenants, n, rate);
-        prop_assert_eq!(arrivals.len(), n);
+        assert_eq!(arrivals.len(), n);
 
         // Global capacity deliberately below the sum of quotas so the
         // GlobalFull path is reachable too.
@@ -163,7 +174,10 @@ proptest! {
         for _ in 0..tenants {
             q.add_tenant(1.0, quota);
             admission.push(AdmissionController::new(
-                Some(RateLimit { rate: bucket_rate, burst: 4.0 }),
+                Some(RateLimit {
+                    rate: bucket_rate,
+                    burst: 4.0,
+                }),
                 usize::MAX >> 1,
             ));
         }
@@ -181,7 +195,7 @@ proptest! {
                     Err(TenantPushError::TenantFull(_, _))
                     | Err(TenantPushError::GlobalFull(_, _)) => shed[a.tenant] += 1,
                     Err(TenantPushError::Removed(_)) | Err(TenantPushError::Closed(_)) => {
-                        prop_assert!(false, "queue closed mid-run");
+                        panic!("queue closed mid-run");
                     }
                 }
             }
@@ -196,16 +210,20 @@ proptest! {
         }
 
         for t in 0..tenants {
-            prop_assert_eq!(
-                submitted[t], shed[t] + served[t],
+            assert_eq!(
+                submitted[t],
+                shed[t] + served[t],
                 "tenant {} leaked requests: submitted {:?} shed {:?} served {:?}",
-                t, submitted, shed, served
+                t,
+                submitted,
+                shed,
+                served
             );
         }
         let total: u64 = submitted.iter().sum();
-        prop_assert_eq!(total, n as u64);
-        prop_assert_eq!(total, shed.iter().sum::<u64>() + served.iter().sum::<u64>());
-    }
+        assert_eq!(total, n as u64);
+        assert_eq!(total, shed.iter().sum::<u64>() + served.iter().sum::<u64>());
+    });
 }
 
 /// A lane waking from idle joins at the current global virtual time: it
@@ -258,7 +276,10 @@ fn remove_tenant_drains_its_lane_and_spares_the_rest() {
     assert_eq!(q.tenant_len(a), 0);
     assert_eq!(q.tenant_len(b), 10, "quiet lane untouched");
     assert_eq!(q.len(), 10);
-    assert!(matches!(q.try_push(a, 99), Err(TenantPushError::Removed(99))));
+    assert!(matches!(
+        q.try_push(a, 99),
+        Err(TenantPushError::Removed(99))
+    ));
     // The tombstoned lane is never selected again; b drains normally.
     let (t, batch) = q.try_pop_batch(64).unwrap();
     assert_eq!(t, b);

@@ -14,8 +14,7 @@
 use crate::dicts;
 use crate::schema::{TableId, ALL_TABLES};
 use crate::types::Scalar;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rng::StdRng;
 use std::collections::HashMap;
 
 /// One column of generated values.

@@ -1,9 +1,8 @@
 //! The eight TPC-H tables: identities, columns, primary keys, row widths.
 
-use serde::Serialize;
 
 /// The TPC-H tables.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum TableId {
     /// REGION (5 rows).
     Region,
@@ -174,7 +173,7 @@ impl TableId {
 }
 
 /// A (table, column) reference used throughout the query IR.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ColRef {
     /// Owning table.
     pub table: TableId,

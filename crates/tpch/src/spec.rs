@@ -11,10 +11,9 @@
 
 use crate::schema::{ColRef, TableId};
 use crate::types::{CmpOp, Scalar};
-use serde::Serialize;
 
 /// A scan/filter predicate.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Predicate {
     /// `col op constant`.
     Cmp {
@@ -83,7 +82,7 @@ impl Predicate {
 }
 
 /// Join kinds used by the templates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JoinKind {
     /// Plain inner equi-join.
     Inner,
@@ -97,7 +96,7 @@ pub enum JoinKind {
 
 /// Aggregate functions (for the executor and for display; operator timing
 /// is driven by `numeric_ops`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AggFunc {
     /// COUNT(*).
     Count,
@@ -112,7 +111,7 @@ pub enum AggFunc {
 }
 
 /// How the true number of groups of an aggregation is derived.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum GroupCount {
     /// A known constant number of groups (e.g. template 1's flag × status).
     Fixed(f64),
@@ -124,7 +123,7 @@ pub enum GroupCount {
 }
 
 /// A HAVING clause on an aggregation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Having {
     /// Operator (e.g. `>` in `having sum(l_quantity) > 314`).
     pub op: CmpOp,
@@ -137,7 +136,7 @@ pub struct Having {
 }
 
 /// Aggregation node description.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AggregateSpec {
     /// Grouping columns (empty for scalar aggregates).
     pub group_by: Vec<ColRef>,
@@ -155,7 +154,7 @@ pub struct AggregateSpec {
 /// A logical relational expression. Join order is part of the template
 /// definition (mirroring the plans PostgreSQL chooses); the engine only
 /// makes *physical* choices.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RelExpr {
     /// Base-table scan with conjunctive filters.
     Scan {
@@ -304,7 +303,7 @@ impl RelExpr {
 }
 
 /// A fully-instantiated query: a template with concrete parameter values.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct QuerySpec {
     /// TPC-H template number (1..=22).
     pub template: u8,

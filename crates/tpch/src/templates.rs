@@ -26,8 +26,7 @@ use crate::spec::{
     AggFunc, AggregateSpec, GroupCount, Having, JoinKind, Predicate, QuerySpec, RelExpr,
 };
 use crate::types::{date, format_date, CmpOp, Scalar};
-use rand::rngs::StdRng;
-use rand::Rng;
+use rng::StdRng;
 use TableId::*;
 
 /// All 22 template numbers.
@@ -208,7 +207,6 @@ pub fn p_order_quantity_sum_gt(q: f64) -> f64 {
 /// suppliers exceeds `fraction` of the grand total), where each of the four
 /// suppliers survives the nation filter with probability 1/25.
 fn t11_having_fraction(sf: f64, fraction: f64) -> f64 {
-    use rand::SeedableRng;
     let mut rng = StdRng::seed_from_u64(0x0071_1711);
     let n_parts = (200_000.0 * sf) as usize;
     let expected_rows = 800_000.0 * sf / 25.0;
@@ -1605,7 +1603,6 @@ fn t22(rng: &mut StdRng) -> QuerySpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(7)

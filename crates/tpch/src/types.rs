@@ -1,10 +1,9 @@
 //! Scalar values and calendar helpers shared across the TPC-H substrate.
 
-use serde::{Deserialize, Serialize};
 
 /// A typed scalar value: the common currency for predicates, parameters
 /// and generated row fields.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Scalar {
     /// 64-bit integer (keys, counts, sizes).
     Int(i64),
@@ -30,7 +29,7 @@ impl Scalar {
 }
 
 /// Comparison operators appearing in template predicates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CmpOp {
     /// Equality.
     Eq,

@@ -6,8 +6,7 @@
 
 use crate::spec::QuerySpec;
 use crate::templates;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rng::StdRng;
 
 /// A generated workload: an ordered list of query instances.
 #[derive(Debug, Clone)]

@@ -1,8 +1,7 @@
 //! Property checks over the 22 template definitions: parameter ranges,
 //! structural stability, and selectivity sanity.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rng::StdRng;
 use tpch::spec::{GroupCount, Predicate, RelExpr};
 use tpch::{instantiate, ALL_TEMPLATES};
 

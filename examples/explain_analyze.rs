@@ -9,8 +9,7 @@
 
 use engine::exec::execute;
 use engine::{explain_analyze, Catalog, Planner, Simulator};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rng::StdRng;
 use tpch::GeneratedDb;
 
 fn main() {

@@ -21,13 +21,13 @@ fn main() {
     let refs: Vec<&ExecutedQuery> = ds.queries.iter().collect();
     let qpp = QppPredictor::train(&refs, QppConfig::default()).expect("training");
     let materialized = MaterializedModels::new(&qpp.plan_level, &qpp.op_level, &qpp.hybrid);
-    let json = materialized.to_json();
+    let snapshot = qpp::encode_snapshot(&materialized);
 
-    let path = std::env::temp_dir().join("qpp_models.json");
-    std::fs::write(&path, &json).expect("write models");
+    let path = std::env::temp_dir().join("qpp_models.qppsnap");
+    std::fs::write(&path, &snapshot).expect("write models");
     println!(
         "materialized {} bytes of models to {} ({} sub-plan models)",
-        json.len(),
+        snapshot.len(),
         path.display(),
         materialized.hybrid_plan_models.len()
     );
@@ -35,8 +35,7 @@ fn main() {
     // ---- new session: reload and predict immediately; no training data
     // or sample runs needed.
     let reloaded =
-        MaterializedModels::from_json(&std::fs::read_to_string(&path).expect("read models"))
-            .expect("parse models");
+        qpp::decode_snapshot(&std::fs::read(&path).expect("read models")).expect("valid snapshot");
     let hybrid = reloaded.hybrid();
 
     let incoming = Workload::generate(&[3, 14], 3, sf, 4321);
@@ -56,6 +55,6 @@ fn main() {
     let q = &queries.queries[0];
     let orig = qpp.predict(q, Method::Hybrid(PlanOrdering::ErrorBased));
     let re = hybrid.predict(q);
-    assert!((orig - re).abs() < 1e-9, "orig {orig} vs reloaded {re}");
+    assert_eq!(orig.to_bits(), re.to_bits(), "orig {orig} vs reloaded {re}");
     println!("\nreloaded models agree exactly with the originals");
 }

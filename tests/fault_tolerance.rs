@@ -9,8 +9,7 @@ use qpp::{
     CollectionConfig, ExecutedQuery, Method, PlanOrdering, PredictionTier, QppConfig,
     QppPredictor, QueryDataset,
 };
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rng::StdRng;
 use tpch::Workload;
 
 const METHODS: [Method; 3] = [

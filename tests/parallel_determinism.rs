@@ -12,8 +12,7 @@ use qpp::{
     CollectionConfig, ExecutedQuery, FeatureSource, Method, PlanOrdering, QppConfig,
     QppPredictor, QueryDataset,
 };
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rng::StdRng;
 use std::sync::Mutex;
 use tpch::Workload;
 

@@ -6,8 +6,7 @@
 
 use engine::exec::execute;
 use engine::{Catalog, Planner};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rng::StdRng;
 use tpch::GeneratedDb;
 
 const SF: f64 = 0.02;
