@@ -22,11 +22,9 @@
 //!   steady-state prediction performs zero heap allocations
 //!   (`tests/zero_alloc.rs` counts them).
 //!
-//! There are two entry points. [`CompiledSvr::predict_into`] evaluates one
-//! row. [`CompiledSvr::predict_batch_into`] evaluates rows in blocks of
-//! four (tail rows one at a time): each support-vector lane vector is
-//! loaded once and feeds four rows' accumulators, turning the load-bound
-//! per-row loop into an arithmetic-bound sweep.
+//! There are two entry points, one kernel. [`CompiledSvr::predict_into`]
+//! evaluates one row; [`CompiledSvr::predict_batch_into`] is that call in a
+//! loop over a caller-owned output buffer.
 //!
 //! # Accumulation order
 //!
@@ -35,19 +33,15 @@
 //! in lane `i % 8`), each updated once per block in block order, combined
 //! at the end as `((s0+s1)+(s2+s3)) + ((s4+s5)+(s6+s7))`. That order is
 //! part of the model's numeric contract: it does not depend on the thread
-//! count, on how many rows are evaluated together, or on which
-//! implementation runs. Two implementations exist — an unrolled scalar
-//! tree (the portable fallback, and the reference the other is tested
-//! against) and one AVX2 kernel generic over the number of rows it
-//! evaluates at once, using two 4-wide `f64` vectors per row,
-//! runtime-dispatched on `is_x86_feature_detected!("avx2")` — and they
-//! are **bit-identical to each other** by construction: the per-lane
-//! operation sequences are the same scalar IEEE ops in the same order
-//! (the RBF `exp` stays scalar per lane in both), only their interleaving
-//! across independent lanes and rows differs. `tests/simd_props.rs`
-//! enforces exact equality across random models, arities and batch
-//! lengths. The `force-scalar` cargo feature compiles the dispatch out so
-//! CI can exercise the fallback on AVX2 hosts.
+//! count or on how many rows are evaluated together, and snapshots,
+//! prediction caches and `tests/golden_snapshot.rs` rely on it. It is
+//! plain safe Rust, which the compiler vectorises across the lanes. At
+//! the 3–11 columns forward selection leaves, a kernel term is one libm
+//! `exp` called lane by lane, so hand-written AVX2 around it measures
+//! 1.0–1.1× of this loop row by row — which is how every caller in the
+//! workspace evaluates — and the scalar tree is no faster with four rows
+//! per pass over the support vectors (0.87–1.07×). DESIGN.md §7 has the
+//! tables and the condition under which a SIMD twin would pay.
 //!
 //! Relative to the *reference* [`crate::SvrModel::predict`] (a single
 //! left-to-right fold, the only one in the crate), the tree order regroups
@@ -63,28 +57,10 @@ use crate::scaler::{StandardScaler, TargetScaler};
 use crate::svr::{Kernel, SvrModel};
 use crate::MlError;
 
-/// Support vectors per lane-padded SoA block (two 4-wide AVX2 vectors).
+/// Support vectors per lane-padded SoA block.
 pub const LANES: usize = 8;
 
-/// Rows [`CompiledSvr::predict_batch_into`] evaluates per pass over the
-/// support vectors.
-const BLOCK_ROWS: usize = 4;
-
-/// True when the dispatched hot path will use the AVX2 kernel on this
-/// host. Always false with the `force-scalar` feature or off x86_64.
-pub fn simd_available() -> bool {
-    #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
-    {
-        std::arch::is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(all(target_arch = "x86_64", not(feature = "force-scalar"))))]
-    {
-        false
-    }
-}
-
-/// Fixed final combine of the eight lane accumulators. Shared by the
-/// scalar tree and the AVX2 path so the reduction order is identical.
+/// Fixed final combine of the eight lane accumulators.
 #[inline(always)]
 fn combine_tree(s: &[f64; LANES]) -> f64 {
     ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]))
@@ -93,14 +69,14 @@ fn combine_tree(s: &[f64; LANES]) -> f64 {
 /// Reusable scratch space for [`CompiledSvr::predict_into`] and
 /// [`CompiledSvr::predict_batch_into`].
 ///
-/// Holds the scaled rows of one kernel call so repeated predictions
+/// Holds the scaled row of one kernel call so repeated predictions
 /// (loops, batches) allocate nothing after the first call. A scratch can
 /// be reused across models with different feature counts and across
 /// single-row and batched calls; it simply resizes (retaining capacity)
 /// as needed.
 #[derive(Debug, Clone, Default)]
 pub struct PredictScratch {
-    /// `ROWS × n_features` scaled values, row-major.
+    /// `n_features` scaled values.
     xr: Vec<f64>,
 }
 
@@ -133,8 +109,6 @@ pub struct CompiledSvr {
     coef_lanes: Vec<f64>,
     /// Support vectors retained after pruning.
     n_support_vectors: usize,
-    /// AVX2 detected at compile() time (and not compiled out).
-    use_simd: bool,
     bias: f64,
     x_scaler: StandardScaler,
     y_scaler: TargetScaler,
@@ -167,7 +141,6 @@ impl CompiledSvr {
             sv_lanes,
             coef_lanes,
             n_support_vectors: kept.len(),
-            use_simd: simd_available(),
             bias: model.bias,
             x_scaler: model.x_scaler.clone(),
             y_scaler: model.y_scaler.clone(),
@@ -188,12 +161,14 @@ impl CompiledSvr {
     /// Predicts one (unscaled) feature row, reusing `scratch` so the call
     /// performs no heap allocation once the scratch has warmed up.
     ///
-    /// Runs the lane-tree kernel (AVX2 when available, scalar tree
-    /// otherwise — bit-identical either way). The row length is checked
-    /// with a `debug_assert!` only; use [`CompiledSvr::try_predict_into`]
-    /// for a checked variant.
+    /// The row length is checked with a `debug_assert!` only; use
+    /// [`CompiledSvr::try_predict_into`] for a checked variant.
     pub fn predict_into(&self, row: &[f64], scratch: &mut PredictScratch) -> f64 {
-        self.predict_rows([row], scratch)[0]
+        let d = self.n_features;
+        debug_assert_eq!(row.len(), d, "compiled svr expects {d} features");
+        let xr = scratch.zeroed(d);
+        self.x_scaler.transform_row_into(row, xr);
+        self.y_scaler.inverse(self.bias + self.kernel_sum(xr))
     }
 
     /// Checked variant of [`CompiledSvr::predict_into`]: returns
@@ -208,38 +183,10 @@ impl CompiledSvr {
         Ok(self.predict_into(row, scratch))
     }
 
-    /// Forces the unrolled scalar-tree kernel regardless of host features
-    /// (same bits as the dispatched path; used by tests and benches).
-    pub fn predict_into_scalar(&self, row: &[f64], scratch: &mut PredictScratch) -> f64 {
-        let [xr] = self.scaled([row], scratch);
-        self.finish(self.kernel_sum_scalar(xr))
-    }
-
-    /// Forces the AVX2 kernel; `None` when it is unavailable (non-x86_64,
-    /// no AVX2, or the `force-scalar` feature). Used by the bit-identity
-    /// property tests and benches.
-    pub fn predict_into_simd(&self, row: &[f64], scratch: &mut PredictScratch) -> Option<f64> {
-        #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
-        {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                let xrs = self.scaled([row], scratch);
-                // SAFETY: AVX2 presence was just verified, and `scaled`
-                // hands out rows of exactly `n_features` values.
-                let [sum] = unsafe { self.kernel_sums_avx2(xrs) };
-                return Some(self.finish(sum));
-            }
-        }
-        let _ = (row, scratch);
-        None
-    }
-
-    /// Serial batched prediction into a caller-owned output buffer: zero
-    /// heap allocations once `out`'s capacity and the scratch have warmed
-    /// up. Rows go through the kernel four at a time — one pass over the
-    /// support vectors feeds four rows' accumulators — and the up to three
-    /// tail rows one at a time. Each row keeps its own lane accumulators
-    /// and per-lane operation order, so the output has the same bits as a
-    /// per-row [`CompiledSvr::predict_into`] loop.
+    /// Serial batched prediction into a caller-owned output buffer: a
+    /// per-row [`CompiledSvr::predict_into`] loop (so it has that loop's
+    /// bits) with zero heap allocations once `out`'s capacity and the
+    /// scratch have warmed up.
     pub fn predict_batch_into<R: AsRef<[f64]>>(
         &self,
         rows: &[R],
@@ -248,67 +195,14 @@ impl CompiledSvr {
     ) {
         out.clear();
         out.reserve(rows.len());
-        let mut blocks = rows.chunks_exact(BLOCK_ROWS);
-        for block in &mut blocks {
-            let block: [&[f64]; BLOCK_ROWS] = std::array::from_fn(|r| block[r].as_ref());
-            out.extend_from_slice(&self.predict_rows(block, scratch));
-        }
-        for row in blocks.remainder() {
+        for row in rows {
             out.push(self.predict_into(row.as_ref(), scratch));
         }
     }
 
-    /// `ROWS` predictions from one dispatched pass over the support
-    /// vectors.
-    #[inline]
-    fn predict_rows<const ROWS: usize>(
-        &self,
-        rows: [&[f64]; ROWS],
-        scratch: &mut PredictScratch,
-    ) -> [f64; ROWS] {
-        let xrs = self.scaled(rows, scratch);
-        #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
-        {
-            if self.use_simd && self.n_features > 0 {
-                // SAFETY: `use_simd` is only set when AVX2 was detected,
-                // and `scaled` hands out rows of exactly `n_features`
-                // values.
-                return unsafe { self.kernel_sums_avx2(xrs) }.map(|s| self.finish(s));
-            }
-        }
-        xrs.map(|xr| self.finish(self.kernel_sum_scalar(xr)))
-    }
-
-    /// Scales `rows` into the scratch and returns them as slices of
-    /// exactly `n_features` values each — the length the kernels rely on,
-    /// whatever the caller passed (a wrong-arity row is a caller bug,
-    /// caught by the `debug_assert!`).
-    #[inline]
-    fn scaled<'s, const ROWS: usize>(
-        &self,
-        rows: [&[f64]; ROWS],
-        scratch: &'s mut PredictScratch,
-    ) -> [&'s [f64]; ROWS] {
-        let d = self.n_features;
-        let buf = scratch.zeroed(ROWS * d);
-        for (r, row) in rows.iter().enumerate() {
-            debug_assert_eq!(row.len(), d, "compiled svr expects {d} features");
-            self.x_scaler
-                .transform_row_into(row, &mut buf[r * d..(r + 1) * d]);
-        }
-        let buf: &'s [f64] = buf;
-        std::array::from_fn(|r| &buf[r * d..(r + 1) * d])
-    }
-
-    /// Bias and target inverse: the shared tail of every kernel sum.
-    #[inline(always)]
-    fn finish(&self, kernel_sum: f64) -> f64 {
-        self.y_scaler.inverse(self.bias + kernel_sum)
-    }
-
-    /// Unrolled scalar reduction tree: eight independent lane
-    /// accumulators, per-lane ops in the exact order the AVX2 path uses.
-    fn kernel_sum_scalar(&self, xr: &[f64]) -> f64 {
+    /// The lane tree over one scaled row: eight independent lane
+    /// accumulators, each updated once per block in block order.
+    fn kernel_sum(&self, xr: &[f64]) -> f64 {
         let d = self.n_features;
         let mut acc = [0.0f64; LANES];
         if d == 0 {
@@ -358,91 +252,6 @@ impl CompiledSvr {
             }
         }
         combine_tree(&acc)
-    }
-
-    /// AVX2 reduction tree for `ROWS` rows at once: two 4-wide vectors per
-    /// block and row (lanes 0–3 and 4–7), each support-vector lane vector
-    /// loaded once and fed to every row's accumulators. Per row and lane
-    /// this performs the same scalar IEEE operations in the same order as
-    /// [`CompiledSvr::kernel_sum_scalar`] — multiplies and adds vectorize
-    /// element-wise, the RBF `exp` stays scalar per lane — so the result
-    /// for a row is bit-identical to the scalar tree's whatever `ROWS` is;
-    /// only the interleaving in time differs.
-    ///
-    /// # Safety
-    /// Callers must ensure AVX2 is available. Every row in `xrs` must hold
-    /// at least `self.n_features` values.
-    #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
-    #[target_feature(enable = "avx2")]
-    unsafe fn kernel_sums_avx2<const ROWS: usize>(&self, xrs: [&[f64]; ROWS]) -> [f64; ROWS] {
-        use std::arch::x86_64::*;
-        let d = self.n_features;
-        let n_blocks = self.coef_lanes.len() / LANES;
-        let sv = self.sv_lanes.as_ptr();
-        let cf = self.coef_lanes.as_ptr();
-        let mut acc = [[0.0f64; LANES]; ROWS];
-        match self.kernel {
-            Kernel::Linear => {
-                let mut a_lo = [_mm256_setzero_pd(); ROWS];
-                let mut a_hi = [_mm256_setzero_pd(); ROWS];
-                for b in 0..n_blocks {
-                    let base = b * d * LANES;
-                    let mut d_lo = [_mm256_setzero_pd(); ROWS];
-                    let mut d_hi = [_mm256_setzero_pd(); ROWS];
-                    for k in 0..d {
-                        let p = sv.add(base + k * LANES);
-                        let s_lo = _mm256_loadu_pd(p);
-                        let s_hi = _mm256_loadu_pd(p.add(4));
-                        for (r, xr) in xrs.iter().enumerate() {
-                            let x = _mm256_set1_pd(*xr.get_unchecked(k));
-                            d_lo[r] = _mm256_add_pd(d_lo[r], _mm256_mul_pd(s_lo, x));
-                            d_hi[r] = _mm256_add_pd(d_hi[r], _mm256_mul_pd(s_hi, x));
-                        }
-                    }
-                    let cp = cf.add(b * LANES);
-                    let c_lo = _mm256_loadu_pd(cp);
-                    let c_hi = _mm256_loadu_pd(cp.add(4));
-                    for r in 0..ROWS {
-                        a_lo[r] = _mm256_add_pd(a_lo[r], _mm256_mul_pd(c_lo, d_lo[r]));
-                        a_hi[r] = _mm256_add_pd(a_hi[r], _mm256_mul_pd(c_hi, d_hi[r]));
-                    }
-                }
-                for r in 0..ROWS {
-                    _mm256_storeu_pd(acc[r].as_mut_ptr(), a_lo[r]);
-                    _mm256_storeu_pd(acc[r].as_mut_ptr().add(4), a_hi[r]);
-                }
-            }
-            Kernel::Rbf { .. } => {
-                for b in 0..n_blocks {
-                    let base = b * d * LANES;
-                    let mut sq_lo = [_mm256_setzero_pd(); ROWS];
-                    let mut sq_hi = [_mm256_setzero_pd(); ROWS];
-                    for k in 0..d {
-                        let p = sv.add(base + k * LANES);
-                        let s_lo = _mm256_loadu_pd(p);
-                        let s_hi = _mm256_loadu_pd(p.add(4));
-                        for (r, xr) in xrs.iter().enumerate() {
-                            let x = _mm256_set1_pd(*xr.get_unchecked(k));
-                            let e_lo = _mm256_sub_pd(s_lo, x);
-                            let e_hi = _mm256_sub_pd(s_hi, x);
-                            sq_lo[r] = _mm256_add_pd(sq_lo[r], _mm256_mul_pd(e_lo, e_lo));
-                            sq_hi[r] = _mm256_add_pd(sq_hi[r], _mm256_mul_pd(e_hi, e_hi));
-                        }
-                    }
-                    for r in 0..ROWS {
-                        let mut sq = [0.0f64; LANES];
-                        _mm256_storeu_pd(sq.as_mut_ptr(), sq_lo[r]);
-                        _mm256_storeu_pd(sq.as_mut_ptr().add(4), sq_hi[r]);
-                        // Scalar exp per lane keeps bit-identity with the
-                        // scalar tree (and dominates the block cost anyway).
-                        for (l, &sqv) in sq.iter().enumerate() {
-                            acc[r][l] += *cf.add(b * LANES + l) * (-self.gamma * sqv).exp();
-                        }
-                    }
-                }
-            }
-        }
-        acc.map(|a| combine_tree(&a))
     }
 }
 
@@ -536,23 +345,6 @@ mod tests {
     }
 
     #[test]
-    fn lane_tree_paths_agree_bit_for_bit() {
-        for kernel in [Kernel::Linear, Kernel::Rbf { gamma: 0.0 }] {
-            let (x, m) = fitted(kernel);
-            let c = CompiledSvr::compile(&m);
-            let mut scratch = PredictScratch::new();
-            for row in probe_rows(&x) {
-                let dispatched = c.predict_into(&row, &mut scratch);
-                let scalar = c.predict_into_scalar(&row, &mut scratch);
-                assert_eq!(dispatched.to_bits(), scalar.to_bits());
-                if let Some(simd) = c.predict_into_simd(&row, &mut scratch) {
-                    assert_eq!(scalar.to_bits(), simd.to_bits());
-                }
-            }
-        }
-    }
-
-    #[test]
     fn lane_tree_stays_within_reorder_tolerance_of_reference() {
         for kernel in [Kernel::Linear, Kernel::Rbf { gamma: 0.0 }] {
             let (x, m) = fitted(kernel);
@@ -607,9 +399,8 @@ mod tests {
                 .iter()
                 .map(|r| c.predict_into(r, &mut scratch).to_bits())
                 .collect();
-            // Every batch length from 0 to 9 covers whole 4-row blocks
-            // and one, two and three tail rows in all combinations; the
-            // full set checks input order over many blocks.
+            // Empty, short and full batches; the full set checks input
+            // order.
             let mut out = vec![f64::NAN];
             for n in (0..=9).chain([rows.len()]) {
                 let slice: Vec<&[f64]> = rows[..n].iter().map(Vec::as_slice).collect();

@@ -1,5 +1,5 @@
-//! Kernel (Gram) matrices for the SMO solvers: built by a blocked SIMD
-//! kernel, alive exactly as long as the fit that reads them.
+//! Kernel (Gram) matrices for the SMO solver: built by a blocked,
+//! lane-padded kernel, alive exactly as long as the fit that reads them.
 //!
 //! A solve leases its dense `l × l` matrix from [`GramCache`] and hands
 //! the buffer back when it ends, so the next fit builds into memory that
@@ -20,10 +20,12 @@
 //! Construction is the blocked, lane-padded SoA kernel
 //! [`compute_gram_blocked`]: the lower triangle is walked in L1-sized
 //! row tiles written in place and each row evaluates 8 kernel columns at
-//! once, with runtime-dispatched AVX2 and an order-identical scalar
-//! fallback — bit-identical to the direct per-pair [`compute_gram`] on
-//! every path. The build runs on the thread that fits: fits run side by
-//! side, nothing inside one fans out.
+//! once — bit-identical to the direct per-pair [`compute_gram`]. It is
+//! plain safe Rust: at the widths forward selection leaves (3–11 columns)
+//! a cell is one libm `exp`, which hand-written AVX2 around it has to call
+//! lane by lane too, and so measures 0.9–1.1× of this loop (DESIGN.md §7).
+//! The build runs on the thread that fits: fits run side by side, nothing
+//! inside one fans out.
 
 use crate::dataset::Dataset;
 use crate::svr::Kernel;
@@ -61,7 +63,7 @@ impl Built {
     }
 }
 
-/// Where the SMO solvers get their Gram matrix; see the module docs.
+/// Where the SMO solver gets its Gram matrix; see the module docs.
 #[derive(Default)]
 pub struct GramCache {
     /// Buffers between fits, most recently returned last.
@@ -98,7 +100,7 @@ impl GramCache {
         GramCache::default()
     }
 
-    /// The process-wide instance the SMO solvers use.
+    /// The process-wide instance the SMO solver uses.
     pub fn global() -> &'static GramCache {
         static GLOBAL: OnceLock<GramCache> = OnceLock::new();
         GLOBAL.get_or_init(GramCache::new)
@@ -211,25 +213,6 @@ fn gram_block_eval(
     block: &[f64],
     kernel: Kernel,
     gamma: f64,
-    use_simd: bool,
-    out: &mut [f64; GRAM_LANES],
-) {
-    #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
-    if use_simd {
-        // SAFETY: the caller resolved `use_simd` via `linalg::simd_enabled`.
-        unsafe { gram_block_avx2(ri, block, kernel, gamma, out) };
-        return;
-    }
-    #[cfg(not(all(target_arch = "x86_64", not(feature = "force-scalar"))))]
-    let _ = use_simd;
-    gram_block_scalar(ri, block, kernel, gamma, out);
-}
-
-fn gram_block_scalar(
-    ri: &[f64],
-    block: &[f64],
-    kernel: Kernel,
-    gamma: f64,
     out: &mut [f64; GRAM_LANES],
 ) {
     let mut acc = [0.0f64; GRAM_LANES];
@@ -258,145 +241,6 @@ fn gram_block_scalar(
     }
 }
 
-#[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
-#[target_feature(enable = "avx2")]
-unsafe fn gram_block_avx2(
-    ri: &[f64],
-    block: &[f64],
-    kernel: Kernel,
-    gamma: f64,
-    out: &mut [f64; GRAM_LANES],
-) {
-    use std::arch::x86_64::*;
-    let mut lo = _mm256_setzero_pd();
-    let mut hi = _mm256_setzero_pd();
-    match kernel {
-        Kernel::Linear => {
-            for (kf, &x) in ri.iter().enumerate() {
-                let xv = _mm256_set1_pd(x);
-                let p = block.as_ptr().add(kf * GRAM_LANES);
-                // Broadcast-mul-add per k, ascending: each lane performs
-                // the scalar fold's exact op sequence (no FMA).
-                lo = _mm256_add_pd(lo, _mm256_mul_pd(xv, _mm256_loadu_pd(p)));
-                hi = _mm256_add_pd(hi, _mm256_mul_pd(xv, _mm256_loadu_pd(p.add(4))));
-            }
-            _mm256_storeu_pd(out.as_mut_ptr(), lo);
-            _mm256_storeu_pd(out.as_mut_ptr().add(4), hi);
-        }
-        Kernel::Rbf { .. } => {
-            for (kf, &x) in ri.iter().enumerate() {
-                let xv = _mm256_set1_pd(x);
-                let p = block.as_ptr().add(kf * GRAM_LANES);
-                let d0 = _mm256_sub_pd(xv, _mm256_loadu_pd(p));
-                let d1 = _mm256_sub_pd(xv, _mm256_loadu_pd(p.add(4)));
-                lo = _mm256_add_pd(lo, _mm256_mul_pd(d0, d0));
-                hi = _mm256_add_pd(hi, _mm256_mul_pd(d1, d1));
-            }
-            let mut sq = [0.0f64; GRAM_LANES];
-            _mm256_storeu_pd(sq.as_mut_ptr(), lo);
-            _mm256_storeu_pd(sq.as_mut_ptr().add(4), hi);
-            // exp stays scalar per lane, matching the reference exactly.
-            for lane in 0..GRAM_LANES {
-                out[lane] = (-gamma * sq[lane]).exp();
-            }
-        }
-    }
-}
-
-/// Four rows' kernel values against one 8-lane column block in a single
-/// pass: the column vectors are loaded once per `k` and feed eight
-/// independent accumulator chains (4 rows × lo/hi), which breaks the
-/// add-latency bound a single row's two chains sit at. Each row's
-/// per-lane fold is the exact `Kernel::eval` order, so every entry is
-/// bit-identical to the one-row kernel.
-#[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
-#[target_feature(enable = "avx2")]
-unsafe fn gram_block_avx2_x4(
-    rows: [&[f64]; 4],
-    block: &[f64],
-    kernel: Kernel,
-    gamma: f64,
-    out: &mut [[f64; GRAM_LANES]; 4],
-) {
-    use std::arch::x86_64::*;
-    let d = rows[0].len();
-    let (r0, r1, r2, r3) = (rows[0], rows[1], rows[2], rows[3]);
-    // Named accumulators (not an indexed array) so all eight chains live
-    // in registers for the whole loop.
-    let mut lo0 = _mm256_setzero_pd();
-    let mut lo1 = _mm256_setzero_pd();
-    let mut lo2 = _mm256_setzero_pd();
-    let mut lo3 = _mm256_setzero_pd();
-    let mut hi0 = _mm256_setzero_pd();
-    let mut hi1 = _mm256_setzero_pd();
-    let mut hi2 = _mm256_setzero_pd();
-    let mut hi3 = _mm256_setzero_pd();
-    match kernel {
-        Kernel::Linear => {
-            for kf in 0..d {
-                let p = block.as_ptr().add(kf * GRAM_LANES);
-                let c0 = _mm256_loadu_pd(p);
-                let c1 = _mm256_loadu_pd(p.add(4));
-                let x0 = _mm256_set1_pd(*r0.get_unchecked(kf));
-                let x1 = _mm256_set1_pd(*r1.get_unchecked(kf));
-                let x2 = _mm256_set1_pd(*r2.get_unchecked(kf));
-                let x3 = _mm256_set1_pd(*r3.get_unchecked(kf));
-                lo0 = _mm256_add_pd(lo0, _mm256_mul_pd(x0, c0));
-                hi0 = _mm256_add_pd(hi0, _mm256_mul_pd(x0, c1));
-                lo1 = _mm256_add_pd(lo1, _mm256_mul_pd(x1, c0));
-                hi1 = _mm256_add_pd(hi1, _mm256_mul_pd(x1, c1));
-                lo2 = _mm256_add_pd(lo2, _mm256_mul_pd(x2, c0));
-                hi2 = _mm256_add_pd(hi2, _mm256_mul_pd(x2, c1));
-                lo3 = _mm256_add_pd(lo3, _mm256_mul_pd(x3, c0));
-                hi3 = _mm256_add_pd(hi3, _mm256_mul_pd(x3, c1));
-            }
-        }
-        Kernel::Rbf { .. } => {
-            for kf in 0..d {
-                let p = block.as_ptr().add(kf * GRAM_LANES);
-                let c0 = _mm256_loadu_pd(p);
-                let c1 = _mm256_loadu_pd(p.add(4));
-                let x0 = _mm256_set1_pd(*r0.get_unchecked(kf));
-                let x1 = _mm256_set1_pd(*r1.get_unchecked(kf));
-                let x2 = _mm256_set1_pd(*r2.get_unchecked(kf));
-                let x3 = _mm256_set1_pd(*r3.get_unchecked(kf));
-                let d00 = _mm256_sub_pd(x0, c0);
-                let d01 = _mm256_sub_pd(x0, c1);
-                let d10 = _mm256_sub_pd(x1, c0);
-                let d11 = _mm256_sub_pd(x1, c1);
-                let d20 = _mm256_sub_pd(x2, c0);
-                let d21 = _mm256_sub_pd(x2, c1);
-                let d30 = _mm256_sub_pd(x3, c0);
-                let d31 = _mm256_sub_pd(x3, c1);
-                lo0 = _mm256_add_pd(lo0, _mm256_mul_pd(d00, d00));
-                hi0 = _mm256_add_pd(hi0, _mm256_mul_pd(d01, d01));
-                lo1 = _mm256_add_pd(lo1, _mm256_mul_pd(d10, d10));
-                hi1 = _mm256_add_pd(hi1, _mm256_mul_pd(d11, d11));
-                lo2 = _mm256_add_pd(lo2, _mm256_mul_pd(d20, d20));
-                hi2 = _mm256_add_pd(hi2, _mm256_mul_pd(d21, d21));
-                lo3 = _mm256_add_pd(lo3, _mm256_mul_pd(d30, d30));
-                hi3 = _mm256_add_pd(hi3, _mm256_mul_pd(d31, d31));
-            }
-        }
-    }
-    _mm256_storeu_pd(out[0].as_mut_ptr(), lo0);
-    _mm256_storeu_pd(out[0].as_mut_ptr().add(4), hi0);
-    _mm256_storeu_pd(out[1].as_mut_ptr(), lo1);
-    _mm256_storeu_pd(out[1].as_mut_ptr().add(4), hi1);
-    _mm256_storeu_pd(out[2].as_mut_ptr(), lo2);
-    _mm256_storeu_pd(out[2].as_mut_ptr().add(4), hi2);
-    _mm256_storeu_pd(out[3].as_mut_ptr(), lo3);
-    _mm256_storeu_pd(out[3].as_mut_ptr().add(4), hi3);
-    if let Kernel::Rbf { .. } = kernel {
-        // exp stays scalar per lane, matching the reference exactly.
-        for o in out.iter_mut() {
-            for v in o.iter_mut() {
-                *v = (-gamma * *v).exp();
-            }
-        }
-    }
-}
-
 /// Fills one row tile's lower-triangle entries (rows `rows.start..rows.end`,
 /// columns `0..=i` per row) directly into `slab` — the row-major window of
 /// the output matrix covering exactly those rows. Iteration is column-block
@@ -408,7 +252,6 @@ fn tile_rows_lower(
     soa: &[f64],
     kernel: Kernel,
     gamma: f64,
-    use_simd: bool,
     rows: std::ops::Range<usize>,
     slab: &mut [f64],
 ) {
@@ -417,53 +260,30 @@ fn tile_rows_lower(
     let l = slab.len() / (r1 - r0);
     let mut out = [0.0f64; GRAM_LANES];
     let max_block = (r1 - 1) / GRAM_LANES;
-    let write_lanes = |slab: &mut [f64], i: usize, j0: usize, out: &[f64; GRAM_LANES]| {
-        let row_off = (i - r0) * l;
-        let j_end = (j0 + GRAM_LANES).min(i + 1);
-        for (lane, j) in (j0..j_end).enumerate() {
-            slab[row_off + j] = out[lane];
-        }
-    };
     for b in 0..=max_block {
         let j0 = b * GRAM_LANES;
         let block = &soa[b * d * GRAM_LANES..(b + 1) * d * GRAM_LANES];
         // Rows above the block's first column don't need it (j ≤ i).
-        let mut i = r0.max(j0);
-        #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
-        if use_simd {
-            // 4-row block: one column-block load feeds four rows'
-            // accumulators; each row's per-lane fold order is unchanged.
-            let mut out4 = [[0.0f64; GRAM_LANES]; 4];
-            while i + 4 <= r1 {
-                let rows4 = [xs.row(i), xs.row(i + 1), xs.row(i + 2), xs.row(i + 3)];
-                // SAFETY: `use_simd` came from `linalg::simd_enabled`.
-                unsafe { gram_block_avx2_x4(rows4, block, kernel, gamma, &mut out4) };
-                for (r, o) in out4.iter().enumerate() {
-                    write_lanes(slab, i + r, j0, o);
-                }
-                i += 4;
+        for i in r0.max(j0)..r1 {
+            gram_block_eval(xs.row(i), block, kernel, gamma, &mut out);
+            let row_off = (i - r0) * l;
+            let j_end = (j0 + GRAM_LANES).min(i + 1);
+            for (lane, j) in (j0..j_end).enumerate() {
+                slab[row_off + j] = out[lane];
             }
-        }
-        while i < r1 {
-            gram_block_eval(xs.row(i), block, kernel, gamma, use_simd, &mut out);
-            write_lanes(slab, i, j0, &out);
-            i += 1;
         }
     }
 }
 
 /// Blocked, lane-padded SoA construction of the same matrix as
 /// [`compute_gram`]: the rows are walked in L1-sized tiles of `TILE_ROWS`,
-/// each row evaluates `GRAM_LANES` kernel columns at once
-/// (runtime-dispatched AVX2 with an order-identical scalar fallback) and
-/// writes its lower-triangle entries **in place**; a second tiled pass
-/// mirrors the strict upper triangle. One thread does all of it: a fit is
-/// serial, and the fits around it are what fan out (DESIGN.md §7).
+/// each row evaluates `GRAM_LANES` kernel columns at once and writes its
+/// lower-triangle entries **in place**; a second tiled pass mirrors the
+/// strict upper triangle. One thread does all of it: a fit is serial, and
+/// the fits around it are what fan out (DESIGN.md §7).
 ///
 /// Every entry is produced by the same ascending-`k` fold as
-/// `Kernel::eval`, making this bit-identical to [`compute_gram`] on
-/// any host, under the `force-scalar` feature, and under the
-/// [`crate::linalg::set_force_scalar`] runtime override.
+/// `Kernel::eval`, making this bit-identical to [`compute_gram`].
 pub fn compute_gram_blocked(xs: &Dataset, kernel: Kernel, gamma: f64) -> Vec<f64> {
     let mut k = vec![0.0f64; xs.n_rows() * xs.n_rows()];
     fill_gram_blocked(xs, kernel, gamma, &mut k);
@@ -479,11 +299,10 @@ fn fill_gram_blocked(xs: &Dataset, kernel: Kernel, gamma: f64, k: &mut [f64]) {
         return;
     }
     let soa = pack_soa(xs);
-    let use_simd = crate::linalg::simd_enabled();
     for (t, slab) in k.chunks_mut(TILE_ROWS * l).enumerate() {
         let r0 = t * TILE_ROWS;
         let rows = r0..r0 + slab.len() / l;
-        tile_rows_lower(xs, &soa, kernel, gamma, use_simd, rows, slab);
+        tile_rows_lower(xs, &soa, kernel, gamma, rows, slab);
     }
     // Mirror the strict upper triangle from the lower one, `MIR`-square
     // tiles at a time so both the reads and the transposed writes stay
@@ -665,39 +484,6 @@ mod tests {
                 let blocked = compute_gram_blocked(&xs, kernel, gamma);
                 for (a, b) in direct.iter().zip(&blocked) {
                     assert_eq!(a.to_bits(), b.to_bits(), "l={l} d={d} {kernel:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn blocked_lane_kernel_is_scalar_identical() {
-        // Compare the dispatched tile kernel against the scalar-forced one
-        // directly (the process-global override is exercised in the
-        // dedicated identity suite).
-        let xs = toy();
-        let l = xs.n_rows();
-        let soa = pack_soa(&xs);
-        for (kernel, gamma) in [(Kernel::Linear, 0.0), (Kernel::Rbf { gamma: 0.9 }, 0.9)] {
-            let mut dispatched = vec![0.0f64; l * l];
-            let mut scalar = vec![0.0f64; l * l];
-            tile_rows_lower(
-                &xs,
-                &soa,
-                kernel,
-                gamma,
-                crate::linalg::simd_enabled(),
-                0..l,
-                &mut dispatched,
-            );
-            tile_rows_lower(&xs, &soa, kernel, gamma, false, 0..l, &mut scalar);
-            for i in 0..l {
-                for j in 0..=i {
-                    assert_eq!(
-                        dispatched[i * l + j].to_bits(),
-                        scalar[i * l + j].to_bits(),
-                        "{kernel:?} ({i},{j})"
-                    );
                 }
             }
         }

@@ -2,19 +2,18 @@
 //!
 //! The paper builds its predictors out of two model families — linear
 //! regression (Shark) for operator-level models and support-vector
-//! regression (libsvm, nu-SVR) for plan-level models — plus a
-//! correlation-ranked forward feature-selection procedure and stratified
-//! K-fold cross-validation. This crate re-implements all of that from
-//! scratch:
+//! regression (libsvm's nu-SVR; epsilon-SVR here, DESIGN.md §2) for
+//! plan-level models — plus a correlation-ranked forward feature-selection
+//! procedure and stratified K-fold cross-validation. This crate
+//! re-implements all of that from scratch:
 //!
 //! - [`linalg`] — small dense matrices, Cholesky factorization, solves,
-//!   and the vectorized (bit-identical) SMO inner-loop primitives.
+//!   and the SMO inner-loop scans, the one place with AVX2 twins
+//!   (bit-identical to their scalar loops).
 //! - [`scaler`] — z-score standardization of feature columns.
 //! - [`linreg`] — ordinary least squares / ridge regression.
 //! - [`svr`] — epsilon-SVR with linear and RBF kernels, trained with a
 //!   libsvm-style SMO solver.
-//! - [`nusvr`] — nu-SVR (the paper's exact flavor), with the two-constraint
-//!   Solver_NU scheme.
 //! - [`feature_selection`] — best-first forward selection over features
 //!   ranked by |Pearson correlation| with the target (Section 2 of the
 //!   paper).
@@ -29,13 +28,15 @@
 //! - [`knob`] — the one reader of the `QPP_*` environment knobs (parse,
 //!   warn once, fall back).
 //! - [`gram`] — the kernel (Gram) matrix of an SMO solve, built by a
-//!   blocked lane-parallel SIMD kernel into a buffer that is recycled from
-//!   fit to fit; no matrix outlives the fit that reads it.
+//!   blocked, lane-padded kernel into a buffer that is recycled from fit
+//!   to fit; no matrix outlives the fit that reads it.
 //! - [`bytes`] — the bounds-checked reader and the writers under the model
 //!   snapshot and the wire protocol.
-//! - [`compiled`] — post-training compilation of trained models (flat
-//!   support-vector storage, pruning, allocation-free batch prediction)
-//!   for the low-latency inference path.
+//! - [`compiled`] — post-training compilation of trained models
+//!   (lane-padded support-vector storage, pruning, one allocation-free
+//!   lane-tree kernel) for the low-latency inference path.
+//! - [`stats`] — streaming mean/variance and a fixed-capacity rolling
+//!   window, for the drift monitor.
 
 #![warn(missing_docs)]
 
@@ -49,7 +50,6 @@ pub mod knob;
 pub mod linalg;
 pub mod linreg;
 pub mod metrics;
-pub mod nusvr;
 pub mod par;
 pub mod scaler;
 pub mod stats;
@@ -67,7 +67,6 @@ pub use linreg::{LinearModel, LinearRegression};
 pub use metrics::{mean_absolute_error, mean_relative_error, predictive_risk, r2_score, rmse};
 pub use scaler::StandardScaler;
 pub use stats::{RollingWindow, Welford};
-pub use nusvr::{NuSvr, NuSvrParams};
 pub use svr::{Kernel, Svr, SvrModel, SvrParams};
 
 /// Errors produced by the learning substrate.
@@ -229,7 +228,9 @@ impl TrainedModel {
 }
 
 /// The two learner configurations used by the paper: linear regression for
-/// operator-level models, SVR for plan-level models.
+/// operator-level models, SVR for plan-level models (epsilon-SVR where the
+/// paper ran libsvm's nu-SVR: same held-out error at a fifteenth of the
+/// training time, DESIGN.md §2).
 #[derive(Debug, Clone)]
 pub enum LearnerKind {
     /// Ridge regression with the given regularization strength.
@@ -239,8 +240,6 @@ pub enum LearnerKind {
     },
     /// Epsilon-SVR with the given hyper-parameters.
     Svr(SvrParams),
-    /// nu-SVR (the paper's exact flavor) with the given hyper-parameters.
-    NuSvr(NuSvrParams),
 }
 
 impl Default for LearnerKind {
@@ -255,29 +254,19 @@ impl Learner for LearnerKind {
             LearnerKind::Linear { ridge } => LinearRegression::new(*ridge)
                 .fit(x, y)
                 .map(TrainedModel::Linear),
-            LearnerKind::Svr(params) => ridge_fallback(Svr::new(params.clone()).fit(x, y), x, y),
-            LearnerKind::NuSvr(params) => {
-                ridge_fallback(NuSvr::new(params.clone()).fit(x, y), x, y)
-            }
+            // An SVR solver that does not converge (budget exhausted, or
+            // stalled far from its stopping condition) falls back to ridge
+            // regression: a degraded-but-sane model beats failing the
+            // whole training run on the serving path. Other errors
+            // propagate untouched.
+            LearnerKind::Svr(params) => match Svr::new(params.clone()).fit(x, y) {
+                Ok(m) => Ok(TrainedModel::Svr(m)),
+                Err(MlError::DidNotConverge { .. }) => LinearRegression::new(1e-4)
+                    .fit(x, y)
+                    .map(TrainedModel::Linear),
+                Err(e) => Err(e),
+            },
         }
-    }
-}
-
-/// An SVR solver that does not converge (budget exhausted, or stalled far
-/// from its stopping condition) falls back to ridge regression: a
-/// degraded-but-sane model beats failing the whole training run on the
-/// serving path. Other errors propagate untouched.
-fn ridge_fallback(
-    fit: Result<SvrModel, MlError>,
-    x: &Dataset,
-    y: &[f64],
-) -> Result<TrainedModel, MlError> {
-    match fit {
-        Ok(m) => Ok(TrainedModel::Svr(m)),
-        Err(MlError::DidNotConverge { .. }) => LinearRegression::new(1e-4)
-            .fit(x, y)
-            .map(TrainedModel::Linear),
-        Err(e) => Err(e),
     }
 }
 
@@ -307,28 +296,21 @@ mod tests {
     }
 
     #[test]
-    fn svr_learners_fall_back_to_ridge_on_non_convergence() {
+    fn svr_learner_falls_back_to_ridge_on_non_convergence() {
         // An iteration budget of 1 cannot satisfy the KKT conditions on
         // this data; the learner must degrade to a linear model rather
         // than fail or return garbage.
         let rows: Vec<Vec<f64>> = (0..30).map(|i| vec![i as f64, (i * i) as f64]).collect();
         let y: Vec<f64> = rows.iter().map(|r| 2.0 * r[0] + 0.5 * r[1] + 3.0).collect();
         let x = Dataset::from_rows(rows);
-        for learner in [
-            LearnerKind::Svr(SvrParams {
-                max_iter: 1,
-                ..SvrParams::default()
-            }),
-            LearnerKind::NuSvr(NuSvrParams {
-                max_iter: 1,
-                ..NuSvrParams::default()
-            }),
-        ] {
-            let m = learner.fit(&x, &y).unwrap();
-            assert!(matches!(m, TrainedModel::Linear(_)));
-            let p = m.predict(x.row(10));
-            assert!(p.is_finite(), "{p}");
-        }
+        let learner = LearnerKind::Svr(SvrParams {
+            max_iter: 1,
+            ..SvrParams::default()
+        });
+        let m = learner.fit(&x, &y).unwrap();
+        assert!(matches!(m, TrainedModel::Linear(_)));
+        let p = m.predict(x.row(10));
+        assert!(p.is_finite(), "{p}");
     }
 
     #[test]

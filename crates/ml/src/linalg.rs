@@ -1,19 +1,20 @@
 //! Small dense linear algebra: just enough to solve regularized
 //! least-squares systems via Cholesky factorization, plus the vectorized
-//! SMO inner-loop primitives shared by the epsilon- and nu-SVR solvers.
+//! inner-loop primitives of the SMO solver.
 //!
 //! Training sets here are small (≤ a few thousand rows, tens of features),
 //! so normal equations with a ridge term are numerically adequate and far
 //! simpler than QR/SVD.
 //!
 //! The SMO primitives ([`grad_pair_update`], [`scan_violating`],
-//! [`scan_second_order`]) follow the same discipline as `ml::compiled`:
-//! every dispatched path — AVX2, unrolled scalar, parallel chunks —
-//! performs the identical per-element
+//! [`scan_second_order`]) are the crate's only functions with an AVX2
+//! twin: they are `l`-long passes of compares, multiplies and adds with no
+//! `exp` in them, and the twins buy 1.2–1.4× on a whole plan-level
+//! training (DESIGN.md §7). Both paths perform the identical per-element
 //! operation sequence, so results are bit-for-bit equal to the naive
 //! sequential loop on any host. A runtime override ([`set_force_scalar`])
-//! routes dispatch down the scalar paths so benchmarks and identity tests
-//! can compare both inside one process.
+//! and the `force-scalar` cargo feature route these three down their
+//! scalar paths so benchmarks and identity tests can compare both.
 
 use crate::MlError;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -198,33 +199,27 @@ where
     (xtx, xty)
 }
 
-/// Runtime override forcing dispatched kernels down their scalar paths
+/// Runtime override forcing the SMO primitives down their scalar paths
 /// (the compile-time analogue is the `force-scalar` cargo feature).
 static FORCE_SCALAR_OVERRIDE: AtomicBool = AtomicBool::new(false);
 
-/// Routes the runtime-dispatched training kernels (blocked Gram
-/// construction, SMO gradient updates and working-set scans) down their
-/// scalar paths when `on` is true; `set_force_scalar(false)` restores
-/// normal dispatch. Every path is bit-identical, so flipping this never
-/// changes results — it exists so benchmarks and identity tests can time
-/// or compare both implementations inside one process.
+/// Routes the SMO gradient update and the two working-set scans down
+/// their scalar paths when `on` is true; `set_force_scalar(false)`
+/// restores normal dispatch. Both paths are bit-identical, so flipping
+/// this never changes results — it exists so benchmarks and identity
+/// tests can time or compare both implementations inside one process.
 pub fn set_force_scalar(on: bool) {
     FORCE_SCALAR_OVERRIDE.store(on, Ordering::Relaxed);
 }
 
-/// True when [`set_force_scalar`] has routed kernels to their scalar
-/// paths.
-pub fn force_scalar() -> bool {
-    FORCE_SCALAR_OVERRIDE.load(Ordering::Relaxed)
-}
-
-/// True when the AVX2 training kernels may run: compiled in (`x86_64`
-/// without the `force-scalar` feature), supported by the host, and not
-/// overridden by [`set_force_scalar`].
+/// True when the AVX2 twins may run: compiled in (`x86_64` without the
+/// `force-scalar` feature), supported by the host, and not overridden by
+/// [`set_force_scalar`].
 pub fn simd_enabled() -> bool {
     #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
     {
-        !force_scalar() && std::arch::is_x86_feature_detected!("avx2")
+        !FORCE_SCALAR_OVERRIDE.load(Ordering::Relaxed)
+            && std::arch::is_x86_feature_detected!("avx2")
     }
     #[cfg(not(all(target_arch = "x86_64", not(feature = "force-scalar"))))]
     {
@@ -234,8 +229,8 @@ pub fn simd_enabled() -> bool {
 
 /// Applies one SMO pair step to both gradient halves:
 /// `d = ci * row_i[t] + cj * row_j[t]`, then `g_up[t] += d` and
-/// `g_down[t] -= d`. This is the per-iteration hot loop of both SMO
-/// solvers. The AVX2 path performs the same per-element multiply/add
+/// `g_down[t] -= d`. This is the per-iteration hot loop of the SMO
+/// solver. The AVX2 path performs the same per-element multiply/add
 /// sequence (no FMA, no reassociation — the update is element-wise), so
 /// it is bit-identical to the scalar loop.
 ///
@@ -314,7 +309,7 @@ unsafe fn grad_pair_update_avx2(
 
 /// Outcome of a max-violating-pair scan over one contiguous gradient
 /// block. Indices are local to the scanned slice and `usize::MAX` when no
-/// element was eligible (matching the sentinels the SMO loops use).
+/// element was eligible (matching the sentinels the SMO loop uses).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScanResult {
     /// Maximum violation value among "up"-eligible elements.
@@ -354,7 +349,7 @@ impl ScanResult {
     }
 }
 
-/// Working-set selection scan for the SMO solvers. For each `t` the
+/// Working-set selection scan for the SMO solver. For each `t` the
 /// violation value is `v = -g[t]` (or `v = g[t]` when `flipped` — used
 /// for the alpha* half of the epsilon dual, whose sign is −1, where
 /// `-s*g` reduces to `g` exactly); "up"-eligible means `a[t] < c`
@@ -898,9 +893,7 @@ mod tests {
 
     #[test]
     fn force_scalar_toggle_routes_and_restores() {
-        assert!(!force_scalar());
         set_force_scalar(true);
-        assert!(force_scalar());
         assert!(!simd_enabled());
         // Paths are bit-identical, so results are toggle-agnostic.
         let a: Vec<f64> = (0..40).map(|t| (t % 3) as f64 * 0.5).collect();

@@ -2,7 +2,9 @@
 //!
 //! The paper uses libsvm's nu-SVR for plan-level models. We implement the
 //! closely-related epsilon-SVR (same model family and kernel machinery;
-//! epsilon parameterizes the tube width directly instead of nu). The dual
+//! epsilon parameterizes the tube width directly instead of nu; as the
+//! plan-level learner it reaches nu-SVR's held-out error at a fifteenth of
+//! the training time or less — DESIGN.md §2 has the table). The dual
 //! problem is solved with a libsvm-style sequential minimal optimization
 //! (SMO) loop using libsvm's second-order working-set selection (Fan,
 //! Chen & Lin 2005): `i` is the maximal up-violator, `j` the violating
@@ -126,8 +128,8 @@ impl Svr {
     }
 }
 
-/// What both SVR flavours hand their solver: standardized features and
-/// targets, the scalers that produced them, and the resolved RBF width.
+/// What a fit hands its solver: standardized features and targets, the
+/// scalers that produced them, and the resolved RBF width.
 pub(crate) struct Prepared {
     pub xs: Dataset,
     pub ys: Vec<f64>,
@@ -157,7 +159,7 @@ impl Prepared {
 
 /// Returns an error if any feature or target value is NaN or infinite
 /// (such values would silently poison the kernel matrix and gradients).
-pub(crate) fn check_finite(x: &Dataset, y: &[f64]) -> Result<(), MlError> {
+fn check_finite(x: &Dataset, y: &[f64]) -> Result<(), MlError> {
     let rows_ok = x.rows().all(|r| r.iter().all(|v| v.is_finite()));
     if rows_ok && y.iter().all(|v| v.is_finite()) {
         Ok(())
@@ -344,8 +346,8 @@ pub(crate) fn smo_solve(
         // Working-set selection, first pass: the maximal violating pair,
         // which fixes `i` and decides the stopping rule. The 2l scan
         // splits at l into two sign-contiguous halves (s = +1, then
-        // s = −1 where `-s*g` reduces exactly to `g`), each a blocked
-        // SIMD pass; merging with strict comparisons preserves the
+        // s = −1 where `-s*g` reduces exactly to `g`), each one
+        // `linalg` scan; merging with strict comparisons preserves the
         // sequential loop's first-wins rule bit for bit.
         let mut sel = scan_violating(&a[..l], &g[..l], c, false);
         sel.merge_later(scan_violating(&a[l..], &g[l..], c, true), l);
@@ -445,8 +447,7 @@ pub(crate) fn smo_solve(
         // Hoisted row slices and sign-folded step sizes: multiplying by
         // si/sj/st (all ±1) is exact in IEEE 754, so folding them into the
         // constants keeps every gradient value bit-identical to the naive
-        // per-element expression while halving the kernel lookups. The
-        // element-wise update itself runs through the blocked SIMD pass.
+        // per-element expression while halving the kernel lookups.
         let row_i = &k[ii * l..(ii + 1) * l];
         let row_j = &k[jj * l..(jj + 1) * l];
         let ci = si * da_i;

@@ -3,9 +3,8 @@
 //! For any fitted SVR — across kernels, gamma, dimensionality, and
 //! support-vector counts:
 //!
-//! - the dispatched lane-tree path equals the forced scalar tree **bit
-//!   for bit** (SIMD-vs-scalar identity lives in `tests/simd_props.rs`),
-//! - batches equal a serial compiled loop bit for bit, in input order,
+//! - batches equal a serial compiled loop bit for bit, in input order
+//!   (hand-built shapes are swept in `tests/simd_props.rs`),
 //! - the lane tree agrees with the reference model's left-to-right fold
 //!   (`SvrModel::predict`) to summation-reordering rounding, bounded by
 //!   the condition of the kernel sum (`SvrModel::sum_magnitude`).
@@ -63,13 +62,9 @@ fn compiled_contracts_hold_for_fitted_models() {
         let mut scratch = PredictScratch::new();
         for row in &probes {
             let reference = model.predict(row);
-            // The dispatched lane tree equals the forced scalar tree.
             let tree = compiled.predict_into(row, &mut scratch);
-            assert_eq!(
-                tree.to_bits(),
-                compiled.predict_into_scalar(row, &mut scratch).to_bits()
-            );
-            // And stays within reordering rounding of the reference.
+            // The lane tree stays within reordering rounding of the
+            // reference.
             let tol = 1e-12 * (1.0 + model.sum_magnitude(row));
             assert!(
                 (reference - tree).abs() <= tol,

@@ -5,37 +5,13 @@
 //! not a ULP tolerance — to the direct `compute_gram` reference for any
 //! dataset, because the blocked kernel performs each entry's per-lane
 //! operation sequence in `Kernel::eval`'s order (see `ml::gram`'s module
-//! docs). The property must hold under the AVX2 path, the scalar fallback
-//! (runtime `set_force_scalar` toggle and the `force-scalar` feature
-//! alike), and at every thread count — the build walks fixed 64-row tiles
-//! and 64-row mirror bands on the calling thread and never asks how many
-//! threads there are; the sweep keeps it so.
+//! docs). The build is one safe loop on the calling thread — no dispatch,
+//! no fan-out — so there is one kernel to hold against the reference.
 
 use ml::gram::{compute_gram, compute_gram_blocked};
 use ml::svr::Kernel;
 use ml::Dataset;
 use rng::StdRng;
-use std::sync::{Mutex, MutexGuard};
-
-/// The force-scalar override and the worker count are process globals;
-/// tests that sweep them serialize on this lock and restore the defaults
-/// on drop (also on panic, so one failure cannot poison its neighbors).
-static TOGGLES: Mutex<()> = Mutex::new(());
-
-struct ToggleGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-impl ToggleGuard {
-    fn acquire() -> ToggleGuard {
-        ToggleGuard(TOGGLES.lock().unwrap_or_else(|e| e.into_inner()))
-    }
-}
-
-impl Drop for ToggleGuard {
-    fn drop(&mut self) {
-        ml::linalg::set_force_scalar(false);
-        ml::par::set_threads(0);
-    }
-}
 
 /// Random dataset of shape `l × d` with values spanning signs and
 /// magnitudes (Gram entries then stress both the dot and the RBF paths).
@@ -47,37 +23,19 @@ fn random_rows(l: usize, d: usize, seed: u64) -> Dataset {
     Dataset::from_rows(rows)
 }
 
-/// Core property: blocked == direct to the bit, across thread counts and
-/// both sides of the runtime force-scalar toggle.
+/// Core property: blocked == direct to the bit.
 fn assert_blocked_matches_direct(xs: &Dataset, kernel: Kernel, gamma: f64) {
-    assert_blocked_matches_direct_at(&[1, 2, 4], xs, kernel, gamma);
-}
-
-fn assert_blocked_matches_direct_at(
-    thread_counts: &[usize],
-    xs: &Dataset,
-    kernel: Kernel,
-    gamma: f64,
-) {
-    let _guard = ToggleGuard::acquire();
     let direct = compute_gram(xs, kernel, gamma);
-    for &threads in thread_counts {
-        ml::par::set_threads(threads);
-        for scalar in [false, true] {
-            ml::linalg::set_force_scalar(scalar);
-            let blocked = compute_gram_blocked(xs, kernel, gamma);
-            assert_eq!(direct.len(), blocked.len());
-            for (i, (a, b)) in direct.iter().zip(&blocked).enumerate() {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "entry {i} diverged ({a} vs {b}) for {kernel:?} \
-                     l={} d={} threads={threads} force_scalar={scalar}",
-                    xs.n_rows(),
-                    xs.n_cols(),
-                );
-            }
-        }
+    let blocked = compute_gram_blocked(xs, kernel, gamma);
+    assert_eq!(direct.len(), blocked.len());
+    for (i, (a, b)) in direct.iter().zip(&blocked).enumerate() {
+        assert_eq!(
+            a.to_bits(),
+            b.to_bits(),
+            "entry {i} diverged ({a} vs {b}) for {kernel:?} l={} d={}",
+            xs.n_rows(),
+            xs.n_cols(),
+        );
     }
 }
 
@@ -141,8 +99,8 @@ fn blocked_gram_identity_with_signed_zero_cells() {
                 }
             }
             let xs = Dataset::from_rows(rows);
-            assert_blocked_matches_direct_at(&[1, 2, 8], &xs, Kernel::Linear, 0.0);
-            assert_blocked_matches_direct_at(&[1, 2, 8], &xs, Kernel::Rbf { gamma: 0.7 }, 0.7);
+            assert_blocked_matches_direct(&xs, Kernel::Linear, 0.0);
+            assert_blocked_matches_direct(&xs, Kernel::Rbf { gamma: 0.7 }, 0.7);
         }
     }
 }
@@ -151,7 +109,6 @@ fn blocked_gram_identity_with_signed_zero_cells() {
 /// `exp(-0.0)`, and symmetric entries must mirror exactly.
 #[test]
 fn blocked_gram_handles_duplicate_rows_and_symmetry() {
-    let _guard = ToggleGuard::acquire();
     let mut rows: Vec<Vec<f64>> = (0..20)
         .map(|i| vec![(i % 4) as f64, -(i as f64) * 0.5, 3.25])
         .collect();

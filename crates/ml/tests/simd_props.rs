@@ -1,21 +1,16 @@
-//! SIMD-vs-scalar bit-identity tests.
+//! Lane-tree properties on hand-built models.
 //!
-//! The AVX2 kernel and the unrolled scalar reduction tree implement the
-//! same fixed accumulation order (see `ml::compiled`'s module docs), so
-//! their outputs must be **exactly equal** — `f64::to_bits`, not a ULP
-//! tolerance — for any model whatsoever. Models are hand-built through
+//! The compiled kernel sums in a fixed reduction-tree order (see
+//! `ml::compiled`'s module docs), so a row's prediction must be the same
+//! bits — `f64::to_bits`, not a ULP tolerance — wherever in a batch it
+//! sits, and must stay within summation-reordering rounding of the
+//! reference fold `SvrModel::predict`. Models are hand-built through
 //! `SvrModel::from_parts` to sweep shapes a fit would rarely produce:
 //! arities from 1 to 13, support-vector counts across lane-padding
 //! boundaries (0, partial block, exact multiples of 8), zero coefficients
-//! interleaved for pruning, extreme coefficient magnitudes. Each model is
-//! also run through the batched entry point at every length from 0 to 9,
-//! which must reproduce the single-row bits whatever block or tail
-//! position a row lands in.
+//! interleaved for pruning, extreme coefficient magnitudes.
 //!
 //! Each property runs a deterministic grid, then shapes drawn at random.
-//! On hosts without AVX2 (or with `--features force-scalar`)
-//! `predict_into_simd` returns `None` and the properties degenerate to
-//! scalar-vs-dispatched identity, which must hold everywhere.
 
 use ml::compiled::PredictScratch;
 use ml::scaler::{StandardScaler, TargetScaler};
@@ -126,46 +121,34 @@ fn build_model(d: usize, n_sv: usize, seed: u64, linear: bool) -> (RawModel, Vec
     (raw, probes)
 }
 
-/// Core property: dispatched == scalar tree == (if available) AVX2, to
-/// the bit, on every probe; and the batched path — 4-row blocks through
-/// the kernel, tail rows one at a time — reproduces the per-row bits at
-/// every batch length. Returns the scalar-tree bits for reuse.
-fn assert_paths_identical(model: &SvrModel, probes: &[Vec<f64>]) -> Vec<u64> {
+/// Core property: the lane tree stays within reordering rounding of the
+/// reference fold on every probe, and the batched entry point reproduces
+/// the per-row bits at every batch length. Returns the per-row bits for
+/// reuse.
+fn assert_lane_tree_contract(model: &SvrModel, probes: &[Vec<f64>]) -> Vec<u64> {
     let c = model.compile();
     let mut scratch = PredictScratch::new();
     let mut bits = Vec::with_capacity(probes.len());
     for row in probes {
-        let scalar = c.predict_into_scalar(row, &mut scratch);
-        let dispatched = c.predict_into(row, &mut scratch);
-        assert_eq!(
-            dispatched.to_bits(),
-            scalar.to_bits(),
-            "dispatched path diverged from the scalar tree on {row:?}"
+        let tree = c.predict_into(row, &mut scratch);
+        let reference = model.predict(row);
+        let tol = 1e-12 * (1.0 + model.sum_magnitude(row));
+        assert!(
+            (reference - tree).abs() <= tol,
+            "lane tree left the reference fold on {row:?}: |{reference} - {tree}| > {tol}"
         );
-        if let Some(simd) = c.predict_into_simd(row, &mut scratch) {
-            assert_eq!(
-                simd.to_bits(),
-                scalar.to_bits(),
-                "AVX2 diverged from the scalar tree on {row:?}"
-            );
-        }
-        bits.push(scalar.to_bits());
+        bits.push(tree.to_bits());
     }
-    // Every prefix length 0..=9 puts each probe in a whole block of four
-    // (shared SV loads, per-row order preserved) and in a tail of one, two
-    // and three rows; each must match the single-row bits exactly.
-    assert!(
-        probes.len() >= 9,
-        "the sweep needs two blocks and a tail row"
-    );
+    // Every prefix length 0..=9: a row's bits do not depend on what else
+    // is in the batch or on what the scratch held before.
+    assert!(probes.len() >= 9, "the sweep needs nine probes");
     let mut out = vec![f64::NAN];
     for n in 0..=9 {
         c.predict_batch_into(&probes[..n], &mut out, &mut scratch);
         let got: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
         assert_eq!(got, bits[..n], "batch of {n} diverged from per-row bits");
     }
-    // k copies of one row: every position of a block, and the tail,
-    // computes the same bits.
+    // k copies of one row: every position computes the same bits.
     for k in 1..=9 {
         let copies = vec![probes[0].as_slice(); k];
         c.predict_batch_into(&copies, &mut out, &mut scratch);
@@ -181,8 +164,8 @@ fn assert_paths_identical(model: &SvrModel, probes: &[Vec<f64>]) -> Vec<u64> {
 /// Core property: dropping zero-coefficient SVs before compilation lands
 /// every survivor in the same lane, hence identical bits.
 fn assert_pruning_invariant(raw: &RawModel, probes: &[Vec<f64>]) {
-    let full_bits = assert_paths_identical(&raw.build(), probes);
-    let pruned_bits = assert_paths_identical(&raw.build_pruned(), probes);
+    let full_bits = assert_lane_tree_contract(&raw.build(), probes);
+    let pruned_bits = assert_lane_tree_contract(&raw.build_pruned(), probes);
     assert_eq!(full_bits, pruned_bits, "pruning changed prediction bits");
 }
 
@@ -197,20 +180,20 @@ fn any_model(rng: &mut StdRng) -> (RawModel, Vec<Vec<f64>>) {
 /// Arities below, at and above the lane width × SV counts around
 /// lane-block boundaries × several seeds, then random shapes.
 #[test]
-fn simd_equals_scalar_tree_exactly() {
+fn batches_equal_per_row_bits_and_stay_near_the_reference_fold() {
     for &d in &[1usize, 2, 3, 5, 6, 7, 8, 9, 12, 13] {
         for &n_sv in &[0usize, 1, 3, 7, 8, 9, 15, 16, 17, 40] {
             for seed in 0..4u64 {
                 for linear in [true, false] {
                     let (raw, probes) = build_model(d, n_sv, seed ^ ((d as u64) << 8), linear);
-                    assert_paths_identical(&raw.build(), &probes);
+                    assert_lane_tree_contract(&raw.build(), &probes);
                 }
             }
         }
     }
     rng::cases(192, |rng| {
         let (raw, probes) = any_model(rng);
-        assert_paths_identical(&raw.build(), &probes);
+        assert_lane_tree_contract(&raw.build(), &probes);
     });
 }
 

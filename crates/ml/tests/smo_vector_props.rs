@@ -1,7 +1,7 @@
 //! Vectorized-SMO bit-identity tests.
 //!
-//! The SMO and nu-SMO inner loops run on the blocked `ml::linalg`
-//! primitives (`scan_violating`, `grad_pair_update`), which are
+//! The SMO inner loop runs on the `ml::linalg` primitives
+//! (`scan_violating`, `scan_second_order`, `grad_pair_update`), which are
 //! bit-identical to the sequential scalar rule by construction (see
 //! `ml::linalg`'s docs). Consequently a whole *fit* must be bit-identical
 //! — the same support vectors, the same alphas (dual coefficients), the
@@ -14,7 +14,6 @@
 //! Data comes from closed-form generators; only the shapes of the random
 //! sweep are drawn.
 
-use ml::nusvr::{NuSvr, NuSvrParams};
 use ml::svr::{Kernel, Svr, SvrParams};
 use ml::Dataset;
 use std::sync::{Mutex, MutexGuard};
@@ -41,7 +40,7 @@ impl Drop for ToggleGuard {
 
 /// Deterministic synthetic regression data: smooth multi-feature rows and
 /// a mildly nonlinear target. No RNG involved, so the exact same bits are
-/// generated on any host, and both solvers converge on every grid shape.
+/// generated on any host, and the solver converges on every grid shape.
 fn training_set(l: usize, d: usize, seed: u64) -> (Dataset, Vec<f64>) {
     let phase = (seed % 17) as f64;
     let mut rows = Vec::with_capacity(l);
@@ -73,50 +72,36 @@ fn svr_params(kernel: Kernel) -> SvrParams {
     }
 }
 
-fn nu_params(kernel: Kernel) -> NuSvrParams {
-    NuSvrParams {
-        kernel,
-        ..NuSvrParams::default()
-    }
-}
-
 /// Encodes a fit so equality covers every learned parameter: support
 /// vectors, dual coefficients, bias, kernel, and scalers.
-fn fit_bytes(x: &Dataset, y: &[f64], kernel: Kernel, nu: bool) -> Vec<u8> {
-    let model = if nu {
-        NuSvr::new(nu_params(kernel)).fit(x, y)
-    } else {
-        Svr::new(svr_params(kernel)).fit(x, y)
-    }
-    .expect("fit must converge on the deterministic grid data");
+fn fit_bytes(x: &Dataset, y: &[f64], kernel: Kernel) -> Vec<u8> {
+    let model = Svr::new(svr_params(kernel))
+        .fit(x, y)
+        .expect("fit must converge on the deterministic grid data");
     let mut bytes = Vec::new();
     model.encode(&mut bytes);
     bytes
 }
 
-/// Core property: for both solvers and both kernels, every
-/// (thread count × force-scalar) configuration reproduces the scalar
-/// single-thread reference fit exactly.
+/// Core property: for both kernels, every (thread count × force-scalar)
+/// configuration reproduces the scalar single-thread reference fit
+/// exactly.
 fn assert_fit_config_invariant(l: usize, d: usize, seed: u64, kernel: Kernel) {
     let _guard = ToggleGuard::acquire();
     let (x, y) = training_set(l, d, seed);
-    for nu in [false, true] {
-        ml::par::set_threads(1);
-        ml::linalg::set_force_scalar(true);
-        let reference = fit_bytes(&x, &y, kernel, nu);
-        for threads in [1usize, 2, 4] {
-            for scalar in [false, true] {
-                ml::par::set_threads(threads);
-                ml::linalg::set_force_scalar(scalar);
-                let got = fit_bytes(&x, &y, kernel, nu);
-                assert_eq!(
-                    got,
-                    reference,
-                    "{} fit diverged from the scalar reference for {kernel:?} \
-                     l={l} d={d} threads={threads} force_scalar={scalar}",
-                    if nu { "nu-SVR" } else { "epsilon-SVR" },
-                );
-            }
+    ml::par::set_threads(1);
+    ml::linalg::set_force_scalar(true);
+    let reference = fit_bytes(&x, &y, kernel);
+    for threads in [1usize, 2, 4] {
+        for scalar in [false, true] {
+            ml::par::set_threads(threads);
+            ml::linalg::set_force_scalar(scalar);
+            let got = fit_bytes(&x, &y, kernel);
+            assert_eq!(
+                got, reference,
+                "epsilon-SVR fit diverged from the scalar reference for {kernel:?} \
+                 l={l} d={d} threads={threads} force_scalar={scalar}",
+            );
         }
     }
 }

@@ -1,8 +1,8 @@
 //! Second-order working-set scan: path identity.
 //!
-//! `ml::linalg::scan_second_order` picks the SMO solvers' `j`. Like
+//! `ml::linalg::scan_second_order` picks the SMO solver's `j`. Like
 //! `scan_violating` it has a scalar loop that *is* the definition and an
-//! AVX2 twin, and the solvers' whole-fit bit-identity
+//! AVX2 twin, and the solver's whole-fit bit-identity
 //! (`tests/smo_vector_props.rs`) rests on the two agreeing on the selected
 //! index and on every bit of the winning estimate — including exact ties
 //! (first occurrence wins), signed zeros, an empty candidate set and the
@@ -30,7 +30,7 @@ impl Drop for ToggleGuard {
     }
 }
 
-/// The rule, as the solvers' documentation states it.
+/// The rule, as the solver's documentation states it.
 fn naive(a: &[f64], g: &[f64], quad: &[f64], c: f64, g_max: f64, flipped: bool) -> SecondOrderPick {
     let mut pick = SecondOrderPick::empty();
     for t in 0..a.len() {

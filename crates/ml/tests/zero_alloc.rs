@@ -86,21 +86,6 @@ fn steady_state_prediction_allocates_nothing() {
             "single-row predict_into allocated ({kernel:?})"
         );
 
-        // Scalar tree and (where present) forced-SIMD paths share the
-        // zero-alloc property.
-        let before = allocations();
-        for r in &rows {
-            sink += compiled.predict_into_scalar(r, &mut scratch);
-            if let Some(v) = compiled.predict_into_simd(r, &mut scratch) {
-                sink += v;
-            }
-        }
-        assert_eq!(
-            allocations(),
-            before,
-            "forced kernel paths allocated ({kernel:?})"
-        );
-
         // Batched: once `out` has capacity for the batch, repeat calls
         // must not touch the heap.
         let mut out = Vec::new();
@@ -116,8 +101,7 @@ fn steady_state_prediction_allocates_nothing() {
             "predict_batch_into allocated ({kernel:?})"
         );
 
-        // One scratch serves one row and four rows alternately: it shrinks
-        // and grows inside the capacity the batch above left behind.
+        // One scratch serves single-row and batched calls alternately.
         let before = allocations();
         for r in &rows {
             sink += compiled.predict_into(r, &mut scratch);
@@ -131,7 +115,7 @@ fn steady_state_prediction_allocates_nothing() {
         );
 
         // The same scratch shared with a model of another arity: once it
-        // has held the wider model's block, switching between the two
+        // has held the wider model's row, switching between the two
         // never reallocates.
         let wide_rows: Vec<Vec<f64>> = rows
             .iter()

@@ -3,11 +3,12 @@
 # ones that measure what the staircase benchmark (crates/e2e,
 # BENCHMARK.json) has no probe for yet:
 #
-#   BENCH_hot.txt    perf_trajectory — scalar-vs-vectorized ratios of the
-#                     kernel hot path (reference fold vs dispatched lane
-#                     tree: single row, quad block, batched) and of the
-#                     training hot path (blocked Gram build, SMO solve,
-#                     arena featurization, one plan-level training)
+#   BENCH_hot.txt    perf_trajectory — ratios of the kernel hot path
+#                     (reference fold vs compiled lane tree: single row,
+#                     batched) and of the training hot path (blocked Gram
+#                     build vs direct fold, SMO solve and one plan-level
+#                     training with linalg's AVX2 twins on vs off, arena
+#                     vs boxed featurization)
 #   BENCH_drift.txt  drift_loop — drift detection / shadow-retrain /
 #                     promotion lifecycle
 #
