@@ -14,8 +14,8 @@ use qpp_bench::schema::BenchDoc;
 use engine::{Catalog, OpType, Simulator};
 use ml::mean_relative_error;
 use qpp::{
-    CollectionConfig, DriftMonitor, ExecutedQuery, Method, ModelRegistry, MonitorConfig,
-    PlanOrdering, PredictionTier, QppConfig, QppPredictor, QueryDataset, RetrainConfig,
+    CollectionConfig, DriftMonitor, ExecutedQuery, Method, ModelRegistry, PlanOrdering,
+    PredictionTier, QppConfig, QppPredictor, QueryDataset,
 };
 use tpch::Workload;
 
@@ -101,10 +101,7 @@ fn main() {
     );
 
     eprintln!("== stage 3: feedback loop ==");
-    let mut monitor = DriftMonitor::new(MonitorConfig {
-        baseline_error: clean_mre,
-        ..MonitorConfig::default()
-    });
+    let mut monitor = DriftMonitor::new(Some(clean_mre));
     let mut detected_after = drifted_refs.len();
     for (i, q) in drifted_refs.iter().enumerate() {
         let p = serving.predict_checked(q, Method::Hybrid(PlanOrdering::ErrorBased));
@@ -127,7 +124,7 @@ fn main() {
 
     eprintln!("== stage 4: shadow retrain on the drifted window ==");
     let report = registry
-        .shadow_retrain(&drifted_refs, &RetrainConfig::default())
+        .shadow_retrain(&drifted_refs)
         .expect("shadow retrain");
     eprintln!("   {}", report.reason);
     eprintln!(

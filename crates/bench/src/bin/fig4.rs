@@ -25,7 +25,7 @@ fn main() {
         .map(|q| (q.template, planner.plan(q)))
         .collect();
     let refs: Vec<(u8, &engine::PlanNode)> = plans.iter().map(|(t, p)| (*t, p)).collect();
-    let index = SubplanIndex::build(&refs, 2);
+    let index = SubplanIndex::build(&refs);
 
     if want("a") {
         println!("== Fig 4(a): CDF of common sub-plan sizes (#operators) ==");

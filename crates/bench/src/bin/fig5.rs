@@ -6,7 +6,7 @@
 //! risk footnote, plus the cost-vs-latency scatter.
 
 use ml::metrics::{mean_relative_error, predictive_risk, relative_error};
-use ml::{Dataset, LearnerKind, Learner, Model};
+use ml::{Dataset, Learner, LearnerKind};
 use qpp_bench::report::print_xy;
 use qpp_bench::{build_dataset_sized, PER_TEMPLATE};
 

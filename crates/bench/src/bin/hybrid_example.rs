@@ -90,7 +90,7 @@ fn main() {
     let key = structure_key(sub);
     let all_views: Vec<Vec<NodeView>> = refs.iter().map(|r| r.views(source)).collect();
     let plans: Vec<(u8, &engine::PlanNode)> = refs.iter().map(|r| (r.template, &r.plan)).collect();
-    let index = SubplanIndex::build(&plans, 2);
+    let index = SubplanIndex::build(&plans);
     let config = HybridConfig::default();
     let sub_model =
         train_subplan_model(key, &refs, &all_views, &index, &config).expect("sub-plan model");

@@ -139,7 +139,7 @@ pub fn cross_validate_method<M: Send>(
 pub fn plan_level_cv(ds: &QueryDataset, config: &PlanModelConfig) -> CvOutcome {
     cross_validate_method(
         ds,
-        config.seed,
+        42,
         |train| PlanLevelModel::train(train, config).expect("plan-level training"),
         |m, q| m.predict(q),
     )
@@ -149,7 +149,7 @@ pub fn plan_level_cv(ds: &QueryDataset, config: &PlanModelConfig) -> CvOutcome {
 pub fn op_level_cv(ds: &QueryDataset, config: &OpModelConfig) -> CvOutcome {
     cross_validate_method(
         ds,
-        config.seed,
+        17,
         |train| OpLevelModel::train(train, config).expect("op-level training"),
         |m, q| m.predict(q),
     )

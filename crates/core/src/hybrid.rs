@@ -40,6 +40,13 @@ pub enum PlanOrdering {
     ErrorBased,
 }
 
+/// Sub-plans already predicted with average error at or below this are not
+/// considered (the paper's 0.1 threshold for size/frequency ordering).
+const SKIP_ERROR_BELOW: f64 = 0.1;
+
+/// Seed of the fold assignment of every sub-plan model's selection.
+pub(crate) const FOLD_SEED: u64 = 23;
+
 /// Hybrid training configuration.
 #[derive(Debug, Clone)]
 pub struct HybridConfig {
@@ -53,19 +60,12 @@ pub struct HybridConfig {
     pub max_iterations: usize,
     /// Sub-plans occurring fewer times are not considered.
     pub min_frequency: usize,
-    /// Sub-plans already predicted with average error below this are not
-    /// considered (the paper's 0.1 threshold for size/frequency ordering).
-    pub skip_error_below: f64,
-    /// Minimum fragment size in operators.
-    pub min_size: usize,
     /// Learner for the sub-plan models (SVR, like plan-level models).
     pub learner: LearnerKind,
     /// Forward selection for sub-plan models.
     pub selection: ForwardSelection,
     /// CV folds for selection.
     pub folds: usize,
-    /// Fold seed.
-    pub seed: u64,
     /// Fit sub-plan models on log-transformed times.
     pub log_target: bool,
 }
@@ -78,8 +78,6 @@ impl Default for HybridConfig {
             epsilon: 1e-3,
             max_iterations: 30,
             min_frequency: 5,
-            skip_error_below: 0.1,
-            min_size: 2,
             learner: LearnerKind::Svr(ml::SvrParams::default()),
             selection: ForwardSelection {
                 patience: 3,
@@ -87,7 +85,6 @@ impl Default for HybridConfig {
                 max_features: 6,
             },
             folds: 4,
-            seed: 23,
             log_target: true,
         }
     }
@@ -435,7 +432,7 @@ pub fn train_hybrid(
     let mut model = HybridModel::operator_only(op_model);
     let views: Vec<Vec<NodeView>> = ml::par::par_map(queries, |_, q| q.views(source));
     let plans: Vec<(u8, &PlanNode)> = queries.iter().map(|q| (q.template, &q.plan)).collect();
-    let index = SubplanIndex::build(&plans, config.min_size);
+    let index = SubplanIndex::build(&plans);
 
     let mut error = training_error(&model, queries, &views);
     let mut rejected: HashSet<StructureKey> = HashSet::new();
@@ -495,7 +492,7 @@ pub fn train_subplan_model(
         y_start.push(t.start);
         y_run.push(t.run);
     }
-    let folds = kfold(x.n_rows(), config.folds.min(x.n_rows()).max(2), config.seed);
+    let folds = kfold(x.n_rows(), config.folds.min(x.n_rows()).max(2), FOLD_SEED);
     // The start- and run-time heads train on the same design matrix and
     // folds, independently — run them on two threads. The start head's
     // error is checked first, matching the serial statement order.
@@ -619,7 +616,7 @@ fn next_candidate(
         // Plans already predicted well are not worth a model (paper's
         // threshold; the error-based ranking handles this implicitly but
         // we apply it uniformly to avoid wasted iterations).
-        if avg_error <= config.skip_error_below {
+        if avg_error <= SKIP_ERROR_BELOW {
             continue;
         }
         cands.push(Cand {

@@ -56,7 +56,7 @@ pub use features::{
 };
 pub use hybrid::{train_hybrid, HybridConfig, HybridModel, PlanOrdering};
 pub use materialize::MaterializedModels;
-pub use monitor::{DriftMonitor, ModelHealth, MonitorConfig, SloRecorder, SloWindow, TierState};
+pub use monitor::{DriftMonitor, ModelHealth, SloRecorder, SloWindow, TierState};
 pub use online::{OnlineConfig, OnlinePredictor};
 pub use op_model::{OpLevelModel, OpModelConfig};
 pub use plan_model::{PlanLevelModel, PlanModelConfig, PredictBuffers, TargetMetric};
@@ -66,9 +66,7 @@ pub use predictor::{
     MODEL_TIERS,
 };
 pub use progressive::{observations_at, predict_progressive, predict_progressive_at};
-pub use registry::{
-    decode_snapshot, encode_snapshot, ModelRegistry, PromotionReport, RetrainConfig,
-};
+pub use registry::{decode_snapshot, encode_snapshot, ModelRegistry, PromotionReport};
 pub use subplan::{
     arena_structure_hashes, structure_key, subtree_hash_sizes, StructureKey, SubplanIndex,
 };

@@ -35,52 +35,37 @@ pub enum ModelHealth {
     Quarantined,
 }
 
-/// Configuration for the drift detector.
-#[derive(Debug, Clone)]
-pub struct MonitorConfig {
-    /// Capacity of the recent-residual window (the windowed mean relative
-    /// error reported next to the all-time Welford statistics).
-    pub window: usize,
-    /// Expected per-observation mean relative error of a healthy model.
-    /// `NaN` (the default) auto-calibrates it from the first
-    /// [`MonitorConfig::calibration`] observations.
-    pub baseline_error: f64,
-    /// Number of observations used to auto-calibrate the baseline when
-    /// [`MonitorConfig::baseline_error`] is NaN.
-    pub calibration: usize,
-    /// Slack added to the baseline before an observation counts as excess
-    /// error (absorbs noise so the CUSUM statistic only accumulates on
-    /// genuine degradation).
-    pub slack: f64,
-    /// CUSUM level at which a tier turns [`ModelHealth::Suspect`].
-    pub suspect_threshold: f64,
-    /// CUSUM level at which a tier turns [`ModelHealth::Quarantined`].
-    pub quarantine_threshold: f64,
-    /// Expected SLO pressure (degraded + deadline-missed + shed fraction of
-    /// submitted requests) of a healthy serving tier; the second escalation
-    /// signal fed by [`DriftMonitor::observe_slo`].
-    pub slo_baseline: f64,
-    /// Slack added to [`MonitorConfig::slo_baseline`] before a window's
-    /// pressure counts as excess (absorbs transient load spikes).
-    pub slo_slack: f64,
-    /// Minimum requests a window must cover before it moves the SLO CUSUM;
-    /// smaller windows are too noisy to act on and are ignored.
-    pub slo_min_requests: u64,
-}
+/// Capacity of the recent-residual window (the windowed mean relative
+/// error reported next to the all-time Welford statistics).
+const WINDOW: usize = 32;
+/// Observations that calibrate a tier's baseline when the monitor was
+/// built without one.
+const CALIBRATION: u64 = 16;
+/// Slack added to the baseline before an observation counts as excess
+/// error (absorbs noise so the CUSUM statistic only accumulates on genuine
+/// degradation).
+const SLACK: f64 = 0.10;
+/// CUSUM level at which a tier turns [`ModelHealth::Suspect`].
+const SUSPECT_THRESHOLD: f64 = 1.0;
+/// CUSUM level at which a tier turns [`ModelHealth::Quarantined`].
+const QUARANTINE_THRESHOLD: f64 = 3.0;
+/// Expected SLO pressure (degraded + deadline-missed + shed fraction of
+/// submitted requests) of a healthy serving tier, plus the slack that
+/// absorbs transient load spikes: what a window's pressure must exceed to
+/// move the SLO CUSUM fed by [`DriftMonitor::observe_slo`].
+const SLO_ALLOWANCE: f64 = 0.05 + 0.10;
+/// Minimum requests a window must cover before it moves the SLO CUSUM;
+/// smaller windows are too noisy to act on and are ignored.
+const SLO_MIN_REQUESTS: u64 = 16;
 
-impl Default for MonitorConfig {
-    fn default() -> Self {
-        MonitorConfig {
-            window: 32,
-            baseline_error: f64::NAN,
-            calibration: 16,
-            slack: 0.10,
-            suspect_threshold: 1.0,
-            quarantine_threshold: 3.0,
-            slo_baseline: 0.05,
-            slo_slack: 0.10,
-            slo_min_requests: 16,
-        }
+/// Where a CUSUM level puts a tier that is not yet quarantined.
+fn health_at(cusum: f64) -> ModelHealth {
+    if cusum >= QUARANTINE_THRESHOLD {
+        ModelHealth::Quarantined
+    } else if cusum >= SUSPECT_THRESHOLD {
+        ModelHealth::Suspect
+    } else {
+        ModelHealth::Healthy
     }
 }
 
@@ -131,12 +116,13 @@ pub struct TierState {
     recent: RollingWindow,
     /// CUSUM statistic: cumulative error in excess of baseline + slack.
     pub cusum: f64,
-    /// SLO-pressure CUSUM: cumulative window pressure in excess of
-    /// `slo_baseline + slo_slack` (the second escalation signal).
+    /// SLO-pressure CUSUM: cumulative window pressure in excess of the
+    /// healthy allowance (the second escalation signal).
     pub slo_cusum: f64,
-    /// Calibrated (or configured) baseline mean relative error; NaN until
-    /// calibration completes.
-    pub baseline: f64,
+    /// Expected per-observation mean relative error of a healthy model:
+    /// given to [`DriftMonitor::new`], or calibrated from the tier's first
+    /// observations; `None` until that calibration completes.
+    pub baseline: Option<f64>,
     /// Welford accumulator used during auto-calibration.
     calibrating: Welford,
     /// Current health.
@@ -144,13 +130,13 @@ pub struct TierState {
 }
 
 impl TierState {
-    fn new(cfg: &MonitorConfig) -> Self {
+    fn new(baseline: Option<f64>) -> Self {
         TierState {
             residuals: Welford::new(),
-            recent: RollingWindow::new(cfg.window),
+            recent: RollingWindow::new(WINDOW),
             cusum: 0.0,
             slo_cusum: 0.0,
-            baseline: cfg.baseline_error,
+            baseline,
             calibrating: Welford::new(),
             health: ModelHealth::Healthy,
         }
@@ -176,7 +162,8 @@ impl TierState {
 /// quarantine); read back health and statistics per tier.
 #[derive(Debug, Clone)]
 pub struct DriftMonitor {
-    config: MonitorConfig,
+    /// The baseline every tier starts from, and returns to on a reset.
+    baseline: Option<f64>,
     tiers: [TierState; 3],
     /// Per-operator-type residual statistics (indexed by
     /// [`OpType::index`]), aggregated across tiers: localizes *which*
@@ -185,23 +172,19 @@ pub struct DriftMonitor {
 }
 
 impl DriftMonitor {
-    /// Creates a monitor with the given detector configuration.
-    pub fn new(config: MonitorConfig) -> Self {
-        let tiers = [
-            TierState::new(&config),
-            TierState::new(&config),
-            TierState::new(&config),
-        ];
+    /// Creates a monitor. `baseline` is the expected per-observation mean
+    /// relative error of a healthy model; `None` calibrates it per tier
+    /// from that tier's first observations.
+    pub fn new(baseline: Option<f64>) -> Self {
         DriftMonitor {
-            config,
-            tiers,
+            baseline,
+            tiers: [
+                TierState::new(baseline),
+                TierState::new(baseline),
+                TierState::new(baseline),
+            ],
             per_op: vec![Welford::new(); ALL_OP_TYPES.len()],
         }
-    }
-
-    /// The detector configuration.
-    pub fn config(&self) -> &MonitorConfig {
-        &self.config
     }
 
     /// Folds one `(prediction, observed latency)` pair for the given
@@ -222,26 +205,19 @@ impl DriftMonitor {
         st.residuals.push(err);
         st.recent.push(err);
 
-        // Auto-calibrate the baseline from the first `calibration`
-        // residuals when none was configured.
-        if st.baseline.is_nan() {
+        // Without a given baseline, the first residuals calibrate one.
+        let Some(baseline) = st.baseline else {
             st.calibrating.push(err);
-            if st.calibrating.count() >= self.config.calibration as u64 {
-                st.baseline = st.calibrating.mean();
+            if st.calibrating.count() >= CALIBRATION {
+                st.baseline = Some(st.calibrating.mean());
             }
             return st.health;
-        }
+        };
 
         // One-sided CUSUM on the excess over baseline + slack.
-        st.cusum = (st.cusum + err - (st.baseline + self.config.slack)).max(0.0);
+        st.cusum = (st.cusum + err - (baseline + SLACK)).max(0.0);
         if st.health != ModelHealth::Quarantined {
-            st.health = if st.cusum >= self.config.quarantine_threshold {
-                ModelHealth::Quarantined
-            } else if st.cusum >= self.config.suspect_threshold {
-                ModelHealth::Suspect
-            } else {
-                ModelHealth::Healthy
-            };
+            st.health = health_at(st.cusum);
         }
         st.health
     }
@@ -284,26 +260,19 @@ impl DriftMonitor {
     /// the tier's circuit breaker: pressure means the tier is too slow or
     /// too contended, not that its answers are wrong, and disabling the
     /// accurate tier would only push more traffic down the degradation
-    /// chain. Windows smaller than [`MonitorConfig::slo_min_requests`] are
-    /// ignored; fallback tiers are accepted and ignored.
+    /// chain. Windows of fewer than 16 requests are ignored; fallback
+    /// tiers are accepted and ignored.
     pub fn observe_slo(&mut self, tier: PredictionTier, window: &SloWindow) -> ModelHealth {
         let Some(i) = MODEL_TIERS.iter().position(|t| *t == tier) else {
             return ModelHealth::Healthy;
         };
         let st = &mut self.tiers[i];
-        if window.total() < self.config.slo_min_requests {
+        if window.total() < SLO_MIN_REQUESTS {
             return st.health;
         }
-        let excess = window.pressure() - (self.config.slo_baseline + self.config.slo_slack);
-        st.slo_cusum = (st.slo_cusum + excess).max(0.0);
+        st.slo_cusum = (st.slo_cusum + (window.pressure() - SLO_ALLOWANCE)).max(0.0);
         if st.health != ModelHealth::Quarantined {
-            let slo_health = if st.slo_cusum >= self.config.quarantine_threshold {
-                ModelHealth::Quarantined
-            } else if st.slo_cusum >= self.config.suspect_threshold {
-                ModelHealth::Suspect
-            } else {
-                ModelHealth::Healthy
-            };
+            let slo_health = health_at(st.slo_cusum);
             // The two signals escalate, never de-escalate, each other.
             st.health = match (st.health, slo_health) {
                 (ModelHealth::Quarantined, _) | (_, ModelHealth::Quarantined) => {
@@ -351,7 +320,7 @@ impl DriftMonitor {
     /// they described the replaced model.
     pub fn reset_tier(&mut self, tier: PredictionTier) {
         if let Some(i) = MODEL_TIERS.iter().position(|t| *t == tier) {
-            self.tiers[i] = TierState::new(&self.config);
+            self.tiers[i] = TierState::new(self.baseline);
         }
     }
 
@@ -359,7 +328,7 @@ impl DriftMonitor {
     /// statistics); called when the registry promotes a new model set.
     pub fn reset_all(&mut self) {
         for t in &mut self.tiers {
-            *t = TierState::new(&self.config);
+            *t = TierState::new(self.baseline);
         }
         for w in &mut self.per_op {
             *w = Welford::new();
@@ -369,7 +338,7 @@ impl DriftMonitor {
 
 impl Default for DriftMonitor {
     fn default() -> Self {
-        DriftMonitor::new(MonitorConfig::default())
+        DriftMonitor::new(None)
     }
 }
 
@@ -499,10 +468,7 @@ mod tests {
 
     fn configured() -> DriftMonitor {
         // Explicit baseline: no calibration phase, deterministic tests.
-        DriftMonitor::new(MonitorConfig {
-            baseline_error: 0.10,
-            ..MonitorConfig::default()
-        })
+        DriftMonitor::new(Some(0.10))
     }
 
     #[test]
@@ -610,10 +576,7 @@ mod tests {
 
     #[test]
     fn auto_calibration_learns_the_baseline() {
-        let mut m = DriftMonitor::new(MonitorConfig {
-            calibration: 8,
-            ..MonitorConfig::default()
-        });
+        let mut m = DriftMonitor::new(None);
         // A model that is consistently ~40% off: with a fixed 10% baseline
         // this would quarantine, but calibration should absorb it as the
         // tier's normal behavior.
@@ -621,10 +584,10 @@ mod tests {
             m.observe(PredictionTier::Hybrid, 1.0, 1.4);
         }
         let st = m.tier(PredictionTier::Hybrid).unwrap();
+        let baseline = st.baseline.expect("calibrated after 16 observations");
         assert!(
-            (st.baseline - relative_error(1.4, 1.0)).abs() < 1e-9,
-            "baseline = {}",
-            st.baseline
+            (baseline - relative_error(1.4, 1.0)).abs() < 1e-9,
+            "baseline = {baseline}"
         );
         assert_eq!(m.health(PredictionTier::Hybrid), ModelHealth::Healthy);
         // And drift beyond the calibrated baseline still quarantines.
@@ -742,7 +705,7 @@ mod tests {
             );
         }
         assert_eq!(m.tier(PredictionTier::OperatorLevel).unwrap().slo_cusum, 0.0);
-        // All-shed windows below slo_min_requests are too small to act on.
+        // All-shed windows below SLO_MIN_REQUESTS are too small to act on.
         let tiny = SloWindow {
             shed: 15,
             ..SloWindow::default()

@@ -10,9 +10,9 @@
 
 use crate::dataset::ExecutedQuery;
 use crate::features::{FeatureSource, NodeView};
-use crate::hybrid::{train_subplan_model, HybridConfig, HybridModel, SubplanModel};
+use crate::hybrid::{train_subplan_model, HybridConfig, HybridModel, SubplanModel, FOLD_SEED};
 use crate::pred_cache::PredictionCache;
-use crate::subplan::{arena_structure_hashes, StructureKey, SubplanIndex};
+use crate::subplan::{arena_structure_hashes, StructureKey, SubplanIndex, MIN_FRAGMENT_SIZE};
 use engine::arena::PlanArena;
 use engine::plan::PlanNode;
 use ml::metrics::relative_error;
@@ -23,8 +23,6 @@ use std::collections::HashMap;
 pub struct OnlineConfig {
     /// Minimum training occurrences for a fragment to get a model.
     pub min_frequency: usize,
-    /// Minimum fragment size in operators.
-    pub min_size: usize,
     /// Model-building settings shared with the hybrid method.
     pub hybrid: HybridConfig,
 }
@@ -33,7 +31,6 @@ impl Default for OnlineConfig {
     fn default() -> Self {
         OnlineConfig {
             min_frequency: 5,
-            min_size: 2,
             hybrid: HybridConfig::default(),
         }
     }
@@ -65,7 +62,7 @@ impl<'a> OnlinePredictor<'a> {
         let source = base.op_model.source();
         let views: Vec<Vec<NodeView>> = train.iter().map(|q| q.views(source)).collect();
         let plans: Vec<(u8, &PlanNode)> = train.iter().map(|q| (q.template, &q.plan)).collect();
-        let index = SubplanIndex::build(&plans, config.min_size);
+        let index = SubplanIndex::build(&plans);
         OnlinePredictor {
             train,
             views,
@@ -132,7 +129,7 @@ impl<'a> OnlinePredictor<'a> {
         // hash array then drive the memoized prediction walk.
         let arena = PlanArena::flatten(plan);
         let hashes = arena_structure_hashes(&arena);
-        let keys = collect_keys_with_features(&arena, &hashes, views, self.config.min_size);
+        let keys = collect_keys_with_features(&arena, &hashes, views);
         let mut model = self.base.clone();
         for (key, features) in keys {
             if model.plan_models.contains_key(&key) {
@@ -199,7 +196,7 @@ impl<'a> OnlinePredictor<'a> {
             }
             let cfg = &self.config.hybrid;
             let inner_folds =
-                ml::cv::kfold(x.n_rows(), cfg.folds.min(x.n_rows()).max(2), cfg.seed);
+                ml::cv::kfold(x.n_rows(), cfg.folds.min(x.n_rows()).max(2), FOLD_SEED);
             let Ok(fold_model) = crate::plan_model::FeatureModel::train(
                 &x,
                 &y,
@@ -246,7 +243,7 @@ impl<'a> OnlinePredictor<'a> {
 }
 
 /// Collects (structure key, plan-level feature vector) for every sub-plan
-/// of at least `min_size` operators, first occurrence per key, in
+/// of at least [`MIN_FRAGMENT_SIZE`] operators, first occurrence per key, in
 /// pre-order. One linear pass over the arena: sizes and structure hashes
 /// are already memoized, and fragment features come from contiguous
 /// slices (the boxed walk re-ran `node_count` and `structure_key` per
@@ -255,12 +252,11 @@ fn collect_keys_with_features(
     arena: &PlanArena<'_>,
     hashes: &[u64],
     views: &[NodeView],
-    min_size: usize,
 ) -> Vec<(StructureKey, Vec<f64>)> {
     let mut out: Vec<(StructureKey, Vec<f64>)> = Vec::new();
     for idx in arena.preorder() {
         let size = arena.size(idx);
-        if size < min_size {
+        if size < MIN_FRAGMENT_SIZE {
             continue;
         }
         let k = StructureKey(hashes[idx]);

@@ -16,6 +16,9 @@ use ml::bytes::{put_count, Malformed, Reader};
 use ml::cv::kfold;
 use ml::{Dataset, ForwardSelection, LearnerKind, MlError};
 
+/// Seed of the fold assignment.
+const FOLD_SEED: u64 = 17;
+
 /// Configuration of operator-level model training.
 #[derive(Debug, Clone)]
 pub struct OpModelConfig {
@@ -25,8 +28,6 @@ pub struct OpModelConfig {
     pub selection: ForwardSelection,
     /// CV folds for feature selection.
     pub folds: usize,
-    /// Fold seed.
-    pub seed: u64,
     /// Feature source.
     pub source: FeatureSource,
     /// Include the child start-time features (st1/st2). Disabling them is
@@ -45,7 +46,6 @@ impl Default for OpModelConfig {
                 max_features: 0,
             },
             folds: 4,
-            seed: 17,
             source: FeatureSource::Estimated,
             include_start_features: true,
         }
@@ -130,7 +130,7 @@ impl OpLevelModel {
             let folds = kfold(
                 xs[k].n_rows(),
                 config.folds.min(xs[k].n_rows()).max(2),
-                config.seed,
+                FOLD_SEED,
             );
             let start_model = FeatureModel::train(
                 &xs[k],

@@ -11,7 +11,7 @@ use engine::plan::PlanNode;
 use ml::bytes::{put_count, put_f64, put_u32, Malformed, Reader};
 use ml::cv::{stratified_kfold, Fold};
 use ml::{
-    forward_select, CompiledModel, Dataset, ForwardSelection, Learner, LearnerKind, MlError, Model,
+    forward_select, CompiledModel, Dataset, ForwardSelection, Learner, LearnerKind, MlError,
     PredictScratch, TrainedModel,
 };
 use std::cell::RefCell;
@@ -54,6 +54,9 @@ impl TargetMetric {
     }
 }
 
+/// Seed of the fold assignment.
+const FOLD_SEED: u64 = 42;
+
 /// Configuration of plan-level model training.
 #[derive(Debug, Clone)]
 pub struct PlanModelConfig {
@@ -63,8 +66,6 @@ pub struct PlanModelConfig {
     pub selection: ForwardSelection,
     /// Cross-validation folds used during feature selection.
     pub folds: usize,
-    /// Seed for fold assignment.
-    pub seed: u64,
     /// Feature source (estimates in deployment).
     pub source: FeatureSource,
     /// Fit on `ln(1 + latency)` (recommended: latencies span orders of
@@ -80,7 +81,6 @@ impl Default for PlanModelConfig {
             learner: LearnerKind::Svr(ml::SvrParams::default()),
             selection: ForwardSelection::default(),
             folds: 5,
-            seed: 42,
             source: FeatureSource::Estimated,
             log_target: true,
             metric: TargetMetric::Latency,
@@ -401,7 +401,7 @@ impl PlanLevelModel {
         let (x, y) = assemble_metric(queries, config.source, config.metric);
         let strata: Vec<usize> = queries.iter().map(|q| q.template as usize).collect();
         let k = config.folds.min(queries.len().max(2)).max(2);
-        let folds = stratified_kfold(&strata, k, config.seed);
+        let folds = stratified_kfold(&strata, k, FOLD_SEED);
         let inner = FeatureModel::train(&x, &y, &folds, &config.learner, &config.selection, config.log_target)?;
         Ok(PlanLevelModel {
             inner,

@@ -61,8 +61,13 @@ pub struct Prediction {
     pub degraded: bool,
 }
 
+/// Consecutive invalid outputs after which a model tier's circuit breaker
+/// opens and [`QppPredictor::predict_checked`] stops consulting it (until a
+/// valid output or a reset closes it).
+const BREAKER_THRESHOLD: u32 = 3;
+
 /// Training configuration for the full predictor.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct QppConfig {
     /// Plan-level settings.
     pub plan: PlanModelConfig,
@@ -70,21 +75,6 @@ pub struct QppConfig {
     pub op: OpModelConfig,
     /// Hybrid settings.
     pub hybrid: HybridConfig,
-    /// Consecutive invalid outputs after which a model tier's circuit
-    /// breaker opens and [`QppPredictor::predict_checked`] stops
-    /// consulting it (until a valid output or a reset closes it).
-    pub breaker_threshold: u32,
-}
-
-impl Default for QppConfig {
-    fn default() -> Self {
-        QppConfig {
-            plan: PlanModelConfig::default(),
-            op: OpModelConfig::default(),
-            hybrid: HybridConfig::default(),
-            breaker_threshold: 3,
-        }
-    }
 }
 
 /// A trained predictor holding all three offline model sets.
@@ -284,7 +274,7 @@ impl QppPredictor {
             })
         };
         for (i, &tier) in MODEL_TIERS.iter().enumerate().skip(start) {
-            if self.breakers[i].load(Ordering::Relaxed) >= self.config.breaker_threshold {
+            if self.breakers[i].load(Ordering::Relaxed) >= BREAKER_THRESHOLD {
                 continue;
             }
             let source = match tier {
@@ -348,7 +338,7 @@ impl QppPredictor {
         let start = method.tier();
         let i = tier_rank(start);
         debug_assert!(i < MODEL_TIERS.len());
-        if self.breakers[i].load(Ordering::Relaxed) >= self.config.breaker_threshold {
+        if self.breakers[i].load(Ordering::Relaxed) >= BREAKER_THRESHOLD {
             // The whole entry tier is out: every query takes the same
             // walk, which skips the open breaker consistently.
             return queries
@@ -394,7 +384,7 @@ impl QppPredictor {
     pub fn breaker_tripped(&self, tier: PredictionTier) -> bool {
         match tier_index(tier) {
             Some(i) => {
-                self.breakers[i].load(Ordering::Relaxed) >= self.config.breaker_threshold
+                self.breakers[i].load(Ordering::Relaxed) >= BREAKER_THRESHOLD
             }
             None => false,
         }
@@ -418,7 +408,7 @@ impl QppPredictor {
     /// stick must consult the monitor, not the breaker, before serving.
     pub fn trip_breaker(&self, tier: PredictionTier) {
         if let Some(i) = tier_index(tier) {
-            self.breakers[i].store(self.config.breaker_threshold, Ordering::Relaxed);
+            self.breakers[i].store(BREAKER_THRESHOLD, Ordering::Relaxed);
         }
     }
 
@@ -469,7 +459,6 @@ impl QppPredictor {
             self.hybrid.clone(),
             OnlineConfig {
                 min_frequency: self.config.hybrid.min_frequency,
-                min_size: self.config.hybrid.min_size,
                 hybrid: self.config.hybrid.clone(),
             },
         )
@@ -569,7 +558,7 @@ mod tests {
         let refs: Vec<&ExecutedQuery> = ds.queries.iter().collect();
         let qpp = QppPredictor::train(&refs, QppConfig::default()).unwrap();
         let q = refs[0];
-        qpp.breakers[0].store(qpp.config.breaker_threshold, Ordering::Relaxed);
+        qpp.breakers[0].store(BREAKER_THRESHOLD, Ordering::Relaxed);
         assert!(qpp.breaker_tripped(PredictionTier::Hybrid));
         let p = qpp.predict_checked(q, Method::Hybrid(PlanOrdering::ErrorBased));
         assert!(p.degraded);

@@ -125,29 +125,15 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<MaterializedModels, QppError> {
     MaterializedModels::decode(payload)
 }
 
-/// Configuration of [`ModelRegistry::shadow_retrain`].
-#[derive(Debug, Clone)]
-pub struct RetrainConfig {
-    /// Fraction of the recent window held out for scoring candidate vs
-    /// incumbent (neither model trains on it).
-    pub holdout_frac: f64,
-    /// Required relative improvement in held-out mean relative error
-    /// before the candidate is promoted: promote iff
-    /// `candidate <= incumbent * (1 - min_improvement)`.
-    pub min_improvement: f64,
-    /// Seed for the holdout split.
-    pub seed: u64,
-}
-
-impl Default for RetrainConfig {
-    fn default() -> Self {
-        RetrainConfig {
-            holdout_frac: 0.25,
-            min_improvement: 0.05,
-            seed: 0x5EED,
-        }
-    }
-}
+/// Fraction of the recent window [`ModelRegistry::shadow_retrain`] holds
+/// out for scoring candidate vs incumbent (neither model trains on it).
+const HOLDOUT_FRAC: f64 = 0.25;
+/// Required relative improvement in held-out mean relative error before
+/// the candidate is promoted: promote iff
+/// `candidate <= incumbent * (1 - MIN_IMPROVEMENT)`.
+const MIN_IMPROVEMENT: f64 = 0.05;
+/// Seed for the holdout split.
+const HOLDOUT_SEED: u64 = 0x5EED;
 
 /// What a shadow-retrain round decided and why.
 #[derive(Debug, Clone)]
@@ -317,23 +303,19 @@ impl ModelRegistry {
     }
 
     /// Shadow retraining: fits a candidate on the recent window and
-    /// promotes it only if it beats the incumbent on a held-out slice by
-    /// the configured margin.
+    /// promotes it only if it beats the incumbent on a held-out quarter
+    /// by more than 5 %.
     ///
     /// The split is seeded and the candidate trains only on the training
     /// side, so incumbent and candidate are scored on data neither was
     /// fit to. Scoring runs through `predict_checked` (hybrid entry
     /// point): what is compared is the full degradation chain each model
     /// set would actually serve.
-    pub fn shadow_retrain(
-        &self,
-        recent: &[&ExecutedQuery],
-        cfg: &RetrainConfig,
-    ) -> Result<PromotionReport, QppError> {
+    pub fn shadow_retrain(&self, recent: &[&ExecutedQuery]) -> Result<PromotionReport, QppError> {
         if recent.len() < 4 {
             return Err(QppError::NoTrainingData);
         }
-        let (train_idx, test_idx) = holdout(recent.len(), cfg.holdout_frac, cfg.seed);
+        let (train_idx, test_idx) = holdout(recent.len(), HOLDOUT_FRAC, HOLDOUT_SEED);
         let train: Vec<&ExecutedQuery> = train_idx.iter().map(|&i| recent[i]).collect();
         let test: Vec<&ExecutedQuery> = test_idx.iter().map(|&i| recent[i]).collect();
 
@@ -342,7 +324,7 @@ impl ModelRegistry {
         let incumbent_error = score(&incumbent, &test);
         let candidate_error = score(&candidate, &test);
 
-        if candidate_error <= incumbent_error * (1.0 - cfg.min_improvement) {
+        if candidate_error <= incumbent_error * (1.0 - MIN_IMPROVEMENT) {
             let version = self.promote(candidate)?;
             Ok(PromotionReport {
                 promoted: true,
@@ -352,7 +334,7 @@ impl ModelRegistry {
                 reason: format!(
                     "candidate held-out MRE {candidate_error:.4} beats incumbent \
                      {incumbent_error:.4} by more than the {:.0}% margin",
-                    cfg.min_improvement * 100.0
+                    MIN_IMPROVEMENT * 100.0
                 ),
             })
         } else {
@@ -364,7 +346,7 @@ impl ModelRegistry {
                 reason: format!(
                     "candidate held-out MRE {candidate_error:.4} does not beat incumbent \
                      {incumbent_error:.4} by the {:.0}% margin; keeping incumbent",
-                    cfg.min_improvement * 100.0
+                    MIN_IMPROVEMENT * 100.0
                 ),
             })
         }
@@ -643,9 +625,7 @@ mod tests {
         // The incumbent was trained on this very distribution: a shadow
         // retrain on the same window should not find the margin and must
         // keep the incumbent.
-        let report = registry
-            .shadow_retrain(&refs, &RetrainConfig::default())
-            .unwrap();
+        let report = registry.shadow_retrain(&refs).unwrap();
         assert!(report.incumbent_error.is_finite());
         assert!(report.candidate_error.is_finite());
         if !report.promoted {
@@ -660,7 +640,7 @@ mod tests {
 
         // Too little data is a typed error.
         assert!(matches!(
-            registry.shadow_retrain(&refs[..2], &RetrainConfig::default()),
+            registry.shadow_retrain(&refs[..2]),
             Err(QppError::NoTrainingData)
         ));
         let _ = fs::remove_dir_all(&dir);

@@ -93,6 +93,10 @@ impl SubplanInfo {
     }
 }
 
+/// Fewest operators a plan fragment must have to be indexed and to get a
+/// model of its own: a single operator is the operator-level model's.
+pub(crate) const MIN_FRAGMENT_SIZE: usize = 2;
+
 /// An index of every sub-plan structure in a set of plans.
 #[derive(Debug, Clone, Default)]
 pub struct SubplanIndex {
@@ -101,20 +105,20 @@ pub struct SubplanIndex {
 
 impl SubplanIndex {
     /// Builds the index over `(template, plan)` pairs, enumerating every
-    /// subtree with at least `min_size` operators.
+    /// subtree with at least two operators.
     ///
     /// Each plan is flattened into a [`PlanArena`] once, and hashes are
     /// memoized bottom-up along its post-order cursor, so indexing a plan
     /// of `n` operators costs O(n) hash work instead of the O(n²) of
     /// re-hashing every subtree from its root.
-    pub fn build(plans: &[(u8, &PlanNode)], min_size: usize) -> SubplanIndex {
+    pub fn build(plans: &[(u8, &PlanNode)]) -> SubplanIndex {
         let mut idx = SubplanIndex::default();
         for (q, (template, plan)) in plans.iter().enumerate() {
             let arena = PlanArena::flatten(plan);
             let hashes = arena_structure_hashes(&arena);
             for (i, node) in arena.nodes().iter().enumerate() {
                 let size = arena.size(i);
-                if size < min_size {
+                if size < MIN_FRAGMENT_SIZE {
                     continue;
                 }
                 let key = StructureKey(hashes[i]);
@@ -343,7 +347,7 @@ mod tests {
     fn index_counts_occurrences_and_templates() {
         let ps = plans(&[3, 3, 6], 2);
         let refs: Vec<(u8, &PlanNode)> = ps.iter().map(|(t, p)| (*t, p)).collect();
-        let idx = SubplanIndex::build(&refs, 2);
+        let idx = SubplanIndex::build(&refs);
         assert!(!idx.is_empty());
         // The full template-3 plan occurs 4 times (2 per workload copy).
         let key = structure_key(&ps[0].1);
@@ -357,7 +361,7 @@ mod tests {
         // Templates 3 and 10 both join customer ⋈ orders ⋈ lineitem.
         let ps = plans(&[3, 10], 3);
         let refs: Vec<(u8, &PlanNode)> = ps.iter().map(|(t, p)| (*t, p)).collect();
-        let idx = SubplanIndex::build(&refs, 2);
+        let idx = SubplanIndex::build(&refs);
         let common = idx.common(2);
         // They may or may not share fragments depending on physical
         // choices; the sharing report must at least be internally
@@ -407,7 +411,7 @@ mod tests {
     fn size_distribution_is_sorted() {
         let ps = plans(&[3, 10, 5], 2);
         let refs: Vec<(u8, &PlanNode)> = ps.iter().map(|(t, p)| (*t, p)).collect();
-        let idx = SubplanIndex::build(&refs, 2);
+        let idx = SubplanIndex::build(&refs);
         let sizes = idx.common_size_distribution();
         assert!(sizes.windows(2).all(|w| w[0] <= w[1]));
     }

@@ -14,7 +14,7 @@ use std::collections::HashMap;
 use tpch::datagen::{GeneratedDb, TableData};
 use tpch::dicts;
 use tpch::schema::{ColRef, TableId};
-use tpch::spec::{AggFunc, GroupCount, JoinKind, Predicate, RelExpr};
+use tpch::spec::{AggFunc, JoinKind, Predicate, RelExpr};
 
 /// Column identity inside an intermediate relation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -330,16 +330,11 @@ fn hash_str(s: &str) -> u64 {
     })
 }
 
-/// The GROUP COUNT spec is re-exported for validation helpers.
-pub fn expected_groups(spec: &tpch::spec::AggregateSpec) -> GroupCount {
-    spec.groups
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use tpch::schema::col;
-    use tpch::spec::AggregateSpec;
+    use tpch::spec::{AggregateSpec, GroupCount};
     use tpch::types::{date, CmpOp, Scalar};
     use TableId::*;
 

@@ -251,68 +251,6 @@ impl Default for DriftPlan {
     }
 }
 
-/// The serving-layer fault decisions for one request, fully determined by
-/// the [`ServeFaultPlan`] and the request id.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ServeFaultOutcome {
-    /// Seconds a worker stalls (GC pause, page fault, noisy neighbour)
-    /// before serving this request. 0.0 = no stall.
-    pub stall_secs: f64,
-    /// The client drains its reply slowly, holding the response channel
-    /// open past the service time.
-    pub slow_consumer: bool,
-}
-
-/// A seeded, deterministic fault-injection policy for the *serving* layer
-/// (the prediction front-end), mirroring [`FaultPlan`]'s contract for the
-/// execution layer: the same (plan, request id) pair always yields the
-/// same faults, so overload tests are exactly reproducible.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeFaultPlan {
-    /// Probability that a worker stalls while serving a request.
-    pub stall_prob: f64,
-    /// Stall duration in seconds when a stall fires (values below 0 are
-    /// treated as 0).
-    pub stall_secs: f64,
-    /// Probability that the requesting client consumes its reply slowly.
-    pub slow_consumer_prob: f64,
-    /// Fault-stream seed, decorrelated from execution-layer fault streams.
-    pub seed: u64,
-}
-
-impl ServeFaultPlan {
-    /// A plan that injects nothing: every request is served untouched.
-    pub fn none() -> ServeFaultPlan {
-        ServeFaultPlan {
-            stall_prob: 0.0,
-            stall_secs: 0.002,
-            slow_consumer_prob: 0.0,
-            seed: 0,
-        }
-    }
-
-    /// The fault decisions for the request identified by `request_id`.
-    /// Deterministic: the same (plan, request_id) pair always returns the
-    /// same outcome.
-    pub fn decide(&self, request_id: u64) -> ServeFaultOutcome {
-        let mut rng = StdRng::seed_from_u64(
-            self.seed ^ request_id.wrapping_mul(0xA24B_AED4_963E_E407) ^ 0x5E_4FE,
-        );
-        let stall = rng.gen_f64() < self.stall_prob;
-        let slow = rng.gen_f64() < self.slow_consumer_prob;
-        ServeFaultOutcome {
-            stall_secs: if stall { self.stall_secs.max(0.0) } else { 0.0 },
-            slow_consumer: slow,
-        }
-    }
-}
-
-impl Default for ServeFaultPlan {
-    fn default() -> Self {
-        ServeFaultPlan::none()
-    }
-}
-
 /// The network fault decisions for one wire frame, fully determined by
 /// the [`NetFaultPlan`], the frame id, and the frame length.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -434,12 +372,6 @@ impl Default for NetFaultPlan {
 pub enum ArrivalPattern {
     /// Evenly spaced arrivals: request `i` arrives at `i / rate`.
     Steady,
-    /// Poisson process: exponential inter-arrival times with mean
-    /// `1 / rate`, drawn from a seeded stream.
-    Poisson {
-        /// Arrival-stream seed.
-        seed: u64,
-    },
     /// Bursts of `burst` near-simultaneous arrivals separated by idle
     /// gaps, keeping the long-run mean rate: a burst lands every
     /// `burst / rate` seconds, its members spread over a small fraction
@@ -460,17 +392,6 @@ impl ArrivalPattern {
         assert!(rate > 0.0 && rate.is_finite(), "rate must be positive");
         match self {
             ArrivalPattern::Steady => (0..n).map(|i| i as f64 / rate).collect(),
-            ArrivalPattern::Poisson { seed } => {
-                let mut rng = StdRng::seed_from_u64(*seed ^ 0xA8_817);
-                let mut t = 0.0;
-                let mut out = Vec::with_capacity(n);
-                for _ in 0..n {
-                    out.push(t);
-                    let u = rng.gen_f64();
-                    t += -(1.0 - u).max(1e-12).ln() / rate;
-                }
-                out
-            }
             ArrivalPattern::Bursty { burst, seed } => {
                 let burst = (*burst).max(1);
                 let period = burst as f64 / rate;
@@ -507,10 +428,9 @@ pub struct TenantArrival {
 /// generation.
 ///
 /// Where [`ArrivalPattern`] answers *when* requests arrive,
-/// `TenantLoadPattern` also answers *whose* they are — the load skews
-/// that make bulkhead isolation testable: one tenant bursting while the
-/// rest trickle, the hot seat rotating, or every tenant surging at once.
-/// [`TenantLoadPattern::arrivals`] is deterministic in
+/// `TenantLoadPattern` also answers *whose* they are — the load skew
+/// that makes bulkhead isolation testable: one tenant bursting while the
+/// rest trickle. [`TenantLoadPattern::arrivals`] is deterministic in
 /// (pattern, tenants, n, rate), so shed/served counts per tenant are
 /// exactly reproducible.
 #[derive(Debug, Clone, PartialEq)]
@@ -528,134 +448,48 @@ pub enum TenantLoadPattern {
         /// Arrival-stream seed (intra-burst jitter).
         seed: u64,
     },
-    /// The hot seat rotates: every `period` arrivals a different tenant
-    /// becomes the aggressor, taking three quarters of the traffic while
-    /// the rest is spread round-robin across the others. Exercises that
-    /// bulkheads recover once a tenant quiets down.
-    RotatingHot {
-        /// Arrivals between hot-tenant rotations (values below 1 are
-        /// treated as 1).
-        period: usize,
-        /// Arrival-stream seed.
-        seed: u64,
-    },
-    /// All tenants surge together: every `surge_every` arrivals, a window
-    /// of `surge_len` arrivals lands at eight times the base rate, with
-    /// traffic round-robined across tenants throughout. The correlated
-    /// case where shedding must come from the *global* budget, not any
-    /// single tenant's.
-    CorrelatedSurge {
-        /// Arrivals between surge-window starts (clamped to at least
-        /// `surge_len + 1`).
-        surge_every: usize,
-        /// Arrivals per surge window (values below 1 are treated as 1).
-        surge_len: usize,
-        /// Arrival-stream seed (inter-arrival jitter).
-        seed: u64,
-    },
 }
 
 impl TenantLoadPattern {
-    /// The first `n` arrivals of a `tenants`-way stream at base rate
-    /// `rate` requests/second (the long-run mean for the burst patterns;
-    /// the off-surge rate for [`TenantLoadPattern::CorrelatedSurge`],
-    /// whose surge windows exceed it). Offsets are non-decreasing and
+    /// The first `n` arrivals of a `tenants`-way stream at long-run mean
+    /// rate `rate` requests/second. Offsets are non-decreasing and
     /// non-negative, every tenant index is in `0..tenants`, every tenant
     /// appears in a sufficiently long stream, and the whole vector is
     /// deterministic in (pattern, tenants, n, rate).
     pub fn arrivals(&self, tenants: usize, n: usize, rate: f64) -> Vec<TenantArrival> {
         assert!(tenants >= 1, "need at least one tenant");
         assert!(rate > 0.0 && rate.is_finite(), "rate must be positive");
-        match self {
-            TenantLoadPattern::OneHotBurst { hot, burst, seed } => {
-                let hot = *hot % tenants;
-                // Each burst must fit one arrival per quiet tenant plus at
-                // least one hot arrival.
-                let burst = (*burst).max(tenants.max(2));
-                let offsets = ArrivalPattern::Bursty { burst, seed: *seed }
-                    .arrival_offsets(n, rate);
-                offsets
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, offset_secs)| {
-                        let pos = i % burst;
-                        let quiet_slots = tenants - 1;
-                        // The last `quiet_slots` positions of each burst go
-                        // one each to the non-hot tenants, in index order.
-                        let tenant = if pos < burst - quiet_slots {
-                            hot
-                        } else {
-                            let q = pos - (burst - quiet_slots);
-                            // q-th tenant when `hot` is skipped.
-                            if q < hot {
-                                q
-                            } else {
-                                q + 1
-                            }
-                        };
-                        TenantArrival {
-                            offset_secs,
-                            tenant,
-                        }
-                    })
-                    .collect()
-            }
-            TenantLoadPattern::RotatingHot { period, seed } => {
-                let period = (*period).max(1);
-                let offsets = ArrivalPattern::Poisson { seed: *seed }.arrival_offsets(n, rate);
-                offsets
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, offset_secs)| {
-                        let hot = (i / period) % tenants;
-                        // Three of every four arrivals are the hot
-                        // tenant's; the fourth round-robins the others.
-                        let tenant = if tenants == 1 || i % 4 != 0 {
-                            hot
-                        } else {
-                            let q = (i / 4) % (tenants - 1);
-                            if q < hot {
-                                q
-                            } else {
-                                q + 1
-                            }
-                        };
-                        TenantArrival {
-                            offset_secs,
-                            tenant,
-                        }
-                    })
-                    .collect()
-            }
-            TenantLoadPattern::CorrelatedSurge {
-                surge_every,
-                surge_len,
-                seed,
-            } => {
-                let surge_len = (*surge_len).max(1);
-                let surge_every = (*surge_every).max(surge_len + 1);
-                let mut rng = StdRng::seed_from_u64(*seed ^ 0x7E_A11);
-                let mut t = 0.0;
-                let mut out = Vec::with_capacity(n);
-                for i in 0..n {
-                    out.push(TenantArrival {
-                        offset_secs: t,
-                        tenant: i % tenants,
-                    });
-                    // Surge windows land at 8x the base rate; ±20% seeded
-                    // jitter keeps arrivals from being exactly periodic.
-                    let in_surge = i % surge_every < surge_len;
-                    let dt = if in_surge {
-                        1.0 / (8.0 * rate)
+        let TenantLoadPattern::OneHotBurst { hot, burst, seed } = self;
+        let hot = *hot % tenants;
+        // Each burst must fit one arrival per quiet tenant plus at least
+        // one hot arrival.
+        let burst = (*burst).max(tenants.max(2));
+        let quiet_slots = tenants - 1;
+        ArrivalPattern::Bursty { burst, seed: *seed }
+            .arrival_offsets(n, rate)
+            .into_iter()
+            .enumerate()
+            .map(|(i, offset_secs)| {
+                let pos = i % burst;
+                // The last `quiet_slots` positions of each burst go one
+                // each to the non-hot tenants, in index order.
+                let tenant = if pos < burst - quiet_slots {
+                    hot
+                } else {
+                    let q = pos - (burst - quiet_slots);
+                    // q-th tenant when `hot` is skipped.
+                    if q < hot {
+                        q
                     } else {
-                        1.0 / rate
-                    };
-                    let jitter = 0.8 + 0.4 * rng.gen_f64();
-                    t += dt * jitter;
+                        q + 1
+                    }
+                };
+                TenantArrival {
+                    offset_secs,
+                    tenant,
                 }
-                out
-            }
-        }
+            })
+            .collect()
     }
 }
 
@@ -859,49 +693,6 @@ mod tests {
     }
 
     #[test]
-    fn serve_faults_are_deterministic_and_none_is_inert() {
-        let none = ServeFaultPlan::none();
-        for id in 0..200 {
-            let o = none.decide(id);
-            assert_eq!(o.stall_secs, 0.0);
-            assert!(!o.slow_consumer);
-        }
-        let plan = ServeFaultPlan {
-            stall_prob: 0.5,
-            stall_secs: 0.004,
-            slow_consumer_prob: 0.25,
-            seed: 7,
-        };
-        for id in 0..50 {
-            assert_eq!(plan.decide(id), plan.decide(id));
-        }
-    }
-
-    #[test]
-    fn serve_fault_rates_match_probabilities() {
-        let plan = ServeFaultPlan {
-            stall_prob: 0.3,
-            stall_secs: 0.002,
-            slow_consumer_prob: 0.1,
-            seed: 11,
-        };
-        let n = 4000;
-        let mut stalls = 0;
-        let mut slow = 0;
-        for id in 0..n {
-            let o = plan.decide(id);
-            if o.stall_secs > 0.0 {
-                stalls += 1;
-                assert_eq!(o.stall_secs, 0.002);
-            }
-            slow += o.slow_consumer as usize;
-        }
-        let frac = |k: usize| k as f64 / n as f64;
-        assert!((frac(stalls) - 0.3).abs() < 0.03, "stalls {}", frac(stalls));
-        assert!((frac(slow) - 0.1).abs() < 0.03, "slow {}", frac(slow));
-    }
-
-    #[test]
     fn net_faults_are_deterministic_and_none_is_inert() {
         let none = NetFaultPlan::none();
         for id in 0..200 {
@@ -1003,7 +794,6 @@ mod tests {
         let rate = 500.0;
         for pattern in [
             ArrivalPattern::Steady,
-            ArrivalPattern::Poisson { seed: 42 },
             ArrivalPattern::Bursty { burst: 32, seed: 42 },
         ] {
             let a = pattern.arrival_offsets(n, rate);
@@ -1078,22 +868,6 @@ mod tests {
                 2000,
                 400.0,
             );
-            check_stream(
-                &TenantLoadPattern::RotatingHot { period: 64, seed: 5 },
-                tenants,
-                2000,
-                400.0,
-            );
-            check_stream(
-                &TenantLoadPattern::CorrelatedSurge {
-                    surge_every: 100,
-                    surge_len: 25,
-                    seed: 5,
-                },
-                tenants,
-                2000,
-                400.0,
-            );
         }
     }
 
@@ -1127,60 +901,6 @@ mod tests {
         for w in quiet_offsets.windows(2) {
             assert!(w[1] - w[0] > 0.5 * period, "quiet arrivals bunched");
         }
-    }
-
-    #[test]
-    fn rotating_hot_rotates_the_aggressor() {
-        let tenants = 3;
-        let period = 300;
-        let pattern = TenantLoadPattern::RotatingHot { period, seed: 13 };
-        let arrivals = pattern.arrivals(tenants, period * tenants, 500.0);
-        for epoch in 0..tenants {
-            let mut per_tenant = vec![0usize; tenants];
-            for a in &arrivals[epoch * period..(epoch + 1) * period] {
-                per_tenant[a.tenant] += 1;
-            }
-            let hot = epoch % tenants;
-            // The hot seat holds ~3/4 of its epoch's traffic.
-            assert!(
-                per_tenant[hot] * 4 >= period * 2,
-                "epoch {epoch}: hot tenant got {per_tenant:?}"
-            );
-            for (t, &count) in per_tenant.iter().enumerate() {
-                if t != hot {
-                    assert!(count < per_tenant[hot] / 2, "epoch {epoch}: {per_tenant:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn correlated_surge_compresses_gaps_for_every_tenant_at_once() {
-        let pattern = TenantLoadPattern::CorrelatedSurge {
-            surge_every: 200,
-            surge_len: 50,
-            seed: 17,
-        };
-        let rate = 100.0;
-        let arrivals = pattern.arrivals(3, 1000, rate);
-        // Mean gap inside surge windows is ~1/(8 rate); outside, ~1/rate.
-        let gap = |i: usize| arrivals[i + 1].offset_secs - arrivals[i].offset_secs;
-        let surge_gaps: Vec<f64> = (0..49).map(gap).collect();
-        let calm_gaps: Vec<f64> = (60..190).map(gap).collect();
-        let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
-        assert!(
-            mean(&calm_gaps) > 4.0 * mean(&surge_gaps),
-            "calm {} vs surge {}",
-            mean(&calm_gaps),
-            mean(&surge_gaps)
-        );
-        // The surge is correlated: all three tenants appear inside one
-        // surge window.
-        let mut seen = [false; 3];
-        for a in &arrivals[..50] {
-            seen[a.tenant] = true;
-        }
-        assert!(seen.iter().all(|&s| s), "surge window missing a tenant");
     }
 
     #[test]

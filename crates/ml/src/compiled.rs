@@ -448,7 +448,7 @@ mod tests {
         let clm = lm.compile();
         // Linear models pass through compilation unchanged.
         assert_eq!(
-            crate::Model::predict(&lm, &[4.0, 5.0]).to_bits(),
+            lm.predict(&[4.0, 5.0]).to_bits(),
             clm.predict_into(&[4.0, 5.0], &mut scratch).to_bits()
         );
     }

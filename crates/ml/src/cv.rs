@@ -12,7 +12,7 @@
 
 use crate::dataset::Dataset;
 use crate::metrics::mean_relative_error;
-use crate::{Learner, MlError, Model};
+use crate::{Learner, MlError};
 use rng::StdRng;
 
 /// One train/test split: indices into the original dataset.

@@ -25,8 +25,6 @@
 //! - [`par`] — deterministic fork-join parallelism on a process-wide set
 //!   of parked worker threads, used across the training and batched
 //!   prediction pipelines.
-//! - [`knob`] — the one reader of the `QPP_*` environment knobs (parse,
-//!   warn once, fall back).
 //! - [`gram`] — the kernel (Gram) matrix of an SMO solve, built by a
 //!   blocked, lane-padded kernel into a buffer that is recycled from fit
 //!   to fit; no matrix outlives the fit that reads it.
@@ -46,7 +44,6 @@ pub mod cv;
 pub mod dataset;
 pub mod feature_selection;
 pub mod gram;
-pub mod knob;
 pub mod linalg;
 pub mod linreg;
 pub mod metrics;
@@ -120,18 +117,6 @@ impl std::fmt::Display for MlError {
 
 impl std::error::Error for MlError {}
 
-/// A trained regression model: maps a feature vector to a scalar estimate.
-pub trait Model: Send + Sync {
-    /// Predicts the target value for one feature row.
-    ///
-    /// The row must have the same number of features the model was trained
-    /// on.
-    fn predict(&self, row: &[f64]) -> f64;
-
-    /// Number of input features the model expects.
-    fn n_features(&self) -> usize;
-}
-
 /// A learner: a model family plus hyper-parameters that can be fit to data.
 pub trait Learner {
     /// Fits the learner to `x` (rows × features) and targets `y`.
@@ -151,23 +136,24 @@ pub enum TrainedModel {
     Svr(SvrModel),
 }
 
-impl Model for TrainedModel {
-    fn predict(&self, row: &[f64]) -> f64 {
+impl TrainedModel {
+    /// Predicts the target value for one feature row, which must have the
+    /// number of features the model was trained on.
+    pub fn predict(&self, row: &[f64]) -> f64 {
         match self {
             TrainedModel::Linear(m) => m.predict(row),
             TrainedModel::Svr(m) => m.predict(row),
         }
     }
 
-    fn n_features(&self) -> usize {
+    /// Number of input features the model expects.
+    pub fn n_features(&self) -> usize {
         match self {
             TrainedModel::Linear(m) => m.n_features(),
             TrainedModel::Svr(m) => m.n_features(),
         }
     }
-}
 
-impl TrainedModel {
     /// Checked prediction: returns [`MlError::ShapeMismatch`] instead of
     /// panicking when the row has the wrong number of features.
     pub fn try_predict(&self, row: &[f64]) -> Result<f64, MlError> {

@@ -88,7 +88,7 @@ static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(NO_OVERRIDE);
 /// zero — a process cannot run on zero workers). The caller decides the
 /// fallback; keeping the parse pure keeps it unit-testable without
 /// touching process environment.
-pub(crate) fn parse_thread_knob(raw: Option<&str>) -> Result<Option<usize>, String> {
+fn parse_thread_knob(raw: Option<&str>) -> Result<Option<usize>, String> {
     let Some(raw) = raw else {
         return Ok(None);
     };
@@ -101,19 +101,24 @@ pub(crate) fn parse_thread_knob(raw: Option<&str>) -> Result<Option<usize>, Stri
     }
 }
 
+/// `QPP_THREADS` if it parses, else the machine's available parallelism.
+/// The environment is read once per process, so a rejected value warns
+/// once: never a crash, never a silently ignored setting.
 fn default_threads() -> usize {
     static DEFAULT: OnceLock<usize> = OnceLock::new();
     *DEFAULT.get_or_init(|| {
         let machine = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
-        crate::knob::from_env(
-            "QPP_THREADS",
-            parse_thread_knob,
-            &format!("available parallelism ({machine})"),
-        )
-        .flatten()
-        .unwrap_or(machine)
+        match parse_thread_knob(std::env::var("QPP_THREADS").ok().as_deref()) {
+            Ok(requested) => requested.unwrap_or(machine),
+            Err(reason) => {
+                eprintln!(
+                    "warning: ignoring invalid {reason}; using available parallelism ({machine})"
+                );
+                machine
+            }
+        }
     })
 }
 

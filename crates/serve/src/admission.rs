@@ -96,9 +96,20 @@ impl AdmissionController {
     /// Admission decision for a request arriving at `now_secs` with the
     /// queue at `queue_depth`.
     pub fn admit(&mut self, now_secs: f64, queue_depth: usize) -> Result<(), ShedReason> {
+        self.admit_depth(queue_depth)?;
+        self.admit_rate(now_secs)
+    }
+
+    /// The depth half of [`AdmissionController::admit`]: spends nothing.
+    pub(crate) fn admit_depth(&self, queue_depth: usize) -> Result<(), ShedReason> {
         if queue_depth >= self.shed_depth {
             return Err(ShedReason::QueueFull);
         }
+        Ok(())
+    }
+
+    /// The rate half of [`AdmissionController::admit`]: takes one token.
+    pub(crate) fn admit_rate(&mut self, now_secs: f64) -> Result<(), ShedReason> {
         if let Some(bucket) = &mut self.bucket {
             if !bucket.try_acquire(now_secs) {
                 return Err(ShedReason::RateLimited);

@@ -32,7 +32,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use qpp::{QppError, RetrainConfig};
+use qpp::QppError;
 
 use crate::tenant::TenantServer;
 
@@ -69,10 +69,6 @@ pub struct HealerConfig {
     pub backoff_start: u32,
     /// Ceiling on skipped ticks per failure.
     pub backoff_cap: u32,
-    /// Retrain configuration handed to [`TenantServer::heal`].
-    pub retrain: RetrainConfig,
-    /// Post-promotion rollback tolerance handed to [`TenantServer::heal`].
-    pub rollback_tolerance: f64,
 }
 
 impl Default for HealerConfig {
@@ -83,8 +79,6 @@ impl Default for HealerConfig {
             seed: 0x9E37_79B9_7F4A_7C15,
             backoff_start: 1,
             backoff_cap: 32,
-            retrain: RetrainConfig::default(),
-            rollback_tolerance: 0.25,
         }
     }
 }
@@ -226,9 +220,7 @@ fn healer_loop(
                 // source unwinds through nothing it could poison.
                 let recent = source.recent(&tenant);
                 let refs: Vec<&qpp::ExecutedQuery> = recent.iter().collect();
-                server
-                    .heal(&tenant, &refs, &config.retrain, config.rollback_tolerance)
-                    .map(|_| ())
+                server.heal(&tenant, &refs).map(|_| ())
             }));
             match round {
                 Ok(Ok(())) => {

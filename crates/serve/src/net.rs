@@ -4,12 +4,11 @@
 //! Everything below is dependency-free blocking I/O on `std::net`:
 //!
 //! - **Acceptor + fixed worker pool.** One acceptor thread polls a
-//!   non-blocking listener and hands sockets to a bounded queue
-//!   ([`NetConfig::accept_backlog`]); `max_connections` worker threads
-//!   each own one connection at a time. A connection that arrives with
-//!   the backlog full is *refused* with a typed
-//!   [`QppError::Overloaded`] error frame and closed — admission control
-//!   at the socket layer, mirroring the in-process front door.
+//!   non-blocking listener and hands sockets to a bounded queue of 32;
+//!   `max_connections` worker threads each own one connection at a time.
+//!   A connection that arrives with the backlog full is *refused* with a
+//!   typed [`QppError::Overloaded`] error frame and closed — admission
+//!   control at the socket layer, mirroring the in-process front door.
 //! - **Connection-level resilience.** Per-connection read deadlines with
 //!   slow-client (slowloris) eviction — a peer that starts a frame and
 //!   stalls past [`NetConfig::read_timeout`] is dropped, as is one that
@@ -23,10 +22,6 @@
 //!   reconcile exactly: `accepted == served + shed + missed + aborted`.
 //!   Every request takes exactly one of the four exits; malformed frames
 //!   are counted separately because they never became requests.
-//!
-//! The `QPP_NET_*` environment knobs size the front door at startup; an
-//! invalid value warns once and falls back to the documented default,
-//! the same contract as `QPP_THREADS` (see `ml::par`).
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -53,26 +48,22 @@ const ACCEPT_TICK: Duration = Duration::from_millis(2);
 /// timeouts' worth of silence (mid-frame stalls get exactly one).
 const IDLE_TIMEOUTS: u32 = 20;
 
+/// Accepted connections that may wait for a free worker before new
+/// arrivals are refused with a typed `Overloaded` frame.
+const ACCEPT_BACKLOG: usize = 32;
+
 /// Sizing and resilience knobs for [`NetServer::bind`].
 #[derive(Debug, Clone)]
 pub struct NetConfig {
     /// Worker threads, each owning one live connection at a time — the
-    /// hard cap on concurrent sessions. Env: `QPP_NET_MAX_CONNS`.
+    /// hard cap on concurrent sessions.
     pub max_connections: usize,
-    /// Accepted connections that may wait for a free worker before new
-    /// arrivals are refused with a typed `Overloaded` frame.
-    /// Env: `QPP_NET_BACKLOG`.
-    pub accept_backlog: usize,
     /// Longest a peer may take to finish a frame it started (and the
-    /// slowloris eviction budget). Env: `QPP_NET_READ_TIMEOUT_MS`.
+    /// slowloris eviction budget).
     pub read_timeout: Duration,
     /// Socket write timeout for replies; a peer that won't drain its
     /// receive buffer loses the connection.
-    /// Env: `QPP_NET_WRITE_TIMEOUT_MS`.
     pub write_timeout: Duration,
-    /// Hard cap on a frame's payload length; oversized frames are
-    /// rejected before any allocation.
-    pub max_frame: usize,
     /// Budget for [`NetServer::shutdown`] to drain in-flight requests
     /// before abandoning their replies (counted `aborted`).
     pub drain: Duration,
@@ -82,71 +73,10 @@ impl Default for NetConfig {
     fn default() -> Self {
         NetConfig {
             max_connections: 8,
-            accept_backlog: 32,
             read_timeout: Duration::from_secs(2),
             write_timeout: Duration::from_secs(2),
-            max_frame: DEFAULT_MAX_FRAME,
             drain: Duration::from_secs(5),
         }
-    }
-}
-
-/// Parses a positive-count knob: `Ok(None)` when unset, `Ok(Some(n))`
-/// for a valid count ≥ 1, `Err(reason)` otherwise (zero included — a
-/// pool of zero workers or a backlog of zero slots cannot serve).
-/// Pure so it is unit-testable without touching process environment.
-pub(crate) fn parse_count_knob(name: &str, raw: Option<&str>) -> Result<Option<usize>, String> {
-    let Some(raw) = raw else {
-        return Ok(None);
-    };
-    match raw.trim().parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(Some(n)),
-        Ok(_) => Err(format!("{name}={raw:?} is zero; the front door needs at least one")),
-        Err(_) => Err(format!("{name}={raw:?} is not a positive integer")),
-    }
-}
-
-/// Parses a millisecond-duration knob with the same contract as
-/// [`parse_count_knob`]: ≥ 1 ms, or the knob is rejected with a reason.
-pub(crate) fn parse_millis_knob(name: &str, raw: Option<&str>) -> Result<Option<Duration>, String> {
-    let Some(raw) = raw else {
-        return Ok(None);
-    };
-    match raw.trim().parse::<u64>() {
-        Ok(ms) if ms >= 1 => Ok(Some(Duration::from_millis(ms))),
-        Ok(_) => Err(format!("{name}={raw:?} is zero; a zero timeout evicts every peer instantly")),
-        Err(_) => Err(format!("{name}={raw:?} is not a positive integer (milliseconds)")),
-    }
-}
-
-impl NetConfig {
-    /// The default configuration with any `QPP_NET_*` environment knobs
-    /// applied. Invalid values warn once (naming the knob and the reason)
-    /// and fall back to the documented default — never a crash, never a
-    /// silent surprise.
-    pub fn from_env() -> NetConfig {
-        fn knob<T>(
-            name: &'static str,
-            parse: fn(&str, Option<&str>) -> Result<Option<T>, String>,
-            default: &str,
-        ) -> Option<T> {
-            let fallback = format!("the documented default ({default})");
-            ml::knob::from_env(name, |raw| parse(name, raw), &fallback).flatten()
-        }
-        let mut cfg = NetConfig::default();
-        if let Some(n) = knob("QPP_NET_MAX_CONNS", parse_count_knob, "8 connections") {
-            cfg.max_connections = n;
-        }
-        if let Some(n) = knob("QPP_NET_BACKLOG", parse_count_knob, "32 pending connections") {
-            cfg.accept_backlog = n;
-        }
-        if let Some(d) = knob("QPP_NET_READ_TIMEOUT_MS", parse_millis_knob, "2000 ms") {
-            cfg.read_timeout = d;
-        }
-        if let Some(d) = knob("QPP_NET_WRITE_TIMEOUT_MS", parse_millis_knob, "2000 ms") {
-            cfg.write_timeout = d;
-        }
-        cfg
     }
 }
 
@@ -290,7 +220,7 @@ impl NetServer {
         let worker_count = config.max_connections.max(1);
         let inner = Arc::new(NetInner {
             server,
-            pending: BoundedQueue::new(config.accept_backlog.max(1)),
+            pending: BoundedQueue::new(ACCEPT_BACKLOG),
             config,
             counters: NetCounters::default(),
             shutdown: AtomicBool::new(false),
@@ -445,7 +375,7 @@ fn read_frame(stream: &mut TcpStream, inner: &NetInner) -> ReadEvent {
         let target = HEADER_LEN + payload_len.unwrap_or(0);
         if buf.len() >= target {
             if payload_len.is_none() {
-                match decode_header(&buf, inner.config.max_frame) {
+                match decode_header(&buf, DEFAULT_MAX_FRAME) {
                     Ok((_kind, len)) => {
                         payload_len = Some(len);
                         continue;
@@ -502,7 +432,7 @@ fn handle_session(mut stream: TcpStream, inner: &NetInner) {
     loop {
         match read_frame(&mut stream, inner) {
             ReadEvent::Frame(bytes) => {
-                let (reply, disposition) = match Frame::decode(&bytes, inner.config.max_frame) {
+                let (reply, disposition) = match Frame::decode(&bytes, DEFAULT_MAX_FRAME) {
                     Ok(Frame::Request(request)) => {
                         inner.counters.bump(&inner.counters.accepted);
                         serve_request(request, inner)
@@ -601,7 +531,6 @@ fn serve_request(request: Request, inner: &NetInner) -> (Frame, Option<Dispositi
 /// README example: one request in flight at a time.
 pub struct Client {
     stream: TcpStream,
-    max_frame: usize,
 }
 
 impl Client {
@@ -609,17 +538,14 @@ impl Client {
     pub fn connect<A: ToSocketAddrs>(addr: A) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
-        Ok(Client {
-            stream,
-            max_frame: DEFAULT_MAX_FRAME,
-        })
+        Ok(Client { stream })
     }
 
     /// Sends one frame and blocks for the peer's single reply frame.
     pub fn call(&mut self, frame: &Frame) -> io::Result<Frame> {
         self.stream.write_all(&frame.encode())?;
-        let bytes = read_reply(&mut self.stream, self.max_frame)?;
-        Frame::decode(&bytes, self.max_frame)
+        let bytes = read_reply(&mut self.stream)?;
+        Frame::decode(&bytes, DEFAULT_MAX_FRAME)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
     }
 
@@ -635,20 +561,14 @@ impl Client {
             )),
         }
     }
-
-    /// The underlying stream — the chaos tests drive partial writes and
-    /// mid-frame disconnects through it.
-    pub fn stream_mut(&mut self) -> &mut TcpStream {
-        &mut self.stream
-    }
 }
 
 /// Blocking exact read of one frame (header, then payload) on a stream
 /// with no read timeout set.
-fn read_reply(stream: &mut TcpStream, max_frame: usize) -> io::Result<Vec<u8>> {
+fn read_reply(stream: &mut TcpStream) -> io::Result<Vec<u8>> {
     let mut buf = vec![0u8; HEADER_LEN];
     stream.read_exact(&mut buf)?;
-    let (_kind, len) = decode_header(&buf, max_frame)
+    let (_kind, len) = decode_header(&buf, DEFAULT_MAX_FRAME)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
     let mut payload = vec![0u8; len];
     stream.read_exact(&mut payload)?;
@@ -659,38 +579,6 @@ fn read_reply(stream: &mut TcpStream, max_frame: usize) -> io::Result<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn count_knob_parses_valid_rejects_zero_and_junk() {
-        assert_eq!(parse_count_knob("QPP_NET_BACKLOG", None), Ok(None));
-        assert_eq!(parse_count_knob("QPP_NET_BACKLOG", Some("16")), Ok(Some(16)));
-        assert_eq!(parse_count_knob("QPP_NET_BACKLOG", Some(" 4 ")), Ok(Some(4)));
-        assert!(parse_count_knob("QPP_NET_BACKLOG", Some("0"))
-            .unwrap_err()
-            .contains("zero"));
-        for bad in ["", "many", "-3", "2.5"] {
-            let err = parse_count_knob("QPP_NET_MAX_CONNS", Some(bad)).unwrap_err();
-            assert!(
-                err.contains("QPP_NET_MAX_CONNS") && err.contains("positive integer"),
-                "{bad:?} -> {err}"
-            );
-        }
-    }
-
-    #[test]
-    fn millis_knob_parses_valid_rejects_zero_and_junk() {
-        assert_eq!(parse_millis_knob("QPP_NET_READ_TIMEOUT_MS", None), Ok(None));
-        assert_eq!(
-            parse_millis_knob("QPP_NET_READ_TIMEOUT_MS", Some("250")),
-            Ok(Some(Duration::from_millis(250)))
-        );
-        assert!(parse_millis_knob("QPP_NET_READ_TIMEOUT_MS", Some("0"))
-            .unwrap_err()
-            .contains("zero"));
-        assert!(parse_millis_knob("QPP_NET_WRITE_TIMEOUT_MS", Some("fast"))
-            .unwrap_err()
-            .contains("QPP_NET_WRITE_TIMEOUT_MS"));
-    }
 
     #[test]
     fn dispositions_classify_and_reconcile() {

@@ -24,10 +24,7 @@
 //!    so a promote/rollback mid-flight never mixes model versions inside
 //!    one batch and never tears a single prediction.
 
-use engine::faults::ServeFaultPlan;
-use qpp::{
-    Method, ModelRegistry, MonitorConfig, Prediction, PredictionCache, QppError, QppPredictor,
-};
+use qpp::{Method, ModelRegistry, Prediction, PredictionCache, QppError, QppPredictor};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
@@ -54,8 +51,10 @@ pub struct ServeConfig {
     pub default_deadline: Option<Duration>,
     /// Estimated per-tier service costs driving deadline degradation.
     pub tier_costs: TierCosts,
-    /// Serving-layer fault injection (inert by default).
-    pub faults: ServeFaultPlan,
+    /// Fault injection: every worker sleeps this long before serving each
+    /// batch it pops (a GC pause, a page fault, a noisy neighbour). Zero,
+    /// the default, injects nothing.
+    pub worker_stall: Duration,
 }
 
 impl Default for ServeConfig {
@@ -67,7 +66,7 @@ impl Default for ServeConfig {
             max_batch: 32,
             default_deadline: None,
             tier_costs: TierCosts::default(),
-            faults: ServeFaultPlan::none(),
+            worker_stall: Duration::ZERO,
         }
     }
 }
@@ -75,7 +74,6 @@ impl Default for ServeConfig {
 /// One queued prediction request. Shared with the multi-tenant front-end
 /// in [`crate::tenant`], which queues the same jobs per-tenant.
 pub(crate) struct Job {
-    pub(crate) id: u64,
     pub(crate) query: Arc<qpp::ExecutedQuery>,
     pub(crate) method: Method,
     pub(crate) submitted: Instant,
@@ -155,8 +153,7 @@ impl PredictionServer {
                 global_rate_limit: config.rate_limit,
                 max_batch: config.max_batch,
                 tier_costs: config.tier_costs,
-                faults: config.faults,
-                monitor: MonitorConfig::default(),
+                worker_stall: config.worker_stall,
             },
         );
         PredictionServer { registry, inner }

@@ -46,13 +46,11 @@
 //! workers have been joined), at which point the ledgers balance exactly:
 //! `accepted == served + deadline_missed`.
 
-use engine::faults::ServeFaultPlan;
 use qpp::{
-    DriftMonitor, Method, ModelHealth, ModelRegistry, MonitorConfig, Prediction, PredictionTier,
-    PromotionReport, QppError, RetrainConfig, SloWindow,
+    DriftMonitor, Method, ModelHealth, ModelRegistry, Prediction, PredictionTier, PromotionReport,
+    QppError, SloWindow,
 };
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -349,10 +347,10 @@ pub struct TenantServeConfig {
     pub max_batch: usize,
     /// Estimated per-tier service costs driving deadline degradation.
     pub tier_costs: TierCosts,
-    /// Serving-layer fault injection (inert by default).
-    pub faults: ServeFaultPlan,
-    /// Drift-detector configuration cloned into each tenant's monitor.
-    pub monitor: MonitorConfig,
+    /// Fault injection: every worker sleeps this long before serving each
+    /// batch it pops, like [`crate::ServeConfig::worker_stall`]. Zero, the
+    /// default, injects nothing.
+    pub worker_stall: Duration,
 }
 
 impl Default for TenantServeConfig {
@@ -363,8 +361,7 @@ impl Default for TenantServeConfig {
             global_rate_limit: None,
             max_batch: 32,
             tier_costs: TierCosts::default(),
-            faults: ServeFaultPlan::none(),
-            monitor: MonitorConfig::default(),
+            worker_stall: Duration::ZERO,
         }
     }
 }
@@ -388,6 +385,11 @@ pub(crate) struct TenantShard {
     monitor: Mutex<DriftMonitor>,
     slo_seen: Mutex<SloSeen>,
 }
+
+/// How far past the incumbent's held-out error (relative) a just-promoted
+/// model may score on the recent window before [`TenantServer::heal`]
+/// rolls the promotion back.
+const ROLLBACK_TOLERANCE: f64 = 0.25;
 
 /// What one [`TenantServer::heal`] round did to a tenant's registry.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -465,9 +467,7 @@ pub struct TenantServer {
     queue: Arc<WeightedFairQueue<Job>>,
     global_admission: Mutex<AdmissionController>,
     tier_costs: TierCosts,
-    monitor_config: MonitorConfig,
     started: Instant,
-    next_id: AtomicU64,
     workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -484,16 +484,12 @@ impl TenantServer {
             shards: Arc::clone(&shards),
             by_name: RwLock::new(HashMap::new()),
             queue: Arc::clone(&queue),
-            // Sheds on the global depth *before* spending a rate token, so
-            // requests the full queue dooms do not drain the rate budget.
             global_admission: Mutex::new(AdmissionController::new(
                 config.global_rate_limit,
                 config.global_capacity,
             )),
             tier_costs: config.tier_costs,
-            monitor_config: config.monitor.clone(),
             started: Instant::now(),
-            next_id: AtomicU64::new(0),
             workers: Mutex::new(Vec::new()),
         };
         for spec in tenants {
@@ -506,10 +502,9 @@ impl TenantServer {
             .map(|_| {
                 let queue = Arc::clone(&queue);
                 let shards = Arc::clone(&shards);
-                let faults = config.faults.clone();
-                let tier_costs = config.tier_costs;
+                let (worker_stall, tier_costs) = (config.worker_stall, config.tier_costs);
                 std::thread::spawn(move || {
-                    tenant_worker_loop(&queue, &shards, &faults, tier_costs, max_batch)
+                    tenant_worker_loop(&queue, &shards, worker_stall, tier_costs, max_batch)
                 })
             })
             .collect();
@@ -539,7 +534,7 @@ impl TenantServer {
             // controller polices only the rate budget.
             admission: Mutex::new(AdmissionController::new(rate_limit, usize::MAX >> 1)),
             stats: Arc::new(ServeStats::new()),
-            monitor: Mutex::new(DriftMonitor::new(self.monitor_config.clone())),
+            monitor: Mutex::new(DriftMonitor::new(None)),
             slo_seen: Mutex::new(SloSeen::default()),
         });
         self.shards.write().unwrap().push(shard);
@@ -609,14 +604,18 @@ impl TenantServer {
     }
 
     /// Submits a prediction request on behalf of `tenant`. Admission runs
-    /// synchronously on the calling thread, bulkhead checks first:
+    /// synchronously on the calling thread, cheapest refusal first:
     ///
-    /// 1. the global capacity, then the global rate budget
-    ///    ([`QppError::Overloaded`] — the service as a whole is saturated;
-    ///    a request the full queue refuses spends no rate token),
+    /// 1. the global capacity ([`QppError::Overloaded`] — the service as a
+    ///    whole is saturated; a request the full queue refuses spends no
+    ///    rate token of either budget),
     /// 2. the tenant's own rate budget
-    ///    ([`QppError::TenantOverloaded`] — only this tenant is shed),
-    /// 3. the tenant's queue quota (`TenantOverloaded`) and, for a request
+    ///    ([`QppError::TenantOverloaded`] — only this tenant is shed, and
+    ///    the shared budget is not charged for it: a flooding tenant
+    ///    cannot drain the global bucket for quiet ones),
+    /// 3. the global rate budget (`Overloaded`; the tenant token step 2
+    ///    spent is lost, which costs only that tenant),
+    /// 4. the tenant's queue quota (`TenantOverloaded`) and, for a request
     ///    that raced past step 1, the global capacity again
     ///    (`Overloaded`), enforced atomically inside the queue.
     pub fn submit(
@@ -631,33 +630,35 @@ impl TenantServer {
         let now = Instant::now();
         let now_secs = self.started.elapsed().as_secs_f64();
         let total_depth = self.queue.len();
-        let global = self
-            .global_admission
-            .lock()
-            .unwrap()
-            .admit(now_secs, total_depth);
-        if let Err(reason) = global {
+        let overloaded = || QppError::Overloaded {
+            queue_depth: total_depth,
+        };
+        let tenant_overloaded = || QppError::TenantOverloaded {
+            tenant: shard.name.clone(),
+        };
+        let verdict = {
+            let mut global = self.global_admission.lock().unwrap();
+            global
+                .admit_depth(total_depth)
+                .map_err(|reason| (reason, overloaded()))
+                .and_then(|()| {
+                    let mut own = shard.admission.lock().unwrap();
+                    own.admit_rate(now_secs)
+                        .map_err(|reason| (reason, tenant_overloaded()))
+                })
+                .and_then(|()| {
+                    global
+                        .admit_rate(now_secs)
+                        .map_err(|reason| (reason, overloaded()))
+                })
+        };
+        if let Err((reason, refusal)) = verdict {
             shard.stats.record_shed(reason);
-            return Err(QppError::Overloaded {
-                queue_depth: total_depth,
-            });
-        }
-        if shard
-            .admission
-            .lock()
-            .unwrap()
-            .admit(now_secs, 0)
-            .is_err()
-        {
-            shard.stats.record_shed(ShedReason::RateLimited);
-            return Err(QppError::TenantOverloaded {
-                tenant: shard.name.clone(),
-            });
+            return Err(refusal);
         }
         let budget = deadline.or(shard.budget.default_deadline);
         let (tx, rx) = mpsc::channel();
         let job = Job {
-            id: self.next_id.fetch_add(1, Ordering::Relaxed),
             query,
             method,
             submitted: now,
@@ -782,8 +783,8 @@ impl TenantServer {
     /// it wins the held-out comparison, then *validates the promotion* by
     /// scoring the just-promoted model (as reloaded from its snapshot) on
     /// the same recent window — if it regressed past the incumbent's
-    /// held-out error by more than `rollback_tolerance` (relative), the
-    /// promotion is rolled back. On a validated promotion the tenant's
+    /// held-out error by more than a quarter (relative), the promotion is
+    /// rolled back. On a validated promotion the tenant's
     /// monitor and circuit breakers are reset so the new model serves at
     /// full accuracy. Other tenants' registries are never touched. Every
     /// round's action lands in the tenant's [`ServeStats`].
@@ -791,11 +792,9 @@ impl TenantServer {
         &self,
         tenant: &str,
         recent: &[&qpp::ExecutedQuery],
-        cfg: &RetrainConfig,
-        rollback_tolerance: f64,
     ) -> Result<HealReport, QppError> {
         let shard = self.shard(tenant)?;
-        let result = Self::heal_shard(&shard, recent, cfg, rollback_tolerance);
+        let result = Self::heal_shard(&shard, recent);
         if let Ok(report) = &result {
             shard.stats.record_heal(&report.action);
         }
@@ -805,8 +804,6 @@ impl TenantServer {
     fn heal_shard(
         shard: &TenantShard,
         recent: &[&qpp::ExecutedQuery],
-        cfg: &RetrainConfig,
-        rollback_tolerance: f64,
     ) -> Result<HealReport, QppError> {
         if !shard.monitor.lock().unwrap().any_quarantined() {
             return Ok(HealReport {
@@ -815,7 +812,7 @@ impl TenantServer {
                 version: shard.registry.version(),
             });
         }
-        let report = shard.registry.shadow_retrain(recent, cfg)?;
+        let report = shard.registry.shadow_retrain(recent)?;
         if !report.promoted {
             return Ok(HealReport {
                 action: HealAction::KeptIncumbent,
@@ -828,7 +825,7 @@ impl TenantServer {
         // the in-memory candidate the comparison used.
         let promoted_error = shard.registry.score_current(recent);
         if !promoted_error.is_finite()
-            || promoted_error > report.incumbent_error * (1.0 + rollback_tolerance.max(0.0))
+            || promoted_error > report.incumbent_error * (1.0 + ROLLBACK_TOLERANCE)
         {
             let version = shard.registry.rollback()?;
             return Ok(HealReport {
@@ -903,7 +900,7 @@ impl Drop for TenantServer {
 fn tenant_worker_loop(
     queue: &WeightedFairQueue<Job>,
     shards: &RwLock<Vec<Arc<TenantShard>>>,
-    faults: &ServeFaultPlan,
+    worker_stall: Duration,
     tier_costs: TierCosts,
     max_batch: usize,
 ) {
@@ -913,10 +910,9 @@ fn tenant_worker_loop(
         let shard = Arc::clone(&shards.read().unwrap()[tenant]);
         shard.stats.record_batch(batch.len());
 
-        let outcome = faults.decide(batch[0].id);
-        if outcome.stall_secs > 0.0 {
+        if !worker_stall.is_zero() {
             shard.stats.record_stall();
-            std::thread::sleep(Duration::from_secs_f64(outcome.stall_secs));
+            std::thread::sleep(worker_stall);
         }
 
         // Snapshot *this tenant's* serving model once per batch: batches
@@ -926,9 +922,5 @@ fn tenant_worker_loop(
         let cache = Arc::clone(shard.registry.pred_cache());
 
         serve_batch(batch, &shard.stats, &predictor, &cache, tier_costs);
-
-        if outcome.slow_consumer {
-            std::thread::sleep(Duration::from_secs_f64(faults.stall_secs.max(0.0) * 0.5));
-        }
     }
 }

@@ -246,22 +246,58 @@ fn decode_never_panics_on_arbitrary_bytes() {
     });
 }
 
+/// A valid request frame with one byte corrupted.
+fn mutated_frame(rng: &mut StdRng) -> Vec<u8> {
+    let pool = query_pool();
+    let req = Request {
+        id: rng.next_u64(),
+        tenant: "mutant".to_string(),
+        method: method_from_index(rng.gen_range(0usize..5)),
+        deadline_micros: Some(250_000),
+        query: pool[rng.gen_range(0..pool.len())].clone(),
+    };
+    let mut bytes = Frame::Request(req).encode();
+    let at = rng.gen_range(0..bytes.len());
+    bytes[at] ^= rng.gen_range(1u8..=255);
+    bytes
+}
+
 /// Nor on single-byte corruptions of valid frames — the adversarial
 /// neighborhood a seeded chaos run actually visits.
 #[test]
 fn decode_never_panics_on_mutated_valid_frames() {
-    let pool = query_pool();
     rng::cases(2_000, |rng| {
-        let req = Request {
-            id: rng.next_u64(),
-            tenant: "mutant".to_string(),
-            method: method_from_index(rng.gen_range(0usize..5)),
-            deadline_micros: Some(250_000),
-            query: pool[rng.gen_range(0..pool.len())].clone(),
-        };
-        let mut bytes = Frame::Request(req).encode();
-        let at = rng.gen_range(0..bytes.len());
-        bytes[at] ^= rng.gen_range(1u8..=255);
-        let _ = Frame::decode(&bytes, DEFAULT_MAX_FRAME);
+        let _ = Frame::decode(&mutated_frame(rng), DEFAULT_MAX_FRAME);
     });
+}
+
+/// Freezes the first mutated frames of the property above (the ones
+/// `rng::cases` draws first, as many as fit in 64 KiB) into
+/// `tests/data/codec_corpus.bin`, each behind its `u32` little-endian
+/// length; the root suite `tests/codec_corpus.rs` replays the file in
+/// tier-1. Run on purpose, after a wire-format change:
+///
+/// ```text
+/// cargo test -p qpp-serve --test codec_props -- --ignored freeze_corpus
+/// ```
+#[test]
+#[ignore = "rewrites tests/data/codec_corpus.bin"]
+fn freeze_corpus() {
+    const BUDGET: usize = 64 << 10;
+    let frames = std::cell::RefCell::new(Vec::new());
+    // Case `i` is seeded alike whatever the count: a prefix of the property's.
+    rng::cases(64, |rng| frames.borrow_mut().push(mutated_frame(rng)));
+    let mut corpus = Vec::new();
+    for frame in frames.into_inner() {
+        if corpus.len() + 4 + frame.len() > BUDGET {
+            break;
+        }
+        corpus.extend_from_slice(&(frame.len() as u32).to_le_bytes());
+        corpus.extend_from_slice(&frame);
+    }
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/data/codec_corpus.bin"
+    );
+    std::fs::write(path, corpus).expect("writes the corpus");
 }

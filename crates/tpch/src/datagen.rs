@@ -12,7 +12,7 @@
 //! the predicate math in [`crate::distributions`] uses.
 
 use crate::dicts;
-use crate::schema::{TableId, ALL_TABLES};
+use crate::schema::TableId;
 use crate::types::Scalar;
 use rng::StdRng;
 use std::collections::HashMap;
@@ -140,11 +140,6 @@ impl GeneratedDb {
     /// Borrow a table.
     pub fn table(&self, id: TableId) -> &TableData {
         &self.tables[&id]
-    }
-
-    /// Total generated rows across all tables.
-    pub fn total_rows(&self) -> usize {
-        ALL_TABLES.iter().map(|t| self.table(*t).n_rows()).sum()
     }
 }
 

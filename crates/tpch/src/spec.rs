@@ -313,13 +313,6 @@ pub struct QuerySpec {
     pub root: RelExpr,
 }
 
-impl QuerySpec {
-    /// Template number accessor (1..=22).
-    pub fn template_id(&self) -> u8 {
-        self.template
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

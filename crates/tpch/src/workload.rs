@@ -33,12 +33,6 @@ impl Workload {
         Workload { sf, queries }
     }
 
-    /// The paper's static-workload configuration: ≈55 instances per
-    /// template.
-    pub fn paper_static(template_ids: &[u8], sf: f64, seed: u64) -> Workload {
-        Workload::generate(template_ids, 55, sf, seed)
-    }
-
     /// Number of queries.
     pub fn len(&self) -> usize {
         self.queries.len()

@@ -10,8 +10,7 @@ use engine::{Catalog, OpType, Simulator};
 use ml::mean_relative_error;
 use qpp::{
     CollectionConfig, DriftMonitor, ExecutedQuery, Method, ModelHealth, ModelRegistry,
-    MonitorConfig, PlanOrdering, PredictionTier, QppConfig, QppPredictor, QueryDataset,
-    RetrainConfig,
+    PlanOrdering, PredictionTier, QppConfig, QppPredictor, QueryDataset,
 };
 use std::path::PathBuf;
 use tpch::Workload;
@@ -92,10 +91,7 @@ fn drift_quarantines_breaks_and_recovers_via_shadow_retrain() {
     // serving model. Every prediction undershoots ~3x, the CUSUM
     // statistic accumulates, and the hybrid tier must end quarantined
     // with its circuit breaker tripped.
-    let mut monitor = DriftMonitor::new(MonitorConfig {
-        baseline_error: baseline_mre,
-        ..MonitorConfig::default()
-    });
+    let mut monitor = DriftMonitor::new(Some(baseline_mre));
     let serving = registry.current();
     for q in &drifted_refs {
         let p = serving.predict_checked(q, Method::Hybrid(PlanOrdering::ErrorBased));
@@ -121,9 +117,7 @@ fn drift_quarantines_breaks_and_recovers_via_shadow_retrain() {
     // Phase 4: shadow retrain on the recent (drifted) window. The
     // candidate is fit to the new regime and must beat the stale
     // incumbent on the held-out slice by far more than the margin.
-    let report = registry
-        .shadow_retrain(&drifted_refs, &RetrainConfig::default())
-        .unwrap();
+    let report = registry.shadow_retrain(&drifted_refs).unwrap();
     assert!(report.promoted, "expected promotion: {}", report.reason);
     assert!(report.candidate_error < report.incumbent_error);
     assert_eq!(registry.version(), 2);

@@ -163,7 +163,7 @@ fn online_modeling_is_guarded() {
 #[test]
 fn optimizer_cost_is_a_poor_latency_predictor() {
     let ds = dataset(&[1, 3, 6, 9, 14], 10, 55);
-    use ml::{Dataset, Learner, LearnerKind, Model};
+    use ml::{Dataset, Learner, LearnerKind};
     let costs: Vec<f64> = ds.queries.iter().map(|q| q.plan.est.total_cost).collect();
     let lat = ds.latencies();
     let x = Dataset::from_rows(costs.iter().map(|&c| vec![c]).collect());

@@ -17,7 +17,7 @@ use engine::faults::{DriftKind, DriftPlan, FaultPlan};
 use engine::{Catalog, Simulator};
 use qpp::{
     CollectionConfig, ExecutedQuery, Method, ModelHealth, ModelRegistry, PredictionTier,
-    QppConfig, QppError, QppPredictor, QueryDataset, RetrainConfig,
+    QppConfig, QppError, QppPredictor, QueryDataset,
 };
 use serve::tenant::{TenantBudget, TenantServeConfig, TenantServer, TenantSpec};
 use serve::{Endpoint, HealSource, Healer, HealerConfig, TierCosts};
@@ -158,8 +158,6 @@ fn panicking_heal_is_caught_backed_off_and_retried_to_promotion() {
             seed: 0xA11CE,
             backoff_start: 1,
             backoff_cap: 4,
-            retrain: RetrainConfig::default(),
-            rollback_tolerance: 0.25,
         },
     );
 

@@ -137,7 +137,6 @@ fn seeded_wire_chaos_spares_the_quiet_tenant_and_reconciles_exactly() {
         read_timeout: Duration::from_millis(200),
         write_timeout: Duration::from_secs(1),
         drain: Duration::from_secs(2),
-        ..NetConfig::default()
     };
     let rounds = 30usize;
 

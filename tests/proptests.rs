@@ -188,7 +188,7 @@ fn structure_keys_are_deterministic() {
 /// Linear regression recovers random linear functions (up to noise).
 #[test]
 fn linreg_recovers_linear_functions() {
-    use ml::{Dataset, Learner, LearnerKind, Model};
+    use ml::{Dataset, Learner, LearnerKind};
     rng::cases(CASES, |rng| {
         let w: Vec<f64> = (0..3).map(|_| rng.gen_range(-5.0f64..5.0)).collect();
         let b = rng.gen_range(-10.0f64..10.0);

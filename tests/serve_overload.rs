@@ -11,7 +11,6 @@
 //! 4. Every submitted request is accounted exactly once:
 //!    `submitted == shed + served + deadline_missed`.
 
-use engine::faults::ServeFaultPlan;
 use engine::{Catalog, Simulator};
 use qpp::{
     ExecutedQuery, Method, ModelRegistry, PlanOrdering, PredictionTier, QppConfig, QppError,
@@ -209,12 +208,7 @@ fn stalled_workers_expire_queued_deadlines_instead_of_serving_late() {
             max_batch: 1,
             // Every batch stalls 20 ms; the deadline is 2 ms. Requests
             // always expire in the queue.
-            faults: ServeFaultPlan {
-                stall_prob: 1.0,
-                stall_secs: 0.020,
-                slow_consumer_prob: 0.0,
-                seed: 5,
-            },
+            worker_stall: Duration::from_millis(20),
             default_deadline: Some(Duration::from_millis(2)),
             ..ServeConfig::default()
         },
@@ -263,12 +257,7 @@ fn sustained_overload_sheds_bounds_latency_and_reconciles_exactly() {
             max_batch: 1,
             // ~2 ms injected service time per request; submitting as fast
             // as the loop runs is far beyond 4x that service rate.
-            faults: ServeFaultPlan {
-                stall_prob: 1.0,
-                stall_secs: 0.002,
-                slow_consumer_prob: 0.0,
-                seed: 3,
-            },
+            worker_stall: Duration::from_millis(2),
             default_deadline: Some(deadline),
             ..ServeConfig::default()
         },

@@ -12,11 +12,11 @@
 //!    and health never move. The escalation is bit-reproducible: two
 //!    servers over the same seeded traffic quarantine on the same round.
 
-use engine::faults::{DriftKind, DriftPlan, FaultPlan, ServeFaultPlan, TenantLoadPattern};
+use engine::faults::{DriftKind, DriftPlan, FaultPlan, TenantLoadPattern};
 use engine::{Catalog, Simulator};
 use qpp::{
     CollectionConfig, ExecutedQuery, Method, ModelHealth, ModelRegistry, PredictionTier,
-    QppConfig, QppError, QppPredictor, QueryDataset, RetrainConfig,
+    QppConfig, QppError, QppPredictor, QueryDataset,
 };
 use serve::tenant::{HealAction, TenantBudget, TenantServeConfig, TenantServer, TenantSpec};
 use serve::{Endpoint, TierCosts};
@@ -104,12 +104,7 @@ fn one_hot_burst_sheds_the_hot_tenant_and_spares_the_quiet_one() {
             max_batch: 1,
             // ~2 ms injected service time bounds the drain rate, so the
             // burst deterministically overflows the hot tenant's quota.
-            faults: ServeFaultPlan {
-                stall_prob: 1.0,
-                stall_secs: 0.002,
-                slow_consumer_prob: 0.0,
-                seed: 3,
-            },
+            worker_stall: Duration::from_millis(2),
             ..TenantServeConfig::default()
         },
     );
@@ -266,7 +261,7 @@ fn slo_pressure_quarantines_and_heals_one_tenant_without_touching_the_other() {
     // the quarantine stands and the registry version does not move.
     let clean_refs: Vec<&ExecutedQuery> = clean.queries.iter().collect();
     let kept = server
-        .heal("analytics", &clean_refs, &RetrainConfig::default(), 0.25)
+        .heal("analytics", &clean_refs)
         .expect("heal");
     assert_eq!(kept.action, HealAction::KeptIncumbent);
     assert_eq!(analytics.version(), 1);
@@ -285,7 +280,7 @@ fn slo_pressure_quarantines_and_heals_one_tenant_without_touching_the_other() {
     let drifted = collect(&Workload::generate(&templates, 8, 0.1, 21), &sim, &drift);
     let drifted_refs: Vec<&ExecutedQuery> = drifted.queries.iter().collect();
     let healed = server
-        .heal("analytics", &drifted_refs, &RetrainConfig::default(), 0.25)
+        .heal("analytics", &drifted_refs)
         .expect("heal");
     assert_eq!(healed.action, HealAction::Promoted, "{:?}", healed.report);
     let report = healed.report.expect("promotion report");
@@ -307,7 +302,7 @@ fn slo_pressure_quarantines_and_heals_one_tenant_without_touching_the_other() {
     );
     // And healing a healthy tenant is a no-op.
     let noop = server
-        .heal("reporting", &clean_refs, &RetrainConfig::default(), 0.25)
+        .heal("reporting", &clean_refs)
         .expect("heal");
     assert_eq!(noop.action, HealAction::NotNeeded);
     assert_eq!(reporting.version(), 1);
@@ -343,12 +338,7 @@ fn a_full_queue_refuses_without_spending_the_global_rate_budget() {
             max_batch: 1,
             // The one worker sleeps on every request it pops, so what is
             // submitted behind it stays queued.
-            faults: ServeFaultPlan {
-                stall_prob: 1.0,
-                stall_secs: 0.25,
-                slow_consumer_prob: 0.0,
-                seed: 1,
-            },
+            worker_stall: Duration::from_millis(250),
             ..TenantServeConfig::default()
         },
     );
@@ -396,4 +386,77 @@ fn a_full_queue_refuses_without_spending_the_global_rate_budget() {
     );
     drop(server);
     let _ = std::fs::remove_dir_all(temp_dir("doomed"));
+}
+
+/// The bulkhead holds for the rate budgets too: the tenant's own bucket is
+/// asked before the global one, so a request its tenant's rate limit
+/// refuses has spent no global token and a flooding tenant cannot drain
+/// the shared budget for the quiet ones.
+#[test]
+fn a_tenant_rate_refusal_spends_no_global_token() {
+    use serve::RateLimit;
+    let ds = collect(
+        &Workload::generate(&[1, 3, 6, 14], 6, 0.1, 7),
+        &quiet_sim(),
+        &DriftPlan::none(),
+    );
+    let query = Arc::new(ds.queries[0].clone());
+    let hot_registry = registry_over(&ds, "rate-hot");
+    let quiet_registry = registry_over(&ds, "rate-quiet");
+    // No bucket refills for the length of this test.
+    let no_refill = |burst| Some(RateLimit { rate: 1e-3, burst });
+    let server = TenantServer::start(
+        vec![
+            spec(
+                "hot",
+                &hot_registry,
+                TenantBudget {
+                    rate_limit: no_refill(1.0),
+                    ..TenantBudget::default()
+                },
+            ),
+            spec("quiet", &quiet_registry, TenantBudget::default()),
+        ],
+        TenantServeConfig {
+            global_rate_limit: no_refill(8.0),
+            ..TenantServeConfig::default()
+        },
+    );
+    let submit = |tenant| server.submit(tenant, Arc::clone(&query), Method::PlanLevel, None);
+
+    // The flood: one request holds the hot tenant's only token, the other
+    // 99 are refused at its own bulkhead.
+    let mut pending = vec![submit("hot").expect("the hot tenant's one token admits")];
+    for _ in 0..99 {
+        match submit("hot") {
+            Err(QppError::TenantOverloaded { tenant }) => assert_eq!(tenant, "hot"),
+            Err(other) => panic!("expected TenantOverloaded, got {other:?}"),
+            Ok(_) => panic!("an empty tenant bucket admitted a request"),
+        }
+    }
+    // The flood cost the shared budget one token of eight: the other seven
+    // are the quiet tenant's to spend, and an eighth finds the bucket empty.
+    for i in 0..7 {
+        let admitted = submit("quiet");
+        pending.push(admitted.unwrap_or_else(|e| panic!("quiet request {i} refused: {e:?}")));
+    }
+    assert!(matches!(submit("quiet"), Err(QppError::Overloaded { .. })));
+    for p in pending {
+        p.wait().expect("admitted requests are served");
+    }
+
+    let hot = server.stats("hot").unwrap();
+    assert_eq!(
+        (hot.submitted, hot.served, hot.shed_rate_limited),
+        (100, 1, 99)
+    );
+    let quiet = server.stats("quiet").unwrap();
+    assert_eq!(
+        (quiet.submitted, quiet.served, quiet.shed_rate_limited),
+        (8, 7, 1)
+    );
+    assert_eq!(hot.shed_queue_full + quiet.shed_queue_full, 0);
+    drop(server);
+    let _ = std::fs::remove_dir_all(temp_dir("rate-hot"));
+    let _ = std::fs::remove_dir_all(temp_dir("rate-quiet"));
 }
