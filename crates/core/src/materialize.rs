@@ -260,8 +260,9 @@ mod tests {
 
     #[test]
     fn an_unknown_calibration_survives_the_snapshot() {
-        // `new` leaves the calibration unknown (NaN). The JSON snapshot
-        // wrote that as `null` and then refused to read it back.
+        // `new` leaves the calibration unknown (NaN). The JSON payload of
+        // `QPPSNAP v1` wrote that as `null` and then refused to read it
+        // back; v2 carries the bits.
         let (_, qpp) = trained();
         let mat = MaterializedModels::new(&qpp.plan_level, &qpp.op_level, &qpp.hybrid);
         assert!(mat.secs_per_cost.is_nan());

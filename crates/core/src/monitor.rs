@@ -31,7 +31,7 @@ pub enum ModelHealth {
     Suspect,
     /// Drift confirmed. The tier's circuit breaker is tripped and a
     /// shadow retrain should be scheduled. Sticky until
-    /// [`DriftMonitor::reset_tier`].
+    /// [`DriftMonitor::reset_all`].
     Quarantined,
 }
 
@@ -315,15 +315,6 @@ impl DriftMonitor {
         self.tiers.iter().any(|t| t.health == ModelHealth::Quarantined)
     }
 
-    /// Clears one tier's drift state (health, CUSUM, calibration) after a
-    /// model swap; the all-time residual statistics are reset too, since
-    /// they described the replaced model.
-    pub fn reset_tier(&mut self, tier: PredictionTier) {
-        if let Some(i) = MODEL_TIERS.iter().position(|t| *t == tier) {
-            self.tiers[i] = TierState::new(self.baseline);
-        }
-    }
-
     /// Clears all drift state (every tier and the per-operator
     /// statistics); called when the registry promotes a new model set.
     pub fn reset_all(&mut self) {
@@ -339,126 +330,6 @@ impl DriftMonitor {
 impl Default for DriftMonitor {
     fn default() -> Self {
         DriftMonitor::new(None)
-    }
-}
-
-/// Smallest latency the SLO histogram resolves (100 ns).
-const SLO_MIN_SECS: f64 = 1e-7;
-/// Geometric buckets per decade: resolution ~26% per bucket, plenty for
-/// p50/p99/p999 accounting at a fixed 100-slot footprint.
-const SLO_BUCKETS_PER_DECADE: usize = 10;
-/// Decades covered: 100 ns … 1000 s.
-const SLO_DECADES: usize = 10;
-const SLO_BUCKETS: usize = SLO_BUCKETS_PER_DECADE * SLO_DECADES;
-
-/// A fixed-footprint, log-bucketed latency histogram for SLO accounting.
-///
-/// The serving layer records the latency of every *prediction* it answers
-/// (the paper's models are themselves on a latency budget once they sit on
-/// a system's admission-control path) and reads back tail quantiles —
-/// p50/p99/p999 — without storing individual samples. Buckets are
-/// geometric (10 per decade, 100 ns to 1000 s), so a quantile is resolved
-/// to within ~26% of its true value while the recorder stays a flat
-/// 100-slot array that is cheap to snapshot.
-#[derive(Debug, Clone)]
-pub struct SloRecorder {
-    buckets: [u64; SLO_BUCKETS],
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Default for SloRecorder {
-    fn default() -> Self {
-        SloRecorder::new()
-    }
-}
-
-impl SloRecorder {
-    /// An empty recorder.
-    pub fn new() -> Self {
-        SloRecorder {
-            buckets: [0; SLO_BUCKETS],
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    fn bucket_index(secs: f64) -> usize {
-        let clamped = secs.max(SLO_MIN_SECS);
-        let idx = ((clamped / SLO_MIN_SECS).log10() * SLO_BUCKETS_PER_DECADE as f64).floor();
-        (idx as usize).min(SLO_BUCKETS - 1)
-    }
-
-    /// Records one latency observation (non-finite or negative values are
-    /// ignored — a latency cannot be either).
-    pub fn record(&mut self, secs: f64) {
-        if !secs.is_finite() || secs < 0.0 {
-            return;
-        }
-        self.buckets[Self::bucket_index(secs)] += 1;
-        self.count += 1;
-        self.sum += secs;
-        self.min = self.min.min(secs);
-        self.max = self.max.max(secs);
-    }
-
-    /// Number of recorded observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean recorded latency (NaN when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Largest recorded latency (NaN when empty).
-    pub fn max(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.max
-        }
-    }
-
-    /// The latency at quantile `q` in `[0, 1]`, resolved to the upper edge
-    /// of its bucket (clamped to the observed min/max so the estimate
-    /// never leaves the recorded range). NaN when empty.
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return f64::NAN;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((q * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                let upper = SLO_MIN_SECS
-                    * 10f64.powf((i + 1) as f64 / SLO_BUCKETS_PER_DECADE as f64);
-                return upper.clamp(self.min, self.max);
-            }
-        }
-        self.max
-    }
-
-    /// Folds another recorder's observations into this one.
-    pub fn merge(&mut self, other: &SloRecorder) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -520,7 +391,7 @@ mod tests {
                 ModelHealth::Quarantined
             );
         }
-        m.reset_tier(PredictionTier::Hybrid);
+        m.reset_all();
         assert_eq!(m.health(PredictionTier::Hybrid), ModelHealth::Healthy);
         assert_eq!(m.tier(PredictionTier::Hybrid).unwrap().observations(), 0);
     }
@@ -602,50 +473,6 @@ mod tests {
     }
 
     #[test]
-    fn slo_recorder_quantiles_bound_the_true_values() {
-        let mut r = SloRecorder::new();
-        // 1000 samples spread uniformly over 1..=1000 ms.
-        for i in 1..=1000 {
-            r.record(i as f64 * 1e-3);
-        }
-        assert_eq!(r.count(), 1000);
-        assert!((r.mean() - 0.5005).abs() < 1e-9);
-        assert_eq!(r.max(), 1.0);
-        // Each quantile lands within one geometric bucket (~26%) above the
-        // true value and never below the bucket's floor.
-        for (q, truth) in [(0.5, 0.5), (0.99, 0.99), (0.999, 0.999)] {
-            let est = r.quantile(q);
-            assert!(est >= truth * 0.79, "q{q}: {est} vs {truth}");
-            assert!(est <= truth * 1.27, "q{q}: {est} vs {truth}");
-        }
-        // Clamped to the observed range at the extremes.
-        assert!(r.quantile(0.0) >= 1e-3);
-        assert_eq!(r.quantile(1.0), 1.0);
-    }
-
-    #[test]
-    fn slo_recorder_ignores_garbage_and_merges() {
-        let mut r = SloRecorder::new();
-        r.record(f64::NAN);
-        r.record(-1.0);
-        r.record(f64::INFINITY);
-        assert_eq!(r.count(), 0);
-        assert!(r.quantile(0.5).is_nan());
-        r.record(0.010);
-        let mut other = SloRecorder::new();
-        other.record(0.020);
-        other.record(0.030);
-        r.merge(&other);
-        assert_eq!(r.count(), 3);
-        assert!((r.mean() - 0.020).abs() < 1e-12);
-        // A sub-resolution latency clamps into the first bucket.
-        let mut tiny = SloRecorder::new();
-        tiny.record(0.0);
-        assert_eq!(tiny.count(), 1);
-        assert!(tiny.quantile(0.5) <= 1e-7 * 1.3);
-    }
-
-    #[test]
     fn slo_pressure_escalates_to_quarantine_without_tripping_accuracy() {
         let mut m = configured();
         // Sustained 80% pressure (most requests degraded or shed) against
@@ -684,7 +511,7 @@ mod tests {
             m.observe_slo(PredictionTier::Hybrid, &good),
             ModelHealth::Quarantined
         );
-        m.reset_tier(PredictionTier::Hybrid);
+        m.reset_all();
         assert_eq!(m.health(PredictionTier::Hybrid), ModelHealth::Healthy);
         assert_eq!(m.tier(PredictionTier::Hybrid).unwrap().slo_cusum, 0.0);
     }

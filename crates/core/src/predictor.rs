@@ -3,7 +3,8 @@
 //!
 //! Ties the four prediction methods of the paper behind one API and
 //! implements model *materialization* (Section 1's pre-building): trained
-//! model sets serialize to JSON and reload without retraining.
+//! model sets serialize to a `QPPSNAP v2` binary snapshot and reload
+//! without retraining.
 //!
 //! Besides the raw [`QppPredictor::predict`], the facade offers the
 //! guarded [`QppPredictor::predict_checked`], which never returns a

@@ -251,118 +251,6 @@ impl Default for DriftPlan {
     }
 }
 
-/// The network fault decisions for one wire frame, fully determined by
-/// the [`NetFaultPlan`], the frame id, and the frame length.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NetFaultOutcome {
-    /// Split the frame's write at this byte offset and pause between the
-    /// two halves (a client flushing a partial frame, then stalling).
-    /// `None` = the frame is written in one piece.
-    pub partial_write_at: Option<usize>,
-    /// Close the connection after writing this many bytes of the frame —
-    /// a mid-frame disconnect. Offsets are strictly inside the frame, so
-    /// the receiver always observes a truncated frame, never a clean
-    /// close. `None` = no disconnect.
-    pub disconnect_at: Option<usize>,
-    /// XOR the frame byte at `.0` with the (non-zero) mask `.1` before
-    /// writing — a corrupted frame the receiver must reject without
-    /// dying. `None` = the frame goes out intact.
-    pub corrupt_at: Option<(usize, u8)>,
-    /// Seconds the client stalls *between* the split halves of a partial
-    /// write, and before reading its reply — the slow-client behaviour a
-    /// slowloris-evicting server must bound. 0.0 = no stall.
-    pub stall_secs: f64,
-}
-
-/// A seeded, deterministic fault-injection policy for the *wire* layer
-/// (the networked front door), mirroring [`FaultPlan`]'s contract: the
-/// same (plan, frame id, frame length) triple always yields the same
-/// faults, so network-chaos e2e tests are exactly reproducible.
-///
-/// Probabilities are per frame. A frame draws at most one of
-/// {partial write, disconnect, corruption} (checked in that order), plus
-/// an independent stall decision, so outcomes compose without the
-/// injection layers masking each other.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NetFaultPlan {
-    /// Probability that a frame's write is split with a pause in between.
-    pub partial_write_prob: f64,
-    /// Probability that the connection drops mid-frame.
-    pub disconnect_prob: f64,
-    /// Probability that one frame byte is corrupted in flight.
-    pub corrupt_prob: f64,
-    /// Probability that the client stalls (slow writer/reader).
-    pub stall_prob: f64,
-    /// Stall duration in seconds when a stall fires (values below 0 are
-    /// treated as 0).
-    pub stall_secs: f64,
-    /// Fault-stream seed, decorrelated from the serving-layer streams.
-    pub seed: u64,
-}
-
-impl NetFaultPlan {
-    /// A plan that injects nothing: every frame arrives intact, in one
-    /// piece, from a prompt client.
-    pub fn none() -> NetFaultPlan {
-        NetFaultPlan {
-            partial_write_prob: 0.0,
-            disconnect_prob: 0.0,
-            corrupt_prob: 0.0,
-            stall_prob: 0.0,
-            stall_secs: 0.02,
-            seed: 0,
-        }
-    }
-
-    /// The fault decisions for the frame identified by `frame_id`, which
-    /// is `frame_len` bytes long on the wire. Deterministic: the same
-    /// (plan, frame_id, frame_len) triple always returns the same
-    /// outcome. Frames shorter than two bytes cannot be meaningfully
-    /// split, truncated, or corrupted mid-frame and draw no byte faults.
-    pub fn decide(&self, frame_id: u64, frame_len: usize) -> NetFaultOutcome {
-        let mut rng = StdRng::seed_from_u64(
-            self.seed ^ frame_id.wrapping_mul(0xD6E8_FEB8_6659_FD93) ^ 0x3E_7C0,
-        );
-        let partial = rng.gen_f64() < self.partial_write_prob;
-        let disconnect = rng.gen_f64() < self.disconnect_prob;
-        let corrupt = rng.gen_f64() < self.corrupt_prob;
-        let stall = rng.gen_f64() < self.stall_prob;
-        // Draw the offsets and mask unconditionally so the decision of
-        // *whether* a fault fires never perturbs the stream feeding
-        // *where* it lands (same idiom as FaultPlan::decide).
-        let split_off = if frame_len >= 2 {
-            rng.gen_range(1..frame_len)
-        } else {
-            0
-        };
-        let cut_off = if frame_len >= 2 {
-            rng.gen_range(1..frame_len)
-        } else {
-            0
-        };
-        let corrupt_off = if frame_len >= 2 {
-            rng.gen_range(0..frame_len)
-        } else {
-            0
-        };
-        let mask = rng.gen_range(1u8..=255);
-        let byte_faults_possible = frame_len >= 2;
-        NetFaultOutcome {
-            partial_write_at: (partial && byte_faults_possible).then_some(split_off),
-            disconnect_at: (disconnect && !partial && byte_faults_possible).then_some(cut_off),
-            corrupt_at: (corrupt && !partial && !disconnect && byte_faults_possible)
-                .then_some((corrupt_off, mask)),
-            stall_secs: if stall { self.stall_secs.max(0.0) } else { 0.0 },
-        }
-    }
-}
-
-impl Default for NetFaultPlan {
-    fn default() -> Self {
-        NetFaultPlan::none()
-    }
-}
-
 /// Deterministic request-arrival processes for load generation.
 ///
 /// `arrival_offsets` turns a pattern into concrete arrival times so
@@ -690,102 +578,6 @@ mod tests {
         for (o, s) in original.preorder().iter().zip(a.preorder()) {
             assert!(s.est.rows >= o.est.rows, "rows shrank");
         }
-    }
-
-    #[test]
-    fn net_faults_are_deterministic_and_none_is_inert() {
-        let none = NetFaultPlan::none();
-        for id in 0..200 {
-            let o = none.decide(id, 64);
-            assert_eq!(o.partial_write_at, None);
-            assert_eq!(o.disconnect_at, None);
-            assert_eq!(o.corrupt_at, None);
-            assert_eq!(o.stall_secs, 0.0);
-        }
-        let plan = NetFaultPlan {
-            partial_write_prob: 0.3,
-            disconnect_prob: 0.3,
-            corrupt_prob: 0.3,
-            stall_prob: 0.3,
-            stall_secs: 0.01,
-            seed: 23,
-        };
-        for id in 0..100 {
-            assert_eq!(plan.decide(id, 128), plan.decide(id, 128));
-        }
-    }
-
-    #[test]
-    fn net_fault_offsets_stay_inside_the_frame_and_exclude_each_other() {
-        let plan = NetFaultPlan {
-            partial_write_prob: 0.4,
-            disconnect_prob: 0.4,
-            corrupt_prob: 0.4,
-            stall_prob: 0.2,
-            stall_secs: 0.005,
-            seed: 31,
-        };
-        for frame_len in [2usize, 9, 64, 4096] {
-            for id in 0..500 {
-                let o = plan.decide(id, frame_len);
-                let fired = o.partial_write_at.is_some() as usize
-                    + o.disconnect_at.is_some() as usize
-                    + o.corrupt_at.is_some() as usize;
-                assert!(fired <= 1, "byte faults must be mutually exclusive");
-                if let Some(at) = o.partial_write_at {
-                    assert!(at >= 1 && at < frame_len, "split at {at} of {frame_len}");
-                }
-                if let Some(at) = o.disconnect_at {
-                    assert!(at >= 1 && at < frame_len, "cut at {at} of {frame_len}");
-                }
-                if let Some((at, mask)) = o.corrupt_at {
-                    assert!(at < frame_len, "corrupt at {at} of {frame_len}");
-                    assert_ne!(mask, 0, "a zero XOR mask corrupts nothing");
-                }
-                if o.stall_secs > 0.0 {
-                    assert_eq!(o.stall_secs, 0.005);
-                }
-            }
-        }
-        // Degenerate frames draw no byte faults at all.
-        for id in 0..200 {
-            let o = plan.decide(id, 1);
-            assert_eq!(o.partial_write_at, None);
-            assert_eq!(o.disconnect_at, None);
-            assert_eq!(o.corrupt_at, None);
-        }
-    }
-
-    #[test]
-    fn net_fault_rates_match_probabilities() {
-        let plan = NetFaultPlan {
-            partial_write_prob: 0.2,
-            disconnect_prob: 0.1,
-            corrupt_prob: 0.1,
-            stall_prob: 0.15,
-            stall_secs: 0.001,
-            seed: 41,
-        };
-        let n = 4000;
-        let (mut partial, mut cut, mut corrupt, mut stalls) = (0, 0, 0, 0);
-        for id in 0..n {
-            let o = plan.decide(id, 256);
-            partial += o.partial_write_at.is_some() as usize;
-            cut += o.disconnect_at.is_some() as usize;
-            corrupt += o.corrupt_at.is_some() as usize;
-            stalls += (o.stall_secs > 0.0) as usize;
-        }
-        let frac = |k: usize| k as f64 / n as f64;
-        assert!((frac(partial) - 0.2).abs() < 0.03, "partial {}", frac(partial));
-        // Disconnect and corruption yield to earlier faults, so their
-        // observed rates are scaled by the survivors of the draw order.
-        assert!((frac(cut) - 0.1 * 0.8).abs() < 0.03, "cut {}", frac(cut));
-        assert!(
-            (frac(corrupt) - 0.1 * 0.8 * 0.9).abs() < 0.03,
-            "corrupt {}",
-            frac(corrupt)
-        );
-        assert!((frac(stalls) - 0.15).abs() < 0.03, "stalls {}", frac(stalls));
     }
 
     #[test]

@@ -75,11 +75,10 @@ const INTERNAL_MESSAGES: [&str; 7] = [
 pub const UNKNOWN_INTERNAL: &str = "unrecognized internal error from peer";
 
 /// Known `MlError::InvalidParameter` messages, for interning on decode.
-const INVALID_PARAM_MESSAGES: [&str; 4] = [
+const INVALID_PARAM_MESSAGES: [&str; 3] = [
     "ridge must be non-negative",
     "C must be positive",
     "epsilon must be non-negative",
-    "nu must be in (0, 1]",
 ];
 
 /// Fallback when a peer sends an `InvalidParameter` message we do not
@@ -970,6 +969,25 @@ mod tests {
         let codes: std::collections::HashSet<u16> =
             all_errors().iter().map(|e| e.wire_code()).collect();
         assert_eq!(codes.len(), all_errors().len());
+    }
+
+    #[test]
+    fn every_known_message_interns_to_its_own_static() {
+        // Decode can only produce a `&'static str` by interning, and an
+        // unknown message comes back as the fallback: equality is identity.
+        let internal = INTERNAL_MESSAGES.map(QppError::Internal);
+        let invalid = INVALID_PARAM_MESSAGES.map(|m| QppError::Ml(MlError::InvalidParameter(m)));
+        for error in internal.into_iter().chain(invalid) {
+            let bytes = Frame::Error(ErrorFrame {
+                id: 1,
+                error: error.clone(),
+            })
+            .encode();
+            match Frame::decode(&bytes, DEFAULT_MAX_FRAME).expect("decode") {
+                Frame::Error(e) => assert_eq!(e.error, error),
+                other => panic!("wrong frame {other:?}"),
+            }
+        }
     }
 
     #[test]

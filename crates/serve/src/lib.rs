@@ -8,17 +8,15 @@
 //! front-end for that regime, layered over the hot-swap
 //! [`qpp::ModelRegistry`]:
 //!
-//! - [`queue`] — bounded MPMC FIFO with rejecting push; holds the TCP
-//!   door's accepted connections (prediction requests queue in
-//!   [`tenant::WeightedFairQueue`]).
 //! - [`admission`] — queue-depth load shedding and token-bucket rate
 //!   limiting over explicit virtual time, so shed fractions are exactly
 //!   reproducible from seeded arrival streams.
 //! - [`deadline`] — per-request budgets mapped onto the five-tier
 //!   degradation chain: a request that cannot afford its asked-for tier
 //!   is served by the best tier its remaining budget covers.
-//! - [`stats`] — per-endpoint SLO accounting (log-bucketed latency
-//!   quantiles, shed / deadline-miss / degraded-tier counters).
+//! - [`stats`] — the per-tenant ledger, one struct behind one lock:
+//!   shed / deadline-miss / degraded-tier counters and per-endpoint
+//!   log-bucketed latency histograms ([`SloRecorder`]).
 //! - [`tenant`] — the one worker pool, queue and `submit` of the crate:
 //!   per-tenant registries, admission budgets, queue quotas and
 //!   weighted-fair dequeue (with dynamic add/remove under load) in front
@@ -38,9 +36,10 @@
 //!   every [`qpp::QppError`] variant onto stable wire codes; decoding
 //!   never panics on arbitrary bytes.
 //! - [`net`] — the TCP front door speaking that protocol: acceptor +
-//!   fixed worker pool, per-connection read/write deadlines, slowloris
-//!   eviction, malformed-frame rejection, and graceful drain whose
-//!   counters reconcile exactly.
+//!   fixed worker pool behind a 32-deep `sync_channel` of accepted
+//!   sockets, per-connection read/write deadlines, slowloris eviction,
+//!   malformed-frame rejection, and graceful drain whose ledger
+//!   reconciles exactly.
 //!
 //! Under a seeded overload of 4x the service rate the server sheds and
 //! degrades deterministically instead of queueing unboundedly — see
@@ -59,7 +58,6 @@ pub mod codec;
 pub mod deadline;
 pub mod healer;
 pub mod net;
-pub mod queue;
 pub mod server;
 pub mod stats;
 pub mod tenant;
@@ -69,9 +67,8 @@ pub use codec::{DecodeError, ErrorFrame, Frame, Request, Response, DEFAULT_MAX_F
 pub use deadline::{entry_tier, tier_for_budget, TierCosts};
 pub use healer::{HealSource, Healer, HealerConfig};
 pub use net::{Client, NetConfig, NetServer, NetStatsSnapshot};
-pub use queue::{BoundedQueue, PushError};
 pub use server::{PendingPrediction, PredictionServer, ServeConfig};
-pub use stats::{Endpoint, ServeStats, ServeStatsSnapshot, SloSummary, ENDPOINTS};
+pub use stats::{Endpoint, ServeStats, ServeStatsSnapshot, SloRecorder};
 pub use tenant::{
     HealAction, HealReport, RemovedTenant, ShutdownReport, TenantBudget, TenantPushError,
     TenantServeConfig, TenantServer, TenantSpec, WeightedFairQueue,

@@ -4,7 +4,7 @@
 //! Everything below is dependency-free blocking I/O on `std::net`:
 //!
 //! - **Acceptor + fixed worker pool.** One acceptor thread polls a
-//!   non-blocking listener and hands sockets to a bounded queue of 32;
+//!   non-blocking listener and hands sockets to a `sync_channel` of 32;
 //!   `max_connections` worker threads each own one connection at a time.
 //!   A connection that arrives with the backlog full is *refused* with a
 //!   typed [`QppError::Overloaded`] error frame and closed — admission
@@ -18,23 +18,25 @@
 //!   caught per connection, counted, and the worker moves on.
 //! - **Graceful drain.** [`NetServer::shutdown`] stops accepting, lets
 //!   every in-flight request run to completion (bounded by
-//!   [`NetConfig::drain`]), joins all threads, and returns counters that
-//!   reconcile exactly: `accepted == served + shed + missed + aborted`.
+//!   [`NetConfig::drain`]), joins all threads, and returns a ledger that
+//!   reconciles exactly: `accepted == served + shed + missed + aborted`.
 //!   Every request takes exactly one of the four exits; malformed frames
 //!   are counted separately because they never became requests.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use qpp::{Prediction, QppError};
 
-use crate::codec::{decode_header, ErrorFrame, Frame, Request, Response, DEFAULT_MAX_FRAME, HEADER_LEN};
-use crate::queue::{BoundedQueue, PushError};
+use crate::codec::{
+    decode_header, ErrorFrame, Frame, Request, Response, DEFAULT_MAX_FRAME, HEADER_LEN,
+};
 use crate::tenant::TenantServer;
 
 /// Granularity of the read loop's deadline checks: the socket read
@@ -95,6 +97,18 @@ enum Disposition {
     Aborted,
 }
 
+impl Disposition {
+    /// The ledger counter this exit increments.
+    fn counter(self, ledger: &mut NetStatsSnapshot) -> &mut u64 {
+        match self {
+            Disposition::Served => &mut ledger.served,
+            Disposition::Shed => &mut ledger.shed,
+            Disposition::Missed => &mut ledger.missed,
+            Disposition::Aborted => &mut ledger.aborted,
+        }
+    }
+}
+
 fn classify(error: &QppError) -> Disposition {
     match error {
         QppError::Overloaded { .. } | QppError::TenantOverloaded { .. } => Disposition::Shed,
@@ -103,22 +117,9 @@ fn classify(error: &QppError) -> Disposition {
     }
 }
 
-#[derive(Default)]
-struct NetCounters {
-    conns_accepted: AtomicU64,
-    conns_refused: AtomicU64,
-    conns_evicted: AtomicU64,
-    session_panics: AtomicU64,
-    malformed_frames: AtomicU64,
-    accepted: AtomicU64,
-    served: AtomicU64,
-    shed: AtomicU64,
-    missed: AtomicU64,
-    aborted: AtomicU64,
-}
-
-/// Point-in-time copy of the front door's counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The front door's ledger: the state one lock guards, and its
+/// point-in-time copy.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetStatsSnapshot {
     /// Connections the listener accepted.
     pub conns_accepted: u64,
@@ -155,41 +156,10 @@ impl NetStatsSnapshot {
     }
 }
 
-impl NetCounters {
-    fn bump(&self, c: &AtomicU64) {
-        c.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn record(&self, disposition: Disposition) {
-        match disposition {
-            Disposition::Served => self.bump(&self.served),
-            Disposition::Shed => self.bump(&self.shed),
-            Disposition::Missed => self.bump(&self.missed),
-            Disposition::Aborted => self.bump(&self.aborted),
-        }
-    }
-
-    fn snapshot(&self) -> NetStatsSnapshot {
-        NetStatsSnapshot {
-            conns_accepted: self.conns_accepted.load(Ordering::Relaxed),
-            conns_refused: self.conns_refused.load(Ordering::Relaxed),
-            conns_evicted: self.conns_evicted.load(Ordering::Relaxed),
-            session_panics: self.session_panics.load(Ordering::Relaxed),
-            malformed_frames: self.malformed_frames.load(Ordering::Relaxed),
-            accepted: self.accepted.load(Ordering::Relaxed),
-            served: self.served.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            missed: self.missed.load(Ordering::Relaxed),
-            aborted: self.aborted.load(Ordering::Relaxed),
-        }
-    }
-}
-
 struct NetInner {
     server: Arc<TenantServer>,
     config: NetConfig,
-    counters: NetCounters,
-    pending: BoundedQueue<TcpStream>,
+    ledger: Mutex<NetStatsSnapshot>,
     shutdown: AtomicBool,
     drain_deadline: Mutex<Option<Instant>>,
 }
@@ -220,25 +190,28 @@ impl NetServer {
         let worker_count = config.max_connections.max(1);
         let inner = Arc::new(NetInner {
             server,
-            pending: BoundedQueue::new(ACCEPT_BACKLOG),
             config,
-            counters: NetCounters::default(),
+            ledger: Mutex::default(),
             shutdown: AtomicBool::new(false),
             drain_deadline: Mutex::new(None),
         });
+        // The acceptor owns the only sender: when it exits, the channel
+        // closes, and workers drain what is queued before they stop.
+        let (backlog, pending) = mpsc::sync_channel(ACCEPT_BACKLOG);
+        let pending = Arc::new(Mutex::new(pending));
         let acceptor = {
             let inner = Arc::clone(&inner);
             std::thread::Builder::new()
                 .name("qpp-net-acceptor".into())
-                .spawn(move || acceptor_loop(&listener, &inner))
+                .spawn(move || acceptor_loop(&listener, backlog, &inner))
                 .expect("spawning the acceptor thread")
         };
         let workers = (0..worker_count)
             .map(|i| {
-                let inner = Arc::clone(&inner);
+                let (inner, pending) = (Arc::clone(&inner), Arc::clone(&pending));
                 std::thread::Builder::new()
                     .name(format!("qpp-net-worker-{i}"))
-                    .spawn(move || worker_loop(&inner))
+                    .spawn(move || worker_loop(&pending, &inner))
                     .expect("spawning a connection worker")
             })
             .collect();
@@ -255,16 +228,16 @@ impl NetServer {
         self.local_addr
     }
 
-    /// Live counters; for the exactly-reconciled ledger, use the snapshot
+    /// The live ledger; for the exactly-reconciled one, use the snapshot
     /// [`NetServer::shutdown`] returns.
     pub fn stats(&self) -> NetStatsSnapshot {
-        self.inner.counters.snapshot()
+        *self.inner.ledger.lock().unwrap()
     }
 
     /// Graceful drain, idempotent: stop accepting, let every in-flight
     /// request finish (bounded by [`NetConfig::drain`] once the flag is
     /// up), join the acceptor and all workers, and return the final
-    /// counters — which reconcile exactly:
+    /// ledger — which reconciles exactly:
     /// `accepted == served + shed + missed + aborted`.
     ///
     /// The [`TenantServer`] underneath is *not* shut down: it belongs to
@@ -277,22 +250,19 @@ impl NetServer {
                 *deadline = Some(Instant::now() + self.inner.config.drain);
             }
         }
-        if let Some(acceptor) = self.acceptor.take() {
-            if let Err(p) = acceptor.join() {
+        // The acceptor's exit closes the backlog; workers drain what is
+        // queued (those sessions see the shutdown flag and close unread).
+        let threads = self
+            .acceptor
+            .take()
+            .into_iter()
+            .chain(self.workers.drain(..));
+        for thread in threads {
+            if let Err(p) = thread.join() {
                 std::panic::resume_unwind(p);
             }
         }
-        // Close after the acceptor stopped so no accepted socket is
-        // pushed into a closed queue and silently dropped; workers drain
-        // what is already queued (those sessions see the shutdown flag
-        // and close without reading).
-        self.inner.pending.close();
-        for worker in self.workers.drain(..) {
-            if let Err(p) = worker.join() {
-                std::panic::resume_unwind(p);
-            }
-        }
-        self.inner.counters.snapshot()
+        self.stats()
     }
 }
 
@@ -302,23 +272,18 @@ impl Drop for NetServer {
     }
 }
 
-fn acceptor_loop(listener: &TcpListener, inner: &NetInner) {
+fn acceptor_loop(listener: &TcpListener, backlog: SyncSender<TcpStream>, inner: &NetInner) {
     while !inner.shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _peer)) => {
-                inner.counters.bump(&inner.counters.conns_accepted);
-                match inner.pending.try_push(stream) {
-                    Ok(_) => {}
-                    Err(PushError::Full(stream, _)) => {
-                        inner.counters.bump(&inner.counters.conns_refused);
-                        refuse_connection(stream, inner);
-                    }
-                    Err(PushError::Closed(_)) => {
-                        inner.counters.bump(&inner.counters.conns_refused);
-                    }
+                inner.ledger.lock().unwrap().conns_accepted += 1;
+                if let Err(TrySendError::Full(stream) | TrySendError::Disconnected(stream)) =
+                    backlog.try_send(stream)
+                {
+                    inner.ledger.lock().unwrap().conns_refused += 1;
+                    refuse_connection(stream, inner);
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_TICK),
             Err(_) => std::thread::sleep(ACCEPT_TICK),
         }
     }
@@ -331,19 +296,24 @@ fn refuse_connection(mut stream: TcpStream, inner: &NetInner) {
     let frame = Frame::Error(ErrorFrame {
         id: 0,
         error: QppError::Overloaded {
-            queue_depth: inner.pending.capacity(),
+            queue_depth: ACCEPT_BACKLOG,
         },
     });
     let _ = stream.write_all(&frame.encode());
 }
 
-fn worker_loop(inner: &NetInner) {
-    while let Some(stream) = inner.pending.pop_blocking() {
+fn worker_loop(pending: &Mutex<Receiver<TcpStream>>, inner: &NetInner) {
+    loop {
+        // A statement of its own, so the lock is released before the
+        // session runs.
+        let Ok(stream) = pending.lock().unwrap().recv() else {
+            return;
+        };
         // One catch_unwind per session: a panic kills the connection,
         // never the worker — "no worker thread dies" is load-bearing for
         // the fixed-size pool.
         if catch_unwind(AssertUnwindSafe(|| handle_session(stream, inner))).is_err() {
-            inner.counters.bump(&inner.counters.session_panics);
+            inner.ledger.lock().unwrap().session_panics += 1;
         }
     }
 }
@@ -434,14 +404,14 @@ fn handle_session(mut stream: TcpStream, inner: &NetInner) {
             ReadEvent::Frame(bytes) => {
                 let (reply, disposition) = match Frame::decode(&bytes, DEFAULT_MAX_FRAME) {
                     Ok(Frame::Request(request)) => {
-                        inner.counters.bump(&inner.counters.accepted);
+                        inner.ledger.lock().unwrap().accepted += 1;
                         serve_request(request, inner)
                     }
                     // The envelope was valid (the header passed), so the
                     // stream is still in sync: answer with a typed error
                     // and keep the connection. Never an accepted request.
                     Ok(_) | Err(_) => {
-                        inner.counters.bump(&inner.counters.malformed_frames);
+                        inner.ledger.lock().unwrap().malformed_frames += 1;
                         (malformed_reply(), None)
                     }
                 };
@@ -453,7 +423,7 @@ fn handle_session(mut stream: TcpStream, inner: &NetInner) {
                         (Disposition::Served, false) => Disposition::Aborted,
                         (d, _) => d,
                     };
-                    inner.counters.record(actual);
+                    *actual.counter(&mut inner.ledger.lock().unwrap()) += 1;
                 }
                 if !delivered {
                     return;
@@ -461,11 +431,11 @@ fn handle_session(mut stream: TcpStream, inner: &NetInner) {
             }
             ReadEvent::ShutdownIdle | ReadEvent::Eof => return,
             ReadEvent::Evicted => {
-                inner.counters.bump(&inner.counters.conns_evicted);
+                inner.ledger.lock().unwrap().conns_evicted += 1;
                 return;
             }
             ReadEvent::Corrupt => {
-                inner.counters.bump(&inner.counters.malformed_frames);
+                inner.ledger.lock().unwrap().malformed_frames += 1;
                 // Best-effort diagnosis, then close: after a bad header
                 // the byte stream cannot be re-framed.
                 let _ = stream.write_all(&malformed_reply().encode());
@@ -519,10 +489,7 @@ fn serve_request(request: Request, inner: &NetInner) -> (Frame, Option<Dispositi
         ),
         Err(error) => {
             let disposition = classify(&error);
-            (
-                Frame::Error(ErrorFrame { id, error }),
-                Some(disposition),
-            )
+            (Frame::Error(ErrorFrame { id, error }), Some(disposition))
         }
     }
 }
@@ -587,9 +554,7 @@ mod tests {
             Disposition::Shed
         );
         assert_eq!(
-            classify(&QppError::TenantOverloaded {
-                tenant: "t".into()
-            }),
+            classify(&QppError::TenantOverloaded { tenant: "t".into() }),
             Disposition::Shed
         );
         assert_eq!(
@@ -600,14 +565,14 @@ mod tests {
             classify(&QppError::Internal("unknown tenant")),
             Disposition::Aborted
         );
-        let counters = NetCounters::default();
-        counters.bump(&counters.accepted);
-        counters.bump(&counters.accepted);
-        counters.record(Disposition::Served);
-        counters.record(Disposition::Missed);
-        let snap = counters.snapshot();
-        assert!(snap.reconciles());
-        counters.bump(&counters.accepted);
-        assert!(!counters.snapshot().reconciles(), "an open request shows");
+        let mut ledger = NetStatsSnapshot {
+            accepted: 2,
+            ..NetStatsSnapshot::default()
+        };
+        *Disposition::Served.counter(&mut ledger) += 1;
+        *Disposition::Missed.counter(&mut ledger) += 1;
+        assert!(ledger.reconciles());
+        ledger.accepted += 1;
+        assert!(!ledger.reconciles(), "an open request shows");
     }
 }

@@ -1,12 +1,14 @@
 //! Per-endpoint SLO accounting for the serving layer.
 //!
 //! Three endpoints (one per requested [`Method`] family) each keep a
-//! log-bucketed latency histogram ([`qpp::SloRecorder`]) over *end-to-end*
+//! log-bucketed latency histogram ([`SloRecorder`]) over *end-to-end*
 //! request latency (submit → reply), plus the overload counters the
 //! acceptance tests and the bench harness reconcile: everything submitted
-//! is accounted exactly once as shed, deadline-missed, or served.
+//! is accounted exactly once as shed, deadline-missed, or served. The live
+//! ledger is one [`ServeStatsSnapshot`] behind one lock, and a snapshot is
+//! its clone.
 
-use qpp::{tier_rank, Method, PredictionTier, SloRecorder};
+use qpp::{tier_rank, Method, PredictionTier};
 use std::sync::Mutex;
 
 use crate::admission::ShedReason;
@@ -42,131 +44,62 @@ impl Endpoint {
             Endpoint::Hybrid => 2,
         }
     }
-
-    /// Endpoint name as it appears in bench reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Endpoint::PlanLevel => "plan_level",
-            Endpoint::OperatorLevel => "operator_level",
-            Endpoint::Hybrid => "hybrid",
-        }
-    }
 }
 
-/// All serving endpoints, in [`Endpoint::index`] order.
-pub const ENDPOINTS: [Endpoint; 3] = [Endpoint::PlanLevel, Endpoint::OperatorLevel, Endpoint::Hybrid];
-
-#[derive(Debug)]
-struct Inner {
-    submitted: u64,
-    shed_rate_limited: u64,
-    shed_queue_full: u64,
-    shed_shutdown: u64,
-    served: u64,
-    deadline_missed: u64,
-    degraded: u64,
-    served_by_tier: [u64; 5],
-    batches: u64,
-    batched_jobs: u64,
-    largest_batch: u64,
-    stalls_injected: u64,
-    heal_rounds: u64,
-    heal_promoted: u64,
-    heal_kept_incumbent: u64,
-    heal_rolled_back: u64,
-    heal_panics: u64,
-    heal_backoff_skips: u64,
-    latency: [SloRecorder; 3],
-}
-
-/// Thread-safe serving statistics, shared between submitters and workers.
-#[derive(Debug)]
-pub struct ServeStats {
-    inner: Mutex<Inner>,
-}
-
-impl Default for ServeStats {
-    fn default() -> Self {
-        ServeStats::new()
-    }
-}
+/// Thread-safe serving statistics, shared between submitters and workers:
+/// one [`ServeStatsSnapshot`] behind one lock.
+#[derive(Debug, Default)]
+pub struct ServeStats(Mutex<ServeStatsSnapshot>);
 
 impl ServeStats {
-    /// Fresh, all-zero statistics.
-    pub fn new() -> ServeStats {
-        ServeStats {
-            inner: Mutex::new(Inner {
-                submitted: 0,
-                shed_rate_limited: 0,
-                shed_queue_full: 0,
-                shed_shutdown: 0,
-                served: 0,
-                deadline_missed: 0,
-                degraded: 0,
-                served_by_tier: [0; 5],
-                batches: 0,
-                batched_jobs: 0,
-                largest_batch: 0,
-                stalls_injected: 0,
-                heal_rounds: 0,
-                heal_promoted: 0,
-                heal_kept_incumbent: 0,
-                heal_rolled_back: 0,
-                heal_panics: 0,
-                heal_backoff_skips: 0,
-                latency: [SloRecorder::new(), SloRecorder::new(), SloRecorder::new()],
-            }),
-        }
-    }
-
     /// A request reached the front door.
     pub fn record_submitted(&self) {
-        self.inner.lock().unwrap().submitted += 1;
+        self.0.lock().unwrap().submitted += 1;
     }
 
     /// A request was shed at admission.
     pub fn record_shed(&self, reason: ShedReason) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut ledger = self.0.lock().unwrap();
         match reason {
-            ShedReason::RateLimited => inner.shed_rate_limited += 1,
-            ShedReason::QueueFull => inner.shed_queue_full += 1,
-            ShedReason::Shutdown => inner.shed_shutdown += 1,
+            ShedReason::RateLimited => ledger.shed_rate_limited += 1,
+            ShedReason::QueueFull => ledger.shed_queue_full += 1,
+            ShedReason::Shutdown => ledger.shed_shutdown += 1,
         }
     }
 
     /// One healing round completed for this tenant with the given action.
     pub fn record_heal(&self, action: &HealAction) {
-        let mut inner = self.inner.lock().unwrap();
-        inner.heal_rounds += 1;
+        let mut ledger = self.0.lock().unwrap();
+        ledger.heal_rounds += 1;
         match action {
             HealAction::NotNeeded => {}
-            HealAction::Promoted => inner.heal_promoted += 1,
-            HealAction::KeptIncumbent => inner.heal_kept_incumbent += 1,
-            HealAction::RolledBack => inner.heal_rolled_back += 1,
+            HealAction::Promoted => ledger.heal_promoted += 1,
+            HealAction::KeptIncumbent => ledger.heal_kept_incumbent += 1,
+            HealAction::RolledBack => ledger.heal_rolled_back += 1,
         }
     }
 
     /// A healing round panicked and was caught by the supervisor.
     pub fn record_heal_panic(&self) {
-        self.inner.lock().unwrap().heal_panics += 1;
+        self.0.lock().unwrap().heal_panics += 1;
     }
 
     /// The healer's breaker skipped a round while backing off.
     pub fn record_heal_backoff_skip(&self) {
-        self.inner.lock().unwrap().heal_backoff_skips += 1;
+        self.0.lock().unwrap().heal_backoff_skips += 1;
     }
 
     /// A worker coalesced `n` requests into one batch.
     pub fn record_batch(&self, n: usize) {
-        let mut inner = self.inner.lock().unwrap();
-        inner.batches += 1;
-        inner.batched_jobs += n as u64;
-        inner.largest_batch = inner.largest_batch.max(n as u64);
+        let mut ledger = self.0.lock().unwrap();
+        ledger.batches += 1;
+        ledger.batched_jobs += n as u64;
+        ledger.largest_batch = ledger.largest_batch.max(n as u64);
     }
 
     /// An injected worker stall fired.
     pub fn record_stall(&self) {
-        self.inner.lock().unwrap().stalls_injected += 1;
+        self.0.lock().unwrap().stalls_injected += 1;
     }
 
     /// A request was answered with a prediction.
@@ -177,77 +110,27 @@ impl ServeStats {
         degraded: bool,
         latency_secs: f64,
     ) {
-        let mut inner = self.inner.lock().unwrap();
-        inner.served += 1;
-        inner.served_by_tier[tier_rank(tier)] += 1;
-        if degraded {
-            inner.degraded += 1;
-        }
-        inner.latency[endpoint.index()].record(latency_secs);
+        let mut ledger = self.0.lock().unwrap();
+        ledger.served += 1;
+        ledger.served_by_tier[tier_rank(tier)] += 1;
+        ledger.degraded += u64::from(degraded);
+        ledger.latency[endpoint.index()].record(latency_secs);
     }
 
     /// A request's deadline expired before any tier could answer.
     pub fn record_deadline_miss(&self) {
-        self.inner.lock().unwrap().deadline_missed += 1;
+        self.0.lock().unwrap().deadline_missed += 1;
     }
 
     /// A consistent point-in-time copy of all counters and histograms.
     pub fn snapshot(&self) -> ServeStatsSnapshot {
-        let inner = self.inner.lock().unwrap();
-        let latency = std::array::from_fn(|i| {
-            let r = &inner.latency[i];
-            SloSummary {
-                count: r.count(),
-                mean_secs: r.mean(),
-                p50_secs: r.quantile(0.50),
-                p99_secs: r.quantile(0.99),
-                p999_secs: r.quantile(0.999),
-                max_secs: r.max(),
-            }
-        });
-        ServeStatsSnapshot {
-            submitted: inner.submitted,
-            shed_rate_limited: inner.shed_rate_limited,
-            shed_queue_full: inner.shed_queue_full,
-            shed_shutdown: inner.shed_shutdown,
-            served: inner.served,
-            deadline_missed: inner.deadline_missed,
-            degraded: inner.degraded,
-            served_by_tier: inner.served_by_tier,
-            batches: inner.batches,
-            batched_jobs: inner.batched_jobs,
-            largest_batch: inner.largest_batch,
-            stalls_injected: inner.stalls_injected,
-            heal_rounds: inner.heal_rounds,
-            heal_promoted: inner.heal_promoted,
-            heal_kept_incumbent: inner.heal_kept_incumbent,
-            heal_rolled_back: inner.heal_rolled_back,
-            heal_panics: inner.heal_panics,
-            heal_backoff_skips: inner.heal_backoff_skips,
-            latency,
-        }
+        self.0.lock().unwrap().clone()
     }
 }
 
-/// Latency summary for one endpoint.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SloSummary {
-    /// Served requests recorded at this endpoint.
-    pub count: u64,
-    /// Mean end-to-end latency, seconds.
-    pub mean_secs: f64,
-    /// Median end-to-end latency, seconds.
-    pub p50_secs: f64,
-    /// 99th percentile end-to-end latency, seconds.
-    pub p99_secs: f64,
-    /// 99.9th percentile end-to-end latency, seconds.
-    pub p999_secs: f64,
-    /// Worst observed end-to-end latency, seconds.
-    pub max_secs: f64,
-}
-
-/// Point-in-time copy of [`ServeStats`].
-#[derive(Debug, Clone, PartialEq)]
+/// One tenant's serving ledger: the state [`ServeStats`] guards, and its
+/// point-in-time copy.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServeStatsSnapshot {
     /// Requests that reached the front door.
     pub submitted: u64,
@@ -287,8 +170,9 @@ pub struct ServeStatsSnapshot {
     pub heal_panics: u64,
     /// Healer rounds skipped while the supervision breaker backed off.
     pub heal_backoff_skips: u64,
-    /// Per-endpoint latency summaries (indexed by [`Endpoint::index`]).
-    pub latency: [SloSummary; 3],
+    /// Per-endpoint end-to-end latency histograms (indexed by
+    /// [`Endpoint::index`]).
+    pub latency: [SloRecorder; 3],
 }
 
 impl ServeStatsSnapshot {
@@ -302,9 +186,118 @@ impl ServeStatsSnapshot {
         self.submitted - self.shed()
     }
 
-    /// Latency summary for one endpoint.
-    pub fn endpoint(&self, e: Endpoint) -> &SloSummary {
+    /// Latency histogram for one endpoint.
+    pub fn endpoint(&self, e: Endpoint) -> &SloRecorder {
         &self.latency[e.index()]
+    }
+}
+
+/// Smallest latency the SLO histogram resolves (100 ns).
+const SLO_MIN_SECS: f64 = 1e-7;
+/// Geometric buckets per decade: resolution ~26% per bucket, plenty for
+/// p50/p99/p999 accounting at a fixed 100-slot footprint.
+const SLO_BUCKETS_PER_DECADE: usize = 10;
+/// Decades covered: 100 ns … 1000 s.
+const SLO_DECADES: usize = 10;
+const SLO_BUCKETS: usize = SLO_BUCKETS_PER_DECADE * SLO_DECADES;
+
+/// A fixed-footprint, log-bucketed latency histogram for SLO accounting.
+///
+/// The serving layer records the latency of every *prediction* it answers
+/// (the paper's models are themselves on a latency budget once they sit on
+/// a system's admission-control path) and reads back tail quantiles —
+/// p50/p99/p999 — without storing individual samples. Buckets are
+/// geometric (10 per decade, 100 ns to 1000 s), so a quantile is resolved
+/// to within ~26% of its true value while the recorder stays a flat
+/// 100-slot array that is cheap to snapshot.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SloRecorder {
+    buckets: [u64; SLO_BUCKETS],
+    count: u64,
+    sum: f64,
+    min: f64,
+    max: f64,
+}
+
+impl Default for SloRecorder {
+    fn default() -> Self {
+        SloRecorder::new()
+    }
+}
+
+impl SloRecorder {
+    /// An empty recorder.
+    pub fn new() -> Self {
+        SloRecorder {
+            buckets: [0; SLO_BUCKETS],
+            count: 0,
+            sum: 0.0,
+            min: f64::INFINITY,
+            max: f64::NEG_INFINITY,
+        }
+    }
+
+    fn bucket_index(secs: f64) -> usize {
+        let clamped = secs.max(SLO_MIN_SECS);
+        let idx = ((clamped / SLO_MIN_SECS).log10() * SLO_BUCKETS_PER_DECADE as f64).floor();
+        (idx as usize).min(SLO_BUCKETS - 1)
+    }
+
+    /// Records one latency observation (non-finite or negative values are
+    /// ignored — a latency cannot be either).
+    pub fn record(&mut self, secs: f64) {
+        if !secs.is_finite() || secs < 0.0 {
+            return;
+        }
+        self.buckets[Self::bucket_index(secs)] += 1;
+        self.count += 1;
+        self.sum += secs;
+        self.min = self.min.min(secs);
+        self.max = self.max.max(secs);
+    }
+
+    /// Number of recorded observations.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// Mean recorded latency (NaN when empty).
+    pub fn mean(&self) -> f64 {
+        if self.count == 0 {
+            f64::NAN
+        } else {
+            self.sum / self.count as f64
+        }
+    }
+
+    /// Largest recorded latency (NaN when empty).
+    pub fn max(&self) -> f64 {
+        if self.count == 0 {
+            f64::NAN
+        } else {
+            self.max
+        }
+    }
+
+    /// The latency at quantile `q` in `[0, 1]`, resolved to the upper edge
+    /// of its bucket (clamped to the observed min/max so the estimate
+    /// never leaves the recorded range). NaN when empty.
+    pub fn quantile(&self, q: f64) -> f64 {
+        if self.count == 0 {
+            return f64::NAN;
+        }
+        let q = q.clamp(0.0, 1.0);
+        let rank = ((q * self.count as f64).ceil() as u64).max(1);
+        let mut seen = 0u64;
+        for (i, &c) in self.buckets.iter().enumerate() {
+            seen += c;
+            if seen >= rank {
+                let upper =
+                    SLO_MIN_SECS * 10f64.powf((i + 1) as f64 / SLO_BUCKETS_PER_DECADE as f64);
+                return upper.clamp(self.min, self.max);
+            }
+        }
+        self.max
     }
 }
 
@@ -315,7 +308,7 @@ mod tests {
 
     #[test]
     fn counters_reconcile_and_histograms_land_per_endpoint() {
-        let stats = ServeStats::new();
+        let stats = ServeStats::default();
         for _ in 0..10 {
             stats.record_submitted();
         }
@@ -341,17 +334,17 @@ mod tests {
         assert_eq!(snap.largest_batch, 3);
         assert_eq!(snap.batched_jobs, 4);
         let hybrid = snap.endpoint(Endpoint::Hybrid);
-        assert_eq!(hybrid.count, 6);
-        assert!(hybrid.mean_secs > 0.0);
-        assert!(hybrid.p50_secs <= hybrid.p99_secs);
-        assert!(hybrid.p99_secs <= hybrid.max_secs * 1.3);
-        assert_eq!(snap.endpoint(Endpoint::PlanLevel).count, 0);
+        assert_eq!(hybrid.count(), 6);
+        assert!(hybrid.mean() > 0.0);
+        assert!(hybrid.quantile(0.5) <= hybrid.quantile(0.99));
+        assert!(hybrid.quantile(0.99) <= hybrid.max() * 1.3);
+        assert_eq!(snap.endpoint(Endpoint::PlanLevel).count(), 0);
         assert_eq!(snap.served_by_tier[0], 6);
     }
 
     #[test]
     fn degradation_and_stalls_are_counted() {
-        let stats = ServeStats::new();
+        let stats = ServeStats::default();
         stats.record_submitted();
         stats.record_served(Endpoint::Hybrid, PredictionTier::TrainingPrior, true, 1e-5);
         stats.record_stall();
@@ -370,9 +363,51 @@ mod tests {
             Endpoint::of(Method::Hybrid(PlanOrdering::SizeBased)),
             Endpoint::Hybrid
         );
-        for (i, e) in ENDPOINTS.iter().enumerate() {
+        for (i, e) in [
+            Endpoint::PlanLevel,
+            Endpoint::OperatorLevel,
+            Endpoint::Hybrid,
+        ]
+        .into_iter()
+        .enumerate()
+        {
             assert_eq!(e.index(), i);
-            assert!(!e.name().is_empty());
         }
+    }
+
+    #[test]
+    fn slo_recorder_quantiles_bound_the_true_values() {
+        let mut r = SloRecorder::new();
+        // 1000 samples spread uniformly over 1..=1000 ms.
+        for i in 1..=1000 {
+            r.record(i as f64 * 1e-3);
+        }
+        assert_eq!(r.count(), 1000);
+        assert!((r.mean() - 0.5005).abs() < 1e-9);
+        assert_eq!(r.max(), 1.0);
+        // Each quantile lands within one geometric bucket (~26%) above the
+        // true value and never below the bucket's floor.
+        for (q, truth) in [(0.5, 0.5), (0.99, 0.99), (0.999, 0.999)] {
+            let est = r.quantile(q);
+            assert!(est >= truth * 0.79, "q{q}: {est} vs {truth}");
+            assert!(est <= truth * 1.27, "q{q}: {est} vs {truth}");
+        }
+        // Clamped to the observed range at the extremes.
+        assert!(r.quantile(0.0) >= 1e-3);
+        assert_eq!(r.quantile(1.0), 1.0);
+    }
+
+    #[test]
+    fn slo_recorder_ignores_garbage() {
+        let mut r = SloRecorder::new();
+        r.record(f64::NAN);
+        r.record(-1.0);
+        r.record(f64::INFINITY);
+        assert_eq!(r.count(), 0);
+        assert!(r.quantile(0.5).is_nan());
+        // A sub-resolution latency clamps into the first bucket.
+        r.record(0.0);
+        assert_eq!(r.count(), 1);
+        assert!(r.quantile(0.5) <= 1e-7 * 1.3);
     }
 }

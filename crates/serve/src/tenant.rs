@@ -55,7 +55,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::admission::{AdmissionController, RateLimit, ShedReason};
+use crate::admission::{AdmissionController, RateLimit, ShedReason, TokenBucket};
 use crate::deadline::TierCosts;
 use crate::server::{serve_batch, Job, PendingPrediction};
 use crate::stats::{ServeStats, ServeStatsSnapshot};
@@ -366,24 +366,17 @@ impl Default for TenantServeConfig {
     }
 }
 
-/// Counters already folded into the drift monitor, so consecutive
-/// [`TenantServer::slo_tick`] calls diff disjoint windows.
-#[derive(Debug, Clone, Copy, Default)]
-struct SloSeen {
-    served: u64,
-    degraded: u64,
-    deadline_missed: u64,
-    shed: u64,
-}
-
 pub(crate) struct TenantShard {
     pub(crate) name: String,
     pub(crate) registry: Arc<ModelRegistry>,
     budget: TenantBudget,
-    admission: Mutex<AdmissionController>,
+    /// The tenant's own rate budget (its lane quota bounds its depth).
+    rate: Option<Mutex<TokenBucket>>,
     pub(crate) stats: Arc<ServeStats>,
     monitor: Mutex<DriftMonitor>,
-    slo_seen: Mutex<SloSeen>,
+    /// The ledger the previous [`TenantServer::slo_tick`] folded into the
+    /// drift monitor, so consecutive ticks diff disjoint windows.
+    slo_seen: Mutex<ServeStatsSnapshot>,
 }
 
 /// How far past the incumbent's held-out error (relative) a just-promoted
@@ -499,13 +492,16 @@ impl TenantServer {
         }
         let max_batch = config.max_batch.max(1);
         let handles = (0..worker_count)
-            .map(|_| {
+            .map(|i| {
                 let queue = Arc::clone(&queue);
                 let shards = Arc::clone(&shards);
                 let (worker_stall, tier_costs) = (config.worker_stall, config.tier_costs);
-                std::thread::spawn(move || {
-                    tenant_worker_loop(&queue, &shards, worker_stall, tier_costs, max_batch)
-                })
+                std::thread::Builder::new()
+                    .name(format!("qpp-serve-{i}"))
+                    .spawn(move || {
+                        tenant_worker_loop(&queue, &shards, worker_stall, tier_costs, max_batch)
+                    })
+                    .expect("spawning a serving worker")
             })
             .collect();
         *server.workers.lock().unwrap() = handles;
@@ -524,18 +520,17 @@ impl TenantServer {
             return Err(QppError::Internal("duplicate tenant name"));
         }
         let idx = self.queue.add_tenant(spec.budget.weight, spec.budget.queue_quota);
-        let rate_limit = spec.budget.rate_limit;
         let shard = Arc::new(TenantShard {
             name: spec.name.clone(),
             registry: spec.registry,
+            rate: spec
+                .budget
+                .rate_limit
+                .map(|limit| Mutex::new(TokenBucket::new(limit))),
             budget: spec.budget,
-            // The lane quota already bounds queued depth exactly (and
-            // race-free, inside the queue lock); the per-tenant
-            // controller polices only the rate budget.
-            admission: Mutex::new(AdmissionController::new(rate_limit, usize::MAX >> 1)),
-            stats: Arc::new(ServeStats::new()),
+            stats: Arc::default(),
             monitor: Mutex::new(DriftMonitor::new(None)),
-            slo_seen: Mutex::new(SloSeen::default()),
+            slo_seen: Mutex::default(),
         });
         self.shards.write().unwrap().push(shard);
         debug_assert_eq!(self.shards.read().unwrap().len(), idx + 1);
@@ -641,10 +636,11 @@ impl TenantServer {
             global
                 .admit_depth(total_depth)
                 .map_err(|reason| (reason, overloaded()))
-                .and_then(|()| {
-                    let mut own = shard.admission.lock().unwrap();
-                    own.admit_rate(now_secs)
-                        .map_err(|reason| (reason, tenant_overloaded()))
+                .and_then(|()| match &shard.rate {
+                    Some(bucket) if !bucket.lock().unwrap().try_acquire(now_secs) => {
+                        Err((ShedReason::RateLimited, tenant_overloaded()))
+                    }
+                    _ => Ok(()),
                 })
                 .and_then(|()| {
                     global
@@ -745,19 +741,13 @@ impl TenantServer {
         let shard = self.shard(tenant)?;
         let snap = shard.stats.snapshot();
         let mut seen = shard.slo_seen.lock().unwrap();
-        let shed = snap.shed();
         let window = SloWindow {
             served: (snap.served - snap.degraded) - (seen.served - seen.degraded),
             degraded: snap.degraded - seen.degraded,
             deadline_missed: snap.deadline_missed - seen.deadline_missed,
-            shed: shed - seen.shed,
+            shed: snap.shed() - seen.shed(),
         };
-        *seen = SloSeen {
-            served: snap.served,
-            degraded: snap.degraded,
-            deadline_missed: snap.deadline_missed,
-            shed,
-        };
+        *seen = snap;
         drop(seen);
         let health = shard
             .monitor

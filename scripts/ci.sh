@@ -46,6 +46,20 @@ if [ "$env_files" != "crates/ml/src/par.rs" ]; then
     exit 1
 fi
 
+# Every product thread is one of four kinds, each named (`qpp-par-*`,
+# `qpp-healer`, `qpp-net-*`, `qpp-serve-*`) so per-thread counters under
+# /proc/self/task can attribute it. A fifth spawn site is a decision.
+echo "==> thread gate: ml::par and serve's healer, net and tenant only"
+thread_files="$(grep -rlE 'thread::(spawn|Builder|scope)' crates/*/src src | grep -v '^crates/e2e/' | sort)"
+if [ "$thread_files" != "crates/ml/src/par.rs
+crates/serve/src/healer.rs
+crates/serve/src/net.rs
+crates/serve/src/tenant.rs" ]; then
+    echo "$thread_files"
+    echo "FAIL: the files spawning threads are not exactly ml::par and serve::{healer, net, tenant}"
+    exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release
 

@@ -13,9 +13,9 @@
 //!    `accepted == served + shed + missed + aborted`, and the tenant
 //!    server's per-tenant `accepted == served + deadline_missed`.
 
-use engine::faults::NetFaultPlan;
 use engine::{Catalog, Simulator};
 use qpp::{ExecutedQuery, Method, ModelRegistry, QppConfig, QppPredictor, QueryDataset};
+use rng::StdRng;
 use serve::tenant::{TenantBudget, TenantServeConfig, TenantServer, TenantSpec};
 use serve::{Client, Frame, NetConfig, NetServer, Request};
 use std::io::{Read, Write};
@@ -24,6 +24,118 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 use tpch::Workload;
+
+/// The network fault decisions for one wire frame, fully determined by
+/// the [`NetFaultPlan`], the frame id, and the frame length.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct NetFaultOutcome {
+    /// Split the frame's write at this byte offset and pause between the
+    /// two halves (a client flushing a partial frame, then stalling).
+    /// `None` = the frame is written in one piece.
+    pub partial_write_at: Option<usize>,
+    /// Close the connection after writing this many bytes of the frame —
+    /// a mid-frame disconnect. Offsets are strictly inside the frame, so
+    /// the receiver always observes a truncated frame, never a clean
+    /// close. `None` = no disconnect.
+    pub disconnect_at: Option<usize>,
+    /// XOR the frame byte at `.0` with the (non-zero) mask `.1` before
+    /// writing — a corrupted frame the receiver must reject without
+    /// dying. `None` = the frame goes out intact.
+    pub corrupt_at: Option<(usize, u8)>,
+    /// Seconds the client stalls *between* the split halves of a partial
+    /// write, and before reading its reply — the slow-client behaviour a
+    /// slowloris-evicting server must bound. 0.0 = no stall.
+    pub stall_secs: f64,
+}
+
+/// A seeded, deterministic fault-injection policy for the *wire* layer
+/// (the networked front door), mirroring `engine::faults::FaultPlan`'s
+/// contract: the same (plan, frame id, frame length) triple always yields
+/// the same faults, so network-chaos e2e tests are exactly reproducible.
+///
+/// Probabilities are per frame. A frame draws at most one of
+/// {partial write, disconnect, corruption} (checked in that order), plus
+/// an independent stall decision, so outcomes compose without the
+/// injection layers masking each other.
+#[derive(Debug, Clone, PartialEq)]
+pub struct NetFaultPlan {
+    /// Probability that a frame's write is split with a pause in between.
+    pub partial_write_prob: f64,
+    /// Probability that the connection drops mid-frame.
+    pub disconnect_prob: f64,
+    /// Probability that one frame byte is corrupted in flight.
+    pub corrupt_prob: f64,
+    /// Probability that the client stalls (slow writer/reader).
+    pub stall_prob: f64,
+    /// Stall duration in seconds when a stall fires (values below 0 are
+    /// treated as 0).
+    pub stall_secs: f64,
+    /// Fault-stream seed, decorrelated from the serving-layer streams.
+    pub seed: u64,
+}
+
+impl NetFaultPlan {
+    /// A plan that injects nothing: every frame arrives intact, in one
+    /// piece, from a prompt client.
+    pub fn none() -> NetFaultPlan {
+        NetFaultPlan {
+            partial_write_prob: 0.0,
+            disconnect_prob: 0.0,
+            corrupt_prob: 0.0,
+            stall_prob: 0.0,
+            stall_secs: 0.02,
+            seed: 0,
+        }
+    }
+
+    /// The fault decisions for the frame identified by `frame_id`, which
+    /// is `frame_len` bytes long on the wire. Deterministic: the same
+    /// (plan, frame_id, frame_len) triple always returns the same
+    /// outcome. Frames shorter than two bytes cannot be meaningfully
+    /// split, truncated, or corrupted mid-frame and draw no byte faults.
+    pub fn decide(&self, frame_id: u64, frame_len: usize) -> NetFaultOutcome {
+        let mut rng = StdRng::seed_from_u64(
+            self.seed ^ frame_id.wrapping_mul(0xD6E8_FEB8_6659_FD93) ^ 0x3E_7C0,
+        );
+        let partial = rng.gen_f64() < self.partial_write_prob;
+        let disconnect = rng.gen_f64() < self.disconnect_prob;
+        let corrupt = rng.gen_f64() < self.corrupt_prob;
+        let stall = rng.gen_f64() < self.stall_prob;
+        // Draw the offsets and mask unconditionally so the decision of
+        // *whether* a fault fires never perturbs the stream feeding
+        // *where* it lands (same idiom as FaultPlan::decide).
+        let split_off = if frame_len >= 2 {
+            rng.gen_range(1..frame_len)
+        } else {
+            0
+        };
+        let cut_off = if frame_len >= 2 {
+            rng.gen_range(1..frame_len)
+        } else {
+            0
+        };
+        let corrupt_off = if frame_len >= 2 {
+            rng.gen_range(0..frame_len)
+        } else {
+            0
+        };
+        let mask = rng.gen_range(1u8..=255);
+        let byte_faults_possible = frame_len >= 2;
+        NetFaultOutcome {
+            partial_write_at: (partial && byte_faults_possible).then_some(split_off),
+            disconnect_at: (disconnect && !partial && byte_faults_possible).then_some(cut_off),
+            corrupt_at: (corrupt && !partial && !disconnect && byte_faults_possible)
+                .then_some((corrupt_off, mask)),
+            stall_secs: if stall { self.stall_secs.max(0.0) } else { 0.0 },
+        }
+    }
+}
+
+impl Default for NetFaultPlan {
+    fn default() -> Self {
+        NetFaultPlan::none()
+    }
+}
 
 fn temp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("qpp-netchaos-{}-{name}", std::process::id()));
@@ -142,7 +254,10 @@ fn seeded_wire_chaos_spares_the_quiet_tenant_and_reconciles_exactly() {
 
     // Fault-free baseline: the quiet tenant's bit-exact answers.
     let server = Arc::new(TenantServer::start(
-        vec![spec("quiet", &quiet_registry), spec("noisy", &noisy_registry)],
+        vec![
+            spec("quiet", &quiet_registry),
+            spec("noisy", &noisy_registry),
+        ],
         TenantServeConfig::default(),
     ));
     let baseline: Vec<u64> = {
@@ -206,7 +321,9 @@ fn seeded_wire_chaos_spares_the_quiet_tenant_and_reconciles_exactly() {
     // reply (best-effort) and a close — never a worker death.
     {
         let mut garbage = TcpStream::connect(addr).expect("garbage connect");
-        garbage.write_all(b"HTTP/1.1 GET /predict\r\n").expect("garbage write");
+        garbage
+            .write_all(b"HTTP/1.1 GET /predict\r\n")
+            .expect("garbage write");
         let _ = garbage.set_read_timeout(Some(Duration::from_secs(2)));
         let mut reply = Vec::new();
         let _ = garbage.read_to_end(&mut reply);
@@ -244,8 +361,14 @@ fn seeded_wire_chaos_spares_the_quiet_tenant_and_reconciles_exactly() {
 
     drop(quiet_client);
     let snap = net.shutdown();
-    assert_eq!(snap.session_panics, 0, "no worker session may panic: {snap:?}");
-    assert!(snap.conns_evicted >= 1, "the slowloris must be evicted: {snap:?}");
+    assert_eq!(
+        snap.session_panics, 0,
+        "no worker session may panic: {snap:?}"
+    );
+    assert!(
+        snap.conns_evicted >= 1,
+        "the slowloris must be evicted: {snap:?}"
+    );
     assert!(snap.malformed_frames >= 2, "garbage + bogus kind: {snap:?}");
     assert!(
         snap.reconciles(),
@@ -334,4 +457,211 @@ fn seeded_wire_chaos_spares_the_quiet_tenant_and_reconciles_exactly() {
 
     let _ = std::fs::remove_dir_all(temp_dir("quiet"));
     let _ = std::fs::remove_dir_all(temp_dir("noisy"));
+}
+
+/// The accept backlog's two exits: a connection that finds it full reads
+/// one typed `Overloaded` frame and EOF, and one still queued at shutdown
+/// is closed unread.
+#[test]
+fn a_full_backlog_refuses_with_a_typed_frame_and_shutdown_closes_the_queued() {
+    let server = Arc::new(TenantServer::start(
+        Vec::new(),
+        TenantServeConfig::default(),
+    ));
+    let mut net = NetServer::bind(
+        ("127.0.0.1", 0),
+        server,
+        NetConfig {
+            max_connections: 1,
+            // The silent session's idle budget (20x) outlives the test.
+            read_timeout: Duration::from_secs(2),
+            ..NetConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = net.local_addr();
+    // The one worker's session: a client that never sends a byte.
+    let held = TcpStream::connect(addr).expect("held connect");
+    while net.stats().conns_accepted < 1 {
+        std::thread::yield_now();
+    }
+    // One worker plus 32 backlog slots hold at most 33 of these 35.
+    let mut conns: Vec<(TcpStream, Vec<u8>, bool)> = (0..34)
+        .map(|_| {
+            let stream = TcpStream::connect(addr).expect("backlog connect");
+            stream.set_nonblocking(true).unwrap();
+            (stream, Vec::new(), false)
+        })
+        .collect();
+    while net.stats().conns_accepted < 35 {
+        std::thread::yield_now();
+    }
+    // Each refusal is counted before its frame is written: poll until as
+    // many connections reached EOF as the ledger counts refusals.
+    let started = std::time::Instant::now();
+    loop {
+        for (stream, bytes, eof) in conns.iter_mut().filter(|c| !c.2) {
+            let mut buf = [0u8; 256];
+            loop {
+                match stream.read(&mut buf) {
+                    Ok(0) => {
+                        *eof = true;
+                        break;
+                    }
+                    Ok(n) => bytes.extend_from_slice(&buf[..n]),
+                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                    Err(e) => panic!("a refused or queued connection errored: {e}"),
+                }
+            }
+        }
+        let closed = conns.iter().filter(|c| c.2).count() as u64;
+        if closed == net.stats().conns_refused {
+            break;
+        }
+        assert!(
+            started.elapsed() < Duration::from_secs(10),
+            "refusals never arrived"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let refused: Vec<&Vec<u8>> = conns.iter().filter(|c| c.2).map(|c| &c.1).collect();
+    assert!(
+        !refused.is_empty(),
+        "35 connections must overflow one worker + 32 slots"
+    );
+    assert_eq!(net.stats().conns_refused, refused.len() as u64);
+    for bytes in &refused {
+        // `decode` refuses trailing bytes: exactly one frame arrived.
+        match Frame::decode(bytes, serve::DEFAULT_MAX_FRAME).expect("one whole frame") {
+            Frame::Error(e) => {
+                assert_eq!(e.error, qpp::QppError::Overloaded { queue_depth: 32 });
+            }
+            other => panic!("a refusal must be a typed error, got {other:?}"),
+        }
+    }
+
+    let snap = net.shutdown();
+    conns.push((held, Vec::new(), false));
+    for (stream, bytes, _) in conns.iter_mut().filter(|c| !c.2) {
+        assert!(bytes.is_empty(), "a queued connection was answered");
+        stream.set_nonblocking(false).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(2)))
+            .unwrap();
+        stream
+            .read_to_end(bytes)
+            .expect("queued connection closes cleanly");
+        assert!(
+            bytes.is_empty(),
+            "a queued connection was answered at shutdown"
+        );
+    }
+    assert_eq!(snap.conns_accepted, 35, "{snap:?}");
+    assert_eq!(snap.accepted, 0, "no request was read: {snap:?}");
+    assert!(snap.reconciles(), "{snap:?}");
+    assert_eq!(snap.session_panics, 0, "{snap:?}");
+}
+
+#[test]
+fn net_faults_are_deterministic_and_none_is_inert() {
+    let none = NetFaultPlan::none();
+    for id in 0..200 {
+        let o = none.decide(id, 64);
+        assert_eq!(o.partial_write_at, None);
+        assert_eq!(o.disconnect_at, None);
+        assert_eq!(o.corrupt_at, None);
+        assert_eq!(o.stall_secs, 0.0);
+    }
+    let plan = NetFaultPlan {
+        partial_write_prob: 0.3,
+        disconnect_prob: 0.3,
+        corrupt_prob: 0.3,
+        stall_prob: 0.3,
+        stall_secs: 0.01,
+        seed: 23,
+    };
+    for id in 0..100 {
+        assert_eq!(plan.decide(id, 128), plan.decide(id, 128));
+    }
+}
+
+#[test]
+fn net_fault_offsets_stay_inside_the_frame_and_exclude_each_other() {
+    let plan = NetFaultPlan {
+        partial_write_prob: 0.4,
+        disconnect_prob: 0.4,
+        corrupt_prob: 0.4,
+        stall_prob: 0.2,
+        stall_secs: 0.005,
+        seed: 31,
+    };
+    for frame_len in [2usize, 9, 64, 4096] {
+        for id in 0..500 {
+            let o = plan.decide(id, frame_len);
+            let fired = o.partial_write_at.is_some() as usize
+                + o.disconnect_at.is_some() as usize
+                + o.corrupt_at.is_some() as usize;
+            assert!(fired <= 1, "byte faults must be mutually exclusive");
+            if let Some(at) = o.partial_write_at {
+                assert!(at >= 1 && at < frame_len, "split at {at} of {frame_len}");
+            }
+            if let Some(at) = o.disconnect_at {
+                assert!(at >= 1 && at < frame_len, "cut at {at} of {frame_len}");
+            }
+            if let Some((at, mask)) = o.corrupt_at {
+                assert!(at < frame_len, "corrupt at {at} of {frame_len}");
+                assert_ne!(mask, 0, "a zero XOR mask corrupts nothing");
+            }
+            if o.stall_secs > 0.0 {
+                assert_eq!(o.stall_secs, 0.005);
+            }
+        }
+    }
+    // Degenerate frames draw no byte faults at all.
+    for id in 0..200 {
+        let o = plan.decide(id, 1);
+        assert_eq!(o.partial_write_at, None);
+        assert_eq!(o.disconnect_at, None);
+        assert_eq!(o.corrupt_at, None);
+    }
+}
+
+#[test]
+fn net_fault_rates_match_probabilities() {
+    let plan = NetFaultPlan {
+        partial_write_prob: 0.2,
+        disconnect_prob: 0.1,
+        corrupt_prob: 0.1,
+        stall_prob: 0.15,
+        stall_secs: 0.001,
+        seed: 41,
+    };
+    let n = 4000;
+    let (mut partial, mut cut, mut corrupt, mut stalls) = (0, 0, 0, 0);
+    for id in 0..n {
+        let o = plan.decide(id, 256);
+        partial += o.partial_write_at.is_some() as usize;
+        cut += o.disconnect_at.is_some() as usize;
+        corrupt += o.corrupt_at.is_some() as usize;
+        stalls += (o.stall_secs > 0.0) as usize;
+    }
+    let frac = |k: usize| k as f64 / n as f64;
+    assert!(
+        (frac(partial) - 0.2).abs() < 0.03,
+        "partial {}",
+        frac(partial)
+    );
+    // Disconnect and corruption yield to earlier faults, so their
+    // observed rates are scaled by the survivors of the draw order.
+    assert!((frac(cut) - 0.1 * 0.8).abs() < 0.03, "cut {}", frac(cut));
+    assert!(
+        (frac(corrupt) - 0.1 * 0.8 * 0.9).abs() < 0.03,
+        "corrupt {}",
+        frac(corrupt)
+    );
+    assert!(
+        (frac(stalls) - 0.15).abs() < 0.03,
+        "stalls {}",
+        frac(stalls)
+    );
 }

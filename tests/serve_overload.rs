@@ -292,13 +292,13 @@ fn sustained_overload_sheds_bounds_latency_and_reconciles_exactly() {
         "every request accounted exactly once"
     );
     let slo = snap.endpoint(serve::Endpoint::PlanLevel);
-    assert_eq!(slo.count, snap.served);
+    assert_eq!(slo.count(), snap.served);
     assert!(
-        slo.p99_secs <= deadline.as_secs_f64(),
+        slo.quantile(0.99) <= deadline.as_secs_f64(),
         "p99 {} blew the deadline",
-        slo.p99_secs
+        slo.quantile(0.99)
     );
-    assert!(slo.p50_secs <= slo.p99_secs && slo.p99_secs <= slo.max_secs * 1.3);
+    assert!(slo.quantile(0.5) <= slo.quantile(0.99) && slo.quantile(0.99) <= slo.max() * 1.3);
     // Dropping the server joins all workers; a panicked worker would
     // propagate here and fail the test.
     drop(server);

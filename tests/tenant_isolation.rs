@@ -178,11 +178,11 @@ fn one_hot_burst_sheds_the_hot_tenant_and_spares_the_quiet_one() {
 
     // The quiet tenant kept its deadline budget through the noisy burst.
     let slo = quiet.endpoint(Endpoint::PlanLevel);
-    assert_eq!(slo.count, quiet.served);
+    assert_eq!(slo.count(), quiet.served);
     assert!(
-        slo.p99_secs <= deadline.as_secs_f64(),
+        slo.quantile(0.99) <= deadline.as_secs_f64(),
         "quiet p99 {} blew its deadline budget",
-        slo.p99_secs
+        slo.quantile(0.99)
     );
 
     drop(server);
