@@ -7,7 +7,7 @@
 //! machine-readable report (default `BENCH_drift.txt`) in the `BENCH-v2`
 //! text form (see `qpp_bench::schema`).
 //!
-//! Usage: `drift_loop [OUT_PATH] [--per-template N] [--magnitude M]`
+//! Usage: `drift_loop [OUT_PATH] [--magnitude M]`
 
 use engine::faults::{DriftKind, DriftPlan, FaultPlan};
 use qpp_bench::schema::BenchDoc;
@@ -21,10 +21,11 @@ use tpch::Workload;
 
 const TEMPLATES: &[u8] = &[1, 3, 6, 14];
 const SF: f64 = 0.1;
+const PER_TEMPLATE: usize = 10;
 
-fn collect(per_template: usize, seed: u64, drift: &DriftPlan) -> QueryDataset {
+fn collect(seed: u64, drift: &DriftPlan) -> QueryDataset {
     let catalog = Catalog::new(SF, 1);
-    let workload = Workload::generate(TEMPLATES, per_template, SF, seed);
+    let workload = Workload::generate(TEMPLATES, PER_TEMPLATE, SF, seed);
     let sim = Simulator::with_config(engine::SimConfig {
         additive_noise_secs: 0.05,
         ..engine::SimConfig::default()
@@ -61,18 +62,15 @@ fn main() {
         .filter(|a| !a.starts_with("--"))
         .cloned()
         .unwrap_or_else(|| "BENCH_drift.txt".to_string());
-    let flag = |name: &str, default: f64| -> f64 {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    };
-    let per_template = flag("--per-template", 10.0) as usize;
-    let magnitude = flag("--magnitude", 3.0);
+    let magnitude = args
+        .iter()
+        .position(|a| a == "--magnitude")
+        .and_then(|i| args.get(i + 1))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(3.0);
 
     eprintln!("== stage 1: incumbent on the clean regime ==");
-    let clean = collect(per_template, 7, &DriftPlan::none());
+    let clean = collect(7, &DriftPlan::none());
     let clean_refs: Vec<&ExecutedQuery> = clean.queries.iter().collect();
     let incumbent = QppPredictor::train(&clean_refs, QppConfig::default()).expect("training");
     let clean_mre = hybrid_mre(&incumbent, &clean_refs);
@@ -91,7 +89,7 @@ fn main() {
         magnitude,
         seed: 1,
     };
-    let drifted = collect(per_template, 21, &drift);
+    let drifted = collect(21, &drift);
     let drifted_refs: Vec<&ExecutedQuery> = drifted.queries.iter().collect();
     let serving = registry.current();
     let drifted_mre = hybrid_mre(&serving, &drifted_refs);
@@ -144,7 +142,7 @@ fn main() {
 
     let mut doc = BenchDoc::new("drift_loop", 21);
     doc.note("templates", format_args!("{TEMPLATES:?}"));
-    doc.note("per_template", per_template);
+    doc.note("per_template", PER_TEMPLATE);
     doc.note("magnitude", magnitude);
     doc.note("promoted", report.promoted);
     doc.note("serving_version", registry.version());

@@ -1,47 +1,53 @@
-//! Experiment harness: shared plumbing for the figure/table regeneration
-//! binaries.
-//!
-//! Each binary in `src/bin/` regenerates one of the paper's figures or
-//! tables (see DESIGN.md's experiment index); this library holds the
-//! common protocol pieces — dataset construction matching Section 5.1,
-//! stratified cross-validation drivers for every prediction method, and
-//! per-template error reporting.
+//! Experiment harness: the paper's Section 5 evaluation as one protocol
+//! ([`paper`]: one function per experiment, printed by the `repro` binary
+//! and gated by `tests/paper_shapes.rs`), and the shared plumbing under
+//! it — the Section 5.1 dataset builder and the stratified
+//! cross-validation driver every prediction method goes through.
 
 #![warn(missing_docs)]
 
-pub mod report;
+pub mod paper;
 pub mod schema;
 
-use engine::{Catalog, Simulator};
+use engine::{Catalog, PlanNode, Simulator};
 use ml::cv::{stratified_kfold, Fold};
 use ml::metrics::mean_relative_error;
 use qpp::dataset::{ExecutedQuery, QueryDataset, ONE_HOUR_SECS};
 use qpp::op_model::{OpLevelModel, OpModelConfig};
 use qpp::plan_model::{PlanLevelModel, PlanModelConfig};
+use qpp::{FeatureSource, NodeView};
+use std::collections::BTreeMap;
 use tpch::Workload;
 
-/// Number of query instances per template (Section 5.1: "approximately 55
-/// queries from each template").
-pub const PER_TEMPLATE: usize = 55;
-
 /// Number of cross-validation folds (Section 5.1).
-pub const CV_FOLDS: usize = 5;
+const CV_FOLDS: usize = 5;
 
-/// Workload seed shared by all experiments so datasets are identical
-/// across binaries.
+/// Fold seed of plan-level cross-validation.
+pub(crate) const PLAN_CV_SEED: u64 = 42;
+
+/// Fold seed of operator-level cross-validation.
+const OP_CV_SEED: u64 = 17;
+
+/// Workload seed of the published dataset; seed `s` of the protocol adds
+/// `s`.
 pub const WORKLOAD_SEED: u64 = 20120401;
 
-/// Execution-noise seed.
+/// Execution-noise seed of the published dataset; seed `s` adds `s`.
 pub const EXEC_SEED: u64 = 777;
 
 /// Builds the Section 5.1 dataset at `per_template` instances per template
-/// ([`PER_TEMPLATE`] in the paper's protocol), executed cold with the
-/// one-hour limit applied.
-pub fn build_dataset_sized(sf: f64, templates: &[u8], per_template: usize) -> QueryDataset {
+/// under protocol seed `seed` (0 is the published dataset), executed cold
+/// with the one-hour limit applied.
+pub fn build_dataset_sized(
+    sf: f64,
+    templates: &[u8],
+    per_template: usize,
+    seed: u64,
+) -> QueryDataset {
     let catalog = Catalog::new(sf, 1);
-    let workload = Workload::generate(templates, per_template, sf, WORKLOAD_SEED);
+    let workload = Workload::generate(templates, per_template, sf, WORKLOAD_SEED + seed);
     let simulator = Simulator::new();
-    QueryDataset::execute(&catalog, &workload, &simulator, EXEC_SEED, ONE_HOUR_SECS)
+    QueryDataset::execute(&catalog, &workload, &simulator, EXEC_SEED + seed, ONE_HOUR_SECS)
 }
 
 /// Out-of-fold predictions: (template, actual, predicted) per query.
@@ -62,53 +68,31 @@ impl CvOutcome {
 
     /// Mean relative error per template, ascending template order.
     pub fn per_template_errors(&self) -> Vec<(u8, f64)> {
-        let mut templates: Vec<u8> = self.rows.iter().map(|r| r.0).collect();
-        templates.sort_unstable();
-        templates.dedup();
-        templates
-            .into_iter()
-            .map(|t| {
-                let (a, e): (Vec<f64>, Vec<f64>) = self
-                    .rows
-                    .iter()
-                    .filter(|r| r.0 == t)
-                    .map(|r| (r.1, r.2))
-                    .unzip();
-                (t, mean_relative_error(&a, &e))
-            })
-            .collect()
-    }
-
-    /// Mean error over the subset of templates whose error is below the
-    /// threshold, with the count (the paper's "11 of 14 templates below
-    /// 20%" style of reporting).
-    pub fn below_threshold(&self, threshold: f64) -> (usize, f64) {
-        let per = self.per_template_errors();
-        let good: Vec<f64> = per
-            .iter()
-            .filter(|(_, e)| *e < threshold)
-            .map(|(_, e)| *e)
-            .collect();
-        if good.is_empty() {
-            (0, f64::NAN)
-        } else {
-            (good.len(), good.iter().sum::<f64>() / good.len() as f64)
+        let mut by_template: BTreeMap<u8, (Vec<f64>, Vec<f64>)> = BTreeMap::new();
+        for &(t, actual, predicted) in &self.rows {
+            let (a, e) = by_template.entry(t).or_default();
+            a.push(actual);
+            e.push(predicted);
         }
+        by_template.into_iter().map(|(t, (a, e))| (t, mean_relative_error(&a, &e))).collect()
     }
 }
 
 /// Generic stratified-CV driver: `fit` builds a model from training
-/// queries, `predict` scores one query.
+/// queries, `predict` scores one held-out plan from its feature views
+/// under `test` (which may differ from the source the model trained on:
+/// Figure 7's actual/estimate row).
 ///
 /// Folds train and score concurrently when more than one worker thread is
 /// configured (see `ml::par`); each fold writes a disjoint set of row
 /// indices, and results are merged in fold order, so the outcome is
 /// identical to a serial run.
-pub fn cross_validate_method<M: Send>(
+pub(crate) fn cross_validate_method<M: Send>(
     ds: &QueryDataset,
     seed: u64,
+    test: FeatureSource,
     fit: impl Fn(&[&ExecutedQuery]) -> M + Sync,
-    predict: impl Fn(&M, &ExecutedQuery) -> f64 + Sync,
+    predict: impl Fn(&M, &PlanNode, &[NodeView]) -> f64 + Sync,
 ) -> CvOutcome {
     let strata = ds.strata();
     let folds = stratified_kfold(&strata, CV_FOLDS.min(ds.len()).max(2), seed);
@@ -121,7 +105,8 @@ pub fn cross_validate_method<M: Send>(
             .iter()
             .map(|&i| {
                 let q = &ds.queries[i];
-                (i, (q.template, q.latency(), predict(&model, q)))
+                let predicted = predict(&model, &q.plan, &q.views(test));
+                (i, (q.template, q.latency(), predicted))
             })
             .collect()
     };
@@ -135,23 +120,33 @@ pub fn cross_validate_method<M: Send>(
     CvOutcome { rows }
 }
 
-/// Plan-level CV (Figure 6(a)-(c)).
-pub fn plan_level_cv(ds: &QueryDataset, config: &PlanModelConfig) -> CvOutcome {
+/// Plan-level CV (Figure 6(a)-(c)), scored on `test` views.
+pub(crate) fn plan_level_cv(
+    ds: &QueryDataset,
+    config: &PlanModelConfig,
+    test: FeatureSource,
+) -> CvOutcome {
     cross_validate_method(
         ds,
-        42,
+        PLAN_CV_SEED,
+        test,
         |train| PlanLevelModel::train(train, config).expect("plan-level training"),
-        |m, q| m.predict(q),
+        |m, plan, views| m.predict_plan(plan, views),
     )
 }
 
-/// Operator-level CV (Figure 6(d)-(f)).
-pub fn op_level_cv(ds: &QueryDataset, config: &OpModelConfig) -> CvOutcome {
+/// Operator-level CV (Figure 6(d)-(f)), scored on `test` views.
+pub(crate) fn op_level_cv(
+    ds: &QueryDataset,
+    config: &OpModelConfig,
+    test: FeatureSource,
+) -> CvOutcome {
     cross_validate_method(
         ds,
-        17,
+        OP_CV_SEED,
+        test,
         |train| OpLevelModel::train(train, config).expect("op-level training"),
-        |m, q| m.predict(q),
+        |m, plan, views| m.predict_plan(plan, views).latency(),
     )
 }
 
@@ -161,35 +156,29 @@ mod tests {
 
     #[test]
     fn dataset_builder_matches_protocol() {
-        let ds = build_dataset_sized(0.05, &[1, 6], 4);
+        let ds = build_dataset_sized(0.05, &[1, 6], 4, 0);
         assert_eq!(ds.len(), 8);
         assert_eq!(ds.templates(), vec![1, 6]);
+        let other = build_dataset_sized(0.05, &[1, 6], 4, 1);
+        assert_ne!(ds.latencies(), other.latencies(), "the seed moves the dataset");
     }
 
     #[test]
     fn cv_outcome_aggregations() {
         let out = CvOutcome {
-            rows: vec![
-                (1, 10.0, 11.0),
-                (1, 10.0, 9.0),
-                (2, 100.0, 200.0),
-                (2, 100.0, 100.0),
-            ],
+            rows: vec![(2, 100.0, 200.0), (1, 10.0, 11.0), (2, 100.0, 100.0), (1, 10.0, 9.0)],
         };
         let per = out.per_template_errors();
-        assert_eq!(per.len(), 2);
+        assert_eq!(per.iter().map(|p| p.0).collect::<Vec<_>>(), vec![1, 2]);
         assert!((per[0].1 - 0.1).abs() < 1e-12);
         assert!((per[1].1 - 0.5).abs() < 1e-12);
         assert!((out.overall_error() - 0.3).abs() < 1e-12);
-        let (n, avg) = out.below_threshold(0.2);
-        assert_eq!(n, 1);
-        assert!((avg - 0.1).abs() < 1e-12);
     }
 
     #[test]
     fn plan_level_cv_runs_end_to_end_small() {
-        let ds = build_dataset_sized(0.05, &[1, 3, 6], 8);
-        let out = plan_level_cv(&ds, &PlanModelConfig::default());
+        let ds = build_dataset_sized(0.05, &[1, 3, 6], 8, 0);
+        let out = plan_level_cv(&ds, &PlanModelConfig::default(), FeatureSource::Estimated);
         assert_eq!(out.rows.len(), ds.len());
         assert!(out.overall_error().is_finite());
     }

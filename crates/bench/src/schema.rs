@@ -76,12 +76,7 @@ pub fn direction_for_unit(unit: &str) -> Direction {
 impl BenchDoc {
     /// An empty report of `tool`.
     pub fn new(tool: &str, pr: u64) -> Self {
-        BenchDoc {
-            tool: tool.to_string(),
-            pr,
-            context: Vec::new(),
-            benches: Vec::new(),
-        }
+        BenchDoc { tool: tool.to_string(), pr, context: Vec::new(), benches: Vec::new() }
     }
 
     /// Appends one context line.
@@ -91,11 +86,7 @@ impl BenchDoc {
 
     /// Appends one measurement.
     pub fn push(&mut self, name: &str, value: f64, unit: &str) {
-        self.benches.push(BenchEntry {
-            name: name.to_string(),
-            value,
-            unit: unit.to_string(),
-        });
+        self.benches.push(BenchEntry { name: name.to_string(), value, unit: unit.to_string() });
     }
 
     /// Looks up a measurement by exact name.
@@ -153,9 +144,8 @@ impl BenchDoc {
     pub fn parse(text: &str) -> Result<BenchDoc, String> {
         let mut lines = text.lines().enumerate().map(|(i, line)| (i + 1, line));
         let mut header = |prefix: &str| -> Result<&str, String> {
-            let (n, line) = lines
-                .next()
-                .ok_or_else(|| format!("ends before the `{prefix}` line"))?;
+            let (n, line) =
+                lines.next().ok_or_else(|| format!("ends before the `{prefix}` line"))?;
             line.strip_prefix(prefix)
                 .ok_or_else(|| format!("line {n}: expected `{prefix}…`, found {line:?}"))
         };
@@ -164,9 +154,7 @@ impl BenchDoc {
         }
         let tool = header("# tool ")?;
         let pr = header("# pr ")?;
-        let pr = pr
-            .parse()
-            .map_err(|_| format!("pr {pr:?} is not a number"))?;
+        let pr = pr.parse().map_err(|_| format!("pr {pr:?} is not a number"))?;
         let mut doc = BenchDoc::new(tool, pr);
         for (n, line) in lines {
             if let Some(context) = line.strip_prefix("# ") {
@@ -255,11 +243,7 @@ pub fn compare(
                 missing_in_fresh.push(b.name.clone());
             }
             Some(f) => {
-                let ratio = if b.value == 0.0 {
-                    f64::NAN
-                } else {
-                    f.value / b.value
-                };
+                let ratio = if b.value == 0.0 { f64::NAN } else { f.value / b.value };
                 let regressed = match direction {
                     Direction::HigherIsBetter => f.value < b.value * (1.0 - noise),
                     Direction::LowerIsBetter => f.value > b.value * (1.0 + noise),
@@ -277,10 +261,7 @@ pub fn compare(
             }
         }
     }
-    CompareReport {
-        deltas,
-        missing_in_fresh,
-    }
+    CompareReport { deltas, missing_in_fresh }
 }
 
 #[cfg(test)]
@@ -342,32 +323,20 @@ mod tests {
         ]);
         assert!(compare(&base, &ok, 0.2, None).passed());
         // Throughput collapse: fail.
-        let slow = doc(&[
-            ("kernel/tput", 70.0, "rows/s"),
-            ("kernel/lat", 10.0, "ms"),
-        ]);
+        let slow = doc(&[("kernel/tput", 70.0, "rows/s"), ("kernel/lat", 10.0, "ms")]);
         let r = compare(&base, &slow, 0.2, None);
         assert!(!r.passed());
         assert!(r.deltas.iter().any(|d| d.name == "kernel/tput" && d.regressed));
         // Latency blowup: fail.
-        let lag = doc(&[
-            ("kernel/tput", 100.0, "rows/s"),
-            ("kernel/lat", 13.0, "ms"),
-        ]);
+        let lag = doc(&[("kernel/tput", 100.0, "rows/s"), ("kernel/lat", 13.0, "ms")]);
         assert!(!compare(&base, &lag, 0.2, None).passed());
     }
 
     #[test]
     fn compare_honors_filter_and_missing_metrics() {
-        let base = doc(&[
-            ("kernel/tput", 100.0, "rows/s"),
-            ("serve/p99", 50.0, "ms"),
-        ]);
+        let base = doc(&[("kernel/tput", 100.0, "rows/s"), ("serve/p99", 50.0, "ms")]);
         // serve/p99 regressed, but the kernel/ filter excludes it.
-        let fresh = doc(&[
-            ("kernel/tput", 100.0, "rows/s"),
-            ("serve/p99", 500.0, "ms"),
-        ]);
+        let fresh = doc(&[("kernel/tput", 100.0, "rows/s"), ("serve/p99", 500.0, "ms")]);
         assert!(compare(&base, &fresh, 0.1, Some("kernel/")).passed());
         assert!(!compare(&base, &fresh, 0.1, None).passed());
         // A gated baseline metric missing from the fresh run fails.

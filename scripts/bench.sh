@@ -21,7 +21,7 @@
 #
 #   ./target/release/bench_compare BENCH_hot.txt FRESH.txt --filter kernel/
 #
-# Usage: scripts/bench.sh [--per-template N]
+# Usage: scripts/bench.sh [--profile-stages]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

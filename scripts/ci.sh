@@ -63,16 +63,25 @@ fi
 echo "==> cargo build --release"
 cargo build --release
 
-# Every test binary of every crate, once: the root suites (tier-1), the
-# kernel, arena and allocation identity suites of qpp-ml and qpp-core, the
-# serve properties and the benchmark harness's own smoke suite. The pool,
-# the worker queues, the TCP front door and the healer block on condition
-# variables and sockets, so a lost wake-up or a deadlock shows up as a
-# hang, not a failure; the one hard timeout (compiling is kept outside it;
-# the run takes about a minute) turns a hang into a CI failure.
-echo "==> cargo test -q --workspace (bounded time)"
-cargo test -q --workspace --no-run
-timeout 300 cargo test -q --workspace
+# Every test binary of every crate but qpp-bench, once: the root suites
+# (tier-1), the kernel, arena and allocation identity suites of qpp-ml and
+# qpp-core, the serve properties and the benchmark harness's own smoke
+# suite. The pool, the worker queues, the TCP front door and the healer
+# block on condition variables and sockets, so a lost wake-up or a
+# deadlock shows up as a hang, not a failure; the one hard timeout
+# (compiling is kept outside it; the run takes about a minute) turns a
+# hang into a CI failure.
+echo "==> cargo test -q --workspace --exclude qpp-bench (bounded time)"
+cargo test -q --workspace --exclude qpp-bench --no-run
+timeout 300 cargo test -q --workspace --exclude qpp-bench
+
+# The paper gate: every Section 5 experiment on seeds 0-5 at the paper's
+# scale, asserting who wins and where behaviour flips
+# (crates/bench/tests/paper_shapes.rs), plus qpp-bench's unit tests.
+# Release only: it takes about 40 s here, minutes in debug.
+echo "==> paper gate: cargo test --release -q -p qpp-bench (bounded time)"
+cargo test --release -q -p qpp-bench --no-run
+timeout 300 cargo test --release -q -p qpp-bench
 
 # The scalar loops of linalg's three SMO primitives must keep passing with
 # their AVX2 twins compiled out entirely (the non-x86 / no-AVX2
