@@ -1,10 +1,11 @@
 //! Prints the paper's Section 5 evaluation (`qpp_bench::paper`) at seed 0,
 //! one number per row: an optd-style name (`paper/fig6a/plan_mre`), the
 //! measured value with its unit, and what the paper reports where it does.
-//! Percentages are mean relative errors.
+//! Percentages are mean relative errors. The output is committed as
+//! `experiments_raw.txt`, and `scripts/ci.sh` diffs a fresh run against it.
 //!
 //! ```text
-//! cargo run --release -p qpp-bench --bin repro | tee experiments_raw.txt
+//! cargo run --release -p qpp-bench --bin repro > experiments_raw.txt
 //! ```
 
 use qpp_bench::paper::{self, Ablation, Fig4, Fig5, Fig6, Fig7, Fig8, Fig9, Section34};

@@ -19,8 +19,8 @@ use qpp::hybrid::{train_subplan_model, IterationRecord};
 use qpp::subplan::{describe, subtree_at, SubplanInfo};
 use qpp::{
     structure_key, train_hybrid, ExecutedQuery, FeatureSource, HybridConfig, HybridModel,
-    OnlineConfig, OnlinePredictor, OpLevelModel, OpModelConfig, PlanLevelModel, PlanModelConfig,
-    PlanOrdering, QueryDataset, SubplanIndex, ONE_HOUR_SECS,
+    OnlinePredictor, OpLevelModel, OpModelConfig, PlanLevelModel, PlanModelConfig, PlanOrdering,
+    QueryDataset, SubplanIndex, ONE_HOUR_SECS,
 };
 use tpch::Workload;
 
@@ -265,7 +265,7 @@ pub fn fig9(seed: u64) -> Fig9 {
             // Online builds on the size-based hybrid plus per-query
             // fragments of the incoming plans.
             let mut online =
-                OnlinePredictor::new(train, size_based.clone(), OnlineConfig::default());
+                OnlinePredictor::new(train, size_based.clone(), HybridConfig::default());
             Some((
                 held_out,
                 [
@@ -332,8 +332,7 @@ pub fn section34(seed: u64) -> Section34 {
     let all_views: Vec<_> = refs.iter().map(|r| r.views(source)).collect();
     let plans: Vec<(u8, &PlanNode)> = refs.iter().map(|r| (r.template, &r.plan)).collect();
     let index = SubplanIndex::build(&plans);
-    let model = train_subplan_model(key, &refs, &all_views, &index, &HybridConfig::default())
-        .expect("sub-plan model");
+    let model = train_subplan_model(key, &refs, &all_views, &index).expect("sub-plan model");
     let mut hybrid = base;
     hybrid.plan_models.insert(key, model);
     Section34 {

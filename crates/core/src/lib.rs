@@ -57,7 +57,7 @@ pub use features::{
 pub use hybrid::{train_hybrid, HybridConfig, HybridModel, PlanOrdering};
 pub use materialize::MaterializedModels;
 pub use monitor::{DriftMonitor, ModelHealth, SloWindow, TierState};
-pub use online::{OnlineConfig, OnlinePredictor};
+pub use online::OnlinePredictor;
 pub use op_model::{OpLevelModel, OpModelConfig};
 pub use plan_model::{PlanLevelModel, PlanModelConfig, PredictBuffers, TargetMetric};
 pub use pred_cache::{PredictionCache, PredictionCacheStats, SubplanPredKey};

@@ -5,36 +5,20 @@
 //! build plan-level models for exactly those that occur in the training
 //! data — guaranteeing that any shared high-error fragment gets a model,
 //! even if the offline strategies discarded it. A freshly built model is
-//! used only when its estimated accuracy on the training occurrences beats
-//! the operator-level prediction of the same fragment.
+//! used only when Algorithm 1's acceptance rule keeps it: added to the
+//! pre-built models, it lowers their error on the training log by more
+//! than ε.
 
 use crate::dataset::ExecutedQuery;
 use crate::features::{FeatureSource, NodeView};
-use crate::hybrid::{train_subplan_model, HybridConfig, HybridModel, SubplanModel, FOLD_SEED};
+use crate::hybrid::{
+    keeps_subplan_model, train_subplan_model, HybridConfig, HybridModel, SubplanModel, TrainingWalk,
+};
 use crate::pred_cache::PredictionCache;
 use crate::subplan::{arena_structure_hashes, StructureKey, SubplanIndex, MIN_FRAGMENT_SIZE};
 use engine::arena::PlanArena;
 use engine::plan::PlanNode;
-use ml::metrics::relative_error;
 use std::collections::HashMap;
-
-/// Online predictor configuration.
-#[derive(Debug, Clone)]
-pub struct OnlineConfig {
-    /// Minimum training occurrences for a fragment to get a model.
-    pub min_frequency: usize,
-    /// Model-building settings shared with the hybrid method.
-    pub hybrid: HybridConfig,
-}
-
-impl Default for OnlineConfig {
-    fn default() -> Self {
-        OnlineConfig {
-            min_frequency: 5,
-            hybrid: HybridConfig::default(),
-        }
-    }
-}
 
 /// The online predictor: owns the training data index and a cache of
 /// models built on demand.
@@ -43,9 +27,11 @@ pub struct OnlinePredictor<'a> {
     views: Vec<Vec<NodeView>>,
     index: SubplanIndex,
     base: HybridModel,
-    config: OnlineConfig,
-    /// Cache: `None` records a fragment whose model did not beat the
-    /// operator-level prediction (so we don't rebuild it).
+    config: HybridConfig,
+    /// The training log under `base`, which candidates are judged against.
+    walk: TrainingWalk,
+    /// Cache: `None` records a fragment whose model was not kept (so we
+    /// don't rebuild it).
     cache: HashMap<StructureKey, Option<SubplanModel>>,
     /// Memo cache of sub-plan predictions shared across queries. Valid for
     /// the predictor's lifetime: the model cache above pins each structure
@@ -57,18 +43,22 @@ pub struct OnlinePredictor<'a> {
 
 impl<'a> OnlinePredictor<'a> {
     /// Creates a predictor over the training data. `base` supplies the
-    /// pre-built models (pure operator-level or an offline hybrid).
-    pub fn new(train: Vec<&'a ExecutedQuery>, base: HybridModel, config: OnlineConfig) -> Self {
+    /// pre-built models (pure operator-level or an offline hybrid);
+    /// `config` is the hybrid method's, whose `min_frequency` and
+    /// acceptance margin `epsilon` online building shares.
+    pub fn new(train: Vec<&'a ExecutedQuery>, base: HybridModel, config: HybridConfig) -> Self {
         let source = base.op_model.source();
         let views: Vec<Vec<NodeView>> = train.iter().map(|q| q.views(source)).collect();
         let plans: Vec<(u8, &PlanNode)> = train.iter().map(|q| (q.template, &q.plan)).collect();
         let index = SubplanIndex::build(&plans);
+        let walk = TrainingWalk::new(&base, &train, &views);
         OnlinePredictor {
             train,
             views,
             index,
             base,
             config,
+            walk,
             cache: HashMap::new(),
             pred_cache: PredictionCache::default(),
         }
@@ -81,14 +71,15 @@ impl<'a> OnlinePredictor<'a> {
 
     /// Replaces the pre-built base model (a registry hot swap reaching the
     /// online layer). Every derived state is invalidated: the per-fragment
-    /// model decisions were scored against the old operator models, the
-    /// memo cache is keyed by the old model signature, and the training
-    /// views must match the new base's feature source.
+    /// model decisions and the training walk were scored against the old
+    /// models, the memo cache is keyed by the old model signature, and the
+    /// training views must match the new base's feature source.
     pub fn rebase(&mut self, base: HybridModel) {
         if base.op_model.source() != self.source() {
             let source = base.op_model.source();
             self.views = self.train.iter().map(|q| q.views(source)).collect();
         }
+        self.walk = TrainingWalk::new(&base, &self.train, &self.views);
         self.base = base;
         self.cache.clear();
         self.pred_cache.clear();
@@ -147,7 +138,7 @@ impl<'a> OnlinePredictor<'a> {
     }
 
     /// Builds (or fetches) the model for a fragment and returns it only if
-    /// it beats the operator-level prediction on the training occurrences.
+    /// the acceptance rule keeps it.
     fn build_if_worthwhile(&mut self, key: StructureKey) -> Option<SubplanModel> {
         if let Some(cached) = self.cache.get(&key) {
             return cached.clone();
@@ -162,83 +153,19 @@ impl<'a> OnlinePredictor<'a> {
         if info.frequency() < self.config.min_frequency {
             return None;
         }
-        let sub = train_subplan_model(key, &self.train, &self.views, &self.index, &self.config.hybrid)
-            .ok()?;
-        // Estimated accuracies on the training occurrences: plan-level
-        // model vs the operator-level composition. The plan model is
-        // scored OUT-OF-FOLD (retrained on k−1 folds, scored on the
-        // held-out one) so an overfit fragment model cannot win on
-        // in-sample error.
-        let occs = &info.occurrences;
-        let feat_of = |occ: &crate::subplan::Occurrence| -> Vec<f64> {
-            let q = self.train[occ.query];
-            let node = crate::subplan::subtree_at(&q.plan, occ.node_idx);
-            let slice = &self.views[occ.query][occ.node_idx..occ.node_idx + occ.size];
-            crate::features::plan_features(node, slice)
-        };
-        let feats: Vec<Vec<f64>> = ml::par::par_map(occs, |_, occ| feat_of(occ));
-        let actuals: Vec<f64> = occs
-            .iter()
-            .map(|occ| self.train[occ.query].trace.timings[occ.node_idx].run)
-            .collect();
-
-        let k = 3.min(occs.len()).max(2);
-        let folds = ml::cv::kfold(occs.len(), k, 0xB0A7);
-        // Folds score independently; each returns its partial error sums,
-        // which are reduced in fold order — the same accumulation whether
-        // folds ran on one thread or several.
-        let score_fold = |fold: &ml::cv::Fold| -> (f64, f64, usize) {
-            let mut x = ml::Dataset::new(crate::features::plan_feature_count());
-            let mut y = Vec::new();
-            for &i in &fold.train {
-                x.push_row(&feats[i]);
-                y.push(actuals[i]);
-            }
-            let cfg = &self.config.hybrid;
-            let inner_folds =
-                ml::cv::kfold(x.n_rows(), cfg.folds.min(x.n_rows()).max(2), FOLD_SEED);
-            let Ok(fold_model) = crate::plan_model::FeatureModel::train(
-                &x,
-                &y,
-                &inner_folds,
-                &cfg.learner,
-                &cfg.selection,
-                cfg.log_target,
-            ) else {
-                return (0.0, 0.0, 0);
-            };
-            let mut plan_err = 0.0;
-            let mut op_err = 0.0;
-            let mut n = 0usize;
-            for &i in &fold.test {
-                if actuals[i] <= 0.0 {
-                    continue;
-                }
-                plan_err += relative_error(actuals[i], fold_model.predict(&feats[i]).max(0.0));
-                let occ = occs[i];
-                let q = self.train[occ.query];
-                let node = crate::subplan::subtree_at(&q.plan, occ.node_idx);
-                let slice = &self.views[occ.query][occ.node_idx..occ.node_idx + occ.size];
-                let op_pred = self.base.op_model.predict_plan(node, slice).node_times[0].1;
-                op_err += relative_error(actuals[i], op_pred);
-                n += 1;
-            }
-            (plan_err, op_err, n)
-        };
-        let fold_scores: Vec<(f64, f64, usize)> =
-            ml::par::par_map(&folds, |_, fold| score_fold(fold));
-        let mut plan_err = 0.0;
-        let mut op_err = 0.0;
-        let mut n = 0usize;
-        for (pe, oe, fn_) in fold_scores {
-            plan_err += pe;
-            op_err += oe;
-            n += fn_;
-        }
-        if n == 0 || plan_err >= op_err {
-            return None;
-        }
-        Some(sub)
+        let sub = train_subplan_model(key, &self.train, &self.views, &self.index).ok()?;
+        let mut model = self.base.clone();
+        model.plan_models.insert(key, sub);
+        keeps_subplan_model(
+            key,
+            &model,
+            &self.walk,
+            &self.train,
+            &self.views,
+            &self.index,
+            self.config.epsilon,
+        )?;
+        model.plan_models.remove(&key)
     }
 }
 
@@ -309,9 +236,9 @@ mod tests {
         let mut online = OnlinePredictor::new(
             train,
             HybridModel::operator_only(op),
-            OnlineConfig {
+            HybridConfig {
                 min_frequency: 3,
-                ..OnlineConfig::default()
+                ..HybridConfig::default()
             },
         );
         let online_preds: Vec<f64> = test.iter().map(|q| online.predict_query(q)).collect();
@@ -333,13 +260,46 @@ mod tests {
         let mut online = OnlinePredictor::new(
             refs.clone(),
             HybridModel::operator_only(op),
-            OnlineConfig::default(),
+            HybridConfig::default(),
         );
         let q = refs[0];
         let views = q.views(source);
         let (initial, refined) = online.predict_progressive(&q.plan, &views);
         assert!(initial.is_finite() && refined.is_finite());
         assert!(initial >= 0.0 && refined >= 0.0);
+    }
+
+    #[test]
+    fn a_fragment_that_occurs_once_is_passed_over() {
+        // One template-6 query among the others: with a minimum frequency
+        // of one, its lone fragments are candidates with nothing to hold
+        // out, and stay with the operator-level models.
+        let ds = dataset(&[3, 6, 14]);
+        let mut refs: Vec<&ExecutedQuery> = ds.queries.iter().filter(|q| q.template != 6).collect();
+        let lone = ds
+            .queries
+            .iter()
+            .find(|q| q.template == 6)
+            .expect("a template-6 query");
+        refs.push(lone);
+        let op = OpLevelModel::train(&refs, &OpModelConfig::default()).unwrap();
+        let mut online = OnlinePredictor::new(
+            refs,
+            HybridModel::operator_only(op),
+            HybridConfig {
+                min_frequency: 1,
+                ..HybridConfig::default()
+            },
+        );
+        assert!(online.predict_query(lone).is_finite());
+        for info in online
+            .index
+            .all()
+            .into_iter()
+            .filter(|i| i.frequency() == 1)
+        {
+            assert!(!matches!(online.cache.get(&info.key), Some(Some(_))));
+        }
     }
 
     #[test]
@@ -351,9 +311,9 @@ mod tests {
         let mut online = OnlinePredictor::new(
             refs.clone(),
             HybridModel::operator_only(op),
-            OnlineConfig {
+            HybridConfig {
                 min_frequency: 3,
-                ..OnlineConfig::default()
+                ..HybridConfig::default()
             },
         );
         let q = refs[0];
@@ -373,9 +333,9 @@ mod tests {
         let mut online = OnlinePredictor::new(
             refs.clone(),
             HybridModel::operator_only(op),
-            OnlineConfig {
+            HybridConfig {
                 min_frequency: 3,
-                ..OnlineConfig::default()
+                ..HybridConfig::default()
             },
         );
         let _ = online.predict_query(refs[0]);

@@ -19,15 +19,21 @@ use ml::{Dataset, ForwardSelection, LearnerKind, MlError};
 /// Seed of the fold assignment.
 const FOLD_SEED: u64 = 17;
 
+/// Model family: linear regression, as the paper's operator-level models.
+const LEARNER: LearnerKind = LearnerKind::Linear { ridge: 1e-6 };
+
+/// Forward selection of every per-operator model: patience 3, no cap.
+const SELECTION: ForwardSelection = ForwardSelection {
+    patience: 3,
+    max_features: 0,
+};
+
+/// CV folds for feature selection.
+const FOLDS: usize = 4;
+
 /// Configuration of operator-level model training.
 #[derive(Debug, Clone)]
 pub struct OpModelConfig {
-    /// Model family (the paper uses linear regression here).
-    pub learner: LearnerKind,
-    /// Forward-selection settings.
-    pub selection: ForwardSelection,
-    /// CV folds for feature selection.
-    pub folds: usize,
     /// Feature source.
     pub source: FeatureSource,
     /// Include the child start-time features (st1/st2). Disabling them is
@@ -39,13 +45,6 @@ pub struct OpModelConfig {
 impl Default for OpModelConfig {
     fn default() -> Self {
         OpModelConfig {
-            learner: LearnerKind::Linear { ridge: 1e-6 },
-            selection: ForwardSelection {
-                patience: 3,
-                min_improvement: 1e-3,
-                max_features: 0,
-            },
-            folds: 4,
             source: FeatureSource::Estimated,
             include_start_features: true,
         }
@@ -127,27 +126,11 @@ impl OpLevelModel {
             if xs[k].n_rows() < 3 {
                 return Ok(None);
             }
-            let folds = kfold(
-                xs[k].n_rows(),
-                config.folds.min(xs[k].n_rows()).max(2),
-                FOLD_SEED,
-            );
-            let start_model = FeatureModel::train(
-                &xs[k],
-                &starts[k],
-                &folds,
-                &config.learner,
-                &config.selection,
-                false,
-            )?;
-            let run_model = FeatureModel::train(
-                &xs[k],
-                &runs[k],
-                &folds,
-                &config.learner,
-                &config.selection,
-                false,
-            )?;
+            let folds = kfold(xs[k].n_rows(), FOLDS.min(xs[k].n_rows()), FOLD_SEED);
+            let start_model =
+                FeatureModel::train(&xs[k], &starts[k], &folds, &LEARNER, &SELECTION, false)?;
+            let run_model =
+                FeatureModel::train(&xs[k], &runs[k], &folds, &LEARNER, &SELECTION, false)?;
             Ok(Some((start_model, run_model)))
         };
         let fitted: Vec<Result<Option<(FeatureModel, FeatureModel)>, MlError>> =

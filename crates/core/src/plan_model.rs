@@ -6,6 +6,7 @@
 //! feature set is frequently *worse*), and the model family is SVR.
 
 use crate::dataset::ExecutedQuery;
+use crate::error::QppError;
 use crate::features::{plan_feature_names, plan_features, FeatureSource, NodeView};
 use engine::plan::PlanNode;
 use ml::bytes::{put_count, put_f64, put_u32, Malformed, Reader};
@@ -57,20 +58,26 @@ impl TargetMetric {
 /// Seed of the fold assignment.
 const FOLD_SEED: u64 = 42;
 
+/// Forward selection of the plan-level model: patience 4, no cap.
+const SELECTION: ForwardSelection = ForwardSelection {
+    patience: 4,
+    max_features: 0,
+};
+
+/// Cross-validation folds used during feature selection.
+const FOLDS: usize = 5;
+
+/// The plan-level model fits `ln(1 + latency)`: latencies span orders of
+/// magnitude and the metric is relative error.
+const LOG_TARGET: bool = true;
+
 /// Configuration of plan-level model training.
 #[derive(Debug, Clone)]
 pub struct PlanModelConfig {
     /// Model family (the paper uses SVR for plan-level models).
     pub learner: LearnerKind,
-    /// Forward-selection settings.
-    pub selection: ForwardSelection,
-    /// Cross-validation folds used during feature selection.
-    pub folds: usize,
     /// Feature source (estimates in deployment).
     pub source: FeatureSource,
-    /// Fit on `ln(1 + latency)` (recommended: latencies span orders of
-    /// magnitude and the metric is relative error).
-    pub log_target: bool,
     /// The performance metric to predict.
     pub metric: TargetMetric,
 }
@@ -79,13 +86,17 @@ impl Default for PlanModelConfig {
     fn default() -> Self {
         PlanModelConfig {
             learner: LearnerKind::Svr(ml::SvrParams::default()),
-            selection: ForwardSelection::default(),
-            folds: 5,
             source: FeatureSource::Estimated,
-            log_target: true,
             metric: TargetMetric::Latency,
         }
     }
+}
+
+/// The number of folds of a `k`-fold split over `n` rows: `k`, or `n` when
+/// there are fewer rows; `None` when fewer than two rows leave nothing to
+/// hold out.
+pub(crate) fn fold_count(k: usize, n: usize) -> Option<usize> {
+    (n >= 2).then(|| k.min(n))
 }
 
 /// A feature-selected trained model over a fixed feature vector layout.
@@ -396,13 +407,14 @@ pub struct PlanLevelModel {
 
 impl PlanLevelModel {
     /// Trains on executed queries; folds are stratified by template
-    /// (Section 5.1's stratified sampling).
-    pub fn train(queries: &[&ExecutedQuery], config: &PlanModelConfig) -> Result<Self, MlError> {
+    /// (Section 5.1's stratified sampling). Selection needs two queries to
+    /// hold one out: fewer is [`QppError::NoTrainingData`].
+    pub fn train(queries: &[&ExecutedQuery], config: &PlanModelConfig) -> Result<Self, QppError> {
+        let k = fold_count(FOLDS, queries.len()).ok_or(QppError::NoTrainingData)?;
         let (x, y) = assemble_metric(queries, config.source, config.metric);
         let strata: Vec<usize> = queries.iter().map(|q| q.template as usize).collect();
-        let k = config.folds.min(queries.len().max(2)).max(2);
         let folds = stratified_kfold(&strata, k, FOLD_SEED);
-        let inner = FeatureModel::train(&x, &y, &folds, &config.learner, &config.selection, config.log_target)?;
+        let inner = FeatureModel::train(&x, &y, &folds, &config.learner, &SELECTION, LOG_TARGET)?;
         Ok(PlanLevelModel {
             inner,
             source: config.source,
@@ -416,7 +428,7 @@ impl PlanLevelModel {
         config: &PlanModelConfig,
     ) -> Result<Self, MlError> {
         let (x, y) = assemble_metric(queries, config.source, config.metric);
-        let inner = FeatureModel::train_full(&x, &y, &config.learner, config.log_target)?;
+        let inner = FeatureModel::train_full(&x, &y, &config.learner, LOG_TARGET)?;
         Ok(PlanLevelModel {
             inner,
             source: config.source,

@@ -17,7 +17,7 @@ use crate::dataset::ExecutedQuery;
 use crate::error::QppError;
 use crate::features::{plan_features, FeatureSource};
 use crate::hybrid::{train_hybrid, HybridConfig, HybridModel, IterationRecord, PlanOrdering};
-use crate::online::{OnlineConfig, OnlinePredictor};
+use crate::online::OnlinePredictor;
 use crate::op_model::{OpLevelModel, OpModelConfig};
 use crate::plan_model::{PlanLevelModel, PlanModelConfig};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -455,14 +455,7 @@ impl QppPredictor {
     /// Creates an online predictor over this predictor's models
     /// (Section 4; the hybrid's pre-built sub-plan models seed it).
     pub fn online<'a>(&self, train: Vec<&'a ExecutedQuery>) -> OnlinePredictor<'a> {
-        OnlinePredictor::new(
-            train,
-            self.hybrid.clone(),
-            OnlineConfig {
-                min_frequency: self.config.hybrid.min_frequency,
-                hybrid: self.config.hybrid.clone(),
-            },
-        )
+        OnlinePredictor::new(train, self.hybrid.clone(), self.config.hybrid.clone())
     }
 
     /// Feature source in use.
@@ -531,6 +524,19 @@ mod tests {
             QppPredictor::train(&[], QppConfig::default()).err(),
             Some(QppError::NoTrainingData)
         );
+    }
+
+    #[test]
+    fn training_on_one_query_is_an_error_not_a_panic() {
+        let ds = dataset();
+        let one = [&ds.queries[0]];
+        assert_eq!(
+            QppPredictor::train(&one, QppConfig::default()).err(),
+            Some(QppError::NoTrainingData)
+        );
+        // Two queries leave one to hold out.
+        let two = [&ds.queries[0], &ds.queries[1]];
+        assert!(QppPredictor::train(&two, QppConfig::default()).is_ok());
     }
 
     #[test]

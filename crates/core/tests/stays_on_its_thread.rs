@@ -16,7 +16,7 @@
 //! in the file: the pool and the thread count are process-wide.
 
 use engine::{Catalog, Simulator};
-use ml::{Dataset, Kernel, Svr, SvrParams};
+use ml::{Dataset, Svr, SvrParams};
 use qpp::{
     ExecutedQuery, Method, PlanOrdering, PredictionCache, QppConfig, QppPredictor, QueryDataset,
 };
@@ -59,11 +59,7 @@ fn a_fit_and_an_eight_query_batch_start_no_pool_worker() {
         })
         .collect();
     let y: Vec<f64> = rows.iter().map(|r| r.iter().sum::<f64>() * 0.3).collect();
-    let params = SvrParams {
-        kernel: Kernel::Rbf { gamma: 0.0 },
-        ..SvrParams::default()
-    };
-    Svr::new(params)
+    Svr::new(SvrParams::default())
         .fit(&Dataset::from_rows(rows), &y)
         .expect("fits");
     assert_eq!(pool_threads(tasks), none, "a 200-row RBF fit fanned out");

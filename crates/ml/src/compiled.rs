@@ -328,12 +328,7 @@ mod tests {
             .rows()
             .map(|r| 2.0 * r[0] + r[1] * r[2] * 0.3 + 5.0)
             .collect();
-        let m = Svr::new(SvrParams {
-            kernel,
-            ..SvrParams::default()
-        })
-        .fit(&x, &y)
-        .unwrap();
+        let m = Svr::new(SvrParams { kernel }).fit(&x, &y).unwrap();
         (x, m)
     }
 

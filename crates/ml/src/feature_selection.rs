@@ -24,14 +24,15 @@ use crate::dataset::Dataset;
 use crate::stats::pearson;
 use crate::{Learner, MlError};
 
+/// Minimum relative improvement of CV error for a feature to be kept.
+const MIN_IMPROVEMENT: f64 = 1e-3;
+
 /// Configuration for forward selection.
 #[derive(Debug, Clone)]
 pub struct ForwardSelection {
     /// Number of consecutive non-improving candidate features tolerated
     /// before the search stops.
     pub patience: usize,
-    /// Minimum relative improvement of CV error for a feature to be kept.
-    pub min_improvement: f64,
     /// Upper bound on the number of selected features (0 = unlimited).
     pub max_features: usize,
 }
@@ -40,7 +41,6 @@ impl Default for ForwardSelection {
     fn default() -> Self {
         ForwardSelection {
             patience: 4,
-            min_improvement: 1e-3,
             max_features: 0,
         }
     }
@@ -108,8 +108,7 @@ pub fn forward_select<L: Learner + Sync>(
         // Absolute floor of 1e-12 keeps numerical jitter from counting as
         // an improvement once the error is essentially zero.
         let improved = err.is_finite()
-            && (best_error.is_infinite()
-                || err < best_error * (1.0 - config.min_improvement) - 1e-12);
+            && (best_error.is_infinite() || err < best_error * (1.0 - MIN_IMPROVEMENT) - 1e-12);
         if improved {
             selected = trial;
             best_error = err;
@@ -182,8 +181,7 @@ mod tests {
                 Err(_) => f64::INFINITY,
             };
             let improved = err.is_finite()
-                && (best_error.is_infinite()
-                    || err < best_error * (1.0 - config.min_improvement) - 1e-12);
+                && (best_error.is_infinite() || err < best_error * (1.0 - MIN_IMPROVEMENT) - 1e-12);
             if improved {
                 selected = trial;
                 best_error = err;

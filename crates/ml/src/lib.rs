@@ -234,8 +234,15 @@ impl Default for LearnerKind {
     }
 }
 
-impl Learner for LearnerKind {
-    fn fit(&self, x: &Dataset, y: &[f64]) -> Result<TrainedModel, MlError> {
+impl LearnerKind {
+    /// [`Learner::fit`] with the SVR solver's iteration cap given: the
+    /// crate-private path by which tests reach the ridge fallback.
+    pub(crate) fn fit_capped(
+        &self,
+        x: &Dataset,
+        y: &[f64],
+        max_iter: usize,
+    ) -> Result<TrainedModel, MlError> {
         match self {
             LearnerKind::Linear { ridge } => LinearRegression::new(*ridge)
                 .fit(x, y)
@@ -245,7 +252,8 @@ impl Learner for LearnerKind {
             // regression: a degraded-but-sane model beats failing the
             // whole training run on the serving path. Other errors
             // propagate untouched.
-            LearnerKind::Svr(params) => match Svr::new(params.clone()).fit(x, y) {
+            LearnerKind::Svr(params) => match Svr::new(params.clone()).fit_capped(x, y, max_iter)
+            {
                 Ok(m) => Ok(TrainedModel::Svr(m)),
                 Err(MlError::DidNotConverge { .. }) => LinearRegression::new(1e-4)
                     .fit(x, y)
@@ -253,6 +261,12 @@ impl Learner for LearnerKind {
                 Err(e) => Err(e),
             },
         }
+    }
+}
+
+impl Learner for LearnerKind {
+    fn fit(&self, x: &Dataset, y: &[f64]) -> Result<TrainedModel, MlError> {
+        self.fit_capped(x, y, svr::MAX_ITER)
     }
 }
 
@@ -289,11 +303,8 @@ mod tests {
         let rows: Vec<Vec<f64>> = (0..30).map(|i| vec![i as f64, (i * i) as f64]).collect();
         let y: Vec<f64> = rows.iter().map(|r| 2.0 * r[0] + 0.5 * r[1] + 3.0).collect();
         let x = Dataset::from_rows(rows);
-        let learner = LearnerKind::Svr(SvrParams {
-            max_iter: 1,
-            ..SvrParams::default()
-        });
-        let m = learner.fit(&x, &y).unwrap();
+        let learner = LearnerKind::Svr(SvrParams::default());
+        let m = learner.fit_capped(&x, &y, 1).unwrap();
         assert!(matches!(m, TrainedModel::Linear(_)));
         let p = m.predict(x.row(10));
         assert!(p.is_finite(), "{p}");

@@ -10,8 +10,8 @@
 
 use crate::linalg::scan_violating;
 use crate::svr::{
-    first_order_j, second_order_j, smo_solve, Kernel, Prepared, SmoExit, SmoOutcome, SvrParams,
-    STALL_SLACK,
+    first_order_j, second_order_j, smo_solve, Kernel, Prepared, SmoExit, SmoOutcome, C, EPSILON,
+    MAX_ITER, STALL_SLACK, TOL,
 };
 use crate::{Dataset, Learner, MlError, TrainedModel};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -161,25 +161,28 @@ fn assert_same_optimum(what: &str, tol: f64, first: &Measured, second: &Measured
 #[test]
 fn epsilon_solver_reaches_the_first_order_optimum_in_no_more_steps() {
     for (x, y, kernel) in grid() {
-        let params = SvrParams {
-            kernel,
-            ..SvrParams::default()
-        };
         let pre = Prepared::new(&x, &y, kernel);
         let k = crate::gram::GramCache::global().gram(&pre.xs, kernel, pre.gamma);
-        let p = linear_term(&pre.ys, params.epsilon);
+        let p = linear_term(&pre.ys, EPSILON);
         let solve = |first_order: bool| {
             let out = if first_order {
-                smo_solve(&pre.xs, &pre.ys, &params, pre.gamma, first_order_j)
+                smo_solve(&pre.xs, &pre.ys, kernel, pre.gamma, MAX_ITER, first_order_j)
             } else {
-                smo_solve(&pre.xs, &pre.ys, &params, pre.gamma, second_order_j)
+                smo_solve(
+                    &pre.xs,
+                    &pre.ys,
+                    kernel,
+                    pre.gamma,
+                    MAX_ITER,
+                    second_order_j,
+                )
             };
-            assert!(out.converged(params.tol));
-            measure(&out, &k, &p, params.c)
+            assert!(out.converged());
+            measure(&out, &k, &p, C)
         };
         let what = format!("epsilon-SVR {kernel:?} {}x{}", x.n_rows(), x.n_cols());
         let (first, second) = (solve(true), solve(false));
-        assert_same_optimum(&what, params.tol, &first, &second);
+        assert_same_optimum(&what, TOL, &first, &second);
         assert!(
             second.iterations <= first.iterations,
             "{what}: second-order took {} steps, first-order {}",
@@ -193,7 +196,6 @@ fn epsilon_solver_reaches_the_first_order_optimum_in_no_more_steps() {
 fn a_stall_far_from_kkt_is_not_convergence() {
     let (x, y) = training_set(12, 2, 0);
     let pre = Prepared::new(&x, &y, Kernel::Linear);
-    let tol = 1e-3;
     let stalled = |gap: f64| SmoOutcome {
         a: vec![0.0; 24],
         bias: 0.0,
@@ -201,17 +203,16 @@ fn a_stall_far_from_kkt_is_not_convergence() {
         iterations: 7,
         gap,
     };
-    assert!(stalled(STALL_SLACK * tol * 0.99).converged(tol));
-    let far = stalled(STALL_SLACK * tol);
-    assert!(!far.converged(tol));
+    assert!(stalled(STALL_SLACK * TOL * 0.99).converged());
+    let far = stalled(STALL_SLACK * TOL);
+    assert!(!far.converged());
     // ... which `fit` reports as the error the ridge fallback catches.
-    let err = far.into_model(tol, Kernel::Linear, pre).unwrap_err();
+    let err = far.into_model(Kernel::Linear, pre).unwrap_err();
     assert_eq!(err, MlError::DidNotConverge { iterations: 7 });
 }
 
 /// Epsilon-SVR as a [`Learner`] that adds up the SMO steps of its fits.
 struct CountingSvr<R> {
-    params: SvrParams,
     rule: R,
     fits: AtomicUsize,
     iterations: AtomicUsize,
@@ -220,7 +221,6 @@ struct CountingSvr<R> {
 impl<R> CountingSvr<R> {
     fn new(rule: R) -> Self {
         CountingSvr {
-            params: SvrParams::default(),
             rule,
             fits: AtomicUsize::new(0),
             iterations: AtomicUsize::new(0),
@@ -237,12 +237,12 @@ where
     R: Fn(&crate::svr::DualState<'_>, &crate::linalg::ScanResult, &mut [f64]) -> usize + Sync,
 {
     fn fit(&self, x: &Dataset, y: &[f64]) -> Result<TrainedModel, MlError> {
-        let p = &self.params;
-        let pre = Prepared::new(x, y, p.kernel);
-        let out = smo_solve(&pre.xs, &pre.ys, p, pre.gamma, &self.rule);
+        let kernel = crate::SvrParams::default().kernel;
+        let pre = Prepared::new(x, y, kernel);
+        let out = smo_solve(&pre.xs, &pre.ys, kernel, pre.gamma, MAX_ITER, &self.rule);
         self.fits.fetch_add(1, Ordering::Relaxed);
         self.iterations.fetch_add(out.iterations, Ordering::Relaxed);
-        out.into_model(p.tol, p.kernel, pre).map(TrainedModel::Svr)
+        out.into_model(kernel, pre).map(TrainedModel::Svr)
     }
 }
 

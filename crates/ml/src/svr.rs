@@ -11,8 +11,8 @@
 //! partner whose pair step promises the largest decrease of the dual.
 //!
 //! Features and targets are standardized internally (see [`crate::scaler`]),
-//! so `epsilon` is expressed in target standard deviations and the default
-//! RBF `gamma` of `1 / n_features` is meaningful.
+//! so the tube half-width is expressed in target standard deviations and
+//! the default RBF `gamma` of `1 / n_features` is meaningful.
 
 use crate::bytes::{put_f64, put_f64s, Malformed, Reader};
 use crate::dataset::Dataset;
@@ -71,29 +71,32 @@ fn sum_over_pairs(a: &[f64], b: &[f64], term: impl Fn(f64, f64) -> f64) -> f64 {
     a.iter().zip(b).fold(0.0, |acc, (&x, &y)| acc + term(x, y))
 }
 
-/// Hyper-parameters for epsilon-SVR.
+/// Box constraint (regularization/cost); larger fits harder.
+pub(crate) const C: f64 = 10.0;
+
+/// Half-width of the insensitive tube, in target standard deviations.
+pub(crate) const EPSILON: f64 = 0.05;
+
+/// KKT-violation tolerance for the SMO stopping rule.
+pub(crate) const TOL: f64 = 1e-3;
+
+/// Hard cap on SMO iterations (each optimizes one variable pair).
+pub(crate) const MAX_ITER: usize = 200_000;
+
+/// Hyper-parameters for epsilon-SVR: the kernel. The box constraint, the
+/// tube half-width, the stopping tolerance and the iteration cap are
+/// constants of this module, since no caller set them apart from their
+/// defaults (DESIGN.md §12).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SvrParams {
-    /// Box constraint (regularization/cost); larger fits harder.
-    pub c: f64,
-    /// Half-width of the insensitive tube, in target standard deviations.
-    pub epsilon: f64,
     /// Kernel.
     pub kernel: Kernel,
-    /// KKT-violation tolerance for the SMO stopping rule.
-    pub tol: f64,
-    /// Hard cap on SMO iterations (each optimizes one variable pair).
-    pub max_iter: usize,
 }
 
 impl Default for SvrParams {
     fn default() -> Self {
         SvrParams {
-            c: 10.0,
-            epsilon: 0.05,
             kernel: Kernel::Rbf { gamma: 0.0 },
-            tol: 1e-3,
-            max_iter: 200_000,
         }
     }
 }
@@ -113,18 +116,30 @@ impl Svr {
     /// Fits the SVR on `x` and `y`; returns a dense model holding the
     /// support vectors and coefficients.
     pub fn fit(&self, x: &Dataset, y: &[f64]) -> Result<SvrModel, MlError> {
-        x.check_targets(y)?;
-        let p = &self.params;
-        if p.c <= 0.0 {
-            return Err(MlError::InvalidParameter("C must be positive"));
-        }
-        if p.epsilon < 0.0 {
-            return Err(MlError::InvalidParameter("epsilon must be non-negative"));
-        }
-        check_finite(x, y)?;
+        self.fit_capped(x, y, MAX_ITER)
+    }
 
-        let pre = Prepared::new(x, y, p.kernel);
-        smo_solve(&pre.xs, &pre.ys, p, pre.gamma, second_order_j).into_model(p.tol, p.kernel, pre)
+    /// [`Svr::fit`] with the SMO iteration cap given: the crate-private
+    /// path by which tests reach the cap and the ridge fallback behind it.
+    pub(crate) fn fit_capped(
+        &self,
+        x: &Dataset,
+        y: &[f64],
+        max_iter: usize,
+    ) -> Result<SvrModel, MlError> {
+        x.check_targets(y)?;
+        check_finite(x, y)?;
+        let kernel = self.params.kernel;
+        let pre = Prepared::new(x, y, kernel);
+        smo_solve(
+            &pre.xs,
+            &pre.ys,
+            kernel,
+            pre.gamma,
+            max_iter,
+            second_order_j,
+        )
+        .into_model(kernel, pre)
     }
 }
 
@@ -171,7 +186,7 @@ fn check_finite(x: &Dataset, y: &[f64]) -> Result<(), MlError> {
 /// Which of its three exits an SMO solve took.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum SmoExit {
-    /// The stopping rule fired: `g_max - g_min < tol` (or one of the two
+    /// The stopping rule fired: `g_max - g_min < TOL` (or one of the two
     /// candidate sets was empty, which leaves no violating pair at all).
     Kkt,
     /// The step on the selected pair changed neither variable (no room
@@ -183,7 +198,7 @@ pub(crate) enum SmoExit {
 }
 
 /// A stalled solve is accepted when its KKT gap is within this factor of
-/// `tol`; a stall further out is reported as non-convergence.
+/// [`TOL`]; a stall further out is reported as non-convergence.
 pub(crate) const STALL_SLACK: f64 = 10.0;
 
 /// What an SMO solve hands back: the raw dual variables (alpha block, then
@@ -204,15 +219,15 @@ pub(crate) struct SmoOutcome {
 
 impl SmoOutcome {
     /// What a caller may assume about the KKT conditions: after
-    /// [`SmoExit::Kkt`] the maximal violation is below `tol`; after
-    /// [`SmoExit::Stalled`] it is below `STALL_SLACK * tol` — a looser
+    /// [`SmoExit::Kkt`] the maximal violation is below [`TOL`]; after
+    /// [`SmoExit::Stalled`] it is below `STALL_SLACK * TOL` — a looser
     /// guarantee, taken because the one pair that violates by more has no
     /// room left to move in floating point. A stall with a wider gap and
     /// an exhausted budget are both non-convergence.
-    pub fn converged(&self, tol: f64) -> bool {
+    pub fn converged(&self) -> bool {
         match self.exit {
             SmoExit::Kkt => true,
-            SmoExit::Stalled => self.gap < STALL_SLACK * tol,
+            SmoExit::Stalled => self.gap < STALL_SLACK * TOL,
             SmoExit::IterationCap => false,
         }
     }
@@ -220,7 +235,7 @@ impl SmoOutcome {
     /// Turns a converged solve into the dense model (support vectors are
     /// the rows with a nonzero net coefficient `a_i - a_{i+l}`), or
     /// reports [`MlError::DidNotConverge`].
-    pub fn into_model(self, tol: f64, kernel: Kernel, pre: Prepared) -> Result<SvrModel, MlError> {
+    pub fn into_model(self, kernel: Kernel, pre: Prepared) -> Result<SvrModel, MlError> {
         let Prepared {
             xs,
             x_scaler,
@@ -231,7 +246,7 @@ impl SmoOutcome {
         let did_not_converge = MlError::DidNotConverge {
             iterations: self.iterations,
         };
-        if !self.converged(tol) {
+        if !self.converged() {
             return Err(did_not_converge);
         }
         let l = xs.n_rows();
@@ -302,24 +317,25 @@ pub(crate) fn first_order_j(_st: &DualState<'_>, sel: &ScanResult, _quad: &mut [
 /// SMO over the 2l-variable epsilon-SVR dual (libsvm formulation):
 /// variables `a`, signs `s_t` (+1 for the alpha block, -1 for alpha*),
 /// linear term `p_t = eps - y` / `eps + y`, constraint `sum s_t a_t = 0`,
-/// box `[0, C]`. See [`SmoOutcome::converged`] for what each exit
-/// guarantees. `pick_j` is the working-set rule: [`second_order_j`]
-/// always, except that unit tests also run `first_order_j` through
-/// this very loop.
+/// box `[0, C]`, at most `max_iter` pair steps ([`MAX_ITER`] outside
+/// tests). See [`SmoOutcome::converged`] for what each exit guarantees.
+/// `pick_j` is the working-set rule: [`second_order_j`] always, except
+/// that unit tests also run `first_order_j` through this very loop.
 pub(crate) fn smo_solve(
     xs: &Dataset,
     ys: &[f64],
-    p: &SvrParams,
+    kernel: Kernel,
     gamma: f64,
+    max_iter: usize,
     pick_j: impl Fn(&DualState<'_>, &ScanResult, &mut [f64]) -> usize,
 ) -> SmoOutcome {
     let l = xs.n_rows();
     let n = 2 * l;
-    let c = p.c;
+    let c = C;
 
     // Dense kernel matrix; training sets are small (<= a few thousand rows).
     // Leased for this solve: the buffer goes back when the solve returns.
-    let k_lease = crate::gram::GramCache::global().gram(xs, p.kernel, gamma);
+    let k_lease = crate::gram::GramCache::global().gram(xs, kernel, gamma);
     let k: &[f64] = &k_lease;
     let kij = |i: usize, j: usize| k[i * l + j];
     let sign = |t: usize| if t < l { 1.0 } else { -1.0 };
@@ -332,9 +348,9 @@ pub(crate) fn smo_solve(
     let mut g: Vec<f64> = (0..n)
         .map(|t| {
             if t < l {
-                p.epsilon - ys[t]
+                EPSILON - ys[t]
             } else {
-                p.epsilon + ys[t - l]
+                EPSILON + ys[t - l]
             }
         })
         .collect();
@@ -342,7 +358,7 @@ pub(crate) fn smo_solve(
     let mut exit = SmoExit::IterationCap;
     let mut iterations = 0usize;
     let mut gap = f64::INFINITY;
-    while iterations < p.max_iter {
+    while iterations < max_iter {
         // Working-set selection, first pass: the maximal violating pair,
         // which fixes `i` and decides the stopping rule. The 2l scan
         // splits at l into two sign-contiguous halves (s = +1, then
@@ -352,12 +368,12 @@ pub(crate) fn smo_solve(
         let mut sel = scan_violating(&a[..l], &g[..l], c, false);
         sel.merge_later(scan_violating(&a[l..], &g[l..], c, true), l);
         gap = sel.g_max - sel.g_min;
-        if sel.i_up == usize::MAX || sel.i_low == usize::MAX || gap < p.tol {
+        if sel.i_up == usize::MAX || sel.i_low == usize::MAX || gap < TOL {
             exit = SmoExit::Kkt;
             break;
         }
-        // Second pass: the rule picks `j` (a gap of at least `tol > 0`
-        // guarantees a violating partner; `tol <= 0` may leave none).
+        // Second pass: the rule picks `j` (a gap of at least `TOL > 0`
+        // guarantees a violating partner).
         let state = DualState {
             a: &a,
             g: &g,
@@ -695,9 +711,6 @@ mod tests {
         let (x, y) = grid_2d();
         let m = Svr::new(SvrParams {
             kernel: Kernel::Linear,
-            epsilon: 0.01,
-            c: 100.0,
-            ..SvrParams::default()
         })
         .fit(&x, &y)
         .unwrap();
@@ -716,70 +729,16 @@ mod tests {
         }
         let x = Dataset::from_rows(rows);
         let y: Vec<f64> = x.rows().map(|r| (r[0]).sin() * 5.0 + 10.0).collect();
-        let m = Svr::new(SvrParams {
-            epsilon: 0.02,
-            c: 50.0,
-            ..SvrParams::default()
-        })
-        .fit(&x, &y)
-        .unwrap();
+        let m = Svr::new(SvrParams::default()).fit(&x, &y).unwrap();
         let preds: Vec<f64> = x.rows().map(|r| m.predict(r)).collect();
         assert!(mean_relative_error(&y, &preds) < 0.05);
-    }
-
-    #[test]
-    fn epsilon_tube_limits_support_vectors() {
-        let (x, y) = grid_2d();
-        let tight = Svr::new(SvrParams {
-            kernel: Kernel::Linear,
-            epsilon: 0.001,
-            c: 10.0,
-            ..SvrParams::default()
-        })
-        .fit(&x, &y)
-        .unwrap();
-        let loose = Svr::new(SvrParams {
-            kernel: Kernel::Linear,
-            epsilon: 1.0,
-            c: 10.0,
-            ..SvrParams::default()
-        })
-        .fit(&x, &y)
-        .unwrap();
-        // A wide tube swallows most points -> far fewer support vectors.
-        assert!(loose.n_support_vectors() <= tight.n_support_vectors());
-    }
-
-    #[test]
-    fn invalid_parameters_are_rejected() {
-        let (x, y) = grid_2d();
-        assert!(matches!(
-            Svr::new(SvrParams {
-                c: 0.0,
-                ..SvrParams::default()
-            })
-            .fit(&x, &y),
-            Err(MlError::InvalidParameter(_))
-        ));
-        assert!(matches!(
-            Svr::new(SvrParams {
-                epsilon: -1.0,
-                ..SvrParams::default()
-            })
-            .fit(&x, &y),
-            Err(MlError::InvalidParameter(_))
-        ));
     }
 
     #[test]
     fn exhausted_iteration_budget_is_reported() {
         let (x, y) = grid_2d();
         assert!(matches!(
-            Svr::new(SvrParams {
-                max_iter: 1,
-                ..SvrParams::default()
-            })
-            .fit(&x, &y),
+            Svr::new(SvrParams::default()).fit_capped(&x, &y, 1),
             Err(MlError::DidNotConverge { iterations: 1 })
         ));
     }

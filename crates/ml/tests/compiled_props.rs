@@ -37,13 +37,7 @@ fn compiled_contracts_hold_for_fitted_models() {
             })
             .collect();
         let x = Dataset::from_rows(rows.clone());
-        let model = match Svr::new(SvrParams {
-            kernel,
-            max_iter: 50_000,
-            ..SvrParams::default()
-        })
-        .fit(&x, &y)
-        {
+        let model = match Svr::new(SvrParams { kernel }).fit(&x, &y) {
             Ok(m) => m,
             // Non-convergence on an adversarial draw is not this test's
             // concern; the learner-level fallback covers it.

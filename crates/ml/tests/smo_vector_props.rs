@@ -65,17 +65,10 @@ fn training_set(l: usize, d: usize, seed: u64) -> (Dataset, Vec<f64>) {
     (Dataset::from_rows(rows), y)
 }
 
-fn svr_params(kernel: Kernel) -> SvrParams {
-    SvrParams {
-        kernel,
-        ..SvrParams::default()
-    }
-}
-
 /// Encodes a fit so equality covers every learned parameter: support
 /// vectors, dual coefficients, bias, kernel, and scalers.
 fn fit_bytes(x: &Dataset, y: &[f64], kernel: Kernel) -> Vec<u8> {
-    let model = Svr::new(svr_params(kernel))
+    let model = Svr::new(SvrParams { kernel })
         .fit(x, y)
         .expect("fit must converge on the deterministic grid data");
     let mut bytes = Vec::new();

@@ -59,12 +59,7 @@ fn steady_state_prediction_allocates_nothing() {
     let x = Dataset::from_rows(rows.clone());
 
     for kernel in [Kernel::Linear, Kernel::Rbf { gamma: 0.0 }] {
-        let model = Svr::new(SvrParams {
-            kernel,
-            ..SvrParams::default()
-        })
-        .fit(&x, &y)
-        .expect("fit");
+        let model = Svr::new(SvrParams { kernel }).fit(&x, &y).expect("fit");
         let compiled = model.compile();
 
         // Warm up: the scratch's scaled-row buffer grows on first use.
@@ -121,13 +116,10 @@ fn steady_state_prediction_allocates_nothing() {
             .iter()
             .map(|r| vec![r[0], r[1], r[2], r[0] - r[1], r[2] * 0.5])
             .collect();
-        let wide = Svr::new(SvrParams {
-            kernel,
-            ..SvrParams::default()
-        })
-        .fit(&Dataset::from_rows(wide_rows.clone()), &y)
-        .expect("fit")
-        .compile();
+        let wide = Svr::new(SvrParams { kernel })
+            .fit(&Dataset::from_rows(wide_rows.clone()), &y)
+            .expect("fit")
+            .compile();
         let mut wide_out = Vec::new();
         wide.predict_batch_into(&wide_rows, &mut wide_out, &mut scratch);
         let before = allocations();

@@ -13,8 +13,8 @@
 
 use engine::{Catalog, SimConfig, Simulator};
 use ml::metrics::mean_relative_error;
-use qpp::hybrid::HybridModel;
-use qpp::online::{OnlineConfig, OnlinePredictor};
+use qpp::hybrid::{HybridConfig, HybridModel};
+use qpp::online::OnlinePredictor;
 use qpp::op_model::{OpLevelModel, OpModelConfig};
 use qpp::plan_model::{PlanLevelModel, PlanModelConfig};
 use qpp::{ExecutedQuery, QueryDataset};
@@ -53,9 +53,9 @@ fn main() {
     let mut online = OnlinePredictor::new(
         train.clone(),
         HybridModel::operator_only(op_model),
-        OnlineConfig {
+        HybridConfig {
             min_frequency: 4,
-            ..OnlineConfig::default()
+            ..HybridConfig::default()
         },
     );
     let online_preds: Vec<f64> = test.iter().map(|q| online.predict_query(q)).collect();

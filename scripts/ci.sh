@@ -83,6 +83,13 @@ echo "==> paper gate: cargo test --release -q -p qpp-bench (bounded time)"
 cargo test --release -q -p qpp-bench --no-run
 timeout 300 cargo test --release -q -p qpp-bench
 
+# The paper's numbers at seed 0 are committed (experiments_raw.txt, which
+# EXPERIMENTS.md quotes), so a change that moves one shows it in its diff.
+# `repro` is deterministic; regenerate the file with
+# `cargo run --release -p qpp-bench --bin repro > experiments_raw.txt`.
+echo "==> paper numbers: a fresh repro equals experiments_raw.txt"
+cargo run --release -q -p qpp-bench --bin repro | diff experiments_raw.txt -
+
 # The scalar loops of linalg's three SMO primitives must keep passing with
 # their AVX2 twins compiled out entirely (the non-x86 / no-AVX2
 # configuration). Nothing else in the tree has a second side: the suites

@@ -9,7 +9,7 @@
 
 use engine::{Catalog, Simulator};
 use qpp::{
-    ExecutedQuery, HybridModel, Method, OnlineConfig, OnlinePredictor, PlanOrdering,
+    ExecutedQuery, HybridConfig, HybridModel, Method, OnlinePredictor, PlanOrdering,
     PredictionCache, QppConfig, QppPredictor, QueryDataset,
 };
 use std::sync::Mutex;
@@ -118,9 +118,9 @@ fn online_batch_matches_query_loop() {
         ml::gram::GramCache::global().clear();
         qpp::OpLevelModel::train(&refs, &qpp::OpModelConfig::default()).expect("op training")
     });
-    let config = OnlineConfig {
+    let config = HybridConfig {
         min_frequency: 3,
-        ..OnlineConfig::default()
+        ..HybridConfig::default()
     };
     let looped: Vec<u64> = with_threads(1, || {
         let mut online =

@@ -4,7 +4,7 @@
 use engine::{Catalog, SimConfig, Simulator};
 use ml::metrics::mean_relative_error;
 use qpp::hybrid::{train_hybrid, HybridConfig, HybridModel, PlanOrdering};
-use qpp::online::{OnlineConfig, OnlinePredictor};
+use qpp::online::OnlinePredictor;
 use qpp::op_model::{OpLevelModel, OpModelConfig};
 use qpp::plan_model::{PlanLevelModel, PlanModelConfig};
 use qpp::{ExecutedQuery, QueryDataset};
@@ -139,9 +139,9 @@ fn online_modeling_is_guarded() {
         let mut online = OnlinePredictor::new(
             train,
             HybridModel::operator_only(op),
-            OnlineConfig {
+            HybridConfig {
                 min_frequency: 4,
-                ..OnlineConfig::default()
+                ..HybridConfig::default()
             },
         );
         let online_err = errors(
