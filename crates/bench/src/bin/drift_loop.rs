@@ -11,7 +11,7 @@
 
 use engine::faults::{DriftKind, DriftPlan, FaultPlan};
 use qpp_bench::schema::BenchDoc;
-use engine::{Catalog, OpType, Simulator};
+use engine::{Catalog, Simulator};
 use ml::mean_relative_error;
 use qpp::{
     CollectionConfig, DriftMonitor, ExecutedQuery, Method, ModelRegistry, PlanOrdering,
@@ -103,8 +103,7 @@ fn main() {
     let mut detected_after = drifted_refs.len();
     for (i, q) in drifted_refs.iter().enumerate() {
         let p = serving.predict_checked(q, Method::Hybrid(PlanOrdering::ErrorBased));
-        let ops: Vec<OpType> = q.plan.preorder().iter().map(|n| n.op).collect();
-        monitor.ingest(&serving, p.method_used, p.value, q.latency(), &ops);
+        monitor.ingest(&serving, p.method_used, p.value, q.latency());
         if monitor.any_quarantined() {
             detected_after = i + 1;
             break;

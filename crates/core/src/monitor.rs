@@ -7,7 +7,7 @@
 //! This module closes the loop: after each query executes, the caller
 //! feeds the `(prediction, observed latency)` pair back into a
 //! [`DriftMonitor`], which maintains streaming residual statistics per
-//! learned tier and per operator type, and runs a CUSUM-style detector
+//! learned tier, and runs a CUSUM-style detector
 //! over the relative-error stream. When the cumulative excess error
 //! crosses its thresholds, the tier's health degrades
 //! `Healthy → Suspect → Quarantined`; quarantine trips the predictor's
@@ -16,8 +16,6 @@
 //! retrain is warranted.
 
 use crate::predictor::{PredictionTier, QppPredictor, MODEL_TIERS};
-use engine::plan::ALL_OP_TYPES;
-use engine::OpType;
 use ml::metrics::relative_error;
 use ml::stats::{RollingWindow, Welford};
 
@@ -165,10 +163,6 @@ pub struct DriftMonitor {
     /// The baseline every tier starts from, and returns to on a reset.
     baseline: Option<f64>,
     tiers: [TierState; 3],
-    /// Per-operator-type residual statistics (indexed by
-    /// [`OpType::index`]), aggregated across tiers: localizes *which*
-    /// operators drifted once a tier is quarantined.
-    per_op: Vec<Welford>,
 }
 
 impl DriftMonitor {
@@ -183,7 +177,6 @@ impl DriftMonitor {
                 TierState::new(baseline),
                 TierState::new(baseline),
             ],
-            per_op: vec![Welford::new(); ALL_OP_TYPES.len()],
         }
     }
 
@@ -222,8 +215,7 @@ impl DriftMonitor {
         st.health
     }
 
-    /// Like [`DriftMonitor::observe`], but also attributes the residual to
-    /// the executed plan's operator types and trips the predictor's
+    /// Like [`DriftMonitor::observe`], but also trips the predictor's
     /// circuit breaker for the tier when the update quarantines it.
     /// Returns the tier's health after the update.
     pub fn ingest(
@@ -232,15 +224,8 @@ impl DriftMonitor {
         tier: PredictionTier,
         predicted: f64,
         observed: f64,
-        op_types: &[OpType],
     ) -> ModelHealth {
         let health = self.observe(tier, predicted, observed);
-        if predicted.is_finite() && observed.is_finite() && observed >= 0.0 {
-            let err = relative_error(observed, predicted);
-            for op in op_types {
-                self.per_op[op.index()].push(err);
-            }
-        }
         if health == ModelHealth::Quarantined {
             predictor.trip_breaker(tier);
         }
@@ -303,26 +288,17 @@ impl DriftMonitor {
             .map(|i| &self.tiers[i])
     }
 
-    /// All-time residual statistics for one operator type (aggregated
-    /// across tiers via [`DriftMonitor::ingest`]).
-    pub fn op_residuals(&self, op: OpType) -> &Welford {
-        &self.per_op[op.index()]
-    }
-
     /// True when any learned tier is quarantined — the registry's cue to
     /// start a shadow retrain.
     pub fn any_quarantined(&self) -> bool {
         self.tiers.iter().any(|t| t.health == ModelHealth::Quarantined)
     }
 
-    /// Clears all drift state (every tier and the per-operator
-    /// statistics); called when the registry promotes a new model set.
+    /// Clears all drift state (every tier); called when the registry
+    /// promotes a new model set.
     pub fn reset_all(&mut self) {
         for t in &mut self.tiers {
             *t = TierState::new(self.baseline);
-        }
-        for w in &mut self.per_op {
-            *w = Welford::new();
         }
     }
 }

@@ -107,9 +107,9 @@ pub const MODEL_TIERS: [PredictionTier; 3] = [
     PredictionTier::PlanLevel,
 ];
 
-/// Every tier of the degradation chain, most expensive (and most accurate)
-/// first. The serving layer maps deadline budgets onto this order: the
-/// deeper the entry point, the cheaper the answer.
+/// Every tier of the degradation chain, in the order
+/// [`QppPredictor::predict_checked`] walks it. The wire codec and the
+/// serving ledger index tiers by position in this array.
 pub const ALL_TIERS: [PredictionTier; 5] = [
     PredictionTier::Hybrid,
     PredictionTier::OperatorLevel,
@@ -119,7 +119,7 @@ pub const ALL_TIERS: [PredictionTier; 5] = [
 ];
 
 /// Position of a tier in the degradation chain (0 = Hybrid … 4 =
-/// TrainingPrior). Larger ranks are cheaper and less accurate.
+/// TrainingPrior).
 pub fn tier_rank(tier: PredictionTier) -> usize {
     ALL_TIERS
         .iter()
@@ -245,22 +245,13 @@ impl QppPredictor {
     /// scaling needs only a finite optimizer estimate, and the training
     /// prior is a constant.
     pub fn predict_checked(&self, query: &ExecutedQuery, method: Method) -> Prediction {
-        self.predict_checked_from(query, method.tier())
+        let requested = method.tier();
+        self.chain(query, tier_rank(requested), requested)
     }
 
-    /// [`QppPredictor::predict_checked`] with an explicit entry point into
-    /// the degradation chain: the walk starts at `start` instead of a
-    /// method's native tier, so a caller under a latency budget (the
-    /// serving layer) can skip tiers it cannot afford. `degraded` is
-    /// reported relative to `start`. Passing a fallback tier
-    /// ([`PredictionTier::CostScaling`] / [`PredictionTier::TrainingPrior`])
-    /// bypasses the learned models entirely.
-    pub fn predict_checked_from(&self, query: &ExecutedQuery, start: PredictionTier) -> Prediction {
-        self.chain(query, tier_rank(start), start)
-    }
-
-    /// Walks the chain from rank `start` (an index into [`ALL_TIERS`]),
-    /// reporting `degraded` relative to `requested`.
+    /// Walks the chain from rank `start` (an index into [`ALL_TIERS`],
+    /// always a learned tier's), reporting `degraded` relative to
+    /// `requested`.
     fn chain(&self, query: &ExecutedQuery, start: usize, requested: PredictionTier) -> Prediction {
         // Features-finite checks, cached per source (Estimated / Actual).
         let mut cache = [None::<bool>; 2];
@@ -302,23 +293,21 @@ impl QppPredictor {
             }
             self.breakers[i].fetch_add(1, Ordering::Relaxed);
         }
-        if start <= tier_rank(PredictionTier::CostScaling) {
-            let cost = query.plan.est.total_cost;
-            if cost.is_finite() && cost >= 0.0 {
-                let value = cost * self.secs_per_cost;
-                if is_sane(value) {
-                    return Prediction {
-                        value,
-                        method_used: PredictionTier::CostScaling,
-                        degraded: requested != PredictionTier::CostScaling,
-                    };
-                }
+        let cost = query.plan.est.total_cost;
+        if cost.is_finite() && cost >= 0.0 {
+            let value = cost * self.secs_per_cost;
+            if is_sane(value) {
+                return Prediction {
+                    value,
+                    method_used: PredictionTier::CostScaling,
+                    degraded: true,
+                };
             }
         }
         Prediction {
             value: self.prior_latency,
             method_used: PredictionTier::TrainingPrior,
-            degraded: requested != PredictionTier::TrainingPrior,
+            degraded: true,
         }
     }
 
@@ -342,10 +331,7 @@ impl QppPredictor {
         if self.breakers[i].load(Ordering::Relaxed) >= BREAKER_THRESHOLD {
             // The whole entry tier is out: every query takes the same
             // walk, which skips the open breaker consistently.
-            return queries
-                .iter()
-                .map(|q| self.predict_checked_from(q, start))
-                .collect();
+            return queries.iter().map(|q| self.chain(q, i, start)).collect();
         }
         let values = match start {
             PredictionTier::Hybrid => self.hybrid.predict_batch_cached(queries, cache),
@@ -605,35 +591,6 @@ mod tests {
         for tier in MODEL_TIERS {
             assert!(!qpp.breaker_tripped(tier));
         }
-    }
-
-    #[test]
-    fn predict_checked_from_enters_the_chain_at_any_tier() {
-        let ds = dataset();
-        let refs: Vec<&ExecutedQuery> = ds.queries.iter().collect();
-        let qpp = QppPredictor::train(&refs, QppConfig::default()).unwrap();
-        let q = refs[0];
-        // Entering at a learned tier matches predict_checked for the
-        // corresponding method.
-        for (tier, method) in [
-            (PredictionTier::Hybrid, Method::Hybrid(PlanOrdering::ErrorBased)),
-            (PredictionTier::OperatorLevel, Method::OperatorLevel),
-            (PredictionTier::PlanLevel, Method::PlanLevel),
-        ] {
-            let a = qpp.predict_checked_from(q, tier);
-            let b = qpp.predict_checked(q, method);
-            assert_eq!(a.value.to_bits(), b.value.to_bits());
-            assert_eq!(a.method_used, b.method_used);
-        }
-        // Entering at the fallback tiers bypasses the models entirely.
-        let cs = qpp.predict_checked_from(q, PredictionTier::CostScaling);
-        assert_eq!(cs.method_used, PredictionTier::CostScaling);
-        assert!(!cs.degraded, "cost scaling was the requested entry");
-        assert!(is_sane(cs.value));
-        let prior = qpp.predict_checked_from(q, PredictionTier::TrainingPrior);
-        assert_eq!(prior.method_used, PredictionTier::TrainingPrior);
-        assert_eq!(prior.value, qpp.prior_latency());
-        assert!(!prior.degraded);
     }
 
     #[test]

@@ -312,73 +312,57 @@ pub struct TenantArrival {
     pub tenant: usize,
 }
 
-/// Deterministic tenant-skewed arrival processes for noisy-neighbor load
-/// generation.
+/// A one-hot noisy-neighbor stream: the first `n` arrivals of a
+/// `tenants`-way stream at long-run mean rate `rate` requests/second in
+/// which tenant `hot` floods in bursts while every other tenant trickles.
 ///
-/// Where [`ArrivalPattern`] answers *when* requests arrive,
-/// `TenantLoadPattern` also answers *whose* they are — the load skew
-/// that makes bulkhead isolation testable: one tenant bursting while the
-/// rest trickle. [`TenantLoadPattern::arrivals`] is deterministic in
-/// (pattern, tenants, n, rate), so shed/served counts per tenant are
-/// exactly reproducible.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TenantLoadPattern {
-    /// One tenant floods in bursts while every other tenant trickles at a
-    /// steady low rate: the canonical noisy neighbor. Each burst of
-    /// `burst` near-simultaneous arrivals is mostly the hot tenant's; one
-    /// arrival per burst goes to each quiet tenant in round-robin order.
-    OneHotBurst {
-        /// Index of the bursting tenant.
-        hot: usize,
-        /// Arrivals per burst (clamped so each quiet tenant still gets
-        /// one arrival per burst).
-        burst: usize,
-        /// Arrival-stream seed (intra-burst jitter).
-        seed: u64,
-    },
-}
-
-impl TenantLoadPattern {
-    /// The first `n` arrivals of a `tenants`-way stream at long-run mean
-    /// rate `rate` requests/second. Offsets are non-decreasing and
-    /// non-negative, every tenant index is in `0..tenants`, every tenant
-    /// appears in a sufficiently long stream, and the whole vector is
-    /// deterministic in (pattern, tenants, n, rate).
-    pub fn arrivals(&self, tenants: usize, n: usize, rate: f64) -> Vec<TenantArrival> {
-        assert!(tenants >= 1, "need at least one tenant");
-        assert!(rate > 0.0 && rate.is_finite(), "rate must be positive");
-        let TenantLoadPattern::OneHotBurst { hot, burst, seed } = self;
-        let hot = *hot % tenants;
-        // Each burst must fit one arrival per quiet tenant plus at least
-        // one hot arrival.
-        let burst = (*burst).max(tenants.max(2));
-        let quiet_slots = tenants - 1;
-        ArrivalPattern::Bursty { burst, seed: *seed }
-            .arrival_offsets(n, rate)
-            .into_iter()
-            .enumerate()
-            .map(|(i, offset_secs)| {
-                let pos = i % burst;
-                // The last `quiet_slots` positions of each burst go one
-                // each to the non-hot tenants, in index order.
-                let tenant = if pos < burst - quiet_slots {
-                    hot
+/// Where [`ArrivalPattern`] answers *when* requests arrive, this also
+/// answers *whose* they are — the load skew that makes bulkhead isolation
+/// testable. Arrival times are [`ArrivalPattern::Bursty`]'s with `burst`
+/// and `seed`; each burst is the hot tenant's except for one arrival per
+/// quiet tenant, in index order. `burst` is clamped so each quiet tenant
+/// still gets its arrival and the hot tenant at least one. Offsets are
+/// non-decreasing and non-negative, every tenant index is in
+/// `0..tenants`, and the whole vector is deterministic in the arguments,
+/// so shed/served counts per tenant are exactly reproducible.
+pub fn one_hot_burst(
+    hot: usize,
+    burst: usize,
+    seed: u64,
+    tenants: usize,
+    n: usize,
+    rate: f64,
+) -> Vec<TenantArrival> {
+    assert!(tenants >= 1, "need at least one tenant");
+    assert!(rate > 0.0 && rate.is_finite(), "rate must be positive");
+    let hot = hot % tenants;
+    let burst = burst.max(tenants.max(2));
+    let quiet_slots = tenants - 1;
+    ArrivalPattern::Bursty { burst, seed }
+        .arrival_offsets(n, rate)
+        .into_iter()
+        .enumerate()
+        .map(|(i, offset_secs)| {
+            let pos = i % burst;
+            // The last `quiet_slots` positions of each burst go one each
+            // to the non-hot tenants, in index order.
+            let tenant = if pos < burst - quiet_slots {
+                hot
+            } else {
+                let q = pos - (burst - quiet_slots);
+                // q-th tenant when `hot` is skipped.
+                if q < hot {
+                    q
                 } else {
-                    let q = pos - (burst - quiet_slots);
-                    // q-th tenant when `hot` is skipped.
-                    if q < hot {
-                        q
-                    } else {
-                        q + 1
-                    }
-                };
-                TenantArrival {
-                    offset_secs,
-                    tenant,
+                    q + 1
                 }
-            })
-            .collect()
-    }
+            };
+            TenantArrival {
+                offset_secs,
+                tenant,
+            }
+        })
+        .collect()
 }
 
 fn shift_node(node: &mut PlanNode, factor: f64, rng: &mut StdRng) {
@@ -625,53 +609,42 @@ mod tests {
         assert!(mean_intra < (1.0 / rate) * 0.25, "mean intra {mean_intra}");
     }
 
-    fn check_stream(pattern: &TenantLoadPattern, tenants: usize, n: usize, rate: f64) {
-        let a = pattern.arrivals(tenants, n, rate);
-        let b = pattern.arrivals(tenants, n, rate);
-        assert_eq!(a, b, "{pattern:?} must be deterministic");
-        assert_eq!(a.len(), n);
-        assert!(a[0].offset_secs >= 0.0);
-        for w in a.windows(2) {
-            assert!(
-                w[1].offset_secs >= w[0].offset_secs,
-                "{pattern:?} offsets must be sorted"
-            );
-        }
-        let mut per_tenant = vec![0usize; tenants];
-        for arr in &a {
-            assert!(arr.tenant < tenants, "{pattern:?} tenant out of range");
-            per_tenant[arr.tenant] += 1;
-        }
-        for (t, &count) in per_tenant.iter().enumerate() {
-            assert!(count > 0, "{pattern:?} starves tenant {t} of arrivals");
-        }
-    }
-
     #[test]
     fn tenant_streams_are_deterministic_sorted_and_cover_all_tenants() {
         for tenants in [2usize, 4, 7] {
-            check_stream(
-                &TenantLoadPattern::OneHotBurst {
-                    hot: 1,
-                    burst: 32,
-                    seed: 5,
-                },
-                tenants,
-                2000,
-                400.0,
+            let (n, rate) = (2000, 400.0);
+            let a = one_hot_burst(1, 32, 5, tenants, n, rate);
+            assert_eq!(
+                a,
+                one_hot_burst(1, 32, 5, tenants, n, rate),
+                "must be deterministic"
             );
+            assert_eq!(a.len(), n);
+            assert!(a[0].offset_secs >= 0.0);
+            for w in a.windows(2) {
+                assert!(
+                    w[1].offset_secs >= w[0].offset_secs,
+                    "offsets must be sorted"
+                );
+            }
+            let mut per_tenant = vec![0usize; tenants];
+            for arr in &a {
+                assert!(arr.tenant < tenants, "tenant out of range");
+                per_tenant[arr.tenant] += 1;
+            }
+            for (t, &count) in per_tenant.iter().enumerate() {
+                assert!(
+                    count > 0,
+                    "{tenants} tenants: tenant {t} starved of arrivals"
+                );
+            }
         }
     }
 
     #[test]
     fn one_hot_burst_skews_hard_toward_the_hot_tenant() {
         let tenants = 4;
-        let pattern = TenantLoadPattern::OneHotBurst {
-            hot: 2,
-            burst: 32,
-            seed: 9,
-        };
-        let arrivals = pattern.arrivals(tenants, 3200, 800.0);
+        let arrivals = one_hot_burst(2, 32, 9, tenants, 3200, 800.0);
         let mut per_tenant = vec![0usize; tenants];
         for a in &arrivals {
             per_tenant[a.tenant] += 1;

@@ -11,9 +11,6 @@
 //! - [`admission`] — queue-depth load shedding and token-bucket rate
 //!   limiting over explicit virtual time, so shed fractions are exactly
 //!   reproducible from seeded arrival streams.
-//! - [`deadline`] — per-request budgets mapped onto the five-tier
-//!   degradation chain: a request that cannot afford its asked-for tier
-//!   is served by the best tier its remaining budget covers.
 //! - [`stats`] — the per-tenant ledger, one struct behind one lock:
 //!   shed / deadline-miss / degraded-tier counters and per-endpoint
 //!   log-bucketed latency histograms ([`SloRecorder`]).
@@ -23,7 +20,10 @@
 //!   of workers that coalesce requests into the batched predictor path
 //!   and snapshot the model once per batch, so registry hot swaps are
 //!   safe under load; plus the closed SLO → drift-monitor healing loop
-//!   (quarantine → shadow retrain → validated promote, per tenant).
+//!   (quarantine → shadow retrain → validated promote, per tenant). A
+//!   request whose deadline has passed when a worker dequeues it is
+//!   refused with [`qpp::QppError::DeadlineExceeded`]; every other
+//!   request is served at the tier it asked for.
 //! - [`server`] — [`PredictionServer`], the front-end over a single
 //!   registry: a [`TenantServer`] with exactly one tenant. Also the
 //!   request plumbing both share (the queued job, the reply handle, how
@@ -41,8 +41,8 @@
 //!   malformed-frame rejection, and graceful drain whose ledger
 //!   reconciles exactly.
 //!
-//! Under a seeded overload of 4x the service rate the server sheds and
-//! degrades deterministically instead of queueing unboundedly — see
+//! Under a seeded overload of 4x the service rate the server sheds
+//! deterministically instead of queueing unboundedly — see
 //! `tests/serve_overload.rs`. Under a seeded one-hot tenant burst the
 //! noisy tenant is shed at its own bulkhead while quiet tenants keep their
 //! deadline budgets — see `tests/tenant_isolation.rs`. Under seeded
@@ -55,7 +55,6 @@
 
 pub mod admission;
 pub mod codec;
-pub mod deadline;
 pub mod healer;
 pub mod net;
 pub mod server;
@@ -64,7 +63,6 @@ pub mod tenant;
 
 pub use admission::{AdmissionController, RateLimit, ShedReason, TokenBucket};
 pub use codec::{DecodeError, ErrorFrame, Frame, Request, Response, DEFAULT_MAX_FRAME};
-pub use deadline::{entry_tier, tier_for_budget, TierCosts};
 pub use healer::{HealSource, Healer, HealerConfig};
 pub use net::{Client, NetConfig, NetServer, NetStatsSnapshot};
 pub use server::{PendingPrediction, PredictionServer, ServeConfig};

@@ -13,10 +13,10 @@
 //! 1. **Backpressure** — admission control (queue-depth shedding, then a
 //!    token bucket) rejects excess load synchronously with
 //!    [`QppError::Overloaded`] instead of queueing it unboundedly.
-//! 2. **Deadlines** — each request may carry a budget; workers enter the
-//!    degradation chain at the most accurate tier the remaining budget
-//!    affords, and refuse with [`QppError::DeadlineExceeded`] when even
-//!    the training prior cannot answer in time.
+//! 2. **Deadlines** — each request may carry a budget; a worker refuses a
+//!    request whose budget has run out by the time it is dequeued with
+//!    [`QppError::DeadlineExceeded`], and serves every other one at the
+//!    tier it asked for.
 //! 3. **Coalescing** — a worker pops up to `max_batch` queued requests at
 //!    once and funnels same-method groups through the batched predictor
 //!    path, whose results are bit-identical to the serial checked loop.
@@ -29,7 +29,6 @@ use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use crate::admission::RateLimit;
-use crate::deadline::{entry_tier, TierCosts};
 use crate::stats::{Endpoint, ServeStats, ServeStatsSnapshot};
 use crate::tenant::{TenantBudget, TenantServeConfig, TenantServer, TenantSpec};
 
@@ -49,8 +48,6 @@ pub struct ServeConfig {
     /// Deadline applied to requests submitted without one. `None` means
     /// such requests never expire.
     pub default_deadline: Option<Duration>,
-    /// Estimated per-tier service costs driving deadline degradation.
-    pub tier_costs: TierCosts,
     /// Fault injection: every worker sleeps this long before serving each
     /// batch it pops (a GC pause, a page fault, a noisy neighbour). Zero,
     /// the default, injects nothing.
@@ -65,7 +62,6 @@ impl Default for ServeConfig {
             rate_limit: None,
             max_batch: 32,
             default_deadline: None,
-            tier_costs: TierCosts::default(),
             worker_stall: Duration::ZERO,
         }
     }
@@ -152,7 +148,6 @@ impl PredictionServer {
                 global_capacity: config.queue_capacity,
                 global_rate_limit: config.rate_limit,
                 max_batch: config.max_batch,
-                tier_costs: config.tier_costs,
                 worker_stall: config.worker_stall,
             },
         );
@@ -198,45 +193,24 @@ impl PredictionServer {
 }
 
 /// Serves one popped batch against one model snapshot: expired jobs are
-/// refused, jobs whose budget forces a deeper entry tier are answered one
-/// by one, the rest go through the batched predictor path grouped by
+/// refused, the rest go through the batched predictor path grouped by
 /// method. Every job is answered and recorded in `stats` exactly once.
 pub(crate) fn serve_batch(
     batch: Vec<Job>,
     stats: &ServeStats,
     predictor: &QppPredictor,
     cache: &PredictionCache,
-    tier_costs: TierCosts,
 ) {
     let now = Instant::now();
-    // Partition: full-tier jobs are grouped per method for the batched
-    // path; degraded or expired jobs are resolved individually.
     let mut groups: Vec<(Method, Vec<Job>)> = Vec::new();
     for job in batch {
-        let remaining = match job.deadline {
-            Some(d) => {
-                if d <= now {
-                    refuse_expired(stats, job);
-                    continue;
-                }
-                (d - now).as_secs_f64()
-            }
-            None => f64::INFINITY,
-        };
-        let requested = job.method.tier();
-        match entry_tier(requested, remaining, &tier_costs) {
-            None => refuse_expired(stats, job),
-            Some(start) if start == requested => {
-                match groups.iter_mut().find(|(m, _)| *m == job.method) {
-                    Some((_, jobs)) => jobs.push(job),
-                    None => groups.push((job.method, vec![job])),
-                }
-            }
-            Some(start) => {
-                // Budget forces a deeper entry tier: serve individually.
-                let p = predictor.predict_checked_from(&job.query, start);
-                reply(stats, job, p);
-            }
+        if job.deadline.is_some_and(|d| d <= now) {
+            refuse_expired(stats, job);
+            continue;
+        }
+        match groups.iter_mut().find(|(m, _)| *m == job.method) {
+            Some((_, jobs)) => jobs.push(job),
+            None => groups.push((job.method, vec![job])),
         }
     }
     for (method, jobs) in groups {
@@ -255,10 +229,7 @@ fn refuse_expired(stats: &ServeStats, job: Job) {
     }));
 }
 
-fn reply(stats: &ServeStats, job: Job, mut prediction: Prediction) {
-    // A request that entered below its asked-for tier is degraded even if
-    // the chain itself never fell further.
-    prediction.degraded = prediction.method_used != job.method.tier();
+fn reply(stats: &ServeStats, job: Job, prediction: Prediction) {
     stats.record_served(
         Endpoint::of(job.method),
         prediction.method_used,

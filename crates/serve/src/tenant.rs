@@ -56,7 +56,6 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::admission::{AdmissionController, RateLimit, ShedReason, TokenBucket};
-use crate::deadline::TierCosts;
 use crate::server::{serve_batch, Job, PendingPrediction};
 use crate::stats::{ServeStats, ServeStatsSnapshot};
 
@@ -345,8 +344,6 @@ pub struct TenantServeConfig {
     pub global_rate_limit: Option<RateLimit>,
     /// Most requests a worker coalesces into one (single-tenant) batch.
     pub max_batch: usize,
-    /// Estimated per-tier service costs driving deadline degradation.
-    pub tier_costs: TierCosts,
     /// Fault injection: every worker sleeps this long before serving each
     /// batch it pops, like [`crate::ServeConfig::worker_stall`]. Zero, the
     /// default, injects nothing.
@@ -360,7 +357,6 @@ impl Default for TenantServeConfig {
             global_capacity: 1024,
             global_rate_limit: None,
             max_batch: 32,
-            tier_costs: TierCosts::default(),
             worker_stall: Duration::ZERO,
         }
     }
@@ -459,7 +455,6 @@ pub struct TenantServer {
     by_name: RwLock<HashMap<String, usize>>,
     queue: Arc<WeightedFairQueue<Job>>,
     global_admission: Mutex<AdmissionController>,
-    tier_costs: TierCosts,
     started: Instant,
     workers: Mutex<Vec<JoinHandle<()>>>,
 }
@@ -481,7 +476,6 @@ impl TenantServer {
                 config.global_rate_limit,
                 config.global_capacity,
             )),
-            tier_costs: config.tier_costs,
             started: Instant::now(),
             workers: Mutex::new(Vec::new()),
         };
@@ -495,12 +489,10 @@ impl TenantServer {
             .map(|i| {
                 let queue = Arc::clone(&queue);
                 let shards = Arc::clone(&shards);
-                let (worker_stall, tier_costs) = (config.worker_stall, config.tier_costs);
+                let worker_stall = config.worker_stall;
                 std::thread::Builder::new()
                     .name(format!("qpp-serve-{i}"))
-                    .spawn(move || {
-                        tenant_worker_loop(&queue, &shards, worker_stall, tier_costs, max_batch)
-                    })
+                    .spawn(move || tenant_worker_loop(&queue, &shards, worker_stall, max_batch))
                     .expect("spawning a serving worker")
             })
             .collect();
@@ -563,7 +555,7 @@ impl TenantServer {
             shard.stats.record_batch(n);
             let predictor = shard.registry.current();
             let cache = Arc::clone(shard.registry.pred_cache());
-            serve_batch(drained, &shard.stats, &predictor, &cache, self.tier_costs);
+            serve_batch(drained, &shard.stats, &predictor, &cache);
         }
         Ok(RemovedTenant {
             name: shard.name.clone(),
@@ -705,26 +697,22 @@ impl TenantServer {
     }
 
     /// Folds one `(prediction, observed latency)` residual into `tenant`'s
-    /// drift monitor, attributing it to the executed plan's operator types
-    /// and tripping the tenant's circuit breaker on quarantine — the
-    /// accuracy half of the feedback loop, scoped to one bulkhead.
+    /// drift monitor, tripping the tenant's circuit breaker on quarantine —
+    /// the accuracy half of the feedback loop, scoped to one bulkhead.
     pub fn observe(
         &self,
         tenant: &str,
         tier: PredictionTier,
         predicted: f64,
         observed: f64,
-        op_types: &[engine::OpType],
     ) -> Result<ModelHealth, QppError> {
         let shard = self.shard(tenant)?;
         let predictor = shard.registry.current();
-        let health = shard.monitor.lock().unwrap().ingest(
-            &predictor,
-            tier,
-            predicted,
-            observed,
-            op_types,
-        );
+        let health = shard
+            .monitor
+            .lock()
+            .unwrap()
+            .ingest(&predictor, tier, predicted, observed);
         Ok(health)
     }
 
@@ -850,11 +838,6 @@ impl TenantServer {
         Ok(self.lookup(tenant)?.1)
     }
 
-    /// The per-tier service-cost estimates this server degrades against.
-    pub fn tier_costs(&self) -> &TierCosts {
-        &self.tier_costs
-    }
-
     /// Graceful shutdown, idempotent: closes the queue (new submissions
     /// are refused and recorded as shutdown-shed), lets the workers drain
     /// every admitted request, joins them, and only then takes the final
@@ -891,7 +874,6 @@ fn tenant_worker_loop(
     queue: &WeightedFairQueue<Job>,
     shards: &RwLock<Vec<Arc<TenantShard>>>,
     worker_stall: Duration,
-    tier_costs: TierCosts,
     max_batch: usize,
 ) {
     while let Some((tenant, batch)) = queue.pop_blocking_batch(max_batch) {
@@ -911,6 +893,6 @@ fn tenant_worker_loop(
         let predictor = shard.registry.current();
         let cache = Arc::clone(shard.registry.pred_cache());
 
-        serve_batch(batch, &shard.stats, &predictor, &cache, tier_costs);
+        serve_batch(batch, &shard.stats, &predictor, &cache);
     }
 }

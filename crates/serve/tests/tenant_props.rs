@@ -6,7 +6,7 @@
 //! every submitted request is accounted shed or served, per tenant and
 //! globally, over seeded tenant-skewed arrival streams.
 
-use engine::faults::TenantLoadPattern;
+use engine::faults::one_hot_burst;
 use serve::{AdmissionController, RateLimit, TenantPushError, TokenBucket, WeightedFairQueue};
 
 const CASES: u64 = 64;
@@ -158,12 +158,7 @@ fn admission_and_quotas_reconcile_exactly() {
         let bucket_rate = rng.gen_range(1.0f64..50.0);
         let drain_every = rng.gen_range(1usize..8);
         let max_batch = rng.gen_range(1usize..8);
-        let pattern = TenantLoadPattern::OneHotBurst {
-            hot: 0,
-            burst: 32,
-            seed: seed as u64,
-        };
-        let arrivals = pattern.arrivals(tenants, n, rate);
+        let arrivals = one_hot_burst(0, 32, seed as u64, tenants, n, rate);
         assert_eq!(arrivals.len(), n);
 
         // Global capacity deliberately below the sum of quotas so the

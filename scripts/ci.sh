@@ -106,7 +106,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 # Intra-doc links rot silently when public items are deleted or made
 # private; a stale link is a warning here and therefore a failure.
 echo "==> rustdoc gate"
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p qpp-tpch -p qpp-engine -p qpp-ml -p qpp-core -p qpp-serve
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p qpp-rng -p qpp-tpch -p qpp-engine -p qpp-ml -p qpp-core -p qpp-serve -p qpp-bench
 
 # Hot-path contract: both committed bench documents must parse as
 # BENCH-v2, and a fresh kernel run must stay inside the noise band of the

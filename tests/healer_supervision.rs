@@ -20,7 +20,7 @@ use qpp::{
     QppConfig, QppError, QppPredictor, QueryDataset,
 };
 use serve::tenant::{TenantBudget, TenantServeConfig, TenantServer, TenantSpec};
-use serve::{Endpoint, HealSource, Healer, HealerConfig, TierCosts};
+use serve::{Endpoint, HealSource, Healer, HealerConfig};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -90,19 +90,25 @@ impl HealSource for FlakySource {
     }
 }
 
-/// Degraded Hybrid traffic until the tenant's monitor quarantines via
-/// the SLO pressure channel (same escalation as `tenant_isolation.rs`).
+/// Already-expired Hybrid traffic until the tenant's monitor quarantines
+/// via the SLO pressure channel (same escalation as `tenant_isolation.rs`).
 fn quarantine_via_slo(server: &TenantServer, tenant: &str, queries: &[Arc<ExecutedQuery>]) {
-    let budget = Some(Duration::from_secs(5));
+    let budget = Some(Duration::ZERO);
     for _round in 1..=20 {
         for i in 0..32 {
             let q = Arc::clone(&queries[i % queries.len()]);
-            let p = server
-                .predict(tenant, q, Method::Hybrid(qpp::PlanOrdering::ErrorBased), budget)
-                .expect("degraded predict");
-            assert!(p.degraded);
+            match server.predict(
+                tenant,
+                q,
+                Method::Hybrid(qpp::PlanOrdering::ErrorBased),
+                budget,
+            ) {
+                Err(QppError::DeadlineExceeded { .. }) => {}
+                other => panic!("a zero budget must be refused, got {other:?}"),
+            }
         }
-        let (_, health) = server.slo_tick(tenant).expect("slo tick");
+        let (window, health) = server.slo_tick(tenant).expect("slo tick");
+        assert_eq!(window.deadline_missed, 32);
         if health == ModelHealth::Quarantined {
             return;
         }
@@ -123,9 +129,6 @@ fn panicking_heal_is_caught_backed_off_and_retried_to_promotion() {
         vec![spec("analytics", &analytics), spec("reporting", &reporting)],
         TenantServeConfig {
             workers: Some(1),
-            // Hybrid "costs" 10 s against a 5 s budget: every Hybrid
-            // request degrades, pushing the SLO pressure channel.
-            tier_costs: TierCosts([10.0, 0.1, 0.01, 0.001, 0.0]),
             ..TenantServeConfig::default()
         },
     ));

@@ -5,9 +5,9 @@
 //!    the predictor directly, coalesced or not.
 //! 2. Overload is *shed at the door* (typed `Overloaded`), never absorbed
 //!    into an unbounded queue.
-//! 3. Deadlines *degrade before they refuse*: a shrinking budget walks the
-//!    tier chain in order, and only a budget that cannot afford the
-//!    training prior is answered `DeadlineExceeded`.
+//! 3. Deadlines *refuse, they do not price*: a request whose budget has
+//!    run out when a worker dequeues it is answered `DeadlineExceeded`, and
+//!    every other one is served by the tier it asked for.
 //! 4. Every submitted request is accounted exactly once:
 //!    `submitted == shed + served + deadline_missed`.
 
@@ -16,7 +16,7 @@ use qpp::{
     ExecutedQuery, Method, ModelRegistry, PlanOrdering, PredictionTier, QppConfig, QppError,
     QppPredictor, QueryDataset,
 };
-use serve::{PredictionServer, RateLimit, ServeConfig, TierCosts};
+use serve::{PredictionServer, RateLimit, ServeConfig};
 use std::sync::Arc;
 use std::time::Duration;
 use tpch::Workload;
@@ -143,45 +143,42 @@ fn burst_past_the_rate_limit_sheds_with_typed_overloaded() {
 }
 
 #[test]
-fn shrinking_deadlines_walk_the_tier_chain_in_order() {
+fn a_budgeted_request_is_served_at_its_tier_or_refused_never_degraded() {
     let ds = dataset();
     let (registry, queries) = registry_over(&ds, "deadline");
-    // Absurdly inflated tier costs make the budget→tier mapping exact:
-    // real service time (microseconds) cannot blur a decade boundary.
     let server = PredictionServer::start(
         Arc::clone(&registry),
         ServeConfig {
             workers: Some(1),
-            tier_costs: TierCosts([1.0, 0.1, 0.01, 0.001, 0.0]),
             ..ServeConfig::default()
         },
     );
-    let expectations = [
-        (Duration::from_secs(10), PredictionTier::Hybrid, false),
-        (Duration::from_millis(500), PredictionTier::OperatorLevel, true),
-        (Duration::from_millis(50), PredictionTier::PlanLevel, true),
-        (Duration::from_millis(5), PredictionTier::CostScaling, true),
-        (Duration::from_micros(500), PredictionTier::TrainingPrior, true),
-    ];
-    let q = &queries[0];
-    for (budget, want_tier, want_degraded) in expectations {
-        let got = server
-            .predict(
-                Arc::clone(q),
-                Method::Hybrid(PlanOrdering::ErrorBased),
-                Some(budget),
-            )
-            .expect("within budget");
-        assert_eq!(
-            got.method_used, want_tier,
-            "budget {budget:?} should enter at {want_tier:?}"
-        );
-        assert_eq!(got.degraded, want_degraded, "budget {budget:?}");
-        assert!(got.value.is_finite() && got.value >= 0.0);
+    // Budgets of 100-450 us: far above what a model tier costs (about a
+    // microsecond), and tight enough that a budget-priced ladder would
+    // have stepped down from Hybrid for every one of them.
+    let n = 64u64;
+    let (mut served, mut refused) = (0u64, 0u64);
+    for i in 0..n {
+        let budget = Duration::from_micros(100 + i * 350 / (n - 1));
+        match server.predict(
+            Arc::clone(&queries[i as usize % queries.len()]),
+            Method::Hybrid(PlanOrdering::ErrorBased),
+            Some(budget),
+        ) {
+            Ok(got) => {
+                assert_eq!(got.method_used, PredictionTier::Hybrid, "budget {budget:?}");
+                assert!(!got.degraded, "budget {budget:?}");
+                served += 1;
+            }
+            // A busy host can delay the dequeue past a short budget.
+            Err(QppError::DeadlineExceeded { .. }) => refused += 1,
+            Err(other) => panic!("budget {budget:?}: unexpected error {other:?}"),
+        }
     }
-    // A zero budget cannot afford anything, even the prior.
+    assert!(served >= 1, "every budgeted request was refused");
+    // A zero budget has expired before any worker sees it.
     match server.predict(
-        Arc::clone(q),
+        Arc::clone(&queries[0]),
         Method::Hybrid(PlanOrdering::ErrorBased),
         Some(Duration::ZERO),
     ) {
@@ -191,8 +188,9 @@ fn shrinking_deadlines_walk_the_tier_chain_in_order() {
         other => panic!("expected DeadlineExceeded, got {other:?}"),
     }
     let snap = server.stats();
-    assert_eq!(snap.deadline_missed, 1);
-    assert_eq!(snap.degraded, 4);
+    assert_eq!(snap.served, served);
+    assert_eq!(snap.deadline_missed, refused + 1);
+    assert_eq!(snap.degraded, 0);
     drop(server);
     let _ = std::fs::remove_dir_all(temp_dir("deadline"));
 }

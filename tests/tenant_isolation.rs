@@ -5,21 +5,24 @@
 //!    own bulkhead (typed `TenantOverloaded`) while the quiet tenant's
 //!    served p99 stays within its deadline budget and its shed count is
 //!    exactly 0 — and every request reconciles per tenant and globally.
-//! 2. Sustained degraded-tier traffic on one tenant escalates *that
+//! 2. Sustained deadline-missed traffic on one tenant escalates *that
 //!    tenant's* drift monitor to quarantine via the SLO pressure channel,
 //!    and one healing round shadow-retrains, validates, and promotes on
 //!    that tenant's registry only — the other tenant's registry version
 //!    and health never move. The escalation is bit-reproducible: two
 //!    servers over the same seeded traffic quarantine on the same round.
+//! 3. Residuals fed back through `TenantServer::observe` quarantine and
+//!    trip the breaker of one tenant only: the other tenant's health and
+//!    predictions do not move.
 
-use engine::faults::{DriftKind, DriftPlan, FaultPlan, TenantLoadPattern};
+use engine::faults::{one_hot_burst, DriftKind, DriftPlan, FaultPlan};
 use engine::{Catalog, Simulator};
 use qpp::{
     CollectionConfig, ExecutedQuery, Method, ModelHealth, ModelRegistry, PredictionTier,
     QppConfig, QppError, QppPredictor, QueryDataset,
 };
 use serve::tenant::{HealAction, TenantBudget, TenantServeConfig, TenantServer, TenantSpec};
-use serve::{Endpoint, TierCosts};
+use serve::Endpoint;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -111,8 +114,7 @@ fn one_hot_burst_sheds_the_hot_tenant_and_spares_the_quiet_one() {
 
     // Seeded one-hot skew: ~31 of every 32 arrivals belong to tenant 0.
     let names = ["hot", "quiet"];
-    let arrivals = TenantLoadPattern::OneHotBurst { hot: 0, burst: 32, seed: 9 }
-        .arrivals(2, 320, 400.0);
+    let arrivals = one_hot_burst(0, 32, 9, 2, 320, 400.0);
     let mut pending = vec![Vec::new(), Vec::new()];
     let mut submitted = [0u64; 2];
     let mut shed = [0u64; 2];
@@ -190,26 +192,34 @@ fn one_hot_burst_sheds_the_hot_tenant_and_spares_the_quiet_one() {
     let _ = std::fs::remove_dir_all(temp_dir("burst-quiet"));
 }
 
-/// Rounds of deadline-degraded traffic until the tenant's Hybrid tier
+/// Rounds of deadline-missed traffic until the tenant's Hybrid tier
 /// quarantines via the SLO pressure channel; returns the round count.
-fn degrade_until_quarantined(
+fn miss_until_quarantined(
     server: &TenantServer,
     tenant: &str,
     queries: &[Arc<ExecutedQuery>],
 ) -> usize {
-    // Inflated tier costs + a 5 s budget force every Hybrid request down
-    // to a cheaper tier: 100% degraded windows, deterministically.
-    let budget = Some(Duration::from_secs(5));
+    // A zero budget has expired before any worker dequeues the request:
+    // 100% deadline-missed windows, deterministically.
+    let budget = Some(Duration::ZERO);
     for round in 1..=20 {
         for i in 0..32 {
             let q = Arc::clone(&queries[i % queries.len()]);
-            let p = server
-                .predict(tenant, q, Method::Hybrid(qpp::PlanOrdering::ErrorBased), budget)
-                .expect("degraded predict");
-            assert!(p.degraded, "inflated Hybrid cost must force degradation");
+            match server.predict(
+                tenant,
+                q,
+                Method::Hybrid(qpp::PlanOrdering::ErrorBased),
+                budget,
+            ) {
+                Err(QppError::DeadlineExceeded { .. }) => {}
+                other => panic!("a zero budget must be refused, got {other:?}"),
+            }
         }
         let (window, health) = server.slo_tick(tenant).expect("slo tick");
-        assert_eq!(window.degraded, 32, "round {round} window miscounted");
+        assert_eq!(
+            window.deadline_missed, 32,
+            "round {round} window miscounted"
+        );
         if health == ModelHealth::Quarantined {
             return round;
         }
@@ -228,10 +238,6 @@ fn slo_pressure_quarantines_and_heals_one_tenant_without_touching_the_other() {
 
     let config = TenantServeConfig {
         workers: Some(1),
-        // Hybrid "costs" 10 s against a 5 s budget: every Hybrid request
-        // degrades, pushing the SLO pressure channel, while cheaper tiers
-        // stay affordable so nothing misses outright.
-        tier_costs: TierCosts([10.0, 0.1, 0.01, 0.001, 0.0]),
         ..TenantServeConfig::default()
     };
     let tenants = |a: &Arc<ModelRegistry>, r: &Arc<ModelRegistry>| {
@@ -245,10 +251,10 @@ fn slo_pressure_quarantines_and_heals_one_tenant_without_touching_the_other() {
     // quarantine on the same round.
     let rounds = {
         let server = TenantServer::start(tenants(&analytics, &reporting), config.clone());
-        degrade_until_quarantined(&server, "analytics", &queries)
+        miss_until_quarantined(&server, "analytics", &queries)
     };
     let server = TenantServer::start(tenants(&analytics, &reporting), config);
-    let rounds2 = degrade_until_quarantined(&server, "analytics", &queries);
+    let rounds2 = miss_until_quarantined(&server, "analytics", &queries);
     assert_eq!(rounds, rounds2, "escalation round count must replay exactly");
     assert!(server.any_quarantined("analytics").unwrap());
     assert_eq!(
@@ -312,6 +318,83 @@ fn slo_pressure_quarantines_and_heals_one_tenant_without_touching_the_other() {
     let _ = std::fs::remove_dir_all(temp_dir("heal-reporting"));
 }
 
+#[test]
+fn observed_residuals_quarantine_one_tenant_and_trip_only_its_breaker() {
+    let ds = collect(
+        &Workload::generate(&[1, 3, 6, 14], 6, 0.1, 7),
+        &quiet_sim(),
+        &DriftPlan::none(),
+    );
+    let queries: Vec<Arc<ExecutedQuery>> = ds.queries.iter().cloned().map(Arc::new).collect();
+    let drifting = registry_over(&ds, "observe-drifting");
+    let steady = registry_over(&ds, "observe-steady");
+    let server = TenantServer::start(
+        vec![
+            spec("drifting", &drifting, TenantBudget::default()),
+            spec("steady", &steady, TenantBudget::default()),
+        ],
+        TenantServeConfig {
+            workers: Some(1),
+            ..TenantServeConfig::default()
+        },
+    );
+    let hybrid = Method::Hybrid(qpp::PlanOrdering::ErrorBased);
+    let predicted = |q: &ExecutedQuery| drifting.current().predict_checked(q, hybrid).value;
+
+    // The monitor calibrates its baseline on a tier's first 16 residuals:
+    // exact ones make it zero. From then on every query takes 3x its
+    // prediction.
+    for q in queries.iter().cycle().take(16) {
+        let p = predicted(q);
+        let health = server
+            .observe("drifting", PredictionTier::Hybrid, p, p)
+            .unwrap();
+        assert_eq!(health, ModelHealth::Healthy);
+    }
+    let quarantined_after = queries
+        .iter()
+        .cycle()
+        .take(64)
+        .position(|q| {
+            let p = predicted(q);
+            server
+                .observe("drifting", PredictionTier::Hybrid, p, 3.0 * p)
+                .unwrap()
+                == ModelHealth::Quarantined
+        })
+        .expect("3x residuals never quarantined the Hybrid tier");
+    assert!(quarantined_after >= 1, "one residual cannot quarantine");
+
+    // Quarantine tripped the drifting tenant's breaker: its Hybrid
+    // requests fall through to the next tier.
+    let got = server
+        .predict("drifting", Arc::clone(&queries[0]), hybrid, None)
+        .unwrap();
+    assert!(got.degraded, "{got:?}");
+    assert_ne!(got.method_used, PredictionTier::Hybrid);
+
+    // The bulkhead: the steady tenant's monitor never moved and its
+    // answers are its own registry's, bit for bit.
+    assert_eq!(
+        server.health("steady", PredictionTier::Hybrid).unwrap(),
+        ModelHealth::Healthy
+    );
+    let direct = steady.current();
+    for q in &queries {
+        let got = server
+            .predict("steady", Arc::clone(q), hybrid, None)
+            .unwrap();
+        let want = direct.predict_checked(q, hybrid);
+        assert_eq!(got.value.to_bits(), want.value.to_bits());
+        assert_eq!(got.method_used, PredictionTier::Hybrid);
+        assert!(!got.degraded);
+    }
+
+    drop(server);
+    let _ = std::fs::remove_dir_all(temp_dir("observe-drifting"));
+    let _ = std::fs::remove_dir_all(temp_dir("observe-steady"));
+}
+
 /// DESIGN.md §9: "requests doomed to queue-shedding don't drain the rate
 /// budget". The global controller sheds on the global depth before it
 /// spends a token, and records the reason it refused for.
@@ -339,7 +422,6 @@ fn a_full_queue_refuses_without_spending_the_global_rate_budget() {
             // The one worker sleeps on every request it pops, so what is
             // submitted behind it stays queued.
             worker_stall: Duration::from_millis(250),
-            ..TenantServeConfig::default()
         },
     );
     let submit = || server.submit("t", Arc::clone(&query), Method::PlanLevel, None);
