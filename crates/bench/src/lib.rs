@@ -7,7 +7,6 @@
 #![warn(missing_docs)]
 
 pub mod paper;
-pub mod schema;
 
 use engine::{Catalog, PlanNode, Simulator};
 use ml::cv::{stratified_kfold, Fold};

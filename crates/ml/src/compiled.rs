@@ -16,7 +16,6 @@
 //!   = 8 support vectors each, feature-major within a block and
 //!   zero-padded to a whole block (padding carries a zero coefficient, so
 //!   padded lanes only ever add `+0.0` to their own accumulator),
-//! - the kernel dispatch is hoisted out of the per-support-vector loop,
 //! - scaling, the kernel expansion, the bias, and the target inverse run in
 //!   a single pass over a caller-provided scratch buffer, so a
 //!   steady-state prediction performs zero heap allocations
@@ -54,7 +53,7 @@
 
 use crate::linreg::LinearModel;
 use crate::scaler::{StandardScaler, TargetScaler};
-use crate::svr::{Kernel, SvrModel};
+use crate::svr::SvrModel;
 use crate::MlError;
 
 /// Support vectors per lane-padded SoA block.
@@ -98,7 +97,6 @@ impl PredictScratch {
 /// kernel → bias → target-inverse evaluation.
 #[derive(Debug, Clone)]
 pub struct CompiledSvr {
-    kernel: Kernel,
     gamma: f64,
     /// Lane-padded SoA blocks: `n_blocks * n_features * LANES` values.
     /// Block `b`, feature `k`, lane `l` lives at
@@ -136,7 +134,6 @@ impl CompiledSvr {
             }
         }
         CompiledSvr {
-            kernel: model.kernel,
             gamma: model.gamma,
             sv_lanes,
             coef_lanes,
@@ -206,14 +203,11 @@ impl CompiledSvr {
         let d = self.n_features;
         let mut acc = [0.0f64; LANES];
         if d == 0 {
-            // Empty kernel rows: linear dot is +0.0 (never moves a lane
-            // accumulator off +0.0); RBF is exp(-gamma·0) == 1, so each
-            // lane just sums its coefficients.
-            if matches!(self.kernel, Kernel::Rbf { .. }) {
-                for cs in self.coef_lanes.chunks_exact(LANES) {
-                    for (a, &c) in acc.iter_mut().zip(cs) {
-                        *a += c;
-                    }
+            // Empty kernel rows: exp(-gamma·0) == 1, so each lane just
+            // sums its coefficients.
+            for cs in self.coef_lanes.chunks_exact(LANES) {
+                for (a, &c) in acc.iter_mut().zip(cs) {
+                    *a += c;
                 }
             }
             return combine_tree(&acc);
@@ -222,33 +216,16 @@ impl CompiledSvr {
             .sv_lanes
             .chunks_exact(d * LANES)
             .zip(self.coef_lanes.chunks_exact(LANES));
-        match self.kernel {
-            Kernel::Linear => {
-                for (block, cs) in blocks {
-                    let mut dot = [0.0f64; LANES];
-                    for (svs, &x) in block.chunks_exact(LANES).zip(xr.iter()) {
-                        for (dl, &s) in dot.iter_mut().zip(svs) {
-                            *dl += s * x;
-                        }
-                    }
-                    for ((a, &c), &dv) in acc.iter_mut().zip(cs).zip(&dot) {
-                        *a += c * dv;
-                    }
+        for (block, cs) in blocks {
+            let mut sq = [0.0f64; LANES];
+            for (svs, &x) in block.chunks_exact(LANES).zip(xr.iter()) {
+                for (sl, &s) in sq.iter_mut().zip(svs) {
+                    let diff = s - x;
+                    *sl += diff * diff;
                 }
             }
-            Kernel::Rbf { .. } => {
-                for (block, cs) in blocks {
-                    let mut sq = [0.0f64; LANES];
-                    for (svs, &x) in block.chunks_exact(LANES).zip(xr.iter()) {
-                        for (sl, &s) in sq.iter_mut().zip(svs) {
-                            let diff = s - x;
-                            *sl += diff * diff;
-                        }
-                    }
-                    for ((a, &c), &sv) in acc.iter_mut().zip(cs).zip(&sq) {
-                        *a += c * (-self.gamma * sv).exp();
-                    }
-                }
+            for ((a, &c), &sv) in acc.iter_mut().zip(cs).zip(&sq) {
+                *a += c * (-self.gamma * sv).exp();
             }
         }
         combine_tree(&acc)
@@ -319,7 +296,7 @@ mod tests {
     use crate::svr::{Svr, SvrParams};
     use crate::TrainedModel;
 
-    fn fitted(kernel: Kernel) -> (Dataset, SvrModel) {
+    fn fitted() -> (Dataset, SvrModel) {
         let rows: Vec<Vec<f64>> = (0..40)
             .map(|i| vec![i as f64, (i % 7) as f64, (i * i % 13) as f64])
             .collect();
@@ -328,7 +305,7 @@ mod tests {
             .rows()
             .map(|r| 2.0 * r[0] + r[1] * r[2] * 0.3 + 5.0)
             .collect();
-        let m = Svr::new(SvrParams { kernel }).fit(&x, &y).unwrap();
+        let m = Svr::new(SvrParams::default()).fit(&x, &y).unwrap();
         (x, m)
     }
 
@@ -341,25 +318,23 @@ mod tests {
 
     #[test]
     fn lane_tree_stays_within_reorder_tolerance_of_reference() {
-        for kernel in [Kernel::Linear, Kernel::Rbf { gamma: 0.0 }] {
-            let (x, m) = fitted(kernel);
-            let c = CompiledSvr::compile(&m);
-            let mut scratch = PredictScratch::new();
-            for row in probe_rows(&x) {
-                let reference = m.predict(&row);
-                let compiled = c.predict_into(&row, &mut scratch);
-                let tol = 1e-12 * (1.0 + m.sum_magnitude(&row));
-                assert!(
-                    (reference - compiled).abs() <= tol,
-                    "|{reference} - {compiled}| > {tol}"
-                );
-            }
+        let (x, m) = fitted();
+        let c = CompiledSvr::compile(&m);
+        let mut scratch = PredictScratch::new();
+        for row in probe_rows(&x) {
+            let reference = m.predict(&row);
+            let compiled = c.predict_into(&row, &mut scratch);
+            let tol = 1e-12 * (1.0 + m.sum_magnitude(&row));
+            assert!(
+                (reference - compiled).abs() <= tol,
+                "|{reference} - {compiled}| > {tol}"
+            );
         }
     }
 
     #[test]
     fn zero_coefficient_support_vectors_are_pruned_without_changing_bits() {
-        let (x, clean) = fitted(Kernel::Rbf { gamma: 0.0 });
+        let (x, clean) = fitted();
         let mut scratch = PredictScratch::new();
         let cc = CompiledSvr::compile(&clean);
         let before: Vec<u64> = x
@@ -385,30 +360,27 @@ mod tests {
 
     #[test]
     fn batch_matches_single_row_bits_for_all_tail_shapes() {
-        for kernel in [Kernel::Linear, Kernel::Rbf { gamma: 0.0 }] {
-            let (x, m) = fitted(kernel);
-            let c = CompiledSvr::compile(&m);
-            let rows = probe_rows(&x);
-            let mut scratch = PredictScratch::new();
-            let expect: Vec<u64> = rows
-                .iter()
-                .map(|r| c.predict_into(r, &mut scratch).to_bits())
-                .collect();
-            // Empty, short and full batches; the full set checks input
-            // order.
-            let mut out = vec![f64::NAN];
-            for n in (0..=9).chain([rows.len()]) {
-                let slice: Vec<&[f64]> = rows[..n].iter().map(Vec::as_slice).collect();
-                c.predict_batch_into(&slice, &mut out, &mut scratch);
-                let got: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(got, expect[..n], "batch length {n}");
-            }
+        let (x, m) = fitted();
+        let c = CompiledSvr::compile(&m);
+        let rows = probe_rows(&x);
+        let mut scratch = PredictScratch::new();
+        let expect: Vec<u64> = rows
+            .iter()
+            .map(|r| c.predict_into(r, &mut scratch).to_bits())
+            .collect();
+        // Empty, short and full batches; the full set checks input order.
+        let mut out = vec![f64::NAN];
+        for n in (0..=9).chain([rows.len()]) {
+            let slice: Vec<&[f64]> = rows[..n].iter().map(Vec::as_slice).collect();
+            c.predict_batch_into(&slice, &mut out, &mut scratch);
+            let got: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, expect[..n], "batch length {n}");
         }
     }
 
     #[test]
     fn checked_prediction_reports_shape_mismatch() {
-        let (_, m) = fitted(Kernel::Linear);
+        let (_, m) = fitted();
         let c = m.compile();
         let mut scratch = PredictScratch::new();
         assert!(matches!(
@@ -423,7 +395,7 @@ mod tests {
 
     #[test]
     fn trained_model_compile_dispatches_both_variants() {
-        let (x, m) = fitted(Kernel::Linear);
+        let (x, m) = fitted();
         let c = m.compile();
         let tm = TrainedModel::Svr(m);
         let cm = tm.compile();

@@ -10,8 +10,8 @@
 //! behind one matrix per thread however many it built.
 //!
 //! A returned buffer still holds the last matrix and a copy of the scaled
-//! rows it was built from. A fit whose rows, kernel and resolved gamma
-//! equal that copy **bit for bit** takes the matrix as it is (the start-
+//! rows it was built from. A fit whose rows and resolved gamma equal that
+//! copy **bit for bit** takes the matrix as it is (the start-
 //! and run-time heads of a sub-plan model train on one feature matrix,
 //! and stratified folds can standardise a per-template constant to the
 //! same column); nothing is ever handed back on a hash, so no two
@@ -29,7 +29,6 @@
 
 use crate::dataset::Dataset;
 use crate::svr::Kernel;
-use std::mem::{discriminant, Discriminant};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
@@ -42,9 +41,9 @@ pub struct GramCacheStats {
     pub misses: usize,
 }
 
-/// What decides a Gram matrix besides the cells: rows, columns, kernel
-/// family, and the resolved gamma's bits.
-type Shape = (usize, usize, Discriminant<Kernel>, u64);
+/// What decides a Gram matrix besides the cells: rows, columns and the
+/// resolved gamma's bits.
+type Shape = (usize, usize, u64);
 
 /// A Gram matrix and the exact input it was built from.
 struct Built {
@@ -112,13 +111,12 @@ impl GramCache {
         self.idle.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Leases the Gram matrix of `xs` under `kernel` with the resolved
-    /// `gamma`: an idle matrix built from exactly this input if there is
-    /// one, else [`compute_gram_blocked`] into the most recently returned
-    /// buffer.
-    pub fn gram(&self, xs: &Dataset, kernel: Kernel, gamma: f64) -> GramLease<'_> {
-        let (l, kind) = (xs.n_rows(), discriminant(&kernel));
-        let shape = (l, xs.n_cols(), kind, gamma.to_bits());
+    /// Leases the RBF Gram matrix of `xs` with the resolved `gamma`: an
+    /// idle matrix built from exactly this input if there is one, else
+    /// [`compute_gram_blocked`] into the most recently returned buffer.
+    pub fn gram(&self, xs: &Dataset, gamma: f64) -> GramLease<'_> {
+        let l = xs.n_rows();
+        let shape = (l, xs.n_cols(), gamma.to_bits());
         let recycled = {
             let mut idle = self.idle();
             if let Some(at) = idle.iter().rposition(|b| b.is_of(xs, shape)) {
@@ -134,7 +132,7 @@ impl GramCache {
         // The build writes every entry, so what the buffer held is not
         // cleared first.
         k.resize(l * l, 0.0);
-        fill_gram_blocked(xs, kernel, gamma, &mut k);
+        fill_gram_blocked(xs, gamma, &mut k);
         self.lease(Built { cells, shape, k })
     }
 
@@ -208,36 +206,17 @@ fn pack_soa(xs: &Dataset) -> Vec<f64> {
 /// Evaluates 8 kernel values `K(row, block-lane)` with one ascending-`k`
 /// accumulation per lane — the exact fold order of `Kernel::eval`, so
 /// each lane's value is bit-identical to a direct per-pair evaluation.
-fn gram_block_eval(
-    ri: &[f64],
-    block: &[f64],
-    kernel: Kernel,
-    gamma: f64,
-    out: &mut [f64; GRAM_LANES],
-) {
+fn gram_block_eval(ri: &[f64], block: &[f64], gamma: f64, out: &mut [f64; GRAM_LANES]) {
     let mut acc = [0.0f64; GRAM_LANES];
-    match kernel {
-        Kernel::Linear => {
-            for (kf, &x) in ri.iter().enumerate() {
-                let col = &block[kf * GRAM_LANES..(kf + 1) * GRAM_LANES];
-                for lane in 0..GRAM_LANES {
-                    acc[lane] += x * col[lane];
-                }
-            }
-            *out = acc;
+    for (kf, &x) in ri.iter().enumerate() {
+        let col = &block[kf * GRAM_LANES..(kf + 1) * GRAM_LANES];
+        for lane in 0..GRAM_LANES {
+            let diff = x - col[lane];
+            acc[lane] += diff * diff;
         }
-        Kernel::Rbf { .. } => {
-            for (kf, &x) in ri.iter().enumerate() {
-                let col = &block[kf * GRAM_LANES..(kf + 1) * GRAM_LANES];
-                for lane in 0..GRAM_LANES {
-                    let diff = x - col[lane];
-                    acc[lane] += diff * diff;
-                }
-            }
-            for lane in 0..GRAM_LANES {
-                out[lane] = (-gamma * acc[lane]).exp();
-            }
-        }
+    }
+    for lane in 0..GRAM_LANES {
+        out[lane] = (-gamma * acc[lane]).exp();
     }
 }
 
@@ -250,7 +229,6 @@ fn gram_block_eval(
 fn tile_rows_lower(
     xs: &Dataset,
     soa: &[f64],
-    kernel: Kernel,
     gamma: f64,
     rows: std::ops::Range<usize>,
     slab: &mut [f64],
@@ -265,7 +243,7 @@ fn tile_rows_lower(
         let block = &soa[b * d * GRAM_LANES..(b + 1) * d * GRAM_LANES];
         // Rows above the block's first column don't need it (j ≤ i).
         for i in r0.max(j0)..r1 {
-            gram_block_eval(xs.row(i), block, kernel, gamma, &mut out);
+            gram_block_eval(xs.row(i), block, gamma, &mut out);
             let row_off = (i - r0) * l;
             let j_end = (j0 + GRAM_LANES).min(i + 1);
             for (lane, j) in (j0..j_end).enumerate() {
@@ -283,16 +261,18 @@ fn tile_rows_lower(
 /// the fits around it are what fan out (DESIGN.md §7).
 ///
 /// Every entry is produced by the same ascending-`k` fold as
-/// `Kernel::eval`, making this bit-identical to [`compute_gram`].
-pub fn compute_gram_blocked(xs: &Dataset, kernel: Kernel, gamma: f64) -> Vec<f64> {
+/// `Kernel::eval`, making this bit-identical to [`compute_gram`], whose
+/// signature it shares. `Kernel` has one family, RBF, so the matrix
+/// depends on the resolved `gamma` alone.
+pub fn compute_gram_blocked(xs: &Dataset, _kernel: Kernel, gamma: f64) -> Vec<f64> {
     let mut k = vec![0.0f64; xs.n_rows() * xs.n_rows()];
-    fill_gram_blocked(xs, kernel, gamma, &mut k);
+    fill_gram_blocked(xs, gamma, &mut k);
     k
 }
 
 /// [`compute_gram_blocked`] into a caller-supplied `l × l` buffer, every
 /// entry of which is overwritten.
-fn fill_gram_blocked(xs: &Dataset, kernel: Kernel, gamma: f64, k: &mut [f64]) {
+fn fill_gram_blocked(xs: &Dataset, gamma: f64, k: &mut [f64]) {
     let l = xs.n_rows();
     assert_eq!(k.len(), l * l, "Gram buffer is not {l} x {l}");
     if l == 0 {
@@ -302,7 +282,7 @@ fn fill_gram_blocked(xs: &Dataset, kernel: Kernel, gamma: f64, k: &mut [f64]) {
     for (t, slab) in k.chunks_mut(TILE_ROWS * l).enumerate() {
         let r0 = t * TILE_ROWS;
         let rows = r0..r0 + slab.len() / l;
-        tile_rows_lower(xs, &soa, kernel, gamma, rows, slab);
+        tile_rows_lower(xs, &soa, gamma, rows, slab);
     }
     // Mirror the strict upper triangle from the lower one, `MIR`-square
     // tiles at a time so both the reads and the transposed writes stay
@@ -340,57 +320,49 @@ mod tests {
         }
     }
 
+    const RBF: Kernel = Kernel::Rbf { gamma: 0.0 };
+
     #[test]
     fn equal_input_is_a_hit_on_the_returned_buffer() {
         let cache = GramCache::new();
         let xs = toy();
-        let rbf = Kernel::Rbf { gamma: 0.5 };
-        let first = cache.gram(&xs, rbf, 0.5);
+        let first = cache.gram(&xs, 0.5);
         let at = first.as_ptr();
         // While the first fit holds its matrix there is nothing to reuse.
-        let concurrent = cache.gram(&xs, rbf, 0.5);
+        let concurrent = cache.gram(&xs, 0.5);
         assert_ne!(concurrent.as_ptr(), at);
         assert_eq!(cache.stats(), GramCacheStats { hits: 0, misses: 2 });
         drop(concurrent);
         drop(first);
-        let again = cache.gram(&xs, rbf, 0.5);
+        let again = cache.gram(&xs, 0.5);
         assert_eq!(again.as_ptr(), at);
         assert_eq!(cache.stats(), GramCacheStats { hits: 1, misses: 2 });
-        assert_bits_eq(&again, &compute_gram(&xs, rbf, 0.5), "hit");
+        assert_bits_eq(&again, &compute_gram(&xs, RBF, 0.5), "hit");
     }
 
     #[test]
-    fn another_kernel_gamma_or_shape_rebuilds_into_the_same_buffer() {
+    fn another_gamma_or_shape_rebuilds_into_the_same_buffer() {
         let cache = GramCache::new();
         let xs = toy();
-        let at = cache.gram(&xs, Kernel::Rbf { gamma: 0.5 }, 0.5).as_ptr();
+        let at = cache.gram(&xs, 0.5).as_ptr();
         let fewer_rows = xs.select_rows(&[0, 1, 2, 3, 4]);
         // A zero-column dataset has no cells to tell two row counts apart.
         let no_cols = Dataset::from_rows(vec![vec![]; 8]);
         let cases = [
-            (&xs, Kernel::Linear, 0.0),
-            (&xs, Kernel::Rbf { gamma: 0.25 }, 0.25),
-            (&fewer_rows, Kernel::Rbf { gamma: 0.25 }, 0.25),
-            (&xs, Kernel::Rbf { gamma: 0.5 }, 0.5),
-            (&no_cols, Kernel::Rbf { gamma: 0.5 }, 0.5),
-            (
-                &no_cols.select_rows(&[0, 1]),
-                Kernel::Rbf { gamma: 0.5 },
-                0.5,
-            ),
+            (&xs, 0.25),
+            (&fewer_rows, 0.25),
+            (&xs, 0.5),
+            (&no_cols, 0.5),
+            (&no_cols.select_rows(&[0, 1]), 0.5),
         ];
-        for (case, (data, kernel, gamma)) in cases.into_iter().enumerate() {
-            let k = cache.gram(data, kernel, gamma);
-            assert_bits_eq(
-                &k,
-                &compute_gram(data, kernel, gamma),
-                &format!("case {case}"),
-            );
+        for (case, (data, gamma)) in cases.into_iter().enumerate() {
+            let k = cache.gram(data, gamma);
+            assert_bits_eq(&k, &compute_gram(data, RBF, gamma), &format!("case {case}"));
             if k.len() == 64 {
                 assert_eq!(k.as_ptr(), at, "case {case} did not recycle the buffer");
             }
         }
-        assert_eq!(cache.stats(), GramCacheStats { hits: 0, misses: 7 });
+        assert_eq!(cache.stats(), GramCacheStats { hits: 0, misses: 6 });
     }
 
     /// The hazard of the hash-keyed cache this one replaced: FNV over whole
@@ -409,38 +381,37 @@ mod tests {
         let two_cells = flip(&[(1, 0), (5, 1)]);
         let column: Vec<(usize, usize)> = (0..xs.n_rows()).map(|i| (i, 0)).collect();
         let negated_column = flip(&column);
-        for (kernel, gamma) in [(Kernel::Linear, 0.0), (Kernel::Rbf { gamma: 0.05 }, 0.05)] {
-            let cache = GramCache::new();
-            let want = compute_gram(&xs, kernel, gamma);
-            assert_ne!(want, compute_gram(&two_cells, kernel, gamma));
-            for round in 0..2 {
-                for (name, data) in [
-                    ("original", &xs),
-                    ("two cells", &two_cells),
-                    ("negated column", &negated_column),
-                ] {
-                    assert_bits_eq(
-                        &cache.gram(data, kernel, gamma),
-                        &compute_gram(data, kernel, gamma),
-                        &format!("{kernel:?} {name}, round {round}"),
-                    );
-                }
+        let gamma = 0.05;
+        let cache = GramCache::new();
+        let want = compute_gram(&xs, RBF, gamma);
+        assert_ne!(want, compute_gram(&two_cells, RBF, gamma));
+        for round in 0..2 {
+            for (name, data) in [
+                ("original", &xs),
+                ("two cells", &two_cells),
+                ("negated column", &negated_column),
+            ] {
+                assert_bits_eq(
+                    &cache.gram(data, gamma),
+                    &compute_gram(data, RBF, gamma),
+                    &format!("{name}, round {round}"),
+                );
             }
-            assert_eq!(cache.stats(), GramCacheStats { hits: 0, misses: 6 });
         }
+        assert_eq!(cache.stats(), GramCacheStats { hits: 0, misses: 6 });
     }
 
     #[test]
     fn clear_frees_the_idle_buffers_and_resets_the_counters() {
         let cache = GramCache::new();
         let xs = toy();
-        drop(cache.gram(&xs, Kernel::Linear, 0.0));
+        drop(cache.gram(&xs, 0.5));
         assert_eq!(cache.idle().len(), 1);
         cache.clear();
         assert!(cache.idle().is_empty());
         assert_eq!(cache.stats(), GramCacheStats::default());
         // The matrix that was kept is gone with it.
-        drop(cache.gram(&xs, Kernel::Linear, 0.0));
+        drop(cache.gram(&xs, 0.5));
         assert_eq!(cache.stats(), GramCacheStats { hits: 0, misses: 1 });
     }
 
@@ -450,8 +421,8 @@ mod tests {
         let xs = toy();
         for round in 0..10 {
             let gamma = 0.1 + round as f64;
-            let a = cache.gram(&xs, Kernel::Rbf { gamma }, gamma);
-            let b = cache.gram(&xs, Kernel::Linear, gamma);
+            let a = cache.gram(&xs, gamma);
+            let b = cache.gram(&xs, gamma);
             drop((a, b));
             assert_eq!(cache.idle().len(), 2, "round {round}");
         }
@@ -461,12 +432,18 @@ mod tests {
     fn gram_matrix_is_symmetric_and_correct() {
         let xs = toy();
         let l = xs.n_rows();
-        let k = compute_gram(&xs, Kernel::Linear, 0.0);
+        let gamma = 0.05;
+        let k = compute_gram(&xs, RBF, gamma);
         for i in 0..l {
             for j in 0..l {
-                let want: f64 = xs.row(i).iter().zip(xs.row(j)).map(|(a, b)| a * b).sum();
+                let sq: f64 = xs
+                    .row(i)
+                    .iter()
+                    .zip(xs.row(j))
+                    .map(|(a, b)| (a - b) * (a - b))
+                    .sum();
                 assert_eq!(k[i * l + j].to_bits(), k[j * l + i].to_bits());
-                assert!((k[i * l + j] - want).abs() < 1e-12);
+                assert!((k[i * l + j] - (-gamma * sq).exp()).abs() < 1e-12);
             }
         }
     }
@@ -476,15 +453,17 @@ mod tests {
         // Shapes straddling the lane width and the tile height.
         for (l, d) in [(1, 1), (3, 2), (7, 5), (8, 8), (9, 3), (20, 17), (70, 4)] {
             let rows: Vec<Vec<f64>> = (0..l)
-                .map(|i| (0..d).map(|j| ((i * 31 + j * 7) as f64 * 0.73).sin()).collect())
+                .map(|i| {
+                    (0..d)
+                        .map(|j| ((i * 31 + j * 7) as f64 * 0.73).sin())
+                        .collect()
+                })
                 .collect();
             let xs = Dataset::from_rows(rows);
-            for (kernel, gamma) in [(Kernel::Linear, 0.0), (Kernel::Rbf { gamma: 0.4 }, 0.4)] {
-                let direct = compute_gram(&xs, kernel, gamma);
-                let blocked = compute_gram_blocked(&xs, kernel, gamma);
-                for (a, b) in direct.iter().zip(&blocked) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "l={l} d={d} {kernel:?}");
-                }
+            let direct = compute_gram(&xs, RBF, 0.4);
+            let blocked = compute_gram_blocked(&xs, RBF, 0.4);
+            for (a, b) in direct.iter().zip(&blocked) {
+                assert_eq!(a.to_bits(), b.to_bits(), "l={l} d={d}");
             }
         }
     }

@@ -206,8 +206,8 @@ static FORCE_SCALAR_OVERRIDE: AtomicBool = AtomicBool::new(false);
 /// Routes the SMO gradient update and the two working-set scans down
 /// their scalar paths when `on` is true; `set_force_scalar(false)`
 /// restores normal dispatch. Both paths are bit-identical, so flipping
-/// this never changes results — it exists so benchmarks and identity
-/// tests can time or compare both implementations inside one process.
+/// this never changes results — it exists so identity tests can compare
+/// both implementations inside one process.
 pub fn set_force_scalar(on: bool) {
     FORCE_SCALAR_OVERRIDE.store(on, Ordering::Relaxed);
 }
@@ -901,5 +901,13 @@ mod tests {
         let scalar = scan_violating(&a, &g, 1.0, false);
         set_force_scalar(false);
         assert_eq!(scan_violating(&a, &g, 1.0, false), scalar);
+        // Without the override the twins run wherever they are compiled in
+        // and the host has AVX2: a build or dispatch change that silently
+        // leaves the scalar loops running fails here.
+        #[cfg(target_arch = "x86_64")]
+        assert_eq!(
+            simd_enabled(),
+            cfg!(not(feature = "force-scalar")) && std::arch::is_x86_feature_detected!("avx2")
+        );
     }
 }

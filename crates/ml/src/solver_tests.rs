@@ -42,19 +42,19 @@ fn training_set(l: usize, d: usize, seed: u64) -> (Dataset, Vec<f64>) {
     (Dataset::from_rows(rows), y)
 }
 
-/// The `smo_vector_props` seed grid: shapes × seeds × kernels.
-fn grid() -> Vec<(Dataset, Vec<f64>, Kernel)> {
+/// The `smo_vector_props` seed grid: shapes × seeds.
+fn grid() -> Vec<(Dataset, Vec<f64>)> {
     let mut cases = Vec::new();
     for &(l, d) in &[(12usize, 2usize), (30, 3), (65, 1), (90, 4)] {
         for seed in 0..2u64 {
-            for kernel in [Kernel::Linear, Kernel::Rbf { gamma: 0.0 }] {
-                let (x, y) = training_set(l, d, seed);
-                cases.push((x, y, kernel));
-            }
+            cases.push(training_set(l, d, seed));
         }
     }
     cases
 }
+
+/// The kernel every fit uses: RBF at the default width.
+const RBF: Kernel = Kernel::Rbf { gamma: 0.0 };
 
 /// `K (a_up - a_down)`: the kernel expansion at every training row.
 fn expansion(a: &[f64], k: &[f64]) -> Vec<f64> {
@@ -160,27 +160,20 @@ fn assert_same_optimum(what: &str, tol: f64, first: &Measured, second: &Measured
 
 #[test]
 fn epsilon_solver_reaches_the_first_order_optimum_in_no_more_steps() {
-    for (x, y, kernel) in grid() {
-        let pre = Prepared::new(&x, &y, kernel);
-        let k = crate::gram::GramCache::global().gram(&pre.xs, kernel, pre.gamma);
+    for (x, y) in grid() {
+        let pre = Prepared::new(&x, &y, RBF);
+        let k = crate::gram::GramCache::global().gram(&pre.xs, pre.gamma);
         let p = linear_term(&pre.ys, EPSILON);
         let solve = |first_order: bool| {
             let out = if first_order {
-                smo_solve(&pre.xs, &pre.ys, kernel, pre.gamma, MAX_ITER, first_order_j)
+                smo_solve(&pre.xs, &pre.ys, pre.gamma, MAX_ITER, first_order_j)
             } else {
-                smo_solve(
-                    &pre.xs,
-                    &pre.ys,
-                    kernel,
-                    pre.gamma,
-                    MAX_ITER,
-                    second_order_j,
-                )
+                smo_solve(&pre.xs, &pre.ys, pre.gamma, MAX_ITER, second_order_j)
             };
             assert!(out.converged());
             measure(&out, &k, &p, C)
         };
-        let what = format!("epsilon-SVR {kernel:?} {}x{}", x.n_rows(), x.n_cols());
+        let what = format!("epsilon-SVR {}x{}", x.n_rows(), x.n_cols());
         let (first, second) = (solve(true), solve(false));
         assert_same_optimum(&what, TOL, &first, &second);
         assert!(
@@ -195,7 +188,7 @@ fn epsilon_solver_reaches_the_first_order_optimum_in_no_more_steps() {
 #[test]
 fn a_stall_far_from_kkt_is_not_convergence() {
     let (x, y) = training_set(12, 2, 0);
-    let pre = Prepared::new(&x, &y, Kernel::Linear);
+    let pre = Prepared::new(&x, &y, RBF);
     let stalled = |gap: f64| SmoOutcome {
         a: vec![0.0; 24],
         bias: 0.0,
@@ -207,7 +200,7 @@ fn a_stall_far_from_kkt_is_not_convergence() {
     let far = stalled(STALL_SLACK * TOL);
     assert!(!far.converged());
     // ... which `fit` reports as the error the ridge fallback catches.
-    let err = far.into_model(Kernel::Linear, pre).unwrap_err();
+    let err = far.into_model(RBF, pre).unwrap_err();
     assert_eq!(err, MlError::DidNotConverge { iterations: 7 });
 }
 
@@ -237,12 +230,11 @@ where
     R: Fn(&crate::svr::DualState<'_>, &crate::linalg::ScanResult, &mut [f64]) -> usize + Sync,
 {
     fn fit(&self, x: &Dataset, y: &[f64]) -> Result<TrainedModel, MlError> {
-        let kernel = crate::SvrParams::default().kernel;
-        let pre = Prepared::new(x, y, kernel);
-        let out = smo_solve(&pre.xs, &pre.ys, kernel, pre.gamma, MAX_ITER, &self.rule);
+        let pre = Prepared::new(x, y, RBF);
+        let out = smo_solve(&pre.xs, &pre.ys, pre.gamma, MAX_ITER, &self.rule);
         self.fits.fetch_add(1, Ordering::Relaxed);
         self.iterations.fetch_add(out.iterations, Ordering::Relaxed);
-        out.into_model(kernel, pre).map(TrainedModel::Svr)
+        out.into_model(RBF, pre).map(TrainedModel::Svr)
     }
 }
 

@@ -20,11 +20,11 @@ use crate::linalg::{scan_second_order, scan_violating, second_order_quad, ScanRe
 use crate::scaler::{StandardScaler, TargetScaler};
 use crate::MlError;
 
-/// Kernel functions for SVR.
+/// The SVR kernel. Every model this workspace trains is RBF ε-SVR, so
+/// there is one family; snapshots still carry its tag (1) so a model
+/// written under another kernel is refused rather than misread.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Kernel {
-    /// Dot-product kernel (linear SVR).
-    Linear,
     /// Radial basis function `exp(-gamma * ||a - b||^2)`.
     Rbf {
         /// Bandwidth; `gamma <= 0` selects `1 / n_features` at fit time.
@@ -34,41 +34,27 @@ pub enum Kernel {
 
 impl Kernel {
     fn encode(&self, out: &mut Vec<u8>) {
-        match *self {
-            Kernel::Linear => out.push(0),
-            Kernel::Rbf { gamma } => {
-                out.push(1);
-                put_f64(out, gamma);
-            }
-        }
+        let Kernel::Rbf { gamma } = *self;
+        out.push(1);
+        put_f64(out, gamma);
     }
 
     fn decode(r: &mut Reader) -> Result<Kernel, Malformed> {
         match r.u8()? {
-            0 => Ok(Kernel::Linear),
             1 => Ok(Kernel::Rbf { gamma: r.f64()? }),
             _ => Err(Malformed("unknown kernel tag")),
         }
     }
 
+    /// The squared distance is a left-to-right sum started at +0.0, the
+    /// fold order of the blocked Gram kernel, so the two agree bit for bit.
     pub(crate) fn eval(&self, a: &[f64], b: &[f64], resolved_gamma: f64) -> f64 {
-        match self {
-            Kernel::Linear => sum_over_pairs(a, b, |x, y| x * y),
-            Kernel::Rbf { .. } => {
-                let sq = sum_over_pairs(a, b, |x, y| (x - y) * (x - y));
-                (-resolved_gamma * sq).exp()
-            }
-        }
+        let sq = a
+            .iter()
+            .zip(b)
+            .fold(0.0, |acc, (&x, &y)| acc + (x - y) * (x - y));
+        (-resolved_gamma * sq).exp()
     }
-}
-
-/// Left-to-right sum of `term` over the paired cells, started at +0.0 as
-/// the accumulators of the blocked Gram kernel are. `Sum` starts at -0.0,
-/// so a sum of nothing but -0.0 terms (or of no terms) would differ from
-/// `gram::compute_gram_blocked` in the sign of its zero; any other sum is
-/// the same either way.
-fn sum_over_pairs(a: &[f64], b: &[f64], term: impl Fn(f64, f64) -> f64) -> f64 {
-    a.iter().zip(b).fold(0.0, |acc, (&x, &y)| acc + term(x, y))
 }
 
 /// Box constraint (regularization/cost); larger fits harder.
@@ -131,15 +117,7 @@ impl Svr {
         check_finite(x, y)?;
         let kernel = self.params.kernel;
         let pre = Prepared::new(x, y, kernel);
-        smo_solve(
-            &pre.xs,
-            &pre.ys,
-            kernel,
-            pre.gamma,
-            max_iter,
-            second_order_j,
-        )
-        .into_model(kernel, pre)
+        smo_solve(&pre.xs, &pre.ys, pre.gamma, max_iter, second_order_j).into_model(kernel, pre)
     }
 }
 
@@ -150,7 +128,7 @@ pub(crate) struct Prepared {
     pub ys: Vec<f64>,
     pub x_scaler: StandardScaler,
     pub y_scaler: TargetScaler,
-    /// `gamma <= 0` resolved to `1 / n_features`; 0 for the linear kernel.
+    /// `gamma <= 0` resolved to `1 / n_features`.
     pub gamma: f64,
 }
 
@@ -158,15 +136,16 @@ impl Prepared {
     pub fn new(x: &Dataset, y: &[f64], kernel: Kernel) -> Prepared {
         let x_scaler = StandardScaler::fit(x);
         let y_scaler = TargetScaler::fit(y);
+        let Kernel::Rbf { gamma } = kernel;
         Prepared {
             xs: x_scaler.transform(x),
             ys: y_scaler.transform(y),
             x_scaler,
             y_scaler,
-            gamma: match kernel {
-                Kernel::Rbf { gamma } if gamma > 0.0 => gamma,
-                Kernel::Rbf { .. } => 1.0 / x.n_cols().max(1) as f64,
-                Kernel::Linear => 0.0,
+            gamma: if gamma > 0.0 {
+                gamma
+            } else {
+                1.0 / x.n_cols().max(1) as f64
             },
         }
     }
@@ -324,7 +303,6 @@ pub(crate) fn first_order_j(_st: &DualState<'_>, sel: &ScanResult, _quad: &mut [
 pub(crate) fn smo_solve(
     xs: &Dataset,
     ys: &[f64],
-    kernel: Kernel,
     gamma: f64,
     max_iter: usize,
     pick_j: impl Fn(&DualState<'_>, &ScanResult, &mut [f64]) -> usize,
@@ -335,7 +313,7 @@ pub(crate) fn smo_solve(
 
     // Dense kernel matrix; training sets are small (<= a few thousand rows).
     // Leased for this solve: the buffer goes back when the solve returns.
-    let k_lease = crate::gram::GramCache::global().gram(xs, kernel, gamma);
+    let k_lease = crate::gram::GramCache::global().gram(xs, gamma);
     let k: &[f64] = &k_lease;
     let kij = |i: usize, j: usize| k[i * l + j];
     let sign = |t: usize| if t < l { 1.0 } else { -1.0 };
@@ -707,21 +685,6 @@ mod tests {
     }
 
     #[test]
-    fn linear_kernel_fits_linear_function() {
-        let (x, y) = grid_2d();
-        let m = Svr::new(SvrParams {
-            kernel: Kernel::Linear,
-        })
-        .fit(&x, &y)
-        .unwrap();
-        let preds: Vec<f64> = x.rows().map(|r| m.predict(r)).collect();
-        assert!(mean_relative_error(&y, &preds) < 0.05);
-        // Extrapolation is linear too.
-        let p = m.predict(&[12.0, 12.0]);
-        assert!((p - 70.0).abs() / 70.0 < 0.15, "extrapolated {p}");
-    }
-
-    #[test]
     fn rbf_kernel_fits_smooth_nonlinear_function() {
         let mut rows = Vec::new();
         for i in 0..60 {
@@ -780,6 +743,16 @@ mod tests {
         // A torn write stops at a bounds check, not at an index.
         for cut in [0, 1, bytes.len() / 2, bytes.len() - 1] {
             assert!(SvrModel::decode(&mut Reader::new(&bytes[..cut])).is_err());
+        }
+        // RBF is tag 1; every other tag is refused.
+        assert_eq!(bytes[0], 1);
+        for tag in [0, 2] {
+            let mut other = bytes.clone();
+            other[0] = tag;
+            assert!(matches!(
+                SvrModel::decode(&mut Reader::new(&other)),
+                Err(Malformed("unknown kernel tag"))
+            ));
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Property tests for the compiled inference path's numeric contracts.
 //!
-//! For any fitted SVR — across kernels, gamma, dimensionality, and
-//! support-vector counts:
+//! For any fitted SVR — across gamma, dimensionality, and support-vector
+//! counts:
 //!
 //! - batches equal a serial compiled loop bit for bit, in input order
 //!   (hand-built shapes are swept in `tests/simd_props.rs`),
@@ -20,14 +20,10 @@ fn compiled_contracts_hold_for_fitted_models() {
         let rows: Vec<Vec<f64>> = (0..rng.gen_range(6usize..24))
             .map(|_| (0..n_cols).map(|_| rng.gen_range(-10.0f64..10.0)).collect())
             .collect();
-        let gamma = rng.gen_range(0.01f64..2.0);
-        let linear = rng.gen_bool(0.5);
-        let probe_scale = rng.gen_range(1.0f64..50.0);
-        let kernel = if linear {
-            Kernel::Linear
-        } else {
-            Kernel::Rbf { gamma }
+        let kernel = Kernel::Rbf {
+            gamma: rng.gen_range(0.01f64..2.0),
         };
+        let probe_scale = rng.gen_range(1.0f64..50.0);
         // A mildly nonlinear target so the fit keeps plenty of SVs.
         let y: Vec<f64> = rows
             .iter()

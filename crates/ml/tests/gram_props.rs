@@ -3,8 +3,8 @@
 //! Whatever sequence of fits went before, the matrix a solver reads must
 //! be exactly — `f64::to_bits` — the one `compute_gram` gives for *its*
 //! rows, symmetric; every look-up is counted as a hit or as a miss; and a
-//! hit happens only when the rows, kernel and gamma equal those of the
-//! matrix left behind, bit for bit. The pool of datasets a sequence draws
+//! hit happens only when the rows and gamma equal those of the matrix left
+//! behind, bit for bit. The pool of datasets a sequence draws
 //! from is built to collide under anything weaker than a full comparison:
 //! an equal copy, the same rows with two signs flipped (which the FNV key
 //! of the cache this replaced could not tell apart), with one column
@@ -21,8 +21,8 @@ const GAMMAS: [f64; 2] = [0.3, 1.1];
 /// Datasets of one look-up sequence.
 const POOL: usize = 6;
 
-/// One look-up: which dataset of the pool, linear or RBF, which gamma.
-type Lookup = (usize, bool, usize);
+/// One look-up: which dataset of the pool, which gamma.
+type Lookup = (usize, usize);
 
 fn with_cells(base: &Dataset, edit: impl Fn(usize, usize, f64) -> f64) -> Dataset {
     let rows = base.rows().enumerate();
@@ -67,9 +67,9 @@ fn pool(l: usize, d: usize, seed: u64) -> [Dataset; POOL] {
 }
 
 /// Everything that decides a Gram matrix, as bits.
-fn content(xs: &Dataset, linear: bool, gamma: f64) -> (Vec<u64>, usize, bool, u64) {
+fn content(xs: &Dataset, gamma: f64) -> (Vec<u64>, usize, u64) {
     let cells = xs.rows().flatten().map(|v| v.to_bits()).collect();
-    (cells, xs.n_cols(), linear, gamma.to_bits())
+    (cells, xs.n_cols(), gamma.to_bits())
 }
 
 /// Runs `lookups` through one cache, a fit at a time, so that exactly the
@@ -78,20 +78,11 @@ fn check_sequence(pool: &[Dataset; POOL], lookups: &[Lookup]) {
     let cache = GramCache::new();
     let mut left_behind = None;
     let mut want = GramCacheStats::default();
-    for (step, &(which, linear, gamma)) in lookups.iter().enumerate() {
+    for (step, &(which, gamma)) in lookups.iter().enumerate() {
         let xs = &pool[which];
         let l = xs.n_rows();
-        let (kernel, gamma) = if linear {
-            (Kernel::Linear, 0.0)
-        } else {
-            (
-                Kernel::Rbf {
-                    gamma: GAMMAS[gamma],
-                },
-                GAMMAS[gamma],
-            )
-        };
-        let asked = Some(content(xs, linear, gamma));
+        let gamma = GAMMAS[gamma];
+        let asked = Some(content(xs, gamma));
         if asked == left_behind {
             want.hits += 1;
         } else {
@@ -99,8 +90,8 @@ fn check_sequence(pool: &[Dataset; POOL], lookups: &[Lookup]) {
         }
         left_behind = asked;
 
-        let k = cache.gram(xs, kernel, gamma);
-        let direct = compute_gram(xs, kernel, gamma);
+        let k = cache.gram(xs, gamma);
+        let direct = compute_gram(xs, Kernel::Rbf { gamma }, gamma);
         assert_eq!(k.len(), l * l);
         for i in 0..l {
             for j in 0..l {
@@ -108,7 +99,7 @@ fn check_sequence(pool: &[Dataset; POOL], lookups: &[Lookup]) {
                 assert_eq!(
                     k[at].to_bits(),
                     direct[at].to_bits(),
-                    "step {step}: ({i},{j}) of pool[{which}] under {kernel:?}"
+                    "step {step}: ({i},{j}) of pool[{which}] at gamma {gamma}"
                 );
                 assert_eq!(k[at].to_bits(), k[j * l + i].to_bits());
             }
@@ -119,16 +110,10 @@ fn check_sequence(pool: &[Dataset; POOL], lookups: &[Lookup]) {
     assert_eq!(want.hits + want.misses, lookups.len());
 }
 
-/// `len` look-ups over the pool, one in `linear_one_in` of them linear.
-fn lookups(rng: &mut StdRng, len: usize, linear_one_in: u32) -> Vec<Lookup> {
+/// `len` look-ups over the pool.
+fn lookups(rng: &mut StdRng, len: usize) -> Vec<Lookup> {
     (0..len)
-        .map(|_| {
-            (
-                rng.gen_range(0..POOL),
-                rng.gen_range(0..linear_one_in) == 0,
-                rng.gen_range(0..GAMMAS.len()),
-            )
-        })
+        .map(|_| (rng.gen_range(0..POOL), rng.gen_range(0..GAMMAS.len())))
         .collect()
 }
 
@@ -140,7 +125,7 @@ fn leased_gram_is_the_callers_own() {
     for &(l, d) in &[(1usize, 1usize), (2, 2), (7, 3), (8, 4), (9, 1), (23, 4)] {
         for seed in 0..3u64 {
             let mut rng = StdRng::seed_from_u64(seed ^ ((l as u64) << 8));
-            check_sequence(&pool(l, d, seed), &lookups(&mut rng, 96, 4));
+            check_sequence(&pool(l, d, seed), &lookups(&mut rng, 96));
         }
     }
     rng::cases(48, |rng| {
@@ -148,7 +133,7 @@ fn leased_gram_is_the_callers_own() {
         let d = rng.gen_range(1usize..5);
         let seed = rng.next_u64();
         let len = rng.gen_range(1usize..24);
-        check_sequence(&pool(l, d, seed), &lookups(rng, len, 2));
+        check_sequence(&pool(l, d, seed), &lookups(rng, len));
     });
 }
 
@@ -158,13 +143,12 @@ fn leased_gram_is_the_callers_own() {
 fn an_equal_copy_hits_and_every_near_copy_misses() {
     let pool = pool(12, 3, 7);
     let cache = GramCache::new();
-    let rbf = Kernel::Rbf { gamma: 0.3 };
-    drop(cache.gram(&pool[0], rbf, 0.3));
-    drop(cache.gram(&pool[POOL - 1], rbf, 0.3));
+    drop(cache.gram(&pool[0], 0.3));
+    drop(cache.gram(&pool[POOL - 1], 0.3));
     assert_eq!(cache.stats(), GramCacheStats { hits: 1, misses: 1 });
     for near in &pool[1..POOL - 1] {
-        drop(cache.gram(near, rbf, 0.3));
-        drop(cache.gram(&pool[0], rbf, 0.3));
+        drop(cache.gram(near, 0.3));
+        drop(cache.gram(&pool[0], 0.3));
     }
     assert_eq!(
         cache.stats(),

@@ -73,15 +73,11 @@ impl RawModel {
 /// choose the shape; everything else comes from the seeded generator so
 /// the construction stays deterministic while still covering extreme
 /// values.
-fn build_model(d: usize, n_sv: usize, seed: u64, linear: bool) -> (RawModel, Vec<Vec<f64>>) {
+fn build_model(d: usize, n_sv: usize, seed: u64) -> (RawModel, Vec<Vec<f64>>) {
     let mut rng = StdRng::seed_from_u64(seed);
     let gamma = rng.gen_range(0.001..3.0);
     let bias = rng.gen_range(-1000.0..1000.0);
-    let kernel = if linear {
-        Kernel::Linear
-    } else {
-        Kernel::Rbf { gamma }
-    };
+    let kernel = Kernel::Rbf { gamma };
     let sv: Vec<Vec<f64>> = (0..n_sv)
         .map(|_| (0..d).map(|_| rng.gen_range(-100.0..100.0)).collect())
         .collect();
@@ -169,12 +165,11 @@ fn assert_pruning_invariant(raw: &RawModel, probes: &[Vec<f64>]) {
     assert_eq!(full_bits, pruned_bits, "pruning changed prediction bits");
 }
 
-/// A shape, seed and kernel of the random sweeps.
+/// A shape and seed of the random sweeps.
 fn any_model(rng: &mut StdRng) -> (RawModel, Vec<Vec<f64>>) {
     let d = rng.gen_range(1usize..14);
     let n_sv = rng.gen_range(0usize..41);
-    let seed = rng.next_u64();
-    build_model(d, n_sv, seed, rng.gen_bool(0.5))
+    build_model(d, n_sv, rng.next_u64())
 }
 
 /// Arities below, at and above the lane width × SV counts around
@@ -184,10 +179,8 @@ fn batches_equal_per_row_bits_and_stay_near_the_reference_fold() {
     for &d in &[1usize, 2, 3, 5, 6, 7, 8, 9, 12, 13] {
         for &n_sv in &[0usize, 1, 3, 7, 8, 9, 15, 16, 17, 40] {
             for seed in 0..4u64 {
-                for linear in [true, false] {
-                    let (raw, probes) = build_model(d, n_sv, seed ^ ((d as u64) << 8), linear);
-                    assert_lane_tree_contract(&raw.build(), &probes);
-                }
+                let (raw, probes) = build_model(d, n_sv, seed ^ ((d as u64) << 8));
+                assert_lane_tree_contract(&raw.build(), &probes);
             }
         }
     }
@@ -202,10 +195,8 @@ fn pruning_zero_coefficients_never_changes_bits() {
     for &d in &[1usize, 3, 6, 8, 11] {
         for &n_sv in &[0usize, 5, 8, 13, 24] {
             for seed in 100..103u64 {
-                for linear in [true, false] {
-                    let (raw, probes) = build_model(d, n_sv, seed, linear);
-                    assert_pruning_invariant(&raw, &probes);
-                }
+                let (raw, probes) = build_model(d, n_sv, seed);
+                assert_pruning_invariant(&raw, &probes);
             }
         }
     }

@@ -14,7 +14,7 @@
 //! Data comes from closed-form generators; only the shapes of the random
 //! sweep are drawn.
 
-use ml::svr::{Kernel, Svr, SvrParams};
+use ml::svr::{Svr, SvrParams};
 use ml::Dataset;
 use std::sync::{Mutex, MutexGuard};
 
@@ -67,8 +67,8 @@ fn training_set(l: usize, d: usize, seed: u64) -> (Dataset, Vec<f64>) {
 
 /// Encodes a fit so equality covers every learned parameter: support
 /// vectors, dual coefficients, bias, kernel, and scalers.
-fn fit_bytes(x: &Dataset, y: &[f64], kernel: Kernel) -> Vec<u8> {
-    let model = Svr::new(SvrParams { kernel })
+fn fit_bytes(x: &Dataset, y: &[f64]) -> Vec<u8> {
+    let model = Svr::new(SvrParams::default())
         .fit(x, y)
         .expect("fit must converge on the deterministic grid data");
     let mut bytes = Vec::new();
@@ -76,23 +76,22 @@ fn fit_bytes(x: &Dataset, y: &[f64], kernel: Kernel) -> Vec<u8> {
     bytes
 }
 
-/// Core property: for both kernels, every (thread count × force-scalar)
-/// configuration reproduces the scalar single-thread reference fit
-/// exactly.
-fn assert_fit_config_invariant(l: usize, d: usize, seed: u64, kernel: Kernel) {
+/// Core property: every (thread count × force-scalar) configuration
+/// reproduces the scalar single-thread reference fit exactly.
+fn assert_fit_config_invariant(l: usize, d: usize, seed: u64) {
     let _guard = ToggleGuard::acquire();
     let (x, y) = training_set(l, d, seed);
     ml::par::set_threads(1);
     ml::linalg::set_force_scalar(true);
-    let reference = fit_bytes(&x, &y, kernel);
+    let reference = fit_bytes(&x, &y);
     for threads in [1usize, 2, 4] {
         for scalar in [false, true] {
             ml::par::set_threads(threads);
             ml::linalg::set_force_scalar(scalar);
-            let got = fit_bytes(&x, &y, kernel);
+            let got = fit_bytes(&x, &y);
             assert_eq!(
                 got, reference,
-                "epsilon-SVR fit diverged from the scalar reference for {kernel:?} \
+                "epsilon-SVR fit diverged from the scalar reference for \
                  l={l} d={d} threads={threads} force_scalar={scalar}",
             );
         }
@@ -100,25 +99,18 @@ fn assert_fit_config_invariant(l: usize, d: usize, seed: u64, kernel: Kernel) {
 }
 
 /// First a grid of row counts spanning the gram tile boundary (64) ×
-/// arities × kernels, then shapes drawn at random.
+/// arities, then shapes drawn at random.
 #[test]
 fn smo_fit_identical_for_any_shape() {
     for &(l, d) in &[(12usize, 2usize), (30, 3), (65, 1), (90, 4)] {
         for seed in 0..2u64 {
-            assert_fit_config_invariant(l, d, seed, Kernel::Linear);
-            assert_fit_config_invariant(l, d, seed, Kernel::Rbf { gamma: 0.0 });
+            assert_fit_config_invariant(l, d, seed);
         }
     }
     rng::cases(12, |rng| {
         let l = rng.gen_range(8usize..70);
         let d = rng.gen_range(1usize..5);
-        let seed = rng.next_u64();
-        let kernel = if rng.gen_bool(0.5) {
-            Kernel::Linear
-        } else {
-            Kernel::Rbf { gamma: 0.0 }
-        };
-        assert_fit_config_invariant(l, d, seed, kernel);
+        assert_fit_config_invariant(l, d, rng.next_u64());
     });
 }
 

@@ -22,8 +22,10 @@ fi
 
 # `unsafe` is allowed where it buys something measured: the pool's
 # lifetime erasure (ml::par) and the AVX2 twins of the three SMO scans
-# (ml::linalg; DESIGN.md §7 has the numbers). A new file on this list is a
-# decision, not a side effect.
+# (ml::linalg; DESIGN.md §7's table has the numbers, and linalg's
+# `force_scalar_toggle_routes_and_restores` fails if the twins stop
+# dispatching on an AVX2 host). A new file on this list is a decision, not
+# a side effect.
 echo "==> unsafe gate: ml::linalg and ml::par only"
 unsafe_files="$(grep -rl unsafe crates/*/src src | sort)"
 if [ "$unsafe_files" != "crates/ml/src/linalg.rs
@@ -94,7 +96,8 @@ cargo run --release -q -p qpp-bench --bin repro | diff experiments_raw.txt -
 # their AVX2 twins compiled out entirely (the non-x86 / no-AVX2
 # configuration). Nothing else in the tree has a second side: the suites
 # that still compare two are the scan properties, and the unit tests keep
-# the portable build compiling.
+# the portable build compiling; there the dispatch test asserts the twins
+# are off. Whether they pay is DESIGN.md §7's table, not a gate.
 echo "==> force-scalar matrix line"
 cargo test -q -p qpp-ml --features force-scalar --test smo_vector_props
 cargo test -q -p qpp-ml --features force-scalar --test wss2_props
@@ -107,26 +110,5 @@ cargo clippy --workspace --all-targets -- -D warnings
 # private; a stale link is a warning here and therefore a failure.
 echo "==> rustdoc gate"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p qpp-rng -p qpp-tpch -p qpp-engine -p qpp-ml -p qpp-core -p qpp-serve -p qpp-bench
-
-# Hot-path contract: both committed bench documents must parse as
-# BENCH-v2, and a fresh kernel run must stay inside the noise band of the
-# committed baseline. The gate diffs the speedup ratios (compiled vs
-# in-binary unblocked baseline), which self-normalize across host speeds;
-# absolute rows/s stay informational. Throughput, latency and training
-# time are the staircase benchmark's (crates/e2e), not gated here.
-echo "==> BENCH-v2 schema check"
-cargo build --release -p qpp-bench
-./target/release/bench_compare --check-schema BENCH_hot.txt BENCH_drift.txt
-
-# One fresh hot-path run feeds two self-normalizing ratio gates: the
-# inference kernel against the reference fold, and the end-to-end
-# scalar-vs-vectorized training speedup (bench_compare takes one filter
-# prefix per invocation).
-echo "==> hot-path perf regression gates"
-fresh_bench="$(mktemp /tmp/bench_hot.XXXXXX.txt)"
-trap 'rm -f "$fresh_bench"' EXIT
-./target/release/perf_trajectory "$fresh_bench"
-./target/release/bench_compare BENCH_hot.txt "$fresh_bench" --noise 0.4 --filter kernel/speedup
-./target/release/bench_compare BENCH_hot.txt "$fresh_bench" --noise 0.4 --filter train/vectorized_speedup
 
 echo "==> OK"

@@ -90,17 +90,25 @@ fn drift_quarantines_breaks_and_recovers_via_shadow_retrain() {
     // Phase 3: the feedback loop replays the drifted stream through the
     // serving model. Every prediction undershoots ~3x, the CUSUM
     // statistic accumulates, and the hybrid tier must end quarantined
-    // with its circuit breaker tripped.
+    // with its circuit breaker tripped, within the first 8 drifted
+    // observations (6 at one and at four threads).
     let mut monitor = DriftMonitor::new(Some(baseline_mre));
     let serving = registry.current();
+    let mut observed = 0;
     for q in &drifted_refs {
         let p = serving.predict_checked(q, Method::Hybrid(PlanOrdering::ErrorBased));
         monitor.ingest(&serving, p.method_used, p.value, q.latency());
+        observed += 1;
         if monitor.any_quarantined() {
             break;
         }
     }
     assert!(monitor.any_quarantined(), "drift was not detected");
+    assert!(
+        observed <= 8,
+        "quarantined after {observed} of {} drifted observations",
+        drifted_refs.len()
+    );
     assert_eq!(
         monitor.health(PredictionTier::Hybrid),
         ModelHealth::Quarantined
