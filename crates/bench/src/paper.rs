@@ -18,9 +18,9 @@ use ml::{Dataset, Learner, LearnerKind};
 use qpp::hybrid::{train_subplan_model, IterationRecord};
 use qpp::subplan::{describe, subtree_at, SubplanInfo};
 use qpp::{
-    structure_key, train_hybrid, ExecutedQuery, FeatureSource, HybridConfig, HybridModel,
-    OnlinePredictor, OpLevelModel, OpModelConfig, PlanLevelModel, PlanModelConfig, PlanOrdering,
-    QueryDataset, SubplanIndex, ONE_HOUR_SECS,
+    online, structure_key, train_hybrid, ExecutedQuery, FeatureSource, HybridConfig, HybridModel,
+    OpLevelModel, OpModelConfig, PlanLevelModel, PlanModelConfig, PlanOrdering, QueryDataset,
+    SubplanIndex, ONE_HOUR_SECS,
 };
 use tpch::Workload;
 
@@ -264,8 +264,15 @@ pub fn fig9(seed: u64) -> Fig9 {
                 });
             // Online builds on the size-based hybrid plus per-query
             // fragments of the incoming plans.
-            let mut online =
-                OnlinePredictor::new(train, size_based.clone(), HybridConfig::default());
+            let incoming: Vec<&PlanNode> = test.iter().map(|q| &q.plan).collect();
+            let built =
+                online::build_models(&size_based, &train, &HybridConfig::default(), &incoming);
+            let predict_online = |q: &ExecutedQuery| {
+                let views = q.views(size_based.op_model.source());
+                online::extend(&size_based, &built, &q.plan, &views)
+                    .predict_plan(&q.plan, &views)
+                    .latency
+            };
             Some((
                 held_out,
                 [
@@ -273,7 +280,7 @@ pub fn fig9(seed: u64) -> Fig9 {
                     err(&mut |q| op.predict(q)),
                     err(&mut |q| error_based.predict(q)),
                     err(&mut |q| size_based.predict(q)),
-                    err(&mut |q| online.predict_query(q)),
+                    err(&mut |q| predict_online(q)),
                 ],
             ))
         })

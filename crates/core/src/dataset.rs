@@ -162,9 +162,9 @@ impl QueryDataset {
     /// simulated latency exceeds `time_limit_secs` (pass `f64::INFINITY`
     /// to keep everything).
     ///
-    /// Equivalent to [`QueryDataset::execute_with_faults`] with no faults
-    /// and the trusting collection policy; per-query execution seeds are
-    /// identical, so traces are too.
+    /// Equivalent to [`QueryDataset::execute_drifted`] with no faults, the
+    /// trusting collection policy and no drift; per-query execution seeds
+    /// are identical, so traces are too.
     pub fn execute(
         catalog: &Catalog,
         workload: &Workload,
@@ -172,7 +172,7 @@ impl QueryDataset {
         seed: u64,
         time_limit_secs: f64,
     ) -> QueryDataset {
-        QueryDataset::execute_with_faults(
+        QueryDataset::execute_drifted(
             catalog,
             workload,
             simulator,
@@ -180,12 +180,13 @@ impl QueryDataset {
             time_limit_secs,
             &FaultPlan::none(),
             &CollectionConfig::trusting(),
+            &DriftPlan::none(),
         )
         .0
     }
 
-    /// Executes a workload under a fault-injection policy and a
-    /// robustness policy, returning the surviving dataset plus a
+    /// Executes a workload under a fault-injection policy, a robustness
+    /// policy and workload drift, returning the surviving dataset plus a
     /// [`CollectionReport`] accounting for every query.
     ///
     /// Failed attempts (aborts, timeout-budget misses) are retried up to
@@ -195,33 +196,12 @@ impl QueryDataset {
     /// are non-finite, or when their log-latency is a robust outlier
     /// within their template group (median/MAD z-score above
     /// `cfg.quarantine_zscore`, groups of at least five).
-    pub fn execute_with_faults(
-        catalog: &Catalog,
-        workload: &Workload,
-        simulator: &Simulator,
-        seed: u64,
-        time_limit_secs: f64,
-        faults: &FaultPlan,
-        cfg: &CollectionConfig,
-    ) -> (QueryDataset, CollectionReport) {
-        QueryDataset::execute_drifted(
-            catalog,
-            workload,
-            simulator,
-            seed,
-            time_limit_secs,
-            faults,
-            cfg,
-            &DriftPlan::none(),
-        )
-    }
-
-    /// [`QueryDataset::execute_with_faults`] under workload drift: queries
-    /// are executed in workload order through `drift`, which can ramp up
-    /// observed latencies (data growth) or skew the logged optimizer
-    /// estimates away from the truth annotations (selectivity shift) as
-    /// the stream progresses. With [`DriftPlan::none`] this is exactly
-    /// `execute_with_faults`.
+    ///
+    /// Queries are executed in workload order through `drift`, which can
+    /// ramp up observed latencies (data growth) or skew the logged
+    /// optimizer estimates away from the truth annotations (selectivity
+    /// shift) as the stream progresses; [`DriftPlan::none`] leaves both
+    /// alone.
     #[allow(clippy::too_many_arguments)]
     pub fn execute_drifted(
         catalog: &Catalog,
@@ -262,8 +242,7 @@ impl QueryDataset {
                 if attempt > 0 {
                     retried += 1;
                 }
-                match simulator.try_execute_drifted(&plan, catalog.sf, exec_seed, faults, drift, i)
-                {
+                match simulator.try_execute(&plan, catalog.sf, exec_seed, faults, drift, i) {
                     Ok(trace) => {
                         outcome = Some((trace, exec_seed));
                         break;
@@ -533,7 +512,7 @@ mod tests {
         let workload = Workload::generate(&[1, 3, 6], 4, 0.1, 7);
         let sim = Simulator::new();
         let plain = QueryDataset::execute(&catalog, &workload, &sim, 11, f64::INFINITY);
-        let (ds, report) = QueryDataset::execute_with_faults(
+        let (ds, report) = QueryDataset::execute_drifted(
             &catalog,
             &workload,
             &sim,
@@ -541,6 +520,7 @@ mod tests {
             f64::INFINITY,
             &FaultPlan::none(),
             &CollectionConfig::default(),
+            &DriftPlan::none(),
         );
         assert_eq!(ds.len(), plain.len());
         for (a, b) in ds.queries.iter().zip(&plain.queries) {
@@ -566,7 +546,7 @@ mod tests {
             quarantine_zscore: f64::INFINITY,
             ..CollectionConfig::default()
         };
-        let (ds, report) = QueryDataset::execute_with_faults(
+        let (ds, report) = QueryDataset::execute_drifted(
             &catalog,
             &workload,
             &Simulator::new(),
@@ -574,6 +554,7 @@ mod tests {
             f64::INFINITY,
             &faults,
             &cfg,
+            &DriftPlan::none(),
         );
         assert!(report.reconciles());
         // With a 60% abort rate across 18 queries some attempt must fail,
@@ -596,7 +577,7 @@ mod tests {
             seed: 9,
             ..FaultPlan::none()
         };
-        let (ds, report) = QueryDataset::execute_with_faults(
+        let (ds, report) = QueryDataset::execute_drifted(
             &catalog,
             &workload,
             &Simulator::new(),
@@ -604,6 +585,7 @@ mod tests {
             f64::INFINITY,
             &faults,
             &CollectionConfig::trusting(),
+            &DriftPlan::none(),
         );
         assert!(report.reconciles());
         // Whatever survives has finite estimated features (NaN-poisoned
@@ -625,7 +607,7 @@ mod tests {
         let catalog = Catalog::new(0.1, 1);
         let workload = Workload::generate(&[6], 8, 0.1, 7);
         let sim = Simulator::new();
-        let (baseline, _) = QueryDataset::execute_with_faults(
+        let (baseline, _) = QueryDataset::execute_drifted(
             &catalog,
             &workload,
             &sim,
@@ -633,6 +615,7 @@ mod tests {
             f64::INFINITY,
             &FaultPlan::none(),
             &CollectionConfig::trusting(),
+            &DriftPlan::none(),
         );
         // A straggler that always fires would rescale the whole group (no
         // outliers); a rare extreme one should be quarantined.
@@ -642,7 +625,7 @@ mod tests {
             seed: 3,
             ..FaultPlan::none()
         };
-        let (ds, report) = QueryDataset::execute_with_faults(
+        let (ds, report) = QueryDataset::execute_drifted(
             &catalog,
             &workload,
             &sim,
@@ -650,6 +633,7 @@ mod tests {
             f64::INFINITY,
             &faults,
             &CollectionConfig::default(),
+            &DriftPlan::none(),
         );
         assert!(report.reconciles());
         if report.quarantined > 0 {

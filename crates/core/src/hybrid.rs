@@ -217,13 +217,11 @@ impl HybridModel {
     /// the sorted (structure key, sub-model fingerprint) pairs.
     ///
     /// Two models share cache entries only when their trained content
-    /// matches. For the online method this changes nothing — each refined
-    /// model is the base model plus sub-models drawn from a per-predictor
-    /// cache, so within one [`PredictionCache`]'s lifetime identical key
-    /// sets imply identical content. What it adds is safety across *model
-    /// swaps*: a registry that hot-swaps a retrained model set (same plan
-    /// structures, new weights) gets a different signature, so stale memo
-    /// entries from the replaced set can never answer for the new one.
+    /// matches, so a model [`crate::online::extend`] returns never shares
+    /// entries with its base unless it added nothing, and a registry that
+    /// hot-swaps a retrained model set (same plan structures, new weights)
+    /// gets a different signature: stale memo entries from the replaced set
+    /// can never answer for the new one.
     pub fn plan_model_signature(&self) -> u64 {
         let mut keyed: Vec<(u64, u64, u64)> = self
             .plan_models
@@ -255,25 +253,10 @@ impl HybridModel {
     ) -> f64 {
         let arena = PlanArena::flatten(plan);
         let hashes = arena_structure_hashes(&arena);
-        self.predict_memo_arena(&arena, &hashes, views, cache)
-    }
-
-    /// [`HybridModel::predict_plan_memo`] over an already-flattened plan
-    /// whose structure hashes (from
-    /// [`crate::subplan::arena_structure_hashes`]) the caller computed
-    /// once — the online predictor enumerates fragments over the same
-    /// arena before predicting, so nothing is flattened or hashed twice.
-    pub fn predict_memo_arena(
-        &self,
-        arena: &PlanArena<'_>,
-        hashes: &[u64],
-        views: &[NodeView],
-        cache: &PredictionCache,
-    ) -> f64 {
         let ctx = MemoCtx {
-            arena,
+            arena: &arena,
             views,
-            hashes,
+            hashes: &hashes,
             sig: self.plan_model_signature(),
             cache,
         };
@@ -370,8 +353,9 @@ impl HybridModel {
             // Plan-level prediction for the whole fragment; descendants
             // are consumed. Offline models apply unconditionally (as in
             // the paper); the target-range clamp inside FeatureModel keeps
-            // out-of-distribution fragments from exploding, and the online
-            // method adds stricter guards for models built on the fly.
+            // out-of-distribution fragments from exploding, and online
+            // building adds a model built on the fly only where its
+            // feature ranges cover the fragment.
             let slice = &views[idx..idx + size];
             let f = plan_features_slice(arena.subtree_nodes(idx), slice);
             let start = sm.start.predict(&f).max(0.0);

@@ -15,10 +15,12 @@
 //!   sub-plan analytics (Figure 4).
 //! - [`hybrid`] — Algorithm 1 with the size-/frequency-/error-based plan
 //!   ordering strategies.
-//! - [`online`] — online model building for unforeseen plans (Section 4).
+//! - [`online`] — online model building for unforeseen plans (Section 4):
+//!   sub-plan models built for the incoming plans, and a hybrid model
+//!   extended by those that apply to one plan.
 //! - [`pred_cache`] — bounded memo cache of sub-plan predictions keyed by
 //!   (model signature, structure hash, views hash); backs the batched
-//!   hybrid/online inference paths.
+//!   hybrid inference path.
 //! - [`progressive`] — progressive prediction with run-time features (the
 //!   extension sketched in the paper's conclusions).
 //! - [`predictor`] — the user-facing facade.
@@ -57,7 +59,6 @@ pub use features::{
 pub use hybrid::{train_hybrid, HybridConfig, HybridModel, PlanOrdering};
 pub use materialize::MaterializedModels;
 pub use monitor::{DriftMonitor, ModelHealth, SloWindow, TierState};
-pub use online::OnlinePredictor;
 pub use op_model::{OpLevelModel, OpModelConfig};
 pub use plan_model::{PlanLevelModel, PlanModelConfig, PredictBuffers, TargetMetric};
 pub use pred_cache::{PredictionCache, PredictionCacheStats, SubplanPredKey};

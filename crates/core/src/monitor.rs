@@ -6,8 +6,7 @@
 //! workload shift are the dominant failure mode of deployed predictors.
 //! This module closes the loop: after each query executes, the caller
 //! feeds the `(prediction, observed latency)` pair back into a
-//! [`DriftMonitor`], which maintains streaming residual statistics per
-//! learned tier, and runs a CUSUM-style detector
+//! [`DriftMonitor`], which runs a CUSUM-style detector per learned tier
 //! over the relative-error stream. When the cumulative excess error
 //! crosses its thresholds, the tier's health degrades
 //! `Healthy → Suspect → Quarantined`; quarantine trips the predictor's
@@ -17,7 +16,7 @@
 
 use crate::predictor::{PredictionTier, QppPredictor, MODEL_TIERS};
 use ml::metrics::relative_error;
-use ml::stats::{RollingWindow, Welford};
+use ml::stats::Welford;
 
 /// Health of one learned model tier, in degradation order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,9 +32,6 @@ pub enum ModelHealth {
     Quarantined,
 }
 
-/// Capacity of the recent-residual window (the windowed mean relative
-/// error reported next to the all-time Welford statistics).
-const WINDOW: usize = 32;
 /// Observations that calibrate a tier's baseline when the monitor was
 /// built without one.
 const CALIBRATION: u64 = 16;
@@ -105,13 +101,9 @@ impl SloWindow {
     }
 }
 
-/// Streaming residual state for one learned tier.
+/// Drift-detection state for one learned tier.
 #[derive(Debug, Clone)]
 pub struct TierState {
-    /// All-time relative-error statistics (Welford, single pass).
-    pub residuals: Welford,
-    /// Mean relative error over the recent window.
-    recent: RollingWindow,
     /// CUSUM statistic: cumulative error in excess of baseline + slack.
     pub cusum: f64,
     /// SLO-pressure CUSUM: cumulative window pressure in excess of the
@@ -121,7 +113,7 @@ pub struct TierState {
     /// given to [`DriftMonitor::new`], or calibrated from the tier's first
     /// observations; `None` until that calibration completes.
     pub baseline: Option<f64>,
-    /// Welford accumulator used during auto-calibration.
+    /// Running mean of the residuals that calibrate `baseline`.
     calibrating: Welford,
     /// Current health.
     pub health: ModelHealth,
@@ -130,25 +122,12 @@ pub struct TierState {
 impl TierState {
     fn new(baseline: Option<f64>) -> Self {
         TierState {
-            residuals: Welford::new(),
-            recent: RollingWindow::new(WINDOW),
             cusum: 0.0,
             slo_cusum: 0.0,
             baseline,
             calibrating: Welford::new(),
             health: ModelHealth::Healthy,
         }
-    }
-
-    /// Mean relative error over the recent window (0.0 before the first
-    /// observation).
-    pub fn windowed_error(&self) -> f64 {
-        self.recent.mean()
-    }
-
-    /// Number of observations this tier has ingested.
-    pub fn observations(&self) -> u64 {
-        self.residuals.count()
     }
 }
 
@@ -157,7 +136,7 @@ impl TierState {
 /// One instance watches one serving predictor. Feed it
 /// `(tier, prediction, observed)` triples via [`DriftMonitor::observe`]
 /// (or [`DriftMonitor::ingest`] to also trip the predictor's breaker on
-/// quarantine); read back health and statistics per tier.
+/// quarantine); read back health and CUSUM state per tier.
 #[derive(Debug, Clone)]
 pub struct DriftMonitor {
     /// The baseline every tier starts from, and returns to on a reset.
@@ -195,8 +174,6 @@ impl DriftMonitor {
         }
         let err = relative_error(observed, predicted);
         let st = &mut self.tiers[i];
-        st.residuals.push(err);
-        st.recent.push(err);
 
         // Without a given baseline, the first residuals calibrate one.
         let Some(baseline) = st.baseline else {
@@ -279,7 +256,7 @@ impl DriftMonitor {
             .map_or(ModelHealth::Healthy, |i| self.tiers[i].health)
     }
 
-    /// Streaming residual state for the given learned tier; `None` for
+    /// Drift-detection state for the given learned tier; `None` for
     /// fallback tiers.
     pub fn tier(&self, tier: PredictionTier) -> Option<&TierState> {
         MODEL_TIERS
@@ -327,10 +304,7 @@ mod tests {
         }
         assert_eq!(m.health(PredictionTier::Hybrid), ModelHealth::Healthy);
         assert!(!m.any_quarantined());
-        let st = m.tier(PredictionTier::Hybrid).unwrap();
-        assert_eq!(st.observations(), 500);
-        assert!(st.windowed_error() < 0.06);
-        assert_eq!(st.cusum, 0.0);
+        assert_eq!(m.tier(PredictionTier::Hybrid).unwrap().cusum, 0.0);
     }
 
     #[test]
@@ -369,7 +343,7 @@ mod tests {
         }
         m.reset_all();
         assert_eq!(m.health(PredictionTier::Hybrid), ModelHealth::Healthy);
-        assert_eq!(m.tier(PredictionTier::Hybrid).unwrap().observations(), 0);
+        assert_eq!(m.tier(PredictionTier::Hybrid).unwrap().cusum, 0.0);
     }
 
     #[test]
@@ -414,11 +388,18 @@ mod tests {
 
     #[test]
     fn non_finite_observations_are_ignored() {
-        let mut m = configured();
-        m.observe(PredictionTier::Hybrid, f64::NAN, 1.0);
-        m.observe(PredictionTier::Hybrid, 1.0, f64::INFINITY);
-        m.observe(PredictionTier::Hybrid, 1.0, -1.0);
-        assert_eq!(m.tier(PredictionTier::Hybrid).unwrap().observations(), 0);
+        // Sixteen observations calibrate an unconfigured tier; sixteen
+        // non-finite or negative ones leave it uncalibrated.
+        let mut m = DriftMonitor::new(None);
+        for i in 0..CALIBRATION {
+            let (predicted, observed) = match i % 3 {
+                0 => (f64::NAN, 1.0),
+                1 => (1.0, f64::INFINITY),
+                _ => (1.0, -1.0),
+            };
+            m.observe(PredictionTier::Hybrid, predicted, observed);
+        }
+        assert_eq!(m.tier(PredictionTier::Hybrid).unwrap().baseline, None);
     }
 
     #[test]
@@ -543,20 +524,5 @@ mod tests {
         assert!((w.pressure() - 0.5).abs() < 1e-12);
         assert_eq!(SloWindow::default().total(), 0);
         assert_eq!(SloWindow::default().pressure(), 0.0);
-    }
-
-    #[test]
-    fn welford_residuals_match_two_pass() {
-        let mut m = configured();
-        let errs: Vec<f64> = (0..40)
-            .map(|i| {
-                let obs = 1.0 + (i as f64) * 0.01;
-                m.observe(PredictionTier::PlanLevel, 1.0, obs);
-                relative_error(obs, 1.0)
-            })
-            .collect();
-        let st = m.tier(PredictionTier::PlanLevel).unwrap();
-        assert!((st.residuals.mean() - ml::stats::mean(&errs)).abs() < 1e-12);
-        assert!((st.residuals.variance() - ml::stats::variance(&errs)).abs() < 1e-12);
     }
 }

@@ -71,6 +71,11 @@ const FOLDS: usize = 5;
 /// magnitude and the metric is relative error.
 const LOG_TARGET: bool = true;
 
+/// How far outside its training range, in spans of that range, a selected
+/// feature may lie before [`FeatureModel::in_range`] refuses the row (the
+/// online method's applicability guard).
+const IN_RANGE_MARGIN: f64 = 1.0;
+
 /// Configuration of plan-level model training.
 #[derive(Debug, Clone)]
 pub struct PlanModelConfig {
@@ -236,18 +241,18 @@ impl FeatureModel {
         value.clamp(lo * 0.3, (hi * 3.0).max(lo + 1.0))
     }
 
-    /// Whether a full feature vector lies inside (a widened version of)
-    /// the training region — the model's applicability check, used by the
-    /// online method before trusting a freshly built model on an
-    /// unforeseen plan.
-    pub fn in_range(&self, full_features: &[f64], margin: f64) -> bool {
+    /// Whether a full feature vector lies inside the training region
+    /// widened by one span of each selected feature's range — the model's
+    /// applicability check, used by the online method before trusting a
+    /// freshly built model on an unforeseen plan.
+    pub fn in_range(&self, full_features: &[f64]) -> bool {
         self.selected
             .iter()
             .zip(&self.feature_ranges)
             .all(|(&j, &(lo, hi))| {
                 let v = full_features[j];
                 let span = (hi - lo).max(lo.abs().max(hi.abs()) * 0.1).max(1e-9);
-                v >= lo - margin * span && v <= hi + margin * span
+                v >= lo - IN_RANGE_MARGIN * span && v <= hi + IN_RANGE_MARGIN * span
             })
     }
 

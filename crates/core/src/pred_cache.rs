@@ -1,6 +1,6 @@
 //! A bounded memo cache for sub-plan predictions.
 //!
-//! The hybrid and online methods re-walk plan trees at predict time, and
+//! The hybrid method re-walks plan trees at predict time, and
 //! production workloads (plan caches, optimizer search, repeated template
 //! instantiations) keep presenting the *same sub-plans with the same
 //! optimizer estimates* over and over. Re-running the SVR kernel expansion
@@ -10,12 +10,14 @@
 //!
 //! [`PredictionCache`] memoizes exactly that function. Keys combine
 //!
-//! - a **model signature** (FNV over the hybrid model's sub-plan structure
-//!   keys), so caches are never shared across different model variants —
-//!   the online method clones and extends the base model per query;
-//! - the fragment's **structure hash** (the same memoized hash
-//!   [`crate::subplan::SubplanIndex`] uses, exposed through
-//!   [`crate::subplan::subtree_hash_sizes`]);
+//! - a **model signature**
+//!   ([`crate::hybrid::HybridModel::plan_model_signature`], FNV over the
+//!   operator models' and every sub-plan model's fingerprint), so entries
+//!   are never shared across model sets: a hot-swapped retrain, or a base
+//!   model [`crate::online::extend`] added sub-plan models to;
+//! - the fragment's **structure hash**, from the same bottom-up pass
+//!   [`crate::subplan::SubplanIndex`] uses
+//!   ([`crate::subplan::arena_structure_hashes`]);
 //! - a **views content hash** over the bit patterns of every
 //!   [`NodeView`] in the fragment, so two structurally identical fragments
 //!   with different cardinality estimates never collide.

@@ -1,7 +1,8 @@
 //! The user-facing QPP facade: train once, predict with any method,
 //! materialize models for later sessions.
 //!
-//! Ties the four prediction methods of the paper behind one API and
+//! Ties the paper's plan-level, operator-level and hybrid methods behind
+//! one API (online building extends the hybrid model: [`crate::online`]) and
 //! implements model *materialization* (Section 1's pre-building): trained
 //! model sets serialize to a `QPPSNAP v2` binary snapshot and reload
 //! without retraining.
@@ -17,7 +18,6 @@ use crate::dataset::ExecutedQuery;
 use crate::error::QppError;
 use crate::features::{plan_features, FeatureSource};
 use crate::hybrid::{train_hybrid, HybridConfig, HybridModel, IterationRecord, PlanOrdering};
-use crate::online::OnlinePredictor;
 use crate::op_model::{OpLevelModel, OpModelConfig};
 use crate::plan_model::{PlanLevelModel, PlanModelConfig};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -438,12 +438,6 @@ impl QppPredictor {
         }
     }
 
-    /// Creates an online predictor over this predictor's models
-    /// (Section 4; the hybrid's pre-built sub-plan models seed it).
-    pub fn online<'a>(&self, train: Vec<&'a ExecutedQuery>) -> OnlinePredictor<'a> {
-        OnlinePredictor::new(train, self.hybrid.clone(), self.config.hybrid.clone())
-    }
-
     /// Feature source in use.
     pub fn source(&self) -> FeatureSource {
         self.op_level.source()
@@ -492,16 +486,6 @@ mod tests {
             assert!(err.is_finite(), "{method:?}: {err}");
             assert!(err < 1.0, "{method:?} training error = {err}");
         }
-    }
-
-    #[test]
-    fn online_predictor_is_constructible_from_facade() {
-        let ds = dataset();
-        let refs: Vec<&ExecutedQuery> = ds.queries.iter().collect();
-        let qpp = QppPredictor::train(&refs, QppConfig::default()).unwrap();
-        let mut online = qpp.online(refs.clone());
-        let p = online.predict_query(refs[0]);
-        assert!(p.is_finite() && p >= 0.0);
     }
 
     #[test]

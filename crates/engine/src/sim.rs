@@ -266,52 +266,18 @@ impl Simulator {
         }
     }
 
-    /// Executes a plan under a fault-injection policy. The clean trace is
-    /// computed exactly as [`Simulator::execute`] would (same seed, same
-    /// noise streams); faults are applied on top: stragglers stretch every
-    /// timing by the plan's factor, aborted executions return
-    /// [`ExecError::Aborted`], and executions whose (possibly stretched)
-    /// latency exceeds `faults.timeout_secs` return [`ExecError::Timeout`].
-    /// With `FaultPlan::none()` this is byte-identical to `execute`.
+    /// Executes a plan under a fault-injection policy and a drift
+    /// scenario. The clean trace is computed exactly as
+    /// [`Simulator::execute`] would (same seed, same noise streams); faults
+    /// and drift are applied on top. `query_idx` is the query's position in
+    /// the workload stream, which determines how far the drift has ramped
+    /// in. A straggler's stretch and the drift's latency factor multiply
+    /// into one factor on every timing; aborted executions then return
+    /// [`ExecError::Aborted`], and executions whose stretched latency
+    /// exceeds `faults.timeout_secs` return [`ExecError::Timeout`]. With
+    /// `FaultPlan::none()` and `DriftPlan::none()` this is byte-identical
+    /// to `execute`.
     pub fn try_execute(
-        &self,
-        plan: &PlanNode,
-        sf: f64,
-        seed: u64,
-        faults: &FaultPlan,
-    ) -> Result<Trace, ExecError> {
-        let outcome = faults.decide(seed);
-        let mut trace = self.execute(plan, sf, seed);
-        if outcome.straggler_factor > 1.0 {
-            let m = outcome.straggler_factor;
-            trace.total_secs *= m;
-            for t in &mut trace.timings {
-                t.start *= m;
-                t.run *= m;
-            }
-        }
-        if outcome.abort {
-            return Err(ExecError::Aborted {
-                progress: outcome.abort_progress,
-            });
-        }
-        if trace.total_secs > faults.timeout_secs {
-            return Err(ExecError::Timeout {
-                budget_secs: faults.timeout_secs,
-                needed_secs: trace.total_secs,
-            });
-        }
-        Ok(trace)
-    }
-
-    /// Executes a plan under both a fault-injection policy and a drift
-    /// scenario. `query_idx` is the query's position in the workload
-    /// stream, which determines how far the drift has ramped in. The
-    /// drift's latency factor composes multiplicatively with any straggler
-    /// stretch; abort and timeout decisions then apply to the drifted
-    /// latency. With `DriftPlan::none()` this is byte-identical to
-    /// [`Simulator::try_execute`].
-    pub fn try_execute_drifted(
         &self,
         plan: &PlanNode,
         sf: f64,
@@ -761,7 +727,7 @@ mod tests {
         let sim = Simulator::new();
         let clean = sim.execute(&plan, 0.1, 42);
         let faulty = sim
-            .try_execute(&plan, 0.1, 42, &crate::faults::FaultPlan::none())
+            .try_execute(&plan, 0.1, 42, &FaultPlan::none(), &DriftPlan::none(), 0)
             .expect("no faults injected");
         assert_eq!(clean.total_secs, faulty.total_secs);
         assert_eq!(clean.timings, faulty.timings);
@@ -779,7 +745,8 @@ mod tests {
             abort_prob: 1.0,
             ..crate::faults::FaultPlan::none()
         };
-        match sim.try_execute(&plan, 0.1, 1, &abort_all) {
+        let no_drift = DriftPlan::none();
+        match sim.try_execute(&plan, 0.1, 1, &abort_all, &no_drift, 0) {
             Err(crate::faults::ExecError::Aborted { progress }) => {
                 assert!((0.0..=1.0).contains(&progress));
             }
@@ -793,7 +760,7 @@ mod tests {
         };
         let clean = sim.execute(&plan, 0.1, 1);
         let slow = sim
-            .try_execute(&plan, 0.1, 1, &straggle_all)
+            .try_execute(&plan, 0.1, 1, &straggle_all, &no_drift, 0)
             .expect("stragglers still complete");
         assert!((slow.total_secs - clean.total_secs * 8.0).abs() < 1e-9);
 
@@ -802,7 +769,7 @@ mod tests {
             ..crate::faults::FaultPlan::none()
         };
         assert!(matches!(
-            sim.try_execute(&plan, 0.1, 1, &tight_budget),
+            sim.try_execute(&plan, 0.1, 1, &tight_budget, &no_drift, 0),
             Err(crate::faults::ExecError::Timeout { .. })
         ));
     }

@@ -12,7 +12,7 @@
 //!   (bit-identical to their scalar loops).
 //! - [`scaler`] — z-score standardization of feature columns.
 //! - [`linreg`] — ordinary least squares / ridge regression.
-//! - [`svr`] — epsilon-SVR with linear and RBF kernels, trained with a
+//! - [`svr`] — epsilon-SVR with the RBF kernel, trained with a
 //!   libsvm-style SMO solver.
 //! - [`feature_selection`] — best-first forward selection over features
 //!   ranked by |Pearson correlation| with the target (Section 2 of the
@@ -33,8 +33,8 @@
 //! - [`compiled`] — post-training compilation of trained models
 //!   (lane-padded support-vector storage, pruning, one allocation-free
 //!   lane-tree kernel) for the low-latency inference path.
-//! - [`stats`] — streaming mean/variance and a fixed-capacity rolling
-//!   window, for the drift monitor.
+//! - [`stats`] — mean, variance, Pearson correlation, and the streaming
+//!   mean the drift monitor calibrates with.
 
 #![warn(missing_docs)]
 
@@ -63,7 +63,7 @@ pub use gram::{GramCache, GramCacheStats};
 pub use linreg::{LinearModel, LinearRegression};
 pub use metrics::{mean_absolute_error, mean_relative_error, predictive_risk, r2_score, rmse};
 pub use scaler::StandardScaler;
-pub use stats::{RollingWindow, Welford};
+pub use stats::Welford;
 pub use svr::{Kernel, Svr, SvrModel, SvrParams};
 
 /// Errors produced by the learning substrate.

@@ -1,7 +1,5 @@
 //! Scalar statistics helpers: mean, variance, Pearson correlation, and
-//! streaming (single-pass) accumulators used by the drift monitor.
-
-use std::collections::VecDeque;
+//! the streaming (single-pass) mean the drift monitor calibrates with.
 
 /// Arithmetic mean; 0.0 for an empty slice.
 pub fn mean(xs: &[f64]) -> f64 {
@@ -57,36 +55,16 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
     (cov / (vx.sqrt() * vy.sqrt())).clamp(-1.0, 1.0)
 }
 
-/// Quantile via linear interpolation on a *sorted* slice, `q` in [0, 1].
+/// Streaming mean accumulator (Welford's online update).
 ///
-/// # Panics
-/// Panics on an empty slice or `q` outside [0, 1].
-pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
-    assert!(!sorted.is_empty(), "quantile of empty slice");
-    assert!((0.0..=1.0).contains(&q), "quantile q out of range");
-    let pos = q * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    if lo == hi {
-        sorted[lo]
-    } else {
-        let w = pos - lo as f64;
-        sorted[lo] * (1.0 - w) + sorted[hi] * w
-    }
-}
-
-/// Streaming mean/variance accumulator (Welford's online algorithm).
-///
-/// Numerically stable single-pass computation: pushing values one at a time
-/// matches the two-pass [`mean`]/[`variance`] results to within floating-point
-/// round-off, without retaining the samples. Conventions mirror the batch
-/// helpers: population variance (divide by `n`), and 0.0 for fewer than two
-/// observations.
+/// Numerically stable single-pass mean: pushing values one at a time
+/// matches the two-pass [`mean`] to within floating-point round-off,
+/// without retaining the samples. The drift monitor calibrates a tier's
+/// baseline error with it.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Welford {
     n: u64,
     mean: f64,
-    m2: f64,
 }
 
 impl Welford {
@@ -95,13 +73,10 @@ impl Welford {
         Welford::default()
     }
 
-    /// Folds one observation into the running statistics.
+    /// Folds one observation into the running mean.
     pub fn push(&mut self, x: f64) {
         self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        let delta2 = x - self.mean;
-        self.m2 += delta * delta2;
+        self.mean += (x - self.mean) / self.n as f64;
     }
 
     /// Number of observations pushed so far.
@@ -116,92 +91,6 @@ impl Welford {
         } else {
             self.mean
         }
-    }
-
-    /// Running population variance; 0.0 for fewer than two observations
-    /// (matching [`variance`]).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Running population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Merges another accumulator into this one (Chan et al.'s parallel
-    /// update), equivalent to having pushed both observation streams into a
-    /// single accumulator.
-    pub fn merge(&mut self, other: &Welford) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n = self.n + other.n;
-        let delta = other.mean - self.mean;
-        self.m2 += other.m2 + delta * delta * (self.n as f64 * other.n as f64) / n as f64;
-        self.mean += delta * other.n as f64 / n as f64;
-        self.n = n;
-    }
-}
-
-/// Fixed-capacity sliding window over recent observations.
-///
-/// Used by the drift monitor to track the *recent* mean relative error next
-/// to the all-time Welford statistics; once full, each push evicts the
-/// oldest value.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RollingWindow {
-    cap: usize,
-    buf: VecDeque<f64>,
-}
-
-impl RollingWindow {
-    /// Creates a window holding at most `cap` values (`cap` is clamped to 1).
-    pub fn new(cap: usize) -> Self {
-        RollingWindow {
-            cap: cap.max(1),
-            buf: VecDeque::with_capacity(cap.max(1)),
-        }
-    }
-
-    /// Appends a value, evicting the oldest when the window is full.
-    pub fn push(&mut self, x: f64) {
-        if self.buf.len() == self.cap {
-            self.buf.pop_front();
-        }
-        self.buf.push_back(x);
-    }
-
-    /// Number of values currently held.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when no values have been pushed yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// True once the window has reached its capacity.
-    pub fn is_full(&self) -> bool {
-        self.buf.len() == self.cap
-    }
-
-    /// Mean of the values currently in the window; 0.0 when empty
-    /// (matching [`mean`]).
-    pub fn mean(&self) -> f64 {
-        if self.buf.is_empty() {
-            return 0.0;
-        }
-        self.buf.iter().sum::<f64>() / self.buf.len() as f64
     }
 }
 
@@ -249,75 +138,13 @@ mod tests {
         }
         assert_eq!(w.count(), xs.len() as u64);
         assert!((w.mean() - mean(&xs)).abs() < 1e-12);
-        assert!((w.variance() - variance(&xs)).abs() < 1e-9);
-        assert!((w.std_dev() - std_dev(&xs)).abs() < 1e-9);
     }
 
     #[test]
     fn welford_empty_and_single() {
         let mut w = Welford::new();
         assert_eq!(w.mean(), 0.0);
-        assert_eq!(w.variance(), 0.0);
         w.push(5.0);
         assert_eq!(w.mean(), 5.0);
-        assert_eq!(w.variance(), 0.0);
-    }
-
-    #[test]
-    fn welford_merge_equals_sequential() {
-        let xs = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0];
-        let mut all = Welford::new();
-        for &x in &xs {
-            all.push(x);
-        }
-        let mut left = Welford::new();
-        let mut right = Welford::new();
-        for &x in &xs[..3] {
-            left.push(x);
-        }
-        for &x in &xs[3..] {
-            right.push(x);
-        }
-        left.merge(&right);
-        assert_eq!(left.count(), all.count());
-        assert!((left.mean() - all.mean()).abs() < 1e-12);
-        assert!((left.variance() - all.variance()).abs() < 1e-12);
-        // Merging into an empty accumulator copies the other side.
-        let mut empty = Welford::new();
-        empty.merge(&all);
-        assert_eq!(empty, all);
-    }
-
-    #[test]
-    fn rolling_window_evicts_oldest() {
-        let mut w = RollingWindow::new(3);
-        assert!(w.is_empty());
-        assert_eq!(w.mean(), 0.0);
-        w.push(1.0);
-        w.push(2.0);
-        assert!(!w.is_full());
-        w.push(3.0);
-        assert!(w.is_full());
-        assert!((w.mean() - 2.0).abs() < 1e-12);
-        w.push(10.0); // evicts 1.0
-        assert_eq!(w.len(), 3);
-        assert!((w.mean() - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn rolling_window_zero_capacity_clamps_to_one() {
-        let mut w = RollingWindow::new(0);
-        w.push(4.0);
-        w.push(9.0);
-        assert_eq!(w.len(), 1);
-        assert_eq!(w.mean(), 9.0);
-    }
-
-    #[test]
-    fn quantiles_interpolate() {
-        let v = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(quantile_sorted(&v, 0.0), 1.0);
-        assert_eq!(quantile_sorted(&v, 1.0), 4.0);
-        assert!((quantile_sorted(&v, 0.5) - 2.5).abs() < 1e-12);
     }
 }

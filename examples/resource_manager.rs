@@ -15,7 +15,7 @@
 //! cargo run --release --example resource_manager
 //! ```
 
-use engine::faults::FaultPlan;
+use engine::faults::{DriftPlan, FaultPlan};
 use engine::{Catalog, Simulator};
 use qpp::{
     CollectionConfig, ExecutedQuery, Method, QppConfig, QppPredictor, QueryDataset,
@@ -40,7 +40,7 @@ fn main() {
         seed: 42,
         ..FaultPlan::none()
     };
-    let (dataset, report) = QueryDataset::execute_with_faults(
+    let (dataset, report) = QueryDataset::execute_drifted(
         &catalog,
         &history,
         &simulator,
@@ -48,6 +48,7 @@ fn main() {
         f64::INFINITY,
         &faults,
         &CollectionConfig::default(),
+        &DriftPlan::none(),
     );
     println!(
         "collected history: {}/{} queries ({} retries, {} dropped, {} quarantined)\n",

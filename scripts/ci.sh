@@ -77,6 +77,17 @@ echo "==> cargo test -q --workspace --exclude qpp-bench (bounded time)"
 cargo test -q --workspace --exclude qpp-bench --no-run
 timeout 300 cargo test -q --workspace --exclude qpp-bench
 
+# The examples are the README's walk-throughs. Clippy compiles them; this
+# runs each once (under a second together), so an example whose library
+# calls panic or hang fails here. Building is kept outside the timeout.
+echo "==> examples: each runs once (bounded time)"
+cargo build --release -q --examples
+examples="$(git ls-files 'examples/*.rs' | xargs -n1 basename | sed 's/\.rs$//')"
+timeout 300 bash -c 'set -e; for name; do
+    echo "  $name"
+    cargo run --release -q --example "$name" > /dev/null
+done' _ $examples
+
 # The paper gate: every Section 5 experiment on seeds 0-5 at the paper's
 # scale, asserting who wins and where behaviour flips
 # (crates/bench/tests/paper_shapes.rs), plus qpp-bench's unit tests.

@@ -7,10 +7,10 @@
 //! serializes the tests because the thread override in `ml::par` is
 //! process-wide.
 
-use engine::{Catalog, Simulator};
+use engine::{Catalog, PlanNode, Simulator};
 use qpp::{
-    ExecutedQuery, HybridConfig, HybridModel, Method, OnlinePredictor, PlanOrdering,
-    PredictionCache, QppConfig, QppPredictor, QueryDataset,
+    online, ExecutedQuery, HybridConfig, HybridModel, Method, PlanOrdering, PredictionCache,
+    QppConfig, QppPredictor, QueryDataset,
 };
 use std::sync::Mutex;
 use tpch::Workload;
@@ -109,34 +109,44 @@ fn warm_prediction_cache_does_not_change_bits() {
     );
 }
 
+/// Online building judges its candidates in parallel, each against the
+/// base model alone: the models it keeps, and so every prediction, do not
+/// depend on the thread count or on the order the incoming plans arrive in.
 #[test]
-fn online_batch_matches_query_loop() {
+fn online_building_is_bit_identical_at_any_thread_count_and_plan_order() {
     let _guard = THREADS_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let ds = dataset();
-    let refs: Vec<&ExecutedQuery> = ds.queries.iter().collect();
+    // The log's own plans arrive: on this log no template left out gets a
+    // model kept, and the property needs at least one.
+    let train: Vec<&ExecutedQuery> = ds.queries.iter().collect();
     let op = with_threads(1, || {
         ml::gram::GramCache::global().clear();
-        qpp::OpLevelModel::train(&refs, &qpp::OpModelConfig::default()).expect("op training")
+        qpp::OpLevelModel::train(&train, &qpp::OpModelConfig::default()).expect("op training")
     });
+    let base = HybridModel::operator_only(op);
     let config = HybridConfig {
         min_frequency: 3,
         ..HybridConfig::default()
     };
-    let looped: Vec<u64> = with_threads(1, || {
-        let mut online =
-            OnlinePredictor::new(refs.clone(), HybridModel::operator_only(op.clone()), config.clone());
-        refs.iter()
-            .map(|q| online.predict_query(q).to_bits())
-            .collect()
-    });
-    let batched: Vec<u64> = with_threads(1, || {
-        let mut online =
-            OnlinePredictor::new(refs.clone(), HybridModel::operator_only(op.clone()), config.clone());
-        online
-            .predict_batch(&refs)
-            .into_iter()
-            .map(f64::to_bits)
-            .collect()
-    });
-    assert_eq!(looped, batched);
+    let predict_online = |threads: usize, incoming: &[&PlanNode]| -> (usize, Vec<u64>) {
+        with_threads(threads, || {
+            let built = online::build_models(&base, &train, &config, incoming);
+            let preds = train
+                .iter()
+                .map(|q| {
+                    let views = q.views(base.op_model.source());
+                    let model = online::extend(&base, &built, &q.plan, &views);
+                    model.predict_plan(&q.plan, &views).latency.to_bits()
+                })
+                .collect();
+            (built.len(), preds)
+        })
+    };
+    let incoming: Vec<&PlanNode> = train.iter().map(|q| &q.plan).collect();
+    let reversed: Vec<&PlanNode> = incoming.iter().rev().copied().collect();
+    let serial = predict_online(1, &incoming);
+    assert!(serial.0 > 0, "online building kept no model to compare");
+    assert_eq!(serial, predict_online(8, &incoming), "8 threads");
+    assert_eq!(serial, predict_online(1, &reversed), "reverse order");
+    assert_eq!(serial, predict_online(8, &reversed), "8 threads, reverse");
 }

@@ -1,10 +1,10 @@
 //! Cross-crate integration tests: the paper's qualitative findings must
 //! hold end-to-end on small-scale datasets.
 
-use engine::{Catalog, SimConfig, Simulator};
+use engine::{Catalog, PlanNode, SimConfig, Simulator};
 use ml::metrics::mean_relative_error;
 use qpp::hybrid::{train_hybrid, HybridConfig, HybridModel, PlanOrdering};
-use qpp::online::OnlinePredictor;
+use qpp::online;
 use qpp::op_model::{OpLevelModel, OpModelConfig};
 use qpp::plan_model::{PlanLevelModel, PlanModelConfig};
 use qpp::{ExecutedQuery, QueryDataset};
@@ -136,19 +136,24 @@ fn online_modeling_is_guarded() {
         let actual: Vec<f64> = test.iter().map(|q| q.latency()).collect();
         let op = OpLevelModel::train(&train, &OpModelConfig::default()).unwrap();
         let op_err = errors(&actual, &test.iter().map(|q| op.predict(q)).collect::<Vec<_>>());
-        let mut online = OnlinePredictor::new(
-            train,
-            HybridModel::operator_only(op),
-            HybridConfig {
-                min_frequency: 4,
-                ..HybridConfig::default()
-            },
-        );
+        let source = op.source();
+        let base = HybridModel::operator_only(op);
+        let config = HybridConfig {
+            min_frequency: 4,
+            ..HybridConfig::default()
+        };
+        let incoming: Vec<&PlanNode> = test.iter().map(|q| &q.plan).collect();
+        let built = online::build_models(&base, &train, &config, &incoming);
         let online_err = errors(
             &actual,
             &test
                 .iter()
-                .map(|q| online.predict_query(q))
+                .map(|q| {
+                    let views = q.views(source);
+                    online::extend(&base, &built, &q.plan, &views)
+                        .predict_plan(&q.plan, &views)
+                        .latency
+                })
                 .collect::<Vec<_>>(),
         );
         assert!(

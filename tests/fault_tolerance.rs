@@ -3,7 +3,7 @@
 //! budgets, and corrupted optimizer estimates without panicking and
 //! without ever emitting a NaN/infinite/negative prediction.
 
-use engine::faults::{ExecError, FaultPlan};
+use engine::faults::{DriftPlan, ExecError, FaultPlan};
 use engine::{Catalog, Planner, Simulator};
 use qpp::{
     CollectionConfig, ExecutedQuery, Method, PlanOrdering, PredictionTier, QppConfig,
@@ -28,7 +28,7 @@ fn end_to_end_with_ten_percent_aborts_and_five_percent_stragglers() {
         seed: 17,
         ..FaultPlan::none()
     };
-    let (ds, report) = QueryDataset::execute_with_faults(
+    let (ds, report) = QueryDataset::execute_drifted(
         &catalog,
         &workload,
         &Simulator::new(),
@@ -36,6 +36,7 @@ fn end_to_end_with_ten_percent_aborts_and_five_percent_stragglers() {
         f64::INFINITY,
         &faults,
         &CollectionConfig::default(),
+        &DriftPlan::none(),
     );
     // Collection completes and accounts for every query; retries keep the
     // bulk of the workload despite the fault rate.
@@ -90,7 +91,7 @@ fn timeout_budget_misses_are_dropped_and_accounted() {
         seed: 1,
         ..FaultPlan::none()
     };
-    let (ds, report) = QueryDataset::execute_with_faults(
+    let (ds, report) = QueryDataset::execute_drifted(
         &catalog,
         &workload,
         &Simulator::new(),
@@ -98,6 +99,7 @@ fn timeout_budget_misses_are_dropped_and_accounted() {
         f64::INFINITY,
         &faults,
         &CollectionConfig::trusting(),
+        &DriftPlan::none(),
     );
     assert!(report.reconciles(), "{report:?}");
     // Template 1 at SF 0.1 exceeds half a second, so the budget must
@@ -117,7 +119,7 @@ fn corrupted_collections_still_train_and_predict_sanely() {
         seed: 29,
         ..FaultPlan::none()
     };
-    let (ds, report) = QueryDataset::execute_with_faults(
+    let (ds, report) = QueryDataset::execute_drifted(
         &catalog,
         &workload,
         &Simulator::new(),
@@ -125,6 +127,7 @@ fn corrupted_collections_still_train_and_predict_sanely() {
         f64::INFINITY,
         &faults,
         &CollectionConfig::default(),
+        &DriftPlan::none(),
     );
     assert!(report.reconciles(), "{report:?}");
     assert!(!ds.is_empty());
@@ -151,11 +154,15 @@ fn try_execute_reports_aborts_deterministically() {
         seed: 5,
         ..FaultPlan::none()
     };
-    let e = sim.try_execute(&plan, 0.1, 3, &faults).unwrap_err();
+    let no_drift = DriftPlan::none();
+    let e = sim
+        .try_execute(&plan, 0.1, 3, &faults, &no_drift, 0)
+        .unwrap_err();
     match e {
         ExecError::Aborted { progress } => assert!((0.0..=1.0).contains(&progress)),
         other => panic!("expected an abort, got {other:?}"),
     }
     // Same seed, same fault plan: identical failure.
-    assert_eq!(sim.try_execute(&plan, 0.1, 3, &faults).unwrap_err(), e);
+    let again = sim.try_execute(&plan, 0.1, 3, &faults, &no_drift, 0);
+    assert_eq!(again.unwrap_err(), e);
 }

@@ -11,7 +11,11 @@
 //! scalers) or of inference (the compiled kernel, featurisation) fails
 //! here and names which, instead of waiting for a benchmark digit.
 //!
-//! A change that moves bits on purpose regenerates both files with
+//! `fixture_seed42.online` pins online model building (Section 4) the same
+//! way: an operator-only base trained on the log without template 3, and
+//! what online building says about the pool's 100 template-3 queries.
+//!
+//! A change that moves bits on purpose regenerates all three files with
 //!
 //! ```text
 //! cargo test --test golden_snapshot -- --ignored regenerate
@@ -21,10 +25,11 @@
 //! is the host libm's: a failure on an untouched tree after moving to
 //! another libc is that, and is regenerated the same way.)
 
-use engine::{Catalog, SimConfig, Simulator};
+use engine::{Catalog, PlanNode, SimConfig, Simulator};
 use qpp::{
-    decode_snapshot, encode_snapshot, ExecutedQuery, MaterializedModels, Method, PlanOrdering,
-    QppConfig, QppPredictor, QueryDataset,
+    decode_snapshot, encode_snapshot, online, ExecutedQuery, HybridConfig, HybridModel,
+    MaterializedModels, Method, OpLevelModel, OpModelConfig, PlanOrdering, QppConfig, QppPredictor,
+    QueryDataset,
 };
 use std::path::PathBuf;
 use tpch::Workload;
@@ -80,6 +85,55 @@ fn predictions(snapshot: &[u8], pool: &QueryDataset) -> Vec<u8> {
         .collect()
 }
 
+/// The template online building meets unseen.
+const UNSEEN: u8 = 3;
+
+/// Online predictions for the pool's template-3 queries over an
+/// operator-only base trained without them, as bytes; and how many of
+/// those queries' models online building extended.
+fn online_predictions(log: &QueryDataset, pool: &QueryDataset) -> (Vec<u8>, usize) {
+    let train: Vec<&ExecutedQuery> = log
+        .queries
+        .iter()
+        .filter(|q| q.template != UNSEEN)
+        .collect();
+    let op = OpLevelModel::train(&train, &OpModelConfig::default()).expect("trains");
+    let base = HybridModel::operator_only(op);
+    let unseen: Vec<&ExecutedQuery> = pool
+        .queries
+        .iter()
+        .filter(|q| q.template == UNSEEN)
+        .collect();
+    let incoming: Vec<&PlanNode> = unseen.iter().map(|q| &q.plan).collect();
+    let built = online::build_models(&base, &train, &HybridConfig::default(), &incoming);
+    let mut extended = 0;
+    let mut bytes = Vec::new();
+    for q in unseen {
+        let views = q.views(base.op_model.source());
+        let model = online::extend(&base, &built, &q.plan, &views);
+        extended += usize::from(model.plan_models.len() > base.plan_models.len());
+        bytes.extend(model.predict_plan(&q.plan, &views).latency.to_le_bytes());
+    }
+    (bytes, extended)
+}
+
+#[test]
+fn online_building_reproduces_the_golden_bits() {
+    let (log, pool) = fixture();
+    let (got, extended) = online_predictions(&log, &pool);
+    assert!(extended > 0, "no fragment model was kept and applied");
+    let want = std::fs::read(golden("fixture_seed42.online")).expect("golden online predictions");
+    assert_eq!(got.len(), want.len(), "100 template-3 queries x 8 bytes");
+    for (at, (g, w)) in got.chunks_exact(8).zip(want.chunks_exact(8)).enumerate() {
+        assert!(
+            g == w,
+            "online building moved a bit: template-3 query {at} reads {:?}, golden {:?}",
+            f64::from_le_bytes(g.try_into().expect("8 bytes")),
+            f64::from_le_bytes(w.try_into().expect("8 bytes")),
+        );
+    }
+}
+
 #[test]
 fn retraining_and_predicting_reproduce_the_golden_bits() {
     let (log, pool) = fixture();
@@ -113,13 +167,15 @@ fn retraining_and_predicting_reproduce_the_golden_bits() {
     }
 }
 
-/// Rewrites both golden files from this build; see the module docs.
+/// Rewrites the three golden files from this build; see the module docs.
 #[test]
 #[ignore = "writes tests/data; run by hand when bits move on purpose"]
 fn regenerate() {
     let (log, pool) = fixture();
     let snapshot = train(&log);
     std::fs::create_dir_all(data_dir()).expect("tests/data");
+    let (bits, _) = online_predictions(&log, &pool);
+    std::fs::write(golden("fixture_seed42.online"), bits).expect("writes the online predictions");
     std::fs::write(golden("fixture_seed42.predictions"), predictions(&snapshot, &pool))
         .expect("writes the predictions");
     std::fs::write(golden("fixture_seed42.qppsnap"), snapshot).expect("writes the snapshot");

@@ -6,7 +6,7 @@
 //! level. A global lock serializes the tests because the thread override
 //! in `ml::par` is process-wide.
 
-use engine::faults::FaultPlan;
+use engine::faults::{DriftPlan, FaultPlan};
 use engine::{Catalog, Simulator};
 use qpp::{
     CollectionConfig, ExecutedQuery, FeatureSource, Method, PlanOrdering, QppConfig,
@@ -41,7 +41,7 @@ fn parallel_collection_is_bit_identical_to_serial() {
     };
     let cfg = CollectionConfig::default();
     let collect = || {
-        QueryDataset::execute_with_faults(
+        QueryDataset::execute_drifted(
             &catalog,
             &workload,
             &sim,
@@ -49,6 +49,7 @@ fn parallel_collection_is_bit_identical_to_serial() {
             f64::INFINITY,
             &faults,
             &cfg,
+            &DriftPlan::none(),
         )
     };
     let (ds1, report1) = with_threads(1, collect);

@@ -1,7 +1,7 @@
 //! Property tests over the core invariants of every layer: each property
 //! runs on seeded cases drawn through [`rng::cases`].
 
-use engine::faults::FaultPlan;
+use engine::faults::{DriftPlan, FaultPlan};
 use engine::{Catalog, Planner, SimConfig, Simulator};
 use rng::StdRng;
 use std::sync::OnceLock;
@@ -272,7 +272,7 @@ fn checked_predictions_survive_arbitrary_faults() {
             seed,
             ..FaultPlan::none()
         };
-        let (ds, report) = qpp::QueryDataset::execute_with_faults(
+        let (ds, report) = qpp::QueryDataset::execute_drifted(
             &catalog,
             &workload,
             &Simulator::new(),
@@ -280,6 +280,7 @@ fn checked_predictions_survive_arbitrary_faults() {
             f64::INFINITY,
             &faults,
             &qpp::CollectionConfig::default(),
+            &DriftPlan::none(),
         );
         assert!(report.reconciles(), "{report:?}");
         let p = predictor();
@@ -337,8 +338,8 @@ fn try_execute_is_deterministic_under_faults() {
             seed,
             ..FaultPlan::none()
         };
-        let a = sim.try_execute(&plan, 0.1, seed, &faults);
-        let b = sim.try_execute(&plan, 0.1, seed, &faults);
+        let a = sim.try_execute(&plan, 0.1, seed, &faults, &DriftPlan::none(), 0);
+        let b = sim.try_execute(&plan, 0.1, seed, &faults, &DriftPlan::none(), 0);
         match (a, b) {
             (Ok(ta), Ok(tb)) => {
                 assert_eq!(ta.total_secs, tb.total_secs);
