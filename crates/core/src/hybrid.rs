@@ -414,6 +414,25 @@ pub fn train_hybrid(
     op_model: OpLevelModel,
     config: &HybridConfig,
 ) -> Result<(HybridModel, Vec<IterationRecord>), QppError> {
+    let (model, records, _) = train_hybrid_recorded(queries, op_model, config)?;
+    Ok((model, records))
+}
+
+/// The mean relative error of the training log's walk before Algorithm 1's
+/// first iteration (the operator-level models alone) and after its last
+/// (the hybrid model): the two errors training records for those tiers.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WalkErrors {
+    pub(crate) operator_level: f64,
+    pub(crate) hybrid: f64,
+}
+
+/// [`train_hybrid`], also returning its walk's [`WalkErrors`].
+pub(crate) fn train_hybrid_recorded(
+    queries: &[&ExecutedQuery],
+    op_model: OpLevelModel,
+    config: &HybridConfig,
+) -> Result<(HybridModel, Vec<IterationRecord>, WalkErrors), QppError> {
     let source = op_model.source();
     let mut model = HybridModel::operator_only(op_model);
     let views: Vec<Vec<NodeView>> = ml::par::par_map(queries, |_, q| q.views(source));
@@ -421,7 +440,8 @@ pub fn train_hybrid(
     let index = SubplanIndex::build(&plans);
 
     let mut walk = TrainingWalk::new(&model, queries, &views);
-    let mut error = walk.error();
+    let operator_level = walk.error();
+    let mut error = operator_level;
     let mut rejected: HashSet<StructureKey> = HashSet::new();
     let mut records = Vec::new();
 
@@ -472,7 +492,11 @@ pub fn train_hybrid(
             error,
         });
     }
-    Ok((model, records))
+    let errors = WalkErrors {
+        operator_level,
+        hybrid: error,
+    };
+    Ok((model, records, errors))
 }
 
 /// Algorithm 1's acceptance rule, the one decision of whether a trained
@@ -548,22 +572,13 @@ pub fn train_subplan_model(
         || FeatureModel::train(&x, &y_start, &folds, &LEARNER, &SELECTION, LOG_TARGET),
         || FeatureModel::train(&x, &y_run, &folds, &LEARNER, &SELECTION, LOG_TARGET),
     );
-    let start = start_res?;
-    let run = run_res?;
+    let start = start_res?.0;
+    let run = run_res?.0;
     Ok(SubplanModel {
         start,
         run,
         description: info.description.clone(),
     })
-}
-
-/// Mean relative error of the current hybrid model on the training data.
-pub fn training_error(
-    model: &HybridModel,
-    queries: &[&ExecutedQuery],
-    views: &[Vec<NodeView>],
-) -> f64 {
-    TrainingWalk::new(model, queries, views).error()
 }
 
 /// The training log under a hybrid model: each query's prediction, node
@@ -727,13 +742,9 @@ mod tests {
         let ds = dataset();
         let refs: Vec<&ExecutedQuery> = ds.queries.iter().collect();
         let op = OpLevelModel::train(&refs, &OpModelConfig::default()).unwrap();
-        let base = HybridModel::operator_only(op.clone());
-        let views: Vec<Vec<NodeView>> =
-            refs.iter().map(|q| q.views(op.source())).collect();
-        let base_err = training_error(&base, &refs, &views);
-        let (hybrid, records) =
-            train_hybrid(&refs, op, &quick_config(PlanOrdering::ErrorBased)).unwrap();
-        let hybrid_err = training_error(&hybrid, &refs, &views);
+        let (_, records, errors) =
+            train_hybrid_recorded(&refs, op, &quick_config(PlanOrdering::ErrorBased)).unwrap();
+        let (base_err, hybrid_err) = (errors.operator_level, errors.hybrid);
         assert!(
             hybrid_err <= base_err + 1e-9,
             "hybrid {hybrid_err} vs op {base_err}"

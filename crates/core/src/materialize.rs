@@ -5,13 +5,17 @@
 //! bytes and back without retraining — the training logs are not needed
 //! at prediction time, only the materialized models.
 //!
-//! The bytes are the `QPPSNAP v2` payload (layout in DESIGN.md §8, "Snapshot format"):
-//! every float travels as its IEEE-754 bits, so an unknown calibration
-//! (NaN) is a value like any other. They are outside input when they come
-//! back: decoding is bounds-checked ([`ml::bytes`]) and then validated, so
-//! a snapshot with non-finite weights or mismatched feature arity is
-//! rejected with [`QppError::InvalidSnapshot`] instead of silently
-//! producing NaN predictions later. The versioned, checksummed envelope
+//! The bytes are the `QPPSNAP v3` payload (layout in DESIGN.md §8, "Snapshot format"):
+//! the models, the analytical fallbacks' calibration, and each learned
+//! tier's recorded error ([`QppPredictor::recorded_error`]), so a model
+//! set reloaded in another session brings the baseline its drift monitor
+//! judges it against. Every float travels as its IEEE-754 bits, so an
+//! unknown calibration (NaN) is a value like any other. They are outside
+//! input when they come back: decoding is bounds-checked ([`ml::bytes`])
+//! and then validated, so a snapshot with non-finite weights, mismatched
+//! feature arity or a non-finite recorded error is rejected with
+//! [`QppError::InvalidSnapshot`] instead of silently producing NaN
+//! predictions later. The versioned, checksummed envelope
 //! around the payload, and the only public way in and out
 //! ([`crate::encode_snapshot`] / [`crate::decode_snapshot`]), live in
 //! [`crate::registry`].
@@ -40,45 +44,35 @@ pub struct MaterializedModels {
     pub secs_per_cost: f64,
     /// Median training latency — the last-resort prior. 0.0 when unknown.
     pub prior_latency: f64,
+    /// Each learned tier's recorded error, in [`crate::MODEL_TIERS`]
+    /// order ([`QppPredictor::recorded_error`]).
+    pub recorded_error: [f64; 3],
 }
 
 impl MaterializedModels {
-    /// Snapshots trained models. The fallback calibration
-    /// ([`MaterializedModels::secs_per_cost`] /
-    /// [`MaterializedModels::prior_latency`]) is left unknown; prefer
-    /// [`MaterializedModels::from_predictor`] when a full predictor is at
-    /// hand.
-    pub fn new(
-        plan_level: &PlanLevelModel,
-        op_level: &OpLevelModel,
-        hybrid: &HybridModel,
-    ) -> MaterializedModels {
-        let mut pairs: Vec<(u64, SubplanModel)> = hybrid
+    /// Snapshots a trained predictor: its models, the analytical
+    /// fallbacks' calibration and its recorded errors.
+    pub fn from_predictor(qpp: &QppPredictor) -> MaterializedModels {
+        let mut pairs: Vec<(u64, SubplanModel)> = qpp
+            .hybrid
             .plan_models
             .iter()
             .map(|(k, v)| (k.0, v.clone()))
             .collect();
         pairs.sort_by_key(|(k, _)| *k);
         MaterializedModels {
-            plan_level: plan_level.clone(),
-            op_level: op_level.clone(),
+            plan_level: qpp.plan_level.clone(),
+            op_level: qpp.op_level.clone(),
             hybrid_plan_models: pairs,
-            secs_per_cost: f64::NAN,
-            prior_latency: 0.0,
+            secs_per_cost: qpp.secs_per_cost(),
+            prior_latency: qpp.prior_latency(),
+            recorded_error: qpp.recorded_error,
         }
     }
 
-    /// Snapshots a trained predictor, including the analytical-fallback
-    /// calibration that [`MaterializedModels::new`] cannot capture.
-    pub fn from_predictor(qpp: &QppPredictor) -> MaterializedModels {
-        let mut mat = MaterializedModels::new(&qpp.plan_level, &qpp.op_level, &qpp.hybrid);
-        mat.secs_per_cost = qpp.secs_per_cost();
-        mat.prior_latency = qpp.prior_latency();
-        mat
-    }
-
     /// The snapshot payload: plan-level model, operator-level models, the
-    /// counted sub-plan models, then the two calibration floats.
+    /// counted sub-plan models, the two calibration floats, then the three
+    /// recorded errors.
     pub(crate) fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         self.plan_level.encode(&mut out);
@@ -90,6 +84,9 @@ impl MaterializedModels {
         }
         put_f64(&mut out, self.secs_per_cost);
         put_f64(&mut out, self.prior_latency);
+        for e in self.recorded_error {
+            put_f64(&mut out, e);
+        }
         out
     }
 
@@ -121,11 +118,13 @@ impl MaterializedModels {
             hybrid_plan_models,
             secs_per_cost: r.f64()?,
             prior_latency: r.f64()?,
+            recorded_error: [r.f64()?, r.f64()?, r.f64()?],
         })
     }
 
     /// Validation gate run at load time: every model in the set must have
-    /// finite weights and internally consistent feature arity.
+    /// finite weights and internally consistent feature arity, and every
+    /// recorded error must be finite and non-negative.
     pub fn validate(&self) -> Result<(), QppError> {
         self.plan_level
             .validate()
@@ -157,6 +156,15 @@ impl MaterializedModels {
             return Err(QppError::InvalidSnapshot(format!(
                 "invalid prior latency {}",
                 self.prior_latency
+            )));
+        }
+        if let Some(e) = self
+            .recorded_error
+            .iter()
+            .find(|e| !e.is_finite() || **e < 0.0)
+        {
+            return Err(QppError::InvalidSnapshot(format!(
+                "invalid recorded error {e}"
             )));
         }
         Ok(())
@@ -253,19 +261,25 @@ mod tests {
             let f = back.op_level.predict(q);
             assert_eq!(e.to_bits(), f.to_bits(), "op-level {e} vs {f}");
         }
-        // The fallback calibration rides along.
+        // The fallback calibration and the recorded errors ride along.
         assert_eq!(back.secs_per_cost, qpp.secs_per_cost());
         assert_eq!(back.prior_latency, qpp.prior_latency());
+        let rebuilt = QppPredictor::from_materialized(&back, QppConfig::default());
+        for tier in crate::MODEL_TIERS {
+            let recorded = qpp.recorded_error(tier).expect("a learned tier");
+            assert!(recorded.is_finite() && recorded >= 0.0, "{tier:?}: {recorded}");
+            assert_eq!(rebuilt.recorded_error(tier), Some(recorded));
+        }
     }
 
     #[test]
     fn an_unknown_calibration_survives_the_snapshot() {
-        // `new` leaves the calibration unknown (NaN). The JSON payload of
-        // `QPPSNAP v1` wrote that as `null` and then refused to read it
-        // back; v2 carries the bits.
+        // A log without a usable cost estimate leaves the calibration
+        // unknown (NaN). The JSON payload of `QPPSNAP v1` wrote that as
+        // `null` and then refused to read it back; since v2 the bits travel.
         let (_, qpp) = trained();
-        let mat = MaterializedModels::new(&qpp.plan_level, &qpp.op_level, &qpp.hybrid);
-        assert!(mat.secs_per_cost.is_nan());
+        let mut mat = MaterializedModels::from_predictor(&qpp);
+        mat.secs_per_cost = f64::NAN;
         let back = decode_snapshot(&encode_snapshot(&mat)).unwrap();
         assert_eq!(back.secs_per_cost.to_bits(), mat.secs_per_cost.to_bits());
         assert_eq!(back.encode(), mat.encode());
@@ -391,5 +405,11 @@ mod tests {
         let mut mat = MaterializedModels::from_predictor(&qpp);
         mat.prior_latency = -1.0;
         expect_invalid(mat.validate(), "prior latency");
+        for bad in [f64::NAN, f64::INFINITY, -0.5] {
+            let mut mat = MaterializedModels::from_predictor(&qpp);
+            mat.recorded_error[2] = bad;
+            expect_invalid(mat.validate(), "recorded error");
+            expect_invalid(decode_snapshot(&encode_snapshot(&mat)), "recorded error");
+        }
     }
 }

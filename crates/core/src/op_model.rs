@@ -128,9 +128,9 @@ impl OpLevelModel {
             }
             let folds = kfold(xs[k].n_rows(), FOLDS.min(xs[k].n_rows()), FOLD_SEED);
             let start_model =
-                FeatureModel::train(&xs[k], &starts[k], &folds, &LEARNER, &SELECTION, false)?;
+                FeatureModel::train(&xs[k], &starts[k], &folds, &LEARNER, &SELECTION, false)?.0;
             let run_model =
-                FeatureModel::train(&xs[k], &runs[k], &folds, &LEARNER, &SELECTION, false)?;
+                FeatureModel::train(&xs[k], &runs[k], &folds, &LEARNER, &SELECTION, false)?.0;
             Ok(Some((start_model, run_model)))
         };
         let fitted: Vec<Result<Option<(FeatureModel, FeatureModel)>, MlError>> =
@@ -144,11 +144,6 @@ impl OpLevelModel {
             source: config.source,
             include_start_features: config.include_start_features,
         })
-    }
-
-    /// Whether a model exists for the operator type.
-    pub fn has_model(&self, op: OpType) -> bool {
-        self.per_type[op.index()].is_some()
     }
 
     /// Feature source the models were trained with.
@@ -362,10 +357,11 @@ mod tests {
         let ds = dataset(&[1, 3, 6], 8);
         let refs: Vec<&ExecutedQuery> = ds.queries.iter().collect();
         let model = OpLevelModel::train(&refs, &OpModelConfig::default()).unwrap();
-        assert!(model.has_model(OpType::SeqScan));
-        assert!(model.has_model(OpType::Sort));
+        let has_model = |op: OpType| model.per_type[op.index()].is_some();
+        assert!(has_model(OpType::SeqScan));
+        assert!(has_model(OpType::Sort));
         // No template here uses a SubqueryScan.
-        assert!(!model.has_model(OpType::SubqueryScan));
+        assert!(!has_model(OpType::SubqueryScan));
     }
 
     #[test]

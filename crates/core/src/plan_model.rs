@@ -12,8 +12,8 @@ use engine::plan::PlanNode;
 use ml::bytes::{put_count, put_f64, put_u32, Malformed, Reader};
 use ml::cv::{stratified_kfold, Fold};
 use ml::{
-    forward_select, CompiledModel, Dataset, ForwardSelection, Learner, LearnerKind, MlError,
-    PredictScratch, TrainedModel,
+    forward_select, mean_relative_error, CompiledModel, Dataset, ForwardSelection, Learner,
+    LearnerKind, MlError, PredictScratch, TrainedModel,
 };
 use std::cell::RefCell;
 use std::sync::OnceLock;
@@ -137,7 +137,11 @@ pub struct FeatureModel {
 }
 
 impl FeatureModel {
-    /// Trains with forward selection over pre-assembled features.
+    /// Trains with forward selection over pre-assembled features. Also
+    /// returns the error training measured for the model: the mean
+    /// relative error against `y` of the out-of-fold predictions of the
+    /// cross-validation that selected its features, each transformed back
+    /// and clamped as a prediction is.
     pub fn train(
         x: &Dataset,
         y: &[f64],
@@ -145,12 +149,12 @@ impl FeatureModel {
         learner: &LearnerKind,
         selection: &ForwardSelection,
         log_target: bool,
-    ) -> Result<FeatureModel, MlError> {
+    ) -> Result<(FeatureModel, f64), MlError> {
         let yt = transform(y, log_target);
         let sel = forward_select(selection, learner, x, &yt, folds)?;
         let model = learner.fit(&x.select_columns(&sel.selected), &yt)?;
         let feature_ranges = sel.selected.iter().map(|&j| range(&x.column(j))).collect();
-        Ok(FeatureModel {
+        let trained = FeatureModel {
             selected: sel.selected,
             model,
             cv_error: sel.cv_error,
@@ -158,7 +162,10 @@ impl FeatureModel {
             target_range: range(y),
             feature_ranges,
             compiled: OnceLock::new(),
-        })
+        };
+        let out_of_fold: Vec<f64> = sel.predictions.iter().map(|&p| trained.finish(p)).collect();
+        let error = mean_relative_error(y, &out_of_fold);
+        Ok((trained, error))
     }
 
     /// Trains on the full feature set (no selection) — the ablation arm.
@@ -415,16 +422,29 @@ impl PlanLevelModel {
     /// (Section 5.1's stratified sampling). Selection needs two queries to
     /// hold one out: fewer is [`QppError::NoTrainingData`].
     pub fn train(queries: &[&ExecutedQuery], config: &PlanModelConfig) -> Result<Self, QppError> {
+        Ok(Self::train_recorded(queries, config)?.0)
+    }
+
+    /// [`PlanLevelModel::train`], also returning the model's recorded
+    /// error: the mean relative error of the out-of-fold predictions of the
+    /// stratified cross-validation that selected its features, in the
+    /// metric's own space (see [`FeatureModel::train`]).
+    pub(crate) fn train_recorded(
+        queries: &[&ExecutedQuery],
+        config: &PlanModelConfig,
+    ) -> Result<(Self, f64), QppError> {
         let k = fold_count(FOLDS, queries.len()).ok_or(QppError::NoTrainingData)?;
         let (x, y) = assemble_metric(queries, config.source, config.metric);
         let strata: Vec<usize> = queries.iter().map(|q| q.template as usize).collect();
         let folds = stratified_kfold(&strata, k, FOLD_SEED);
-        let inner = FeatureModel::train(&x, &y, &folds, &config.learner, &SELECTION, LOG_TARGET)?;
-        Ok(PlanLevelModel {
+        let (inner, error) =
+            FeatureModel::train(&x, &y, &folds, &config.learner, &SELECTION, LOG_TARGET)?;
+        let model = PlanLevelModel {
             inner,
             source: config.source,
             metric: config.metric,
-        })
+        };
+        Ok((model, error))
     }
 
     /// Trains on all features without selection (ablation).
@@ -498,11 +518,6 @@ impl PlanLevelModel {
             .collect()
     }
 
-    /// Cross-validated error observed during training.
-    pub fn training_cv_error(&self) -> f64 {
-        self.inner.cv_error
-    }
-
     /// Snapshot-load validation: checks the inner model against the
     /// plan-level feature arity (see [`FeatureModel::validate`]).
     pub fn validate(&self) -> Result<(), String> {
@@ -570,7 +585,6 @@ mod tests {
     use super::*;
     use crate::dataset::QueryDataset;
     use engine::{Catalog, Simulator};
-    use ml::mean_relative_error;
     use tpch::Workload;
 
     /// Simulator with the jitter tuned down: these tests assert model

@@ -4,8 +4,12 @@
 //! Ties the paper's plan-level, operator-level and hybrid methods behind
 //! one API (online building extends the hybrid model: [`crate::online`]) and
 //! implements model *materialization* (Section 1's pre-building): trained
-//! model sets serialize to a `QPPSNAP v2` binary snapshot and reload
+//! model sets serialize to a `QPPSNAP v3` binary snapshot and reload
 //! without retraining.
+//!
+//! A trained predictor carries each learned tier's error as training
+//! measured it ([`QppPredictor::recorded_error`]), and so does its
+//! snapshot: the drift monitor judges live residuals against it.
 //!
 //! Besides the raw [`QppPredictor::predict`], the facade offers the
 //! guarded [`QppPredictor::predict_checked`], which never returns a
@@ -17,7 +21,9 @@
 use crate::dataset::ExecutedQuery;
 use crate::error::QppError;
 use crate::features::{plan_features, FeatureSource};
-use crate::hybrid::{train_hybrid, HybridConfig, HybridModel, IterationRecord, PlanOrdering};
+use crate::hybrid::{
+    train_hybrid_recorded, HybridConfig, HybridModel, IterationRecord, PlanOrdering,
+};
 use crate::op_model::{OpLevelModel, OpModelConfig};
 use crate::plan_model::{PlanLevelModel, PlanModelConfig};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -96,13 +102,16 @@ pub struct QppPredictor {
     secs_per_cost: f64,
     /// Median training latency (the last-resort prior).
     prior_latency: f64,
+    /// Each learned tier's error as training measured it, in
+    /// [`MODEL_TIERS`] order (see [`QppPredictor::recorded_error`]).
+    pub(crate) recorded_error: [f64; 3],
     /// Consecutive-invalid-output counters per model tier
     /// (Hybrid, OperatorLevel, PlanLevel).
     breakers: [AtomicU32; 3],
 }
 
-/// The three learned tiers, in degradation order. The drift monitor keys
-/// its per-tier residual statistics by position in this array.
+/// The three learned tiers, in degradation order. The recorded errors and
+/// the drift monitor's per-tier state are kept by position in this array.
 pub const MODEL_TIERS: [PredictionTier; 3] = [
     PredictionTier::Hybrid,
     PredictionTier::OperatorLevel,
@@ -173,13 +182,13 @@ impl QppPredictor {
         // them concurrently. The plan-level result is checked first, so a
         // double failure reports the same error the serial code did.
         let (plan_res, op_res) = ml::par::join2(
-            || PlanLevelModel::train(queries, &config.plan),
+            || PlanLevelModel::train_recorded(queries, &config.plan),
             || OpLevelModel::train(queries, &config.op),
         );
-        let plan_level = plan_res?;
+        let (plan_level, plan_error) = plan_res?;
         let op_level = op_res?;
-        let (hybrid, hybrid_trajectory) =
-            train_hybrid(queries, op_level.clone(), &config.hybrid)?;
+        let (hybrid, hybrid_trajectory, walk) =
+            train_hybrid_recorded(queries, op_level.clone(), &config.hybrid)?;
         let ratios: Vec<f64> = queries
             .iter()
             .filter_map(|q| {
@@ -207,6 +216,7 @@ impl QppPredictor {
             config,
             secs_per_cost,
             prior_latency,
+            recorded_error: [walk.hybrid, walk.operator_level, plan_error],
             breakers: [AtomicU32::new(0), AtomicU32::new(0), AtomicU32::new(0)],
         })
     }
@@ -412,6 +422,17 @@ impl QppPredictor {
         self.prior_latency
     }
 
+    /// A learned tier's mean relative error as training measured it, from
+    /// numbers training computes anyway: for the plan level, its
+    /// out-of-fold predictions in the stratified cross-validation that
+    /// selected its features; for the operator level and the hybrid,
+    /// Algorithm 1's walk of the training log before its first iteration
+    /// and after its last. The drift monitor's baseline. `None` for the
+    /// analytical fallback tiers.
+    pub fn recorded_error(&self, tier: PredictionTier) -> Option<f64> {
+        tier_index(tier).map(|i| self.recorded_error[i])
+    }
+
     /// The training configuration this predictor was built with.
     pub fn config(&self) -> &QppConfig {
         &self.config
@@ -436,6 +457,7 @@ impl QppPredictor {
             config,
             secs_per_cost: mat.secs_per_cost,
             prior_latency: mat.prior_latency,
+            recorded_error: mat.recorded_error,
             breakers: [AtomicU32::new(0), AtomicU32::new(0), AtomicU32::new(0)],
         }
     }
@@ -487,7 +509,15 @@ mod tests {
             let err = mean_relative_error(&actual, &preds);
             assert!(err.is_finite(), "{method:?}: {err}");
             assert!(err < 1.0, "{method:?} training error = {err}");
+            // The operator-level and hybrid records are these in-sample
+            // errors; the plan level records an out-of-fold one.
+            let recorded = qpp.recorded_error(method.tier()).expect("a learned tier");
+            assert!(recorded.is_finite() && recorded >= 0.0, "{method:?}: {recorded}");
+            if method != Method::PlanLevel {
+                assert_eq!(recorded.to_bits(), err.to_bits(), "{method:?}");
+            }
         }
+        assert_eq!(qpp.recorded_error(PredictionTier::CostScaling), None);
     }
 
     #[test]

@@ -8,14 +8,18 @@
 //! - **Checksummed, atomic snapshots.** Every version is one file,
 //!   `v{N}.qppsnap`, written temp-then-rename so a crash can never leave a
 //!   half-written current version. The file starts with a header line
-//!   `QPPSNAP v2 <fnv64> <len>` followed by the binary model payload of
+//!   `QPPSNAP v3 <fnv64> <len>` followed by the binary model payload of
 //!   [`crate::materialize`]; loads verify format version, payload length,
 //!   and FNV-1a checksum before the payload is even parsed, then run
 //!   [`MaterializedModels::validate`]'s finite-weights/arity gates.
+//!   Version 3 added the learned tiers' recorded errors; a v2 file is
+//!   refused as an unsupported version, like any other.
 //! - **Hot swap.** The serving predictor hangs under an `Arc`; promotion
 //!   builds the replacement off to the side, validates it end-to-end
 //!   (including a read-back of the just-written snapshot), and swaps the
 //!   `Arc` under a write lock. In-flight readers keep their old reference.
+//!   The promoted model carries its own recorded errors, so a drift
+//!   monitor that resets on the swap judges it against its own record.
 //!   The shared [`PredictionCache`] is cleared on every swap — the
 //!   content-aware model-set signature already keeps stale entries from
 //!   being *hits*, clearing also reclaims their space.
@@ -43,7 +47,7 @@ use std::sync::{Arc, RwLock};
 
 /// Snapshot format magic + version accepted by this build.
 const SNAPSHOT_MAGIC: &str = "QPPSNAP";
-const SNAPSHOT_VERSION: &str = "v2";
+const SNAPSHOT_VERSION: &str = "v3";
 
 /// FNV-1a over raw bytes (the sibling of `pred_cache`'s u64 variant).
 fn fnv64(bytes: &[u8]) -> u64 {
@@ -56,7 +60,7 @@ fn fnv64(bytes: &[u8]) -> u64 {
 }
 
 /// Encodes a model set into the on-disk snapshot envelope:
-/// `QPPSNAP v2 <fnv64-hex> <payload-len>\n<payload>`.
+/// `QPPSNAP v3 <fnv64-hex> <payload-len>\n<payload>`.
 pub fn encode_snapshot(mat: &MaterializedModels) -> Vec<u8> {
     seal(&mat.encode())
 }
@@ -491,9 +495,10 @@ mod tests {
             other => panic!("expected truncation error, got {other:?}"),
         }
 
-        // A future format version, and the JSON one this build replaced.
-        assert!(bytes.starts_with(b"QPPSNAP v2 "));
-        for digit in [b'9', b'1'] {
+        // A future format version, the JSON one, and the one without
+        // recorded errors.
+        assert!(bytes.starts_with(b"QPPSNAP v3 "));
+        for digit in [b'9', b'1', b'2'] {
             let mut other_version = bytes.clone();
             other_version[9] = digit;
             match decode_snapshot(&other_version) {

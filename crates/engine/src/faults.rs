@@ -209,21 +209,6 @@ impl DriftPlan {
         }
     }
 
-    /// A per-tenant variant of this drift plan: identical shape (kind,
-    /// onset, ramp, magnitude) but a seed derived deterministically from
-    /// the tenant index, so each tenant's drift stream is decorrelated
-    /// from every other tenant's while staying exactly reproducible.
-    /// Multi-tenant tests drift one tenant's traffic without touching the
-    /// estimate jitter other tenants observe.
-    pub fn for_tenant(&self, tenant: usize) -> DriftPlan {
-        DriftPlan {
-            seed: self
-                .seed
-                .wrapping_add((tenant as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-            ..self.clone()
-        }
-    }
-
     /// Shifts a plan's logged optimizer estimates in place for the query at
     /// stream position `idx`. Deterministic in (drift seed, idx).
     ///
@@ -666,38 +651,6 @@ mod tests {
         for w in quiet_offsets.windows(2) {
             assert!(w[1] - w[0] > 0.5 * period, "quiet arrivals bunched");
         }
-    }
-
-    #[test]
-    fn per_tenant_drift_is_decorrelated_but_same_shape() {
-        let base = DriftPlan {
-            kind: DriftKind::SelectivityShift,
-            onset: 4,
-            ramp: 8,
-            magnitude: 3.0,
-            seed: 77,
-        };
-        let a = base.for_tenant(0);
-        let b = base.for_tenant(1);
-        assert_eq!(a, base.for_tenant(0), "derivation must be deterministic");
-        assert_ne!(a.seed, b.seed, "tenants must get distinct drift streams");
-        for plan in [&a, &b] {
-            assert_eq!(plan.kind, base.kind);
-            assert_eq!(plan.onset, base.onset);
-            assert_eq!(plan.ramp, base.ramp);
-            assert_eq!(plan.magnitude, base.magnitude);
-            // Same ramp: intensities agree even though jitter differs.
-            for idx in 0..20 {
-                assert_eq!(plan.intensity(idx), base.intensity(idx));
-            }
-        }
-        // And the jitter actually differs between tenants.
-        let original = sample_plan(3);
-        let mut pa = original.clone();
-        let mut pb = original.clone();
-        a.shift_estimates(&mut pa, 12);
-        b.shift_estimates(&mut pb, 12);
-        assert_ne!(format!("{pa:?}"), format!("{pb:?}"));
     }
 
     #[test]

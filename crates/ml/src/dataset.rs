@@ -38,25 +38,6 @@ impl Dataset {
         ds
     }
 
-    /// Builds a dataset from a flat row-major buffer.
-    ///
-    /// # Panics
-    /// Panics if `data.len()` is not a multiple of `n_cols`.
-    pub fn from_flat(data: Vec<f64>, n_cols: usize) -> Self {
-        assert!(
-            n_cols > 0 && data.len().is_multiple_of(n_cols),
-            "flat buffer length {} not a multiple of n_cols {}",
-            data.len(),
-            n_cols
-        );
-        let n_rows = data.len() / n_cols;
-        Dataset {
-            data,
-            n_rows,
-            n_cols,
-        }
-    }
-
     /// Appends one row.
     ///
     /// # Panics
@@ -192,18 +173,6 @@ mod tests {
         ds.push_row_with(|row| row.copy_from_slice(&[3.0, 4.0]));
         ds.push_row(&[5.0, 6.0]);
         assert_eq!(ds, sample());
-    }
-
-    #[test]
-    fn from_flat_matches_from_rows() {
-        let flat = Dataset::from_flat(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 2);
-        assert_eq!(flat, sample());
-    }
-
-    #[test]
-    #[should_panic(expected = "not a multiple")]
-    fn from_flat_rejects_ragged() {
-        Dataset::from_flat(vec![1.0, 2.0, 3.0], 2);
     }
 
     #[test]

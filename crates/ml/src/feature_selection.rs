@@ -54,6 +54,10 @@ pub struct SelectionResult {
     pub selected: Vec<usize>,
     /// Cross-validated mean relative error of the final subset.
     pub cv_error: f64,
+    /// The final subset's out-of-fold prediction for every row
+    /// ([`crate::CrossValidation::predictions`]); NaN when its
+    /// cross-validation failed.
+    pub predictions: Vec<f64>,
 }
 
 /// Ranks all columns of `x` by |Pearson correlation| with `y`, strongest
@@ -82,8 +86,15 @@ pub fn forward_select<L: Learner + Sync>(
 ) -> Result<SelectionResult, MlError> {
     x.check_targets(y)?;
     let ranked = rank_by_correlation(x, y);
+    // A subset that makes the system unsolvable scores an infinite error
+    // and NaN predictions, so it is simply skipped.
+    let score = |cols: &[usize]| match cross_validate(learner, &x.select_columns(cols), y, folds) {
+        Ok(cv) => (cv.mean_error(), cv.predictions),
+        Err(_) => (f64::INFINITY, vec![f64::NAN; y.len()]),
+    };
     let mut selected: Vec<usize> = Vec::new();
     let mut best_error = f64::INFINITY;
+    let mut best_predictions = Vec::new();
     let mut misses = 0usize;
     // Candidates rejected since `selected` last changed, with their errors.
     let mut rejected: Vec<(usize, f64)> = Vec::new();
@@ -94,17 +105,15 @@ pub fn forward_select<L: Learner + Sync>(
         }
         let mut trial = selected.clone();
         trial.push(candidate);
-        let inherited = rejected
+        // An inherited error is a rejected one against the same best
+        // error, so it is rejected again and needs no predictions.
+        let (err, predictions) = match rejected
             .iter()
             .find(|&&(earlier, _)| columns_bit_equal(x, earlier, candidate))
-            .map(|&(_, err)| err);
-        let err = inherited.unwrap_or_else(|| {
-            match cross_validate(learner, &x.select_columns(&trial), y, folds) {
-                Ok(cv) => cv.mean_error(),
-                // A candidate that makes the system unsolvable is simply skipped.
-                Err(_) => f64::INFINITY,
-            }
-        });
+        {
+            Some(&(_, err)) => (err, Vec::new()),
+            None => score(&trial),
+        };
         // Absolute floor of 1e-12 keeps numerical jitter from counting as
         // an improvement once the error is essentially zero.
         let improved = err.is_finite()
@@ -112,6 +121,7 @@ pub fn forward_select<L: Learner + Sync>(
         if improved {
             selected = trial;
             best_error = err;
+            best_predictions = predictions;
             misses = 0;
             rejected.clear();
         } else {
@@ -127,19 +137,18 @@ pub fn forward_select<L: Learner + Sync>(
         // Degenerate data (e.g. constant target): fall back to the single
         // top-ranked feature so downstream code always has a model.
         let first = ranked.first().copied().unwrap_or(0);
-        let sub = x.select_columns(&[first]);
-        let err = cross_validate(learner, &sub, y, folds)
-            .map(|cv| cv.mean_error())
-            .unwrap_or(f64::INFINITY);
+        let (cv_error, predictions) = score(&[first]);
         return Ok(SelectionResult {
             selected: vec![first],
-            cv_error: err,
+            cv_error,
+            predictions,
         });
     }
 
     Ok(SelectionResult {
         selected,
         cv_error: best_error,
+        predictions: best_predictions,
     })
 }
 
@@ -168,6 +177,7 @@ mod tests {
     ) -> SelectionResult {
         let mut selected: Vec<usize> = Vec::new();
         let mut best_error = f64::INFINITY;
+        let mut best_predictions = Vec::new();
         let mut misses = 0usize;
         for &candidate in &rank_by_correlation(x, y) {
             if config.max_features > 0 && selected.len() >= config.max_features {
@@ -176,15 +186,16 @@ mod tests {
             let mut trial = selected.clone();
             trial.push(candidate);
             let sub = x.select_columns(&trial);
-            let err = match cross_validate(learner, &sub, y, folds) {
-                Ok(cv) => cv.mean_error(),
-                Err(_) => f64::INFINITY,
+            let (err, predictions) = match cross_validate(learner, &sub, y, folds) {
+                Ok(cv) => (cv.mean_error(), cv.predictions),
+                Err(_) => (f64::INFINITY, Vec::new()),
             };
             let improved = err.is_finite()
                 && (best_error.is_infinite() || err < best_error * (1.0 - MIN_IMPROVEMENT) - 1e-12);
             if improved {
                 selected = trial;
                 best_error = err;
+                best_predictions = predictions;
                 misses = 0;
             } else {
                 misses += 1;
@@ -200,6 +211,7 @@ mod tests {
         SelectionResult {
             selected,
             cv_error: best_error,
+            predictions: best_predictions,
         }
     }
 
@@ -244,6 +256,9 @@ mod tests {
         let want = forward_select_refitting(config, &refitting, x, y, folds);
         assert_eq!(got.selected, want.selected);
         assert_eq!(got.cv_error.to_bits(), want.cv_error.to_bits());
+        let bits = |p: &[f64]| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got.predictions), bits(&want.predictions));
+        assert_eq!(got.predictions.len(), y.len());
         (got, skipping.fits(), refitting.fits())
     }
 

@@ -33,8 +33,7 @@
 //! - [`compiled`] — post-training compilation of trained models
 //!   (lane-padded support-vector storage, pruning, one allocation-free
 //!   lane-tree kernel) for the low-latency inference path.
-//! - [`stats`] — mean, variance, Pearson correlation, and the streaming
-//!   mean the drift monitor calibrates with.
+//! - [`stats`] — mean, variance and Pearson correlation.
 
 #![warn(missing_docs)]
 
@@ -63,7 +62,6 @@ pub use gram::{GramCache, GramCacheStats};
 pub use linreg::{LinearModel, LinearRegression};
 pub use metrics::{mean_absolute_error, mean_relative_error, predictive_risk, r2_score, rmse};
 pub use scaler::StandardScaler;
-pub use stats::Welford;
 pub use svr::{Kernel, Svr, SvrModel, SvrParams};
 
 /// Errors produced by the learning substrate.

@@ -1,5 +1,5 @@
-//! Scalar statistics helpers: mean, variance, Pearson correlation, and
-//! the streaming (single-pass) mean the drift monitor calibrates with.
+//! Scalar statistics helpers: mean, variance and the Pearson correlation
+//! that ranks features for forward selection.
 
 /// Arithmetic mean; 0.0 for an empty slice.
 pub fn mean(xs: &[f64]) -> f64 {
@@ -55,45 +55,6 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
     (cov / (vx.sqrt() * vy.sqrt())).clamp(-1.0, 1.0)
 }
 
-/// Streaming mean accumulator (Welford's online update).
-///
-/// Numerically stable single-pass mean: pushing values one at a time
-/// matches the two-pass [`mean`] to within floating-point round-off,
-/// without retaining the samples. The drift monitor calibrates a tier's
-/// baseline error with it.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Welford {
-    n: u64,
-    mean: f64,
-}
-
-impl Welford {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Welford::default()
-    }
-
-    /// Folds one observation into the running mean.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        self.mean += (x - self.mean) / self.n as f64;
-    }
-
-    /// Number of observations pushed so far.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Running mean; 0.0 before any observation (matching [`mean`]).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,24 +88,5 @@ mod tests {
         let xs = [1.0, 2.0, 3.0, 4.0];
         let ys = [1.0, -1.0, 1.0, -1.0];
         assert!(pearson(&xs, &ys).abs() < 0.5);
-    }
-
-    #[test]
-    fn welford_matches_two_pass() {
-        let xs = [1.0, 2.5, -3.0, 7.25, 0.125, 42.0];
-        let mut w = Welford::new();
-        for &x in &xs {
-            w.push(x);
-        }
-        assert_eq!(w.count(), xs.len() as u64);
-        assert!((w.mean() - mean(&xs)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn welford_empty_and_single() {
-        let mut w = Welford::new();
-        assert_eq!(w.mean(), 0.0);
-        w.push(5.0);
-        assert_eq!(w.mean(), 5.0);
     }
 }

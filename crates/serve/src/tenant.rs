@@ -29,11 +29,12 @@
 //!   a worker holding a popped batch can always resolve its shard.
 //! - **Closed loop.** Residuals fed back through [`TenantServer::observe`]
 //!   drive the tenant's [`DriftMonitor`] — one signal, the relative error
-//!   the paper judges a model by. A tenant needs a heal when that monitor
-//!   has quarantined a learned tier or its serving predictor has an open
-//!   learned-tier breaker (three invalid outputs in a row). Load never
-//!   asks for one: shed and expired requests are not the model's fault,
-//!   and neither is an answer degraded by corrupted inputs.
+//!   the paper judges a model by, against the error the serving model
+//!   recorded at training (a promotion brings its own). A tenant needs a
+//!   heal when that monitor has quarantined a learned tier or its serving
+//!   predictor has an open learned-tier breaker (three invalid outputs in
+//!   a row). Load never asks for one: shed and expired requests are not the
+//!   model's fault, and neither is an answer degraded by corrupted inputs.
 //!   [`TenantServer::heal`] then runs shadow retrain → promote on *that
 //!   tenant's* registry only, with post-promotion validation and rollback
 //!   when the promoted model regresses on fresh traffic.
@@ -564,7 +565,7 @@ impl TenantServer {
                 .map(|limit| Mutex::new(TokenBucket::new(limit))),
             budget: spec.budget,
             stats: Arc::default(),
-            monitor: Mutex::new(DriftMonitor::new(None)),
+            monitor: Mutex::default(),
         });
         self.shards.write().unwrap().push(shard);
         debug_assert_eq!(self.shards.read().unwrap().len(), idx + 1);
@@ -741,8 +742,10 @@ impl TenantServer {
     }
 
     /// Folds one `(prediction, observed latency)` residual into `tenant`'s
-    /// drift monitor, tripping the tenant's circuit breaker on quarantine —
-    /// the accuracy half of the feedback loop, scoped to one bulkhead.
+    /// drift monitor, judged against the error the serving model recorded
+    /// for the tier at training, and trips the tenant's circuit breaker on
+    /// quarantine — the accuracy half of the feedback loop, scoped to one
+    /// bulkhead.
     pub fn observe(
         &self,
         tenant: &str,
@@ -756,7 +759,7 @@ impl TenantServer {
             .monitor
             .lock()
             .unwrap()
-            .ingest(&predictor, tier, predicted, observed);
+            .observe(&predictor, tier, predicted, observed);
         Ok(health)
     }
 

@@ -386,15 +386,6 @@ pub fn p_name_contains_color(color: u32) -> f64 {
     1.0 - (1.0 - w).powi(dicts::NAME_WORDS as i32)
 }
 
-/// Average name-contains-color probability across all colors (weighted by
-/// nothing — uniform over query parameters).
-pub fn p_name_contains_color_mean() -> f64 {
-    (0..dicts::N_COLORS)
-        .map(p_name_contains_color)
-        .sum::<f64>()
-        / dicts::N_COLORS as f64
-}
-
 // ---------------------------------------------------------------------------
 // Joint probabilities for correlated predicate combinations.
 // ---------------------------------------------------------------------------
@@ -583,7 +574,11 @@ mod tests {
 
     #[test]
     fn name_color_probability_is_skewed() {
-        let mean = p_name_contains_color_mean();
+        // Uniform over the query parameter, the color.
+        let mean = (0..dicts::N_COLORS)
+            .map(p_name_contains_color)
+            .sum::<f64>()
+            / dicts::N_COLORS as f64;
         assert!((0.02..0.12).contains(&mean), "mean = {mean}");
         // Popular colors are much more likely than rare ones.
         let popular = p_name_contains_color(0);

@@ -20,7 +20,7 @@ fn main() {
     let ds = QueryDataset::execute(&catalog, &workload, &simulator, 7, f64::INFINITY);
     let refs: Vec<&ExecutedQuery> = ds.queries.iter().collect();
     let qpp = QppPredictor::train(&refs, QppConfig::default()).expect("training");
-    let materialized = MaterializedModels::new(&qpp.plan_level, &qpp.op_level, &qpp.hybrid);
+    let materialized = MaterializedModels::from_predictor(&qpp);
     let snapshot = qpp::encode_snapshot(&materialized);
 
     let path = std::env::temp_dir().join("qpp_models.qppsnap");

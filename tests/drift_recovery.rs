@@ -69,7 +69,6 @@ fn drift_quarantines_breaks_and_recovers_via_shadow_retrain() {
     let clean = collect(&Workload::generate(&templates, 8, 0.1, 7), &sim, &DriftPlan::none());
     let clean_refs: Vec<&ExecutedQuery> = clean.queries.iter().collect();
     let incumbent = QppPredictor::train(&clean_refs, QppConfig::default()).unwrap();
-    let baseline_mre = hybrid_mre(&incumbent, &clean_refs);
     let registry =
         ModelRegistry::create(temp_dir("drift-e2e"), incumbent, QppConfig::default()).unwrap();
     assert_eq!(registry.version(), 1);
@@ -89,15 +88,16 @@ fn drift_quarantines_breaks_and_recovers_via_shadow_retrain() {
 
     // Phase 3: the feedback loop replays the drifted stream through the
     // serving model. Every prediction undershoots ~3x, the CUSUM
-    // statistic accumulates, and the hybrid tier must end quarantined
-    // with its circuit breaker tripped, within the first 8 drifted
-    // observations (6 at one and at four threads).
-    let mut monitor = DriftMonitor::new(Some(baseline_mre));
+    // statistic accumulates against the error the serving model recorded
+    // at training, and the hybrid tier must end quarantined with its
+    // circuit breaker tripped, within the first 8 drifted observations (6
+    // at one, two and four threads).
+    let mut monitor = DriftMonitor::default();
     let serving = registry.current();
     let mut observed = 0;
     for q in &drifted_refs {
         let p = serving.predict_checked(q, Method::Hybrid(PlanOrdering::ErrorBased));
-        monitor.ingest(&serving, p.method_used, p.value, q.latency());
+        monitor.observe(&serving, p.method_used, p.value, q.latency());
         observed += 1;
         if monitor.any_quarantined() {
             break;
@@ -143,13 +143,14 @@ fn drift_quarantines_breaks_and_recovers_via_shadow_retrain() {
         "promotion did not improve serving"
     );
 
-    // Phase 6: the monitor resets for the new model and stays calm on the
-    // drifted regime the new model was trained for.
+    // Phase 6: the monitor resets for the new model, judges it against
+    // the new model's own record, and stays calm on the drifted regime the
+    // new model was trained for.
     monitor.reset_all();
     assert_eq!(monitor.health(PredictionTier::Hybrid), ModelHealth::Healthy);
     for q in &drifted_refs {
         let p = promoted.predict_checked(q, Method::Hybrid(PlanOrdering::ErrorBased));
-        monitor.observe(p.method_used, p.value, q.latency());
+        monitor.observe(&promoted, p.method_used, p.value, q.latency());
     }
     assert!(!monitor.any_quarantined(), "healthy model was quarantined");
 }

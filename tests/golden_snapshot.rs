@@ -1,6 +1,6 @@
 //! Training and inference, pinned to the bit.
 //!
-//! `tests/data/fixture_seed42.qppsnap` is the `QPPSNAP v2` snapshot of a
+//! `tests/data/fixture_seed42.qppsnap` is the `QPPSNAP v3` snapshot of a
 //! default-config predictor trained on the benchmark fixture's training
 //! log (`crates/e2e`: templates 1, 3, 5, 6, 10, 12, 14 × 20 at sf 0.1,
 //! `DATA_SEED` 42), and `fixture_seed42.predictions` holds what that
@@ -21,9 +21,11 @@
 //! cargo test --test golden_snapshot -- --ignored regenerate
 //! ```
 //!
-//! and says in its description why the bits moved. (The RBF kernel's `exp`
-//! is the host libm's: a failure on an untouched tree after moving to
-//! another libc is that, and is regenerated the same way.)
+//! (the run prints, per file, whether its bytes changed; a snapshot-format
+//! change rewrites only the `.qppsnap` file) and says in its description
+//! why the bits moved. (The RBF kernel's `exp` is the host libm's: a
+//! failure on an untouched tree after moving to another libc is that, and
+//! is regenerated the same way.)
 
 use engine::{Catalog, PlanNode, SimConfig, Simulator};
 use qpp::{
@@ -167,16 +169,28 @@ fn retraining_and_predicting_reproduce_the_golden_bits() {
     }
 }
 
-/// Rewrites the three golden files from this build; see the module docs.
+/// Rewrites the three golden files from this build and reports which
+/// changed; see the module docs.
 #[test]
 #[ignore = "writes tests/data; run by hand when bits move on purpose"]
 fn regenerate() {
+    use std::io::Write;
     let (log, pool) = fixture();
     let snapshot = train(&log);
     std::fs::create_dir_all(data_dir()).expect("tests/data");
-    let (bits, _) = online_predictions(&log, &pool);
-    std::fs::write(golden("fixture_seed42.online"), bits).expect("writes the online predictions");
-    std::fs::write(golden("fixture_seed42.predictions"), predictions(&snapshot, &pool))
-        .expect("writes the predictions");
-    std::fs::write(golden("fixture_seed42.qppsnap"), snapshot).expect("writes the snapshot");
+    let (online, _) = online_predictions(&log, &pool);
+    let files = [
+        ("fixture_seed42.online", online),
+        ("fixture_seed42.predictions", predictions(&snapshot, &pool)),
+        ("fixture_seed42.qppsnap", snapshot),
+    ];
+    for (name, bytes) in files {
+        let changed = std::fs::read(golden(name)).map_or(true, |old| old != bytes);
+        std::fs::write(golden(name), &bytes).expect("writes a golden file");
+        // Straight to stderr: the test harness captures only the print
+        // macros, and this report is the point of running the test.
+        let verdict = if changed { "rewritten" } else { "unchanged" };
+        writeln!(std::io::stderr(), "{name}: {verdict} ({} bytes)", bytes.len())
+            .expect("writes to stderr");
+    }
 }

@@ -11,12 +11,17 @@
 //!    a window it already fits, and promotes on its registry only once the
 //!    data grew 3x — the other tenant's registry version and health never
 //!    move, and healing it is a no-op.
+//! 3. A tenant's monitor judges each learned tier against the error the
+//!    serving model recorded at training: on the benchmark fixture's
+//!    held-out pool, residuals three times the model's own quarantine the
+//!    tier within 100 observations, and over 10 000 untripled ones every
+//!    tier stays healthy.
 
 use engine::faults::{one_hot_burst, DriftKind, DriftPlan, FaultPlan};
 use engine::{Catalog, Simulator};
 use qpp::{
-    CollectionConfig, ExecutedQuery, Method, ModelHealth, ModelRegistry, PredictionTier,
-    QppConfig, QppError, QppPredictor, QueryDataset,
+    CollectionConfig, ExecutedQuery, Method, ModelHealth, ModelRegistry, PlanOrdering,
+    PredictionTier, QppConfig, QppError, QppPredictor, QueryDataset, MODEL_TIERS,
 };
 use serve::tenant::{HealAction, TenantBudget, TenantServeConfig, TenantServer, TenantSpec};
 use serve::Endpoint;
@@ -210,16 +215,8 @@ fn observed_residuals_quarantine_one_tenant_and_trip_only_its_breaker() {
     let hybrid = Method::Hybrid(qpp::PlanOrdering::ErrorBased);
     let predicted = |q: &ExecutedQuery| drifting.current().predict_checked(q, hybrid).value;
 
-    // The monitor calibrates its baseline on a tier's first 16 residuals:
-    // exact ones make it zero. From then on every query takes 3x its
-    // prediction.
-    for q in queries.iter().cycle().take(16) {
-        let p = predicted(q);
-        let health = server
-            .observe("drifting", PredictionTier::Hybrid, p, p)
-            .unwrap();
-        assert_eq!(health, ModelHealth::Healthy);
-    }
+    // The monitor judges the tier against the error its model recorded at
+    // training. Every query takes 3x its prediction.
     let quarantined_after = queries
         .iter()
         .cycle()
@@ -454,4 +451,74 @@ fn a_tenant_rate_refusal_spends_no_global_token() {
     drop(server);
     let _ = std::fs::remove_dir_all(temp_dir("rate-hot"));
     let _ = std::fs::remove_dir_all(temp_dir("rate-quiet"));
+}
+
+/// Each learned tier's `(predicted, actual)` pairs.
+type TierResiduals = Vec<(PredictionTier, Vec<(f64, f64)>)>;
+
+/// A one-tenant server over the benchmark fixture's model set (trained on
+/// `crates/e2e`'s 140-query log: templates 1, 3, 5, 6, 10, 12, 14 x 20 at
+/// sf 0.1, data seed 42), and each learned tier's `(predicted, actual)`
+/// pairs on the fixture's 700-query held-out pool.
+fn fixture_tenant(tag: &str) -> (TenantServer, TierResiduals) {
+    let collect = |per_template, seed| {
+        let workload = Workload::generate(&[1, 3, 5, 6, 10, 12, 14], per_template, 0.1, seed);
+        QueryDataset::execute(&Catalog::new(0.1, 1), &workload, &quiet_sim(), seed, f64::INFINITY)
+    };
+    let (log, pool) = (collect(20, 42), collect(100, 42 ^ 0x9001));
+    let registry = registry_over(&log, tag);
+    let serving = registry.current();
+    let refs: Vec<&ExecutedQuery> = pool.queries.iter().collect();
+    let residuals = MODEL_TIERS
+        .iter()
+        .zip([Method::Hybrid(PlanOrdering::ErrorBased), Method::OperatorLevel, Method::PlanLevel])
+        .map(|(&tier, method)| {
+            let predicted = serving.predict_batch(&refs, method);
+            (tier, predicted.into_iter().zip(refs.iter().map(|q| q.latency())).collect())
+        })
+        .collect();
+    let server = TenantServer::start(
+        vec![spec("t", &registry, TenantBudget::default())],
+        TenantServeConfig {
+            workers: Some(1),
+            ..TenantServeConfig::default()
+        },
+    );
+    (server, residuals)
+}
+
+#[test]
+fn a_model_three_times_worse_than_its_record_quarantines() {
+    let (server, residuals) = fixture_tenant("tripled");
+    for (tier, pairs) in residuals {
+        // Every residual three times what the model actually makes.
+        let quarantined_after = pairs
+            .iter()
+            .position(|&(predicted, actual)| {
+                let tripled = actual + 3.0 * (predicted - actual);
+                server.observe("t", tier, tripled, actual).unwrap() == ModelHealth::Quarantined
+            })
+            .unwrap_or_else(|| panic!("{tier:?}: tripled residuals never quarantined"));
+        assert!(
+            quarantined_after < 100,
+            "{tier:?} quarantined after {} observations",
+            quarantined_after + 1
+        );
+    }
+    drop(server);
+    let _ = std::fs::remove_dir_all(temp_dir("tripled"));
+}
+
+#[test]
+fn clean_traffic_keeps_every_tier_healthy() {
+    let (server, residuals) = fixture_tenant("clean");
+    for (tier, pairs) in residuals {
+        for &(predicted, actual) in pairs.iter().cycle().take(15 * pairs.len()) {
+            let health = server.observe("t", tier, predicted, actual).unwrap();
+            assert_eq!(health, ModelHealth::Healthy, "{tier:?}");
+        }
+    }
+    assert!(!server.any_quarantined("t").unwrap());
+    drop(server);
+    let _ = std::fs::remove_dir_all(temp_dir("clean"));
 }
