@@ -9,15 +9,14 @@
 //! (estimated 399 521 groups vs 84 actual; Section 5.3.3).
 
 use crate::histogram::Histogram;
-use std::collections::HashMap;
 use std::sync::OnceLock;
 use tpch::distributions::{self, Distribution};
-use tpch::schema::{ColRef, TableId, ALL_TABLES};
+use tpch::schema::{ColRef, TableId, ALL_TABLES, N_COLUMNS};
 
 /// Index inventory: the TPC-H primary keys plus the customary foreign-key
 /// index on `l_partkey` used by the correlated-subquery templates.
 pub fn has_index(col: ColRef) -> bool {
-    col.table.primary_key() == col.column || col.column == "l_partkey"
+    col.table.primary_key() == col.name() || col.name() == "l_partkey"
 }
 
 /// Catalog of statistics at one scale factor.
@@ -26,10 +25,10 @@ pub struct Catalog {
     /// Scale factor.
     pub sf: f64,
     seed: u64,
-    /// One slot per column of the schema, filled on first use. The set of
-    /// keys never changes, so a lookup takes no lock and hands out a
-    /// reference.
-    histograms: HashMap<ColRef, OnceLock<Histogram>>,
+    /// One slot per column of the schema, at the column's [`ColRef::id`],
+    /// filled on first use: a lookup is an index, takes no lock and hands
+    /// out a reference.
+    histograms: [OnceLock<Histogram>; N_COLUMNS],
 }
 
 impl Catalog {
@@ -40,11 +39,7 @@ impl Catalog {
         Catalog {
             sf,
             seed,
-            histograms: ALL_TABLES
-                .iter()
-                .flat_map(|&t| t.columns().iter().map(move |&c| ColRef::new(t, c)))
-                .map(|col| (col, OnceLock::new()))
-                .collect(),
+            histograms: std::array::from_fn(|_| OnceLock::new()),
         }
     }
 
@@ -99,22 +94,14 @@ impl Catalog {
     }
 
     /// Histogram of a column (built lazily, cached).
-    ///
-    /// # Panics
-    /// Panics on a column the schema does not have.
     pub fn histogram(&self, col: ColRef) -> &Histogram {
-        self.histograms
-            .get(&col)
-            .unwrap_or_else(|| panic!("unmodeled column {col}"))
-            .get_or_init(|| Histogram::build(col, self.sf, self.seed))
+        self.histograms[col.id()].get_or_init(|| Histogram::build(col, self.sf, self.seed))
     }
 
     /// Whether anything has asked for — and so built — `col`'s histogram.
     #[cfg(test)]
     pub(crate) fn has_histogram(&self, col: ColRef) -> bool {
-        self.histograms
-            .get(&col)
-            .is_some_and(|slot| slot.get().is_some())
+        self.histograms[col.id()].get().is_some()
     }
 
     /// Total pages across all tables (for buffer-pool sizing heuristics).
@@ -122,11 +109,13 @@ impl Catalog {
         ALL_TABLES.iter().map(|t| self.pages(*t)).sum()
     }
 
-    /// Deterministic per-column noise in [0, 1).
+    /// Deterministic per-column noise in [0, 1), from the table, the
+    /// column's name and the seed.
     fn unit_noise(&self, col: ColRef) -> f64 {
         use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();
-        col.hash(&mut h);
+        col.table.hash(&mut h);
+        col.name().hash(&mut h);
         self.seed.hash(&mut h);
         (h.finish() % 10_000) as f64 / 10_000.0
     }

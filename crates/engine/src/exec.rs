@@ -122,12 +122,12 @@ fn scan(table: TableId, filters: &[Predicate], db: &GeneratedDb) -> Relation {
     let mut out = Relation::default();
     for name in data.column_names() {
         // Skip generator-internal helper columns (p_name word slots).
-        if !table.has_column(name) {
+        let Some(key) = ColRef::lookup(table, name) else {
             continue;
-        }
+        };
         let col = data.column(name);
         out.push(
-            ColKey::Col(ColRef::new(table, name)),
+            ColKey::Col(key),
             keep.iter().map(|&i| col.get_f64(i)).collect(),
         );
     }
@@ -138,19 +138,19 @@ fn scan(table: TableId, filters: &[Predicate], db: &GeneratedDb) -> Relation {
 fn eval_predicate(p: &Predicate, data: &TableData, i: usize) -> bool {
     match p {
         Predicate::Cmp { col, op, value } => {
-            op.eval(data.column(col.column).get_f64(i), value.as_f64())
+            op.eval(data.column(col.name()).get_f64(i), value.as_f64())
         }
         Predicate::Between { col, lo, hi } => {
-            let v = data.column(col.column).get_f64(i);
+            let v = data.column(col.name()).get_f64(i);
             v >= lo.as_f64() && v <= hi.as_f64()
         }
         Predicate::InSet { col, values } => {
-            let v = data.column(col.column).get_f64(i);
+            let v = data.column(col.name()).get_f64(i);
             values.iter().any(|s| s.as_f64() == v)
         }
         Predicate::ColCmp { left, op, right } => op.eval(
-            data.column(left.column).get_f64(i),
-            data.column(right.column).get_f64(i),
+            data.column(left.name()).get_f64(i),
+            data.column(right.name()).get_f64(i),
         ),
         Predicate::NameLike { color, .. } => {
             let c = *color as f64;
@@ -168,7 +168,7 @@ fn eval_predicate(p: &Predicate, data: &TableData, i: usize) -> bool {
         // Synthetic comment matching: the deterministic hash *defines*
         // which rows contain the pattern, consistently across queries.
         Predicate::TextNotLike { col, truth } => {
-            pseudo_uniform(i as u64, hash_str(col.column)) < *truth
+            pseudo_uniform(i as u64, hash_str(col.name())) < *truth
         }
     }
 }

@@ -159,11 +159,13 @@ pub fn eq_selectivity(ndistinct: f64) -> f64 {
     1.0 / ndistinct.max(1.0)
 }
 
-/// Deterministic 64-bit mix of a column reference for seeding.
+/// Deterministic 64-bit mix of a column reference for seeding: the table,
+/// then the column's name.
 fn hash_col(col: ColRef) -> u64 {
     use std::hash::{Hash, Hasher};
     let mut h = std::collections::hash_map::DefaultHasher::new();
-    col.hash(&mut h);
+    col.table.hash(&mut h);
+    col.name().hash(&mut h);
     h.finish()
 }
 

@@ -45,7 +45,7 @@ pub fn conjunction(preds: &[Predicate], override_sel: Option<f64>, sf: f64) -> f
 
 /// Closed-form truths for the column comparisons the templates use.
 fn col_cmp_truth(left: ColRef, op: CmpOp, right: ColRef) -> f64 {
-    match (left.column, op, right.column) {
+    match (left.name(), op, right.name()) {
         ("l_commitdate", CmpOp::Lt, "l_receiptdate") => distributions::p_commit_before_receipt(),
         ("l_receiptdate", CmpOp::Gt, "l_commitdate") => distributions::p_commit_before_receipt(),
         ("l_shipdate", CmpOp::Lt, "l_commitdate") => p_ship_before_commit(),

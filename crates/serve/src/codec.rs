@@ -22,12 +22,13 @@
 //!   capped, so arbitrary bytes produce `Err(DecodeError)`, never a
 //!   panic or an unbounded allocation.
 //!
-//! `&'static str` fields (`ColRef::column`, `QppError::Internal`,
-//! `MlError::InvalidParameter`) cannot be materialized from wire bytes;
-//! decode *interns* them — columns against the owning table's schema,
-//! error messages against the known message tables — and falls back to a
-//! fixed static when a peer sends an unknown message (the code, which is
-//! what callers should dispatch on, is always preserved).
+//! A column travels by *name*, and decode resolves it to its position in
+//! the owning table's schema with [`ColRef::lookup`]; an unknown name is a
+//! malformed frame. The `&'static str` messages of `QppError::Internal`
+//! and `MlError::InvalidParameter` cannot be materialized from wire bytes;
+//! decode *interns* them against the known message tables and falls back
+//! to a fixed static when a peer sends an unknown message (the code, which
+//! is what callers should dispatch on, is always preserved).
 
 use engine::faults::ExecError;
 use engine::{NodeEst, NodeTruth, OpDetail, PlanNode, Trace, TruthCosts, ALL_OP_TYPES};
@@ -533,23 +534,15 @@ fn table_from(code: u8) -> Result<TableId, DecodeError> {
 
 fn encode_colref(out: &mut Vec<u8>, c: ColRef) {
     out.push(table_code(c.table));
-    put_str(out, c.column);
+    put_str(out, c.name());
 }
 
-/// Columns decode by *interning*: the wire carries the column name, and
-/// decode resolves it against the owning table's static schema, so the
-/// in-memory `&'static str` invariant survives the wire. An unknown
-/// column is a malformed frame, not a panic.
+/// The wire carries the column's name; decode resolves it against the
+/// owning table's schema. An unknown column is a malformed frame, not a
+/// panic.
 fn decode_colref(r: &mut Reader) -> Result<ColRef, DecodeError> {
     let table = table_from(r.u8()?)?;
-    let name = r.str()?;
-    let column = table
-        .columns()
-        .iter()
-        .find(|&&c| c == name)
-        .copied()
-        .ok_or(DecodeError::Malformed("unknown column for table"))?;
-    Ok(ColRef { table, column })
+    ColRef::lookup(table, r.str()?).ok_or(DecodeError::Malformed("unknown column for table"))
 }
 
 fn encode_predicate(out: &mut Vec<u8>, p: &Predicate) {
@@ -921,6 +914,28 @@ mod tests {
             }
             other => panic!("wrong frame {other:?}"),
         }
+    }
+
+    #[test]
+    fn an_unknown_column_name_is_a_malformed_frame() {
+        let req = Request {
+            id: 1,
+            tenant: "t".into(),
+            method: Method::PlanLevel,
+            deadline_micros: None,
+            query: sample_query(6, 3),
+        };
+        let mut bytes = Frame::Request(req).encode();
+        // Rename the first lineitem column on the wire, keeping its length.
+        let at = bytes
+            .windows(10)
+            .position(|w| w == b"l_shipdate")
+            .expect("template 6 filters on l_shipdate");
+        bytes[at..at + 10].copy_from_slice(b"l_shipdatX");
+        assert_eq!(
+            Frame::decode(&bytes, DEFAULT_MAX_FRAME).err(),
+            Some(DecodeError::Malformed("unknown column for table"))
+        );
     }
 
     #[test]

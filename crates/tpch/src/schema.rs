@@ -1,6 +1,5 @@
 //! The eight TPC-H tables: identities, columns, primary keys, row widths.
 
-
 /// The TPC-H tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum TableId {
@@ -102,7 +101,7 @@ impl TableId {
     }
 
     /// Columns of this table (the subset used by the 22 query templates).
-    pub fn columns(&self) -> &'static [&'static str] {
+    pub const fn columns(&self) -> &'static [&'static str] {
         match self {
             TableId::Region => &["r_regionkey", "r_name"],
             TableId::Nation => &["n_nationkey", "n_name", "n_regionkey"],
@@ -165,45 +164,78 @@ impl TableId {
             ],
         }
     }
-
-    /// Whether the named column belongs to this table.
-    pub fn has_column(&self, column: &str) -> bool {
-        self.columns().contains(&column)
-    }
 }
 
-/// A (table, column) reference used throughout the query IR.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Dense id of each table's first column, in [`ALL_TABLES`] order, then
+/// one past the last column.
+const FIRST_COLUMN: [usize; ALL_TABLES.len() + 1] = {
+    let mut first = [0; ALL_TABLES.len() + 1];
+    let mut t = 0;
+    while t < ALL_TABLES.len() {
+        first[t + 1] = first[t] + ALL_TABLES[t].columns().len();
+        t += 1;
+    }
+    first
+};
+
+/// Columns across all tables: the range of [`ColRef::id`].
+pub const N_COLUMNS: usize = FIRST_COLUMN[ALL_TABLES.len()];
+
+/// A (table, column) reference used throughout the query IR: the column is
+/// its position in [`TableId::columns`], so a reference is two bytes and
+/// every plan, predicate and aggregate that carries one stays small.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ColRef {
     /// Owning table.
     pub table: TableId,
-    /// Column name (static — all columns are known at compile time).
-    pub column: &'static str,
+    /// Position in `table.columns()`; [`ColRef::lookup`] is the only way in.
+    column: u8,
 }
 
 impl ColRef {
-    /// Creates a reference, validating that the column exists in debug
-    /// builds.
-    pub fn new(table: TableId, column: &'static str) -> Self {
-        debug_assert!(
-            table.has_column(column),
-            "{} has no column {}",
-            table.name(),
-            column
-        );
-        ColRef { table, column }
+    /// The column `name` of `table`.
+    ///
+    /// # Panics
+    /// Panics if `table` has no such column.
+    pub fn new(table: TableId, name: &str) -> Self {
+        Self::lookup(table, name).unwrap_or_else(|| panic!("{} has no column {name}", table.name()))
+    }
+
+    /// The column `name` of `table`, or `None` if the table has none.
+    pub fn lookup(table: TableId, name: &str) -> Option<Self> {
+        let column = table.columns().iter().position(|&c| c == name)?;
+        Some(ColRef {
+            table,
+            column: column as u8,
+        })
+    }
+
+    /// Column name.
+    pub fn name(self) -> &'static str {
+        self.table.columns()[usize::from(self.column)]
+    }
+
+    /// Dense id over every column of every table, in `0..N_COLUMNS`.
+    pub fn id(self) -> usize {
+        FIRST_COLUMN[self.table as usize] + usize::from(self.column)
     }
 }
 
 impl std::fmt::Display for ColRef {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}.{}", self.table.name(), self.column)
+        write!(f, "{}.{}", self.table.name(), self.name())
+    }
+}
+
+impl std::fmt::Debug for ColRef {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Display::fmt(self, f)
     }
 }
 
 /// Shorthand constructor used heavily by template definitions.
-pub fn col(table: TableId, column: &'static str) -> ColRef {
-    ColRef::new(table, column)
+pub fn col(table: TableId, name: &str) -> ColRef {
+    ColRef::new(table, name)
 }
 
 #[cfg(test)]
@@ -233,7 +265,7 @@ mod tests {
     #[test]
     fn primary_keys_are_columns() {
         for t in ALL_TABLES {
-            assert!(t.has_column(t.primary_key()), "{}", t.name());
+            assert!(ColRef::lookup(t, t.primary_key()).is_some(), "{}", t.name());
         }
     }
 
@@ -241,14 +273,27 @@ mod tests {
     fn colref_display_and_validation() {
         let c = col(TableId::Lineitem, "l_shipdate");
         assert_eq!(c.to_string(), "lineitem.l_shipdate");
-        assert!(TableId::Lineitem.has_column("l_quantity"));
-        assert!(!TableId::Lineitem.has_column("o_orderdate"));
+        assert_eq!(format!("{c:?}"), "lineitem.l_shipdate");
+        assert_eq!(c.name(), "l_shipdate");
+        assert_eq!(
+            ColRef::lookup(TableId::Lineitem, "l_quantity").map(ColRef::name),
+            Some("l_quantity")
+        );
+        assert_eq!(ColRef::lookup(TableId::Lineitem, "o_orderdate"), None);
     }
 
     #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "has no column")]
+    #[should_panic(expected = "region has no column l_shipdate")]
     fn colref_rejects_unknown_column() {
         ColRef::new(TableId::Region, "l_shipdate");
+    }
+
+    #[test]
+    fn ids_number_every_column_once() {
+        let ids: Vec<usize> = ALL_TABLES
+            .iter()
+            .flat_map(|&t| t.columns().iter().map(move |c| col(t, c).id()))
+            .collect();
+        assert_eq!(ids, (0..N_COLUMNS).collect::<Vec<_>>());
     }
 }

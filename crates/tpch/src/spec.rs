@@ -360,13 +360,13 @@ mod tests {
             op: CmpOp::Lt,
             value: Scalar::Int(24),
         };
-        assert_eq!(p.column().column, "l_quantity");
+        assert_eq!(p.column().name(), "l_quantity");
         let c = Predicate::ColCmp {
             left: col(TableId::Lineitem, "l_commitdate"),
             op: CmpOp::Lt,
             right: col(TableId::Lineitem, "l_receiptdate"),
         };
-        assert_eq!(c.column().column, "l_commitdate");
+        assert_eq!(c.column().name(), "l_commitdate");
     }
 
     #[test]

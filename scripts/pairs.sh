@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
-# Alternating parent/change pairs of one benchmark workload: the loop every
+# Alternating parent/change pairs of benchmark workloads: the loop every
 # performance claim in this repo is made with (ROADMAP, first open item).
 #
 # Build each commit's `qpp-e2e` once, copy the two binaries aside, then:
 #
-#   scripts/pairs.sh <parent-binary> <change-binary> <workload> [pairs=10]
+#   scripts/pairs.sh <parent-binary> <change-binary> [workload] [pairs=10]
 #
+# With the workload left out, every workload BENCHMARK.json lists runs in
+# turn (all pairs of one, then the next), each with its own verdict block.
 # Pair i runs both binaries with --seed i; odd pairs run the parent first,
 # even pairs the change first, because the host changes speed for minutes
 # at a time and back-to-back blocks mislead. The end-to-end metrics named in
@@ -19,46 +21,59 @@
 #   same          every pair read the same value on both sides
 #   unresolved    anything else
 #
-# Exits non-zero if any run exited non-zero, reported `"correct": false` or
+# A number in the workload's place is the pair count. Exits non-zero if any
+# run of any workload exited non-zero, reported `"correct": false` or
 # counted a failed operation. Environment (QPP_THREADS, ...) passes through
 # to both sides. Each run's whole output (the `# <workload>/client.*`
 # diagnostics and the output checks among it) stays in
 # target/qpp-e2e/pairs/<workload>/<side>-<seed>.txt.
 set -euo pipefail
 
-if [ "$#" -lt 3 ] || [ "$#" -gt 4 ]; then
-    echo "usage: scripts/pairs.sh <parent-binary> <change-binary> <workload> [pairs=10]" >&2
+usage="usage: scripts/pairs.sh <parent-binary> <change-binary> [workload] [pairs=10]"
+if [ "$#" -lt 2 ] || [ "$#" -gt 4 ]; then
+    echo "$usage" >&2
     exit 2
 fi
 parent="$1"
 change="$2"
-workload="$3"
-pairs="${4:-10}"
-
 root="$(cd "$(dirname "$0")/.." && pwd)"
-logs="${CARGO_TARGET_DIR:-$root/target}/qpp-e2e/pairs/$workload"
-rm -rf "$logs"
-mkdir -p "$logs"
+if [ "$#" -ge 3 ] && ! [[ "$3" =~ ^[0-9]+$ ]]; then
+    workloads="$3"
+    pairs="${4:-10}"
+elif [ "$#" -le 3 ]; then
+    workloads="$(python3 -c 'import json, sys
+print(" ".join(w["name"] for w in json.load(open(sys.argv[1]))["workloads"]))' "$root/BENCHMARK.json")"
+    pairs="${3:-10}"
+else
+    echo "$usage" >&2
+    exit 2
+fi
 
 broken=0
-run() { # side binary seed
+run() { # side binary seed; reads pairs_of's $workload and $logs
     echo "== $workload pair $3: $1" >&2
     if ! "$2" --workload "$workload" --seed "$3" --trace 0 >"$logs/$1-$3.txt"; then
-        echo "!! $1 seed $3 exited non-zero, see $logs/$1-$3.txt" >&2
+        echo "!! $workload $1 seed $3 exited non-zero, see $logs/$1-$3.txt" >&2
         broken=1
     fi
 }
-for seed in $(seq 1 "$pairs"); do
-    if [ $((seed % 2)) -eq 1 ]; then
-        run parent "$parent" "$seed"
-        run change "$change" "$seed"
-    else
-        run change "$change" "$seed"
-        run parent "$parent" "$seed"
-    fi
-done
 
-python3 - "$root/BENCHMARK.json" "$logs" "$workload" "$pairs" <<'PY' || broken=1
+pairs_of() { # workload
+    local workload="$1"
+    local logs="${CARGO_TARGET_DIR:-$root/target}/qpp-e2e/pairs/$workload"
+    rm -rf "$logs"
+    mkdir -p "$logs"
+    for seed in $(seq 1 "$pairs"); do
+        if [ $((seed % 2)) -eq 1 ]; then
+            run parent "$parent" "$seed"
+            run change "$change" "$seed"
+        else
+            run change "$change" "$seed"
+            run parent "$parent" "$seed"
+        fi
+    done
+
+    python3 - "$root/BENCHMARK.json" "$logs" "$workload" "$pairs" <<'PY' || broken=1
 import json, statistics, sys
 
 benchmark, logs, workload, pairs = sys.argv[1], sys.argv[2], sys.argv[3], int(sys.argv[4])
@@ -113,4 +128,9 @@ for name, unit, better in metrics:
     print(f"  change ahead in {wins} of {pairs} pairs, parent in {losses}; medians differ by {cmed - pmed:+.3g} ({share})")
 sys.exit(1 if bad else 0)
 PY
+}
+
+for workload in $workloads; do
+    pairs_of "$workload"
+done
 exit "$broken"
