@@ -6,7 +6,7 @@
 //! and total latency). A one-hour execution-time limit is applied when
 //! building datasets, exactly like the paper's setup.
 
-use crate::features::{node_views, plan_features_arena, FeatureSource, NodeView};
+use crate::features::{plan_features, views_into, FeatureSource, NodeView};
 use engine::faults::{DriftPlan, ExecError, FaultPlan};
 use engine::plan::PlanNode;
 use engine::recost::{recost_truth, TruthCosts};
@@ -140,10 +140,18 @@ impl ExecutedQuery {
 
     /// Per-node feature views under the given source.
     pub fn views(&self, source: FeatureSource) -> Vec<NodeView> {
-        match source {
-            FeatureSource::Estimated => node_views(&self.plan, source, None),
-            FeatureSource::Actual => node_views(&self.plan, source, Some(&self.truth_costs)),
-        }
+        let mut out = Vec::new();
+        self.views_into(source, &mut out);
+        out
+    }
+
+    /// [`ExecutedQuery::views`] into a caller-owned buffer (cleared first).
+    pub fn views_into(&self, source: FeatureSource, out: &mut Vec<NodeView>) {
+        let truth_costs = match source {
+            FeatureSource::Estimated => None,
+            FeatureSource::Actual => Some(&self.truth_costs),
+        };
+        views_into(&self.plan, source, truth_costs, out);
     }
 }
 
@@ -311,7 +319,7 @@ impl QueryDataset {
         let mut kept = Vec::with_capacity(queries.len());
         for q in queries {
             let latency_ok = q.latency().is_finite() && q.latency() >= 0.0;
-            let features_ok = plan_features_arena(&q.plan, FeatureSource::Estimated, None)
+            let features_ok = plan_features(&q.plan, &q.views(FeatureSource::Estimated))
                 .iter()
                 .all(|v| v.is_finite());
             if latency_ok && features_ok {

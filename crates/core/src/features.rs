@@ -63,58 +63,53 @@ pub fn node_views(
     source: FeatureSource,
     truth_costs: Option<&TruthCosts>,
 ) -> Vec<NodeView> {
-    let nodes = plan.preorder();
     let mut out = Vec::new();
-    node_views_into(&nodes, source, truth_costs, &mut out);
+    views_into(plan, source, truth_costs, &mut out);
     out
 }
 
-/// [`node_views`] over an already-flattened pre-order node slice
-/// (typically [`engine::arena::PlanArena::nodes`]), filling a
-/// caller-owned buffer so batch extraction reuses one allocation across
-/// plans instead of building a fresh `Vec` per query.
-pub fn node_views_into(
-    nodes: &[&PlanNode],
+/// [`node_views`] into a caller-owned buffer (cleared first), walking the
+/// tree where it stands: a caller that keeps the buffer resolves plan
+/// after plan without allocating.
+pub fn views_into(
+    plan: &PlanNode,
     source: FeatureSource,
     truth_costs: Option<&TruthCosts>,
     out: &mut Vec<NodeView>,
 ) {
     out.clear();
-    out.reserve(nodes.len());
     match source {
-        FeatureSource::Estimated => {
-            for n in nodes {
-                out.push(NodeView {
-                    rows: n.est.rows,
-                    width: n.est.width,
-                    pages: n.est.pages,
-                    selectivity: n.est.selectivity,
-                    startup_cost: n.est.startup_cost,
-                    total_cost: n.est.total_cost,
-                });
-            }
-        }
+        FeatureSource::Estimated => plan.for_each_preorder(&mut |n| {
+            out.push(NodeView {
+                rows: n.est.rows,
+                width: n.est.width,
+                pages: n.est.pages,
+                selectivity: n.est.selectivity,
+                startup_cost: n.est.startup_cost,
+                total_cost: n.est.total_cost,
+            })
+        }),
         FeatureSource::Actual => {
             let tc = truth_costs.expect("actual features require truth costs");
-            assert_eq!(tc.costs.len(), nodes.len(), "truth costs misaligned");
-            for (n, (s, t)) in nodes.iter().zip(&tc.costs) {
+            let mut costs = tc.costs.iter();
+            plan.for_each_preorder(&mut |n| {
+                let &(s, t) = costs.next().expect("truth costs misaligned");
                 out.push(NodeView {
                     rows: n.truth.rows,
                     width: n.est.width,
                     pages: n.truth.pages,
                     selectivity: n.truth.selectivity,
-                    startup_cost: *s,
-                    total_cost: *t,
-                });
-            }
+                    startup_cost: s,
+                    total_cost: t,
+                })
+            });
+            assert!(costs.next().is_none(), "truth costs misaligned");
         }
     }
 }
 
 /// Number of plan-level features (Table 1): 7 global + 2 per operator type.
-pub fn plan_feature_count() -> usize {
-    7 + 2 * ALL_OP_TYPES.len()
-}
+pub const PLAN_FEATURES: usize = 7 + 2 * ALL_OP_TYPES.len();
 
 /// Names of the plan-level features, aligned with
 /// [`plan_features`]' output order.
@@ -138,78 +133,43 @@ pub fn plan_feature_names() -> Vec<String> {
 }
 
 /// Extracts the Table-1 plan-level feature vector for (a sub-tree of) a
-/// plan. `views` must align with `plan.preorder()`.
-///
-/// This is the boxed-tree entry point; it recursively collects the
-/// pre-order node list and delegates to [`plan_features_slice`]. Hot
-/// callers that hold a [`engine::arena::PlanArena`] should pass
-/// `arena.subtree_nodes(idx)` to the slice form directly — the fragment
-/// is already contiguous there, so no per-fragment walk or allocation
-/// happens.
-pub fn plan_features(plan: &PlanNode, views: &[NodeView]) -> Vec<f64> {
-    plan_features_slice(&plan.preorder(), views)
-}
-
-/// [`plan_features`] over an already-flattened pre-order node slice
-/// (typically an arena fragment), aligned index-for-index with `views`.
-pub fn plan_features_slice(nodes: &[&PlanNode], views: &[NodeView]) -> Vec<f64> {
-    let mut out = vec![0.0; plan_feature_count()];
-    plan_features_into(nodes, views, &mut out);
-    out
-}
-
-/// [`plan_features_slice`] writing into a caller-owned row of exactly
-/// [`plan_feature_count`] values — the batch-assembly hot-path form,
-/// used to write SoA feature rows directly into a training matrix with
-/// no intermediate allocation. The accumulation order is identical to
-/// [`plan_features_slice`], so the values are bit-identical.
-pub fn plan_features_into(nodes: &[&PlanNode], views: &[NodeView], out: &mut [f64]) {
-    assert_eq!(nodes.len(), views.len(), "views misaligned with plan");
-    assert_eq!(out.len(), plan_feature_count(), "feature row misaligned");
-    let root = &views[0];
-    let mut cnt = [0.0f64; ALL_OP_TYPES.len()];
-    let mut rows_by_op = [0.0f64; ALL_OP_TYPES.len()];
+/// plan. `views` must align with `plan.preorder()`: for the fragment rooted
+/// at pre-order position `i` of a whole plan's views, that is the
+/// contiguous slice `views[i..i + fragment.node_count()]`.
+pub fn plan_features(plan: &PlanNode, views: &[NodeView]) -> [f64; PLAN_FEATURES] {
+    const OPS: usize = ALL_OP_TYPES.len();
+    let mut cnt = [0.0f64; OPS];
+    let mut rows_by_op = [0.0f64; OPS];
     let mut row_count = 0.0;
     let mut byte_count = 0.0;
-    // Child-row lookup: each node's inputs are its children's outputs.
-    for (i, node) in nodes.iter().enumerate() {
+    let mut i = 0;
+    plan.for_each_preorder(&mut |node| {
         let v = &views[i];
         let k = node.op.index();
         cnt[k] += 1.0;
         rows_by_op[k] += v.rows;
         row_count += v.rows;
         byte_count += v.rows * v.width;
-    }
+        i += 1;
+    });
+    assert_eq!(i, views.len(), "views misaligned with plan");
     // Inputs: every non-root node's output is also some operator's input.
-    for (i, _) in nodes.iter().enumerate().skip(1) {
-        row_count += views[i].rows;
-        byte_count += views[i].rows * views[i].width;
+    for v in &views[1..] {
+        row_count += v.rows;
+        byte_count += v.rows * v.width;
     }
+    let root = &views[0];
+    let mut out = [0.0; PLAN_FEATURES];
     out[0] = root.total_cost;
     out[1] = root.startup_cost;
     out[2] = root.rows;
     out[3] = root.width;
-    out[4] = nodes.len() as f64;
+    out[4] = views.len() as f64;
     out[5] = row_count;
     out[6] = byte_count;
-    out[7..7 + ALL_OP_TYPES.len()].copy_from_slice(&cnt);
-    out[7 + ALL_OP_TYPES.len()..].copy_from_slice(&rows_by_op);
-}
-
-/// One-shot arena-backed extraction for a whole plan: flattens the tree
-/// once and resolves views and features off the contiguous pre-order
-/// slice, replacing the recursive `preorder()` walk the boxed-tree entry
-/// points perform. Bit-identical to
-/// `plan_features(plan, &node_views(plan, source, truth_costs))`.
-pub fn plan_features_arena(
-    plan: &PlanNode,
-    source: FeatureSource,
-    truth_costs: Option<&TruthCosts>,
-) -> Vec<f64> {
-    let arena = engine::arena::PlanArena::flatten(plan);
-    let mut views = Vec::new();
-    node_views_into(arena.nodes(), source, truth_costs, &mut views);
-    plan_features_slice(arena.nodes(), &views)
+    out[7..7 + OPS].copy_from_slice(&cnt);
+    out[7 + OPS..].copy_from_slice(&rows_by_op);
+    out
 }
 
 /// Names of the Table-2 operator-level features, aligned with
@@ -218,22 +178,20 @@ pub const OP_FEATURE_NAMES: [&str; 9] = [
     "np", "nt", "nt1", "nt2", "sel", "st1", "rt1", "st2", "rt2",
 ];
 
-/// Extracts the Table-2 operator-level feature vector for the node at
-/// pre-order position `idx`.
+/// Extracts the Table-2 operator-level feature vector of a node from its
+/// view and those of its children.
 ///
 /// `child_times` supplies the (start, run) values of the node's children —
 /// observed values at training time, composed predictions at prediction
 /// time (Figure 2 of the paper).
 pub fn op_features(
-    node: &PlanNode,
     view: &NodeView,
     child_views: &[&NodeView],
     child_times: &[(f64, f64)],
-) -> Vec<f64> {
+) -> [f64; OP_FEATURE_NAMES.len()] {
     let get_rows = |i: usize| child_views.get(i).map(|v| v.rows).unwrap_or(0.0);
     let get_time = |i: usize| child_times.get(i).copied().unwrap_or((0.0, 0.0));
-    let _ = node;
-    vec![
+    [
         view.pages,
         view.rows,
         get_rows(0),
@@ -278,7 +236,7 @@ mod tests {
         let p = plan(3);
         let views = node_views(&p, FeatureSource::Estimated, None);
         let f = plan_features(&p, &views);
-        assert_eq!(f.len(), plan_feature_count());
+        assert_eq!(f.len(), PLAN_FEATURES);
         assert_eq!(f.len(), plan_feature_names().len());
         // p_tot_cost is the root's total cost.
         assert_eq!(f[0], p.est.total_cost);
@@ -319,12 +277,7 @@ mod tests {
         let views = node_views(&p, FeatureSource::Estimated, None);
         // Root is the ungrouped Aggregate; child is the scan.
         let child_view = &views[1];
-        let f = op_features(
-            &p,
-            &views[0],
-            &[child_view],
-            &[(1.0, 5.0)],
-        );
+        let f = op_features(&views[0], &[child_view], &[(1.0, 5.0)]);
         assert_eq!(f.len(), OP_FEATURE_NAMES.len());
         assert_eq!(f[2], child_view.rows); // nt1
         assert_eq!(f[3], 0.0); // nt2: unary operator
@@ -334,36 +287,14 @@ mod tests {
     }
 
     #[test]
-    fn arena_sweep_matches_boxed_walk_bitwise() {
-        for t in [1u8, 3, 5, 6, 18] {
-            let p = plan(t);
-            let tc = engine::recost_truth(&p, 8.0 * 1024.0 * 1024.0);
-            for (source, costs) in [
-                (FeatureSource::Estimated, None),
-                (FeatureSource::Actual, Some(&tc)),
-            ] {
-                let boxed = plan_features(&p, &node_views(&p, source, costs));
-                let arena = plan_features_arena(&p, source, costs);
-                assert_eq!(
-                    boxed.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    arena.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "template {t}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn views_buffer_is_reusable_across_plans() {
         let mut views = Vec::new();
         let a = plan(1);
-        let arena_a = engine::PlanArena::flatten(&a);
-        node_views_into(arena_a.nodes(), FeatureSource::Estimated, None, &mut views);
-        assert_eq!(views.len(), arena_a.len());
+        views_into(&a, FeatureSource::Estimated, None, &mut views);
+        assert_eq!(views.len(), a.node_count());
         let b = plan(5);
-        let arena_b = engine::PlanArena::flatten(&b);
-        node_views_into(arena_b.nodes(), FeatureSource::Estimated, None, &mut views);
-        assert_eq!(views.len(), arena_b.len());
+        views_into(&b, FeatureSource::Estimated, None, &mut views);
+        assert_eq!(views.len(), b.node_count());
         assert_eq!(views[0].total_cost, b.est.total_cost);
     }
 

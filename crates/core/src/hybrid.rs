@@ -17,17 +17,16 @@
 
 use crate::dataset::ExecutedQuery;
 use crate::error::QppError;
-use crate::features::{plan_features, plan_features_slice, NodeView};
+use crate::features::{plan_features, NodeView};
 use crate::op_model::OpLevelModel;
-use crate::plan_model::{fold_count, FeatureModel, PAR_BATCH_MIN};
+use crate::plan_model::{fold_count, map_batch, FeatureModel, PredictBuffers};
 use crate::pred_cache::{views_hash, PredictionCache, SubplanPredKey};
-use crate::subplan::{arena_structure_hashes, StructureKey, SubplanIndex};
-use engine::arena::PlanArena;
-use engine::plan::PlanNode;
+use crate::subplan::{structure_hashes_into, StructureKey, SubplanIndex};
+use engine::plan::{PlanNode, MAX_CHILDREN};
 use ml::bytes::{put_str, Malformed, Reader};
 use ml::cv::kfold;
 use ml::metrics::{mean_relative_error, relative_error};
-use ml::{Dataset, ForwardSelection, LearnerKind};
+use ml::{Dataset, ForwardSelection, LearnerKind, PredictScratch};
 use std::collections::{HashMap, HashSet};
 
 /// The three plan-ordering strategies of Section 3.4.
@@ -119,6 +118,18 @@ impl SubplanModel {
             description: r.str()?.to_string(),
         })
     }
+
+    /// The fragment's predicted (start, run) from its plan-level features.
+    fn times(
+        &self,
+        features: &[f64],
+        row: &mut Vec<f64>,
+        scratch: &mut PredictScratch,
+    ) -> (f64, f64) {
+        let start = self.start.predict_into(features, row, scratch).max(0.0);
+        let run = self.run.predict_into(features, row, scratch).max(start);
+        (start, run)
+    }
 }
 
 /// The hybrid predictor: operator-level models plus a set of sub-plan
@@ -192,24 +203,22 @@ impl HybridModel {
 
     /// Predicts over an arbitrary plan with aligned views.
     pub fn predict_plan(&self, plan: &PlanNode, views: &[NodeView]) -> HybridPrediction {
-        let arena = PlanArena::flatten(plan);
-        self.predict_arena(&arena, views)
-    }
-
-    /// [`HybridModel::predict_plan`] over an already-flattened plan.
-    /// Structure keys come from one O(n) bottom-up hash pass over the
-    /// arena instead of per-node re-hashing, and fragment features are
-    /// read straight from contiguous arena slices — the boxed walk's
-    /// per-node `structure_key` + `node_count` calls made it O(n²) on
-    /// deep plans.
-    pub fn predict_arena(&self, arena: &PlanArena<'_>, views: &[NodeView]) -> HybridPrediction {
-        let hashes = arena_structure_hashes(arena);
-        let mut nodes = vec![NodePrediction::Covered; arena.len()];
-        let (_, run) = self.compose(arena, &hashes, views, 0, &mut nodes);
-        HybridPrediction {
-            nodes,
-            latency: run.max(0.0),
-        }
+        PredictBuffers::with_thread_local(|buf| {
+            structure_hashes_into(plan, &mut buf.sizes, &mut buf.hashes);
+            let mut nodes = vec![NodePrediction::Covered; buf.sizes[0]];
+            let mut walk = Walk {
+                views,
+                sizes: &buf.sizes,
+                hashes: &buf.hashes,
+                row: &mut buf.row,
+                scratch: &mut buf.scratch,
+            };
+            let (_, run) = self.compose(&mut walk, plan, 0, &mut nodes);
+            HybridPrediction {
+                nodes,
+                latency: run.max(0.0),
+            }
+        })
     }
 
     /// A *content* signature of this model set, used to key the
@@ -239,31 +248,6 @@ impl HybridModel {
         crate::pred_cache::hash_u64s(&h)
     }
 
-    /// Predicts a plan's latency through the sub-plan memo cache:
-    /// fragments whose (structure, views) were already predicted by this
-    /// model set are answered from `cache` without re-walking them.
-    ///
-    /// Bit-identical to [`HybridModel::predict_plan`]`.latency` — a hit
-    /// returns exactly the value the skipped recomputation would produce.
-    pub fn predict_plan_memo(
-        &self,
-        plan: &PlanNode,
-        views: &[NodeView],
-        cache: &PredictionCache,
-    ) -> f64 {
-        let arena = PlanArena::flatten(plan);
-        let hashes = arena_structure_hashes(&arena);
-        let ctx = MemoCtx {
-            arena: &arena,
-            views,
-            hashes: &hashes,
-            sig: self.plan_model_signature(),
-            cache,
-        };
-        let (_, run) = self.compose_memo(&ctx, 0);
-        run.max(0.0)
-    }
-
     /// Predicts a batch of queries in input order, sharing a fresh memo
     /// cache across the batch so identical sub-plans (repeated templates,
     /// shared fragments) are predicted once. Bit-identical to a serial
@@ -273,123 +257,147 @@ impl HybridModel {
     }
 
     /// [`HybridModel::predict_batch`] against a caller-owned cache, so
-    /// memoized sub-plan predictions survive across batches. Large batches
-    /// fan out over `ml::par`; results stay bit-identical to the serial
-    /// loop regardless of thread count because every memoized value equals
-    /// its recomputation bit-for-bit.
+    /// memoized sub-plan predictions survive across batches: fragments
+    /// whose (structure, views) this model set already predicted are
+    /// answered from `cache` without re-walking them. Large batches fan out
+    /// over `ml::par`; results stay bit-identical to the serial loop
+    /// regardless of thread count because every memoized value equals its
+    /// recomputation bit-for-bit.
     pub fn predict_batch_cached(
         &self,
         queries: &[&ExecutedQuery],
         cache: &PredictionCache,
     ) -> Vec<f64> {
         let sig = self.plan_model_signature();
-        let one = |q: &ExecutedQuery| -> f64 {
-            let views = q.views(self.op_model.source());
-            let arena = PlanArena::flatten(&q.plan);
-            let hashes = arena_structure_hashes(&arena);
-            let ctx = MemoCtx {
-                arena: &arena,
-                views: &views,
-                hashes: &hashes,
-                sig,
-                cache,
-            };
-            let (_, run) = self.compose_memo(&ctx, 0);
-            run.max(0.0)
-        };
-        if queries.len() >= PAR_BATCH_MIN && ml::par::threads() > 1 {
-            ml::par::par_map(queries, |_, q| one(q))
-        } else {
-            queries.iter().map(|q| one(q)).collect()
-        }
+        map_batch(queries, |q, buf| self.predict_memo_with(q, sig, cache, buf))
     }
 
-    /// The memoized mirror of `compose`: identical
-    /// floating-point operations in identical order, with each fragment's
-    /// `(start, run)` looked up in / inserted into the memo cache. Node
-    /// identity comes from pre-order index `idx` into the context arrays
-    /// instead of a walk cursor.
-    fn compose_memo(&self, ctx: &MemoCtx<'_, '_>, idx: usize) -> (f64, f64) {
-        let size = ctx.arena.size(idx);
-        let key = SubplanPredKey {
-            model: ctx.sig,
-            structure: ctx.hashes[idx],
-            views: views_hash(&ctx.views[idx..idx + size]),
+    /// One query of [`HybridModel::predict_batch_cached`] for the model set
+    /// signed `sig`, with caller-owned buffers; leaves the query's views in
+    /// `buf.views`.
+    pub(crate) fn predict_memo_with(
+        &self,
+        query: &ExecutedQuery,
+        sig: u64,
+        cache: &PredictionCache,
+        buf: &mut PredictBuffers,
+    ) -> f64 {
+        query.views_into(self.op_model.source(), &mut buf.views);
+        structure_hashes_into(&query.plan, &mut buf.sizes, &mut buf.hashes);
+        let mut walk = Walk {
+            views: &buf.views,
+            sizes: &buf.sizes,
+            hashes: &buf.hashes,
+            row: &mut buf.row,
+            scratch: &mut buf.scratch,
         };
-        if let Some(times) = ctx.cache.get(&key) {
+        let (_, run) = self.compose_memo(&mut walk, &query.plan, 0, sig, cache);
+        run.max(0.0)
+    }
+
+    /// The memoized mirror of `compose`: identical floating-point
+    /// operations in identical order, with each fragment's `(start, run)`
+    /// looked up in / inserted into the memo cache.
+    fn compose_memo(
+        &self,
+        w: &mut Walk<'_>,
+        node: &PlanNode,
+        idx: usize,
+        sig: u64,
+        cache: &PredictionCache,
+    ) -> (f64, f64) {
+        let fragment = &w.views[idx..idx + w.sizes[idx]];
+        let key = SubplanPredKey {
+            model: sig,
+            structure: w.hashes[idx],
+            views: views_hash(fragment),
+        };
+        if let Some(times) = cache.get(&key) {
             return times;
         }
-        let node = ctx.arena.node(idx);
-        let times = if let Some(sm) = self.plan_models.get(&StructureKey(ctx.hashes[idx])) {
-            let slice = &ctx.views[idx..idx + size];
-            let f = plan_features_slice(ctx.arena.subtree_nodes(idx), slice);
-            let start = sm.start.predict(&f).max(0.0);
-            let run = sm.run.predict(&f).max(start);
-            (start, run)
-        } else {
-            let mut child_times = Vec::with_capacity(node.children.len());
-            let mut child_views = Vec::with_capacity(node.children.len());
-            for ci in ctx.arena.children(idx) {
-                child_views.push(&ctx.views[ci]);
-                child_times.push(self.compose_memo(ctx, ci));
-            }
-            self.op_model
-                .predict_node(node, &ctx.views[idx], &child_views, &child_times)
+        let times = match self.plan_models.get(&StructureKey(w.hashes[idx])) {
+            Some(sm) => sm.times(&plan_features(node, fragment), w.row, w.scratch),
+            None => self.operator_step(w, node, idx, |w, c, at| {
+                self.compose_memo(w, c, at, sig, cache)
+            }),
         };
-        ctx.cache.insert(key, times);
+        cache.insert(key, times);
         times
     }
 
+    /// The walk behind [`HybridModel::predict_plan`]: the subtree at
+    /// pre-order position `idx`, each node's outcome written to `out`.
     fn compose(
         &self,
-        arena: &PlanArena<'_>,
-        hashes: &[u64],
-        views: &[NodeView],
+        w: &mut Walk<'_>,
+        node: &PlanNode,
         idx: usize,
-        out: &mut Vec<NodePrediction>,
+        out: &mut [NodePrediction],
     ) -> (f64, f64) {
-        let size = arena.size(idx);
-        if let Some(sm) = self.plan_models.get(&StructureKey(hashes[idx])) {
+        if let Some(sm) = self.plan_models.get(&StructureKey(w.hashes[idx])) {
             // Plan-level prediction for the whole fragment; descendants
             // are consumed. Offline models apply unconditionally (as in
             // the paper); the target-range clamp inside FeatureModel keeps
             // out-of-distribution fragments from exploding, and online
             // building adds a model built on the fly only where its
             // feature ranges cover the fragment.
-            let slice = &views[idx..idx + size];
-            let f = plan_features_slice(arena.subtree_nodes(idx), slice);
-            let start = sm.start.predict(&f).max(0.0);
-            let run = sm.run.predict(&f).max(start);
-            out[idx] = NodePrediction::PlanModel {
-                times: (start, run),
-            };
-            return (start, run);
+            let f = plan_features(node, &w.views[idx..idx + w.sizes[idx]]);
+            let times = sm.times(&f, w.row, w.scratch);
+            out[idx] = NodePrediction::PlanModel { times };
+            return times;
         }
-        let node = arena.node(idx);
-        let mut child_times = Vec::with_capacity(node.children.len());
-        let mut child_views = Vec::with_capacity(node.children.len());
-        for ci in arena.children(idx) {
-            child_views.push(&views[ci]);
-            child_times.push(self.compose(arena, hashes, views, ci, out));
+        let times = self.operator_step(w, node, idx, |w, c, at| self.compose(w, c, at, out));
+        out[idx] = NodePrediction::Operator { times };
+        times
+    }
+
+    /// The operator-level step both walks share: each child's times from
+    /// `child` (called with the child's pre-order position: `idx + 1`,
+    /// then a subtree size further each), then the node's own from its
+    /// operator model.
+    fn operator_step<'a>(
+        &self,
+        w: &mut Walk<'a>,
+        node: &PlanNode,
+        idx: usize,
+        mut child: impl FnMut(&mut Walk<'a>, &PlanNode, usize) -> (f64, f64),
+    ) -> (f64, f64) {
+        let views = w.views;
+        let mut child_views = [&views[idx]; MAX_CHILDREN];
+        let mut child_times = [(0.0, 0.0); MAX_CHILDREN];
+        let mut n = 0;
+        let mut at = idx + 1;
+        for c in &node.children {
+            let t = child(w, c, at);
+            if n < MAX_CHILDREN {
+                child_views[n] = &views[at];
+                child_times[n] = t;
+                n += 1;
+            }
+            at += w.sizes[at];
         }
-        let t = self
-            .op_model
-            .predict_node(node, &views[idx], &child_views, &child_times);
-        out[idx] = NodePrediction::Operator { times: t };
-        t
+        self.op_model.predict_node(
+            node,
+            &views[idx],
+            &child_views[..n],
+            &child_times[..n],
+            w.row,
+            w.scratch,
+        )
     }
 }
 
-/// Borrowed state for one memoized plan walk: the flattened arena,
-/// aligned views, the per-node structure hashes from
-/// [`arena_structure_hashes`], the model-set signature, and the shared
-/// cache.
-struct MemoCtx<'a, 'p> {
-    arena: &'a PlanArena<'p>,
+/// One plan walk's state: the plan's views with its
+/// [`structure_hashes_into`] sizes and hashes, and the scratch the models
+/// evaluate with. All but the caller's views in
+/// [`HybridModel::predict_plan`] are disjoint fields of the thread's
+/// [`PredictBuffers`].
+struct Walk<'a> {
     views: &'a [NodeView],
+    sizes: &'a [usize],
     hashes: &'a [u64],
-    sig: u64,
-    cache: &'a PredictionCache,
+    row: &'a mut Vec<f64>,
+    scratch: &'a mut PredictScratch,
 }
 
 /// One iteration of Algorithm 1, for reporting (Figure 8's series).
@@ -551,7 +559,7 @@ pub fn train_subplan_model(
     let info = index
         .get(key)
         .ok_or(QppError::Internal("sub-plan structure not in the training index"))?;
-    let mut x = Dataset::new(crate::features::plan_feature_count());
+    let mut x = Dataset::new(crate::features::PLAN_FEATURES);
     let mut y_start = Vec::new();
     let mut y_run = Vec::new();
     for occ in &info.occurrences {
@@ -810,10 +818,10 @@ mod tests {
         for q in &refs {
             let views = q.views(hybrid.op_model.source());
             let plain = hybrid.predict_plan(&q.plan, &views).latency;
-            let memo = hybrid.predict_plan_memo(&q.plan, &views, &cache);
+            let memo = hybrid.predict_batch_cached(&[*q], &cache)[0];
             assert_eq!(plain.to_bits(), memo.to_bits());
             // Second walk answers the root from the cache, same bits.
-            let again = hybrid.predict_plan_memo(&q.plan, &views, &cache);
+            let again = hybrid.predict_batch_cached(&[*q], &cache)[0];
             assert_eq!(plain.to_bits(), again.to_bits());
         }
         let stats = cache.stats();

@@ -52,10 +52,7 @@ pub use dataset::{
     CollectionConfig, CollectionReport, ExecutedQuery, QueryDataset, ONE_HOUR_SECS,
 };
 pub use error::QppError;
-pub use features::{
-    node_views_into, plan_features, plan_features_arena, plan_features_into, plan_features_slice,
-    FeatureSource, NodeView,
-};
+pub use features::{plan_features, views_into, FeatureSource, NodeView};
 pub use hybrid::{train_hybrid, HybridConfig, HybridModel, PlanOrdering};
 pub use materialize::MaterializedModels;
 pub use monitor::{DriftMonitor, ModelHealth};
@@ -68,6 +65,4 @@ pub use predictor::{
 };
 pub use progressive::{observations_at, predict_progressive, predict_progressive_at};
 pub use registry::{decode_snapshot, encode_snapshot, ModelRegistry, PromotionReport};
-pub use subplan::{
-    arena_structure_hashes, structure_key, subtree_hash_sizes, StructureKey, SubplanIndex,
-};
+pub use subplan::{structure_hashes_into, structure_key, StructureKey, SubplanIndex};

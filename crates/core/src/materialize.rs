@@ -134,12 +134,12 @@ impl MaterializedModels {
             .map_err(QppError::InvalidSnapshot)?;
         for (k, m) in &self.hybrid_plan_models {
             m.start
-                .validate(crate::features::plan_feature_count())
+                .validate(crate::features::PLAN_FEATURES)
                 .map_err(|e| {
                     QppError::InvalidSnapshot(format!("sub-plan {k:#x} start-time model: {e}"))
                 })?;
             m.run
-                .validate(crate::features::plan_feature_count())
+                .validate(crate::features::PLAN_FEATURES)
                 .map_err(|e| {
                     QppError::InvalidSnapshot(format!("sub-plan {k:#x} run-time model: {e}"))
                 })?;
@@ -210,7 +210,7 @@ mod tests {
     /// for them): a linear start-time head and an SVR run-time head over
     /// the full plan feature vector.
     fn materialized(qpp: &QppPredictor) -> MaterializedModels {
-        let arity = crate::features::plan_feature_count();
+        let arity = crate::features::PLAN_FEATURES;
         let rows: Vec<Vec<f64>> = (0..12)
             .map(|i| (0..arity).map(|j| ((i * 7 + j * 3) % 11) as f64).collect())
             .collect();

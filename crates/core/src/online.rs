@@ -15,12 +15,11 @@
 //! that predicts like any other.
 
 use crate::dataset::ExecutedQuery;
-use crate::features::{plan_features_slice, NodeView};
+use crate::features::{plan_features, NodeView};
 use crate::hybrid::{
     keeps_subplan_model, train_subplan_model, HybridConfig, HybridModel, SubplanModel, TrainingWalk,
 };
-use crate::subplan::{arena_structure_hashes, StructureKey, SubplanIndex, MIN_FRAGMENT_SIZE};
-use engine::arena::PlanArena;
+use crate::subplan::{structure_hashes_into, StructureKey, SubplanIndex, MIN_FRAGMENT_SIZE};
 use engine::plan::PlanNode;
 use std::collections::{HashMap, HashSet};
 
@@ -41,14 +40,12 @@ pub fn build_models(
 ) -> HashMap<StructureKey, SubplanModel> {
     let mut seen = HashSet::new();
     let mut fragments = Vec::new();
+    let (mut sizes, mut hashes) = (Vec::new(), Vec::new());
     for plan in incoming {
-        let arena = PlanArena::flatten(plan);
-        let hashes = arena_structure_hashes(&arena);
-        for idx in arena.preorder() {
-            let key = StructureKey(hashes[idx]);
-            if arena.size(idx) >= MIN_FRAGMENT_SIZE
-                && !base.plan_models.contains_key(&key)
-                && seen.insert(key)
+        structure_hashes_into(plan, &mut sizes, &mut hashes);
+        for (&size, &hash) in sizes.iter().zip(&hashes) {
+            let key = StructureKey(hash);
+            if size >= MIN_FRAGMENT_SIZE && !base.plan_models.contains_key(&key) && seen.insert(key)
             {
                 fragments.push(key);
             }
@@ -94,10 +91,10 @@ pub fn extend(
     views: &[NodeView],
 ) -> HybridModel {
     let mut model = base.clone();
-    let arena = PlanArena::flatten(plan);
-    let hashes = arena_structure_hashes(&arena);
+    let (mut sizes, mut hashes) = (Vec::new(), Vec::new());
+    structure_hashes_into(plan, &mut sizes, &mut hashes);
     let mut seen = HashSet::new();
-    for idx in arena.preorder() {
+    for (idx, node) in plan.preorder().into_iter().enumerate() {
         let key = StructureKey(hashes[idx]);
         let Some(sub) = built.get(&key) else {
             continue;
@@ -105,8 +102,7 @@ pub fn extend(
         if !seen.insert(key) || base.plan_models.contains_key(&key) {
             continue;
         }
-        let size = arena.size(idx);
-        let features = plan_features_slice(arena.subtree_nodes(idx), &views[idx..idx + size]);
+        let features = plan_features(node, &views[idx..idx + sizes[idx]]);
         if sub.run.in_range(&features) {
             model.plan_models.insert(key, sub.clone());
         }

@@ -10,11 +10,11 @@
 
 use crate::dataset::ExecutedQuery;
 use crate::features::{op_features, FeatureSource, NodeView, OP_FEATURE_NAMES};
-use crate::plan_model::{FeatureModel, PAR_BATCH_MIN};
-use engine::plan::{OpType, PlanNode, ALL_OP_TYPES};
+use crate::plan_model::{map_batch, FeatureModel, PredictBuffers};
+use engine::plan::{OpType, PlanNode, ALL_OP_TYPES, MAX_CHILDREN};
 use ml::bytes::{put_count, Malformed, Reader};
 use ml::cv::kfold;
-use ml::{Dataset, ForwardSelection, LearnerKind, MlError};
+use ml::{Dataset, ForwardSelection, LearnerKind, MlError, PredictScratch};
 
 /// Seed of the fold assignment.
 const FOLD_SEED: u64 = 17;
@@ -227,18 +227,31 @@ impl OpLevelModel {
 
     /// Predicts a query's latency by bottom-up composition.
     pub fn predict(&self, query: &ExecutedQuery) -> f64 {
-        self.predict_composed(query).latency()
+        PredictBuffers::with_thread_local(|buf| self.predict_with(query, buf))
+    }
+
+    /// [`OpLevelModel::predict`] with caller-owned buffers; leaves the
+    /// query's views in `buf.views`.
+    pub(crate) fn predict_with(&self, query: &ExecutedQuery, buf: &mut PredictBuffers) -> f64 {
+        query.views_into(self.source, &mut buf.views);
+        buf.node_times.clear();
+        buf.node_times.resize(buf.views.len(), (0.0, 0.0));
+        let (_, run) = self.compose(
+            &query.plan,
+            &buf.views,
+            &mut 0,
+            &mut buf.node_times,
+            &mut buf.row,
+            &mut buf.scratch,
+        );
+        run
     }
 
     /// Predicts a batch of queries in input order, bit-identical to a
     /// serial [`OpLevelModel::predict`] loop; large batches fan out over
     /// `ml::par`.
     pub fn predict_batch(&self, queries: &[&ExecutedQuery]) -> Vec<f64> {
-        if queries.len() >= PAR_BATCH_MIN && ml::par::threads() > 1 {
-            ml::par::par_map(queries, |_, q| self.predict(q))
-        } else {
-            queries.iter().map(|q| self.predict(q)).collect()
-        }
+        map_batch(queries, |q, buf| self.predict_with(q, buf))
     }
 
     /// Predicts with per-node detail.
@@ -251,28 +264,41 @@ impl OpLevelModel {
     /// pre-order).
     pub fn predict_plan(&self, plan: &PlanNode, views: &[NodeView]) -> ComposedPrediction {
         let mut node_times = vec![(0.0, 0.0); plan.node_count()];
-        self.compose(plan, views, &mut 0, &mut node_times);
+        PredictBuffers::with_thread_local(|buf| {
+            self.compose(
+                plan,
+                views,
+                &mut 0,
+                &mut node_times,
+                &mut buf.row,
+                &mut buf.scratch,
+            )
+        });
         ComposedPrediction { node_times }
     }
 
     /// Predicts one node given explicit child times (used by the hybrid
-    /// composition, where a child may be predicted by a plan-level model).
-    pub fn predict_node(
+    /// composition, where a child may be predicted by a plan-level model),
+    /// evaluating the operator's models with `row` and `scratch` (see
+    /// [`FeatureModel::predict_into`]).
+    pub(crate) fn predict_node(
         &self,
         node: &PlanNode,
         view: &NodeView,
         child_views: &[&NodeView],
         child_times: &[(f64, f64)],
+        row: &mut Vec<f64>,
+        scratch: &mut PredictScratch,
     ) -> (f64, f64) {
-        let mut row = op_features(node, view, child_views, child_times);
+        let mut features = op_features(view, child_views, child_times);
         if !self.include_start_features {
-            row[5] = 0.0;
-            row[7] = 0.0;
+            features[5] = 0.0;
+            features[7] = 0.0;
         }
         match &self.per_type[node.op.index()] {
             Some((sm, rm)) => {
-                let start = sm.predict(&row).max(0.0);
-                let run = rm.predict(&row).max(start);
+                let start = sm.predict_into(&features, row, scratch).max(0.0);
+                let run = rm.predict_into(&features, row, scratch).max(start);
                 (start, run)
             }
             // Unseen operator type: pass through the dominant child (no
@@ -283,23 +309,40 @@ impl OpLevelModel {
         }
     }
 
+    /// The one compose walk: the subtree at pre-order position `*cursor`
+    /// bottom-up, each node's (start, run) written to `out`. A child past
+    /// [`MAX_CHILDREN`] is walked but, like in Table 2, not read.
     fn compose(
         &self,
         node: &PlanNode,
         views: &[NodeView],
         cursor: &mut usize,
-        out: &mut Vec<(f64, f64)>,
+        out: &mut [(f64, f64)],
+        row: &mut Vec<f64>,
+        scratch: &mut PredictScratch,
     ) -> (f64, f64) {
         let my_idx = *cursor;
         *cursor += 1;
-        let mut child_times = Vec::with_capacity(node.children.len());
-        let mut child_views = Vec::with_capacity(node.children.len());
+        let mut child_views = [&views[my_idx]; MAX_CHILDREN];
+        let mut child_times = [(0.0, 0.0); MAX_CHILDREN];
+        let mut n = 0;
         for c in &node.children {
             let v_idx = *cursor;
-            child_times.push(self.compose(c, views, cursor, out));
-            child_views.push(&views[v_idx]);
+            let t = self.compose(c, views, cursor, out, row, scratch);
+            if n < MAX_CHILDREN {
+                child_views[n] = &views[v_idx];
+                child_times[n] = t;
+                n += 1;
+            }
         }
-        let t = self.predict_node(node, &views[my_idx], &child_views, &child_times);
+        let t = self.predict_node(
+            node,
+            &views[my_idx],
+            &child_views[..n],
+            &child_times[..n],
+            row,
+            scratch,
+        );
         out[my_idx] = t;
         t
     }
@@ -315,16 +358,20 @@ fn collect_rows<F: FnMut(OpType, &[f64], f64, f64)>(
 ) {
     let my_idx = *cursor;
     *cursor += 1;
-    let mut child_views = Vec::with_capacity(node.children.len());
-    let mut child_times = Vec::with_capacity(node.children.len());
+    let mut child_views = [&views[my_idx]; MAX_CHILDREN];
+    let mut child_times = [(0.0, 0.0); MAX_CHILDREN];
+    let mut n = 0;
     for c in &node.children {
         let v_idx = *cursor;
-        child_views.push(&views[v_idx]);
-        child_times.push((timings[v_idx].start, timings[v_idx].run));
+        if n < MAX_CHILDREN {
+            child_views[n] = &views[v_idx];
+            child_times[n] = (timings[v_idx].start, timings[v_idx].run);
+            n += 1;
+        }
         // Recurse after capturing the child's own pre-order position.
         collect_rows(c, views, timings, cursor, sink);
     }
-    let row = op_features(node, &views[my_idx], &child_views, &child_times);
+    let row = op_features(&views[my_idx], &child_views[..n], &child_times[..n]);
     sink(node.op, &row, timings[my_idx].start, timings[my_idx].run);
 }
 

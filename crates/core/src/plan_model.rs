@@ -205,35 +205,26 @@ impl FeatureModel {
 
     /// Predicts from a full feature vector (projects to selected columns).
     pub fn predict(&self, full_features: &[f64]) -> f64 {
-        PredictBuffers::with_thread_local(|buf| self.predict_into(full_features, buf))
+        PredictBuffers::with_thread_local(|buf| {
+            self.predict_into(full_features, &mut buf.row, &mut buf.scratch)
+        })
     }
 
-    /// Allocation-free prediction using caller-owned scratch buffers.
+    /// Allocation-free prediction using caller-owned scratch: `row` takes
+    /// the projected features, `scratch` the compiled model's scaled row.
     ///
     /// Bit-identical to [`FeatureModel::predict`] (which delegates here
-    /// with thread-local buffers).
-    pub fn predict_into(&self, full_features: &[f64], buf: &mut PredictBuffers) -> f64 {
-        buf.row.clear();
-        buf.row.extend(self.selected.iter().map(|&i| full_features[i]));
-        let raw = self.compiled().predict_into(&buf.row, &mut buf.scratch);
+    /// with the thread's [`PredictBuffers`]).
+    pub fn predict_into(
+        &self,
+        full_features: &[f64],
+        row: &mut Vec<f64>,
+        scratch: &mut PredictScratch,
+    ) -> f64 {
+        row.clear();
+        row.extend(self.selected.iter().map(|&i| full_features[i]));
+        let raw = self.compiled().predict_into(row, scratch);
         self.finish(raw)
-    }
-
-    /// Predicts a batch of full feature vectors in input order,
-    /// bit-identical to a serial [`FeatureModel::predict`] loop.
-    pub fn predict_batch<R: AsRef<[f64]> + Sync>(&self, rows: &[R]) -> Vec<f64> {
-        // Compile once up front so workers never race on the OnceLock.
-        self.compiled();
-        if rows.len() >= PAR_BATCH_MIN && ml::par::threads() > 1 {
-            ml::par::par_map(rows, |_, r| {
-                PredictBuffers::with_thread_local(|buf| self.predict_into(r.as_ref(), buf))
-            })
-        } else {
-            let mut buf = PredictBuffers::default();
-            rows.iter()
-                .map(|r| self.predict_into(r.as_ref(), &mut buf))
-                .collect()
-        }
     }
 
     /// Undoes the training-target transform and applies the extrapolation
@@ -366,15 +357,27 @@ impl FeatureModel {
     }
 }
 
-/// Reusable scratch for [`FeatureModel::predict_into`]: the projected
-/// feature row plus the compiled model's scaling scratch. One instance per
-/// thread makes steady-state prediction allocation-free.
+/// One thread's reusable prediction buffers: the projected feature row and
+/// the compiled model's scratch ([`FeatureModel::predict_into`]), and a
+/// plan walk's views, subtree sizes, structure hashes and node times. With
+/// one instance per thread, a steady-state prediction allocates nothing.
+///
+/// A walk borrows the fields it reads and the two it evaluates models with
+/// as disjoint `&mut`s, so it never re-enters the thread-local.
 #[derive(Debug, Default)]
 pub struct PredictBuffers {
     /// Selected-feature row (projection target).
-    row: Vec<f64>,
+    pub(crate) row: Vec<f64>,
     /// Scaled-row scratch for the compiled model.
-    scratch: PredictScratch,
+    pub(crate) scratch: PredictScratch,
+    /// The plan's node views, pre-order.
+    pub(crate) views: Vec<NodeView>,
+    /// Subtree sizes, pre-order ([`crate::subplan::structure_hashes_into`]).
+    pub(crate) sizes: Vec<usize>,
+    /// Structure hashes, pre-order (the same pass).
+    pub(crate) hashes: Vec<u64>,
+    /// Composed (start, run) per node, pre-order.
+    pub(crate) node_times: Vec<(f64, f64)>,
 }
 
 impl PredictBuffers {
@@ -388,6 +391,21 @@ impl PredictBuffers {
             Ok(mut buf) => f(&mut buf),
             Err(_) => f(&mut PredictBuffers::default()),
         })
+    }
+}
+
+/// Maps `f` over a batch of queries in input order, each call with this
+/// thread's [`PredictBuffers`]: one `ml::par` fan-out for a batch of
+/// [`PAR_BATCH_MIN`] or more, the calling thread otherwise.
+pub(crate) fn map_batch<T: Send>(
+    queries: &[&ExecutedQuery],
+    f: impl Fn(&ExecutedQuery, &mut PredictBuffers) -> T + Sync,
+) -> Vec<T> {
+    let one = |q: &ExecutedQuery| PredictBuffers::with_thread_local(|buf| f(q, buf));
+    if queries.len() >= PAR_BATCH_MIN && ml::par::threads() > 1 {
+        ml::par::par_map(queries, |_, q| one(q))
+    } else {
+        queries.iter().map(|q| one(q)).collect()
     }
 }
 
@@ -473,39 +491,30 @@ impl PlanLevelModel {
 
     /// Predicts a query's target metric from its static features.
     pub fn predict(&self, query: &ExecutedQuery) -> f64 {
-        let views = query.views(self.source);
-        self.predict_plan(&query.plan, &views)
+        PredictBuffers::with_thread_local(|buf| self.predict_with(query, buf))
+    }
+
+    /// [`PlanLevelModel::predict`] with caller-owned buffers; leaves the
+    /// query's views in `buf.views`.
+    pub(crate) fn predict_with(&self, query: &ExecutedQuery, buf: &mut PredictBuffers) -> f64 {
+        query.views_into(self.source, &mut buf.views);
+        let f = plan_features(&query.plan, &buf.views);
+        self.inner
+            .predict_into(&f, &mut buf.row, &mut buf.scratch)
+            .max(0.0)
     }
 
     /// Predicts from a plan and aligned views (sub-plan capable).
     pub fn predict_plan(&self, plan: &PlanNode, views: &[NodeView]) -> f64 {
-        let f = plan_features(plan, views);
-        self.inner.predict(&f).max(0.0)
+        self.inner.predict(&plan_features(plan, views)).max(0.0)
     }
 
     /// Predicts a batch of queries in input order, bit-identical to a
-    /// serial [`PlanLevelModel::predict`] loop. Feature extraction and
-    /// model evaluation both fan out over `ml::par` for large batches.
+    /// serial [`PlanLevelModel::predict`] loop: one fan-out over `ml::par`
+    /// for a large batch, each query featurized and predicted where it
+    /// lands.
     pub fn predict_batch(&self, queries: &[&ExecutedQuery]) -> Vec<f64> {
-        let rows: Vec<Vec<f64>> = if queries.len() >= PAR_BATCH_MIN && ml::par::threads() > 1 {
-            ml::par::par_map(queries, |_, q| {
-                let views = q.views(self.source);
-                plan_features(&q.plan, &views)
-            })
-        } else {
-            queries
-                .iter()
-                .map(|q| {
-                    let views = q.views(self.source);
-                    plan_features(&q.plan, &views)
-                })
-                .collect()
-        };
-        self.inner
-            .predict_batch(&rows)
-            .into_iter()
-            .map(|v| v.max(0.0))
-            .collect()
+        map_batch(queries, |q, buf| self.predict_with(q, buf))
     }
 
     /// Names of the selected features (diagnostics).
@@ -522,7 +531,7 @@ impl PlanLevelModel {
     /// plan-level feature arity (see [`FeatureModel::validate`]).
     pub fn validate(&self) -> Result<(), String> {
         self.inner
-            .validate(crate::features::plan_feature_count())
+            .validate(crate::features::PLAN_FEATURES)
             .map_err(|e| format!("plan-level model: {e}"))
     }
 
@@ -546,32 +555,20 @@ pub fn assemble(queries: &[&ExecutedQuery], source: FeatureSource) -> (Dataset, 
     assemble_metric(queries, source, TargetMetric::Latency)
 }
 
-/// Assembles the design matrix with an explicit target metric.
-///
-/// One flat pre-order sweep per plan: the tree is flattened through
-/// [`engine::PlanArena::preorder_into`] into a node buffer reused across
-/// queries, node views fill a second reused buffer, and each feature row
-/// is written in place into the matrix storage
-/// ([`Dataset::push_row_with`]) — zero allocations per query once the
-/// buffers have grown. Values are bit-identical to the boxed-tree
-/// `plan_features` path.
+/// Assembles the design matrix with an explicit target metric: one view
+/// buffer serves every plan, and each feature row is pushed straight from
+/// [`plan_features`]' array.
 pub fn assemble_metric(
     queries: &[&ExecutedQuery],
     source: FeatureSource,
     metric: TargetMetric,
 ) -> (Dataset, Vec<f64>) {
-    let mut x = Dataset::new(crate::features::plan_feature_count());
+    let mut x = Dataset::new(crate::features::PLAN_FEATURES);
     let mut y = Vec::with_capacity(queries.len());
-    let mut nodes = Vec::new();
-    let mut views: Vec<NodeView> = Vec::new();
+    let mut views = Vec::new();
     for q in queries {
-        engine::PlanArena::preorder_into(&q.plan, &mut nodes);
-        let truth_costs = match source {
-            FeatureSource::Estimated => None,
-            FeatureSource::Actual => Some(&q.truth_costs),
-        };
-        crate::features::node_views_into(&nodes, source, truth_costs, &mut views);
-        x.push_row_with(|row| crate::features::plan_features_into(&nodes, &views, row));
+        q.views_into(source, &mut views);
+        x.push_row(&plan_features(&q.plan, &views));
         y.push(match metric {
             TargetMetric::Latency => q.latency(),
             TargetMetric::DiskIo => q.total_io_pages(),
@@ -633,7 +630,7 @@ mod tests {
             PlanLevelModel::train_without_selection(&refs, &PlanModelConfig::default()).unwrap();
         assert_eq!(
             model.selected_feature_names().len(),
-            crate::features::plan_feature_count()
+            crate::features::PLAN_FEATURES
         );
     }
 

@@ -17,7 +17,7 @@
 //!   model [`crate::online::extend`] added sub-plan models to;
 //! - the fragment's **structure hash**, from the same bottom-up pass
 //!   [`crate::subplan::SubplanIndex`] uses
-//!   ([`crate::subplan::arena_structure_hashes`]);
+//!   ([`crate::subplan::structure_hashes_into`]);
 //! - a **views content hash** over the bit patterns of every
 //!   [`NodeView`] in the fragment, so two structurally identical fragments
 //!   with different cardinality estimates never collide.

@@ -20,12 +20,13 @@
 
 use crate::dataset::ExecutedQuery;
 use crate::error::QppError;
-use crate::features::{plan_features, FeatureSource};
+use crate::features::{plan_features, FeatureSource, NodeView};
 use crate::hybrid::{
     train_hybrid_recorded, HybridConfig, HybridModel, IterationRecord, PlanOrdering,
 };
 use crate::op_model::{OpLevelModel, OpModelConfig};
-use crate::plan_model::{PlanLevelModel, PlanModelConfig};
+use crate::plan_model::{map_batch, PlanLevelModel, PlanModelConfig, PredictBuffers};
+use engine::plan::PlanNode;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Which prediction method to use.
@@ -154,6 +155,12 @@ fn is_sane(v: f64) -> bool {
     v.is_finite() && v >= 0.0
 }
 
+/// The guard every learned tier passes first: the query's plan-level
+/// features, under the views the tier reads, are all finite.
+fn features_finite(plan: &PlanNode, views: &[NodeView]) -> bool {
+    plan_features(plan, views).iter().all(|v| v.is_finite())
+}
+
 fn tier_index(tier: PredictionTier) -> Option<usize> {
     MODEL_TIERS.iter().position(|t| *t == tier)
 }
@@ -273,19 +280,17 @@ impl QppPredictor {
                 FeatureSource::Actual => 1,
             };
             *cache[k].get_or_insert_with(|| {
-                let views = query.views(src);
-                plan_features(&query.plan, &views).iter().all(|v| v.is_finite())
+                PredictBuffers::with_thread_local(|buf| {
+                    query.views_into(src, &mut buf.views);
+                    features_finite(&query.plan, &buf.views)
+                })
             })
         };
         for (i, &tier) in MODEL_TIERS.iter().enumerate().skip(start) {
             if self.breakers[i].load(Ordering::Relaxed) >= BREAKER_THRESHOLD {
                 continue;
             }
-            let source = match tier {
-                PredictionTier::PlanLevel => self.plan_level.source(),
-                _ => self.op_level.source(),
-            };
-            if !features_ok(source) {
+            if !features_ok(self.tier_source(tier)) {
                 // Corrupted inputs are not the model's fault: skip the
                 // tier without advancing its breaker.
                 continue;
@@ -323,14 +328,15 @@ impl QppPredictor {
         }
     }
 
-    /// Batched [`QppPredictor::predict_checked`]: the entry tier is
-    /// evaluated through its `predict_batch` path (the hybrid tier through
-    /// the shared sub-plan memo `cache`), and only queries the entry tier
-    /// cannot serve — corrupted features, an open breaker, an insane
-    /// output — fall back to the per-query chain walk. Results are in
-    /// input order and bit-identical to a serial
-    /// [`QppPredictor::predict_checked`] loop, because every batch path is
-    /// bit-identical to its single-query counterpart.
+    /// Batched [`QppPredictor::predict_checked`]: one fan-out evaluates the
+    /// entry tier on every query (the hybrid tier through the shared
+    /// sub-plan memo `cache`) and checks the query's features on the views
+    /// that evaluation resolved. Only queries the entry tier cannot serve —
+    /// corrupted features, an open breaker, an insane output — fall back to
+    /// the per-query chain walk. Results are in input order and
+    /// bit-identical to a serial [`QppPredictor::predict_checked`] loop,
+    /// because every batch path is bit-identical to its single-query
+    /// counterpart.
     pub fn predict_checked_batch_cached(
         &self,
         queries: &[&ExecutedQuery],
@@ -345,21 +351,23 @@ impl QppPredictor {
             // walk, which skips the open breaker consistently.
             return queries.iter().map(|q| self.chain(q, i, start)).collect();
         }
-        let values = match start {
-            PredictionTier::Hybrid => self.hybrid.predict_batch_cached(queries, cache),
-            PredictionTier::OperatorLevel => self.op_level.predict_batch(queries),
-            _ => self.plan_level.predict_batch(queries),
+        // Only the hybrid tier keys the memo cache, by its model set.
+        let sig = match start {
+            PredictionTier::Hybrid => self.hybrid.plan_model_signature(),
+            _ => 0,
         };
-        let source = match start {
-            PredictionTier::PlanLevel => self.plan_level.source(),
-            _ => self.op_level.source(),
-        };
+        let evaluated = map_batch(queries, |q, buf| {
+            let value = match start {
+                PredictionTier::Hybrid => self.hybrid.predict_memo_with(q, sig, cache, buf),
+                PredictionTier::OperatorLevel => self.op_level.predict_with(q, buf),
+                _ => self.plan_level.predict_with(q, buf),
+            };
+            (value, features_finite(&q.plan, &buf.views))
+        });
         queries
             .iter()
-            .zip(values)
-            .map(|(q, value)| {
-                let views = q.views(source);
-                let finite = plan_features(&q.plan, &views).iter().all(|v| v.is_finite());
+            .zip(evaluated)
+            .map(|(q, (value, finite))| {
                 if finite && is_sane(value) {
                     self.breakers[i].store(0, Ordering::Relaxed);
                     return Prediction {
@@ -465,6 +473,15 @@ impl QppPredictor {
     /// Feature source in use.
     pub fn source(&self) -> FeatureSource {
         self.op_level.source()
+    }
+
+    /// The feature source a learned tier's model reads.
+    fn tier_source(&self, tier: PredictionTier) -> FeatureSource {
+        match tier {
+            PredictionTier::Hybrid => self.hybrid.op_model.source(),
+            PredictionTier::OperatorLevel => self.op_level.source(),
+            _ => self.plan_level.source(),
+        }
     }
 }
 

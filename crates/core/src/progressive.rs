@@ -12,6 +12,7 @@
 use crate::dataset::ExecutedQuery;
 use crate::features::NodeView;
 use crate::hybrid::HybridModel;
+use crate::plan_model::PredictBuffers;
 use engine::plan::PlanNode;
 use engine::sim::Trace;
 
@@ -130,9 +131,16 @@ fn compose(
         child_times.push(compose(model, c, views, observed, cursor));
         child_views.push(&views[v_idx]);
     }
-    model
-        .op_model
-        .predict_node(node, &views[my_idx], &child_views, &child_times)
+    PredictBuffers::with_thread_local(|buf| {
+        model.op_model.predict_node(
+            node,
+            &views[my_idx],
+            &child_views,
+            &child_times,
+            &mut buf.row,
+            &mut buf.scratch,
+        )
+    })
 }
 
 #[cfg(test)]

@@ -6,8 +6,7 @@
 //! of the same fragment across queries and templates hash to the same key
 //! (the paper's `get_plan_list` hash index).
 
-use engine::arena::PlanArena;
-use engine::plan::{OpDetail, PlanNode};
+use engine::plan::{OpDetail, OpType, PlanNode};
 use std::collections::HashMap;
 
 /// Structural key of a plan fragment.
@@ -20,9 +19,24 @@ pub fn structure_key(node: &PlanNode) -> StructureKey {
 }
 
 fn hash_node(node: &PlanNode) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mix = |h: u64, v: u64| (h ^ v).wrapping_mul(0x1000_0000_01b3);
-    h = mix(h, node.op.index() as u64 + 1);
+    if is_hash_join(node) {
+        let a = hash_node(strip_hash(&node.children[0]));
+        let b = hash_node(strip_hash(&node.children[1]));
+        return mix(node_seed(node), join_pair(a, b));
+    }
+    node.children
+        .iter()
+        .fold(node_seed(node), |h, c| mix(h, hash_node(c)))
+}
+
+fn mix(h: u64, v: u64) -> u64 {
+    (h ^ v).wrapping_mul(0x1000_0000_01b3)
+}
+
+/// The node's own part of its structure hash: operator type, scanned table
+/// and join kind.
+fn node_seed(node: &PlanNode) -> u64 {
+    let mut h = mix(0xcbf2_9ce4_8422_2325, node.op.index() as u64 + 1);
     if let OpDetail::Scan { table, .. } = &node.detail {
         h = mix(h, *table as u64 + 101);
     }
@@ -31,29 +45,34 @@ fn hash_node(node: &PlanNode) -> u64 {
         // same fragment — their cardinality semantics differ completely.
         h = mix(h, *kind as u64 + 501);
     }
-    if node.op == engine::plan::OpType::HashJoin && node.children.len() == 2 {
-        // Hash joins are logically symmetric: the optimizer's build-side
-        // choice depends on cardinality estimates and flips between
-        // parameterizations/templates. Key the fragment on the unordered
-        // pair of inputs, with the Hash wrapper stripped, so the "same
-        // join of the same inputs" matches across orientations (this is
-        // what lets models transfer between templates, Section 4).
-        let a = hash_node(strip_hash(&node.children[0]));
-        let b = hash_node(strip_hash(&node.children[1]));
-        let combined = (a ^ b).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            ^ a.wrapping_add(b)
-            ^ a.min(b).rotate_left(13);
-        return mix(h, combined);
-    }
-    for c in &node.children {
-        h = mix(h, hash_node(c));
-    }
     h
+}
+
+/// A binary hash join, whose inputs are keyed as an unordered pair.
+///
+/// Hash joins are logically symmetric: the optimizer's build-side choice
+/// depends on cardinality estimates and flips between
+/// parameterizations/templates. Keying the fragment on the unordered pair
+/// of inputs ([`join_pair`]), with the `Hash` wrapper stripped, makes the
+/// "same join of the same inputs" match across orientations (this is what
+/// lets models transfer between templates, Section 4).
+fn is_hash_join(node: &PlanNode) -> bool {
+    node.op == OpType::HashJoin && node.children.len() == 2
+}
+
+/// Order-independent combination of a hash join's two input hashes.
+fn join_pair(a: u64, b: u64) -> u64 {
+    (a ^ b).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ a.wrapping_add(b) ^ a.min(b).rotate_left(13)
+}
+
+/// A `Hash` build node over one input, which a hash join's key strips.
+fn is_hash_wrapper(node: &PlanNode) -> bool {
+    node.op == OpType::Hash && node.children.len() == 1
 }
 
 /// The input under a `Hash` build node (identity for anything else).
 fn strip_hash(node: &PlanNode) -> &PlanNode {
-    if node.op == engine::plan::OpType::Hash && node.children.len() == 1 {
+    if is_hash_wrapper(node) {
         &node.children[0]
     } else {
         node
@@ -105,19 +124,17 @@ pub struct SubplanIndex {
 
 impl SubplanIndex {
     /// Builds the index over `(template, plan)` pairs, enumerating every
-    /// subtree with at least two operators.
-    ///
-    /// Each plan is flattened into a [`PlanArena`] once, and hashes are
-    /// memoized bottom-up along its post-order cursor, so indexing a plan
-    /// of `n` operators costs O(n) hash work instead of the O(n²) of
-    /// re-hashing every subtree from its root.
+    /// subtree with at least two operators. Each plan's keys come from one
+    /// [`structure_hashes_into`] pass, so indexing a plan of `n` operators
+    /// costs O(n) hash work instead of the O(n²) of re-hashing every
+    /// subtree from its root.
     pub fn build(plans: &[(u8, &PlanNode)]) -> SubplanIndex {
         let mut idx = SubplanIndex::default();
+        let (mut sizes, mut hashes) = (Vec::new(), Vec::new());
         for (q, (template, plan)) in plans.iter().enumerate() {
-            let arena = PlanArena::flatten(plan);
-            let hashes = arena_structure_hashes(&arena);
-            for (i, node) in arena.nodes().iter().enumerate() {
-                let size = arena.size(i);
+            structure_hashes_into(plan, &mut sizes, &mut hashes);
+            for (i, node) in plan.preorder().into_iter().enumerate() {
+                let size = sizes[i];
                 if size < MIN_FRAGMENT_SIZE {
                     continue;
                 }
@@ -214,69 +231,48 @@ impl SubplanIndex {
     }
 }
 
-/// Computes the structure hash of every node of an already-flattened
-/// plan, indexed by pre-order position. Iterates the arena's post-order
-/// cursor (children's hashes land before their parent reads them), so the
-/// whole plan costs O(n) hash work with no recursion. Must agree exactly
-/// with `hash_node`, which stays the single-subtree entry point used at
-/// predict time.
-pub fn arena_structure_hashes(arena: &PlanArena<'_>) -> Vec<u64> {
-    let mut hashes = vec![0u64; arena.len()];
-    let mix = |h: u64, v: u64| (h ^ v).wrapping_mul(0x1000_0000_01b3);
-    for idx in arena.postorder() {
-        let node = arena.node(idx);
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        h = mix(h, node.op.index() as u64 + 1);
-        if let OpDetail::Scan { table, .. } = &node.detail {
-            h = mix(h, *table as u64 + 101);
-        }
-        if let OpDetail::Join { kind, .. } = &node.detail {
-            h = mix(h, *kind as u64 + 501);
-        }
-        if node.op == engine::plan::OpType::HashJoin && node.children.len() == 2 {
-            // The Hash wrapper's stripped hash is its only child's hash,
-            // which sits at the very next pre-order position — memoized.
-            let stripped = |ci: usize| -> u64 {
-                let c = arena.node(ci);
-                if c.op == engine::plan::OpType::Hash && c.children.len() == 1 {
-                    hashes[ci + 1]
-                } else {
-                    hashes[ci]
-                }
-            };
-            let mut children = arena.children(idx);
-            let a = stripped(children.next().expect("binary join"));
-            let b = stripped(children.next().expect("binary join"));
-            let combined = (a ^ b).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                ^ a.wrapping_add(b)
-                ^ a.min(b).rotate_left(13);
-            h = mix(h, combined);
-        } else {
-            for ci in arena.children(idx) {
-                h = mix(h, hashes[ci]);
-            }
-        }
-        hashes[idx] = h;
-    }
-    hashes
-}
-
 /// Computes the structure hash and subtree size of *every* node of `plan`
-/// in one memoized post-order pass, indexed by pre-order position (the
-/// same layout `views` and [`crate::features::plan_features`] use).
+/// in one bottom-up pass, indexed by pre-order position (the layout
+/// `views` use), into caller-owned buffers (cleared first).
 ///
-/// `hashes[i]` agrees exactly with [`structure_key`] of the node at
-/// pre-order position `i`, and `sizes[i]` is its operator count, so a tree
-/// walk can key a memo cache for any fragment without re-hashing it —
-/// this is what the prediction memo cache
-/// ([`crate::pred_cache::PredictionCache`]) uses to key sub-plan
-/// predictions in O(n) total per plan. Callers that already hold a
-/// [`PlanArena`] should use [`arena_structure_hashes`] with the arena's
-/// own `sizes()` instead of re-flattening here.
-pub fn subtree_hash_sizes(plan: &PlanNode) -> (Vec<u64>, Vec<usize>) {
-    let arena = PlanArena::flatten(plan);
-    let hashes = arena_structure_hashes(&arena);
-    (hashes, arena.sizes().to_vec())
+/// `hashes[i]` equals [`structure_key`] of the node at pre-order position
+/// `i`, and `sizes[i]` is its operator count: the fragment rooted there is
+/// `i .. i + sizes[i]`, its first child sits at `i + 1` and each next one
+/// a subtree size further. A tree walk keys any fragment from these
+/// without re-hashing it, which is how the prediction memo cache
+/// ([`crate::pred_cache::PredictionCache`]) keys sub-plan predictions in
+/// O(n) per plan.
+pub fn structure_hashes_into(plan: &PlanNode, sizes: &mut Vec<usize>, hashes: &mut Vec<u64>) {
+    fn pass(node: &PlanNode, sizes: &mut Vec<usize>, hashes: &mut Vec<u64>) {
+        let idx = sizes.len();
+        sizes.push(0); // both patched once the subtree is walked
+        hashes.push(0);
+        for c in &node.children {
+            pass(c, sizes, hashes);
+        }
+        sizes[idx] = sizes.len() - idx;
+        hashes[idx] = if is_hash_join(node) {
+            let left = idx + 1;
+            let right = left + sizes[left];
+            // A stripped `Hash` wrapper's input sits right after it.
+            let input =
+                |at: usize, child: &PlanNode| hashes[at + usize::from(is_hash_wrapper(child))];
+            let a = input(left, &node.children[0]);
+            let b = input(right, &node.children[1]);
+            mix(node_seed(node), join_pair(a, b))
+        } else {
+            let mut h = node_seed(node);
+            let mut at = idx + 1;
+            for _ in &node.children {
+                h = mix(h, hashes[at]);
+                at += sizes[at];
+            }
+            h
+        };
+    }
+    sizes.clear();
+    hashes.clear();
+    pass(plan, sizes, hashes);
 }
 
 /// A compact single-line structural description, e.g.
@@ -399,7 +395,8 @@ mod tests {
         // the build side carries a Hash wrapper.
         let ps = plans(&[1, 3, 5, 10, 14], 2);
         for (_, plan) in &ps {
-            let (hashes, sizes) = subtree_hash_sizes(plan);
+            let (mut sizes, mut hashes) = (Vec::new(), Vec::new());
+            structure_hashes_into(plan, &mut sizes, &mut hashes);
             for (i, node) in plan.preorder().iter().enumerate() {
                 assert_eq!(StructureKey(hashes[i]), structure_key(node));
                 assert_eq!(sizes[i], node.node_count());

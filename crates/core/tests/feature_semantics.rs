@@ -1,10 +1,12 @@
-//! Semantics of the Table-1 / Table-2 feature extractors across the full
-//! template set.
+//! Semantics of the Table-1 / Table-2 feature extractors and of the
+//! structure-hash pass across the full template set.
 
-use engine::{Catalog, Planner};
+use engine::{Catalog, PlanNode, Planner, ALL_OP_TYPES};
 use qpp::features::{
-    node_views, op_histogram, plan_feature_names, plan_features, FeatureSource,
+    node_views, op_histogram, plan_feature_names, plan_features, FeatureSource, NodeView,
+    PLAN_FEATURES,
 };
+use qpp::{structure_hashes_into, structure_key, StructureKey};
 use rng::StdRng;
 
 fn plan(t: u8, sf: f64) -> engine::PlanNode {
@@ -98,8 +100,88 @@ fn unary_operators_zero_right_child_features() {
     let p = plan(1, 0.5);
     let views = node_views(&p, FeatureSource::Estimated, None);
     // Root (Sort) is unary.
-    let f = op_features(&p, &views[0], &[&views[1]], &[(1.0, 2.0)]);
+    let f = op_features(&views[0], &[&views[1]], &[(1.0, 2.0)]);
     assert_eq!(f[3], 0.0); // nt2
     assert_eq!(f[7], 0.0); // st2
     assert_eq!(f[8], 0.0); // rt2
+}
+
+/// The one bottom-up pass agrees with the recursive [`structure_key`] and
+/// with `node_count` at every pre-order position of one plan per template,
+/// hash joins with and without a `Hash` build wrapper included.
+#[test]
+fn the_hash_pass_matches_structure_key_at_every_node() {
+    let (mut sizes, mut hashes) = (Vec::new(), Vec::new());
+    for t in tpch::ALL_TEMPLATES {
+        let p = plan(t, 0.5);
+        structure_hashes_into(&p, &mut sizes, &mut hashes);
+        let nodes = p.preorder();
+        assert_eq!(
+            (sizes.len(), hashes.len()),
+            (nodes.len(), nodes.len()),
+            "t{t}"
+        );
+        for (i, node) in nodes.iter().enumerate() {
+            assert_eq!(
+                StructureKey(hashes[i]),
+                structure_key(node),
+                "t{t} node {i}"
+            );
+            assert_eq!(sizes[i], node.node_count(), "t{t} node {i}");
+        }
+    }
+}
+
+/// Table 1 as a naive loop over the fragment's materialized pre-order list.
+fn naive_plan_features(fragment: &PlanNode, views: &[NodeView]) -> Vec<f64> {
+    let ops = ALL_OP_TYPES.len();
+    let nodes = fragment.preorder();
+    assert_eq!(nodes.len(), views.len());
+    let mut f = vec![0.0; PLAN_FEATURES];
+    let (mut row_count, mut byte_count) = (0.0, 0.0);
+    for (node, v) in nodes.iter().zip(views) {
+        f[7 + node.op.index()] += 1.0;
+        f[7 + ops + node.op.index()] += v.rows;
+        row_count += v.rows;
+        byte_count += v.rows * v.width;
+    }
+    for v in &views[1..] {
+        row_count += v.rows;
+        byte_count += v.rows * v.width;
+    }
+    f[..7].copy_from_slice(&[
+        views[0].total_cost,
+        views[0].startup_cost,
+        views[0].rows,
+        views[0].width,
+        nodes.len() as f64,
+        row_count,
+        byte_count,
+    ]);
+    f
+}
+
+/// [`plan_features`] over every fragment of one plan per template, on
+/// either feature source, equals the naive loop bit for bit.
+#[test]
+fn plan_features_of_every_fragment_match_a_naive_loop() {
+    for t in tpch::ALL_TEMPLATES {
+        let p = plan(t, 0.5);
+        let truth = engine::recost_truth(&p, 8.0 * 1024.0 * 1024.0);
+        for (source, costs) in [
+            (FeatureSource::Estimated, None),
+            (FeatureSource::Actual, Some(&truth)),
+        ] {
+            let views = node_views(&p, source, costs);
+            for (i, fragment) in p.preorder().into_iter().enumerate() {
+                let slice = &views[i..i + fragment.node_count()];
+                let bits = |f: &[f64]| f.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&plan_features(fragment, slice)),
+                    bits(&naive_plan_features(fragment, slice)),
+                    "t{t} {source:?} fragment {i}"
+                );
+            }
+        }
+    }
 }

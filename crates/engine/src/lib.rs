@@ -3,8 +3,6 @@
 //! This crate plays the role of "PostgreSQL on a commodity server" in the
 //! reproduction:
 //!
-//! - [`arena`] — index-linked contiguous views of plan trees for the
-//!   prediction hot path.
 //! - [`catalog`] + [`histogram`] — ANALYZE-style statistics (with realistic
 //!   estimation noise and distinct-count underestimation).
 //! - [`estimator`] — the optimizer's selectivity/cardinality estimator
@@ -25,7 +23,6 @@
 
 #![warn(missing_docs)]
 
-pub mod arena;
 pub mod catalog;
 pub mod cost;
 pub mod estimator;
@@ -39,7 +36,6 @@ pub mod recost;
 pub mod sim;
 pub mod truth;
 
-pub use arena::PlanArena;
 pub use catalog::Catalog;
 pub use estimator::Estimator;
 pub use faults::{DriftKind, DriftPlan, ExecError, FaultOutcome, FaultPlan};

@@ -166,12 +166,17 @@ pub enum OpDetail {
     None,
 }
 
+/// Most children a plan node has: the planner emits leaves, unary
+/// operators and binary joins (`SubqueryScan` holds input + subplan), and
+/// the operator-level features (Table 2) read two children.
+pub const MAX_CHILDREN: usize = 2;
+
 /// A physical plan node.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanNode {
     /// Operator type.
     pub op: OpType,
-    /// Child operators (0, 1 or 2; `SubqueryScan` holds input + subplan).
+    /// Child operators (at most [`MAX_CHILDREN`]).
     pub children: Vec<PlanNode>,
     /// Optimizer estimates.
     pub est: NodeEst,
@@ -190,14 +195,17 @@ impl PlanNode {
     /// Pre-order traversal of the subtree (self first).
     pub fn preorder(&self) -> Vec<&PlanNode> {
         let mut out = Vec::with_capacity(self.node_count());
-        fn walk<'a>(n: &'a PlanNode, out: &mut Vec<&'a PlanNode>) {
-            out.push(n);
-            for c in &n.children {
-                walk(c, out);
-            }
-        }
-        walk(self, &mut out);
+        self.for_each_preorder(&mut |n| out.push(n));
         out
+    }
+
+    /// Calls `f` on every node of the subtree in pre-order (self first),
+    /// allocating nothing.
+    pub fn for_each_preorder<'a>(&'a self, f: &mut impl FnMut(&'a PlanNode)) {
+        f(self);
+        for c in &self.children {
+            c.for_each_preorder(f);
+        }
     }
 
     /// Depth of the plan tree.

@@ -54,16 +54,6 @@ impl Dataset {
         self.n_rows += 1;
     }
 
-    /// Appends one row written in place by `f`, which receives the new
-    /// row pre-filled with zeros. Batch assembly writes feature rows
-    /// straight into the matrix storage with no per-row temporary.
-    pub fn push_row_with(&mut self, f: impl FnOnce(&mut [f64])) {
-        let start = self.data.len();
-        self.data.resize(start + self.n_cols, 0.0);
-        f(&mut self.data[start..]);
-        self.n_rows += 1;
-    }
-
     /// Number of rows.
     pub fn n_rows(&self) -> usize {
         self.n_rows
@@ -160,19 +150,6 @@ mod tests {
         assert_eq!(ds.row(1), &[3.0, 4.0]);
         assert_eq!(ds.column(0), vec![1.0, 3.0, 5.0]);
         assert_eq!(ds.column(1), vec![2.0, 4.0, 6.0]);
-    }
-
-    #[test]
-    fn push_row_with_writes_in_place() {
-        let mut ds = Dataset::new(2);
-        ds.push_row_with(|row| {
-            assert_eq!(row, &[0.0, 0.0]);
-            row[0] = 1.0;
-            row[1] = 2.0;
-        });
-        ds.push_row_with(|row| row.copy_from_slice(&[3.0, 4.0]));
-        ds.push_row(&[5.0, 6.0]);
-        assert_eq!(ds, sample());
     }
 
     #[test]

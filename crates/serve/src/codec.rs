@@ -31,6 +31,7 @@
 //! is what callers should dispatch on, is always preserved).
 
 use engine::faults::ExecError;
+use engine::plan::MAX_CHILDREN;
 use engine::{NodeEst, NodeTruth, OpDetail, PlanNode, Trace, TruthCosts, ALL_OP_TYPES};
 use ml::bytes::{put_f64, put_str, Malformed, Reader};
 use ml::MlError;
@@ -402,7 +403,7 @@ fn decode_node(r: &mut Reader, depth: usize) -> Result<PlanNode, DecodeError> {
     };
     let detail = decode_detail(r)?;
     let n_children = r.u8()? as usize;
-    if n_children > 8 {
+    if n_children > MAX_CHILDREN {
         return Err(DecodeError::Malformed("too many children"));
     }
     let mut children = Vec::with_capacity(n_children);
@@ -935,6 +936,28 @@ mod tests {
         assert_eq!(
             Frame::decode(&bytes, DEFAULT_MAX_FRAME).err(),
             Some(DecodeError::Malformed("unknown column for table"))
+        );
+    }
+
+    #[test]
+    fn a_node_with_three_children_is_a_malformed_frame() {
+        // The planner emits at most two children and the operator-level
+        // features read two: a third would be dropped from composition.
+        let mut query = sample_query(6, 3);
+        let child = query.plan.children[0].clone();
+        query.plan.children.push(child.clone());
+        query.plan.children.push(child);
+        let req = Request {
+            id: 1,
+            tenant: "t".into(),
+            method: Method::OperatorLevel,
+            deadline_micros: None,
+            query,
+        };
+        let bytes = Frame::Request(req).encode();
+        assert_eq!(
+            Frame::decode(&bytes, DEFAULT_MAX_FRAME).err(),
+            Some(DecodeError::Malformed("too many children"))
         );
     }
 

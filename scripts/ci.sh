@@ -66,8 +66,9 @@ echo "==> cargo build --release"
 cargo build --release
 
 # Every test binary of every crate but qpp-bench, once: the root suites
-# (tier-1), the kernel, arena and allocation identity suites of qpp-ml and
-# qpp-core, the serve properties and the benchmark harness's own smoke
+# (tier-1, with the allocation count of a guarded batch), the kernel,
+# feature and allocation identity suites of qpp-ml and qpp-core, the
+# serve properties and the benchmark harness's own smoke
 # suite. The pool, the worker queues, the TCP front door and the healer
 # block on condition variables and sockets, so a lost wake-up or a
 # deadlock shows up as a hang, not a failure; the one hard timeout

@@ -21,6 +21,10 @@
 #   same          every pair read the same value on both sides
 #   unresolved    anything else
 #
+# After the verdicts, the same table without a verdict ("diagnostic, not a
+# verdict") for the `# <workload>/client.throughput` and
+# `client.latency_p50_us` lines of each run's log.
+#
 # A number in the workload's place is the pair count. Exits non-zero if any
 # run of any workload exited non-zero, reported `"correct": false` or
 # counted a failed operation. Environment (QPP_THREADS, ...) passes through
@@ -99,20 +103,17 @@ for side, results in runs.items():
             print(f"!! {side} seed {seed}: correct={r.get('correct')} failed={r.get('failed')}")
             bad = True
 
-for name, unit, better in metrics:
-    sides = {
-        side: [r["metrics"][name]["value"] for r in results if name in r["metrics"]]
-        for side, results in runs.items()
-    }
-    if len(sides["parent"]) != pairs or len(sides["change"]) != pairs:
-        print(f"\n{workload}/{name}: missing in {2 * pairs - len(sides['parent']) - len(sides['change'])} runs")
-        continue
+def compare(name, unit, better, sides, judged):
+    """Prints one metric's runs, medians, quartiles and pairs won per side,
+    with the verdict when `judged`."""
     sign = 1.0 if better == "lower" else -1.0
     wins = sum(sign * c < sign * p for p, c in zip(sides["parent"], sides["change"]))
     losses = sum(sign * c > sign * p for p, c in zip(sides["parent"], sides["change"]))
     (pq1, pmed, pq3), (cq1, cmed, cq3) = quartiles(sides["parent"]), quartiles(sides["change"])
     clear = pairs >= 10 and abs(cmed - pmed) > pq3 - pq1
-    if wins == 0 and losses == 0:
+    if not judged:
+        verdict = "diagnostic, not a verdict"
+    elif wins == 0 and losses == 0:
         verdict = "same"
     elif 10 * wins >= 9 * pairs and sign * cmed < sign * pmed and clear:
         verdict = "gain"
@@ -126,6 +127,36 @@ for name, unit, better in metrics:
         print("          runs " + " ".join(f"{v:.6g}" for v in sides[side]))
     share = f"{(cmed - pmed) / pmed:+.1%} of the parent's median" if pmed else "parent median 0"
     print(f"  change ahead in {wins} of {pairs} pairs, parent in {losses}; medians differ by {cmed - pmed:+.3g} ({share})")
+
+for name, unit, better in metrics:
+    sides = {
+        side: [r["metrics"][name]["value"] for r in results if name in r["metrics"]]
+        for side, results in runs.items()
+    }
+    if len(sides["parent"]) != pairs or len(sides["change"]) != pairs:
+        print(f"\n{workload}/{name}: missing in {2 * pairs - len(sides['parent']) - len(sides['change'])} runs")
+        continue
+    compare(name, unit, better, sides, judged=True)
+
+# The client timings each run prints as `# <workload>/<name> <value> <unit>`
+# lines: wall-clock readings this host cannot hold still, so they are
+# tabulated like the metrics above but never judged.
+def diagnostic(side, seed, name):
+    prefix = f"# {workload}/{name} "
+    for line in open(f"{logs}/{side}-{seed}.txt"):
+        if line.startswith(prefix):
+            return float(line.split()[2])
+    return None
+
+for name, unit, better in (("client.throughput", "1/s", "higher"), ("client.latency_p50_us", "us", "lower")):
+    sides = {
+        side: [diagnostic(side, seed, name) for seed in range(1, pairs + 1)]
+        for side in ("parent", "change")
+    }
+    if None in sides["parent"] or None in sides["change"]:
+        print(f"\n{workload}/{name}: missing in some runs")
+        continue
+    compare(name, unit, better, sides, judged=False)
 sys.exit(1 if bad else 0)
 PY
 }

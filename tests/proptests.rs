@@ -159,7 +159,7 @@ fn plan_features_are_finite() {
         let plan = planner.plan(&tpch::instantiate(template, sf, &mut rng));
         let views = qpp::features::node_views(&plan, qpp::FeatureSource::Estimated, None);
         let f = qpp::plan_features(&plan, &views);
-        assert_eq!(f.len(), qpp::features::plan_feature_count());
+        assert_eq!(f.len(), qpp::features::PLAN_FEATURES);
         for v in &f {
             assert!(v.is_finite());
         }
