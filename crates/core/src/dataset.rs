@@ -9,7 +9,6 @@
 use crate::features::{plan_features, views_into, FeatureSource, NodeView};
 use engine::faults::{DriftPlan, ExecError, FaultPlan};
 use engine::plan::PlanNode;
-use engine::recost::{recost_truth, TruthCosts};
 use engine::sim::{Simulator, Trace};
 use engine::{Catalog, Planner};
 use tpch::workload::Workload;
@@ -117,10 +116,9 @@ enum AttemptOutcome {
 pub struct ExecutedQuery {
     /// TPC-H template number.
     pub template: u8,
-    /// The physical plan (estimate- and truth-annotated).
+    /// The physical plan (estimate- and truth-annotated; actual-valued
+    /// costs derive from its truth annotations where they are read).
     pub plan: PlanNode,
-    /// Truth-valued analytical costs (for actual-feature experiments).
-    pub truth_costs: TruthCosts,
     /// Observed per-operator timings (pre-order) and total latency.
     pub trace: Trace,
 }
@@ -147,11 +145,7 @@ impl ExecutedQuery {
 
     /// [`ExecutedQuery::views`] into a caller-owned buffer (cleared first).
     pub fn views_into(&self, source: FeatureSource, out: &mut Vec<NodeView>) {
-        let truth_costs = match source {
-            FeatureSource::Estimated => None,
-            FeatureSource::Actual => Some(&self.truth_costs),
-        };
-        views_into(&self.plan, source, truth_costs, out);
+        views_into(&self.plan, source, out);
     }
 }
 
@@ -222,7 +216,6 @@ impl QueryDataset {
         drift: &DriftPlan,
     ) -> (QueryDataset, CollectionReport) {
         let planner = Planner::new(catalog);
-        let work_mem = simulator.config().work_mem;
         let mut queries = Vec::with_capacity(workload.len());
         let mut timeouts: Vec<(u8, usize)> = Vec::new();
         let mut report = CollectionReport {
@@ -282,15 +275,13 @@ impl QueryDataset {
             // Selectivity-shift drift skews the *logged* estimates by the
             // query's position in the stream — the optimizer's statistics
             // going stale — while the truth annotations (and thus the
-            // truth costs below) stay faithful to what actually ran.
+            // actual-valued features) stay faithful to what actually ran.
             drift.shift_estimates(&mut plan, i);
-            let truth_costs = recost_truth(&plan, work_mem);
             QueryAttemptResult {
                 retried,
                 outcome: AttemptOutcome::Executed(Box::new(ExecutedQuery {
                     template: spec.template,
                     plan,
-                    truth_costs,
                     trace,
                 })),
             }
@@ -477,7 +468,7 @@ mod tests {
         for q in &ds.queries {
             assert!(q.latency() > 0.0);
             assert_eq!(q.trace.timings.len(), q.plan.node_count());
-            assert_eq!(q.truth_costs.costs.len(), q.plan.node_count());
+            assert_eq!(q.trace.io_pages.len(), q.plan.node_count());
         }
         assert_eq!(ds.templates(), vec![1, 3, 6]);
         assert_eq!(ds.strata().len(), 12);
@@ -603,10 +594,9 @@ mod tests {
             let views = q.views(FeatureSource::Estimated);
             assert!(plan_features(&q.plan, &views).iter().all(|v| v.is_finite()));
             assert!(q
-                .truth_costs
-                .costs
+                .views(FeatureSource::Actual)
                 .iter()
-                .all(|&(s, t)| s.is_finite() && t.is_finite()));
+                .all(|v| v.startup_cost.is_finite() && v.total_cost.is_finite()));
         }
     }
 
@@ -723,7 +713,13 @@ mod tests {
                 assert!(da.est.rows > db.est.rows, "estimates did not shift");
             }
             // Truth costs remain faithful to what actually ran.
-            assert_eq!(a.truth_costs.costs, b.truth_costs.costs);
+            let costs = |q: &ExecutedQuery| -> Vec<(f64, f64)> {
+                q.views(FeatureSource::Actual)
+                    .iter()
+                    .map(|v| (v.startup_cost, v.total_cost))
+                    .collect()
+            };
+            assert_eq!(costs(a), costs(b));
         }
     }
 }

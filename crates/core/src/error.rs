@@ -60,7 +60,7 @@ pub enum QppError {
 }
 
 impl QppError {
-    /// The stable `QPPWIRE-v1` error code of this variant.
+    /// The stable `QPPWIRE-v2` error code of this variant.
     ///
     /// The networked front door (`qpp-serve`'s codec) maps every error it
     /// returns onto a typed wire frame carrying this code; the numbering

@@ -7,7 +7,7 @@
 //! values), selected by [`FeatureSource`].
 
 use engine::plan::{OpType, PlanNode, ALL_OP_TYPES};
-use engine::recost::TruthCosts;
+use engine::recost::for_each_truth_cost;
 use ml::bytes::{Malformed, Reader};
 
 /// Which annotation side feature values are read from.
@@ -38,7 +38,7 @@ impl FeatureSource {
 }
 
 /// A view of one node's feature values under a [`FeatureSource`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct NodeView {
     /// Output rows.
     pub rows: f64,
@@ -55,28 +55,20 @@ pub struct NodeView {
 }
 
 /// Resolves per-node views for a whole plan (pre-order).
-///
-/// For [`FeatureSource::Actual`], `truth_costs` must be supplied (from
-/// [`engine::recost::recost_truth`]).
-pub fn node_views(
-    plan: &PlanNode,
-    source: FeatureSource,
-    truth_costs: Option<&TruthCosts>,
-) -> Vec<NodeView> {
+pub fn node_views(plan: &PlanNode, source: FeatureSource) -> Vec<NodeView> {
     let mut out = Vec::new();
-    views_into(plan, source, truth_costs, &mut out);
+    views_into(plan, source, &mut out);
     out
 }
 
 /// [`node_views`] into a caller-owned buffer (cleared first), walking the
 /// tree where it stands: a caller that keeps the buffer resolves plan
 /// after plan without allocating.
-pub fn views_into(
-    plan: &PlanNode,
-    source: FeatureSource,
-    truth_costs: Option<&TruthCosts>,
-    out: &mut Vec<NodeView>,
-) {
+///
+/// [`FeatureSource::Actual`] costs are the optimizer's formulas over the
+/// node's true rows and pages ([`engine::recost`]), derived in the walk
+/// that writes the views: a logged query stores none.
+pub fn views_into(plan: &PlanNode, source: FeatureSource, out: &mut Vec<NodeView>) {
     out.clear();
     match source {
         FeatureSource::Estimated => plan.for_each_preorder(&mut |n| {
@@ -90,20 +82,19 @@ pub fn views_into(
             })
         }),
         FeatureSource::Actual => {
-            let tc = truth_costs.expect("actual features require truth costs");
-            let mut costs = tc.costs.iter();
-            plan.for_each_preorder(&mut |n| {
-                let &(s, t) = costs.next().expect("truth costs misaligned");
-                out.push(NodeView {
+            // A node's cost is known once its subtree is costed; the walk
+            // names its pre-order slot.
+            out.resize(plan.node_count(), NodeView::default());
+            for_each_truth_cost(plan, &mut |i, n, cost| {
+                out[i] = NodeView {
                     rows: n.truth.rows,
                     width: n.est.width,
                     pages: n.truth.pages,
                     selectivity: n.truth.selectivity,
-                    startup_cost: s,
-                    total_cost: t,
-                })
+                    startup_cost: cost.startup,
+                    total_cost: cost.total,
+                }
             });
-            assert!(costs.next().is_none(), "truth costs misaligned");
         }
     }
 }
@@ -234,7 +225,7 @@ mod tests {
     #[test]
     fn plan_feature_vector_has_stable_shape() {
         let p = plan(3);
-        let views = node_views(&p, FeatureSource::Estimated, None);
+        let views = node_views(&p, FeatureSource::Estimated);
         let f = plan_features(&p, &views);
         assert_eq!(f.len(), PLAN_FEATURES);
         assert_eq!(f.len(), plan_feature_names().len());
@@ -248,7 +239,7 @@ mod tests {
     #[test]
     fn operator_counts_sum_to_op_count() {
         let p = plan(5);
-        let views = node_views(&p, FeatureSource::Estimated, None);
+        let views = node_views(&p, FeatureSource::Estimated);
         let f = plan_features(&p, &views);
         let cnt_sum: f64 = f[7..7 + ALL_OP_TYPES.len()].iter().sum();
         assert_eq!(cnt_sum, p.node_count() as f64);
@@ -257,9 +248,8 @@ mod tests {
     #[test]
     fn actual_views_differ_from_estimates_when_estimation_errs() {
         let p = plan(18);
-        let est = node_views(&p, FeatureSource::Estimated, None);
-        let tc = engine::recost_truth(&p, 8.0 * 1024.0 * 1024.0);
-        let act = node_views(&p, FeatureSource::Actual, Some(&tc));
+        let est = node_views(&p, FeatureSource::Estimated);
+        let act = node_views(&p, FeatureSource::Actual);
         let est_f = plan_features(&p, &est);
         let act_f = plan_features(&p, &act);
         // Template 18's row features must differ strongly across sources.
@@ -274,7 +264,7 @@ mod tests {
     #[test]
     fn op_features_read_children() {
         let p = plan(6);
-        let views = node_views(&p, FeatureSource::Estimated, None);
+        let views = node_views(&p, FeatureSource::Estimated);
         // Root is the ungrouped Aggregate; child is the scan.
         let child_view = &views[1];
         let f = op_features(&views[0], &[child_view], &[(1.0, 5.0)]);
@@ -290,10 +280,10 @@ mod tests {
     fn views_buffer_is_reusable_across_plans() {
         let mut views = Vec::new();
         let a = plan(1);
-        views_into(&a, FeatureSource::Estimated, None, &mut views);
+        views_into(&a, FeatureSource::Estimated, &mut views);
         assert_eq!(views.len(), a.node_count());
         let b = plan(5);
-        views_into(&b, FeatureSource::Estimated, None, &mut views);
+        views_into(&b, FeatureSource::Estimated, &mut views);
         assert_eq!(views.len(), b.node_count());
         assert_eq!(views[0].total_cost, b.est.total_cost);
     }

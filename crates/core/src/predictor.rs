@@ -21,9 +21,7 @@
 use crate::dataset::ExecutedQuery;
 use crate::error::QppError;
 use crate::features::{plan_features, FeatureSource, NodeView};
-use crate::hybrid::{
-    train_hybrid_recorded, HybridConfig, HybridModel, IterationRecord, PlanOrdering,
-};
+use crate::hybrid::{train_hybrid_recorded, HybridConfig, HybridModel, PlanOrdering};
 use crate::op_model::{OpLevelModel, OpModelConfig};
 use crate::plan_model::{map_batch, PlanLevelModel, PlanModelConfig, PredictBuffers};
 use engine::plan::PlanNode;
@@ -95,8 +93,6 @@ pub struct QppPredictor {
     pub op_level: OpLevelModel,
     /// Hybrid model (operator models + accepted sub-plan models).
     pub hybrid: HybridModel,
-    /// Hybrid training trajectory.
-    pub hybrid_trajectory: Vec<IterationRecord>,
     config: QppConfig,
     /// Median observed seconds per optimizer cost unit at training time
     /// (NaN when no training query had a usable cost estimate).
@@ -194,8 +190,7 @@ impl QppPredictor {
         );
         let (plan_level, plan_error) = plan_res?;
         let op_level = op_res?;
-        let (hybrid, hybrid_trajectory, walk) =
-            train_hybrid_recorded(queries, op_level.clone(), &config.hybrid)?;
+        let (hybrid, _, walk) = train_hybrid_recorded(queries, op_level.clone(), &config.hybrid)?;
         let ratios: Vec<f64> = queries
             .iter()
             .filter_map(|q| {
@@ -219,7 +214,6 @@ impl QppPredictor {
             plan_level,
             op_level,
             hybrid,
-            hybrid_trajectory,
             config,
             secs_per_cost,
             prior_latency,
@@ -449,8 +443,7 @@ impl QppPredictor {
     /// Rebuilds a predictor from a materialized model set without
     /// retraining (the registry's snapshot-load path).
     ///
-    /// The hybrid training trajectory is not persisted, so it comes back
-    /// empty; circuit breakers start closed. Callers should run
+    /// Circuit breakers start closed. Callers should run
     /// [`crate::materialize::MaterializedModels::validate`] first — this
     /// constructor trusts the model set it is given.
     pub fn from_materialized(
@@ -461,7 +454,6 @@ impl QppPredictor {
             plan_level: mat.plan_level.clone(),
             op_level: mat.op_level.clone(),
             hybrid: mat.hybrid(),
-            hybrid_trajectory: Vec::new(),
             config,
             secs_per_cost: mat.secs_per_cost,
             prior_latency: mat.prior_latency,

@@ -33,7 +33,7 @@ fn feature_names_are_unique() {
 #[test]
 fn subtree_features_use_contiguous_view_slices() {
     let p = plan(5, 0.5);
-    let views = node_views(&p, FeatureSource::Estimated, None);
+    let views = node_views(&p, FeatureSource::Estimated);
     let nodes = p.preorder();
     // Pick the first join node.
     let (idx, node) = nodes
@@ -54,7 +54,7 @@ fn subtree_features_use_contiguous_view_slices() {
 fn op_count_features_match_histogram() {
     for t in [1u8, 3, 9, 13, 18] {
         let p = plan(t, 0.5);
-        let views = node_views(&p, FeatureSource::Estimated, None);
+        let views = node_views(&p, FeatureSource::Estimated);
         let f = plan_features(&p, &views);
         for (op, count) in op_histogram(&p) {
             let feature = f[7 + op.index()];
@@ -98,7 +98,7 @@ fn view_sources_share_structure() {
 fn unary_operators_zero_right_child_features() {
     use qpp::features::op_features;
     let p = plan(1, 0.5);
-    let views = node_views(&p, FeatureSource::Estimated, None);
+    let views = node_views(&p, FeatureSource::Estimated);
     // Root (Sort) is unary.
     let f = op_features(&views[0], &[&views[1]], &[(1.0, 2.0)]);
     assert_eq!(f[3], 0.0); // nt2
@@ -167,12 +167,8 @@ fn naive_plan_features(fragment: &PlanNode, views: &[NodeView]) -> Vec<f64> {
 fn plan_features_of_every_fragment_match_a_naive_loop() {
     for t in tpch::ALL_TEMPLATES {
         let p = plan(t, 0.5);
-        let truth = engine::recost_truth(&p, 8.0 * 1024.0 * 1024.0);
-        for (source, costs) in [
-            (FeatureSource::Estimated, None),
-            (FeatureSource::Actual, Some(&truth)),
-        ] {
-            let views = node_views(&p, source, costs);
+        for source in [FeatureSource::Estimated, FeatureSource::Actual] {
+            let views = node_views(&p, source);
             for (i, fragment) in p.preorder().into_iter().enumerate() {
                 let slice = &views[i..i + fragment.node_count()];
                 let bits = |f: &[f64]| f.iter().map(|v| v.to_bits()).collect::<Vec<_>>();

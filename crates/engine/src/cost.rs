@@ -16,6 +16,9 @@ pub const CPU_TUPLE_COST: f64 = 0.01;
 pub const CPU_INDEX_TUPLE_COST: f64 = 0.005;
 /// Cost of evaluating one operator/function (`cpu_operator_cost`).
 pub const CPU_OPERATOR_COST: f64 = 0.0025;
+/// Memory budget per sort/hash operation in bytes (`work_mem`, 8 MiB):
+/// the planner's and the simulator's default.
+pub const DEFAULT_WORK_MEM: f64 = 8.0 * 1024.0 * 1024.0;
 
 /// A (startup, total) cost pair, PostgreSQL-style.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -42,5 +42,5 @@ pub use faults::{DriftKind, DriftPlan, ExecError, FaultOutcome, FaultPlan};
 pub use explain::{explain, explain_analyze};
 pub use plan::{NodeEst, NodeTruth, OpDetail, OpType, PlanNode, ALL_OP_TYPES};
 pub use planner::{Planner, PlannerConfig};
-pub use recost::{recost_truth, TruthCosts};
+pub use recost::for_each_truth_cost;
 pub use sim::{NodeTiming, SimConfig, Simulator, Trace};

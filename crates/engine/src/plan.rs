@@ -121,7 +121,7 @@ pub enum OpDetail {
         /// Scanned table.
         table: TableId,
         /// Predicates evaluated at the scan.
-        filters: Vec<Predicate>,
+        filters: Box<[Predicate]>,
     },
     /// Joins (all kinds).
     Join {
@@ -177,7 +177,7 @@ pub struct PlanNode {
     /// Operator type.
     pub op: OpType,
     /// Child operators (at most [`MAX_CHILDREN`]).
-    pub children: Vec<PlanNode>,
+    pub children: Box<[PlanNode]>,
     /// Optimizer estimates.
     pub est: NodeEst,
     /// Ground truth.
@@ -229,7 +229,7 @@ mod tests {
     fn leaf(op: OpType) -> PlanNode {
         PlanNode {
             op,
-            children: vec![],
+            children: Box::new([]),
             est: NodeEst {
                 startup_cost: 0.0,
                 total_cost: 10.0,
@@ -250,9 +250,8 @@ mod tests {
     fn tree() -> PlanNode {
         let mut root = leaf(OpType::HashJoin);
         let mut hash = leaf(OpType::Hash);
-        hash.children.push(leaf(OpType::SeqScan));
-        root.children.push(leaf(OpType::SeqScan));
-        root.children.push(hash);
+        hash.children = Box::new([leaf(OpType::SeqScan)]);
+        root.children = Box::new([leaf(OpType::SeqScan), hash]);
         root
     }
 
@@ -282,7 +281,7 @@ mod tests {
         let mut s = leaf(OpType::SeqScan);
         s.detail = OpDetail::Scan {
             table: TableId::Orders,
-            filters: vec![],
+            filters: Box::new([]),
         };
         assert_eq!(s.scan_table(), Some(TableId::Orders));
         assert_eq!(leaf(OpType::Sort).scan_table(), None);

@@ -28,7 +28,7 @@ pub struct PlannerConfig {
 impl Default for PlannerConfig {
     fn default() -> Self {
         PlannerConfig {
-            work_mem: 8.0 * 1024.0 * 1024.0,
+            work_mem: cost::DEFAULT_WORK_MEM,
         }
     }
 }
@@ -109,7 +109,7 @@ impl<'a> Planner<'a> {
                         selectivity: 1.0,
                     },
                     detail: OpDetail::Limit { count: *count },
-                    children: vec![child],
+                    children: Box::new([child]),
                 }
             }
             RelExpr::ScalarSubqueryFilter {
@@ -146,7 +146,7 @@ impl<'a> Planner<'a> {
                         correlated: *correlated,
                         executions: truth_execs,
                     },
-                    children: vec![child, sub],
+                    children: Box::new([child, sub]),
                 }
             }
         }
@@ -200,9 +200,9 @@ impl<'a> Planner<'a> {
                 },
                 detail: OpDetail::Scan {
                     table,
-                    filters: filters.to_vec(),
+                    filters: filters.into(),
                 },
-                children: vec![],
+                children: Box::new([]),
             };
         }
 
@@ -224,9 +224,9 @@ impl<'a> Planner<'a> {
             },
             detail: OpDetail::Scan {
                 table,
-                filters: filters.to_vec(),
+                filters: filters.into(),
             },
-            children: vec![],
+            children: Box::new([]),
         }
     }
 
@@ -378,7 +378,7 @@ impl<'a> Planner<'a> {
                     est: mk_est(hash_cost, extra_filter_sel),
                     truth: truth_ann,
                     detail,
-                    children: vec![left, hash_node],
+                    children: Box::new([left, hash_node]),
                 }
             }
             "hash_swapped" => {
@@ -388,7 +388,7 @@ impl<'a> Planner<'a> {
                     est: mk_est(hash_swapped_cost.expect("candidate exists"), extra_filter_sel),
                     truth: truth_ann,
                     detail,
-                    children: vec![right, hash_node],
+                    children: Box::new([right, hash_node]),
                 }
             }
             "merge" => {
@@ -400,7 +400,7 @@ impl<'a> Planner<'a> {
                     est: mk_est(merge_cost, extra_filter_sel),
                     truth: truth_ann,
                     detail,
-                    children: vec![ls, rm],
+                    children: Box::new([ls, rm]),
                 }
             }
             "nl_index" => {
@@ -423,7 +423,7 @@ impl<'a> Planner<'a> {
                     est: mk_est(c, extra_filter_sel),
                     truth: truth_ann,
                     detail,
-                    children: vec![left, inner],
+                    children: Box::new([left, inner]),
                 }
             }
             _ => {
@@ -433,7 +433,7 @@ impl<'a> Planner<'a> {
                     est: mk_est(nl_mat, extra_filter_sel),
                     truth: truth_ann,
                     detail,
-                    children: vec![left, m],
+                    children: Box::new([left, m]),
                 }
             }
         }
@@ -489,7 +489,7 @@ impl<'a> Planner<'a> {
                     selectivity: 1.0,
                 },
                 detail,
-                children: vec![child],
+                children: Box::new([child]),
             };
         }
 
@@ -512,7 +512,7 @@ impl<'a> Planner<'a> {
                     selectivity: truth_hsel,
                 },
                 detail,
-                children: vec![child],
+                children: Box::new([child]),
             }
         } else {
             let sorted = self.sort_node(child, spec.group_by.len() as u32);
@@ -533,7 +533,7 @@ impl<'a> Planner<'a> {
                     selectivity: truth_hsel,
                 },
                 detail,
-                children: vec![sorted],
+                children: Box::new([sorted]),
             }
         }
     }
@@ -573,7 +573,7 @@ impl<'a> Planner<'a> {
                 selectivity: 1.0,
             },
             detail: OpDetail::Sort { keys },
-            children: vec![child],
+            children: Box::new([child]),
         }
     }
 
@@ -595,7 +595,7 @@ impl<'a> Planner<'a> {
                 selectivity: 1.0,
             },
             detail: OpDetail::None,
-            children: vec![child],
+            children: Box::new([child]),
         }
     }
 
@@ -619,7 +619,7 @@ impl<'a> Planner<'a> {
             detail: OpDetail::Materialize {
                 rescans: (rescans - 1.0).max(0.0),
             },
-            children: vec![child],
+            children: Box::new([child]),
         }
     }
 }

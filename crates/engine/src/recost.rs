@@ -4,41 +4,41 @@
 //! combinations of actual/estimated feature values. Actual-valued cost
 //! features are the optimizer's own cost formulas evaluated over the true
 //! row counts — this module computes them post-hoc for a planned tree.
+//! They are a function of the plan's truth annotations, so nothing stores
+//! them: feature extraction derives them in the walk that reads them.
 
-use crate::cost::{self, Cost};
-use crate::plan::{OpDetail, OpType, PlanNode};
+use crate::cost::{self, Cost, DEFAULT_WORK_MEM};
+use crate::plan::{OpDetail, OpType, PlanNode, MAX_CHILDREN};
 
-/// A (startup, total) cost pair per node computed from truth cardinalities,
-/// in pre-order (aligned with [`PlanNode::preorder`]).
-#[derive(Debug, Clone)]
-pub struct TruthCosts {
-    /// Pre-order (startup, total) pairs.
-    pub costs: Vec<(f64, f64)>,
+/// Costs every node of `plan` over its true rows and pages in one walk
+/// that allocates nothing. `f(i, node, cost)` receives each node with its
+/// pre-order position `i` (aligned with [`PlanNode::preorder`]) once its
+/// subtree is costed. Sorts spill past [`DEFAULT_WORK_MEM`], the budget
+/// the planner and the simulator run with.
+pub fn for_each_truth_cost<'a>(plan: &'a PlanNode, f: &mut impl FnMut(usize, &'a PlanNode, Cost)) {
+    walk(plan, &mut 0, f);
 }
 
-/// Computes the analytical cost of every node using the *true* rows/pages.
-pub fn recost_truth(plan: &PlanNode, work_mem: f64) -> TruthCosts {
-    let mut costs = Vec::with_capacity(plan.node_count());
-    walk(plan, work_mem, &mut costs);
-    TruthCosts { costs }
-}
-
-fn walk(node: &PlanNode, work_mem: f64, out: &mut Vec<(f64, f64)>) -> Cost {
-    let idx = out.len();
-    out.push((0.0, 0.0));
-    let child_costs: Vec<Cost> = {
-        // Children are walked in order so `out` stays pre-order.
-        let mut v = Vec::with_capacity(node.children.len());
-        for c in &node.children {
-            v.push(walk(c, work_mem, out));
+fn walk<'a>(
+    node: &'a PlanNode,
+    next: &mut usize,
+    f: &mut impl FnMut(usize, &'a PlanNode, Cost),
+) -> Cost {
+    let idx = *next;
+    *next += 1;
+    // Every child is walked, in order, so positions stay pre-order; the
+    // cost formulas read the first two.
+    let mut child_costs = [Cost::ZERO; MAX_CHILDREN];
+    for (k, c) in node.children.iter().enumerate() {
+        let cost = walk(c, next, f);
+        if let Some(slot) = child_costs.get_mut(k) {
+            *slot = cost;
         }
-        v
-    };
+    }
     let rows = node.truth.rows;
     let pages = node.truth.pages;
     let width = node.est.width;
-    let c0 = child_costs.first().copied().unwrap_or(Cost::ZERO);
-    let c1 = child_costs.get(1).copied().unwrap_or(Cost::ZERO);
+    let [c0, c1] = child_costs;
     let child_rows =
         |i: usize| -> f64 { node.children.get(i).map(|c| c.truth.rows).unwrap_or(0.0) };
 
@@ -58,7 +58,7 @@ fn walk(node: &PlanNode, work_mem: f64, out: &mut Vec<(f64, f64)>) -> Cost {
             };
             cost::index_scan(pages.max(rows), rows, n_preds)
         }
-        OpType::Sort => cost::sort(c0, rows, width, work_mem),
+        OpType::Sort => cost::sort(c0, rows, width, DEFAULT_WORK_MEM),
         OpType::Hash => cost::hash_build(c0, rows),
         OpType::HashJoin => cost::hash_join(c0, c1, child_rows(0), rows),
         OpType::MergeJoin => cost::merge_join(c0, c1, child_rows(0), child_rows(1), rows),
@@ -87,7 +87,7 @@ fn walk(node: &PlanNode, work_mem: f64, out: &mut Vec<(f64, f64)>) -> Cost {
             cost::subquery(c0, c1, execs, child_rows(0))
         }
     };
-    out[idx] = (cost.startup, cost.total);
+    f(idx, node, cost);
     cost
 }
 
@@ -105,27 +105,47 @@ mod tests {
     use crate::planner::Planner;
     use rng::StdRng;
 
-    #[test]
-    fn truth_costs_align_with_plan_and_reflect_cardinality_gaps() {
+    fn plan(template: u8) -> PlanNode {
         let catalog = Catalog::new(1.0, 1);
         let planner = Planner::new(&catalog);
         let mut rng = StdRng::seed_from_u64(2);
-        let spec = tpch::instantiate(18, 1.0, &mut rng);
-        let plan = planner.plan(&spec);
-        let tc = recost_truth(&plan, 8.0 * 1024.0 * 1024.0);
-        assert_eq!(tc.costs.len(), plan.node_count());
-        for (s, t) in &tc.costs {
-            assert!(s.is_finite() && t.is_finite());
-            assert!(*t >= *s);
+        planner.plan(&tpch::instantiate(template, 1.0, &mut rng))
+    }
+
+    /// Every node's truth cost, by pre-order position.
+    fn costs_by_position(plan: &PlanNode) -> Vec<Cost> {
+        let mut costs = vec![None; plan.node_count()];
+        for_each_truth_cost(plan, &mut |i, _, c| {
+            assert!(costs[i].replace(c).is_none(), "position {i} visited twice");
+        });
+        costs
+            .into_iter()
+            .map(|c| c.expect("every position visited"))
+            .collect()
+    }
+
+    #[test]
+    fn truth_valued_costs_align_with_plan_and_reflect_cardinality_gaps() {
+        let plan = plan(18);
+        let tc = costs_by_position(&plan);
+        let nodes = plan.preorder();
+        let mut seen = 0;
+        for_each_truth_cost(&plan, &mut |i, n, _| {
+            assert!(std::ptr::eq(n, nodes[i]), "position {i} is not pre-order");
+            seen += 1;
+        });
+        assert_eq!(seen, nodes.len());
+        for c in &tc {
+            assert!(c.startup.is_finite() && c.total.is_finite());
+            assert!(c.total >= c.startup);
         }
         // Template 18's estimated semi-join output is wildly high, so the
         // truth-valued cost above it must be far below the estimated cost
         // somewhere in the tree.
-        let nodes = plan.preorder();
         let any_gap = nodes
             .iter()
-            .zip(&tc.costs)
-            .any(|(n, (_, t))| n.est.total_cost > t * 1.05 && n.est.rows > n.truth.rows * 10.0);
+            .zip(&tc)
+            .any(|(n, c)| n.est.total_cost > c.total * 1.05 && n.est.rows > n.truth.rows * 10.0);
         assert!(any_gap, "expected a truth-vs-estimate cost gap");
     }
 
@@ -133,13 +153,8 @@ mod tests {
     fn accurate_estimates_give_similar_costs() {
         // Template 1 (single scan + aggregate) has accurate estimates;
         // truth costs should be close to estimated costs.
-        let catalog = Catalog::new(1.0, 1);
-        let planner = Planner::new(&catalog);
-        let mut rng = StdRng::seed_from_u64(2);
-        let spec = tpch::instantiate(1, 1.0, &mut rng);
-        let plan = planner.plan(&spec);
-        let tc = recost_truth(&plan, 8.0 * 1024.0 * 1024.0);
-        let root_truth = tc.costs[0].1;
+        let plan = plan(1);
+        let root_truth = costs_by_position(&plan)[0].total;
         let root_est = plan.est.total_cost;
         let ratio = root_truth / root_est;
         assert!((0.5..2.0).contains(&ratio), "ratio = {ratio}");

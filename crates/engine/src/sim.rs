@@ -114,7 +114,7 @@ impl Default for SimConfig {
             heavy_spill_page_secs: 1.2e-3,
             heavy_batch_threshold: 64.0,
             buffer_pool_pages: 131_072.0,
-            work_mem: 8.0 * 1024.0 * 1024.0,
+            work_mem: crate::cost::DEFAULT_WORK_MEM,
             overlap_eff: 0.9,
             node_noise_sigma: 0.03,
             query_noise_sigma: 0.05,

@@ -1,14 +1,15 @@
-//! `QPPWIRE-v1`: the versioned, length-prefixed binary wire protocol of
+//! `QPPWIRE-v2`: the versioned, length-prefixed binary wire protocol of
 //! the networked front door.
 //!
 //! Every frame is `magic(4) | kind(1) | len(4, LE) | payload(len)`; the
-//! magic `b"QPW1"` bakes the protocol version into the first four bytes,
-//! so a v2 peer is rejected at the header, not somewhere inside a
-//! payload. Three frame kinds exist: a prediction [`Request`] (tenant,
-//! method, deadline, and the full estimate-annotated plan of an
-//! [`ExecutedQuery`]), a successful [`Response`] (the prediction with the
-//! tier that produced it), and a typed [`ErrorFrame`] carrying the
-//! [`QppError::wire_code`] of every error variant plus its
+//! magic `b"QPW2"` bakes the protocol version into the first four bytes,
+//! so a peer of another version (a v1 peer still sends per-node truth
+//! costs, which v2 derives from the plan) is rejected at the header, not
+//! somewhere inside a payload. Three frame kinds exist: a prediction
+//! [`Request`] (tenant, method, deadline, and the full estimate-annotated
+//! plan of an [`ExecutedQuery`]), a successful [`Response`] (the
+//! prediction with the tier that produced it), and a typed [`ErrorFrame`]
+//! carrying the [`QppError::wire_code`] of every error variant plus its
 //! variant-specific fields — the wire mirror of the in-process `Result`.
 //!
 //! Two properties the seeded cases of `tests/codec_props.rs` pin down:
@@ -20,7 +21,9 @@
 //! - **Decode never panics.** Every read is bounds-checked, every length
 //!   is validated against the bytes actually present, and tree depth is
 //!   capped, so arbitrary bytes produce `Err(DecodeError)`, never a
-//!   panic or an unbounded allocation.
+//!   panic or an unbounded allocation. The per-node vectors of a
+//!   request's trace must hold one entry per plan node, so a decoded
+//!   query never panics the code that indexes them by pre-order position.
 //!
 //! A column travels by *name*, and decode resolves it to its position in
 //! the owning table's schema with [`ColRef::lookup`]; an unknown name is a
@@ -32,7 +35,7 @@
 
 use engine::faults::ExecError;
 use engine::plan::MAX_CHILDREN;
-use engine::{NodeEst, NodeTruth, OpDetail, PlanNode, Trace, TruthCosts, ALL_OP_TYPES};
+use engine::{NodeEst, NodeTruth, OpDetail, PlanNode, Trace, ALL_OP_TYPES};
 use ml::bytes::{put_f64, put_str, Malformed, Reader};
 use ml::MlError;
 use qpp::{tier_rank, ExecutedQuery, Method, PlanOrdering, Prediction, QppError, ALL_TIERS};
@@ -42,8 +45,8 @@ use tpch::types::{CmpOp, Scalar};
 
 use engine::sim::NodeTiming;
 
-/// Protocol magic: `b"QPW1"` — protocol name and version in one.
-pub const MAGIC: [u8; 4] = *b"QPW1";
+/// Protocol magic: `b"QPW2"` — protocol name and version in one.
+pub const MAGIC: [u8; 4] = *b"QPW2";
 
 /// Bytes in the frame envelope before the payload: magic, kind, length.
 pub const HEADER_LEN: usize = 4 + 1 + 4;
@@ -87,7 +90,7 @@ const INVALID_PARAM_MESSAGES: [&str; 3] = [
 /// know.
 pub const UNKNOWN_INVALID_PARAM: &str = "unrecognized parameter error from peer";
 
-/// Why a buffer failed to decode as a `QPPWIRE-v1` frame.
+/// Why a buffer failed to decode as a `QPPWIRE-v2` frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DecodeError {
     /// The buffer ends before the structure it announces; `needed` is a
@@ -120,7 +123,7 @@ impl std::fmt::Display for DecodeError {
             DecodeError::Truncated { needed } => {
                 write!(f, "frame truncated (needs at least {needed} bytes)")
             }
-            DecodeError::BadMagic => write!(f, "bad magic: not a QPPWIRE-v1 frame"),
+            DecodeError::BadMagic => write!(f, "bad magic: not a QPPWIRE-v2 frame"),
             DecodeError::UnknownKind(k) => write!(f, "unknown frame kind {k}"),
             DecodeError::Oversized { len, max } => {
                 write!(f, "frame payload of {len} bytes exceeds the {max}-byte cap")
@@ -177,7 +180,7 @@ pub struct ErrorFrame {
     pub error: QppError,
 }
 
-/// One decoded `QPPWIRE-v1` frame.
+/// One decoded `QPPWIRE-v2` frame.
 // `Request` dwarfs the other variants (it embeds a whole plan), but a
 // `Frame` is per-connection scratch that lives only between decode and
 // dispatch — boxing would buy nothing except an extra allocation on
@@ -296,11 +299,6 @@ fn encode_request(r: &Request) -> Vec<u8> {
     out.extend_from_slice(&r.deadline_micros.unwrap_or(u64::MAX).to_le_bytes());
     out.push(r.query.template);
     encode_node(&mut out, &r.query.plan);
-    out.extend_from_slice(&(r.query.truth_costs.costs.len() as u32).to_le_bytes());
-    for &(a, b) in &r.query.truth_costs.costs {
-        put_f64(&mut out, a);
-        put_f64(&mut out, b);
-    }
     out.extend_from_slice(&(r.query.trace.timings.len() as u32).to_le_bytes());
     for t in &r.query.trace.timings {
         put_f64(&mut out, t.start);
@@ -321,12 +319,13 @@ fn decode_request(r: &mut Reader) -> Result<Request, DecodeError> {
     let deadline = r.u64()?;
     let template = r.u8()?;
     let plan = decode_node(r, 0)?;
+    let nodes = plan.node_count();
     let n = r.count(16)?;
-    let mut costs = Vec::with_capacity(n);
-    for _ in 0..n {
-        costs.push((r.f64()?, r.f64()?));
+    if n != nodes {
+        return Err(DecodeError::Malformed(
+            "timing count differs from the plan's nodes",
+        ));
     }
-    let n = r.count(16)?;
     let mut timings = Vec::with_capacity(n);
     for _ in 0..n {
         timings.push(NodeTiming {
@@ -336,6 +335,11 @@ fn decode_request(r: &mut Reader) -> Result<Request, DecodeError> {
     }
     let total_secs = r.f64()?;
     let n = r.count(8)?;
+    if n != nodes {
+        return Err(DecodeError::Malformed(
+            "I/O page count differs from the plan's nodes",
+        ));
+    }
     let mut io_pages = Vec::with_capacity(n);
     for _ in 0..n {
         io_pages.push(r.f64()?);
@@ -348,7 +352,6 @@ fn decode_request(r: &mut Reader) -> Result<Request, DecodeError> {
         query: ExecutedQuery {
             template,
             plan,
-            truth_costs: TruthCosts { costs },
             trace: Trace {
                 timings,
                 total_secs,
@@ -412,7 +415,7 @@ fn decode_node(r: &mut Reader, depth: usize) -> Result<PlanNode, DecodeError> {
     }
     Ok(PlanNode {
         op,
-        children,
+        children: children.into_boxed_slice(),
         est,
         truth,
         detail,
@@ -486,7 +489,10 @@ fn decode_detail(r: &mut Reader) -> Result<OpDetail, DecodeError> {
             for _ in 0..n {
                 filters.push(decode_predicate(r)?);
             }
-            OpDetail::Scan { table, filters }
+            OpDetail::Scan {
+                table,
+                filters: filters.into_boxed_slice(),
+            }
         }
         1 => OpDetail::Join {
             kind: match r.u8()? {
@@ -823,7 +829,6 @@ mod tests {
     use super::*;
     use engine::catalog::Catalog;
     use engine::planner::Planner;
-    use engine::recost::recost_truth;
     use engine::sim::Simulator;
     use rng::StdRng;
     use tpch::templates;
@@ -834,11 +839,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         let plan = planner.plan(&templates::instantiate(template, 0.1, &mut rng));
         let trace = Simulator::new().execute(&plan, 0.1, seed);
-        let truth_costs = recost_truth(&plan, 4096.0);
         ExecutedQuery {
             template,
             plan,
-            truth_costs,
             trace,
         }
     }
@@ -945,8 +948,7 @@ mod tests {
         // features read two: a third would be dropped from composition.
         let mut query = sample_query(6, 3);
         let child = query.plan.children[0].clone();
-        query.plan.children.push(child.clone());
-        query.plan.children.push(child);
+        query.plan.children = Box::new([child.clone(), child.clone(), child]);
         let req = Request {
             id: 1,
             tenant: "t".into(),
@@ -958,6 +960,67 @@ mod tests {
         assert_eq!(
             Frame::decode(&bytes, DEFAULT_MAX_FRAME).err(),
             Some(DecodeError::Malformed("too many children"))
+        );
+    }
+
+    #[test]
+    fn per_node_vectors_that_miss_a_node_are_malformed_frames() {
+        // Training indexes a trace by pre-order position: a query handed
+        // back for retraining must hold one timing and one page count per
+        // plan node.
+        let request = |query| Request {
+            id: 1,
+            tenant: "t".into(),
+            method: Method::OperatorLevel,
+            deadline_micros: None,
+            query,
+        };
+        let mut short_timings = sample_query(3, 5);
+        short_timings.trace.timings.pop();
+        assert_eq!(
+            Frame::decode(
+                &Frame::Request(request(short_timings)).encode(),
+                DEFAULT_MAX_FRAME
+            )
+            .err(),
+            Some(DecodeError::Malformed(
+                "timing count differs from the plan's nodes"
+            ))
+        );
+        let mut long_pages = sample_query(3, 5);
+        long_pages.trace.io_pages.push(1.0);
+        assert_eq!(
+            Frame::decode(
+                &Frame::Request(request(long_pages)).encode(),
+                DEFAULT_MAX_FRAME
+            )
+            .err(),
+            Some(DecodeError::Malformed(
+                "I/O page count differs from the plan's nodes"
+            ))
+        );
+    }
+
+    #[test]
+    fn a_v1_frame_is_refused_at_the_header() {
+        // Version 1 carried per-node truth costs after the plan; its magic
+        // is the only byte sequence a v2 decoder needs to refuse it.
+        let req = Request {
+            id: 1,
+            tenant: "t".into(),
+            method: Method::PlanLevel,
+            deadline_micros: None,
+            query: sample_query(6, 3),
+        };
+        let mut bytes = Frame::Request(req).encode();
+        bytes[..4].copy_from_slice(b"QPW1");
+        assert_eq!(
+            decode_header(&bytes, DEFAULT_MAX_FRAME),
+            Err(DecodeError::BadMagic)
+        );
+        assert_eq!(
+            Frame::decode(&bytes, DEFAULT_MAX_FRAME).err(),
+            Some(DecodeError::BadMagic)
         );
     }
 

@@ -31,7 +31,7 @@
 //! - [`healer`] — a supervised background thread driving that healing
 //!   loop unattended on a jittered cadence, surviving panicking heals via
 //!   `catch_unwind` and breaker-style backoff.
-//! - [`codec`] — the versioned `QPPWIRE-v1` length-prefixed binary wire
+//! - [`codec`] — the versioned `QPPWIRE-v2` length-prefixed binary wire
 //!   protocol: request/response frames and typed error frames mapping
 //!   every [`qpp::QppError`] variant onto stable wire codes; decoding
 //!   never panics on arbitrary bytes.

@@ -1,4 +1,4 @@
-//! The networked front door: `QPPWIRE-v1` over TCP with connection-level
+//! The networked front door: `QPPWIRE-v2` over TCP with connection-level
 //! resilience and an exactly-reconciled graceful drain.
 //!
 //! Everything below is dependency-free blocking I/O on `std::net`:
@@ -164,7 +164,7 @@ struct NetInner {
     drain_deadline: Mutex<Option<Instant>>,
 }
 
-/// A TCP front door over a [`TenantServer`], speaking `QPPWIRE-v1`.
+/// A TCP front door over a [`TenantServer`], speaking `QPPWIRE-v2`.
 ///
 /// Bind with [`NetServer::bind`], connect with [`Client`], stop with
 /// [`NetServer::shutdown`] (or drop, which drains with the same
@@ -494,7 +494,7 @@ fn serve_request(request: Request, inner: &NetInner) -> (Frame, Option<Dispositi
     }
 }
 
-/// A minimal blocking `QPPWIRE-v1` client for tests, benches, and the
+/// A minimal blocking `QPPWIRE-v2` client for tests, benches, and the
 /// README example: one request in flight at a time.
 pub struct Client {
     stream: TcpStream,

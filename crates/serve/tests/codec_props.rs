@@ -1,4 +1,4 @@
-//! Property tests for the `QPPWIRE-v1` codec (DESIGN.md §11): round-trip
+//! Property tests for the `QPPWIRE-v2` codec (DESIGN.md §11): round-trip
 //! identity for every frame kind — requests via the canonical-bytes
 //! identity (`encode(decode(bytes)) == bytes`), responses and error
 //! frames via full value equality — and the decode-never-panics
@@ -8,7 +8,6 @@
 use engine::catalog::Catalog;
 use engine::faults::ExecError;
 use engine::planner::Planner;
-use engine::recost::recost_truth;
 use engine::sim::Simulator;
 use ml::MlError;
 use qpp::{ExecutedQuery, Method, PlanOrdering, Prediction, QppError, ALL_TIERS};
@@ -31,11 +30,9 @@ fn query_pool() -> &'static Vec<ExecutedQuery> {
                 let mut rng = StdRng::seed_from_u64(41 + template as u64);
                 let plan = planner.plan(&templates::instantiate(template, 0.1, &mut rng));
                 let trace = Simulator::new().execute(&plan, 0.1, template as u64);
-                let truth_costs = recost_truth(&plan, 4096.0);
                 ExecutedQuery {
                     template,
                     plan,
-                    truth_costs,
                     trace,
                 }
             })
@@ -240,7 +237,7 @@ fn decode_never_panics_on_arbitrary_bytes() {
         // Half the cases start with valid magic so decode gets past the
         // first gate and into the payload parsers.
         if rng.gen_bool(0.5) && len >= 4 {
-            bytes[..4].copy_from_slice(b"QPW1");
+            bytes[..4].copy_from_slice(&serve::codec::MAGIC);
         }
         let _ = Frame::decode(&bytes, DEFAULT_MAX_FRAME);
     });

@@ -104,6 +104,15 @@ timeout 300 cargo test --release -q -p qpp-bench
 echo "==> paper numbers: a fresh repro equals experiments_raw.txt"
 cargo run --release -q -p qpp-bench --bin repro | diff experiments_raw.txt -
 
+# The frozen fuzz corpus (tests/data/codec_corpus.bin, replayed in tier-1
+# by tests/codec_corpus.rs) is mutated request frames of the current wire
+# format. Refreezing it is deterministic, so a codec change that did not
+# refreeze it shows here as a diff instead of as a corpus of frames that
+# all fail at the magic.
+echo "==> fuzz corpus: a fresh freeze equals tests/data/codec_corpus.bin"
+cargo test --release -q -p qpp-serve --test codec_props -- --ignored freeze_corpus
+git diff --exit-code tests/data/codec_corpus.bin
+
 # The scalar loops of linalg's three SMO primitives must keep passing with
 # their AVX2 twins compiled out entirely (the non-x86 / no-AVX2
 # configuration). Nothing else in the tree has a second side: the suites

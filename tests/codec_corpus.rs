@@ -1,4 +1,4 @@
-//! The frozen `QPPWIRE-v1` fuzz corpus, replayed in tier-1.
+//! The frozen `QPPWIRE-v2` fuzz corpus, replayed in tier-1.
 //!
 //! `tests/data/codec_corpus.bin` holds the first single-byte corruptions
 //! of valid request frames that `crates/serve/tests/codec_props.rs` draws

@@ -8,10 +8,14 @@
 //! fail and name the cause before the golden files do.
 //!
 //! The layout pins hold the size of what the training log is made of: a
-//! column is a (table, position) pair of two bytes.
+//! column is a (table, position) pair of two bytes, a node's children and
+//! a scan's filters are boxed slices, and a logged query is its plan and
+//! its trace (actual-valued costs derive from the plan where they are
+//! read).
 
 use engine::plan::{OpDetail, PlanNode};
 use engine::Catalog;
+use qpp::ExecutedQuery;
 use std::mem::size_of;
 use tpch::schema::{col, ColRef, TableId};
 use tpch::spec::{AggFunc, Predicate};
@@ -50,7 +54,12 @@ fn histogram_noise_is_pinned() {
 fn column_refs_are_two_bytes() {
     assert_eq!(size_of::<ColRef>(), 2);
     assert!(size_of::<Predicate>() <= 40, "{}", size_of::<Predicate>());
-    assert!(size_of::<OpDetail>() <= 32, "{}", size_of::<OpDetail>());
-    assert!(size_of::<PlanNode>() <= 136, "{}", size_of::<PlanNode>());
+    assert!(size_of::<OpDetail>() <= 24, "{}", size_of::<OpDetail>());
+    assert!(size_of::<PlanNode>() <= 120, "{}", size_of::<PlanNode>());
+    assert!(
+        size_of::<ExecutedQuery>() <= 184,
+        "{}",
+        size_of::<ExecutedQuery>()
+    );
     assert!(size_of::<AggFunc>() <= 3, "{}", size_of::<AggFunc>());
 }

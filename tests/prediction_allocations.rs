@@ -5,13 +5,16 @@
 //! the thread's reusable `PredictBuffers`, and feature rows are arrays. So
 //! once the buffers have grown to the largest plan, a batch allocates a
 //! fixed number of blocks (its result vectors, the hybrid tier's model
-//! signature) whether it holds 16 queries or 256. A counting
+//! signature) whether it holds 16 queries or 256. That holds on both
+//! feature sources: actual-valued costs are derived in the walk that
+//! writes the views, not read from the logged query. A counting
 //! `#[global_allocator]` makes that an assertion; the whole check lives in
 //! one `#[test]`, pinned to one thread, so nothing else moves the counter.
 
 use engine::{Catalog, Simulator};
 use qpp::{
-    ExecutedQuery, Method, PlanOrdering, PredictionCache, QppConfig, QppPredictor, QueryDataset,
+    ExecutedQuery, FeatureSource, Method, OpModelConfig, PlanModelConfig, PlanOrdering,
+    PredictionCache, QppConfig, QppPredictor, QueryDataset,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -61,27 +64,46 @@ fn a_checked_batch_allocates_the_same_for_16_queries_as_for_256() {
     let workload = Workload::generate(&[1, 3, 5, 6, 10, 14], 6, 0.1, 7);
     let ds = QueryDataset::execute(&catalog, &workload, &Simulator::new(), 11, f64::INFINITY);
     let refs: Vec<&ExecutedQuery> = ds.queries.iter().collect();
-    let qpp = QppPredictor::train(&refs, QppConfig::default()).expect("training");
     let large: Vec<&ExecutedQuery> = refs.iter().cycle().take(256).copied().collect();
     let small = &large[..16];
-    // A one-entry cache evicts on every new fragment, so the hybrid tier
-    // walks each plan instead of answering its root from the cache, and
-    // the map never grows past its first allocation.
-    let cache = PredictionCache::new(1);
-    for method in [
-        Method::PlanLevel,
-        Method::OperatorLevel,
-        Method::Hybrid(PlanOrdering::ErrorBased),
-    ] {
-        // Warm-up: compiles the models and grows the buffers.
-        let warm = qpp.predict_checked_batch_cached(&large, method, &cache);
-        assert!(warm.iter().all(|p| !p.degraded), "{method:?}: clean inputs");
-        let for_small = allocations_of(|| qpp.predict_checked_batch_cached(small, method, &cache));
-        let for_large = allocations_of(|| qpp.predict_checked_batch_cached(&large, method, &cache));
-        assert_eq!(
-            for_small, for_large,
-            "{method:?}: 16 queries allocated {for_small} blocks, 256 allocated {for_large}"
-        );
+    let actual = QppConfig {
+        plan: PlanModelConfig {
+            source: FeatureSource::Actual,
+            ..PlanModelConfig::default()
+        },
+        op: OpModelConfig {
+            source: FeatureSource::Actual,
+            ..OpModelConfig::default()
+        },
+        ..QppConfig::default()
+    };
+    for config in [QppConfig::default(), actual] {
+        let source = config.plan.source;
+        let qpp = QppPredictor::train(&refs, config).expect("training");
+        // A one-entry cache evicts on every new fragment, so the hybrid
+        // tier walks each plan instead of answering its root from the
+        // cache, and the map never grows past its first allocation.
+        let cache = PredictionCache::new(1);
+        for method in [
+            Method::PlanLevel,
+            Method::OperatorLevel,
+            Method::Hybrid(PlanOrdering::ErrorBased),
+        ] {
+            // Warm-up: compiles the models and grows the buffers.
+            let warm = qpp.predict_checked_batch_cached(&large, method, &cache);
+            assert!(
+                warm.iter().all(|p| !p.degraded),
+                "{source:?} {method:?}: clean inputs"
+            );
+            let for_small =
+                allocations_of(|| qpp.predict_checked_batch_cached(small, method, &cache));
+            let for_large =
+                allocations_of(|| qpp.predict_checked_batch_cached(&large, method, &cache));
+            assert_eq!(
+                for_small, for_large,
+                "{source:?} {method:?}: 16 queries allocated {for_small} blocks, 256 allocated {for_large}"
+            );
+        }
     }
     ml::par::set_threads(0);
 }

@@ -157,7 +157,7 @@ fn plan_features_are_finite() {
         let planner = Planner::new(&catalog);
         let mut rng = StdRng::seed_from_u64(seed);
         let plan = planner.plan(&tpch::instantiate(template, sf, &mut rng));
-        let views = qpp::features::node_views(&plan, qpp::FeatureSource::Estimated, None);
+        let views = qpp::features::node_views(&plan, qpp::FeatureSource::Estimated);
         let f = qpp::plan_features(&plan, &views);
         assert_eq!(f.len(), qpp::features::PLAN_FEATURES);
         for v in &f {
