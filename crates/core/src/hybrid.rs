@@ -28,6 +28,7 @@ use ml::cv::kfold;
 use ml::metrics::{mean_relative_error, relative_error};
 use ml::{Dataset, ForwardSelection, LearnerKind, PredictScratch};
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// The three plan-ordering strategies of Section 3.4.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -136,8 +137,11 @@ impl SubplanModel {
 /// plan-level models, composed per Section 3.4.
 #[derive(Debug, Clone)]
 pub struct HybridModel {
-    /// The operator-level fallback models.
-    pub op_model: OpLevelModel,
+    /// The operator-level fallback models, shared: a predictor's
+    /// operator level and the hybrid's are one model (Algorithm 1 *adds*
+    /// plan-level models to it), and a clone of a hybrid, as online
+    /// building makes per fragment, copies a pointer.
+    pub op_model: Arc<OpLevelModel>,
     /// Plan-level models keyed by sub-plan structure.
     pub plan_models: HashMap<StructureKey, SubplanModel>,
 }
@@ -183,9 +187,9 @@ pub struct HybridPrediction {
 
 impl HybridModel {
     /// A hybrid model with no plan-level models (pure operator-level).
-    pub fn operator_only(op_model: OpLevelModel) -> HybridModel {
+    pub fn operator_only(op_model: impl Into<Arc<OpLevelModel>>) -> HybridModel {
         HybridModel {
-            op_model,
+            op_model: op_model.into(),
             plan_models: HashMap::new(),
         }
     }
@@ -415,14 +419,15 @@ pub struct IterationRecord {
     pub error: f64,
 }
 
-/// Trains a hybrid model per Algorithm 1; returns the model and the
-/// per-iteration error trajectory.
+/// Trains a hybrid model per Algorithm 1 on top of `op_model` (an
+/// `OpLevelModel`, or an `Arc` of one to share it); returns the model and
+/// the per-iteration error trajectory.
 pub fn train_hybrid(
     queries: &[&ExecutedQuery],
-    op_model: OpLevelModel,
+    op_model: impl Into<Arc<OpLevelModel>>,
     config: &HybridConfig,
 ) -> Result<(HybridModel, Vec<IterationRecord>), QppError> {
-    let (model, records, _) = train_hybrid_recorded(queries, op_model, config)?;
+    let (model, records, _) = train_hybrid_recorded(queries, op_model.into(), config)?;
     Ok((model, records))
 }
 
@@ -438,7 +443,7 @@ pub(crate) struct WalkErrors {
 /// [`train_hybrid`], also returning its walk's [`WalkErrors`].
 pub(crate) fn train_hybrid_recorded(
     queries: &[&ExecutedQuery],
-    op_model: OpLevelModel,
+    op_model: Arc<OpLevelModel>,
     config: &HybridConfig,
 ) -> Result<(HybridModel, Vec<IterationRecord>, WalkErrors), QppError> {
     let source = op_model.source();
@@ -751,7 +756,8 @@ mod tests {
         let refs: Vec<&ExecutedQuery> = ds.queries.iter().collect();
         let op = OpLevelModel::train(&refs, &OpModelConfig::default()).unwrap();
         let (_, records, errors) =
-            train_hybrid_recorded(&refs, op, &quick_config(PlanOrdering::ErrorBased)).unwrap();
+            train_hybrid_recorded(&refs, op.into(), &quick_config(PlanOrdering::ErrorBased))
+                .unwrap();
         let (base_err, hybrid_err) = (errors.operator_level, errors.hybrid);
         assert!(
             hybrid_err <= base_err + 1e-9,

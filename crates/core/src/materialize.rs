@@ -27,14 +27,16 @@ use crate::plan_model::PlanLevelModel;
 use crate::predictor::QppPredictor;
 use crate::subplan::StructureKey;
 use ml::bytes::{put_count, put_f64, put_u64, Malformed, Reader};
+use std::sync::Arc;
 
 /// A snapshot of all trained models.
 #[derive(Debug, Clone)]
 pub struct MaterializedModels {
     /// Plan-level model.
     pub plan_level: PlanLevelModel,
-    /// Operator-level models.
-    pub op_level: OpLevelModel,
+    /// Operator-level models, shared with the predictor and hybrid model
+    /// built from (or snapshotted into) this set.
+    pub op_level: Arc<OpLevelModel>,
     /// Hybrid sub-plan models as (structure key, model) pairs, ascending
     /// by key so equal model sets encode to equal bytes.
     pub hybrid_plan_models: Vec<(u64, SubplanModel)>,
@@ -62,7 +64,7 @@ impl MaterializedModels {
         pairs.sort_by_key(|(k, _)| *k);
         MaterializedModels {
             plan_level: qpp.plan_level.clone(),
-            op_level: qpp.op_level.clone(),
+            op_level: Arc::clone(&qpp.op_level),
             hybrid_plan_models: pairs,
             secs_per_cost: qpp.secs_per_cost(),
             prior_latency: qpp.prior_latency(),
@@ -107,7 +109,7 @@ impl MaterializedModels {
 
     fn decode_from(r: &mut Reader) -> Result<MaterializedModels, Malformed> {
         let plan_level = PlanLevelModel::decode(r)?;
-        let op_level = OpLevelModel::decode(r)?;
+        let op_level = Arc::new(OpLevelModel::decode(r)?);
         let n = r.count(8)?;
         let hybrid_plan_models = (0..n)
             .map(|_| Ok((r.u64()?, SubplanModel::decode(r)?)))
@@ -170,9 +172,10 @@ impl MaterializedModels {
         Ok(())
     }
 
-    /// Rebuilds the hybrid model.
+    /// Rebuilds the hybrid model over this set's operator-level models
+    /// (shared, not copied).
     pub fn hybrid(&self) -> HybridModel {
-        let mut h = HybridModel::operator_only(self.op_level.clone());
+        let mut h = HybridModel::operator_only(Arc::clone(&self.op_level));
         for (k, m) in &self.hybrid_plan_models {
             h.plan_models.insert(StructureKey(*k), m.clone());
         }

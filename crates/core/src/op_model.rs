@@ -51,10 +51,15 @@ impl Default for OpModelConfig {
     }
 }
 
+/// A trained operator type's (start-time, run-time) models.
+type ModelPair = Box<(FeatureModel, FeatureModel)>;
+
 /// Per-operator-type start-/run-time models.
 #[derive(Debug, Clone)]
 pub struct OpLevelModel {
-    per_type: Vec<Option<(FeatureModel, FeatureModel)>>,
+    /// One slot per operator type, boxed so an untrained type costs a
+    /// pointer rather than two inline models.
+    per_type: Vec<Option<ModelPair>>,
     source: FeatureSource,
     include_start_features: bool,
 }
@@ -122,7 +127,7 @@ impl OpLevelModel {
         }
         // Operator types fit independently; results are merged in type
         // order so the first error (if any) matches the serial loop's.
-        let fit_type = |k: usize| -> Result<Option<(FeatureModel, FeatureModel)>, MlError> {
+        let fit_type = |k: usize| -> Result<Option<ModelPair>, MlError> {
             if xs[k].n_rows() < 3 {
                 return Ok(None);
             }
@@ -131,10 +136,9 @@ impl OpLevelModel {
                 FeatureModel::train(&xs[k], &starts[k], &folds, &LEARNER, &SELECTION, false)?.0;
             let run_model =
                 FeatureModel::train(&xs[k], &runs[k], &folds, &LEARNER, &SELECTION, false)?.0;
-            Ok(Some((start_model, run_model)))
+            Ok(Some(Box::new((start_model, run_model))))
         };
-        let fitted: Vec<Result<Option<(FeatureModel, FeatureModel)>, MlError>> =
-            ml::par::par_map_n(n_types, fit_type);
+        let fitted: Vec<Result<Option<ModelPair>, MlError>> = ml::par::par_map_n(n_types, fit_type);
         let mut per_type = Vec::with_capacity(n_types);
         for outcome in fitted {
             per_type.push(outcome?);
@@ -162,7 +166,7 @@ impl OpLevelModel {
             ));
         }
         for (i, pair) in self.per_type.iter().enumerate() {
-            if let Some((start, run)) = pair {
+            if let Some((start, run)) = pair.as_deref() {
                 let op = ALL_OP_TYPES[i];
                 start
                     .validate(OP_FEATURE_NAMES.len())
@@ -180,7 +184,7 @@ impl OpLevelModel {
         put_count(out, self.per_type.len());
         for pair in &self.per_type {
             out.push(u8::from(pair.is_some()));
-            if let Some((start, run)) = pair {
+            if let Some((start, run)) = pair.as_deref() {
                 start.encode(out);
                 run.encode(out);
             }
@@ -194,7 +198,10 @@ impl OpLevelModel {
         let per_type = (0..n)
             .map(|_| {
                 Ok(if r.bool()? {
-                    Some((FeatureModel::decode(r)?, FeatureModel::decode(r)?))
+                    Some(Box::new((
+                        FeatureModel::decode(r)?,
+                        FeatureModel::decode(r)?,
+                    )))
                 } else {
                     None
                 })
@@ -207,22 +214,14 @@ impl OpLevelModel {
         })
     }
 
-    /// Content fingerprint over every per-operator model (see
-    /// [`FeatureModel::fingerprint`]); part of the hybrid model-set
-    /// signature that keys the prediction cache.
+    /// Content fingerprint, as [`FeatureModel::fingerprint`]: FNV over
+    /// the snapshot bytes of every per-operator model and the two training
+    /// switches. Part of the hybrid model-set signature that keys the
+    /// prediction cache.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: Vec<u64> = Vec::with_capacity(1 + 2 * self.per_type.len());
-        h.push(u64::from(self.include_start_features));
-        for pair in &self.per_type {
-            match pair {
-                Some((start, run)) => {
-                    h.push(start.fingerprint());
-                    h.push(run.fingerprint());
-                }
-                None => h.push(0),
-            }
-        }
-        crate::pred_cache::hash_u64s(&h)
+        let mut bytes = Vec::new();
+        self.encode(&mut bytes);
+        crate::pred_cache::hash_bytes(&bytes)
     }
 
     /// Predicts a query's latency by bottom-up composition.
@@ -295,7 +294,7 @@ impl OpLevelModel {
             features[5] = 0.0;
             features[7] = 0.0;
         }
-        match &self.per_type[node.op.index()] {
+        match self.per_type[node.op.index()].as_deref() {
             Some((sm, rm)) => {
                 let start = sm.predict_into(&features, row, scratch).max(0.0);
                 let run = rm.predict_into(&features, row, scratch).max(start);

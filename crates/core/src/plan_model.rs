@@ -12,11 +12,10 @@ use engine::plan::PlanNode;
 use ml::bytes::{put_count, put_f64, put_u32, Malformed, Reader};
 use ml::cv::{stratified_kfold, Fold};
 use ml::{
-    forward_select, mean_relative_error, CompiledModel, Dataset, ForwardSelection, Learner,
-    LearnerKind, MlError, PredictScratch, TrainedModel,
+    forward_select, mean_relative_error, Dataset, ForwardSelection, Learner, LearnerKind, MlError,
+    PredictScratch, TrainedModel,
 };
 use std::cell::RefCell;
-use std::sync::OnceLock;
 
 /// Smallest batch the plan-, operator- and hybrid-level inference paths
 /// hand to `ml::par`. A query is a few microseconds of arithmetic and
@@ -129,11 +128,6 @@ pub struct FeatureModel {
     /// Observed (min, max) of each *selected* feature at training time —
     /// the model's applicability region.
     pub feature_ranges: Vec<(f64, f64)>,
-    /// Lazily compiled form of `model` (flat support-vector layout, fused
-    /// scaling); built on first prediction and deliberately not part of a
-    /// snapshot — a decoded model simply recompiles on first use, to the
-    /// same bits.
-    compiled: OnceLock<CompiledModel>,
 }
 
 impl FeatureModel {
@@ -161,7 +155,6 @@ impl FeatureModel {
             log_target,
             target_range: range(y),
             feature_ranges,
-            compiled: OnceLock::new(),
         };
         let out_of_fold: Vec<f64> = sel.predictions.iter().map(|&p| trained.finish(p)).collect();
         let error = mean_relative_error(y, &out_of_fold);
@@ -186,21 +179,7 @@ impl FeatureModel {
             log_target,
             target_range: range(y),
             feature_ranges,
-            compiled: OnceLock::new(),
         })
-    }
-
-    /// The compiled form of the underlying model, built on first use.
-    ///
-    /// Every caller below routes through this, so it is the compiled
-    /// form's numeric contract that this model's predictions carry (see
-    /// `ml::compiled`): a linear model is bit-identical to
-    /// [`TrainedModel::predict`]; an SVR sums in one fixed lane-tree
-    /// order — the same bits on any host, thread count or batch size —
-    /// which agrees with `TrainedModel::predict`'s left-to-right fold to
-    /// summation-reordering rounding, not bit for bit.
-    pub fn compiled(&self) -> &CompiledModel {
-        self.compiled.get_or_init(|| self.model.compile())
     }
 
     /// Predicts from a full feature vector (projects to selected columns).
@@ -211,10 +190,17 @@ impl FeatureModel {
     }
 
     /// Allocation-free prediction using caller-owned scratch: `row` takes
-    /// the projected features, `scratch` the compiled model's scaled row.
+    /// the projected features, `scratch` the model's scaled row.
     ///
-    /// Bit-identical to [`FeatureModel::predict`] (which delegates here
-    /// with the thread's [`PredictBuffers`]).
+    /// Every prediction path routes through this, so this model's
+    /// predictions carry [`TrainedModel::predict_into`]'s numeric contract
+    /// (see `ml::compiled`): a linear model is bit-identical to
+    /// [`TrainedModel::predict`]; an SVR sums in one fixed lane-tree
+    /// order — the same bits on any host, thread count or batch size —
+    /// which agrees with `TrainedModel::predict`'s left-to-right fold to
+    /// summation-reordering rounding, not bit for bit.
+    /// [`FeatureModel::predict`] delegates here with the thread's
+    /// [`PredictBuffers`].
     pub fn predict_into(
         &self,
         full_features: &[f64],
@@ -223,7 +209,7 @@ impl FeatureModel {
     ) -> f64 {
         row.clear();
         row.extend(self.selected.iter().map(|&i| full_features[i]));
-        let raw = self.compiled().predict_into(row, scratch);
+        let raw = self.model.predict_into(row, scratch);
         self.finish(raw)
     }
 
@@ -332,33 +318,27 @@ impl FeatureModel {
             cv_error: r.f64()?,
             log_target: r.bool()?,
             target_range: (r.f64()?, r.f64()?),
-            compiled: OnceLock::new(),
         })
     }
 
-    /// Content fingerprint for cache-key signatures: hashes the selected
-    /// columns, training-time ranges, and CV error, so models trained on
-    /// different data (or with different selections) fingerprint
-    /// differently even when they cover the same plan structures.
+    /// Content fingerprint for cache-key signatures: FNV over the bytes a
+    /// snapshot stores of the model — the selected columns, the
+    /// training-time ranges, the CV error and the bits of every learned
+    /// parameter. Two models fingerprint alike only when they would encode
+    /// alike, so models trained on different data, with different
+    /// selections, or differing in one weight's last bit, fingerprint
+    /// differently even when they cover the same plan structures. It
+    /// encodes the model, so it is computed where a model set is built,
+    /// not per prediction.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: Vec<u64> =
-            Vec::with_capacity(5 + self.selected.len() + 2 * self.feature_ranges.len());
-        h.push(self.selected.len() as u64);
-        h.extend(self.selected.iter().map(|&i| i as u64));
-        h.push(self.cv_error.to_bits());
-        h.push(u64::from(self.log_target));
-        h.push(self.target_range.0.to_bits());
-        h.push(self.target_range.1.to_bits());
-        for (lo, hi) in &self.feature_ranges {
-            h.push(lo.to_bits());
-            h.push(hi.to_bits());
-        }
-        crate::pred_cache::hash_u64s(&h)
+        let mut bytes = Vec::new();
+        self.encode(&mut bytes);
+        crate::pred_cache::hash_bytes(&bytes)
     }
 }
 
 /// One thread's reusable prediction buffers: the projected feature row and
-/// the compiled model's scratch ([`FeatureModel::predict_into`]), and a
+/// the model's scaled-row scratch ([`FeatureModel::predict_into`]), and a
 /// plan walk's views, subtree sizes, structure hashes and node times. With
 /// one instance per thread, a steady-state prediction allocates nothing.
 ///
@@ -368,7 +348,7 @@ impl FeatureModel {
 pub struct PredictBuffers {
     /// Selected-feature row (projection target).
     pub(crate) row: Vec<f64>,
-    /// Scaled-row scratch for the compiled model.
+    /// Scaled-row scratch for the model's lane tree.
     pub(crate) scratch: PredictScratch,
     /// The plan's node views, pre-order.
     pub(crate) views: Vec<NodeView>,
@@ -685,5 +665,41 @@ mod tests {
         let fewer: Vec<&ExecutedQuery> = refs[..refs.len() / 2].to_vec();
         let other = PlanLevelModel::train(&fewer, &PlanModelConfig::default()).unwrap();
         assert_ne!(model.inner.fingerprint(), other.inner.fingerprint());
+    }
+
+    #[test]
+    fn a_fingerprint_covers_every_weight() {
+        use crate::hybrid::{HybridModel, SubplanModel};
+        use crate::subplan::StructureKey;
+        use ml::SvrModel;
+        let fixture = include_bytes!("../../../tests/data/fixture_seed42.qppsnap");
+        let mat = crate::registry::decode_snapshot(fixture).expect("the golden snapshot decodes");
+        let model = &mat.plan_level.inner;
+        let TrainedModel::Svr(svr) = &model.model else {
+            panic!("the fixture's plan level is an SVR");
+        };
+        // Move the first coefficient by one ULP. An SVR encodes its
+        // coefficients, then its support vectors as rows, last.
+        let mut bytes = Vec::new();
+        svr.encode(&mut bytes);
+        let at = bytes.len() - svr.n_support_vectors() * (svr.n_features() + 1) * 8;
+        let c = f64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
+        bytes[at..at + 8].copy_from_slice(&f64::from_bits(c.to_bits() + 1).to_le_bytes());
+        let mut moved = model.clone();
+        moved.model = TrainedModel::Svr(SvrModel::decode(&mut Reader::new(&bytes)).unwrap());
+        assert_ne!(moved.fingerprint(), model.fingerprint());
+
+        // Same plan structure, new weights: a new model-set signature.
+        let hybrid = |m: &FeatureModel| {
+            let mut h = HybridModel::operator_only(mat.op_level.clone());
+            let sub = SubplanModel {
+                start: m.clone(),
+                run: m.clone(),
+                description: String::new(),
+            };
+            h.plan_models.insert(StructureKey(7), sub);
+            h.plan_model_signature()
+        };
+        assert_ne!(hybrid(&moved), hybrid(model));
     }
 }

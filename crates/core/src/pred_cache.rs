@@ -166,6 +166,16 @@ pub fn views_hash(views: &[NodeView]) -> u64 {
     h
 }
 
+/// FNV-1a over a byte string: a model's encoding
+/// ([`crate::plan_model::FeatureModel::fingerprint`]).
+pub(crate) fn hash_bytes(bytes: &[u8]) -> u64 {
+    let mut h = FNV_OFFSET;
+    for &b in bytes {
+        h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+    }
+    h
+}
+
 /// FNV-1a over a pre-sorted list of structure-key hashes; used to build
 /// model signatures.
 pub(crate) fn hash_u64s(values: &[u64]) -> u64 {

@@ -26,6 +26,7 @@ use crate::op_model::{OpLevelModel, OpModelConfig};
 use crate::plan_model::{map_batch, PlanLevelModel, PlanModelConfig, PredictBuffers};
 use engine::plan::PlanNode;
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 
 /// Which prediction method to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,10 +90,14 @@ pub struct QppConfig {
 pub struct QppPredictor {
     /// Plan-level model.
     pub plan_level: PlanLevelModel,
-    /// Operator-level models.
-    pub op_level: OpLevelModel,
+    /// Operator-level models: the same model as `hybrid.op_model`.
+    pub op_level: Arc<OpLevelModel>,
     /// Hybrid model (operator models + accepted sub-plan models).
     pub hybrid: HybridModel,
+    /// `hybrid`'s model-set signature, which keys its entries in a
+    /// prediction cache: computed where the predictor is built, read by
+    /// every batch.
+    hybrid_signature: u64,
     config: QppConfig,
     /// Median observed seconds per optimizer cost unit at training time
     /// (NaN when no training query had a usable cost estimate).
@@ -189,8 +194,9 @@ impl QppPredictor {
             || OpLevelModel::train(queries, &config.op),
         );
         let (plan_level, plan_error) = plan_res?;
-        let op_level = op_res?;
-        let (hybrid, _, walk) = train_hybrid_recorded(queries, op_level.clone(), &config.hybrid)?;
+        let op_level = Arc::new(op_res?);
+        let (hybrid, _, walk) =
+            train_hybrid_recorded(queries, Arc::clone(&op_level), &config.hybrid)?;
         let ratios: Vec<f64> = queries
             .iter()
             .filter_map(|q| {
@@ -213,6 +219,7 @@ impl QppPredictor {
         Ok(QppPredictor {
             plan_level,
             op_level,
+            hybrid_signature: hybrid.plan_model_signature(),
             hybrid,
             config,
             secs_per_cost,
@@ -346,10 +353,7 @@ impl QppPredictor {
             return queries.iter().map(|q| self.chain(q, i, start)).collect();
         }
         // Only the hybrid tier keys the memo cache, by its model set.
-        let sig = match start {
-            PredictionTier::Hybrid => self.hybrid.plan_model_signature(),
-            _ => 0,
-        };
+        let sig = self.hybrid_signature;
         let evaluated = map_batch(queries, |q, buf| {
             let value = match start {
                 PredictionTier::Hybrid => self.hybrid.predict_memo_with(q, sig, cache, buf),
@@ -441,7 +445,8 @@ impl QppPredictor {
     }
 
     /// Rebuilds a predictor from a materialized model set without
-    /// retraining (the registry's snapshot-load path).
+    /// retraining (the registry's snapshot-load path). The predictor
+    /// shares the set's operator-level models rather than copying them.
     ///
     /// Circuit breakers start closed. Callers should run
     /// [`crate::materialize::MaterializedModels::validate`] first — this
@@ -450,10 +455,12 @@ impl QppPredictor {
         mat: &crate::materialize::MaterializedModels,
         config: QppConfig,
     ) -> QppPredictor {
+        let hybrid = mat.hybrid();
         QppPredictor {
             plan_level: mat.plan_level.clone(),
-            op_level: mat.op_level.clone(),
-            hybrid: mat.hybrid(),
+            op_level: Arc::clone(&mat.op_level),
+            hybrid_signature: hybrid.plan_model_signature(),
+            hybrid,
             config,
             secs_per_cost: mat.secs_per_cost,
             prior_latency: mat.prior_latency,

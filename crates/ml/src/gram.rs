@@ -169,7 +169,7 @@ pub fn compute_gram(xs: &Dataset, kernel: Kernel, gamma: f64) -> Vec<f64> {
     let mut k = vec![0.0f64; l * l];
     for i in 0..l {
         for j in 0..=i {
-            let v = kernel.eval(xs.row(i), xs.row(j), gamma);
+            let v = kernel.eval(xs.row(i).iter().copied(), xs.row(j), gamma);
             k[i * l + j] = v;
             k[j * l + i] = v;
         }

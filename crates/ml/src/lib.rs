@@ -30,9 +30,9 @@
 //!   to fit; no matrix outlives the fit that reads it.
 //! - [`bytes`] — the bounds-checked reader and the writers under the model
 //!   snapshot and the wire protocol.
-//! - [`compiled`] — post-training compilation of trained models
-//!   (lane-padded support-vector storage, pruning, one allocation-free
-//!   lane-tree kernel) for the low-latency inference path.
+//! - [`compiled`] — the layout an SVR model is stored in (lane-padded
+//!   support-vector blocks, zero coefficients dropped) and the
+//!   allocation-free lane-tree kernel that serves it.
 //! - [`stats`] — mean, variance and Pearson correlation.
 
 #![warn(missing_docs)]
@@ -54,7 +54,7 @@ pub mod svr;
 #[cfg(test)]
 mod solver_tests;
 
-pub use compiled::{CompiledModel, CompiledSvr, PredictScratch};
+pub use compiled::PredictScratch;
 pub use cv::{holdout, kfold, stratified_kfold, CrossValidation};
 pub use dataset::Dataset;
 pub use feature_selection::{forward_select, ForwardSelection};
@@ -161,15 +161,17 @@ impl TrainedModel {
         }
     }
 
-    /// Compiles this model for low-latency inference (see [`compiled`]).
-    /// Linear models pass through bit-identically; the compiled SVR
-    /// kernel uses a fixed reduction-tree order, deterministic and
-    /// thread-count independent but agreeing with this model only to
-    /// summation-reordering rounding.
-    pub fn compile(&self) -> CompiledModel {
+    /// The serving prediction, reusing `scratch` (no allocation once it
+    /// has warmed up): a linear model's [`TrainedModel::predict`], an SVR
+    /// model's lane tree ([`SvrModel::predict_into`]), which sums in a
+    /// fixed reduction-tree order — deterministic and thread-count
+    /// independent, but agreeing with [`TrainedModel::predict`]'s
+    /// left-to-right fold only to summation-reordering rounding (see
+    /// [`compiled`]).
+    pub fn predict_into(&self, row: &[f64], scratch: &mut PredictScratch) -> f64 {
         match self {
-            TrainedModel::Linear(m) => CompiledModel::Linear(m.clone()),
-            TrainedModel::Svr(m) => CompiledModel::Svr(m.compile()),
+            TrainedModel::Linear(m) => m.predict(row),
+            TrainedModel::Svr(m) => m.predict_into(row, scratch),
         }
     }
 

@@ -80,11 +80,10 @@ impl StandardScaler {
 
     /// Standardizes one row into the provided buffer.
     ///
-    /// This sits on the prediction hot path (both the reference and the
-    /// compiled inference paths call it per row), so the length contract —
-    /// `row` and `out` must match the fitted column count — is checked
-    /// with `debug_assert!` only. Callers are expected to size buffers via
-    /// [`StandardScaler::n_cols`].
+    /// This sits on the prediction hot path (the serving lane tree calls
+    /// it per row), so the length contract — `row` and `out` must match
+    /// the fitted column count — is checked with `debug_assert!` only.
+    /// Callers are expected to size buffers via [`StandardScaler::n_cols`].
     pub fn transform_row_into(&self, row: &[f64], out: &mut [f64]) {
         debug_assert_eq!(row.len(), self.means.len(), "scaler column mismatch");
         debug_assert_eq!(out.len(), self.means.len(), "scaler buffer mismatch");

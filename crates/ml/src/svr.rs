@@ -15,6 +15,7 @@
 //! the default RBF `gamma` of `1 / n_features` is meaningful.
 
 use crate::bytes::{put_f64, put_f64s, Malformed, Reader};
+use crate::compiled::LANES;
 use crate::dataset::Dataset;
 use crate::linalg::{scan_second_order, scan_violating, second_order_quad, ScanResult};
 use crate::scaler::{StandardScaler, TargetScaler};
@@ -48,11 +49,18 @@ impl Kernel {
 
     /// The squared distance is a left-to-right sum started at +0.0, the
     /// fold order of the blocked Gram kernel, so the two agree bit for bit.
-    pub(crate) fn eval(&self, a: &[f64], b: &[f64], resolved_gamma: f64) -> f64 {
+    /// `a` is an iterator so a support vector can be read where it lies in
+    /// the lane layout.
+    pub(crate) fn eval(
+        &self,
+        a: impl IntoIterator<Item = f64>,
+        b: &[f64],
+        resolved_gamma: f64,
+    ) -> f64 {
         let sq = a
-            .iter()
+            .into_iter()
             .zip(b)
-            .fold(0.0, |acc, (&x, &y)| acc + (x - y) * (x - y));
+            .fold(0.0, |acc, (x, &y)| acc + (x - y) * (x - y));
         (-resolved_gamma * sq).exp()
     }
 }
@@ -99,8 +107,8 @@ impl Svr {
         Svr { params }
     }
 
-    /// Fits the SVR on `x` and `y`; returns a dense model holding the
-    /// support vectors and coefficients.
+    /// Fits the SVR on `x` and `y`; returns the model in its serving
+    /// layout (see [`crate::compiled`]).
     pub fn fit(&self, x: &Dataset, y: &[f64]) -> Result<SvrModel, MlError> {
         self.fit_capped(x, y, MAX_ITER)
     }
@@ -211,9 +219,9 @@ impl SmoOutcome {
         }
     }
 
-    /// Turns a converged solve into the dense model (support vectors are
-    /// the rows with a nonzero net coefficient `a_i - a_{i+l}`), or
-    /// reports [`MlError::DidNotConverge`].
+    /// Turns a converged solve into the model (support vectors are the
+    /// rows with a nonzero net coefficient `a_i - a_{i+l}`), or reports
+    /// [`MlError::DidNotConverge`].
     pub fn into_model(self, kernel: Kernel, pre: Prepared) -> Result<SvrModel, MlError> {
         let Prepared {
             xs,
@@ -234,22 +242,26 @@ impl SmoOutcome {
         for i in 0..l {
             let b = self.a[i] - self.a[i + l];
             if b.abs() > 1e-12 {
-                support.push(xs.row(i).to_vec());
+                support.push(i);
                 coefs.push(b);
             }
         }
         if !self.bias.is_finite() || coefs.iter().any(|c| !c.is_finite()) {
             return Err(did_not_converge);
         }
+        let d = xs.n_cols();
+        let (sv_lanes, coef_lanes, n_support_vectors) =
+            crate::compiled::pack(d, &coefs, |i, k| xs.row(support[i])[k]);
         Ok(SvrModel {
             kernel,
             gamma,
-            support_vectors: support,
-            coefficients: coefs,
+            sv_lanes,
+            coef_lanes,
+            n_support_vectors,
             bias: self.bias,
             x_scaler,
             y_scaler,
-            n_features: xs.n_cols(),
+            n_features: d,
         })
     }
 }
@@ -494,13 +506,25 @@ pub(crate) fn smo_solve(
     }
 }
 
-/// A fitted SVR model.
+/// A fitted SVR model, stored once, in the lane-padded layout its serving
+/// kernel reads ([`crate::compiled`]): support vectors with a zero
+/// coefficient are not stored. Two summation orders run over that one
+/// storage: the reference left-to-right fold [`SvrModel::predict`], which
+/// cross-validation and forward selection read, and the lane tree
+/// [`SvrModel::predict_into`], which serving reads.
 #[derive(Debug, Clone)]
 pub struct SvrModel {
     pub(crate) kernel: Kernel,
     pub(crate) gamma: f64,
-    pub(crate) support_vectors: Vec<Vec<f64>>,
-    pub(crate) coefficients: Vec<f64>,
+    /// Lane-padded SoA blocks: `n_blocks * n_features * LANES` values.
+    /// Block `b`, feature `k`, lane `l` lives at
+    /// `b * n_features * LANES + k * LANES + l` and holds feature `k` of
+    /// support vector `b * LANES + l` (zero beyond the last one).
+    pub(crate) sv_lanes: Box<[f64]>,
+    /// Coefficients, zero-padded to `n_blocks * LANES`.
+    pub(crate) coef_lanes: Box<[f64]>,
+    /// Support vectors stored (the non-zero coefficients).
+    pub(crate) n_support_vectors: usize,
     pub(crate) bias: f64,
     pub(crate) x_scaler: StandardScaler,
     pub(crate) y_scaler: TargetScaler,
@@ -512,9 +536,9 @@ impl SvrModel {
     /// snapshot deserialization are the production paths; this exists so
     /// tests and benches can hand-build models with arbitrary
     /// support-vector counts, arities, and coefficient patterns (the
-    /// compiled-path bit-identity property tests sweep shapes a fit would
-    /// rarely produce). Support vectors are taken as already living in
-    /// scaled space, like a fitted model's.
+    /// lane-tree property tests sweep shapes a fit would rarely produce).
+    /// Support vectors are taken as already living in scaled space, like a
+    /// fitted model's; those with a zero coefficient are dropped.
     #[allow(clippy::too_many_arguments)]
     pub fn from_parts(
         kernel: Kernel,
@@ -529,11 +553,14 @@ impl SvrModel {
         assert_eq!(support_vectors.len(), coefficients.len());
         assert!(support_vectors.iter().all(|sv| sv.len() == n_features));
         assert_eq!(x_scaler.n_cols(), n_features);
+        let (sv_lanes, coef_lanes, n_support_vectors) =
+            crate::compiled::pack(n_features, &coefficients, |i, k| support_vectors[i][k]);
         SvrModel {
             kernel,
             gamma,
-            support_vectors,
-            coefficients,
+            sv_lanes,
+            coef_lanes,
+            n_support_vectors,
             bias,
             x_scaler,
             y_scaler,
@@ -541,10 +568,27 @@ impl SvrModel {
         }
     }
 
-    /// Predicts the target for one (unscaled) feature row.
+    /// Support vector `i`'s features, read across its lane.
+    pub(crate) fn support_vector(&self, i: usize) -> impl Iterator<Item = f64> + '_ {
+        let d = self.n_features;
+        let base = (i / LANES) * d * LANES + i % LANES;
+        (0..d).map(move |k| self.sv_lanes[base + k * LANES])
+    }
+
+    /// `c_i · K(sv_i, xr)` for each stored support vector, in order.
+    fn terms<'a>(&'a self, xr: &'a [f64]) -> impl Iterator<Item = f64> + 'a {
+        (0..self.n_support_vectors).map(move |i| {
+            self.coef_lanes[i] * self.kernel.eval(self.support_vector(i), xr, self.gamma)
+        })
+    }
+
+    /// Predicts the target for one (unscaled) feature row: the reference
+    /// left-to-right fold over the support vectors, which cross-validation
+    /// and forward selection read. Serving reads the lane tree
+    /// ([`SvrModel::predict_into`]).
     ///
-    /// The row length is only checked with a `debug_assert!`; prediction is
-    /// a hot path, and the checked variant is [`SvrModel::try_predict`].
+    /// The row length is only checked with a `debug_assert!`; the checked
+    /// variant is [`SvrModel::try_predict`].
     pub fn predict(&self, row: &[f64]) -> f64 {
         debug_assert_eq!(
             row.len(),
@@ -555,8 +599,8 @@ impl SvrModel {
         );
         let xr = self.x_scaler.transform_row(row);
         let mut acc = self.bias;
-        for (sv, coef) in self.support_vectors.iter().zip(&self.coefficients) {
-            acc += coef * self.kernel.eval(sv, &xr, self.gamma);
+        for term in self.terms(&xr) {
+            acc += term;
         }
         self.y_scaler.inverse(acc)
     }
@@ -575,27 +619,24 @@ impl SvrModel {
 
     /// The reordering-error scale of a prediction on `row`, in target
     /// units: `(|bias| + Σ|c_i·K_i|) · |target slope|`. Any regrouping of
-    /// the left-to-right fold in [`SvrModel::predict`] — the compiled lane
-    /// tree included — agrees with it to within a few ULPs of this
-    /// magnitude; the tolerance tests in `tests/compiled_props.rs` are
-    /// phrased against it.
+    /// the left-to-right fold in [`SvrModel::predict`] — the lane tree
+    /// included — agrees with it to within a few ULPs of this magnitude;
+    /// the tolerance tests in `tests/compiled_props.rs` are phrased
+    /// against it.
     pub fn sum_magnitude(&self, row: &[f64]) -> f64 {
         let xr = self.x_scaler.transform_row(row);
         let mut mag = self.bias.abs();
-        for (sv, coef) in self.support_vectors.iter().zip(&self.coefficients) {
-            mag += (coef * self.kernel.eval(sv, &xr, self.gamma)).abs();
+        for term in self.terms(&xr) {
+            mag += term.abs();
         }
         mag * self.y_scaler.slope_abs()
     }
 
-    /// Compiles this model for low-latency inference (lane-padded
-    /// support-vector storage, zero-coefficient pruning, allocation-free
-    /// prediction); see [`crate::compiled`]. The compiled kernel sums in a
-    /// fixed reduction-tree order, so its predictions agree with this
-    /// model's to summation-reordering rounding (bounded through
-    /// [`SvrModel::sum_magnitude`]) rather than bit-for-bit.
-    pub fn compile(&self) -> crate::compiled::CompiledSvr {
-        crate::compiled::CompiledSvr::compile(self)
+    /// The model itself: it is stored in its serving layout, so there is
+    /// nothing left to compile. Kept because the benchmark harness calls
+    /// it.
+    pub fn compile(&self) -> &SvrModel {
+        self
     }
 
     /// Number of input features.
@@ -603,9 +644,10 @@ impl SvrModel {
         self.n_features
     }
 
-    /// Number of support vectors retained.
+    /// Number of support vectors stored (those with a non-zero
+    /// coefficient).
     pub fn n_support_vectors(&self) -> usize {
-        self.support_vectors.len()
+        self.n_support_vectors
     }
 
     /// True when every learned parameter (bias, coefficients, support
@@ -614,11 +656,8 @@ impl SvrModel {
     pub fn weights_finite(&self) -> bool {
         self.bias.is_finite()
             && self.gamma.is_finite()
-            && self.coefficients.iter().all(|c| c.is_finite())
-            && self
-                .support_vectors
-                .iter()
-                .all(|sv| sv.iter().all(|v| v.is_finite()))
+            && self.coef_lanes.iter().all(|c| c.is_finite())
+            && self.sv_lanes.iter().all(|v| v.is_finite())
             && self.x_scaler.is_finite()
             && self.y_scaler.is_finite()
     }
@@ -627,22 +666,24 @@ impl SvrModel {
     /// encode to equal bytes exactly when they are the same model. The
     /// feature count travels once, in the scaler, and the support-vector
     /// count once, with the coefficients, so the shapes a decoded model
-    /// relies on cannot disagree.
+    /// relies on cannot disagree. The support vectors follow as rows.
     pub fn encode(&self, out: &mut Vec<u8>) {
         self.kernel.encode(out);
         put_f64(out, self.gamma);
         put_f64(out, self.bias);
         self.x_scaler.encode(out);
         self.y_scaler.encode(out);
-        put_f64s(out, &self.coefficients);
-        for sv in &self.support_vectors {
-            for &v in sv {
+        put_f64s(out, &self.coef_lanes[..self.n_support_vectors]);
+        for i in 0..self.n_support_vectors {
+            for v in self.support_vector(i) {
                 put_f64(out, v);
             }
         }
     }
 
-    /// Reads what [`SvrModel::encode`] wrote.
+    /// Reads what [`SvrModel::encode`] wrote, packing the support vectors
+    /// into the lane layout (a zero coefficient, which no fit writes, is
+    /// dropped with its vector).
     pub fn decode(r: &mut Reader) -> Result<SvrModel, Malformed> {
         let kernel = Kernel::decode(r)?;
         let gamma = r.f64()?;
@@ -650,19 +691,20 @@ impl SvrModel {
         let x_scaler = StandardScaler::decode(r)?;
         let y_scaler = TargetScaler::decode(r)?;
         let coefficients = r.counted_f64s()?;
-        let n_features = x_scaler.n_cols();
-        let support_vectors = (0..coefficients.len())
-            .map(|_| r.f64s(n_features))
-            .collect::<Result<_, _>>()?;
+        let d = x_scaler.n_cols();
+        let rows = r.f64s(coefficients.len().saturating_mul(d))?;
+        let (sv_lanes, coef_lanes, n_support_vectors) =
+            crate::compiled::pack(d, &coefficients, |i, k| rows[i * d + k]);
         Ok(SvrModel {
             kernel,
             gamma,
-            support_vectors,
-            coefficients,
+            sv_lanes,
+            coef_lanes,
+            n_support_vectors,
             bias,
             x_scaler,
             y_scaler,
-            n_features,
+            n_features: d,
         })
     }
 }

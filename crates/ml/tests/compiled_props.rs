@@ -1,13 +1,14 @@
-//! Property tests for the compiled inference path's numeric contracts.
+//! Property tests for the serving path's numeric contracts.
 //!
 //! For any fitted SVR — across gamma, dimensionality, and support-vector
-//! counts:
+//! counts — the one stored model serves two summation orders, and:
 //!
-//! - batches equal a serial compiled loop bit for bit, in input order
+//! - batches equal a serial lane-tree loop bit for bit, in input order
 //!   (hand-built shapes are swept in `tests/simd_props.rs`),
-//! - the lane tree agrees with the reference model's left-to-right fold
-//!   (`SvrModel::predict`) to summation-reordering rounding, bounded by
-//!   the condition of the kernel sum (`SvrModel::sum_magnitude`).
+//! - the lane tree (`SvrModel::predict_into`) agrees with the reference
+//!   left-to-right fold (`SvrModel::predict`) to summation-reordering
+//!   rounding, bounded by the condition of the kernel sum
+//!   (`SvrModel::sum_magnitude`).
 
 use ml::compiled::PredictScratch;
 use ml::svr::Kernel;
@@ -40,8 +41,7 @@ fn compiled_contracts_hold_for_fitted_models() {
             Err(MlError::DidNotConverge { .. }) => return,
             Err(e) => panic!("fit failed: {e}"),
         };
-        let compiled = model.compile();
-        assert!(compiled.n_support_vectors() <= rows.len());
+        assert!(model.n_support_vectors() <= rows.len());
 
         // Training rows plus probes well outside the training region
         // (extrapolation must not change the contracts).
@@ -52,7 +52,7 @@ fn compiled_contracts_hold_for_fitted_models() {
         let mut scratch = PredictScratch::new();
         for row in &probes {
             let reference = model.predict(row);
-            let tree = compiled.predict_into(row, &mut scratch);
+            let tree = model.predict_into(row, &mut scratch);
             // The lane tree stays within reordering rounding of the
             // reference.
             let tol = 1e-12 * (1.0 + model.sum_magnitude(row));
@@ -65,28 +65,24 @@ fn compiled_contracts_hold_for_fitted_models() {
             );
         }
 
-        // Batch output equals the serial compiled loop, in input order.
+        // Batch output equals the serial lane-tree loop, in input order.
         let loop_bits: Vec<u64> = probes
             .iter()
-            .map(|r| compiled.predict_into(r, &mut scratch).to_bits())
+            .map(|r| model.predict_into(r, &mut scratch).to_bits())
             .collect();
         let mut out = Vec::new();
-        compiled.predict_batch_into(&probes, &mut out, &mut scratch);
+        model.predict_batch_into(&probes, &mut out, &mut scratch);
         let into_bits: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
         assert_eq!(&loop_bits, &into_bits);
 
-        // The TrainedModel wrapper dispatches to the same compiled code.
+        // The TrainedModel wrapper serves the same lane tree, and its
+        // reference prediction is the same fold.
+        let reference_bits: Vec<u64> = probes.iter().map(|r| model.predict(r).to_bits()).collect();
         let wrapped = TrainedModel::Svr(model);
-        let wrapped_compiled = wrapped.compile();
-        for (row, &bits) in probes.iter().zip(&loop_bits) {
-            assert_eq!(
-                wrapped_compiled.predict_into(row, &mut scratch).to_bits(),
-                bits
-            );
+        for ((row, &bits), &fold) in probes.iter().zip(&loop_bits).zip(&reference_bits) {
+            assert_eq!(wrapped.predict_into(row, &mut scratch).to_bits(), bits);
+            assert_eq!(wrapped.predict(row).to_bits(), fold);
         }
-        wrapped_compiled.predict_batch_into(&probes, &mut out, &mut scratch);
-        let wrapped_bits: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(&loop_bits, &wrapped_bits);
 
         // Checked prediction rejects wrong arity instead of panicking.
         let bad = vec![0.0; x.n_cols() + 1];

@@ -1,6 +1,6 @@
 //! Lane-tree properties on hand-built models.
 //!
-//! The compiled kernel sums in a fixed reduction-tree order (see
+//! The serving kernel sums in a fixed reduction-tree order (see
 //! `ml::compiled`'s module docs), so a row's prediction must be the same
 //! bits — `f64::to_bits`, not a ULP tolerance — wherever in a batch it
 //! sits, and must stay within summation-reordering rounding of the
@@ -122,11 +122,10 @@ fn build_model(d: usize, n_sv: usize, seed: u64) -> (RawModel, Vec<Vec<f64>>) {
 /// the per-row bits at every batch length. Returns the per-row bits for
 /// reuse.
 fn assert_lane_tree_contract(model: &SvrModel, probes: &[Vec<f64>]) -> Vec<u64> {
-    let c = model.compile();
     let mut scratch = PredictScratch::new();
     let mut bits = Vec::with_capacity(probes.len());
     for row in probes {
-        let tree = c.predict_into(row, &mut scratch);
+        let tree = model.predict_into(row, &mut scratch);
         let reference = model.predict(row);
         let tol = 1e-12 * (1.0 + model.sum_magnitude(row));
         assert!(
@@ -140,14 +139,14 @@ fn assert_lane_tree_contract(model: &SvrModel, probes: &[Vec<f64>]) -> Vec<u64> 
     assert!(probes.len() >= 9, "the sweep needs nine probes");
     let mut out = vec![f64::NAN];
     for n in 0..=9 {
-        c.predict_batch_into(&probes[..n], &mut out, &mut scratch);
+        model.predict_batch_into(&probes[..n], &mut out, &mut scratch);
         let got: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
         assert_eq!(got, bits[..n], "batch of {n} diverged from per-row bits");
     }
     // k copies of one row: every position computes the same bits.
     for k in 1..=9 {
         let copies = vec![probes[0].as_slice(); k];
-        c.predict_batch_into(&copies, &mut out, &mut scratch);
+        model.predict_batch_into(&copies, &mut out, &mut scratch);
         assert_eq!(out.len(), k);
         assert!(
             out.iter().all(|v| v.to_bits() == bits[0]),
@@ -157,8 +156,9 @@ fn assert_lane_tree_contract(model: &SvrModel, probes: &[Vec<f64>]) -> Vec<u64> 
     bits
 }
 
-/// Core property: dropping zero-coefficient SVs before compilation lands
-/// every survivor in the same lane, hence identical bits.
+/// Core property: dropping zero-coefficient SVs before the model is built
+/// lands every survivor in the same lane, hence identical bits (the model
+/// does not store them either way).
 fn assert_pruning_invariant(raw: &RawModel, probes: &[Vec<f64>]) {
     let full_bits = assert_lane_tree_contract(&raw.build(), probes);
     let pruned_bits = assert_lane_tree_contract(&raw.build_pruned(), probes);

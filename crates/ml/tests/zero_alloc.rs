@@ -1,4 +1,4 @@
-//! Steady-state allocation counter for the compiled inference path.
+//! Steady-state allocation counter for the serving path (the lane tree).
 //!
 //! `predict_into` and the batched `predict_batch_into` perform **zero
 //! heap allocations** once their scratch/output buffers have warmed up —
@@ -61,19 +61,18 @@ fn steady_state_prediction_allocates_nothing() {
     let x = Dataset::from_rows(rows.clone());
 
     let model = Svr::new(SvrParams::default()).fit(&x, &y).expect("fit");
-    let compiled = model.compile();
 
     // Warm up: the scratch's scaled-row buffer grows on first use.
     let mut scratch = PredictScratch::new();
     let mut sink = 0.0;
     for r in &rows {
-        sink += compiled.predict_into(r, &mut scratch);
+        sink += model.predict_into(r, &mut scratch);
     }
 
     let before = allocations();
     for _ in 0..50 {
         for r in &rows {
-            sink += compiled.predict_into(r, &mut scratch);
+            sink += model.predict_into(r, &mut scratch);
         }
     }
     assert_eq!(allocations(), before, "single-row predict_into allocated");
@@ -81,10 +80,10 @@ fn steady_state_prediction_allocates_nothing() {
     // Batched: once `out` has capacity for the batch, repeat calls
     // must not touch the heap.
     let mut out = Vec::new();
-    compiled.predict_batch_into(&rows, &mut out, &mut scratch);
+    model.predict_batch_into(&rows, &mut out, &mut scratch);
     let before = allocations();
     for _ in 0..50 {
-        compiled.predict_batch_into(&rows, &mut out, &mut scratch);
+        model.predict_batch_into(&rows, &mut out, &mut scratch);
     }
     sink += out.iter().sum::<f64>();
     assert_eq!(allocations(), before, "predict_batch_into allocated");
@@ -92,8 +91,8 @@ fn steady_state_prediction_allocates_nothing() {
     // One scratch serves single-row and batched calls alternately.
     let before = allocations();
     for r in &rows {
-        sink += compiled.predict_into(r, &mut scratch);
-        compiled.predict_batch_into(&rows[..7], &mut out, &mut scratch);
+        sink += model.predict_into(r, &mut scratch);
+        model.predict_batch_into(&rows[..7], &mut out, &mut scratch);
         sink += out[6];
     }
     assert_eq!(
@@ -111,15 +110,14 @@ fn steady_state_prediction_allocates_nothing() {
         .collect();
     let wide = Svr::new(SvrParams::default())
         .fit(&Dataset::from_rows(wide_rows.clone()), &y)
-        .expect("fit")
-        .compile();
+        .expect("fit");
     let mut wide_out = Vec::new();
     wide.predict_batch_into(&wide_rows, &mut wide_out, &mut scratch);
     let before = allocations();
     for (r, w) in rows.iter().zip(&wide_rows) {
-        sink += compiled.predict_into(r, &mut scratch);
+        sink += model.predict_into(r, &mut scratch);
         sink += wide.predict_into(w, &mut scratch);
-        compiled.predict_batch_into(&rows[..6], &mut out, &mut scratch);
+        model.predict_batch_into(&rows[..6], &mut out, &mut scratch);
         wide.predict_batch_into(&wide_rows[..5], &mut wide_out, &mut scratch);
         sink += out[5] + wide_out[4];
     }

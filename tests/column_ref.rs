@@ -11,10 +11,12 @@
 //! column is a (table, position) pair of two bytes, a node's children and
 //! a scan's filters are boxed slices, and a logged query is its plan and
 //! its trace (actual-valued costs derive from the plan where they are
-//! read).
+//! read). One pin holds what a trained model is made of: a feature model
+//! is its selection, its ranges and the one model it serves from.
 
 use engine::plan::{OpDetail, PlanNode};
 use engine::Catalog;
+use qpp::plan_model::FeatureModel;
 use qpp::ExecutedQuery;
 use std::mem::size_of;
 use tpch::schema::{col, ColRef, TableId};
@@ -62,4 +64,13 @@ fn column_refs_are_two_bytes() {
         size_of::<ExecutedQuery>()
     );
     assert!(size_of::<AggFunc>() <= 3, "{}", size_of::<AggFunc>());
+}
+
+#[test]
+fn a_feature_model_holds_one_model() {
+    assert!(
+        size_of::<FeatureModel>() <= 216,
+        "{}",
+        size_of::<FeatureModel>()
+    );
 }

@@ -8,7 +8,7 @@
 //! little-endian `f64` bits. Retraining must reproduce the first file byte
 //! for byte and the decoded snapshot must reproduce the second, so a
 //! change that moves a bit of training (Gram build, SMO scans, selection,
-//! scalers) or of inference (the compiled kernel, featurisation) fails
+//! scalers) or of inference (the lane-tree kernel, featurisation) fails
 //! here and names which, instead of waiting for a benchmark digit.
 //!
 //! `fixture_seed42.online` pins online model building (Section 4) the same

@@ -4,12 +4,14 @@
 //! stands: views, subtree sizes, structure hashes and node times live in
 //! the thread's reusable `PredictBuffers`, and feature rows are arrays. So
 //! once the buffers have grown to the largest plan, a batch allocates a
-//! fixed number of blocks (its result vectors, the hybrid tier's model
-//! signature) whether it holds 16 queries or 256. That holds on both
-//! feature sources: actual-valued costs are derived in the walk that
-//! writes the views, not read from the logged query. A counting
-//! `#[global_allocator]` makes that an assertion; the whole check lives in
-//! one `#[test]`, pinned to one thread, so nothing else moves the counter.
+//! fixed number of blocks (its result vectors) whether it holds 16 queries
+//! or 256. That holds on both feature sources: actual-valued costs are
+//! derived in the walk that writes the views, not read from the logged
+//! query. The hybrid tier's model-set signature is computed where the
+//! predictor is built, so a hybrid batch allocates no more than a
+//! plan-level one. A counting `#[global_allocator]` makes both assertions;
+//! the whole check lives in one `#[test]`, pinned to one thread, so
+//! nothing else moves the counter.
 
 use engine::{Catalog, Simulator};
 use qpp::{
@@ -84,12 +86,13 @@ fn a_checked_batch_allocates_the_same_for_16_queries_as_for_256() {
         // tier walks each plan instead of answering its root from the
         // cache, and the map never grows past its first allocation.
         let cache = PredictionCache::new(1);
+        let mut blocks = Vec::new();
         for method in [
             Method::PlanLevel,
             Method::OperatorLevel,
             Method::Hybrid(PlanOrdering::ErrorBased),
         ] {
-            // Warm-up: compiles the models and grows the buffers.
+            // Warm-up: grows the buffers.
             let warm = qpp.predict_checked_batch_cached(&large, method, &cache);
             assert!(
                 warm.iter().all(|p| !p.degraded),
@@ -103,7 +106,13 @@ fn a_checked_batch_allocates_the_same_for_16_queries_as_for_256() {
                 for_small, for_large,
                 "{source:?} {method:?}: 16 queries allocated {for_small} blocks, 256 allocated {for_large}"
             );
+            blocks.push(for_large);
         }
+        let (plan, hybrid) = (blocks[0], blocks[2]);
+        assert!(
+            hybrid <= plan,
+            "{source:?}: a hybrid batch allocated {hybrid} blocks, a plan-level one {plan}"
+        );
     }
     ml::par::set_threads(0);
 }
