@@ -145,7 +145,7 @@ pub(crate) fn op_level_cv(
         OP_CV_SEED,
         test,
         |train| OpLevelModel::train(train, config).expect("op-level training"),
-        |m, plan, views| m.predict_plan(plan, views).latency(),
+        |m, plan, views| m.predict_plan(plan, views),
     )
 }
 

@@ -449,6 +449,20 @@ fn median(values: &[f64]) -> f64 {
     }
 }
 
+/// A log of `per_template` queries of each of `templates` at scale factor
+/// `sf`, executed with the simulator's jitter tuned down: unit tests that
+/// assert model accuracy would be swamped by the default absolute jitter at
+/// the tiny scale factors they use.
+#[cfg(test)]
+pub(crate) fn quiet_log(templates: &[u8], per_template: usize, sf: f64) -> QueryDataset {
+    let sim = Simulator::with_config(engine::SimConfig {
+        additive_noise_secs: 0.05,
+        ..engine::SimConfig::default()
+    });
+    let workload = Workload::generate(templates, per_template, sf, 7);
+    QueryDataset::execute(&Catalog::new(sf, 1), &workload, &sim, 11, f64::INFINITY)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

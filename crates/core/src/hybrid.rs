@@ -207,21 +207,40 @@ impl HybridModel {
 
     /// Predicts over an arbitrary plan with aligned views.
     pub fn predict_plan(&self, plan: &PlanNode, views: &[NodeView]) -> HybridPrediction {
+        let mut nodes = Vec::new();
+        let latency = self.compose_plan(plan, views, &[], Some(&mut nodes));
+        HybridPrediction { nodes, latency }
+    }
+
+    /// The walk of `plan` on this thread's [`PredictBuffers`], with
+    /// `observed` overlaid (empty: nothing observed) and, given `record`,
+    /// each node's outcome written to it; returns the latency.
+    pub(crate) fn compose_plan(
+        &self,
+        plan: &PlanNode,
+        views: &[NodeView],
+        observed: &[Option<(f64, f64)>],
+        record: Option<&mut Vec<NodePrediction>>,
+    ) -> f64 {
         PredictBuffers::with_thread_local(|buf| {
             structure_hashes_into(plan, &mut buf.sizes, &mut buf.hashes);
-            let mut nodes = vec![NodePrediction::Covered; buf.sizes[0]];
+            let out: &mut [NodePrediction] = match record {
+                Some(nodes) => {
+                    nodes.resize(buf.sizes[0], NodePrediction::Covered);
+                    nodes
+                }
+                None => &mut [],
+            };
             let mut walk = Walk {
-                views,
+                plan_models: Some(&self.plan_models),
+                observed,
                 sizes: &buf.sizes,
                 hashes: &buf.hashes,
-                row: &mut buf.row,
-                scratch: &mut buf.scratch,
+                out,
+                ..Walk::operator_level(&self.op_model, views, &mut buf.row, &mut buf.scratch)
             };
-            let (_, run) = self.compose(&mut walk, plan, 0, &mut nodes);
-            HybridPrediction {
-                nodes,
-                latency: run.max(0.0),
-            }
+            let (_, run) = walk.compose(plan);
+            run.max(0.0)
         })
     }
 
@@ -289,119 +308,166 @@ impl HybridModel {
         query.views_into(self.op_model.source(), &mut buf.views);
         structure_hashes_into(&query.plan, &mut buf.sizes, &mut buf.hashes);
         let mut walk = Walk {
-            views: &buf.views,
+            plan_models: Some(&self.plan_models),
             sizes: &buf.sizes,
             hashes: &buf.hashes,
-            row: &mut buf.row,
-            scratch: &mut buf.scratch,
+            ..Walk::operator_level(&self.op_model, &buf.views, &mut buf.row, &mut buf.scratch)
         };
-        let (_, run) = self.compose_memo(&mut walk, &query.plan, 0, sig, cache);
+        let (_, run) = walk.compose_memo(&query.plan, sig, cache);
         run.max(0.0)
     }
+}
 
-    /// The memoized mirror of `compose`: identical floating-point
-    /// operations in identical order, with each fragment's `(start, run)`
-    /// looked up in / inserted into the memo cache.
-    fn compose_memo(
-        &self,
-        w: &mut Walk<'_>,
-        node: &PlanNode,
-        idx: usize,
-        sig: u64,
-        cache: &PredictionCache,
-    ) -> (f64, f64) {
-        let fragment = &w.views[idx..idx + w.sizes[idx]];
-        let key = SubplanPredKey {
-            model: sig,
-            structure: w.hashes[idx],
-            views: views_hash(fragment),
-        };
-        if let Some(times) = cache.get(&key) {
+/// One plan walk's state: the models and observations that can answer a
+/// node, the plan's views with the [`structure_hashes_into`] sizes and
+/// hashes that key and skip a fragment, where outcomes are recorded, and
+/// the scratch the models evaluate with. The sizes, hashes, row and
+/// scratch (and the views, on the batch paths) are disjoint fields of the
+/// thread's [`PredictBuffers`].
+pub(crate) struct Walk<'a> {
+    op_model: &'a OpLevelModel,
+    /// Sub-plan models by structure; `None` on the operator-level path,
+    /// which computes no sizes or hashes.
+    plan_models: Option<&'a HashMap<StructureKey, SubplanModel>>,
+    /// Finished nodes' observed (start, run), pre-order; empty when the
+    /// caller observed nothing.
+    observed: &'a [Option<(f64, f64)>],
+    views: &'a [NodeView],
+    sizes: &'a [usize],
+    hashes: &'a [u64],
+    /// Per-node outcomes, pre-order; empty when none are recorded. An
+    /// observed node is not predicted, so its slot keeps `Covered`.
+    out: &'a mut [NodePrediction],
+    row: &'a mut Vec<f64>,
+    scratch: &'a mut PredictScratch,
+    /// Pre-order position of the next node walked.
+    at: usize,
+}
+
+impl<'a> Walk<'a> {
+    /// The operator-level walk over `views`' plan: no sub-plan models, no
+    /// observations, nothing recorded.
+    pub(crate) fn operator_level(
+        op_model: &'a OpLevelModel,
+        views: &'a [NodeView],
+        row: &'a mut Vec<f64>,
+        scratch: &'a mut PredictScratch,
+    ) -> Walk<'a> {
+        Walk {
+            op_model,
+            plan_models: None,
+            observed: &[],
+            views,
+            sizes: &[],
+            hashes: &[],
+            out: &mut [],
+            row,
+            scratch,
+            at: 0,
+        }
+    }
+
+    /// The one composition walk: the subtree at pre-order position
+    /// `self.at`, bottom-up. The first answer wins: the node's observed
+    /// times, once it has finished; the plan-level model of its structure
+    /// (descendants are consumed); the operator-level step over its
+    /// children's answers.
+    ///
+    /// Offline sub-plan models apply unconditionally (as in the paper); the
+    /// target-range clamp inside FeatureModel keeps out-of-distribution
+    /// fragments from exploding, and online building adds a model built on
+    /// the fly only where its feature ranges cover the fragment.
+    pub(crate) fn compose(&mut self, node: &PlanNode) -> (f64, f64) {
+        let idx = self.at;
+        if let Some(&Some(times)) = self.observed.get(idx) {
+            self.at += self.sizes[idx];
             return times;
         }
-        let times = match self.plan_models.get(&StructureKey(w.hashes[idx])) {
-            Some(sm) => sm.times(&plan_features(node, fragment), w.row, w.scratch),
-            None => self.operator_step(w, node, idx, |w, c, at| {
-                self.compose_memo(w, c, at, sig, cache)
-            }),
+        let (times, outcome) = match self.plan_model(idx) {
+            Some(sm) => {
+                let times = self.fragment_times(sm, node, idx);
+                (times, NodePrediction::PlanModel { times })
+            }
+            None => {
+                let times = self.operator_step(node, |w, c| w.compose(c));
+                (times, NodePrediction::Operator { times })
+            }
+        };
+        if let Some(slot) = self.out.get_mut(idx) {
+            *slot = outcome;
+        }
+        times
+    }
+
+    /// The memoized mirror of [`Walk::compose`] without observations:
+    /// identical floating-point operations in identical order, with each
+    /// fragment's `(start, run)` looked up in / inserted into the memo
+    /// cache.
+    fn compose_memo(&mut self, node: &PlanNode, sig: u64, cache: &PredictionCache) -> (f64, f64) {
+        let idx = self.at;
+        let key = SubplanPredKey {
+            model: sig,
+            structure: self.hashes[idx],
+            views: views_hash(&self.views[idx..idx + self.sizes[idx]]),
+        };
+        if let Some(times) = cache.get(&key) {
+            self.at += self.sizes[idx];
+            return times;
+        }
+        let times = match self.plan_model(idx) {
+            Some(sm) => self.fragment_times(sm, node, idx),
+            None => self.operator_step(node, |w, c| w.compose_memo(c, sig, cache)),
         };
         cache.insert(key, times);
         times
     }
 
-    /// The walk behind [`HybridModel::predict_plan`]: the subtree at
-    /// pre-order position `idx`, each node's outcome written to `out`.
-    fn compose(
-        &self,
-        w: &mut Walk<'_>,
-        node: &PlanNode,
-        idx: usize,
-        out: &mut [NodePrediction],
-    ) -> (f64, f64) {
-        if let Some(sm) = self.plan_models.get(&StructureKey(w.hashes[idx])) {
-            // Plan-level prediction for the whole fragment; descendants
-            // are consumed. Offline models apply unconditionally (as in
-            // the paper); the target-range clamp inside FeatureModel keeps
-            // out-of-distribution fragments from exploding, and online
-            // building adds a model built on the fly only where its
-            // feature ranges cover the fragment.
-            let f = plan_features(node, &w.views[idx..idx + w.sizes[idx]]);
-            let times = sm.times(&f, w.row, w.scratch);
-            out[idx] = NodePrediction::PlanModel { times };
-            return times;
-        }
-        let times = self.operator_step(w, node, idx, |w, c, at| self.compose(w, c, at, out));
-        out[idx] = NodePrediction::Operator { times };
-        times
+    /// The sub-plan model of the fragment at `idx`, if one covers it.
+    fn plan_model(&self, idx: usize) -> Option<&'a SubplanModel> {
+        self.plan_models?.get(&StructureKey(self.hashes[idx]))
+    }
+
+    /// The fragment at `idx` answered by its plan-level model; the walk
+    /// moves past the fragment.
+    fn fragment_times(&mut self, sm: &SubplanModel, node: &PlanNode, idx: usize) -> (f64, f64) {
+        self.at += self.sizes[idx];
+        let f = plan_features(node, &self.views[idx..self.at]);
+        sm.times(&f, self.row, self.scratch)
     }
 
     /// The operator-level step both walks share: each child's times from
-    /// `child` (called with the child's pre-order position: `idx + 1`,
-    /// then a subtree size further each), then the node's own from its
-    /// operator model.
-    fn operator_step<'a>(
-        &self,
-        w: &mut Walk<'a>,
+    /// `child` (the walk standing at the child's pre-order position), then
+    /// the node's own from its operator model. A child past
+    /// [`MAX_CHILDREN`] is walked but, like in Table 2, not read.
+    fn operator_step(
+        &mut self,
         node: &PlanNode,
-        idx: usize,
-        mut child: impl FnMut(&mut Walk<'a>, &PlanNode, usize) -> (f64, f64),
+        mut child: impl FnMut(&mut Self, &PlanNode) -> (f64, f64),
     ) -> (f64, f64) {
-        let views = w.views;
+        let views = self.views;
+        let idx = self.at;
+        self.at += 1;
         let mut child_views = [&views[idx]; MAX_CHILDREN];
         let mut child_times = [(0.0, 0.0); MAX_CHILDREN];
         let mut n = 0;
-        let mut at = idx + 1;
         for c in &node.children {
-            let t = child(w, c, at);
+            let at = self.at;
+            let t = child(self, c);
             if n < MAX_CHILDREN {
                 child_views[n] = &views[at];
                 child_times[n] = t;
                 n += 1;
             }
-            at += w.sizes[at];
         }
         self.op_model.predict_node(
             node,
             &views[idx],
             &child_views[..n],
             &child_times[..n],
-            w.row,
-            w.scratch,
+            self.row,
+            self.scratch,
         )
     }
-}
-
-/// One plan walk's state: the plan's views with its
-/// [`structure_hashes_into`] sizes and hashes, and the scratch the models
-/// evaluate with. All but the caller's views in
-/// [`HybridModel::predict_plan`] are disjoint fields of the thread's
-/// [`PredictBuffers`].
-struct Walk<'a> {
-    views: &'a [NodeView],
-    sizes: &'a [usize],
-    hashes: &'a [u64],
-    row: &'a mut Vec<f64>,
-    scratch: &'a mut PredictScratch,
 }
 
 /// One iteration of Algorithm 1, for reporting (Figure 8's series).
@@ -719,26 +785,12 @@ fn next_candidate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::QueryDataset;
+    use crate::dataset::{quiet_log, QueryDataset};
     use crate::features::FeatureSource;
     use crate::op_model::{OpLevelModel, OpModelConfig};
-    use engine::{Catalog, Simulator};
-    use tpch::Workload;
-
-    /// Simulator with the jitter tuned down: these tests assert model
-    /// accuracy, which the default absolute jitter would swamp at the tiny
-    /// scale factors used here.
-    fn quiet_sim() -> Simulator {
-        Simulator::with_config(engine::SimConfig {
-            additive_noise_secs: 0.05,
-            ..engine::SimConfig::default()
-        })
-    }
 
     fn dataset() -> QueryDataset {
-        let catalog = Catalog::new(0.1, 1);
-        let workload = Workload::generate(&[1, 3, 6, 12, 14], 10, 0.1, 7);
-        QueryDataset::execute(&catalog, &workload, &quiet_sim(), 11, f64::INFINITY)
+        quiet_log(&[1, 3, 6, 12, 14], 10, 0.1)
     }
 
     fn quick_config(strategy: PlanOrdering) -> HybridConfig {

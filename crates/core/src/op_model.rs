@@ -10,6 +10,7 @@
 
 use crate::dataset::ExecutedQuery;
 use crate::features::{op_features, FeatureSource, NodeView, OP_FEATURE_NAMES};
+use crate::hybrid::Walk;
 use crate::plan_model::{map_batch, FeatureModel, PredictBuffers};
 use engine::plan::{OpType, PlanNode, ALL_OP_TYPES, MAX_CHILDREN};
 use ml::bytes::{put_count, Malformed, Reader};
@@ -62,20 +63,6 @@ pub struct OpLevelModel {
     per_type: Vec<Option<ModelPair>>,
     source: FeatureSource,
     include_start_features: bool,
-}
-
-/// Per-node predicted timings from a composed operator-level prediction.
-#[derive(Debug, Clone)]
-pub struct ComposedPrediction {
-    /// (start, run) per node in pre-order.
-    pub node_times: Vec<(f64, f64)>,
-}
-
-impl ComposedPrediction {
-    /// The predicted query latency: the root's run-time.
-    pub fn latency(&self) -> f64 {
-        self.node_times[0].1
-    }
 }
 
 impl OpLevelModel {
@@ -224,7 +211,9 @@ impl OpLevelModel {
         crate::pred_cache::hash_bytes(&bytes)
     }
 
-    /// Predicts a query's latency by bottom-up composition.
+    /// Predicts a query's latency by bottom-up composition: the hybrid's
+    /// walk ([`crate::hybrid::HybridModel::predict_plan`]) with no sub-plan
+    /// models and no observations.
     pub fn predict(&self, query: &ExecutedQuery) -> f64 {
         PredictBuffers::with_thread_local(|buf| self.predict_with(query, buf))
     }
@@ -233,17 +222,8 @@ impl OpLevelModel {
     /// query's views in `buf.views`.
     pub(crate) fn predict_with(&self, query: &ExecutedQuery, buf: &mut PredictBuffers) -> f64 {
         query.views_into(self.source, &mut buf.views);
-        buf.node_times.clear();
-        buf.node_times.resize(buf.views.len(), (0.0, 0.0));
-        let (_, run) = self.compose(
-            &query.plan,
-            &buf.views,
-            &mut 0,
-            &mut buf.node_times,
-            &mut buf.row,
-            &mut buf.scratch,
-        );
-        run
+        let mut walk = Walk::operator_level(self, &buf.views, &mut buf.row, &mut buf.scratch);
+        walk.compose(&query.plan).1
     }
 
     /// Predicts a batch of queries in input order, bit-identical to a
@@ -253,33 +233,21 @@ impl OpLevelModel {
         map_batch(queries, |q, buf| self.predict_with(q, buf))
     }
 
-    /// Predicts with per-node detail.
-    pub fn predict_composed(&self, query: &ExecutedQuery) -> ComposedPrediction {
-        let views = query.views(self.source);
-        self.predict_plan(&query.plan, &views)
-    }
-
-    /// Composes predictions over an arbitrary plan (views aligned
-    /// pre-order).
-    pub fn predict_plan(&self, plan: &PlanNode, views: &[NodeView]) -> ComposedPrediction {
-        let mut node_times = vec![(0.0, 0.0); plan.node_count()];
+    /// Predicts the latency of an arbitrary plan (views aligned
+    /// pre-order). Per-node times are
+    /// `HybridModel::operator_only(model).predict_plan(plan, views).nodes`.
+    pub fn predict_plan(&self, plan: &PlanNode, views: &[NodeView]) -> f64 {
         PredictBuffers::with_thread_local(|buf| {
-            self.compose(
-                plan,
-                views,
-                &mut 0,
-                &mut node_times,
-                &mut buf.row,
-                &mut buf.scratch,
-            )
-        });
-        ComposedPrediction { node_times }
+            Walk::operator_level(self, views, &mut buf.row, &mut buf.scratch)
+                .compose(plan)
+                .1
+        })
     }
 
-    /// Predicts one node given explicit child times (used by the hybrid
-    /// composition, where a child may be predicted by a plan-level model),
-    /// evaluating the operator's models with `row` and `scratch` (see
-    /// [`FeatureModel::predict_into`]).
+    /// Predicts one node given its children's times (the operator-level
+    /// step of [`crate::hybrid`]'s walk, where a child may be answered by a
+    /// plan-level model or an observation), evaluating the operator's
+    /// models with `row` and `scratch` (see [`FeatureModel::predict_into`]).
     pub(crate) fn predict_node(
         &self,
         node: &PlanNode,
@@ -306,44 +274,6 @@ impl OpLevelModel {
                 .iter()
                 .fold((0.0, 0.0), |acc, &(s, r)| (acc.0.max(s), acc.1.max(r))),
         }
-    }
-
-    /// The one compose walk: the subtree at pre-order position `*cursor`
-    /// bottom-up, each node's (start, run) written to `out`. A child past
-    /// [`MAX_CHILDREN`] is walked but, like in Table 2, not read.
-    fn compose(
-        &self,
-        node: &PlanNode,
-        views: &[NodeView],
-        cursor: &mut usize,
-        out: &mut [(f64, f64)],
-        row: &mut Vec<f64>,
-        scratch: &mut PredictScratch,
-    ) -> (f64, f64) {
-        let my_idx = *cursor;
-        *cursor += 1;
-        let mut child_views = [&views[my_idx]; MAX_CHILDREN];
-        let mut child_times = [(0.0, 0.0); MAX_CHILDREN];
-        let mut n = 0;
-        for c in &node.children {
-            let v_idx = *cursor;
-            let t = self.compose(c, views, cursor, out, row, scratch);
-            if n < MAX_CHILDREN {
-                child_views[n] = &views[v_idx];
-                child_times[n] = t;
-                n += 1;
-            }
-        }
-        let t = self.predict_node(
-            node,
-            &views[my_idx],
-            &child_views[..n],
-            &child_times[..n],
-            row,
-            scratch,
-        );
-        out[my_idx] = t;
-        t
     }
 }
 
@@ -377,25 +307,12 @@ fn collect_rows<F: FnMut(OpType, &[f64], f64, f64)>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::QueryDataset;
-    use engine::{Catalog, Simulator};
+    use crate::dataset::{quiet_log, QueryDataset};
+    use crate::hybrid::HybridModel;
     use ml::mean_relative_error;
-    use tpch::Workload;
-
-    /// Simulator with the jitter tuned down: these tests assert model
-    /// accuracy, which the default absolute jitter would swamp at the tiny
-    /// scale factors used here.
-    fn quiet_sim() -> Simulator {
-        Simulator::with_config(engine::SimConfig {
-            additive_noise_secs: 0.05,
-            ..engine::SimConfig::default()
-        })
-    }
 
     fn dataset(templates: &[u8], n: usize) -> QueryDataset {
-        let catalog = Catalog::new(0.1, 1);
-        let workload = Workload::generate(templates, n, 0.1, 7);
-        QueryDataset::execute(&catalog, &workload, &quiet_sim(), 11, f64::INFINITY)
+        quiet_log(templates, n, 0.1)
     }
 
     #[test]
@@ -443,8 +360,9 @@ mod tests {
         let ds = dataset(&[3], 6);
         let refs: Vec<&ExecutedQuery> = ds.queries.iter().collect();
         let model = OpLevelModel::train(&refs, &OpModelConfig::default()).unwrap();
-        let composed = model.predict_composed(refs[0]);
-        for (s, r) in &composed.node_times {
+        let composed = HybridModel::operator_only(model).predict_detailed(refs[0]);
+        for node in &composed.nodes {
+            let (s, r) = node.times().expect("every node is operator-predicted");
             assert!(r >= s, "run {r} < start {s}");
         }
     }

@@ -339,7 +339,7 @@ impl FeatureModel {
 
 /// One thread's reusable prediction buffers: the projected feature row and
 /// the model's scaled-row scratch ([`FeatureModel::predict_into`]), and a
-/// plan walk's views, subtree sizes, structure hashes and node times. With
+/// plan walk's views, subtree sizes and structure hashes. With
 /// one instance per thread, a steady-state prediction allocates nothing.
 ///
 /// A walk borrows the fields it reads and the two it evaluates models with
@@ -356,8 +356,6 @@ pub struct PredictBuffers {
     pub(crate) sizes: Vec<usize>,
     /// Structure hashes, pre-order (the same pass).
     pub(crate) hashes: Vec<u64>,
-    /// Composed (start, run) per node, pre-order.
-    pub(crate) node_times: Vec<(f64, f64)>,
 }
 
 impl PredictBuffers {
@@ -560,24 +558,10 @@ pub fn assemble_metric(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::QueryDataset;
-    use engine::{Catalog, Simulator};
-    use tpch::Workload;
-
-    /// Simulator with the jitter tuned down: these tests assert model
-    /// accuracy, which the default absolute jitter would swamp at the tiny
-    /// scale factors used here.
-    fn quiet_sim() -> Simulator {
-        Simulator::with_config(engine::SimConfig {
-            additive_noise_secs: 0.05,
-            ..engine::SimConfig::default()
-        })
-    }
+    use crate::dataset::{quiet_log, QueryDataset};
 
     fn dataset() -> QueryDataset {
-        let catalog = Catalog::new(0.1, 1);
-        let workload = Workload::generate(&[1, 3, 6, 14], 12, 0.1, 7);
-        QueryDataset::execute(&catalog, &workload, &quiet_sim(), 11, f64::INFINITY)
+        quiet_log(&[1, 3, 6, 14], 12, 0.1)
     }
 
     #[test]

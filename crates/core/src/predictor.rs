@@ -487,25 +487,11 @@ impl QppPredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::QueryDataset;
-    use engine::{Catalog, Simulator};
+    use crate::dataset::{quiet_log, QueryDataset};
     use ml::mean_relative_error;
-    use tpch::Workload;
-
-    /// Simulator with the jitter tuned down: these tests assert model
-    /// accuracy, which the default absolute jitter would swamp at the tiny
-    /// scale factors used here.
-    fn quiet_sim() -> Simulator {
-        Simulator::with_config(engine::SimConfig {
-            additive_noise_secs: 0.05,
-            ..engine::SimConfig::default()
-        })
-    }
 
     fn dataset() -> QueryDataset {
-        let catalog = Catalog::new(0.1, 1);
-        let workload = Workload::generate(&[1, 3, 6, 14], 10, 0.1, 7);
-        QueryDataset::execute(&catalog, &workload, &quiet_sim(), 11, f64::INFINITY)
+        quiet_log(&[1, 3, 6, 14], 10, 0.1)
     }
 
     const ALL_METHODS: [Method; 3] = [

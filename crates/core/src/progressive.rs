@@ -4,15 +4,14 @@
 //! during query execution").
 //!
 //! As a query executes, operators complete and their *observed* start/run
-//! times become available. This module re-runs the bottom-up composition
-//! substituting observed values for model predictions wherever they exist,
-//! so the prediction sharpens monotonically toward the true latency as
-//! execution progresses.
+//! times become available. Progressive prediction is the hybrid's
+//! bottom-up walk with those observations overlaid: a finished node
+//! answers with its observed times before any model is asked, so the
+//! prediction sharpens toward the true latency as execution progresses.
 
 use crate::dataset::ExecutedQuery;
 use crate::features::NodeView;
 use crate::hybrid::HybridModel;
-use crate::plan_model::PredictBuffers;
 use engine::plan::PlanNode;
 use engine::sim::Trace;
 
@@ -21,12 +20,10 @@ use engine::sim::Trace;
 pub type Observations = Vec<Option<(f64, f64)>>;
 
 /// Derives the observations visible at `elapsed` seconds into an
-/// execution: a node is fully observed once its run-time has passed, and
-/// its start-time alone once its first tuple was produced.
-///
-/// Partially-observed nodes (started, not finished) contribute their
-/// observed start with the model's run prediction; that refinement happens
-/// inside [`predict_progressive`].
+/// execution: a node is observed, with its `(start, run)`, once its run
+/// time (the elapsed seconds until its last output tuple) has passed, and
+/// not at all before. A started but unfinished node contributes nothing:
+/// the models predict it from its children's answers.
 pub fn observations_at(trace: &Trace, elapsed: f64) -> Observations {
     trace
         .timings
@@ -43,11 +40,12 @@ pub fn observations_at(trace: &Trace, elapsed: f64) -> Observations {
 
 /// Predicts a query's latency given the observations collected so far.
 ///
-/// Fully-observed sub-plans feed their *actual* times into their parents'
-/// feature vectors — the composition only models the part of the plan that
-/// has not happened yet. With no observations this equals
-/// [`HybridModel::predict_plan`]; with all nodes observed it returns the
-/// true latency.
+/// The hybrid's walk ([`HybridModel::predict_plan`]) with `observed`
+/// overlaid: a finished sub-plan answers with its *actual* times, which
+/// feed its parents' feature vectors, so the composition only models the
+/// part of the plan that has not happened yet. With no observations this
+/// equals [`HybridModel::predict_plan`]'s latency; with all nodes observed
+/// it returns the root's observed run time.
 pub fn predict_progressive(
     model: &HybridModel,
     plan: &PlanNode,
@@ -59,8 +57,7 @@ pub fn predict_progressive(
         plan.node_count(),
         "observations misaligned with plan"
     );
-    let (_, run) = compose(model, plan, views, observed, &mut 0);
-    run.max(0.0)
+    model.compose_plan(plan, views, observed, None)
 }
 
 /// Predicts at a wall-clock point during execution: composes with the
@@ -99,70 +96,15 @@ pub fn trajectory(
         .collect()
 }
 
-fn compose(
-    model: &HybridModel,
-    node: &PlanNode,
-    views: &[NodeView],
-    observed: &Observations,
-    cursor: &mut usize,
-) -> (f64, f64) {
-    let my_idx = *cursor;
-    // A finished sub-plan needs no model at all.
-    if let Some(times) = observed[my_idx] {
-        *cursor += node.node_count();
-        return times;
-    }
-    // Covered by a sub-plan plan-level model? Use it (static path).
-    let key = crate::subplan::structure_key(node);
-    if let Some(sm) = model.plan_models.get(&key) {
-        let size = node.node_count();
-        *cursor += size;
-        let slice = &views[my_idx..my_idx + size];
-        let f = crate::features::plan_features(node, slice);
-        let start = sm.start.predict(&f).max(0.0);
-        let run = sm.run.predict(&f).max(start);
-        return (start, run);
-    }
-    *cursor += 1;
-    let mut child_times = Vec::with_capacity(node.children.len());
-    let mut child_views = Vec::with_capacity(node.children.len());
-    for c in &node.children {
-        let v_idx = *cursor;
-        child_times.push(compose(model, c, views, observed, cursor));
-        child_views.push(&views[v_idx]);
-    }
-    PredictBuffers::with_thread_local(|buf| {
-        model.op_model.predict_node(
-            node,
-            &views[my_idx],
-            &child_views,
-            &child_times,
-            &mut buf.row,
-            &mut buf.scratch,
-        )
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::QueryDataset;
+    use crate::dataset::{quiet_log, QueryDataset};
     use crate::op_model::{OpLevelModel, OpModelConfig};
-    use engine::{Catalog, Simulator};
     use ml::metrics::relative_error;
-    use tpch::Workload;
-
-    fn quiet_sim() -> Simulator {
-        Simulator::with_config(engine::SimConfig {
-            additive_noise_secs: 0.05,
-            ..engine::SimConfig::default()
-        })
-    }
 
     fn setup() -> (QueryDataset, HybridModel) {
-        let catalog = Catalog::new(0.5, 1);
-        let workload = Workload::generate(&[1, 3, 5, 12], 10, 0.5, 7);
-        let ds = QueryDataset::execute(&catalog, &workload, &quiet_sim(), 11, f64::INFINITY);
+        let ds = quiet_log(&[1, 3, 5, 12], 10, 0.5);
         let refs: Vec<&ExecutedQuery> = ds.queries.iter().collect();
         let op = OpLevelModel::train(&refs, &OpModelConfig::default()).unwrap();
         (ds, HybridModel::operator_only(op))

@@ -1,13 +1,19 @@
-//! Semantics of the Table-1 / Table-2 feature extractors and of the
-//! structure-hash pass across the full template set.
+//! Semantics of the Table-1 / Table-2 feature extractors, of the
+//! structure-hash pass and of the composition walk across the full
+//! template set.
 
-use engine::{Catalog, PlanNode, Planner, ALL_OP_TYPES};
+use engine::{Catalog, PlanNode, Planner, Simulator, ALL_OP_TYPES};
 use qpp::features::{
     node_views, op_histogram, plan_feature_names, plan_features, FeatureSource, NodeView,
     PLAN_FEATURES,
 };
-use qpp::{structure_hashes_into, structure_key, StructureKey};
+use qpp::hybrid::{train_subplan_model, NodePrediction};
+use qpp::{
+    observations_at, predict_progressive, structure_hashes_into, structure_key, ExecutedQuery,
+    HybridModel, OpLevelModel, OpModelConfig, QueryDataset, StructureKey, SubplanIndex,
+};
 use rng::StdRng;
+use std::sync::Arc;
 
 fn plan(t: u8, sf: f64) -> engine::PlanNode {
     let catalog = Catalog::new(sf, 1);
@@ -180,4 +186,78 @@ fn plan_features_of_every_fragment_match_a_naive_loop() {
             }
         }
     }
+}
+
+/// The hybrid's walk answers a node with its observed times, the
+/// plan-level model of its structure or the operator-level step, and every
+/// entry point through it agrees bit for bit, on one plan per template and
+/// on a hybrid whose one sub-plan model covers nodes of those plans:
+/// progressive prediction with nothing observed is the static prediction,
+/// with everything observed the root's observed run time, and the
+/// operator-level model is the operator-only hybrid.
+#[test]
+fn the_walks_three_answers_agree_bit_for_bit() {
+    let catalog = Catalog::new(0.1, 1);
+    let workload = tpch::Workload::generate(&tpch::ALL_TEMPLATES, 3, 0.1, 7);
+    let ds = QueryDataset::execute(&catalog, &workload, &Simulator::new(), 11, f64::INFINITY);
+    let refs: Vec<&ExecutedQuery> = ds.queries.iter().collect();
+    let op = Arc::new(OpLevelModel::train(&refs, &OpModelConfig::default()).unwrap());
+    let source = op.source();
+    let views: Vec<Vec<NodeView>> = refs.iter().map(|q| q.views(source)).collect();
+    let plans: Vec<(u8, &PlanNode)> = refs.iter().map(|q| (q.template, &q.plan)).collect();
+    let index = SubplanIndex::build(&plans);
+    let fragment = index
+        .all()
+        .into_iter()
+        .filter(|info| info.size >= 2)
+        .max_by_key(|info| (info.frequency(), info.key))
+        .expect("a multi-operator fragment")
+        .key;
+    let operator_only = HybridModel::operator_only(Arc::clone(&op));
+    let mut hybrid = operator_only.clone();
+    hybrid.plan_models.insert(
+        fragment,
+        train_subplan_model(fragment, &refs, &views, &index).unwrap(),
+    );
+
+    let mut covered = 0;
+    for t in tpch::ALL_TEMPLATES {
+        let q = refs
+            .iter()
+            .find(|q| q.template == t)
+            .expect("a query per template");
+        let views = q.views(source);
+        let n = q.plan.node_count();
+        for model in [&operator_only, &hybrid] {
+            let prediction = model.predict_plan(&q.plan, &views);
+            covered += (prediction.nodes.iter())
+                .filter(|p| matches!(p, NodePrediction::PlanModel { .. }))
+                .count();
+            let unobserved = predict_progressive(model, &q.plan, &views, &vec![None; n]);
+            assert_eq!(
+                unobserved.to_bits(),
+                prediction.latency.to_bits(),
+                "t{t}: nothing observed"
+            );
+            let finished = observations_at(&q.trace, f64::INFINITY);
+            let observed = predict_progressive(model, &q.plan, &views, &finished);
+            assert_eq!(
+                observed.to_bits(),
+                q.trace.timings[0].run.to_bits(),
+                "t{t}: everything observed"
+            );
+        }
+        assert_eq!(
+            op.predict(q).to_bits(),
+            operator_only
+                .predict_plan(&q.plan, &views)
+                .latency
+                .to_bits(),
+            "t{t}: operator level"
+        );
+    }
+    assert!(
+        covered > 0,
+        "the sub-plan model covers no node of the plans"
+    );
 }

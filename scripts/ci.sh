@@ -65,16 +65,14 @@ fi
 echo "==> cargo build --release"
 cargo build --release
 
-# Every test binary of every crate but qpp-bench, once: tier-1's three
-# packages (the root's `default-members`: the root suites, with the
-# allocation count of a guarded batch and what a trained model holds, and
-# the kernel, feature and allocation identity suites of qpp-ml and
-# qpp-core, which a plain `cargo test -q` at the root runs too), the
-# serve properties and the benchmark harness's own smoke suite. The pool, the worker queues, the TCP front door and the healer
-# block on condition variables and sockets, so a lost wake-up or a
-# deadlock shows up as a hang, not a failure; the one hard timeout
-# (compiling is kept outside it; the run takes about a minute) turns a
-# hang into a CI failure.
+# Every test binary of every crate but qpp-bench, once: tier-1's packages
+# (the root's `default-members`, which a plain `cargo test -q` at the root
+# runs too: every crate but qpp-bench and qpp-e2e) and the benchmark
+# harness's own smoke suite. The pool, the worker queues, the TCP front
+# door and the healer block on condition variables and sockets, so a lost
+# wake-up or a deadlock shows up as a hang, not a failure; the one hard
+# timeout (compiling is kept outside it; the run takes about a minute)
+# turns a hang into a CI failure.
 echo "==> cargo test -q --workspace --exclude qpp-bench (bounded time)"
 cargo test -q --workspace --exclude qpp-bench --no-run
 timeout 300 cargo test -q --workspace --exclude qpp-bench
