@@ -55,7 +55,7 @@ pub fn fig4(seed: u64) -> Fig4 {
     let workload =
         Workload::generate(&tpch::FOURTEEN, FIG4_PER_TEMPLATE, 10.0, WORKLOAD_SEED + seed);
     let plans: Vec<(u8, PlanNode)> =
-        workload.queries.iter().map(|q| (q.template, planner.plan(q))).collect();
+        workload.queries.iter().map(|q| (q.template, planner.plan(q).plan)).collect();
     let refs: Vec<(u8, &PlanNode)> = plans.iter().map(|(t, p)| (*t, p)).collect();
     let index = SubplanIndex::build(&refs);
     let sizes = index.common_size_distribution();

@@ -6,9 +6,9 @@
 //! and total latency). A one-hour execution-time limit is applied when
 //! building datasets, exactly like the paper's setup.
 
-use crate::features::{plan_features, views_into, FeatureSource, NodeView};
+use crate::features::{actual_views_into, plan_features, views_into, FeatureSource, NodeView};
 use engine::faults::{DriftPlan, ExecError, FaultPlan};
-use engine::plan::PlanNode;
+use engine::plan::{NodeTruth, PlanNode, Planned};
 use engine::sim::{Simulator, Trace};
 use engine::{Catalog, Planner};
 use tpch::workload::Workload;
@@ -116,9 +116,12 @@ enum AttemptOutcome {
 pub struct ExecutedQuery {
     /// TPC-H template number.
     pub template: u8,
-    /// The physical plan (estimate- and truth-annotated; actual-valued
-    /// costs derive from its truth annotations where they are read).
+    /// The physical plan, as the optimizer's EXPLAIN prints it.
     pub plan: PlanNode,
+    /// What execution found, per node in pre-order: true rows, pages and
+    /// selectivity (actual-valued costs derive from them where they are
+    /// read).
+    pub truth: Box<[NodeTruth]>,
     /// Observed per-operator timings (pre-order) and total latency.
     pub trace: Trace,
 }
@@ -144,8 +147,13 @@ impl ExecutedQuery {
     }
 
     /// [`ExecutedQuery::views`] into a caller-owned buffer (cleared first).
+    /// Estimated views read the plan alone; actual views read the plan and
+    /// the truth.
     pub fn views_into(&self, source: FeatureSource, out: &mut Vec<NodeView>) {
-        views_into(&self.plan, source, out);
+        match source {
+            FeatureSource::Estimated => views_into(&self.plan, out),
+            FeatureSource::Actual => actual_views_into(&self.plan, &self.truth, out),
+        }
     }
 }
 
@@ -201,9 +209,8 @@ impl QueryDataset {
     ///
     /// Queries are executed in workload order through `drift`, which can
     /// ramp up observed latencies (data growth) or skew the logged
-    /// optimizer estimates away from the truth annotations (selectivity
-    /// shift) as the stream progresses; [`DriftPlan::none`] leaves both
-    /// alone.
+    /// optimizer estimates away from the truth (selectivity shift) as the
+    /// stream progresses; [`DriftPlan::none`] leaves both alone.
     #[allow(clippy::too_many_arguments)]
     pub fn execute_drifted(
         catalog: &Catalog,
@@ -229,7 +236,7 @@ impl QueryDataset {
         // per-query results afterwards, in workload order, replaying the
         // same floating-point accumulation the serial loop performed.
         let run_query = |i: usize, spec: &tpch::QuerySpec| -> QueryAttemptResult {
-            let mut plan = planner.plan(spec);
+            let mut planned = planner.plan(spec);
             let mut outcome: Option<(Trace, u64)> = None;
             let mut last_err: Option<ExecError> = None;
             let mut retried = 0usize;
@@ -243,7 +250,7 @@ impl QueryDataset {
                 if attempt > 0 {
                     retried += 1;
                 }
-                match simulator.try_execute(&plan, catalog.sf, exec_seed, faults, drift, i) {
+                match simulator.try_execute(&planned, catalog.sf, exec_seed, faults, drift, i) {
                     Ok(trace) => {
                         outcome = Some((trace, exec_seed));
                         break;
@@ -266,22 +273,24 @@ impl QueryDataset {
                     },
                 };
             }
-            // Corrupt the *logged* estimates after execution: the truth
-            // annotations (the simulator's input) are untouched, exactly
-            // like a stats bug that garbles what gets written to the log.
+            // Corrupt the *logged* estimates after execution: the truth (the
+            // simulator's input) is untouched, exactly like a stats bug
+            // that garbles what gets written to the log.
             if faults.decide(exec_seed).corrupt_estimates {
-                faults.corrupt_estimates(&mut plan, exec_seed);
+                faults.corrupt_estimates(&mut planned.plan, exec_seed);
             }
             // Selectivity-shift drift skews the *logged* estimates by the
             // query's position in the stream — the optimizer's statistics
-            // going stale — while the truth annotations (and thus the
-            // actual-valued features) stay faithful to what actually ran.
-            drift.shift_estimates(&mut plan, i);
+            // going stale — while the truth (and thus the actual-valued
+            // features) stays faithful to what actually ran.
+            drift.shift_estimates(&mut planned.plan, i);
+            let Planned { plan, truth } = planned;
             QueryAttemptResult {
                 retried,
                 outcome: AttemptOutcome::Executed(Box::new(ExecutedQuery {
                     template: spec.template,
                     plan,
+                    truth,
                     trace,
                 })),
             }
@@ -483,6 +492,7 @@ mod tests {
             assert!(q.latency() > 0.0);
             assert_eq!(q.trace.timings.len(), q.plan.node_count());
             assert_eq!(q.trace.io_pages.len(), q.plan.node_count());
+            assert_eq!(q.truth.len(), q.plan.node_count());
         }
         assert_eq!(ds.templates(), vec![1, 3, 6]);
         assert_eq!(ds.strata().len(), 12);

@@ -4,9 +4,11 @@
 //! optimizer cost/cardinality estimates and plan structure. For the
 //! Section 5.3.3 experiment, the same extractors can read the
 //! *actual*-valued annotations instead (true cardinalities and re-costed
-//! values), selected by [`FeatureSource`].
+//! values), selected by [`FeatureSource`]. A bare plan has estimated views
+//! only; actual views need the truth an executed query keeps beside its
+//! plan ([`crate::ExecutedQuery::views_into`]).
 
-use engine::plan::{OpType, PlanNode, ALL_OP_TYPES};
+use engine::plan::{NodeTruth, OpType, PlanNode, ALL_OP_TYPES};
 use engine::recost::for_each_truth_cost;
 use ml::bytes::{Malformed, Reader};
 
@@ -54,49 +56,50 @@ pub struct NodeView {
     pub total_cost: f64,
 }
 
-/// Resolves per-node views for a whole plan (pre-order).
-pub fn node_views(plan: &PlanNode, source: FeatureSource) -> Vec<NodeView> {
+/// Resolves a plan's estimated per-node views (pre-order).
+pub fn node_views(plan: &PlanNode) -> Vec<NodeView> {
     let mut out = Vec::new();
-    views_into(plan, source, &mut out);
+    views_into(plan, &mut out);
     out
 }
 
 /// [`node_views`] into a caller-owned buffer (cleared first), walking the
 /// tree where it stands: a caller that keeps the buffer resolves plan
 /// after plan without allocating.
-///
-/// [`FeatureSource::Actual`] costs are the optimizer's formulas over the
-/// node's true rows and pages ([`engine::recost`]), derived in the walk
-/// that writes the views: a logged query stores none.
-pub fn views_into(plan: &PlanNode, source: FeatureSource, out: &mut Vec<NodeView>) {
+pub fn views_into(plan: &PlanNode, out: &mut Vec<NodeView>) {
     out.clear();
-    match source {
-        FeatureSource::Estimated => plan.for_each_preorder(&mut |n| {
-            out.push(NodeView {
-                rows: n.est.rows,
-                width: n.est.width,
-                pages: n.est.pages,
-                selectivity: n.est.selectivity,
-                startup_cost: n.est.startup_cost,
-                total_cost: n.est.total_cost,
-            })
-        }),
-        FeatureSource::Actual => {
-            // A node's cost is known once its subtree is costed; the walk
-            // names its pre-order slot.
-            out.resize(plan.node_count(), NodeView::default());
-            for_each_truth_cost(plan, &mut |i, n, cost| {
-                out[i] = NodeView {
-                    rows: n.truth.rows,
-                    width: n.est.width,
-                    pages: n.truth.pages,
-                    selectivity: n.truth.selectivity,
-                    startup_cost: cost.startup,
-                    total_cost: cost.total,
-                }
-            });
+    plan.for_each_preorder(&mut |n| {
+        out.push(NodeView {
+            rows: n.est.rows,
+            width: n.est.width,
+            pages: n.est.pages,
+            selectivity: n.est.selectivity,
+            startup_cost: n.est.startup_cost,
+            total_cost: n.est.total_cost,
+        })
+    });
+}
+
+/// Actual-valued views of `plan` from its pre-order `truth`, into a
+/// caller-owned buffer (cleared first). Costs are the optimizer's formulas
+/// over the node's true rows and pages ([`engine::recost`]), derived in
+/// the walk that writes the views: a logged query stores none.
+pub(crate) fn actual_views_into(plan: &PlanNode, truth: &[NodeTruth], out: &mut Vec<NodeView>) {
+    out.clear();
+    // A node's cost is known once its subtree is costed; the walk names
+    // its pre-order slot.
+    out.resize(plan.node_count(), NodeView::default());
+    for_each_truth_cost(plan, truth, &mut |i, n, cost| {
+        let t = truth[i];
+        out[i] = NodeView {
+            rows: t.rows,
+            width: n.est.width,
+            pages: t.pages,
+            selectivity: t.selectivity,
+            startup_cost: cost.startup,
+            total_cost: cost.total,
         }
-    }
+    });
 }
 
 /// Number of plan-level features (Table 1): 7 global + 2 per operator type.
@@ -212,20 +215,24 @@ pub fn op_histogram(plan: &PlanNode) -> Vec<(OpType, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use engine::{Catalog, Planner};
+    use engine::{Catalog, Planned, Planner};
     use rng::StdRng;
 
-    fn plan(t: u8) -> PlanNode {
+    fn planned(t: u8) -> Planned {
         let catalog = Catalog::new(0.1, 1);
         let planner = Planner::new(&catalog);
         let mut rng = StdRng::seed_from_u64(4);
         planner.plan(&tpch::instantiate(t, 0.1, &mut rng))
     }
 
+    fn plan(t: u8) -> PlanNode {
+        planned(t).plan
+    }
+
     #[test]
     fn plan_feature_vector_has_stable_shape() {
         let p = plan(3);
-        let views = node_views(&p, FeatureSource::Estimated);
+        let views = node_views(&p);
         let f = plan_features(&p, &views);
         assert_eq!(f.len(), PLAN_FEATURES);
         assert_eq!(f.len(), plan_feature_names().len());
@@ -239,7 +246,7 @@ mod tests {
     #[test]
     fn operator_counts_sum_to_op_count() {
         let p = plan(5);
-        let views = node_views(&p, FeatureSource::Estimated);
+        let views = node_views(&p);
         let f = plan_features(&p, &views);
         let cnt_sum: f64 = f[7..7 + ALL_OP_TYPES.len()].iter().sum();
         assert_eq!(cnt_sum, p.node_count() as f64);
@@ -247,9 +254,10 @@ mod tests {
 
     #[test]
     fn actual_views_differ_from_estimates_when_estimation_errs() {
-        let p = plan(18);
-        let est = node_views(&p, FeatureSource::Estimated);
-        let act = node_views(&p, FeatureSource::Actual);
+        let Planned { plan: p, truth } = planned(18);
+        let est = node_views(&p);
+        let mut act = Vec::new();
+        actual_views_into(&p, &truth, &mut act);
         let est_f = plan_features(&p, &est);
         let act_f = plan_features(&p, &act);
         // Template 18's row features must differ strongly across sources.
@@ -264,7 +272,7 @@ mod tests {
     #[test]
     fn op_features_read_children() {
         let p = plan(6);
-        let views = node_views(&p, FeatureSource::Estimated);
+        let views = node_views(&p);
         // Root is the ungrouped Aggregate; child is the scan.
         let child_view = &views[1];
         let f = op_features(&views[0], &[child_view], &[(1.0, 5.0)]);
@@ -280,10 +288,10 @@ mod tests {
     fn views_buffer_is_reusable_across_plans() {
         let mut views = Vec::new();
         let a = plan(1);
-        views_into(&a, FeatureSource::Estimated, &mut views);
+        views_into(&a, &mut views);
         assert_eq!(views.len(), a.node_count());
         let b = plan(5);
-        views_into(&b, FeatureSource::Estimated, &mut views);
+        views_into(&b, &mut views);
         assert_eq!(views.len(), b.node_count());
         assert_eq!(views[0].total_cost, b.est.total_cost);
     }

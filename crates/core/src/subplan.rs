@@ -322,7 +322,7 @@ mod tests {
         for &t in templates {
             let mut rng = StdRng::seed_from_u64(t as u64);
             for _ in 0..n {
-                out.push((t, planner.plan(&tpch::instantiate(t, 0.1, &mut rng))));
+                out.push((t, planner.plan(&tpch::instantiate(t, 0.1, &mut rng)).plan));
             }
         }
         out

@@ -15,11 +15,28 @@ use qpp::{
 use rng::StdRng;
 use std::sync::Arc;
 
-fn plan(t: u8, sf: f64) -> engine::PlanNode {
+fn planned(t: u8, sf: f64) -> engine::Planned {
     let catalog = Catalog::new(sf, 1);
     let planner = Planner::new(&catalog);
     let mut rng = StdRng::seed_from_u64(12);
     planner.plan(&tpch::instantiate(t, sf, &mut rng))
+}
+
+fn plan(t: u8, sf: f64) -> PlanNode {
+    planned(t, sf).plan
+}
+
+/// [`planned`]'s query, executed: its actual views read the truth it
+/// keeps beside the plan.
+fn executed(t: u8, sf: f64) -> ExecutedQuery {
+    let planned = planned(t, sf);
+    let trace = Simulator::new().execute(&planned, sf, 1);
+    ExecutedQuery {
+        template: t,
+        plan: planned.plan,
+        truth: planned.truth,
+        trace,
+    }
 }
 
 /// Feature names are unique and aligned with the vector layout.
@@ -39,7 +56,7 @@ fn feature_names_are_unique() {
 #[test]
 fn subtree_features_use_contiguous_view_slices() {
     let p = plan(5, 0.5);
-    let views = node_views(&p, FeatureSource::Estimated);
+    let views = node_views(&p);
     let nodes = p.preorder();
     // Pick the first join node.
     let (idx, node) = nodes
@@ -60,7 +77,7 @@ fn subtree_features_use_contiguous_view_slices() {
 fn op_count_features_match_histogram() {
     for t in [1u8, 3, 9, 13, 18] {
         let p = plan(t, 0.5);
-        let views = node_views(&p, FeatureSource::Estimated);
+        let views = node_views(&p);
         let f = plan_features(&p, &views);
         for (op, count) in op_histogram(&p) {
             let feature = f[7 + op.index()];
@@ -104,7 +121,7 @@ fn view_sources_share_structure() {
 fn unary_operators_zero_right_child_features() {
     use qpp::features::op_features;
     let p = plan(1, 0.5);
-    let views = node_views(&p, FeatureSource::Estimated);
+    let views = node_views(&p);
     // Root (Sort) is unary.
     let f = op_features(&views[0], &[&views[1]], &[(1.0, 2.0)]);
     assert_eq!(f[3], 0.0); // nt2
@@ -172,10 +189,10 @@ fn naive_plan_features(fragment: &PlanNode, views: &[NodeView]) -> Vec<f64> {
 #[test]
 fn plan_features_of_every_fragment_match_a_naive_loop() {
     for t in tpch::ALL_TEMPLATES {
-        let p = plan(t, 0.5);
+        let q = executed(t, 0.5);
         for source in [FeatureSource::Estimated, FeatureSource::Actual] {
-            let views = node_views(&p, source);
-            for (i, fragment) in p.preorder().into_iter().enumerate() {
+            let views = q.views(source);
+            for (i, fragment) in q.plan.preorder().into_iter().enumerate() {
                 let slice = &views[i..i + fragment.node_count()];
                 let bits = |f: &[f64]| f.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                 assert_eq!(

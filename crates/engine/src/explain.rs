@@ -3,10 +3,11 @@
 //! Mirrors PostgreSQL's `EXPLAIN` output format: one line per node with
 //! `(cost=startup..total rows=N width=W)`, indented children, and — in
 //! `explain_analyze` mode — the observed start/run times next to the
-//! estimates, which is exactly the information the paper's instrumentation
-//! logged for model training.
+//! estimates and the true rows, which is exactly the information the
+//! paper's instrumentation logged for model training. Plain `explain`
+//! reads the plan alone: it is what the optimizer knows.
 
-use crate::plan::{OpDetail, PlanNode};
+use crate::plan::{NodeTruth, OpDetail, PlanNode};
 use crate::sim::Trace;
 
 /// Renders a plan like `EXPLAIN`.
@@ -16,26 +17,25 @@ pub fn explain(plan: &PlanNode) -> String {
     out
 }
 
-/// Renders a plan with observed timings like `EXPLAIN ANALYZE`.
+/// Renders a plan with observed timings and true rows (`truth`, one per
+/// node in pre-order) like `EXPLAIN ANALYZE`.
 ///
 /// # Panics
-/// Panics if the trace does not align with the plan.
-pub fn explain_analyze(plan: &PlanNode, trace: &Trace) -> String {
-    assert_eq!(
-        trace.timings.len(),
-        plan.node_count(),
-        "trace does not match plan"
-    );
+/// Panics if the truth or the trace does not align with the plan.
+pub fn explain_analyze(plan: &PlanNode, truth: &[NodeTruth], trace: &Trace) -> String {
+    let nodes = plan.node_count();
+    assert_eq!(truth.len(), nodes, "truth does not match plan");
+    assert_eq!(trace.timings.len(), nodes, "trace does not match plan");
     let mut out = String::new();
     let mut cursor = Some(0usize);
-    render(plan, 0, Some(trace), &mut cursor, &mut out);
+    render(plan, 0, Some((truth, trace)), &mut cursor, &mut out);
     out
 }
 
 fn render(
     node: &PlanNode,
     depth: usize,
-    trace: Option<&Trace>,
+    analyze: Option<(&[NodeTruth], &Trace)>,
     cursor: &mut Option<usize>,
     out: &mut String,
 ) {
@@ -53,19 +53,19 @@ fn render(
         node.est.rows,
         node.est.width
     );
-    if let (Some(t), Some(i)) = (trace, cursor.as_mut()) {
+    if let (Some((truth, t)), Some(i)) = (analyze, cursor.as_mut()) {
         let nt = t.timings[*i];
         let _ = write!(
             line,
             " (actual start={:.3}s run={:.3}s rows={:.0})",
-            nt.start, nt.run, node.truth.rows
+            nt.start, nt.run, truth[*i].rows
         );
         *i += 1;
     }
     out.push_str(&line);
     out.push('\n');
     for c in &node.children {
-        render(c, depth + 1, trace, cursor, out);
+        render(c, depth + 1, analyze, cursor, out);
     }
 }
 
@@ -126,7 +126,7 @@ mod tests {
         let planner = Planner::new(&catalog);
         let mut rng = StdRng::seed_from_u64(1);
         let spec = templates::instantiate(3, 0.1, &mut rng);
-        let plan = planner.plan(&spec);
+        let plan = planner.plan(&spec).plan;
         let text = explain(&plan);
         assert_eq!(text.lines().count(), plan.node_count());
         assert!(text.contains("cost="));
@@ -140,10 +140,10 @@ mod tests {
         let planner = Planner::new(&catalog);
         let mut rng = StdRng::seed_from_u64(1);
         let spec = templates::instantiate(6, 0.1, &mut rng);
-        let plan = planner.plan(&spec);
-        let trace = Simulator::new().execute(&plan, 0.1, 1);
-        let text = explain_analyze(&plan, &trace);
+        let planned = planner.plan(&spec);
+        let trace = Simulator::new().execute(&planned, 0.1, 1);
+        let text = explain_analyze(&planned.plan, &planned.truth, &trace);
         assert!(text.contains("actual start="));
-        assert_eq!(text.lines().count(), plan.node_count());
+        assert_eq!(text.lines().count(), planned.plan.node_count());
     }
 }

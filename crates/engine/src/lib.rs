@@ -9,8 +9,8 @@
 //!   (histograms + independence + default selectivities).
 //! - [`truth`] — the ground-truth cardinality model (exact generative
 //!   selectivities, correlation corrections).
-//! - [`plan`] — physical plan trees annotated with both estimates and
-//!   truth.
+//! - [`plan`] — physical plan trees annotated with the optimizer's
+//!   estimates, and the pre-order ground truth planned beside them.
 //! - [`cost`] — PostgreSQL's analytical cost model (the paper's baseline).
 //! - [`planner`] — cost-based physical planning of the TPC-H templates.
 //! - [`sim`] — the execution simulator producing per-operator start-times
@@ -40,7 +40,7 @@ pub use catalog::Catalog;
 pub use estimator::Estimator;
 pub use faults::{DriftKind, DriftPlan, ExecError, FaultOutcome, FaultPlan};
 pub use explain::{explain, explain_analyze};
-pub use plan::{NodeEst, NodeTruth, OpDetail, OpType, PlanNode, ALL_OP_TYPES};
+pub use plan::{NodeEst, OpDetail, OpType, PlanNode, Planned, ALL_OP_TYPES};
 pub use planner::{Planner, PlannerConfig};
 pub use recost::for_each_truth_cost;
 pub use sim::{NodeTiming, SimConfig, Simulator, Trace};

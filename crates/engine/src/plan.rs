@@ -1,5 +1,13 @@
-//! Physical plan trees, annotated with both the optimizer's estimates and
-//! the ground truth.
+//! Physical plan trees: what the optimizer's EXPLAIN prints.
+//!
+//! A [`PlanNode`] holds the operator, its children, the optimizer's
+//! estimates and the operator detail: everything known before the query
+//! runs. The ground truth the simulator executes ([`NodeTruth`]: true
+//! rows, pages and selectivity) lives beside the plan, one entry per node
+//! in pre-order, in the [`Planned`] the planner returns and in the
+//! executed query that keeps it. Two truth values stay inside
+//! [`OpDetail`]: a `Materialize` node's rescans and a `Subquery` node's
+//! executions.
 //!
 //! The operator set mirrors PostgreSQL's executor nodes for the TPC-H
 //! plans: scans, sorts, the three join methods (with explicit `Hash` and
@@ -102,7 +110,9 @@ pub struct NodeEst {
     pub selectivity: f64,
 }
 
-/// Ground-truth annotations (the simulator's inputs).
+/// Ground-truth annotations of one node (the simulator's inputs). A
+/// plan's truths are a pre-order slice beside it: entry `i` belongs to
+/// the node at pre-order position `i`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeTruth {
     /// Actual output rows.
@@ -180,8 +190,6 @@ pub struct PlanNode {
     pub children: Box<[PlanNode]>,
     /// Optimizer estimates.
     pub est: NodeEst,
-    /// Ground truth.
-    pub truth: NodeTruth,
     /// Operator detail.
     pub detail: OpDetail,
 }
@@ -222,6 +230,16 @@ impl PlanNode {
     }
 }
 
+/// A planned query: the plan and the ground truth the simulator runs it
+/// over, one [`NodeTruth`] per node in pre-order.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Planned {
+    /// The physical plan.
+    pub plan: PlanNode,
+    /// Node `i`'s truth at position `i` of the plan's pre-order.
+    pub truth: Box<[NodeTruth]>,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,11 +253,6 @@ mod tests {
                 total_cost: 10.0,
                 rows: 5.0,
                 width: 100.0,
-                pages: 1.0,
-                selectivity: 1.0,
-            },
-            truth: NodeTruth {
-                rows: 5.0,
                 pages: 1.0,
                 selectivity: 1.0,
             },

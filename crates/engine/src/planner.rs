@@ -6,13 +6,15 @@
 //! TPC-H); this planner makes the *physical* choices — scan methods, join
 //! algorithms, aggregation strategies, sort/materialize placement — by
 //! comparing analytical cost estimates, exactly the way an optimizer does.
-//! Every node carries both the estimate-side annotations (what models can
-//! see) and the truth-side annotations (what the simulator executes).
+//! A node carries the estimate-side annotations (what models can see);
+//! the truth-side annotations (what the simulator executes) come back
+//! beside the plan in [`Planned`], one per node in pre-order. Physical
+//! choices read estimates only.
 
 use crate::catalog::{has_index, Catalog};
 use crate::cost::{self, Cost};
 use crate::estimator::Estimator;
-use crate::plan::{NodeEst, NodeTruth, OpDetail, OpType, PlanNode};
+use crate::plan::{NodeEst, NodeTruth, OpDetail, OpType, PlanNode, Planned};
 use crate::truth;
 use tpch::schema::ColRef;
 use tpch::spec::{GroupCount, JoinKind, Predicate, QuerySpec, RelExpr};
@@ -54,9 +56,13 @@ impl<'a> Planner<'a> {
         Planner { catalog, config }
     }
 
-    /// Plans a query.
-    pub fn plan(&self, spec: &QuerySpec) -> PlanNode {
-        self.build(&spec.root)
+    /// Plans a query: the physical plan and its pre-order truths.
+    pub fn plan(&self, spec: &QuerySpec) -> Planned {
+        let Sub { node, truth } = self.build(&spec.root);
+        Planned {
+            plan: node,
+            truth: truth.into_boxed_slice(),
+        }
     }
 
     fn estimator(&self) -> Estimator<'_> {
@@ -67,7 +73,7 @@ impl<'a> Planner<'a> {
         self.catalog.sf
     }
 
-    fn build(&self, expr: &RelExpr) -> PlanNode {
+    fn build(&self, expr: &RelExpr) -> Sub {
         match expr {
             RelExpr::Scan {
                 table,
@@ -89,13 +95,13 @@ impl<'a> Planner<'a> {
             }
             RelExpr::Limit { input, count } => {
                 let child = self.build(input);
-                let est_rows = (*count as f64).min(child.est.rows);
-                let truth_rows = (*count as f64).min(child.truth.rows);
-                let c = cost::limit(node_cost(&child), child.est.rows, *count as f64);
-                let width = child.est.width;
-                PlanNode {
-                    op: OpType::Limit,
-                    est: NodeEst {
+                let est_rows = (*count as f64).min(child.node.est.rows);
+                let truth_rows = (*count as f64).min(child.rows());
+                let c = cost::limit(node_cost(&child), child.node.est.rows, *count as f64);
+                let width = child.node.est.width;
+                sub(
+                    OpType::Limit,
+                    NodeEst {
                         startup_cost: c.startup,
                         total_cost: c.total,
                         rows: est_rows,
@@ -103,14 +109,14 @@ impl<'a> Planner<'a> {
                         pages: 0.0,
                         selectivity: 1.0,
                     },
-                    truth: NodeTruth {
+                    NodeTruth {
                         rows: truth_rows,
                         pages: 0.0,
                         selectivity: 1.0,
                     },
-                    detail: OpDetail::Limit { count: *count },
-                    children: Box::new([child]),
-                }
+                    OpDetail::Limit { count: *count },
+                    [child],
+                )
             }
             RelExpr::ScalarSubqueryFilter {
                 input,
@@ -119,17 +125,22 @@ impl<'a> Planner<'a> {
                 correlated,
             } => {
                 let child = self.build(input);
-                let sub = self.build(subquery);
-                let est_execs = if *correlated { child.est.rows } else { 1.0 };
-                let truth_execs = if *correlated { child.truth.rows } else { 1.0 };
-                let c = cost::subquery(node_cost(&child), node_cost(&sub), est_execs, child.est.rows);
+                let subplan = self.build(subquery);
+                let est_execs = if *correlated { child.node.est.rows } else { 1.0 };
+                let truth_execs = if *correlated { child.rows() } else { 1.0 };
+                let c = cost::subquery(
+                    node_cost(&child),
+                    node_cost(&subplan),
+                    est_execs,
+                    child.node.est.rows,
+                );
                 // Optimizers default scalar-comparison selectivity to 1/3.
-                let est_rows = (child.est.rows / 3.0).max(1.0);
-                let truth_rows = child.truth.rows * truth_sel;
-                let width = child.est.width;
-                PlanNode {
-                    op: OpType::SubqueryScan,
-                    est: NodeEst {
+                let est_rows = (child.node.est.rows / 3.0).max(1.0);
+                let truth_rows = child.rows() * truth_sel;
+                let width = child.node.est.width;
+                sub(
+                    OpType::SubqueryScan,
+                    NodeEst {
                         startup_cost: c.startup,
                         total_cost: c.total,
                         rows: est_rows,
@@ -137,17 +148,17 @@ impl<'a> Planner<'a> {
                         pages: 0.0,
                         selectivity: 1.0 / 3.0,
                     },
-                    truth: NodeTruth {
+                    NodeTruth {
                         rows: truth_rows,
                         pages: 0.0,
                         selectivity: *truth_sel,
                     },
-                    detail: OpDetail::Subquery {
+                    OpDetail::Subquery {
                         correlated: *correlated,
                         executions: truth_execs,
                     },
-                    children: Box::new([child, sub]),
-                }
+                    [child, subplan],
+                )
             }
         }
     }
@@ -157,7 +168,7 @@ impl<'a> Planner<'a> {
         table: tpch::schema::TableId,
         filters: &[Predicate],
         truth_override: Option<f64>,
-    ) -> PlanNode {
+    ) -> Sub {
         let est = self.estimator();
         let base_rows = self.catalog.rows(table);
         let pages = self.catalog.pages(table);
@@ -166,6 +177,10 @@ impl<'a> Planner<'a> {
         let truth_sel = truth::conjunction(filters, truth_override, self.sf());
         let est_rows = (base_rows * est_sel).max(1.0);
         let truth_rows = base_rows * truth_sel;
+        let detail = OpDetail::Scan {
+            table,
+            filters: filters.into(),
+        };
 
         // Index scan when a filter probes an indexed column selectively.
         let indexed = filters.iter().any(|f| {
@@ -183,9 +198,9 @@ impl<'a> Planner<'a> {
             let est_pages = (est_rows * 1.05 + 2.0).min(pages);
             let truth_pages = (truth_rows * 1.05 + 2.0).min(pages);
             let c = cost::index_scan(pages, est_rows, filters.len());
-            return PlanNode {
-                op: OpType::IndexScan,
-                est: NodeEst {
+            return sub(
+                OpType::IndexScan,
+                NodeEst {
                     startup_cost: c.startup,
                     total_cost: c.total,
                     rows: est_rows,
@@ -193,23 +208,20 @@ impl<'a> Planner<'a> {
                     pages: est_pages,
                     selectivity: est_sel,
                 },
-                truth: NodeTruth {
+                NodeTruth {
                     rows: truth_rows,
                     pages: truth_pages,
                     selectivity: truth_sel,
                 },
-                detail: OpDetail::Scan {
-                    table,
-                    filters: filters.into(),
-                },
-                children: Box::new([]),
-            };
+                detail,
+                [],
+            );
         }
 
         let c = cost::seq_scan(pages, base_rows, filters.len());
-        PlanNode {
-            op: OpType::SeqScan,
-            est: NodeEst {
+        sub(
+            OpType::SeqScan,
+            NodeEst {
                 startup_cost: c.startup,
                 total_cost: c.total,
                 rows: est_rows,
@@ -217,17 +229,14 @@ impl<'a> Planner<'a> {
                 pages,
                 selectivity: est_sel,
             },
-            truth: NodeTruth {
+            NodeTruth {
                 rows: truth_rows,
                 pages,
                 selectivity: truth_sel,
             },
-            detail: OpDetail::Scan {
-                table,
-                filters: filters.into(),
-            },
-            children: Box::new([]),
-        }
+            detail,
+            [],
+        )
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -239,70 +248,62 @@ impl<'a> Planner<'a> {
         right_expr: &RelExpr,
         truth_correction: f64,
         extra_filter_sel: f64,
-    ) -> PlanNode {
+    ) -> Sub {
         let est = self.estimator();
         let left = self.build(left_expr);
         let right = self.build(right_expr);
+        let (l, r) = (&left.node.est, &right.node.est);
 
         // Logical output cardinalities (physical-choice independent).
         let (est_rows, truth_rows) = match kind {
             JoinKind::Inner | JoinKind::LeftOuter => {
-                let e = est.join_rows(left.est.rows, right.est.rows, on) * extra_filter_sel;
-                let t = truth::join_rows(
-                    left.truth.rows,
-                    right.truth.rows,
-                    on,
-                    truth_correction,
-                    self.sf(),
-                ) * extra_filter_sel;
+                let e = est.join_rows(l.rows, r.rows, on) * extra_filter_sel;
+                let t =
+                    truth::join_rows(left.rows(), right.rows(), on, truth_correction, self.sf())
+                        * extra_filter_sel;
                 if kind == JoinKind::LeftOuter {
-                    (e.max(left.est.rows), t.max(left.truth.rows))
+                    (e.max(l.rows), t.max(left.rows()))
                 } else {
                     (e, t)
                 }
             }
             JoinKind::Semi => {
-                let sel = est.semi_selectivity(right.est.rows, on.1) * extra_filter_sel;
+                let sel = est.semi_selectivity(r.rows, on.1) * extra_filter_sel;
                 (
-                    (left.est.rows * sel).max(1.0),
-                    left.truth.rows * truth_correction * extra_filter_sel,
+                    (l.rows * sel).max(1.0),
+                    left.rows() * truth_correction * extra_filter_sel,
                 )
             }
             JoinKind::Anti => {
-                let sel = est.semi_selectivity(right.est.rows, on.1);
+                let sel = est.semi_selectivity(r.rows, on.1);
                 (
-                    (left.est.rows * (1.0 - sel).max(1e-6) * extra_filter_sel).max(1.0),
-                    left.truth.rows * truth_correction * extra_filter_sel,
+                    (l.rows * (1.0 - sel).max(1e-6) * extra_filter_sel).max(1.0),
+                    left.rows() * truth_correction * extra_filter_sel,
                 )
             }
         };
         let width = match kind {
-            JoinKind::Inner | JoinKind::LeftOuter => (left.est.width + right.est.width).min(512.0),
-            JoinKind::Semi | JoinKind::Anti => left.est.width,
+            JoinKind::Inner | JoinKind::LeftOuter => (l.width + r.width).min(512.0),
+            JoinKind::Semi | JoinKind::Anti => l.width,
         };
 
         // Candidate physical methods, scored by estimated cost.
         let hash_cost = {
-            let h = cost::hash_build(node_cost(&right), right.est.rows);
-            cost::hash_join(node_cost(&left), h, left.est.rows, est_rows)
+            let h = cost::hash_build(node_cost(&right), r.rows);
+            cost::hash_join(node_cost(&left), h, l.rows, est_rows)
         };
         // Inner hash joins may build on either side; the optimizer hashes
         // whichever input it *estimates* to be smaller.
         let hash_swapped_cost = if kind == JoinKind::Inner {
-            let h = cost::hash_build(node_cost(&left), left.est.rows);
-            Some(cost::hash_join(node_cost(&right), h, right.est.rows, est_rows))
+            let h = cost::hash_build(node_cost(&left), l.rows);
+            Some(cost::hash_join(node_cost(&right), h, r.rows, est_rows))
         } else {
             None
         };
         let merge_cost = {
-            let ls = cost::sort(node_cost(&left), left.est.rows, left.est.width, self.config.work_mem);
-            let rs = cost::sort(
-                node_cost(&right),
-                right.est.rows,
-                right.est.width,
-                self.config.work_mem,
-            );
-            cost::merge_join(ls, rs, left.est.rows, right.est.rows, est_rows)
+            let ls = cost::sort(node_cost(&left), l.rows, l.width, self.config.work_mem);
+            let rs = cost::sort(node_cost(&right), r.rows, r.width, self.config.work_mem);
+            cost::merge_join(ls, rs, l.rows, r.rows, est_rows)
         };
         // Nested loop with an index probe of the inner base table, when the
         // inner is a plain scan of an indexed join column.
@@ -311,14 +312,14 @@ impl<'a> Planner<'a> {
                 if has_index(on.1) && matches!(kind, JoinKind::Inner | JoinKind::Semi) =>
             {
                 let matched_per_probe =
-                    (right.est.rows / est.catalog().ndistinct_est(on.1).max(1.0)).max(1.0);
+                    (r.rows / est.catalog().ndistinct_est(on.1).max(1.0)).max(1.0);
                 let probe = cost::index_scan(self.catalog.pages(*table), matched_per_probe, filters.len() + 1);
                 // Repeated probes are assumed largely cached
                 // (effective_cache_size): the optimizer discounts them —
                 // one of the ways a cardinality underestimate snowballs
                 // into a catastrophically slow nested-loop plan.
                 let total = node_cost(&left).total
-                    + left.est.rows * probe.total * 0.4
+                    + l.rows * probe.total * 0.4
                     + est_rows * cost::CPU_TUPLE_COST;
                 Some((
                     Cost {
@@ -332,9 +333,9 @@ impl<'a> Planner<'a> {
         };
         // Nested loop over a materialized inner (viable for tiny inners).
         let nl_mat = {
-            let m = cost::materialize(node_cost(&right), right.est.rows);
-            let rescan = cost::materialize_rescan(right.est.rows);
-            cost::nested_loop(node_cost(&left), m, rescan, left.est.rows, est_rows)
+            let m = cost::materialize(node_cost(&right), r.rows);
+            let rescan = cost::materialize_rescan(r.rows);
+            cost::nested_loop(node_cost(&left), m, rescan, l.rows, est_rows)
         };
 
         let mut best = ("hash", hash_cost.total);
@@ -351,99 +352,76 @@ impl<'a> Planner<'a> {
                 best = ("nl_index", c.total);
             }
         }
-        if nl_mat.total < best.1 && right.est.rows < 100_000.0 {
+        if nl_mat.total < best.1 && r.rows < 100_000.0 {
             best = ("nl_mat", nl_mat.total);
         }
 
-        let mk_est = |c: Cost, sel: f64| NodeEst {
-            startup_cost: c.startup,
-            total_cost: c.total,
-            rows: est_rows,
-            width,
-            pages: 0.0,
-            selectivity: sel,
+        let join = |op, c: Cost, children| {
+            let est = NodeEst {
+                startup_cost: c.startup,
+                total_cost: c.total,
+                rows: est_rows,
+                width,
+                pages: 0.0,
+                selectivity: extra_filter_sel,
+            };
+            let truth = NodeTruth {
+                rows: truth_rows,
+                pages: 0.0,
+                selectivity: extra_filter_sel,
+            };
+            sub(op, est, truth, OpDetail::Join { kind, on }, children)
         };
-        let truth_ann = NodeTruth {
-            rows: truth_rows,
-            pages: 0.0,
-            selectivity: extra_filter_sel,
-        };
-        let detail = OpDetail::Join { kind, on };
 
         match best.0 {
             "hash" => {
                 let hash_node = self.hash_node(right);
-                PlanNode {
-                    op: OpType::HashJoin,
-                    est: mk_est(hash_cost, extra_filter_sel),
-                    truth: truth_ann,
-                    detail,
-                    children: Box::new([left, hash_node]),
-                }
+                join(OpType::HashJoin, hash_cost, [left, hash_node])
             }
             "hash_swapped" => {
                 let hash_node = self.hash_node(left);
-                PlanNode {
-                    op: OpType::HashJoin,
-                    est: mk_est(hash_swapped_cost.expect("candidate exists"), extra_filter_sel),
-                    truth: truth_ann,
-                    detail,
-                    children: Box::new([right, hash_node]),
-                }
+                let c = hash_swapped_cost.expect("candidate exists");
+                join(OpType::HashJoin, c, [right, hash_node])
             }
             "merge" => {
                 let ls = self.sort_node(left, 1);
                 let rs = self.sort_node(right, 1);
                 let rm = self.materialize_node(rs, truth_rows.max(1.0));
-                PlanNode {
-                    op: OpType::MergeJoin,
-                    est: mk_est(merge_cost, extra_filter_sel),
-                    truth: truth_ann,
-                    detail,
-                    children: Box::new([ls, rm]),
-                }
+                join(OpType::MergeJoin, merge_cost, [ls, rm])
             }
             "nl_index" => {
                 let (c, matched_per_probe) = nl_index.expect("candidate exists");
                 // Inner becomes an index scan parameterized by the outer key.
                 let mut inner = right;
-                inner.op = OpType::IndexScan;
-                let probe_truth =
-                    (truth_rows / left.truth.rows.max(1.0)).max(0.0);
-                inner.est.rows = matched_per_probe;
-                inner.est.pages = (matched_per_probe * 1.05 + 2.0).min(inner.est.pages.max(2.0));
-                inner.truth.rows = probe_truth;
-                inner.truth.pages = (probe_truth * 1.05 + 2.0).min(inner.truth.pages.max(2.0));
-                let probe_cost =
-                    cost::index_scan(self.catalog.pages(inner.scan_table().expect("scan")), matched_per_probe, 1);
-                inner.est.startup_cost = probe_cost.startup;
-                inner.est.total_cost = probe_cost.total;
-                PlanNode {
-                    op: OpType::NestedLoop,
-                    est: mk_est(c, extra_filter_sel),
-                    truth: truth_ann,
-                    detail,
-                    children: Box::new([left, inner]),
-                }
+                inner.node.op = OpType::IndexScan;
+                let probe_truth = (truth_rows / left.rows().max(1.0)).max(0.0);
+                let e = &mut inner.node.est;
+                e.rows = matched_per_probe;
+                e.pages = (matched_per_probe * 1.05 + 2.0).min(e.pages.max(2.0));
+                let t = &mut inner.truth[0];
+                t.rows = probe_truth;
+                t.pages = (probe_truth * 1.05 + 2.0).min(t.pages.max(2.0));
+                let probe_cost = cost::index_scan(
+                    self.catalog.pages(inner.node.scan_table().expect("scan")),
+                    matched_per_probe,
+                    1,
+                );
+                inner.node.est.startup_cost = probe_cost.startup;
+                inner.node.est.total_cost = probe_cost.total;
+                join(OpType::NestedLoop, c, [left, inner])
             }
             _ => {
-                let m = self.materialize_node(right, left.truth.rows.max(1.0));
-                PlanNode {
-                    op: OpType::NestedLoop,
-                    est: mk_est(nl_mat, extra_filter_sel),
-                    truth: truth_ann,
-                    detail,
-                    children: Box::new([left, m]),
-                }
+                let m = self.materialize_node(right, left.rows().max(1.0));
+                join(OpType::NestedLoop, nl_mat, [left, m])
             }
         }
     }
 
-    fn build_aggregate(&self, input: &RelExpr, spec: &tpch::spec::AggregateSpec) -> PlanNode {
+    fn build_aggregate(&self, input: &RelExpr, spec: &tpch::spec::AggregateSpec) -> Sub {
         let est = self.estimator();
         let child = self.build(input);
-        let in_est = child.est.rows;
-        let in_truth = child.truth.rows;
+        let in_est = child.node.est.rows;
+        let in_truth = child.rows();
         let n_aggs = spec.aggs.len() as f64;
         let out_width = 8.0 * (spec.group_by.len() as f64 + n_aggs) + 8.0;
 
@@ -473,9 +451,9 @@ impl<'a> Planner<'a> {
 
         if spec.group_by.is_empty() {
             let c = cost::group_aggregate(node_cost(&child), in_est, n_aggs, 1.0);
-            return PlanNode {
-                op: OpType::Aggregate,
-                est: NodeEst {
+            return sub(
+                OpType::Aggregate,
+                NodeEst {
                     startup_cost: c.total - cost::CPU_TUPLE_COST,
                     total_cost: c.total,
                     rows: 1.0,
@@ -483,22 +461,27 @@ impl<'a> Planner<'a> {
                     pages: 0.0,
                     selectivity: 1.0,
                 },
-                truth: NodeTruth {
+                NodeTruth {
                     rows: 1.0,
                     pages: 0.0,
                     selectivity: 1.0,
                 },
                 detail,
-                children: Box::new([child]),
-            };
+                [child],
+            );
         }
 
+        let truth = NodeTruth {
+            rows: truth_rows,
+            pages: 0.0,
+            selectivity: truth_hsel,
+        };
         let hash_bytes = est_groups * (out_width + 64.0);
         if hash_bytes < self.config.work_mem {
             let c = cost::hash_aggregate(node_cost(&child), in_est, n_aggs, est_groups);
-            PlanNode {
-                op: OpType::HashAggregate,
-                est: NodeEst {
+            sub(
+                OpType::HashAggregate,
+                NodeEst {
                     startup_cost: c.startup,
                     total_cost: c.total,
                     rows: est_rows,
@@ -506,20 +489,16 @@ impl<'a> Planner<'a> {
                     pages: 0.0,
                     selectivity: est_hsel,
                 },
-                truth: NodeTruth {
-                    rows: truth_rows,
-                    pages: 0.0,
-                    selectivity: truth_hsel,
-                },
+                truth,
                 detail,
-                children: Box::new([child]),
-            }
+                [child],
+            )
         } else {
             let sorted = self.sort_node(child, spec.group_by.len() as u32);
             let c = cost::group_aggregate(node_cost(&sorted), in_est, n_aggs, est_groups);
-            PlanNode {
-                op: OpType::GroupAggregate,
-                est: NodeEst {
+            sub(
+                OpType::GroupAggregate,
+                NodeEst {
                     startup_cost: c.startup,
                     total_cost: c.total,
                     rows: est_rows,
@@ -527,26 +506,18 @@ impl<'a> Planner<'a> {
                     pages: 0.0,
                     selectivity: est_hsel,
                 },
-                truth: NodeTruth {
-                    rows: truth_rows,
-                    pages: 0.0,
-                    selectivity: truth_hsel,
-                },
+                truth,
                 detail,
-                children: Box::new([sorted]),
-            }
+                [sorted],
+            )
         }
     }
 
-    fn sort_node(&self, child: PlanNode, keys: u32) -> PlanNode {
-        let c = cost::sort(
-            node_cost(&child),
-            child.est.rows,
-            child.est.width,
-            self.config.work_mem,
-        );
-        let est_bytes = child.est.rows * child.est.width;
-        let truth_bytes = child.truth.rows * child.est.width;
+    fn sort_node(&self, child: Sub, keys: u32) -> Sub {
+        let e = child.node.est;
+        let c = cost::sort(node_cost(&child), e.rows, e.width, self.config.work_mem);
+        let est_bytes = e.rows * e.width;
+        let truth_bytes = child.rows() * e.width;
         let est_pages = if est_bytes > self.config.work_mem {
             est_bytes / 8192.0
         } else {
@@ -557,77 +528,105 @@ impl<'a> Planner<'a> {
         } else {
             0.0
         };
-        PlanNode {
-            op: OpType::Sort,
-            est: NodeEst {
+        sub(
+            OpType::Sort,
+            NodeEst {
                 startup_cost: c.startup,
                 total_cost: c.total,
-                rows: child.est.rows,
-                width: child.est.width,
+                rows: e.rows,
+                width: e.width,
                 pages: est_pages,
                 selectivity: 1.0,
             },
-            truth: NodeTruth {
-                rows: child.truth.rows,
+            NodeTruth {
+                rows: child.rows(),
                 pages: truth_pages,
                 selectivity: 1.0,
             },
-            detail: OpDetail::Sort { keys },
-            children: Box::new([child]),
-        }
+            OpDetail::Sort { keys },
+            [child],
+        )
     }
 
-    fn hash_node(&self, child: PlanNode) -> PlanNode {
-        let c = cost::hash_build(node_cost(&child), child.est.rows);
-        PlanNode {
-            op: OpType::Hash,
-            est: NodeEst {
-                startup_cost: c.startup,
-                total_cost: c.total,
-                rows: child.est.rows,
-                width: child.est.width,
-                pages: 0.0,
-                selectivity: 1.0,
-            },
-            truth: NodeTruth {
-                rows: child.truth.rows,
-                pages: 0.0,
-                selectivity: 1.0,
-            },
-            detail: OpDetail::None,
-            children: Box::new([child]),
-        }
+    fn hash_node(&self, child: Sub) -> Sub {
+        let c = cost::hash_build(node_cost(&child), child.node.est.rows);
+        self.pass_through(OpType::Hash, c, OpDetail::None, child)
     }
 
-    fn materialize_node(&self, child: PlanNode, rescans: f64) -> PlanNode {
-        let c = cost::materialize(node_cost(&child), child.est.rows);
-        PlanNode {
-            op: OpType::Materialize,
-            est: NodeEst {
+    fn materialize_node(&self, child: Sub, rescans: f64) -> Sub {
+        let c = cost::materialize(node_cost(&child), child.node.est.rows);
+        let detail = OpDetail::Materialize {
+            rescans: (rescans - 1.0).max(0.0),
+        };
+        self.pass_through(OpType::Materialize, c, detail, child)
+    }
+
+    /// A node that outputs its child's rows unchanged (`Hash`,
+    /// `Materialize`).
+    fn pass_through(&self, op: OpType, c: Cost, detail: OpDetail, child: Sub) -> Sub {
+        sub(
+            op,
+            NodeEst {
                 startup_cost: c.startup,
                 total_cost: c.total,
-                rows: child.est.rows,
-                width: child.est.width,
+                rows: child.node.est.rows,
+                width: child.node.est.width,
                 pages: 0.0,
                 selectivity: 1.0,
             },
-            truth: NodeTruth {
-                rows: child.truth.rows,
+            NodeTruth {
+                rows: child.rows(),
                 pages: 0.0,
                 selectivity: 1.0,
             },
-            detail: OpDetail::Materialize {
-                rescans: (rescans - 1.0).max(0.0),
-            },
-            children: Box::new([child]),
-        }
+            detail,
+            [child],
+        )
     }
 }
 
-fn node_cost(n: &PlanNode) -> Cost {
+/// A subtree under construction: its plan and its truths in pre-order.
+struct Sub {
+    node: PlanNode,
+    truth: Vec<NodeTruth>,
+}
+
+impl Sub {
+    /// True output rows of the subtree's root.
+    fn rows(&self) -> f64 {
+        self.truth[0].rows
+    }
+}
+
+/// A node over `children`: its truth first, then theirs in order.
+fn sub<const N: usize>(
+    op: OpType,
+    est: NodeEst,
+    truth: NodeTruth,
+    detail: OpDetail,
+    children: [Sub; N],
+) -> Sub {
+    let mut all = Vec::with_capacity(1 + children.iter().map(|c| c.truth.len()).sum::<usize>());
+    all.push(truth);
+    let children = children.map(|c| {
+        all.extend_from_slice(&c.truth);
+        c.node
+    });
+    Sub {
+        node: PlanNode {
+            op,
+            children: Box::new(children),
+            est,
+            detail,
+        },
+        truth: all,
+    }
+}
+
+fn node_cost(n: &Sub) -> Cost {
     Cost {
-        startup: n.est.startup_cost,
-        total: n.est.total_cost,
+        startup: n.node.est.startup_cost,
+        total: n.node.est.total_cost,
     }
 }
 
@@ -637,7 +636,7 @@ mod tests {
     use rng::StdRng;
     use tpch::templates;
 
-    fn plan_template(t: u8, sf: f64, seed: u64) -> PlanNode {
+    fn plan_template(t: u8, sf: f64, seed: u64) -> Planned {
         let catalog = Catalog::new(sf, 1);
         let planner = Planner::new(&catalog);
         let mut rng = StdRng::seed_from_u64(seed);
@@ -648,11 +647,12 @@ mod tests {
     #[test]
     fn all_templates_plan_without_panic() {
         for t in templates::ALL_TEMPLATES {
-            let p = plan_template(t, 1.0, 3);
+            let Planned { plan: p, truth } = plan_template(t, 1.0, 3);
             assert!(p.node_count() >= 2, "template {t}");
-            for n in p.preorder() {
+            assert_eq!(truth.len(), p.node_count(), "template {t}");
+            for (n, nt) in p.preorder().into_iter().zip(&truth[..]) {
                 assert!(n.est.rows >= 0.0 && n.est.rows.is_finite(), "template {t}");
-                assert!(n.truth.rows >= 0.0 && n.truth.rows.is_finite(), "template {t}");
+                assert!(nt.rows >= 0.0 && nt.rows.is_finite(), "template {t}");
                 assert!(n.est.total_cost >= n.est.startup_cost, "template {t}");
             }
         }
@@ -660,36 +660,36 @@ mod tests {
 
     #[test]
     fn t1_is_scan_plus_aggregate() {
-        let p = plan_template(1, 1.0, 1);
+        let Planned { plan: p, truth } = plan_template(1, 1.0, 1);
         let ops: Vec<OpType> = p.preorder().iter().map(|n| n.op).collect();
         assert!(ops.contains(&OpType::SeqScan));
         assert!(ops.contains(&OpType::HashAggregate) || ops.contains(&OpType::GroupAggregate));
         assert_eq!(ops[0], OpType::Sort);
         // Truth: ~6M lineitem rows scanned, 6 groups out.
-        let scan = p.preorder().into_iter().find(|n| n.op == OpType::SeqScan).unwrap();
-        assert!(scan.truth.rows > 5_000_000.0);
+        let scan = ops.iter().position(|&op| op == OpType::SeqScan).unwrap();
+        assert!(truth[scan].rows > 5_000_000.0);
     }
 
     #[test]
     fn t3_join_correction_shrinks_truth_vs_estimate() {
-        let p = plan_template(3, 1.0, 1);
+        let Planned { plan: p, truth } = plan_template(3, 1.0, 1);
         // Find the top join: truth rows should be far below the estimate.
-        let join = p
-            .preorder()
-            .into_iter()
-            .find(|n| matches!(n.op, OpType::HashJoin | OpType::MergeJoin | OpType::NestedLoop))
+        let nodes = p.preorder();
+        let join = nodes
+            .iter()
+            .position(|n| matches!(n.op, OpType::HashJoin | OpType::MergeJoin | OpType::NestedLoop))
             .expect("has a join");
         assert!(
-            join.truth.rows < join.est.rows,
+            truth[join].rows < nodes[join].est.rows,
             "truth {} est {}",
-            join.truth.rows,
-            join.est.rows
+            truth[join].rows,
+            nodes[join].est.rows
         );
     }
 
     #[test]
     fn t6_has_no_joins() {
-        let p = plan_template(6, 1.0, 1);
+        let p = plan_template(6, 1.0, 1).plan;
         for n in p.preorder() {
             assert!(
                 !matches!(n.op, OpType::HashJoin | OpType::MergeJoin | OpType::NestedLoop),
@@ -701,13 +701,13 @@ mod tests {
 
     #[test]
     fn t18_semi_join_estimate_blows_up() {
-        let p = plan_template(18, 10.0, 1);
+        let Planned { plan: p, truth } = plan_template(18, 10.0, 1);
         // The semi join of orders against the HAVING aggregate: estimated
         // rows vastly exceed the truth.
-        let semi = p
-            .preorder()
-            .into_iter()
-            .find(|n| {
+        let nodes = p.preorder();
+        let semi = nodes
+            .iter()
+            .position(|n| {
                 matches!(
                     n.detail,
                     OpDetail::Join {
@@ -718,16 +718,16 @@ mod tests {
             })
             .expect("semi join");
         assert!(
-            semi.est.rows > semi.truth.rows * 100.0,
+            nodes[semi].est.rows > truth[semi].rows * 100.0,
             "est {} truth {}",
-            semi.est.rows,
-            semi.truth.rows
+            nodes[semi].est.rows,
+            truth[semi].rows
         );
     }
 
     #[test]
     fn t13_contains_materialize_or_hash() {
-        let p = plan_template(13, 10.0, 1);
+        let p = plan_template(13, 10.0, 1).plan;
         let ops: Vec<OpType> = p.preorder().iter().map(|n| n.op).collect();
         assert!(
             ops.contains(&OpType::Materialize) || ops.contains(&OpType::Hash),
@@ -738,7 +738,7 @@ mod tests {
     #[test]
     fn correlated_subquery_templates_have_subquery_scans() {
         for t in [2u8, 17, 20] {
-            let p = plan_template(t, 1.0, 1);
+            let p = plan_template(t, 1.0, 1).plan;
             let has = p.preorder().iter().any(|n| n.op == OpType::SubqueryScan);
             assert!(has, "template {t} should have SubqueryScan");
         }
@@ -754,7 +754,7 @@ mod tests {
     #[test]
     fn index_scan_appears_for_selective_probes() {
         // T17's correlated subquery probes lineitem by l_partkey.
-        let p = plan_template(17, 1.0, 1);
+        let p = plan_template(17, 1.0, 1).plan;
         let has_index_scan = p.preorder().iter().any(|n| n.op == OpType::IndexScan);
         assert!(has_index_scan);
     }

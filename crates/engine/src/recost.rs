@@ -4,23 +4,33 @@
 //! combinations of actual/estimated feature values. Actual-valued cost
 //! features are the optimizer's own cost formulas evaluated over the true
 //! row counts — this module computes them post-hoc for a planned tree.
-//! They are a function of the plan's truth annotations, so nothing stores
-//! them: feature extraction derives them in the walk that reads them.
+//! They are a function of the truths planned beside the plan, so nothing
+//! stores them: feature extraction derives them in the walk that reads
+//! them.
 
 use crate::cost::{self, Cost, DEFAULT_WORK_MEM};
-use crate::plan::{OpDetail, OpType, PlanNode, MAX_CHILDREN};
+use crate::plan::{NodeTruth, OpDetail, OpType, PlanNode, MAX_CHILDREN};
 
-/// Costs every node of `plan` over its true rows and pages in one walk
-/// that allocates nothing. `f(i, node, cost)` receives each node with its
-/// pre-order position `i` (aligned with [`PlanNode::preorder`]) once its
-/// subtree is costed. Sorts spill past [`DEFAULT_WORK_MEM`], the budget
-/// the planner and the simulator run with.
-pub fn for_each_truth_cost<'a>(plan: &'a PlanNode, f: &mut impl FnMut(usize, &'a PlanNode, Cost)) {
-    walk(plan, &mut 0, f);
+/// Costs every node of `plan` over its true rows and pages (`truth`,
+/// one per node in pre-order) in one walk that allocates nothing.
+/// `f(i, node, cost)` receives each node with its pre-order position `i`
+/// (aligned with [`PlanNode::preorder`]) once its subtree is costed.
+/// Sorts spill past [`DEFAULT_WORK_MEM`], the budget the planner and the
+/// simulator run with.
+///
+/// # Panics
+/// Panics if `truth` holds fewer entries than `plan` has nodes.
+pub fn for_each_truth_cost<'a>(
+    plan: &'a PlanNode,
+    truth: &[NodeTruth],
+    f: &mut impl FnMut(usize, &'a PlanNode, Cost),
+) {
+    walk(plan, truth, &mut 0, f);
 }
 
 fn walk<'a>(
     node: &'a PlanNode,
+    truth: &[NodeTruth],
     next: &mut usize,
     f: &mut impl FnMut(usize, &'a PlanNode, Cost),
 ) -> Cost {
@@ -29,18 +39,20 @@ fn walk<'a>(
     // Every child is walked, in order, so positions stay pre-order; the
     // cost formulas read the first two.
     let mut child_costs = [Cost::ZERO; MAX_CHILDREN];
+    let mut child_rows = [0.0; MAX_CHILDREN];
     for (k, c) in node.children.iter().enumerate() {
-        let cost = walk(c, next, f);
-        if let Some(slot) = child_costs.get_mut(k) {
-            *slot = cost;
+        let rows = truth[*next].rows;
+        let cost = walk(c, truth, next, f);
+        if k < MAX_CHILDREN {
+            child_costs[k] = cost;
+            child_rows[k] = rows;
         }
     }
-    let rows = node.truth.rows;
-    let pages = node.truth.pages;
+    let rows = truth[idx].rows;
+    let pages = truth[idx].pages;
     let width = node.est.width;
     let [c0, c1] = child_costs;
-    let child_rows =
-        |i: usize| -> f64 { node.children.get(i).map(|c| c.truth.rows).unwrap_or(0.0) };
+    let [r0, r1] = child_rows;
 
     let cost = match node.op {
         OpType::SeqScan => {
@@ -60,31 +72,25 @@ fn walk<'a>(
         }
         OpType::Sort => cost::sort(c0, rows, width, DEFAULT_WORK_MEM),
         OpType::Hash => cost::hash_build(c0, rows),
-        OpType::HashJoin => cost::hash_join(c0, c1, child_rows(0), rows),
-        OpType::MergeJoin => cost::merge_join(c0, c1, child_rows(0), child_rows(1), rows),
-        OpType::NestedLoop => cost::nested_loop(
-            c0,
-            c1,
-            cost::materialize_rescan(child_rows(1)),
-            child_rows(0),
-            rows,
-        ),
+        OpType::HashJoin => cost::hash_join(c0, c1, r0, rows),
+        OpType::MergeJoin => cost::merge_join(c0, c1, r0, r1, rows),
+        OpType::NestedLoop => cost::nested_loop(c0, c1, cost::materialize_rescan(r1), r0, rows),
         OpType::Materialize => cost::materialize(c0, rows),
         OpType::HashAggregate => {
             let n_aggs = agg_count(node);
-            cost::hash_aggregate(c0, child_rows(0), n_aggs, rows)
+            cost::hash_aggregate(c0, r0, n_aggs, rows)
         }
         OpType::GroupAggregate | OpType::Aggregate => {
             let n_aggs = agg_count(node);
-            cost::group_aggregate(c0, child_rows(0), n_aggs, rows)
+            cost::group_aggregate(c0, r0, n_aggs, rows)
         }
-        OpType::Limit => cost::limit(c0, child_rows(0), rows),
+        OpType::Limit => cost::limit(c0, r0, rows),
         OpType::SubqueryScan => {
             let execs = match &node.detail {
                 OpDetail::Subquery { executions, .. } => *executions,
                 _ => 1.0,
             };
-            cost::subquery(c0, c1, execs, child_rows(0))
+            cost::subquery(c0, c1, execs, r0)
         }
     };
     f(idx, node, cost);
@@ -102,10 +108,11 @@ fn agg_count(node: &PlanNode) -> f64 {
 mod tests {
     use super::*;
     use crate::catalog::Catalog;
+    use crate::plan::Planned;
     use crate::planner::Planner;
     use rng::StdRng;
 
-    fn plan(template: u8) -> PlanNode {
+    fn plan(template: u8) -> Planned {
         let catalog = Catalog::new(1.0, 1);
         let planner = Planner::new(&catalog);
         let mut rng = StdRng::seed_from_u64(2);
@@ -113,9 +120,9 @@ mod tests {
     }
 
     /// Every node's truth cost, by pre-order position.
-    fn costs_by_position(plan: &PlanNode) -> Vec<Cost> {
-        let mut costs = vec![None; plan.node_count()];
-        for_each_truth_cost(plan, &mut |i, _, c| {
+    fn costs_by_position(p: &Planned) -> Vec<Cost> {
+        let mut costs = vec![None; p.plan.node_count()];
+        for_each_truth_cost(&p.plan, &p.truth, &mut |i, _, c| {
             assert!(costs[i].replace(c).is_none(), "position {i} visited twice");
         });
         costs
@@ -126,11 +133,11 @@ mod tests {
 
     #[test]
     fn truth_valued_costs_align_with_plan_and_reflect_cardinality_gaps() {
-        let plan = plan(18);
-        let tc = costs_by_position(&plan);
-        let nodes = plan.preorder();
+        let p = plan(18);
+        let tc = costs_by_position(&p);
+        let nodes = p.plan.preorder();
         let mut seen = 0;
-        for_each_truth_cost(&plan, &mut |i, n, _| {
+        for_each_truth_cost(&p.plan, &p.truth, &mut |i, n, _| {
             assert!(std::ptr::eq(n, nodes[i]), "position {i} is not pre-order");
             seen += 1;
         });
@@ -145,7 +152,8 @@ mod tests {
         let any_gap = nodes
             .iter()
             .zip(&tc)
-            .any(|(n, c)| n.est.total_cost > c.total * 1.05 && n.est.rows > n.truth.rows * 10.0);
+            .zip(&p.truth[..])
+            .any(|((n, c), t)| n.est.total_cost > c.total * 1.05 && n.est.rows > t.rows * 10.0);
         assert!(any_gap, "expected a truth-vs-estimate cost gap");
     }
 
@@ -153,9 +161,9 @@ mod tests {
     fn accurate_estimates_give_similar_costs() {
         // Template 1 (single scan + aggregate) has accurate estimates;
         // truth costs should be close to estimated costs.
-        let plan = plan(1);
-        let root_truth = costs_by_position(&plan)[0].total;
-        let root_est = plan.est.total_cost;
+        let p = plan(1);
+        let root_truth = costs_by_position(&p)[0].total;
+        let root_est = p.plan.est.total_cost;
         let ratio = root_truth / root_est;
         assert!((0.5..2.0).contains(&ratio), "ratio = {ratio}");
     }

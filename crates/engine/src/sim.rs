@@ -1,8 +1,9 @@
 //! The execution simulator: the hidden performance model that plays the
 //! role of PostgreSQL-on-hardware in this reproduction.
 //!
-//! It walks a physical plan bottom-up over the *truth* annotations and
-//! produces, for every operator, the paper's two targets:
+//! It walks a physical plan bottom-up over the *truth* planned beside it
+//! (node `i`'s [`NodeTruth`] at pre-order position `i`) and produces, for
+//! every operator, the paper's two targets:
 //!
 //! - **start-time** — elapsed time until the operator (and the sub-plan
 //!   rooted at it) produces its first output tuple;
@@ -28,7 +29,7 @@
 
 use crate::estimator::cardenas;
 use crate::faults::{DriftPlan, ExecError, FaultPlan};
-use crate::plan::{OpDetail, OpType, PlanNode};
+use crate::plan::{NodeTruth, OpDetail, OpType, PlanNode, Planned};
 use rng::StdRng;
 use std::collections::HashMap;
 use tpch::schema::TableId;
@@ -163,7 +164,9 @@ struct SubRes {
 }
 
 /// Mutable per-execution state.
-struct ExecState {
+struct ExecState<'a> {
+    /// The plan's truths in pre-order.
+    truth: &'a [NodeTruth],
     /// Pages of each table currently cached (within-query warmth).
     cached: HashMap<TableId, f64>,
     rng: StdRng,
@@ -174,7 +177,7 @@ struct ExecState {
     io_stack: Vec<f64>,
 }
 
-impl ExecState {
+impl ExecState<'_> {
     /// Charges physical page traffic to the operator currently simulating.
     fn add_io(&mut self, pages: f64) {
         if let Some(top) = self.io_stack.last_mut() {
@@ -183,7 +186,7 @@ impl ExecState {
     }
 }
 
-impl ExecState {
+impl ExecState<'_> {
     fn noise(&mut self) -> f64 {
         if self.sigma <= 0.0 {
             return 1.0;
@@ -217,20 +220,28 @@ impl Simulator {
         &self.config
     }
 
-    /// Executes a plan cold (empty caches) and returns the trace.
-    /// `sf` is the scale factor the plan was built for (it sizes base
-    /// tables for the cache model); `seed` controls the measurement noise —
-    /// the same (plan, sf, seed) triple always produces the same trace.
-    pub fn execute(&self, plan: &PlanNode, sf: f64, seed: u64) -> Trace {
+    /// Executes a planned query cold (empty caches) over its truths and
+    /// returns the trace. `sf` is the scale factor the plan was built for
+    /// (it sizes base tables for the cache model); `seed` controls the
+    /// measurement noise — the same (plan, sf, seed) triple always
+    /// produces the same trace.
+    ///
+    /// # Panics
+    /// Panics if the truths do not hold one entry per plan node.
+    pub fn execute(&self, planned: &Planned, sf: f64, seed: u64) -> Trace {
+        let plan = &planned.plan;
+        let nodes = plan.node_count();
+        assert_eq!(planned.truth.len(), nodes, "truth does not match plan");
         let mut state = ExecState {
+            truth: &planned.truth,
             cached: HashMap::new(),
             rng: StdRng::seed_from_u64(seed),
             sigma: self.config.node_noise_sigma,
             sf,
             io_stack: Vec::new(),
         };
-        let mut timings = Vec::with_capacity(plan.node_count());
-        let mut io_pages = vec![0.0; plan.node_count()];
+        let mut timings = Vec::with_capacity(nodes);
+        let mut io_pages = vec![0.0; nodes];
         let res = self.walk(plan, &mut state, &mut timings, &mut io_pages);
         // Whole-query noise (scheduler, checkpoints, ...).
         let q = {
@@ -279,7 +290,7 @@ impl Simulator {
     /// to `execute`.
     pub fn try_execute(
         &self,
-        plan: &PlanNode,
+        plan: &Planned,
         sf: f64,
         seed: u64,
         faults: &FaultPlan,
@@ -324,14 +335,14 @@ impl Simulator {
     fn walk(
         &self,
         node: &PlanNode,
-        st: &mut ExecState,
+        st: &mut ExecState<'_>,
         out: &mut Vec<NodeTiming>,
         io: &mut [f64],
     ) -> SubRes {
         let idx = out.len();
         out.push(NodeTiming { start: 0.0, run: 0.0 });
         st.io_stack.push(0.0);
-        let mut res = self.node_res(node, st, out, io);
+        let mut res = self.node_res(node, idx, st, out, io);
         io[idx] = st.io_stack.pop().expect("io accumulator");
         // Start-time can never exceed run-time (first tuple precedes last).
         res.start = res.start.min(res.run);
@@ -342,28 +353,33 @@ impl Simulator {
         res
     }
 
+    /// Simulates `node`, at pre-order position `idx`. A node's first child
+    /// sits at `idx + 1`; a second child's position is read before it is
+    /// walked.
     fn node_res(
         &self,
         node: &PlanNode,
-        st: &mut ExecState,
+        idx: usize,
+        st: &mut ExecState<'_>,
         out: &mut Vec<NodeTiming>,
         io: &mut [f64],
     ) -> SubRes {
         let c = &self.config;
         let noise = st.noise();
+        let truth = st.truth[idx];
         match node.op {
             OpType::SeqScan => {
                 let (table, n_preds) = match &node.detail {
                     OpDetail::Scan { table, filters } => (*table, filters.len()),
                     _ => unreachable!("scan detail"),
                 };
-                let pages = node.truth.pages;
+                let pages = truth.pages;
                 let base_rows = pages * 8192.0 * 0.9 / table.tuple_width() as f64;
                 let hit = st.cached_fraction(table, pages);
                 let io = pages * ((1.0 - hit) * c.seq_page_secs + hit * c.cached_page_secs) * noise;
                 st.add_io(pages * (1.0 - hit));
                 let cpu = (base_rows * (c.cpu_tuple_secs + n_preds as f64 * c.cpu_pred_secs)
-                    + node.truth.rows * c.emit_secs)
+                    + truth.rows * c.emit_secs)
                     * noise;
                 // Within-query warmth: small tables stay resident.
                 if pages <= 0.5 * c.buffer_pool_pages {
@@ -382,12 +398,11 @@ impl Simulator {
                 // Standalone index scan (probe-mode handling lives in the
                 // NestedLoop arm).
                 let table = node.scan_table().expect("index scan has a table");
-                let pages = node.truth.pages.max(1.0);
+                let pages = truth.pages.max(1.0);
                 let hit = st.cached_fraction(table, table.pages(st.sf) as f64);
                 let io = pages * ((1.0 - hit) * c.rand_page_secs + hit * c.cached_page_secs) * noise;
                 st.add_io(pages * (1.0 - hit));
-                let cpu =
-                    node.truth.rows * (c.cpu_index_tuple_secs + c.cpu_tuple_secs) * noise;
+                let cpu = truth.rows * (c.cpu_index_tuple_secs + c.cpu_tuple_secs) * noise;
                 SubRes {
                     start: c.rand_page_secs * 2.0,
                     run: io + cpu,
@@ -396,7 +411,7 @@ impl Simulator {
             }
             OpType::Sort => {
                 let child = self.walk(&node.children[0], st, out, io);
-                let n = node.truth.rows.max(1.0);
+                let n = truth.rows.max(1.0);
                 let keys = match &node.detail {
                     OpDetail::Sort { keys } => *keys as f64,
                     _ => 1.0,
@@ -418,7 +433,7 @@ impl Simulator {
             }
             OpType::Hash => {
                 let child = self.walk(&node.children[0], st, out, io);
-                let n = node.truth.rows.max(1.0);
+                let n = truth.rows.max(1.0);
                 let bytes = n * node.est.width;
                 let spill = if bytes > c.work_mem {
                     st.add_io(bytes / 8192.0);
@@ -435,14 +450,15 @@ impl Simulator {
             }
             OpType::HashJoin => {
                 let probe = self.walk(&node.children[0], st, out, io);
+                let hash_idx = out.len();
                 let hash = self.walk(&node.children[1], st, out, io);
-                let build_rows = node.children[1].truth.rows.max(1.0);
+                let build_rows = st.truth[hash_idx].rows.max(1.0);
                 let build_bytes = build_rows * node.children[1].est.width;
                 // Probe cost grows once the hash table exceeds the caches.
                 let cache_penalty = (1.0 + 0.4 * (build_bytes / 4e6).log10().max(0.0)).min(2.5);
-                let probe_rows = node.children[0].truth.rows;
+                let probe_rows = st.truth[idx + 1].rows;
                 let cpu = (probe_rows * c.hash_probe_secs * cache_penalty
-                    + node.truth.rows * c.emit_secs)
+                    + truth.rows * c.emit_secs)
                     * noise;
                 // Multi-batch execution: both sides spill once past work_mem.
                 let probe_bytes = probe_rows * node.children[0].est.width;
@@ -464,11 +480,11 @@ impl Simulator {
             }
             OpType::MergeJoin => {
                 let left = self.walk(&node.children[0], st, out, io);
+                let right_idx = out.len();
                 let right = self.walk(&node.children[1], st, out, io);
-                let l_rows = node.children[0].truth.rows;
-                let r_rows = node.children[1].truth.rows;
-                let cpu = ((l_rows + r_rows) * c.merge_cmp_secs + node.truth.rows * c.emit_secs)
-                    * noise;
+                let l_rows = st.truth[idx + 1].rows;
+                let r_rows = st.truth[right_idx].rows;
+                let cpu = ((l_rows + r_rows) * c.merge_cmp_secs + truth.rows * c.emit_secs) * noise;
                 // Single-threaded demand-driven execution: both (blocking)
                 // sorted inputs must reach their first tuple before the
                 // merge can emit.
@@ -480,18 +496,18 @@ impl Simulator {
             }
             OpType::NestedLoop => {
                 let outer = self.walk(&node.children[0], st, out, io);
-                let outer_rows = node.children[0].truth.rows.max(0.0);
+                let outer_rows = st.truth[idx + 1].rows.max(0.0);
                 let inner_node = &node.children[1];
                 match inner_node.op {
                     OpType::IndexScan => {
                         // Probe-mode: charge per-probe I/O with buffer-pool
                         // thrash once the touched page set exceeds the pool.
-                        let idx = out.len();
+                        let inner_idx = out.len();
                         out.push(NodeTiming { start: 0.0, run: 0.0 });
                         let table = inner_node.scan_table().expect("scan");
                         let table_pages = table.pages(st.sf) as f64;
-                        let per_probe_rows = inner_node.truth.rows.max(0.0);
-                        let per_probe_pages = inner_node.truth.pages.max(1.0);
+                        let per_probe_rows = st.truth[inner_idx].rows.max(0.0);
+                        let per_probe_pages = st.truth[inner_idx].pages.max(1.0);
                         let touches = outer_rows * per_probe_pages;
                         let distinct = cardenas(table_pages.max(1.0), touches);
                         let resident = st.cached.get(&table).copied().unwrap_or(0.0);
@@ -500,7 +516,7 @@ impl Simulator {
                         // longer fits the pool gets evicted and fetched again.
                         let over = ((distinct - c.buffer_pool_pages) / distinct.max(1.0)).max(0.0);
                         let re_reads = (touches - distinct).max(0.0) * over;
-                        io[idx] = first_reads + re_reads;
+                        io[inner_idx] = first_reads + re_reads;
                         let io_secs = (first_reads + re_reads) * c.rand_page_secs
                             + ((touches - first_reads - re_reads).max(0.0)) * c.cached_page_secs;
                         let cpu = outer_rows
@@ -508,11 +524,11 @@ impl Simulator {
                                 + per_probe_rows * (c.cpu_tuple_secs + c.cpu_pred_secs));
                         let probe_total = (io_secs + cpu) * noise;
                         let inner_first = c.rand_page_secs * per_probe_pages;
-                        out[idx] = NodeTiming {
+                        out[inner_idx] = NodeTiming {
                             start: outer.start + inner_first,
                             run: outer.run + probe_total,
                         };
-                        let run = outer.run + probe_total + node.truth.rows * c.emit_secs;
+                        let run = outer.run + probe_total + truth.rows * c.emit_secs;
                         SubRes {
                             start: outer.start + inner_first + c.cpu_tuple_secs,
                             run,
@@ -524,7 +540,7 @@ impl Simulator {
                         // accounts for its rescans.
                         let inner = self.walk(inner_node, st, out, io);
                         let cpu = (outer_rows * c.cpu_tuple_secs * 0.5
-                            + node.truth.rows * c.emit_secs)
+                            + truth.rows * c.emit_secs)
                             * noise;
                         SubRes {
                             start: outer.start + inner.start + c.cpu_tuple_secs,
@@ -536,7 +552,7 @@ impl Simulator {
             }
             OpType::Materialize => {
                 let child = self.walk(&node.children[0], st, out, io);
-                let n = node.truth.rows.max(0.0);
+                let n = truth.rows.max(0.0);
                 let rescans = match &node.detail {
                     OpDetail::Materialize { rescans } => *rescans,
                     _ => 0.0,
@@ -566,7 +582,7 @@ impl Simulator {
             }
             OpType::HashAggregate | OpType::GroupAggregate | OpType::Aggregate => {
                 let child = self.walk(&node.children[0], st, out, io);
-                let in_rows = node.children[0].truth.rows.max(0.0);
+                let in_rows = st.truth[idx + 1].rows.max(0.0);
                 let (n_aggs, numeric_ops) = match &node.detail {
                     OpDetail::Agg {
                         n_aggs,
@@ -575,7 +591,7 @@ impl Simulator {
                     } => (*n_aggs as f64, *numeric_ops as f64),
                     _ => (1.0, 0.0),
                 };
-                let groups = node.truth.rows.max(1.0);
+                let groups = truth.rows.max(1.0);
                 let trans = in_rows
                     * (n_aggs * c.agg_transition_secs + numeric_ops * c.numeric_op_secs)
                     * noise;
@@ -611,7 +627,7 @@ impl Simulator {
                 let child = self.walk(&node.children[0], st, out, io);
                 let frac = match &node.detail {
                     OpDetail::Limit { count } => {
-                        (*count as f64 / node.children[0].truth.rows.max(1.0)).min(1.0)
+                        (*count as f64 / st.truth[idx + 1].rows.max(1.0)).min(1.0)
                     }
                     _ => 1.0,
                 };
@@ -631,7 +647,7 @@ impl Simulator {
                     } => (*correlated, *executions),
                     _ => (false, 1.0),
                 };
-                let cmp_cpu = node.children[0].truth.rows * c.cpu_pred_secs;
+                let cmp_cpu = st.truth[idx + 1].rows * c.cpu_pred_secs;
                 if correlated {
                     // Re-executions run against warmed caches: cheaper than
                     // the first, cold evaluation.
@@ -674,7 +690,7 @@ mod tests {
         let plan = planner.plan(&spec);
         let sim = Simulator::new();
         let trace = sim.execute(&plan, sf, seed);
-        (trace, plan)
+        (trace, plan.plan)
     }
 
     #[test]

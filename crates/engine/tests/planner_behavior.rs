@@ -1,12 +1,12 @@
 //! Behavioral tests of the planner's cost-based physical choices and the
 //! simulator's mechanism inventory.
 
-use engine::plan::{OpDetail, OpType, PlanNode};
+use engine::plan::{OpDetail, OpType, PlanNode, Planned};
 use engine::{Catalog, Planner, PlannerConfig, SimConfig, Simulator};
 use rng::StdRng;
 use tpch::spec::JoinKind;
 
-fn plan_t(template: u8, sf: f64, seed: u64) -> PlanNode {
+fn plan_t(template: u8, sf: f64, seed: u64) -> Planned {
     let catalog = Catalog::new(sf, 1);
     let planner = Planner::new(&catalog);
     let mut rng = StdRng::seed_from_u64(seed);
@@ -17,7 +17,7 @@ fn plan_t(template: u8, sf: f64, seed: u64) -> PlanNode {
 #[test]
 fn hash_join_builds_on_smaller_estimated_side() {
     for t in [3u8, 5, 10, 12] {
-        let plan = plan_t(t, 1.0, 9);
+        let plan = plan_t(t, 1.0, 9).plan;
         for n in plan.preorder() {
             if n.op == OpType::HashJoin
                 && matches!(
@@ -56,14 +56,16 @@ fn work_mem_flips_aggregation_strategy() {
             work_mem: 1e12,
         },
     )
-    .plan(&spec);
+    .plan(&spec)
+    .plan;
     let tight = Planner::with_config(
         &catalog,
         PlannerConfig {
             work_mem: 1024.0,
         },
     )
-    .plan(&spec);
+    .plan(&spec)
+    .plan;
 
     let has = |p: &PlanNode, op: OpType| p.preorder().iter().any(|n| n.op == op);
     assert!(has(&roomy, OpType::HashAggregate));
@@ -75,17 +77,17 @@ fn work_mem_flips_aggregation_strategy() {
 /// buffer cache: template 8 scans NATION twice.
 #[test]
 fn within_query_caching_speeds_second_scan() {
-    let plan = plan_t(8, 1.0, 4);
+    let planned = plan_t(8, 1.0, 4);
     let sim = Simulator::with_config(SimConfig {
         node_noise_sigma: 0.0,
         query_noise_sigma: 0.0,
         additive_noise_secs: 0.0,
         ..SimConfig::default()
     });
-    let trace = sim.execute(&plan, 1.0, 1);
+    let trace = sim.execute(&planned, 1.0, 1);
     // Collect the elapsed run time of each nation scan relative to its own
     // subtree start (the scans are leaves, so run - start ≈ service time).
-    let nodes = plan.preorder();
+    let nodes = planned.plan.preorder();
     let nation_scans: Vec<f64> = nodes
         .iter()
         .zip(&trace.timings)
@@ -136,10 +138,10 @@ fn spills_cost_time() {
 #[test]
 fn index_selection_depends_on_selectivity() {
     // Template 2's subquery probes partsupp by part key -> IndexScan.
-    let t2 = plan_t(2, 1.0, 5);
+    let t2 = plan_t(2, 1.0, 5).plan;
     assert!(t2.preorder().iter().any(|n| n.op == OpType::IndexScan));
     // Template 1 scans all of lineitem -> SeqScan only.
-    let t1 = plan_t(1, 1.0, 5);
+    let t1 = plan_t(1, 1.0, 5).plan;
     assert!(t1.preorder().iter().all(|n| n.op != OpType::IndexScan));
 }
 
@@ -147,15 +149,16 @@ fn index_selection_depends_on_selectivity() {
 #[test]
 fn semi_join_cardinality_bounds() {
     for seed in 0..5u64 {
-        let plan = plan_t(4, 1.0, seed);
-        for n in plan.preorder() {
+        let Planned { plan, truth } = plan_t(4, 1.0, seed);
+        for (i, n) in plan.preorder().into_iter().enumerate() {
             if let OpDetail::Join {
                 kind: JoinKind::Semi,
                 ..
             } = n.detail
             {
+                // The left input is the first child, at pre-order i + 1.
                 let left = &n.children[0];
-                assert!(n.truth.rows <= left.truth.rows * 1.001);
+                assert!(truth[i].rows <= truth[i + 1].rows * 1.001);
                 assert!(n.est.rows <= left.est.rows * 1.001);
             }
         }
@@ -167,7 +170,7 @@ fn semi_join_cardinality_bounds() {
 #[test]
 fn explain_covers_all_templates() {
     for t in tpch::ALL_TEMPLATES {
-        let plan = plan_t(t, 0.5, 2);
+        let plan = plan_t(t, 0.5, 2).plan;
         let text = engine::explain(&plan);
         assert_eq!(text.lines().count(), plan.node_count(), "t{t}");
         for line in text.lines() {
@@ -181,16 +184,16 @@ fn explain_covers_all_templates() {
 /// filter is underestimated by a large factor (the paper's snowball).
 #[test]
 fn t9_like_underestimation_cascades() {
-    let plan = plan_t(9, 10.0, 8);
-    let part_scan = plan
-        .preorder()
-        .into_iter()
-        .find(|n| n.scan_table() == Some(tpch::TableId::Part))
+    let Planned { plan, truth } = plan_t(9, 10.0, 8);
+    let nodes = plan.preorder();
+    let part_scan = nodes
+        .iter()
+        .position(|n| n.scan_table() == Some(tpch::TableId::Part))
         .expect("part scan");
+    let est = nodes[part_scan].est.rows;
     assert!(
-        part_scan.truth.rows > part_scan.est.rows * 2.0,
-        "truth {} vs est {}",
-        part_scan.truth.rows,
-        part_scan.est.rows
+        truth[part_scan].rows > est * 2.0,
+        "truth {} vs est {est}",
+        truth[part_scan].rows
     );
 }

@@ -6,11 +6,17 @@
 //! so a peer of another version (a v1 peer still sends per-node truth
 //! costs, which v2 derives from the plan) is rejected at the header, not
 //! somewhere inside a payload. Three frame kinds exist: a prediction
-//! [`Request`] (tenant, method, deadline, and the full estimate-annotated
-//! plan of an [`ExecutedQuery`]), a successful [`Response`] (the
+//! [`Request`] (tenant, method, deadline, and a whole [`ExecutedQuery`]:
+//! template, plan, truth and trace), a successful [`Response`] (the
 //! prediction with the tier that produced it), and a typed [`ErrorFrame`]
 //! carrying the [`QppError::wire_code`] of every error variant plus its
 //! variant-specific fields — the wire mirror of the in-process `Result`.
+//!
+//! A request's plan travels in pre-order, each node as its operator, its
+//! six estimates, its truth (rows, pages, selectivity), its detail and
+//! its children. The plan type holds no truth: encode writes node *i*'s
+//! truth from the query's pre-order truth vector, and decode pushes the
+//! truths in the order it reads the nodes. The trace follows the plan.
 //!
 //! Two properties the seeded cases of `tests/codec_props.rs` pin down:
 //!
@@ -34,8 +40,8 @@
 //! is what callers should dispatch on, is always preserved).
 
 use engine::faults::ExecError;
-use engine::plan::MAX_CHILDREN;
-use engine::{NodeEst, NodeTruth, OpDetail, PlanNode, Trace, ALL_OP_TYPES};
+use engine::plan::{NodeTruth, MAX_CHILDREN};
+use engine::{NodeEst, OpDetail, PlanNode, Trace, ALL_OP_TYPES};
 use ml::bytes::{put_f64, put_str, Malformed, Reader};
 use ml::MlError;
 use qpp::{tier_rank, ExecutedQuery, Method, PlanOrdering, Prediction, QppError, ALL_TIERS};
@@ -44,6 +50,7 @@ use tpch::spec::{JoinKind, Predicate};
 use tpch::types::{CmpOp, Scalar};
 
 use engine::sim::NodeTiming;
+use std::cell::RefCell;
 
 /// Protocol magic: `b"QPW2"` — protocol name and version in one.
 pub const MAGIC: [u8; 4] = *b"QPW2";
@@ -157,7 +164,8 @@ pub struct Request {
     pub method: Method,
     /// Deadline budget in microseconds; `None` = no deadline.
     pub deadline_micros: Option<u64>,
-    /// The estimate-annotated plan to predict for.
+    /// The query to predict for, as it was logged: plan, truth and
+    /// trace all travel.
     pub query: ExecutedQuery,
 }
 
@@ -198,6 +206,10 @@ pub enum Frame {
 
 impl Frame {
     /// Encodes the frame — envelope and payload — into fresh bytes.
+    ///
+    /// # Panics
+    /// Panics if a request's query holds fewer truths than its plan has
+    /// nodes.
     pub fn encode(&self) -> Vec<u8> {
         let (kind, payload) = match self {
             Frame::Request(r) => (KIND_REQUEST, encode_request(r)),
@@ -298,7 +310,8 @@ fn encode_request(r: &Request) -> Vec<u8> {
     out.push(method_code(r.method));
     out.extend_from_slice(&r.deadline_micros.unwrap_or(u64::MAX).to_le_bytes());
     out.push(r.query.template);
-    encode_node(&mut out, &r.query.plan);
+    let mut truth = r.query.truth.iter();
+    encode_node(&mut out, &r.query.plan, &mut truth);
     out.extend_from_slice(&(r.query.trace.timings.len() as u32).to_le_bytes());
     for t in &r.query.trace.timings {
         put_f64(&mut out, t.start);
@@ -318,7 +331,18 @@ fn decode_request(r: &mut Reader) -> Result<Request, DecodeError> {
     let method = method_from(r.u8()?)?;
     let deadline = r.u64()?;
     let template = r.u8()?;
-    let plan = decode_node(r, 0)?;
+    // The truths gather in the thread's scratch vector, and the query
+    // gets one allocation of exactly their length: a vector grown node by
+    // node and shrunk to fit on every request a server decodes fragments
+    // its heap (DESIGN.md §7, "Memory: what a logged query costs").
+    thread_local! {
+        static TRUTH: RefCell<Vec<NodeTruth>> = const { RefCell::new(Vec::new()) };
+    }
+    let (plan, truth) = TRUTH.with_borrow_mut(|scratch| {
+        scratch.clear();
+        let plan = decode_node(r, 0, scratch)?;
+        Ok::<_, DecodeError>((plan, Box::<[NodeTruth]>::from(&scratch[..])))
+    })?;
     let nodes = plan.node_count();
     let n = r.count(16)?;
     if n != nodes {
@@ -352,6 +376,7 @@ fn decode_request(r: &mut Reader) -> Result<Request, DecodeError> {
         query: ExecutedQuery {
             template,
             plan,
+            truth,
             trace: Trace {
                 timings,
                 total_secs,
@@ -365,7 +390,12 @@ fn decode_request(r: &mut Reader) -> Result<Request, DecodeError> {
 // Plan tree.
 // ---------------------------------------------------------------------
 
-fn encode_node(out: &mut Vec<u8>, node: &PlanNode) {
+/// Writes `node` and its subtree in pre-order, each node's truth (the
+/// query's next entry) right after its estimates.
+///
+/// # Panics
+/// Panics if the query holds fewer truths than its plan has nodes.
+fn encode_node(out: &mut Vec<u8>, node: &PlanNode, truth: &mut std::slice::Iter<'_, NodeTruth>) {
     out.push(node.op.index() as u8);
     put_f64(out, node.est.startup_cost);
     put_f64(out, node.est.total_cost);
@@ -373,17 +403,23 @@ fn encode_node(out: &mut Vec<u8>, node: &PlanNode) {
     put_f64(out, node.est.width);
     put_f64(out, node.est.pages);
     put_f64(out, node.est.selectivity);
-    put_f64(out, node.truth.rows);
-    put_f64(out, node.truth.pages);
-    put_f64(out, node.truth.selectivity);
+    let t = truth.next().expect("one truth per plan node");
+    put_f64(out, t.rows);
+    put_f64(out, t.pages);
+    put_f64(out, t.selectivity);
     encode_detail(out, &node.detail);
     out.push(node.children.len() as u8);
     for c in &node.children {
-        encode_node(out, c);
+        encode_node(out, c, truth);
     }
 }
 
-fn decode_node(r: &mut Reader, depth: usize) -> Result<PlanNode, DecodeError> {
+/// Reads a subtree, pushing each node's truth onto `truth` in pre-order.
+fn decode_node(
+    r: &mut Reader,
+    depth: usize,
+    truth: &mut Vec<NodeTruth>,
+) -> Result<PlanNode, DecodeError> {
     if depth > MAX_PLAN_DEPTH {
         return Err(DecodeError::Malformed("plan tree too deep"));
     }
@@ -399,11 +435,11 @@ fn decode_node(r: &mut Reader, depth: usize) -> Result<PlanNode, DecodeError> {
         pages: r.f64()?,
         selectivity: r.f64()?,
     };
-    let truth = NodeTruth {
+    truth.push(NodeTruth {
         rows: r.f64()?,
         pages: r.f64()?,
         selectivity: r.f64()?,
-    };
+    });
     let detail = decode_detail(r)?;
     let n_children = r.u8()? as usize;
     if n_children > MAX_CHILDREN {
@@ -411,13 +447,12 @@ fn decode_node(r: &mut Reader, depth: usize) -> Result<PlanNode, DecodeError> {
     }
     let mut children = Vec::with_capacity(n_children);
     for _ in 0..n_children {
-        children.push(decode_node(r, depth + 1)?);
+        children.push(decode_node(r, depth + 1, truth)?);
     }
     Ok(PlanNode {
         op,
         children: children.into_boxed_slice(),
         est,
-        truth,
         detail,
     })
 }
@@ -837,11 +872,12 @@ mod tests {
         let catalog = Catalog::new(0.1, 1);
         let planner = Planner::new(&catalog);
         let mut rng = StdRng::seed_from_u64(seed);
-        let plan = planner.plan(&templates::instantiate(template, 0.1, &mut rng));
-        let trace = Simulator::new().execute(&plan, 0.1, seed);
+        let planned = planner.plan(&templates::instantiate(template, 0.1, &mut rng));
+        let trace = Simulator::new().execute(&planned, 0.1, seed);
         ExecutedQuery {
             template,
-            plan,
+            plan: planned.plan,
+            truth: planned.truth,
             trace,
         }
     }
@@ -948,6 +984,11 @@ mod tests {
         // features read two: a third would be dropped from composition.
         let mut query = sample_query(6, 3);
         let child = query.plan.children[0].clone();
+        // The root's truth, then the child subtree's three times.
+        let child_truth = &query.truth[1..1 + child.node_count()];
+        query.truth = [&query.truth[..1], child_truth, child_truth, child_truth]
+            .concat()
+            .into();
         query.plan.children = Box::new([child.clone(), child.clone(), child]);
         let req = Request {
             id: 1,

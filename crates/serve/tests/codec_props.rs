@@ -28,11 +28,12 @@ fn query_pool() -> &'static Vec<ExecutedQuery> {
             .iter()
             .map(|&template| {
                 let mut rng = StdRng::seed_from_u64(41 + template as u64);
-                let plan = planner.plan(&templates::instantiate(template, 0.1, &mut rng));
-                let trace = Simulator::new().execute(&plan, 0.1, template as u64);
+                let planned = planner.plan(&templates::instantiate(template, 0.1, &mut rng));
+                let trace = Simulator::new().execute(&planned, 0.1, template as u64);
                 ExecutedQuery {
                     template,
-                    plan,
+                    plan: planned.plan,
+                    truth: planned.truth,
                     trace,
                 }
             })

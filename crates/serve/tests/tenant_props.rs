@@ -6,10 +6,73 @@
 //! every submitted request is accounted shed or served, per tenant and
 //! globally, over seeded tenant-skewed arrival streams.
 
-use engine::faults::one_hot_burst;
+use engine::faults::ArrivalPattern;
 use serve::{AdmissionController, RateLimit, TenantPushError, TokenBucket, WeightedFairQueue};
 
 const CASES: u64 = 64;
+
+/// One request arrival in a multi-tenant stream: when it lands and whose
+/// traffic it is.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct TenantArrival {
+    /// Seconds from stream start.
+    offset_secs: f64,
+    /// Index of the tenant issuing the request, in `0..tenants`.
+    tenant: usize,
+}
+
+/// A one-hot noisy-neighbor stream: the first `n` arrivals of a
+/// `tenants`-way stream at long-run mean rate `rate` requests/second in
+/// which tenant `hot` floods in bursts while every other tenant trickles.
+///
+/// Where [`ArrivalPattern`] answers *when* requests arrive, this also
+/// answers *whose* they are — the load skew that makes bulkhead isolation
+/// testable. Arrival times are [`ArrivalPattern::Bursty`]'s with `burst`
+/// and `seed`; each burst is the hot tenant's except for one arrival per
+/// quiet tenant, in index order. `burst` is clamped so each quiet tenant
+/// still gets its arrival and the hot tenant at least one. Offsets are
+/// non-decreasing and non-negative, every tenant index is in
+/// `0..tenants`, and the whole vector is deterministic in the arguments,
+/// so shed/served counts per tenant are exactly reproducible.
+fn one_hot_burst(
+    hot: usize,
+    burst: usize,
+    seed: u64,
+    tenants: usize,
+    n: usize,
+    rate: f64,
+) -> Vec<TenantArrival> {
+    assert!(tenants >= 1, "need at least one tenant");
+    assert!(rate > 0.0 && rate.is_finite(), "rate must be positive");
+    let hot = hot % tenants;
+    let burst = burst.max(tenants.max(2));
+    let quiet_slots = tenants - 1;
+    ArrivalPattern::Bursty { burst, seed }
+        .arrival_offsets(n, rate)
+        .into_iter()
+        .enumerate()
+        .map(|(i, offset_secs)| {
+            let pos = i % burst;
+            // The last `quiet_slots` positions of each burst go one each
+            // to the non-hot tenants, in index order.
+            let tenant = if pos < burst - quiet_slots {
+                hot
+            } else {
+                let q = pos - (burst - quiet_slots);
+                // q-th tenant when `hot` is skipped.
+                if q < hot {
+                    q
+                } else {
+                    q + 1
+                }
+            };
+            TenantArrival {
+                offset_secs,
+                tenant,
+            }
+        })
+        .collect()
+}
 
 /// The bucket never admits more than `burst + rate * elapsed` requests
 /// over any prefix of a monotone arrival stream, and replaying the
@@ -321,4 +384,63 @@ fn close_drains_then_signals_shutdown() {
     assert!(matches!(q.try_push(a, 3), Err(TenantPushError::Closed(3))));
     assert_eq!(q.pop_blocking_batch(8), Some((a, vec![1, 2])));
     assert_eq!(q.pop_blocking_batch(8), None);
+}
+
+#[test]
+fn tenant_streams_are_deterministic_sorted_and_cover_all_tenants() {
+    for tenants in [2usize, 4, 7] {
+        let (n, rate) = (2000, 400.0);
+        let a = one_hot_burst(1, 32, 5, tenants, n, rate);
+        assert_eq!(
+            a,
+            one_hot_burst(1, 32, 5, tenants, n, rate),
+            "must be deterministic"
+        );
+        assert_eq!(a.len(), n);
+        assert!(a[0].offset_secs >= 0.0);
+        for w in a.windows(2) {
+            assert!(
+                w[1].offset_secs >= w[0].offset_secs,
+                "offsets must be sorted"
+            );
+        }
+        let mut per_tenant = vec![0usize; tenants];
+        for arr in &a {
+            assert!(arr.tenant < tenants, "tenant out of range");
+            per_tenant[arr.tenant] += 1;
+        }
+        for (t, &count) in per_tenant.iter().enumerate() {
+            assert!(
+                count > 0,
+                "{tenants} tenants: tenant {t} starved of arrivals"
+            );
+        }
+    }
+}
+
+#[test]
+fn one_hot_burst_skews_hard_toward_the_hot_tenant() {
+    let tenants = 4;
+    let arrivals = one_hot_burst(2, 32, 9, tenants, 3200, 800.0);
+    let mut per_tenant = vec![0usize; tenants];
+    for a in &arrivals {
+        per_tenant[a.tenant] += 1;
+    }
+    // 29 of every 32 burst slots are the hot tenant's; quiet tenants
+    // get exactly one slot per burst each.
+    assert_eq!(per_tenant[2], 2900);
+    for t in [0, 1, 3] {
+        assert_eq!(per_tenant[t], 100, "tenant {t}");
+    }
+    // Quiet tenants arrive steadily: one arrival per burst period,
+    // never two back-to-back inside one burst.
+    let quiet_offsets: Vec<f64> = arrivals
+        .iter()
+        .filter(|a| a.tenant == 0)
+        .map(|a| a.offset_secs)
+        .collect();
+    let period = 32.0 / 800.0;
+    for w in quiet_offsets.windows(2) {
+        assert!(w[1] - w[0] > 0.5 * period, "quiet arrivals bunched");
+    }
 }

@@ -30,10 +30,11 @@ fn main() {
         println!("  {k} = {v}");
     }
 
-    let plan = planner.plan(&spec);
-    let trace = simulator.execute(&plan, sf, 5);
+    let planned = planner.plan(&spec);
+    let trace = simulator.execute(&planned, sf, 5);
+    let (plan, truth) = (&planned.plan, &planned.truth);
     println!("\nEXPLAIN ANALYZE (simulated, SF {sf}):\n");
-    println!("{}", explain_analyze(&plan, &trace));
+    println!("{}", explain_analyze(plan, truth, &trace));
 
     // Ground-truth check against actually generated rows.
     println!("generating a {sf}-scale database to validate cardinalities...");
@@ -42,11 +43,11 @@ fn main() {
     println!(
         "reference executor result: {} rows (analytic truth at the root: {:.1})",
         result.n_rows(),
-        plan.truth.rows
+        truth[0].rows
     );
     println!(
         "\nestimate vs truth at the root: {:.1} vs {:.1} rows — the models\n\
          must learn around exactly this kind of estimation error",
-        plan.est.rows, plan.truth.rows
+        plan.est.rows, truth[0].rows
     );
 }

@@ -62,6 +62,37 @@ crates/serve/src/tenant.rs" ]; then
     exit 1
 fi
 
+# A plan is what the optimizer's EXPLAIN prints; the ground truth the
+# simulator runs on travels beside it (`Planned::truth`,
+# `ExecutedQuery::truth`, one `NodeTruth` per node in pre-order). Who reads
+# it is a decision: the planner that derives it, the simulator and the
+# re-costing that run on it, EXPLAIN ANALYZE, the executed query and its
+# actual-valued features, and the wire codec that carries it, plus the
+# tests that check the truth model and the layout pins. A model that
+# reads the truth would learn from what is unknown before a query runs.
+# A file names it when it names `NodeTruth`, reads a `.truth` field or
+# takes a `Planned` apart into its truth.
+echo "==> truth gate: engine::{plan, planner, sim, recost, explain}, qpp::{dataset, features}, serve::codec and their tests only"
+truth_files="$(grep -rlE 'NodeTruth|\.truth\b|Planned *\{[^}]*\btruth\b' crates src tests examples --include='*.rs' | grep -v '^crates/e2e/' | sort)"
+if [ "$truth_files" != "crates/core/src/dataset.rs
+crates/core/src/features.rs
+crates/core/tests/feature_semantics.rs
+crates/engine/src/explain.rs
+crates/engine/src/plan.rs
+crates/engine/src/planner.rs
+crates/engine/src/recost.rs
+crates/engine/src/sim.rs
+crates/engine/tests/planner_behavior.rs
+crates/serve/src/codec.rs
+crates/serve/tests/codec_props.rs
+examples/explain_analyze.rs
+tests/column_ref.rs
+tests/truth_validation.rs" ]; then
+    echo "$truth_files"
+    echo "FAIL: the files reading the ground truth are not exactly the agreed list"
+    exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release
 

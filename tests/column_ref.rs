@@ -9,12 +9,13 @@
 //!
 //! The layout pins hold the size of what the training log is made of: a
 //! column is a (table, position) pair of two bytes, a node's children and
-//! a scan's filters are boxed slices, and a logged query is its plan and
-//! its trace (actual-valued costs derive from the plan where they are
-//! read). One pin holds what a trained model is made of: a feature model
+//! a scan's filters are boxed slices, a plan node holds no ground truth,
+//! and a logged query is its plan, its pre-order truth (three `f64`s a
+//! node) and its trace (actual-valued costs derive from the truth where
+//! they are read). One pin holds what a trained model is made of: a feature model
 //! is its selection, its ranges and the one model it serves from.
 
-use engine::plan::{OpDetail, PlanNode};
+use engine::plan::{NodeTruth, OpDetail, PlanNode};
 use engine::Catalog;
 use qpp::plan_model::FeatureModel;
 use qpp::ExecutedQuery;
@@ -57,9 +58,10 @@ fn column_refs_are_two_bytes() {
     assert_eq!(size_of::<ColRef>(), 2);
     assert!(size_of::<Predicate>() <= 40, "{}", size_of::<Predicate>());
     assert!(size_of::<OpDetail>() <= 24, "{}", size_of::<OpDetail>());
-    assert!(size_of::<PlanNode>() <= 120, "{}", size_of::<PlanNode>());
+    assert!(size_of::<PlanNode>() <= 96, "{}", size_of::<PlanNode>());
+    assert_eq!(size_of::<NodeTruth>(), 24);
     assert!(
-        size_of::<ExecutedQuery>() <= 184,
+        size_of::<ExecutedQuery>() <= 176,
         "{}",
         size_of::<ExecutedQuery>()
     );

@@ -156,8 +156,8 @@ fn plan_features_are_finite() {
         let catalog = Catalog::new(sf, 1);
         let planner = Planner::new(&catalog);
         let mut rng = StdRng::seed_from_u64(seed);
-        let plan = planner.plan(&tpch::instantiate(template, sf, &mut rng));
-        let views = qpp::features::node_views(&plan, qpp::FeatureSource::Estimated);
+        let plan = planner.plan(&tpch::instantiate(template, sf, &mut rng)).plan;
+        let views = qpp::features::node_views(&plan);
         let f = qpp::plan_features(&plan, &views);
         assert_eq!(f.len(), qpp::features::PLAN_FEATURES);
         for v in &f {
@@ -179,8 +179,8 @@ fn structure_keys_are_deterministic() {
         let planner = Planner::new(&catalog);
         let mut r1 = StdRng::seed_from_u64(seed);
         let mut r2 = StdRng::seed_from_u64(seed);
-        let p1 = planner.plan(&tpch::instantiate(template, 0.1, &mut r1));
-        let p2 = planner.plan(&tpch::instantiate(template, 0.1, &mut r2));
+        let p1 = planner.plan(&tpch::instantiate(template, 0.1, &mut r1)).plan;
+        let p2 = planner.plan(&tpch::instantiate(template, 0.1, &mut r2)).plan;
         assert_eq!(qpp::structure_key(&p1), qpp::structure_key(&p2));
     });
 }

@@ -17,7 +17,7 @@
 //!    tier within 100 observations, and over 10 000 untripled ones every
 //!    tier stays healthy.
 
-use engine::faults::{one_hot_burst, DriftKind, DriftPlan, FaultPlan};
+use engine::faults::{DriftKind, DriftPlan, FaultPlan};
 use engine::{Catalog, Simulator};
 use qpp::{
     CollectionConfig, ExecutedQuery, Method, ModelHealth, ModelRegistry, PlanOrdering,
@@ -114,20 +114,21 @@ fn one_hot_burst_sheds_the_hot_tenant_and_spares_the_quiet_one() {
         },
     );
 
-    // Seeded one-hot skew: ~31 of every 32 arrivals belong to tenant 0.
+    // One-hot skew: in every burst of 32 arrivals, the first 31 belong to
+    // tenant 0 and the last to tenant 1.
     let names = ["hot", "quiet"];
-    let arrivals = one_hot_burst(0, 32, 9, 2, 320, 400.0);
+    let arrivals: Vec<usize> = (0..320).map(|i| usize::from(i % 32 == 31)).collect();
     let mut pending = vec![Vec::new(), Vec::new()];
     let mut submitted = [0u64; 2];
     let mut shed = [0u64; 2];
-    for (i, a) in arrivals.iter().enumerate() {
-        submitted[a.tenant] += 1;
+    for (i, &t) in arrivals.iter().enumerate() {
+        submitted[t] += 1;
         let q = Arc::clone(&queries[i % queries.len()]);
-        match server.submit(names[a.tenant], q, Method::PlanLevel, None) {
-            Ok(p) => pending[a.tenant].push(p),
+        match server.submit(names[t], q, Method::PlanLevel, None) {
+            Ok(p) => pending[t].push(p),
             Err(QppError::TenantOverloaded { tenant }) => {
                 assert_eq!(tenant, "hot", "only the hot tenant may hit its bulkhead");
-                shed[a.tenant] += 1;
+                shed[t] += 1;
             }
             Err(other) => panic!("unexpected admission error {other:?}"),
         }
