@@ -11,6 +11,7 @@ use engine::faults::{DriftPlan, ExecError, FaultPlan};
 use engine::plan::{NodeTruth, PlanNode, Planned};
 use engine::sim::{Simulator, Trace};
 use engine::{Catalog, Planner};
+use ml::stats::median;
 use tpch::workload::Workload;
 
 /// The paper's per-query execution-time limit (one hour).
@@ -444,18 +445,6 @@ fn quarantine_outliers(
         }
     }
     kept
-}
-
-/// Median of a non-empty slice (panics on empty input — callers guard).
-fn median(values: &[f64]) -> f64 {
-    let mut v = values.to_vec();
-    v.sort_by(f64::total_cmp);
-    let n = v.len();
-    if n % 2 == 1 {
-        v[n / 2]
-    } else {
-        (v[n / 2 - 1] + v[n / 2]) / 2.0
-    }
 }
 
 /// A log of `per_template` queries of each of `templates` at scale factor

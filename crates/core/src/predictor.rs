@@ -25,6 +25,7 @@ use crate::hybrid::{train_hybrid_recorded, HybridConfig, HybridModel, PlanOrderi
 use crate::op_model::{OpLevelModel, OpModelConfig};
 use crate::plan_model::{map_batch, PlanLevelModel, PlanModelConfig, PredictBuffers};
 use engine::plan::PlanNode;
+use ml::stats::median;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
@@ -166,20 +167,6 @@ fn tier_index(tier: PredictionTier) -> Option<usize> {
     MODEL_TIERS.iter().position(|t| *t == tier)
 }
 
-/// Median of the values, consuming the buffer; NaN when empty.
-fn median_of(mut v: Vec<f64>) -> f64 {
-    if v.is_empty() {
-        return f64::NAN;
-    }
-    v.sort_by(f64::total_cmp);
-    let n = v.len();
-    if n % 2 == 1 {
-        v[n / 2]
-    } else {
-        (v[n / 2 - 1] + v[n / 2]) / 2.0
-    }
-}
-
 impl QppPredictor {
     /// Trains all offline models on the given training queries.
     pub fn train(queries: &[&ExecutedQuery], config: QppConfig) -> Result<Self, QppError> {
@@ -209,13 +196,13 @@ impl QppPredictor {
                 }
             })
             .collect();
-        let secs_per_cost = median_of(ratios);
+        let secs_per_cost = median(&ratios);
         let lats: Vec<f64> = queries
             .iter()
             .map(|q| q.latency())
             .filter(|l| l.is_finite() && *l >= 0.0)
             .collect();
-        let prior_latency = if lats.is_empty() { 0.0 } else { median_of(lats) };
+        let prior_latency = if lats.is_empty() { 0.0 } else { median(&lats) };
         Ok(QppPredictor {
             plan_level,
             op_level,

@@ -11,7 +11,7 @@
 use crate::histogram::Histogram;
 use std::sync::OnceLock;
 use tpch::distributions::{self, Distribution};
-use tpch::schema::{ColRef, TableId, ALL_TABLES, N_COLUMNS};
+use tpch::schema::{ColRef, TableId, N_COLUMNS};
 
 /// Index inventory: the TPC-H primary keys plus the customary foreign-key
 /// index on `l_partkey` used by the correlated-subquery templates.
@@ -104,11 +104,6 @@ impl Catalog {
         self.histograms[col.id()].get().is_some()
     }
 
-    /// Total pages across all tables (for buffer-pool sizing heuristics).
-    pub fn total_pages(&self) -> f64 {
-        ALL_TABLES.iter().map(|t| self.pages(*t)).sum()
-    }
-
     /// Deterministic per-column noise in [0, 1), from the table, the
     /// column's name and the seed.
     fn unit_noise(&self, col: ColRef) -> f64 {
@@ -131,7 +126,6 @@ mod tests {
         let c = Catalog::new(1.0, 1);
         assert_eq!(c.rows(TableId::Orders), 1_500_000.0);
         assert!(c.pages(TableId::Lineitem) > 10_000.0);
-        assert!(c.total_pages() > c.pages(TableId::Lineitem));
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! re-implements all of that from scratch:
 //!
 //! - [`linalg`] — small dense matrices, Cholesky factorization, solves,
-//!   and the SMO inner-loop scans, the one place with AVX2 twins
-//!   (bit-identical to their scalar loops).
+//!   and the SMO inner-loop primitives, the one code compiled a second
+//!   time for AVX2 (one safe body each, bit-identical in both builds).
 //! - [`scaler`] — z-score standardization of feature columns.
 //! - [`linreg`] — ordinary least squares / ridge regression.
 //! - [`svr`] — epsilon-SVR with the RBF kernel, trained with a

@@ -7,17 +7,19 @@
 //! simpler than QR/SVD.
 //!
 //! The SMO primitives ([`grad_pair_update`], [`scan_violating`],
-//! [`scan_second_order`]) are the crate's only functions with an AVX2
-//! twin: they are `l`-long passes of compares, multiplies and adds with no
-//! `exp` in them, and the twins buy 1.2–1.4× on a whole plan-level
-//! training (DESIGN.md §7). Both paths perform the identical per-element
-//! operation sequence, so results are bit-for-bit equal to the naive
-//! sequential loop on any host. A runtime override ([`set_force_scalar`])
-//! and the `force-scalar` cargo feature route these three down their
-//! scalar paths so benchmarks and identity tests can compare both.
+//! [`scan_second_order`]) are `l`-long passes of compares, multiplies and
+//! adds with no `exp` in them. Each is written once, as safe code in an
+//! `#[inline(always)]` body (the scans over four `f64` lanes, the
+//! gradient update element by element), and that body is compiled twice:
+//! for the baseline target, and inside a small
+//! `#[target_feature(enable = "avx2")]` wrapper that runs when the host
+//! has AVX2 (the module's only `unsafe` is the three calls to those
+//! wrappers). Rust never contracts to FMA or reassociates at any target
+//! feature, so both compilations yield the bits of the naive sequential
+//! loop, which is the definition (DESIGN.md §7 has what the AVX2
+//! compilation buys).
 
 use crate::MlError;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// A dense row-major matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,20 +73,6 @@ impl Matrix {
     /// Number of columns.
     pub fn cols(&self) -> usize {
         self.cols
-    }
-
-    /// Matrix-vector product `A v`.
-    ///
-    /// # Panics
-    /// Panics if `v.len() != self.cols()`.
-    pub fn matvec(&self, v: &[f64]) -> Vec<f64> {
-        assert_eq!(v.len(), self.cols, "matvec dimension mismatch");
-        let mut out = vec![0.0; self.rows];
-        for (i, o) in out.iter_mut().enumerate() {
-            let row = &self.data[i * self.cols..(i + 1) * self.cols];
-            *o = dot(row, v);
-        }
-        out
     }
 
     /// In-place addition of `lambda` to the diagonal (ridge term).
@@ -199,40 +187,12 @@ where
     (xtx, xty)
 }
 
-/// Runtime override forcing the SMO primitives down their scalar paths
-/// (the compile-time analogue is the `force-scalar` cargo feature).
-static FORCE_SCALAR_OVERRIDE: AtomicBool = AtomicBool::new(false);
-
-/// Routes the SMO gradient update and the two working-set scans down
-/// their scalar paths when `on` is true; `set_force_scalar(false)`
-/// restores normal dispatch. Both paths are bit-identical, so flipping
-/// this never changes results — it exists so identity tests can compare
-/// both implementations inside one process.
-pub fn set_force_scalar(on: bool) {
-    FORCE_SCALAR_OVERRIDE.store(on, Ordering::Relaxed);
-}
-
-/// True when the AVX2 twins may run: compiled in (`x86_64` without the
-/// `force-scalar` feature), supported by the host, and not overridden by
-/// [`set_force_scalar`].
-pub fn simd_enabled() -> bool {
-    #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
-    {
-        !FORCE_SCALAR_OVERRIDE.load(Ordering::Relaxed)
-            && std::arch::is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(all(target_arch = "x86_64", not(feature = "force-scalar"))))]
-    {
-        false
-    }
-}
-
 /// Applies one SMO pair step to both gradient halves:
 /// `d = ci * row_i[t] + cj * row_j[t]`, then `g_up[t] += d` and
 /// `g_down[t] -= d`. This is the per-iteration hot loop of the SMO
-/// solver. The AVX2 path performs the same per-element multiply/add
-/// sequence (no FMA, no reassociation — the update is element-wise), so
-/// it is bit-identical to the scalar loop.
+/// solver. Element-wise with one fixed expression (multiply, multiply,
+/// add; Rust never contracts it to an FMA), so the AVX2 compilation and
+/// the baseline one yield the same bits.
 ///
 /// # Panics
 /// Panics if the four slices differ in length.
@@ -249,33 +209,18 @@ pub fn grad_pair_update(
         g_down.len() == l && row_i.len() == l && row_j.len() == l,
         "grad_pair_update length mismatch"
     );
-    #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
-    if simd_enabled() {
-        // SAFETY: AVX2 support was just checked.
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the host supports AVX2, checked on the line above.
         unsafe { grad_pair_update_avx2(g_up, g_down, row_i, row_j, ci, cj) };
         return;
     }
-    grad_pair_update_scalar(g_up, g_down, row_i, row_j, ci, cj);
+    grad_pair_update_lanes(g_up, g_down, row_i, row_j, ci, cj);
 }
 
-fn grad_pair_update_scalar(
-    g_up: &mut [f64],
-    g_down: &mut [f64],
-    row_i: &[f64],
-    row_j: &[f64],
-    ci: f64,
-    cj: f64,
-) {
-    for t in 0..g_up.len() {
-        let d = ci * row_i[t] + cj * row_j[t];
-        g_up[t] += d;
-        g_down[t] -= d;
-    }
-}
-
-#[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
+#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn grad_pair_update_avx2(
+fn grad_pair_update_avx2(
     g_up: &mut [f64],
     g_down: &mut [f64],
     row_i: &[f64],
@@ -283,27 +228,23 @@ unsafe fn grad_pair_update_avx2(
     ci: f64,
     cj: f64,
 ) {
-    use std::arch::x86_64::*;
-    let l = g_up.len();
-    let civ = _mm256_set1_pd(ci);
-    let cjv = _mm256_set1_pd(cj);
-    let mut t = 0;
-    while t + 4 <= l {
-        let ri = _mm256_loadu_pd(row_i.as_ptr().add(t));
-        let rj = _mm256_loadu_pd(row_j.as_ptr().add(t));
-        // Same shape as the scalar body: mul, mul, add — no FMA.
-        let d = _mm256_add_pd(_mm256_mul_pd(civ, ri), _mm256_mul_pd(cjv, rj));
-        let up = _mm256_add_pd(_mm256_loadu_pd(g_up.as_ptr().add(t)), d);
-        let dn = _mm256_sub_pd(_mm256_loadu_pd(g_down.as_ptr().add(t)), d);
-        _mm256_storeu_pd(g_up.as_mut_ptr().add(t), up);
-        _mm256_storeu_pd(g_down.as_mut_ptr().add(t), dn);
-        t += 4;
-    }
-    while t < l {
-        let d = ci * row_i[t] + cj * row_j[t];
-        g_up[t] += d;
-        g_down[t] -= d;
-        t += 1;
+    grad_pair_update_lanes(g_up, g_down, row_i, row_j, ci, cj)
+}
+
+/// The body of [`grad_pair_update`], compiled once per target feature set.
+#[inline(always)]
+fn grad_pair_update_lanes(
+    g_up: &mut [f64],
+    g_down: &mut [f64],
+    row_i: &[f64],
+    row_j: &[f64],
+    ci: f64,
+    cj: f64,
+) {
+    for (((up, down), &ri), &rj) in g_up.iter_mut().zip(g_down).zip(row_i).zip(row_j) {
+        let d = ci * ri + cj * rj;
+        *up += d;
+        *down -= d;
     }
 }
 
@@ -350,7 +291,7 @@ impl ScanResult {
 }
 
 /// Working-set selection scan for the SMO solver. For each `t` the
-/// violation value is `v = -g[t]` (or `v = g[t]` when `flipped` — used
+/// violation value is `v = -g[t]` (or `v = g[t]` when `FLIPPED` — used
 /// for the alpha* half of the epsilon dual, whose sign is −1, where
 /// `-s*g` reduces to `g` exactly); "up"-eligible means `a[t] < c`
 /// (flipped: `a[t] > 0`), "low"-eligible means `a[t] > 0` (flipped:
@@ -358,140 +299,104 @@ impl ScanResult {
 /// the minimal `v` over low-eligible ones, each with the index of its
 /// first occurrence.
 ///
-/// Bit-identical to the sequential scalar loop on every path: the AVX2
-/// pass keeps per-lane running extrema with strict compares (a lane
-/// keeps the first occurrence in its stream) and the lane combine picks
-/// strictly-better values, breaking exact ties toward the smaller index
-/// — which reconstructs the sequential first-wins rule, including the
-/// `±0.0` and NaN cases (ordered compares never select NaN, exactly as
-/// `v > g_max` never does).
+/// The definition is the sequential loop that applies this rule element
+/// by element with strict compares. The body runs four lanes instead.
+/// An ineligible element enters a lane as ∓∞, which a strict compare
+/// never picks; neither does it pick NaN. Each lane keeps, by branchless
+/// selects on the strict compare, the index of the first occurrence of
+/// its stream's extremum, and the extremum itself by `f64::max`/`min`.
+/// The lane combine takes a strictly better value, or an equal one
+/// (`±0.0` included) at a smaller index, which is the sequential first
+/// occurrence; the winners' values are read back from their elements,
+/// because `max`/`min` may keep either zero on a `±0.0` tie. A sequential
+/// tail finishes the slice. Every result bit equals the sequential
+/// loop's. (A select for the extremum as well would be the same rule,
+/// but the compiler then packs the extrema and indices of all lanes into
+/// one eight-wide vector with one half reversed, and the loop runs at
+/// half the speed.)
 ///
 /// # Panics
 /// Panics if `a` and `g` differ in length.
-pub fn scan_violating(a: &[f64], g: &[f64], c: f64, flipped: bool) -> ScanResult {
+pub fn scan_violating<const FLIPPED: bool>(a: &[f64], g: &[f64], c: f64) -> ScanResult {
     assert_eq!(a.len(), g.len(), "scan_violating length mismatch");
-    #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
-    if simd_enabled() && a.len() >= 8 {
-        // SAFETY: AVX2 support was just checked.
-        return unsafe { scan_violating_avx2(a, g, c, flipped) };
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the host supports AVX2, checked on the line above.
+        return unsafe { scan_violating_avx2::<FLIPPED>(a, g, c) };
     }
-    scan_violating_scalar(a, g, c, flipped)
+    scan_violating_lanes::<FLIPPED>(a, g, c)
 }
 
-fn scan_violating_scalar(a: &[f64], g: &[f64], c: f64, flipped: bool) -> ScanResult {
-    let mut r = ScanResult::empty();
-    for t in 0..a.len() {
-        let v = if flipped { g[t] } else { -g[t] };
-        let (up_ok, low_ok) = if flipped {
-            (a[t] > 0.0, a[t] < c)
-        } else {
-            (a[t] < c, a[t] > 0.0)
-        };
-        if up_ok && v > r.g_max {
-            r.g_max = v;
-            r.i_up = t;
-        }
-        if low_ok && v < r.g_min {
-            r.g_min = v;
-            r.i_low = t;
-        }
-    }
-    r
-}
-
-#[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
+#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn scan_violating_avx2(a: &[f64], g: &[f64], c: f64, flipped: bool) -> ScanResult {
-    use std::arch::x86_64::*;
-    let n = a.len();
-    let cv = _mm256_set1_pd(c);
-    let zero = _mm256_setzero_pd();
-    let sign = _mm256_set1_pd(-0.0);
-    let neg_inf = _mm256_set1_pd(f64::NEG_INFINITY);
-    let pos_inf = _mm256_set1_pd(f64::INFINITY);
-    // Per-lane running extrema plus the (f64-encoded) index of each
-    // lane's first occurrence; an index of +inf marks "nothing selected
-    // in this lane" (an invariant: strict compares never select ∓inf, so
-    // a selected lane always carries a finite index).
-    let mut max_v = neg_inf;
-    let mut max_i = pos_inf;
-    let mut min_v = pos_inf;
-    let mut min_i = pos_inf;
-    let mut idx = _mm256_setr_pd(0.0, 1.0, 2.0, 3.0);
-    let four = _mm256_set1_pd(4.0);
-    let mut t = 0;
-    while t + 4 <= n {
-        let av = _mm256_loadu_pd(a.as_ptr().add(t));
-        let gv = _mm256_loadu_pd(g.as_ptr().add(t));
-        // Sign-bit xor is the exact unary negation the scalar loop does.
-        let v = if flipped { gv } else { _mm256_xor_pd(gv, sign) };
-        let lt_c = _mm256_cmp_pd(av, cv, _CMP_LT_OQ);
-        let gt_0 = _mm256_cmp_pd(av, zero, _CMP_GT_OQ);
-        let (up_ok, low_ok) = if flipped { (gt_0, lt_c) } else { (lt_c, gt_0) };
-        // Ineligible lanes become ∓inf so the strict compare never picks
-        // them — the same effect as the scalar eligibility guard.
-        let v_up = _mm256_blendv_pd(neg_inf, v, up_ok);
-        let v_low = _mm256_blendv_pd(pos_inf, v, low_ok);
-        let better_up = _mm256_cmp_pd(v_up, max_v, _CMP_GT_OQ);
-        max_v = _mm256_blendv_pd(max_v, v_up, better_up);
-        max_i = _mm256_blendv_pd(max_i, idx, better_up);
-        let better_low = _mm256_cmp_pd(v_low, min_v, _CMP_LT_OQ);
-        min_v = _mm256_blendv_pd(min_v, v_low, better_low);
-        min_i = _mm256_blendv_pd(min_i, idx, better_low);
-        idx = _mm256_add_pd(idx, four);
-        t += 4;
-    }
-    let mut mv = [0.0f64; 4];
-    let mut mi = [0.0f64; 4];
-    let mut nv = [0.0f64; 4];
-    let mut ni = [0.0f64; 4];
-    _mm256_storeu_pd(mv.as_mut_ptr(), max_v);
-    _mm256_storeu_pd(mi.as_mut_ptr(), max_i);
-    _mm256_storeu_pd(nv.as_mut_ptr(), min_v);
-    _mm256_storeu_pd(ni.as_mut_ptr(), min_i);
-    // Lane combine: a strictly better value wins; an exactly equal value
-    // wins only with a smaller index. Each lane holds the first
-    // occurrence of its own stream's extremum, so the smallest index
-    // among extremal lanes is the sequential first occurrence (±0.0
-    // compare equal here, matching the scalar rule where neither strictly
-    // beats the other).
-    let mut r = ScanResult::empty();
-    let mut up_if = f64::INFINITY;
-    let mut low_if = f64::INFINITY;
-    for lane in 0..4 {
-        if mv[lane] > r.g_max || (mv[lane] == r.g_max && mi[lane] < up_if) {
-            r.g_max = mv[lane];
-            up_if = mi[lane];
-        }
-        if nv[lane] < r.g_min || (nv[lane] == r.g_min && ni[lane] < low_if) {
-            r.g_min = nv[lane];
-            low_if = ni[lane];
-        }
-    }
-    if up_if.is_finite() {
-        r.i_up = up_if as usize;
-    }
-    if low_if.is_finite() {
-        r.i_low = low_if as usize;
-    }
-    // Scalar tail: these indices all exceed the vector part's, so the
-    // strict compares keep earlier winners on ties, as in one long loop.
-    while t < n {
-        let v = if flipped { g[t] } else { -g[t] };
-        let (up_ok, low_ok) = if flipped {
-            (a[t] > 0.0, a[t] < c)
+fn scan_violating_avx2<const FLIPPED: bool>(a: &[f64], g: &[f64], c: f64) -> ScanResult {
+    scan_violating_lanes::<FLIPPED>(a, g, c)
+}
+
+/// The body of [`scan_violating`], compiled once per target feature set.
+#[inline(always)]
+fn scan_violating_lanes<const FLIPPED: bool>(a: &[f64], g: &[f64], c: f64) -> ScanResult {
+    let violation = |g: f64| if FLIPPED { g } else { -g };
+    let eligible = |a: f64| {
+        if FLIPPED {
+            (a > 0.0, a < c)
         } else {
-            (a[t] < c, a[t] > 0.0)
-        };
+            (a < c, a > 0.0)
+        }
+    };
+    let (a4, _) = a.as_chunks::<4>();
+    let (g4, _) = g.as_chunks::<4>();
+    // Per lane: the running extrema and the index of each one's first
+    // occurrence, held as `f64` (exact below 2^53) with +∞ for "none".
+    let mut max_v = [f64::NEG_INFINITY; 4];
+    let mut max_i = [f64::INFINITY; 4];
+    let mut min_v = [f64::INFINITY; 4];
+    let mut min_i = [f64::INFINITY; 4];
+    let mut idx = [0.0, 1.0, 2.0, 3.0];
+    for (av, gv) in a4.iter().zip(g4) {
+        for k in 0..4 {
+            let v = violation(gv[k]);
+            let (up_ok, low_ok) = eligible(av[k]);
+            let v_up = if up_ok { v } else { f64::NEG_INFINITY };
+            let v_low = if low_ok { v } else { f64::INFINITY };
+            max_i[k] = if v_up > max_v[k] { idx[k] } else { max_i[k] };
+            max_v[k] = max_v[k].max(v_up);
+            min_i[k] = if v_low < min_v[k] { idx[k] } else { min_i[k] };
+            min_v[k] = min_v[k].min(v_low);
+            idx[k] += 4.0;
+        }
+    }
+    let (mut up_at, mut low_at) = (f64::INFINITY, f64::INFINITY);
+    let mut r = ScanResult::empty();
+    for k in 0..4 {
+        if max_v[k] > r.g_max || (max_v[k] == r.g_max && max_i[k] < up_at) {
+            (r.g_max, up_at) = (max_v[k], max_i[k]);
+        }
+        if min_v[k] < r.g_min || (min_v[k] == r.g_min && min_i[k] < low_at) {
+            (r.g_min, low_at) = (min_v[k], min_i[k]);
+        }
+    }
+    // The cast saturates +∞ to `usize::MAX`, the "none" sentinel. On a
+    // `±0.0` tie `max`/`min` may keep either zero, so the winning values
+    // are read back from their elements.
+    (r.i_up, r.i_low) = (up_at as usize, low_at as usize);
+    if r.i_up != usize::MAX {
+        r.g_max = violation(g[r.i_up]);
+    }
+    if r.i_low != usize::MAX {
+        r.g_min = violation(g[r.i_low]);
+    }
+    // The tail's indices exceed every lane's, so its strict compares keep
+    // earlier winners on ties, as in one long loop.
+    for t in a4.len() * 4..a.len() {
+        let v = violation(g[t]);
+        let (up_ok, low_ok) = eligible(a[t]);
         if up_ok && v > r.g_max {
-            r.g_max = v;
-            r.i_up = t;
+            (r.g_max, r.i_up) = (v, t);
         }
         if low_ok && v < r.g_min {
-            r.g_min = v;
-            r.i_low = t;
+            (r.g_min, r.i_low) = (v, t);
         }
-        t += 1;
     }
     r
 }
@@ -557,131 +462,98 @@ pub fn second_order_quad(diag: &[f64], row_i: &[f64], k_ii: f64, quad: &mut [f64
 /// returns the first index attaining the minimum. `quad` comes from
 /// [`second_order_quad`] and must be positive.
 ///
-/// Bit-identical to the sequential scalar loop on every path, by the
-/// same construction as [`scan_violating`]: the AVX2 pass performs the
-/// scalar body's operations per lane (subtract, multiply, negate, true
-/// division — no FMA, no reciprocal), keeps per-lane minima with strict
-/// compares, and combines lanes breaking exact ties toward the smaller
-/// index; ordered compares never select a NaN estimate on either path.
+/// Built like [`scan_violating`]: four lanes evaluate the sequential
+/// loop's expression (subtract, multiply, negate, true division), an
+/// ineligible element enters as +∞, each lane keeps its running minimum
+/// and the index of its first occurrence by branchless selects, and the
+/// lane combine breaks exact ties toward the smaller index, so every
+/// result bit equals the sequential loop's.
 ///
 /// # Panics
 /// Panics if `a`, `g` and `quad` differ in length.
-pub fn scan_second_order(
+pub fn scan_second_order<const FLIPPED: bool>(
     a: &[f64],
     g: &[f64],
     quad: &[f64],
     c: f64,
     g_max: f64,
-    flipped: bool,
 ) -> SecondOrderPick {
     assert!(
         a.len() == g.len() && quad.len() == g.len(),
         "scan_second_order length mismatch"
     );
-    #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
-    if simd_enabled() && a.len() >= 8 {
-        // SAFETY: AVX2 support was just checked.
-        return unsafe { scan_second_order_avx2(a, g, quad, c, g_max, flipped) };
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the host supports AVX2, checked on the line above.
+        return unsafe { scan_second_order_avx2::<FLIPPED>(a, g, quad, c, g_max) };
     }
-    let mut pick = SecondOrderPick::empty();
-    scan_second_order_scalar(a, g, quad, c, g_max, flipped, 0, &mut pick);
-    pick
+    scan_second_order_lanes::<FLIPPED>(a, g, quad, c, g_max)
 }
 
-/// The definition of [`scan_second_order`], from index `from` on,
-/// continuing from the running `pick`.
-#[allow(clippy::too_many_arguments)]
-fn scan_second_order_scalar(
-    a: &[f64],
-    g: &[f64],
-    quad: &[f64],
-    c: f64,
-    g_max: f64,
-    flipped: bool,
-    from: usize,
-    pick: &mut SecondOrderPick,
-) {
-    for t in from..a.len() {
-        let v = if flipped { g[t] } else { -g[t] };
-        let low_ok = if flipped { a[t] < c } else { a[t] > 0.0 };
-        let diff = g_max - v;
-        if low_ok && diff > 0.0 {
-            let obj = -(diff * diff) / quad[t];
-            if obj < pick.obj_min {
-                pick.obj_min = obj;
-                pick.j = t;
-            }
-        }
-    }
-}
-
-#[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
+#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn scan_second_order_avx2(
+fn scan_second_order_avx2<const FLIPPED: bool>(
     a: &[f64],
     g: &[f64],
     quad: &[f64],
     c: f64,
     g_max: f64,
-    flipped: bool,
 ) -> SecondOrderPick {
-    use std::arch::x86_64::*;
-    let n = a.len();
-    let cv = _mm256_set1_pd(c);
-    let gm = _mm256_set1_pd(g_max);
-    let zero = _mm256_setzero_pd();
-    let sign = _mm256_set1_pd(-0.0);
-    let pos_inf = _mm256_set1_pd(f64::INFINITY);
-    // Per-lane running minimum and the (f64-encoded) index of its first
-    // occurrence; +inf marks "nothing selected in this lane", as in
-    // `scan_violating_avx2`.
-    let mut min_v = pos_inf;
-    let mut min_i = pos_inf;
-    let mut idx = _mm256_setr_pd(0.0, 1.0, 2.0, 3.0);
-    let four = _mm256_set1_pd(4.0);
-    let mut t = 0;
-    while t + 4 <= n {
-        let av = _mm256_loadu_pd(a.as_ptr().add(t));
-        let gv = _mm256_loadu_pd(g.as_ptr().add(t));
-        let qv = _mm256_loadu_pd(quad.as_ptr().add(t));
-        let v = if flipped { gv } else { _mm256_xor_pd(gv, sign) };
-        let low_ok = if flipped {
-            _mm256_cmp_pd(av, cv, _CMP_LT_OQ)
+    scan_second_order_lanes::<FLIPPED>(a, g, quad, c, g_max)
+}
+
+/// The body of [`scan_second_order`], compiled once per target feature
+/// set.
+#[inline(always)]
+fn scan_second_order_lanes<const FLIPPED: bool>(
+    a: &[f64],
+    g: &[f64],
+    quad: &[f64],
+    c: f64,
+    g_max: f64,
+) -> SecondOrderPick {
+    // The estimate of element `t`, +∞ when it is not a candidate.
+    let estimate = |a: f64, g: f64, q: f64| {
+        let v = if FLIPPED { g } else { -g };
+        let low_ok = if FLIPPED { a < c } else { a > 0.0 };
+        let diff = g_max - v;
+        let obj = -(diff * diff) / q;
+        if low_ok && diff > 0.0 {
+            obj
         } else {
-            _mm256_cmp_pd(av, zero, _CMP_GT_OQ)
-        };
-        let diff = _mm256_sub_pd(gm, v);
-        let ok = _mm256_and_pd(low_ok, _mm256_cmp_pd(diff, zero, _CMP_GT_OQ));
-        // Same shape as the scalar body: mul, negate, divide.
-        let obj = _mm256_div_pd(_mm256_xor_pd(_mm256_mul_pd(diff, diff), sign), qv);
-        // Ineligible lanes become +inf so the strict compare never picks
-        // them — the same effect as the scalar eligibility guard.
-        let cand = _mm256_blendv_pd(pos_inf, obj, ok);
-        let better = _mm256_cmp_pd(cand, min_v, _CMP_LT_OQ);
-        min_v = _mm256_blendv_pd(min_v, cand, better);
-        min_i = _mm256_blendv_pd(min_i, idx, better);
-        idx = _mm256_add_pd(idx, four);
-        t += 4;
-    }
-    let mut nv = [0.0f64; 4];
-    let mut ni = [0.0f64; 4];
-    _mm256_storeu_pd(nv.as_mut_ptr(), min_v);
-    _mm256_storeu_pd(ni.as_mut_ptr(), min_i);
-    // Lane combine: strictly smaller wins, exactly equal wins only with a
-    // smaller index — the sequential first-occurrence rule.
-    let mut pick = SecondOrderPick::empty();
-    let mut j_f = f64::INFINITY;
-    for lane in 0..4 {
-        if nv[lane] < pick.obj_min || (nv[lane] == pick.obj_min && ni[lane] < j_f) {
-            pick.obj_min = nv[lane];
-            j_f = ni[lane];
+            f64::INFINITY
+        }
+    };
+    let (a4, _) = a.as_chunks::<4>();
+    let (g4, _) = g.as_chunks::<4>();
+    let (q4, _) = quad.as_chunks::<4>();
+    let mut min_v = [f64::INFINITY; 4];
+    let mut min_i = [usize::MAX; 4];
+    let mut idx = [0, 1, 2, 3];
+    for ((av, gv), qv) in a4.iter().zip(g4).zip(q4) {
+        for k in 0..4 {
+            let cand = estimate(av[k], gv[k], qv[k]);
+            let better = cand < min_v[k];
+            min_v[k] = if better { cand } else { min_v[k] };
+            min_i[k] = if better { idx[k] } else { min_i[k] };
+            idx[k] += 4;
         }
     }
-    if j_f.is_finite() {
-        pick.j = j_f as usize;
+    let mut pick = SecondOrderPick::empty();
+    for k in 0..4 {
+        if min_v[k] < pick.obj_min || (min_v[k] == pick.obj_min && min_i[k] < pick.j) {
+            pick.obj_min = min_v[k];
+            pick.j = min_i[k];
+        }
     }
-    // Scalar tail: later indices, strict compares keep earlier winners.
-    scan_second_order_scalar(a, g, quad, c, g_max, flipped, t, &mut pick);
+    // Later indices: strict compares keep earlier winners on ties.
+    for t in a4.len() * 4..a.len() {
+        let cand = estimate(a[t], g[t], quad[t]);
+        if cand < pick.obj_min {
+            pick.obj_min = cand;
+            pick.j = t;
+        }
+    }
     pick
 }
 
@@ -696,12 +568,6 @@ mod tests {
         assert_eq!(m[(0, 1)], 0.0);
         assert_eq!(m.rows(), 3);
         assert_eq!(m.cols(), 3);
-    }
-
-    #[test]
-    fn matvec_multiplies() {
-        let m = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        assert_eq!(m.matvec(&[1.0, 1.0]), vec![3.0, 7.0]);
     }
 
     #[test]
@@ -758,28 +624,14 @@ mod tests {
         dot(&[1.0], &[1.0, 2.0]);
     }
 
+    // The definitions of the three SMO primitives: sequential loops, one
+    // element at a time, strict compares.
+
     fn naive_grad(g_up: &mut [f64], g_down: &mut [f64], ri: &[f64], rj: &[f64], ci: f64, cj: f64) {
         for t in 0..g_up.len() {
             let d = ci * ri[t] + cj * rj[t];
             g_up[t] += d;
             g_down[t] -= d;
-        }
-    }
-
-    #[test]
-    fn grad_pair_update_matches_naive_loop_bitwise() {
-        for l in [0usize, 1, 3, 4, 7, 8, 31, 100] {
-            let ri: Vec<f64> = (0..l).map(|t| (t as f64 * 0.77).sin()).collect();
-            let rj: Vec<f64> = (0..l).map(|t| (t as f64 * 1.31).cos()).collect();
-            let base: Vec<f64> = (0..l).map(|t| t as f64 * 0.01 - 0.3).collect();
-            let (mut au, mut ad) = (base.clone(), base.clone());
-            let (mut bu, mut bd) = (base.clone(), base.clone());
-            grad_pair_update(&mut au, &mut ad, &ri, &rj, 0.37, -1.91);
-            naive_grad(&mut bu, &mut bd, &ri, &rj, 0.37, -1.91);
-            for t in 0..l {
-                assert_eq!(au[t].to_bits(), bu[t].to_bits(), "l={l} t={t}");
-                assert_eq!(ad[t].to_bits(), bd[t].to_bits(), "l={l} t={t}");
-            }
         }
     }
 
@@ -804,14 +656,112 @@ mod tests {
         r
     }
 
+    fn naive_second_order(
+        a: &[f64],
+        g: &[f64],
+        quad: &[f64],
+        c: f64,
+        g_max: f64,
+        flipped: bool,
+    ) -> SecondOrderPick {
+        let mut pick = SecondOrderPick::empty();
+        for t in 0..a.len() {
+            let v = if flipped { g[t] } else { -g[t] };
+            let low_ok = if flipped { a[t] < c } else { a[t] > 0.0 };
+            if low_ok && v < g_max {
+                let obj = -((g_max - v) * (g_max - v)) / quad[t];
+                if obj < pick.obj_min {
+                    pick = SecondOrderPick { obj_min: obj, j: t };
+                }
+            }
+        }
+        pick
+    }
+
+    // Both compilations of each lane body: the dispatched primitive (the
+    // AVX2 wrapper on a host with AVX2) and the body called directly, which
+    // inlines it here, compiled for the baseline target.
+
+    fn scan_both(a: &[f64], g: &[f64], c: f64, flipped: bool) -> [ScanResult; 2] {
+        if flipped {
+            [
+                scan_violating::<true>(a, g, c),
+                scan_violating_lanes::<true>(a, g, c),
+            ]
+        } else {
+            [
+                scan_violating::<false>(a, g, c),
+                scan_violating_lanes::<false>(a, g, c),
+            ]
+        }
+    }
+
+    fn second_order_both(
+        a: &[f64],
+        g: &[f64],
+        quad: &[f64],
+        c: f64,
+        g_max: f64,
+        flipped: bool,
+    ) -> [SecondOrderPick; 2] {
+        if flipped {
+            [
+                scan_second_order::<true>(a, g, quad, c, g_max),
+                scan_second_order_lanes::<true>(a, g, quad, c, g_max),
+            ]
+        } else {
+            [
+                scan_second_order::<false>(a, g, quad, c, g_max),
+                scan_second_order_lanes::<false>(a, g, quad, c, g_max),
+            ]
+        }
+    }
+
+    fn assert_grad_matches(base: &[f64], ri: &[f64], rj: &[f64], ci: f64, cj: f64) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (mut want_up, mut want_down) = (base.to_vec(), base.to_vec());
+        naive_grad(&mut want_up, &mut want_down, ri, rj, ci, cj);
+        let (mut up, mut down) = (base.to_vec(), base.to_vec());
+        grad_pair_update(&mut up, &mut down, ri, rj, ci, cj);
+        let (mut lane_up, mut lane_down) = (base.to_vec(), base.to_vec());
+        grad_pair_update_lanes(&mut lane_up, &mut lane_down, ri, rj, ci, cj);
+        for (got_up, got_down) in [(&up, &down), (&lane_up, &lane_down)] {
+            assert_eq!(bits(got_up), bits(&want_up), "l={}", base.len());
+            assert_eq!(bits(got_down), bits(&want_down), "l={}", base.len());
+        }
+    }
+
     fn assert_scan_matches(a: &[f64], g: &[f64], c: f64) {
+        let bits = |r: ScanResult| (r.g_max.to_bits(), r.i_up, r.g_min.to_bits(), r.i_low);
         for flipped in [false, true] {
             let want = naive_scan(a, g, c, flipped);
-            let got = scan_violating(a, g, c, flipped);
-            assert_eq!(got.i_up, want.i_up, "flipped={flipped}");
-            assert_eq!(got.i_low, want.i_low, "flipped={flipped}");
-            assert_eq!(got.g_max.to_bits(), want.g_max.to_bits(), "flipped={flipped}");
-            assert_eq!(got.g_min.to_bits(), want.g_min.to_bits(), "flipped={flipped}");
+            for got in scan_both(a, g, c, flipped) {
+                assert_eq!(bits(got), bits(want), "n={} flipped={flipped}", a.len());
+            }
+        }
+    }
+
+    fn assert_second_order_matches(a: &[f64], g: &[f64], quad: &[f64], c: f64, g_max: f64) {
+        for flipped in [false, true] {
+            let want = naive_second_order(a, g, quad, c, g_max, flipped);
+            for got in second_order_both(a, g, quad, c, g_max, flipped) {
+                assert_eq!(
+                    (got.j, got.obj_min.to_bits()),
+                    (want.j, want.obj_min.to_bits()),
+                    "n={} flipped={flipped}",
+                    a.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn grad_pair_update_matches_naive_loop_bitwise() {
+        for l in [0usize, 1, 3, 4, 7, 8, 31, 100] {
+            let ri: Vec<f64> = (0..l).map(|t| (t as f64 * 0.77).sin()).collect();
+            let rj: Vec<f64> = (0..l).map(|t| (t as f64 * 1.31).cos()).collect();
+            let base: Vec<f64> = (0..l).map(|t| t as f64 * 0.01 - 0.3).collect();
+            assert_grad_matches(&base, &ri, &rj, 0.37, -1.91);
         }
     }
 
@@ -829,10 +779,14 @@ mod tests {
     fn scan_violating_breaks_ties_on_first_occurrence() {
         // Repeated extrema: the sequential rule keeps the first index.
         let a = vec![0.5; 12];
-        let g = vec![-2.0, 1.0, -2.0, 1.0, -2.0, 1.0, -2.0, 1.0, -2.0, 1.0, -2.0, 1.0];
+        let g = vec![
+            -2.0, 1.0, -2.0, 1.0, -2.0, 1.0, -2.0, 1.0, -2.0, 1.0, -2.0, 1.0,
+        ];
         assert_scan_matches(&a, &g, 1.0);
         // Signed zeros compare equal under strict ordering; first wins.
-        let g0 = vec![0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 5.0, -5.0, 0.0, -0.0];
+        let g0 = vec![
+            0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 5.0, -5.0, 0.0, -0.0,
+        ];
         assert_scan_matches(&a, &g0, 1.0);
     }
 
@@ -849,10 +803,10 @@ mod tests {
         // Boundary alphas shut off one side entirely: a == 0 leaves no
         // down-candidates, a == C leaves no up-candidates.
         let shut = vec![0.0; 9];
-        let r = scan_violating(&shut, &g[..9], c, false);
+        let r = scan_violating::<false>(&shut, &g[..9], c);
         assert_eq!(r.i_low, usize::MAX);
         let full = vec![1.0; 9];
-        let r = scan_violating(&full, &g[..9], c, false);
+        let r = scan_violating::<false>(&full, &g[..9], c);
         assert_eq!(r.i_up, usize::MAX);
     }
 
@@ -872,42 +826,52 @@ mod tests {
             }
             let a: Vec<f64> = (0..n).map(|t| (t % 3) as f64 * 0.5).collect();
             let g: Vec<f64> = (0..n).map(|t| ((t * 7 % 13) as f64 - 6.0) * 0.5).collect();
-            for flipped in [false, true] {
-                let mut want = SecondOrderPick::empty();
-                for t in 0..n {
-                    let v = if flipped { g[t] } else { -g[t] };
-                    let low_ok = if flipped { a[t] < 1.0 } else { a[t] > 0.0 };
-                    if low_ok && v < 1.25 {
-                        let obj = -((1.25 - v) * (1.25 - v)) / quad[t];
-                        if obj < want.obj_min {
-                            want = SecondOrderPick { obj_min: obj, j: t };
-                        }
-                    }
-                }
-                let got = scan_second_order(&a, &g, &quad, 1.0, 1.25, flipped);
-                assert_eq!(got.j, want.j, "n={n} flipped={flipped}");
-                assert_eq!(got.obj_min.to_bits(), want.obj_min.to_bits());
-            }
+            assert_second_order_matches(&a, &g, &quad, 1.0, 1.25);
         }
     }
 
+    /// Solver-like states of length `n` with the cases a lane combine can
+    /// get wrong: `(name, a, g, c)`.
+    fn lane_cases(n: usize) -> Vec<(&'static str, Vec<f64>, Vec<f64>, f64)> {
+        let smooth_a: Vec<f64> = (0..n).map(|t| (t % 7) as f64 * 0.2).collect();
+        let smooth_g: Vec<f64> = (0..n).map(|t| (t as f64 * 0.013).sin() * 3.0).collect();
+        let zeros: Vec<f64> = (0..n)
+            .map(|t| if t % 3 == 1 { -0.0 } else { 0.0 })
+            .collect();
+        let mut nan_g = smooth_g.clone();
+        for v in nan_g.iter_mut().step_by(3) {
+            *v = f64::NAN;
+        }
+        let repeated: Vec<f64> = (0..n).map(|t| [-2.0, 1.0, 1.0, -2.0, 0.5][t % 5]).collect();
+        vec![
+            ("smooth", smooth_a.clone(), smooth_g.clone(), 1.0),
+            ("signed zeros", vec![0.5; n], zeros, 1.0),
+            ("nan", smooth_a.clone(), nan_g, 1.0),
+            ("repeated extrema", vec![0.5; n], repeated, 1.0),
+            // A closed box (c == 0): no element is eligible on either side.
+            ("all ineligible", vec![0.0; n], smooth_g, 0.0),
+        ]
+    }
+
+    /// Every lane body compiled for the baseline target, and its
+    /// dispatched compilation, against the sequential loop: lengths across
+    /// the lane edge (0–9), the solver's sizes and a long slice.
     #[test]
-    fn force_scalar_toggle_routes_and_restores() {
-        set_force_scalar(true);
-        assert!(!simd_enabled());
-        // Paths are bit-identical, so results are toggle-agnostic.
-        let a: Vec<f64> = (0..40).map(|t| (t % 3) as f64 * 0.5).collect();
-        let g: Vec<f64> = (0..40).map(|t| (t as f64 * 0.9).sin()).collect();
-        let scalar = scan_violating(&a, &g, 1.0, false);
-        set_force_scalar(false);
-        assert_eq!(scan_violating(&a, &g, 1.0, false), scalar);
-        // Without the override the twins run wherever they are compiled in
-        // and the host has AVX2: a build or dispatch change that silently
-        // leaves the scalar loops running fails here.
-        #[cfg(target_arch = "x86_64")]
-        assert_eq!(
-            simd_enabled(),
-            cfg!(not(feature = "force-scalar")) && std::arch::is_x86_feature_detected!("avx2")
-        );
+    fn lane_bodies_match_dispatch_and_naive_loops() {
+        for n in (0..=9).chain([33, 100, 40_000]) {
+            for (name, a, g, c) in lane_cases(n) {
+                println!("case {name}, n = {n}");
+                assert_scan_matches(&a, &g, c);
+                let scan = naive_scan(&a, &g, c, false);
+                let row: Vec<f64> = (0..n).map(|t| 0.9 / (1.0 + (t % 11) as f64)).collect();
+                let mut quad = vec![0.0; n];
+                second_order_quad(&vec![1.0; n], &row, 1.0, &mut quad);
+                for g_max in [scan.g_max, 0.0, -0.0, 1.25] {
+                    assert_second_order_matches(&a, &g, &quad, c, g_max);
+                }
+                assert_grad_matches(&a, &g, &row, 0.37, -1.91);
+                assert_grad_matches(&g, &a, &quad, -0.0, 2.5);
+            }
+        }
     }
 }

@@ -94,8 +94,8 @@ fn objective(a: &[f64], g: &[f64], p: &[f64]) -> f64 {
 /// half is scanned with its sign flipped).
 fn eps_gap(a: &[f64], g: &[f64], c: f64) -> f64 {
     let l = a.len() / 2;
-    let mut sel = scan_violating(&a[..l], &g[..l], c, false);
-    sel.merge_later(scan_violating(&a[l..], &g[l..], c, true), l);
+    let mut sel = scan_violating::<false>(&a[..l], &g[..l], c);
+    sel.merge_later(scan_violating::<true>(&a[l..], &g[l..], c), l);
     sel.g_max - sel.g_min
 }
 

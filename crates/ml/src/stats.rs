@@ -1,5 +1,5 @@
-//! Scalar statistics helpers: mean, variance and the Pearson correlation
-//! that ranks features for forward selection.
+//! Scalar statistics helpers: mean, median, variance and the Pearson
+//! correlation that ranks features for forward selection.
 
 /// Arithmetic mean; 0.0 for an empty slice.
 pub fn mean(xs: &[f64]) -> f64 {
@@ -7,6 +7,22 @@ pub fn mean(xs: &[f64]) -> f64 {
         return 0.0;
     }
     xs.iter().sum::<f64>() / xs.len() as f64
+}
+
+/// Median: the middle value in `f64::total_cmp` order, or the mean of the
+/// two middle values for an even count; NaN for an empty slice.
+pub fn median(xs: &[f64]) -> f64 {
+    if xs.is_empty() {
+        return f64::NAN;
+    }
+    let mut v = xs.to_vec();
+    v.sort_by(f64::total_cmp);
+    let n = v.len();
+    if n % 2 == 1 {
+        v[n / 2]
+    } else {
+        (v[n / 2 - 1] + v[n / 2]) / 2.0
+    }
 }
 
 /// Population variance; 0.0 for fewer than two values.
@@ -66,6 +82,15 @@ mod tests {
         assert_eq!(variance(&[5.0]), 0.0);
         assert!((variance(&[1.0, 3.0]) - 1.0).abs() < 1e-12);
         assert!((std_dev(&[1.0, 3.0]) - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn median_takes_the_middle_in_total_order() {
+        assert!(median(&[]).is_nan());
+        assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]), 2.5);
+        // total_cmp sorts -0.0 before 0.0.
+        assert_eq!(median(&[0.0, -0.0, 1.0]).to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

@@ -289,9 +289,9 @@ pub(crate) fn second_order_j(st: &DualState<'_>, sel: &ScanResult, quad: &mut [f
     let l = quad.len();
     let ii = sel.i_up % l;
     second_order_quad(st.diag, &st.k[ii * l..(ii + 1) * l], st.diag[ii], quad);
-    let mut pick = scan_second_order(&st.a[..l], &st.g[..l], quad, st.c, sel.g_max, false);
+    let mut pick = scan_second_order::<false>(&st.a[..l], &st.g[..l], quad, st.c, sel.g_max);
     pick.merge_later(
-        scan_second_order(&st.a[l..], &st.g[l..], quad, st.c, sel.g_max, true),
+        scan_second_order::<true>(&st.a[l..], &st.g[l..], quad, st.c, sel.g_max),
         l,
     );
     pick.j
@@ -355,8 +355,8 @@ pub(crate) fn smo_solve(
         // s = −1 where `-s*g` reduces exactly to `g`), each one
         // `linalg` scan; merging with strict comparisons preserves the
         // sequential loop's first-wins rule bit for bit.
-        let mut sel = scan_violating(&a[..l], &g[..l], c, false);
-        sel.merge_later(scan_violating(&a[l..], &g[l..], c, true), l);
+        let mut sel = scan_violating::<false>(&a[..l], &g[..l], c);
+        sel.merge_later(scan_violating::<true>(&a[l..], &g[l..], c), l);
         gap = sel.g_max - sel.g_min;
         if sel.i_up == usize::MAX || sel.i_low == usize::MAX || gap < TOL {
             exit = SmoExit::Kkt;

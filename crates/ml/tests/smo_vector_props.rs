@@ -1,42 +1,22 @@
 //! Vectorized-SMO bit-identity tests.
 //!
 //! The SMO inner loop runs on the `ml::linalg` primitives
-//! (`scan_violating`, `scan_second_order`, `grad_pair_update`), which are
-//! bit-identical to the sequential scalar rule by construction (see
-//! `ml::linalg`'s docs). Consequently a whole *fit* must be bit-identical
-//! — the same support vectors, the same alphas (dual coefficients), the
-//! same bias — whichever path executes: AVX2 or scalar (runtime
-//! `set_force_scalar` toggle and the `force-scalar` feature alike), one
-//! thread or many. Models are compared through `SvrModel::encode`, which
-//! writes every `f64` as its bits (`-0.0` included), so byte equality is
-//! value-bit equality across all learned parameters.
+//! (`scan_violating`, `scan_second_order`, `grad_pair_update`), each one
+//! lane body that yields the bits of the sequential loop whichever
+//! compilation of it runs (see `ml::linalg`'s docs; its unit tests hold
+//! the baseline compilation to the dispatched one). Consequently a whole
+//! *fit* must be bit-identical — the same support vectors, the same
+//! alphas (dual coefficients), the same bias — on one thread or many.
+//! Models are compared through `SvrModel::encode`, which writes every
+//! `f64` as its bits (`-0.0` included), so byte equality is value-bit
+//! equality across all learned parameters.
 //!
 //! Data comes from closed-form generators; only the shapes of the random
 //! sweep are drawn.
 
+use ml::linalg::{scan_violating, ScanResult};
 use ml::svr::{Svr, SvrParams};
 use ml::Dataset;
-use std::sync::{Mutex, MutexGuard};
-
-/// The force-scalar override and the worker count are process globals;
-/// tests that sweep them serialize on this lock and restore the defaults
-/// on drop (also on panic).
-static TOGGLES: Mutex<()> = Mutex::new(());
-
-struct ToggleGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-impl ToggleGuard {
-    fn acquire() -> ToggleGuard {
-        ToggleGuard(TOGGLES.lock().unwrap_or_else(|e| e.into_inner()))
-    }
-}
-
-impl Drop for ToggleGuard {
-    fn drop(&mut self) {
-        ml::linalg::set_force_scalar(false);
-        ml::par::set_threads(0);
-    }
-}
 
 /// Deterministic synthetic regression data: smooth multi-feature rows and
 /// a mildly nonlinear target. No RNG involved, so the exact same bits are
@@ -76,26 +56,23 @@ fn fit_bytes(x: &Dataset, y: &[f64]) -> Vec<u8> {
     bytes
 }
 
-/// Core property: every (thread count × force-scalar) configuration
-/// reproduces the scalar single-thread reference fit exactly.
+/// Core property: every thread count reproduces the single-thread
+/// reference fit exactly. The worker count is a process global; this is
+/// the binary's only test that sets it.
 fn assert_fit_config_invariant(l: usize, d: usize, seed: u64) {
-    let _guard = ToggleGuard::acquire();
     let (x, y) = training_set(l, d, seed);
     ml::par::set_threads(1);
-    ml::linalg::set_force_scalar(true);
     let reference = fit_bytes(&x, &y);
     for threads in [1usize, 2, 4] {
-        for scalar in [false, true] {
-            ml::par::set_threads(threads);
-            ml::linalg::set_force_scalar(scalar);
-            let got = fit_bytes(&x, &y);
-            assert_eq!(
-                got, reference,
-                "epsilon-SVR fit diverged from the scalar reference for \
-                 l={l} d={d} threads={threads} force_scalar={scalar}",
-            );
-        }
+        ml::par::set_threads(threads);
+        let got = fit_bytes(&x, &y);
+        assert_eq!(
+            got, reference,
+            "epsilon-SVR fit diverged from the single-thread reference for \
+             l={l} d={d} threads={threads}",
+        );
     }
+    ml::par::set_threads(0);
 }
 
 /// First a grid of row counts spanning the gram tile boundary (64) ×
@@ -114,27 +91,55 @@ fn smo_fit_identical_for_any_shape() {
     });
 }
 
+/// The scan's rule, restated as the sequential loop: the maximal
+/// violation over up-eligible elements and the minimal over low-eligible
+/// ones, first occurrence wins.
+fn naive_scan(a: &[f64], g: &[f64], c: f64, flipped: bool) -> ScanResult {
+    let mut r = ScanResult::empty();
+    for t in 0..a.len() {
+        let v = if flipped { g[t] } else { -g[t] };
+        let (up_ok, low_ok) = if flipped {
+            (a[t] > 0.0, a[t] < c)
+        } else {
+            (a[t] < c, a[t] > 0.0)
+        };
+        if up_ok && v > r.g_max {
+            r = ScanResult {
+                g_max: v,
+                i_up: t,
+                ..r
+            };
+        }
+        if low_ok && v < r.g_min {
+            r = ScanResult {
+                g_min: v,
+                i_low: t,
+                ..r
+            };
+        }
+    }
+    r
+}
+
 /// Solver-sized fits scan a few hundred elements; the primitive is swept
-/// directly at 40 000: the AVX2 pass and its lane combine must reproduce
-/// the sequential scalar rule — first occurrence wins — for both scan
+/// directly at 40 000: the lane pass and its lane combine must reproduce
+/// the sequential rule — first occurrence wins — for both scan
 /// orientations.
 #[test]
 fn large_scan_matches_the_sequential_rule() {
-    let _guard = ToggleGuard::acquire();
     let n = 40_000;
     let c = 1.0;
     let a: Vec<f64> = (0..n).map(|t| ((t % 7) as f64) * 0.2).collect();
     let g: Vec<f64> = (0..n).map(|t| ((t as f64) * 0.013).sin() * 3.0).collect();
-    for flipped in [false, true] {
-        ml::linalg::set_force_scalar(true);
-        let reference = ml::linalg::scan_violating(&a, &g, c, flipped);
-        for scalar in [false, true] {
-            ml::linalg::set_force_scalar(scalar);
-            let got = ml::linalg::scan_violating(&a, &g, c, flipped);
-            assert_eq!(
-                got, reference,
-                "scan diverged (flipped={flipped} force_scalar={scalar})"
-            );
-        }
+    let got = [
+        scan_violating::<false>(&a, &g, c),
+        scan_violating::<true>(&a, &g, c),
+    ];
+    for (flipped, got) in [false, true].into_iter().zip(got) {
+        assert_eq!(
+            got,
+            naive_scan(&a, &g, c, flipped),
+            "scan diverged (flipped={flipped})"
+        );
     }
 }

@@ -1,34 +1,17 @@
-//! Second-order working-set scan: path identity.
+//! Second-order working-set scan against its definition.
 //!
 //! `ml::linalg::scan_second_order` picks the SMO solver's `j`. Like
-//! `scan_violating` it has a scalar loop that *is* the definition and an
-//! AVX2 twin, and the solver's whole-fit bit-identity
-//! (`tests/smo_vector_props.rs`) rests on the two agreeing on the selected
-//! index and on every bit of the winning estimate — including exact ties
-//! (first occurrence wins), signed zeros, an empty candidate set and the
-//! `1e-12` curvature clamp of `second_order_quad`. The definition is
-//! restated here as a naive loop and both dispatch paths are held to it.
+//! `scan_violating` it is one lane body whose every compilation yields the
+//! bits of the sequential loop (`ml::linalg`'s unit tests hold the
+//! baseline compilation to the dispatched one), and the solver's
+//! whole-fit bit-identity (`tests/smo_vector_props.rs`) rests on it
+//! agreeing with that loop on the selected index and on every bit of the
+//! winning estimate — including exact ties (first occurrence wins), signed
+//! zeros, an empty candidate set and the `1e-12` curvature clamp of
+//! `second_order_quad`. The definition is restated here as a naive loop
+//! and the dispatched primitive is held to it.
 
 use ml::linalg::{scan_second_order, second_order_quad, SecondOrderPick};
-use std::sync::{Mutex, MutexGuard};
-
-/// The force-scalar override is a process global; tests that flip it
-/// serialize on this lock and restore the default on drop (also on panic).
-static TOGGLES: Mutex<()> = Mutex::new(());
-
-struct ToggleGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-impl ToggleGuard {
-    fn acquire() -> ToggleGuard {
-        ToggleGuard(TOGGLES.lock().unwrap_or_else(|e| e.into_inner()))
-    }
-}
-
-impl Drop for ToggleGuard {
-    fn drop(&mut self) {
-        ml::linalg::set_force_scalar(false);
-    }
-}
 
 /// The rule, as the solver's documentation states it.
 fn naive(a: &[f64], g: &[f64], quad: &[f64], c: f64, g_max: f64, flipped: bool) -> SecondOrderPick {
@@ -47,21 +30,26 @@ fn naive(a: &[f64], g: &[f64], quad: &[f64], c: f64, g_max: f64, flipped: bool) 
     pick
 }
 
-/// Both dispatch paths, both orientations, against the naive rule.
+/// The primitive, with the orientation as a value.
+fn scan(a: &[f64], g: &[f64], quad: &[f64], c: f64, g_max: f64, flipped: bool) -> SecondOrderPick {
+    if flipped {
+        scan_second_order::<true>(a, g, quad, c, g_max)
+    } else {
+        scan_second_order::<false>(a, g, quad, c, g_max)
+    }
+}
+
+/// Both orientations against the naive rule.
 fn assert_paths_agree(a: &[f64], g: &[f64], quad: &[f64], c: f64, g_max: f64) {
-    let _guard = ToggleGuard::acquire();
     for flipped in [false, true] {
         let want = naive(a, g, quad, c, g_max, flipped);
-        for scalar in [true, false] {
-            ml::linalg::set_force_scalar(scalar);
-            let got = scan_second_order(a, g, quad, c, g_max, flipped);
-            assert_eq!(
-                (got.j, got.obj_min.to_bits()),
-                (want.j, want.obj_min.to_bits()),
-                "n={} flipped={flipped} force_scalar={scalar}: got {got:?}, want {want:?}",
-                a.len()
-            );
-        }
+        let got = scan(a, g, quad, c, g_max, flipped);
+        assert_eq!(
+            (got.j, got.obj_min.to_bits()),
+            (want.j, want.obj_min.to_bits()),
+            "n={} flipped={flipped}: got {got:?}, want {want:?}",
+            a.len()
+        );
     }
 }
 
@@ -144,7 +132,7 @@ fn exact_ties_keep_the_first_occurrence() {
         let g = vec![1.0; n];
         let quad = vec![2.0; n];
         assert_paths_agree(&a, &g, &quad, 1.0, 3.0);
-        assert_eq!(scan_second_order(&a, &g, &quad, 1.0, 3.0, false).j, 0);
+        assert_eq!(scan_second_order::<false>(&a, &g, &quad, 1.0, 3.0).j, 0);
     }
     // Two tying minima late in the slice, in different lanes.
     let a = vec![0.5; 14];
@@ -154,7 +142,7 @@ fn exact_ties_keep_the_first_occurrence() {
     g[13] = 2.0;
     let quad = vec![1.0; 14];
     assert_paths_agree(&a, &g, &quad, 1.0, 1.0);
-    assert_eq!(scan_second_order(&a, &g, &quad, 1.0, 1.0, false).j, 6);
+    assert_eq!(scan_second_order::<false>(&a, &g, &quad, 1.0, 1.0).j, 6);
 }
 
 #[test]
@@ -168,7 +156,7 @@ fn signed_zeros_do_not_violate() {
     let quad = vec![1.0; 12];
     for g_max in [0.0, -0.0] {
         assert_paths_agree(&a, &g, &quad, 1.0, g_max);
-        let pick = scan_second_order(&a, &g, &quad, 1.0, g_max, false);
+        let pick = scan_second_order::<false>(&a, &g, &quad, 1.0, g_max);
         assert_eq!(pick, SecondOrderPick::empty());
     }
     // A tiny violation squares to an underflowed -0.0 estimate: still a
@@ -188,7 +176,7 @@ fn empty_low_set_selects_nothing() {
     // the (flipped) alpha* half.
     for (a, flipped) in [(vec![0.0; 20], false), (vec![c; 20], true)] {
         assert_paths_agree(&a, &g, &quad, c, 5.0);
-        let pick = scan_second_order(&a, &g, &quad, c, 5.0, flipped);
+        let pick = scan(&a, &g, &quad, c, 5.0, flipped);
         assert_eq!(pick, SecondOrderPick::empty());
     }
 }
@@ -208,7 +196,7 @@ fn clamped_curvature_wins_the_scan() {
     let a = vec![0.5; n];
     let g: Vec<f64> = (0..n).map(|t| 1.0 - t as f64 * 0.01).collect();
     assert_paths_agree(&a, &g, &quad, 1.0, 0.1);
-    let pick = scan_second_order(&a, &g, &quad, 1.0, 0.1, false);
+    let pick = scan_second_order::<false>(&a, &g, &quad, 1.0, 0.1);
     assert_eq!(pick.j, i);
 }
 

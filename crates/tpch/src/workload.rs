@@ -43,17 +43,6 @@ impl Workload {
         self.queries.is_empty()
     }
 
-    /// Distinct template ids present, in first-appearance order.
-    pub fn template_ids(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        for q in &self.queries {
-            if !out.contains(&q.template) {
-                out.push(q.template);
-            }
-        }
-        out
-    }
-
     /// Splits into (training, testing) by template: queries whose template
     /// is `held_out` become the test set (the paper's dynamic-workload
     /// protocol, Section 5.4).
@@ -80,7 +69,6 @@ mod tests {
     fn generates_requested_shape() {
         let w = Workload::generate(&[1, 3, 6], 5, 1.0, 42);
         assert_eq!(w.len(), 15);
-        assert_eq!(w.template_ids(), vec![1, 3, 6]);
         assert_eq!(w.queries.iter().filter(|q| q.template == 3).count(), 5);
     }
 

@@ -21,17 +21,36 @@ if [ -n "$foreign" ]; then
 fi
 
 # `unsafe` is allowed where it buys something measured: the pool's
-# lifetime erasure (ml::par) and the AVX2 twins of the three SMO scans
-# (ml::linalg; DESIGN.md §7's table has the numbers, and linalg's
-# `force_scalar_toggle_routes_and_restores` fails if the twins stop
-# dispatching on an AVX2 host). A new file on this list is a decision, not
-# a side effect.
+# lifetime erasure (ml::par), and in ml::linalg the three calls into the
+# `#[target_feature(enable = "avx2")]` wrappers of the SMO primitives,
+# each made after `is_x86_feature_detected!("avx2")` (DESIGN.md §7 has
+# what the AVX2 compilation buys; the codegen check below fails if a
+# wrapper stops compiling to AVX2). A new file on this list is a decision,
+# not a side effect.
 echo "==> unsafe gate: ml::linalg and ml::par only"
 unsafe_files="$(grep -rl unsafe crates/*/src src | sort)"
 if [ "$unsafe_files" != "crates/ml/src/linalg.rs
 crates/ml/src/par.rs" ]; then
     echo "$unsafe_files"
     echo "FAIL: the files containing 'unsafe' are not exactly ml::linalg and ml::par"
+    exit 1
+fi
+
+# A SIMD path is one safe source compiled for a target feature, never a
+# hand-written restatement in intrinsics: no product file names the
+# `std::arch` vendor intrinsics, and only ml::linalg (the wrappers of its
+# three SMO primitives) enables a target feature.
+echo "==> intrinsics gate: no vendor intrinsics; #[target_feature] in ml::linalg only"
+intrinsic_files="$(grep -rlE 'arch::x86_64|_mm256_|_mm_' crates/*/src src || true)"
+if [ -n "$intrinsic_files" ]; then
+    echo "$intrinsic_files"
+    echo "FAIL: a file names vendor intrinsics"
+    exit 1
+fi
+feature_files="$(grep -rl 'target_feature' crates/*/src src | sort)"
+if [ "$feature_files" != "crates/ml/src/linalg.rs" ]; then
+    echo "$feature_files"
+    echo "FAIL: the files enabling a target feature are not exactly ml::linalg"
     exit 1
 fi
 
@@ -143,16 +162,44 @@ echo "==> fuzz corpus: a fresh freeze equals tests/data/codec_corpus.bin"
 cargo test --release -q -p qpp-serve --test codec_props -- --ignored freeze_corpus
 git diff --exit-code tests/data/codec_corpus.bin
 
-# The scalar loops of linalg's three SMO primitives must keep passing with
-# their AVX2 twins compiled out entirely (the non-x86 / no-AVX2
-# configuration). Nothing else in the tree has a second side: the suites
-# that still compare two are the scan properties, and the unit tests keep
-# the portable build compiling; there the dispatch test asserts the twins
-# are off. Whether they pay is DESIGN.md §7's table, not a gate.
-echo "==> force-scalar matrix line"
-cargo test -q -p qpp-ml --features force-scalar --test smo_vector_props
-cargo test -q -p qpp-ml --features force-scalar --test wss2_props
-cargo test -q -p qpp-ml --features force-scalar --lib
+# Each of linalg's three SMO primitives is one `#[inline(always)]` lane
+# body, compiled for the baseline target and again inside a
+# `#[target_feature(enable = "avx2")]` wrapper that runs on AVX2 hosts.
+# Nothing in the language makes the body inline into its wrapper; if it
+# stays out of line, the wrapper calls the baseline compilation and AVX2
+# buys nothing without any test noticing (both compilations give the same
+# bits, which the `ml::linalg` unit tests check). So every wrapper in the
+# release build of `qpp-ml`'s unit tests must contain ymm instructions,
+# and that build's linalg tests run too: the debug suites above compare
+# the two compilations unvectorized.
+if [ "$(uname -m)" = x86_64 ]; then
+    echo "==> AVX2 codegen: linalg's three wrappers use ymm registers"
+    cargo test --release -q -p qpp-ml --lib --no-run
+    ml_tests="$(cargo test --release -p qpp-ml --lib --no-run --message-format=json 2>/dev/null \
+        | grep -o '"executable":"[^"]*"' | cut -d'"' -f4)"
+    ymm_counts="$(objdump -d --no-show-raw-insn -C "$ml_tests" | awk '
+        /^[0-9a-f]+ <.*>:$/ {
+            sym = ""
+            if (match($0, /<ml::linalg::[a-z_]+_avx2/)) {
+                sym = substr($0, RSTART + 1, RLENGTH - 1)
+                n++
+                name[n] = sym
+                ymm[n] = 0
+            }
+            next
+        }
+        sym != "" && /%ymm/ { ymm[n]++ }
+        END { for (i = 1; i <= n; i++) print name[i], ymm[i] }')"
+    echo "$ymm_counts"
+    for primitive in grad_pair_update scan_violating scan_second_order; do
+        if ! grep -q "^ml::linalg::${primitive}_avx2 " <<< "$ymm_counts" \
+            || grep -q "^ml::linalg::${primitive}_avx2 0$" <<< "$ymm_counts"; then
+            echo "FAIL: ml::linalg::${primitive}_avx2 is missing or has no ymm instruction"
+            exit 1
+        fi
+    done
+    "$ml_tests" -q linalg::
+fi
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
