@@ -73,44 +73,40 @@ impl OpLevelModel {
     /// unsolvable (degenerate data); operator types absent from the
     /// training data simply get no model.
     pub fn train(queries: &[&ExecutedQuery], config: &OpModelConfig) -> Result<Self, MlError> {
-        // Collect (features, start, run) rows per operator type. Row
-        // extraction is independent per query, so it fans out to worker
-        // threads; the per-type matrices are then filled serially in query
-        // order, giving exactly the rows the serial loop produced.
+        // One (features, start, run) row per plan node, pushed straight
+        // into its operator type's matrix in query order. The nodes are
+        // counted first, so each matrix is allocated once, at its size.
         let n_types = ALL_OP_TYPES.len();
-        let mut xs: Vec<Dataset> = (0..n_types)
-            .map(|_| Dataset::new(OP_FEATURE_NAMES.len()))
+        let mut counts = [0usize; ALL_OP_TYPES.len()];
+        for q in queries {
+            q.plan
+                .for_each_preorder(&mut |node| counts[node.op.index()] += 1);
+        }
+        let mut xs: Vec<Dataset> = counts
+            .iter()
+            .map(|&n| Dataset::with_capacity(n, OP_FEATURE_NAMES.len()))
             .collect();
-        let mut starts: Vec<Vec<f64>> = vec![Vec::new(); n_types];
-        let mut runs: Vec<Vec<f64>> = vec![Vec::new(); n_types];
-        let rows_of = |q: &ExecutedQuery| -> Vec<(usize, Vec<f64>, f64, f64)> {
-            let views = q.views(config.source);
-            let mut rows = Vec::new();
+        let mut starts: Vec<Vec<f64>> = counts.iter().map(|&n| Vec::with_capacity(n)).collect();
+        let mut runs: Vec<Vec<f64>> = counts.iter().map(|&n| Vec::with_capacity(n)).collect();
+        let mut views = Vec::new();
+        for q in queries {
+            q.views_into(config.source, &mut views);
             collect_rows(
                 &q.plan,
                 &views,
                 &q.trace.timings,
                 &mut 0,
-                &mut |op, row, start, run| {
-                    let mut row = row.to_vec();
+                &mut |op, mut row, start, run| {
                     if !config.include_start_features {
                         row[5] = 0.0; // st1
                         row[7] = 0.0; // st2
                     }
-                    rows.push((op.index(), row, start, run));
+                    let k = op.index();
+                    xs[k].push_row(&row);
+                    starts[k].push(start);
+                    runs[k].push(run);
                 },
             );
-            rows
-        };
-        // (operator type index, feature row, start-time, run-time).
-        type OpRow = (usize, Vec<f64>, f64, f64);
-        let per_query: Vec<Vec<OpRow>> = ml::par::par_map(queries, |_, q| rows_of(q));
-        for rows in &per_query {
-            for (k, row, start, run) in rows {
-                xs[*k].push_row(row);
-                starts[*k].push(*start);
-                runs[*k].push(*run);
-            }
         }
         // Operator types fit independently; results are merged in type
         // order so the first error (if any) matches the serial loop's.
@@ -278,7 +274,7 @@ impl OpLevelModel {
 }
 
 /// Walks a plan in pre-order collecting one training row per node.
-fn collect_rows<F: FnMut(OpType, &[f64], f64, f64)>(
+fn collect_rows<F: FnMut(OpType, [f64; OP_FEATURE_NAMES.len()], f64, f64)>(
     node: &PlanNode,
     views: &[NodeView],
     timings: &[engine::sim::NodeTiming],
@@ -301,7 +297,7 @@ fn collect_rows<F: FnMut(OpType, &[f64], f64, f64)>(
         collect_rows(c, views, timings, cursor, sink);
     }
     let row = op_features(&views[my_idx], &child_views[..n], &child_times[..n]);
-    sink(node.op, &row, timings[my_idx].start, timings[my_idx].run);
+    sink(node.op, row, timings[my_idx].start, timings[my_idx].run);
 }
 
 #[cfg(test)]

@@ -7,8 +7,9 @@
 //! [`cross_validate`] trains its folds on [`crate::par`] whatever their
 //! size: a fold's fit keeps nothing once it returns ([`crate::gram`]), so
 //! fanning out costs no memory, and on the parked-worker pool it pays even
-//! for 112-row SVR fits and for the operator models' linear ones
-//! (DESIGN.md §7).
+//! for 112-row SVR fits (DESIGN.md §7). Forward selection's linear
+//! candidates do not come here: they are solved from per-fold normal
+//! equations on the calling thread ([`crate::linreg`]).
 
 use crate::dataset::Dataset;
 use crate::metrics::mean_relative_error;
@@ -157,39 +158,61 @@ pub fn cross_validate<L: Learner + Sync>(
     y: &[f64],
     folds: &[Fold],
 ) -> Result<CrossValidation, MlError> {
+    let all: Vec<usize> = (0..x.n_cols()).collect();
+    cross_validate_columns(learner, x, &all, y, folds)
+}
+
+/// [`cross_validate`] on `x.select_columns(cols)`, bit for bit, copying
+/// each fold's rows of those columns once.
+pub(crate) fn cross_validate_columns<L: Learner + Sync>(
+    learner: &L,
+    x: &Dataset,
+    cols: &[usize],
+    y: &[f64],
+    folds: &[Fold],
+) -> Result<CrossValidation, MlError> {
     x.check_targets(y)?;
-    type FoldOut = Result<(Vec<(usize, f64)>, Option<f64>), MlError>;
-    let run_fold = |fold: &Fold| -> FoldOut {
-        let x_train = x.select_rows(&fold.train);
+    let run_fold = |fold: &Fold| -> Result<FoldOutcome, MlError> {
         let y_train: Vec<f64> = fold.train.iter().map(|&i| y[i]).collect();
-        let model = learner.fit(&x_train, &y_train)?;
-        let mut preds = Vec::with_capacity(fold.test.len());
-        let mut actual = Vec::with_capacity(fold.test.len());
-        let mut est = Vec::with_capacity(fold.test.len());
-        for &i in &fold.test {
-            let p = model.predict(x.row(i));
-            preds.push((i, p));
-            actual.push(y[i]);
-            est.push(p);
-        }
-        let err = if actual.is_empty() {
-            None
-        } else {
-            Some(mean_relative_error(&actual, &est))
-        };
-        Ok((preds, err))
+        let model = learner.fit(&x.select(&fold.train, cols), &y_train)?;
+        let x_test = x.select(&fold.test, cols);
+        Ok(score_fold(fold, y, |t| model.predict(x_test.row(t))))
     };
-    let outcomes: Vec<FoldOut> = crate::par::par_map(folds, |_, fold| run_fold(fold));
+    let outcomes = crate::par::par_map(folds, |_, fold| run_fold(fold));
+    collect_folds(folds, outcomes, y.len())
+}
+
+/// One fold's predictions, in the order of its test rows, and their mean
+/// relative error (`None` for an empty test set).
+pub(crate) type FoldOutcome = (Vec<f64>, Option<f64>);
+
+/// Scores a fold's model: `predict(t)` is its prediction for the fold's
+/// `t`-th test row.
+pub(crate) fn score_fold(fold: &Fold, y: &[f64], predict: impl FnMut(usize) -> f64) -> FoldOutcome {
+    let est: Vec<f64> = (0..fold.test.len()).map(predict).collect();
+    let err = (!est.is_empty()).then(|| {
+        let actual: Vec<f64> = fold.test.iter().map(|&i| y[i]).collect();
+        mean_relative_error(&actual, &est)
+    });
+    (est, err)
+}
+
+/// Merges the fold outcomes of a cross-validation over `n` rows, in fold
+/// order: the first failed fold's error, or every fold's error and the
+/// out-of-fold prediction of every row.
+pub(crate) fn collect_folds(
+    folds: &[Fold],
+    outcomes: impl IntoIterator<Item = Result<FoldOutcome, MlError>>,
+    n: usize,
+) -> Result<CrossValidation, MlError> {
     let mut fold_errors = Vec::with_capacity(folds.len());
-    let mut predictions = vec![f64::NAN; y.len()];
-    for outcome in outcomes {
-        let (preds, err) = outcome?;
-        for (i, p) in preds {
+    let mut predictions = vec![f64::NAN; n];
+    for (fold, outcome) in folds.iter().zip(outcomes) {
+        let (est, err) = outcome?;
+        for (&i, p) in fold.test.iter().zip(est) {
             predictions[i] = p;
         }
-        if let Some(e) = err {
-            fold_errors.push(e);
-        }
+        fold_errors.extend(err);
     }
     Ok(CrossValidation {
         fold_errors,

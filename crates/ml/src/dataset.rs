@@ -24,6 +24,16 @@ impl Dataset {
         }
     }
 
+    /// Creates an empty dataset with `n_cols` feature columns and room for
+    /// `rows` rows.
+    pub fn with_capacity(rows: usize, n_cols: usize) -> Self {
+        Dataset {
+            data: Vec::with_capacity(rows * n_cols),
+            n_rows: 0,
+            n_cols,
+        }
+    }
+
     /// Builds a dataset from complete rows. All rows must have equal length;
     /// an empty input yields a 0×0 dataset.
     ///
@@ -112,6 +122,22 @@ impl Dataset {
         out
     }
 
+    /// A new dataset holding the given columns of the given rows, both in
+    /// the given order: `select_rows(rows).select_columns(cols)` in one
+    /// copy.
+    pub fn select(&self, rows: &[usize], cols: &[usize]) -> Dataset {
+        let mut data = Vec::with_capacity(rows.len() * cols.len());
+        for &i in rows {
+            let row = self.row(i);
+            data.extend(cols.iter().map(|&c| row[c]));
+        }
+        Dataset {
+            data,
+            n_rows: rows.len(),
+            n_cols: cols.len(),
+        }
+    }
+
     /// Validates that `y` has one target per row.
     pub fn check_targets(&self, y: &[f64]) -> Result<(), MlError> {
         if self.n_rows == 0 {
@@ -169,6 +195,15 @@ mod tests {
         assert_eq!(sub.n_rows(), 2);
         assert_eq!(sub.row(0), &[5.0, 6.0]);
         assert_eq!(sub.row(1), &[1.0, 2.0]);
+    }
+
+    #[test]
+    fn select_is_rows_then_columns_in_one_copy() {
+        let ds = sample();
+        let both = ds.select(&[2, 0], &[1, 0]);
+        assert_eq!(both, ds.select_rows(&[2, 0]).select_columns(&[1, 0]));
+        assert_eq!(both.row(0), &[6.0, 5.0]);
+        assert_eq!(ds.select(&[], &[1]).n_rows(), 0);
     }
 
     #[test]

@@ -12,17 +12,27 @@
 //! 3. Stop after `patience` consecutive non-improving additions (best-first
 //!    with a bounded frontier).
 //!
+//! A candidate subset is scored by cross-validation, and how depends on
+//! the model family ([`LearnerKind`]). A linear candidate is solved from
+//! one normal-equation system per fold, built once for the whole search
+//! over every column ([`crate::linreg`]); its fits are those of a refit,
+//! bit for bit, without copying a row. An SVR candidate is refitted: each
+//! fold's rows of the candidate's columns are copied once and fitted
+//! (an SVR standardises each fit on its own rows, so no per-fold state
+//! carries over between candidates).
+//!
 //! Plan-level features duplicate each other on narrow workloads (a count
 //! and a row total that coincide on every query of the log). A candidate
 //! whose column is bit-equal to one already rejected against the same
 //! selected set would be scored on the very same matrix, so it takes that
-//! candidate's error without being refitted; it still counts as a
+//! candidate's error without being scored; it still counts as a
 //! non-improving addition.
 
-use crate::cv::{cross_validate, Fold};
+use crate::cv::{cross_validate_columns, CrossValidation, Fold};
 use crate::dataset::Dataset;
+use crate::linreg::FoldSystems;
 use crate::stats::pearson;
-use crate::{Learner, MlError};
+use crate::{Learner, LearnerKind, MlError};
 
 /// Minimum relative improvement of CV error for a feature to be kept.
 const MIN_IMPROVEMENT: f64 = 1e-3;
@@ -61,12 +71,19 @@ pub struct SelectionResult {
 }
 
 /// Ranks all columns of `x` by |Pearson correlation| with `y`, strongest
-/// first. Constant columns rank last (correlation treated as 0).
+/// first; ties keep column order. A constant column, or one holding a
+/// non-finite value, ranks as correlation 0.
 pub fn rank_by_correlation(x: &Dataset, y: &[f64]) -> Vec<usize> {
+    let mut column = Vec::with_capacity(x.n_rows());
     let mut ranked: Vec<(usize, f64)> = (0..x.n_cols())
-        .map(|j| (j, pearson(&x.column(j), y).abs()))
+        .map(|j| {
+            column.clear();
+            column.extend(x.rows().map(|row| row[j]));
+            let r = pearson(&column, y).abs();
+            (j, if r.is_nan() { 0.0 } else { r })
+        })
         .collect();
-    ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+    ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
     ranked.into_iter().map(|(j, _)| j).collect()
 }
 
@@ -77,18 +94,49 @@ pub fn rank_by_correlation(x: &Dataset, y: &[f64]) -> Vec<usize> {
 ///
 /// Guarantees at least one feature is selected (the top-correlated one)
 /// even if no candidate beats the empty baseline.
-pub fn forward_select<L: Learner + Sync>(
+pub fn forward_select(
     config: &ForwardSelection,
-    learner: &L,
+    learner: &LearnerKind,
     x: &Dataset,
     y: &[f64],
     folds: &[Fold],
 ) -> Result<SelectionResult, MlError> {
     x.check_targets(y)?;
+    Ok(match learner {
+        LearnerKind::Linear { ridge } => {
+            let systems = FoldSystems::new(*ridge, x, y, folds);
+            select(config, x, y, |cols| systems.cross_validate(cols))
+        }
+        LearnerKind::Svr(_) => select_refitting(config, learner, x, y, folds),
+    })
+}
+
+/// Forward selection that scores every candidate by refitting `learner`
+/// on each fold (the SVR path of [`forward_select`]).
+pub(crate) fn select_refitting<L: Learner + Sync>(
+    config: &ForwardSelection,
+    learner: &L,
+    x: &Dataset,
+    y: &[f64],
+    folds: &[Fold],
+) -> SelectionResult {
+    select(config, x, y, |cols| {
+        cross_validate_columns(learner, x, cols, y, folds)
+    })
+}
+
+/// The selection loop over the columns of `x`, with `cross_validate`
+/// scoring a candidate subset of them.
+pub(crate) fn select(
+    config: &ForwardSelection,
+    x: &Dataset,
+    y: &[f64],
+    mut cross_validate: impl FnMut(&[usize]) -> Result<CrossValidation, MlError>,
+) -> SelectionResult {
     let ranked = rank_by_correlation(x, y);
     // A subset that makes the system unsolvable scores an infinite error
     // and NaN predictions, so it is simply skipped.
-    let score = |cols: &[usize]| match cross_validate(learner, &x.select_columns(cols), y, folds) {
+    let mut score = |cols: &[usize]| match cross_validate(cols) {
         Ok(cv) => (cv.mean_error(), cv.predictions),
         Err(_) => (f64::INFINITY, vec![f64::NAN; y.len()]),
     };
@@ -138,18 +186,18 @@ pub fn forward_select<L: Learner + Sync>(
         // top-ranked feature so downstream code always has a model.
         let first = ranked.first().copied().unwrap_or(0);
         let (cv_error, predictions) = score(&[first]);
-        return Ok(SelectionResult {
+        return SelectionResult {
             selected: vec![first],
             cv_error,
             predictions,
-        });
+        };
     }
 
-    Ok(SelectionResult {
+    SelectionResult {
         selected,
         cv_error: best_error,
         predictions: best_predictions,
-    })
+    }
 }
 
 /// Whether columns `a` and `b` of `x` hold the same bits in every row.
@@ -160,7 +208,7 @@ fn columns_bit_equal(x: &Dataset, a: usize, b: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cv::kfold;
+    use crate::cv::{cross_validate, kfold};
     use crate::{LearnerKind, SvrParams, TrainedModel};
     use rng::StdRng;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -241,25 +289,56 @@ mod tests {
         }
     }
 
-    /// Runs both loops; asserts they agree to the bit and returns the
-    /// result with (fits with the duplicate rule, fits refitting).
-    fn select_both_ways<L: Learner + Sync + Clone>(
+    /// [`forward_select`]'s choice of scorer, counting the subsets it
+    /// scores per fold: fold systems solved for a linear learner,
+    /// `Learner::fit` calls for an SVR.
+    fn select_counted(
         config: &ForwardSelection,
-        learner: &L,
+        learner: &LearnerKind,
+        x: &Dataset,
+        y: &[f64],
+        folds: &[Fold],
+    ) -> (SelectionResult, usize) {
+        match learner {
+            LearnerKind::Linear { ridge } => {
+                let systems = FoldSystems::new(*ridge, x, y, folds);
+                let mut scored = 0;
+                let sel = select(config, x, y, |cols| {
+                    scored += folds.len();
+                    systems.cross_validate(cols)
+                });
+                (sel, scored)
+            }
+            LearnerKind::Svr(_) => {
+                let counting = Counting::new(learner.clone());
+                let sel = select_refitting(config, &counting, x, y, folds);
+                (sel, counting.fits())
+            }
+        }
+    }
+
+    /// Runs [`forward_select`] and the refitting loop; asserts they agree
+    /// to the bit and returns the result with (subsets scored per fold by
+    /// `forward_select`, fits of the refitting loop).
+    fn select_both_ways(
+        config: &ForwardSelection,
+        learner: &LearnerKind,
         x: &Dataset,
         y: &[f64],
         folds: &[Fold],
     ) -> (SelectionResult, usize, usize) {
-        let skipping = Counting::new(learner.clone());
+        let got = forward_select(config, learner, x, y, folds).expect("selection");
+        let (counted, scored) = select_counted(config, learner, x, y, folds);
         let refitting = Counting::new(learner.clone());
-        let got = forward_select(config, &skipping, x, y, folds).expect("selection");
         let want = forward_select_refitting(config, &refitting, x, y, folds);
-        assert_eq!(got.selected, want.selected);
-        assert_eq!(got.cv_error.to_bits(), want.cv_error.to_bits());
         let bits = |p: &[f64]| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&got.predictions), bits(&want.predictions));
+        for other in [&counted, &want] {
+            assert_eq!(got.selected, other.selected);
+            assert_eq!(got.cv_error.to_bits(), other.cv_error.to_bits());
+            assert_eq!(bits(&got.predictions), bits(&other.predictions));
+        }
         assert_eq!(got.predictions.len(), y.len());
-        (got, skipping.fits(), refitting.fits())
+        (got, scored, refitting.fits())
     }
 
     #[test]
@@ -276,6 +355,15 @@ mod tests {
         // `aggregate_rows` is rejected, then `aggregate_cnt` holds the
         // same bits: one candidate set of five folds is not refitted.
         assert_eq!((skipping, refitting), (50, 55));
+        // A linear learner on the same log: the fold systems give the
+        // refitting loop's selection, error and predictions to the bit.
+        select_both_ways(
+            &ForwardSelection::default(),
+            &LearnerKind::Linear { ridge: 1e-6 },
+            &log.x,
+            &log.y,
+            &log.folds,
+        );
     }
 
     /// Closed-form noise in [0, 1): identical on every host.
@@ -304,12 +392,7 @@ mod tests {
         let (x, y) = duplicated_columns();
         assert_eq!(rank_by_correlation(&x, &y), [0, 1, 2, 3, 4, 5, 6, 7]);
         // Dealt by hand: `kfold`'s shuffle depends on which `rand` is linked.
-        let folds: Vec<Fold> = (0..4)
-            .map(|f| Fold {
-                train: (0..x.n_rows()).filter(|i| i % 4 != f).collect(),
-                test: (0..x.n_rows()).filter(|i| i % 4 == f).collect(),
-            })
-            .collect();
+        let folds = mod4_folds(x.n_rows());
         let learner = LearnerKind::Linear { ridge: 1e-9 };
         let with_patience = |patience| {
             let config = ForwardSelection {
@@ -352,6 +435,136 @@ mod tests {
         (Dataset::from_rows(rows), y)
     }
 
+    /// Folds dealt by row index mod 4 (`kfold`'s shuffle is not needed).
+    fn mod4_folds(n: usize) -> Vec<Fold> {
+        (0..4)
+            .map(|f| Fold {
+                train: (0..n).filter(|i| i % 4 != f).collect(),
+                test: (0..n).filter(|i| i % 4 == f).collect(),
+            })
+            .collect()
+    }
+
+    /// The fold systems against a refit of each subset's copied columns:
+    /// the same fold errors and predictions to the bit, or both failing.
+    fn assert_scores_like_refits(ridge: f64, x: &Dataset, y: &[f64], folds: &[Fold]) {
+        let systems = FoldSystems::new(ridge, x, y, folds);
+        let n = x.n_cols();
+        let mut subsets: Vec<Vec<usize>> = (0..n).map(|j| vec![j]).collect();
+        subsets.push((0..n).collect());
+        subsets.push((0..n).rev().collect());
+        subsets.extend((1..n).map(|j| vec![j, j - 1]));
+        subsets.extend((2..n).map(|j| vec![j - 2, j, j - 1]));
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        let learner = LearnerKind::Linear { ridge };
+        for cols in &subsets {
+            let got = systems.cross_validate(cols);
+            match cross_validate(&learner, &x.select_columns(cols), y, folds) {
+                Ok(want) => {
+                    let got = got.unwrap_or_else(|e| panic!("{cols:?}: {e}"));
+                    assert_eq!(bits(&got.fold_errors), bits(&want.fold_errors), "{cols:?}");
+                    assert_eq!(bits(&got.predictions), bits(&want.predictions), "{cols:?}");
+                }
+                Err(e) => assert_eq!(got.map(|_| ()), Err(e), "{cols:?}"),
+            }
+        }
+    }
+
+    /// 40 rows of five columns; the target needs columns 0, 2 and 4.
+    fn edge_case_base() -> (Vec<Vec<f64>>, Vec<f64>) {
+        let rows: Vec<Vec<f64>> = (0..40)
+            .map(|i| (0..5).map(|k| noise(i, k + 10) * 10.0 + k as f64).collect())
+            .collect();
+        let y = rows
+            .iter()
+            .enumerate()
+            .map(|(i, r)| 3.0 * r[0] + 2.0 * r[2] + 0.5 * r[4] + noise(i, 20) + 1.0)
+            .collect();
+        (rows, y)
+    }
+
+    #[test]
+    fn fold_systems_score_edge_cases_like_refits() {
+        let folds = mod4_folds(40);
+        let config = ForwardSelection::default();
+        // (what, ridge, rows, targets)
+        let mut cases = Vec::new();
+        let (rows, y) = edge_case_base();
+        cases.push(("base", 1e-6, rows.clone(), y.clone()));
+        // Column 1 is constant on fold 0's training rows only: dropped in
+        // that fold's fits, kept in the others'.
+        let mut constant = rows.clone();
+        for (i, r) in constant.iter_mut().enumerate() {
+            if i % 4 != 0 {
+                r[1] = 7.0;
+            }
+        }
+        cases.push(("constant in one fold", 1e-6, constant, y.clone()));
+        // An infinity in row 5 of column 3: the column is unusable in the
+        // folds that train on row 5, and fold 1 predicts row 5 from it.
+        let mut infinite = rows.clone();
+        infinite[5][3] = f64::INFINITY;
+        cases.push(("non-finite value", 1e-6, infinite, y.clone()));
+        // Column 1 duplicates column 0, and no ridge: a subset holding
+        // both is singular until the ridge escalates.
+        let mut twins = rows.clone();
+        for r in &mut twins {
+            r[1] = r[0];
+        }
+        cases.push(("identical columns", 0.0, twins, y.clone()));
+        // Fold 0 trains on equal targets only.
+        let flat: Vec<f64> = y
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| if i % 4 == 0 { v } else { 5.0 })
+            .collect();
+        cases.push(("equal training targets", 1e-6, rows, flat));
+        for (what, ridge, rows, y) in cases {
+            let x = Dataset::from_rows(rows);
+            assert_scores_like_refits(ridge, &x, &y, &folds);
+            let (sel, scored, refits) =
+                select_both_ways(&config, &LearnerKind::Linear { ridge }, &x, &y, &folds);
+            assert!(!sel.selected.is_empty(), "{what}");
+            assert!(scored <= refits, "{what}: {scored} > {refits}");
+        }
+    }
+
+    #[test]
+    fn a_non_finite_column_ranks_last_and_the_others_keep_their_order() {
+        // Correlations with y: column 0 about 0.5, column 2 about 0.9,
+        // column 3 about 0.1; column 1 is y itself, with a NaN in row 30
+        // when `with_nan`.
+        let dataset = |with_nan: bool| {
+            Dataset::from_rows(
+                (0..60)
+                    .map(|i| {
+                        let t = i as f64;
+                        let nan = with_nan && i == 30;
+                        vec![
+                            t + noise(i, 1) * 120.0,
+                            if nan { f64::NAN } else { t },
+                            t + noise(i, 2) * 20.0,
+                            noise(i, 3) * 10.0 + t * 0.02,
+                        ]
+                    })
+                    .collect(),
+            )
+        };
+        let y: Vec<f64> = (0..60).map(|i| i as f64).collect();
+        let x = dataset(true);
+        assert!(pearson(&x.column(1), &y).is_nan());
+        let r = |j| pearson(&x.column(j), &y).abs();
+        assert!(
+            r(2) > r(0) && r(0) > r(3) && r(3) > 0.0,
+            "{} {} {}",
+            r(0),
+            r(2),
+            r(3)
+        );
+        assert_eq!(rank_by_correlation(&x, &y), [2, 0, 3, 1]);
+        assert_eq!(rank_by_correlation(&dataset(false), &y), [1, 2, 0, 3]);
+    }
+
     #[test]
     fn ranking_puts_informative_features_first() {
         let (x, y) = informative_dataset();
@@ -370,8 +583,8 @@ mod tests {
         let (x, y) = informative_dataset();
         let folds = kfold(x.n_rows(), 5, 0);
         let learner = LearnerKind::Linear { ridge: 1e-9 };
-        let result = forward_select(&ForwardSelection::default(), &learner, &x, &y, &folds)
-            .expect("selection");
+        let (result, _, _) =
+            select_both_ways(&ForwardSelection::default(), &learner, &x, &y, &folds);
         assert!(result.selected.contains(&0));
         assert!(result.selected.contains(&2));
         assert!(!result.selected.contains(&3), "constant column selected");
@@ -387,7 +600,7 @@ mod tests {
             max_features: 1,
             ..ForwardSelection::default()
         };
-        let result = forward_select(&cfg, &learner, &x, &y, &folds).unwrap();
+        let (result, _, _) = select_both_ways(&cfg, &learner, &x, &y, &folds);
         assert_eq!(result.selected.len(), 1);
     }
 
@@ -401,5 +614,6 @@ mod tests {
         let result =
             forward_select(&ForwardSelection::default(), &learner, &x, &y, &folds).unwrap();
         assert_eq!(result.selected.len(), 1);
+        assert_scores_like_refits(1e-6, &x, &y, &folds);
     }
 }

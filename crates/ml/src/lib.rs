@@ -11,7 +11,8 @@
 //!   and the SMO inner-loop primitives, the one code compiled a second
 //!   time for AVX2 (one safe body each, bit-identical in both builds).
 //! - [`scaler`] — z-score standardization of feature columns.
-//! - [`linreg`] — ordinary least squares / ridge regression.
+//! - [`linreg`] — ordinary least squares / ridge regression, and the
+//!   per-fold normal equations that score linear selection candidates.
 //! - [`svr`] — epsilon-SVR with the RBF kernel, trained with a
 //!   libsvm-style SMO solver.
 //! - [`feature_selection`] — best-first forward selection over features

@@ -4,10 +4,23 @@
 //! (via the Shark library). We solve the normal equations with a small
 //! ridge term through Cholesky factorization; if the system is still
 //! singular the ridge is escalated a few times before giving up.
+//!
+//! A fit goes through one normal-equation system: `XᵀX` and `Xᵀy` over
+//! *every* column of the training rows, and which columns are usable on
+//! them (finite throughout, not constant). A fit on a subset of the
+//! columns solves the usable sub-block of that system. Each entry of the
+//! sub-block is the sum, in row order, that a system built on the
+//! projected rows would compute (products commute), so the fit is
+//! bit-identical to copying the columns out first. Linear forward
+//! selection ([`crate::feature_selection`]) builds one such system per CV
+//! fold, once for the whole search, and scores every candidate subset
+//! from those; a refit would copy the candidate's columns and each fold's
+//! rows and sum `XᵀX` again.
 
 use crate::bytes::{put_f64, put_f64s, Malformed, Reader};
+use crate::cv::{collect_folds, score_fold, CrossValidation, Fold};
 use crate::dataset::Dataset;
-use crate::linalg::{dot, normal_equations};
+use crate::linalg::{dot, normal_equations, Matrix};
 use crate::MlError;
 
 /// Ridge-regularized linear regression learner.
@@ -32,77 +45,169 @@ impl LinearRegression {
     /// zero weight in the returned model instead of failing the fit.
     pub fn fit(&self, x: &Dataset, y: &[f64]) -> Result<LinearModel, MlError> {
         x.check_targets(y)?;
-        if self.ridge < 0.0 {
+        let all: Vec<usize> = (0..x.n_cols()).collect();
+        let rows = (0..x.n_rows()).map(|i| x.row(i));
+        NormalSystem::new(rows, y, x.n_cols()).fit(self.ridge, &all)
+    }
+}
+
+/// Whether a column with these values can enter a fit: finite throughout
+/// and not constant.
+fn usable(values: impl Iterator<Item = f64>) -> bool {
+    let mut lo = f64::INFINITY;
+    let mut hi = f64::NEG_INFINITY;
+    for v in values {
+        if !v.is_finite() {
+            return false;
+        }
+        lo = lo.min(v);
+        hi = hi.max(v);
+    }
+    hi - lo > 1e-12 * hi.abs().max(lo.abs()).max(1.0)
+}
+
+/// Solves `(XᵀX + λI) β = Xᵀy` from `λ = ridge`, escalating `λ` a few
+/// times while the system is singular (e.g. duplicate feature columns).
+fn solve_ridge(ridge: f64, xtx: &Matrix, xty: &[f64]) -> Result<Vec<f64>, MlError> {
+    let mut lambda = ridge.max(0.0);
+    for attempt in 0..6 {
+        let mut sys = xtx.clone();
+        if lambda > 0.0 {
+            sys.add_diagonal(lambda);
+        }
+        match sys.solve_spd(xty) {
+            Ok(beta) => return Ok(beta),
+            Err(MlError::NotPositiveDefinite) if attempt < 5 => {
+                lambda = if lambda == 0.0 { 1e-8 } else { lambda * 100.0 };
+            }
+            Err(e) => return Err(e),
+        }
+    }
+    Err(MlError::NotPositiveDefinite)
+}
+
+/// The normal equations of one set of training rows over every column,
+/// with the rest of what a fit on any subset of those columns reads.
+pub(crate) struct NormalSystem {
+    /// `XᵀX` with the intercept first, then one row per column.
+    xtx: Matrix,
+    xty: Vec<f64>,
+    /// Per column: usable on these rows ([`usable`]).
+    usable: Vec<bool>,
+    n_rows: usize,
+    y_sum: f64,
+    y_finite: bool,
+}
+
+impl NormalSystem {
+    /// The system of `rows` (each `n_cols` wide) against targets `y`.
+    pub(crate) fn new<'a, I>(rows: I, y: &[f64], n_cols: usize) -> NormalSystem
+    where
+        I: Iterator<Item = &'a [f64]> + Clone,
+    {
+        let usable = (0..n_cols)
+            .map(|j| usable(rows.clone().map(|row| row[j])))
+            .collect();
+        let (xtx, xty) = normal_equations(rows, y, n_cols);
+        NormalSystem {
+            xtx,
+            xty,
+            usable,
+            n_rows: y.len(),
+            y_sum: y.iter().sum(),
+            y_finite: y.iter().all(|v| v.is_finite()),
+        }
+    }
+
+    /// The ridge fit on columns `cols` of these rows, in that order:
+    /// [`LinearRegression::fit`] on those columns copied out, bit for bit.
+    /// Unusable columns get a zero weight; with none usable the model is
+    /// the targets' mean.
+    pub(crate) fn fit(&self, ridge: f64, cols: &[usize]) -> Result<LinearModel, MlError> {
+        if self.n_rows == 0 {
+            return Err(MlError::EmptyDataset);
+        }
+        if ridge < 0.0 {
             return Err(MlError::InvalidParameter("ridge must be non-negative"));
         }
-        if y.iter().any(|v| !v.is_finite()) {
+        if !self.y_finite {
             return Err(MlError::NonFiniteData);
         }
-        let keep = usable_columns(x);
+        let mut weights = vec![0.0; cols.len()];
+        // Positions in `cols` of the kept columns, and their indices in
+        // the system: the intercept, then column `j` at `1 + j`.
+        let keep: Vec<usize> = (0..cols.len()).filter(|&k| self.usable[cols[k]]).collect();
         if keep.is_empty() {
-            // Every column degenerate: the best constant model.
-            let mean = y.iter().sum::<f64>() / y.len() as f64;
             return Ok(LinearModel {
-                intercept: mean,
-                weights: vec![0.0; x.n_cols()],
+                intercept: self.y_sum / self.n_rows as f64,
+                weights,
             });
         }
-        let beta = if keep.len() == x.n_cols() {
-            self.solve(x, y)?
-        } else {
-            self.solve(&x.select_columns(&keep), y)?
-        };
-        // Re-expand to the original feature layout (dropped columns get
-        // zero weight, so `predict` keeps its input contract).
-        let mut weights = vec![0.0; x.n_cols()];
-        for (w, &j) in beta[1..].iter().zip(&keep) {
-            weights[j] = *w;
+        let at = |a: usize| if a == 0 { 0 } else { 1 + cols[keep[a - 1]] };
+        let d = keep.len() + 1;
+        let mut xtx = Matrix::zeros(d, d);
+        for a in 0..d {
+            for b in 0..d {
+                xtx[(a, b)] = self.xtx[(at(a), at(b))];
+            }
+        }
+        let xty: Vec<f64> = (0..d).map(|a| self.xty[at(a)]).collect();
+        let beta = solve_ridge(ridge, &xtx, &xty)?;
+        for (&k, &w) in keep.iter().zip(&beta[1..]) {
+            weights[k] = w;
         }
         Ok(LinearModel {
             intercept: beta[0],
             weights,
         })
     }
-
-    /// Solves the normal equations, escalating the ridge a few times if
-    /// the Gram matrix is singular (e.g. duplicate feature columns).
-    fn solve(&self, x: &Dataset, y: &[f64]) -> Result<Vec<f64>, MlError> {
-        let (xtx, xty) = normal_equations(x.rows(), y, x.n_cols());
-        let mut lambda = self.ridge.max(0.0);
-        for attempt in 0..6 {
-            let mut sys = xtx.clone();
-            if lambda > 0.0 {
-                sys.add_diagonal(lambda);
-            }
-            match sys.solve_spd(&xty) {
-                Ok(beta) => return Ok(beta),
-                Err(MlError::NotPositiveDefinite) if attempt < 5 => {
-                    lambda = if lambda == 0.0 { 1e-8 } else { lambda * 100.0 };
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Err(MlError::NotPositiveDefinite)
-    }
 }
 
-/// Indices of columns that are finite throughout and not constant.
-fn usable_columns(x: &Dataset) -> Vec<usize> {
-    (0..x.n_cols())
-        .filter(|&j| {
-            let mut lo = f64::INFINITY;
-            let mut hi = f64::NEG_INFINITY;
-            for i in 0..x.n_rows() {
-                let v = x.row(i)[j];
-                if !v.is_finite() {
-                    return false;
-                }
-                lo = lo.min(v);
-                hi = hi.max(v);
-            }
-            hi - lo > 1e-12 * hi.abs().max(lo.abs()).max(1.0)
-        })
-        .collect()
+/// Linear cross-validation of column subsets over fixed folds: one
+/// [`NormalSystem`] per fold, built once over every column of the fold's
+/// training rows, and each subset's fold fit solved from it.
+pub(crate) struct FoldSystems<'a> {
+    ridge: f64,
+    x: &'a Dataset,
+    y: &'a [f64],
+    folds: &'a [Fold],
+    systems: Vec<NormalSystem>,
+}
+
+impl<'a> FoldSystems<'a> {
+    /// The fold systems of `x` against `y` for a ridge of `ridge`.
+    pub(crate) fn new(ridge: f64, x: &'a Dataset, y: &'a [f64], folds: &'a [Fold]) -> Self {
+        let systems = folds
+            .iter()
+            .map(|fold| {
+                let y_train: Vec<f64> = fold.train.iter().map(|&i| y[i]).collect();
+                NormalSystem::new(fold.train.iter().map(|&i| x.row(i)), &y_train, x.n_cols())
+            })
+            .collect();
+        FoldSystems {
+            ridge,
+            x,
+            y,
+            folds,
+            systems,
+        }
+    }
+
+    /// [`crate::cv::cross_validate`] of `LinearRegression::new(ridge)` on
+    /// `x.select_columns(cols)`, bit for bit, without copying a row.
+    pub(crate) fn cross_validate(&self, cols: &[usize]) -> Result<CrossValidation, MlError> {
+        let mut row = Vec::with_capacity(cols.len());
+        let outcomes = self.folds.iter().zip(&self.systems).map(|(fold, system)| {
+            let model = system.fit(self.ridge, cols)?;
+            Ok(score_fold(fold, self.y, |t| {
+                let full = self.x.row(fold.test[t]);
+                row.clear();
+                row.extend(cols.iter().map(|&c| full[c]));
+                model.predict(&row)
+            }))
+        });
+        collect_folds(self.folds, outcomes, self.y.len())
+    }
 }
 
 /// A fitted linear model `y = intercept + w · x`.

@@ -40,9 +40,11 @@
 //! nesting that still posts tickets is on the *caller* side: the thread
 //! that issued `join2(plan, op)` runs the plan half itself, is not a pool
 //! worker, and so its per-candidate fold fan-outs (`cv::cross_validate`)
-//! are real ones, as are the operator half's when the caller got to it
-//! first. Everything those folds call — `Svr::fit`, the Gram build, the
-//! SMO scans — is a plain loop and never reads [`threads`]. Callers pass
+//! are real ones. (The operator half's are not: its linear candidates are
+//! solved from per-fold normal equations in place, so nothing below its
+//! per-type fits fans out.) Everything those folds call — `Svr::fit`, the
+//! Gram build, the SMO scans — is a plain loop and never reads
+//! [`threads`]. Callers pass
 //! their items to [`par_map`] / [`par_map_n`] without a serial twin of
 //! their own: one thread, one item, or a pool worker already gets the
 //! plain loop here. DESIGN.md §7 ("Threading model") lists every site.

@@ -285,8 +285,8 @@ pub(crate) fn plan_log() -> PlanLog {
 /// them; returns the selected feature names.
 fn train_plan_level<L: Learner + Sync>(log: &PlanLog, learner: &L) -> Vec<String> {
     let selection = crate::ForwardSelection::default();
-    let sel = crate::forward_select(&selection, learner, &log.x, &log.y, &log.folds)
-        .expect("selection succeeds on the fixture log");
+    let sel =
+        crate::feature_selection::select_refitting(&selection, learner, &log.x, &log.y, &log.folds);
     learner
         .fit(&log.x.select_columns(&sel.selected), &log.y)
         .expect("final fit");

@@ -81,6 +81,28 @@ crates/serve/src/tenant.rs" ]; then
     exit 1
 fi
 
+# A fan-out is a decision with a cost: waking a parked worker, and the
+# worker's own malloc arena (DESIGN.md §7, "Threading model" and "Memory:
+# what the `ml::par` worker costs"). The `par_map` / `par_map_n` / `join2`
+# call sites in each file outside ml::par are the ones §7's site table
+# lists, counted here; a site that comes or goes edits both.
+echo "==> fan-out gate: ml::par call sites per file, as DESIGN.md §7 lists them"
+fanout_sites="$(grep -roE '\b(par_map|par_map_n|join2)\(' crates/*/src src \
+    | cut -d: -f1 | grep -v -e '^crates/e2e/' -e '^crates/ml/src/par.rs$' \
+    | LC_ALL=C sort | uniq -c | awk '{ print $2, $1 }')"
+if [ "$fanout_sites" != "crates/bench/src/lib.rs 1
+crates/core/src/dataset.rs 1
+crates/core/src/hybrid.rs 4
+crates/core/src/online.rs 2
+crates/core/src/op_model.rs 1
+crates/core/src/plan_model.rs 1
+crates/core/src/predictor.rs 1
+crates/ml/src/cv.rs 1" ]; then
+    echo "$fanout_sites"
+    echo "FAIL: the ml::par call sites per file are not the list DESIGN.md §7 agrees"
+    exit 1
+fi
+
 # A plan is what the optimizer's EXPLAIN prints; the ground truth the
 # simulator runs on travels beside it (`Planned::truth`,
 # `ExecutedQuery::truth`, one `NodeTruth` per node in pre-order). Who reads

@@ -1,0 +1,123 @@
+//! What a training allocates.
+//!
+//! Operator-level training pushes each plan node's feature row straight
+//! into its operator type's matrix, allocated once at its size, and
+//! forward selection scores a linear candidate from normal equations
+//! built once per fold, so the blocks `OpLevelModel::train` allocates do
+//! not grow with the number of queries. A whole `QppPredictor::train` on
+//! the benchmark fixture's log stays under a ceiling set from its
+//! measurement. A counting `#[global_allocator]` counts each thread's
+//! blocks; the tests pin one thread (so every block is the caller's)
+//! under one lock.
+
+use engine::{Catalog, SimConfig, Simulator};
+use qpp::{ExecutedQuery, OpLevelModel, OpModelConfig, QppConfig, QppPredictor, QueryDataset};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Mutex;
+use tpch::Workload;
+
+struct CountingAlloc;
+
+thread_local! {
+    /// Blocks this thread allocated.
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Blocks `f` allocates with one thread, all of them on this one.
+fn allocations_of<T>(f: impl FnOnce() -> T) -> usize {
+    let _guard = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
+    ml::par::set_threads(1);
+    let before = ALLOCS.with(Cell::get);
+    std::hint::black_box(f());
+    let blocks = ALLOCS.with(Cell::get) - before;
+    ml::par::set_threads(0);
+    blocks
+}
+
+/// The benchmark fixture's training log (`crates/e2e`, and
+/// `tests/golden_snapshot.rs`): templates 1, 3, 5, 6, 10, 12, 14 at
+/// sf 0.1, `per_template` queries each.
+fn fixture_log(per_template: usize) -> QueryDataset {
+    const TEMPLATES: [u8; 7] = [1, 3, 5, 6, 10, 12, 14];
+    let sim = Simulator::with_config(SimConfig {
+        additive_noise_secs: 0.05,
+        ..SimConfig::default()
+    });
+    let workload = Workload::generate(&TEMPLATES, per_template, 0.1, 42);
+    QueryDataset::execute(&Catalog::new(0.1, 1), &workload, &sim, 42, f64::INFINITY)
+}
+
+#[test]
+fn op_level_training_allocates_no_more_for_twice_the_queries() {
+    let log = fixture_log(20);
+    let all: Vec<&ExecutedQuery> = log.queries.iter().collect();
+    // The log is template-major, 20 queries a template: its first half is
+    // the first 10 of each.
+    let half: Vec<&ExecutedQuery> = all
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| i % 20 < 10)
+        .map(|(_, q)| *q)
+        .collect();
+    let train = |queries: &[&ExecutedQuery]| {
+        allocations_of(|| OpLevelModel::train(queries, &OpModelConfig::default()).expect("trains"))
+    };
+    let (once, doubled) = (train(&half), train(&all));
+    // Rows cost no blocks of their own. What a training allocates
+    // follows the candidates its selections score: 5.7-6.0 k blocks on 35
+    // to 280 queries of this log, where copying every candidate's columns
+    // and each fold's rows grew by about 18 blocks a query (11.8 k on the
+    // half, 13.0 k here). The slack is what one more doubling of each
+    // type's rows, start and run times would cost.
+    const SLACK: usize = 3 * engine::ALL_OP_TYPES.len();
+    assert!(
+        doubled <= once + SLACK,
+        "{} queries: {once} blocks; {}: {doubled}",
+        half.len(),
+        all.len()
+    );
+}
+
+#[test]
+fn a_fixture_training_stays_under_its_ceiling() {
+    let log = fixture_log(20);
+    let refs: Vec<&ExecutedQuery> = log.queries.iter().collect();
+    let blocks =
+        allocations_of(|| QppPredictor::train(&refs, QppConfig::default()).expect("trains"));
+    // Measured 10.7 k blocks (plan level 3.6 k, operator level 5.9 k,
+    // hybrid 1.2 k). Copying every candidate's columns and each fold's
+    // rows made 18.3 k, of which operator level 13.0 k.
+    const CEILING: usize = 11_000;
+    assert!(blocks <= CEILING, "{blocks} blocks, ceiling {CEILING}");
+}
