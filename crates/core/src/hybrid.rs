@@ -20,7 +20,7 @@ use crate::error::QppError;
 use crate::features::{plan_features, NodeView};
 use crate::op_model::OpLevelModel;
 use crate::plan_model::{fold_count, map_batch, FeatureModel, PredictBuffers};
-use crate::pred_cache::{views_hash, PredictionCache, SubplanPredKey};
+use crate::pred_cache::{views_hash, PlanPredKey, PredictionCache};
 use crate::subplan::{structure_hashes_into, StructureKey, SubplanIndex};
 use engine::plan::{PlanNode, MAX_CHILDREN};
 use ml::bytes::{put_str, Malformed, Reader};
@@ -272,20 +272,20 @@ impl HybridModel {
     }
 
     /// Predicts a batch of queries in input order, sharing a fresh memo
-    /// cache across the batch so identical sub-plans (repeated templates,
-    /// shared fragments) are predicted once. Bit-identical to a serial
+    /// cache across the batch so a plan that repeats (same structure, same
+    /// estimates) is walked once. Bit-identical to a serial
     /// [`HybridModel::predict`] loop.
     pub fn predict_batch(&self, queries: &[&ExecutedQuery]) -> Vec<f64> {
         self.predict_batch_cached(queries, &PredictionCache::default())
     }
 
     /// [`HybridModel::predict_batch`] against a caller-owned cache, so
-    /// memoized sub-plan predictions survive across batches: fragments
-    /// whose (structure, views) this model set already predicted are
-    /// answered from `cache` without re-walking them. Large batches fan out
-    /// over `ml::par`; results stay bit-identical to the serial loop
-    /// regardless of thread count because every memoized value equals its
-    /// recomputation bit-for-bit.
+    /// memoized plan predictions survive across batches: a plan whose
+    /// (structure, views) this model set already predicted is answered from
+    /// `cache` without walking it. Large batches fan out over `ml::par`;
+    /// results stay bit-identical to the serial loop regardless of thread
+    /// count because every memoized value equals its recomputation
+    /// bit-for-bit.
     pub fn predict_batch_cached(
         &self,
         queries: &[&ExecutedQuery],
@@ -297,7 +297,8 @@ impl HybridModel {
 
     /// One query of [`HybridModel::predict_batch_cached`] for the model set
     /// signed `sig`, with caller-owned buffers; leaves the query's views in
-    /// `buf.views`.
+    /// `buf.views`. The memo is keyed by the whole plan: one lookup, and on
+    /// a miss the one walk, [`Walk::compose`], whose latency is inserted.
     pub(crate) fn predict_memo_with(
         &self,
         query: &ExecutedQuery,
@@ -307,23 +308,32 @@ impl HybridModel {
     ) -> f64 {
         query.views_into(self.op_model.source(), &mut buf.views);
         structure_hashes_into(&query.plan, &mut buf.sizes, &mut buf.hashes);
+        let key = PlanPredKey {
+            model: sig,
+            structure: buf.hashes[0],
+            views: views_hash(&buf.views),
+        };
+        if let Some(latency) = cache.get(&key) {
+            return latency;
+        }
         let mut walk = Walk {
             plan_models: Some(&self.plan_models),
             sizes: &buf.sizes,
             hashes: &buf.hashes,
             ..Walk::operator_level(&self.op_model, &buf.views, &mut buf.row, &mut buf.scratch)
         };
-        let (_, run) = walk.compose_memo(&query.plan, sig, cache);
-        run.max(0.0)
+        let latency = walk.compose(&query.plan).1.max(0.0);
+        cache.insert(key, latency);
+        latency
     }
 }
 
 /// One plan walk's state: the models and observations that can answer a
-/// node, the plan's views with the [`structure_hashes_into`] sizes and
-/// hashes that key and skip a fragment, where outcomes are recorded, and
-/// the scratch the models evaluate with. The sizes, hashes, row and
-/// scratch (and the views, on the batch paths) are disjoint fields of the
-/// thread's [`PredictBuffers`].
+/// node, the plan's views with the [`structure_hashes_into`] hashes that
+/// find a fragment's model and sizes that skip it, where outcomes are
+/// recorded, and the scratch the models evaluate with. The sizes, hashes,
+/// row and scratch (and the views, on the batch paths) are disjoint fields
+/// of the thread's [`PredictBuffers`].
 pub(crate) struct Walk<'a> {
     op_model: &'a OpLevelModel,
     /// Sub-plan models by structure; `None` on the operator-level path,
@@ -389,36 +399,13 @@ impl<'a> Walk<'a> {
                 (times, NodePrediction::PlanModel { times })
             }
             None => {
-                let times = self.operator_step(node, |w, c| w.compose(c));
+                let times = self.operator_step(node);
                 (times, NodePrediction::Operator { times })
             }
         };
         if let Some(slot) = self.out.get_mut(idx) {
             *slot = outcome;
         }
-        times
-    }
-
-    /// The memoized mirror of [`Walk::compose`] without observations:
-    /// identical floating-point operations in identical order, with each
-    /// fragment's `(start, run)` looked up in / inserted into the memo
-    /// cache.
-    fn compose_memo(&mut self, node: &PlanNode, sig: u64, cache: &PredictionCache) -> (f64, f64) {
-        let idx = self.at;
-        let key = SubplanPredKey {
-            model: sig,
-            structure: self.hashes[idx],
-            views: views_hash(&self.views[idx..idx + self.sizes[idx]]),
-        };
-        if let Some(times) = cache.get(&key) {
-            self.at += self.sizes[idx];
-            return times;
-        }
-        let times = match self.plan_model(idx) {
-            Some(sm) => self.fragment_times(sm, node, idx),
-            None => self.operator_step(node, |w, c| w.compose_memo(c, sig, cache)),
-        };
-        cache.insert(key, times);
         times
     }
 
@@ -435,15 +422,11 @@ impl<'a> Walk<'a> {
         sm.times(&f, self.row, self.scratch)
     }
 
-    /// The operator-level step both walks share: each child's times from
-    /// `child` (the walk standing at the child's pre-order position), then
-    /// the node's own from its operator model. A child past
-    /// [`MAX_CHILDREN`] is walked but, like in Table 2, not read.
-    fn operator_step(
-        &mut self,
-        node: &PlanNode,
-        mut child: impl FnMut(&mut Self, &PlanNode) -> (f64, f64),
-    ) -> (f64, f64) {
+    /// The operator-level step: each child's times from the walk standing
+    /// at the child's pre-order position, then the node's own from its
+    /// operator model. A child past [`MAX_CHILDREN`] is walked but, like in
+    /// Table 2, not read.
+    fn operator_step(&mut self, node: &PlanNode) -> (f64, f64) {
         let views = self.views;
         let idx = self.at;
         self.at += 1;
@@ -452,7 +435,7 @@ impl<'a> Walk<'a> {
         let mut n = 0;
         for c in &node.children {
             let at = self.at;
-            let t = child(self, c);
+            let t = self.compose(c);
             if n < MAX_CHILDREN {
                 child_views[n] = &views[at];
                 child_times[n] = t;
@@ -866,33 +849,45 @@ mod tests {
     }
 
     #[test]
-    fn memoized_prediction_is_bit_identical_and_caches() {
+    fn the_memo_holds_one_entry_per_distinct_plan() {
         let ds = dataset();
         let refs: Vec<&ExecutedQuery> = ds.queries.iter().collect();
         let op = OpLevelModel::train(&refs, &OpModelConfig::default()).unwrap();
         let (hybrid, _) =
             train_hybrid(&refs, op, &quick_config(PlanOrdering::ErrorBased)).unwrap();
-        let cache = crate::pred_cache::PredictionCache::default();
-        for q in &refs {
-            let views = q.views(hybrid.op_model.source());
-            let plain = hybrid.predict_plan(&q.plan, &views).latency;
-            let memo = hybrid.predict_batch_cached(&[*q], &cache)[0];
-            assert_eq!(plain.to_bits(), memo.to_bits());
-            // Second walk answers the root from the cache, same bits.
-            let again = hybrid.predict_batch_cached(&[*q], &cache)[0];
-            assert_eq!(plain.to_bits(), again.to_bits());
-        }
-        let stats = cache.stats();
-        assert!(stats.hits > 0, "repeat walks must hit: {stats:?}");
+        // Every plan twice, below the fan-out threshold: one thread walks
+        // the batch, so no two lookups of one plan race.
+        let log: Vec<&ExecutedQuery> = refs[..30].iter().chain(&refs[..30]).copied().collect();
+        assert!(log.len() < crate::plan_model::PAR_BATCH_MIN);
+        let distinct = log
+            .iter()
+            .map(|q| {
+                let views = q.views(hybrid.op_model.source());
+                (crate::subplan::structure_key(&q.plan), views_hash(&views))
+            })
+            .collect::<HashSet<_>>()
+            .len() as u64;
 
-        // Batch form equals the serial loop bit-for-bit, in order.
-        let serial: Vec<u64> = refs.iter().map(|q| hybrid.predict(q).to_bits()).collect();
-        let batch: Vec<u64> = hybrid
-            .predict_batch(&refs)
-            .into_iter()
-            .map(f64::to_bits)
-            .collect();
-        assert_eq!(serial, batch);
+        let cache = PredictionCache::default();
+        let cold = hybrid.predict_batch_cached(&log, &cache);
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.entries as u64, stats.misses, stats.hits),
+            (distinct, distinct, log.len() as u64 - distinct)
+        );
+        let warm = hybrid.predict_batch_cached(&log, &cache);
+        let again = cache.stats();
+        assert_eq!(again.hits - stats.hits, log.len() as u64, "one hit per query");
+        assert_eq!(again.misses, stats.misses, "no miss when warm");
+        assert_eq!(again.entries, stats.entries);
+
+        // Cold, warm and batch forms equal the serial walk bit-for-bit, in
+        // order.
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<u64>>();
+        let serial: Vec<u64> = log.iter().map(|q| hybrid.predict(q).to_bits()).collect();
+        assert_eq!(serial, bits(cold));
+        assert_eq!(serial, bits(warm));
+        assert_eq!(serial, bits(hybrid.predict_batch(&log)));
     }
 
     #[test]

@@ -18,9 +18,9 @@
 //! - [`online`] — online model building for unforeseen plans (Section 4):
 //!   sub-plan models built for the incoming plans, and a hybrid model
 //!   extended by those that apply to one plan.
-//! - [`pred_cache`] — bounded memo cache of sub-plan predictions keyed by
-//!   (model signature, structure hash, views hash); backs the batched
-//!   hybrid inference path.
+//! - [`pred_cache`] — bounded memo cache of whole-plan hybrid predictions
+//!   keyed by (model signature, root structure hash, views hash); backs
+//!   the batched hybrid inference path.
 //! - [`progressive`] — progressive prediction with run-time features (the
 //!   extension sketched in the paper's conclusions).
 //! - [`predictor`] — the user-facing facade.
@@ -58,7 +58,7 @@ pub use materialize::MaterializedModels;
 pub use monitor::{DriftMonitor, ModelHealth};
 pub use op_model::{OpLevelModel, OpModelConfig};
 pub use plan_model::{PlanLevelModel, PlanModelConfig, PredictBuffers, TargetMetric};
-pub use pred_cache::{PredictionCache, PredictionCacheStats, SubplanPredKey};
+pub use pred_cache::{PredictionCache, PredictionCacheStats};
 pub use predictor::{
     tier_rank, Method, Prediction, PredictionTier, QppConfig, QppPredictor, ALL_TIERS,
     MODEL_TIERS,

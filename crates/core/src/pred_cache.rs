@@ -1,26 +1,26 @@
-//! A bounded memo cache for sub-plan predictions.
+//! A bounded memo cache of whole-plan hybrid predictions.
 //!
-//! The hybrid method re-walks plan trees at predict time, and
-//! production workloads (plan caches, optimizer search, repeated template
-//! instantiations) keep presenting the *same sub-plans with the same
-//! optimizer estimates* over and over. Re-running the SVR kernel expansion
-//! for an identical fragment is pure waste: the prediction is a
-//! deterministic function of (model set, sub-plan structure, per-node
-//! views).
-//!
-//! [`PredictionCache`] memoizes exactly that function. Keys combine
+//! Production workloads (plan caches, repeated template instantiations)
+//! keep presenting the *same plans with the same optimizer estimates*, and
+//! a hybrid prediction is a deterministic function of (model set, plan
+//! structure, per-node views). [`PredictionCache`] memoizes that function
+//! for [`crate::hybrid::HybridModel::predict_batch_cached`] and the hybrid
+//! tier of [`crate::QppPredictor::predict_checked_batch_cached`]: each
+//! query is one lookup, and a miss runs the one composition walk
+//! ([`crate::hybrid`]'s `Walk::compose`) and inserts its latency. Keys
+//! combine
 //!
 //! - a **model signature**
 //!   ([`crate::hybrid::HybridModel::plan_model_signature`], FNV over the
 //!   operator models' and every sub-plan model's fingerprint), so entries
 //!   are never shared across model sets: a hot-swapped retrain, or a base
 //!   model [`crate::online::extend`] added sub-plan models to;
-//! - the fragment's **structure hash**, from the same bottom-up pass
-//!   [`crate::subplan::SubplanIndex`] uses
+//! - the root's **structure hash**, from the bottom-up pass the walk and
+//!   [`crate::subplan::SubplanIndex`] use
 //!   ([`crate::subplan::structure_hashes_into`]);
 //! - a **views content hash** over the bit patterns of every
-//!   [`NodeView`] in the fragment, so two structurally identical fragments
-//!   with different cardinality estimates never collide.
+//!   [`NodeView`] in the plan, so two structurally identical plans with
+//!   different cardinality estimates never collide.
 //!
 //! Determinism: a hit returns bit-identical values to the recomputation it
 //! replaces, so batch predictions remain bit-identical to a cold serial
@@ -33,21 +33,21 @@ use crate::features::NodeView;
 use std::collections::HashMap;
 use std::sync::Mutex;
 
-/// Default entry cap; at ~40 bytes per entry this bounds the cache to a
-/// few hundred KiB.
+/// Default entry cap; at 32 bytes an entry (a 24-byte key and an `f64`)
+/// in a map of 16 384 buckets, this bounds the cache to about 530 KiB.
 pub const DEFAULT_PRED_CACHE_CAPACITY: usize = 8192;
 
-/// Cache key for one sub-plan prediction; see the module docs for why all
+/// Cache key for one plan's prediction; see the module docs for why all
 /// three components are required.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SubplanPredKey {
+pub(crate) struct PlanPredKey {
     /// Signature of the model set producing the prediction.
-    pub model: u64,
-    /// Structure hash of the sub-plan (agrees with
+    pub(crate) model: u64,
+    /// Structure hash of the plan's root (agrees with
     /// [`crate::subplan::structure_key`]).
-    pub structure: u64,
-    /// Content hash over the fragment's [`NodeView`]s.
-    pub views: u64,
+    pub(crate) structure: u64,
+    /// Content hash over the plan's [`NodeView`]s.
+    pub(crate) views: u64,
 }
 
 /// Hit/miss/eviction counters for diagnostics and benches.
@@ -64,14 +64,13 @@ pub struct PredictionCacheStats {
 }
 
 struct Inner {
-    map: HashMap<SubplanPredKey, (f64, f64)>,
+    map: HashMap<PlanPredKey, f64>,
     hits: u64,
     misses: u64,
     evictions: u64,
 }
 
-/// A bounded, thread-safe memo cache of `(start, run)` sub-plan
-/// predictions.
+/// A bounded, thread-safe memo cache of hybrid plan latencies.
 pub struct PredictionCache {
     capacity: usize,
     inner: Mutex<Inner>,
@@ -97,8 +96,8 @@ impl PredictionCache {
         }
     }
 
-    /// Looks up a memoized `(start, run)` pair.
-    pub fn get(&self, key: &SubplanPredKey) -> Option<(f64, f64)> {
+    /// Looks up a memoized latency.
+    pub(crate) fn get(&self, key: &PlanPredKey) -> Option<f64> {
         let mut inner = self.inner.lock().unwrap();
         match inner.map.get(key).copied() {
             Some(v) => {
@@ -112,9 +111,9 @@ impl PredictionCache {
         }
     }
 
-    /// Memoizes a `(start, run)` pair, clearing the cache wholesale first
-    /// if it is at capacity (and the key is not already resident).
-    pub fn insert(&self, key: SubplanPredKey, value: (f64, f64)) {
+    /// Memoizes a latency, clearing the cache wholesale first if it is at
+    /// capacity (and the key is not already resident).
+    pub(crate) fn insert(&self, key: PlanPredKey, value: f64) {
         let mut inner = self.inner.lock().unwrap();
         if inner.map.len() >= self.capacity && !inner.map.contains_key(&key) {
             inner.evictions += inner.map.len() as u64;
@@ -146,11 +145,11 @@ impl PredictionCache {
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x1000_0000_01b3;
 
-/// FNV-1a over the bit patterns of a fragment's views. Bit-level hashing
-/// means two fragments cache-collide only when their estimates are
-/// *exactly* equal — in which case the memoized prediction is exactly the
-/// one recomputation would produce.
-pub fn views_hash(views: &[NodeView]) -> u64 {
+/// FNV-1a over the bit patterns of a plan's views. Bit-level hashing
+/// means two plans cache-collide only when their estimates are *exactly*
+/// equal — in which case the memoized prediction is exactly the one
+/// recomputation would produce.
+pub(crate) fn views_hash(views: &[NodeView]) -> u64 {
     let mut h = FNV_OFFSET;
     let mut mix = |v: f64| {
         h = (h ^ v.to_bits()).wrapping_mul(FNV_PRIME);
@@ -190,8 +189,8 @@ pub(crate) fn hash_u64s(values: &[u64]) -> u64 {
 mod tests {
     use super::*;
 
-    fn key(n: u64) -> SubplanPredKey {
-        SubplanPredKey {
+    fn key(n: u64) -> PlanPredKey {
+        PlanPredKey {
             model: 1,
             structure: n,
             views: n.wrapping_mul(31),
@@ -202,8 +201,8 @@ mod tests {
     fn get_insert_roundtrip_and_stats() {
         let cache = PredictionCache::new(16);
         assert_eq!(cache.get(&key(1)), None);
-        cache.insert(key(1), (1.5, 2.5));
-        assert_eq!(cache.get(&key(1)), Some((1.5, 2.5)));
+        cache.insert(key(1), 2.5);
+        assert_eq!(cache.get(&key(1)), Some(2.5));
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
     }
@@ -212,17 +211,17 @@ mod tests {
     fn capacity_triggers_wholesale_clear() {
         let cache = PredictionCache::new(4);
         for i in 0..4 {
-            cache.insert(key(i), (i as f64, i as f64));
+            cache.insert(key(i), i as f64);
         }
         assert_eq!(cache.stats().entries, 4);
-        cache.insert(key(99), (9.0, 9.0));
+        cache.insert(key(99), 9.0);
         let s = cache.stats();
         assert_eq!(s.entries, 1, "clear then insert");
         assert_eq!(s.evictions, 4);
         // Re-inserting a resident key at capacity does not clear.
         let cache = PredictionCache::new(1);
-        cache.insert(key(7), (1.0, 1.0));
-        cache.insert(key(7), (1.0, 1.0));
+        cache.insert(key(7), 1.0);
+        cache.insert(key(7), 1.0);
         assert_eq!(cache.stats().evictions, 0);
     }
 

@@ -231,8 +231,8 @@ impl QppPredictor {
     /// and bit-identical to a serial [`QppPredictor::predict`] loop.
     ///
     /// Batching amortizes feature extraction, fans out over `ml::par` for
-    /// large batches, and (for the hybrid method) shares a sub-plan memo
-    /// cache across the batch so repeated fragments are predicted once.
+    /// large batches, and (for the hybrid method) shares a plan memo cache
+    /// across the batch so a repeated plan is walked once.
     pub fn predict_batch(&self, queries: &[&ExecutedQuery], method: Method) -> Vec<f64> {
         match method {
             Method::PlanLevel => self.plan_level.predict_batch(queries),
@@ -317,8 +317,8 @@ impl QppPredictor {
     }
 
     /// Batched [`QppPredictor::predict_checked`]: one fan-out evaluates the
-    /// entry tier on every query (the hybrid tier through the shared
-    /// sub-plan memo `cache`) and checks the query's features on the views
+    /// entry tier on every query (the hybrid tier through the shared plan
+    /// memo `cache`) and checks the query's features on the views
     /// that evaluation resolved. Only queries the entry tier cannot serve —
     /// corrupted features, an open breaker, an insane output — fall back to
     /// the per-query chain walk. Results are in input order and

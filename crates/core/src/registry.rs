@@ -249,7 +249,7 @@ impl ModelRegistry {
         self.generation.load(Ordering::Acquire)
     }
 
-    /// The shared sub-plan prediction cache, cleared on every model swap.
+    /// The shared hybrid plan-prediction cache, cleared on every model swap.
     /// Serve batched predictions through this cache (e.g.
     /// `registry.current().hybrid.predict_batch_cached(queries,
     /// &registry.pred_cache())`) to get swap-safe memoization.

@@ -239,9 +239,10 @@ impl SubplanIndex {
 /// `i`, and `sizes[i]` is its operator count: the fragment rooted there is
 /// `i .. i + sizes[i]`, its first child sits at `i + 1` and each next one
 /// a subtree size further. A tree walk keys any fragment from these
-/// without re-hashing it, which is how the prediction memo cache
-/// ([`crate::pred_cache::PredictionCache`]) keys sub-plan predictions in
-/// O(n) per plan.
+/// without re-hashing it, which is how the hybrid walk finds a fragment's
+/// sub-plan model in O(n) per plan; the prediction memo cache
+/// ([`crate::pred_cache::PredictionCache`]) keys a whole plan by
+/// `hashes[0]`.
 pub fn structure_hashes_into(plan: &PlanNode, sizes: &mut Vec<usize>, hashes: &mut Vec<u64>) {
     fn pass(node: &PlanNode, sizes: &mut Vec<usize>, hashes: &mut Vec<u64>) {
         let idx = sizes.len();

@@ -103,6 +103,22 @@ crates/ml/src/cv.rs 1" ]; then
     exit 1
 fi
 
+# The hybrid's prediction memo is read and written in one place: the
+# whole-plan lookup of `HybridModel::predict_memo_with`, in front of the
+# one composition walk (DESIGN.md §7, "The prediction memo"). A second
+# memoized walk beside the first would be a second copy of the
+# composition; it comes back only by editing this list and §7's.
+echo "==> memo gate: PredictionCache get/insert in qpp::hybrid only, one site each"
+memo_sites="$(grep -roE '\bcache\.(get|insert)\(' crates/*/src src \
+    | grep -v -e '^crates/e2e/' -e '^crates/core/src/pred_cache.rs:' \
+    | LC_ALL=C sort | uniq -c | awk '{ print $2, $1 }')"
+if [ "$memo_sites" != "crates/core/src/hybrid.rs:cache.get( 1
+crates/core/src/hybrid.rs:cache.insert( 1" ]; then
+    echo "$memo_sites"
+    echo "FAIL: the prediction memo's call sites are not exactly one get and one insert in qpp::hybrid"
+    exit 1
+fi
+
 # A plan is what the optimizer's EXPLAIN prints; the ground truth the
 # simulator runs on travels beside it (`Planned::truth`,
 # `ExecutedQuery::truth`, one `NodeTruth` per node in pre-order). Who reads

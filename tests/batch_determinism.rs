@@ -1,5 +1,5 @@
 //! The batched inference path must be *bit-identical* to the single-row
-//! one: batching (and its sub-plan memo cache) changes only how much work
+//! one: batching (and its plan memo cache) changes only how much work
 //! is done, never the values produced.
 //!
 //! Each comparison runs the serial single-row loop and the batched call
@@ -12,7 +12,7 @@ use qpp::{
     online, ExecutedQuery, HybridConfig, HybridModel, Method, PlanOrdering, PredictionCache,
     QppConfig, QppPredictor, QueryDataset,
 };
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use tpch::Workload;
 
 static THREADS_LOCK: Mutex<()> = Mutex::new(());
@@ -47,7 +47,7 @@ fn predict_batch_matches_single_row_loop_at_any_thread_count() {
         ml::gram::GramCache::global().clear();
         QppPredictor::train(&refs, QppConfig::default()).expect("training")
     });
-    // Repeat the workload so the hybrid memo cache sees shared sub-plans
+    // Repeat the workload so the hybrid memo cache sees repeated plans
     // and the batch clears the parallel fan-out threshold.
     let batch: Vec<&ExecutedQuery> = refs
         .iter()
@@ -74,6 +74,10 @@ fn predict_batch_matches_single_row_loop_at_any_thread_count() {
     }
 }
 
+/// A cold cache, a warm one and the serial walk give the same bits, at one
+/// thread and fanned out over eight, for the predictor's hybrid and for one
+/// that holds sub-plan models (a miss then runs both kinds of model). The
+/// warm pass answers every query from the memo.
 #[test]
 fn warm_prediction_cache_does_not_change_bits() {
     let _guard = THREADS_LOCK.lock().unwrap_or_else(|p| p.into_inner());
@@ -83,30 +87,55 @@ fn warm_prediction_cache_does_not_change_bits() {
         ml::gram::GramCache::global().clear();
         QppPredictor::train(&refs, QppConfig::default()).expect("training")
     });
-    let cache = PredictionCache::default();
-    let cold: Vec<u64> = with_threads(1, || {
-        qpp.hybrid
-            .predict_batch_cached(&refs, &cache)
-            .into_iter()
-            .map(f64::to_bits)
-            .collect()
+    // The forcing settings of `hybrid`'s own tests.
+    let config = HybridConfig {
+        max_iterations: 8,
+        min_frequency: 3,
+        ..HybridConfig::default()
+    };
+    let (with_models, _) = with_threads(1, || {
+        qpp::train_hybrid(&refs, Arc::clone(&qpp.hybrid.op_model), &config)
+            .expect("hybrid training")
     });
-    // Every root fragment is now memoized; the warm pass must reproduce
-    // the same bits entirely from hits.
-    let before = cache.stats();
-    let warm: Vec<u64> = with_threads(1, || {
-        qpp.hybrid
-            .predict_batch_cached(&refs, &cache)
-            .into_iter()
-            .map(f64::to_bits)
-            .collect()
-    });
-    let after = cache.stats();
-    assert_eq!(cold, warm);
     assert!(
-        after.hits >= before.hits + refs.len() as u64,
-        "warm pass must hit at least once per query: {before:?} -> {after:?}"
+        !with_models.plan_models.is_empty(),
+        "no sub-plan model to compare"
     );
+    // Repeated so the batch clears the parallel fan-out threshold.
+    let batch: Vec<&ExecutedQuery> = refs
+        .iter()
+        .cycle()
+        .take(refs.len() * 3)
+        .copied()
+        .collect();
+    for (name, hybrid) in [("predictor's", &qpp.hybrid), ("with sub-plan models", &with_models)] {
+        let serial: Vec<u64> = with_threads(1, || {
+            batch.iter().map(|q| hybrid.predict(q).to_bits()).collect()
+        });
+        for threads in [1usize, 8] {
+            let cache = PredictionCache::default();
+            let cached = || -> Vec<u64> {
+                with_threads(threads, || {
+                    hybrid
+                        .predict_batch_cached(&batch, &cache)
+                        .into_iter()
+                        .map(f64::to_bits)
+                        .collect()
+                })
+            };
+            let cold = cached();
+            let before = cache.stats();
+            let warm = cached();
+            let after = cache.stats();
+            assert_eq!(serial, cold, "{name} hybrid, cold, {threads} thread(s)");
+            assert_eq!(serial, warm, "{name} hybrid, warm, {threads} thread(s)");
+            assert_eq!(
+                (after.hits - before.hits, after.misses),
+                (batch.len() as u64, before.misses),
+                "{name} hybrid, {threads} thread(s): the warm pass hits once per query"
+            );
+        }
+    }
 }
 
 /// Online building judges its candidates in parallel, each against the

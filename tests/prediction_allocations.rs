@@ -100,9 +100,9 @@ fn a_checked_batch_allocates_the_same_for_16_queries_as_for_256() {
     for config in [QppConfig::default(), actual] {
         let source = config.plan.source;
         let qpp = QppPredictor::train(&refs, config).expect("training");
-        // A one-entry cache evicts on every new fragment, so the hybrid
-        // tier walks each plan instead of answering its root from the
-        // cache, and the map never grows past its first allocation.
+        // A one-entry cache evicts on every new plan, so the hybrid tier
+        // walks each plan instead of answering it from the cache, and the
+        // map never grows past its first allocation.
         let cache = PredictionCache::new(1);
         let mut blocks = Vec::new();
         for method in [

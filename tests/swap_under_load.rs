@@ -4,7 +4,7 @@
 //! 1. A promote/rollback mid-flight never tears a batch and never panics a
 //!    worker — every in-flight request is answered by exactly one model
 //!    version.
-//! 2. The shared sub-plan prediction cache never serves entries computed
+//! 2. The shared plan-prediction cache never serves entries computed
 //!    by a retired model: after a swap, served values are bit-identical to
 //!    what the *new* model computes from scratch.
 
