@@ -17,9 +17,10 @@
 //! - [`tenant`] — the one worker pool, queue and `submit` of the crate:
 //!   per-tenant registries, admission budgets, queue quotas and
 //!   weighted-fair dequeue (with dynamic add/remove under load) in front
-//!   of workers that coalesce requests into the batched predictor path
-//!   and snapshot the model once per batch, so registry hot swaps are
-//!   safe under load; plus the per-tenant healing loop (a quarantined
+//!   of workers, started on demand, that coalesce requests into the
+//!   batched predictor path and snapshot the model once per batch, so
+//!   registry hot swaps are safe under load; a blocking `predict` on an
+//!   idle server is served on the calling thread instead; plus the per-tenant healing loop (a quarantined
 //!   tier or an open breaker → shadow retrain → validated promote). A
 //!   request whose deadline has passed when a worker dequeues it is
 //!   refused with [`qpp::QppError::DeadlineExceeded`]; every other
@@ -36,8 +37,8 @@
 //!   every [`qpp::QppError`] variant onto stable wire codes; decoding
 //!   never panics on arbitrary bytes.
 //! - [`net`] — the TCP front door speaking that protocol: acceptor +
-//!   fixed worker pool behind a 32-deep `sync_channel` of accepted
-//!   sockets, per-connection read/write deadlines, slowloris eviction,
+//!   connection workers started on demand behind a 32-deep
+//!   `sync_channel` of accepted sockets, per-connection read/write deadlines, slowloris eviction,
 //!   malformed-frame rejection, and graceful drain whose ledger
 //!   reconciles exactly.
 //!

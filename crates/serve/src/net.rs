@@ -3,12 +3,18 @@
 //!
 //! Everything below is dependency-free blocking I/O on `std::net`:
 //!
-//! - **Acceptor + fixed worker pool.** One acceptor thread polls a
+//! - **Acceptor + on-demand workers.** One acceptor thread polls a
 //!   non-blocking listener and hands sockets to a `sync_channel` of 32;
-//!   `max_connections` worker threads each own one connection at a time.
-//!   A connection that arrives with the backlog full is *refused* with a
+//!   connection workers, each owning one connection at a time, start as
+//!   sockets need them: a socket that finds no idle worker starts one, up
+//!   to `max_connections`, after which sockets wait in the backlog. A
+//!   connection that arrives with the backlog full is *refused* with a
 //!   typed [`QppError::Overloaded`] error frame and closed — admission
 //!   control at the socket layer, mirroring the in-process front door.
+//! - **The connection thread serves.** A request goes through
+//!   [`TenantServer::predict`]'s path: on an idle tenant server the
+//!   connection worker runs the prediction itself, with no hand-off to a
+//!   tenant worker; under load it queues and waits its weighted-fair turn.
 //! - **Connection-level resilience.** Per-connection read deadlines with
 //!   slow-client (slowloris) eviction — a peer that starts a frame and
 //!   stalls past [`NetConfig::read_timeout`] is dropped, as is one that
@@ -26,8 +32,8 @@
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -57,8 +63,9 @@ const ACCEPT_BACKLOG: usize = 32;
 /// Sizing and resilience knobs for [`NetServer::bind`].
 #[derive(Debug, Clone)]
 pub struct NetConfig {
-    /// Worker threads, each owning one live connection at a time — the
-    /// hard cap on concurrent sessions.
+    /// Most connection workers, each owning one live connection at a time
+    /// — the hard cap on concurrent sessions. Workers start as
+    /// connections arrive, not at bind.
     pub max_connections: usize,
     /// Longest a peer may take to finish a frame it started (and the
     /// slowloris eviction budget).
@@ -132,6 +139,9 @@ pub struct NetStatsSnapshot {
     /// Session panics caught by the worker supervisor; the worker thread
     /// survived every one of these.
     pub session_panics: u64,
+    /// Connection workers started: one per socket that found no idle
+    /// worker, never more than `max_connections`.
+    pub workers_started: u64,
     /// Frames that failed header validation or payload decoding; never
     /// counted as accepted requests.
     pub malformed_frames: u64,
@@ -162,6 +172,10 @@ struct NetInner {
     ledger: Mutex<NetStatsSnapshot>,
     shutdown: AtomicBool,
     drain_deadline: Mutex<Option<Instant>>,
+    /// Workers back from a session and not yet handed a socket. Only the
+    /// acceptor takes from it, so a socket never counts on a worker that
+    /// another socket already claimed.
+    idle_workers: AtomicUsize,
 }
 
 /// A TCP front door over a [`TenantServer`], speaking `QPPWIRE-v2`.
@@ -172,13 +186,13 @@ struct NetInner {
 pub struct NetServer {
     inner: Arc<NetInner>,
     local_addr: SocketAddr,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    /// The acceptor returns the connection workers it started.
+    acceptor: Option<JoinHandle<Vec<JoinHandle<()>>>>,
 }
 
 impl NetServer {
     /// Binds `addr` (use port 0 to let the OS pick) and starts the
-    /// acceptor and worker threads over `server`.
+    /// acceptor over `server`; connection workers start as sockets arrive.
     pub fn bind<A: ToSocketAddrs>(
         addr: A,
         server: Arc<TenantServer>,
@@ -187,39 +201,25 @@ impl NetServer {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
-        let worker_count = config.max_connections.max(1);
         let inner = Arc::new(NetInner {
             server,
             config,
             ledger: Mutex::default(),
             shutdown: AtomicBool::new(false),
             drain_deadline: Mutex::new(None),
+            idle_workers: AtomicUsize::new(0),
         });
-        // The acceptor owns the only sender: when it exits, the channel
-        // closes, and workers drain what is queued before they stop.
-        let (backlog, pending) = mpsc::sync_channel(ACCEPT_BACKLOG);
-        let pending = Arc::new(Mutex::new(pending));
         let acceptor = {
             let inner = Arc::clone(&inner);
             std::thread::Builder::new()
                 .name("qpp-net-acceptor".into())
-                .spawn(move || acceptor_loop(&listener, backlog, &inner))
+                .spawn(move || acceptor_loop(&listener, &inner))
                 .expect("spawning the acceptor thread")
         };
-        let workers = (0..worker_count)
-            .map(|i| {
-                let (inner, pending) = (Arc::clone(&inner), Arc::clone(&pending));
-                std::thread::Builder::new()
-                    .name(format!("qpp-net-worker-{i}"))
-                    .spawn(move || worker_loop(&pending, &inner))
-                    .expect("spawning a connection worker")
-            })
-            .collect();
         Ok(NetServer {
             inner,
             local_addr,
             acceptor: Some(acceptor),
-            workers,
         })
     }
 
@@ -252,13 +252,13 @@ impl NetServer {
         }
         // The acceptor's exit closes the backlog; workers drain what is
         // queued (those sessions see the shutdown flag and close unread).
-        let threads = self
-            .acceptor
-            .take()
-            .into_iter()
-            .chain(self.workers.drain(..));
-        for thread in threads {
-            if let Err(p) = thread.join() {
+        let workers = match self.acceptor.take().map(JoinHandle::join) {
+            Some(Ok(workers)) => workers,
+            Some(Err(p)) => std::panic::resume_unwind(p),
+            None => Vec::new(),
+        };
+        for worker in workers {
+            if let Err(p) = worker.join() {
                 std::panic::resume_unwind(p);
             }
         }
@@ -272,21 +272,52 @@ impl Drop for NetServer {
     }
 }
 
-fn acceptor_loop(listener: &TcpListener, backlog: SyncSender<TcpStream>, inner: &NetInner) {
+/// Accepts until shutdown, starting a connection worker for each queued
+/// socket that finds none idle, and returns the workers it started. It
+/// owns the backlog's only sender: its exit closes the channel, and
+/// workers drain what is queued before they stop.
+fn acceptor_loop(listener: &TcpListener, inner: &Arc<NetInner>) -> Vec<JoinHandle<()>> {
+    let (backlog, pending) = mpsc::sync_channel(ACCEPT_BACKLOG);
+    let pending = Arc::new(Mutex::new(pending));
+    let mut workers = Vec::new();
     while !inner.shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _peer)) => {
                 inner.ledger.lock().unwrap().conns_accepted += 1;
-                if let Err(TrySendError::Full(stream) | TrySendError::Disconnected(stream)) =
-                    backlog.try_send(stream)
-                {
-                    inner.ledger.lock().unwrap().conns_refused += 1;
-                    refuse_connection(stream, inner);
+                match backlog.try_send(stream) {
+                    Ok(()) => {
+                        let claimed = inner.idle_workers.fetch_update(
+                            Ordering::SeqCst,
+                            Ordering::SeqCst,
+                            |idle| idle.checked_sub(1),
+                        );
+                        if claimed.is_err() && workers.len() < inner.config.max_connections.max(1) {
+                            workers.push(start_worker(workers.len(), &pending, inner));
+                        }
+                    }
+                    Err(TrySendError::Full(stream) | TrySendError::Disconnected(stream)) => {
+                        inner.ledger.lock().unwrap().conns_refused += 1;
+                        refuse_connection(stream, inner);
+                    }
                 }
             }
             Err(_) => std::thread::sleep(ACCEPT_TICK),
         }
     }
+    workers
+}
+
+fn start_worker(
+    i: usize,
+    pending: &Arc<Mutex<Receiver<TcpStream>>>,
+    inner: &Arc<NetInner>,
+) -> JoinHandle<()> {
+    inner.ledger.lock().unwrap().workers_started += 1;
+    let (pending, inner) = (Arc::clone(pending), Arc::clone(inner));
+    std::thread::Builder::new()
+        .name(format!("qpp-net-worker-{i}"))
+        .spawn(move || worker_loop(&pending, &inner))
+        .expect("spawning a connection worker")
 }
 
 /// Best-effort typed refusal for a connection the backlog cannot hold:
@@ -302,6 +333,8 @@ fn refuse_connection(mut stream: TcpStream, inner: &NetInner) {
     let _ = stream.write_all(&frame.encode());
 }
 
+/// A worker is started for a socket already queued, so it receives once
+/// before it first counts itself idle.
 fn worker_loop(pending: &Mutex<Receiver<TcpStream>>, inner: &NetInner) {
     loop {
         // A statement of its own, so the lock is released before the
@@ -311,10 +344,11 @@ fn worker_loop(pending: &Mutex<Receiver<TcpStream>>, inner: &NetInner) {
         };
         // One catch_unwind per session: a panic kills the connection,
         // never the worker — "no worker thread dies" is load-bearing for
-        // the fixed-size pool.
+        // a pool that never starts more than `max_connections`.
         if catch_unwind(AssertUnwindSafe(|| handle_session(stream, inner))).is_err() {
             inner.ledger.lock().unwrap().session_panics += 1;
         }
+        inner.idle_workers.fetch_add(1, Ordering::SeqCst);
     }
 }
 
@@ -453,12 +487,13 @@ fn malformed_reply() -> Frame {
     })
 }
 
-/// Runs one request through the tenant server and produces the reply
-/// frame plus its (pre-delivery) disposition.
+/// Runs one request through the tenant server — on this thread when the
+/// server is idle, else queued — and produces the reply frame plus its
+/// (pre-delivery) disposition.
 fn serve_request(request: Request, inner: &NetInner) -> (Frame, Option<Disposition>) {
     let id = request.id;
     let deadline = request.deadline_micros.map(Duration::from_micros);
-    let submitted = inner.server.submit(
+    let submitted = inner.server.serve_or_submit(
         &request.tenant,
         Arc::new(request.query),
         request.method,

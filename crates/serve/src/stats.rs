@@ -91,10 +91,15 @@ impl ServeStats {
 
     /// A worker coalesced `n` requests into one batch.
     pub fn record_batch(&self, n: usize) {
+        self.0.lock().unwrap().add_batch(n);
+    }
+
+    /// A batch of `n` requests was served on the thread that asked, not
+    /// by a worker.
+    pub fn record_caller_batch(&self, n: usize) {
         let mut ledger = self.0.lock().unwrap();
-        ledger.batches += 1;
-        ledger.batched_jobs += n as u64;
-        ledger.largest_batch = ledger.largest_batch.max(n as u64);
+        ledger.add_batch(n);
+        ledger.caller_batches += 1;
     }
 
     /// An injected worker stall fired.
@@ -150,8 +155,11 @@ pub struct ServeStatsSnapshot {
     /// Served requests by the tier that produced the answer
     /// (indexed by [`tier_rank`]).
     pub served_by_tier: [u64; 5],
-    /// Worker batches formed.
+    /// Batches served, by workers and by callers.
     pub batches: u64,
+    /// Of those, the batches served on the thread that asked: a blocking
+    /// `predict` on an idle server, and a removed tenant's drained lane.
+    pub caller_batches: u64,
     /// Requests carried in those batches.
     pub batched_jobs: u64,
     /// Largest single coalesced batch.
@@ -176,6 +184,12 @@ pub struct ServeStatsSnapshot {
 }
 
 impl ServeStatsSnapshot {
+    fn add_batch(&mut self, n: usize) {
+        self.batches += 1;
+        self.batched_jobs += n as u64;
+        self.largest_batch = self.largest_batch.max(n as u64);
+    }
+
     /// Total shed requests, all causes.
     pub fn shed(&self) -> u64 {
         self.shed_rate_limited + self.shed_queue_full + self.shed_shutdown

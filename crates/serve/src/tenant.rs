@@ -27,6 +27,19 @@
 //!   already queued in it, and hands back the tenant's registry and a
 //!   final stats snapshot. Shard slots are tombstoned, never deleted, so
 //!   a worker holding a popped batch can always resolve its shard.
+//! - **The caller serves when it can.** The model answers in about 2 µs,
+//!   and handing a request to a worker and back costs more than that. So
+//!   a blocking [`TenantServer::predict`] that finds no request of any
+//!   tenant queued and fewer than `workers` batches in service is served
+//!   on the calling thread as a batch of one
+//!   (`WeightedFairQueue::try_claim`): the same admission, stall, WFQ
+//!   charge, model snapshot, `serve_batch` and ledger as a worker's batch,
+//!   counted in [`ServeStatsSnapshot::caller_batches`]. Anything else
+//!   queues and waits its weighted-fair turn; [`TenantServer::submit`]
+//!   always queues. Worker threads (`qpp-serve-{i}`) start on demand: none
+//!   at [`TenantServer::start`], one more whenever a push finds no idle
+//!   worker, up to the resolved `workers`, so a server only ever asked
+//!   through `predict` by as many threads as it has `workers` runs none.
 //! - **Closed loop.** Residuals fed back through [`TenantServer::observe`]
 //!   drive the tenant's [`DriftMonitor`] — one signal, the relative error
 //!   the paper judges a model by, against the error the serving model
@@ -54,7 +67,7 @@ use qpp::{
     QppError, MODEL_TIERS,
 };
 use std::collections::{HashMap, VecDeque};
-use std::sync::{mpsc, Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -93,7 +106,8 @@ struct Lane<T> {
     /// refused with [`TenantPushError::Removed`] and the (already empty)
     /// lane is never selected again.
     open: bool,
-    /// Batches popped from this lane whose consumer has not yet called
+    /// Batches popped (or claimed, [`WeightedFairQueue::try_claim`]) from
+    /// this lane whose consumer has not yet called
     /// [`WeightedFairQueue::finish`].
     in_service: usize,
 }
@@ -105,6 +119,12 @@ struct WfqInner<T> {
     /// at least this value, so idle tenants cannot bank credit while away.
     global_v: f64,
     total: usize,
+    /// Batches in service over all lanes.
+    in_service: usize,
+    /// Consumers parked in [`WeightedFairQueue::pop_blocking_batch`] that
+    /// no push has woken yet: a push wakes one of them, or reports that
+    /// none was there.
+    idle: usize,
     closed: bool,
 }
 
@@ -140,6 +160,8 @@ impl<T> WeightedFairQueue<T> {
                 lanes: Vec::new(),
                 global_v: 0.0,
                 total: 0,
+                in_service: 0,
+                idle: 0,
                 closed: false,
             }),
             not_empty: Condvar::new(),
@@ -205,6 +227,12 @@ impl<T> WeightedFairQueue<T> {
     /// first, then the tenant quota — the bulkhead — then global
     /// capacity) without waiting.
     pub fn try_push(&self, tenant: usize, item: T) -> Result<usize, TenantPushError<T>> {
+        self.push(tenant, item).map(|(depth, _)| depth)
+    }
+
+    /// [`WeightedFairQueue::try_push`], also telling whether a parked
+    /// consumer was woken for the item (`false`: none was idle).
+    pub(crate) fn push(&self, tenant: usize, item: T) -> Result<(usize, bool), TenantPushError<T>> {
         let mut inner = self.inner.lock().unwrap();
         if inner.closed {
             return Err(TenantPushError::Closed(item));
@@ -231,9 +259,15 @@ impl<T> WeightedFairQueue<T> {
         inner.lanes[tenant].items.push_back(item);
         inner.total += 1;
         let depth = inner.lanes[tenant].items.len();
+        let wake = inner.idle > 0;
+        if wake {
+            inner.idle -= 1;
+        }
         drop(inner);
-        self.not_empty.notify_one();
-        Ok(depth)
+        if wake {
+            self.not_empty.notify_one();
+        }
+        Ok((depth, wake))
     }
 
     /// Blocking weighted-fair pop: waits until any lane has items (or the
@@ -250,6 +284,11 @@ impl<T> WeightedFairQueue<T> {
             if inner.closed {
                 return None;
             }
+            // The push that wakes this consumer takes it off the idle
+            // count. A spurious wake-up counts it twice, so some later push
+            // expects a consumer that is already awake; that one takes the
+            // item when it next looks, and no item waits for a wake-up.
+            inner.idle += 1;
             inner = self.not_empty.wait(inner).unwrap();
         }
     }
@@ -287,14 +326,47 @@ impl<T> WeightedFairQueue<T> {
         let weight = inner.lanes[tenant].weight;
         inner.lanes[tenant].vtime += k as f64 / weight;
         inner.lanes[tenant].in_service += 1;
+        inner.in_service += 1;
         (tenant, batch)
     }
 
-    /// Reports that a batch popped from `tenant`'s lane has been handled.
-    /// A consumer need only report when some caller waits on the lane with
-    /// [`WeightedFairQueue::wait_finished`].
+    /// Claims a batch of one item for `tenant` that the caller serves
+    /// itself, without queueing it: succeeds only while the queue and the
+    /// lane are open, no item of any lane is queued and fewer than
+    /// `max_in_service` batches are in service. The lane is charged as a
+    /// pop of one item from idle would charge it (it joins at the global
+    /// virtual time, then advances by `1 / weight`), and the claim counts
+    /// as in service until [`WeightedFairQueue::finish`].
+    pub(crate) fn try_claim(&self, tenant: usize, max_in_service: usize) -> bool {
+        let mut inner = self.inner.lock().unwrap();
+        if inner.closed
+            || !inner.lanes[tenant].open
+            || inner.total > 0
+            || inner.in_service >= max_in_service
+        {
+            return false;
+        }
+        let global_v = inner.global_v;
+        let lane = &mut inner.lanes[tenant];
+        lane.vtime = lane.vtime.max(global_v);
+        let vtime = lane.vtime;
+        lane.vtime += 1.0 / lane.weight;
+        lane.in_service += 1;
+        inner.global_v = global_v.max(vtime);
+        inner.in_service += 1;
+        true
+    }
+
+    /// Reports that a batch popped or claimed from `tenant`'s lane has
+    /// been handled. A consumer need only report when some caller waits
+    /// on the lane with [`WeightedFairQueue::wait_finished`], counts on
+    /// the caller path's limit, or reads through
+    /// [`WeightedFairQueue::quiesced`].
     pub fn finish(&self, tenant: usize) {
-        self.inner.lock().unwrap().lanes[tenant].in_service -= 1;
+        let mut inner = self.inner.lock().unwrap();
+        inner.lanes[tenant].in_service -= 1;
+        inner.in_service -= 1;
+        drop(inner);
         self.finished.notify_all();
     }
 
@@ -309,19 +381,28 @@ impl<T> WeightedFairQueue<T> {
         }
     }
 
-    /// Runs `f` while holding the queue lock, so the closure cannot
-    /// interleave with any push, pop, add, or remove. Used for the final
-    /// shutdown reconciliation read ([`TenantServer::shutdown`]).
+    /// Waits until no batch is in service, then runs `f` while holding
+    /// the queue lock, so the closure cannot interleave with any push,
+    /// pop, claim, add, or remove. Used for the final shutdown
+    /// reconciliation read ([`TenantServer::shutdown`]), after the close
+    /// has stopped new claims.
     pub fn quiesced<R>(&self, f: impl FnOnce() -> R) -> R {
-        let _guard = self.inner.lock().unwrap();
+        let mut inner = self.inner.lock().unwrap();
+        while inner.in_service > 0 {
+            inner = self.finished.wait(inner).unwrap();
+        }
         f()
     }
 
-    /// Closes the queue: subsequent pushes are rejected, blocked consumers
-    /// drain what is left and then observe shutdown.
+    /// Closes the queue: subsequent pushes and claims are rejected,
+    /// blocked consumers drain what is left and then observe shutdown.
     pub fn close(&self) {
         self.inner.lock().unwrap().closed = true;
         self.not_empty.notify_all();
+    }
+
+    fn is_closed(&self) -> bool {
+        self.inner.lock().unwrap().closed
     }
 }
 
@@ -364,8 +445,10 @@ pub struct TenantSpec {
 /// Multi-tenant serving configuration (the shared, non-bulkhead knobs).
 #[derive(Debug, Clone)]
 pub struct TenantServeConfig {
-    /// Worker threads. `None` defers to the process-wide `ml::par`
-    /// setting, like [`crate::ServeConfig`].
+    /// Most batches in service at once: the cap on worker threads (each
+    /// started when a push finds no idle one) and on callers served in
+    /// place. `None` defers to the process-wide `ml::par` setting, like
+    /// [`crate::ServeConfig`].
     pub workers: Option<usize>,
     /// Global queue capacity across all tenant lanes (enforced on top of
     /// per-tenant quotas).
@@ -374,9 +457,10 @@ pub struct TenantServeConfig {
     pub global_rate_limit: Option<RateLimit>,
     /// Most requests a worker coalesces into one (single-tenant) batch.
     pub max_batch: usize,
-    /// Fault injection: every worker sleeps this long before serving each
-    /// batch it pops, like [`crate::ServeConfig::worker_stall`]. Zero, the
-    /// default, injects nothing.
+    /// Fault injection: every batch, popped by a worker or served by a
+    /// caller, sleeps this long before it is served, like
+    /// [`crate::ServeConfig::worker_stall`]. Zero, the default, injects
+    /// nothing.
     pub worker_stall: Duration,
 }
 
@@ -500,6 +584,11 @@ pub struct TenantServer {
     queue: Arc<WeightedFairQueue<Job>>,
     global_admission: Mutex<AdmissionController>,
     started: Instant,
+    /// The resolved `workers`: most batches in service, most threads.
+    worker_cap: usize,
+    worker_stall: Duration,
+    max_batch: usize,
+    /// The workers started so far; a push that finds none idle adds one.
     workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -508,19 +597,23 @@ impl TenantServer {
     /// unique (duplicates panic). Starting with an empty tenant set is
     /// allowed — tenants can be attached later with
     /// [`TenantServer::add_tenant`].
+    ///
+    /// No thread starts here: a worker starts when a push finds none idle
+    /// (up to the resolved `workers`), and a blocking
+    /// [`TenantServer::predict`] on an idle server needs none.
     pub fn start(tenants: Vec<TenantSpec>, config: TenantServeConfig) -> TenantServer {
-        let worker_count = ml::par::resolve_workers(config.workers);
-        let queue = Arc::new(WeightedFairQueue::new(config.global_capacity));
-        let shards: Arc<RwLock<Vec<Arc<TenantShard>>>> = Arc::new(RwLock::new(Vec::new()));
         let server = TenantServer {
-            shards: Arc::clone(&shards),
+            shards: Arc::new(RwLock::new(Vec::new())),
             by_name: RwLock::new(HashMap::new()),
-            queue: Arc::clone(&queue),
+            queue: Arc::new(WeightedFairQueue::new(config.global_capacity)),
             global_admission: Mutex::new(AdmissionController::new(
                 config.global_rate_limit,
                 config.global_capacity,
             )),
             started: Instant::now(),
+            worker_cap: ml::par::resolve_workers(config.workers),
+            worker_stall: config.worker_stall,
+            max_batch: config.max_batch.max(1),
             workers: Mutex::new(Vec::new()),
         };
         for spec in tenants {
@@ -528,20 +621,25 @@ impl TenantServer {
                 panic!("tenant set rejected at start: {e}");
             }
         }
-        let max_batch = config.max_batch.max(1);
-        let handles = (0..worker_count)
-            .map(|i| {
-                let queue = Arc::clone(&queue);
-                let shards = Arc::clone(&shards);
-                let worker_stall = config.worker_stall;
-                std::thread::Builder::new()
-                    .name(format!("qpp-serve-{i}"))
-                    .spawn(move || tenant_worker_loop(&queue, &shards, worker_stall, max_batch))
-                    .expect("spawning a serving worker")
-            })
-            .collect();
-        *server.workers.lock().unwrap() = handles;
         server
+    }
+
+    /// Starts one more worker unless `workers` are running or the queue
+    /// has closed. Checked under the handle lock, which `shutdown` takes
+    /// after closing the queue, so every worker ever started is joined.
+    fn start_worker(&self) {
+        let mut workers = self.workers.lock().unwrap();
+        if workers.len() >= self.worker_cap || self.queue.is_closed() {
+            return;
+        }
+        let queue = Arc::clone(&self.queue);
+        let shards = Arc::clone(&self.shards);
+        let (worker_stall, max_batch) = (self.worker_stall, self.max_batch);
+        let handle = std::thread::Builder::new()
+            .name(format!("qpp-serve-{}", workers.len()))
+            .spawn(move || tenant_worker_loop(&queue, &shards, worker_stall, max_batch))
+            .expect("spawning a serving worker");
+        workers.push(handle);
     }
 
     /// Attaches a new tenant under load: opens a weighted-fair lane (it
@@ -575,10 +673,10 @@ impl TenantServer {
 
     /// Detaches a tenant under load. New submissions fail immediately
     /// (`unknown tenant`); requests already queued in the tenant's lane
-    /// are drained and served on the *calling* thread (their replies
-    /// still arrive, and the ledger stays balanced); the tenant's
-    /// registry and final stats are handed back. Other tenants' lanes,
-    /// budgets, and latencies are untouched.
+    /// are drained and served on the *calling* thread as one caller batch
+    /// (their replies still arrive, and the ledger stays balanced); the
+    /// tenant's registry and final stats are handed back. Other tenants'
+    /// lanes, budgets, and latencies are untouched.
     pub fn remove_tenant(&self, tenant: &str) -> Result<RemovedTenant, QppError> {
         let idx = self
             .by_name
@@ -593,14 +691,12 @@ impl TenantServer {
             // Serve the backlog here rather than dropping it: every job
             // was already counted `submitted`, so dropping would leak
             // accepted-but-unaccounted requests.
-            shard.stats.record_batch(n);
-            let predictor = shard.registry.current();
-            let cache = Arc::clone(shard.registry.pred_cache());
-            serve_batch(drained, &shard.stats, &predictor, &cache);
+            self.serve_on_caller(&shard, drained);
         }
         // A worker that popped a batch from this lane just before the
-        // drain still resolves the shard (slots are never deleted); the
-        // final ledger waits for it to record that batch.
+        // drain, or a caller serving its own request in place, still
+        // resolves the shard (slots are never deleted); the final ledger
+        // waits for it to record that batch.
         self.queue.wait_finished(idx);
         Ok(RemovedTenant {
             name: shard.name.clone(),
@@ -635,7 +731,8 @@ impl TenantServer {
         Ok(Arc::clone(&self.shard(tenant)?.stats))
     }
 
-    /// Submits a prediction request on behalf of `tenant`. Admission runs
+    /// Submits a prediction request on behalf of `tenant` to the queue; a
+    /// worker serves it, never the calling thread. Admission runs
     /// synchronously on the calling thread, cheapest refusal first:
     ///
     /// 1. the global capacity ([`QppError::Overloaded`] — the service as a
@@ -657,6 +754,64 @@ impl TenantServer {
         method: Method,
         deadline: Option<Duration>,
     ) -> Result<PendingPrediction, QppError> {
+        let (idx, shard, job) = self.admit(tenant, query, method, deadline)?;
+        self.enqueue(idx, &shard, job)
+    }
+
+    /// Blocks for the answer to a request on behalf of `tenant`, after the
+    /// same admission as [`TenantServer::submit`]. When no request of any
+    /// tenant is queued and fewer batches are in service than `workers`,
+    /// the request is served on the calling thread as a batch of one: the
+    /// same stall, ledger, WFQ charge and model snapshot a worker's batch
+    /// gets, without a hand-off to a worker and back. Otherwise it is
+    /// queued and waits its weighted-fair turn, as a submit does.
+    pub fn predict(
+        &self,
+        tenant: &str,
+        query: Arc<qpp::ExecutedQuery>,
+        method: Method,
+        deadline: Option<Duration>,
+    ) -> Result<Prediction, QppError> {
+        self.serve_or_submit(tenant, query, method, deadline)?
+            .wait()
+    }
+
+    /// [`TenantServer::predict`] up to the wait: a request served on the
+    /// calling thread comes back answered, a queued one pending (so the
+    /// front door can bound its wait by the drain budget).
+    pub(crate) fn serve_or_submit(
+        &self,
+        tenant: &str,
+        query: Arc<qpp::ExecutedQuery>,
+        method: Method,
+        deadline: Option<Duration>,
+    ) -> Result<PendingPrediction, QppError> {
+        let (idx, shard, job) = self.admit(tenant, query, method, deadline)?;
+        if !self.queue.try_claim(idx, self.worker_cap) {
+            return self.enqueue(idx, &shard, job);
+        }
+        // Counted in service until dropped, even if serving panics, so
+        // `remove_tenant` and `shutdown` wait for this batch.
+        let _finish = Finish {
+            queue: &self.queue,
+            tenant: idx,
+        };
+        let answer = self
+            .serve_on_caller(&shard, vec![job])
+            .expect("a job without a reply slot is answered in place");
+        Ok(PendingPrediction::ready(answer))
+    }
+
+    /// Counts the request `submitted`, runs admission (see
+    /// [`TenantServer::submit`], steps 1–3) and builds its job, which
+    /// has no reply slot yet.
+    fn admit(
+        &self,
+        tenant: &str,
+        query: Arc<qpp::ExecutedQuery>,
+        method: Method,
+        deadline: Option<Duration>,
+    ) -> Result<(usize, Arc<TenantShard>, Job), QppError> {
         let (idx, shard) = self.lookup(tenant)?;
         shard.stats.record_submitted();
         let now = Instant::now();
@@ -690,17 +845,34 @@ impl TenantServer {
             return Err(refusal);
         }
         let budget = deadline.or(shard.budget.default_deadline);
-        let (tx, rx) = mpsc::channel();
         let job = Job {
             query,
             method,
             submitted: now,
             deadline: budget.map(|d| now + d),
             budget_secs: budget.map_or(f64::INFINITY, |d| d.as_secs_f64()),
-            reply: tx,
+            reply: None,
         };
-        match self.queue.try_push(idx, job) {
-            Ok(_) => Ok(PendingPrediction::new(rx)),
+        Ok((idx, shard, job))
+    }
+
+    /// Pushes an admitted job into its tenant's lane (step 4 of
+    /// [`TenantServer::submit`]) and starts a worker when none was idle.
+    fn enqueue(
+        &self,
+        idx: usize,
+        shard: &TenantShard,
+        mut job: Job,
+    ) -> Result<PendingPrediction, QppError> {
+        let (pending, reply) = PendingPrediction::queued();
+        job.reply = Some(reply);
+        match self.queue.push(idx, job) {
+            Ok((_, woke)) => {
+                if !woke {
+                    self.start_worker();
+                }
+                Ok(pending)
+            }
             Err(TenantPushError::TenantFull(_, _)) => {
                 shard.stats.record_shed(ShedReason::QueueFull);
                 Err(QppError::TenantOverloaded {
@@ -730,15 +902,20 @@ impl TenantServer {
         }
     }
 
-    /// Convenience: submit for `tenant` and block for the answer.
-    pub fn predict(
+    /// Serves one batch of `shard`'s jobs on the calling thread, as a
+    /// worker serves a popped one (the injected stall, one model snapshot),
+    /// and records it as a caller batch. Returns the answer of a job that
+    /// has no reply slot.
+    fn serve_on_caller(
         &self,
-        tenant: &str,
-        query: Arc<qpp::ExecutedQuery>,
-        method: Method,
-        deadline: Option<Duration>,
-    ) -> Result<Prediction, QppError> {
-        self.submit(tenant, query, method, deadline)?.wait()
+        shard: &TenantShard,
+        jobs: Vec<Job>,
+    ) -> Option<Result<Prediction, QppError>> {
+        shard.stats.record_caller_batch(jobs.len());
+        inject_stall(&shard.stats, self.worker_stall);
+        let predictor = shard.registry.current();
+        let cache = Arc::clone(shard.registry.pred_cache());
+        serve_batch(jobs, &shard.stats, &predictor, &cache)
     }
 
     /// Folds one `(prediction, observed latency)` residual into `tenant`'s
@@ -858,11 +1035,12 @@ impl TenantServer {
     }
 
     /// Graceful shutdown, idempotent: closes the queue (new submissions
-    /// are refused and recorded as shutdown-shed), lets the workers drain
-    /// every admitted request, joins them, and only then takes the final
-    /// per-tenant reconciliation read — **under the queue lock**, so the
-    /// read cannot interleave with a straggling push or pop. After this
-    /// returns, every tenant's ledger balances:
+    /// are refused and recorded as shutdown-shed, nothing more is served
+    /// in place), lets the workers drain every admitted request, joins
+    /// them, waits for callers still serving in place, and only then takes
+    /// the final per-tenant reconciliation read — **under the queue
+    /// lock**, so the read cannot interleave with a straggling push or
+    /// pop. After this returns, every tenant's ledger balances:
     /// `accepted == served + deadline_missed`.
     pub fn shutdown(&self) -> ShutdownReport {
         self.queue.close();
@@ -872,6 +1050,10 @@ impl TenantServer {
                 std::panic::resume_unwind(p);
             }
         }
+        // A push admitted just before the close may have found no worker
+        // to start (the close stops starts): the closing thread serves
+        // what is left as the last worker, and returns once it is drained.
+        tenant_worker_loop(&self.queue, &self.shards, self.worker_stall, self.max_batch);
         let shards = self.shards.read().unwrap().clone();
         let tenants = self.queue.quiesced(|| {
             shards
@@ -903,11 +1085,7 @@ fn tenant_worker_loop(
         // slots are never deleted, so the index always resolves.
         let shard = Arc::clone(&shards.read().unwrap()[tenant]);
         shard.stats.record_batch(batch.len());
-
-        if !worker_stall.is_zero() {
-            shard.stats.record_stall();
-            std::thread::sleep(worker_stall);
-        }
+        inject_stall(&shard.stats, worker_stall);
 
         // Snapshot *this tenant's* serving model once per batch: batches
         // are single-tenant, so one tenant's promote/rollback can never
@@ -919,7 +1097,16 @@ fn tenant_worker_loop(
     }
 }
 
-/// Calls [`WeightedFairQueue::finish`] for one popped batch when dropped.
+/// Sleeps the configured fault-injection stall before a batch is served.
+fn inject_stall(stats: &ServeStats, stall: Duration) {
+    if !stall.is_zero() {
+        stats.record_stall();
+        std::thread::sleep(stall);
+    }
+}
+
+/// Calls [`WeightedFairQueue::finish`] for one popped or claimed batch
+/// when dropped.
 struct Finish<'a> {
     queue: &'a WeightedFairQueue<Job>,
     tenant: usize,

@@ -119,6 +119,30 @@ crates/core/src/hybrid.rs:cache.insert( 1" ]; then
     exit 1
 fi
 
+# A batch is served in two places: the tenant worker loop, and the thread
+# that asked (a blocking `predict` on an idle server, a removed tenant's
+# drained lane), which applies the same stall, snapshot and ledger
+# (DESIGN.md §10, "The caller serves when it can"). A third server of
+# batches would be a second copy of that contract. A queued request's
+# answer travels through a one-slot hand-off, one allocation, not a
+# `mpsc` channel (two allocations, 1.76 KiB, for a 32-byte answer).
+echo "==> serving gate: serve_batch called by the worker loop and the caller path only; no mpsc reply"
+serve_sites="$(grep -rnE '\bserve_batch\(' crates/*/src src | grep -v -e '^crates/e2e/' -e 'fn serve_batch(' \
+    | cut -d: -f1,2 | while IFS=: read -r file line; do
+        enclosing="$(head -n "$line" "$file" | grep -oE '\bfn [a-z_0-9]+' | tail -n 1)"
+        echo "$file $enclosing"
+    done | LC_ALL=C sort)"
+if [ "$serve_sites" != "crates/serve/src/tenant.rs fn serve_on_caller
+crates/serve/src/tenant.rs fn tenant_worker_loop" ]; then
+    echo "$serve_sites"
+    echo "FAIL: serve_batch's call sites are not exactly the worker loop and the caller path"
+    exit 1
+fi
+if grep -nE 'mpsc' crates/serve/src/server.rs crates/serve/src/tenant.rs; then
+    echo "FAIL: serve's reply path uses an mpsc channel"
+    exit 1
+fi
+
 # A plan is what the optimizer's EXPLAIN prints; the ground truth the
 # simulator runs on travels beside it (`Planned::truth`,
 # `ExecutedQuery::truth`, one `NodeTruth` per node in pre-order). Who reads
