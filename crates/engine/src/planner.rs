@@ -9,7 +9,9 @@
 //! A node carries the estimate-side annotations (what models can see);
 //! the truth-side annotations (what the simulator executes) come back
 //! beside the plan in [`Planned`], one per node in pre-order. Physical
-//! choices read estimates only.
+//! choices read estimates only. A workload instance is its parameter draw
+//! ([`QuerySpec`]); [`Planner::plan`] builds its `RelExpr` and walks it,
+//! so the logical plan lives only while its query is planned.
 
 use crate::catalog::{has_index, Catalog};
 use crate::cost::{self, Cost};
@@ -56,9 +58,11 @@ impl<'a> Planner<'a> {
         Planner { catalog, config }
     }
 
-    /// Plans a query: the physical plan and its pre-order truths.
+    /// Plans a query: the physical plan and its pre-order truths. The
+    /// logical plan is built from the spec's draw here and dropped on
+    /// return.
     pub fn plan(&self, spec: &QuerySpec) -> Planned {
-        let Sub { node, truth } = self.build(&spec.root);
+        let Sub { node, truth } = self.build(&spec.query().root);
         Planned {
             plan: node,
             truth: truth.into_boxed_slice(),

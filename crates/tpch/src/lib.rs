@@ -13,11 +13,13 @@
 //! - [`datagen`] — a dbgen-like columnar row generator used to validate
 //!   the analytic model at small scale factors.
 //! - [`spec`] — the logical query IR (scans, joins, aggregates, scalar
-//!   subqueries) consumed by the engine's planner.
+//!   subqueries) consumed by the engine's planner, and the instance a
+//!   workload keeps (a template and its parameter draw).
 //! - [`templates`] — the 22 TPC-H query templates with spec-conform
 //!   parameter sampling, plus the template subsets used by the paper's
 //!   experiments.
-//! - [`workload`] — seeded workload batches (≈55 instances per template).
+//! - [`workload`] — seeded workload batches (≈55 instances per template),
+//!   each instance its parameter draw.
 
 #![warn(missing_docs)]
 
@@ -33,7 +35,7 @@ pub mod workload;
 pub use datagen::{ColumnData, GeneratedDb, TableData};
 pub use schema::{col, ColRef, TableId, ALL_TABLES};
 pub use spec::{
-    AggFunc, AggregateSpec, GroupCount, Having, JoinKind, Predicate, QuerySpec, RelExpr,
+    AggFunc, AggregateSpec, GroupCount, Having, JoinKind, Predicate, Query, QuerySpec, RelExpr,
 };
 pub use templates::{instantiate, ALL_TEMPLATES, EIGHTEEN, FOURTEEN, TWELVE};
 pub use types::{date, format_date, CmpOp, Scalar};

@@ -1,6 +1,6 @@
 //! The logical query IR produced by template instantiation.
 //!
-//! A [`QuerySpec`] is a parameterized logical plan: base-table scans with
+//! A [`Query`] is a parameterized logical plan: base-table scans with
 //! predicates, a join tree (with order fixed per template, mirroring the
 //! plans PostgreSQL picks for the TPC-H queries), aggregation, sorting and
 //! limits. The engine's planner lowers it to a physical plan; the engine's
@@ -8,9 +8,17 @@
 //! the exact generative selectivities (including the correlation overrides
 //! templates compute), the estimator sees only the independent components,
 //! exactly like a real optimizer.
+//!
+//! A [`QuerySpec`] is the instance a workload keeps: its template, scale
+//! factor and the generator position its parameters start at — 48 bytes,
+//! nothing on the heap. [`QuerySpec::query`] builds its `Query`; the
+//! engine's planner does so where it plans, so a batch holds each logical
+//! plan only while that query is planned.
 
 use crate::schema::{ColRef, TableId};
+use crate::templates;
 use crate::types::{CmpOp, Scalar};
+use rng::StdRng;
 
 /// A scan/filter predicate.
 #[derive(Debug, Clone, PartialEq)]
@@ -302,9 +310,32 @@ impl RelExpr {
     }
 }
 
-/// A fully-instantiated query: a template with concrete parameter values.
+/// A template instance as drawn: the template, the scale factor and the
+/// generator's position before the instance's parameters. It holds no
+/// plan and nothing on the heap; [`QuerySpec::query`] builds the plan, the
+/// same one every time.
 #[derive(Debug, Clone)]
 pub struct QuerySpec {
+    /// TPC-H template number (1..=22).
+    pub template: u8,
+    /// Scale factor the instance targets.
+    pub sf: f64,
+    /// The generator, where the instance's parameters start.
+    pub(crate) draw: StdRng,
+}
+
+impl QuerySpec {
+    /// Builds the instance: its parameters and its logical plan, replayed
+    /// from a clone of the draw.
+    pub fn query(&self) -> Query {
+        templates::build(self.template, self.sf, &mut self.draw.clone())
+    }
+}
+
+/// A built template instance: concrete parameter values and the logical
+/// plan they give.
+#[derive(Debug, Clone)]
+pub struct Query {
     /// TPC-H template number (1..=22).
     pub template: u8,
     /// Human-readable parameter bindings for logging.

@@ -1,9 +1,12 @@
 //! The 22 TPC-H query templates as parameterized logical plans.
 //!
 //! Each template samples its substitution parameters per the TPC-H
-//! specification (dates, segments, brands, quantities, ...) and produces a
-//! [`QuerySpec`] whose join order mirrors the plans PostgreSQL 8.4 chooses
-//! for these queries. Templates also compute the *exact* truth
+//! specification (dates, segments, brands, quantities, ...) and builds a
+//! [`Query`] whose join order mirrors the plans PostgreSQL 8.4 chooses
+//! for these queries. [`instantiate`] keeps an instance as its draw, a
+//! [`QuerySpec`] (the generator's position before the parameters), and
+//! moves the stream past it; [`QuerySpec::query`] builds the plan from the
+//! draw wherever it is needed. Templates also compute the *exact* truth
 //! selectivities of any correlated predicate combinations from the
 //! generative model (the estimator side never sees these — it works from
 //! histograms and independence assumptions, like a real optimizer).
@@ -23,7 +26,7 @@ use crate::distributions::{
 };
 use crate::schema::{col, ColRef, TableId};
 use crate::spec::{
-    AggFunc, AggregateSpec, GroupCount, Having, JoinKind, Predicate, QuerySpec, RelExpr,
+    AggFunc, AggregateSpec, GroupCount, Having, JoinKind, Predicate, Query, QuerySpec, RelExpr,
 };
 use crate::types::{date, format_date, CmpOp, Scalar};
 use rng::StdRng;
@@ -46,12 +49,25 @@ pub const FOURTEEN: [u8; 14] = [1, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 14, 18, 19];
 /// The 12 templates of the dynamic-workload experiment (Figure 9).
 pub const TWELVE: [u8; 12] = [1, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 19];
 
-/// Instantiates a template with random parameters at the given scale
-/// factor.
+/// Draws an instance of a template at the given scale factor: the
+/// instance is where `rng` stands, and `rng` moves past the parameters the
+/// instance draws (the template body runs once and its plan is dropped), so
+/// a stream of draws equals a stream of built queries bit for bit.
+/// [`QuerySpec::query`] builds the plan again from the recorded position.
 ///
 /// # Panics
 /// Panics if `template` is not in `1..=22`.
 pub fn instantiate(template: u8, sf: f64, rng: &mut StdRng) -> QuerySpec {
+    let draw = rng.clone();
+    build(template, sf, rng);
+    QuerySpec { template, sf, draw }
+}
+
+/// Builds a template's instance from the parameters `rng` draws next.
+///
+/// # Panics
+/// Panics if `template` is not in `1..=22`.
+pub(crate) fn build(template: u8, sf: f64, rng: &mut StdRng) -> Query {
     match template {
         1 => t1(rng),
         2 => t2(rng),
@@ -247,7 +263,7 @@ fn t11_having_fraction(sf: f64, fraction: f64) -> f64 {
 
 /// Q1 — pricing summary report. Scan LINEITEM below a shipdate cutoff and
 /// compute eight numeric aggregates per (returnflag, linestatus).
-fn t1(rng: &mut StdRng) -> QuerySpec {
+fn t1(rng: &mut StdRng) -> Query {
     let delta = rng.gen_range(60..=120);
     let cutoff = date(1998, 12, 1) - delta;
     let scan = RelExpr::scan_where(
@@ -280,7 +296,7 @@ fn t1(rng: &mut StdRng) -> QuerySpec {
             having: None,
         },
     );
-    QuerySpec {
+    Query {
         template: 1,
         params: vec![("delta".into(), delta.to_string())],
         root: sort(aggregated, 2),
@@ -288,7 +304,7 @@ fn t1(rng: &mut StdRng) -> QuerySpec {
 }
 
 /// Q2 — minimum-cost supplier, with a correlated MIN subquery (SubPlan).
-fn t2(rng: &mut StdRng) -> QuerySpec {
+fn t2(rng: &mut StdRng) -> Query {
     let size = rng.gen_range(1..=50i64);
     let suffix = rng.gen_range(0..5u32);
     let region = rng.gen_range(0..5u32);
@@ -349,7 +365,7 @@ fn t2(rng: &mut StdRng) -> QuerySpec {
         truth_sel: min_fraction(4, 1.0 / 5.0),
         correlated: true,
     };
-    QuerySpec {
+    Query {
         template: 2,
         params: vec![
             ("size".into(), size.to_string()),
@@ -362,7 +378,7 @@ fn t2(rng: &mut StdRng) -> QuerySpec {
 
 /// Q3 — shipping-priority: customer ⋈ orders ⋈ lineitem with correlated
 /// order/ship date cutoffs.
-fn t3(rng: &mut StdRng) -> QuerySpec {
+fn t3(rng: &mut StdRng) -> Query {
     let segment = rng.gen_range(0..5u32);
     let day = rng.gen_range(1..=31u32);
     let cut = date(1995, 3, day.min(31));
@@ -422,7 +438,7 @@ fn t3(rng: &mut StdRng) -> QuerySpec {
             having: None,
         },
     );
-    QuerySpec {
+    Query {
         template: 3,
         params: vec![
             ("segment".into(), dicts::SEGMENTS[segment as usize].into()),
@@ -433,7 +449,7 @@ fn t3(rng: &mut StdRng) -> QuerySpec {
 }
 
 /// Q4 — order-priority checking: EXISTS (late line) per order in a quarter.
-fn t4(rng: &mut StdRng) -> QuerySpec {
+fn t4(rng: &mut StdRng) -> Query {
     let year = rng.gen_range(1993..=1997);
     let month = [1u32, 4, 7, 10][rng.gen_range(0..4)];
     let (lo, hi) = month_window(year, month, 3);
@@ -471,7 +487,7 @@ fn t4(rng: &mut StdRng) -> QuerySpec {
             having: None,
         },
     );
-    QuerySpec {
+    Query {
         template: 4,
         params: vec![("quarter".into(), format!("{year}-{month:02}"))],
         root: sort(aggregated, 1),
@@ -479,7 +495,7 @@ fn t4(rng: &mut StdRng) -> QuerySpec {
 }
 
 /// Q5 — local-supplier volume: six-way join filtered by region and year.
-fn t5(rng: &mut StdRng) -> QuerySpec {
+fn t5(rng: &mut StdRng) -> Query {
     let region = rng.gen_range(0..5u32);
     let year = rng.gen_range(1993..=1997);
     let (lo, hi) = year_window(year);
@@ -533,7 +549,7 @@ fn t5(rng: &mut StdRng) -> QuerySpec {
             having: None,
         },
     );
-    QuerySpec {
+    Query {
         template: 5,
         params: vec![
             ("region".into(), dicts::REGIONS[region as usize].into()),
@@ -544,7 +560,7 @@ fn t5(rng: &mut StdRng) -> QuerySpec {
 }
 
 /// Q6 — forecasting revenue change: single-table scan + scalar aggregate.
-fn t6(rng: &mut StdRng) -> QuerySpec {
+fn t6(rng: &mut StdRng) -> Query {
     let year = rng.gen_range(1993..=1997);
     let (lo, hi) = year_window(year);
     let disc = rng.gen_range(2..=9i64); // discount code (percent)
@@ -571,7 +587,7 @@ fn t6(rng: &mut StdRng) -> QuerySpec {
             having: None,
         },
     );
-    QuerySpec {
+    Query {
         template: 6,
         params: vec![
             ("year".into(), year.to_string()),
@@ -583,7 +599,7 @@ fn t6(rng: &mut StdRng) -> QuerySpec {
 }
 
 /// Q7 — volume shipping between two nations over 1995–1996.
-fn t7(rng: &mut StdRng) -> QuerySpec {
+fn t7(rng: &mut StdRng) -> Query {
     let n1 = rng.gen_range(0..25u32);
     let mut n2 = rng.gen_range(0..25u32);
     while n2 == n1 {
@@ -653,7 +669,7 @@ fn t7(rng: &mut StdRng) -> QuerySpec {
             having: None,
         },
     );
-    QuerySpec {
+    Query {
         template: 7,
         params: vec![
             ("nation1".into(), dicts::NATIONS[n1 as usize].into()),
@@ -664,7 +680,7 @@ fn t7(rng: &mut StdRng) -> QuerySpec {
 }
 
 /// Q8 — national market share of a part type in a region, 1995–1996.
-fn t8(rng: &mut StdRng) -> QuerySpec {
+fn t8(rng: &mut StdRng) -> Query {
     let ptype = rng.gen_range(0..dicts::N_TYPES);
     let region = rng.gen_range(0..5u32);
     let (lo, _) = year_window(1995);
@@ -727,7 +743,7 @@ fn t8(rng: &mut StdRng) -> QuerySpec {
             having: None,
         },
     );
-    QuerySpec {
+    Query {
         template: 8,
         params: vec![
             ("type".into(), dicts::type_name(ptype)),
@@ -739,7 +755,7 @@ fn t8(rng: &mut StdRng) -> QuerySpec {
 
 /// Q9 — product-type profit: the heaviest join pipeline (part by name color,
 /// all of lineitem, partsupp, orders, nation).
-fn t9(rng: &mut StdRng) -> QuerySpec {
+fn t9(rng: &mut StdRng) -> Query {
     let color = rng.gen_range(0..dicts::N_COLORS);
     let pl = RelExpr::inner_join(
         RelExpr::scan_where(
@@ -787,7 +803,7 @@ fn t9(rng: &mut StdRng) -> QuerySpec {
             having: None,
         },
     );
-    QuerySpec {
+    Query {
         template: 9,
         params: vec![("color".into(), color.to_string())],
         root: sort(aggregated, 2),
@@ -795,7 +811,7 @@ fn t9(rng: &mut StdRng) -> QuerySpec {
 }
 
 /// Q10 — returned items in a quarter, grouped per customer.
-fn t10(rng: &mut StdRng) -> QuerySpec {
+fn t10(rng: &mut StdRng) -> Query {
     let year = rng.gen_range(1993..=1994);
     let month = rng.gen_range(1..=12u32);
     let (lo, hi) = month_window(year, month, 3);
@@ -838,7 +854,7 @@ fn t10(rng: &mut StdRng) -> QuerySpec {
             having: None,
         },
     );
-    QuerySpec {
+    Query {
         template: 10,
         params: vec![("quarter".into(), format!("{year}-{month:02}"))],
         root: limit(sort(aggregated, 1), 20),
@@ -846,7 +862,7 @@ fn t10(rng: &mut StdRng) -> QuerySpec {
 }
 
 /// Q11 — important stock identification: HAVING against an InitPlan scalar.
-fn t11(sf: f64, rng: &mut StdRng) -> QuerySpec {
+fn t11(sf: f64, rng: &mut StdRng) -> Query {
     let nation = rng.gen_range(0..25u32);
     let fraction = 0.0001 / sf.max(1e-6);
     let join_tree = |alias: u32| {
@@ -890,7 +906,7 @@ fn t11(sf: f64, rng: &mut StdRng) -> QuerySpec {
         truth_sel: t11_having_fraction(sf, fraction),
         correlated: false,
     };
-    QuerySpec {
+    Query {
         template: 11,
         params: vec![
             ("nation".into(), dicts::NATIONS[nation as usize].into()),
@@ -901,7 +917,7 @@ fn t11(sf: f64, rng: &mut StdRng) -> QuerySpec {
 }
 
 /// Q12 — shipping modes and delivery priority: the correlated date chain.
-fn t12(rng: &mut StdRng) -> QuerySpec {
+fn t12(rng: &mut StdRng) -> Query {
     let year = rng.gen_range(1993..=1997);
     let (lo, hi) = year_window(year);
     let m1 = rng.gen_range(0..7u32);
@@ -950,7 +966,7 @@ fn t12(rng: &mut StdRng) -> QuerySpec {
             having: None,
         },
     );
-    QuerySpec {
+    Query {
         template: 12,
         params: vec![
             ("shipmode1".into(), dicts::SHIP_MODES[m1 as usize].into()),
@@ -963,7 +979,7 @@ fn t12(rng: &mut StdRng) -> QuerySpec {
 
 /// Q13 — customer order-count distribution: the left-outer join whose
 /// Materialize sub-plan stars in the paper's hybrid example.
-fn t13(rng: &mut StdRng) -> QuerySpec {
+fn t13(rng: &mut StdRng) -> Query {
     // Word pairs for the NOT LIKE; all have comparable generative truth.
     let words = [
         ("special", "requests", 0.9852),
@@ -1007,7 +1023,7 @@ fn t13(rng: &mut StdRng) -> QuerySpec {
             having: None,
         },
     );
-    QuerySpec {
+    Query {
         template: 13,
         params: vec![
             ("word1".into(), w1.into()),
@@ -1018,7 +1034,7 @@ fn t13(rng: &mut StdRng) -> QuerySpec {
 }
 
 /// Q14 — promotion effect over one month.
-fn t14(rng: &mut StdRng) -> QuerySpec {
+fn t14(rng: &mut StdRng) -> Query {
     let year = rng.gen_range(1993..=1997);
     let month = rng.gen_range(1..=12u32);
     let (lo, hi) = month_window(year, month, 1);
@@ -1047,7 +1063,7 @@ fn t14(rng: &mut StdRng) -> QuerySpec {
             having: None,
         },
     );
-    QuerySpec {
+    Query {
         template: 14,
         params: vec![("month".into(), format!("{year}-{month:02}"))],
         root: aggregated,
@@ -1055,7 +1071,7 @@ fn t14(rng: &mut StdRng) -> QuerySpec {
 }
 
 /// Q15 — top supplier via a revenue view and a MAX InitPlan.
-fn t15(sf: f64, rng: &mut StdRng) -> QuerySpec {
+fn t15(sf: f64, rng: &mut StdRng) -> Query {
     let year = rng.gen_range(1993..=1997);
     let month = [1u32, 4, 7, 10][rng.gen_range(0..4)];
     let (lo, hi) = month_window(year, month, 3);
@@ -1100,7 +1116,7 @@ fn t15(sf: f64, rng: &mut StdRng) -> QuerySpec {
         filtered,
         (col(Supplier, "s_suppkey"), col(Lineitem, "l_suppkey")),
     );
-    QuerySpec {
+    Query {
         template: 15,
         params: vec![("quarter".into(), format!("{year}-{month:02}"))],
         root: sort(joined, 1),
@@ -1108,7 +1124,7 @@ fn t15(sf: f64, rng: &mut StdRng) -> QuerySpec {
 }
 
 /// Q16 — parts/supplier relationship with an anti-join against complainers.
-fn t16(rng: &mut StdRng) -> QuerySpec {
+fn t16(rng: &mut StdRng) -> Query {
     let brand = rng.gen_range(0..dicts::N_BRANDS);
     let prefix = rng.gen_range(0..6u32);
     let mut sizes = Vec::new();
@@ -1161,7 +1177,7 @@ fn t16(rng: &mut StdRng) -> QuerySpec {
             having: None,
         },
     );
-    QuerySpec {
+    Query {
         template: 16,
         params: vec![
             ("brand".into(), dicts::brand_name(brand)),
@@ -1172,7 +1188,7 @@ fn t16(rng: &mut StdRng) -> QuerySpec {
 }
 
 /// Q17 — small-quantity-order revenue: a correlated AVG SubPlan per row.
-fn t17(rng: &mut StdRng) -> QuerySpec {
+fn t17(rng: &mut StdRng) -> Query {
     let brand = rng.gen_range(0..dicts::N_BRANDS);
     let container = rng.gen_range(0..dicts::N_CONTAINERS);
     let joined = RelExpr::inner_join(
@@ -1217,7 +1233,7 @@ fn t17(rng: &mut StdRng) -> QuerySpec {
             having: None,
         },
     );
-    QuerySpec {
+    Query {
         template: 17,
         params: vec![
             ("brand".into(), dicts::brand_name(brand)),
@@ -1229,7 +1245,7 @@ fn t17(rng: &mut StdRng) -> QuerySpec {
 
 /// Q18 — large-volume customers: the HAVING sum(l_quantity) estimation-error
 /// showcase (Section 5.3.3).
-fn t18(rng: &mut StdRng) -> QuerySpec {
+fn t18(rng: &mut StdRng) -> Query {
     let q = rng.gen_range(312..=315) as f64;
     let truth_fraction = p_order_quantity_sum_gt(q);
     let heavy_orders = agg(
@@ -1279,7 +1295,7 @@ fn t18(rng: &mut StdRng) -> QuerySpec {
             having: None,
         },
     );
-    QuerySpec {
+    Query {
         template: 18,
         params: vec![("quantity".into(), q.to_string())],
         root: limit(sort(aggregated, 2), 100),
@@ -1288,7 +1304,7 @@ fn t18(rng: &mut StdRng) -> QuerySpec {
 
 /// Q19 — discounted revenue: disjunctive brand/container/quantity branches
 /// (modeled as their union).
-fn t19(rng: &mut StdRng) -> QuerySpec {
+fn t19(rng: &mut StdRng) -> Query {
     let q1 = rng.gen_range(1..=10i64);
     let brands: Vec<Scalar> = (0..3)
         .map(|_| Scalar::Cat(rng.gen_range(0..dicts::N_BRANDS)))
@@ -1349,7 +1365,7 @@ fn t19(rng: &mut StdRng) -> QuerySpec {
             having: None,
         },
     );
-    QuerySpec {
+    Query {
         template: 19,
         params: vec![("quantity1".into(), q1.to_string())],
         root: aggregated,
@@ -1358,7 +1374,7 @@ fn t19(rng: &mut StdRng) -> QuerySpec {
 
 /// Q20 — potential part promotion: nested semi-joins with a correlated SUM
 /// SubPlan.
-fn t20(sf: f64, rng: &mut StdRng) -> QuerySpec {
+fn t20(sf: f64, rng: &mut StdRng) -> Query {
     let color = rng.gen_range(0..dicts::N_COLORS);
     let nation = rng.gen_range(0..25u32);
     let year = rng.gen_range(1993..=1997);
@@ -1420,7 +1436,7 @@ fn t20(sf: f64, rng: &mut StdRng) -> QuerySpec {
         ),
         (col(Supplier, "s_nationkey"), col(Nation, "n_nationkey")),
     );
-    QuerySpec {
+    Query {
         template: 20,
         params: vec![
             ("color".into(), color.to_string()),
@@ -1433,7 +1449,7 @@ fn t20(sf: f64, rng: &mut StdRng) -> QuerySpec {
 
 /// Q21 — suppliers who kept orders waiting: triple self-join of LINEITEM
 /// with EXISTS and NOT EXISTS arms.
-fn t21(rng: &mut StdRng) -> QuerySpec {
+fn t21(rng: &mut StdRng) -> Query {
     let nation = rng.gen_range(0..25u32);
     let p_late = p_commit_before_receipt();
     let sl = RelExpr::inner_join(
@@ -1518,7 +1534,7 @@ fn t21(rng: &mut StdRng) -> QuerySpec {
             having: None,
         },
     );
-    QuerySpec {
+    Query {
         template: 21,
         params: vec![("nation".into(), dicts::NATIONS[nation as usize].into())],
         root: limit(sort(aggregated, 2), 100),
@@ -1526,7 +1542,7 @@ fn t21(rng: &mut StdRng) -> QuerySpec {
 }
 
 /// Q22 — global sales opportunity: InitPlan average + anti-join on orders.
-fn t22(rng: &mut StdRng) -> QuerySpec {
+fn t22(rng: &mut StdRng) -> Query {
     // Seven distinct country codes, modeled on c_nationkey.
     let mut codes = Vec::new();
     while codes.len() < 7 {
@@ -1586,7 +1602,7 @@ fn t22(rng: &mut StdRng) -> QuerySpec {
             having: None,
         },
     );
-    QuerySpec {
+    Query {
         template: 22,
         params: vec![(
             "codes".into(),
@@ -1612,7 +1628,7 @@ mod tests {
     fn all_templates_instantiate() {
         let mut r = rng();
         for t in ALL_TEMPLATES {
-            let q = instantiate(t, 1.0, &mut r);
+            let q = instantiate(t, 1.0, &mut r).query();
             assert_eq!(q.template, t);
             assert!(!q.params.is_empty() || t == 1, "template {t} has params");
             assert!(!q.root.tables().is_empty(), "template {t} scans tables");
@@ -1625,12 +1641,12 @@ mod tests {
         let with_subquery: Vec<u8> = ALL_TEMPLATES
             .iter()
             .copied()
-            .filter(|&t| instantiate(t, 1.0, &mut r).root.has_subquery())
+            .filter(|&t| instantiate(t, 1.0, &mut r).query().root.has_subquery())
             .collect();
         assert_eq!(with_subquery, vec![2, 11, 15, 17, 20, 21, 22]);
         // The paper's operator-level subset must be subquery-free.
         for t in FOURTEEN {
-            let q = instantiate(t, 1.0, &mut rng());
+            let q = instantiate(t, 1.0, &mut rng()).query();
             assert!(!q.root.has_subquery(), "template {t} in FOURTEEN");
         }
     }
@@ -1666,9 +1682,9 @@ mod tests {
     #[test]
     fn parameters_vary_across_instances() {
         let mut r = rng();
-        let a = instantiate(6, 1.0, &mut r);
-        let b = instantiate(6, 1.0, &mut r);
-        let c = instantiate(6, 1.0, &mut r);
+        let a = instantiate(6, 1.0, &mut r).query();
+        let b = instantiate(6, 1.0, &mut r).query();
+        let c = instantiate(6, 1.0, &mut r).query();
         let all_same = a.params == b.params && b.params == c.params;
         assert!(!all_same, "template 6 parameters never vary");
     }
@@ -1686,7 +1702,7 @@ mod tests {
     #[test]
     fn t3_correction_shrinks_the_join() {
         let mut r = rng();
-        let q = instantiate(3, 1.0, &mut r);
+        let q = instantiate(3, 1.0, &mut r).query();
         // Find the orders ⋈ lineitem join and check its correction < 1.
         let mut found = false;
         q.root.visit(&mut |e| {
@@ -1704,8 +1720,8 @@ mod tests {
 
     #[test]
     fn instantiation_is_deterministic_per_seed() {
-        let a = instantiate(3, 1.0, &mut StdRng::seed_from_u64(5));
-        let b = instantiate(3, 1.0, &mut StdRng::seed_from_u64(5));
+        let a = instantiate(3, 1.0, &mut StdRng::seed_from_u64(5)).query();
+        let b = instantiate(3, 1.0, &mut StdRng::seed_from_u64(5)).query();
         assert_eq!(a.params, b.params);
     }
 }

@@ -2,7 +2,10 @@
 //!
 //! The paper's datasets hold ≈ 55 instances per template (Section 5.1);
 //! [`Workload::generate`] reproduces that layout for any template subset
-//! and scale factor.
+//! and scale factor. An instance is its parameter draw ([`QuerySpec`], 48
+//! bytes, no heap), not its plan: a batch of 700 costs 33 KiB, and each
+//! logical plan exists only while [`QuerySpec::query`]'s caller (the
+//! engine's planner) reads it.
 
 use crate::spec::QuerySpec;
 use crate::templates;
@@ -23,9 +26,7 @@ impl Workload {
     pub fn generate(template_ids: &[u8], per_template: usize, sf: f64, seed: u64) -> Workload {
         let mut queries = Vec::with_capacity(template_ids.len() * per_template);
         for &t in template_ids {
-            // Independent stream per template so adding/removing templates
-            // does not reshuffle the others.
-            let mut rng = StdRng::seed_from_u64(seed ^ (t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let mut rng = template_stream(t, seed);
             for _ in 0..per_template {
                 queries.push(templates::instantiate(t, sf, &mut rng));
             }
@@ -60,10 +61,16 @@ impl Workload {
     }
 }
 
+/// The generator of template `t`'s instances: an independent stream per
+/// template, so adding or removing templates does not reshuffle the others.
+fn template_stream(t: u8, seed: u64) -> StdRng {
+    StdRng::seed_from_u64(seed ^ (t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::templates::{FOURTEEN, TWELVE};
+    use crate::templates::{ALL_TEMPLATES, FOURTEEN, TWELVE};
 
     #[test]
     fn generates_requested_shape() {
@@ -77,7 +84,7 @@ mod tests {
         let a = Workload::generate(&TWELVE, 3, 1.0, 9);
         let b = Workload::generate(&TWELVE, 3, 1.0, 9);
         for (qa, qb) in a.queries.iter().zip(&b.queries) {
-            assert_eq!(qa.params, qb.params);
+            assert_eq!(qa.query().params, qb.query().params);
         }
     }
 
@@ -91,9 +98,9 @@ mod tests {
             .queries
             .iter()
             .filter(|q| q.template == 6)
-            .map(|q| q.params.clone())
+            .map(|q| q.query().params)
             .collect();
-        let b: Vec<_> = without.queries.iter().map(|q| q.params.clone()).collect();
+        let b: Vec<_> = without.queries.iter().map(|q| q.query().params).collect();
         assert_eq!(a, b);
     }
 
@@ -105,5 +112,30 @@ mod tests {
         assert_eq!(train.len(), w.len() - 2);
         assert!(test.iter().all(|q| q.template == 9));
         assert!(train.iter().all(|q| q.template != 9));
+    }
+
+    #[test]
+    fn draws_build_the_eagerly_built_stream() {
+        // A workload of draws, each built afterwards, equals the queries
+        // built one after another from the same stream: parameters and
+        // plan, for every template, scale factor and seed.
+        for &t in &ALL_TEMPLATES {
+            for sf in [0.1, 1.0, 10.0] {
+                for seed in [0, 7, 0xDEAD_BEEF] {
+                    let w = Workload::generate(&[t], 4, sf, seed);
+                    let mut rng = template_stream(t, seed);
+                    for (k, spec) in w.queries.iter().enumerate() {
+                        let lazy = spec.query();
+                        let eager = templates::build(t, sf, &mut rng);
+                        assert_eq!(lazy.params, eager.params, "t{t} sf {sf} seed {seed} #{k}");
+                        assert_eq!(
+                            format!("{:?}", lazy.root),
+                            format!("{:?}", eager.root),
+                            "t{t} sf {sf} seed {seed} #{k}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

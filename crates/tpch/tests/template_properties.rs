@@ -12,7 +12,7 @@ fn predicates_and_joins_are_well_typed() {
     for t in ALL_TEMPLATES {
         let mut rng = StdRng::seed_from_u64(t as u64 * 31);
         for _ in 0..5 {
-            let q = instantiate(t, 1.0, &mut rng);
+            let q = instantiate(t, 1.0, &mut rng).query();
             q.root.visit(&mut |e| {
                 if let RelExpr::Scan { table, filters, .. } = e {
                     for f in filters {
@@ -36,7 +36,7 @@ fn predicates_and_joins_are_well_typed() {
 fn truth_knobs_are_sane() {
     for t in ALL_TEMPLATES {
         let mut rng = StdRng::seed_from_u64(t as u64 * 17);
-        let q = instantiate(t, 1.0, &mut rng);
+        let q = instantiate(t, 1.0, &mut rng).query();
         q.root.visit(&mut |e| match e {
             RelExpr::Scan {
                 truth_sel_override: Some(s),
@@ -84,14 +84,18 @@ fn truth_knobs_are_sane() {
 fn structure_is_parameter_independent() {
     for t in ALL_TEMPLATES {
         let mut rng = StdRng::seed_from_u64(t as u64);
-        let tables = |q: &tpch::QuerySpec| {
+        let tables = |q: &tpch::Query| {
             let mut v = q.root.tables();
             v.sort();
             v
         };
-        let first = tables(&instantiate(t, 1.0, &mut rng));
+        let first = tables(&instantiate(t, 1.0, &mut rng).query());
         for _ in 0..6 {
-            assert_eq!(tables(&instantiate(t, 1.0, &mut rng)), first, "t{t}");
+            assert_eq!(
+                tables(&instantiate(t, 1.0, &mut rng).query()),
+                first,
+                "t{t}"
+            );
         }
     }
 }
@@ -103,11 +107,11 @@ fn table_footprints_match_the_spec() {
     use tpch::TableId::*;
     let mut rng = StdRng::seed_from_u64(5);
     for (t, must_touch) in [(1u8, Lineitem), (9, Partsupp), (13, Orders), (22, Customer)] {
-        let q = instantiate(t, 1.0, &mut rng);
+        let q = instantiate(t, 1.0, &mut rng).query();
         assert!(q.root.tables().contains(&must_touch), "t{t}");
     }
     // Template 11 never touches lineitem.
-    let q11 = instantiate(11, 1.0, &mut rng);
+    let q11 = instantiate(11, 1.0, &mut rng).query();
     assert!(!q11.root.tables().contains(&Lineitem));
 }
 
@@ -116,11 +120,11 @@ fn table_footprints_match_the_spec() {
 fn parameters_stay_in_spec_windows() {
     let mut rng = StdRng::seed_from_u64(77);
     for _ in 0..30 {
-        let q1 = instantiate(1, 1.0, &mut rng);
+        let q1 = instantiate(1, 1.0, &mut rng).query();
         let delta: i32 = q1.params[0].1.parse().unwrap();
         assert!((60..=120).contains(&delta));
 
-        let q6 = instantiate(6, 1.0, &mut rng);
+        let q6 = instantiate(6, 1.0, &mut rng).query();
         let qty: i32 = q6
             .params
             .iter()
@@ -131,7 +135,7 @@ fn parameters_stay_in_spec_windows() {
             .unwrap();
         assert!((24..=25).contains(&qty));
 
-        let q18 = instantiate(18, 1.0, &mut rng);
+        let q18 = instantiate(18, 1.0, &mut rng).query();
         let q: f64 = q18.params[0].1.parse().unwrap();
         assert!((312.0..=315.0).contains(&q));
     }
@@ -146,7 +150,7 @@ fn instances_vary() {
         let distinct: std::collections::HashSet<String> = w
             .queries
             .iter()
-            .map(|q| format!("{:?}", q.params))
+            .map(|q| format!("{:?}", q.query().params))
             .collect();
         assert!(distinct.len() > 1, "t{t}: constant parameters");
     }

@@ -24,9 +24,10 @@ fn main() {
     let simulator = Simulator::new();
     let mut rng = StdRng::seed_from_u64(11);
     let spec = tpch::instantiate(template, sf, &mut rng);
+    let query = spec.query();
 
     println!("TPC-H template {template} with parameters:");
-    for (k, v) in &spec.params {
+    for (k, v) in &query.params {
         println!("  {k} = {v}");
     }
 
@@ -39,7 +40,7 @@ fn main() {
     // Ground-truth check against actually generated rows.
     println!("generating a {sf}-scale database to validate cardinalities...");
     let db = GeneratedDb::generate(sf, 7);
-    let result = execute(&spec.root, &db);
+    let result = execute(&query.root, &db);
     println!(
         "reference executor result: {} rows (analytic truth at the root: {:.1})",
         result.n_rows(),

@@ -13,7 +13,9 @@
 //! and a logged query is its plan, its pre-order truth (three `f64`s a
 //! node) and its trace (actual-valued costs derive from the truth where
 //! they are read). One pin holds what a trained model is made of: a feature model
-//! is its selection, its ranges and the one model it serves from.
+//! is its selection, its ranges and the one model it serves from. One
+//! holds what a workload is made of: an instance is its template, scale
+//! factor and parameter draw, with no plan.
 
 use engine::plan::{NodeTruth, OpDetail, PlanNode};
 use engine::Catalog;
@@ -21,7 +23,7 @@ use qpp::plan_model::FeatureModel;
 use qpp::ExecutedQuery;
 use std::mem::size_of;
 use tpch::schema::{col, ColRef, TableId};
-use tpch::spec::{AggFunc, Predicate};
+use tpch::spec::{AggFunc, Predicate, QuerySpec};
 
 #[test]
 fn distinct_count_noise_is_pinned() {
@@ -75,4 +77,9 @@ fn a_feature_model_holds_one_model() {
         "{}",
         size_of::<FeatureModel>()
     );
+}
+
+#[test]
+fn a_workload_instance_is_its_draw() {
+    assert!(size_of::<QuerySpec>() <= 48, "{}", size_of::<QuerySpec>());
 }

@@ -1,4 +1,4 @@
-//! What a training allocates.
+//! What a workload holds and what a training allocates.
 //!
 //! Operator-level training pushes each plan node's feature row straight
 //! into its operator type's matrix, allocated once at its size, and
@@ -6,9 +6,10 @@
 //! built once per fold, so the blocks `OpLevelModel::train` allocates do
 //! not grow with the number of queries. A whole `QppPredictor::train` on
 //! the benchmark fixture's log stays under a ceiling set from its
-//! measurement. A counting `#[global_allocator]` counts each thread's
-//! blocks; the tests pin one thread (so every block is the caller's)
-//! under one lock.
+//! measurement. A workload holds its instances' parameter draws, not
+//! their plans. A counting `#[global_allocator]` counts each thread's
+//! blocks and the bytes it has live (allocated less freed); the training
+//! tests pin one thread (so every block is the caller's) under one lock.
 
 use engine::{Catalog, SimConfig, Simulator};
 use qpp::{ExecutedQuery, OpLevelModel, OpModelConfig, QppConfig, QppPredictor, QueryDataset};
@@ -22,29 +23,40 @@ struct CountingAlloc;
 thread_local! {
     /// Blocks this thread allocated.
     static ALLOCS: Cell<usize> = const { Cell::new(0) };
+    /// Bytes this thread allocated less the bytes it freed.
+    static LIVE: Cell<isize> = const { Cell::new(0) };
 }
 
 fn count_one() {
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
 }
 
+/// Adds `bytes` (negative when freed) to this thread's live bytes.
+fn count_bytes(bytes: isize) {
+    let _ = LIVE.try_with(|live| live.set(live.get() + bytes));
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_one();
+        count_bytes(layout.size() as isize);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count_one();
+        count_bytes(layout.size() as isize);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count_one();
+        count_bytes(new_size as isize - layout.size() as isize);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count_bytes(-(layout.size() as isize));
         System.dealloc(ptr, layout)
     }
 }
@@ -65,11 +77,13 @@ fn allocations_of<T>(f: impl FnOnce() -> T) -> usize {
     blocks
 }
 
-/// The benchmark fixture's training log (`crates/e2e`, and
-/// `tests/golden_snapshot.rs`): templates 1, 3, 5, 6, 10, 12, 14 at
-/// sf 0.1, `per_template` queries each.
+/// The benchmark fixture's templates (`crates/e2e`, and
+/// `tests/golden_snapshot.rs`), at sf 0.1.
+const TEMPLATES: [u8; 7] = [1, 3, 5, 6, 10, 12, 14];
+
+/// The benchmark fixture's training log: `per_template` queries of each
+/// of its templates.
 fn fixture_log(per_template: usize) -> QueryDataset {
-    const TEMPLATES: [u8; 7] = [1, 3, 5, 6, 10, 12, 14];
     let sim = Simulator::with_config(SimConfig {
         additive_noise_secs: 0.05,
         ..SimConfig::default()
@@ -120,4 +134,22 @@ fn a_fixture_training_stays_under_its_ceiling() {
     // rows made 18.3 k, of which operator level 13.0 k.
     const CEILING: usize = 11_000;
     assert!(blocks <= CEILING, "{blocks} blocks, ceiling {CEILING}");
+}
+
+/// The fixture pool's workload: 100 instances of each template.
+fn fixture_pool_workload() -> Workload {
+    Workload::generate(&TEMPLATES, 100, 0.1, 42 ^ 0x9001)
+}
+
+#[test]
+fn a_workload_holds_its_draws() {
+    // Anything a template computes once and keeps is not the workload's.
+    drop(fixture_pool_workload());
+    let before = LIVE.with(Cell::get);
+    let workload = fixture_pool_workload();
+    let held = LIVE.with(Cell::get) - before;
+    let per_instance = held as f64 / workload.len() as f64;
+    // A draw is 48 B. An instance that kept its parameter strings and
+    // logical plan held 924 B.
+    assert!(per_instance <= 64.0, "{per_instance:.1} B per instance");
 }

@@ -37,7 +37,7 @@ fn template_root_cardinalities_match_generated_data() {
         let mut rng = StdRng::seed_from_u64(1000 + t as u64);
         let spec = tpch::instantiate(t, SF, &mut rng);
         let truth = planner.plan(&spec).truth;
-        let result = execute(&spec.root, &db);
+        let result = execute(&spec.query().root, &db);
         let analytic = truth[0].rows;
         let observed = result.n_rows() as f64;
         assert!(
