@@ -84,11 +84,6 @@ impl Dataset {
         &self.data[i * self.n_cols..(i + 1) * self.n_cols]
     }
 
-    /// The whole matrix, row-major.
-    pub(crate) fn as_flat(&self) -> &[f64] {
-        &self.data
-    }
-
     /// Iterate over all rows.
     pub fn rows(&self) -> impl Iterator<Item = &[f64]> {
         self.data.chunks_exact(self.n_cols.max(1))

@@ -1,21 +1,12 @@
 //! Kernel (Gram) matrices for the SMO solver: built by a blocked,
-//! lane-padded kernel, alive exactly as long as the fit that reads them.
+//! lane-padded kernel, owned by the fit that reads them.
 //!
-//! A solve leases its dense `l × l` matrix from [`GramCache`] and hands
-//! the buffer back when it ends, so the next fit builds into memory that
-//! is already mapped instead of asking the allocator for another matrix.
-//! Nothing else is retained: an idle buffer exists only because a fit
-//! returned it, so there are never more of them than fits that once ran
-//! at the same time — at most one per thread — and a training leaves
-//! behind one matrix per thread however many it built.
-//!
-//! A returned buffer still holds the last matrix and a copy of the scaled
-//! rows it was built from. A fit whose rows and resolved gamma equal that
-//! copy **bit for bit** takes the matrix as it is (the start-
-//! and run-time heads of a sub-plan model train on one feature matrix,
-//! and stratified folds can standardise a per-template constant to the
-//! same column); nothing is ever handed back on a hash, so no two
-//! datasets can be served each other's matrix.
+//! An SMO solve builds its dense `l × l` matrix with
+//! [`compute_gram_blocked`] into a buffer of its own and frees it when it
+//! returns. Nothing is kept between fits: no idle buffer, no copy of the
+//! rows a matrix was built from, no per-thread stand-in, so a process
+//! that has trained holds no training scratch once the last fit ends.
+//! [`GramCache`] only counts the matrices built.
 //!
 //! Construction is the blocked, lane-padded SoA kernel
 //! [`compute_gram_blocked`]: the lower triangle is walked in L1-sized
@@ -30,140 +21,57 @@
 use crate::dataset::Dataset;
 use crate::svr::Kernel;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
-/// How often a fit's matrix had to be built.
+/// How many Gram matrices SMO solves built.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GramCacheStats {
-    /// Fits that took an idle matrix built from exactly their input.
+    /// Always 0: no fit takes a matrix another one built.
     pub hits: usize,
     /// Matrices built.
     pub misses: usize,
 }
 
-/// What decides a Gram matrix besides the cells: rows, columns and the
-/// resolved gamma's bits.
-type Shape = (usize, usize, u64);
-
-/// A Gram matrix and the exact input it was built from.
-struct Built {
-    /// Row-major copy of the dataset.
-    cells: Vec<f64>,
-    shape: Shape,
-    k: Vec<f64>,
-}
-
-impl Built {
-    fn is_of(&self, xs: &Dataset, shape: Shape) -> bool {
-        // Bits, not `==`: equal means the same input, with no reasoning
-        // about which differences a kernel forgives.
-        let same_bits = |(a, b): (&f64, &f64)| a.to_bits() == b.to_bits();
-        self.shape == shape && self.cells.iter().zip(xs.as_flat()).all(same_bits)
-    }
-}
-
-/// Where the SMO solver gets its Gram matrix; see the module docs.
-#[derive(Default)]
+/// The process-wide count of the Gram matrices SMO solves built. It holds
+/// no matrix; it stays because the benchmark harness reads and resets it.
 pub struct GramCache {
-    /// Buffers between fits, most recently returned last.
-    idle: Mutex<Vec<Built>>,
-    hits: AtomicUsize,
-    misses: AtomicUsize,
-}
-
-/// One fit's hold on its row-major `l × l` Gram matrix. Dropping it hands
-/// the buffer back for the next fit.
-pub struct GramLease<'a> {
-    home: &'a GramCache,
-    /// `Some` until dropped.
-    built: Option<Built>,
-}
-
-impl std::ops::Deref for GramLease<'_> {
-    type Target = [f64];
-
-    fn deref(&self) -> &[f64] {
-        &self.built.as_ref().expect("held until drop").k
-    }
-}
-
-impl Drop for GramLease<'_> {
-    fn drop(&mut self) {
-        self.home.idle().extend(self.built.take());
-    }
+    built: AtomicUsize,
 }
 
 impl GramCache {
-    /// Creates a cache holding nothing.
-    pub fn new() -> GramCache {
-        GramCache::default()
-    }
-
-    /// The process-wide instance the SMO solver uses.
+    /// The counter every SMO solve bumps.
     pub fn global() -> &'static GramCache {
-        static GLOBAL: OnceLock<GramCache> = OnceLock::new();
-        GLOBAL.get_or_init(GramCache::new)
-    }
-
-    /// A push or a pop leaves the list valid, so a poisoned lock is
-    /// recovered.
-    fn idle(&self) -> MutexGuard<'_, Vec<Built>> {
-        self.idle.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Leases the RBF Gram matrix of `xs` with the resolved `gamma`: an
-    /// idle matrix built from exactly this input if there is one, else
-    /// [`compute_gram_blocked`] into the most recently returned buffer.
-    pub fn gram(&self, xs: &Dataset, gamma: f64) -> GramLease<'_> {
-        let l = xs.n_rows();
-        let shape = (l, xs.n_cols(), gamma.to_bits());
-        let recycled = {
-            let mut idle = self.idle();
-            if let Some(at) = idle.iter().rposition(|b| b.is_of(xs, shape)) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return self.lease(idle.remove(at));
-            }
-            idle.pop()
+        static GLOBAL: GramCache = GramCache {
+            built: AtomicUsize::new(0),
         };
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let (mut cells, mut k) = recycled.map(|b| (b.cells, b.k)).unwrap_or_default();
-        cells.clear();
-        cells.extend_from_slice(xs.as_flat());
-        // The build writes every entry, so what the buffer held is not
-        // cleared first.
-        k.resize(l * l, 0.0);
-        fill_gram_blocked(xs, gamma, &mut k);
-        self.lease(Built { cells, shape, k })
+        &GLOBAL
     }
 
-    fn lease(&self, built: Built) -> GramLease<'_> {
-        GramLease {
-            home: self,
-            built: Some(built),
-        }
-    }
-
-    /// Current hit/miss counters.
+    /// Matrices built since the process started or the last [`clear`](Self::clear).
     pub fn stats(&self) -> GramCacheStats {
         GramCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
+            hits: 0,
+            misses: self.built.load(Ordering::Relaxed),
         }
     }
 
-    /// Frees the idle buffers and resets the counters.
+    /// Resets the count.
     pub fn clear(&self) {
-        self.idle().clear();
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
+        self.built.store(0, Ordering::Relaxed);
     }
+}
+
+/// The matrix an SMO solve reads: [`compute_gram_blocked`], counted in
+/// [`GramCache::global`]. The solve owns it and frees it when it returns.
+pub(crate) fn solve_gram(xs: &Dataset, gamma: f64) -> Vec<f64> {
+    GramCache::global().built.fetch_add(1, Ordering::Relaxed);
+    compute_gram_blocked(xs, Kernel::Rbf { gamma }, gamma)
 }
 
 /// Computes the dense Gram matrix directly, evaluating the kernel once per
 /// unordered row pair and mirroring across the diagonal: the reference
 /// [`compute_gram_blocked`] is compared against.
 ///
-/// Public so tests can compare leased matrices against a fresh computation.
+/// Public so tests can compare the blocked build against it.
 pub fn compute_gram(xs: &Dataset, kernel: Kernel, gamma: f64) -> Vec<f64> {
     let l = xs.n_rows();
     let mut k = vec![0.0f64; l * l];
@@ -265,18 +173,10 @@ fn tile_rows_lower(
 /// signature it shares. `Kernel` has one family, RBF, so the matrix
 /// depends on the resolved `gamma` alone.
 pub fn compute_gram_blocked(xs: &Dataset, _kernel: Kernel, gamma: f64) -> Vec<f64> {
-    let mut k = vec![0.0f64; xs.n_rows() * xs.n_rows()];
-    fill_gram_blocked(xs, gamma, &mut k);
-    k
-}
-
-/// [`compute_gram_blocked`] into a caller-supplied `l × l` buffer, every
-/// entry of which is overwritten.
-fn fill_gram_blocked(xs: &Dataset, gamma: f64, k: &mut [f64]) {
     let l = xs.n_rows();
-    assert_eq!(k.len(), l * l, "Gram buffer is not {l} x {l}");
+    let mut k = vec![0.0f64; l * l];
     if l == 0 {
-        return;
+        return k;
     }
     let soa = pack_soa(xs);
     for (t, slab) in k.chunks_mut(TILE_ROWS * l).enumerate() {
@@ -303,6 +203,7 @@ fn fill_gram_blocked(xs: &Dataset, gamma: f64, k: &mut [f64]) {
             }
         }
     }
+    k
 }
 
 #[cfg(test)]
@@ -322,52 +223,9 @@ mod tests {
 
     const RBF: Kernel = Kernel::Rbf { gamma: 0.0 };
 
-    #[test]
-    fn equal_input_is_a_hit_on_the_returned_buffer() {
-        let cache = GramCache::new();
-        let xs = toy();
-        let first = cache.gram(&xs, 0.5);
-        let at = first.as_ptr();
-        // While the first fit holds its matrix there is nothing to reuse.
-        let concurrent = cache.gram(&xs, 0.5);
-        assert_ne!(concurrent.as_ptr(), at);
-        assert_eq!(cache.stats(), GramCacheStats { hits: 0, misses: 2 });
-        drop(concurrent);
-        drop(first);
-        let again = cache.gram(&xs, 0.5);
-        assert_eq!(again.as_ptr(), at);
-        assert_eq!(cache.stats(), GramCacheStats { hits: 1, misses: 2 });
-        assert_bits_eq(&again, &compute_gram(&xs, RBF, 0.5), "hit");
-    }
-
-    #[test]
-    fn another_gamma_or_shape_rebuilds_into_the_same_buffer() {
-        let cache = GramCache::new();
-        let xs = toy();
-        let at = cache.gram(&xs, 0.5).as_ptr();
-        let fewer_rows = xs.select_rows(&[0, 1, 2, 3, 4]);
-        // A zero-column dataset has no cells to tell two row counts apart.
-        let no_cols = Dataset::from_rows(vec![vec![]; 8]);
-        let cases = [
-            (&xs, 0.25),
-            (&fewer_rows, 0.25),
-            (&xs, 0.5),
-            (&no_cols, 0.5),
-            (&no_cols.select_rows(&[0, 1]), 0.5),
-        ];
-        for (case, (data, gamma)) in cases.into_iter().enumerate() {
-            let k = cache.gram(data, gamma);
-            assert_bits_eq(&k, &compute_gram(data, RBF, gamma), &format!("case {case}"));
-            if k.len() == 64 {
-                assert_eq!(k.as_ptr(), at, "case {case} did not recycle the buffer");
-            }
-        }
-        assert_eq!(cache.stats(), GramCacheStats { hits: 0, misses: 6 });
-    }
-
-    /// The hazard of the hash-keyed cache this one replaced: FNV over whole
-    /// 64-bit words cancels an even number of sign-bit flips, so these
-    /// datasets shared a key. Each must get its own matrix.
+    /// The hazard of the hash-keyed cache that once stood here: FNV over
+    /// whole 64-bit words cancels an even number of sign-bit flips, so
+    /// these datasets shared a key. Each must get its own matrix.
     #[test]
     fn datasets_differing_in_two_signs_get_their_own_matrices() {
         let xs = toy();
@@ -382,7 +240,6 @@ mod tests {
         let column: Vec<(usize, usize)> = (0..xs.n_rows()).map(|i| (i, 0)).collect();
         let negated_column = flip(&column);
         let gamma = 0.05;
-        let cache = GramCache::new();
         let want = compute_gram(&xs, RBF, gamma);
         assert_ne!(want, compute_gram(&two_cells, RBF, gamma));
         for round in 0..2 {
@@ -392,40 +249,27 @@ mod tests {
                 ("negated column", &negated_column),
             ] {
                 assert_bits_eq(
-                    &cache.gram(data, gamma),
+                    &solve_gram(data, gamma),
                     &compute_gram(data, RBF, gamma),
                     &format!("{name}, round {round}"),
                 );
             }
         }
-        assert_eq!(cache.stats(), GramCacheStats { hits: 0, misses: 6 });
     }
 
     #[test]
-    fn clear_frees_the_idle_buffers_and_resets_the_counters() {
-        let cache = GramCache::new();
+    fn clear_resets_the_count_of_matrices_built() {
+        // The counter is process-wide and other tests fit side by side, so
+        // it can only be read as at least what this thread built.
         let xs = toy();
-        drop(cache.gram(&xs, 0.5));
-        assert_eq!(cache.idle().len(), 1);
-        cache.clear();
-        assert!(cache.idle().is_empty());
-        assert_eq!(cache.stats(), GramCacheStats::default());
-        // The matrix that was kept is gone with it.
-        drop(cache.gram(&xs, 0.5));
-        assert_eq!(cache.stats(), GramCacheStats { hits: 0, misses: 1 });
-    }
-
-    #[test]
-    fn idle_buffers_never_outnumber_concurrent_fits() {
-        let cache = GramCache::new();
-        let xs = toy();
-        for round in 0..10 {
-            let gamma = 0.1 + round as f64;
-            let a = cache.gram(&xs, gamma);
-            let b = cache.gram(&xs, gamma);
-            drop((a, b));
-            assert_eq!(cache.idle().len(), 2, "round {round}");
-        }
+        let before = GramCache::global().stats();
+        drop(solve_gram(&xs, 0.5));
+        drop(solve_gram(&xs, 0.5));
+        let after = GramCache::global().stats();
+        assert_eq!(after.hits, 0);
+        assert!(after.misses >= before.misses + 2);
+        GramCache::global().clear();
+        assert!(GramCache::global().stats().misses < after.misses);
     }
 
     #[test]

@@ -27,8 +27,8 @@
 //!   of parked worker threads, used across the training and batched
 //!   prediction pipelines.
 //! - [`gram`] — the kernel (Gram) matrix of an SMO solve, built by a
-//!   blocked, lane-padded kernel into a buffer that is recycled from fit
-//!   to fit; no matrix outlives the fit that reads it.
+//!   blocked, lane-padded kernel into a buffer the fit owns; nothing is
+//!   kept between fits.
 //! - [`bytes`] — the bounds-checked reader and the writers under the model
 //!   snapshot and the wire protocol.
 //! - [`compiled`] — the layout an SVR model is stored in (lane-padded

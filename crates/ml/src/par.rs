@@ -400,27 +400,24 @@ where
     // balanced.
     let run = n.div_ceil(workers * RUNS_PER_WORKER);
     let next = AtomicUsize::new(0);
-    let buckets: Mutex<Vec<Vec<(usize, U)>>> = Mutex::new(Vec::with_capacity(workers));
-    // Claims one run and appends its results; false once none is left.
-    let claim_run = |out: &mut Vec<(usize, U)>| {
+    // Every participant's runs, each as its first index and its results.
+    let runs: Mutex<Vec<(usize, Vec<U>)>> = Mutex::new(Vec::new());
+    // Claims one run and computes it; `None` once none is left.
+    let claim_run = || {
         let lo = next.fetch_add(run, Ordering::Relaxed);
-        if lo < n {
-            out.extend((lo..n.min(lo + run)).map(|i| (i, f(i))));
-        }
-        lo < n
+        (lo < n).then(|| (lo, (lo..n.min(lo + run)).map(&f).collect()))
     };
-    let keep = |out: Vec<(usize, U)>| {
-        if !out.is_empty() {
-            buckets
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push(out);
-        }
+    let keep = |mine: Vec<(usize, Vec<U>)>| {
+        runs.lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .extend(mine);
     };
     let helper = || {
-        let mut out = Vec::new();
-        while claim_run(&mut out) {}
-        keep(out);
+        let mut mine = Vec::new();
+        while let Some(claimed) = claim_run() {
+            mine.push(claimed);
+        }
+        keep(mine);
     };
     fan_out(workers - 1, &helper, |wake| {
         // A fan-out of single items is coarse (folds, model fits): wake
@@ -431,8 +428,9 @@ where
             wake();
         }
         let started = Instant::now();
-        let mut out = Vec::new();
-        while claim_run(&mut out) {
+        let mut mine = Vec::new();
+        while let Some(claimed) = claim_run() {
+            mine.push(claimed);
             if parked {
                 let claimed = next.load(Ordering::Relaxed).min(n) as u128;
                 let unclaimed = n as u128 - claimed;
@@ -442,22 +440,16 @@ where
                 }
             }
         }
-        keep(out);
+        keep(mine);
     });
-    let mut buckets = buckets.into_inner().unwrap_or_else(PoisonError::into_inner);
-    if let [only] = &mut buckets[..] {
-        // One participant claimed every index, in ascending order.
-        return std::mem::take(only).into_iter().map(|(_, v)| v).collect();
+    let mut runs = runs.into_inner().unwrap_or_else(PoisonError::into_inner);
+    runs.sort_unstable_by_key(|&(start, _)| start);
+    // Each result moves once more, from its run into the output.
+    let mut out = Vec::with_capacity(n);
+    for (_, results) in runs {
+        out.extend(results);
     }
-    let mut slots: Vec<Option<U>> = Vec::with_capacity(n);
-    slots.resize_with(n, || None);
-    for (i, v) in buckets.into_iter().flatten() {
-        slots[i] = Some(v);
-    }
-    slots
-        .into_iter()
-        .map(|o| o.expect("every index is produced exactly once"))
-        .collect()
+    out
 }
 
 /// Runs two independent closures, the second on a pool worker when more
@@ -678,6 +670,99 @@ mod tests {
                 (a.to_bits(), b.to_bits()),
                 (wave(3).to_bits(), wave(4).to_bits())
             );
+        }
+    }
+
+    /// A result that counts its drops in `drops[i]`.
+    struct Counted<'a> {
+        i: usize,
+        drops: &'a [AtomicUsize],
+    }
+
+    impl Drop for Counted<'_> {
+        fn drop(&mut self) {
+            self.drops[self.i].fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    fn counters(n: usize) -> Vec<AtomicUsize> {
+        (0..n).map(|_| AtomicUsize::new(0)).collect()
+    }
+
+    fn loads(counters: &[AtomicUsize]) -> Vec<usize> {
+        counters.iter().map(|c| c.load(Ordering::SeqCst)).collect()
+    }
+
+    #[test]
+    fn one_item_runs_come_back_in_order_and_each_result_is_dropped_once() {
+        for threads in [2, 4] {
+            let _pinned = pin_threads(threads);
+            // Few enough items that every run is one item long.
+            let n = threads * RUNS_PER_WORKER;
+            let drops = counters(n);
+            // Items 0 and 1 meet, so they run on two threads.
+            let both_in = Barrier::new(2);
+            let out = par_map_n(n, |i| {
+                if i < 2 {
+                    both_in.wait();
+                }
+                Counted { i, drops: &drops }
+            });
+            let order: Vec<usize> = out.iter().map(|c| c.i).collect();
+            assert_eq!(order, (0..n).collect::<Vec<_>>(), "threads = {threads}");
+            assert_eq!(loads(&drops), vec![0; n], "dropped before returned");
+            drop(out);
+            assert_eq!(loads(&drops), vec![1; n], "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn a_panic_among_one_item_runs_is_raised_after_the_workers_leave() {
+        struct Leave<'a>(&'a AtomicUsize);
+        impl Drop for Leave<'_> {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        let caller = std::thread::current().id();
+        for threads in [2, 4] {
+            let _pinned = pin_threads(threads);
+            let n = threads * RUNS_PER_WORKER;
+            let failing = n / 2;
+            let drops = counters(n);
+            let (entered, left) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            let both_in = Barrier::new(2);
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                par_map_n(n, |i| {
+                    entered.fetch_add(1, Ordering::SeqCst);
+                    let _leave = Leave(&left);
+                    if i < 2 {
+                        both_in.wait();
+                    }
+                    if std::thread::current().id() != caller {
+                        // A helper is still inside when the caller's
+                        // claims run dry.
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                    if i == failing {
+                        panic!("item failed");
+                    }
+                    Counted { i, drops: &drops }
+                })
+            }));
+            let Err(payload) = caught else {
+                panic!("the panic must reach the caller");
+            };
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"item failed"));
+            assert_eq!(
+                left.load(Ordering::SeqCst),
+                entered.load(Ordering::SeqCst),
+                "raised with a worker still inside"
+            );
+            // Every other item ran, and what it returned was dropped once.
+            let mut want = vec![1; n];
+            want[failing] = 0;
+            assert_eq!(loads(&drops), want, "threads = {threads}");
         }
     }
 

@@ -312,6 +312,10 @@ pub(crate) fn first_order_j(_st: &DualState<'_>, sel: &ScanResult, _quad: &mut [
 /// tests). See [`SmoOutcome::converged`] for what each exit guarantees.
 /// `pick_j` is the working-set rule: [`second_order_j`] always, except
 /// that unit tests also run `first_order_j` through this very loop.
+///
+/// The solve builds its dense `l × l` Gram matrix into a buffer of its own
+/// and frees it when it returns: no fit leaves training scratch behind
+/// ([`crate::gram`]).
 pub(crate) fn smo_solve(
     xs: &Dataset,
     ys: &[f64],
@@ -324,9 +328,7 @@ pub(crate) fn smo_solve(
     let c = C;
 
     // Dense kernel matrix; training sets are small (<= a few thousand rows).
-    // Leased for this solve: the buffer goes back when the solve returns.
-    let k_lease = crate::gram::GramCache::global().gram(xs, gamma);
-    let k: &[f64] = &k_lease;
+    let k: &[f64] = &crate::gram::solve_gram(xs, gamma);
     let kij = |i: usize, j: usize| k[i * l + j];
     let sign = |t: usize| if t < l { 1.0 } else { -1.0 };
     let idx = |t: usize| if t < l { t } else { t - l };

@@ -1,7 +1,7 @@
 //! Blocked-Gram bit-identity tests.
 //!
 //! `ml::gram::compute_gram_blocked` (the cache-blocked, lane-padded SoA
-//! kernel behind `GramCache`) must be **exactly equal** — `f64::to_bits`,
+//! kernel every SMO solve builds its matrix with) must be **exactly equal** — `f64::to_bits`,
 //! not a ULP tolerance — to the direct `compute_gram` reference for any
 //! dataset, because the blocked kernel performs each entry's per-lane
 //! operation sequence in `Kernel::eval`'s order (see `ml::gram`'s module

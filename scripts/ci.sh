@@ -103,6 +103,29 @@ crates/ml/src/cv.rs 1" ]; then
     exit 1
 fi
 
+# What a process keeps between calls is a decision: every `static` and
+# `thread_local!` under crates/*/src and src outside the frozen
+# crates/e2e, listed per file by name as DESIGN.md §7 ("What a process
+# keeps") lists them. Training scratch is owned by the fit that uses it
+# (ml::gram), so a buffer parked in a global for the next fit comes back
+# only by editing both lists.
+echo "==> process-state gate: statics and thread-locals per file, as DESIGN.md §7 lists them"
+state_decls="$(grep -roE '^ *(pub(\([a-z]+\))? +)?(thread_local! *[({] *)?static +(mut +)?[A-Z_][A-Z0-9_]* *:' crates/*/src src \
+    | grep -v '^crates/e2e/' \
+    | sed -E 's/^([^:]*):.*static +(mut +)?([A-Z_][A-Z0-9_]*) *:$/\1 \3/' \
+    | LC_ALL=C sort \
+    | awk '$1 != file { if (file != "") print line; file = $1; line = $1 } { line = line " " $2 }
+        END { if (file != "") print line }')"
+if [ "$state_decls" != "crates/core/src/plan_model.rs BUFFERS
+crates/ml/src/gram.rs GLOBAL
+crates/ml/src/par.rs DEFAULT ON_WORKER POOL THREADS_LOCK THREAD_OVERRIDE
+crates/serve/src/codec.rs TRUTH
+crates/tpch/src/distributions.rs BY_START P TABLE TABLE TABLE" ]; then
+    echo "$state_decls"
+    echo "FAIL: the statics and thread-locals per file are not the list DESIGN.md §7 agrees"
+    exit 1
+fi
+
 # The hybrid's prediction memo is read and written in one place: the
 # whole-plan lookup of `HybridModel::predict_memo_with`, in front of the
 # one composition walk (DESIGN.md §7, "The prediction memo"). A second

@@ -44,7 +44,6 @@ fn predict_batch_matches_single_row_loop_at_any_thread_count() {
     let ds = dataset();
     let refs: Vec<&ExecutedQuery> = ds.queries.iter().collect();
     let qpp = with_threads(1, || {
-        ml::gram::GramCache::global().clear();
         QppPredictor::train(&refs, QppConfig::default()).expect("training")
     });
     // Repeat the workload so the hybrid memo cache sees repeated plans
@@ -84,7 +83,6 @@ fn warm_prediction_cache_does_not_change_bits() {
     let ds = dataset();
     let refs: Vec<&ExecutedQuery> = ds.queries.iter().collect();
     let qpp = with_threads(1, || {
-        ml::gram::GramCache::global().clear();
         QppPredictor::train(&refs, QppConfig::default()).expect("training")
     });
     // The forcing settings of `hybrid`'s own tests.
@@ -149,7 +147,6 @@ fn online_building_is_bit_identical_at_any_thread_count_and_plan_order() {
     // model kept, and the property needs at least one.
     let train: Vec<&ExecutedQuery> = ds.queries.iter().collect();
     let op = with_threads(1, || {
-        ml::gram::GramCache::global().clear();
         qpp::OpLevelModel::train(&train, &qpp::OpModelConfig::default()).expect("op training")
     });
     let base = HybridModel::operator_only(op);

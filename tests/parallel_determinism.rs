@@ -92,10 +92,7 @@ fn parallel_cv_is_identical() {
     let x = ml::Dataset::from_rows(rows);
     let folds = ml::cv::kfold(300, 5, 3);
     let learner = ml::LearnerKind::Svr(ml::SvrParams::default());
-    let run = || {
-        ml::gram::GramCache::global().clear();
-        ml::cv::cross_validate(&learner, &x, &y, &folds).expect("cv")
-    };
+    let run = || ml::cv::cross_validate(&learner, &x, &y, &folds).expect("cv");
     let serial = with_threads(1, run);
     let parallel = with_threads(8, run);
     assert_eq!(serial.fold_errors.len(), parallel.fold_errors.len());
@@ -135,7 +132,6 @@ fn small_fold_fan_out_is_identical_at_1_2_and_8_threads() {
         .collect();
     let learner = ml::LearnerKind::Svr(ml::SvrParams::default());
     let run = || {
-        ml::gram::GramCache::global().clear();
         let sel = ml::forward_select(&ml::ForwardSelection::default(), &learner, &x, &y, &folds)
             .expect("selection");
         let cv = ml::cv::cross_validate(&learner, &x.select_columns(&sel.selected), &y, &folds)
@@ -169,7 +165,6 @@ fn parallel_full_training_matches_serial() {
         Method::Hybrid(PlanOrdering::ErrorBased),
     ];
     let run = || {
-        ml::gram::GramCache::global().clear();
         let refs: Vec<&ExecutedQuery> = ds.queries.iter().collect();
         let qpp = QppPredictor::train(&refs, QppConfig::default()).expect("training");
         refs.iter()

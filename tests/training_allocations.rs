@@ -1,4 +1,4 @@
-//! What a workload holds and what a training allocates.
+//! What a workload holds, what a training allocates and what it leaves.
 //!
 //! Operator-level training pushes each plan node's feature row straight
 //! into its operator type's matrix, allocated once at its size, and
@@ -6,15 +6,19 @@
 //! built once per fold, so the blocks `OpLevelModel::train` allocates do
 //! not grow with the number of queries. A whole `QppPredictor::train` on
 //! the benchmark fixture's log stays under a ceiling set from its
-//! measurement. A workload holds its instances' parameter draws, not
-//! their plans. A counting `#[global_allocator]` counts each thread's
-//! blocks and the bytes it has live (allocated less freed); the training
-//! tests pin one thread (so every block is the caller's) under one lock.
+//! measurement, and once its predictor is dropped it leaves the heap
+//! where it found it: no Gram matrix or other training scratch stays. A
+//! workload holds its instances' parameter draws, not their plans. A
+//! counting `#[global_allocator]` counts each thread's blocks and the
+//! bytes it has live (allocated less freed), and the bytes the whole
+//! process has live; every test holds one lock, so no other test's heap
+//! is counted, and the training tests pin their thread count.
 
 use engine::{Catalog, SimConfig, Simulator};
 use qpp::{ExecutedQuery, OpLevelModel, OpModelConfig, QppConfig, QppPredictor, QueryDataset};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicIsize, Ordering};
 use std::sync::Mutex;
 use tpch::Workload;
 
@@ -31,9 +35,14 @@ fn count_one() {
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
 }
 
-/// Adds `bytes` (negative when freed) to this thread's live bytes.
+/// Bytes the process allocated less the bytes it freed, on any thread.
+static PROCESS_LIVE: AtomicIsize = AtomicIsize::new(0);
+
+/// Adds `bytes` (negative when freed) to this thread's and the process's
+/// live bytes.
 fn count_bytes(bytes: isize) {
     let _ = LIVE.try_with(|live| live.set(live.get() + bytes));
+    PROCESS_LIVE.fetch_add(bytes, Ordering::Relaxed);
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
@@ -66,9 +75,14 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
+/// Holds the lock every test of this binary runs under.
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|p| p.into_inner())
+}
+
 /// Blocks `f` allocates with one thread, all of them on this one.
 fn allocations_of<T>(f: impl FnOnce() -> T) -> usize {
-    let _guard = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
+    let _guard = serial();
     ml::par::set_threads(1);
     let before = ALLOCS.with(Cell::get);
     std::hint::black_box(f());
@@ -143,6 +157,7 @@ fn fixture_pool_workload() -> Workload {
 
 #[test]
 fn a_workload_holds_its_draws() {
+    let _guard = serial();
     // Anything a template computes once and keeps is not the workload's.
     drop(fixture_pool_workload());
     let before = LIVE.with(Cell::get);
@@ -152,4 +167,44 @@ fn a_workload_holds_its_draws() {
     // A draw is 48 B. An instance that kept its parameter strings and
     // logical plan held 924 B.
     assert!(per_instance <= 64.0, "{per_instance:.1} B per instance");
+}
+
+/// Live bytes, process-wide, that a fixture training leaves once its
+/// predictor is dropped, at `threads`. A warm-up training on the log's
+/// first half comes first: it starts the pool's workers and builds what
+/// a process builds once, and every matrix it needs is smaller than the
+/// full log's, so a buffer it kept could not hold the second training's.
+fn heap_left_by_a_training(threads: usize) -> isize {
+    let _guard = serial();
+    ml::par::set_threads(threads);
+    let log = fixture_log(20);
+    let all: Vec<&ExecutedQuery> = log.queries.iter().collect();
+    // Template-major, 20 a template: the first 10 of each.
+    let half: Vec<&ExecutedQuery> = all
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| i % 20 < 10)
+        .map(|(_, q)| *q)
+        .collect();
+    drop(QppPredictor::train(&half, QppConfig::default()).expect("trains"));
+    let before = PROCESS_LIVE.load(Ordering::Relaxed);
+    drop(QppPredictor::train(&all, QppConfig::default()).expect("trains"));
+    let left = PROCESS_LIVE.load(Ordering::Relaxed) - before;
+    ml::par::set_threads(0);
+    left
+}
+
+#[test]
+fn a_dropped_training_leaves_the_heap_where_it_was() {
+    // Measured: 0 B at one thread, 0-576 B at two. Keeping each
+    // thread's last Gram buffer and the rows it was built from left
+    // 154 112 B at one thread.
+    const SLACK: isize = 4 << 10;
+    for threads in [1, 2] {
+        let left = heap_left_by_a_training(threads);
+        assert!(
+            left <= SLACK,
+            "{threads} thread(s): {left} bytes left live, slack {SLACK}"
+        );
+    }
 }
