@@ -91,7 +91,7 @@ pub(crate) fn cross_validate_method<M: Send>(
     seed: u64,
     test: FeatureSource,
     fit: impl Fn(&[&ExecutedQuery]) -> M + Sync,
-    predict: impl Fn(&M, &PlanNode, &[NodeView]) -> f64 + Sync,
+    predict: impl Fn(&M, &[PlanNode], &[NodeView]) -> f64 + Sync,
 ) -> CvOutcome {
     let strata = ds.strata();
     let folds = stratified_kfold(&strata, CV_FOLDS.min(ds.len()).max(2), seed);

@@ -16,7 +16,7 @@ use engine::{Catalog, PlanNode, Planner, SimConfig, Simulator};
 use ml::metrics::{mean_relative_error, predictive_risk, relative_error};
 use ml::{Dataset, Learner, LearnerKind};
 use qpp::hybrid::{train_subplan_model, IterationRecord};
-use qpp::subplan::{describe, subtree_at, SubplanInfo};
+use qpp::subplan::{describe, SubplanInfo};
 use qpp::{
     online, structure_key, train_hybrid, ExecutedQuery, FeatureSource, HybridConfig, HybridModel,
     OpLevelModel, OpModelConfig, PlanLevelModel, PlanModelConfig, PlanOrdering, QueryDataset,
@@ -54,9 +54,9 @@ pub fn fig4(seed: u64) -> Fig4 {
     let planner = Planner::new(&catalog);
     let workload =
         Workload::generate(&tpch::FOURTEEN, FIG4_PER_TEMPLATE, 10.0, WORKLOAD_SEED + seed);
-    let plans: Vec<(u8, PlanNode)> =
+    let plans: Vec<(u8, Box<[PlanNode]>)> =
         workload.queries.iter().map(|q| (q.template, planner.plan(q).plan)).collect();
-    let refs: Vec<(u8, &PlanNode)> = plans.iter().map(|(t, p)| (*t, p)).collect();
+    let refs: Vec<(u8, &[PlanNode])> = plans.iter().map(|(t, p)| (*t, &p[..])).collect();
     let index = SubplanIndex::build(&refs);
     let sizes = index.common_size_distribution();
     let sharing = index.template_sharing();
@@ -96,7 +96,7 @@ pub struct Fig5 {
 /// Figure 5.
 pub fn fig5(seed: u64) -> Fig5 {
     let ds = build_dataset_sized(10.0, &tpch::EIGHTEEN, PER_TEMPLATE, seed);
-    let costs: Vec<f64> = ds.queries.iter().map(|q| q.plan.est.total_cost).collect();
+    let costs: Vec<f64> = ds.queries.iter().map(|q| q.plan[0].est.total_cost).collect();
     let latencies = ds.latencies();
     let x = Dataset::from_rows(costs.iter().map(|&c| vec![c]).collect());
     let model = LearnerKind::Linear { ridge: 1e-9 }.fit(&x, &latencies).expect("cost regression");
@@ -264,7 +264,7 @@ pub fn fig9(seed: u64) -> Fig9 {
                 });
             // Online builds on the size-based hybrid plus per-query
             // fragments of the incoming plans.
-            let incoming: Vec<&PlanNode> = test.iter().map(|q| &q.plan).collect();
+            let incoming: Vec<&[PlanNode]> = test.iter().map(|q| &q.plan[..]).collect();
             let built =
                 online::build_models(&size_based, &train, &HybridConfig::default(), &incoming);
             let predict_online = |q: &ExecutedQuery| {
@@ -319,7 +319,7 @@ pub fn section34(seed: u64) -> Section34 {
         .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
         .expect("template 13 present");
     let views = q.views(source);
-    let nodes = q.plan.preorder();
+    let nodes = &q.plan[..];
     let operators: Vec<_> = (base.predict_plan(&q.plan, &views).nodes.iter().enumerate())
         .filter_map(|(i, node)| {
             let (_, run) = node.times()?;
@@ -331,13 +331,13 @@ pub fn section34(seed: u64) -> Section34 {
     // A candidate is a proper fragment: two operators or more, not the
     // whole plan. The first of equal errors wins.
     let &(root, _, _, _, root_error) = (operators.iter())
-        .filter(|o| (2..q.plan.node_count()).contains(&nodes[o.0].node_count()))
+        .filter(|o| (2..nodes.len()).contains(&nodes[o.0].subtree_len()))
         .reduce(|worst, o| if o.4 > worst.4 { o } else { worst })
         .expect("at least one sub-plan");
-    let sub = subtree_at(&q.plan, root);
+    let sub = engine::plan::subplan(nodes, root);
     let key = structure_key(sub);
     let all_views: Vec<_> = refs.iter().map(|r| r.views(source)).collect();
-    let plans: Vec<(u8, &PlanNode)> = refs.iter().map(|r| (r.template, &r.plan)).collect();
+    let plans: Vec<(u8, &[PlanNode])> = refs.iter().map(|r| (r.template, &r.plan[..])).collect();
     let index = SubplanIndex::build(&plans);
     let model = train_subplan_model(key, &refs, &all_views, &index).expect("sub-plan model");
     let mut hybrid = base;

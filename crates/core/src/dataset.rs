@@ -103,7 +103,7 @@ struct QueryAttemptResult {
 
 enum AttemptOutcome {
     /// The query executed within limits and enters the dataset.
-    Executed(Box<ExecutedQuery>),
+    Executed(ExecutedQuery),
     /// All attempts missed the simulator's timeout budget.
     DroppedTimeout,
     /// All attempts aborted.
@@ -117,8 +117,9 @@ enum AttemptOutcome {
 pub struct ExecutedQuery {
     /// TPC-H template number.
     pub template: u8,
-    /// The physical plan, as the optimizer's EXPLAIN prints it.
-    pub plan: PlanNode,
+    /// The physical plan, as the optimizer's EXPLAIN prints it, in
+    /// pre-order.
+    pub plan: Box<[PlanNode]>,
     /// What execution found, per node in pre-order: true rows, pages and
     /// selectivity (actual-valued costs derive from them where they are
     /// read).
@@ -288,12 +289,12 @@ impl QueryDataset {
             let Planned { plan, truth } = planned;
             QueryAttemptResult {
                 retried,
-                outcome: AttemptOutcome::Executed(Box::new(ExecutedQuery {
+                outcome: AttemptOutcome::Executed(ExecutedQuery {
                     template: spec.template,
                     plan,
                     truth,
                     trace,
-                })),
+                }),
             }
         };
         let results: Vec<QueryAttemptResult> = ml::par::par_map(&workload.queries, run_query);
@@ -304,7 +305,7 @@ impl QueryDataset {
                     cfg.backoff_base_secs * (1u64 << (attempt - 1).min(32)) as f64;
             }
             match r.outcome {
-                AttemptOutcome::Executed(q) => queries.push(*q),
+                AttemptOutcome::Executed(q) => queries.push(q),
                 AttemptOutcome::DroppedTimeout => report.dropped_timeout += 1,
                 AttemptOutcome::DroppedAborted => report.dropped_aborted += 1,
                 AttemptOutcome::OverLimit { template } => {
@@ -479,9 +480,9 @@ mod tests {
         assert!(ds.timed_out.is_empty());
         for q in &ds.queries {
             assert!(q.latency() > 0.0);
-            assert_eq!(q.trace.timings.len(), q.plan.node_count());
-            assert_eq!(q.trace.io_pages.len(), q.plan.node_count());
-            assert_eq!(q.truth.len(), q.plan.node_count());
+            assert_eq!(q.trace.timings.len(), q.plan.len());
+            assert_eq!(q.trace.io_pages.len(), q.plan.len());
+            assert_eq!(q.truth.len(), q.plan.len());
         }
         assert_eq!(ds.templates(), vec![1, 3, 6]);
         assert_eq!(ds.strata().len(), 12);
@@ -722,7 +723,7 @@ mod tests {
         for (a, b) in drifted.queries.iter().zip(&baseline.queries) {
             // Latencies are untouched; the logged row estimates inflate.
             assert_eq!(a.latency(), b.latency());
-            for (da, db) in a.plan.preorder().iter().zip(b.plan.preorder()) {
+            for (da, db) in a.plan.iter().zip(b.plan.iter()) {
                 assert!(da.est.rows > db.est.rows, "estimates did not shift");
             }
             // Truth costs remain faithful to what actually ran.

@@ -57,38 +57,35 @@ pub struct NodeView {
 }
 
 /// Resolves a plan's estimated per-node views (pre-order).
-pub fn node_views(plan: &PlanNode) -> Vec<NodeView> {
+pub fn node_views(plan: &[PlanNode]) -> Vec<NodeView> {
     let mut out = Vec::new();
     views_into(plan, &mut out);
     out
 }
 
-/// [`node_views`] into a caller-owned buffer (cleared first), walking the
-/// tree where it stands: a caller that keeps the buffer resolves plan
-/// after plan without allocating.
-pub fn views_into(plan: &PlanNode, out: &mut Vec<NodeView>) {
+/// [`node_views`] into a caller-owned buffer (cleared first): a caller
+/// that keeps the buffer resolves plan after plan without allocating.
+pub fn views_into(plan: &[PlanNode], out: &mut Vec<NodeView>) {
     out.clear();
-    plan.for_each_preorder(&mut |n| {
-        out.push(NodeView {
-            rows: n.est.rows,
-            width: n.est.width,
-            pages: n.est.pages,
-            selectivity: n.est.selectivity,
-            startup_cost: n.est.startup_cost,
-            total_cost: n.est.total_cost,
-        })
-    });
+    out.extend(plan.iter().map(|n| NodeView {
+        rows: n.est.rows,
+        width: n.est.width,
+        pages: n.est.pages,
+        selectivity: n.est.selectivity,
+        startup_cost: n.est.startup_cost,
+        total_cost: n.est.total_cost,
+    }));
 }
 
 /// Actual-valued views of `plan` from its pre-order `truth`, into a
 /// caller-owned buffer (cleared first). Costs are the optimizer's formulas
 /// over the node's true rows and pages ([`engine::recost`]), derived in
 /// the walk that writes the views: a logged query stores none.
-pub(crate) fn actual_views_into(plan: &PlanNode, truth: &[NodeTruth], out: &mut Vec<NodeView>) {
+pub(crate) fn actual_views_into(plan: &[PlanNode], truth: &[NodeTruth], out: &mut Vec<NodeView>) {
     out.clear();
     // A node's cost is known once its subtree is costed; the walk names
     // its pre-order slot.
-    out.resize(plan.node_count(), NodeView::default());
+    out.resize(plan.len(), NodeView::default());
     for_each_truth_cost(plan, truth, &mut |i, n, cost| {
         let t = truth[i];
         out[i] = NodeView {
@@ -126,27 +123,24 @@ pub fn plan_feature_names() -> Vec<String> {
     names
 }
 
-/// Extracts the Table-1 plan-level feature vector for (a sub-tree of) a
-/// plan. `views` must align with `plan.preorder()`: for the fragment rooted
-/// at pre-order position `i` of a whole plan's views, that is the
-/// contiguous slice `views[i..i + fragment.node_count()]`.
-pub fn plan_features(plan: &PlanNode, views: &[NodeView]) -> [f64; PLAN_FEATURES] {
+/// Extracts the Table-1 plan-level feature vector for a plan or a
+/// sub-plan. `views` must align with `plan`: for the sub-plan at pre-order
+/// position `i` of a whole plan, `plan[i..i + n]` with `n` its root's
+/// subtree length, that is `views[i..i + n]` of the whole plan's views.
+pub fn plan_features(plan: &[PlanNode], views: &[NodeView]) -> [f64; PLAN_FEATURES] {
     const OPS: usize = ALL_OP_TYPES.len();
+    assert_eq!(plan.len(), views.len(), "views misaligned with plan");
     let mut cnt = [0.0f64; OPS];
     let mut rows_by_op = [0.0f64; OPS];
     let mut row_count = 0.0;
     let mut byte_count = 0.0;
-    let mut i = 0;
-    plan.for_each_preorder(&mut |node| {
-        let v = &views[i];
+    for (node, v) in plan.iter().zip(views) {
         let k = node.op.index();
         cnt[k] += 1.0;
         rows_by_op[k] += v.rows;
         row_count += v.rows;
         byte_count += v.rows * v.width;
-        i += 1;
-    });
-    assert_eq!(i, views.len(), "views misaligned with plan");
+    }
     // Inputs: every non-root node's output is also some operator's input.
     for v in &views[1..] {
         row_count += v.rows;
@@ -199,9 +193,9 @@ pub fn op_features(
 }
 
 /// Convenience: which operator types appear in a plan (for diagnostics).
-pub fn op_histogram(plan: &PlanNode) -> Vec<(OpType, usize)> {
+pub fn op_histogram(plan: &[PlanNode]) -> Vec<(OpType, usize)> {
     let mut cnt = [0usize; ALL_OP_TYPES.len()];
-    for n in plan.preorder() {
+    for n in plan {
         cnt[n.op.index()] += 1;
     }
     ALL_OP_TYPES
@@ -225,7 +219,7 @@ mod tests {
         planner.plan(&tpch::instantiate(t, 0.1, &mut rng))
     }
 
-    fn plan(t: u8) -> PlanNode {
+    fn plan(t: u8) -> Box<[PlanNode]> {
         planned(t).plan
     }
 
@@ -237,9 +231,9 @@ mod tests {
         assert_eq!(f.len(), PLAN_FEATURES);
         assert_eq!(f.len(), plan_feature_names().len());
         // p_tot_cost is the root's total cost.
-        assert_eq!(f[0], p.est.total_cost);
+        assert_eq!(f[0], p[0].est.total_cost);
         // op_count matches the node count.
-        assert_eq!(f[4], p.node_count() as f64);
+        assert_eq!(f[4], p.len() as f64);
         assert!(f.iter().all(|v| v.is_finite()));
     }
 
@@ -249,7 +243,7 @@ mod tests {
         let views = node_views(&p);
         let f = plan_features(&p, &views);
         let cnt_sum: f64 = f[7..7 + ALL_OP_TYPES.len()].iter().sum();
-        assert_eq!(cnt_sum, p.node_count() as f64);
+        assert_eq!(cnt_sum, p.len() as f64);
     }
 
     #[test]
@@ -289,11 +283,11 @@ mod tests {
         let mut views = Vec::new();
         let a = plan(1);
         views_into(&a, &mut views);
-        assert_eq!(views.len(), a.node_count());
+        assert_eq!(views.len(), a.len());
         let b = plan(5);
         views_into(&b, &mut views);
-        assert_eq!(views.len(), b.node_count());
-        assert_eq!(views[0].total_cost, b.est.total_cost);
+        assert_eq!(views.len(), b.len());
+        assert_eq!(views[0].total_cost, b[0].est.total_cost);
     }
 
     #[test]
@@ -302,6 +296,6 @@ mod tests {
         let h = op_histogram(&p);
         assert!(h.iter().any(|(op, _)| *op == OpType::SeqScan));
         let total: usize = h.iter().map(|(_, c)| c).sum();
-        assert_eq!(total, p.node_count());
+        assert_eq!(total, p.len());
     }
 }

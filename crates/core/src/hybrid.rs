@@ -206,7 +206,7 @@ impl HybridModel {
     }
 
     /// Predicts over an arbitrary plan with aligned views.
-    pub fn predict_plan(&self, plan: &PlanNode, views: &[NodeView]) -> HybridPrediction {
+    pub fn predict_plan(&self, plan: &[PlanNode], views: &[NodeView]) -> HybridPrediction {
         let mut nodes = Vec::new();
         let latency = self.compose_plan(plan, views, &[], Some(&mut nodes));
         HybridPrediction { nodes, latency }
@@ -217,16 +217,16 @@ impl HybridModel {
     /// each node's outcome written to it; returns the latency.
     pub(crate) fn compose_plan(
         &self,
-        plan: &PlanNode,
+        plan: &[PlanNode],
         views: &[NodeView],
         observed: &[Option<(f64, f64)>],
         record: Option<&mut Vec<NodePrediction>>,
     ) -> f64 {
         PredictBuffers::with_thread_local(|buf| {
-            structure_hashes_into(plan, &mut buf.sizes, &mut buf.hashes);
+            structure_hashes_into(plan, &mut buf.hashes);
             let out: &mut [NodePrediction] = match record {
                 Some(nodes) => {
-                    nodes.resize(buf.sizes[0], NodePrediction::Covered);
+                    nodes.resize(plan.len(), NodePrediction::Covered);
                     nodes
                 }
                 None => &mut [],
@@ -234,12 +234,11 @@ impl HybridModel {
             let mut walk = Walk {
                 plan_models: Some(&self.plan_models),
                 observed,
-                sizes: &buf.sizes,
                 hashes: &buf.hashes,
                 out,
-                ..Walk::operator_level(&self.op_model, views, &mut buf.row, &mut buf.scratch)
+                ..Walk::operator_level(&self.op_model, plan, views, &mut buf.row, &mut buf.scratch)
             };
-            let (_, run) = walk.compose(plan);
+            let (_, run) = walk.compose();
             run.max(0.0)
         })
     }
@@ -307,7 +306,7 @@ impl HybridModel {
         buf: &mut PredictBuffers,
     ) -> f64 {
         query.views_into(self.op_model.source(), &mut buf.views);
-        structure_hashes_into(&query.plan, &mut buf.sizes, &mut buf.hashes);
+        structure_hashes_into(&query.plan, &mut buf.hashes);
         let key = PlanPredKey {
             model: sig,
             structure: buf.hashes[0],
@@ -318,32 +317,38 @@ impl HybridModel {
         }
         let mut walk = Walk {
             plan_models: Some(&self.plan_models),
-            sizes: &buf.sizes,
             hashes: &buf.hashes,
-            ..Walk::operator_level(&self.op_model, &buf.views, &mut buf.row, &mut buf.scratch)
+            ..Walk::operator_level(
+                &self.op_model,
+                &query.plan,
+                &buf.views,
+                &mut buf.row,
+                &mut buf.scratch,
+            )
         };
-        let latency = walk.compose(&query.plan).1.max(0.0);
+        let latency = walk.compose().1.max(0.0);
         cache.insert(key, latency);
         latency
     }
 }
 
 /// One plan walk's state: the models and observations that can answer a
-/// node, the plan's views with the [`structure_hashes_into`] hashes that
-/// find a fragment's model and sizes that skip it, where outcomes are
-/// recorded, and the scratch the models evaluate with. The sizes, hashes,
-/// row and scratch (and the views, on the batch paths) are disjoint fields
-/// of the thread's [`PredictBuffers`].
+/// node, the plan and its views with the [`structure_hashes_into`] hashes
+/// that find a fragment's model, where outcomes are recorded, and the
+/// scratch the models evaluate with. A node's subtree length skips the
+/// fragment a model or an observation answers. The hashes, row and
+/// scratch (and the views, on the batch paths) are disjoint fields of the
+/// thread's [`PredictBuffers`].
 pub(crate) struct Walk<'a> {
     op_model: &'a OpLevelModel,
     /// Sub-plan models by structure; `None` on the operator-level path,
-    /// which computes no sizes or hashes.
+    /// which computes no hashes.
     plan_models: Option<&'a HashMap<StructureKey, SubplanModel>>,
     /// Finished nodes' observed (start, run), pre-order; empty when the
     /// caller observed nothing.
     observed: &'a [Option<(f64, f64)>],
+    plan: &'a [PlanNode],
     views: &'a [NodeView],
-    sizes: &'a [usize],
     hashes: &'a [u64],
     /// Per-node outcomes, pre-order; empty when none are recorded. An
     /// observed node is not predicted, so its slot keeps `Covered`.
@@ -355,10 +360,11 @@ pub(crate) struct Walk<'a> {
 }
 
 impl<'a> Walk<'a> {
-    /// The operator-level walk over `views`' plan: no sub-plan models, no
-    /// observations, nothing recorded.
+    /// The operator-level walk over `plan` and its `views`: no sub-plan
+    /// models, no observations, nothing recorded.
     pub(crate) fn operator_level(
         op_model: &'a OpLevelModel,
+        plan: &'a [PlanNode],
         views: &'a [NodeView],
         row: &'a mut Vec<f64>,
         scratch: &'a mut PredictScratch,
@@ -367,8 +373,8 @@ impl<'a> Walk<'a> {
             op_model,
             plan_models: None,
             observed: &[],
+            plan,
             views,
-            sizes: &[],
             hashes: &[],
             out: &mut [],
             row,
@@ -387,19 +393,19 @@ impl<'a> Walk<'a> {
     /// target-range clamp inside FeatureModel keeps out-of-distribution
     /// fragments from exploding, and online building adds a model built on
     /// the fly only where its feature ranges cover the fragment.
-    pub(crate) fn compose(&mut self, node: &PlanNode) -> (f64, f64) {
+    pub(crate) fn compose(&mut self) -> (f64, f64) {
         let idx = self.at;
         if let Some(&Some(times)) = self.observed.get(idx) {
-            self.at += self.sizes[idx];
+            self.at += self.plan[idx].subtree_len();
             return times;
         }
         let (times, outcome) = match self.plan_model(idx) {
             Some(sm) => {
-                let times = self.fragment_times(sm, node, idx);
+                let times = self.fragment_times(sm, idx);
                 (times, NodePrediction::PlanModel { times })
             }
             None => {
-                let times = self.operator_step(node);
+                let times = self.operator_step();
                 (times, NodePrediction::Operator { times })
             }
         };
@@ -416,9 +422,9 @@ impl<'a> Walk<'a> {
 
     /// The fragment at `idx` answered by its plan-level model; the walk
     /// moves past the fragment.
-    fn fragment_times(&mut self, sm: &SubplanModel, node: &PlanNode, idx: usize) -> (f64, f64) {
-        self.at += self.sizes[idx];
-        let f = plan_features(node, &self.views[idx..self.at]);
+    fn fragment_times(&mut self, sm: &SubplanModel, idx: usize) -> (f64, f64) {
+        self.at += self.plan[idx].subtree_len();
+        let f = plan_features(&self.plan[idx..self.at], &self.views[idx..self.at]);
         sm.times(&f, self.row, self.scratch)
     }
 
@@ -426,16 +432,17 @@ impl<'a> Walk<'a> {
     /// at the child's pre-order position, then the node's own from its
     /// operator model. A child past [`MAX_CHILDREN`] is walked but, like in
     /// Table 2, not read.
-    fn operator_step(&mut self, node: &PlanNode) -> (f64, f64) {
-        let views = self.views;
+    fn operator_step(&mut self) -> (f64, f64) {
+        let (plan, views) = (self.plan, self.views);
         let idx = self.at;
+        let end = idx + plan[idx].subtree_len();
         self.at += 1;
         let mut child_views = [&views[idx]; MAX_CHILDREN];
         let mut child_times = [(0.0, 0.0); MAX_CHILDREN];
         let mut n = 0;
-        for c in &node.children {
+        while self.at < end {
             let at = self.at;
-            let t = self.compose(c);
+            let t = self.compose();
             if n < MAX_CHILDREN {
                 child_views[n] = &views[at];
                 child_times[n] = t;
@@ -443,7 +450,7 @@ impl<'a> Walk<'a> {
             }
         }
         self.op_model.predict_node(
-            node,
+            &plan[idx],
             &views[idx],
             &child_views[..n],
             &child_times[..n],
@@ -498,7 +505,7 @@ pub(crate) fn train_hybrid_recorded(
     let source = op_model.source();
     let mut model = HybridModel::operator_only(op_model);
     let views: Vec<Vec<NodeView>> = ml::par::par_map(queries, |_, q| q.views(source));
-    let plans: Vec<(u8, &PlanNode)> = queries.iter().map(|q| (q.template, &q.plan)).collect();
+    let plans: Vec<(u8, &[PlanNode])> = queries.iter().map(|q| (q.template, &q.plan[..])).collect();
     let index = SubplanIndex::build(&plans);
 
     let mut walk = TrainingWalk::new(&model, queries, &views);
@@ -618,9 +625,8 @@ pub fn train_subplan_model(
     let mut y_run = Vec::new();
     for occ in &info.occurrences {
         let q = queries[occ.query];
-        let node = crate::subplan::subtree_at(&q.plan, occ.node_idx);
-        let slice = &views[occ.query][occ.node_idx..occ.node_idx + occ.size];
-        x.push_row(&plan_features(node, slice));
+        let fragment = occ.node_idx..occ.node_idx + occ.size;
+        x.push_row(&plan_features(&q.plan[fragment.clone()], &views[occ.query][fragment]));
         let t = q.trace.timings[occ.node_idx];
         y_start.push(t.start);
         y_run.push(t.run);
@@ -817,7 +823,8 @@ mod tests {
         refs.extend(ds.queries.iter().find(|q| q.template == 6));
         let source = FeatureSource::Estimated;
         let views: Vec<Vec<NodeView>> = refs.iter().map(|q| q.views(source)).collect();
-        let plans: Vec<(u8, &PlanNode)> = refs.iter().map(|q| (q.template, &q.plan)).collect();
+        let plans: Vec<(u8, &[PlanNode])> =
+            refs.iter().map(|q| (q.template, &q.plan[..])).collect();
         let index = SubplanIndex::build(&plans);
         let once = index
             .all()
@@ -907,7 +914,7 @@ mod tests {
                 if let NodePrediction::PlanModel { .. } = np {
                     saw_plan_model = true;
                     // All strict descendants must be covered.
-                    let size = crate::subplan::subtree_at(&q.plan, i).node_count();
+                    let size = q.plan[i].subtree_len();
                     for j in (i + 1)..(i + size) {
                         assert_eq!(pred.nodes[j], NodePrediction::Covered);
                     }

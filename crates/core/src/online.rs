@@ -36,22 +36,24 @@ pub fn build_models(
     base: &HybridModel,
     train: &[&ExecutedQuery],
     config: &HybridConfig,
-    incoming: &[&PlanNode],
+    incoming: &[&[PlanNode]],
 ) -> HashMap<StructureKey, SubplanModel> {
     let mut seen = HashSet::new();
     let mut fragments = Vec::new();
-    let (mut sizes, mut hashes) = (Vec::new(), Vec::new());
+    let mut hashes = Vec::new();
     for plan in incoming {
-        structure_hashes_into(plan, &mut sizes, &mut hashes);
-        for (&size, &hash) in sizes.iter().zip(&hashes) {
+        structure_hashes_into(plan, &mut hashes);
+        for (node, &hash) in plan.iter().zip(&hashes) {
             let key = StructureKey(hash);
-            if size >= MIN_FRAGMENT_SIZE && !base.plan_models.contains_key(&key) && seen.insert(key)
+            if node.subtree_len() >= MIN_FRAGMENT_SIZE
+                && !base.plan_models.contains_key(&key)
+                && seen.insert(key)
             {
                 fragments.push(key);
             }
         }
     }
-    let plans: Vec<(u8, &PlanNode)> = train.iter().map(|q| (q.template, &q.plan)).collect();
+    let plans: Vec<(u8, &[PlanNode])> = train.iter().map(|q| (q.template, &q.plan[..])).collect();
     let index = SubplanIndex::build(&plans);
     fragments.retain(|&key| {
         index
@@ -87,22 +89,23 @@ pub fn build_models(
 pub fn extend(
     base: &HybridModel,
     built: &HashMap<StructureKey, SubplanModel>,
-    plan: &PlanNode,
+    plan: &[PlanNode],
     views: &[NodeView],
 ) -> HybridModel {
     let mut model = base.clone();
-    let (mut sizes, mut hashes) = (Vec::new(), Vec::new());
-    structure_hashes_into(plan, &mut sizes, &mut hashes);
+    let mut hashes = Vec::new();
+    structure_hashes_into(plan, &mut hashes);
     let mut seen = HashSet::new();
-    for (idx, node) in plan.preorder().into_iter().enumerate() {
-        let key = StructureKey(hashes[idx]);
+    for (idx, &hash) in hashes.iter().enumerate() {
+        let key = StructureKey(hash);
         let Some(sub) = built.get(&key) else {
             continue;
         };
         if !seen.insert(key) || base.plan_models.contains_key(&key) {
             continue;
         }
-        let features = plan_features(node, &views[idx..idx + sizes[idx]]);
+        let fragment = idx..idx + plan[idx].subtree_len();
+        let features = plan_features(&plan[fragment.clone()], &views[fragment]);
         if sub.run.in_range(&features) {
             model.plan_models.insert(key, sub.clone());
         }
@@ -136,7 +139,7 @@ mod tests {
             min_frequency: 3,
             ..HybridConfig::default()
         };
-        let plans: Vec<&PlanNode> = test.iter().map(|q| &q.plan).collect();
+        let plans: Vec<&[PlanNode]> = test.iter().map(|q| &q.plan[..]).collect();
         let built = build_models(&base, &train, &config, &plans);
         let online_preds: Vec<f64> = test
             .iter()
@@ -180,7 +183,8 @@ mod tests {
             &config,
             &[&lone.plan],
         );
-        let plans: Vec<(u8, &PlanNode)> = refs.iter().map(|q| (q.template, &q.plan)).collect();
+        let plans: Vec<(u8, &[PlanNode])> =
+            refs.iter().map(|q| (q.template, &q.plan[..])).collect();
         let index = SubplanIndex::build(&plans);
         let once: Vec<StructureKey> = index
             .all()

@@ -12,7 +12,7 @@ use crate::dataset::ExecutedQuery;
 use crate::features::{op_features, FeatureSource, NodeView, OP_FEATURE_NAMES};
 use crate::hybrid::Walk;
 use crate::plan_model::{map_batch, FeatureModel, PredictBuffers};
-use engine::plan::{OpType, PlanNode, ALL_OP_TYPES, MAX_CHILDREN};
+use engine::plan::{children, OpType, PlanNode, ALL_OP_TYPES, MAX_CHILDREN};
 use ml::bytes::{put_count, Malformed, Reader};
 use ml::cv::kfold;
 use ml::{Dataset, ForwardSelection, LearnerKind, MlError, PredictScratch};
@@ -78,9 +78,8 @@ impl OpLevelModel {
         // counted first, so each matrix is allocated once, at its size.
         let n_types = ALL_OP_TYPES.len();
         let mut counts = [0usize; ALL_OP_TYPES.len()];
-        for q in queries {
-            q.plan
-                .for_each_preorder(&mut |node| counts[node.op.index()] += 1);
+        for node in queries.iter().flat_map(|q| q.plan.iter()) {
+            counts[node.op.index()] += 1;
         }
         let mut xs: Vec<Dataset> = counts
             .iter()
@@ -93,9 +92,9 @@ impl OpLevelModel {
             q.views_into(config.source, &mut views);
             collect_rows(
                 &q.plan,
+                0,
                 &views,
                 &q.trace.timings,
-                &mut 0,
                 &mut |op, mut row, start, run| {
                     if !config.include_start_features {
                         row[5] = 0.0; // st1
@@ -218,8 +217,14 @@ impl OpLevelModel {
     /// query's views in `buf.views`.
     pub(crate) fn predict_with(&self, query: &ExecutedQuery, buf: &mut PredictBuffers) -> f64 {
         query.views_into(self.source, &mut buf.views);
-        let mut walk = Walk::operator_level(self, &buf.views, &mut buf.row, &mut buf.scratch);
-        walk.compose(&query.plan).1
+        let mut walk = Walk::operator_level(
+            self,
+            &query.plan,
+            &buf.views,
+            &mut buf.row,
+            &mut buf.scratch,
+        );
+        walk.compose().1
     }
 
     /// Predicts a batch of queries in input order, bit-identical to a
@@ -232,10 +237,10 @@ impl OpLevelModel {
     /// Predicts the latency of an arbitrary plan (views aligned
     /// pre-order). Per-node times are
     /// `HybridModel::operator_only(model).predict_plan(plan, views).nodes`.
-    pub fn predict_plan(&self, plan: &PlanNode, views: &[NodeView]) -> f64 {
+    pub fn predict_plan(&self, plan: &[PlanNode], views: &[NodeView]) -> f64 {
         PredictBuffers::with_thread_local(|buf| {
-            Walk::operator_level(self, views, &mut buf.row, &mut buf.scratch)
-                .compose(plan)
+            Walk::operator_level(self, plan, views, &mut buf.row, &mut buf.scratch)
+                .compose()
                 .1
         })
     }
@@ -273,31 +278,28 @@ impl OpLevelModel {
     }
 }
 
-/// Walks a plan in pre-order collecting one training row per node.
+/// Walks the subtree at pre-order position `at` of `plan` collecting one
+/// training row per node, each node's after its children's.
 fn collect_rows<F: FnMut(OpType, [f64; OP_FEATURE_NAMES.len()], f64, f64)>(
-    node: &PlanNode,
+    plan: &[PlanNode],
+    at: usize,
     views: &[NodeView],
     timings: &[engine::sim::NodeTiming],
-    cursor: &mut usize,
     sink: &mut F,
 ) {
-    let my_idx = *cursor;
-    *cursor += 1;
-    let mut child_views = [&views[my_idx]; MAX_CHILDREN];
+    let mut child_views = [&views[at]; MAX_CHILDREN];
     let mut child_times = [(0.0, 0.0); MAX_CHILDREN];
     let mut n = 0;
-    for c in &node.children {
-        let v_idx = *cursor;
+    for c in children(plan, at) {
         if n < MAX_CHILDREN {
-            child_views[n] = &views[v_idx];
-            child_times[n] = (timings[v_idx].start, timings[v_idx].run);
+            child_views[n] = &views[c];
+            child_times[n] = (timings[c].start, timings[c].run);
             n += 1;
         }
-        // Recurse after capturing the child's own pre-order position.
-        collect_rows(c, views, timings, cursor, sink);
+        collect_rows(plan, c, views, timings, sink);
     }
-    let row = op_features(&views[my_idx], &child_views[..n], &child_times[..n]);
-    sink(node.op, row, timings[my_idx].start, timings[my_idx].run);
+    let row = op_features(&views[at], &child_views[..n], &child_times[..n]);
+    sink(plan[at].op, row, timings[at].start, timings[at].run);
 }
 
 #[cfg(test)]

@@ -339,8 +339,8 @@ impl FeatureModel {
 
 /// One thread's reusable prediction buffers: the projected feature row and
 /// the model's scaled-row scratch ([`FeatureModel::predict_into`]), and a
-/// plan walk's views, subtree sizes and structure hashes. With
-/// one instance per thread, a steady-state prediction allocates nothing.
+/// plan walk's views and structure hashes. With one instance per thread,
+/// a steady-state prediction allocates nothing.
 ///
 /// A walk borrows the fields it reads and the two it evaluates models with
 /// as disjoint `&mut`s, so it never re-enters the thread-local.
@@ -352,9 +352,8 @@ pub struct PredictBuffers {
     pub(crate) scratch: PredictScratch,
     /// The plan's node views, pre-order.
     pub(crate) views: Vec<NodeView>,
-    /// Subtree sizes, pre-order ([`crate::subplan::structure_hashes_into`]).
-    pub(crate) sizes: Vec<usize>,
-    /// Structure hashes, pre-order (the same pass).
+    /// Structure hashes, pre-order
+    /// ([`crate::subplan::structure_hashes_into`]).
     pub(crate) hashes: Vec<u64>,
 }
 
@@ -483,7 +482,7 @@ impl PlanLevelModel {
     }
 
     /// Predicts from a plan and aligned views (sub-plan capable).
-    pub fn predict_plan(&self, plan: &PlanNode, views: &[NodeView]) -> f64 {
+    pub fn predict_plan(&self, plan: &[PlanNode], views: &[NodeView]) -> f64 {
         self.inner.predict(&plan_features(plan, views)).max(0.0)
     }
 

@@ -159,7 +159,7 @@ fn is_sane(v: f64) -> bool {
 
 /// The guard every learned tier passes first: the query's plan-level
 /// features, under the views the tier reads, are all finite.
-fn features_finite(plan: &PlanNode, views: &[NodeView]) -> bool {
+fn features_finite(plan: &[PlanNode], views: &[NodeView]) -> bool {
     plan_features(plan, views).iter().all(|v| v.is_finite())
 }
 
@@ -187,7 +187,7 @@ impl QppPredictor {
         let ratios: Vec<f64> = queries
             .iter()
             .filter_map(|q| {
-                let c = q.plan.est.total_cost;
+                let c = q.plan[0].est.total_cost;
                 let l = q.latency();
                 if c.is_finite() && c > 0.0 && l.is_finite() && l >= 0.0 {
                     Some(l / c)
@@ -298,7 +298,7 @@ impl QppPredictor {
             }
             self.breakers[i].fetch_add(1, Ordering::Relaxed);
         }
-        let cost = query.plan.est.total_cost;
+        let cost = query.plan[0].est.total_cost;
         if cost.is_finite() && cost >= 0.0 {
             let value = cost * self.secs_per_cost;
             if is_sane(value) {
@@ -586,7 +586,7 @@ mod tests {
 
         // NaN row estimate (but a usable cost): models skip, cost scales.
         let mut q = ds.queries[0].clone();
-        q.plan.est.rows = f64::NAN;
+        q.plan[0].est.rows = f64::NAN;
         for method in ALL_METHODS {
             let p = qpp.predict_checked(&q, method);
             assert!(is_sane(p.value), "{method:?}: {p:?}");
@@ -595,7 +595,7 @@ mod tests {
         }
 
         // NaN cost too: only the training prior is left.
-        q.plan.est.total_cost = f64::NAN;
+        q.plan[0].est.total_cost = f64::NAN;
         for method in ALL_METHODS {
             let p = qpp.predict_checked(&q, method);
             assert!(is_sane(p.value), "{method:?}: {p:?}");
@@ -633,7 +633,7 @@ mod tests {
         let refs: Vec<&ExecutedQuery> = ds.queries.iter().collect();
         let qpp = QppPredictor::train(&refs, QppConfig::default()).unwrap();
         let mut bad = ds.queries[0].clone();
-        bad.plan.est.rows = f64::NAN;
+        bad.plan[0].est.rows = f64::NAN;
         let mixed: Vec<&ExecutedQuery> = vec![refs[0], &bad, refs[1]];
         let cache = crate::pred_cache::PredictionCache::default();
         let out =

@@ -48,13 +48,13 @@ pub fn observations_at(trace: &Trace, elapsed: f64) -> Observations {
 /// it returns the root's observed run time.
 pub fn predict_progressive(
     model: &HybridModel,
-    plan: &PlanNode,
+    plan: &[PlanNode],
     views: &[NodeView],
     observed: &Observations,
 ) -> f64 {
     assert_eq!(
         observed.len(),
-        plan.node_count(),
+        plan.len(),
         "observations misaligned with plan"
     );
     model.compose_plan(plan, views, observed, None)
@@ -66,7 +66,7 @@ pub fn predict_progressive(
 /// in less than N seconds, the cheapest run-time feature there is.
 pub fn predict_progressive_at(
     model: &HybridModel,
-    plan: &PlanNode,
+    plan: &[PlanNode],
     views: &[NodeView],
     trace: &Trace,
     elapsed: f64,
@@ -115,7 +115,7 @@ mod tests {
         let (ds, model) = setup();
         let q = &ds.queries[0];
         let views = q.views(model.op_model.source());
-        let obs = vec![None; q.plan.node_count()];
+        let obs = vec![None; q.plan.len()];
         let progressive = predict_progressive(&model, &q.plan, &views, &obs);
         let static_pred = model.predict_plan(&q.plan, &views).latency;
         assert!((progressive - static_pred).abs() < 1e-9);

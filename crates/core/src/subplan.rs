@@ -4,29 +4,23 @@
 //! Plan-level models for sub-plans are keyed on the *structure* of the
 //! sub-plan tree — operator types plus scanned tables — so all occurrences
 //! of the same fragment across queries and templates hash to the same key
-//! (the paper's `get_plan_list` hash index).
+//! (the paper's `get_plan_list` hash index). A sub-plan is a sub-slice of
+//! its plan's pre-order nodes (`plan[i..i + plan[i].subtree_len()]`), so
+//! an occurrence is a query and a position, and every function here takes
+//! a plan or a sub-plan alike.
 
-use engine::plan::{OpDetail, OpType, PlanNode};
+use engine::plan::{children, OpDetail, OpType, PlanNode};
 use std::collections::HashMap;
 
 /// Structural key of a plan fragment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct StructureKey(pub u64);
 
-/// Computes the structural key of the subtree rooted at `node`.
-pub fn structure_key(node: &PlanNode) -> StructureKey {
-    StructureKey(hash_node(node))
-}
-
-fn hash_node(node: &PlanNode) -> u64 {
-    if is_hash_join(node) {
-        let a = hash_node(strip_hash(&node.children[0]));
-        let b = hash_node(strip_hash(&node.children[1]));
-        return mix(node_seed(node), join_pair(a, b));
-    }
-    node.children
-        .iter()
-        .fold(node_seed(node), |h, c| mix(h, hash_node(c)))
+/// Computes the structural key of a plan or sub-plan.
+pub fn structure_key(plan: &[PlanNode]) -> StructureKey {
+    let mut hashes = Vec::new();
+    structure_hashes_into(plan, &mut hashes);
+    StructureKey(hashes[0])
 }
 
 fn mix(h: u64, v: u64) -> u64 {
@@ -48,35 +42,16 @@ fn node_seed(node: &PlanNode) -> u64 {
     h
 }
 
-/// A binary hash join, whose inputs are keyed as an unordered pair.
+/// Order-independent combination of a hash join's two input hashes.
 ///
 /// Hash joins are logically symmetric: the optimizer's build-side choice
 /// depends on cardinality estimates and flips between
-/// parameterizations/templates. Keying the fragment on the unordered pair
-/// of inputs ([`join_pair`]), with the `Hash` wrapper stripped, makes the
-/// "same join of the same inputs" match across orientations (this is what
-/// lets models transfer between templates, Section 4).
-fn is_hash_join(node: &PlanNode) -> bool {
-    node.op == OpType::HashJoin && node.children.len() == 2
-}
-
-/// Order-independent combination of a hash join's two input hashes.
+/// parameterizations/templates. Keying a binary hash join's fragment on
+/// the unordered pair of its inputs, with the `Hash` wrapper stripped,
+/// makes the "same join of the same inputs" match across orientations
+/// (this is what lets models transfer between templates, Section 4).
 fn join_pair(a: u64, b: u64) -> u64 {
     (a ^ b).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ a.wrapping_add(b) ^ a.min(b).rotate_left(13)
-}
-
-/// A `Hash` build node over one input, which a hash join's key strips.
-fn is_hash_wrapper(node: &PlanNode) -> bool {
-    node.op == OpType::Hash && node.children.len() == 1
-}
-
-/// The input under a `Hash` build node (identity for anything else).
-fn strip_hash(node: &PlanNode) -> &PlanNode {
-    if is_hash_wrapper(node) {
-        &node.children[0]
-    } else {
-        node
-    }
 }
 
 /// One occurrence of a sub-plan structure inside a dataset.
@@ -128,13 +103,13 @@ impl SubplanIndex {
     /// [`structure_hashes_into`] pass, so indexing a plan of `n` operators
     /// costs O(n) hash work instead of the O(n²) of re-hashing every
     /// subtree from its root.
-    pub fn build(plans: &[(u8, &PlanNode)]) -> SubplanIndex {
+    pub fn build(plans: &[(u8, &[PlanNode])]) -> SubplanIndex {
         let mut idx = SubplanIndex::default();
-        let (mut sizes, mut hashes) = (Vec::new(), Vec::new());
-        for (q, (template, plan)) in plans.iter().enumerate() {
-            structure_hashes_into(plan, &mut sizes, &mut hashes);
-            for (i, node) in plan.preorder().into_iter().enumerate() {
-                let size = sizes[i];
+        let mut hashes = Vec::new();
+        for (q, &(template, plan)) in plans.iter().enumerate() {
+            structure_hashes_into(plan, &mut hashes);
+            for (i, node) in plan.iter().enumerate() {
+                let size = node.subtree_len();
                 if size < MIN_FRAGMENT_SIZE {
                     continue;
                 }
@@ -144,15 +119,15 @@ impl SubplanIndex {
                     size,
                     occurrences: Vec::new(),
                     templates: Vec::new(),
-                    description: describe(node),
+                    description: describe(&plan[i..i + size]),
                 });
                 entry.occurrences.push(Occurrence {
                     query: q,
                     node_idx: i,
                     size,
                 });
-                if !entry.templates.contains(template) {
-                    entry.templates.push(*template);
+                if !entry.templates.contains(&template) {
+                    entry.templates.push(template);
                 }
             }
         }
@@ -231,60 +206,49 @@ impl SubplanIndex {
     }
 }
 
-/// Computes the structure hash and subtree size of *every* node of `plan`
-/// in one bottom-up pass, indexed by pre-order position (the layout
-/// `views` use), into caller-owned buffers (cleared first).
+/// Computes the structure hash of *every* node of `plan` in one
+/// bottom-up pass, indexed by pre-order position, into a caller-owned
+/// buffer (cleared first).
 ///
-/// `hashes[i]` equals [`structure_key`] of the node at pre-order position
-/// `i`, and `sizes[i]` is its operator count: the fragment rooted there is
-/// `i .. i + sizes[i]`, its first child sits at `i + 1` and each next one
-/// a subtree size further. A tree walk keys any fragment from these
-/// without re-hashing it, which is how the hybrid walk finds a fragment's
+/// `hashes[i]` equals [`structure_key`] of the sub-plan at position `i`
+/// (`plan[i..i + plan[i].subtree_len()]`). Children sit after their
+/// parent, so walking the positions backwards hashes every child before
+/// its parent. A tree walk keys any fragment from these without
+/// re-hashing it, which is how the hybrid walk finds a fragment's
 /// sub-plan model in O(n) per plan; the prediction memo cache
 /// ([`crate::pred_cache::PredictionCache`]) keys a whole plan by
 /// `hashes[0]`.
-pub fn structure_hashes_into(plan: &PlanNode, sizes: &mut Vec<usize>, hashes: &mut Vec<u64>) {
-    fn pass(node: &PlanNode, sizes: &mut Vec<usize>, hashes: &mut Vec<u64>) {
-        let idx = sizes.len();
-        sizes.push(0); // both patched once the subtree is walked
-        hashes.push(0);
-        for c in &node.children {
-            pass(c, sizes, hashes);
-        }
-        sizes[idx] = sizes.len() - idx;
-        hashes[idx] = if is_hash_join(node) {
-            let left = idx + 1;
-            let right = left + sizes[left];
-            // A stripped `Hash` wrapper's input sits right after it.
-            let input =
-                |at: usize, child: &PlanNode| hashes[at + usize::from(is_hash_wrapper(child))];
-            let a = input(left, &node.children[0]);
-            let b = input(right, &node.children[1]);
-            mix(node_seed(node), join_pair(a, b))
-        } else {
-            let mut h = node_seed(node);
-            let mut at = idx + 1;
-            for _ in &node.children {
-                h = mix(h, hashes[at]);
-                at += sizes[at];
+pub fn structure_hashes_into(plan: &[PlanNode], hashes: &mut Vec<u64>) {
+    hashes.clear();
+    hashes.resize(plan.len(), 0);
+    for idx in (0..plan.len()).rev() {
+        let node = &plan[idx];
+        let mut kids = children(plan, idx);
+        hashes[idx] = match (node.op, kids.next(), kids.next(), kids.next()) {
+            (OpType::HashJoin, Some(left), Some(right), None) => {
+                // A `Hash` build node's input sits right after it.
+                let input = |at: usize| {
+                    let hash_wrapper =
+                        plan[at].op == OpType::Hash && children(plan, at).count() == 1;
+                    hashes[at + usize::from(hash_wrapper)]
+                };
+                mix(node_seed(node), join_pair(input(left), input(right)))
             }
-            h
+            _ => children(plan, idx).fold(node_seed(node), |h, c| mix(h, hashes[c])),
         };
     }
-    sizes.clear();
-    hashes.clear();
-    pass(plan, sizes, hashes);
 }
 
 /// A compact single-line structural description, e.g.
 /// `HashJoin(SeqScan[orders], Hash(SeqScan[lineitem]))`.
-pub fn describe(node: &PlanNode) -> String {
+pub fn describe(plan: &[PlanNode]) -> String {
     let mut s = String::new();
-    write_desc(node, &mut s);
+    write_desc(plan, 0, &mut s);
     s
 }
 
-fn write_desc(node: &PlanNode, out: &mut String) {
+fn write_desc(plan: &[PlanNode], at: usize, out: &mut String) {
+    let node = &plan[at];
     let name = node.op.name().replace(' ', "");
     out.push_str(&name);
     if let OpDetail::Scan { table, .. } = &node.detail {
@@ -292,22 +256,16 @@ fn write_desc(node: &PlanNode, out: &mut String) {
         out.push_str(table.name());
         out.push(']');
     }
-    if !node.children.is_empty() {
+    if node.subtree_len() > 1 {
         out.push('(');
-        for (i, c) in node.children.iter().enumerate() {
+        for (i, c) in children(plan, at).enumerate() {
             if i > 0 {
                 out.push_str(", ");
             }
-            write_desc(c, out);
+            write_desc(plan, c, out);
         }
         out.push(')');
     }
-}
-
-/// Finds the subtree at a pre-order position, returning it together with
-/// the pre-order offset (which equals `node_idx` itself).
-pub fn subtree_at(plan: &PlanNode, node_idx: usize) -> &PlanNode {
-    plan.preorder()[node_idx]
 }
 
 #[cfg(test)]
@@ -316,7 +274,7 @@ mod tests {
     use engine::{Catalog, Planner};
     use rng::StdRng;
 
-    fn plans(templates: &[u8], n: usize) -> Vec<(u8, PlanNode)> {
+    fn plans(templates: &[u8], n: usize) -> Vec<(u8, Box<[PlanNode]>)> {
         let catalog = Catalog::new(0.1, 1);
         let planner = Planner::new(&catalog);
         let mut out = Vec::new();
@@ -343,7 +301,7 @@ mod tests {
     #[test]
     fn index_counts_occurrences_and_templates() {
         let ps = plans(&[3, 3, 6], 2);
-        let refs: Vec<(u8, &PlanNode)> = ps.iter().map(|(t, p)| (*t, p)).collect();
+        let refs: Vec<(u8, &[PlanNode])> = ps.iter().map(|(t, p)| (*t, &p[..])).collect();
         let idx = SubplanIndex::build(&refs);
         assert!(!idx.is_empty());
         // The full template-3 plan occurs 4 times (2 per workload copy).
@@ -357,7 +315,7 @@ mod tests {
     fn common_subplans_span_templates() {
         // Templates 3 and 10 both join customer ⋈ orders ⋈ lineitem.
         let ps = plans(&[3, 10], 3);
-        let refs: Vec<(u8, &PlanNode)> = ps.iter().map(|(t, p)| (*t, p)).collect();
+        let refs: Vec<(u8, &[PlanNode])> = ps.iter().map(|(t, p)| (*t, &p[..])).collect();
         let idx = SubplanIndex::build(&refs);
         let common = idx.common(2);
         // They may or may not share fragments depending on physical
@@ -381,26 +339,17 @@ mod tests {
     }
 
     #[test]
-    fn subtree_at_matches_preorder() {
-        let ps = plans(&[3], 1);
-        let plan = &ps[0].1;
-        for (i, n) in plan.preorder().iter().enumerate() {
-            assert_eq!(subtree_at(plan, i).op, n.op);
-        }
-    }
-
-    #[test]
     fn memoized_build_keys_match_structure_key() {
-        // The one-pass memoized hashing must agree with the per-subtree
-        // entry point for every node, including nested hash joins where
+        // The one pass over a whole plan must agree with the key of each
+        // sub-plan hashed on its own, including nested hash joins where
         // the build side carries a Hash wrapper.
         let ps = plans(&[1, 3, 5, 10, 14], 2);
         for (_, plan) in &ps {
-            let (mut sizes, mut hashes) = (Vec::new(), Vec::new());
-            structure_hashes_into(plan, &mut sizes, &mut hashes);
-            for (i, node) in plan.preorder().iter().enumerate() {
-                assert_eq!(StructureKey(hashes[i]), structure_key(node));
-                assert_eq!(sizes[i], node.node_count());
+            let mut hashes = Vec::new();
+            structure_hashes_into(plan, &mut hashes);
+            for (i, &hash) in hashes.iter().enumerate() {
+                let sub = engine::plan::subplan(plan, i);
+                assert_eq!(StructureKey(hash), structure_key(sub));
             }
         }
     }
@@ -408,7 +357,7 @@ mod tests {
     #[test]
     fn size_distribution_is_sorted() {
         let ps = plans(&[3, 10, 5], 2);
-        let refs: Vec<(u8, &PlanNode)> = ps.iter().map(|(t, p)| (*t, p)).collect();
+        let refs: Vec<(u8, &[PlanNode])> = ps.iter().map(|(t, p)| (*t, &p[..])).collect();
         let idx = SubplanIndex::build(&refs);
         let sizes = idx.common_size_distribution();
         assert!(sizes.windows(2).all(|w| w[0] <= w[1]));

@@ -2,7 +2,8 @@
 //! structure-hash pass and of the composition walk across the full
 //! template set.
 
-use engine::{Catalog, PlanNode, Planner, Simulator, ALL_OP_TYPES};
+use engine::plan::children;
+use engine::{Catalog, OpDetail, OpType, PlanNode, Planner, Simulator, ALL_OP_TYPES};
 use qpp::features::{
     node_views, op_histogram, plan_feature_names, plan_features, FeatureSource, NodeView,
     PLAN_FEATURES,
@@ -22,7 +23,7 @@ fn planned(t: u8, sf: f64) -> engine::Planned {
     planner.plan(&tpch::instantiate(t, sf, &mut rng))
 }
 
-fn plan(t: u8, sf: f64) -> PlanNode {
+fn plan(t: u8, sf: f64) -> Box<[PlanNode]> {
     planned(t, sf).plan
 }
 
@@ -57,19 +58,16 @@ fn feature_names_are_unique() {
 fn subtree_features_use_contiguous_view_slices() {
     let p = plan(5, 0.5);
     let views = node_views(&p);
-    let nodes = p.preorder();
     // Pick the first join node.
-    let (idx, node) = nodes
-        .iter()
-        .enumerate()
-        .find(|(_, n)| n.children.len() == 2)
+    let idx = (0..p.len())
+        .find(|&i| children(&p, i).count() == 2)
         .expect("a join exists");
-    let size = node.node_count();
+    let size = p[idx].subtree_len();
     let slice = &views[idx..idx + size];
-    let f = plan_features(node, slice);
+    let f = plan_features(&p[idx..idx + size], slice);
     assert_eq!(f[4] as usize, size);
     // The sub-tree root's cost is the first feature.
-    assert_eq!(f[0], node.est.total_cost);
+    assert_eq!(f[0], p[idx].est.total_cost);
 }
 
 /// `<op>_cnt` features count exactly the operators in the histogram.
@@ -129,36 +127,62 @@ fn unary_operators_zero_right_child_features() {
     assert_eq!(f[8], 0.0); // rt2
 }
 
-/// The one bottom-up pass agrees with the recursive [`structure_key`] and
-/// with `node_count` at every pre-order position of one plan per template,
-/// hash joins with and without a `Hash` build wrapper included.
+/// A structure hash by its definition, recursively: the node's operator,
+/// scanned table and join kind, folded with its children's hashes in
+/// order, except a binary hash join, which combines its two inputs as an
+/// unordered pair with a `Hash` build wrapper stripped.
+fn naive_structure_hash(plan: &[PlanNode], at: usize) -> u64 {
+    let mix = |h: u64, v: u64| (h ^ v).wrapping_mul(0x1000_0000_01b3);
+    let node = &plan[at];
+    let mut seed = mix(0xcbf2_9ce4_8422_2325, node.op.index() as u64 + 1);
+    if let OpDetail::Scan { table, .. } = &node.detail {
+        seed = mix(seed, *table as u64 + 101);
+    }
+    if let OpDetail::Join { kind, .. } = &node.detail {
+        seed = mix(seed, *kind as u64 + 501);
+    }
+    let kids: Vec<usize> = children(plan, at).collect();
+    if node.op == OpType::HashJoin && kids.len() == 2 {
+        let input = |c: usize| {
+            let wrapper = plan[c].op == OpType::Hash && children(plan, c).count() == 1;
+            naive_structure_hash(plan, c + usize::from(wrapper))
+        };
+        let (a, b) = (input(kids[0]), input(kids[1]));
+        let pair = (a ^ b).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            ^ a.wrapping_add(b)
+            ^ a.min(b).rotate_left(13);
+        return mix(seed, pair);
+    }
+    kids.into_iter()
+        .fold(seed, |h, c| mix(h, naive_structure_hash(plan, c)))
+}
+
+/// The one bottom-up pass agrees with the recursive definition and with
+/// [`structure_key`] of the sub-plan on its own, at every pre-order
+/// position of one plan per template, hash joins with and without a
+/// `Hash` build wrapper included.
 #[test]
 fn the_hash_pass_matches_structure_key_at_every_node() {
-    let (mut sizes, mut hashes) = (Vec::new(), Vec::new());
+    let mut hashes = Vec::new();
     for t in tpch::ALL_TEMPLATES {
         let p = plan(t, 0.5);
-        structure_hashes_into(&p, &mut sizes, &mut hashes);
-        let nodes = p.preorder();
-        assert_eq!(
-            (sizes.len(), hashes.len()),
-            (nodes.len(), nodes.len()),
-            "t{t}"
-        );
-        for (i, node) in nodes.iter().enumerate() {
+        structure_hashes_into(&p, &mut hashes);
+        assert_eq!(hashes.len(), p.len(), "t{t}");
+        for (i, &hash) in hashes.iter().enumerate() {
+            assert_eq!(hash, naive_structure_hash(&p, i), "t{t} node {i}");
             assert_eq!(
-                StructureKey(hashes[i]),
-                structure_key(node),
+                StructureKey(hash),
+                structure_key(engine::plan::subplan(&p, i)),
                 "t{t} node {i}"
             );
-            assert_eq!(sizes[i], node.node_count(), "t{t} node {i}");
         }
     }
 }
 
 /// Table 1 as a naive loop over the fragment's materialized pre-order list.
-fn naive_plan_features(fragment: &PlanNode, views: &[NodeView]) -> Vec<f64> {
+fn naive_plan_features(fragment: &[PlanNode], views: &[NodeView]) -> Vec<f64> {
     let ops = ALL_OP_TYPES.len();
-    let nodes = fragment.preorder();
+    let nodes = fragment;
     assert_eq!(nodes.len(), views.len());
     let mut f = vec![0.0; PLAN_FEATURES];
     let (mut row_count, mut byte_count) = (0.0, 0.0);
@@ -192,8 +216,9 @@ fn plan_features_of_every_fragment_match_a_naive_loop() {
         let q = executed(t, 0.5);
         for source in [FeatureSource::Estimated, FeatureSource::Actual] {
             let views = q.views(source);
-            for (i, fragment) in q.plan.preorder().into_iter().enumerate() {
-                let slice = &views[i..i + fragment.node_count()];
+            for i in 0..q.plan.len() {
+                let fragment = engine::plan::subplan(&q.plan, i);
+                let slice = &views[i..i + fragment.len()];
                 let bits = |f: &[f64]| f.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                 assert_eq!(
                     bits(&plan_features(fragment, slice)),
@@ -221,7 +246,7 @@ fn the_walks_three_answers_agree_bit_for_bit() {
     let op = Arc::new(OpLevelModel::train(&refs, &OpModelConfig::default()).unwrap());
     let source = op.source();
     let views: Vec<Vec<NodeView>> = refs.iter().map(|q| q.views(source)).collect();
-    let plans: Vec<(u8, &PlanNode)> = refs.iter().map(|q| (q.template, &q.plan)).collect();
+    let plans: Vec<(u8, &[PlanNode])> = refs.iter().map(|q| (q.template, &q.plan[..])).collect();
     let index = SubplanIndex::build(&plans);
     let fragment = index
         .all()
@@ -244,7 +269,7 @@ fn the_walks_three_answers_agree_bit_for_bit() {
             .find(|q| q.template == t)
             .expect("a query per template");
         let views = q.views(source);
-        let n = q.plan.node_count();
+        let n = q.plan.len();
         for model in [&operator_only, &hybrid] {
             let prediction = model.predict_plan(&q.plan, &views);
             covered += (prediction.nodes.iter())

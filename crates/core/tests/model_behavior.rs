@@ -33,7 +33,8 @@ fn canonical_keys_match_across_build_orientations() {
     let mut keys_by_template: Vec<(u8, Vec<(qpp::StructureKey, String)>)> = Vec::new();
     for q in &ds.queries {
         let mut found = Vec::new();
-        for n in q.plan.preorder() {
+        for i in 0..q.plan.len() {
+            let n = engine::plan::subplan(&q.plan, i);
             let d = describe(n);
             if d.contains("customer") && d.contains("orders") && !d.contains("lineitem") {
                 found.push((structure_key(n), d));
@@ -219,13 +220,12 @@ fn plan_level_predicts_disk_io() {
 fn io_accounting_is_consistent() {
     let ds = dataset(&[1, 5, 9], 3, 1.0, 41);
     for q in &ds.queries {
-        assert_eq!(q.trace.io_pages.len(), q.plan.node_count());
-        for &p in &q.trace.io_pages {
+        assert_eq!(q.trace.io_pages.len(), q.plan.len());
+        for &p in q.trace.io_pages.iter() {
             assert!(p.is_finite() && p >= 0.0);
         }
         // A query scanning lineitem must read at least its heap pages once.
         if q.plan
-            .preorder()
             .iter()
             .any(|n| n.scan_table() == Some(tpch::TableId::Lineitem)
                 && n.op == engine::OpType::SeqScan)

@@ -9,12 +9,11 @@
 
 use crate::plan::{NodeTruth, OpDetail, PlanNode};
 use crate::sim::Trace;
+use std::fmt::Write;
 
 /// Renders a plan like `EXPLAIN`.
-pub fn explain(plan: &PlanNode) -> String {
-    let mut out = String::new();
-    render(plan, 0, None, &mut None, &mut out);
-    out
+pub fn explain(plan: &[PlanNode]) -> String {
+    render(plan, None)
 }
 
 /// Renders a plan with observed timings and true rows (`truth`, one per
@@ -22,51 +21,46 @@ pub fn explain(plan: &PlanNode) -> String {
 ///
 /// # Panics
 /// Panics if the truth or the trace does not align with the plan.
-pub fn explain_analyze(plan: &PlanNode, truth: &[NodeTruth], trace: &Trace) -> String {
-    let nodes = plan.node_count();
-    assert_eq!(truth.len(), nodes, "truth does not match plan");
-    assert_eq!(trace.timings.len(), nodes, "trace does not match plan");
-    let mut out = String::new();
-    let mut cursor = Some(0usize);
-    render(plan, 0, Some((truth, trace)), &mut cursor, &mut out);
-    out
+pub fn explain_analyze(plan: &[PlanNode], truth: &[NodeTruth], trace: &Trace) -> String {
+    assert_eq!(truth.len(), plan.len(), "truth does not match plan");
+    assert_eq!(trace.timings.len(), plan.len(), "trace does not match plan");
+    render(plan, Some((truth, trace)))
 }
 
-fn render(
-    node: &PlanNode,
-    depth: usize,
-    analyze: Option<(&[NodeTruth], &Trace)>,
-    cursor: &mut Option<usize>,
-    out: &mut String,
-) {
-    use std::fmt::Write;
-    let indent = if depth == 0 {
-        String::new()
-    } else {
-        format!("{}->  ", "  ".repeat(depth))
-    };
-    let mut line = format!(
-        "{indent}{}  (cost={:.2}..{:.2} rows={:.0} width={:.0})",
-        describe(node),
-        node.est.startup_cost,
-        node.est.total_cost,
-        node.est.rows,
-        node.est.width
-    );
-    if let (Some((truth, t)), Some(i)) = (analyze, cursor.as_mut()) {
-        let nt = t.timings[*i];
+/// One line per node in pre-order, indented by its depth: the number of
+/// ancestors whose subtree has not ended at its position.
+fn render(plan: &[PlanNode], analyze: Option<(&[NodeTruth], &Trace)>) -> String {
+    let mut out = String::new();
+    let mut open_ends: Vec<usize> = Vec::new();
+    for (i, node) in plan.iter().enumerate() {
+        while open_ends.last().is_some_and(|&end| end <= i) {
+            open_ends.pop();
+        }
+        let depth = open_ends.len();
+        if depth > 0 {
+            let _ = write!(out, "{}->  ", "  ".repeat(depth));
+        }
         let _ = write!(
-            line,
-            " (actual start={:.3}s run={:.3}s rows={:.0})",
-            nt.start, nt.run, truth[*i].rows
+            out,
+            "{}  (cost={:.2}..{:.2} rows={:.0} width={:.0})",
+            describe(node),
+            node.est.startup_cost,
+            node.est.total_cost,
+            node.est.rows,
+            node.est.width
         );
-        *i += 1;
+        if let Some((truth, t)) = analyze {
+            let nt = t.timings[i];
+            let _ = write!(
+                out,
+                " (actual start={:.3}s run={:.3}s rows={:.0})",
+                nt.start, nt.run, truth[i].rows
+            );
+        }
+        out.push('\n');
+        open_ends.push(i + node.subtree_len());
     }
-    out.push_str(&line);
-    out.push('\n');
-    for c in &node.children {
-        render(c, depth + 1, analyze, cursor, out);
-    }
+    out
 }
 
 fn describe(node: &PlanNode) -> String {
@@ -128,7 +122,7 @@ mod tests {
         let spec = templates::instantiate(3, 0.1, &mut rng);
         let plan = planner.plan(&spec).plan;
         let text = explain(&plan);
-        assert_eq!(text.lines().count(), plan.node_count());
+        assert_eq!(text.lines().count(), plan.len());
         assert!(text.contains("cost="));
         assert!(text.contains("customer"));
         assert!(text.contains("lineitem"));
@@ -144,6 +138,6 @@ mod tests {
         let trace = Simulator::new().execute(&planned, 0.1, 1);
         let text = explain_analyze(&planned.plan, &planned.truth, &trace);
         assert!(text.contains("actual start="));
-        assert_eq!(text.lines().count(), planned.plan.node_count());
+        assert_eq!(text.lines().count(), planned.plan.len());
     }
 }

@@ -126,9 +126,11 @@ impl FaultPlan {
     /// stats collector or a torn log record would: per node, estimates may
     /// turn into NaN, collapse to zero, or inflate by six orders of
     /// magnitude. Deterministic in (plan seed, exec_seed).
-    pub fn corrupt_estimates(&self, plan: &mut PlanNode, exec_seed: u64) {
+    pub fn corrupt_estimates(&self, plan: &mut [PlanNode], exec_seed: u64) {
         let mut rng = StdRng::seed_from_u64(self.seed ^ exec_seed.rotate_left(31) ^ 0xC0_44F7);
-        corrupt_node(plan, &mut rng);
+        for node in plan {
+            corrupt_node(node, &mut rng);
+        }
     }
 }
 
@@ -217,7 +219,7 @@ impl DriftPlan {
     /// the *gap* between estimate and observation is what grows.
     /// [`DriftKind::SelectivityShift`] inflates per-node rows, pages, and
     /// selectivity by the ramped magnitude with mild seeded jitter.
-    pub fn shift_estimates(&self, plan: &mut PlanNode, idx: usize) {
+    pub fn shift_estimates(&self, plan: &mut [PlanNode], idx: usize) {
         let intensity = self.intensity(idx);
         if intensity <= 0.0 || self.kind != DriftKind::SelectivityShift {
             return;
@@ -226,7 +228,9 @@ impl DriftPlan {
         let mut rng = StdRng::seed_from_u64(
             self.seed ^ (idx as u64).wrapping_mul(0x5851_F42D_4C95_7F2D) ^ 0xD1F7,
         );
-        shift_node(plan, factor, &mut rng);
+        for node in plan {
+            shift_node(node, factor, &mut rng);
+        }
     }
 }
 
@@ -295,9 +299,6 @@ fn shift_node(node: &mut PlanNode, factor: f64, rng: &mut StdRng) {
     node.est.rows *= f;
     node.est.pages *= f;
     node.est.selectivity = (node.est.selectivity * f).min(1.0);
-    for c in &mut node.children {
-        shift_node(c, factor, rng);
-    }
 }
 
 fn corrupt_node(node: &mut PlanNode, rng: &mut StdRng) {
@@ -319,9 +320,6 @@ fn corrupt_node(node: &mut PlanNode, rng: &mut StdRng) {
             }
         }
     }
-    for c in &mut node.children {
-        corrupt_node(c, rng);
-    }
 }
 
 #[cfg(test)]
@@ -331,7 +329,7 @@ mod tests {
     use crate::planner::Planner;
     use tpch::templates;
 
-    fn sample_plan(template: u8) -> PlanNode {
+    fn sample_plan(template: u8) -> Box<[PlanNode]> {
         let catalog = Catalog::new(0.1, 1);
         let planner = Planner::new(&catalog);
         let mut rng = StdRng::seed_from_u64(3);
@@ -403,7 +401,7 @@ mod tests {
         let original = sample_plan(3);
         // NaN-corrupted estimates defeat PartialEq (NaN != NaN), so compare
         // debug renderings instead.
-        let render = |p: &PlanNode| format!("{p:?}");
+        let render = |p: &[PlanNode]| format!("{p:?}");
         let mut changed = false;
         for seed in 0..10 {
             let mut a = original.clone();
@@ -481,7 +479,7 @@ mod tests {
         assert_eq!(format!("{a:?}"), format!("{b:?}"), "shift must be deterministic");
         assert_ne!(format!("{a:?}"), format!("{original:?}"), "shift must change estimates");
         // Rows only ever inflate.
-        for (o, s) in original.preorder().iter().zip(a.preorder()) {
+        for (o, s) in original.iter().zip(a.iter()) {
             assert!(s.est.rows >= o.est.rows, "rows shrank");
         }
     }

@@ -1,9 +1,9 @@
 //! The cost-based physical planner.
 //!
 //! Lowers a template's logical [`RelExpr`] to a PostgreSQL-shaped physical
-//! [`PlanNode`] tree. Join *order* is part of the template definition (as
-//! the paper's plans come from PostgreSQL, whose orders are stable for
-//! TPC-H); this planner makes the *physical* choices — scan methods, join
+//! plan, one pre-order slice of [`crate::plan::PlanNode`]s. Join *order*
+//! is part of the template definition (as the paper's plans come from
+//! PostgreSQL, whose orders are stable for TPC-H); this planner makes the *physical* choices — scan methods, join
 //! algorithms, aggregation strategies, sort/materialize placement — by
 //! comparing analytical cost estimates, exactly the way an optimizer does.
 //! A node carries the estimate-side annotations (what models can see);
@@ -11,12 +11,15 @@
 //! beside the plan in [`Planned`], one per node in pre-order. Physical
 //! choices read estimates only. A workload instance is its parameter draw
 //! ([`QuerySpec`]); [`Planner::plan`] builds its `RelExpr` and walks it,
-//! so the logical plan lives only while its query is planned.
+//! so the logical plan lives only while its query is planned. A plan is
+//! built in one [`PlanBuilder`] sized for it: each operator is chosen
+//! once its inputs are built and goes in front of them, so a subtree is
+//! never copied into its parent's.
 
 use crate::catalog::{has_index, Catalog};
 use crate::cost::{self, Cost};
 use crate::estimator::Estimator;
-use crate::plan::{NodeEst, NodeTruth, OpDetail, OpType, PlanNode, Planned};
+use crate::plan::{NodeEst, NodeTruth, OpDetail, OpType, PlanBuilder, Planned};
 use crate::truth;
 use tpch::schema::ColRef;
 use tpch::spec::{GroupCount, JoinKind, Predicate, QuerySpec, RelExpr};
@@ -62,11 +65,10 @@ impl<'a> Planner<'a> {
     /// logical plan is built from the spec's draw here and dropped on
     /// return.
     pub fn plan(&self, spec: &QuerySpec) -> Planned {
-        let Sub { node, truth } = self.build(&spec.query().root);
-        Planned {
-            plan: node,
-            truth: truth.into_boxed_slice(),
-        }
+        let root = &spec.query().root;
+        let mut b = PlanBuilder::with_capacity(max_nodes(root));
+        self.build(&mut b, root);
+        b.finish()
     }
 
     fn estimator(&self) -> Estimator<'_> {
@@ -77,13 +79,15 @@ impl<'a> Planner<'a> {
         self.catalog.sf
     }
 
-    fn build(&self, expr: &RelExpr) -> Sub {
+    /// Builds `expr`'s physical subtree at the end of `b` and returns the
+    /// position of its root; the subtree runs from there to `b`'s end.
+    fn build(&self, b: &mut PlanBuilder, expr: &RelExpr) -> usize {
         match expr {
             RelExpr::Scan {
                 table,
                 filters,
                 truth_sel_override,
-            } => self.build_scan(*table, filters, *truth_sel_override),
+            } => self.build_scan(b, *table, filters, *truth_sel_override),
             RelExpr::Join {
                 kind,
                 on,
@@ -91,19 +95,29 @@ impl<'a> Planner<'a> {
                 right,
                 truth_correction,
                 extra_filter_sel,
-            } => self.build_join(*kind, *on, left, right, *truth_correction, *extra_filter_sel),
-            RelExpr::Aggregate { input, spec } => self.build_aggregate(input, spec),
+            } => self.build_join(
+                b,
+                *kind,
+                *on,
+                left,
+                right,
+                *truth_correction,
+                *extra_filter_sel,
+            ),
+            RelExpr::Aggregate { input, spec } => self.build_aggregate(b, input, spec),
             RelExpr::Sort { input, keys } => {
-                let child = self.build(input);
-                self.sort_node(child, *keys)
+                let child = self.build(b, input);
+                self.sort_node(b, child, *keys)
             }
             RelExpr::Limit { input, count } => {
-                let child = self.build(input);
-                let est_rows = (*count as f64).min(child.node.est.rows);
-                let truth_rows = (*count as f64).min(child.rows());
-                let c = cost::limit(node_cost(&child), child.node.est.rows, *count as f64);
-                let width = child.node.est.width;
-                sub(
+                let child = self.build(b, input);
+                let child_est = est_of(b, child);
+                let est_rows = (*count as f64).min(child_est.rows);
+                let truth_rows = (*count as f64).min(rows(b, child));
+                let c = cost::limit(node_cost(b, child), child_est.rows, *count as f64);
+                let width = child_est.width;
+                b.wrap(
+                    child,
                     OpType::Limit,
                     NodeEst {
                         startup_cost: c.startup,
@@ -119,7 +133,6 @@ impl<'a> Planner<'a> {
                         selectivity: 1.0,
                     },
                     OpDetail::Limit { count: *count },
-                    [child],
                 )
             }
             RelExpr::ScalarSubqueryFilter {
@@ -128,21 +141,23 @@ impl<'a> Planner<'a> {
                 truth_sel,
                 correlated,
             } => {
-                let child = self.build(input);
-                let subplan = self.build(subquery);
-                let est_execs = if *correlated { child.node.est.rows } else { 1.0 };
-                let truth_execs = if *correlated { child.rows() } else { 1.0 };
+                let child = self.build(b, input);
+                let subplan = self.build(b, subquery);
+                let child_est = est_of(b, child);
+                let est_execs = if *correlated { child_est.rows } else { 1.0 };
+                let truth_execs = if *correlated { rows(b, child) } else { 1.0 };
                 let c = cost::subquery(
-                    node_cost(&child),
-                    node_cost(&subplan),
+                    node_cost(b, child),
+                    node_cost(b, subplan),
                     est_execs,
-                    child.node.est.rows,
+                    child_est.rows,
                 );
                 // Optimizers default scalar-comparison selectivity to 1/3.
-                let est_rows = (child.node.est.rows / 3.0).max(1.0);
-                let truth_rows = child.rows() * truth_sel;
-                let width = child.node.est.width;
-                sub(
+                let est_rows = (child_est.rows / 3.0).max(1.0);
+                let truth_rows = rows(b, child) * truth_sel;
+                let width = child_est.width;
+                b.wrap(
+                    child,
                     OpType::SubqueryScan,
                     NodeEst {
                         startup_cost: c.startup,
@@ -161,7 +176,6 @@ impl<'a> Planner<'a> {
                         correlated: *correlated,
                         executions: truth_execs,
                     },
-                    [child, subplan],
                 )
             }
         }
@@ -169,10 +183,11 @@ impl<'a> Planner<'a> {
 
     fn build_scan(
         &self,
+        b: &mut PlanBuilder,
         table: tpch::schema::TableId,
         filters: &[Predicate],
         truth_override: Option<f64>,
-    ) -> Sub {
+    ) -> usize {
         let est = self.estimator();
         let base_rows = self.catalog.rows(table);
         let pages = self.catalog.pages(table);
@@ -202,7 +217,7 @@ impl<'a> Planner<'a> {
             let est_pages = (est_rows * 1.05 + 2.0).min(pages);
             let truth_pages = (truth_rows * 1.05 + 2.0).min(pages);
             let c = cost::index_scan(pages, est_rows, filters.len());
-            return sub(
+            return b.push(
                 OpType::IndexScan,
                 NodeEst {
                     startup_cost: c.startup,
@@ -218,12 +233,11 @@ impl<'a> Planner<'a> {
                     selectivity: truth_sel,
                 },
                 detail,
-                [],
             );
         }
 
         let c = cost::seq_scan(pages, base_rows, filters.len());
-        sub(
+        b.push(
             OpType::SeqScan,
             NodeEst {
                 startup_cost: c.startup,
@@ -239,34 +253,35 @@ impl<'a> Planner<'a> {
                 selectivity: truth_sel,
             },
             detail,
-            [],
         )
     }
 
     #[allow(clippy::too_many_arguments)]
     fn build_join(
         &self,
+        b: &mut PlanBuilder,
         kind: JoinKind,
         on: (ColRef, ColRef),
         left_expr: &RelExpr,
         right_expr: &RelExpr,
         truth_correction: f64,
         extra_filter_sel: f64,
-    ) -> Sub {
+    ) -> usize {
         let est = self.estimator();
-        let left = self.build(left_expr);
-        let right = self.build(right_expr);
-        let (l, r) = (&left.node.est, &right.node.est);
+        let left = self.build(b, left_expr);
+        let right = self.build(b, right_expr);
+        let (l, r) = (est_of(b, left), est_of(b, right));
+        let (left_rows, right_rows) = (rows(b, left), rows(b, right));
+        let (left_cost, right_cost) = (node_cost(b, left), node_cost(b, right));
 
         // Logical output cardinalities (physical-choice independent).
         let (est_rows, truth_rows) = match kind {
             JoinKind::Inner | JoinKind::LeftOuter => {
                 let e = est.join_rows(l.rows, r.rows, on) * extra_filter_sel;
-                let t =
-                    truth::join_rows(left.rows(), right.rows(), on, truth_correction, self.sf())
-                        * extra_filter_sel;
+                let t = truth::join_rows(left_rows, right_rows, on, truth_correction, self.sf())
+                    * extra_filter_sel;
                 if kind == JoinKind::LeftOuter {
-                    (e.max(l.rows), t.max(left.rows()))
+                    (e.max(l.rows), t.max(left_rows))
                 } else {
                     (e, t)
                 }
@@ -275,14 +290,14 @@ impl<'a> Planner<'a> {
                 let sel = est.semi_selectivity(r.rows, on.1) * extra_filter_sel;
                 (
                     (l.rows * sel).max(1.0),
-                    left.rows() * truth_correction * extra_filter_sel,
+                    left_rows * truth_correction * extra_filter_sel,
                 )
             }
             JoinKind::Anti => {
                 let sel = est.semi_selectivity(r.rows, on.1);
                 (
                     (l.rows * (1.0 - sel).max(1e-6) * extra_filter_sel).max(1.0),
-                    left.rows() * truth_correction * extra_filter_sel,
+                    left_rows * truth_correction * extra_filter_sel,
                 )
             }
         };
@@ -293,20 +308,20 @@ impl<'a> Planner<'a> {
 
         // Candidate physical methods, scored by estimated cost.
         let hash_cost = {
-            let h = cost::hash_build(node_cost(&right), r.rows);
-            cost::hash_join(node_cost(&left), h, l.rows, est_rows)
+            let h = cost::hash_build(right_cost, r.rows);
+            cost::hash_join(left_cost, h, l.rows, est_rows)
         };
         // Inner hash joins may build on either side; the optimizer hashes
         // whichever input it *estimates* to be smaller.
         let hash_swapped_cost = if kind == JoinKind::Inner {
-            let h = cost::hash_build(node_cost(&left), l.rows);
-            Some(cost::hash_join(node_cost(&right), h, r.rows, est_rows))
+            let h = cost::hash_build(left_cost, l.rows);
+            Some(cost::hash_join(right_cost, h, r.rows, est_rows))
         } else {
             None
         };
         let merge_cost = {
-            let ls = cost::sort(node_cost(&left), l.rows, l.width, self.config.work_mem);
-            let rs = cost::sort(node_cost(&right), r.rows, r.width, self.config.work_mem);
+            let ls = cost::sort(left_cost, l.rows, l.width, self.config.work_mem);
+            let rs = cost::sort(right_cost, r.rows, r.width, self.config.work_mem);
             cost::merge_join(ls, rs, l.rows, r.rows, est_rows)
         };
         // Nested loop with an index probe of the inner base table, when the
@@ -322,12 +337,12 @@ impl<'a> Planner<'a> {
                 // (effective_cache_size): the optimizer discounts them —
                 // one of the ways a cardinality underestimate snowballs
                 // into a catastrophically slow nested-loop plan.
-                let total = node_cost(&left).total
+                let total = left_cost.total
                     + l.rows * probe.total * 0.4
                     + est_rows * cost::CPU_TUPLE_COST;
                 Some((
                     Cost {
-                        startup: node_cost(&left).startup,
+                        startup: left_cost.startup,
                         total,
                     },
                     matched_per_probe,
@@ -337,9 +352,9 @@ impl<'a> Planner<'a> {
         };
         // Nested loop over a materialized inner (viable for tiny inners).
         let nl_mat = {
-            let m = cost::materialize(node_cost(&right), r.rows);
+            let m = cost::materialize(right_cost, r.rows);
             let rescan = cost::materialize_rescan(r.rows);
-            cost::nested_loop(node_cost(&left), m, rescan, l.rows, est_rows)
+            cost::nested_loop(left_cost, m, rescan, l.rows, est_rows)
         };
 
         let mut best = ("hash", hash_cost.total);
@@ -360,7 +375,8 @@ impl<'a> Planner<'a> {
             best = ("nl_mat", nl_mat.total);
         }
 
-        let join = |op, c: Cost, children| {
+        // The join over the two input subtrees that start at `first`.
+        let join = |b: &mut PlanBuilder, first, op, c: Cost| {
             let est = NodeEst {
                 startup_cost: c.startup,
                 total_cost: c.total,
@@ -374,58 +390,65 @@ impl<'a> Planner<'a> {
                 pages: 0.0,
                 selectivity: extra_filter_sel,
             };
-            sub(op, est, truth, OpDetail::Join { kind, on }, children)
+            b.wrap(first, op, est, truth, OpDetail::Join { kind, on })
         };
 
+        // Each input's helper nodes go in front of it, the right input's
+        // first: nothing is then inserted ahead of a position still used.
         match best.0 {
             "hash" => {
-                let hash_node = self.hash_node(right);
-                join(OpType::HashJoin, hash_cost, [left, hash_node])
+                self.hash_node(b, right);
+                join(b, left, OpType::HashJoin, hash_cost)
             }
             "hash_swapped" => {
-                let hash_node = self.hash_node(left);
+                let (right, left) = b.swap(left, right);
+                self.hash_node(b, left);
                 let c = hash_swapped_cost.expect("candidate exists");
-                join(OpType::HashJoin, c, [right, hash_node])
+                join(b, right, OpType::HashJoin, c)
             }
             "merge" => {
-                let ls = self.sort_node(left, 1);
-                let rs = self.sort_node(right, 1);
-                let rm = self.materialize_node(rs, truth_rows.max(1.0));
-                join(OpType::MergeJoin, merge_cost, [ls, rm])
+                let rs = self.sort_node(b, right, 1);
+                self.materialize_node(b, rs, truth_rows.max(1.0));
+                self.sort_node(b, left, 1);
+                join(b, left, OpType::MergeJoin, merge_cost)
             }
             "nl_index" => {
                 let (c, matched_per_probe) = nl_index.expect("candidate exists");
                 // Inner becomes an index scan parameterized by the outer key.
-                let mut inner = right;
-                inner.node.op = OpType::IndexScan;
-                let probe_truth = (truth_rows / left.rows().max(1.0)).max(0.0);
-                let e = &mut inner.node.est;
+                let probe_truth = (truth_rows / left_rows.max(1.0)).max(0.0);
+                let (inner, t) = b.get_mut(right);
+                inner.op = OpType::IndexScan;
+                let e = &mut inner.est;
                 e.rows = matched_per_probe;
                 e.pages = (matched_per_probe * 1.05 + 2.0).min(e.pages.max(2.0));
-                let t = &mut inner.truth[0];
                 t.rows = probe_truth;
                 t.pages = (probe_truth * 1.05 + 2.0).min(t.pages.max(2.0));
                 let probe_cost = cost::index_scan(
-                    self.catalog.pages(inner.node.scan_table().expect("scan")),
+                    self.catalog.pages(inner.scan_table().expect("scan")),
                     matched_per_probe,
                     1,
                 );
-                inner.node.est.startup_cost = probe_cost.startup;
-                inner.node.est.total_cost = probe_cost.total;
-                join(OpType::NestedLoop, c, [left, inner])
+                inner.est.startup_cost = probe_cost.startup;
+                inner.est.total_cost = probe_cost.total;
+                join(b, left, OpType::NestedLoop, c)
             }
             _ => {
-                let m = self.materialize_node(right, left.rows().max(1.0));
-                join(OpType::NestedLoop, nl_mat, [left, m])
+                self.materialize_node(b, right, left_rows.max(1.0));
+                join(b, left, OpType::NestedLoop, nl_mat)
             }
         }
     }
 
-    fn build_aggregate(&self, input: &RelExpr, spec: &tpch::spec::AggregateSpec) -> Sub {
+    fn build_aggregate(
+        &self,
+        b: &mut PlanBuilder,
+        input: &RelExpr,
+        spec: &tpch::spec::AggregateSpec,
+    ) -> usize {
         let est = self.estimator();
-        let child = self.build(input);
-        let in_est = child.node.est.rows;
-        let in_truth = child.rows();
+        let child = self.build(b, input);
+        let in_est = est_of(b, child).rows;
+        let in_truth = rows(b, child);
         let n_aggs = spec.aggs.len() as f64;
         let out_width = 8.0 * (spec.group_by.len() as f64 + n_aggs) + 8.0;
 
@@ -454,8 +477,9 @@ impl<'a> Planner<'a> {
         };
 
         if spec.group_by.is_empty() {
-            let c = cost::group_aggregate(node_cost(&child), in_est, n_aggs, 1.0);
-            return sub(
+            let c = cost::group_aggregate(node_cost(b, child), in_est, n_aggs, 1.0);
+            return b.wrap(
+                child,
                 OpType::Aggregate,
                 NodeEst {
                     startup_cost: c.total - cost::CPU_TUPLE_COST,
@@ -471,7 +495,6 @@ impl<'a> Planner<'a> {
                     selectivity: 1.0,
                 },
                 detail,
-                [child],
             );
         }
 
@@ -482,8 +505,9 @@ impl<'a> Planner<'a> {
         };
         let hash_bytes = est_groups * (out_width + 64.0);
         if hash_bytes < self.config.work_mem {
-            let c = cost::hash_aggregate(node_cost(&child), in_est, n_aggs, est_groups);
-            sub(
+            let c = cost::hash_aggregate(node_cost(b, child), in_est, n_aggs, est_groups);
+            b.wrap(
+                child,
                 OpType::HashAggregate,
                 NodeEst {
                     startup_cost: c.startup,
@@ -495,12 +519,12 @@ impl<'a> Planner<'a> {
                 },
                 truth,
                 detail,
-                [child],
             )
         } else {
-            let sorted = self.sort_node(child, spec.group_by.len() as u32);
-            let c = cost::group_aggregate(node_cost(&sorted), in_est, n_aggs, est_groups);
-            sub(
+            let sorted = self.sort_node(b, child, spec.group_by.len() as u32);
+            let c = cost::group_aggregate(node_cost(b, sorted), in_est, n_aggs, est_groups);
+            b.wrap(
+                sorted,
                 OpType::GroupAggregate,
                 NodeEst {
                     startup_cost: c.startup,
@@ -512,16 +536,17 @@ impl<'a> Planner<'a> {
                 },
                 truth,
                 detail,
-                [sorted],
             )
         }
     }
 
-    fn sort_node(&self, child: Sub, keys: u32) -> Sub {
-        let e = child.node.est;
-        let c = cost::sort(node_cost(&child), e.rows, e.width, self.config.work_mem);
+    /// A sort over the subtree at `child`, put in front of it.
+    fn sort_node(&self, b: &mut PlanBuilder, child: usize, keys: u32) -> usize {
+        let e = est_of(b, child);
+        let child_rows = rows(b, child);
+        let c = cost::sort(node_cost(b, child), e.rows, e.width, self.config.work_mem);
         let est_bytes = e.rows * e.width;
-        let truth_bytes = child.rows() * e.width;
+        let truth_bytes = child_rows * e.width;
         let est_pages = if est_bytes > self.config.work_mem {
             est_bytes / 8192.0
         } else {
@@ -532,7 +557,8 @@ impl<'a> Planner<'a> {
         } else {
             0.0
         };
-        sub(
+        b.wrap(
+            child,
             OpType::Sort,
             NodeEst {
                 startup_cost: c.startup,
@@ -543,94 +569,89 @@ impl<'a> Planner<'a> {
                 selectivity: 1.0,
             },
             NodeTruth {
-                rows: child.rows(),
+                rows: child_rows,
                 pages: truth_pages,
                 selectivity: 1.0,
             },
             OpDetail::Sort { keys },
-            [child],
         )
     }
 
-    fn hash_node(&self, child: Sub) -> Sub {
-        let c = cost::hash_build(node_cost(&child), child.node.est.rows);
-        self.pass_through(OpType::Hash, c, OpDetail::None, child)
+    fn hash_node(&self, b: &mut PlanBuilder, child: usize) -> usize {
+        let c = cost::hash_build(node_cost(b, child), est_of(b, child).rows);
+        self.pass_through(b, child, OpType::Hash, c, OpDetail::None)
     }
 
-    fn materialize_node(&self, child: Sub, rescans: f64) -> Sub {
-        let c = cost::materialize(node_cost(&child), child.node.est.rows);
+    fn materialize_node(&self, b: &mut PlanBuilder, child: usize, rescans: f64) -> usize {
+        let c = cost::materialize(node_cost(b, child), est_of(b, child).rows);
         let detail = OpDetail::Materialize {
             rescans: (rescans - 1.0).max(0.0),
         };
-        self.pass_through(OpType::Materialize, c, detail, child)
+        self.pass_through(b, child, OpType::Materialize, c, detail)
     }
 
-    /// A node that outputs its child's rows unchanged (`Hash`,
-    /// `Materialize`).
-    fn pass_through(&self, op: OpType, c: Cost, detail: OpDetail, child: Sub) -> Sub {
-        sub(
+    /// A node in front of the subtree at `child` that outputs its rows
+    /// unchanged (`Hash`, `Materialize`).
+    fn pass_through(
+        &self,
+        b: &mut PlanBuilder,
+        child: usize,
+        op: OpType,
+        c: Cost,
+        detail: OpDetail,
+    ) -> usize {
+        let e = est_of(b, child);
+        let child_rows = rows(b, child);
+        b.wrap(
+            child,
             op,
             NodeEst {
                 startup_cost: c.startup,
                 total_cost: c.total,
-                rows: child.node.est.rows,
-                width: child.node.est.width,
+                rows: e.rows,
+                width: e.width,
                 pages: 0.0,
                 selectivity: 1.0,
             },
             NodeTruth {
-                rows: child.rows(),
+                rows: child_rows,
                 pages: 0.0,
                 selectivity: 1.0,
             },
             detail,
-            [child],
         )
     }
 }
 
-/// A subtree under construction: its plan and its truths in pre-order.
-struct Sub {
-    node: PlanNode,
-    truth: Vec<NodeTruth>,
+/// Estimates of the subtree root at `at`.
+fn est_of(b: &PlanBuilder, at: usize) -> NodeEst {
+    b.get(at).0.est
 }
 
-impl Sub {
-    /// True output rows of the subtree's root.
-    fn rows(&self) -> f64 {
-        self.truth[0].rows
-    }
+/// True output rows of the subtree root at `at`.
+fn rows(b: &PlanBuilder, at: usize) -> f64 {
+    b.get(at).1.rows
 }
 
-/// A node over `children`: its truth first, then theirs in order.
-fn sub<const N: usize>(
-    op: OpType,
-    est: NodeEst,
-    truth: NodeTruth,
-    detail: OpDetail,
-    children: [Sub; N],
-) -> Sub {
-    let mut all = Vec::with_capacity(1 + children.iter().map(|c| c.truth.len()).sum::<usize>());
-    all.push(truth);
-    let children = children.map(|c| {
-        all.extend_from_slice(&c.truth);
-        c.node
-    });
-    Sub {
-        node: PlanNode {
-            op,
-            children: Box::new(children),
-            est,
-            detail,
-        },
-        truth: all,
-    }
-}
-
-fn node_cost(n: &Sub) -> Cost {
+fn node_cost(b: &PlanBuilder, at: usize) -> Cost {
+    let e = est_of(b, at);
     Cost {
-        startup: n.node.est.startup_cost,
-        total: n.node.est.total_cost,
+        startup: e.startup_cost,
+        total: e.total_cost,
+    }
+}
+
+/// Most physical nodes `expr` can plan to: a join may add a `Hash`, or
+/// two `Sort`s and a `Materialize`, and a grouped aggregate a `Sort`.
+fn max_nodes(expr: &RelExpr) -> usize {
+    match expr {
+        RelExpr::Scan { .. } => 1,
+        RelExpr::Join { left, right, .. } => 4 + max_nodes(left) + max_nodes(right),
+        RelExpr::Aggregate { input, .. } => 2 + max_nodes(input),
+        RelExpr::Sort { input, .. } | RelExpr::Limit { input, .. } => 1 + max_nodes(input),
+        RelExpr::ScalarSubqueryFilter {
+            input, subquery, ..
+        } => 1 + max_nodes(input) + max_nodes(subquery),
     }
 }
 
@@ -652,9 +673,9 @@ mod tests {
     fn all_templates_plan_without_panic() {
         for t in templates::ALL_TEMPLATES {
             let Planned { plan: p, truth } = plan_template(t, 1.0, 3);
-            assert!(p.node_count() >= 2, "template {t}");
-            assert_eq!(truth.len(), p.node_count(), "template {t}");
-            for (n, nt) in p.preorder().into_iter().zip(&truth[..]) {
+            assert!(p.len() >= 2, "template {t}");
+            assert_eq!(truth.len(), p.len(), "template {t}");
+            for (n, nt) in p.iter().zip(&truth[..]) {
                 assert!(n.est.rows >= 0.0 && n.est.rows.is_finite(), "template {t}");
                 assert!(nt.rows >= 0.0 && nt.rows.is_finite(), "template {t}");
                 assert!(n.est.total_cost >= n.est.startup_cost, "template {t}");
@@ -665,7 +686,7 @@ mod tests {
     #[test]
     fn t1_is_scan_plus_aggregate() {
         let Planned { plan: p, truth } = plan_template(1, 1.0, 1);
-        let ops: Vec<OpType> = p.preorder().iter().map(|n| n.op).collect();
+        let ops: Vec<OpType> = p.iter().map(|n| n.op).collect();
         assert!(ops.contains(&OpType::SeqScan));
         assert!(ops.contains(&OpType::HashAggregate) || ops.contains(&OpType::GroupAggregate));
         assert_eq!(ops[0], OpType::Sort);
@@ -678,7 +699,7 @@ mod tests {
     fn t3_join_correction_shrinks_truth_vs_estimate() {
         let Planned { plan: p, truth } = plan_template(3, 1.0, 1);
         // Find the top join: truth rows should be far below the estimate.
-        let nodes = p.preorder();
+        let nodes = &p[..];
         let join = nodes
             .iter()
             .position(|n| matches!(n.op, OpType::HashJoin | OpType::MergeJoin | OpType::NestedLoop))
@@ -694,13 +715,13 @@ mod tests {
     #[test]
     fn t6_has_no_joins() {
         let p = plan_template(6, 1.0, 1).plan;
-        for n in p.preorder() {
+        for n in p.iter() {
             assert!(
                 !matches!(n.op, OpType::HashJoin | OpType::MergeJoin | OpType::NestedLoop),
                 "t6 must be join-free"
             );
         }
-        assert_eq!(p.op, OpType::Aggregate);
+        assert_eq!(p[0].op, OpType::Aggregate);
     }
 
     #[test]
@@ -708,7 +729,7 @@ mod tests {
         let Planned { plan: p, truth } = plan_template(18, 10.0, 1);
         // The semi join of orders against the HAVING aggregate: estimated
         // rows vastly exceed the truth.
-        let nodes = p.preorder();
+        let nodes = &p[..];
         let semi = nodes
             .iter()
             .position(|n| {
@@ -732,7 +753,7 @@ mod tests {
     #[test]
     fn t13_contains_materialize_or_hash() {
         let p = plan_template(13, 10.0, 1).plan;
-        let ops: Vec<OpType> = p.preorder().iter().map(|n| n.op).collect();
+        let ops: Vec<OpType> = p.iter().map(|n| n.op).collect();
         assert!(
             ops.contains(&OpType::Materialize) || ops.contains(&OpType::Hash),
             "ops = {ops:?}"
@@ -743,7 +764,7 @@ mod tests {
     fn correlated_subquery_templates_have_subquery_scans() {
         for t in [2u8, 17, 20] {
             let p = plan_template(t, 1.0, 1).plan;
-            let has = p.preorder().iter().any(|n| n.op == OpType::SubqueryScan);
+            let has = p.iter().any(|n| n.op == OpType::SubqueryScan);
             assert!(has, "template {t} should have SubqueryScan");
         }
     }
@@ -759,7 +780,7 @@ mod tests {
     fn index_scan_appears_for_selective_probes() {
         // T17's correlated subquery probes lineitem by l_partkey.
         let p = plan_template(17, 1.0, 1).plan;
-        let has_index_scan = p.preorder().iter().any(|n| n.op == OpType::IndexScan);
+        let has_index_scan = p.iter().any(|n| n.op == OpType::IndexScan);
         assert!(has_index_scan);
     }
 }

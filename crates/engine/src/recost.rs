@@ -9,43 +9,41 @@
 //! them.
 
 use crate::cost::{self, Cost, DEFAULT_WORK_MEM};
-use crate::plan::{NodeTruth, OpDetail, OpType, PlanNode, MAX_CHILDREN};
+use crate::plan::{children, NodeTruth, OpDetail, OpType, PlanNode, MAX_CHILDREN};
 
 /// Costs every node of `plan` over its true rows and pages (`truth`,
 /// one per node in pre-order) in one walk that allocates nothing.
 /// `f(i, node, cost)` receives each node with its pre-order position `i`
-/// (aligned with [`PlanNode::preorder`]) once its subtree is costed.
-/// Sorts spill past [`DEFAULT_WORK_MEM`], the budget the planner and the
-/// simulator run with.
+/// once its subtree is costed. Sorts spill past [`DEFAULT_WORK_MEM`], the
+/// budget the planner and the simulator run with.
 ///
 /// # Panics
 /// Panics if `truth` holds fewer entries than `plan` has nodes.
 pub fn for_each_truth_cost<'a>(
-    plan: &'a PlanNode,
+    plan: &'a [PlanNode],
     truth: &[NodeTruth],
     f: &mut impl FnMut(usize, &'a PlanNode, Cost),
 ) {
-    walk(plan, truth, &mut 0, f);
+    walk(plan, 0, truth, f);
 }
 
+/// Costs the subtree at `idx`, its children first, in order.
 fn walk<'a>(
-    node: &'a PlanNode,
+    plan: &'a [PlanNode],
+    idx: usize,
     truth: &[NodeTruth],
-    next: &mut usize,
     f: &mut impl FnMut(usize, &'a PlanNode, Cost),
 ) -> Cost {
-    let idx = *next;
-    *next += 1;
+    let node = &plan[idx];
     // Every child is walked, in order, so positions stay pre-order; the
     // cost formulas read the first two.
     let mut child_costs = [Cost::ZERO; MAX_CHILDREN];
     let mut child_rows = [0.0; MAX_CHILDREN];
-    for (k, c) in node.children.iter().enumerate() {
-        let rows = truth[*next].rows;
-        let cost = walk(c, truth, next, f);
+    for (k, c) in children(plan, idx).enumerate() {
+        let cost = walk(plan, c, truth, f);
         if k < MAX_CHILDREN {
             child_costs[k] = cost;
-            child_rows[k] = rows;
+            child_rows[k] = truth[c].rows;
         }
     }
     let rows = truth[idx].rows;
@@ -121,7 +119,7 @@ mod tests {
 
     /// Every node's truth cost, by pre-order position.
     fn costs_by_position(p: &Planned) -> Vec<Cost> {
-        let mut costs = vec![None; p.plan.node_count()];
+        let mut costs = vec![None; p.plan.len()];
         for_each_truth_cost(&p.plan, &p.truth, &mut |i, _, c| {
             assert!(costs[i].replace(c).is_none(), "position {i} visited twice");
         });
@@ -135,10 +133,10 @@ mod tests {
     fn truth_valued_costs_align_with_plan_and_reflect_cardinality_gaps() {
         let p = plan(18);
         let tc = costs_by_position(&p);
-        let nodes = p.plan.preorder();
+        let nodes = &p.plan[..];
         let mut seen = 0;
-        for_each_truth_cost(&p.plan, &p.truth, &mut |i, n, _| {
-            assert!(std::ptr::eq(n, nodes[i]), "position {i} is not pre-order");
+        for_each_truth_cost(nodes, &p.truth, &mut |i, n, _| {
+            assert!(std::ptr::eq(n, &nodes[i]), "position {i} is not pre-order");
             seen += 1;
         });
         assert_eq!(seen, nodes.len());
@@ -163,7 +161,7 @@ mod tests {
         // truth costs should be close to estimated costs.
         let p = plan(1);
         let root_truth = costs_by_position(&p)[0].total;
-        let root_est = p.plan.est.total_cost;
+        let root_est = p.plan[0].est.total_cost;
         let ratio = root_truth / root_est;
         assert!((0.5..2.0).contains(&ratio), "ratio = {ratio}");
     }

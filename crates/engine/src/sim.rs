@@ -136,15 +136,15 @@ pub struct NodeTiming {
 /// The execution record of one query.
 #[derive(Debug, Clone)]
 pub struct Trace {
-    /// Per-operator timings in *pre-order* (aligned with
-    /// [`PlanNode::preorder`]).
-    pub timings: Vec<NodeTiming>,
+    /// Per-operator timings in *pre-order* (entry `i` belongs to the plan
+    /// node at position `i`).
+    pub timings: Box<[NodeTiming]>,
     /// Query latency in seconds (the root's run-time).
     pub total_secs: f64,
     /// Disk pages physically read or written per operator (pre-order):
     /// cache misses, index probes, spill traffic. The second performance
     /// metric the paper family predicts (disk I/O).
-    pub io_pages: Vec<f64>,
+    pub io_pages: Box<[f64]>,
 }
 
 /// The simulator.
@@ -229,8 +229,8 @@ impl Simulator {
     /// # Panics
     /// Panics if the truths do not hold one entry per plan node.
     pub fn execute(&self, planned: &Planned, sf: f64, seed: u64) -> Trace {
-        let plan = &planned.plan;
-        let nodes = plan.node_count();
+        let plan = &planned.plan[..];
+        let nodes = plan.len();
         assert_eq!(planned.truth.len(), nodes, "truth does not match plan");
         let mut state = ExecState {
             truth: &planned.truth,
@@ -272,8 +272,8 @@ impl Simulator {
         }
         Trace {
             total_secs: res.run * q + add,
-            timings,
-            io_pages,
+            timings: timings.into_boxed_slice(),
+            io_pages: io_pages.into_boxed_slice(),
         }
     }
 
@@ -332,9 +332,11 @@ impl Simulator {
         }
     }
 
+    /// Simulates the subtree at pre-order position `out.len()`: the
+    /// next node of `plan` not yet timed.
     fn walk(
         &self,
-        node: &PlanNode,
+        plan: &[PlanNode],
         st: &mut ExecState<'_>,
         out: &mut Vec<NodeTiming>,
         io: &mut [f64],
@@ -342,7 +344,7 @@ impl Simulator {
         let idx = out.len();
         out.push(NodeTiming { start: 0.0, run: 0.0 });
         st.io_stack.push(0.0);
-        let mut res = self.node_res(node, idx, st, out, io);
+        let mut res = self.node_res(plan, idx, st, out, io);
         io[idx] = st.io_stack.pop().expect("io accumulator");
         // Start-time can never exceed run-time (first tuple precedes last).
         res.start = res.start.min(res.run);
@@ -353,18 +355,19 @@ impl Simulator {
         res
     }
 
-    /// Simulates `node`, at pre-order position `idx`. A node's first child
-    /// sits at `idx + 1`; a second child's position is read before it is
-    /// walked.
+    /// Simulates the node at pre-order position `idx` of `plan`. A node's
+    /// first child sits at `idx + 1`; a second child's position is read
+    /// before it is walked.
     fn node_res(
         &self,
-        node: &PlanNode,
+        plan: &[PlanNode],
         idx: usize,
         st: &mut ExecState<'_>,
         out: &mut Vec<NodeTiming>,
         io: &mut [f64],
     ) -> SubRes {
         let c = &self.config;
+        let node = &plan[idx];
         let noise = st.noise();
         let truth = st.truth[idx];
         match node.op {
@@ -410,7 +413,7 @@ impl Simulator {
                 }
             }
             OpType::Sort => {
-                let child = self.walk(&node.children[0], st, out, io);
+                let child = self.walk(plan, st, out, io);
                 let n = truth.rows.max(1.0);
                 let keys = match &node.detail {
                     OpDetail::Sort { keys } => *keys as f64,
@@ -432,7 +435,7 @@ impl Simulator {
                 }
             }
             OpType::Hash => {
-                let child = self.walk(&node.children[0], st, out, io);
+                let child = self.walk(plan, st, out, io);
                 let n = truth.rows.max(1.0);
                 let bytes = n * node.est.width;
                 let spill = if bytes > c.work_mem {
@@ -449,11 +452,11 @@ impl Simulator {
                 }
             }
             OpType::HashJoin => {
-                let probe = self.walk(&node.children[0], st, out, io);
+                let probe = self.walk(plan, st, out, io);
                 let hash_idx = out.len();
-                let hash = self.walk(&node.children[1], st, out, io);
+                let hash = self.walk(plan, st, out, io);
                 let build_rows = st.truth[hash_idx].rows.max(1.0);
-                let build_bytes = build_rows * node.children[1].est.width;
+                let build_bytes = build_rows * plan[hash_idx].est.width;
                 // Probe cost grows once the hash table exceeds the caches.
                 let cache_penalty = (1.0 + 0.4 * (build_bytes / 4e6).log10().max(0.0)).min(2.5);
                 let probe_rows = st.truth[idx + 1].rows;
@@ -461,7 +464,7 @@ impl Simulator {
                     + truth.rows * c.emit_secs)
                     * noise;
                 // Multi-batch execution: both sides spill once past work_mem.
-                let probe_bytes = probe_rows * node.children[0].est.width;
+                let probe_bytes = probe_rows * plan[idx + 1].est.width;
                 let spill = if build_bytes > c.work_mem {
                     st.add_io(2.0 * ((build_bytes + probe_bytes) / 8192.0));
                     2.0 * ((build_bytes + probe_bytes) / 8192.0) * self.spill_rate(build_bytes)
@@ -479,9 +482,9 @@ impl Simulator {
                 }
             }
             OpType::MergeJoin => {
-                let left = self.walk(&node.children[0], st, out, io);
+                let left = self.walk(plan, st, out, io);
                 let right_idx = out.len();
-                let right = self.walk(&node.children[1], st, out, io);
+                let right = self.walk(plan, st, out, io);
                 let l_rows = st.truth[idx + 1].rows;
                 let r_rows = st.truth[right_idx].rows;
                 let cpu = ((l_rows + r_rows) * c.merge_cmp_secs + truth.rows * c.emit_secs) * noise;
@@ -495,14 +498,14 @@ impl Simulator {
                 }
             }
             OpType::NestedLoop => {
-                let outer = self.walk(&node.children[0], st, out, io);
+                let outer = self.walk(plan, st, out, io);
                 let outer_rows = st.truth[idx + 1].rows.max(0.0);
-                let inner_node = &node.children[1];
+                let inner_idx = out.len();
+                let inner_node = &plan[inner_idx];
                 match inner_node.op {
                     OpType::IndexScan => {
                         // Probe-mode: charge per-probe I/O with buffer-pool
                         // thrash once the touched page set exceeds the pool.
-                        let inner_idx = out.len();
                         out.push(NodeTiming { start: 0.0, run: 0.0 });
                         let table = inner_node.scan_table().expect("scan");
                         let table_pages = table.pages(st.sf) as f64;
@@ -538,7 +541,7 @@ impl Simulator {
                     _ => {
                         // Materialized inner: the Materialize node already
                         // accounts for its rescans.
-                        let inner = self.walk(inner_node, st, out, io);
+                        let inner = self.walk(plan, st, out, io);
                         let cpu = (outer_rows * c.cpu_tuple_secs * 0.5
                             + truth.rows * c.emit_secs)
                             * noise;
@@ -551,7 +554,7 @@ impl Simulator {
                 }
             }
             OpType::Materialize => {
-                let child = self.walk(&node.children[0], st, out, io);
+                let child = self.walk(plan, st, out, io);
                 let n = truth.rows.max(0.0);
                 let rescans = match &node.detail {
                     OpDetail::Materialize { rescans } => *rescans,
@@ -581,7 +584,7 @@ impl Simulator {
                 }
             }
             OpType::HashAggregate | OpType::GroupAggregate | OpType::Aggregate => {
-                let child = self.walk(&node.children[0], st, out, io);
+                let child = self.walk(plan, st, out, io);
                 let in_rows = st.truth[idx + 1].rows.max(0.0);
                 let (n_aggs, numeric_ops) = match &node.detail {
                     OpDetail::Agg {
@@ -624,7 +627,7 @@ impl Simulator {
                 }
             }
             OpType::Limit => {
-                let child = self.walk(&node.children[0], st, out, io);
+                let child = self.walk(plan, st, out, io);
                 let frac = match &node.detail {
                     OpDetail::Limit { count } => {
                         (*count as f64 / st.truth[idx + 1].rows.max(1.0)).min(1.0)
@@ -638,8 +641,8 @@ impl Simulator {
                 }
             }
             OpType::SubqueryScan => {
-                let input = self.walk(&node.children[0], st, out, io);
-                let sub = self.walk(&node.children[1], st, out, io);
+                let input = self.walk(plan, st, out, io);
+                let sub = self.walk(plan, st, out, io);
                 let (correlated, executions) = match &node.detail {
                     OpDetail::Subquery {
                         correlated,
@@ -682,7 +685,7 @@ mod tests {
     use rng::StdRng;
     use tpch::templates;
 
-    fn simulate(t: u8, sf: f64, seed: u64) -> (Trace, PlanNode) {
+    fn simulate(t: u8, sf: f64, seed: u64) -> (Trace, Box<[PlanNode]>) {
         let catalog = Catalog::new(sf, 1);
         let planner = Planner::new(&catalog);
         let mut rng = StdRng::seed_from_u64(seed);
@@ -698,8 +701,8 @@ mod tests {
         for t in templates::ALL_TEMPLATES {
             let (trace, plan) = simulate(t, 0.1, 3);
             assert!(trace.total_secs > 0.0 && trace.total_secs.is_finite(), "t{t}");
-            assert_eq!(trace.timings.len(), plan.node_count(), "t{t}");
-            for nt in &trace.timings {
+            assert_eq!(trace.timings.len(), plan.len(), "t{t}");
+            for nt in trace.timings.iter() {
                 assert!(nt.start >= 0.0 && nt.start.is_finite(), "t{t}");
                 assert!(nt.run >= nt.start * 0.999, "t{t}: run {} < start {}", nt.run, nt.start);
             }

@@ -1,7 +1,7 @@
 //! Behavioral tests of the planner's cost-based physical choices and the
 //! simulator's mechanism inventory.
 
-use engine::plan::{OpDetail, OpType, PlanNode, Planned};
+use engine::plan::{children, OpDetail, OpType, PlanNode, Planned};
 use engine::{Catalog, Planner, PlannerConfig, SimConfig, Simulator};
 use rng::StdRng;
 use tpch::spec::JoinKind;
@@ -18,7 +18,7 @@ fn plan_t(template: u8, sf: f64, seed: u64) -> Planned {
 fn hash_join_builds_on_smaller_estimated_side() {
     for t in [3u8, 5, 10, 12] {
         let plan = plan_t(t, 1.0, 9).plan;
-        for n in plan.preorder() {
+        for (i, n) in plan.iter().enumerate() {
             if n.op == OpType::HashJoin
                 && matches!(
                     n.detail,
@@ -28,10 +28,10 @@ fn hash_join_builds_on_smaller_estimated_side() {
                     }
                 )
             {
-                let probe = &n.children[0];
-                let hash = &n.children[1];
-                assert_eq!(hash.op, OpType::Hash);
-                let build_rows = hash.children[0].est.rows;
+                let [probe, hash] = [0, 1].map(|k| children(&plan, i).nth(k).unwrap());
+                let (probe, build) = (&plan[probe], &plan[hash + 1]);
+                assert_eq!(plan[hash].op, OpType::Hash);
+                let build_rows = build.est.rows;
                 assert!(
                     build_rows <= probe.est.rows * 1.001,
                     "t{t}: built {build_rows} rows while probing {}",
@@ -67,7 +67,7 @@ fn work_mem_flips_aggregation_strategy() {
     .plan(&spec)
     .plan;
 
-    let has = |p: &PlanNode, op: OpType| p.preorder().iter().any(|n| n.op == op);
+    let has = |p: &[PlanNode], op: OpType| p.iter().any(|n| n.op == op);
     assert!(has(&roomy, OpType::HashAggregate));
     assert!(!has(&roomy, OpType::GroupAggregate));
     assert!(has(&tight, OpType::GroupAggregate));
@@ -87,7 +87,7 @@ fn within_query_caching_speeds_second_scan() {
     let trace = sim.execute(&planned, 1.0, 1);
     // Collect the elapsed run time of each nation scan relative to its own
     // subtree start (the scans are leaves, so run - start ≈ service time).
-    let nodes = planned.plan.preorder();
+    let nodes = &planned.plan[..];
     let nation_scans: Vec<f64> = nodes
         .iter()
         .zip(&trace.timings)
@@ -139,10 +139,10 @@ fn spills_cost_time() {
 fn index_selection_depends_on_selectivity() {
     // Template 2's subquery probes partsupp by part key -> IndexScan.
     let t2 = plan_t(2, 1.0, 5).plan;
-    assert!(t2.preorder().iter().any(|n| n.op == OpType::IndexScan));
+    assert!(t2.iter().any(|n| n.op == OpType::IndexScan));
     // Template 1 scans all of lineitem -> SeqScan only.
     let t1 = plan_t(1, 1.0, 5).plan;
-    assert!(t1.preorder().iter().all(|n| n.op != OpType::IndexScan));
+    assert!(t1.iter().all(|n| n.op != OpType::IndexScan));
 }
 
 /// Semi joins never report more rows than their left input.
@@ -150,14 +150,14 @@ fn index_selection_depends_on_selectivity() {
 fn semi_join_cardinality_bounds() {
     for seed in 0..5u64 {
         let Planned { plan, truth } = plan_t(4, 1.0, seed);
-        for (i, n) in plan.preorder().into_iter().enumerate() {
+        for (i, n) in plan.iter().enumerate() {
             if let OpDetail::Join {
                 kind: JoinKind::Semi,
                 ..
             } = n.detail
             {
                 // The left input is the first child, at pre-order i + 1.
-                let left = &n.children[0];
+                let left = &plan[i + 1];
                 assert!(truth[i].rows <= truth[i + 1].rows * 1.001);
                 assert!(n.est.rows <= left.est.rows * 1.001);
             }
@@ -172,7 +172,7 @@ fn explain_covers_all_templates() {
     for t in tpch::ALL_TEMPLATES {
         let plan = plan_t(t, 0.5, 2).plan;
         let text = engine::explain(&plan);
-        assert_eq!(text.lines().count(), plan.node_count(), "t{t}");
+        assert_eq!(text.lines().count(), plan.len(), "t{t}");
         for line in text.lines() {
             assert!(line.contains("cost="), "t{t}: {line}");
             assert!(line.contains("rows="), "t{t}: {line}");
@@ -185,7 +185,7 @@ fn explain_covers_all_templates() {
 #[test]
 fn t9_like_underestimation_cascades() {
     let Planned { plan, truth } = plan_t(9, 10.0, 8);
-    let nodes = plan.preorder();
+    let nodes = &plan[..];
     let part_scan = nodes
         .iter()
         .position(|n| n.scan_table() == Some(tpch::TableId::Part))

@@ -68,7 +68,7 @@ fn sorts_block() {
     let p = plan(1, 0.5); // Sort on top of the aggregate
     let sim = Simulator::with_config(noiseless());
     let trace = sim.execute(&p, 0.5, 0);
-    let nodes = p.plan.preorder();
+    let nodes = &p.plan[..];
     for (i, n) in nodes.iter().enumerate() {
         if n.op == engine::OpType::Sort {
             // Child is at pre-order i+1.
@@ -97,7 +97,7 @@ fn group_aggregate_pipelines() {
     let p = planner.plan(&tpch::instantiate(10, 1.0, &mut rng));
     let sim = Simulator::with_config(noiseless());
     let trace = sim.execute(&p, 1.0, 0);
-    let nodes = p.plan.preorder();
+    let nodes = &p.plan[..];
     let mut checked = false;
     for (i, n) in nodes.iter().enumerate() {
         if n.op == engine::OpType::GroupAggregate {

@@ -14,9 +14,9 @@
 //!
 //! A request's plan travels in pre-order, each node as its operator, its
 //! six estimates, its truth (rows, pages, selectivity), its detail and
-//! its children. The plan type holds no truth: encode writes node *i*'s
-//! truth from the query's pre-order truth vector, and decode pushes the
-//! truths in the order it reads the nodes. The trace follows the plan.
+//! its child count: the order a plan is stored in, so encode writes the
+//! nodes as they stand, and decode pushes them, with their truths, in
+//! the order it reads them. The trace follows the plan.
 //!
 //! Two properties the seeded cases of `tests/codec_props.rs` pin down:
 //!
@@ -40,8 +40,8 @@
 //! is what callers should dispatch on, is always preserved).
 
 use engine::faults::ExecError;
-use engine::plan::{NodeTruth, MAX_CHILDREN};
-use engine::{NodeEst, OpDetail, PlanNode, Trace, ALL_OP_TYPES};
+use engine::plan::{children, NodeTruth, PlanBuilder, MAX_CHILDREN};
+use engine::{NodeEst, OpDetail, PlanNode, Planned, Trace, ALL_OP_TYPES};
 use ml::bytes::{put_f64, put_str, Malformed, Reader};
 use ml::MlError;
 use qpp::{tier_rank, ExecutedQuery, Method, PlanOrdering, Prediction, QppError, ALL_TIERS};
@@ -310,8 +310,7 @@ fn encode_request(r: &Request) -> Vec<u8> {
     out.push(method_code(r.method));
     out.extend_from_slice(&r.deadline_micros.unwrap_or(u64::MAX).to_le_bytes());
     out.push(r.query.template);
-    let mut truth = r.query.truth.iter();
-    encode_node(&mut out, &r.query.plan, &mut truth);
+    encode_plan(&mut out, &r.query.plan, &r.query.truth);
     out.extend_from_slice(&(r.query.trace.timings.len() as u32).to_le_bytes());
     for t in &r.query.trace.timings {
         put_f64(&mut out, t.start);
@@ -331,19 +330,20 @@ fn decode_request(r: &mut Reader) -> Result<Request, DecodeError> {
     let method = method_from(r.u8()?)?;
     let deadline = r.u64()?;
     let template = r.u8()?;
-    // The truths gather in the thread's scratch vector, and the query
-    // gets one allocation of exactly their length: a vector grown node by
-    // node and shrunk to fit on every request a server decodes fragments
-    // its heap (DESIGN.md §7, "Memory: what a logged query costs").
+    // The nodes and truths gather in the thread's scratch builder, and the
+    // query gets one allocation of exactly their length for each: vectors
+    // grown node by node and shrunk to fit on every request a server
+    // decodes fragment its heap (DESIGN.md §7, "Memory: what a logged
+    // query costs").
     thread_local! {
-        static TRUTH: RefCell<Vec<NodeTruth>> = const { RefCell::new(Vec::new()) };
+        static PLAN: RefCell<PlanBuilder> = const { RefCell::new(PlanBuilder::new()) };
     }
-    let (plan, truth) = TRUTH.with_borrow_mut(|scratch| {
+    let Planned { plan, truth } = PLAN.with_borrow_mut(|scratch| {
         scratch.clear();
-        let plan = decode_node(r, 0, scratch)?;
-        Ok::<_, DecodeError>((plan, Box::<[NodeTruth]>::from(&scratch[..])))
+        decode_node(r, 0, scratch)?;
+        Ok::<_, DecodeError>(scratch.finish())
     })?;
-    let nodes = plan.node_count();
+    let nodes = plan.len();
     let n = r.count(16)?;
     if n != nodes {
         return Err(DecodeError::Malformed(
@@ -378,9 +378,9 @@ fn decode_request(r: &mut Reader) -> Result<Request, DecodeError> {
             plan,
             truth,
             trace: Trace {
-                timings,
+                timings: timings.into_boxed_slice(),
                 total_secs,
-                io_pages,
+                io_pages: io_pages.into_boxed_slice(),
             },
         },
     })
@@ -390,36 +390,32 @@ fn decode_request(r: &mut Reader) -> Result<Request, DecodeError> {
 // Plan tree.
 // ---------------------------------------------------------------------
 
-/// Writes `node` and its subtree in pre-order, each node's truth (the
-/// query's next entry) right after its estimates.
+/// Writes the plan's nodes as they stand, in pre-order, each node's truth
+/// right after its estimates and its child count last.
 ///
 /// # Panics
 /// Panics if the query holds fewer truths than its plan has nodes.
-fn encode_node(out: &mut Vec<u8>, node: &PlanNode, truth: &mut std::slice::Iter<'_, NodeTruth>) {
-    out.push(node.op.index() as u8);
-    put_f64(out, node.est.startup_cost);
-    put_f64(out, node.est.total_cost);
-    put_f64(out, node.est.rows);
-    put_f64(out, node.est.width);
-    put_f64(out, node.est.pages);
-    put_f64(out, node.est.selectivity);
-    let t = truth.next().expect("one truth per plan node");
-    put_f64(out, t.rows);
-    put_f64(out, t.pages);
-    put_f64(out, t.selectivity);
-    encode_detail(out, &node.detail);
-    out.push(node.children.len() as u8);
-    for c in &node.children {
-        encode_node(out, c, truth);
+fn encode_plan(out: &mut Vec<u8>, plan: &[PlanNode], truth: &[NodeTruth]) {
+    for (i, node) in plan.iter().enumerate() {
+        out.push(node.op.index() as u8);
+        put_f64(out, node.est.startup_cost);
+        put_f64(out, node.est.total_cost);
+        put_f64(out, node.est.rows);
+        put_f64(out, node.est.width);
+        put_f64(out, node.est.pages);
+        put_f64(out, node.est.selectivity);
+        let t = truth[i];
+        put_f64(out, t.rows);
+        put_f64(out, t.pages);
+        put_f64(out, t.selectivity);
+        encode_detail(out, &node.detail);
+        out.push(children(plan, i).count() as u8);
     }
 }
 
-/// Reads a subtree, pushing each node's truth onto `truth` in pre-order.
-fn decode_node(
-    r: &mut Reader,
-    depth: usize,
-    truth: &mut Vec<NodeTruth>,
-) -> Result<PlanNode, DecodeError> {
+/// Reads a subtree, pushing its nodes and their truths onto `plan` in the
+/// order they arrive.
+fn decode_node(r: &mut Reader, depth: usize, plan: &mut PlanBuilder) -> Result<(), DecodeError> {
     if depth > MAX_PLAN_DEPTH {
         return Err(DecodeError::Malformed("plan tree too deep"));
     }
@@ -435,26 +431,22 @@ fn decode_node(
         pages: r.f64()?,
         selectivity: r.f64()?,
     };
-    truth.push(NodeTruth {
+    let truth = NodeTruth {
         rows: r.f64()?,
         pages: r.f64()?,
         selectivity: r.f64()?,
-    });
+    };
     let detail = decode_detail(r)?;
     let n_children = r.u8()? as usize;
     if n_children > MAX_CHILDREN {
         return Err(DecodeError::Malformed("too many children"));
     }
-    let mut children = Vec::with_capacity(n_children);
+    let at = plan.push(op, est, truth, detail);
     for _ in 0..n_children {
-        children.push(decode_node(r, depth + 1, truth)?);
+        decode_node(r, depth + 1, plan)?;
     }
-    Ok(PlanNode {
-        op,
-        children: children.into_boxed_slice(),
-        est,
-        detail,
-    })
+    plan.close(at);
+    Ok(())
 }
 
 fn encode_detail(out: &mut Vec<u8>, detail: &OpDetail) {
@@ -932,8 +924,8 @@ mod tests {
     #[test]
     fn nan_estimates_survive_the_wire_bit_exactly() {
         let mut q = sample_query(6, 3);
-        q.plan.est.rows = f64::NAN;
-        q.plan.est.total_cost = f64::NEG_INFINITY;
+        q.plan[0].est.rows = f64::NAN;
+        q.plan[0].est.total_cost = f64::NEG_INFINITY;
         q.trace.total_secs = f64::INFINITY;
         let req = Request {
             id: 1,
@@ -946,11 +938,11 @@ mod tests {
         match Frame::decode(&bytes, DEFAULT_MAX_FRAME).expect("decode") {
             Frame::Request(back) => {
                 assert_eq!(
-                    back.query.plan.est.rows.to_bits(),
-                    req.query.plan.est.rows.to_bits()
+                    back.query.plan[0].est.rows.to_bits(),
+                    req.query.plan[0].est.rows.to_bits()
                 );
                 assert_eq!(back.query.trace.total_secs, f64::INFINITY);
-                assert_eq!(back.query.plan.est.total_cost, f64::NEG_INFINITY);
+                assert_eq!(back.query.plan[0].est.total_cost, f64::NEG_INFINITY);
             }
             other => panic!("wrong frame {other:?}"),
         }
@@ -983,13 +975,24 @@ mod tests {
         // The planner emits at most two children and the operator-level
         // features read two: a third would be dropped from composition.
         let mut query = sample_query(6, 3);
-        let child = query.plan.children[0].clone();
-        // The root's truth, then the child subtree's three times.
-        let child_truth = &query.truth[1..1 + child.node_count()];
-        query.truth = [&query.truth[..1], child_truth, child_truth, child_truth]
-            .concat()
-            .into();
-        query.plan.children = Box::new([child.clone(), child.clone(), child]);
+        // The root, then its child subtree three times.
+        fn copy(b: &mut PlanBuilder, q: &ExecutedQuery, at: usize) {
+            let n = &q.plan[at];
+            let pushed = b.push(n.op, n.est, q.truth[at], n.detail.clone());
+            for c in children(&q.plan, at) {
+                copy(b, q, c);
+            }
+            b.close(pushed);
+        }
+        let mut b = PlanBuilder::new();
+        let root = &query.plan[0];
+        b.push(root.op, root.est, query.truth[0], root.detail.clone());
+        for _ in 0..3 {
+            copy(&mut b, &query, 1);
+        }
+        b.close(0);
+        let Planned { plan, truth } = b.finish();
+        (query.plan, query.truth) = (plan, truth);
         let req = Request {
             id: 1,
             tenant: "t".into(),
@@ -1017,7 +1020,8 @@ mod tests {
             query,
         };
         let mut short_timings = sample_query(3, 5);
-        short_timings.trace.timings.pop();
+        let n = short_timings.trace.timings.len();
+        short_timings.trace.timings = short_timings.trace.timings[..n - 1].into();
         assert_eq!(
             Frame::decode(
                 &Frame::Request(request(short_timings)).encode(),
@@ -1029,7 +1033,7 @@ mod tests {
             ))
         );
         let mut long_pages = sample_query(3, 5);
-        long_pages.trace.io_pages.push(1.0);
+        long_pages.trace.io_pages = [&long_pages.trace.io_pages[..], &[1.0]].concat().into();
         assert_eq!(
             Frame::decode(
                 &Frame::Request(request(long_pages)).encode(),

@@ -61,7 +61,7 @@ fn main() {
         min_frequency: 4,
         ..HybridConfig::default()
     };
-    let incoming: Vec<&PlanNode> = test.iter().map(|q| &q.plan).collect();
+    let incoming: Vec<&[PlanNode]> = test.iter().map(|q| &q.plan[..]).collect();
     let built = online::build_models(&base, &train, &config, &incoming);
     let online_preds: Vec<f64> = test
         .iter()

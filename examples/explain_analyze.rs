@@ -49,6 +49,6 @@ fn main() {
     println!(
         "\nestimate vs truth at the root: {:.1} vs {:.1} rows — the models\n\
          must learn around exactly this kind of estimation error",
-        plan.est.rows, truth[0].rows
+        plan[0].est.rows, truth[0].rows
     );
 }

@@ -73,7 +73,7 @@ fn main() {
 
     // Cost-threshold baseline: calibrate the cost cutoff on history so the
     // same *fraction* of queries routes interactive.
-    let mut costs: Vec<f64> = dataset.queries.iter().map(|q| q.plan.est.total_cost).collect();
+    let mut costs: Vec<f64> = dataset.queries.iter().map(|q| q.plan[0].est.total_cost).collect();
     costs.sort_by(f64::total_cmp);
     let interactive_frac = dataset
         .queries
@@ -104,7 +104,7 @@ fn main() {
         if pred.degraded {
             degraded_routes += 1;
         }
-        let cost_route = q.plan.est.total_cost < cost_cutoff;
+        let cost_route = q.plan[0].est.total_cost < cost_cutoff;
         if qpp_route == actually_interactive {
             qpp_correct += 1;
         }
@@ -116,7 +116,7 @@ fn main() {
             format!("t{}", q.template),
             q.latency(),
             pred.value,
-            q.plan.est.total_cost,
+            q.plan[0].est.total_cost,
             mark(qpp_route == actually_interactive),
             mark(cost_route == actually_interactive),
         );

@@ -119,7 +119,7 @@ state_decls="$(grep -roE '^ *(pub(\([a-z]+\))? +)?(thread_local! *[({] *)?static
 if [ "$state_decls" != "crates/core/src/plan_model.rs BUFFERS
 crates/ml/src/gram.rs GLOBAL
 crates/ml/src/par.rs DEFAULT ON_WORKER POOL THREADS_LOCK THREAD_OVERRIDE
-crates/serve/src/codec.rs TRUTH
+crates/serve/src/codec.rs PLAN
 crates/tpch/src/distributions.rs BY_START P TABLE TABLE TABLE" ]; then
     echo "$state_decls"
     echo "FAIL: the statics and thread-locals per file are not the list DESIGN.md §7 agrees"
@@ -191,9 +191,26 @@ crates/serve/src/codec.rs
 crates/serve/tests/codec_props.rs
 examples/explain_analyze.rs
 tests/column_ref.rs
+tests/plan_equivalence.rs
 tests/truth_validation.rs" ]; then
     echo "$truth_files"
     echo "FAIL: the files reading the ground truth are not exactly the agreed list"
+    exit 1
+fi
+
+# A plan is one pre-order slice whose nodes carry their subtree lengths
+# (engine::plan). Only engine::plan writes a `PlanNode { … }` literal: the
+# planner, the codec and the tests build plans through its `PlanBuilder`,
+# which sets the lengths, so a hand-built node cannot break the layout.
+# (The length field is private, so such a literal would not compile
+# either; this names the rule where it is broken.)
+echo "==> plan gate: PlanNode literals in engine::plan only"
+plan_literals="$(grep -rnE '\bPlanNode *\{' crates src tests examples --include='*.rs' \
+    | grep -v -e '^crates/e2e/' -e '^crates/engine/src/plan.rs:' \
+    | grep -vE '(->|impl|struct) *PlanNode *\{' || true)"
+if [ -n "$plan_literals" ]; then
+    echo "$plan_literals"
+    echo "FAIL: a PlanNode literal outside engine::plan; build plans with PlanBuilder"
     exit 1
 fi
 

@@ -154,7 +154,7 @@ fn online_building_is_bit_identical_at_any_thread_count_and_plan_order() {
         min_frequency: 3,
         ..HybridConfig::default()
     };
-    let predict_online = |threads: usize, incoming: &[&PlanNode]| -> (usize, Vec<u64>) {
+    let predict_online = |threads: usize, incoming: &[&[PlanNode]]| -> (usize, Vec<u64>) {
         with_threads(threads, || {
             let built = online::build_models(&base, &train, &config, incoming);
             let preds = train
@@ -168,8 +168,8 @@ fn online_building_is_bit_identical_at_any_thread_count_and_plan_order() {
             (built.len(), preds)
         })
     };
-    let incoming: Vec<&PlanNode> = train.iter().map(|q| &q.plan).collect();
-    let reversed: Vec<&PlanNode> = incoming.iter().rev().copied().collect();
+    let incoming: Vec<&[PlanNode]> = train.iter().map(|q| &q.plan[..]).collect();
+    let reversed: Vec<&[PlanNode]> = incoming.iter().rev().copied().collect();
     let serial = predict_online(1, &incoming);
     assert!(serial.0 > 0, "online building kept no model to compare");
     assert_eq!(serial, predict_online(8, &incoming), "8 threads");

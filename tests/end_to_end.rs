@@ -142,7 +142,7 @@ fn online_modeling_is_guarded() {
             min_frequency: 4,
             ..HybridConfig::default()
         };
-        let incoming: Vec<&PlanNode> = test.iter().map(|q| &q.plan).collect();
+        let incoming: Vec<&[PlanNode]> = test.iter().map(|q| &q.plan[..]).collect();
         let built = online::build_models(&base, &train, &config, &incoming);
         let online_err = errors(
             &actual,
@@ -169,7 +169,7 @@ fn online_modeling_is_guarded() {
 fn optimizer_cost_is_a_poor_latency_predictor() {
     let ds = dataset(&[1, 3, 6, 9, 14], 10, 55);
     use ml::{Dataset, Learner, LearnerKind};
-    let costs: Vec<f64> = ds.queries.iter().map(|q| q.plan.est.total_cost).collect();
+    let costs: Vec<f64> = ds.queries.iter().map(|q| q.plan[0].est.total_cost).collect();
     let lat = ds.latencies();
     let x = Dataset::from_rows(costs.iter().map(|&c| vec![c]).collect());
     let m = LearnerKind::Linear { ridge: 1e-9 }.fit(&x, &lat).unwrap();

@@ -66,8 +66,8 @@ fn end_to_end_with_ten_percent_aborts_and_five_percent_stragglers() {
     // A query whose logged estimates are NaN-poisoned degrades to an
     // analytical tier — still finite and non-negative.
     let mut poisoned = ds.queries[0].clone();
-    poisoned.plan.est.rows = f64::NAN;
-    poisoned.plan.est.total_cost = f64::NAN;
+    poisoned.plan[0].est.rows = f64::NAN;
+    poisoned.plan[0].est.total_cost = f64::NAN;
     for method in METHODS {
         let p = qpp.predict_checked(&poisoned, method);
         assert!(p.value.is_finite() && p.value >= 0.0, "{method:?}: {p:?}");

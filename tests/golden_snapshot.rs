@@ -106,7 +106,7 @@ fn online_predictions(log: &QueryDataset, pool: &QueryDataset) -> (Vec<u8>, usiz
         .iter()
         .filter(|q| q.template == UNSEEN)
         .collect();
-    let incoming: Vec<&PlanNode> = unseen.iter().map(|q| &q.plan).collect();
+    let incoming: Vec<&[PlanNode]> = unseen.iter().map(|q| &q.plan[..]).collect();
     let built = online::build_models(&base, &train, &HybridConfig::default(), &incoming);
     let mut extended = 0;
     let mut bytes = Vec::new();

@@ -2,7 +2,7 @@
 //! predictions.
 //!
 //! `QppPredictor::predict_checked_batch_cached` walks every plan where it
-//! stands: views, subtree sizes and structure hashes live in the thread's
+//! stands: views and structure hashes live in the thread's
 //! reusable `PredictBuffers`, and feature rows are arrays. So once the
 //! buffers have grown to the largest plan, a batch allocates a fixed number
 //! of blocks (its result vectors) whether it holds 16 queries or 256, on
@@ -145,14 +145,14 @@ fn progressive_prediction_allocates_the_same_for_16_inputs_as_for_256() {
     // Each input is a plan, its views and what was observed at half its
     // latency, built before anything is counted.
     let half_run = |q: &ExecutedQuery| observations_at(&q.trace, q.latency() * 0.5);
-    let inputs: Vec<(&PlanNode, Vec<NodeView>, Observations)> = (refs.iter().cycle().take(256))
-        .map(|&q| (&q.plan, q.views(source), half_run(q)))
+    let inputs: Vec<(&[PlanNode], Vec<NodeView>, Observations)> = (refs.iter().cycle().take(256))
+        .map(|&q| (&q.plan[..], q.views(source), half_run(q)))
         .collect();
     // The trained hybrid, and the operator-level models alone: no sub-plan
     // model covers a node, so every unobserved node is walked.
     let operator_only = HybridModel::operator_only(Arc::clone(&qpp.op_level));
     for (name, model) in [("hybrid", &qpp.hybrid), ("operator-only", &operator_only)] {
-        let predict_all = |inputs: &[(&PlanNode, Vec<NodeView>, Observations)]| -> f64 {
+        let predict_all = |inputs: &[(&[PlanNode], Vec<NodeView>, Observations)]| -> f64 {
             (inputs.iter())
                 .map(|(plan, views, observed)| predict_progressive(model, plan, views, observed))
                 .sum()

@@ -164,7 +164,7 @@ fn plan_features_are_finite() {
             assert!(v.is_finite());
         }
         // op_count equals the node count.
-        assert_eq!(f[4] as usize, plan.node_count());
+        assert_eq!(f[4] as usize, plan.len());
     });
 }
 

@@ -8,9 +8,10 @@
 //! the benchmark fixture's log stays under a ceiling set from its
 //! measurement, and once its predictor is dropped it leaves the heap
 //! where it found it: no Gram matrix or other training scratch stays. A
-//! workload holds its instances' parameter draws, not their plans. A
-//! counting `#[global_allocator]` counts each thread's blocks and the
-//! bytes it has live (allocated less freed), and the bytes the whole
+//! workload holds its instances' parameter draws, not their plans, and a
+//! logged query holds its plan in one block, not one per node. A
+//! counting `#[global_allocator]` counts each thread's blocks, the blocks
+//! and bytes it has live (allocated less freed), and the bytes the whole
 //! process has live; every test holds one lock, so no other test's heap
 //! is counted, and the training tests pin their thread count.
 
@@ -29,10 +30,17 @@ thread_local! {
     static ALLOCS: Cell<usize> = const { Cell::new(0) };
     /// Bytes this thread allocated less the bytes it freed.
     static LIVE: Cell<isize> = const { Cell::new(0) };
+    /// Blocks this thread allocated less the blocks it freed.
+    static LIVE_BLOCKS: Cell<isize> = const { Cell::new(0) };
 }
 
 fn count_one() {
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Adds `blocks` (negative when freed) to this thread's live blocks.
+fn count_block(blocks: isize) {
+    let _ = LIVE_BLOCKS.try_with(|live| live.set(live.get() + blocks));
 }
 
 /// Bytes the process allocated less the bytes it freed, on any thread.
@@ -48,12 +56,14 @@ fn count_bytes(bytes: isize) {
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_one();
+        count_block(1);
         count_bytes(layout.size() as isize);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count_one();
+        count_block(1);
         count_bytes(layout.size() as isize);
         System.alloc_zeroed(layout)
     }
@@ -65,6 +75,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count_block(-1);
         count_bytes(-(layout.size() as isize));
         System.dealloc(ptr, layout)
     }
@@ -167,6 +178,25 @@ fn a_workload_holds_its_draws() {
     // A draw is 48 B. An instance that kept its parameter strings and
     // logical plan held 924 B.
     assert!(per_instance <= 64.0, "{per_instance:.1} B per instance");
+}
+
+#[test]
+fn a_logged_query_is_a_few_blocks() {
+    let _guard = serial();
+    ml::par::set_threads(1);
+    // Anything collection computes once and keeps is not the log's.
+    drop(fixture_log(20));
+    let (blocks, bytes) = (LIVE_BLOCKS.with(Cell::get), LIVE.with(Cell::get));
+    let log = fixture_log(20);
+    let blocks = (LIVE_BLOCKS.with(Cell::get) - blocks) as f64 / log.queries.len() as f64;
+    let bytes = (LIVE.with(Cell::get) - bytes) as f64 / log.queries.len() as f64;
+    ml::par::set_threads(0);
+    // Measured 5.72 blocks and 1 218 B a query: one block each for the
+    // plan, its truth and the trace's two per-node records, and 1.72 for
+    // the scans' filters. A plan boxed node by node read 10.15 blocks and
+    // 1 348 B.
+    assert!(blocks <= 6.0, "{blocks:.2} blocks a query");
+    assert!(bytes <= 1250.0, "{bytes:.0} B a query");
 }
 
 /// Live bytes, process-wide, that a fixture training leaves once its

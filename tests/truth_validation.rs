@@ -205,7 +205,6 @@ fn estimator_vs_truth_divergence_on_t18() {
     // the truth.
     let blow_up = planned
         .plan
-        .preorder()
         .iter()
         .zip(&planned.truth[..])
         .any(|(n, t)| t.rows > 0.0 && n.est.rows > t.rows * 500.0);
