@@ -137,7 +137,7 @@ impl ExecutedQuery {
     /// Observed physical disk traffic in 8 KiB pages (the second
     /// performance metric of the paper family — Section 6 discusses
     /// predicting multiple metrics; reference \[1\] predicts disk I/O).
-    pub fn total_io_pages(&self) -> f64 {
+    pub(crate) fn total_io_pages(&self) -> f64 {
         self.trace.io_pages.iter().sum()
     }
 
@@ -151,7 +151,7 @@ impl ExecutedQuery {
     /// [`ExecutedQuery::views`] into a caller-owned buffer (cleared first).
     /// Estimated views read the plan alone; actual views read the plan and
     /// the truth.
-    pub fn views_into(&self, source: FeatureSource, out: &mut Vec<NodeView>) {
+    pub(crate) fn views_into(&self, source: FeatureSource, out: &mut Vec<NodeView>) {
         match source {
             FeatureSource::Estimated => views_into(&self.plan, out),
             FeatureSource::Actual => actual_views_into(&self.plan, &self.truth, out),
@@ -734,6 +734,72 @@ mod tests {
                     .collect()
             };
             assert_eq!(costs(a), costs(b));
+        }
+    }
+
+    /// A log with less simulator noise than the default.
+    fn quiet_dataset(templates: &[u8], per_template: usize, sf: f64, seed: u64) -> QueryDataset {
+        let sim = Simulator::with_config(engine::SimConfig {
+            additive_noise_secs: 0.05,
+            ..engine::SimConfig::default()
+        });
+        let workload = Workload::generate(templates, per_template, sf, seed);
+        QueryDataset::execute(&Catalog::new(sf, 1), &workload, &sim, 31, f64::INFINITY)
+    }
+
+    /// Disk-I/O prediction (Section 6's multi-metric direction): the same
+    /// plan-level machinery predicts physical page traffic, and does so at
+    /// least as well as it predicts latency (I/O is less noisy).
+    #[test]
+    fn plan_level_predicts_disk_io() {
+        use crate::plan_model::{PlanLevelModel, PlanModelConfig, TargetMetric};
+        let ds = quiet_dataset(&[1, 3, 6, 12, 14], 12, 1.0, 29);
+        let refs: Vec<&ExecutedQuery> = ds.queries.iter().collect();
+        let folds = ml::cv::stratified_kfold(&ds.strata(), 4, 3);
+        let mut rows = Vec::new();
+        for fold in &folds {
+            let train: Vec<&ExecutedQuery> = fold.train.iter().map(|&i| refs[i]).collect();
+            let model = PlanLevelModel::train(
+                &train,
+                &PlanModelConfig {
+                    metric: TargetMetric::DiskIo,
+                    ..PlanModelConfig::default()
+                },
+            )
+            .unwrap();
+            assert_eq!(model.metric(), TargetMetric::DiskIo);
+            for &i in &fold.test {
+                rows.push((refs[i].total_io_pages(), model.predict(refs[i])));
+            }
+        }
+        let (a, p): (Vec<f64>, Vec<f64>) = rows.into_iter().unzip();
+        let err = ml::mean_relative_error(&a, &p);
+        assert!(err < 0.25, "disk-I/O prediction error = {err}");
+    }
+
+    /// Per-node I/O accounting sums to something sensible: scans of big
+    /// tables dominate; every entry is non-negative and finite.
+    #[test]
+    fn io_accounting_is_consistent() {
+        let ds = quiet_dataset(&[1, 5, 9], 3, 1.0, 41);
+        for q in &ds.queries {
+            assert_eq!(q.trace.io_pages.len(), q.plan.len());
+            for &p in q.trace.io_pages.iter() {
+                assert!(p.is_finite() && p >= 0.0);
+            }
+            // A query scanning lineitem must read at least its heap pages once.
+            if q.plan.iter().any(|n| {
+                n.scan_table() == Some(tpch::TableId::Lineitem) && n.op == engine::OpType::SeqScan
+            }) {
+                let li_pages = tpch::TableId::Lineitem.pages(1.0) as f64;
+                assert!(
+                    q.total_io_pages() >= li_pages * 0.9,
+                    "t{}: io {} vs lineitem {}",
+                    q.template,
+                    q.total_io_pages(),
+                    li_pages
+                );
+            }
         }
     }
 }

@@ -6,9 +6,9 @@
 //! *actual*-valued annotations instead (true cardinalities and re-costed
 //! values), selected by [`FeatureSource`]. A bare plan has estimated views
 //! only; actual views need the truth an executed query keeps beside its
-//! plan ([`crate::ExecutedQuery::views_into`]).
+//! plan (`crate::ExecutedQuery::views_into`).
 
-use engine::plan::{NodeTruth, OpType, PlanNode, ALL_OP_TYPES};
+use engine::plan::{NodeTruth, PlanNode, ALL_OP_TYPES};
 use engine::recost::for_each_truth_cost;
 use ml::bytes::{Malformed, Reader};
 
@@ -65,7 +65,7 @@ pub fn node_views(plan: &[PlanNode]) -> Vec<NodeView> {
 
 /// [`node_views`] into a caller-owned buffer (cleared first): a caller
 /// that keeps the buffer resolves plan after plan without allocating.
-pub fn views_into(plan: &[PlanNode], out: &mut Vec<NodeView>) {
+pub(crate) fn views_into(plan: &[PlanNode], out: &mut Vec<NodeView>) {
     out.clear();
     out.extend(plan.iter().map(|n| NodeView {
         rows: n.est.rows,
@@ -104,7 +104,7 @@ pub const PLAN_FEATURES: usize = 7 + 2 * ALL_OP_TYPES.len();
 
 /// Names of the plan-level features, aligned with
 /// [`plan_features`]' output order.
-pub fn plan_feature_names() -> Vec<String> {
+pub(crate) fn plan_feature_names() -> Vec<String> {
     let mut names = vec![
         "p_tot_cost".to_string(),
         "p_st_cost".to_string(),
@@ -162,7 +162,7 @@ pub fn plan_features(plan: &[PlanNode], views: &[NodeView]) -> [f64; PLAN_FEATUR
 
 /// Names of the Table-2 operator-level features, aligned with
 /// [`op_features`].
-pub const OP_FEATURE_NAMES: [&str; 9] = [
+pub(crate) const OP_FEATURE_NAMES: [&str; 9] = [
     "np", "nt", "nt1", "nt2", "sel", "st1", "rt1", "st2", "rt2",
 ];
 
@@ -172,7 +172,7 @@ pub const OP_FEATURE_NAMES: [&str; 9] = [
 /// `child_times` supplies the (start, run) values of the node's children —
 /// observed values at training time, composed predictions at prediction
 /// time (Figure 2 of the paper).
-pub fn op_features(
+pub(crate) fn op_features(
     view: &NodeView,
     child_views: &[&NodeView],
     child_times: &[(f64, f64)],
@@ -192,8 +192,10 @@ pub fn op_features(
     ]
 }
 
-/// Convenience: which operator types appear in a plan (for diagnostics).
-pub fn op_histogram(plan: &[PlanNode]) -> Vec<(OpType, usize)> {
+/// Which operator types appear in a plan, and how often: the count the
+/// tests hold the `_cnt` plan features to.
+#[cfg(test)]
+fn op_histogram(plan: &[PlanNode]) -> Vec<(engine::OpType, usize)> {
     let mut cnt = [0usize; ALL_OP_TYPES.len()];
     for n in plan {
         cnt[n.op.index()] += 1;
@@ -209,7 +211,7 @@ pub fn op_histogram(plan: &[PlanNode]) -> Vec<(OpType, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use engine::{Catalog, Planned, Planner};
+    use engine::{Catalog, OpType, Planned, Planner};
     use rng::StdRng;
 
     fn planned(t: u8) -> Planned {
@@ -297,5 +299,50 @@ mod tests {
         assert!(h.iter().any(|(op, _)| *op == OpType::SeqScan));
         let total: usize = h.iter().map(|(_, c)| c).sum();
         assert_eq!(total, p.len());
+    }
+
+    /// The plan of template `t` at scale factor `sf`, drawn at seed 12.
+    fn plan_at(t: u8, sf: f64) -> Box<[PlanNode]> {
+        let catalog = Catalog::new(sf, 1);
+        let spec = tpch::instantiate(t, sf, &mut StdRng::seed_from_u64(12));
+        Planner::new(&catalog).plan(&spec).plan
+    }
+
+    /// Feature names are unique and aligned with the vector layout.
+    #[test]
+    fn feature_names_are_unique() {
+        let names = plan_feature_names();
+        let set: std::collections::HashSet<&String> = names.iter().collect();
+        assert_eq!(set.len(), names.len());
+        assert_eq!(names[0], "p_tot_cost");
+        assert_eq!(names[1], "p_st_cost");
+        assert_eq!(names[4], "op_count");
+    }
+
+    /// `<op>_cnt` features count exactly the operators in the histogram.
+    #[test]
+    fn op_count_features_match_histogram() {
+        for t in [1u8, 3, 9, 13, 18] {
+            let p = plan_at(t, 0.5);
+            let views = node_views(&p);
+            let f = plan_features(&p, &views);
+            for (op, count) in op_histogram(&p) {
+                let feature = f[7 + op.index()];
+                assert_eq!(feature as usize, count, "t{t} {op:?}");
+            }
+        }
+    }
+
+    /// Operator-level feature vectors encode the child arity: unary operators
+    /// have zeroed right-child features.
+    #[test]
+    fn unary_operators_zero_right_child_features() {
+        let p = plan_at(1, 0.5);
+        let views = node_views(&p);
+        // Root (Sort) is unary.
+        let f = op_features(&views[0], &[&views[1]], &[(1.0, 2.0)]);
+        assert_eq!(f[3], 0.0); // nt2
+        assert_eq!(f[7], 0.0); // st2
+        assert_eq!(f[8], 0.0); // rt2
     }
 }

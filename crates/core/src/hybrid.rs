@@ -200,7 +200,7 @@ impl HybridModel {
     }
 
     /// Predicts with per-node detail.
-    pub fn predict_detailed(&self, query: &ExecutedQuery) -> HybridPrediction {
+    pub(crate) fn predict_detailed(&self, query: &ExecutedQuery) -> HybridPrediction {
         let views = query.views(self.op_model.source());
         self.predict_plan(&query.plan, &views)
     }

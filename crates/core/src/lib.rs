@@ -18,41 +18,42 @@
 //! - [`online`] — online model building for unforeseen plans (Section 4):
 //!   sub-plan models built for the incoming plans, and a hybrid model
 //!   extended by those that apply to one plan.
-//! - [`pred_cache`] — bounded memo cache of whole-plan hybrid predictions
+//! - `pred_cache` — bounded memo cache of whole-plan hybrid predictions
 //!   keyed by (model signature, root structure hash, views hash); backs
 //!   the batched hybrid inference path.
 //! - [`progressive`] — progressive prediction with run-time features (the
 //!   extension sketched in the paper's conclusions).
-//! - [`predictor`] — the user-facing facade.
-//! - [`monitor`] — the feedback loop: a CUSUM drift detector over the
+//! - `predictor` — the user-facing facade.
+//! - `monitor` — the feedback loop: a CUSUM drift detector over the
 //!   relative error of `(prediction, observed latency)` pairs, driving the
 //!   Healthy → Suspect → Quarantined state machine.
-//! - [`registry`] — versioned, checksummed model snapshots with validated
+//! - `registry` — versioned, checksummed model snapshots with validated
 //!   hot swap, shadow retraining, and one-step rollback.
-//! - [`error`] — the unified [`QppError`] across execution and learning.
+//! - `error` — the unified [`QppError`] across execution and learning.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod dataset;
-pub mod error;
+mod error;
 pub mod features;
 pub mod hybrid;
-pub mod materialize;
-pub mod monitor;
+mod materialize;
+mod monitor;
 pub mod online;
 pub mod op_model;
 pub mod plan_model;
-pub mod pred_cache;
-pub mod predictor;
+mod pred_cache;
+mod predictor;
 pub mod progressive;
-pub mod registry;
+mod registry;
 pub mod subplan;
 
 pub use dataset::{
     CollectionConfig, CollectionReport, ExecutedQuery, QueryDataset, ONE_HOUR_SECS,
 };
 pub use error::QppError;
-pub use features::{plan_features, views_into, FeatureSource, NodeView};
+pub use features::{plan_features, FeatureSource, NodeView};
 pub use hybrid::{train_hybrid, HybridConfig, HybridModel, PlanOrdering};
 pub use materialize::MaterializedModels;
 pub use monitor::{DriftMonitor, ModelHealth};
@@ -63,6 +64,6 @@ pub use predictor::{
     tier_rank, Method, Prediction, PredictionTier, QppConfig, QppPredictor, ALL_TIERS,
     MODEL_TIERS,
 };
-pub use progressive::{observations_at, predict_progressive, predict_progressive_at};
+pub use progressive::{observations_at, predict_progressive};
 pub use registry::{decode_snapshot, encode_snapshot, ModelRegistry, PromotionReport};
-pub use subplan::{structure_hashes_into, structure_key, StructureKey, SubplanIndex};
+pub use subplan::{structure_key, StructureKey, SubplanIndex};

@@ -47,7 +47,7 @@ pub struct MaterializedModels {
     /// Median training latency — the last-resort prior. 0.0 when unknown.
     pub prior_latency: f64,
     /// Each learned tier's recorded error, in [`crate::MODEL_TIERS`]
-    /// order ([`QppPredictor::recorded_error`]).
+    /// order (`QppPredictor::recorded_error`).
     pub recorded_error: [f64; 3],
 }
 

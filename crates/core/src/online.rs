@@ -82,10 +82,9 @@ pub fn build_models(
 /// `base` plus each model of `built` whose fragment occurs in `plan`,
 /// that `base` does not model already, and whose run-time head was trained
 /// on features like those of the fragment's first pre-order occurrence
-/// ([`FeatureModel::in_range`]). Out-of-range fragments stay with the base
+/// (`FeatureModel::in_range`). Out-of-range fragments stay with the base
 /// models.
 ///
-/// [`FeatureModel::in_range`]: crate::plan_model::FeatureModel::in_range
 pub fn extend(
     base: &HybridModel,
     built: &HashMap<StructureKey, SubplanModel>,

@@ -200,7 +200,7 @@ impl OpLevelModel {
     /// the snapshot bytes of every per-operator model and the two training
     /// switches. Part of the hybrid model-set signature that keys the
     /// prediction cache.
-    pub fn fingerprint(&self) -> u64 {
+    pub(crate) fn fingerprint(&self) -> u64 {
         let mut bytes = Vec::new();
         self.encode(&mut bytes);
         crate::pred_cache::hash_bytes(&bytes)

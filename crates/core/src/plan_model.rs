@@ -162,7 +162,7 @@ impl FeatureModel {
     }
 
     /// Trains on the full feature set (no selection) — the ablation arm.
-    pub fn train_full(
+    pub(crate) fn train_full(
         x: &Dataset,
         y: &[f64],
         learner: &LearnerKind,
@@ -229,7 +229,7 @@ impl FeatureModel {
     /// widened by one span of each selected feature's range — the model's
     /// applicability check, used by the online method before trusting a
     /// freshly built model on an unforeseen plan.
-    pub fn in_range(&self, full_features: &[f64]) -> bool {
+    pub(crate) fn in_range(&self, full_features: &[f64]) -> bool {
         self.selected
             .iter()
             .zip(&self.feature_ranges)
@@ -330,7 +330,7 @@ impl FeatureModel {
     /// differently even when they cover the same plan structures. It
     /// encodes the model, so it is computed where a model set is built,
     /// not per prediction.
-    pub fn fingerprint(&self) -> u64 {
+    pub(crate) fn fingerprint(&self) -> u64 {
         let mut bytes = Vec::new();
         self.encode(&mut bytes);
         crate::pred_cache::hash_bytes(&bytes)
@@ -360,7 +360,7 @@ pub struct PredictBuffers {
 impl PredictBuffers {
     /// Runs `f` with this thread's reusable buffers (fresh buffers if the
     /// thread-local is unavailable, e.g. re-entrant use).
-    pub fn with_thread_local<T>(f: impl FnOnce(&mut PredictBuffers) -> T) -> T {
+    pub(crate) fn with_thread_local<T>(f: impl FnOnce(&mut PredictBuffers) -> T) -> T {
         thread_local! {
             static BUFFERS: RefCell<PredictBuffers> = RefCell::new(PredictBuffers::default());
         }
@@ -535,7 +535,7 @@ pub fn assemble(queries: &[&ExecutedQuery], source: FeatureSource) -> (Dataset, 
 /// Assembles the design matrix with an explicit target metric: one view
 /// buffer serves every plan, and each feature row is pushed straight from
 /// [`plan_features`]' array.
-pub fn assemble_metric(
+pub(crate) fn assemble_metric(
     queries: &[&ExecutedQuery],
     source: FeatureSource,
     metric: TargetMetric,

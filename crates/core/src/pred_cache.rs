@@ -35,7 +35,7 @@ use std::sync::Mutex;
 
 /// Default entry cap; at 32 bytes an entry (a 24-byte key and an `f64`)
 /// in a map of 16 384 buckets, this bounds the cache to about 530 KiB.
-pub const DEFAULT_PRED_CACHE_CAPACITY: usize = 8192;
+pub(crate) const DEFAULT_PRED_CACHE_CAPACITY: usize = 8192;
 
 /// Cache key for one plan's prediction; see the module docs for why all
 /// three components are required.

@@ -406,12 +406,12 @@ impl QppPredictor {
 
     /// Median observed seconds per optimizer cost unit at training time
     /// (NaN when no training query had a usable cost estimate).
-    pub fn secs_per_cost(&self) -> f64 {
+    pub(crate) fn secs_per_cost(&self) -> f64 {
         self.secs_per_cost
     }
 
     /// Median training latency (the last-resort prior).
-    pub fn prior_latency(&self) -> f64 {
+    pub(crate) fn prior_latency(&self) -> f64 {
         self.prior_latency
     }
 
@@ -422,7 +422,7 @@ impl QppPredictor {
     /// Algorithm 1's walk of the training log before its first iteration
     /// and after its last. The drift monitor's baseline. `None` for the
     /// analytical fallback tiers.
-    pub fn recorded_error(&self, tier: PredictionTier) -> Option<f64> {
+    pub(crate) fn recorded_error(&self, tier: PredictionTier) -> Option<f64> {
         tier_index(tier).map(|i| self.recorded_error[i])
     }
 

@@ -64,7 +64,7 @@ pub fn predict_progressive(
 /// observations visible at `elapsed` and floors the result at `elapsed`
 /// itself — a query that is still running after N seconds cannot finish
 /// in less than N seconds, the cheapest run-time feature there is.
-pub fn predict_progressive_at(
+pub(crate) fn predict_progressive_at(
     model: &HybridModel,
     plan: &[PlanNode],
     views: &[NodeView],

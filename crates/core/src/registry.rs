@@ -258,7 +258,7 @@ impl ModelRegistry {
     }
 
     /// Path of one version's snapshot file.
-    pub fn snapshot_path(&self, version: u64) -> PathBuf {
+    pub(crate) fn snapshot_path(&self, version: u64) -> PathBuf {
         self.dir.join(format!("v{version}.qppsnap"))
     }
 

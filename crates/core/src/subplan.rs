@@ -100,7 +100,7 @@ pub struct SubplanIndex {
 impl SubplanIndex {
     /// Builds the index over `(template, plan)` pairs, enumerating every
     /// subtree with at least two operators. Each plan's keys come from one
-    /// [`structure_hashes_into`] pass, so indexing a plan of `n` operators
+    /// `structure_hashes_into` pass, so indexing a plan of `n` operators
     /// costs O(n) hash work instead of the O(n²) of re-hashing every
     /// subtree from its root.
     pub fn build(plans: &[(u8, &[PlanNode])]) -> SubplanIndex {
@@ -218,7 +218,7 @@ impl SubplanIndex {
 /// sub-plan model in O(n) per plan; the prediction memo cache
 /// ([`crate::pred_cache::PredictionCache`]) keys a whole plan by
 /// `hashes[0]`.
-pub fn structure_hashes_into(plan: &[PlanNode], hashes: &mut Vec<u64>) {
+pub(crate) fn structure_hashes_into(plan: &[PlanNode], hashes: &mut Vec<u64>) {
     hashes.clear();
     hashes.resize(plan.len(), 0);
     for idx in (0..plan.len()).rev() {
@@ -361,5 +361,64 @@ mod tests {
         let idx = SubplanIndex::build(&refs);
         let sizes = idx.common_size_distribution();
         assert!(sizes.windows(2).all(|w| w[0] <= w[1]));
+    }
+
+    /// The plan of template `t` at scale factor `sf`, drawn at seed 12.
+    fn plan_at(t: u8, sf: f64) -> Box<[PlanNode]> {
+        let catalog = Catalog::new(sf, 1);
+        let spec = tpch::instantiate(t, sf, &mut StdRng::seed_from_u64(12));
+        Planner::new(&catalog).plan(&spec).plan
+    }
+
+    /// A structure hash by its definition, recursively: the node's operator,
+    /// scanned table and join kind, folded with its children's hashes in
+    /// order, except a binary hash join, which combines its two inputs as an
+    /// unordered pair with a `Hash` build wrapper stripped.
+    fn naive_structure_hash(plan: &[PlanNode], at: usize) -> u64 {
+        let mix = |h: u64, v: u64| (h ^ v).wrapping_mul(0x1000_0000_01b3);
+        let node = &plan[at];
+        let mut seed = mix(0xcbf2_9ce4_8422_2325, node.op.index() as u64 + 1);
+        if let OpDetail::Scan { table, .. } = &node.detail {
+            seed = mix(seed, *table as u64 + 101);
+        }
+        if let OpDetail::Join { kind, .. } = &node.detail {
+            seed = mix(seed, *kind as u64 + 501);
+        }
+        let kids: Vec<usize> = children(plan, at).collect();
+        if node.op == OpType::HashJoin && kids.len() == 2 {
+            let input = |c: usize| {
+                let wrapper = plan[c].op == OpType::Hash && children(plan, c).count() == 1;
+                naive_structure_hash(plan, c + usize::from(wrapper))
+            };
+            let (a, b) = (input(kids[0]), input(kids[1]));
+            let pair = (a ^ b).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                ^ a.wrapping_add(b)
+                ^ a.min(b).rotate_left(13);
+            return mix(seed, pair);
+        }
+        kids.into_iter()
+            .fold(seed, |h, c| mix(h, naive_structure_hash(plan, c)))
+    }
+
+    /// The one bottom-up pass agrees with the recursive definition and with
+    /// [`structure_key`] of the sub-plan on its own, at every pre-order
+    /// position of one plan per template, hash joins with and without a
+    /// `Hash` build wrapper included.
+    #[test]
+    fn the_hash_pass_matches_structure_key_at_every_node() {
+        let mut hashes = Vec::new();
+        for t in tpch::ALL_TEMPLATES {
+            let p = plan_at(t, 0.5);
+            structure_hashes_into(&p, &mut hashes);
+            assert_eq!(hashes.len(), p.len(), "t{t}");
+            for (i, &hash) in hashes.iter().enumerate() {
+                assert_eq!(hash, naive_structure_hash(&p, i), "t{t} node {i}");
+                assert_eq!(
+                    StructureKey(hash),
+                    structure_key(engine::plan::subplan(&p, i)),
+                    "t{t} node {i}"
+                );
+            }
+        }
     }
 }

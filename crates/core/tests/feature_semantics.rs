@@ -1,17 +1,15 @@
-//! Semantics of the Table-1 / Table-2 feature extractors, of the
-//! structure-hash pass and of the composition walk across the full
-//! template set.
+//! Semantics of the Table-1 feature extractor and of the composition walk
+//! across the full template set. (The Table-2 extractor, the feature
+//! names and the structure-hash pass are checked by `features`' and
+//! `subplan`'s unit tests.)
 
 use engine::plan::children;
-use engine::{Catalog, OpDetail, OpType, PlanNode, Planner, Simulator, ALL_OP_TYPES};
-use qpp::features::{
-    node_views, op_histogram, plan_feature_names, plan_features, FeatureSource, NodeView,
-    PLAN_FEATURES,
-};
+use engine::{Catalog, PlanNode, Planner, Simulator, ALL_OP_TYPES};
+use qpp::features::{node_views, plan_features, FeatureSource, NodeView, PLAN_FEATURES};
 use qpp::hybrid::{train_subplan_model, NodePrediction};
 use qpp::{
-    observations_at, predict_progressive, structure_hashes_into, structure_key, ExecutedQuery,
-    HybridModel, OpLevelModel, OpModelConfig, QueryDataset, StructureKey, SubplanIndex,
+    observations_at, predict_progressive, ExecutedQuery, HybridModel, OpLevelModel, OpModelConfig,
+    QueryDataset, SubplanIndex,
 };
 use rng::StdRng;
 use std::sync::Arc;
@@ -40,17 +38,6 @@ fn executed(t: u8, sf: f64) -> ExecutedQuery {
     }
 }
 
-/// Feature names are unique and aligned with the vector layout.
-#[test]
-fn feature_names_are_unique() {
-    let names = plan_feature_names();
-    let set: std::collections::HashSet<&String> = names.iter().collect();
-    assert_eq!(set.len(), names.len());
-    assert_eq!(names[0], "p_tot_cost");
-    assert_eq!(names[1], "p_st_cost");
-    assert_eq!(names[4], "op_count");
-}
-
 /// Sub-tree features are consistent with whole-plan features: the subtree
 /// slice of views produces the same vector as re-extracting on the
 /// subtree.
@@ -68,20 +55,6 @@ fn subtree_features_use_contiguous_view_slices() {
     assert_eq!(f[4] as usize, size);
     // The sub-tree root's cost is the first feature.
     assert_eq!(f[0], p[idx].est.total_cost);
-}
-
-/// `<op>_cnt` features count exactly the operators in the histogram.
-#[test]
-fn op_count_features_match_histogram() {
-    for t in [1u8, 3, 9, 13, 18] {
-        let p = plan(t, 0.5);
-        let views = node_views(&p);
-        let f = plan_features(&p, &views);
-        for (op, count) in op_histogram(&p) {
-            let feature = f[7 + op.index()];
-            assert_eq!(feature as usize, count, "t{t} {op:?}");
-        }
-    }
 }
 
 /// Estimated and actual views share widths but differ in rows wherever
@@ -111,72 +84,6 @@ fn view_sources_share_structure() {
         }
     }
     assert!(any_row_gap, "template 18 must show estimation gaps");
-}
-
-/// Operator-level feature vectors encode the child arity: unary operators
-/// have zeroed right-child features.
-#[test]
-fn unary_operators_zero_right_child_features() {
-    use qpp::features::op_features;
-    let p = plan(1, 0.5);
-    let views = node_views(&p);
-    // Root (Sort) is unary.
-    let f = op_features(&views[0], &[&views[1]], &[(1.0, 2.0)]);
-    assert_eq!(f[3], 0.0); // nt2
-    assert_eq!(f[7], 0.0); // st2
-    assert_eq!(f[8], 0.0); // rt2
-}
-
-/// A structure hash by its definition, recursively: the node's operator,
-/// scanned table and join kind, folded with its children's hashes in
-/// order, except a binary hash join, which combines its two inputs as an
-/// unordered pair with a `Hash` build wrapper stripped.
-fn naive_structure_hash(plan: &[PlanNode], at: usize) -> u64 {
-    let mix = |h: u64, v: u64| (h ^ v).wrapping_mul(0x1000_0000_01b3);
-    let node = &plan[at];
-    let mut seed = mix(0xcbf2_9ce4_8422_2325, node.op.index() as u64 + 1);
-    if let OpDetail::Scan { table, .. } = &node.detail {
-        seed = mix(seed, *table as u64 + 101);
-    }
-    if let OpDetail::Join { kind, .. } = &node.detail {
-        seed = mix(seed, *kind as u64 + 501);
-    }
-    let kids: Vec<usize> = children(plan, at).collect();
-    if node.op == OpType::HashJoin && kids.len() == 2 {
-        let input = |c: usize| {
-            let wrapper = plan[c].op == OpType::Hash && children(plan, c).count() == 1;
-            naive_structure_hash(plan, c + usize::from(wrapper))
-        };
-        let (a, b) = (input(kids[0]), input(kids[1]));
-        let pair = (a ^ b).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            ^ a.wrapping_add(b)
-            ^ a.min(b).rotate_left(13);
-        return mix(seed, pair);
-    }
-    kids.into_iter()
-        .fold(seed, |h, c| mix(h, naive_structure_hash(plan, c)))
-}
-
-/// The one bottom-up pass agrees with the recursive definition and with
-/// [`structure_key`] of the sub-plan on its own, at every pre-order
-/// position of one plan per template, hash joins with and without a
-/// `Hash` build wrapper included.
-#[test]
-fn the_hash_pass_matches_structure_key_at_every_node() {
-    let mut hashes = Vec::new();
-    for t in tpch::ALL_TEMPLATES {
-        let p = plan(t, 0.5);
-        structure_hashes_into(&p, &mut hashes);
-        assert_eq!(hashes.len(), p.len(), "t{t}");
-        for (i, &hash) in hashes.iter().enumerate() {
-            assert_eq!(hash, naive_structure_hash(&p, i), "t{t} node {i}");
-            assert_eq!(
-                StructureKey(hash),
-                structure_key(engine::plan::subplan(&p, i)),
-                "t{t} node {i}"
-            );
-        }
-    }
 }
 
 /// Table 1 as a naive loop over the fragment's materialized pre-order list.

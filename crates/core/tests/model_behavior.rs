@@ -183,61 +183,3 @@ fn predictions_are_non_negative_everywhere() {
         assert!(hy.predict(q) >= 0.0);
     }
 }
-
-/// Disk-I/O prediction (Section 6's multi-metric direction): the same
-/// plan-level machinery predicts physical page traffic, and does so at
-/// least as well as it predicts latency (I/O is less noisy).
-#[test]
-fn plan_level_predicts_disk_io() {
-    use qpp::plan_model::TargetMetric;
-    let ds = dataset(&[1, 3, 6, 12, 14], 12, 1.0, 29);
-    let refs: Vec<&ExecutedQuery> = ds.queries.iter().collect();
-    let folds = ml::cv::stratified_kfold(&ds.strata(), 4, 3);
-    let mut rows = Vec::new();
-    for fold in &folds {
-        let train: Vec<&ExecutedQuery> = fold.train.iter().map(|&i| refs[i]).collect();
-        let model = PlanLevelModel::train(
-            &train,
-            &PlanModelConfig {
-                metric: TargetMetric::DiskIo,
-                ..PlanModelConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(model.metric(), TargetMetric::DiskIo);
-        for &i in &fold.test {
-            rows.push((refs[i].total_io_pages(), model.predict(refs[i])));
-        }
-    }
-    let (a, p): (Vec<f64>, Vec<f64>) = rows.into_iter().unzip();
-    let err = mean_relative_error(&a, &p);
-    assert!(err < 0.25, "disk-I/O prediction error = {err}");
-}
-
-/// Per-node I/O accounting sums to something sensible: scans of big
-/// tables dominate; every entry is non-negative and finite.
-#[test]
-fn io_accounting_is_consistent() {
-    let ds = dataset(&[1, 5, 9], 3, 1.0, 41);
-    for q in &ds.queries {
-        assert_eq!(q.trace.io_pages.len(), q.plan.len());
-        for &p in q.trace.io_pages.iter() {
-            assert!(p.is_finite() && p >= 0.0);
-        }
-        // A query scanning lineitem must read at least its heap pages once.
-        if q.plan
-            .iter()
-            .any(|n| n.scan_table() == Some(tpch::TableId::Lineitem)
-                && n.op == engine::OpType::SeqScan)
-        {
-            let li_pages = tpch::TableId::Lineitem.pages(1.0) as f64;
-            assert!(
-                q.total_io_pages() >= li_pages * 0.9,
-                "t{}: io {} vs lineitem {}",
-                q.template,
-                q.total_io_pages(),
-                li_pages
-            );
-        }
-    }
-}

@@ -15,7 +15,7 @@ use tpch::schema::{ColRef, TableId, N_COLUMNS};
 
 /// Index inventory: the TPC-H primary keys plus the customary foreign-key
 /// index on `l_partkey` used by the correlated-subquery templates.
-pub fn has_index(col: ColRef) -> bool {
+pub(crate) fn has_index(col: ColRef) -> bool {
     col.table.primary_key() == col.name() || col.name() == "l_partkey"
 }
 

@@ -7,18 +7,18 @@
 //! interactions.
 
 /// Cost of a sequentially-fetched page (`seq_page_cost`).
-pub const SEQ_PAGE_COST: f64 = 1.0;
+pub(crate) const SEQ_PAGE_COST: f64 = 1.0;
 /// Cost of a randomly-fetched page (`random_page_cost`).
-pub const RANDOM_PAGE_COST: f64 = 4.0;
+pub(crate) const RANDOM_PAGE_COST: f64 = 4.0;
 /// Cost of processing one tuple (`cpu_tuple_cost`).
-pub const CPU_TUPLE_COST: f64 = 0.01;
+pub(crate) const CPU_TUPLE_COST: f64 = 0.01;
 /// Cost of processing one index entry (`cpu_index_tuple_cost`).
-pub const CPU_INDEX_TUPLE_COST: f64 = 0.005;
+pub(crate) const CPU_INDEX_TUPLE_COST: f64 = 0.005;
 /// Cost of evaluating one operator/function (`cpu_operator_cost`).
-pub const CPU_OPERATOR_COST: f64 = 0.0025;
+pub(crate) const CPU_OPERATOR_COST: f64 = 0.0025;
 /// Memory budget per sort/hash operation in bytes (`work_mem`, 8 MiB):
 /// the planner's and the simulator's default.
-pub const DEFAULT_WORK_MEM: f64 = 8.0 * 1024.0 * 1024.0;
+pub(crate) const DEFAULT_WORK_MEM: f64 = 8.0 * 1024.0 * 1024.0;
 
 /// A (startup, total) cost pair, PostgreSQL-style.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -44,7 +44,7 @@ impl Cost {
 
 /// Sequential scan: all pages + per-tuple CPU + per-tuple predicate
 /// evaluation.
-pub fn seq_scan(pages: f64, rows: f64, n_preds: usize) -> Cost {
+pub(crate) fn seq_scan(pages: f64, rows: f64, n_preds: usize) -> Cost {
     Cost {
         startup: 0.0,
         total: pages * SEQ_PAGE_COST
@@ -55,7 +55,7 @@ pub fn seq_scan(pages: f64, rows: f64, n_preds: usize) -> Cost {
 
 /// Index scan returning `matched` of `table_rows` rows (simplified
 /// Mackert–Lohman page fetch model).
-pub fn index_scan(table_pages: f64, matched: f64, n_preds: usize) -> Cost {
+pub(crate) fn index_scan(table_pages: f64, matched: f64, n_preds: usize) -> Cost {
     let pages_fetched = (matched * 1.05 + 2.0).min(table_pages);
     Cost {
         startup: 0.0,
@@ -67,7 +67,7 @@ pub fn index_scan(table_pages: f64, matched: f64, n_preds: usize) -> Cost {
 
 /// Blocking sort of `rows` input rows of `width` bytes; adds external-merge
 /// I/O when the data exceeds `work_mem`.
-pub fn sort(input: Cost, rows: f64, width: f64, work_mem: f64) -> Cost {
+pub(crate) fn sort(input: Cost, rows: f64, width: f64, work_mem: f64) -> Cost {
     let rows = rows.max(1.0);
     let cmp = 2.0 * rows * rows.log2().max(1.0) * CPU_OPERATOR_COST;
     let bytes = rows * width;
@@ -85,7 +85,7 @@ pub fn sort(input: Cost, rows: f64, width: f64, work_mem: f64) -> Cost {
 }
 
 /// Hash build over the input.
-pub fn hash_build(input: Cost, rows: f64) -> Cost {
+pub(crate) fn hash_build(input: Cost, rows: f64) -> Cost {
     let total = input.total + rows * (CPU_TUPLE_COST + CPU_OPERATOR_COST);
     Cost {
         startup: total,
@@ -94,7 +94,7 @@ pub fn hash_build(input: Cost, rows: f64) -> Cost {
 }
 
 /// Hash join: `hash` is the built inner, `probe` the outer stream.
-pub fn hash_join(probe: Cost, hash: Cost, probe_rows: f64, out_rows: f64) -> Cost {
+pub(crate) fn hash_join(probe: Cost, hash: Cost, probe_rows: f64, out_rows: f64) -> Cost {
     let startup = hash.total + probe.startup;
     Cost {
         startup,
@@ -106,7 +106,7 @@ pub fn hash_join(probe: Cost, hash: Cost, probe_rows: f64, out_rows: f64) -> Cos
 }
 
 /// Merge join over two sorted inputs.
-pub fn merge_join(left: Cost, right: Cost, l_rows: f64, r_rows: f64, out_rows: f64) -> Cost {
+pub(crate) fn merge_join(left: Cost, right: Cost, l_rows: f64, r_rows: f64, out_rows: f64) -> Cost {
     let startup = left.startup + right.startup;
     Cost {
         startup,
@@ -119,7 +119,7 @@ pub fn merge_join(left: Cost, right: Cost, l_rows: f64, r_rows: f64, out_rows: f
 }
 
 /// Nested loop with `outer_rows` rescans of the inner.
-pub fn nested_loop(outer: Cost, inner: Cost, inner_rescan: f64, outer_rows: f64, out_rows: f64) -> Cost {
+pub(crate) fn nested_loop(outer: Cost, inner: Cost, inner_rescan: f64, outer_rows: f64, out_rows: f64) -> Cost {
     let startup = outer.startup + inner.startup;
     Cost {
         startup,
@@ -132,7 +132,7 @@ pub fn nested_loop(outer: Cost, inner: Cost, inner_rescan: f64, outer_rows: f64,
 }
 
 /// Materialize: store the input once; rescans are charged by the caller.
-pub fn materialize(input: Cost, rows: f64) -> Cost {
+pub(crate) fn materialize(input: Cost, rows: f64) -> Cost {
     Cost {
         startup: input.startup,
         total: input.total + rows * CPU_OPERATOR_COST * 0.5,
@@ -140,12 +140,12 @@ pub fn materialize(input: Cost, rows: f64) -> Cost {
 }
 
 /// Rescan cost of a materialized relation (per rescan).
-pub fn materialize_rescan(rows: f64) -> f64 {
+pub(crate) fn materialize_rescan(rows: f64) -> f64 {
     rows * CPU_OPERATOR_COST * 0.25
 }
 
 /// Hash aggregation: blocking, one transition per (input row × aggregate).
-pub fn hash_aggregate(input: Cost, in_rows: f64, n_aggs: f64, groups: f64) -> Cost {
+pub(crate) fn hash_aggregate(input: Cost, in_rows: f64, n_aggs: f64, groups: f64) -> Cost {
     let startup = input.total + in_rows * n_aggs.max(1.0) * CPU_OPERATOR_COST;
     Cost {
         startup,
@@ -154,7 +154,7 @@ pub fn hash_aggregate(input: Cost, in_rows: f64, n_aggs: f64, groups: f64) -> Co
 }
 
 /// Sorted-input (pipelined) aggregation.
-pub fn group_aggregate(input: Cost, in_rows: f64, n_aggs: f64, groups: f64) -> Cost {
+pub(crate) fn group_aggregate(input: Cost, in_rows: f64, n_aggs: f64, groups: f64) -> Cost {
     Cost {
         startup: input.startup,
         total: input.total + in_rows * n_aggs.max(1.0) * CPU_OPERATOR_COST + groups * CPU_TUPLE_COST,
@@ -162,7 +162,7 @@ pub fn group_aggregate(input: Cost, in_rows: f64, n_aggs: f64, groups: f64) -> C
 }
 
 /// LIMIT: consumes only a fraction of the child's run phase.
-pub fn limit(input: Cost, child_rows: f64, count: f64) -> Cost {
+pub(crate) fn limit(input: Cost, child_rows: f64, count: f64) -> Cost {
     let frac = if child_rows > 0.0 {
         (count / child_rows).min(1.0)
     } else {
@@ -175,7 +175,7 @@ pub fn limit(input: Cost, child_rows: f64, count: f64) -> Cost {
 }
 
 /// Subquery wrapper: the input plus `executions` subquery evaluations.
-pub fn subquery(input: Cost, sub: Cost, executions: f64, in_rows: f64) -> Cost {
+pub(crate) fn subquery(input: Cost, sub: Cost, executions: f64, in_rows: f64) -> Cost {
     Cost {
         startup: input.startup + if executions >= 1.0 { sub.total } else { 0.0 },
         total: input.total + executions.max(1.0) * sub.total + in_rows * CPU_OPERATOR_COST,

@@ -13,26 +13,26 @@ use tpch::schema::ColRef;
 use tpch::types::CmpOp;
 
 /// PostgreSQL's default selectivity for inequality between columns.
-pub const DEFAULT_INEQ_SEL: f64 = 1.0 / 3.0;
+pub(crate) const DEFAULT_INEQ_SEL: f64 = 1.0 / 3.0;
 /// PostgreSQL's default selectivity for equality it cannot analyze.
-pub const DEFAULT_EQ_SEL: f64 = 0.005;
+pub(crate) const DEFAULT_EQ_SEL: f64 = 0.005;
 /// Default selectivity for `LIKE '%pattern%'`.
-pub const DEFAULT_MATCH_SEL: f64 = 0.005;
+pub(crate) const DEFAULT_MATCH_SEL: f64 = 0.005;
 
 /// The estimator: a thin, stateless layer over the catalog.
 #[derive(Debug)]
-pub struct Estimator<'a> {
+pub(crate) struct Estimator<'a> {
     catalog: &'a Catalog,
 }
 
 impl<'a> Estimator<'a> {
     /// Creates an estimator over `catalog`.
-    pub fn new(catalog: &'a Catalog) -> Self {
+    pub(crate) fn new(catalog: &'a Catalog) -> Self {
         Estimator { catalog }
     }
 
     /// Estimated selectivity of a single predicate.
-    pub fn predicate(&self, p: &Predicate) -> f64 {
+    pub(crate) fn predicate(&self, p: &Predicate) -> f64 {
         match p {
             Predicate::Cmp { col, op, value } => {
                 let ndistinct = self.catalog.ndistinct_est(*col);
@@ -67,13 +67,13 @@ impl<'a> Estimator<'a> {
     }
 
     /// Estimated selectivity of a conjunction (independence assumption).
-    pub fn conjunction(&self, preds: &[Predicate]) -> f64 {
+    pub(crate) fn conjunction(&self, preds: &[Predicate]) -> f64 {
         preds.iter().map(|p| self.predicate(p)).product()
     }
 
     /// Estimated inner-join output cardinality for `l ⋈ r` on the given
     /// columns: `|L||R| / max(ndv(L.key), ndv(R.key))`.
-    pub fn join_rows(&self, l_rows: f64, r_rows: f64, on: (ColRef, ColRef)) -> f64 {
+    pub(crate) fn join_rows(&self, l_rows: f64, r_rows: f64, on: (ColRef, ColRef)) -> f64 {
         let ndv = self
             .catalog
             .ndistinct_est(on.0)
@@ -84,7 +84,7 @@ impl<'a> Estimator<'a> {
 
     /// Estimated fraction of left rows with a match in the right input
     /// (semi-join selectivity): coverage of the right key domain.
-    pub fn semi_selectivity(&self, r_rows: f64, right_key: ColRef) -> f64 {
+    pub(crate) fn semi_selectivity(&self, r_rows: f64, right_key: ColRef) -> f64 {
         let ndv = self.catalog.ndistinct_est(right_key).max(1.0);
         // Cardenas: distinct right keys present given r_rows draws.
         let covered = cardenas(ndv, r_rows);
@@ -92,7 +92,7 @@ impl<'a> Estimator<'a> {
     }
 
     /// Estimated group count when grouping `input_rows` by `cols`.
-    pub fn group_count(&self, cols: &[ColRef], input_rows: f64) -> f64 {
+    pub(crate) fn group_count(&self, cols: &[ColRef], input_rows: f64) -> f64 {
         if cols.is_empty() {
             return 1.0;
         }
@@ -108,7 +108,7 @@ impl<'a> Estimator<'a> {
 
     /// Default HAVING selectivity (PostgreSQL has no statistics on
     /// aggregate outputs).
-    pub fn having_selectivity(&self, op: CmpOp) -> f64 {
+    pub(crate) fn having_selectivity(&self, op: CmpOp) -> f64 {
         match op {
             CmpOp::Eq => DEFAULT_EQ_SEL,
             CmpOp::Ne => 1.0 - DEFAULT_EQ_SEL,
@@ -117,7 +117,7 @@ impl<'a> Estimator<'a> {
     }
 
     /// Access to the underlying catalog.
-    pub fn catalog(&self) -> &Catalog {
+    pub(crate) fn catalog(&self) -> &Catalog {
         self.catalog
     }
 }

@@ -18,7 +18,7 @@ use tpch::spec::{AggFunc, JoinKind, Predicate, RelExpr};
 
 /// Column identity inside an intermediate relation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ColKey {
+pub(crate) enum ColKey {
     /// A base-table column carried through the pipeline.
     Col(ColRef),
     /// The i-th aggregate output of the nearest Aggregate below.
@@ -42,7 +42,7 @@ impl Relation {
     ///
     /// # Panics
     /// Panics if the key is absent.
-    pub fn column(&self, key: ColKey) -> &[f64] {
+    pub(crate) fn column(&self, key: ColKey) -> &[f64] {
         self.columns
             .iter()
             .find(|(k, _)| *k == key)
@@ -51,13 +51,8 @@ impl Relation {
     }
 
     /// Whether the relation carries the column.
-    pub fn has_column(&self, key: ColKey) -> bool {
+    pub(crate) fn has_column(&self, key: ColKey) -> bool {
         self.columns.iter().any(|(k, _)| *k == key)
-    }
-
-    /// Column keys in order.
-    pub fn keys(&self) -> Vec<ColKey> {
-        self.columns.iter().map(|(k, _)| *k).collect()
     }
 
     fn push(&mut self, key: ColKey, data: Vec<f64>) {

@@ -192,7 +192,7 @@ impl DriftPlan {
 
     /// Drift intensity in `[0, 1]` for the query at stream position `idx`:
     /// 0 before `onset`, ramping linearly to 1 over `ramp` queries.
-    pub fn intensity(&self, idx: usize) -> f64 {
+    pub(crate) fn intensity(&self, idx: usize) -> f64 {
         if idx < self.onset {
             return 0.0;
         }
@@ -204,7 +204,7 @@ impl DriftPlan {
 
     /// Latency multiplier for the query at stream position `idx` (1.0 when
     /// drift does not affect latency).
-    pub fn latency_factor(&self, idx: usize) -> f64 {
+    pub(crate) fn latency_factor(&self, idx: usize) -> f64 {
         match self.kind {
             DriftKind::DataGrowth => 1.0 + (self.magnitude.max(1.0) - 1.0) * self.intensity(idx),
             DriftKind::SelectivityShift => 1.0,

@@ -26,7 +26,7 @@ use tpch::schema::ColRef;
 use tpch::types::CmpOp;
 
 /// Number of histogram buckets (PostgreSQL's default statistics target).
-pub const DEFAULT_BUCKETS: usize = 100;
+pub(crate) const DEFAULT_BUCKETS: usize = 100;
 
 /// An equi-depth histogram over a column's numeric view: `bounds` has
 /// `buckets + 1` entries and each bucket holds equal probability mass.
@@ -46,7 +46,7 @@ impl Histogram {
     }
 
     /// Builds with an explicit bucket count (for resolution experiments).
-    pub fn build_with_buckets(col: ColRef, sf: f64, seed: u64, buckets: usize) -> Histogram {
+    pub(crate) fn build_with_buckets(col: ColRef, sf: f64, seed: u64, buckets: usize) -> Histogram {
         Self::build_from_cdf(col, sf, seed, buckets, |v| {
             distributions::selectivity(col, CmpOp::Le, v, sf)
         })
@@ -155,7 +155,7 @@ impl Histogram {
 /// Estimated selectivity of `col = constant`: every one of the estimated
 /// `ndistinct` values is taken to be equally frequent. `=` and `<>` read
 /// this and no histogram.
-pub fn eq_selectivity(ndistinct: f64) -> f64 {
+pub(crate) fn eq_selectivity(ndistinct: f64) -> f64 {
     1.0 / ndistinct.max(1.0)
 }
 

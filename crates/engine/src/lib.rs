@@ -7,11 +7,11 @@
 //!   estimation noise and distinct-count underestimation).
 //! - [`estimator`] — the optimizer's selectivity/cardinality estimator
 //!   (histograms + independence + default selectivities).
-//! - [`truth`] — the ground-truth cardinality model (exact generative
+//! - `truth` — the ground-truth cardinality model (exact generative
 //!   selectivities, correlation corrections).
 //! - [`plan`] — physical plan trees annotated with the optimizer's
 //!   estimates, and the pre-order ground truth planned beside them.
-//! - [`cost`] — PostgreSQL's analytical cost model (the paper's baseline).
+//! - `cost` — PostgreSQL's analytical cost model (the paper's baseline).
 //! - [`planner`] — cost-based physical planning of the TPC-H templates.
 //! - [`sim`] — the execution simulator producing per-operator start-times
 //!   and run-times (the paper's prediction targets).
@@ -19,25 +19,25 @@
 //!   stragglers, timeouts, corrupted estimates) for robustness testing.
 //! - [`exec`] — a reference executor over generated rows for validating
 //!   the truth model at tiny scale factors.
-//! - [`mod@explain`] — EXPLAIN / EXPLAIN ANALYZE rendering.
+//! - `explain` — EXPLAIN / EXPLAIN ANALYZE rendering.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod catalog;
-pub mod cost;
+mod cost;
 pub mod estimator;
 pub mod exec;
-pub mod explain;
+mod explain;
 pub mod faults;
 pub mod histogram;
 pub mod plan;
 pub mod planner;
 pub mod recost;
 pub mod sim;
-pub mod truth;
+mod truth;
 
 pub use catalog::Catalog;
-pub use estimator::Estimator;
 pub use faults::{DriftKind, DriftPlan, ExecError, FaultOutcome, FaultPlan};
 pub use explain::{explain, explain_analyze};
 pub use plan::{NodeEst, OpDetail, OpType, PlanBuilder, PlanNode, Planned, ALL_OP_TYPES};

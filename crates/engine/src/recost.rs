@@ -14,7 +14,7 @@ use crate::plan::{children, NodeTruth, OpDetail, OpType, PlanNode, MAX_CHILDREN}
 /// Costs every node of `plan` over its true rows and pages (`truth`,
 /// one per node in pre-order) in one walk that allocates nothing.
 /// `f(i, node, cost)` receives each node with its pre-order position `i`
-/// once its subtree is costed. Sorts spill past [`DEFAULT_WORK_MEM`], the
+/// once its subtree is costed. Sorts spill past `DEFAULT_WORK_MEM`, the
 /// budget the planner and the simulator run with.
 ///
 /// # Panics

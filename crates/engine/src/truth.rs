@@ -15,7 +15,7 @@ use tpch::types::CmpOp;
 /// # Panics
 /// Panics on a `ColCmp` pair the generative model has no closed form for
 /// (templates only use the date-lag comparisons below).
-pub fn predicate(p: &Predicate, sf: f64) -> f64 {
+pub(crate) fn predicate(p: &Predicate, sf: f64) -> f64 {
     match p {
         Predicate::Cmp { col, op, value } => {
             distributions::selectivity(*col, *op, value.as_f64(), sf)
@@ -36,7 +36,7 @@ pub fn predicate(p: &Predicate, sf: f64) -> f64 {
 
 /// True selectivity of a conjunction of predicates on one table; uses the
 /// override when the template computed a joint probability.
-pub fn conjunction(preds: &[Predicate], override_sel: Option<f64>, sf: f64) -> f64 {
+pub(crate) fn conjunction(preds: &[Predicate], override_sel: Option<f64>, sf: f64) -> f64 {
     if let Some(s) = override_sel {
         return s;
     }
@@ -73,7 +73,7 @@ fn p_ship_before_commit() -> f64 {
 
 /// True inner-join output cardinality: `|L||R| / max(true ndv)` times the
 /// template's correlation correction.
-pub fn join_rows(
+pub(crate) fn join_rows(
     l_rows: f64,
     r_rows: f64,
     on: (ColRef, ColRef),
@@ -88,7 +88,7 @@ pub fn join_rows(
 
 /// True group count for grouping `input_rows` rows by a column with true
 /// distinct count `ndv` (Cardenas).
-pub fn group_count(ndv: f64, input_rows: f64) -> f64 {
+pub(crate) fn group_count(ndv: f64, input_rows: f64) -> f64 {
     cardenas(ndv, input_rows).max(if input_rows >= 1.0 { 1.0 } else { 0.0 })
 }
 

@@ -2,11 +2,11 @@
 //!
 //! A fitted [`SvrModel`] is stored once, in the layout that serves it:
 //! support vectors with a zero coefficient are not stored, and the rest
-//! are packed as **lane-padded SoA blocks** of [`LANES`] = 8 support
+//! are packed as **lane-padded SoA blocks** of `LANES` = 8 support
 //! vectors each, feature-major within a block and zero-padded to a whole
 //! block (padding carries a zero coefficient, so padded lanes only ever
 //! add `+0.0` to their own accumulator). A linear model is already a flat
-//! weight vector. [`Svr::fit`], [`SvrModel::from_parts`] and
+//! weight vector. [`Svr::fit`], `SvrModel::from_parts` and
 //! [`SvrModel::decode`] pack the blocks directly, and no other copy of the
 //! model exists.
 //!
@@ -40,9 +40,9 @@
 //! tables and the condition under which a SIMD twin would pay.
 //!
 //! Relative to the fold, the tree regroups the same additions, so the two
-//! agree to summation-reordering rounding — within `1e-12 · (1 +`
-//! [`SvrModel::sum_magnitude`]`)`, which `tests/compiled_props.rs`
-//! asserts — rather than bit-for-bit. The left-to-right fold is a
+//! agree to summation-reordering rounding — within `1e-12 · (1 +
+//! SvrModel::sum_magnitude)`, which the `compiled_props` unit tests
+//! assert — rather than bit-for-bit. The left-to-right fold is a
 //! loop-carried dependence chain — one f64 add latency per support vector
 //! — which is exactly what the lane tree exists to break.
 //!
@@ -51,7 +51,7 @@
 use crate::svr::SvrModel;
 
 /// Support vectors per lane-padded SoA block.
-pub const LANES: usize = 8;
+pub(crate) const LANES: usize = 8;
 
 /// Fixed final combine of the eight lane accumulators.
 #[inline(always)]

@@ -9,7 +9,7 @@
 //! fanning out costs no memory, and on the parked-worker pool it pays even
 //! for 112-row SVR fits (DESIGN.md §7). Forward selection's linear
 //! candidates do not come here: they are solved from per-fold normal
-//! equations on the calling thread ([`crate::linreg`]).
+//! equations on the calling thread (`crate::linreg`).
 
 use crate::dataset::Dataset;
 use crate::metrics::mean_relative_error;
@@ -139,7 +139,7 @@ pub struct CrossValidation {
 impl CrossValidation {
     /// Average of the per-fold mean relative errors (the number the paper
     /// reports).
-    pub fn mean_error(&self) -> f64 {
+    pub(crate) fn mean_error(&self) -> f64 {
         self.fold_errors.iter().sum::<f64>() / self.fold_errors.len() as f64
     }
 }

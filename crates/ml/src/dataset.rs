@@ -108,18 +108,8 @@ impl Dataset {
         out
     }
 
-    /// A new dataset containing only the given rows, in the given order.
-    pub fn select_rows(&self, rows: &[usize]) -> Dataset {
-        let mut out = Dataset::new(self.n_cols);
-        for &i in rows {
-            out.push_row(self.row(i));
-        }
-        out
-    }
-
     /// A new dataset holding the given columns of the given rows, both in
-    /// the given order: `select_rows(rows).select_columns(cols)` in one
-    /// copy.
+    /// the given order, in one copy.
     pub fn select(&self, rows: &[usize], cols: &[usize]) -> Dataset {
         let mut data = Vec::with_capacity(rows.len() * cols.len());
         for &i in rows {
@@ -134,7 +124,7 @@ impl Dataset {
     }
 
     /// Validates that `y` has one target per row.
-    pub fn check_targets(&self, y: &[f64]) -> Result<(), MlError> {
+    pub(crate) fn check_targets(&self, y: &[f64]) -> Result<(), MlError> {
         if self.n_rows == 0 {
             return Err(MlError::EmptyDataset);
         }
@@ -184,19 +174,13 @@ mod tests {
     }
 
     #[test]
-    fn select_rows_subsets() {
-        let ds = sample();
-        let sub = ds.select_rows(&[2, 0]);
-        assert_eq!(sub.n_rows(), 2);
-        assert_eq!(sub.row(0), &[5.0, 6.0]);
-        assert_eq!(sub.row(1), &[1.0, 2.0]);
-    }
-
-    #[test]
     fn select_is_rows_then_columns_in_one_copy() {
         let ds = sample();
         let both = ds.select(&[2, 0], &[1, 0]);
-        assert_eq!(both, ds.select_rows(&[2, 0]).select_columns(&[1, 0]));
+        assert_eq!(
+            both,
+            Dataset::from_rows(vec![vec![6.0, 5.0], vec![2.0, 1.0]])
+        );
         assert_eq!(both.row(0), &[6.0, 5.0]);
         assert_eq!(ds.select(&[], &[1]).n_rows(), 0);
     }

@@ -73,7 +73,7 @@ pub struct SelectionResult {
 /// Ranks all columns of `x` by |Pearson correlation| with `y`, strongest
 /// first; ties keep column order. A constant column, or one holding a
 /// non-finite value, ranks as correlation 0.
-pub fn rank_by_correlation(x: &Dataset, y: &[f64]) -> Vec<usize> {
+pub(crate) fn rank_by_correlation(x: &Dataset, y: &[f64]) -> Vec<usize> {
     let mut column = Vec::with_capacity(x.n_rows());
     let mut ranked: Vec<(usize, f64)> = (0..x.n_cols())
         .map(|j| {

@@ -11,7 +11,8 @@
 //! Construction is the blocked, lane-padded SoA kernel
 //! [`compute_gram_blocked`]: the lower triangle is walked in L1-sized
 //! row tiles written in place and each row evaluates 8 kernel columns at
-//! once — bit-identical to the direct per-pair [`compute_gram`]. It is
+//! once — bit-identical to a direct per-pair evaluation (the tests'
+//! reference). It is
 //! plain safe Rust: at the widths forward selection leaves (3–11 columns)
 //! a cell is one libm `exp`, which hand-written AVX2 around it has to call
 //! lane by lane too, and so measures 0.9–1.1× of this loop (DESIGN.md §7).
@@ -65,24 +66,6 @@ impl GramCache {
 pub(crate) fn solve_gram(xs: &Dataset, gamma: f64) -> Vec<f64> {
     GramCache::global().built.fetch_add(1, Ordering::Relaxed);
     compute_gram_blocked(xs, Kernel::Rbf { gamma }, gamma)
-}
-
-/// Computes the dense Gram matrix directly, evaluating the kernel once per
-/// unordered row pair and mirroring across the diagonal: the reference
-/// [`compute_gram_blocked`] is compared against.
-///
-/// Public so tests can compare the blocked build against it.
-pub fn compute_gram(xs: &Dataset, kernel: Kernel, gamma: f64) -> Vec<f64> {
-    let l = xs.n_rows();
-    let mut k = vec![0.0f64; l * l];
-    for i in 0..l {
-        for j in 0..=i {
-            let v = kernel.eval(xs.row(i).iter().copied(), xs.row(j), gamma);
-            k[i * l + j] = v;
-            k[j * l + i] = v;
-        }
-    }
-    k
 }
 
 /// Kernel columns evaluated per row — the SoA lane width.
@@ -161,17 +144,17 @@ fn tile_rows_lower(
     }
 }
 
-/// Blocked, lane-padded SoA construction of the same matrix as
-/// [`compute_gram`]: the rows are walked in L1-sized tiles of `TILE_ROWS`,
+/// Blocked, lane-padded SoA construction of the dense Gram matrix: the
+/// rows are walked in L1-sized tiles of `TILE_ROWS`,
 /// each row evaluates `GRAM_LANES` kernel columns at once and writes its
 /// lower-triangle entries **in place**; a second tiled pass mirrors the
 /// strict upper triangle. One thread does all of it: a fit is serial, and
 /// the fits around it are what fan out (DESIGN.md §7).
 ///
 /// Every entry is produced by the same ascending-`k` fold as
-/// `Kernel::eval`, making this bit-identical to [`compute_gram`], whose
-/// signature it shares. `Kernel` has one family, RBF, so the matrix
-/// depends on the resolved `gamma` alone.
+/// `Kernel::eval`, making this bit-identical to evaluating each pair
+/// directly (the tests hold it to that reference). `Kernel` has one
+/// family, RBF, so the matrix depends on the resolved `gamma` alone.
 pub fn compute_gram_blocked(xs: &Dataset, _kernel: Kernel, gamma: f64) -> Vec<f64> {
     let l = xs.n_rows();
     let mut k = vec![0.0f64; l * l];
@@ -209,6 +192,21 @@ pub fn compute_gram_blocked(xs: &Dataset, _kernel: Kernel, gamma: f64) -> Vec<f6
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The reference the blocked build is held to: the kernel evaluated
+    /// once per unordered row pair, mirrored across the diagonal.
+    fn compute_gram(xs: &Dataset, kernel: Kernel, gamma: f64) -> Vec<f64> {
+        let l = xs.n_rows();
+        let mut k = vec![0.0f64; l * l];
+        for i in 0..l {
+            for j in 0..=i {
+                let v = kernel.eval(xs.row(i).iter().copied(), xs.row(j), gamma);
+                k[i * l + j] = v;
+                k[j * l + i] = v;
+            }
+        }
+        k
+    }
 
     fn toy() -> Dataset {
         Dataset::from_rows((0..8).map(|i| vec![i as f64, (i * i) as f64]).collect())

@@ -7,21 +7,21 @@
 //! procedure and stratified K-fold cross-validation. This crate
 //! re-implements all of that from scratch:
 //!
-//! - [`linalg`] — small dense matrices, Cholesky factorization, solves,
+//! - `linalg` — small dense matrices, Cholesky factorization, solves,
 //!   and the SMO inner-loop primitives, the one code compiled a second
 //!   time for AVX2 (one safe body each, bit-identical in both builds).
-//! - [`scaler`] — z-score standardization of feature columns.
-//! - [`linreg`] — ordinary least squares / ridge regression, and the
+//! - `scaler` — z-score standardization of feature columns.
+//! - `linreg` — ordinary least squares / ridge regression, and the
 //!   per-fold normal equations that score linear selection candidates.
-//! - [`svr`] — epsilon-SVR with the RBF kernel, trained with a
+//! - `svr` — epsilon-SVR with the RBF kernel, trained with a
 //!   libsvm-style SMO solver.
-//! - [`feature_selection`] — best-first forward selection over features
+//! - `feature_selection` — best-first forward selection over features
 //!   ranked by |Pearson correlation| with the target (Section 2 of the
 //!   paper).
 //! - [`cv`] — K-fold and stratified K-fold cross-validation (Section 5.1).
 //! - [`metrics`] — mean relative error (the paper's headline metric), R²,
-//!   predictive risk, RMSE, MAE.
-//! - [`dataset`] — a lightweight (rows × columns) design-matrix container
+//!   predictive risk.
+//! - `dataset` — a lightweight (rows × columns) design-matrix container
 //!   shared by the learners.
 //! - [`par`] — deterministic fork-join parallelism on a process-wide set
 //!   of parked worker threads, used across the training and batched
@@ -37,32 +37,41 @@
 //! - [`stats`] — mean, variance and Pearson correlation.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod bytes;
 pub mod compiled;
 pub mod cv;
-pub mod dataset;
-pub mod feature_selection;
+mod dataset;
+mod feature_selection;
 pub mod gram;
-pub mod linalg;
-pub mod linreg;
+mod linalg;
+mod linreg;
 pub mod metrics;
 pub mod par;
-pub mod scaler;
+mod scaler;
 pub mod stats;
-pub mod svr;
+mod svr;
 
 #[cfg(test)]
+mod compiled_props;
+#[cfg(test)]
+mod simd_props;
+#[cfg(test)]
+mod smo_vector_props;
+#[cfg(test)]
 mod solver_tests;
+#[cfg(test)]
+mod wss2_props;
 
 pub use compiled::PredictScratch;
 pub use cv::{holdout, kfold, stratified_kfold, CrossValidation};
 pub use dataset::Dataset;
-pub use feature_selection::{forward_select, ForwardSelection};
+pub use feature_selection::{forward_select, ForwardSelection, SelectionResult};
 pub use gram::{GramCache, GramCacheStats};
-pub use linreg::{LinearModel, LinearRegression};
-pub use metrics::{mean_absolute_error, mean_relative_error, predictive_risk, r2_score, rmse};
-pub use scaler::StandardScaler;
+pub use linreg::LinearModel;
+use linreg::LinearRegression;
+pub use metrics::{mean_relative_error, predictive_risk};
 pub use svr::{Kernel, Svr, SvrModel, SvrParams};
 
 /// Errors produced by the learning substrate.
@@ -150,15 +159,6 @@ impl TrainedModel {
         match self {
             TrainedModel::Linear(m) => m.n_features(),
             TrainedModel::Svr(m) => m.n_features(),
-        }
-    }
-
-    /// Checked prediction: returns [`MlError::ShapeMismatch`] instead of
-    /// panicking when the row has the wrong number of features.
-    pub fn try_predict(&self, row: &[f64]) -> Result<f64, MlError> {
-        match self {
-            TrainedModel::Linear(m) => m.try_predict(row),
-            TrainedModel::Svr(m) => m.try_predict(row),
         }
     }
 

@@ -23,7 +23,7 @@ use crate::MlError;
 
 /// A dense row-major matrix.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Matrix {
+pub(crate) struct Matrix {
     data: Vec<f64>,
     rows: usize,
     cols: usize,
@@ -31,7 +31,7 @@ pub struct Matrix {
 
 impl Matrix {
     /// A `rows × cols` zero matrix.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
+    pub(crate) fn zeros(rows: usize, cols: usize) -> Self {
         Matrix {
             data: vec![0.0; rows * cols],
             rows,
@@ -39,20 +39,12 @@ impl Matrix {
         }
     }
 
-    /// Identity matrix of size `n`.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
     /// Builds from nested rows.
     ///
     /// # Panics
     /// Panics on ragged input.
-    pub fn from_rows(rows: &[Vec<f64>]) -> Self {
+    #[cfg(test)]
+    fn from_rows(rows: &[Vec<f64>]) -> Self {
         let r = rows.len();
         let c = rows.first().map_or(0, Vec::len);
         let mut m = Matrix::zeros(r, c);
@@ -65,18 +57,8 @@ impl Matrix {
         m
     }
 
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
     /// In-place addition of `lambda` to the diagonal (ridge term).
-    pub fn add_diagonal(&mut self, lambda: f64) {
+    pub(crate) fn add_diagonal(&mut self, lambda: f64) {
         let n = self.rows.min(self.cols);
         for i in 0..n {
             self[(i, i)] += lambda;
@@ -85,7 +67,7 @@ impl Matrix {
 
     /// Cholesky factorization of a symmetric positive-definite matrix;
     /// returns the lower-triangular factor `L` with `A = L Lᵀ`.
-    pub fn cholesky(&self) -> Result<Matrix, MlError> {
+    pub(crate) fn cholesky(&self) -> Result<Matrix, MlError> {
         assert_eq!(self.rows, self.cols, "cholesky requires a square matrix");
         let n = self.rows;
         let mut l = Matrix::zeros(n, n);
@@ -109,7 +91,7 @@ impl Matrix {
     }
 
     /// Solves `A x = b` for symmetric positive-definite `A` via Cholesky.
-    pub fn solve_spd(&self, b: &[f64]) -> Result<Vec<f64>, MlError> {
+    pub(crate) fn solve_spd(&self, b: &[f64]) -> Result<Vec<f64>, MlError> {
         assert_eq!(b.len(), self.rows, "solve_spd dimension mismatch");
         let l = self.cholesky()?;
         let n = self.rows;
@@ -152,7 +134,7 @@ impl std::ops::IndexMut<(usize, usize)> for Matrix {
 ///
 /// # Panics
 /// Panics if lengths differ.
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
+pub(crate) fn dot(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "dot product length mismatch");
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
@@ -160,7 +142,7 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 /// Computes the Gram-style normal-equation system for least squares over
 /// rows with an implicit intercept column: returns `(XᵀX, Xᵀy)` where each
 /// design row is `[1, features...]`.
-pub fn normal_equations<'a, I>(rows: I, y: &[f64], n_features: usize) -> (Matrix, Vec<f64>)
+pub(crate) fn normal_equations<'a, I>(rows: I, y: &[f64], n_features: usize) -> (Matrix, Vec<f64>)
 where
     I: Iterator<Item = &'a [f64]>,
 {
@@ -196,7 +178,7 @@ where
 ///
 /// # Panics
 /// Panics if the four slices differ in length.
-pub fn grad_pair_update(
+pub(crate) fn grad_pair_update(
     g_up: &mut [f64],
     g_down: &mut [f64],
     row_i: &[f64],
@@ -252,7 +234,7 @@ fn grad_pair_update_lanes(
 /// block. Indices are local to the scanned slice and `usize::MAX` when no
 /// element was eligible (matching the sentinels the SMO loop uses).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScanResult {
+pub(crate) struct ScanResult {
     /// Maximum violation value among "up"-eligible elements.
     pub g_max: f64,
     /// First index attaining `g_max` (`usize::MAX` when none eligible).
@@ -265,7 +247,7 @@ pub struct ScanResult {
 
 impl ScanResult {
     /// The neutral element: nothing selected yet.
-    pub fn empty() -> ScanResult {
+    pub(crate) fn empty() -> ScanResult {
         ScanResult {
             g_max: f64::NEG_INFINITY,
             i_up: usize::MAX,
@@ -278,7 +260,7 @@ impl ScanResult {
     /// in index order (`offset` is the later block's starting index).
     /// Strict comparisons keep the earlier block's winner on ties — the
     /// sequential loop's first-occurrence rule.
-    pub fn merge_later(&mut self, later: ScanResult, offset: usize) {
+    pub(crate) fn merge_later(&mut self, later: ScanResult, offset: usize) {
         if later.i_up != usize::MAX && later.g_max > self.g_max {
             self.g_max = later.g_max;
             self.i_up = later.i_up + offset;
@@ -317,7 +299,7 @@ impl ScanResult {
 ///
 /// # Panics
 /// Panics if `a` and `g` differ in length.
-pub fn scan_violating<const FLIPPED: bool>(a: &[f64], g: &[f64], c: f64) -> ScanResult {
+pub(crate) fn scan_violating<const FLIPPED: bool>(a: &[f64], g: &[f64], c: f64) -> ScanResult {
     assert_eq!(a.len(), g.len(), "scan_violating length mismatch");
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
@@ -405,7 +387,7 @@ fn scan_violating_lanes<const FLIPPED: bool>(a: &[f64], g: &[f64], c: f64) -> Sc
 /// over one contiguous block. The index is local to the scanned slice and
 /// `usize::MAX` when no element was eligible.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SecondOrderPick {
+pub(crate) struct SecondOrderPick {
     /// Smallest objective estimate `-(g_max - v)^2 / quad` among eligible
     /// elements (`+inf` when none).
     pub obj_min: f64,
@@ -415,7 +397,7 @@ pub struct SecondOrderPick {
 
 impl SecondOrderPick {
     /// The neutral element: nothing selected yet.
-    pub fn empty() -> SecondOrderPick {
+    pub(crate) fn empty() -> SecondOrderPick {
         SecondOrderPick {
             obj_min: f64::INFINITY,
             j: usize::MAX,
@@ -425,7 +407,7 @@ impl SecondOrderPick {
     /// Folds in the pick of the block that *follows* this one in index
     /// order (`offset` is the later block's starting index); the strict
     /// comparison keeps the earlier block's winner on ties.
-    pub fn merge_later(&mut self, later: SecondOrderPick, offset: usize) {
+    pub(crate) fn merge_later(&mut self, later: SecondOrderPick, offset: usize) {
         if later.j != usize::MAX && later.obj_min < self.obj_min {
             self.obj_min = later.obj_min;
             self.j = later.j + offset;
@@ -443,7 +425,7 @@ impl SecondOrderPick {
 ///
 /// # Panics
 /// Panics if the three slices differ in length.
-pub fn second_order_quad(diag: &[f64], row_i: &[f64], k_ii: f64, quad: &mut [f64]) {
+pub(crate) fn second_order_quad(diag: &[f64], row_i: &[f64], k_ii: f64, quad: &mut [f64]) {
     assert!(
         diag.len() == quad.len() && row_i.len() == quad.len(),
         "second_order_quad length mismatch"
@@ -471,7 +453,7 @@ pub fn second_order_quad(diag: &[f64], row_i: &[f64], k_ii: f64, quad: &mut [f64
 ///
 /// # Panics
 /// Panics if `a`, `g` and `quad` differ in length.
-pub fn scan_second_order<const FLIPPED: bool>(
+pub(crate) fn scan_second_order<const FLIPPED: bool>(
     a: &[f64],
     g: &[f64],
     quad: &[f64],
@@ -558,17 +540,8 @@ fn scan_second_order_lanes<const FLIPPED: bool>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-
-    #[test]
-    fn identity_and_indexing() {
-        let m = Matrix::identity(3);
-        assert_eq!(m[(0, 0)], 1.0);
-        assert_eq!(m[(0, 1)], 0.0);
-        assert_eq!(m.rows(), 3);
-        assert_eq!(m.cols(), 3);
-    }
 
     #[test]
     fn cholesky_factors_spd_matrix() {
@@ -635,7 +608,7 @@ mod tests {
         }
     }
 
-    fn naive_scan(a: &[f64], g: &[f64], c: f64, flipped: bool) -> ScanResult {
+    pub(crate) fn naive_scan(a: &[f64], g: &[f64], c: f64, flipped: bool) -> ScanResult {
         let mut r = ScanResult::empty();
         for t in 0..a.len() {
             let v = if flipped { g[t] } else { -g[t] };
@@ -656,7 +629,7 @@ mod tests {
         r
     }
 
-    fn naive_second_order(
+    pub(crate) fn naive_second_order(
         a: &[f64],
         g: &[f64],
         quad: &[f64],

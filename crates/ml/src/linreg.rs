@@ -25,7 +25,7 @@ use crate::MlError;
 
 /// Ridge-regularized linear regression learner.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinearRegression {
+pub(crate) struct LinearRegression {
     /// L2 regularization strength added to the normal-equation diagonal.
     pub ridge: f64,
 }
@@ -33,7 +33,7 @@ pub struct LinearRegression {
 impl LinearRegression {
     /// Creates a learner with the given ridge strength (0 = plain OLS,
     /// though a tiny ridge is recommended for near-collinear features).
-    pub fn new(ridge: f64) -> Self {
+    pub(crate) fn new(ridge: f64) -> Self {
         LinearRegression { ridge }
     }
 
@@ -43,7 +43,7 @@ impl LinearRegression {
     /// non-finite values — would make the Gram matrix singular or poison
     /// the Cholesky solve with NaN; they are dropped up front and get a
     /// zero weight in the returned model instead of failing the fit.
-    pub fn fit(&self, x: &Dataset, y: &[f64]) -> Result<LinearModel, MlError> {
+    pub(crate) fn fit(&self, x: &Dataset, y: &[f64]) -> Result<LinearModel, MlError> {
         x.check_targets(y)?;
         let all: Vec<usize> = (0..x.n_cols()).collect();
         let rows = (0..x.n_rows()).map(|i| x.row(i));
@@ -223,7 +223,7 @@ impl LinearModel {
     /// Predicts the target for one feature row.
     ///
     /// The row length is only checked with a `debug_assert!`; prediction is
-    /// a hot path, and the checked variant is [`LinearModel::try_predict`].
+    /// a hot path.
     pub fn predict(&self, row: &[f64]) -> f64 {
         debug_assert_eq!(
             row.len(),
@@ -233,18 +233,6 @@ impl LinearModel {
             row.len()
         );
         self.intercept + dot(&self.weights, row)
-    }
-
-    /// Checked prediction: returns [`MlError::ShapeMismatch`] instead of
-    /// panicking when the row has the wrong number of features.
-    pub fn try_predict(&self, row: &[f64]) -> Result<f64, MlError> {
-        if row.len() != self.weights.len() {
-            return Err(MlError::ShapeMismatch {
-                expected: self.weights.len(),
-                got: row.len(),
-            });
-        }
-        Ok(self.predict(row))
     }
 
     /// Number of input features.

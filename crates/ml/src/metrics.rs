@@ -3,8 +3,8 @@
 //! The paper's headline metric is the *mean relative error*
 //! `(1/N) Σ |actual_i − estimate_i| / actual_i` (Section 5.1), which treats
 //! all queries equally regardless of their execution time. We also provide
-//! R², the *predictive risk* used by Ganapathi et al. (reference \[1\] of the
-//! paper, discussed in the Section 5.2 footnote), RMSE, and MAE.
+//! R² and the *predictive risk* used by Ganapathi et al. (reference \[1\] of
+//! the paper, discussed in the Section 5.2 footnote).
 
 /// Mean relative error `(1/N) Σ |aᵢ − eᵢ| / aᵢ`.
 ///
@@ -34,7 +34,7 @@ pub fn relative_error(actual: f64, estimate: f64) -> f64 {
 ///
 /// 1 is a perfect fit; 0 matches predicting the mean; negative is worse
 /// than the mean. Returns 0 when the actuals are constant.
-pub fn r2_score(actual: &[f64], estimate: &[f64]) -> f64 {
+pub(crate) fn r2_score(actual: &[f64], estimate: &[f64]) -> f64 {
     assert_eq!(actual.len(), estimate.len(), "metric length mismatch");
     assert!(!actual.is_empty(), "metric on empty slice");
     let mean = actual.iter().sum::<f64>() / actual.len() as f64;
@@ -58,31 +58,6 @@ pub fn r2_score(actual: &[f64], estimate: &[f64]) -> f64 {
 /// per-query relative errors are terrible.
 pub fn predictive_risk(actual: &[f64], estimate: &[f64]) -> f64 {
     r2_score(actual, estimate)
-}
-
-/// Root mean squared error.
-pub fn rmse(actual: &[f64], estimate: &[f64]) -> f64 {
-    assert_eq!(actual.len(), estimate.len(), "metric length mismatch");
-    assert!(!actual.is_empty(), "metric on empty slice");
-    let mse = actual
-        .iter()
-        .zip(estimate)
-        .map(|(a, e)| (a - e) * (a - e))
-        .sum::<f64>()
-        / actual.len() as f64;
-    mse.sqrt()
-}
-
-/// Mean absolute error.
-pub fn mean_absolute_error(actual: &[f64], estimate: &[f64]) -> f64 {
-    assert_eq!(actual.len(), estimate.len(), "metric length mismatch");
-    assert!(!actual.is_empty(), "metric on empty slice");
-    actual
-        .iter()
-        .zip(estimate)
-        .map(|(a, e)| (a - e).abs())
-        .sum::<f64>()
-        / actual.len() as f64
 }
 
 #[cfg(test)]
@@ -134,14 +109,6 @@ mod tests {
         let estimate = [3.0, 5.0, 9.0, 1010.0, 1990.0, 4005.0];
         assert!(predictive_risk(&actual, &estimate) > 0.95);
         assert!(mean_relative_error(&actual, &estimate) > 0.5);
-    }
-
-    #[test]
-    fn rmse_and_mae() {
-        let a = [0.0, 0.0];
-        let e = [3.0, 4.0];
-        assert!((rmse(&a, &e) - (12.5f64).sqrt()).abs() < 1e-12);
-        assert!((mean_absolute_error(&a, &e) - 3.5).abs() < 1e-12);
     }
 
     #[test]

@@ -489,7 +489,7 @@ where
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::sync::Barrier;
 
@@ -498,11 +498,11 @@ mod tests {
 
     /// Holds `THREADS_LOCK` with the worker count pinned to `n`; restores
     /// the default when dropped, also on a failed assertion.
-    struct Pinned {
+    pub(crate) struct Pinned {
         _guard: MutexGuard<'static, ()>,
     }
 
-    fn pin_threads(n: usize) -> Pinned {
+    pub(crate) fn pin_threads(n: usize) -> Pinned {
         let guard = THREADS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         set_threads(n);
         Pinned { _guard: guard }

@@ -13,14 +13,14 @@ use crate::stats;
 /// Columns that are constant in the training data get `std = 1` so they map
 /// to zero rather than NaN.
 #[derive(Debug, Clone, PartialEq)]
-pub struct StandardScaler {
+pub(crate) struct StandardScaler {
     means: Vec<f64>,
     stds: Vec<f64>,
 }
 
 impl StandardScaler {
     /// Fits column means and standard deviations on `x`.
-    pub fn fit(x: &Dataset) -> Self {
+    pub(crate) fn fit(x: &Dataset) -> Self {
         let mut means = Vec::with_capacity(x.n_cols());
         let mut stds = Vec::with_capacity(x.n_cols());
         for j in 0..x.n_cols() {
@@ -33,12 +33,12 @@ impl StandardScaler {
     }
 
     /// Number of columns this scaler was fit on.
-    pub fn n_cols(&self) -> usize {
+    pub(crate) fn n_cols(&self) -> usize {
         self.means.len()
     }
 
     /// Standardizes a whole dataset.
-    pub fn transform(&self, x: &Dataset) -> Dataset {
+    pub(crate) fn transform(&self, x: &Dataset) -> Dataset {
         let mut out = Dataset::new(x.n_cols());
         let mut buf = vec![0.0; x.n_cols()];
         for row in x.rows() {
@@ -49,7 +49,7 @@ impl StandardScaler {
     }
 
     /// Standardizes one row into a fresh vector.
-    pub fn transform_row(&self, row: &[f64]) -> Vec<f64> {
+    pub(crate) fn transform_row(&self, row: &[f64]) -> Vec<f64> {
         let mut out = vec![0.0; row.len()];
         self.transform_row_into(row, &mut out);
         out
@@ -57,7 +57,7 @@ impl StandardScaler {
 
     /// True when every fitted mean and standard deviation is finite (and
     /// no std is zero) — part of the snapshot finite-weights validation.
-    pub fn is_finite(&self) -> bool {
+    pub(crate) fn is_finite(&self) -> bool {
         self.means.iter().all(|m| m.is_finite())
             && self.stds.iter().all(|s| s.is_finite() && *s != 0.0)
     }
@@ -84,7 +84,7 @@ impl StandardScaler {
     /// it per row), so the length contract — `row` and `out` must match
     /// the fitted column count — is checked with `debug_assert!` only.
     /// Callers are expected to size buffers via [`StandardScaler::n_cols`].
-    pub fn transform_row_into(&self, row: &[f64], out: &mut [f64]) {
+    pub(crate) fn transform_row_into(&self, row: &[f64], out: &mut [f64]) {
         debug_assert_eq!(row.len(), self.means.len(), "scaler column mismatch");
         debug_assert_eq!(out.len(), self.means.len(), "scaler buffer mismatch");
         for j in 0..row.len() {
@@ -96,14 +96,14 @@ impl StandardScaler {
 /// Standardizer for the target vector; used so SVR's epsilon-tube width is
 /// expressed in target standard deviations.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TargetScaler {
+pub(crate) struct TargetScaler {
     mean: f64,
     std: f64,
 }
 
 impl TargetScaler {
     /// Fits on the target values.
-    pub fn fit(y: &[f64]) -> Self {
+    pub(crate) fn fit(y: &[f64]) -> Self {
         let sd = stats::std_dev(y);
         TargetScaler {
             mean: stats::mean(y),
@@ -112,18 +112,18 @@ impl TargetScaler {
     }
 
     /// Scales targets to zero mean, unit variance.
-    pub fn transform(&self, y: &[f64]) -> Vec<f64> {
+    pub(crate) fn transform(&self, y: &[f64]) -> Vec<f64> {
         y.iter().map(|v| (v - self.mean) / self.std).collect()
     }
 
     /// Maps a model output back to the original target scale.
-    pub fn inverse(&self, v: f64) -> f64 {
+    pub(crate) fn inverse(&self, v: f64) -> f64 {
         v * self.std + self.mean
     }
 
     /// True when the fitted mean and (non-zero) std are finite — part of
     /// the snapshot finite-weights validation.
-    pub fn is_finite(&self) -> bool {
+    pub(crate) fn is_finite(&self) -> bool {
         self.mean.is_finite() && self.std.is_finite() && self.std != 0.0
     }
 
@@ -143,7 +143,8 @@ impl TargetScaler {
     /// in scaled-target space becomes `e * slope_abs()` after
     /// [`TargetScaler::inverse`]; the compiled-path tolerance tests use
     /// this to map kernel-sum reordering error into target units.
-    pub fn slope_abs(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn slope_abs(&self) -> f64 {
         self.std.abs()
     }
 }

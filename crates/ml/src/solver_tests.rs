@@ -9,38 +9,13 @@
 //! variables, not read from the solver's own bookkeeping.
 
 use crate::linalg::scan_violating;
+use crate::smo_vector_props::training_set;
 use crate::svr::{
     first_order_j, second_order_j, smo_solve, Kernel, Prepared, SmoExit, SmoOutcome, C, EPSILON,
     MAX_ITER, STALL_SLACK, TOL,
 };
 use crate::{Dataset, Learner, MlError, TrainedModel};
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// The `tests/smo_vector_props.rs` generator: closed-form rows and a
-/// mildly nonlinear target, identical on every host.
-fn training_set(l: usize, d: usize, seed: u64) -> (Dataset, Vec<f64>) {
-    let phase = (seed % 17) as f64;
-    let mut rows = Vec::with_capacity(l);
-    let mut y = Vec::with_capacity(l);
-    for i in 0..l {
-        let row: Vec<f64> = (0..d)
-            .map(|k| {
-                let t = (i * (k + 3)) as f64 + phase;
-                (t * 0.37).sin() * 10.0 + k as f64 * 0.5 + i as f64 * 0.01
-            })
-            .collect();
-        let target = row
-            .iter()
-            .enumerate()
-            .map(|(k, v)| (k as f64 + 1.0) * v)
-            .sum::<f64>()
-            * 0.3
-            + ((i as f64) * 0.11 + phase).cos() * 0.5;
-        rows.push(row);
-        y.push(target);
-    }
-    (Dataset::from_rows(rows), y)
-}
 
 /// The `smo_vector_props` seed grid: shapes × seeds.
 fn grid() -> Vec<(Dataset, Vec<f64>)> {

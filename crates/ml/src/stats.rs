@@ -47,7 +47,7 @@ pub fn std_dev(xs: &[f64]) -> f64 {
 ///
 /// # Panics
 /// Panics if the slices differ in length.
-pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
+pub(crate) fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
     assert_eq!(xs.len(), ys.len(), "pearson length mismatch");
     let n = xs.len();
     if n < 2 {

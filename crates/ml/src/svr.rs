@@ -141,7 +141,7 @@ pub(crate) struct Prepared {
 }
 
 impl Prepared {
-    pub fn new(x: &Dataset, y: &[f64], kernel: Kernel) -> Prepared {
+    pub(crate) fn new(x: &Dataset, y: &[f64], kernel: Kernel) -> Prepared {
         let x_scaler = StandardScaler::fit(x);
         let y_scaler = TargetScaler::fit(y);
         let Kernel::Rbf { gamma } = kernel;
@@ -211,7 +211,7 @@ impl SmoOutcome {
     /// guarantee, taken because the one pair that violates by more has no
     /// room left to move in floating point. A stall with a wider gap and
     /// an exhausted budget are both non-convergence.
-    pub fn converged(&self) -> bool {
+    pub(crate) fn converged(&self) -> bool {
         match self.exit {
             SmoExit::Kkt => true,
             SmoExit::Stalled => self.gap < STALL_SLACK * TOL,
@@ -222,7 +222,7 @@ impl SmoOutcome {
     /// Turns a converged solve into the model (support vectors are the
     /// rows with a nonzero net coefficient `a_i - a_{i+l}`), or reports
     /// [`MlError::DidNotConverge`].
-    pub fn into_model(self, kernel: Kernel, pre: Prepared) -> Result<SvrModel, MlError> {
+    pub(crate) fn into_model(self, kernel: Kernel, pre: Prepared) -> Result<SvrModel, MlError> {
         let Prepared {
             xs,
             x_scaler,
@@ -536,13 +536,14 @@ pub struct SvrModel {
 impl SvrModel {
     /// Assembles a model from raw parts. Fitting ([`Svr::fit`]) and
     /// snapshot deserialization are the production paths; this exists so
-    /// tests and benches can hand-build models with arbitrary
-    /// support-vector counts, arities, and coefficient patterns (the
-    /// lane-tree property tests sweep shapes a fit would rarely produce).
-    /// Support vectors are taken as already living in scaled space, like a
-    /// fitted model's; those with a zero coefficient are dropped.
+    /// tests can hand-build models with arbitrary support-vector counts,
+    /// arities, and coefficient patterns (the lane-tree property tests
+    /// sweep shapes a fit would rarely produce). Support vectors are taken
+    /// as already living in scaled space, like a fitted model's; those
+    /// with a zero coefficient are dropped.
+    #[cfg(test)]
     #[allow(clippy::too_many_arguments)]
-    pub fn from_parts(
+    pub(crate) fn from_parts(
         kernel: Kernel,
         gamma: f64,
         support_vectors: Vec<Vec<f64>>,
@@ -589,8 +590,7 @@ impl SvrModel {
     /// and forward selection read. Serving reads the lane tree
     /// ([`SvrModel::predict_into`]).
     ///
-    /// The row length is only checked with a `debug_assert!`; the checked
-    /// variant is [`SvrModel::try_predict`].
+    /// The row length is only checked with a `debug_assert!`.
     pub fn predict(&self, row: &[f64]) -> f64 {
         debug_assert_eq!(
             row.len(),
@@ -607,25 +607,13 @@ impl SvrModel {
         self.y_scaler.inverse(acc)
     }
 
-    /// Checked prediction: returns [`MlError::ShapeMismatch`] instead of
-    /// panicking when the row has the wrong number of features.
-    pub fn try_predict(&self, row: &[f64]) -> Result<f64, MlError> {
-        if row.len() != self.n_features {
-            return Err(MlError::ShapeMismatch {
-                expected: self.n_features,
-                got: row.len(),
-            });
-        }
-        Ok(self.predict(row))
-    }
-
     /// The reordering-error scale of a prediction on `row`, in target
     /// units: `(|bias| + Σ|c_i·K_i|) · |target slope|`. Any regrouping of
     /// the left-to-right fold in [`SvrModel::predict`] — the lane tree
     /// included — agrees with it to within a few ULPs of this magnitude;
-    /// the tolerance tests in `tests/compiled_props.rs` are phrased
-    /// against it.
-    pub fn sum_magnitude(&self, row: &[f64]) -> f64 {
+    /// the lane-tree tolerance tests are phrased against it.
+    #[cfg(test)]
+    pub(crate) fn sum_magnitude(&self, row: &[f64]) -> f64 {
         let xr = self.x_scaler.transform_row(row);
         let mut mag = self.bias.abs();
         for term in self.terms(&xr) {

@@ -2,16 +2,37 @@
 //!
 //! `ml::gram::compute_gram_blocked` (the cache-blocked, lane-padded SoA
 //! kernel every SMO solve builds its matrix with) must be **exactly equal** — `f64::to_bits`,
-//! not a ULP tolerance — to the direct `compute_gram` reference for any
-//! dataset, because the blocked kernel performs each entry's per-lane
-//! operation sequence in `Kernel::eval`'s order (see `ml::gram`'s module
-//! docs). The build is one safe loop on the calling thread — no dispatch,
-//! no fan-out — so there is one kernel to hold against the reference.
+//! not a ULP tolerance — to a direct per-pair evaluation for any dataset,
+//! because the blocked kernel performs each entry's per-lane operation
+//! sequence in `Kernel::eval`'s order (see `ml::gram`'s module docs): a
+//! squared distance summed left to right from `+0.0`, then
+//! `exp(-gamma * sq)`. The build is one safe loop on the calling thread —
+//! no dispatch, no fan-out — so there is one kernel to hold against the
+//! reference.
 
-use ml::gram::{compute_gram, compute_gram_blocked};
-use ml::svr::Kernel;
-use ml::Dataset;
+use ml::gram::compute_gram_blocked;
+use ml::{Dataset, Kernel};
 use rng::StdRng;
+
+/// The reference: the RBF kernel evaluated once per unordered row pair in
+/// `Kernel::eval`'s fold order, mirrored across the diagonal.
+fn direct_gram(xs: &Dataset, gamma: f64) -> Vec<f64> {
+    let l = xs.n_rows();
+    let mut k = vec![0.0f64; l * l];
+    for i in 0..l {
+        for j in 0..=i {
+            let sq = xs
+                .row(i)
+                .iter()
+                .zip(xs.row(j))
+                .fold(0.0, |acc, (x, y)| acc + (x - y) * (x - y));
+            let v = (-gamma * sq).exp();
+            k[i * l + j] = v;
+            k[j * l + i] = v;
+        }
+    }
+    k
+}
 
 /// Random dataset of shape `l × d` with values spanning signs and
 /// magnitudes.
@@ -24,15 +45,15 @@ fn random_rows(l: usize, d: usize, seed: u64) -> Dataset {
 }
 
 /// Core property: blocked == direct to the bit.
-fn assert_blocked_matches_direct(xs: &Dataset, kernel: Kernel, gamma: f64) {
-    let direct = compute_gram(xs, kernel, gamma);
-    let blocked = compute_gram_blocked(xs, kernel, gamma);
+fn assert_blocked_matches_direct(xs: &Dataset, gamma: f64) {
+    let direct = direct_gram(xs, gamma);
+    let blocked = compute_gram_blocked(xs, Kernel::Rbf { gamma }, gamma);
     assert_eq!(direct.len(), blocked.len());
     for (i, (a, b)) in direct.iter().zip(&blocked).enumerate() {
         assert_eq!(
             a.to_bits(),
             b.to_bits(),
-            "entry {i} diverged ({a} vs {b}) for {kernel:?} l={} d={}",
+            "entry {i} diverged ({a} vs {b}) for gamma {gamma} l={} d={}",
             xs.n_rows(),
             xs.n_cols(),
         );
@@ -48,7 +69,7 @@ fn blocked_gram_equals_direct_exactly() {
         for &d in &[1usize, 2, 5, 8, 13] {
             for seed in 0..2u64 {
                 let xs = random_rows(l, d, seed ^ ((l as u64) << 16) ^ ((d as u64) << 8));
-                assert_blocked_matches_direct(&xs, Kernel::Rbf { gamma: 0.7 }, 0.7);
+                assert_blocked_matches_direct(&xs, 0.7);
             }
         }
     }
@@ -59,7 +80,7 @@ fn blocked_gram_equals_direct_exactly() {
             rng.next_u64(),
         );
         let gamma = rng.gen_range(0.001f64..3.0);
-        assert_blocked_matches_direct(&xs, Kernel::Rbf { gamma }, gamma);
+        assert_blocked_matches_direct(&xs, gamma);
     });
 }
 
@@ -91,7 +112,7 @@ fn blocked_gram_identity_with_signed_zero_cells() {
                 }
             }
             let xs = Dataset::from_rows(rows);
-            assert_blocked_matches_direct(&xs, Kernel::Rbf { gamma: 0.7 }, 0.7);
+            assert_blocked_matches_direct(&xs, 0.7);
         }
     }
 }
@@ -107,9 +128,9 @@ fn blocked_gram_handles_duplicate_rows_and_symmetry() {
     rows.push(rows[7].clone());
     let xs = Dataset::from_rows(rows);
     let l = xs.n_rows();
-    let (kernel, gamma) = (Kernel::Rbf { gamma: 1.3 }, 1.3);
-    let g = compute_gram_blocked(&xs, kernel, gamma);
-    let direct = compute_gram(&xs, kernel, gamma);
+    let gamma = 1.3;
+    let g = compute_gram_blocked(&xs, Kernel::Rbf { gamma }, gamma);
+    let direct = direct_gram(&xs, gamma);
     assert_eq!(
         g.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
         direct.iter().map(|v| v.to_bits()).collect::<Vec<_>>()

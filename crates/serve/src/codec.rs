@@ -53,10 +53,10 @@ use engine::sim::NodeTiming;
 use std::cell::RefCell;
 
 /// Protocol magic: `b"QPW2"` — protocol name and version in one.
-pub const MAGIC: [u8; 4] = *b"QPW2";
+pub(crate) const MAGIC: [u8; 4] = *b"QPW2";
 
 /// Bytes in the frame envelope before the payload: magic, kind, length.
-pub const HEADER_LEN: usize = 4 + 1 + 4;
+pub(crate) const HEADER_LEN: usize = 4 + 1 + 4;
 
 /// Default upper bound on one frame's payload length. Generous for any
 /// TPC-H plan this repo produces (the deepest template encodes well under
@@ -66,7 +66,7 @@ pub const DEFAULT_MAX_FRAME: usize = 1 << 20;
 /// Plan trees deeper than this are rejected at decode: no legitimate
 /// template comes close, and the cap keeps recursive decode of
 /// adversarial bytes off the stack limit.
-pub const MAX_PLAN_DEPTH: usize = 64;
+pub(crate) const MAX_PLAN_DEPTH: usize = 64;
 
 const KIND_REQUEST: u8 = 1;
 const KIND_RESPONSE: u8 = 2;
@@ -84,7 +84,7 @@ const INTERNAL_MESSAGES: [&str; 7] = [
 ];
 
 /// Fallback when a peer sends an `Internal` message we do not know.
-pub const UNKNOWN_INTERNAL: &str = "unrecognized internal error from peer";
+pub(crate) const UNKNOWN_INTERNAL: &str = "unrecognized internal error from peer";
 
 /// Known `MlError::InvalidParameter` messages, for interning on decode.
 const INVALID_PARAM_MESSAGES: [&str; 3] = [
@@ -95,7 +95,7 @@ const INVALID_PARAM_MESSAGES: [&str; 3] = [
 
 /// Fallback when a peer sends an `InvalidParameter` message we do not
 /// know.
-pub const UNKNOWN_INVALID_PARAM: &str = "unrecognized parameter error from peer";
+pub(crate) const UNKNOWN_INVALID_PARAM: &str = "unrecognized parameter error from peer";
 
 /// Why a buffer failed to decode as a `QPPWIRE-v2` frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -107,7 +107,7 @@ pub enum DecodeError {
         /// Minimum total length the buffer must reach.
         needed: usize,
     },
-    /// The first four bytes are not [`MAGIC`]: not this protocol (or a
+    /// The first four bytes are not `MAGIC`: not this protocol (or a
     /// corrupted / desynchronized stream).
     BadMagic,
     /// The frame kind byte is none of request/response/error.
@@ -256,7 +256,7 @@ impl Frame {
 /// this after reading the fixed-size header, then read exactly
 /// `payload_len` more. Magic, kind, and the frame cap are all enforced
 /// here, so a hostile header never causes a payload allocation.
-pub fn decode_header(bytes: &[u8], max_frame: usize) -> Result<(u8, usize), DecodeError> {
+pub(crate) fn decode_header(bytes: &[u8], max_frame: usize) -> Result<(u8, usize), DecodeError> {
     if bytes.len() < HEADER_LEN {
         return Err(DecodeError::Truncated { needed: HEADER_LEN });
     }

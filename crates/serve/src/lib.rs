@@ -8,10 +8,10 @@
 //! front-end for that regime, layered over the hot-swap
 //! [`qpp::ModelRegistry`]:
 //!
-//! - [`admission`] — queue-depth load shedding and token-bucket rate
+//! - `admission` — queue-depth load shedding and token-bucket rate
 //!   limiting over explicit virtual time, so shed fractions are exactly
 //!   reproducible from seeded arrival streams.
-//! - [`stats`] — the per-tenant ledger, one struct behind one lock:
+//! - `stats` — the per-tenant ledger, one struct behind one lock:
 //!   shed / deadline-miss / degraded-tier counters and per-endpoint
 //!   log-bucketed latency histograms ([`SloRecorder`]).
 //! - [`tenant`] — the one worker pool, queue and `submit` of the crate:
@@ -25,18 +25,18 @@
 //!   request whose deadline has passed when a worker dequeues it is
 //!   refused with [`qpp::QppError::DeadlineExceeded`]; every other
 //!   request is served at the tier it asked for.
-//! - [`server`] — [`PredictionServer`], the front-end over a single
+//! - `server` — [`PredictionServer`], the front-end over a single
 //!   registry: a [`TenantServer`] with exactly one tenant. Also the
 //!   request plumbing both share (the queued job, the reply handle, how
 //!   one popped batch is served).
-//! - [`healer`] — a supervised background thread driving that healing
+//! - `healer` — a supervised background thread driving that healing
 //!   loop unattended on a jittered cadence, surviving panicking heals via
 //!   `catch_unwind` and breaker-style backoff.
 //! - [`codec`] — the versioned `QPPWIRE-v2` length-prefixed binary wire
 //!   protocol: request/response frames and typed error frames mapping
 //!   every [`qpp::QppError`] variant onto stable wire codes; decoding
 //!   never panics on arbitrary bytes.
-//! - [`net`] — the TCP front door speaking that protocol: acceptor +
+//! - `net` — the TCP front door speaking that protocol: acceptor +
 //!   connection workers started on demand behind a 32-deep
 //!   `sync_channel` of accepted sockets, per-connection read/write deadlines, slowloris eviction,
 //!   malformed-frame rejection, and graceful drain whose ledger
@@ -53,21 +53,22 @@
 //! each rung are measured by the staircase benchmark (`crates/e2e`).
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod admission;
+mod admission;
 pub mod codec;
-pub mod healer;
-pub mod net;
-pub mod server;
-pub mod stats;
+mod healer;
+mod net;
+mod server;
+mod stats;
 pub mod tenant;
 
-pub use admission::{AdmissionController, RateLimit, ShedReason, TokenBucket};
+pub use admission::{AdmissionController, RateLimit, ShedReason};
 pub use codec::{DecodeError, ErrorFrame, Frame, Request, Response, DEFAULT_MAX_FRAME};
 pub use healer::{HealSource, Healer, HealerConfig};
 pub use net::{Client, NetConfig, NetServer, NetStatsSnapshot};
 pub use server::{PendingPrediction, PredictionServer, ServeConfig};
-pub use stats::{Endpoint, ServeStats, ServeStatsSnapshot, SloRecorder};
+pub use stats::{Endpoint, ServeStatsSnapshot, SloRecorder};
 pub use tenant::{
     HealAction, HealReport, RemovedTenant, ShutdownReport, TenantBudget, TenantPushError,
     TenantServeConfig, TenantServer, TenantSpec, WeightedFairQueue,

@@ -164,7 +164,7 @@ impl PendingPrediction {
     /// the networked front door's drain: a reply that does not arrive
     /// within the drain budget is abandoned (the worker may still serve
     /// it, but no one is listening).
-    pub fn wait_timeout(self, timeout: Duration) -> Result<Prediction, QppError> {
+    pub(crate) fn wait_timeout(self, timeout: Duration) -> Result<Prediction, QppError> {
         self.wait_until(Some(Instant::now() + timeout))
     }
 

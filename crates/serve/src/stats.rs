@@ -49,16 +49,16 @@ impl Endpoint {
 /// Thread-safe serving statistics, shared between submitters and workers:
 /// one [`ServeStatsSnapshot`] behind one lock.
 #[derive(Debug, Default)]
-pub struct ServeStats(Mutex<ServeStatsSnapshot>);
+pub(crate) struct ServeStats(Mutex<ServeStatsSnapshot>);
 
 impl ServeStats {
     /// A request reached the front door.
-    pub fn record_submitted(&self) {
+    pub(crate) fn record_submitted(&self) {
         self.0.lock().unwrap().submitted += 1;
     }
 
     /// A request was shed at admission.
-    pub fn record_shed(&self, reason: ShedReason) {
+    pub(crate) fn record_shed(&self, reason: ShedReason) {
         let mut ledger = self.0.lock().unwrap();
         match reason {
             ShedReason::RateLimited => ledger.shed_rate_limited += 1,
@@ -68,7 +68,7 @@ impl ServeStats {
     }
 
     /// One healing round completed for this tenant with the given action.
-    pub fn record_heal(&self, action: &HealAction) {
+    pub(crate) fn record_heal(&self, action: &HealAction) {
         let mut ledger = self.0.lock().unwrap();
         ledger.heal_rounds += 1;
         match action {
@@ -80,35 +80,35 @@ impl ServeStats {
     }
 
     /// A healing round panicked and was caught by the supervisor.
-    pub fn record_heal_panic(&self) {
+    pub(crate) fn record_heal_panic(&self) {
         self.0.lock().unwrap().heal_panics += 1;
     }
 
     /// The healer's breaker skipped a round while backing off.
-    pub fn record_heal_backoff_skip(&self) {
+    pub(crate) fn record_heal_backoff_skip(&self) {
         self.0.lock().unwrap().heal_backoff_skips += 1;
     }
 
     /// A worker coalesced `n` requests into one batch.
-    pub fn record_batch(&self, n: usize) {
+    pub(crate) fn record_batch(&self, n: usize) {
         self.0.lock().unwrap().add_batch(n);
     }
 
     /// A batch of `n` requests was served on the thread that asked, not
     /// by a worker.
-    pub fn record_caller_batch(&self, n: usize) {
+    pub(crate) fn record_caller_batch(&self, n: usize) {
         let mut ledger = self.0.lock().unwrap();
         ledger.add_batch(n);
         ledger.caller_batches += 1;
     }
 
     /// An injected worker stall fired.
-    pub fn record_stall(&self) {
+    pub(crate) fn record_stall(&self) {
         self.0.lock().unwrap().stalls_injected += 1;
     }
 
     /// A request was answered with a prediction.
-    pub fn record_served(
+    pub(crate) fn record_served(
         &self,
         endpoint: Endpoint,
         tier: PredictionTier,
@@ -123,17 +123,17 @@ impl ServeStats {
     }
 
     /// A request's deadline expired before any tier could answer.
-    pub fn record_deadline_miss(&self) {
+    pub(crate) fn record_deadline_miss(&self) {
         self.0.lock().unwrap().deadline_missed += 1;
     }
 
     /// A consistent point-in-time copy of all counters and histograms.
-    pub fn snapshot(&self) -> ServeStatsSnapshot {
+    pub(crate) fn snapshot(&self) -> ServeStatsSnapshot {
         self.0.lock().unwrap().clone()
     }
 }
 
-/// One tenant's serving ledger: the state [`ServeStats`] guards, and its
+/// One tenant's serving ledger: the state `ServeStats` guards, and its
 /// point-in-time copy.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServeStatsSnapshot {

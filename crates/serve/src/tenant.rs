@@ -218,7 +218,8 @@ impl<T> WeightedFairQueue<T> {
     }
 
     /// Queued items in one tenant's lane.
-    pub fn tenant_len(&self, tenant: usize) -> usize {
+    #[cfg(test)]
+    fn tenant_len(&self, tenant: usize) -> usize {
         self.inner.lock().unwrap().lanes[tenant].items.len()
     }
 
@@ -275,7 +276,7 @@ impl<T> WeightedFairQueue<T> {
     /// shutdown), then drains up to `max_batch` items from the backlogged
     /// lane with the smallest virtual time. Returns the lane's tenant
     /// index with the (FIFO-ordered, single-tenant) batch.
-    pub fn pop_blocking_batch(&self, max_batch: usize) -> Option<(usize, Vec<T>)> {
+    pub(crate) fn pop_blocking_batch(&self, max_batch: usize) -> Option<(usize, Vec<T>)> {
         let mut inner = self.inner.lock().unwrap();
         loop {
             if inner.total > 0 {
@@ -295,7 +296,7 @@ impl<T> WeightedFairQueue<T> {
 
     /// Non-blocking weighted-fair pop; `None` when every lane is empty.
     /// Same selection and vtime accounting as
-    /// [`WeightedFairQueue::pop_blocking_batch`] — the property tests drive
+    /// `WeightedFairQueue::pop_blocking_batch` — the property tests drive
     /// this entry point in virtual time.
     pub fn try_pop_batch(&self, max_batch: usize) -> Option<(usize, Vec<T>)> {
         let mut inner = self.inner.lock().unwrap();
@@ -359,9 +360,9 @@ impl<T> WeightedFairQueue<T> {
 
     /// Reports that a batch popped or claimed from `tenant`'s lane has
     /// been handled. A consumer need only report when some caller waits
-    /// on the lane with [`WeightedFairQueue::wait_finished`], counts on
+    /// on the lane with `WeightedFairQueue::wait_finished`, counts on
     /// the caller path's limit, or reads through
-    /// [`WeightedFairQueue::quiesced`].
+    /// `WeightedFairQueue::quiesced`.
     pub fn finish(&self, tenant: usize) {
         let mut inner = self.inner.lock().unwrap();
         inner.lanes[tenant].in_service -= 1;
@@ -374,7 +375,7 @@ impl<T> WeightedFairQueue<T> {
     /// reported handled. After [`WeightedFairQueue::remove_tenant`] nothing
     /// more can be popped from the lane, so this returns once the consumers
     /// holding its last batches are done with them.
-    pub fn wait_finished(&self, tenant: usize) {
+    pub(crate) fn wait_finished(&self, tenant: usize) {
         let mut inner = self.inner.lock().unwrap();
         while inner.lanes[tenant].in_service > 0 {
             inner = self.finished.wait(inner).unwrap();
@@ -386,7 +387,7 @@ impl<T> WeightedFairQueue<T> {
     /// pop, claim, add, or remove. Used for the final shutdown
     /// reconciliation read ([`TenantServer::shutdown`]), after the close
     /// has stopped new claims.
-    pub fn quiesced<R>(&self, f: impl FnOnce() -> R) -> R {
+    pub(crate) fn quiesced<R>(&self, f: impl FnOnce() -> R) -> R {
         let mut inner = self.inner.lock().unwrap();
         while inner.in_service > 0 {
             inner = self.finished.wait(inner).unwrap();
@@ -961,7 +962,7 @@ impl TenantServer {
     /// quarter (relative), the promotion is rolled back. On a validated
     /// promotion the tenant's monitor and circuit breakers are reset so the
     /// new model serves at full accuracy. Other tenants' registries are never touched. Every
-    /// round's action lands in the tenant's [`ServeStats`].
+    /// round's action lands in the tenant's `ServeStats`.
     pub fn heal(
         &self,
         tenant: &str,
@@ -1115,5 +1116,113 @@ struct Finish<'a> {
 impl Drop for Finish<'_> {
     fn drop(&mut self) {
         self.queue.finish(self.tenant);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Quotas are bulkheads: pushing one lane to (and past) its quota
+    /// rejects only that lane with `TenantFull`, and never consumes
+    /// another lane's quota.
+    #[test]
+    fn tenant_quota_never_bleeds_into_another_lane() {
+        rng::cases(64, |rng| {
+            let quota_a = rng.gen_range(1usize..8);
+            let extra = rng.gen_range(1usize..16);
+            let quota_b = rng.gen_range(1usize..8);
+            let q = WeightedFairQueue::new(1024);
+            let a = q.add_tenant(1.0, quota_a);
+            let b = q.add_tenant(1.0, quota_b);
+            for i in 0..quota_a {
+                assert!(q.try_push(a, i).is_ok());
+            }
+            for i in 0..extra {
+                match q.try_push(a, quota_a + i) {
+                    Err(TenantPushError::TenantFull(_, depth)) => assert_eq!(depth, quota_a),
+                    other => panic!("expected TenantFull, got {:?}", other.is_ok()),
+                }
+            }
+            // The noisy lane being saturated must not cost lane b anything.
+            for i in 0..quota_b {
+                assert!(
+                    q.try_push(b, i).is_ok(),
+                    "quiet lane rejected at depth {}",
+                    i
+                );
+            }
+            assert_eq!(q.tenant_len(a), quota_a);
+            assert_eq!(q.tenant_len(b), quota_b);
+        });
+    }
+
+    /// Removing a lane under load hands back exactly its FIFO backlog,
+    /// refuses further pushes with `Removed`, and never disturbs the other
+    /// lanes' contents or quotas.
+    #[test]
+    fn remove_tenant_drains_its_lane_and_spares_the_rest() {
+        let q = WeightedFairQueue::new(1024);
+        let a = q.add_tenant(1.0, 64);
+        let b = q.add_tenant(1.0, 64);
+        for i in 0..10 {
+            q.try_push(a, i).unwrap();
+            q.try_push(b, 100 + i).unwrap();
+        }
+        let drained = q.remove_tenant(a);
+        assert_eq!(drained, (0..10).collect::<Vec<_>>(), "FIFO drain");
+        assert_eq!(q.tenant_len(a), 0);
+        assert_eq!(q.tenant_len(b), 10, "quiet lane untouched");
+        assert_eq!(q.len(), 10);
+        assert!(matches!(
+            q.try_push(a, 99),
+            Err(TenantPushError::Removed(99))
+        ));
+        // The tombstoned lane is never selected again; b drains normally.
+        let (t, batch) = q.try_pop_batch(64).unwrap();
+        assert_eq!(t, b);
+        assert_eq!(batch.len(), 10);
+        // A lane added after the removal gets a fresh index, not a's slot.
+        let c = q.add_tenant(1.0, 8);
+        assert_eq!(c, 2);
+        q.try_push(c, 7).unwrap();
+        assert_eq!(q.try_pop_batch(8), Some((c, vec![7])));
+    }
+
+    /// Waiting on a removed lane returns only after the consumer holding its
+    /// last popped batch reports that batch finished.
+    #[test]
+    fn wait_finished_outlasts_a_batch_popped_before_removal() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let q = WeightedFairQueue::new(16);
+        let a = q.add_tenant(1.0, 16);
+        q.try_push(a, 1).unwrap();
+        let (t, batch) = q.try_pop_batch(8).unwrap();
+        assert_eq!((t, batch), (a, vec![1]));
+        assert!(q.remove_tenant(a).is_empty());
+        let finished = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                finished.store(true, Ordering::SeqCst);
+                q.finish(a);
+            });
+            q.wait_finished(a);
+            assert!(finished.load(Ordering::SeqCst), "returned before finish");
+        });
+        q.wait_finished(a);
+    }
+
+    /// Closing the queue drains what was admitted, then reports shutdown.
+    #[test]
+    fn close_drains_then_signals_shutdown() {
+        let q = WeightedFairQueue::new(16);
+        let a = q.add_tenant(1.0, 16);
+        q.try_push(a, 1).unwrap();
+        q.try_push(a, 2).unwrap();
+        q.close();
+        assert!(matches!(q.try_push(a, 3), Err(TenantPushError::Closed(3))));
+        assert_eq!(q.pop_blocking_batch(8), Some((a, vec![1, 2])));
+        assert_eq!(q.pop_blocking_batch(8), None);
     }
 }

@@ -228,6 +228,14 @@ fn error_frames_round_trip() {
 /// header-sized prefixes.
 #[test]
 fn decode_never_panics_on_arbitrary_bytes() {
+    let req = Request {
+        id: 0,
+        tenant: String::new(),
+        method: Method::PlanLevel,
+        deadline_micros: None,
+        query: query_pool()[0].clone(),
+    };
+    let magic = Frame::Request(req).encode()[..4].to_vec();
     rng::cases(10_000, |rng| {
         let len = if rng.gen_bool(0.5) {
             rng.gen_range(0..32)
@@ -235,10 +243,10 @@ fn decode_never_panics_on_arbitrary_bytes() {
             rng.gen_range(0..2048)
         };
         let mut bytes: Vec<u8> = (0..len).map(|_| rng.gen_range(0u8..=255)).collect();
-        // Half the cases start with valid magic so decode gets past the
-        // first gate and into the payload parsers.
+        // Half the cases start with a valid frame's magic so decode gets
+        // past the first gate and into the payload parsers.
         if rng.gen_bool(0.5) && len >= 4 {
-            bytes[..4].copy_from_slice(&serve::codec::MAGIC);
+            bytes[..4].copy_from_slice(&magic);
         }
         let _ = Frame::decode(&bytes, DEFAULT_MAX_FRAME);
     });

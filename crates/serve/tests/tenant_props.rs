@@ -1,13 +1,13 @@
-//! Property tests for the multi-tenant bulkhead front-end: the token
-//! bucket polices rate deterministically, the weighted-fair queue serves
-//! backlogged lanes proportionally to weight (no tenant starves, FIFO per
-//! lane), tenant quotas are bulkheads (one lane filling never rejects
-//! another), and the admission + quota pipeline reconciles *exactly* —
-//! every submitted request is accounted shed or served, per tenant and
-//! globally, over seeded tenant-skewed arrival streams.
+//! Property tests for the multi-tenant bulkhead front-end: the
+//! weighted-fair queue serves backlogged lanes proportionally to weight
+//! (no tenant starves, FIFO per lane), and the admission + quota pipeline
+//! reconciles *exactly* — every submitted request is accounted shed or
+//! served, per tenant and globally, over seeded tenant-skewed arrival
+//! streams. (The token bucket's and the queue's lane-level cases are
+//! `admission`'s and `tenant`'s unit tests.)
 
 use engine::faults::ArrivalPattern;
-use serve::{AdmissionController, RateLimit, TenantPushError, TokenBucket, WeightedFairQueue};
+use serve::{AdmissionController, RateLimit, TenantPushError, WeightedFairQueue};
 
 const CASES: u64 = 64;
 
@@ -74,48 +74,6 @@ fn one_hot_burst(
         .collect()
 }
 
-/// The bucket never admits more than `burst + rate * elapsed` requests
-/// over any prefix of a monotone arrival stream, and replaying the
-/// stream reproduces every decision bit-for-bit.
-#[test]
-fn token_bucket_caps_admissions_and_replays() {
-    rng::cases(CASES, |rng| {
-        let rate = rng.gen_range(0.5f64..200.0);
-        let burst = rng.gen_range(1.0f64..32.0);
-        let gaps: Vec<f64> = (0..rng.gen_range(1usize..256))
-            .map(|_| rng.gen_range(0.0f64..0.5))
-            .collect();
-        let limit = RateLimit { rate, burst };
-        let mut bucket = TokenBucket::new(limit);
-        let mut now = 0.0;
-        let mut accepted = 0u64;
-        let mut decisions = Vec::with_capacity(gaps.len());
-        for &g in &gaps {
-            now += g;
-            let ok = bucket.try_acquire(now);
-            decisions.push(ok);
-            if ok {
-                accepted += 1;
-                // The cap holds at every prefix, not just the end.
-                assert!(
-                    accepted as f64 <= burst + rate * now + 1.0 + 1e-6,
-                    "admitted {} by t={} with rate {} burst {}",
-                    accepted,
-                    now,
-                    rate,
-                    burst
-                );
-            }
-        }
-        let mut replay = TokenBucket::new(limit);
-        let mut now = 0.0;
-        for (i, &g) in gaps.iter().enumerate() {
-            now += g;
-            assert_eq!(replay.try_acquire(now), decisions[i]);
-        }
-    });
-}
-
 /// With every lane continuously backlogged, normalized service
 /// `served[t] / weight[t]` stays within one batch-charge of every
 /// other lane's at all times — the virtual-time WFQ fairness bound.
@@ -169,40 +127,6 @@ fn wfq_service_tracks_weights_and_preserves_fifo() {
                 assert!(s > 0, "lane {} starved across {} pops", t, pops);
             }
         }
-    });
-}
-
-/// Quotas are bulkheads: pushing one lane to (and past) its quota
-/// rejects only that lane with `TenantFull`, and never consumes
-/// another lane's quota.
-#[test]
-fn tenant_quota_never_bleeds_into_another_lane() {
-    rng::cases(CASES, |rng| {
-        let quota_a = rng.gen_range(1usize..8);
-        let extra = rng.gen_range(1usize..16);
-        let quota_b = rng.gen_range(1usize..8);
-        let q = WeightedFairQueue::new(1024);
-        let a = q.add_tenant(1.0, quota_a);
-        let b = q.add_tenant(1.0, quota_b);
-        for i in 0..quota_a {
-            assert!(q.try_push(a, i).is_ok());
-        }
-        for i in 0..extra {
-            match q.try_push(a, quota_a + i) {
-                Err(TenantPushError::TenantFull(_, depth)) => assert_eq!(depth, quota_a),
-                other => panic!("expected TenantFull, got {:?}", other.is_ok()),
-            }
-        }
-        // The noisy lane being saturated must not cost lane b anything.
-        for i in 0..quota_b {
-            assert!(
-                q.try_push(b, i).is_ok(),
-                "quiet lane rejected at depth {}",
-                i
-            );
-        }
-        assert_eq!(q.tenant_len(a), quota_a);
-        assert_eq!(q.tenant_len(b), quota_b);
     });
 }
 
@@ -315,75 +239,6 @@ fn waking_lane_gets_no_banked_credit() {
         first_four.contains(&a) && first_four.contains(&b),
         "service must interleave after wake, got {first_four:?}"
     );
-}
-
-/// Removing a lane under load hands back exactly its FIFO backlog,
-/// refuses further pushes with `Removed`, and never disturbs the other
-/// lanes' contents or quotas.
-#[test]
-fn remove_tenant_drains_its_lane_and_spares_the_rest() {
-    let q = WeightedFairQueue::new(1024);
-    let a = q.add_tenant(1.0, 64);
-    let b = q.add_tenant(1.0, 64);
-    for i in 0..10 {
-        q.try_push(a, i).unwrap();
-        q.try_push(b, 100 + i).unwrap();
-    }
-    let drained = q.remove_tenant(a);
-    assert_eq!(drained, (0..10).collect::<Vec<_>>(), "FIFO drain");
-    assert_eq!(q.tenant_len(a), 0);
-    assert_eq!(q.tenant_len(b), 10, "quiet lane untouched");
-    assert_eq!(q.len(), 10);
-    assert!(matches!(
-        q.try_push(a, 99),
-        Err(TenantPushError::Removed(99))
-    ));
-    // The tombstoned lane is never selected again; b drains normally.
-    let (t, batch) = q.try_pop_batch(64).unwrap();
-    assert_eq!(t, b);
-    assert_eq!(batch.len(), 10);
-    // A lane added after the removal gets a fresh index, not a's slot.
-    let c = q.add_tenant(1.0, 8);
-    assert_eq!(c, 2);
-    q.try_push(c, 7).unwrap();
-    assert_eq!(q.try_pop_batch(8), Some((c, vec![7])));
-}
-
-/// Waiting on a removed lane returns only after the consumer holding its
-/// last popped batch reports that batch finished.
-#[test]
-fn wait_finished_outlasts_a_batch_popped_before_removal() {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    let q = WeightedFairQueue::new(16);
-    let a = q.add_tenant(1.0, 16);
-    q.try_push(a, 1).unwrap();
-    let (t, batch) = q.try_pop_batch(8).unwrap();
-    assert_eq!((t, batch), (a, vec![1]));
-    assert!(q.remove_tenant(a).is_empty());
-    let finished = AtomicBool::new(false);
-    std::thread::scope(|s| {
-        s.spawn(|| {
-            std::thread::sleep(std::time::Duration::from_millis(20));
-            finished.store(true, Ordering::SeqCst);
-            q.finish(a);
-        });
-        q.wait_finished(a);
-        assert!(finished.load(Ordering::SeqCst), "returned before finish");
-    });
-    q.wait_finished(a);
-}
-
-/// Closing the queue drains what was admitted, then reports shutdown.
-#[test]
-fn close_drains_then_signals_shutdown() {
-    let q = WeightedFairQueue::new(16);
-    let a = q.add_tenant(1.0, 16);
-    q.try_push(a, 1).unwrap();
-    q.try_push(a, 2).unwrap();
-    q.close();
-    assert!(matches!(q.try_push(a, 3), Err(TenantPushError::Closed(3))));
-    assert_eq!(q.pop_blocking_batch(8), Some((a, vec![1, 2])));
-    assert_eq!(q.pop_blocking_batch(8), None);
 }
 
 #[test]

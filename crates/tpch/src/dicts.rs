@@ -5,7 +5,7 @@
 //! provide the code spaces (cardinalities) used by selectivity math.
 
 /// Market segments (`c_mktsegment`).
-pub const SEGMENTS: [&str; 5] = [
+pub(crate) const SEGMENTS: [&str; 5] = [
     "AUTOMOBILE",
     "BUILDING",
     "FURNITURE",
@@ -13,31 +13,11 @@ pub const SEGMENTS: [&str; 5] = [
     "HOUSEHOLD",
 ];
 
-/// Order priorities (`o_orderpriority`).
-pub const PRIORITIES: [&str; 5] = ["1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT SPECIFIED", "5-LOW"];
-
 /// Ship modes (`l_shipmode`).
-pub const SHIP_MODES: [&str; 7] = ["REG AIR", "AIR", "RAIL", "SHIP", "TRUCK", "MAIL", "FOB"];
-
-/// Ship instructions (`l_shipinstruct`).
-pub const SHIP_INSTRUCTS: [&str; 4] = [
-    "DELIVER IN PERSON",
-    "COLLECT COD",
-    "NONE",
-    "TAKE BACK RETURN",
-];
-
-/// Return flags (`l_returnflag`): R, A, N.
-pub const RETURN_FLAGS: [&str; 3] = ["R", "A", "N"];
-
-/// Line statuses (`l_linestatus`).
-pub const LINE_STATUSES: [&str; 2] = ["O", "F"];
-
-/// Order statuses (`o_orderstatus`).
-pub const ORDER_STATUSES: [&str; 3] = ["F", "O", "P"];
+pub(crate) const SHIP_MODES: [&str; 7] = ["REG AIR", "AIR", "RAIL", "SHIP", "TRUCK", "MAIL", "FOB"];
 
 /// The 25 nations, in nation-key order.
-pub const NATIONS: [&str; 25] = [
+pub(crate) const NATIONS: [&str; 25] = [
     "ALGERIA",
     "ARGENTINA",
     "BRAZIL",
@@ -67,31 +47,31 @@ pub const NATIONS: [&str; 25] = [
 
 /// Region key of each nation, aligned with [`NATIONS`]
 /// (0 = AFRICA, 1 = AMERICA, 2 = ASIA, 3 = EUROPE, 4 = MIDDLE EAST).
-pub const NATION_REGION: [u32; 25] = [
+pub(crate) const NATION_REGION: [u32; 25] = [
     0, 1, 1, 1, 4, 0, 3, 3, 2, 2, 4, 4, 2, 4, 0, 0, 0, 1, 2, 3, 3, 4, 3, 1, 2,
 ];
 
 /// The 5 regions, in region-key order.
-pub const REGIONS: [&str; 5] = ["AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST"];
+pub(crate) const REGIONS: [&str; 5] = ["AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST"];
 
 /// Number of distinct part brands (`Brand#MN`, M and N in 1..=5).
-pub const N_BRANDS: u32 = 25;
+pub(crate) const N_BRANDS: u32 = 25;
 
 /// Number of distinct part types (6 syllable-1 × 5 syllable-2 × 5 syllable-3).
-pub const N_TYPES: u32 = 150;
+pub(crate) const N_TYPES: u32 = 150;
 
 /// Number of distinct containers (5 × 8 combinations).
-pub const N_CONTAINERS: u32 = 40;
+pub(crate) const N_CONTAINERS: u32 = 40;
 
 /// Number of colors in the `p_name` vocabulary; each part name is built
 /// from 5 of these, which drives `p_name LIKE '%color%'` selectivity.
-pub const N_COLORS: u32 = 92;
+pub(crate) const N_COLORS: u32 = 92;
 
 /// Words per part name drawn from the color vocabulary.
 pub const NAME_WORDS: u32 = 5;
 
 /// Renders a brand code (0..25) as the spec's `Brand#MN` string.
-pub fn brand_name(code: u32) -> String {
+pub(crate) fn brand_name(code: u32) -> String {
     format!("Brand#{}{}", code / 5 + 1, code % 5 + 1)
 }
 
@@ -101,21 +81,11 @@ const TYPE_S2: [&str; 5] = ["ANODIZED", "BURNISHED", "PLATED", "POLISHED", "BRUS
 const TYPE_S3: [&str; 5] = ["TIN", "NICKEL", "BRASS", "STEEL", "COPPER"];
 
 /// Renders a type code (0..150) as `S1 S2 S3`.
-pub fn type_name(code: u32) -> String {
+pub(crate) fn type_name(code: u32) -> String {
     let s1 = TYPE_S1[(code / 25) as usize % 6];
     let s2 = TYPE_S2[(code / 5 % 5) as usize];
     let s3 = TYPE_S3[(code % 5) as usize];
     format!("{s1} {s2} {s3}")
-}
-
-/// The trailing syllable of a type code (used by template 2's `%BRASS`).
-pub fn type_suffix(code: u32) -> &'static str {
-    TYPE_S3[(code % 5) as usize]
-}
-
-/// The leading syllable of a type code (used by template 14's `PROMO%`).
-pub fn type_prefix(code: u32) -> &'static str {
-    TYPE_S1[(code / 25) as usize % 6]
 }
 
 #[cfg(test)]
@@ -144,15 +114,6 @@ mod tests {
         let all: std::collections::HashSet<String> = (0..N_TYPES).map(type_name).collect();
         assert_eq!(all.len(), 150);
         assert_eq!(type_name(0), "STANDARD ANODIZED TIN");
-    }
-
-    #[test]
-    fn type_suffix_partitions_types() {
-        // Exactly 30 of the 150 types end in each syllable-3 value.
-        let brass = (0..N_TYPES).filter(|&c| type_suffix(c) == "BRASS").count();
-        assert_eq!(brass, 30);
-        let promo = (0..N_TYPES).filter(|&c| type_prefix(c) == "PROMO").count();
-        assert_eq!(promo, 25);
     }
 
     #[test]

@@ -20,16 +20,16 @@ use crate::schema::{ColRef, TableId};
 use crate::types::{CmpOp, END_DATE};
 
 /// Number of distinct `o_orderdate` values: STARTDATE .. ENDDATE − 151 days.
-pub const ORDERDATE_VALUES: i32 = END_DATE - 151 + 1;
+pub(crate) const ORDERDATE_VALUES: i32 = END_DATE - 151 + 1;
 
 /// Maximum ship lag (days after the order date).
 pub const SHIP_LAG_MAX: i32 = 121;
 /// Commit lag range (days after the order date).
 pub const COMMIT_LAG: (i32, i32) = (30, 90);
 /// Receipt lag range (days after the ship date).
-pub const RECEIPT_LAG: (i32, i32) = (1, 30);
+pub(crate) const RECEIPT_LAG: (i32, i32) = (1, 30);
 /// Lines per order range.
-pub const LINES_PER_ORDER: (i32, i32) = (1, 7);
+pub(crate) const LINES_PER_ORDER: (i32, i32) = (1, 7);
 
 /// Generative description of a column.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -369,7 +369,7 @@ fn lagged_date_sel(op: CmpOp, value: f64, lags: &[(i32, f64)]) -> f64 {
 /// '%color%'` selectivity — and with it template 9's runtime — vary
 /// strongly with the chosen color, as the paper's 10 GB experiments
 /// required (only 17 of 55 template-9 instances finished within an hour).
-pub fn color_weight(color: u32) -> f64 {
+pub(crate) fn color_weight(color: u32) -> f64 {
     assert!(color < dicts::N_COLORS, "color {color} out of range");
     let raw = |c: u32| 1.0 / (1.0 + c as f64).powf(1.1);
     let total: f64 = (0..dicts::N_COLORS).map(raw).sum();
@@ -435,7 +435,7 @@ fn p_commit_before_receipt_uncached() -> f64 {
 ///
 /// Memoised per start day inside the calendar (template 12 draws five of
 /// them); a start outside it is computed directly.
-pub fn joint_t12_chain(year_start: i32) -> f64 {
+pub(crate) fn joint_t12_chain(year_start: i32) -> f64 {
     const DAYS: usize = END_DATE as usize + 1;
     static BY_START: [OnceLock<f64>; DAYS] = [const { OnceLock::new() }; DAYS];
     match usize::try_from(year_start).ok().and_then(|d| BY_START.get(d)) {

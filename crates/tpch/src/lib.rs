@@ -22,6 +22,7 @@
 //!   each instance its parameter draw.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod datagen;
 pub mod dicts;
@@ -38,5 +39,5 @@ pub use spec::{
     AggFunc, AggregateSpec, GroupCount, Having, JoinKind, Predicate, Query, QuerySpec, RelExpr,
 };
 pub use templates::{instantiate, ALL_TEMPLATES, EIGHTEEN, FOURTEEN, TWELVE};
-pub use types::{date, format_date, CmpOp, Scalar};
+pub use types::{date, CmpOp, Scalar};
 pub use workload::Workload;

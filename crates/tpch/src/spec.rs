@@ -277,8 +277,10 @@ impl RelExpr {
     /// Whether the expression contains a scalar-subquery filter
     /// (a PostgreSQL InitPlan/SubPlan-style structure). The paper's
     /// operator-level models cannot handle such plans (Section 5.3's
-    /// footnote); ours inherit the restriction for fidelity.
-    pub fn has_subquery(&self) -> bool {
+    /// footnote); ours inherit the restriction for fidelity, and the
+    /// template tests check that the operator-level subset has none.
+    #[cfg(test)]
+    pub(crate) fn has_subquery(&self) -> bool {
         let mut found = false;
         self.visit(&mut |e| {
             if matches!(e, RelExpr::ScalarSubqueryFilter { .. }) {
@@ -289,7 +291,7 @@ impl RelExpr {
     }
 
     /// Pre-order traversal.
-    pub fn visit<F: FnMut(&RelExpr)>(&self, f: &mut F) {
+    pub(crate) fn visit<F: FnMut(&RelExpr)>(&self, f: &mut F) {
         f(self);
         match self {
             RelExpr::Scan { .. } => {}

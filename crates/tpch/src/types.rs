@@ -60,9 +60,9 @@ impl CmpOp {
 }
 
 /// The TPC-H calendar starts at 1992-01-01 (day 0) and ends at 1998-12-31.
-pub const START_YEAR: i32 = 1992;
+pub(crate) const START_YEAR: i32 = 1992;
 /// Last day of the TPC-H calendar (1998-12-31) as a day number.
-pub const END_DATE: i32 = 2556;
+pub(crate) const END_DATE: i32 = 2556;
 
 const DAYS_IN_MONTH: [i32; 12] = [31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31];
 
@@ -106,7 +106,7 @@ pub fn date(year: i32, month: u32, day: u32) -> i32 {
 }
 
 /// Formats a day number as `YYYY-MM-DD` for display/logging.
-pub fn format_date(mut days: i32) -> String {
+pub(crate) fn format_date(mut days: i32) -> String {
     let mut year = START_YEAR;
     loop {
         let len = if is_leap(year) { 366 } else { 365 };

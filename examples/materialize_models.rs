@@ -36,6 +36,7 @@ fn main() {
     // or sample runs needed.
     let reloaded =
         qpp::decode_snapshot(&std::fs::read(&path).expect("read models")).expect("valid snapshot");
+    std::fs::remove_file(&path).expect("remove the snapshot file");
     let hybrid = reloaded.hybrid();
 
     let incoming = Workload::generate(&[3, 14], 3, sf, 4321);

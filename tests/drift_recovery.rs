@@ -25,11 +25,22 @@ fn quiet_sim() -> Simulator {
     })
 }
 
-/// Fresh per-process temp directory for a registry.
-fn temp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("qpp-registry-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+/// A fresh per-process temp directory for a registry, removed when the
+/// guard drops: after a passing test, and while a failing one unwinds.
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new(name: &str) -> TempDir {
+        let dir = std::env::temp_dir().join(format!("qpp-registry-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        TempDir(dir)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 fn collect(workload: &Workload, sim: &Simulator, drift: &DriftPlan) -> QueryDataset {
@@ -69,8 +80,8 @@ fn drift_quarantines_breaks_and_recovers_via_shadow_retrain() {
     let clean = collect(&Workload::generate(&templates, 8, 0.1, 7), &sim, &DriftPlan::none());
     let clean_refs: Vec<&ExecutedQuery> = clean.queries.iter().collect();
     let incumbent = QppPredictor::train(&clean_refs, QppConfig::default()).unwrap();
-    let registry =
-        ModelRegistry::create(temp_dir("drift-e2e"), incumbent, QppConfig::default()).unwrap();
+    let dir = TempDir::new("drift-e2e");
+    let registry = ModelRegistry::create(&dir.0, incumbent, QppConfig::default()).unwrap();
     assert_eq!(registry.version(), 1);
 
     // Phase 2: the data grows 3x overnight. Observed latencies triple
@@ -165,8 +176,8 @@ fn model_swap_changes_cache_signature_so_stale_entries_cannot_hit() {
     );
     let refs: Vec<&ExecutedQuery> = ds.queries.iter().collect();
     let incumbent = QppPredictor::train(&refs, QppConfig::default()).unwrap();
-    let registry =
-        ModelRegistry::create(temp_dir("drift-sig"), incumbent, QppConfig::default()).unwrap();
+    let dir = TempDir::new("drift-sig");
+    let registry = ModelRegistry::create(&dir.0, incumbent, QppConfig::default()).unwrap();
 
     // Warm the shared cache through the serving model.
     let before = registry.current();

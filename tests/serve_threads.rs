@@ -9,7 +9,7 @@
 use engine::{Catalog, Simulator};
 use qpp::{ExecutedQuery, Method, ModelRegistry, QppConfig, QppPredictor, QueryDataset};
 use serve::{TenantBudget, TenantServeConfig, TenantServer, TenantSpec};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use tpch::Workload;
 
@@ -32,9 +32,9 @@ fn tenant_workers_start_on_demand() {
     let ds = QueryDataset::execute(&catalog, &workload, &Simulator::new(), 11, f64::INFINITY);
     let refs: Vec<&ExecutedQuery> = ds.queries.iter().collect();
     let predictor = QppPredictor::train(&refs, QppConfig::default()).expect("training");
-    let dir = std::env::temp_dir().join(format!("qpp_serve_threads_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let registry = ModelRegistry::create(&dir, predictor, QppConfig::default()).expect("registry");
+    let dir = TempDir::new();
+    let registry =
+        ModelRegistry::create(&dir.0, predictor, QppConfig::default()).expect("registry");
     let query = Arc::new(ds.queries[0].clone());
 
     let server = TenantServer::start(
@@ -65,5 +65,22 @@ fn tenant_workers_start_on_demand() {
     assert_eq!(threads("qpp-serve"), 1, "one queued request, one worker");
 
     assert!(server.shutdown().reconciles());
-    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The registry's per-process temp directory, removed when the guard
+/// drops: after a passing test, and while a failing one unwinds.
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new() -> TempDir {
+        let dir = std::env::temp_dir().join(format!("qpp_serve_threads_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        TempDir(dir)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
