@@ -196,9 +196,8 @@ impl FeatureModel {
     /// predictions carry [`TrainedModel::predict_into`]'s numeric contract
     /// (see `ml::compiled`): a linear model is bit-identical to
     /// [`TrainedModel::predict`]; an SVR sums in one fixed lane-tree
-    /// order — the same bits on any host, thread count or batch size —
-    /// which agrees with `TrainedModel::predict`'s left-to-right fold to
-    /// summation-reordering rounding, not bit for bit.
+    /// order — the same bits on any host, thread count or batch size, and
+    /// the order cross-validation scored it in.
     /// [`FeatureModel::predict`] delegates here with the thread's
     /// [`PredictBuffers`].
     pub fn predict_into(

@@ -41,6 +41,6 @@ pub use catalog::Catalog;
 pub use faults::{DriftKind, DriftPlan, ExecError, FaultOutcome, FaultPlan};
 pub use explain::{explain, explain_analyze};
 pub use plan::{NodeEst, OpDetail, OpType, PlanBuilder, PlanNode, Planned, ALL_OP_TYPES};
-pub use planner::{Planner, PlannerConfig};
+pub use planner::Planner;
 pub use recost::for_each_truth_cost;
 pub use sim::{NodeTiming, SimConfig, Simulator, Trace};

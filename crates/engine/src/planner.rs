@@ -25,11 +25,12 @@ use tpch::schema::ColRef;
 use tpch::spec::{GroupCount, JoinKind, Predicate, QuerySpec, RelExpr};
 use tpch::types::CmpOp;
 
-/// Planner configuration (PostgreSQL-style resource GUCs).
+/// Planner configuration (PostgreSQL-style resource GUCs). Every caller
+/// outside this module's tests plans with the default.
 #[derive(Debug, Clone, Copy)]
-pub struct PlannerConfig {
+pub(crate) struct PlannerConfig {
     /// Memory budget per sort/hash operation, in bytes.
-    pub work_mem: f64,
+    pub(crate) work_mem: f64,
 }
 
 impl Default for PlannerConfig {
@@ -57,7 +58,8 @@ impl<'a> Planner<'a> {
     }
 
     /// Creates a planner with an explicit configuration.
-    pub fn with_config(catalog: &'a Catalog, config: PlannerConfig) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_config(catalog: &'a Catalog, config: PlannerConfig) -> Self {
         Planner { catalog, config }
     }
 
@@ -658,6 +660,8 @@ fn max_nodes(expr: &RelExpr) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::PlanNode;
+    use crate::sim::{SimConfig, Simulator};
     use rng::StdRng;
     use tpch::templates;
 
@@ -782,5 +786,63 @@ mod tests {
         let p = plan_template(17, 1.0, 1).plan;
         let has_index_scan = p.iter().any(|n| n.op == OpType::IndexScan);
         assert!(has_index_scan);
+    }
+
+    /// Aggregation strategy flips from hash to sort+group when work_mem is
+    /// tiny (the estimated hash table no longer fits).
+    #[test]
+    fn work_mem_flips_aggregation_strategy() {
+        let catalog = Catalog::new(1.0, 1);
+        let mut rng = StdRng::seed_from_u64(3);
+        let spec = templates::instantiate(10, 1.0, &mut rng); // group by customer: many groups
+
+        let roomy = Planner::with_config(&catalog, PlannerConfig { work_mem: 1e12 })
+            .plan(&spec)
+            .plan;
+        let tight = Planner::with_config(&catalog, PlannerConfig { work_mem: 1024.0 })
+            .plan(&spec)
+            .plan;
+
+        let has = |p: &[PlanNode], op: OpType| p.iter().any(|n| n.op == op);
+        assert!(has(&roomy, OpType::HashAggregate));
+        assert!(!has(&roomy, OpType::GroupAggregate));
+        assert!(has(&tight, OpType::GroupAggregate));
+    }
+
+    /// Pipelined operators do NOT block: a GroupAggregate over sorted input
+    /// starts long before its input finishes.
+    #[test]
+    fn group_aggregate_pipelines() {
+        // Build a plan with GroupAggregate by shrinking work_mem.
+        let catalog = Catalog::new(1.0, 1);
+        let planner = Planner::with_config(&catalog, PlannerConfig { work_mem: 1024.0 });
+        let mut rng = StdRng::seed_from_u64(1);
+        let p = planner.plan(&templates::instantiate(10, 1.0, &mut rng));
+        let sim = Simulator::with_config(SimConfig {
+            node_noise_sigma: 0.0,
+            query_noise_sigma: 0.0,
+            additive_noise_secs: 0.0,
+            ..SimConfig::default()
+        });
+        let trace = sim.execute(&p, 1.0, 0);
+        let nodes = &p.plan[..];
+        let mut checked = false;
+        for (i, n) in nodes.iter().enumerate() {
+            if n.op == OpType::GroupAggregate {
+                // The child is the blocking Sort; the aggregate streams over
+                // its output, so it starts with the sort's first tuple, not
+                // after the sort's last.
+                let child_start = trace.timings[i + 1].start;
+                assert!(
+                    trace.timings[i].start <= child_start * 1.01 + 1e-3,
+                    "group aggregate should start with its input's first tuple: \
+                     start {} vs child start {}",
+                    trace.timings[i].start,
+                    child_start
+                );
+                checked = true;
+            }
+        }
+        assert!(checked, "expected a GroupAggregate under tiny work_mem");
     }
 }

@@ -1,8 +1,8 @@
 //! Behavioral tests of the planner's cost-based physical choices and the
 //! simulator's mechanism inventory.
 
-use engine::plan::{children, OpDetail, OpType, PlanNode, Planned};
-use engine::{Catalog, Planner, PlannerConfig, SimConfig, Simulator};
+use engine::plan::{children, OpDetail, OpType, Planned};
+use engine::{Catalog, Planner, SimConfig, Simulator};
 use rng::StdRng;
 use tpch::spec::JoinKind;
 
@@ -40,37 +40,6 @@ fn hash_join_builds_on_smaller_estimated_side() {
             }
         }
     }
-}
-
-/// Aggregation strategy flips from hash to sort+group when work_mem is
-/// tiny (the estimated hash table no longer fits).
-#[test]
-fn work_mem_flips_aggregation_strategy() {
-    let catalog = Catalog::new(1.0, 1);
-    let mut rng = StdRng::seed_from_u64(3);
-    let spec = tpch::instantiate(10, 1.0, &mut rng); // group by customer: many groups
-
-    let roomy = Planner::with_config(
-        &catalog,
-        PlannerConfig {
-            work_mem: 1e12,
-        },
-    )
-    .plan(&spec)
-    .plan;
-    let tight = Planner::with_config(
-        &catalog,
-        PlannerConfig {
-            work_mem: 1024.0,
-        },
-    )
-    .plan(&spec)
-    .plan;
-
-    let has = |p: &[PlanNode], op: OpType| p.iter().any(|n| n.op == op);
-    assert!(has(&roomy, OpType::HashAggregate));
-    assert!(!has(&roomy, OpType::GroupAggregate));
-    assert!(has(&tight, OpType::GroupAggregate));
 }
 
 /// A repeated scan of the same small table within one query hits the

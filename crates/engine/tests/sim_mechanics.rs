@@ -83,41 +83,6 @@ fn sorts_block() {
     }
 }
 
-/// Pipelined operators do NOT block: a GroupAggregate over sorted input
-/// starts long before its input finishes.
-#[test]
-fn group_aggregate_pipelines() {
-    // Build a plan with GroupAggregate by shrinking work_mem.
-    let catalog = Catalog::new(1.0, 1);
-    let planner = Planner::with_config(
-        &catalog,
-        engine::PlannerConfig { work_mem: 1024.0 },
-    );
-    let mut rng = StdRng::seed_from_u64(1);
-    let p = planner.plan(&tpch::instantiate(10, 1.0, &mut rng));
-    let sim = Simulator::with_config(noiseless());
-    let trace = sim.execute(&p, 1.0, 0);
-    let nodes = &p.plan[..];
-    let mut checked = false;
-    for (i, n) in nodes.iter().enumerate() {
-        if n.op == engine::OpType::GroupAggregate {
-            // The child is the blocking Sort; the aggregate streams over
-            // its output, so it starts with the sort's first tuple, not
-            // after the sort's last.
-            let child_start = trace.timings[i + 1].start;
-            assert!(
-                trace.timings[i].start <= child_start * 1.01 + 1e-3,
-                "group aggregate should start with its input's first tuple: \
-                 start {} vs child start {}",
-                trace.timings[i].start,
-                child_start
-            );
-            checked = true;
-        }
-    }
-    assert!(checked, "expected a GroupAggregate under tiny work_mem");
-}
-
 /// The noise decomposition: per-query noise shifts whole traces; node
 /// noise decorrelates operators. Turning query noise off shrinks the
 /// latency spread across seeds.

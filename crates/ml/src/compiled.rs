@@ -1,26 +1,29 @@
-//! The serving layout of an SVR model and its lane-tree kernel.
+//! The lane layout, the one RBF kernel over it, and the serving path of an
+//! SVR model.
 //!
-//! A fitted [`SvrModel`] is stored once, in the layout that serves it:
-//! support vectors with a zero coefficient are not stored, and the rest
-//! are packed as **lane-padded SoA blocks** of `LANES` = 8 support
-//! vectors each, feature-major within a block and zero-padded to a whole
-//! block (padding carries a zero coefficient, so padded lanes only ever
-//! add `+0.0` to their own accumulator). A linear model is already a flat
-//! weight vector. [`Svr::fit`], `SvrModel::from_parts` and
-//! [`SvrModel::decode`] pack the blocks directly, and no other copy of the
-//! model exists.
+//! Vectors are packed by `pack` as **lane-padded SoA blocks** of `LANES`
+//! = 8 vectors each, feature-major within a block and zero-padded to a
+//! whole block. `rbf_lanes` evaluates the RBF kernel of one row against
+//! the eight vectors of one block; it is the only place the workspace
+//! evaluates an RBF term. A fitted [`SvrModel`] is stored once, in that
+//! layout: support vectors with a zero coefficient are not stored, and
+//! padding carries a zero coefficient, so padded lanes only ever add `+0.0`
+//! to their own accumulator. The Gram matrix of an SMO solve packs its
+//! training rows the same way and fills its tiles with the same function
+//! ([`crate::gram`]). A linear model is already a flat weight vector.
+//! [`Svr::fit`] and [`SvrModel::decode`] pack the blocks directly, and no
+//! other copy of the model exists.
 //!
-//! Two summation orders run over that one storage:
-//!
-//! - the reference left-to-right fold [`SvrModel::predict`], which
-//!   cross-validation and forward selection read, so the errors training
-//!   records and the features it selects are those of the fold;
-//! - the lane tree [`SvrModel::predict_into`], which serving reads:
-//!   scaling, the kernel expansion, the bias and the target inverse in a
-//!   single pass over a caller-provided scratch buffer, so a steady-state
-//!   prediction performs zero heap allocations (`tests/zero_alloc.rs`
-//!   counts them). [`SvrModel::predict_batch_into`] is that call in a
-//!   loop over a caller-owned output buffer.
+//! An SVR model has one summation order, the lane tree
+//! [`SvrModel::predict_into`]: scaling, the kernel expansion, the bias and
+//! the target inverse in a single pass over a caller-provided scratch
+//! buffer, so a steady-state prediction performs zero heap allocations
+//! (`tests/zero_alloc.rs` counts them). [`SvrModel::predict_batch_into`]
+//! is that call in a loop over a caller-owned output buffer, and
+//! [`SvrModel::predict`] is it with a scratch of its own. Serving reads it,
+//! and so do cross-validation and forward selection, so the errors training
+//! records and the features it selects are those of the sums the model
+//! serves.
 //!
 //! # Accumulation order
 //!
@@ -39,10 +42,11 @@
 //! per pass over the support vectors (0.87–1.07×). DESIGN.md §7 has the
 //! tables and the condition under which a SIMD twin would pay.
 //!
-//! Relative to the fold, the tree regroups the same additions, so the two
-//! agree to summation-reordering rounding — within `1e-12 · (1 +
-//! SvrModel::sum_magnitude)`, which the `compiled_props` unit tests
-//! assert — rather than bit-for-bit. The left-to-right fold is a
+//! The unit tests keep a left-to-right fold over the support vectors as
+//! the reference the tree is held to: the two agree to
+//! summation-reordering rounding — within `1e-12 · (1 +
+//! SvrModel::sum_magnitude)`, which the `compiled_props` and `simd_props`
+//! unit tests assert — rather than bit for bit. The fold is a
 //! loop-carried dependence chain — one f64 add latency per support vector
 //! — which is exactly what the lane tree exists to break.
 //!
@@ -50,7 +54,7 @@
 
 use crate::svr::SvrModel;
 
-/// Support vectors per lane-padded SoA block.
+/// Vectors per lane-padded SoA block.
 pub(crate) const LANES: usize = 8;
 
 /// Fixed final combine of the eight lane accumulators.
@@ -59,39 +63,46 @@ fn combine_tree(s: &[f64; LANES]) -> f64 {
     ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]))
 }
 
-/// Packs the support vectors whose coefficient is non-zero, in order, into
-/// the lane layout: `sv(i, k)` is feature `k` of vector `i`. Returns the
-/// vector blocks, the zero-padded coefficients and the count stored.
-/// Dropping a zero coefficient before lanes are assigned keeps every
-/// survivor's lane, hence the lane tree's bits.
-pub(crate) fn pack(
-    d: usize,
-    coefficients: &[f64],
-    sv: impl Fn(usize, usize) -> f64,
-) -> (Box<[f64]>, Box<[f64]>, usize) {
-    let n = coefficients.iter().filter(|&&c| c != 0.0).count();
-    let n_blocks = n.div_ceil(LANES);
-    let mut sv_lanes = vec![0.0; n_blocks * d * LANES];
-    let mut coef_lanes = vec![0.0; n_blocks * LANES];
-    let kept = coefficients.iter().enumerate().filter(|&(_, &c)| c != 0.0);
-    for (slot, (i, &c)) in kept.enumerate() {
-        let (b, l) = (slot / LANES, slot % LANES);
-        coef_lanes[slot] = c;
+/// Packs `n` vectors of `d` features into the lane layout: `v(i, k)` is
+/// feature `k` of vector `i`, stored at `b * d * LANES + k * LANES + l`
+/// for `i = b * LANES + l`; lanes past the last vector are zero.
+pub(crate) fn pack(n: usize, d: usize, v: impl Fn(usize, usize) -> f64) -> Box<[f64]> {
+    let mut lanes = vec![0.0; n.div_ceil(LANES) * d * LANES];
+    for i in 0..n {
+        let base = (i / LANES) * d * LANES + i % LANES;
         for k in 0..d {
-            sv_lanes[b * d * LANES + k * LANES + l] = sv(i, k);
+            lanes[base + k * LANES] = v(i, k);
         }
     }
-    (sv_lanes.into(), coef_lanes.into(), n)
+    lanes.into()
+}
+
+/// The RBF kernel `exp(-gamma · ‖x − v‖²)` of `x` against the eight
+/// vectors `v` of one packed block (`x.len() * LANES` values): each squared
+/// distance is a left-to-right sum over the features started at +0.0.
+/// `(v − x)² = (x − v)²` exactly in IEEE 754, so which of two rows is `x`
+/// does not move a bit. The only RBF evaluation outside the tests: the
+/// Gram matrix and the lane tree both call it.
+#[inline(always)]
+pub(crate) fn rbf_lanes(x: &[f64], block: &[f64], gamma: f64) -> [f64; LANES] {
+    let mut sq = [0.0f64; LANES];
+    for (vs, &xk) in block.chunks_exact(LANES).zip(x) {
+        for (s, &v) in sq.iter_mut().zip(vs) {
+            let diff = v - xk;
+            *s += diff * diff;
+        }
+    }
+    sq.map(|s| (-gamma * s).exp())
 }
 
 /// Reusable scratch space for [`SvrModel::predict_into`] and
 /// [`SvrModel::predict_batch_into`].
 ///
 /// Holds the scaled row of one kernel call so repeated predictions
-/// (loops, batches) allocate nothing after the first call. A scratch can
-/// be reused across models with different feature counts and across
-/// single-row and batched calls; it simply resizes (retaining capacity)
-/// as needed.
+/// (loops, batches, a cross-validation fold) allocate nothing after the
+/// first call. A scratch can be reused across models with different
+/// feature counts and across single-row and batched calls; it simply
+/// resizes (retaining capacity) as needed.
 #[derive(Debug, Clone, Default)]
 pub struct PredictScratch {
     /// `n_features` scaled values.
@@ -114,8 +125,7 @@ impl PredictScratch {
 impl SvrModel {
     /// Predicts one (unscaled) feature row with the lane tree, reusing
     /// `scratch` so the call performs no heap allocation once the scratch
-    /// has warmed up. The serving path; see the module docs for how it
-    /// relates to [`SvrModel::predict`].
+    /// has warmed up. Every prediction of an SVR model is this call.
     ///
     /// The row length is checked with a `debug_assert!` only.
     pub fn predict_into(&self, row: &[f64], scratch: &mut PredictScratch) -> f64 {
@@ -124,6 +134,12 @@ impl SvrModel {
         let xr = scratch.zeroed(d);
         self.x_scaler.transform_row_into(row, xr);
         self.y_scaler.inverse(self.bias + self.kernel_sum(xr))
+    }
+
+    /// [`SvrModel::predict_into`] with a scratch of its own: one
+    /// allocation a call. A loop should hold a [`PredictScratch`].
+    pub fn predict(&self, row: &[f64]) -> f64 {
+        self.predict_into(row, &mut PredictScratch::new())
     }
 
     /// Serial batched prediction into a caller-owned output buffer: a
@@ -146,32 +162,13 @@ impl SvrModel {
     /// The lane tree over one scaled row: eight independent lane
     /// accumulators, each updated once per block in block order.
     fn kernel_sum(&self, xr: &[f64]) -> f64 {
-        let d = self.n_features;
+        let width = self.n_features * LANES;
         let mut acc = [0.0f64; LANES];
-        if d == 0 {
-            // Empty kernel rows: exp(-gamma·0) == 1, so each lane just
-            // sums its coefficients.
-            for cs in self.coef_lanes.chunks_exact(LANES) {
-                for (a, &c) in acc.iter_mut().zip(cs) {
-                    *a += c;
-                }
-            }
-            return combine_tree(&acc);
-        }
-        let blocks = self
-            .sv_lanes
-            .chunks_exact(d * LANES)
-            .zip(self.coef_lanes.chunks_exact(LANES));
-        for (block, cs) in blocks {
-            let mut sq = [0.0f64; LANES];
-            for (svs, &x) in block.chunks_exact(LANES).zip(xr.iter()) {
-                for (sl, &s) in sq.iter_mut().zip(svs) {
-                    let diff = s - x;
-                    *sl += diff * diff;
-                }
-            }
-            for ((a, &c), &sv) in acc.iter_mut().zip(cs).zip(&sq) {
-                *a += c * (-self.gamma * sv).exp();
+        for (b, cs) in self.coef_lanes.chunks_exact(LANES).enumerate() {
+            let block = &self.sv_lanes[b * width..(b + 1) * width];
+            let k = rbf_lanes(xr, block, self.gamma);
+            for ((a, &c), &kl) in acc.iter_mut().zip(cs).zip(&k) {
+                *a += c * kl;
             }
         }
         combine_tree(&acc)
@@ -211,7 +208,7 @@ mod tests {
         let (x, m) = fitted();
         let mut scratch = PredictScratch::new();
         for row in probe_rows(&x) {
-            let reference = m.predict(&row);
+            let reference = m.predict_fold(&row);
             let tree = m.predict_into(&row, &mut scratch);
             let tol = 1e-12 * (1.0 + m.sum_magnitude(&row));
             assert!(
@@ -285,9 +282,11 @@ mod tests {
         let row = x.row(3);
         let mut scratch = PredictScratch::new();
         let bits = m.predict_into(row, &mut scratch).to_bits();
+        assert_eq!(m.predict(row).to_bits(), bits);
         // The wrapper runs the lane tree of the bare model.
         let tm = TrainedModel::Svr(m);
         assert_eq!(tm.predict_into(row, &mut scratch).to_bits(), bits);
+        assert_eq!(tm.predict(row).to_bits(), bits);
 
         let lm = TrainedModel::Linear(LinearModel {
             intercept: 1.0,

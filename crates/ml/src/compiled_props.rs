@@ -1,14 +1,17 @@
 //! Property tests for the serving path's numeric contracts.
 //!
 //! For any fitted SVR — across gamma, dimensionality, and support-vector
-//! counts — the one stored model serves two summation orders, and:
+//! counts — the one stored model has one summation order, the lane tree,
+//! and:
 //!
 //! - batches equal a serial lane-tree loop bit for bit, in input order
 //!   (hand-built shapes are swept in `simd_props`),
-//! - the lane tree (`SvrModel::predict_into`) agrees with the reference
-//!   left-to-right fold (`SvrModel::predict`) to summation-reordering
-//!   rounding, bounded by the condition of the kernel sum
-//!   (`SvrModel::sum_magnitude`).
+//! - `SvrModel::predict` and both `TrainedModel` entry points are that
+//!   loop's bits,
+//! - the lane tree (`SvrModel::predict_into`) agrees with the test-only
+//!   reference left-to-right fold (`SvrModel::predict_fold`) to
+//!   summation-reordering rounding, bounded by the condition of the kernel
+//!   sum (`SvrModel::sum_magnitude`).
 
 use crate::compiled::PredictScratch;
 use crate::svr::Kernel;
@@ -51,7 +54,7 @@ fn compiled_contracts_hold_for_fitted_models() {
         probes.push(vec![0.0; x.n_cols()]);
         let mut scratch = PredictScratch::new();
         for row in &probes {
-            let reference = model.predict(row);
+            let reference = model.predict_fold(row);
             let tree = model.predict_into(row, &mut scratch);
             // The lane tree stays within reordering rounding of the
             // reference.
@@ -75,13 +78,12 @@ fn compiled_contracts_hold_for_fitted_models() {
         let into_bits: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
         assert_eq!(&loop_bits, &into_bits);
 
-        // The TrainedModel wrapper serves the same lane tree, and its
-        // reference prediction is the same fold.
-        let reference_bits: Vec<u64> = probes.iter().map(|r| model.predict(r).to_bits()).collect();
-        let wrapped = TrainedModel::Svr(model);
-        for ((row, &bits), &fold) in probes.iter().zip(&loop_bits).zip(&reference_bits) {
+        // `predict` and the TrainedModel wrapper serve the same lane tree.
+        let wrapped = TrainedModel::Svr(model.clone());
+        for (row, &bits) in probes.iter().zip(&loop_bits) {
+            assert_eq!(model.predict(row).to_bits(), bits);
             assert_eq!(wrapped.predict_into(row, &mut scratch).to_bits(), bits);
-            assert_eq!(wrapped.predict(row).to_bits(), fold);
+            assert_eq!(wrapped.predict(row).to_bits(), bits);
         }
     });
 }

@@ -13,7 +13,7 @@
 
 use crate::dataset::Dataset;
 use crate::metrics::mean_relative_error;
-use crate::{Learner, MlError};
+use crate::{Learner, MlError, PredictScratch};
 use rng::StdRng;
 
 /// One train/test split: indices into the original dataset.
@@ -144,8 +144,10 @@ impl CrossValidation {
     }
 }
 
-/// Trains `learner` on each fold's training rows and predicts its test rows;
-/// reports per-fold mean relative error and the out-of-fold predictions.
+/// Trains `learner` on each fold's training rows and predicts its test rows
+/// with the serving prediction ([`crate::TrainedModel::predict_into`], one
+/// scratch a fold); reports per-fold mean relative error and the
+/// out-of-fold predictions.
 ///
 /// Folds fan out over [`crate::par`] (which runs them inline with one
 /// thread or on a pool worker); every fold's fit and predictions depend
@@ -176,7 +178,10 @@ pub(crate) fn cross_validate_columns<L: Learner + Sync>(
         let y_train: Vec<f64> = fold.train.iter().map(|&i| y[i]).collect();
         let model = learner.fit(&x.select(&fold.train, cols), &y_train)?;
         let x_test = x.select(&fold.test, cols);
-        Ok(score_fold(fold, y, |t| model.predict(x_test.row(t))))
+        let mut scratch = PredictScratch::new();
+        Ok(score_fold(fold, y, |t| {
+            model.predict_into(x_test.row(t), &mut scratch)
+        }))
     };
     let outcomes = crate::par::par_map(folds, |_, fold| run_fold(fold));
     collect_folds(folds, outcomes, y.len())
@@ -223,7 +228,7 @@ pub(crate) fn collect_folds(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::LearnerKind;
+    use crate::{LearnerKind, SvrParams, TrainedModel};
 
     #[test]
     fn kfold_partitions_all_rows() {
@@ -294,6 +299,35 @@ mod tests {
         let (train, test) = holdout(3, 0.99, 0);
         assert_eq!(train.len(), 1);
         assert_eq!(test.len(), 2);
+    }
+
+    /// What cross-validation scores is what the fold's model serves: each
+    /// out-of-fold prediction is, bit for bit, the refitted model's
+    /// `predict_into` (the lane tree), not a second summation order.
+    #[test]
+    fn svr_out_of_fold_predictions_are_what_each_fold_model_serves() {
+        let rows: Vec<Vec<f64>> = (0..60)
+            .map(|i| vec![i as f64, ((i * 7) % 11) as f64, ((i * i) % 13) as f64])
+            .collect();
+        let y: Vec<f64> = rows
+            .iter()
+            .map(|r| (0.3 * r[0]).sin() * 4.0 + r[1] * r[2] * 0.2 + 10.0)
+            .collect();
+        let x = Dataset::from_rows(rows);
+        let all: Vec<usize> = (0..x.n_cols()).collect();
+        let folds = kfold(x.n_rows(), 5, 3);
+        let learner = LearnerKind::Svr(SvrParams::default());
+        let cv = cross_validate(&learner, &x, &y, &folds).unwrap();
+        let mut scratch = PredictScratch::new();
+        for fold in &folds {
+            let y_train: Vec<f64> = fold.train.iter().map(|&i| y[i]).collect();
+            let model = learner.fit(&x.select(&fold.train, &all), &y_train).unwrap();
+            assert!(matches!(model, TrainedModel::Svr(_)));
+            for &i in &fold.test {
+                let served = model.predict_into(x.row(i), &mut scratch);
+                assert_eq!(cv.predictions[i].to_bits(), served.to_bits(), "row {i}");
+            }
+        }
     }
 
     #[test]

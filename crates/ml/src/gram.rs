@@ -8,17 +8,19 @@
 //! that has trained holds no training scratch once the last fit ends.
 //! [`GramCache`] only counts the matrices built.
 //!
-//! Construction is the blocked, lane-padded SoA kernel
-//! [`compute_gram_blocked`]: the lower triangle is walked in L1-sized
-//! row tiles written in place and each row evaluates 8 kernel columns at
-//! once — bit-identical to a direct per-pair evaluation (the tests'
-//! reference). It is
-//! plain safe Rust: at the widths forward selection leaves (3–11 columns)
+//! Construction is the blocked kernel [`compute_gram_blocked`]: the
+//! training rows are packed in the lane layout an SVR model is stored in,
+//! the lower triangle is walked in L1-sized row tiles written in place,
+//! and each row evaluates 8 kernel columns at once with the one RBF
+//! function the lane tree serves with ([`crate::compiled`]) —
+//! bit-identical to a direct per-pair evaluation (the tests' reference).
+//! It is plain safe Rust: at the widths forward selection leaves (3–11 columns)
 //! a cell is one libm `exp`, which hand-written AVX2 around it has to call
 //! lane by lane too, and so measures 0.9–1.1× of this loop (DESIGN.md §7).
 //! The build runs on the thread that fits: fits run side by side, nothing
 //! inside one fans out.
 
+use crate::compiled::{pack, rbf_lanes, LANES};
 use crate::dataset::Dataset;
 use crate::svr::Kernel;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -68,48 +70,9 @@ pub(crate) fn solve_gram(xs: &Dataset, gamma: f64) -> Vec<f64> {
     compute_gram_blocked(xs, Kernel::Rbf { gamma }, gamma)
 }
 
-/// Kernel columns evaluated per row — the SoA lane width.
-const GRAM_LANES: usize = 8;
-
 /// Rows per L1 tile: one 8-lane × d column block (~2 KiB at d ≈ 30) plus
 /// the tile's own row data stay cache-resident while the tile is swept.
 const TILE_ROWS: usize = 64;
-
-/// Lane-padded SoA copy of the dataset: block `b` stores rows
-/// `8b .. 8b+8` feature-major at `soa[(b*d + k)*8 + lane]`, zero-padding
-/// lanes past the last row. Padded lanes compute garbage kernel values
-/// that are never written back.
-fn pack_soa(xs: &Dataset) -> Vec<f64> {
-    let l = xs.n_rows();
-    let d = xs.n_cols();
-    let blocks = l.div_ceil(GRAM_LANES);
-    let mut soa = vec![0.0f64; blocks * d * GRAM_LANES];
-    for i in 0..l {
-        let (b, lane) = (i / GRAM_LANES, i % GRAM_LANES);
-        let row = xs.row(i);
-        for (kf, &v) in row.iter().enumerate() {
-            soa[(b * d + kf) * GRAM_LANES + lane] = v;
-        }
-    }
-    soa
-}
-
-/// Evaluates 8 kernel values `K(row, block-lane)` with one ascending-`k`
-/// accumulation per lane — the exact fold order of `Kernel::eval`, so
-/// each lane's value is bit-identical to a direct per-pair evaluation.
-fn gram_block_eval(ri: &[f64], block: &[f64], gamma: f64, out: &mut [f64; GRAM_LANES]) {
-    let mut acc = [0.0f64; GRAM_LANES];
-    for (kf, &x) in ri.iter().enumerate() {
-        let col = &block[kf * GRAM_LANES..(kf + 1) * GRAM_LANES];
-        for lane in 0..GRAM_LANES {
-            let diff = x - col[lane];
-            acc[lane] += diff * diff;
-        }
-    }
-    for lane in 0..GRAM_LANES {
-        out[lane] = (-gamma * acc[lane]).exp();
-    }
-}
 
 /// Fills one row tile's lower-triangle entries (rows `rows.start..rows.end`,
 /// columns `0..=i` per row) directly into `slab` — the row-major window of
@@ -119,7 +82,7 @@ fn gram_block_eval(ri: &[f64], block: &[f64], gamma: f64, out: &mut [f64; GRAM_L
 /// untouched; the mirror pass fills them.
 fn tile_rows_lower(
     xs: &Dataset,
-    soa: &[f64],
+    lanes: &[f64],
     gamma: f64,
     rows: std::ops::Range<usize>,
     slab: &mut [f64],
@@ -127,16 +90,15 @@ fn tile_rows_lower(
     let d = xs.n_cols();
     let (r0, r1) = (rows.start, rows.end);
     let l = slab.len() / (r1 - r0);
-    let mut out = [0.0f64; GRAM_LANES];
-    let max_block = (r1 - 1) / GRAM_LANES;
+    let max_block = (r1 - 1) / LANES;
     for b in 0..=max_block {
-        let j0 = b * GRAM_LANES;
-        let block = &soa[b * d * GRAM_LANES..(b + 1) * d * GRAM_LANES];
+        let j0 = b * LANES;
+        let block = &lanes[b * d * LANES..(b + 1) * d * LANES];
         // Rows above the block's first column don't need it (j ≤ i).
         for i in r0.max(j0)..r1 {
-            gram_block_eval(xs.row(i), block, gamma, &mut out);
+            let out = rbf_lanes(xs.row(i), block, gamma);
             let row_off = (i - r0) * l;
-            let j_end = (j0 + GRAM_LANES).min(i + 1);
+            let j_end = (j0 + LANES).min(i + 1);
             for (lane, j) in (j0..j_end).enumerate() {
                 slab[row_off + j] = out[lane];
             }
@@ -144,16 +106,18 @@ fn tile_rows_lower(
     }
 }
 
-/// Blocked, lane-padded SoA construction of the dense Gram matrix: the
-/// rows are walked in L1-sized tiles of `TILE_ROWS`,
-/// each row evaluates `GRAM_LANES` kernel columns at once and writes its
-/// lower-triangle entries **in place**; a second tiled pass mirrors the
-/// strict upper triangle. One thread does all of it: a fit is serial, and
-/// the fits around it are what fan out (DESIGN.md §7).
+/// Blocked construction of the dense Gram matrix over the rows packed in
+/// the lane layout (`compiled::pack`): the rows are walked in
+/// L1-sized tiles of `TILE_ROWS`, each row evaluates `LANES` kernel
+/// columns at once with `compiled::rbf_lanes` — the function the
+/// lane tree serves with — and writes its lower-triangle entries **in
+/// place**; a second tiled pass mirrors the strict upper triangle. One
+/// thread does all of it: a fit is serial, and the fits around it are what
+/// fan out (DESIGN.md §7).
 ///
-/// Every entry is produced by the same ascending-`k` fold as
-/// `Kernel::eval`, making this bit-identical to evaluating each pair
-/// directly (the tests hold it to that reference). `Kernel` has one
+/// Every entry is produced by the ascending-feature fold of that function,
+/// making this bit-identical to evaluating each pair directly (the tests
+/// hold it to that reference). `Kernel` has one
 /// family, RBF, so the matrix depends on the resolved `gamma` alone.
 pub fn compute_gram_blocked(xs: &Dataset, _kernel: Kernel, gamma: f64) -> Vec<f64> {
     let l = xs.n_rows();
@@ -161,11 +125,12 @@ pub fn compute_gram_blocked(xs: &Dataset, _kernel: Kernel, gamma: f64) -> Vec<f6
     if l == 0 {
         return k;
     }
-    let soa = pack_soa(xs);
+    let d = xs.n_cols();
+    let lanes = pack(l, d, |i, kf| xs.row(i)[kf]);
     for (t, slab) in k.chunks_mut(TILE_ROWS * l).enumerate() {
         let r0 = t * TILE_ROWS;
         let rows = r0..r0 + slab.len() / l;
-        tile_rows_lower(xs, &soa, gamma, rows, slab);
+        tile_rows_lower(xs, &lanes, gamma, rows, slab);
     }
     // Mirror the strict upper triangle from the lower one, `MIR`-square
     // tiles at a time so both the reads and the transposed writes stay

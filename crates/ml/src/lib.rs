@@ -31,9 +31,10 @@
 //!   kept between fits.
 //! - [`bytes`] — the bounds-checked reader and the writers under the model
 //!   snapshot and the wire protocol.
-//! - [`compiled`] — the layout an SVR model is stored in (lane-padded
-//!   support-vector blocks, zero coefficients dropped) and the
-//!   allocation-free lane-tree kernel that serves it.
+//! - [`compiled`] — the lane layout (lane-padded blocks of eight vectors)
+//!   that an SVR model is stored in and a Gram matrix is built from, the
+//!   one RBF kernel over it, and the allocation-free lane tree that every
+//!   SVR prediction, from cross-validation to serving, runs.
 //! - [`stats`] — mean, variance and Pearson correlation.
 
 #![warn(missing_docs)]
@@ -146,7 +147,10 @@ pub enum TrainedModel {
 
 impl TrainedModel {
     /// Predicts the target value for one feature row, which must have the
-    /// number of features the model was trained on.
+    /// number of features the model was trained on: the serving
+    /// prediction ([`TrainedModel::predict_into`]) with a scratch of its
+    /// own, so an SVR allocates one buffer a call. A loop should hold a
+    /// [`PredictScratch`] and call `predict_into`.
     pub fn predict(&self, row: &[f64]) -> f64 {
         match self {
             TrainedModel::Linear(m) => m.predict(row),
@@ -163,12 +167,11 @@ impl TrainedModel {
     }
 
     /// The serving prediction, reusing `scratch` (no allocation once it
-    /// has warmed up): a linear model's [`TrainedModel::predict`], an SVR
-    /// model's lane tree ([`SvrModel::predict_into`]), which sums in a
-    /// fixed reduction-tree order — deterministic and thread-count
-    /// independent, but agreeing with [`TrainedModel::predict`]'s
-    /// left-to-right fold only to summation-reordering rounding (see
-    /// [`compiled`]).
+    /// has warmed up): a linear model's dot product, an SVR model's lane
+    /// tree ([`SvrModel::predict_into`]), which sums in a fixed
+    /// reduction-tree order — deterministic and thread-count independent
+    /// (see [`compiled`]). Cross-validation scores a fold through this
+    /// call, so the errors training records are those of what serves.
     pub fn predict_into(&self, row: &[f64], scratch: &mut PredictScratch) -> f64 {
         match self {
             TrainedModel::Linear(m) => m.predict(row),

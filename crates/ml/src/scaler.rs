@@ -49,6 +49,7 @@ impl StandardScaler {
     }
 
     /// Standardizes one row into a fresh vector.
+    #[cfg(test)]
     pub(crate) fn transform_row(&self, row: &[f64]) -> Vec<f64> {
         let mut out = vec![0.0; row.len()];
         self.transform_row_into(row, &mut out);

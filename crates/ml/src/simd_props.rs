@@ -4,7 +4,7 @@
 //! `ml::compiled`'s module docs), so a row's prediction must be the same
 //! bits — `f64::to_bits`, not a ULP tolerance — wherever in a batch it
 //! sits, and must stay within summation-reordering rounding of the
-//! reference fold `SvrModel::predict`. Models are hand-built through
+//! test-only reference fold `SvrModel::predict_fold`. Models are hand-built through
 //! `SvrModel::from_parts` to sweep shapes a fit would rarely produce:
 //! arities from 1 to 13, support-vector counts across lane-padding
 //! boundaries (0, partial block, exact multiples of 8), zero coefficients
@@ -126,7 +126,7 @@ fn assert_lane_tree_contract(model: &SvrModel, probes: &[Vec<f64>]) -> Vec<u64> 
     let mut bits = Vec::with_capacity(probes.len());
     for row in probes {
         let tree = model.predict_into(row, &mut scratch);
-        let reference = model.predict(row);
+        let reference = model.predict_fold(row);
         let tol = 1e-12 * (1.0 + model.sum_magnitude(row));
         assert!(
             (reference - tree).abs() <= tol,

@@ -15,7 +15,7 @@
 //! the default RBF `gamma` of `1 / n_features` is meaningful.
 
 use crate::bytes::{put_f64, put_f64s, Malformed, Reader};
-use crate::compiled::LANES;
+use crate::compiled::{pack, LANES};
 use crate::dataset::Dataset;
 use crate::linalg::{scan_second_order, scan_violating, second_order_quad, ScanResult};
 use crate::scaler::{StandardScaler, TargetScaler};
@@ -47,10 +47,12 @@ impl Kernel {
         }
     }
 
-    /// The squared distance is a left-to-right sum started at +0.0, the
-    /// fold order of the blocked Gram kernel, so the two agree bit for bit.
-    /// `a` is an iterator so a support vector can be read where it lies in
-    /// the lane layout.
+    /// The reference RBF term the tests hold `compiled::rbf_lanes` to: the
+    /// squared distance is a left-to-right sum started at +0.0, the order
+    /// of each lane there, so the two agree bit for bit. `a` is an
+    /// iterator so a support vector can be read where it lies in the lane
+    /// layout.
+    #[cfg(test)]
     pub(crate) fn eval(
         &self,
         a: impl IntoIterator<Item = f64>,
@@ -237,32 +239,22 @@ impl SmoOutcome {
             return Err(did_not_converge);
         }
         let l = xs.n_rows();
-        let mut support = Vec::new();
-        let mut coefs = Vec::new();
-        for i in 0..l {
-            let b = self.a[i] - self.a[i + l];
-            if b.abs() > 1e-12 {
-                support.push(i);
-                coefs.push(b);
-            }
-        }
+        let coefs: Vec<f64> = (0..l)
+            .map(|i| self.a[i] - self.a[i + l])
+            .map(|b| if b.abs() > 1e-12 { b } else { 0.0 })
+            .collect();
         if !self.bias.is_finite() || coefs.iter().any(|c| !c.is_finite()) {
             return Err(did_not_converge);
         }
-        let d = xs.n_cols();
-        let (sv_lanes, coef_lanes, n_support_vectors) =
-            crate::compiled::pack(d, &coefs, |i, k| xs.row(support[i])[k]);
-        Ok(SvrModel {
+        Ok(SvrModel::packed(
             kernel,
             gamma,
-            sv_lanes,
-            coef_lanes,
-            n_support_vectors,
-            bias: self.bias,
+            self.bias,
             x_scaler,
             y_scaler,
-            n_features: d,
-        })
+            &coefs,
+            |i, k| xs.row(i)[k],
+        ))
     }
 }
 
@@ -508,12 +500,11 @@ pub(crate) fn smo_solve(
     }
 }
 
-/// A fitted SVR model, stored once, in the lane-padded layout its serving
-/// kernel reads ([`crate::compiled`]): support vectors with a zero
-/// coefficient are not stored. Two summation orders run over that one
-/// storage: the reference left-to-right fold [`SvrModel::predict`], which
-/// cross-validation and forward selection read, and the lane tree
-/// [`SvrModel::predict_into`], which serving reads.
+/// A fitted SVR model, stored once, in the lane-padded layout its kernel
+/// reads ([`crate::compiled`]): support vectors with a zero coefficient
+/// are not stored. One summation order runs over that storage, the lane
+/// tree [`SvrModel::predict_into`], which serving, cross-validation and
+/// forward selection all read.
 #[derive(Debug, Clone)]
 pub struct SvrModel {
     pub(crate) kernel: Kernel,
@@ -534,6 +525,39 @@ pub struct SvrModel {
 }
 
 impl SvrModel {
+    /// The model of `coefficients` over support vectors already in scaled
+    /// space (`sv(i, k)` is feature `k` of vector `i`), packed into the
+    /// lane layout (`compiled::pack`). A zero coefficient is
+    /// dropped with its vector before lanes are assigned, which keeps every
+    /// survivor's lane, hence the lane tree's bits.
+    fn packed(
+        kernel: Kernel,
+        gamma: f64,
+        bias: f64,
+        x_scaler: StandardScaler,
+        y_scaler: TargetScaler,
+        coefficients: &[f64],
+        sv: impl Fn(usize, usize) -> f64,
+    ) -> SvrModel {
+        let kept: Vec<usize> = (0..coefficients.len())
+            .filter(|&i| coefficients[i] != 0.0)
+            .collect();
+        let n = kept.len();
+        let d = x_scaler.n_cols();
+        SvrModel {
+            kernel,
+            gamma,
+            sv_lanes: pack(n, d, |s, k| sv(kept[s], k)),
+            // One feature a vector: coefficient `s` at index `s`, padded.
+            coef_lanes: pack(n, 1, |s, _| coefficients[kept[s]]),
+            n_support_vectors: n,
+            bias,
+            x_scaler,
+            y_scaler,
+            n_features: d,
+        }
+    }
+
     /// Assembles a model from raw parts. Fitting ([`Svr::fit`]) and
     /// snapshot deserialization are the production paths; this exists so
     /// tests can hand-build models with arbitrary support-vector counts,
@@ -556,19 +580,15 @@ impl SvrModel {
         assert_eq!(support_vectors.len(), coefficients.len());
         assert!(support_vectors.iter().all(|sv| sv.len() == n_features));
         assert_eq!(x_scaler.n_cols(), n_features);
-        let (sv_lanes, coef_lanes, n_support_vectors) =
-            crate::compiled::pack(n_features, &coefficients, |i, k| support_vectors[i][k]);
-        SvrModel {
+        SvrModel::packed(
             kernel,
             gamma,
-            sv_lanes,
-            coef_lanes,
-            n_support_vectors,
             bias,
             x_scaler,
             y_scaler,
-            n_features,
-        }
+            &coefficients,
+            |i, k| support_vectors[i][k],
+        )
     }
 
     /// Support vector `i`'s features, read across its lane.
@@ -579,26 +599,19 @@ impl SvrModel {
     }
 
     /// `c_i · K(sv_i, xr)` for each stored support vector, in order.
+    #[cfg(test)]
     fn terms<'a>(&'a self, xr: &'a [f64]) -> impl Iterator<Item = f64> + 'a {
         (0..self.n_support_vectors).map(move |i| {
             self.coef_lanes[i] * self.kernel.eval(self.support_vector(i), xr, self.gamma)
         })
     }
 
-    /// Predicts the target for one (unscaled) feature row: the reference
-    /// left-to-right fold over the support vectors, which cross-validation
-    /// and forward selection read. Serving reads the lane tree
-    /// ([`SvrModel::predict_into`]).
-    ///
-    /// The row length is only checked with a `debug_assert!`.
-    pub fn predict(&self, row: &[f64]) -> f64 {
-        debug_assert_eq!(
-            row.len(),
-            self.n_features,
-            "svr model expects {} features, got {}",
-            self.n_features,
-            row.len()
-        );
+    /// The reference the lane tree is held to: the left-to-right fold
+    /// `bias + Σᵢ cᵢ·K(svᵢ, x)` over the support vectors, each term
+    /// `Kernel::eval`'s. Only tests read it; every prediction is the
+    /// lane tree ([`SvrModel::predict_into`]).
+    #[cfg(test)]
+    pub(crate) fn predict_fold(&self, row: &[f64]) -> f64 {
         let xr = self.x_scaler.transform_row(row);
         let mut acc = self.bias;
         for term in self.terms(&xr) {
@@ -609,9 +622,9 @@ impl SvrModel {
 
     /// The reordering-error scale of a prediction on `row`, in target
     /// units: `(|bias| + Σ|c_i·K_i|) · |target slope|`. Any regrouping of
-    /// the left-to-right fold in [`SvrModel::predict`] — the lane tree
-    /// included — agrees with it to within a few ULPs of this magnitude;
-    /// the lane-tree tolerance tests are phrased against it.
+    /// the left-to-right fold in [`SvrModel::predict_fold`] — the lane
+    /// tree included — agrees with it to within a few ULPs of this
+    /// magnitude; the lane-tree tolerance tests are phrased against it.
     #[cfg(test)]
     pub(crate) fn sum_magnitude(&self, row: &[f64]) -> f64 {
         let xr = self.x_scaler.transform_row(row);
@@ -683,19 +696,15 @@ impl SvrModel {
         let coefficients = r.counted_f64s()?;
         let d = x_scaler.n_cols();
         let rows = r.f64s(coefficients.len().saturating_mul(d))?;
-        let (sv_lanes, coef_lanes, n_support_vectors) =
-            crate::compiled::pack(d, &coefficients, |i, k| rows[i * d + k]);
-        Ok(SvrModel {
+        Ok(SvrModel::packed(
             kernel,
             gamma,
-            sv_lanes,
-            coef_lanes,
-            n_support_vectors,
             bias,
             x_scaler,
             y_scaler,
-            n_features: d,
-        })
+            &coefficients,
+            |i, k| rows[i * d + k],
+        ))
     }
 }
 

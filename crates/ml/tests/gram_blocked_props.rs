@@ -4,7 +4,7 @@
 //! kernel every SMO solve builds its matrix with) must be **exactly equal** — `f64::to_bits`,
 //! not a ULP tolerance — to a direct per-pair evaluation for any dataset,
 //! because the blocked kernel performs each entry's per-lane operation
-//! sequence in `Kernel::eval`'s order (see `ml::gram`'s module docs): a
+//! sequence in the reference order (see `ml::gram`'s module docs): a
 //! squared distance summed left to right from `+0.0`, then
 //! `exp(-gamma * sq)`. The build is one safe loop on the calling thread —
 //! no dispatch, no fan-out — so there is one kernel to hold against the
@@ -14,8 +14,9 @@ use ml::gram::compute_gram_blocked;
 use ml::{Dataset, Kernel};
 use rng::StdRng;
 
-/// The reference: the RBF kernel evaluated once per unordered row pair in
-/// `Kernel::eval`'s fold order, mirrored across the diagonal.
+/// The reference: the RBF kernel evaluated once per unordered row pair,
+/// its squared distance folded left to right, mirrored across the
+/// diagonal.
 fn direct_gram(xs: &Dataset, gamma: f64) -> Vec<f64> {
     let l = xs.n_rows();
     let mut k = vec![0.0f64; l * l];

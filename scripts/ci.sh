@@ -54,6 +54,36 @@ if [ "$feature_files" != "crates/ml/src/linalg.rs" ]; then
     exit 1
 fi
 
+# An RBF term is evaluated in one place: `ml::compiled::rbf_lanes`, the
+# kernel of one row against one lane-packed block, which the Gram matrix's
+# tiles and the serving lane tree both call (DESIGN.md §7, "Compiled
+# inference path"). Nothing else in ml's product code takes an
+# exponential, so its one `.exp()` outside `#[cfg(test)]` items and the
+# test-only modules is that kernel's; a second copy of the kernel (or a
+# second `exp` to keep in step with it) comes back only by editing this.
+echo "==> RBF gate: one .exp() in ml's product code, in ml::compiled"
+ml_test_mods="$(awk '/^#\[cfg\(test\)\]$/ { t = 1; next }
+    t && /^mod [a-z_0-9]+;$/ { sub(/^mod /, ""); sub(/;$/, ""); print "crates/ml/src/" $0 ".rs" } { t = 0 }' crates/ml/src/lib.rs)"
+rbf_sites="$(for file in crates/ml/src/*.rs; do
+        grep -qxF "$file" <<< "$ml_test_mods" || echo "$file"
+    done | xargs awk '
+    FNR == 1 { skip = 0 }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { skip = 1; depth = 0; opened = 0; next }
+    skip {
+        line = $0
+        o = gsub(/\{/, "", line); c = gsub(/\}/, "", line)
+        depth += o - c
+        if (o > 0) opened = 1
+        if ((opened && depth <= 0) || (!opened && $0 ~ /;[[:space:]]*$/)) skip = 0
+        next
+    }
+    /\.exp\(\)|f64::exp\b/ { print FILENAME ":" FNR ":" $0 }')"
+if [ "$(grep -c . <<< "$rbf_sites")" != 1 ] || ! grep -q '^crates/ml/src/compiled\.rs:' <<< "$rbf_sites"; then
+    echo "$rbf_sites"
+    echo "FAIL: ml's product code does not hold exactly one .exp(), the RBF kernel in ml::compiled"
+    exit 1
+fi
+
 # An option exists when two callers set it differently (DESIGN.md §12 has
 # the census). The environment is the one place an option can appear
 # without a field or a signature changing, so reading it is gated like

@@ -30,7 +30,15 @@
 # counted a failed operation. Environment (QPP_THREADS, ...) passes through
 # to both sides. Each run's whole output (the `# <workload>/client.*`
 # diagnostics and the output checks among it) stays in
-# target/qpp-e2e/pairs/<workload>/<side>-<seed>.txt.
+# target/qpp-e2e/pairs/<workload>/<side>-<seed>.txt, and beside it
+# verdicts.jsonl holds what the text prints, one JSON object a metric:
+#
+#   {"workload", "metric", "unit", "better": "lower"|"higher", "pairs",
+#    "parent": {"median", "q1", "q3"}, "change": {"median", "q1", "q3"},
+#    "change_won", "parent_won", "verdict"}
+#
+# where "verdict" is one of the four above or "diagnostic" for the
+# client timings.
 set -euo pipefail
 
 usage="usage: scripts/pairs.sh <parent-binary> <change-binary> [workload] [pairs=10]"
@@ -96,6 +104,7 @@ def quartiles(vs):
     return q1, med, q3
 
 runs = {side: [result(side, seed) for seed in range(1, pairs + 1)] for side in ("parent", "change")}
+verdicts = open(f"{logs}/verdicts.jsonl", "w")
 bad = False
 for side, results in runs.items():
     for seed, r in enumerate(results, 1):
@@ -112,7 +121,7 @@ def compare(name, unit, better, sides, judged):
     (pq1, pmed, pq3), (cq1, cmed, cq3) = quartiles(sides["parent"]), quartiles(sides["change"])
     clear = pairs >= 10 and abs(cmed - pmed) > pq3 - pq1
     if not judged:
-        verdict = "diagnostic, not a verdict"
+        verdict = "diagnostic"
     elif wins == 0 and losses == 0:
         verdict = "same"
     elif 10 * wins >= 9 * pairs and sign * cmed < sign * pmed and clear:
@@ -121,7 +130,15 @@ def compare(name, unit, better, sides, judged):
         verdict = "loss"
     else:
         verdict = "unresolved" + (" (fewer than ten pairs)" if pairs < 10 else "")
-    print(f"\n{workload}/{name} [{unit}, {better} is better]: {verdict}")
+    record = {
+        "workload": workload, "metric": name, "unit": unit, "better": better, "pairs": pairs,
+        "parent": {"median": pmed, "q1": pq1, "q3": pq3},
+        "change": {"median": cmed, "q1": cq1, "q3": cq3},
+        "change_won": wins, "parent_won": losses, "verdict": verdict,
+    }
+    verdicts.write(json.dumps(record) + "\n")
+    shown = "diagnostic, not a verdict" if verdict == "diagnostic" else verdict
+    print(f"\n{workload}/{name} [{unit}, {better} is better]: {shown}")
     for side, (q1, med, q3) in (("parent", (pq1, pmed, pq3)), ("change", (cq1, cmed, cq3))):
         print(f"  {side}  median {med:.6g}  quartiles {q1:.6g} .. {q3:.6g}  (distance {q3 - q1:.3g})")
         print("          runs " + " ".join(f"{v:.6g}" for v in sides[side]))
@@ -157,6 +174,7 @@ for name, unit, better in (("client.throughput", "1/s", "higher"), ("client.late
         print(f"\n{workload}/{name}: missing in some runs")
         continue
     compare(name, unit, better, sides, judged=False)
+verdicts.close()
 sys.exit(1 if bad else 0)
 PY
 }
