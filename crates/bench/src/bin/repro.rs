@@ -1,16 +1,20 @@
 //! Prints the paper's Section 5 evaluation (`qpp_bench::paper`) at seed 0,
 //! one number per row: an optd-style name (`paper/fig6a/plan_mre`), the
 //! measured value with its unit, and what the paper reports where it does.
-//! Percentages are mean relative errors. The output is committed as
-//! `experiments_raw.txt`, and `scripts/ci.sh` diffs a fresh run against it.
+//! Percentages are mean relative errors. After printing, it checks the
+//! paper's orderings (`qpp_bench::shapes`) on the same results, and exits
+//! non-zero naming each one that fails on stderr. The output is committed
+//! as `experiments_raw.txt`, and the root test suite's `paper_repro`
+//! module runs `repro` and compares its output with the file.
 //!
 //! ```text
 //! cargo run --release -p qpp-bench --bin repro > experiments_raw.txt
 //! ```
 
 use qpp_bench::paper::{self, Ablation, Fig4, Fig5, Fig6, Fig7, Fig8, Fig9, Section34};
-use qpp_bench::CvOutcome;
+use qpp_bench::{shapes, CvOutcome};
 use std::fmt::Display;
+use std::process::ExitCode;
 
 /// The one printer: a row's name, its value (a number with a one-letter
 /// unit, or a plan) and the paper's value.
@@ -212,15 +216,41 @@ fn ablation(f: &Ablation) {
     }
 }
 
-fn main() {
+fn main() -> ExitCode {
     let seed = 0;
-    fig5(&paper::fig5(seed));
+    let f5 = paper::fig5(seed);
+    fig5(&f5);
     let f6 = paper::fig6(seed);
     fig6(&f6);
-    fig7(&paper::fig7(&f6));
-    fig8(&paper::fig8(seed));
-    fig9(&paper::fig9(seed));
-    fig4(&paper::fig4(seed));
-    section34(&paper::section34(seed));
-    ablation(&paper::ablation(seed));
+    let f7 = paper::fig7(&f6);
+    fig7(&f7);
+    let f8 = paper::fig8(seed);
+    fig8(&f8);
+    let f9 = paper::fig9(seed);
+    fig9(&f9);
+    let f4 = paper::fig4(seed);
+    fig4(&f4);
+    let s34 = paper::section34(seed);
+    section34(&s34);
+    let abl = paper::ablation(seed);
+    ablation(&abl);
+    let shapes = [
+        shapes::fig4(&f4),
+        shapes::fig5(&f5, &f6),
+        shapes::fig6(&f6),
+        shapes::fig7(&f7),
+        shapes::fig8(&f8),
+        shapes::fig9(&f9),
+        shapes::section34(&s34),
+        shapes::ablation(&abl),
+    ];
+    let failed: Vec<_> = shapes.iter().flatten().filter(|s| !s.holds()).collect();
+    for shape in &failed {
+        eprintln!("paper shape fails at seed {seed}: {shape}");
+    }
+    if failed.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }

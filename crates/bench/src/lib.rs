@@ -1,12 +1,15 @@
 //! Experiment harness: the paper's Section 5 evaluation as one protocol
-//! ([`paper`]: one function per experiment, printed by the `repro` binary
-//! and gated by `tests/paper_shapes.rs`), and the shared plumbing under
-//! it — the Section 5.1 dataset builder and the stratified
-//! cross-validation driver every prediction method goes through.
+//! ([`paper`]: one function per experiment, printed by the `repro` binary),
+//! the orderings it reports ([`shapes`]: asserted on seeds 0–5 by
+//! `tests/paper_shapes.rs` and on seed 0 by `repro`), and the shared
+//! plumbing under them — the Section 5.1 dataset builder and the
+//! stratified cross-validation driver every prediction method goes
+//! through.
 
 #![warn(missing_docs)]
 
 pub mod paper;
+pub mod shapes;
 
 use engine::{Catalog, PlanNode, Simulator};
 use ml::cv::{stratified_kfold, Fold};

@@ -4,9 +4,9 @@
 //! Seed `s` adds `s` to [`WORKLOAD_SEED`] and [`EXEC_SEED`]; seed 0 is the
 //! published dataset, which the `repro` binary prints.
 //! `tests/paper_shapes.rs` runs every experiment on seeds 0–5 and asserts
-//! the orderings the paper reports, never an absolute. Scales, template
-//! sets and instance counts are the paper's, beside the experiment that
-//! uses them.
+//! the orderings the paper reports ([`crate::shapes`]), never an absolute.
+//! Scales, template sets and instance counts are the paper's, beside the
+//! experiment that uses them.
 
 use crate::{
     build_dataset_sized, cross_validate_method, op_level_cv, plan_level_cv, CvOutcome, EXEC_SEED,

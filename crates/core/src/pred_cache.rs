@@ -142,8 +142,10 @@ impl PredictionCache {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x1000_0000_01b3;
+/// FNV-1a's 64-bit offset basis and prime: the crate's one hash (these
+/// functions, the snapshot checksum and `subplan`'s structure keys).
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+pub(crate) const FNV_PRIME: u64 = 0x1000_0000_01b3;
 
 /// FNV-1a over the bit patterns of a plan's views. Bit-level hashing
 /// means two plans cache-collide only when their estimates are *exactly*
@@ -166,7 +168,8 @@ pub(crate) fn views_hash(views: &[NodeView]) -> u64 {
 }
 
 /// FNV-1a over a byte string: a model's encoding
-/// ([`crate::plan_model::FeatureModel::fingerprint`]).
+/// ([`crate::plan_model::FeatureModel::fingerprint`]) and a snapshot's
+/// payload (the `QPPSNAP` header's checksum).
 pub(crate) fn hash_bytes(bytes: &[u8]) -> u64 {
     let mut h = FNV_OFFSET;
     for &b in bytes {

@@ -36,7 +36,7 @@ use crate::dataset::ExecutedQuery;
 use crate::error::QppError;
 use crate::hybrid::PlanOrdering;
 use crate::materialize::MaterializedModels;
-use crate::pred_cache::PredictionCache;
+use crate::pred_cache::{hash_bytes, PredictionCache};
 use crate::predictor::{Method, QppConfig, QppPredictor};
 use ml::cv::holdout;
 use ml::mean_relative_error;
@@ -49,16 +49,6 @@ use std::sync::{Arc, RwLock};
 const SNAPSHOT_MAGIC: &str = "QPPSNAP";
 const SNAPSHOT_VERSION: &str = "v3";
 
-/// FNV-1a over raw bytes (the sibling of `pred_cache`'s u64 variant).
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
-
 /// Encodes a model set into the on-disk snapshot envelope:
 /// `QPPSNAP v3 <fnv64-hex> <payload-len>\n<payload>`.
 pub fn encode_snapshot(mat: &MaterializedModels) -> Vec<u8> {
@@ -69,7 +59,7 @@ pub fn encode_snapshot(mat: &MaterializedModels) -> Vec<u8> {
 pub(crate) fn seal(payload: &[u8]) -> Vec<u8> {
     let mut out = format!(
         "{SNAPSHOT_MAGIC} {SNAPSHOT_VERSION} {:016x} {}\n",
-        fnv64(payload),
+        hash_bytes(payload),
         payload.len()
     )
     .into_bytes();
@@ -120,7 +110,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<MaterializedModels, QppError> {
             payload.len()
         )));
     }
-    let actual_sum = fnv64(payload);
+    let actual_sum = hash_bytes(payload);
     if actual_sum != expected_sum {
         return Err(invalid(format!(
             "checksum mismatch: header says {expected_sum:016x}, payload hashes to {actual_sum:016x}"

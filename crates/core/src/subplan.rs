@@ -9,6 +9,7 @@
 //! an occurrence is a query and a position, and every function here takes
 //! a plan or a sub-plan alike.
 
+use crate::pred_cache::{FNV_OFFSET, FNV_PRIME};
 use engine::plan::{children, OpDetail, OpType, PlanNode};
 use std::collections::HashMap;
 
@@ -24,13 +25,13 @@ pub fn structure_key(plan: &[PlanNode]) -> StructureKey {
 }
 
 fn mix(h: u64, v: u64) -> u64 {
-    (h ^ v).wrapping_mul(0x1000_0000_01b3)
+    (h ^ v).wrapping_mul(FNV_PRIME)
 }
 
 /// The node's own part of its structure hash: operator type, scanned table
 /// and join kind.
 fn node_seed(node: &PlanNode) -> u64 {
-    let mut h = mix(0xcbf2_9ce4_8422_2325, node.op.index() as u64 + 1);
+    let mut h = mix(FNV_OFFSET, node.op.index() as u64 + 1);
     if let OpDetail::Scan { table, .. } = &node.detail {
         h = mix(h, *table as u64 + 101);
     }

@@ -33,7 +33,7 @@
 //! order, combined at the end as `((s0+s1)+(s2+s3)) + ((s4+s5)+(s6+s7))`.
 //! That order is part of the model's numeric contract: it does not depend
 //! on the thread count or on how many rows are evaluated together, and
-//! snapshots, prediction caches and `tests/golden_snapshot.rs` rely on it.
+//! snapshots, prediction caches and `tests/all/golden_snapshot.rs` rely on it.
 //! It is plain safe Rust, which the compiler vectorises across the lanes.
 //! At the 3–11 columns forward selection leaves, a kernel term is one libm
 //! `exp` called lane by lane, so hand-written AVX2 around it measures

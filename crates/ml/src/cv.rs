@@ -165,7 +165,9 @@ pub fn cross_validate<L: Learner + Sync>(
 }
 
 /// [`cross_validate`] on `x.select_columns(cols)`, bit for bit, copying
-/// each fold's rows of those columns once.
+/// each fold's training rows of those columns once; each test row is
+/// projected onto `cols` into one reused buffer, as a served prediction
+/// projects its features.
 pub(crate) fn cross_validate_columns<L: Learner + Sync>(
     learner: &L,
     x: &Dataset,
@@ -177,10 +179,12 @@ pub(crate) fn cross_validate_columns<L: Learner + Sync>(
     let run_fold = |fold: &Fold| -> Result<FoldOutcome, MlError> {
         let y_train: Vec<f64> = fold.train.iter().map(|&i| y[i]).collect();
         let model = learner.fit(&x.select(&fold.train, cols), &y_train)?;
-        let x_test = x.select(&fold.test, cols);
-        let mut scratch = PredictScratch::new();
+        let (mut row, mut scratch) = (Vec::with_capacity(cols.len()), PredictScratch::new());
         Ok(score_fold(fold, y, |t| {
-            model.predict_into(x_test.row(t), &mut scratch)
+            let full = x.row(fold.test[t]);
+            row.clear();
+            row.extend(cols.iter().map(|&c| full[c]));
+            model.predict_into(&row, &mut scratch)
         }))
     };
     let outcomes = crate::par::par_map(folds, |_, fold| run_fold(fold));

@@ -34,6 +34,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use qpp::QppError;
+use rng::StdRng;
 
 use crate::tenant::TenantServer;
 
@@ -165,22 +166,12 @@ impl Drop for Healer {
     }
 }
 
-/// xorshift64* step; returns a uniform f64 in `[0, 1)`.
-fn next_uniform(state: &mut u64) -> f64 {
-    let mut x = *state;
-    x ^= x >> 12;
-    x ^= x << 25;
-    x ^= x >> 27;
-    *state = x;
-    (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as f64 / (1u64 << 53) as f64
-}
-
-fn jittered(interval: Duration, jitter: f64, state: &mut u64) -> Duration {
+fn jittered(interval: Duration, jitter: f64, rng: &mut StdRng) -> Duration {
     let jitter = jitter.clamp(0.0, 1.0);
     if jitter == 0.0 {
         return interval;
     }
-    let scale = 1.0 - jitter + 2.0 * jitter * next_uniform(state);
+    let scale = 1.0 - jitter + 2.0 * jitter * rng.gen_f64();
     interval.mul_f64(scale.max(0.0))
 }
 
@@ -190,8 +181,7 @@ fn healer_loop(
     config: &HealerConfig,
     stop: &StopFlag,
 ) {
-    // Seed 0 is an xorshift fixed point; displace it.
-    let mut rng = config.seed.max(1);
+    let mut rng = StdRng::seed_from_u64(config.seed);
     let mut backoff: HashMap<String, Backoff> = HashMap::new();
     loop {
         let sleep = jittered(config.interval, config.jitter, &mut rng);
@@ -253,8 +243,8 @@ mod tests {
     #[test]
     fn jitter_stays_inside_the_band_and_is_reproducible() {
         let interval = Duration::from_millis(1000);
-        let mut a = 42u64;
-        let mut b = 42u64;
+        let mut a = StdRng::seed_from_u64(42);
+        let mut b = StdRng::seed_from_u64(42);
         for _ in 0..500 {
             let da = jittered(interval, 0.25, &mut a);
             let db = jittered(interval, 0.25, &mut b);
@@ -262,7 +252,7 @@ mod tests {
             assert!(da >= Duration::from_millis(750) - Duration::from_nanos(1));
             assert!(da <= Duration::from_millis(1250));
         }
-        let mut c = 7u64;
+        let mut c = StdRng::seed_from_u64(7);
         assert_eq!(jittered(interval, 0.0, &mut c), interval);
     }
 

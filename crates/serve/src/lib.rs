@@ -49,7 +49,7 @@
 //! deadline budgets — see `tests/tenant_isolation.rs`. Under seeded
 //! network chaos (partial writes, mid-frame disconnects, corrupt frames,
 //! stalled readers) quiet tenants' responses stay bit-identical to the
-//! fault-free run — see `tests/net_chaos.rs`. Throughput and latency of
+//! fault-free run — see `tests/all/net_chaos.rs`. Throughput and latency of
 //! each rung are measured by the staircase benchmark (`crates/e2e`).
 
 #![warn(missing_docs)]

@@ -61,7 +61,7 @@ fn error_from(selector: usize, n: u64, x: f64, s: &str) -> QppError {
         }),
         1 => QppError::Ml(MlError::EmptyDataset),
         2 => QppError::Ml(MlError::NotPositiveDefinite),
-        3 => QppError::Ml(MlError::InvalidParameter("C must be positive")),
+        3 => QppError::Ml(MlError::InvalidParameter("ridge must be non-negative")),
         4 => QppError::Ml(MlError::NonFiniteData),
         5 => QppError::Ml(MlError::DidNotConverge {
             iterations: n as usize,

@@ -196,6 +196,42 @@ if grep -nE 'mpsc' crates/serve/src/server.rs crates/serve/src/tenant.rs; then
     exit 1
 fi
 
+# An error message crosses the wire as a string and is interned on decode
+# against the codec's tables (serve::codec's INTERNAL_MESSAGES and
+# INVALID_PARAM_MESSAGES); one the tables lack decodes as "unrecognized …
+# from peer". So the tables list exactly the `QppError::Internal("…")` and
+# `MlError::InvalidParameter("…")` literals the product raises: every
+# product file under crates/*/src outside the frozen crates/e2e, skipping
+# `#[cfg(test)]` items and the test-only modules a lib.rs declares.
+echo "==> message gate: the codec's message tables are the Internal and InvalidParameter messages raised"
+test_mods="$(for lib in crates/*/src/lib.rs; do
+        awk -v dir="${lib%lib.rs}" '/^#\[cfg\(test\)\]$/ { t = 1; next }
+            t && /^mod [a-z_0-9]+;$/ { sub(/^mod /, ""); sub(/;$/, ""); print dir $0 ".rs" } { t = 0 }' "$lib"
+    done)"
+raised="$(git ls-files 'crates/*/src/*.rs' | grep -v '^crates/e2e/' | grep -vxF "$test_mods" | xargs awk '
+    FNR == 1 { skip = 0 }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { skip = 1; depth = 0; opened = 0; next }
+    skip {
+        line = $0
+        o = gsub(/\{/, "", line); c = gsub(/\}/, "", line)
+        depth += o - c
+        if (o > 0) opened = 1
+        if ((opened && depth <= 0) || (!opened && $0 ~ /;[[:space:]]*$/)) skip = 0
+        next
+    }
+    { print }' | perl -0777 -ne 'print "$1 $2\n" while /\b(Internal|InvalidParameter)\(\s*"([^"]*)"/g' \
+    | LC_ALL=C sort -u)"
+tables="$(perl -0777 -ne 'for my $t (["INTERNAL_MESSAGES", "Internal"], ["INVALID_PARAM_MESSAGES", "InvalidParameter"]) {
+        next unless /const $t->[0]: \[&str; \d+\] = \[(.*?)\];/s;
+        my $list = $1;
+        print "$t->[1] $1\n" while $list =~ /"([^"]*)"/g;
+    }' crates/serve/src/codec.rs | LC_ALL=C sort -u)"
+if [ -z "$tables" ] || [ "$raised" != "$tables" ]; then
+    diff <(echo "$tables") <(echo "$raised") | sed -e 's/^>/  raised but not in a table:/' -e 's/^</  in a table but never raised:/' | grep '^  '
+    echo "FAIL: the codec's message tables are not exactly the messages the product raises"
+    exit 1
+fi
+
 # A plan is what the optimizer's EXPLAIN prints; the ground truth the
 # simulator runs on travels beside it (`Planned::truth`,
 # `ExecutedQuery::truth`, one `NodeTruth` per node in pre-order). Who reads
@@ -220,9 +256,9 @@ crates/engine/tests/planner_behavior.rs
 crates/serve/src/codec.rs
 crates/serve/tests/codec_props.rs
 examples/explain_analyze.rs
-tests/column_ref.rs
-tests/plan_equivalence.rs
-tests/truth_validation.rs" ]; then
+tests/all/column_ref.rs
+tests/all/plan_equivalence.rs
+tests/all/truth_validation.rs" ]; then
     echo "$truth_files"
     echo "FAIL: the files reading the ground truth are not exactly the agreed list"
     exit 1
@@ -281,7 +317,10 @@ cargo build --release
 # Every test binary of every crate but qpp-bench, once: tier-1's packages
 # (the root's `default-members`, which a plain `cargo test -q` at the root
 # runs too: every crate but qpp-bench and qpp-e2e) and the benchmark
-# harness's own smoke suite. The pool, the worker queues, the TCP front
+# harness's own smoke suite. The root's merged suite (tests/all) includes
+# the paper at seed 0: its `paper_repro` module runs a release `repro`,
+# which checks the paper's orderings, and compares the output with the
+# committed experiments_raw.txt. The pool, the worker queues, the TCP front
 # door and the healer block on condition variables and sockets, so a lost
 # wake-up or a deadlock shows up as a hang, not a failure; the one hard
 # timeout (compiling is kept outside it; the run takes about a minute)
@@ -309,15 +348,8 @@ echo "==> paper gate: cargo test --release -q -p qpp-bench (bounded time)"
 cargo test --release -q -p qpp-bench --no-run
 timeout 300 cargo test --release -q -p qpp-bench
 
-# The paper's numbers at seed 0 are committed (experiments_raw.txt, which
-# EXPERIMENTS.md quotes), so a change that moves one shows it in its diff.
-# `repro` is deterministic; regenerate the file with
-# `cargo run --release -p qpp-bench --bin repro > experiments_raw.txt`.
-echo "==> paper numbers: a fresh repro equals experiments_raw.txt"
-cargo run --release -q -p qpp-bench --bin repro | diff experiments_raw.txt -
-
 # The frozen fuzz corpus (tests/data/codec_corpus.bin, replayed in tier-1
-# by tests/codec_corpus.rs) is mutated request frames of the current wire
+# by tests/all/codec_corpus.rs) is mutated request frames of the current wire
 # format. Refreezing it is deterministic, so a codec change that did not
 # refreeze it shows here as a diff instead of as a corpus of frames that
 # all fail at the magic.

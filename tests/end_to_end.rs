@@ -1,21 +1,19 @@
 //! Cross-crate integration tests: the paper's qualitative findings must
 //! hold end-to-end on small-scale datasets.
 
-use engine::{Catalog, PlanNode, SimConfig, Simulator};
+#[allow(dead_code)]
+#[path = "all/support.rs"]
+mod support;
+
+use engine::{Catalog, PlanNode};
 use ml::metrics::mean_relative_error;
 use qpp::hybrid::{train_hybrid, HybridConfig, HybridModel, PlanOrdering};
 use qpp::online;
 use qpp::op_model::{OpLevelModel, OpModelConfig};
 use qpp::plan_model::{PlanLevelModel, PlanModelConfig};
 use qpp::{ExecutedQuery, QueryDataset};
+use support::quiet_sim;
 use tpch::Workload;
-
-fn quiet_sim() -> Simulator {
-    Simulator::with_config(SimConfig {
-        additive_noise_secs: 0.05,
-        ..SimConfig::default()
-    })
-}
 
 fn dataset(templates: &[u8], per_template: usize, seed: u64) -> QueryDataset {
     // SF 1 costs the same to simulate as SF 0.1 (the simulator is

@@ -10,15 +10,20 @@
 //! is the heap it held. The tests share one lock, so no other test thread
 //! moves the counter while one measures.
 
-use engine::{Catalog, SimConfig, Simulator};
+#[allow(dead_code)]
+#[path = "all/support.rs"]
+mod support;
+
+use engine::{Catalog, Simulator};
 use qpp::{
-    decode_snapshot, ExecutedQuery, Method, ModelRegistry, PlanOrdering, PredictionCache,
-    QppConfig, QppPredictor, QueryDataset,
+    decode_snapshot, ExecutedQuery, ModelRegistry, PredictionCache, QppConfig, QppPredictor,
+    QueryDataset,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+use support::{quiet_sim, TempDir, METHODS};
 use tpch::Workload;
 
 struct CountingAlloc;
@@ -60,12 +65,6 @@ fn heap_of<T>(value: T) -> usize {
     before - LIVE.load(Ordering::Relaxed)
 }
 
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("qpp_storage_{tag}_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 fn dataset(per_template: usize, seed: u64) -> QueryDataset {
     let catalog = Catalog::new(0.1, 1);
     let workload = Workload::generate(&[1, 3, 6, 14], per_template, 0.1, seed);
@@ -86,8 +85,8 @@ fn the_operator_level_is_one_model_through_training_promote_and_rollback() {
     let half: Vec<&ExecutedQuery> = refs[..refs.len() / 2].to_vec();
     let v2 = QppPredictor::train(&half, QppConfig::default()).expect("v2 trains");
 
-    let dir = temp_dir("promote");
-    let registry = ModelRegistry::create(dir.clone(), v1, QppConfig::default()).expect("registry");
+    let dir = TempDir::new("storage-promote");
+    let registry = ModelRegistry::create(dir.path(), v1, QppConfig::default()).expect("registry");
     assert!(shares_its_operator_level(&registry.current()), "version 1");
     registry.promote(v2).expect("promotes");
     assert!(
@@ -99,13 +98,12 @@ fn the_operator_level_is_one_model_through_training_promote_and_rollback() {
         shares_its_operator_level(&registry.current()),
         "after rollback"
     );
-    let reopened = ModelRegistry::open(dir.clone(), QppConfig::default()).expect("reopens");
+    let reopened = ModelRegistry::open(dir.path(), QppConfig::default()).expect("reopens");
     assert!(shares_its_operator_level(&reopened.current()), "reopened");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The snapshot of a default-config predictor trained on the benchmark
-/// fixture's log (see `tests/golden_snapshot.rs`).
+/// fixture's log (see `tests/all/golden_snapshot.rs`).
 fn fixture_predictor() -> QppPredictor {
     let bytes = std::fs::read(
         PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/data/fixture_seed42.qppsnap"),
@@ -121,10 +119,7 @@ fn a_fixture_predictor_is_small_and_does_not_grow_when_it_predicts() {
     // One thread: every prediction runs here, on this thread's buffers.
     ml::par::set_threads(1);
     let catalog = Catalog::new(0.1, 1);
-    let sim = Simulator::with_config(SimConfig {
-        additive_noise_secs: 0.05,
-        ..SimConfig::default()
-    });
+    let sim = quiet_sim();
     let workload = Workload::generate(&[1, 3, 5, 6, 10, 12, 14], 3, 0.1, 5);
     let pool = QueryDataset::execute(&catalog, &workload, &sim, 5, f64::INFINITY);
     let refs: Vec<&ExecutedQuery> = pool.queries.iter().collect();
@@ -132,11 +127,7 @@ fn a_fixture_predictor_is_small_and_does_not_grow_when_it_predicts() {
 
     let untouched = fixture_predictor();
     let used = fixture_predictor();
-    for method in [
-        Method::PlanLevel,
-        Method::OperatorLevel,
-        Method::Hybrid(PlanOrdering::ErrorBased),
-    ] {
+    for method in METHODS {
         let served = used.predict_checked_batch_cached(&refs, method, &cache);
         assert!(served.iter().all(|p| !p.degraded), "{method:?}");
         for q in &refs {

@@ -13,16 +13,20 @@
 //! thread's blocks; the tests hold one lock, so the thread count the first
 //! pins does not move under the second.
 
+#[allow(dead_code)]
+#[path = "all/support.rs"]
+mod support;
+
 use engine::{Catalog, PlanNode, Simulator};
 use qpp::progressive::Observations;
 use qpp::{
-    observations_at, predict_progressive, ExecutedQuery, FeatureSource, HybridModel, Method,
-    NodeView, OpModelConfig, PlanModelConfig, PlanOrdering, PredictionCache, QppConfig,
-    QppPredictor, QueryDataset,
+    observations_at, predict_progressive, ExecutedQuery, FeatureSource, HybridModel, NodeView,
+    OpModelConfig, PlanModelConfig, PredictionCache, QppConfig, QppPredictor, QueryDataset,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::{Arc, Mutex};
+use support::METHODS;
 use tpch::Workload;
 
 struct CountingAlloc;
@@ -105,11 +109,7 @@ fn a_checked_batch_allocates_the_same_for_16_queries_as_for_256() {
         // map never grows past its first allocation.
         let cache = PredictionCache::new(1);
         let mut blocks = Vec::new();
-        for method in [
-            Method::PlanLevel,
-            Method::OperatorLevel,
-            Method::Hybrid(PlanOrdering::ErrorBased),
-        ] {
+        for method in METHODS {
             // Warm-up: grows the buffers.
             let warm = qpp.predict_checked_batch_cached(&large, method, &cache);
             assert!(

@@ -1,10 +1,15 @@
 //! Property tests over the core invariants of every layer: each property
 //! runs on seeded cases drawn through [`rng::cases`].
 
+#[allow(dead_code)]
+#[path = "all/support.rs"]
+mod support;
+
 use engine::faults::{DriftPlan, FaultPlan};
 use engine::{Catalog, Planner, SimConfig, Simulator};
 use rng::StdRng;
 use std::sync::OnceLock;
+use support::{log, METHODS};
 use tpch::schema::{col, TableId, ALL_TABLES};
 use tpch::types::CmpOp;
 use tpch::Workload;
@@ -14,10 +19,7 @@ use tpch::Workload;
 fn predictor() -> &'static qpp::QppPredictor {
     static PREDICTOR: OnceLock<qpp::QppPredictor> = OnceLock::new();
     PREDICTOR.get_or_init(|| {
-        let catalog = Catalog::new(0.1, 1);
-        let workload = Workload::generate(&[1, 3, 6, 14], 8, 0.1, 7);
-        let ds =
-            qpp::QueryDataset::execute(&catalog, &workload, &Simulator::new(), 11, f64::INFINITY);
+        let ds = log(8);
         let refs: Vec<&qpp::ExecutedQuery> = ds.queries.iter().collect();
         qpp::QppPredictor::train(&refs, qpp::QppConfig::default()).expect("training")
     })
@@ -284,13 +286,8 @@ fn checked_predictions_survive_arbitrary_faults() {
         );
         assert!(report.reconciles(), "{report:?}");
         let p = predictor();
-        let methods = [
-            qpp::Method::PlanLevel,
-            qpp::Method::OperatorLevel,
-            qpp::Method::Hybrid(qpp::PlanOrdering::ErrorBased),
-        ];
         for q in &ds.queries {
-            for method in methods {
+            for method in METHODS {
                 let pred = p.predict_checked(q, method);
                 assert!(
                     pred.value.is_finite() && pred.value >= 0.0,
@@ -307,7 +304,7 @@ fn checked_predictions_survive_arbitrary_faults() {
                 ..faults.clone()
             };
             always.corrupt_estimates(&mut q.plan, seed);
-            for method in methods {
+            for method in METHODS {
                 let pred = p.predict_checked(&q, method);
                 assert!(
                     pred.value.is_finite() && pred.value >= 0.0,

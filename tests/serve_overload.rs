@@ -11,50 +11,20 @@
 //! 4. Every submitted request is accounted exactly once:
 //!    `submitted == shed + served + deadline_missed`.
 
-use engine::{Catalog, Simulator};
-use qpp::{
-    ExecutedQuery, Method, ModelRegistry, PlanOrdering, PredictionTier, QppConfig, QppError,
-    QppPredictor, QueryDataset,
-};
+#[allow(dead_code)]
+#[path = "all/support.rs"]
+mod support;
+
+use qpp::{Method, PlanOrdering, PredictionTier, QppError};
 use serve::{PredictionServer, RateLimit, ServeConfig};
 use std::sync::Arc;
 use std::time::Duration;
-use tpch::Workload;
-
-fn dataset() -> QueryDataset {
-    let catalog = Catalog::new(0.1, 1);
-    let workload = Workload::generate(&[1, 3, 6, 14], 6, 0.1, 7);
-    QueryDataset::execute(&catalog, &workload, &Simulator::new(), 11, f64::INFINITY)
-}
-
-fn temp_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "qpp_serve_{tag}_{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn registry_over(ds: &QueryDataset, tag: &str) -> (Arc<ModelRegistry>, Vec<Arc<ExecutedQuery>>) {
-    let refs: Vec<&ExecutedQuery> = ds.queries.iter().collect();
-    let predictor = QppPredictor::train(&refs, QppConfig::default()).expect("training");
-    let registry =
-        ModelRegistry::create(temp_dir(tag), predictor, QppConfig::default()).expect("registry");
-    let queries = ds.queries.iter().cloned().map(Arc::new).collect();
-    (Arc::new(registry), queries)
-}
-
-const METHODS: [Method; 3] = [
-    Method::PlanLevel,
-    Method::OperatorLevel,
-    Method::Hybrid(PlanOrdering::ErrorBased),
-];
+use support::{arcs, log, registry_over, TempDir, METHODS};
 
 #[test]
 fn served_results_are_bit_identical_to_direct_prediction() {
-    let ds = dataset();
-    let (registry, queries) = registry_over(&ds, "bitident");
+    let (ds, dir) = (log(6), TempDir::new("serve-bitident"));
+    let (registry, queries) = (registry_over(&ds, &dir), arcs(&ds));
     let direct = registry.current();
     let server = PredictionServer::start(
         Arc::clone(&registry),
@@ -93,13 +63,12 @@ fn served_results_are_bit_identical_to_direct_prediction() {
     assert_eq!(snap.served, snap.submitted, "nothing shed or missed");
     assert_eq!(snap.shed(), 0);
     drop(server);
-    let _ = std::fs::remove_dir_all(temp_dir("bitident"));
 }
 
 #[test]
 fn burst_past_the_rate_limit_sheds_with_typed_overloaded() {
-    let ds = dataset();
-    let (registry, queries) = registry_over(&ds, "ratelimit");
+    let (ds, dir) = (log(6), TempDir::new("serve-ratelimit"));
+    let (registry, queries) = (registry_over(&ds, &dir), arcs(&ds));
     let burst = 8.0;
     let server = PredictionServer::start(
         Arc::clone(&registry),
@@ -139,13 +108,12 @@ fn burst_past_the_rate_limit_sheds_with_typed_overloaded() {
     assert_eq!(snap.shed(), shed);
     assert_eq!(snap.served + snap.shed(), snap.submitted);
     drop(server);
-    let _ = std::fs::remove_dir_all(temp_dir("ratelimit"));
 }
 
 #[test]
 fn a_budgeted_request_is_served_at_its_tier_or_refused_never_degraded() {
-    let ds = dataset();
-    let (registry, queries) = registry_over(&ds, "deadline");
+    let (ds, dir) = (log(6), TempDir::new("serve-deadline"));
+    let (registry, queries) = (registry_over(&ds, &dir), arcs(&ds));
     let server = PredictionServer::start(
         Arc::clone(&registry),
         ServeConfig {
@@ -192,13 +160,12 @@ fn a_budgeted_request_is_served_at_its_tier_or_refused_never_degraded() {
     assert_eq!(snap.deadline_missed, refused + 1);
     assert_eq!(snap.degraded, 0);
     drop(server);
-    let _ = std::fs::remove_dir_all(temp_dir("deadline"));
 }
 
 #[test]
 fn stalled_workers_expire_queued_deadlines_instead_of_serving_late() {
-    let ds = dataset();
-    let (registry, queries) = registry_over(&ds, "stall");
+    let (ds, dir) = (log(6), TempDir::new("serve-stall"));
+    let (registry, queries) = (registry_over(&ds, &dir), arcs(&ds));
     let server = PredictionServer::start(
         Arc::clone(&registry),
         ServeConfig {
@@ -239,13 +206,12 @@ fn stalled_workers_expire_queued_deadlines_instead_of_serving_late() {
     assert!(snap.stalls_injected >= 1);
     assert_eq!(snap.served, 0);
     drop(server);
-    let _ = std::fs::remove_dir_all(temp_dir("stall"));
 }
 
 #[test]
 fn sustained_overload_sheds_bounds_latency_and_reconciles_exactly() {
-    let ds = dataset();
-    let (registry, queries) = registry_over(&ds, "overload");
+    let (ds, dir) = (log(6), TempDir::new("serve-overload"));
+    let (registry, queries) = (registry_over(&ds, &dir), arcs(&ds));
     let deadline = Duration::from_secs(5);
     let server = PredictionServer::start(
         Arc::clone(&registry),
@@ -300,13 +266,12 @@ fn sustained_overload_sheds_bounds_latency_and_reconciles_exactly() {
     // Dropping the server joins all workers; a panicked worker would
     // propagate here and fail the test.
     drop(server);
-    let _ = std::fs::remove_dir_all(temp_dir("overload"));
 }
 
 #[test]
 fn closed_loop_clients_drain_cleanly_across_worker_pool() {
-    let ds = dataset();
-    let (registry, queries) = registry_over(&ds, "closedloop");
+    let (ds, dir) = (log(6), TempDir::new("serve-closedloop"));
+    let (registry, queries) = (registry_over(&ds, &dir), arcs(&ds));
     let server = Arc::new(PredictionServer::start(
         Arc::clone(&registry),
         ServeConfig {
@@ -341,5 +306,4 @@ fn closed_loop_clients_drain_cleanly_across_worker_pool() {
     assert_eq!(snap.shed(), 0);
     assert_eq!(snap.deadline_missed, 0);
     drop(server);
-    let _ = std::fs::remove_dir_all(temp_dir("closedloop"));
 }

@@ -17,92 +17,53 @@
 //!    tier within 100 observations, and over 10 000 untripled ones every
 //!    tier stays healthy.
 
-use engine::faults::{DriftKind, DriftPlan, FaultPlan};
-use engine::{Catalog, Simulator};
+#[allow(dead_code)]
+#[path = "all/support.rs"]
+mod support;
+
+use engine::faults::{DriftKind, DriftPlan};
+use engine::Catalog;
 use qpp::{
-    CollectionConfig, ExecutedQuery, Method, ModelHealth, ModelRegistry, PlanOrdering,
-    PredictionTier, QppConfig, QppError, QppPredictor, QueryDataset, MODEL_TIERS,
+    ExecutedQuery, Method, ModelHealth, PlanOrdering, PredictionTier, QppError, QueryDataset,
+    MODEL_TIERS,
 };
 use serve::tenant::{HealAction, TenantBudget, TenantServeConfig, TenantServer, TenantSpec};
 use serve::Endpoint;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
+use support::{arcs, collect, quiet_sim, registry_over, spec, TempDir};
 use tpch::Workload;
-
-fn quiet_sim() -> Simulator {
-    Simulator::with_config(engine::SimConfig {
-        additive_noise_secs: 0.05,
-        ..engine::SimConfig::default()
-    })
-}
-
-fn temp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("qpp-tenant-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn collect(workload: &Workload, sim: &Simulator, drift: &DriftPlan) -> QueryDataset {
-    let catalog = Catalog::new(0.1, 1);
-    QueryDataset::execute_drifted(
-        &catalog,
-        workload,
-        sim,
-        11,
-        f64::INFINITY,
-        &FaultPlan::none(),
-        &CollectionConfig::trusting(),
-        drift,
-    )
-    .0
-}
-
-fn registry_over(ds: &QueryDataset, tag: &str) -> Arc<ModelRegistry> {
-    let refs: Vec<&ExecutedQuery> = ds.queries.iter().collect();
-    let predictor = QppPredictor::train(&refs, QppConfig::default()).expect("training");
-    Arc::new(
-        ModelRegistry::create(temp_dir(tag), predictor, QppConfig::default()).expect("registry"),
-    )
-}
-
-fn spec(name: &str, registry: &Arc<ModelRegistry>, budget: TenantBudget) -> TenantSpec {
-    TenantSpec {
-        name: name.to_string(),
-        registry: Arc::clone(registry),
-        budget,
-    }
-}
 
 #[test]
 fn one_hot_burst_sheds_the_hot_tenant_and_spares_the_quiet_one() {
     let sim = quiet_sim();
     let ds = collect(&Workload::generate(&[1, 3, 6, 14], 6, 0.1, 7), &sim, &DriftPlan::none());
-    let queries: Vec<Arc<ExecutedQuery>> = ds.queries.iter().cloned().map(Arc::new).collect();
-    let hot_registry = registry_over(&ds, "burst-hot");
-    let quiet_registry = registry_over(&ds, "burst-quiet");
+    let queries = arcs(&ds);
+    let dirs = [
+        TempDir::new("tenant-burst-hot"),
+        TempDir::new("tenant-burst-quiet"),
+    ];
+    let [hot_registry, quiet_registry] = dirs.each_ref().map(|dir| registry_over(&ds, dir));
     let direct = quiet_registry.current();
 
     let deadline = Duration::from_secs(5);
     let server = TenantServer::start(
         vec![
-            spec(
-                "hot",
-                &hot_registry,
-                TenantBudget {
+            TenantSpec {
+                budget: TenantBudget {
                     queue_quota: 8,
                     ..TenantBudget::default()
                 },
-            ),
-            spec(
-                "quiet",
-                &quiet_registry,
-                TenantBudget {
+                ..spec("hot", &hot_registry)
+            },
+            TenantSpec {
+                budget: TenantBudget {
                     queue_quota: 64,
                     default_deadline: Some(deadline),
                     ..TenantBudget::default()
                 },
-            ),
+                ..spec("quiet", &quiet_registry)
+            },
         ],
         TenantServeConfig {
             workers: Some(1),
@@ -191,8 +152,6 @@ fn one_hot_burst_sheds_the_hot_tenant_and_spares_the_quiet_one() {
     );
 
     drop(server);
-    let _ = std::fs::remove_dir_all(temp_dir("burst-hot"));
-    let _ = std::fs::remove_dir_all(temp_dir("burst-quiet"));
 }
 
 #[test]
@@ -200,14 +159,14 @@ fn observed_residuals_quarantine_one_tenant_and_trip_only_its_breaker() {
     let sim = quiet_sim();
     let templates = [1u8, 3, 6, 14];
     let ds = collect(&Workload::generate(&templates, 6, 0.1, 7), &sim, &DriftPlan::none());
-    let queries: Vec<Arc<ExecutedQuery>> = ds.queries.iter().cloned().map(Arc::new).collect();
-    let drifting = registry_over(&ds, "observe-drifting");
-    let steady = registry_over(&ds, "observe-steady");
+    let queries = arcs(&ds);
+    let dirs = [
+        TempDir::new("tenant-observe-drifting"),
+        TempDir::new("tenant-observe-steady"),
+    ];
+    let [drifting, steady] = dirs.each_ref().map(|dir| registry_over(&ds, dir));
     let server = TenantServer::start(
-        vec![
-            spec("drifting", &drifting, TenantBudget::default()),
-            spec("steady", &steady, TenantBudget::default()),
-        ],
+        vec![spec("drifting", &drifting), spec("steady", &steady)],
         TenantServeConfig {
             workers: Some(1),
             ..TenantServeConfig::default()
@@ -302,8 +261,6 @@ fn observed_residuals_quarantine_one_tenant_and_trip_only_its_breaker() {
     assert_eq!(steady.version(), 1);
 
     drop(server);
-    let _ = std::fs::remove_dir_all(temp_dir("observe-drifting"));
-    let _ = std::fs::remove_dir_all(temp_dir("observe-steady"));
 }
 
 /// DESIGN.md §9: "requests doomed to queue-shedding don't drain the rate
@@ -318,9 +275,10 @@ fn a_full_queue_refuses_without_spending_the_global_rate_budget() {
         &DriftPlan::none(),
     );
     let query = Arc::new(ds.queries[0].clone());
-    let registry = registry_over(&ds, "doomed");
+    let dir = TempDir::new("tenant-doomed");
+    let registry = registry_over(&ds, &dir);
     let server = TenantServer::start(
-        vec![spec("t", &registry, TenantBudget::default())],
+        vec![spec("t", &registry)],
         TenantServeConfig {
             workers: Some(1),
             global_capacity: 2,
@@ -378,7 +336,6 @@ fn a_full_queue_refuses_without_spending_the_global_rate_budget() {
         done.submitted
     );
     drop(server);
-    let _ = std::fs::remove_dir_all(temp_dir("doomed"));
 }
 
 /// The bulkhead holds for the rate budgets too: the tenant's own bucket is
@@ -394,21 +351,23 @@ fn a_tenant_rate_refusal_spends_no_global_token() {
         &DriftPlan::none(),
     );
     let query = Arc::new(ds.queries[0].clone());
-    let hot_registry = registry_over(&ds, "rate-hot");
-    let quiet_registry = registry_over(&ds, "rate-quiet");
+    let dirs = [
+        TempDir::new("tenant-rate-hot"),
+        TempDir::new("tenant-rate-quiet"),
+    ];
+    let [hot_registry, quiet_registry] = dirs.each_ref().map(|dir| registry_over(&ds, dir));
     // No bucket refills for the length of this test.
     let no_refill = |burst| Some(RateLimit { rate: 1e-3, burst });
     let server = TenantServer::start(
         vec![
-            spec(
-                "hot",
-                &hot_registry,
-                TenantBudget {
+            TenantSpec {
+                budget: TenantBudget {
                     rate_limit: no_refill(1.0),
                     ..TenantBudget::default()
                 },
-            ),
-            spec("quiet", &quiet_registry, TenantBudget::default()),
+                ..spec("hot", &hot_registry)
+            },
+            spec("quiet", &quiet_registry),
         ],
         TenantServeConfig {
             global_rate_limit: no_refill(8.0),
@@ -450,8 +409,6 @@ fn a_tenant_rate_refusal_spends_no_global_token() {
     );
     assert_eq!(hot.shed_queue_full + quiet.shed_queue_full, 0);
     drop(server);
-    let _ = std::fs::remove_dir_all(temp_dir("rate-hot"));
-    let _ = std::fs::remove_dir_all(temp_dir("rate-quiet"));
 }
 
 /// Each learned tier's `(predicted, actual)` pairs.
@@ -461,13 +418,13 @@ type TierResiduals = Vec<(PredictionTier, Vec<(f64, f64)>)>;
 /// `crates/e2e`'s 140-query log: templates 1, 3, 5, 6, 10, 12, 14 x 20 at
 /// sf 0.1, data seed 42), and each learned tier's `(predicted, actual)`
 /// pairs on the fixture's 700-query held-out pool.
-fn fixture_tenant(tag: &str) -> (TenantServer, TierResiduals) {
+fn fixture_tenant(dir: &TempDir) -> (TenantServer, TierResiduals) {
     let collect = |per_template, seed| {
         let workload = Workload::generate(&[1, 3, 5, 6, 10, 12, 14], per_template, 0.1, seed);
         QueryDataset::execute(&Catalog::new(0.1, 1), &workload, &quiet_sim(), seed, f64::INFINITY)
     };
     let (log, pool) = (collect(20, 42), collect(100, 42 ^ 0x9001));
-    let registry = registry_over(&log, tag);
+    let registry = registry_over(&log, dir);
     let serving = registry.current();
     let refs: Vec<&ExecutedQuery> = pool.queries.iter().collect();
     let residuals = MODEL_TIERS
@@ -479,7 +436,7 @@ fn fixture_tenant(tag: &str) -> (TenantServer, TierResiduals) {
         })
         .collect();
     let server = TenantServer::start(
-        vec![spec("t", &registry, TenantBudget::default())],
+        vec![spec("t", &registry)],
         TenantServeConfig {
             workers: Some(1),
             ..TenantServeConfig::default()
@@ -490,7 +447,8 @@ fn fixture_tenant(tag: &str) -> (TenantServer, TierResiduals) {
 
 #[test]
 fn a_model_three_times_worse_than_its_record_quarantines() {
-    let (server, residuals) = fixture_tenant("tripled");
+    let dir = TempDir::new("tenant-tripled");
+    let (server, residuals) = fixture_tenant(&dir);
     for (tier, pairs) in residuals {
         // Every residual three times what the model actually makes.
         let quarantined_after = pairs
@@ -506,13 +464,12 @@ fn a_model_three_times_worse_than_its_record_quarantines() {
             quarantined_after + 1
         );
     }
-    drop(server);
-    let _ = std::fs::remove_dir_all(temp_dir("tripled"));
 }
 
 #[test]
 fn clean_traffic_keeps_every_tier_healthy() {
-    let (server, residuals) = fixture_tenant("clean");
+    let dir = TempDir::new("tenant-clean");
+    let (server, residuals) = fixture_tenant(&dir);
     for (tier, pairs) in residuals {
         for &(predicted, actual) in pairs.iter().cycle().take(15 * pairs.len()) {
             let health = server.observe("t", tier, predicted, actual).unwrap();
@@ -520,6 +477,4 @@ fn clean_traffic_keeps_every_tier_healthy() {
         }
     }
     assert!(!server.any_quarantined("t").unwrap());
-    drop(server);
-    let _ = std::fs::remove_dir_all(temp_dir("clean"));
 }

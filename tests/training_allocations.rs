@@ -15,12 +15,17 @@
 //! process has live; every test holds one lock, so no other test's heap
 //! is counted, and the training tests pin their thread count.
 
-use engine::{Catalog, SimConfig, Simulator};
+#[allow(dead_code)]
+#[path = "all/support.rs"]
+mod support;
+
+use engine::Catalog;
 use qpp::{ExecutedQuery, OpLevelModel, OpModelConfig, QppConfig, QppPredictor, QueryDataset};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicIsize, Ordering};
 use std::sync::Mutex;
+use support::quiet_sim;
 use tpch::Workload;
 
 struct CountingAlloc;
@@ -103,18 +108,20 @@ fn allocations_of<T>(f: impl FnOnce() -> T) -> usize {
 }
 
 /// The benchmark fixture's templates (`crates/e2e`, and
-/// `tests/golden_snapshot.rs`), at sf 0.1.
+/// `tests/all/golden_snapshot.rs`), at sf 0.1.
 const TEMPLATES: [u8; 7] = [1, 3, 5, 6, 10, 12, 14];
 
 /// The benchmark fixture's training log: `per_template` queries of each
 /// of its templates.
 fn fixture_log(per_template: usize) -> QueryDataset {
-    let sim = Simulator::with_config(SimConfig {
-        additive_noise_secs: 0.05,
-        ..SimConfig::default()
-    });
     let workload = Workload::generate(&TEMPLATES, per_template, 0.1, 42);
-    QueryDataset::execute(&Catalog::new(0.1, 1), &workload, &sim, 42, f64::INFINITY)
+    QueryDataset::execute(
+        &Catalog::new(0.1, 1),
+        &workload,
+        &quiet_sim(),
+        42,
+        f64::INFINITY,
+    )
 }
 
 #[test]
