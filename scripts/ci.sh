@@ -311,6 +311,49 @@ if [ "$census" != "$exceptions" ]; then
     exit 1
 fi
 
+# Each integration-test binary links the whole workspace once, so a new
+# test binary is a decision, like a new `unsafe` file. A suite gets a
+# binary of its own when it needs the whole process (a counting global
+# allocator, or a count of the process's threads by name); core's and
+# serve's two suites each share no helper and stay apart too. The root's
+# other suites are modules of `tests/all`, and only its four process-wide
+# suites include `tests/all/support.rs` with `#[path]`. crates/e2e, the
+# frozen benchmark harness, is not counted.
+echo "==> test-target gate: the integration-test binaries are the agreed list"
+test_targets="$(for file in tests/*.rs tests/*/main.rs crates/*/tests/*.rs crates/*/tests/*/main.rs; do
+        if [ -e "$file" ]; then echo "$file"; fi
+    done | grep -v '^crates/e2e/' | LC_ALL=C sort)"
+if [ "$test_targets" != "crates/bench/tests/paper_shapes.rs
+crates/core/tests/feature_semantics.rs
+crates/core/tests/model_behavior.rs
+crates/core/tests/stays_on_its_thread.rs
+crates/engine/tests/planner_behavior.rs
+crates/ml/tests/gram_blocked_props.rs
+crates/ml/tests/train_memory.rs
+crates/ml/tests/zero_alloc.rs
+crates/serve/tests/codec_props.rs
+crates/serve/tests/tenant_props.rs
+crates/tpch/tests/template_properties.rs
+tests/all/main.rs
+tests/model_storage.rs
+tests/prediction_allocations.rs
+tests/serve_threads.rs
+tests/training_allocations.rs" ]; then
+    echo "$test_targets"
+    echo "FAIL: the integration-test binaries are not exactly the agreed list; a suite that can share a process joins its crate's binary"
+    exit 1
+fi
+support_includes="$(grep -rlF '#[path = "all/support.rs"]' tests crates src examples --include='*.rs' \
+    | grep -v '^crates/e2e/' | LC_ALL=C sort || true)"
+if [ "$support_includes" != "tests/model_storage.rs
+tests/prediction_allocations.rs
+tests/serve_threads.rs
+tests/training_allocations.rs" ]; then
+    echo "$support_includes"
+    echo "FAIL: only the four process-wide root suites include tests/all/support.rs with #[path]"
+    exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release
 

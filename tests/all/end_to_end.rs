@@ -1,10 +1,7 @@
 //! Cross-crate integration tests: the paper's qualitative findings must
 //! hold end-to-end on small-scale datasets.
 
-#[allow(dead_code)]
-#[path = "all/support.rs"]
-mod support;
-
+use crate::support::quiet_sim;
 use engine::{Catalog, PlanNode};
 use ml::metrics::mean_relative_error;
 use qpp::hybrid::{train_hybrid, HybridConfig, HybridModel, PlanOrdering};
@@ -12,7 +9,6 @@ use qpp::online;
 use qpp::op_model::{OpLevelModel, OpModelConfig};
 use qpp::plan_model::{PlanLevelModel, PlanModelConfig};
 use qpp::{ExecutedQuery, QueryDataset};
-use support::quiet_sim;
 use tpch::Workload;
 
 fn dataset(templates: &[u8], per_template: usize, seed: u64) -> QueryDataset {

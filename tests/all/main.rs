@@ -5,10 +5,8 @@
 //! Four suites keep binaries of their own, because each needs the whole
 //! process: `model_storage`, `prediction_allocations` and
 //! `training_allocations` install a counting global allocator, and
-//! `serve_threads` counts the process's threads by name. Four more
-//! (`proptests`, `end_to_end`, `serve_overload`, `tenant_isolation`) have
-//! not moved in yet and keep their files under `tests/`. All eight include
-//! this binary's `support.rs` with `#[path]`.
+//! `serve_threads` counts the process's threads by name. Those four
+//! include this binary's `support.rs` with `#[path]`.
 
 mod support;
 
@@ -17,6 +15,7 @@ mod caller_serves;
 mod codec_corpus;
 mod column_ref;
 mod drift_recovery;
+mod end_to_end;
 mod fault_tolerance;
 mod golden_snapshot;
 mod healer_supervision;
@@ -24,5 +23,8 @@ mod net_chaos;
 mod paper_repro;
 mod parallel_determinism;
 mod plan_equivalence;
+mod proptests;
+mod serve_overload;
 mod swap_under_load;
+mod tenant_isolation;
 mod truth_validation;

@@ -1,15 +1,11 @@
 //! Property tests over the core invariants of every layer: each property
 //! runs on seeded cases drawn through [`rng::cases`].
 
-#[allow(dead_code)]
-#[path = "all/support.rs"]
-mod support;
-
+use crate::support::{log, METHODS};
 use engine::faults::{DriftPlan, FaultPlan};
 use engine::{Catalog, Planner, SimConfig, Simulator};
 use rng::StdRng;
 use std::sync::OnceLock;
-use support::{log, METHODS};
 use tpch::schema::{col, TableId, ALL_TABLES};
 use tpch::types::CmpOp;
 use tpch::Workload;

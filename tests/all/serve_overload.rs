@@ -11,15 +11,11 @@
 //! 4. Every submitted request is accounted exactly once:
 //!    `submitted == shed + served + deadline_missed`.
 
-#[allow(dead_code)]
-#[path = "all/support.rs"]
-mod support;
-
+use crate::support::{arcs, log, registry_over, TempDir, METHODS};
 use qpp::{Method, PlanOrdering, PredictionTier, QppError};
 use serve::{PredictionServer, RateLimit, ServeConfig};
 use std::sync::Arc;
 use std::time::Duration;
-use support::{arcs, log, registry_over, TempDir, METHODS};
 
 #[test]
 fn served_results_are_bit_identical_to_direct_prediction() {

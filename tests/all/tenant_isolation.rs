@@ -17,10 +17,7 @@
 //!    tier within 100 observations, and over 10 000 untripled ones every
 //!    tier stays healthy.
 
-#[allow(dead_code)]
-#[path = "all/support.rs"]
-mod support;
-
+use crate::support::{arcs, collect, quiet_sim, registry_over, spec, TempDir};
 use engine::faults::{DriftKind, DriftPlan};
 use engine::Catalog;
 use qpp::{
@@ -31,7 +28,6 @@ use serve::tenant::{HealAction, TenantBudget, TenantServeConfig, TenantServer, T
 use serve::Endpoint;
 use std::sync::Arc;
 use std::time::Duration;
-use support::{arcs, collect, quiet_sim, registry_over, spec, TempDir};
 use tpch::Workload;
 
 #[test]
