@@ -225,10 +225,10 @@ impl QueryDataset {
         drift: &DriftPlan,
     ) -> (QueryDataset, CollectionReport) {
         let planner = Planner::new(catalog);
-        let mut queries = Vec::with_capacity(workload.len());
+        let mut queries = Vec::with_capacity(workload.queries.len());
         let mut timeouts: Vec<(u8, usize)> = Vec::new();
         let mut report = CollectionReport {
-            attempted: workload.len(),
+            attempted: workload.queries.len(),
             ..CollectionReport::default()
         };
         // Every query owns an independent seeded RNG (its attempt seeds
@@ -574,7 +574,7 @@ mod tests {
         // and three-strikes-per-query drops only the persistently unlucky.
         assert!(report.retried > 0);
         assert!(report.backoff_secs > 0.0);
-        assert_eq!(ds.len() + report.dropped(), workload.len());
+        assert_eq!(ds.len() + report.dropped(), workload.queries.len());
         assert!(ds.len() >= 5);
         for q in &ds.queries {
             assert!(q.latency().is_finite());

@@ -581,8 +581,8 @@ pub(crate) fn train_hybrid_recorded(
 ///
 /// The rule judges on the training log. Judging the fragment's held-out
 /// error against the operator-level composition instead breaks the
-/// monotone training error `tests/end_to_end.rs` holds Algorithm 1 to, and
-/// does not remove the held-out loss of forced iterations either
+/// monotone training error `tests/all/end_to_end.rs` holds Algorithm 1
+/// to, and does not remove the held-out loss of forced iterations either
 /// (EXPERIMENTS.md, "Acceptance on held-out error").
 pub(crate) fn keeps_subplan_model(
     key: StructureKey,

@@ -58,7 +58,7 @@ pub use hybrid::{train_hybrid, HybridConfig, HybridModel, PlanOrdering};
 pub use materialize::MaterializedModels;
 pub use monitor::{DriftMonitor, ModelHealth};
 pub use op_model::{OpLevelModel, OpModelConfig};
-pub use plan_model::{PlanLevelModel, PlanModelConfig, PredictBuffers, TargetMetric};
+pub use plan_model::{PlanLevelModel, PlanModelConfig, TargetMetric};
 pub use pred_cache::{PredictionCache, PredictionCacheStats};
 pub use predictor::{
     tier_rank, Method, Prediction, PredictionTier, QppConfig, QppPredictor, ALL_TIERS,

@@ -127,7 +127,7 @@ impl MaterializedModels {
     /// Validation gate run at load time: every model in the set must have
     /// finite weights and internally consistent feature arity, and every
     /// recorded error must be finite and non-negative.
-    pub fn validate(&self) -> Result<(), QppError> {
+    pub(crate) fn validate(&self) -> Result<(), QppError> {
         self.plan_level
             .validate()
             .map_err(QppError::InvalidSnapshot)?;
@@ -267,7 +267,7 @@ mod tests {
         // The fallback calibration and the recorded errors ride along.
         assert_eq!(back.secs_per_cost, qpp.secs_per_cost());
         assert_eq!(back.prior_latency, qpp.prior_latency());
-        let rebuilt = QppPredictor::from_materialized(&back, QppConfig::default());
+        let rebuilt = QppPredictor::from_materialized(&back);
         for tier in crate::MODEL_TIERS {
             let recorded = qpp.recorded_error(tier).expect("a learned tier");
             assert!(recorded.is_finite() && recorded >= 0.0, "{tier:?}: {recorded}");
@@ -293,7 +293,7 @@ mod tests {
         let (ds, qpp) = trained();
         let refs: Vec<&ExecutedQuery> = ds.queries.iter().collect();
         let mat = MaterializedModels::from_predictor(&qpp);
-        let back = QppPredictor::from_materialized(&mat, QppConfig::default());
+        let back = QppPredictor::from_materialized(&mat);
         for q in &refs {
             for m in [
                 Method::PlanLevel,

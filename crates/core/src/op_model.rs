@@ -139,7 +139,7 @@ impl OpLevelModel {
 
     /// Snapshot-load validation: every per-operator start/run model must
     /// pass [`FeatureModel::validate`] against the operator feature arity.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.per_type.len() != ALL_OP_TYPES.len() {
             return Err(format!(
                 "operator-level model covers {} operator types, expected {}",

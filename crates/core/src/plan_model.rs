@@ -136,7 +136,7 @@ impl FeatureModel {
     /// relative error against `y` of the out-of-fold predictions of the
     /// cross-validation that selected its features, each transformed back
     /// and clamped as a prediction is.
-    pub fn train(
+    pub(crate) fn train(
         x: &Dataset,
         y: &[f64],
         folds: &[Fold],
@@ -183,7 +183,7 @@ impl FeatureModel {
     }
 
     /// Predicts from a full feature vector (projects to selected columns).
-    pub fn predict(&self, full_features: &[f64]) -> f64 {
+    pub(crate) fn predict(&self, full_features: &[f64]) -> f64 {
         PredictBuffers::with_thread_local(|buf| {
             self.predict_into(full_features, &mut buf.row, &mut buf.scratch)
         })
@@ -200,7 +200,7 @@ impl FeatureModel {
     /// the order cross-validation scored it in.
     /// [`FeatureModel::predict`] delegates here with the thread's
     /// [`PredictBuffers`].
-    pub fn predict_into(
+    pub(crate) fn predict_into(
         &self,
         full_features: &[f64],
         row: &mut Vec<f64>,
@@ -243,7 +243,7 @@ impl FeatureModel {
     /// is served with — the snapshot-load gate. Returns the failed check
     /// as a message; callers wrap it into
     /// [`crate::error::QppError::InvalidSnapshot`].
-    pub fn validate(&self, full_arity: usize) -> Result<(), String> {
+    pub(crate) fn validate(&self, full_arity: usize) -> Result<(), String> {
         if !self.model.weights_finite() {
             return Err("model contains non-finite weights".to_string());
         }
@@ -344,7 +344,7 @@ impl FeatureModel {
 /// A walk borrows the fields it reads and the two it evaluates models with
 /// as disjoint `&mut`s, so it never re-enters the thread-local.
 #[derive(Debug, Default)]
-pub struct PredictBuffers {
+pub(crate) struct PredictBuffers {
     /// Selected-feature row (projection target).
     pub(crate) row: Vec<f64>,
     /// Scaled-row scratch for the model's lane tree.
@@ -456,12 +456,13 @@ impl PlanLevelModel {
     }
 
     /// The metric this model predicts.
-    pub fn metric(&self) -> TargetMetric {
+    #[cfg(test)]
+    pub(crate) fn metric(&self) -> TargetMetric {
         self.metric
     }
 
     /// The feature source this model was trained on.
-    pub fn source(&self) -> FeatureSource {
+    pub(crate) fn source(&self) -> FeatureSource {
         self.source
     }
 
@@ -505,7 +506,7 @@ impl PlanLevelModel {
 
     /// Snapshot-load validation: checks the inner model against the
     /// plan-level feature arity (see [`FeatureModel::validate`]).
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         self.inner
             .validate(crate::features::PLAN_FEATURES)
             .map_err(|e| format!("plan-level model: {e}"))

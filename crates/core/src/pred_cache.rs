@@ -123,7 +123,7 @@ impl PredictionCache {
     }
 
     /// Drops every entry (counters are kept).
-    pub fn clear(&self) {
+    pub(crate) fn clear(&self) {
         let mut inner = self.inner.lock().unwrap();
         let n = inner.map.len() as u64;
         inner.evictions += n;

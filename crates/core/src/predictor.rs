@@ -99,7 +99,6 @@ pub struct QppPredictor {
     /// prediction cache: computed where the predictor is built, read by
     /// every batch.
     hybrid_signature: u64,
-    config: QppConfig,
     /// Median observed seconds per optimizer cost unit at training time
     /// (NaN when no training query had a usable cost estimate).
     secs_per_cost: f64,
@@ -144,7 +143,7 @@ pub fn tier_rank(tier: PredictionTier) -> usize {
 impl Method {
     /// The learned tier this method natively resolves to — where the
     /// degradation chain starts for the method.
-    pub fn tier(self) -> PredictionTier {
+    pub(crate) fn tier(self) -> PredictionTier {
         match self {
             Method::Hybrid(_) => PredictionTier::Hybrid,
             Method::OperatorLevel => PredictionTier::OperatorLevel,
@@ -208,7 +207,6 @@ impl QppPredictor {
             op_level,
             hybrid_signature: hybrid.plan_model_signature(),
             hybrid,
-            config,
             secs_per_cost,
             prior_latency,
             recorded_error: [walk.hybrid, walk.operator_level, plan_error],
@@ -426,39 +424,25 @@ impl QppPredictor {
         tier_index(tier).map(|i| self.recorded_error[i])
     }
 
-    /// The training configuration this predictor was built with.
-    pub fn config(&self) -> &QppConfig {
-        &self.config
-    }
-
     /// Rebuilds a predictor from a materialized model set without
     /// retraining (the registry's snapshot-load path). The predictor
     /// shares the set's operator-level models rather than copying them.
     ///
-    /// Circuit breakers start closed. Callers should run
-    /// [`crate::materialize::MaterializedModels::validate`] first — this
-    /// constructor trusts the model set it is given.
-    pub fn from_materialized(
-        mat: &crate::materialize::MaterializedModels,
-        config: QppConfig,
-    ) -> QppPredictor {
+    /// Circuit breakers start closed. This constructor trusts the model
+    /// set it is given; [`crate::decode_snapshot`] returns only sets that
+    /// passed the model-level gates.
+    pub fn from_materialized(mat: &crate::materialize::MaterializedModels) -> QppPredictor {
         let hybrid = mat.hybrid();
         QppPredictor {
             plan_level: mat.plan_level.clone(),
             op_level: Arc::clone(&mat.op_level),
             hybrid_signature: hybrid.plan_model_signature(),
             hybrid,
-            config,
             secs_per_cost: mat.secs_per_cost,
             prior_latency: mat.prior_latency,
             recorded_error: mat.recorded_error,
             breakers: [AtomicU32::new(0), AtomicU32::new(0), AtomicU32::new(0)],
         }
-    }
-
-    /// Feature source in use.
-    pub fn source(&self) -> FeatureSource {
-        self.op_level.source()
     }
 
     /// The feature source a learned tier's model reads.

@@ -70,7 +70,7 @@ pub(crate) fn seal(payload: &[u8]) -> Vec<u8> {
 /// Decodes and fully validates a snapshot envelope: header shape, format
 /// version, payload length (catches truncation), FNV-1a checksum (catches
 /// bit rot), then the payload's bounds-checked decode and the model-level
-/// gates of [`MaterializedModels::validate`].
+/// gates of `MaterializedModels::validate`.
 pub fn decode_snapshot(bytes: &[u8]) -> Result<MaterializedModels, QppError> {
     let invalid = QppError::InvalidSnapshot;
     let newline = bytes
@@ -205,7 +205,7 @@ impl ModelRegistry {
             .last()
             .ok_or_else(|| QppError::Io(format!("no snapshots in {}", dir.display())))?;
         let mat = load_version(&dir, latest)?;
-        let current = Arc::new(QppPredictor::from_materialized(&mat, config.clone()));
+        let current = Arc::new(QppPredictor::from_materialized(&mat));
         Ok(ModelRegistry {
             dir,
             config,
@@ -227,7 +227,8 @@ impl ModelRegistry {
     }
 
     /// All validated snapshot versions on disk, ascending.
-    pub fn versions(&self) -> Vec<u64> {
+    #[cfg(test)]
+    pub(crate) fn versions(&self) -> Vec<u64> {
         self.lock_read().versions.clone()
     }
 
@@ -265,10 +266,7 @@ impl ModelRegistry {
         let version = inner.versions.last().copied().unwrap_or(0) + 1;
         self.write_snapshot(version, &mat)?;
         let reloaded = load_version(&self.dir, version)?;
-        inner.current = Arc::new(QppPredictor::from_materialized(
-            &reloaded,
-            self.config.clone(),
-        ));
+        inner.current = Arc::new(QppPredictor::from_materialized(&reloaded));
         inner.versions.push(version);
         self.pred_cache.clear();
         self.generation.fetch_add(1, Ordering::Release);
@@ -288,7 +286,7 @@ impl ModelRegistry {
         }
         let previous = inner.versions[inner.versions.len() - 2];
         let mat = load_version(&self.dir, previous)?;
-        inner.current = Arc::new(QppPredictor::from_materialized(&mat, self.config.clone()));
+        inner.current = Arc::new(QppPredictor::from_materialized(&mat));
         let dropped = inner.versions.pop().expect("len checked above");
         let _ = fs::remove_file(self.snapshot_path(dropped));
         self.pred_cache.clear();

@@ -135,23 +135,13 @@ impl SubplanIndex {
         idx
     }
 
-    /// Number of distinct structures.
-    pub fn len(&self) -> usize {
-        self.by_key.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.by_key.is_empty()
-    }
-
     /// Look up a structure.
-    pub fn get(&self, key: StructureKey) -> Option<&SubplanInfo> {
+    pub(crate) fn get(&self, key: StructureKey) -> Option<&SubplanInfo> {
         self.by_key.get(&key)
     }
 
     /// All structures, sorted by key for determinism.
-    pub fn all(&self) -> Vec<&SubplanInfo> {
+    pub(crate) fn all(&self) -> Vec<&SubplanInfo> {
         let mut v: Vec<&SubplanInfo> = self.by_key.values().collect();
         v.sort_by_key(|s| s.key);
         v
@@ -304,7 +294,7 @@ mod tests {
         let ps = plans(&[3, 3, 6], 2);
         let refs: Vec<(u8, &[PlanNode])> = ps.iter().map(|(t, p)| (*t, &p[..])).collect();
         let idx = SubplanIndex::build(&refs);
-        assert!(!idx.is_empty());
+        assert!(!idx.all().is_empty());
         // The full template-3 plan occurs 4 times (2 per workload copy).
         let key = structure_key(&ps[0].1);
         let info = idx.get(key).expect("indexed");

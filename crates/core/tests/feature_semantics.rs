@@ -156,7 +156,7 @@ fn the_walks_three_answers_agree_bit_for_bit() {
     let plans: Vec<(u8, &[PlanNode])> = refs.iter().map(|q| (q.template, &q.plan[..])).collect();
     let index = SubplanIndex::build(&plans);
     let fragment = index
-        .all()
+        .common(1)
         .into_iter()
         .filter(|info| info.size >= 2)
         .max_by_key(|info| (info.frequency(), info.key))

@@ -45,17 +45,17 @@ impl Catalog {
 
     /// Row count of a table (accurate — PostgreSQL keeps `reltuples`
     /// reasonably current for read-only data).
-    pub fn rows(&self, table: TableId) -> f64 {
+    pub(crate) fn rows(&self, table: TableId) -> f64 {
         table.row_count(self.sf) as f64
     }
 
     /// Heap pages of a table.
-    pub fn pages(&self, table: TableId) -> f64 {
+    pub(crate) fn pages(&self, table: TableId) -> f64 {
         table.pages(self.sf) as f64
     }
 
     /// Average tuple width in bytes.
-    pub fn width(&self, table: TableId) -> f64 {
+    pub(crate) fn width(&self, table: TableId) -> f64 {
         table.tuple_width() as f64
     }
 

@@ -31,13 +31,13 @@ pub struct Cost {
 
 impl Cost {
     /// A zero cost.
-    pub const ZERO: Cost = Cost {
+    pub(crate) const ZERO: Cost = Cost {
         startup: 0.0,
         total: 0.0,
     };
 
     /// The run phase (total − startup).
-    pub fn run(&self) -> f64 {
+    pub(crate) fn run(&self) -> f64 {
         self.total - self.startup
     }
 }

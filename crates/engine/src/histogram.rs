@@ -103,7 +103,7 @@ impl Histogram {
     }
 
     /// Number of buckets.
-    pub fn buckets(&self) -> usize {
+    pub(crate) fn buckets(&self) -> usize {
         self.bounds.len() - 1
     }
 
@@ -133,7 +133,7 @@ impl Histogram {
 
     /// Estimated selectivity of a range operator against a constant, given
     /// the estimated distinct count for equality terms.
-    pub fn selectivity(&self, op: CmpOp, v: f64, ndistinct: f64) -> f64 {
+    pub(crate) fn selectivity(&self, op: CmpOp, v: f64, ndistinct: f64) -> f64 {
         let eq = eq_selectivity(ndistinct);
         match op {
             CmpOp::Eq => eq,
@@ -146,7 +146,7 @@ impl Histogram {
     }
 
     /// Estimated selectivity of `lo <= col <= hi`.
-    pub fn between(&self, lo: f64, hi: f64, ndistinct: f64) -> f64 {
+    pub(crate) fn between(&self, lo: f64, hi: f64, ndistinct: f64) -> f64 {
         let eq = eq_selectivity(ndistinct);
         ((self.cdf(hi) - self.cdf(lo)) + eq).clamp(0.0, 1.0)
     }

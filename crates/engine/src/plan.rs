@@ -251,7 +251,7 @@ pub struct Planned {
 /// length. Nodes are added bottom-up or top-down: [`PlanBuilder::push`]
 /// appends a node and [`PlanBuilder::close`] makes it the parent of the
 /// nodes pushed after it (a decoder reading pre-order), or
-/// [`PlanBuilder::wrap`] puts a new parent in front of subtrees already
+/// `PlanBuilder::wrap` puts a new parent in front of subtrees already
 /// built (a planner choosing an operator from its inputs' estimates).
 /// The parts built so far are a row of complete subtrees;
 /// [`PlanBuilder::finish`] hands them over once they are one.
@@ -294,7 +294,7 @@ impl PlanBuilder {
 
     /// Inserts a node at `at`, the parent of every subtree built from `at`
     /// on, and returns `at`.
-    pub fn wrap(
+    pub(crate) fn wrap(
         &mut self,
         at: usize,
         op: OpType,

@@ -215,11 +215,6 @@ impl Simulator {
         Simulator { config }
     }
 
-    /// Access the configuration.
-    pub fn config(&self) -> &SimConfig {
-        &self.config
-    }
-
     /// Executes a planned query cold (empty caches) over its truths and
     /// returns the trace. `sf` is the scale factor the plan was built for
     /// (it sizes base tables for the cache model); `seed` controls the

@@ -13,7 +13,7 @@
 //! never a panic or an unbounded allocation.
 
 /// Longest string [`put_str`] writes and [`Reader::str`] accepts, in bytes.
-pub const MAX_STRING: usize = 4096;
+pub(crate) const MAX_STRING: usize = 4096;
 
 /// Why bytes failed to decode; the message names the gate that refused
 /// them.
@@ -138,7 +138,7 @@ impl<'a> Reader<'a> {
         self.f64s(n)
     }
 
-    /// A length-prefixed UTF-8 string of at most [`MAX_STRING`] bytes.
+    /// A length-prefixed UTF-8 string of at most `MAX_STRING` (4096) bytes.
     pub fn str(&mut self) -> Result<&'a str, Malformed> {
         let n = self.u16()? as usize;
         if n > MAX_STRING {
@@ -181,7 +181,8 @@ pub(crate) fn put_f64s(out: &mut Vec<u8>, values: &[f64]) {
 }
 
 /// Appends a length-prefixed string, cut at the last character boundary
-/// within [`MAX_STRING`] bytes so the reader never refuses what this wrote.
+/// within `MAX_STRING` (4096) bytes so the reader never refuses what this
+/// wrote.
 pub fn put_str(out: &mut Vec<u8>, s: &str) {
     let mut end = s.len().min(MAX_STRING);
     while !s.is_char_boundary(end) {

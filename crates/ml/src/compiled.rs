@@ -20,7 +20,7 @@
 //! buffer, so a steady-state prediction performs zero heap allocations
 //! (`tests/zero_alloc.rs` counts them). [`SvrModel::predict_batch_into`]
 //! is that call in a loop over a caller-owned output buffer, and
-//! [`SvrModel::predict`] is it with a scratch of its own. Serving reads it,
+//! `SvrModel::predict` is it with a scratch of its own. Serving reads it,
 //! and so do cross-validation and forward selection, so the errors training
 //! records and the features it selects are those of the sums the model
 //! serves.
@@ -138,7 +138,7 @@ impl SvrModel {
 
     /// [`SvrModel::predict_into`] with a scratch of its own: one
     /// allocation a call. A loop should hold a [`PredictScratch`].
-    pub fn predict(&self, row: &[f64]) -> f64 {
+    pub(crate) fn predict(&self, row: &[f64]) -> f64 {
         self.predict_into(row, &mut PredictScratch::new())
     }
 

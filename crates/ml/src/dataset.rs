@@ -74,13 +74,8 @@ impl Dataset {
         self.n_cols
     }
 
-    /// True when the dataset holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.n_rows == 0
-    }
-
     /// Borrow row `i`.
-    pub fn row(&self, i: usize) -> &[f64] {
+    pub(crate) fn row(&self, i: usize) -> &[f64] {
         &self.data[i * self.n_cols..(i + 1) * self.n_cols]
     }
 
@@ -110,7 +105,7 @@ impl Dataset {
 
     /// A new dataset holding the given columns of the given rows, both in
     /// the given order, in one copy.
-    pub fn select(&self, rows: &[usize], cols: &[usize]) -> Dataset {
+    pub(crate) fn select(&self, rows: &[usize], cols: &[usize]) -> Dataset {
         let mut data = Vec::with_capacity(rows.len() * cols.len());
         for &i in rows {
             let row = self.row(i);
@@ -151,8 +146,7 @@ mod tests {
         let ds = sample();
         assert_eq!(ds.n_rows(), 3);
         assert_eq!(ds.n_cols(), 2);
-        assert!(!ds.is_empty());
-        assert!(Dataset::new(4).is_empty());
+        assert_eq!(Dataset::new(4).n_rows(), 0);
     }
 
     #[test]

@@ -224,7 +224,7 @@ impl LinearModel {
     ///
     /// The row length is only checked with a `debug_assert!`; prediction is
     /// a hot path.
-    pub fn predict(&self, row: &[f64]) -> f64 {
+    pub(crate) fn predict(&self, row: &[f64]) -> f64 {
         debug_assert_eq!(
             row.len(),
             self.weights.len(),
@@ -236,13 +236,13 @@ impl LinearModel {
     }
 
     /// Number of input features.
-    pub fn n_features(&self) -> usize {
+    pub(crate) fn n_features(&self) -> usize {
         self.weights.len()
     }
 
     /// True when the intercept and every weight are finite — the
     /// registry's snapshot validation gate.
-    pub fn weights_finite(&self) -> bool {
+    pub(crate) fn weights_finite(&self) -> bool {
         self.intercept.is_finite() && self.weights.iter().all(|w| w.is_finite())
     }
 

@@ -2,7 +2,7 @@
 //! correlation that ranks features for forward selection.
 
 /// Arithmetic mean; 0.0 for an empty slice.
-pub fn mean(xs: &[f64]) -> f64 {
+pub(crate) fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
         return 0.0;
     }
@@ -26,7 +26,7 @@ pub fn median(xs: &[f64]) -> f64 {
 }
 
 /// Population variance; 0.0 for fewer than two values.
-pub fn variance(xs: &[f64]) -> f64 {
+pub(crate) fn variance(xs: &[f64]) -> f64 {
     if xs.len() < 2 {
         return 0.0;
     }
@@ -35,7 +35,7 @@ pub fn variance(xs: &[f64]) -> f64 {
 }
 
 /// Population standard deviation.
-pub fn std_dev(xs: &[f64]) -> f64 {
+pub(crate) fn std_dev(xs: &[f64]) -> f64 {
     variance(xs).sqrt()
 }
 

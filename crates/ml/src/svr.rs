@@ -656,7 +656,7 @@ impl SvrModel {
     /// True when every learned parameter (bias, coefficients, support
     /// vectors, kernel width, scalers) is finite — the registry's snapshot
     /// validation gate.
-    pub fn weights_finite(&self) -> bool {
+    pub(crate) fn weights_finite(&self) -> bool {
         self.bias.is_finite()
             && self.gamma.is_finite()
             && self.coef_lanes.iter().all(|c| c.is_finite())

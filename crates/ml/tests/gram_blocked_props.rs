@@ -27,14 +27,14 @@ use rng::StdRng;
 /// diagonal.
 fn direct_gram(xs: &Dataset, gamma: f64) -> Vec<f64> {
     let l = xs.n_rows();
+    // By column, so a dataset of zero columns still has its `l` rows.
+    let columns: Vec<Vec<f64>> = (0..xs.n_cols()).map(|c| xs.column(c)).collect();
     let mut k = vec![0.0f64; l * l];
     for i in 0..l {
         for j in 0..=i {
-            let sq = xs
-                .row(i)
+            let sq = columns
                 .iter()
-                .zip(xs.row(j))
-                .fold(0.0, |acc, (x, y)| acc + (x - y) * (x - y));
+                .fold(0.0, |acc, col| acc + (col[i] - col[j]) * (col[i] - col[j]));
             let v = (-gamma * sq).exp();
             k[i * l + j] = v;
             k[j * l + i] = v;

@@ -44,9 +44,9 @@
 //!
 //! Under a seeded overload of 4x the service rate the server sheds
 //! deterministically instead of queueing unboundedly — see
-//! `tests/serve_overload.rs`. Under a seeded one-hot tenant burst the
+//! `tests/all/serve_overload.rs`. Under a seeded one-hot tenant burst the
 //! noisy tenant is shed at its own bulkhead while quiet tenants keep their
-//! deadline budgets — see `tests/tenant_isolation.rs`. Under seeded
+//! deadline budgets — see `tests/all/tenant_isolation.rs`. Under seeded
 //! network chaos (partial writes, mid-frame disconnects, corrupt frames,
 //! stalled readers) quiet tenants' responses stay bit-identical to the
 //! fault-free run — see `tests/all/net_chaos.rs`. Throughput and latency of

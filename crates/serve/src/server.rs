@@ -201,7 +201,6 @@ const TENANT: &str = "default";
 /// server closes the queue, drains what was already admitted, and joins
 /// all workers.
 pub struct PredictionServer {
-    registry: Arc<ModelRegistry>,
     inner: TenantServer,
 }
 
@@ -212,7 +211,7 @@ impl PredictionServer {
     pub fn start(registry: Arc<ModelRegistry>, config: ServeConfig) -> PredictionServer {
         let tenant = TenantSpec {
             name: TENANT.to_string(),
-            registry: Arc::clone(&registry),
+            registry,
             budget: TenantBudget {
                 rate_limit: None,
                 // Never the binding limit: a full queue is the service's
@@ -232,12 +231,7 @@ impl PredictionServer {
                 worker_stall: config.worker_stall,
             },
         );
-        PredictionServer { registry, inner }
-    }
-
-    /// The registry this server predicts from.
-    pub fn registry(&self) -> &Arc<ModelRegistry> {
-        &self.registry
+        PredictionServer { inner }
     }
 
     /// Serving statistics snapshot.

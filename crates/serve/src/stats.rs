@@ -28,7 +28,7 @@ pub enum Endpoint {
 
 impl Endpoint {
     /// The endpoint serving a request method.
-    pub fn of(method: Method) -> Endpoint {
+    pub(crate) fn of(method: Method) -> Endpoint {
         match method {
             Method::PlanLevel => Endpoint::PlanLevel,
             Method::OperatorLevel => Endpoint::OperatorLevel,
@@ -37,7 +37,7 @@ impl Endpoint {
     }
 
     /// Stable index into per-endpoint arrays.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         match self {
             Endpoint::PlanLevel => 0,
             Endpoint::OperatorLevel => 1,
@@ -178,8 +178,8 @@ pub struct ServeStatsSnapshot {
     pub heal_panics: u64,
     /// Healer rounds skipped while the supervision breaker backed off.
     pub heal_backoff_skips: u64,
-    /// Per-endpoint end-to-end latency histograms (indexed by
-    /// [`Endpoint::index`]).
+    /// Per-endpoint end-to-end latency histograms, one per [`Endpoint`]
+    /// in declaration order.
     pub latency: [SloRecorder; 3],
 }
 
@@ -241,7 +241,7 @@ impl Default for SloRecorder {
 
 impl SloRecorder {
     /// An empty recorder.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SloRecorder {
             buckets: [0; SLO_BUCKETS],
             count: 0,
@@ -259,7 +259,7 @@ impl SloRecorder {
 
     /// Records one latency observation (non-finite or negative values are
     /// ignored — a latency cannot be either).
-    pub fn record(&mut self, secs: f64) {
+    pub(crate) fn record(&mut self, secs: f64) {
         if !secs.is_finite() || secs < 0.0 {
             return;
         }
@@ -276,7 +276,8 @@ impl SloRecorder {
     }
 
     /// Mean recorded latency (NaN when empty).
-    pub fn mean(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             f64::NAN
         } else {

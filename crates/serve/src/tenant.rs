@@ -20,9 +20,8 @@
 //!   service capacity divides by weight no matter how asymmetric the
 //!   arrival streams are. A global capacity bounds total memory on top of
 //!   the per-tenant quotas.
-//! - **Dynamic tenancy.** Tenants can be added and removed while the
-//!   server is under load: [`TenantServer::add_tenant`] opens a new lane
-//!   that joins at the current virtual time (no banked credit), and
+//! - **Dynamic tenancy.** The tenant set is given at start, and a
+//!   tenant can be removed while the server is under load:
 //!   [`TenantServer::remove_tenant`] closes the lane, serves what was
 //!   already queued in it, and hands back the tenant's registry and a
 //!   final stats snapshot. Shard slots are tombstoned, never deleted, so
@@ -84,7 +83,7 @@ pub enum TenantPushError<T> {
     /// The queue's *global* capacity is exhausted; the item is handed back
     /// with the total depth at rejection.
     GlobalFull(T, usize),
-    /// The tenant's lane was removed ([`WeightedFairQueue::remove_tenant`]);
+    /// The tenant's lane was removed (`WeightedFairQueue::remove_tenant`);
     /// the item is handed back. Other lanes keep serving.
     Removed(T),
     /// The queue was closed for shutdown; the item is handed back.
@@ -142,8 +141,9 @@ struct WfqInner<T> {
 /// `batch / min_weight` fairness bound exactly).
 ///
 /// Lanes can be added ([`WeightedFairQueue::add_tenant`]) and removed
-/// ([`WeightedFairQueue::remove_tenant`]) concurrently with pushes and
-/// pops; lane indices are never reused, a removed lane is tombstoned.
+/// (`WeightedFairQueue::remove_tenant`, by [`TenantServer::remove_tenant`])
+/// concurrently with pushes and pops; lane indices are never reused, a
+/// removed lane is tombstoned.
 pub struct WeightedFairQueue<T> {
     inner: Mutex<WfqInner<T>>,
     not_empty: Condvar,
@@ -193,7 +193,7 @@ impl<T> WeightedFairQueue<T> {
     /// to the caller in FIFO order (the caller decides whether to serve
     /// or refuse the drained items). The index is never reused; other
     /// lanes are untouched.
-    pub fn remove_tenant(&self, tenant: usize) -> Vec<T> {
+    pub(crate) fn remove_tenant(&self, tenant: usize) -> Vec<T> {
         let mut inner = self.inner.lock().unwrap();
         let lane = &mut inner.lanes[tenant];
         lane.open = false;
@@ -202,19 +202,9 @@ impl<T> WeightedFairQueue<T> {
         drained
     }
 
-    /// Number of lanes ever added, including tombstoned ones.
-    pub fn tenants(&self) -> usize {
-        self.inner.lock().unwrap().lanes.len()
-    }
-
     /// Total queued items across all lanes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.inner.lock().unwrap().total
-    }
-
-    /// True when no items are queued in any lane.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Queued items in one tenant's lane.
@@ -363,7 +353,7 @@ impl<T> WeightedFairQueue<T> {
     /// on the lane with `WeightedFairQueue::wait_finished`, counts on
     /// the caller path's limit, or reads through
     /// `WeightedFairQueue::quiesced`.
-    pub fn finish(&self, tenant: usize) {
+    pub(crate) fn finish(&self, tenant: usize) {
         let mut inner = self.inner.lock().unwrap();
         inner.lanes[tenant].in_service -= 1;
         inner.in_service -= 1;
@@ -397,7 +387,7 @@ impl<T> WeightedFairQueue<T> {
 
     /// Closes the queue: subsequent pushes and claims are rejected,
     /// blocked consumers drain what is left and then observe shutdown.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         self.inner.lock().unwrap().closed = true;
         self.not_empty.notify_all();
     }
@@ -541,8 +531,9 @@ pub struct HealReport {
 pub struct RemovedTenant {
     /// The removed tenant's name.
     pub name: String,
-    /// The tenant's model registry, snapshotted at removal — the caller
-    /// can re-attach it later via [`TenantServer::add_tenant`].
+    /// The tenant's model registry, snapshotted at removal: the models
+    /// outlive the tenant, and the caller may serve them from another
+    /// server.
     pub registry: Arc<ModelRegistry>,
     /// Final stats snapshot, taken after the drained backlog was served.
     pub stats: ServeStatsSnapshot,
@@ -572,10 +563,10 @@ impl ShutdownReport {
 
 /// A tenant-isolated prediction service: per-tenant registries, budgets,
 /// SLO accounting, and drift monitors behind one weighted-fair worker
-/// pool. The tenant set is dynamic ([`TenantServer::add_tenant`] /
-/// [`TenantServer::remove_tenant`]). Dropping the server closes the
-/// queue, drains what was admitted, and joins all workers; call
-/// [`TenantServer::shutdown`] first to get the reconciliation report.
+/// pool. The tenant set is given at start, and a tenant can be removed
+/// under load ([`TenantServer::remove_tenant`]). Dropping the server
+/// closes the queue, drains what was admitted, and joins all workers;
+/// call [`TenantServer::shutdown`] first to get the reconciliation report.
 pub struct TenantServer {
     /// Shard slots are append-only: a removed tenant's slot stays (its
     /// name is dropped from `by_name`), so a worker holding a popped
@@ -595,9 +586,7 @@ pub struct TenantServer {
 
 impl TenantServer {
     /// Starts a server over the given tenant shards. Tenant names must be
-    /// unique (duplicates panic). Starting with an empty tenant set is
-    /// allowed — tenants can be attached later with
-    /// [`TenantServer::add_tenant`].
+    /// unique (duplicates panic).
     ///
     /// No thread starts here: a worker starts when a push finds none idle
     /// (up to the resolved `workers`), and a blocking
@@ -643,11 +632,11 @@ impl TenantServer {
         workers.push(handle);
     }
 
-    /// Attaches a new tenant under load: opens a weighted-fair lane (it
-    /// joins at the current virtual time) and registers the shard.
-    /// Returns the tenant's lane index, or an error when the name is
-    /// already taken.
-    pub fn add_tenant(&self, spec: TenantSpec) -> Result<usize, QppError> {
+    /// Attaches a tenant (each of [`TenantServer::start`]'s): opens a
+    /// weighted-fair lane (it joins at the current virtual time) and
+    /// registers the shard. Returns the tenant's lane index, or an error
+    /// when the name is already taken.
+    pub(crate) fn add_tenant(&self, spec: TenantSpec) -> Result<usize, QppError> {
         // Held across lane + shard append so the lane index and the shard
         // slot cannot be torn apart by a concurrent add.
         let mut by_name = self.by_name.write().unwrap();
@@ -714,11 +703,6 @@ impl TenantServer {
         let mut named: Vec<(usize, &String)> = by_name.iter().map(|(n, &i)| (i, n)).collect();
         named.sort_by_key(|&(i, _)| i);
         named.into_iter().map(|(_, n)| n.clone()).collect()
-    }
-
-    /// One tenant's model registry shard.
-    pub fn registry(&self, tenant: &str) -> Result<Arc<ModelRegistry>, QppError> {
-        Ok(Arc::clone(&self.shard(tenant)?.registry))
     }
 
     /// One tenant's serving statistics snapshot.

@@ -13,7 +13,6 @@
 
 use crate::dicts;
 use crate::schema::TableId;
-use crate::types::Scalar;
 use rng::StdRng;
 use std::collections::HashMap;
 
@@ -32,27 +31,12 @@ pub enum ColumnData {
 
 impl ColumnData {
     /// Number of values.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             ColumnData::Int(v) => v.len(),
             ColumnData::Float(v) => v.len(),
             ColumnData::Date(v) => v.len(),
             ColumnData::Cat(v) => v.len(),
-        }
-    }
-
-    /// True when no values are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Value at `i` as a typed scalar.
-    pub fn get(&self, i: usize) -> Scalar {
-        match self {
-            ColumnData::Int(v) => Scalar::Int(v[i]),
-            ColumnData::Float(v) => Scalar::Float(v[i]),
-            ColumnData::Date(v) => Scalar::Date(v[i]),
-            ColumnData::Cat(v) => Scalar::Cat(v[i]),
         }
     }
 

@@ -197,7 +197,7 @@ impl ColRef {
     ///
     /// # Panics
     /// Panics if `table` has no such column.
-    pub fn new(table: TableId, name: &str) -> Self {
+    pub(crate) fn new(table: TableId, name: &str) -> Self {
         Self::lookup(table, name).unwrap_or_else(|| panic!("{} has no column {name}", table.name()))
     }
 

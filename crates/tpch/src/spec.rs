@@ -264,7 +264,8 @@ impl RelExpr {
 
     /// Tables referenced anywhere in the expression (with repeats for
     /// self-joins), in scan order.
-    pub fn tables(&self) -> Vec<TableId> {
+    #[cfg(test)]
+    pub(crate) fn tables(&self) -> Vec<TableId> {
         let mut out = Vec::new();
         self.visit(&mut |e| {
             if let RelExpr::Scan { table, .. } = e {
@@ -291,6 +292,7 @@ impl RelExpr {
     }
 
     /// Pre-order traversal.
+    #[cfg(test)]
     pub(crate) fn visit<F: FnMut(&RelExpr)>(&self, f: &mut F) {
         f(self);
         match self {

@@ -33,32 +33,6 @@ impl Workload {
         }
         Workload { sf, queries }
     }
-
-    /// Number of queries.
-    pub fn len(&self) -> usize {
-        self.queries.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.queries.is_empty()
-    }
-
-    /// Splits into (training, testing) by template: queries whose template
-    /// is `held_out` become the test set (the paper's dynamic-workload
-    /// protocol, Section 5.4).
-    pub fn leave_template_out(&self, held_out: u8) -> (Vec<&QuerySpec>, Vec<&QuerySpec>) {
-        let mut train = Vec::new();
-        let mut test = Vec::new();
-        for q in &self.queries {
-            if q.template == held_out {
-                test.push(q);
-            } else {
-                train.push(q);
-            }
-        }
-        (train, test)
-    }
 }
 
 /// The generator of template `t`'s instances: an independent stream per
@@ -70,12 +44,12 @@ fn template_stream(t: u8, seed: u64) -> StdRng {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::templates::{ALL_TEMPLATES, FOURTEEN, TWELVE};
+    use crate::templates::{ALL_TEMPLATES, TWELVE};
 
     #[test]
     fn generates_requested_shape() {
         let w = Workload::generate(&[1, 3, 6], 5, 1.0, 42);
-        assert_eq!(w.len(), 15);
+        assert_eq!(w.queries.len(), 15);
         assert_eq!(w.queries.iter().filter(|q| q.template == 3).count(), 5);
     }
 
@@ -102,16 +76,6 @@ mod tests {
             .collect();
         let b: Vec<_> = without.queries.iter().map(|q| q.query().params).collect();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn leave_template_out_partitions() {
-        let w = Workload::generate(&FOURTEEN, 2, 1.0, 1);
-        let (train, test) = w.leave_template_out(9);
-        assert_eq!(test.len(), 2);
-        assert_eq!(train.len(), w.len() - 2);
-        assert!(test.iter().all(|q| q.template == 9));
-        assert!(train.iter().all(|q| q.template != 9));
     }
 
     #[test]

@@ -117,7 +117,10 @@ fn main() {
     // As the fixture collects: the workload lives until it is executed.
     let collect = |per_template: usize, seed: u64, what: &str| {
         let workload = Workload::generate(&TEMPLATES, per_template, SF, seed);
-        stage(&format!("{what}: {}-instance Workload", workload.len()));
+        stage(&format!(
+            "{what}: {}-instance Workload",
+            workload.queries.len()
+        ));
         let dataset = QueryDataset::execute(&catalog, &workload, &sim, seed, f64::INFINITY);
         stage(&format!("{what}: executed"));
         drop(workload);

@@ -17,7 +17,7 @@ fn main() {
     let simulator = Simulator::new();
     let train_workload = Workload::generate(&[1, 3, 6, 10, 14], 12, sf, 42);
 
-    println!("executing {} training queries (cold start)...", train_workload.len());
+    println!("executing {} training queries (cold start)...", train_workload.queries.len());
     let dataset = QueryDataset::execute(&catalog, &train_workload, &simulator, 7, f64::INFINITY);
 
     // Train all model families: plan-level, operator-level, hybrid.

@@ -282,34 +282,16 @@ fi
 
 # The public surface is what callers call (DESIGN.md §12, "The public
 # surface"). A `pub` item hides dead code from rustc's dead_code lint, so
-# every `pub` fn, type and const name declared in the five product crates
-# is named by a `.rs` file outside its crate (another product crate,
-# qpp-bench, the frozen crates/e2e, or the root src, tests and examples),
-# or it is a row of §12's exception table, which says who needs it. A
-# crate's own integration tests do not count: what only they reach is a
-# unit test's. (`#![warn(unreachable_pub)]` in each lib.rs keeps the
-# private modules honest; this keeps the public ones.)
-echo "==> census gate: every pub name of ml, engine, core, serve and tpch has a user outside its crate, or a DESIGN.md §12 row"
-census=""
-for dir_lib in ml:ml engine:engine core:qpp serve:serve tpch:tpch; do
-    crate="${dir_lib%%:*}" lib="${dir_lib#*:}"
-    outside="$(git ls-files '*.rs' | grep -v "^crates/$crate/")"
-    names="$(git ls-files "crates/$crate/src/*.rs" | xargs grep -hoE \
-        '^ *pub +((const +)?(unsafe +)?fn|struct|enum|trait|type|union|const|static) +[A-Za-z_][A-Za-z0-9_]*' \
-        | awk '{ print $NF }' | LC_ALL=C sort -u)"
-    for name in $names; do
-        # shellcheck disable=SC2086
-        grep -qw -- "$name" $outside || census="$census$lib::$name"$'\n'
-    done
-done
-census="$(printf '%s' "$census" | LC_ALL=C sort)"
-exceptions="$(awk '/^### The public surface/ { on = 1; next } on && /^#/ { on = 0 }
-    on && /^\| `[a-z]+::[A-Za-z_][A-Za-z0-9_]*` \|/ { split($0, f, "`"); print f[2] }' DESIGN.md | LC_ALL=C sort)"
-if [ "$census" != "$exceptions" ]; then
-    diff <(echo "$exceptions") <(echo "$census") | sed -e 's/^>/  no user outside its crate and no row:/' -e 's/^</  a row for a name that is not an exception:/' | grep '^  '
-    echo "FAIL: the pub names without an outside user are not DESIGN.md §12's exception table"
-    exit 1
-fi
+# every `pub` fn, method, const, static and type of the five product
+# crates has a use outside its crate (another product crate, qpp-bench,
+# the frozen crates/e2e, or the root src, tests and examples), or it is a
+# row of §12's exception table, which says who needs it. A crate's own
+# integration tests do not count: what only they reach is a unit test's.
+# scripts/census.sh asks the compiler, so a method counts by its path, not
+# by a name another item shares. (`#![warn(unreachable_pub)]` in each
+# lib.rs keeps the private modules honest; this keeps the public ones.)
+echo "==> census gate: every pub item of ml, engine, core, serve and tpch has a use outside its crate, or a DESIGN.md §12 row"
+scripts/census.sh
 
 # Each integration-test binary links the whole workspace once, so a new
 # test binary is a decision, like a new `unsafe` file. A suite gets a

@@ -34,7 +34,7 @@ fn end_to_end_with_ten_percent_aborts_and_five_percent_stragglers() {
     // bulk of the workload despite the fault rate.
     assert!(report.reconciles(), "{report:?}");
     assert!(
-        ds.len() >= workload.len() * 2 / 3,
+        ds.len() >= workload.queries.len() * 2 / 3,
         "too few survivors: {report:?}"
     );
 

@@ -69,7 +69,7 @@ fn train(log: &QueryDataset) -> Vec<u8> {
 /// Every method's predictions on the pool, method-major, as bytes.
 fn predictions(snapshot: &[u8], pool: &QueryDataset) -> Vec<u8> {
     let models = decode_snapshot(snapshot).expect("the golden snapshot decodes");
-    let predictor = QppPredictor::from_materialized(&models, QppConfig::default());
+    let predictor = QppPredictor::from_materialized(&models);
     let refs: Vec<&ExecutedQuery> = pool.queries.iter().collect();
     METHODS
         .iter()

@@ -18,7 +18,7 @@ use std::sync::Arc;
 /// Cheap structural copy through the snapshot format, the same round-trip
 /// `promote` itself performs.
 fn replicate(p: &QppPredictor) -> QppPredictor {
-    QppPredictor::from_materialized(&MaterializedModels::from_predictor(p), QppConfig::default())
+    QppPredictor::from_materialized(&MaterializedModels::from_predictor(p))
 }
 
 const HYBRID: Method = Method::Hybrid(PlanOrdering::ErrorBased);

@@ -5,64 +5,37 @@
 //! `hybrid.op_model` are one `Arc`, through training, a snapshot and the
 //! registry's promote and rollback. An SVR model is its lane-padded
 //! serving layout, so nothing is built on first prediction: a predictor's
-//! heap is the same before and after it predicts. A counting
-//! `#[global_allocator]` keeps the live bytes; what dropping a value frees
+//! heap is the same before and after it predicts. The counting
+//! `#[global_allocator]` (`counting_alloc`) keeps the process's live
+//! bytes; what dropping a value frees
 //! is the heap it held. The tests share one lock, so no other test thread
 //! moves the counter while one measures.
 
 #[allow(dead_code)]
+mod counting_alloc;
+#[allow(dead_code)]
 #[path = "all/support.rs"]
 mod support;
 
+use counting_alloc::PROCESS_LIVE;
 use engine::{Catalog, Simulator};
 use qpp::{
     decode_snapshot, ExecutedQuery, ModelRegistry, PredictionCache, QppConfig, QppPredictor,
     QueryDataset,
 };
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use support::{quiet_sim, TempDir, METHODS};
 use tpch::Workload;
-
-struct CountingAlloc;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE.fetch_add(layout.size(), Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        LIVE.fetch_add(layout.size(), Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE.fetch_add(new_size, Ordering::Relaxed);
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
 
 static MEASURING: Mutex<()> = Mutex::new(());
 
 /// The heap `value` holds: the bytes dropping it frees.
 fn heap_of<T>(value: T) -> usize {
-    let before = LIVE.load(Ordering::Relaxed);
+    let before = PROCESS_LIVE.load(Ordering::Relaxed);
     drop(value);
-    before - LIVE.load(Ordering::Relaxed)
+    usize::try_from(before - PROCESS_LIVE.load(Ordering::Relaxed)).expect("a drop frees")
 }
 
 fn dataset(per_template: usize, seed: u64) -> QueryDataset {
@@ -110,7 +83,7 @@ fn fixture_predictor() -> QppPredictor {
     )
     .expect("the golden snapshot");
     let models = decode_snapshot(&bytes).expect("decodes");
-    QppPredictor::from_materialized(&models, QppConfig::default())
+    QppPredictor::from_materialized(&models)
 }
 
 #[test]

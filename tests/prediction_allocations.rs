@@ -9,60 +9,27 @@
 //! either feature source. The hybrid tier's model-set signature is computed
 //! where the predictor is built, so a hybrid batch allocates no more than a
 //! plan-level one. Progressive prediction is the same walk with
-//! observations overlaid. A counting `#[global_allocator]` counts each
-//! thread's blocks; the tests hold one lock, so the thread count the first
+//! observations overlaid. The counting `#[global_allocator]`
+//! (`counting_alloc`) counts each thread's blocks; the tests hold one lock, so the thread count the first
 //! pins does not move under the second.
 
+#[allow(dead_code)]
+mod counting_alloc;
 #[allow(dead_code)]
 #[path = "all/support.rs"]
 mod support;
 
+use counting_alloc::ALLOCS;
 use engine::{Catalog, PlanNode, Simulator};
 use qpp::progressive::Observations;
 use qpp::{
     observations_at, predict_progressive, ExecutedQuery, FeatureSource, HybridModel, NodeView,
     OpModelConfig, PlanModelConfig, PredictionCache, QppConfig, QppPredictor, QueryDataset,
 };
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::{Arc, Mutex};
 use support::METHODS;
 use tpch::Workload;
-
-struct CountingAlloc;
-
-thread_local! {
-    /// Blocks this thread allocated.
-    static ALLOCS: Cell<usize> = const { Cell::new(0) };
-}
-
-fn count_one() {
-    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
 
 static SERIAL: Mutex<()> = Mutex::new(());
 

@@ -9,85 +9,27 @@
 //! measurement, and once its predictor is dropped it leaves the heap
 //! where it found it: no Gram matrix or other training scratch stays. A
 //! workload holds its instances' parameter draws, not their plans, and a
-//! logged query holds its plan in one block, not one per node. A
-//! counting `#[global_allocator]` counts each thread's blocks, the blocks
-//! and bytes it has live (allocated less freed), and the bytes the whole
-//! process has live; every test holds one lock, so no other test's heap
-//! is counted, and the training tests pin their thread count.
+//! logged query holds its plan in one block, not one per node. The
+//! counting `#[global_allocator]` (`counting_alloc`) counts each thread's
+//! blocks, the blocks and bytes it has live (allocated less freed), and
+//! the bytes the whole process has live; every test holds one lock, so no
+//! other test's heap is counted, and the training tests pin their thread
+//! count.
 
+#[allow(dead_code)]
+mod counting_alloc;
 #[allow(dead_code)]
 #[path = "all/support.rs"]
 mod support;
 
+use counting_alloc::{ALLOCS, LIVE, LIVE_BLOCKS, PROCESS_LIVE};
 use engine::Catalog;
 use qpp::{ExecutedQuery, OpLevelModel, OpModelConfig, QppConfig, QppPredictor, QueryDataset};
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicIsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Mutex;
 use support::quiet_sim;
 use tpch::Workload;
-
-struct CountingAlloc;
-
-thread_local! {
-    /// Blocks this thread allocated.
-    static ALLOCS: Cell<usize> = const { Cell::new(0) };
-    /// Bytes this thread allocated less the bytes it freed.
-    static LIVE: Cell<isize> = const { Cell::new(0) };
-    /// Blocks this thread allocated less the blocks it freed.
-    static LIVE_BLOCKS: Cell<isize> = const { Cell::new(0) };
-}
-
-fn count_one() {
-    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-}
-
-/// Adds `blocks` (negative when freed) to this thread's live blocks.
-fn count_block(blocks: isize) {
-    let _ = LIVE_BLOCKS.try_with(|live| live.set(live.get() + blocks));
-}
-
-/// Bytes the process allocated less the bytes it freed, on any thread.
-static PROCESS_LIVE: AtomicIsize = AtomicIsize::new(0);
-
-/// Adds `bytes` (negative when freed) to this thread's and the process's
-/// live bytes.
-fn count_bytes(bytes: isize) {
-    let _ = LIVE.try_with(|live| live.set(live.get() + bytes));
-    PROCESS_LIVE.fetch_add(bytes, Ordering::Relaxed);
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        count_block(1);
-        count_bytes(layout.size() as isize);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        count_block(1);
-        count_bytes(layout.size() as isize);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
-        count_bytes(new_size as isize - layout.size() as isize);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        count_block(-1);
-        count_bytes(-(layout.size() as isize));
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -181,7 +123,7 @@ fn a_workload_holds_its_draws() {
     let before = LIVE.with(Cell::get);
     let workload = fixture_pool_workload();
     let held = LIVE.with(Cell::get) - before;
-    let per_instance = held as f64 / workload.len() as f64;
+    let per_instance = held as f64 / workload.queries.len() as f64;
     // A draw is 48 B. An instance that kept its parameter strings and
     // logical plan held 924 B.
     assert!(per_instance <= 64.0, "{per_instance:.1} B per instance");
