@@ -504,7 +504,7 @@ pub(crate) fn train_hybrid_recorded(
 ) -> Result<(HybridModel, Vec<IterationRecord>, WalkErrors), QppError> {
     let source = op_model.source();
     let mut model = HybridModel::operator_only(op_model);
-    let views: Vec<Vec<NodeView>> = ml::par::par_map(queries, |_, q| q.views(source));
+    let views: Vec<Vec<NodeView>> = queries.iter().map(|q| q.views(source)).collect();
     let plans: Vec<(u8, &[PlanNode])> = queries.iter().map(|q| (q.template, &q.plan[..])).collect();
     let index = SubplanIndex::build(&plans);
 
@@ -601,9 +601,10 @@ pub(crate) fn keeps_subplan_model(
         .collect();
     // Occurrences are listed in query order.
     containing.dedup();
-    let rewalked: Vec<(usize, HybridPrediction)> = ml::par::par_map(&containing, |_, &qi| {
-        (qi, model.predict_plan(&queries[qi].plan, &views[qi]))
-    });
+    let rewalked: Vec<(usize, HybridPrediction)> = containing
+        .into_iter()
+        .map(|qi| (qi, model.predict_plan(&queries[qi].plan, &views[qi])))
+        .collect();
     (walk.error_with(&rewalked) < walk.error() - epsilon).then_some(rewalked)
 }
 
@@ -666,7 +667,11 @@ impl TrainingWalk {
     ) -> TrainingWalk {
         TrainingWalk {
             actual: queries.iter().map(|q| q.latency()).collect(),
-            preds: ml::par::par_map(queries, |qi, q| model.predict_plan(&q.plan, &views[qi])),
+            preds: queries
+                .iter()
+                .zip(views)
+                .map(|(q, q_views)| model.predict_plan(&q.plan, q_views))
+                .collect(),
         }
     }
 

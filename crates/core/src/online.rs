@@ -64,7 +64,7 @@ pub fn build_models(
         return HashMap::new();
     }
     let source = base.op_model.source();
-    let views: Vec<Vec<NodeView>> = ml::par::par_map(train, |_, q| q.views(source));
+    let views: Vec<Vec<NodeView>> = train.iter().map(|q| q.views(source)).collect();
     let walk = TrainingWalk::new(base, train, &views);
     ml::par::par_map(&fragments, |_, &key| {
         // A fragment that occurs once is an error here: no model.

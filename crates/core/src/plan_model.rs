@@ -18,10 +18,12 @@ use ml::{
 use std::cell::RefCell;
 
 /// Smallest batch the plan-, operator- and hybrid-level inference paths
-/// hand to `ml::par`. A query is a few microseconds of arithmetic and
-/// waking a parked helper costs about ten, so a smaller batch (a coalesced
-/// serve batch is at most a few dozen requests) is finished sooner by the
-/// thread that holds it.
+/// hand to `ml::par`, which wakes a helper for every fan-out. A query is
+/// about a microsecond of arithmetic: a 64-query plan-level batch reads
+/// 1.05–1.51 times faster on two threads than on one (DESIGN.md §7), and
+/// a smaller batch (a coalesced serve batch is at most 32 requests) stays
+/// on the thread that holds it, so serve workers do not take each other's
+/// helper.
 pub(crate) const PAR_BATCH_MIN: usize = 64;
 
 /// Which performance metric a plan-level model predicts.

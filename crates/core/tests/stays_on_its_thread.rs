@@ -4,6 +4,8 @@
 //! - a fit is serial — the fits of a training run side by side, and nothing
 //!   below one (the Gram build, the working-set scans, the gradient set-up)
 //!   asks `ml::par` for help;
+//! - hybrid training walks its training queries on the calling thread: a
+//!   walk is a few microseconds, and only the sub-plan fits fan out;
 //! - a coalesced serve batch is a handful of requests, a few microseconds
 //!   of arithmetic, and waking a parked helper costs more than all of it,
 //!   so every inference batch path fans out only from `PAR_BATCH_MIN`
@@ -11,16 +13,19 @@
 //!
 //! `ml::par` starts its workers the first time a fan-out wants them and
 //! names them `qpp-par-N`. Everything here is collected and trained with
-//! one thread allowed, so after a 200-row fit and an 8-query batch with
-//! four allowed the process must hold no thread of that name. One `#[test]`
+//! one thread allowed, so after a 200-row fit, a hybrid training that
+//! judges no candidate and an 8-query batch with four allowed the process
+//! must hold no thread of that name. One `#[test]`
 //! in the file: the pool and the thread count are process-wide.
 
 use engine::{Catalog, Simulator};
 use ml::{Dataset, Svr, SvrParams};
 use qpp::{
-    ExecutedQuery, Method, PlanOrdering, PredictionCache, QppConfig, QppPredictor, QueryDataset,
+    ExecutedQuery, HybridConfig, Method, PlanOrdering, PredictionCache, QppConfig, QppPredictor,
+    QueryDataset,
 };
 use std::path::Path;
+use std::sync::Arc;
 use tpch::Workload;
 
 /// Names of this process's `ml::par` workers, from `/proc/self/task`.
@@ -63,6 +68,19 @@ fn a_fit_and_an_eight_query_batch_start_no_pool_worker() {
         .fit(&Dataset::from_rows(rows), &y)
         .expect("fits");
     assert_eq!(pool_threads(tasks), none, "a 200-row RBF fit fanned out");
+
+    // The views and the walk of all 32 queries, and no candidate.
+    let walk_only = HybridConfig {
+        max_iterations: 0,
+        ..HybridConfig::default()
+    };
+    qpp::train_hybrid(&refs, Arc::clone(&qpp.hybrid.op_model), &walk_only)
+        .expect("hybrid training");
+    assert_eq!(
+        pool_threads(tasks),
+        none,
+        "hybrid training's walk fanned out"
+    );
 
     let cache = PredictionCache::default();
     let mut served = Vec::new();

@@ -81,7 +81,7 @@ impl Dataset {
 
     /// Iterate over all rows.
     pub fn rows(&self) -> impl Iterator<Item = &[f64]> {
-        self.data.chunks_exact(self.n_cols.max(1))
+        (0..self.n_rows).map(|i| self.row(i))
     }
 
     /// Copy of column `j`.
@@ -147,6 +147,14 @@ mod tests {
         assert_eq!(ds.n_rows(), 3);
         assert_eq!(ds.n_cols(), 2);
         assert_eq!(Dataset::new(4).n_rows(), 0);
+        // Rows without columns are still rows, for every accessor.
+        let mut empty_rows = Dataset::new(0);
+        for _ in 0..9 {
+            empty_rows.push_row(&[]);
+        }
+        assert_eq!((empty_rows.n_rows(), empty_rows.n_cols()), (9, 0));
+        assert_eq!(empty_rows.row(8), &[] as &[f64]);
+        assert_eq!(empty_rows.rows().count(), 9);
     }
 
     #[test]

@@ -19,15 +19,14 @@
 //!
 //! - **The caller helps from the first instant.** The issuing thread runs
 //!   the same claim loop as the helpers, so a fan-out never waits for a
-//!   wake-up to make progress. Parked workers are woken at once for a
-//!   fan-out of single coarse items ([`join2`], folds, model fits), and for
-//!   one of many items only once the unclaimed rest looks worth a wake
-//!   (`WAKE_WORTH`): a small fan-out costs two uncontended lock
-//!   operations, not a thread spawn and join per worker.
+//!   wake-up to make progress. Parked workers are woken when the tickets
+//!   are posted: a fan-out costs a few uncontended lock operations and a
+//!   wake, not a thread spawn and join per worker. Whether a fan-out is
+//!   worth that wake is its call site's decision, not this module's.
 //! - **Late workers find the job closed.** When the caller's claim loop
 //!   runs dry it takes its unclaimed tickets back, so a worker that wakes
-//!   late finds nothing and parks again; the caller then waits — spinning
-//!   briefly before it blocks (`CLOSE_SPIN`) — for the ones inside.
+//!   late finds nothing and parks again; the caller then waits for the
+//!   ones inside.
 //! - **Nested fan-outs on a worker run inline.** A fan-out issued from a
 //!   pool worker is a plain serial loop, so `join2 → par_map_n → par_map`
 //!   occupies at most [`threads`] threads instead of multiplying them, and
@@ -36,7 +35,14 @@
 //!
 //! # Who asks
 //!
-//! Fits and query executions fan out; nothing inside a fit does. The one
+//! Fits, query executions and large prediction batches fan out; nothing
+//! inside a fit does, and no per-query walk of training does either.
+//! Hybrid training and online building compute each query's feature
+//! views and walk on the calling thread, and fan out only fits: a
+//! candidate's start- and run-time heads ([`join2`]) and online
+//! building's candidate fragments. A prediction batch fans out only from
+//! 64 queries (`qpp::plan_model::PAR_BATCH_MIN`), so a coalesced serve
+//! batch stays on the thread that holds it. The one
 //! nesting that still posts tickets is on the *caller* side: the thread
 //! that issued `join2(plan, op)` runs the plan half itself, is not a pool
 //! worker, and so its per-candidate fold fan-outs (`cv::cross_validate`)
@@ -78,7 +84,6 @@ use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
-use std::time::{Duration, Instant};
 
 /// Sentinel meaning "no runtime override active".
 const NO_OVERRIDE: usize = usize::MAX;
@@ -149,8 +154,8 @@ pub fn set_threads(n: usize) {
 /// honours `QPP_THREADS` and [`set_threads`]); an explicit request is
 /// taken as-is. Always ≥ 1.
 ///
-/// Shared by the training fan-outs and the serving worker pool so one
-/// knob sizes every thread pool in the process.
+/// The serving worker pool sizes itself with this, so the one knob that
+/// sizes the fan-outs sizes every thread pool in the process.
 pub fn resolve_workers(requested: Option<usize>) -> usize {
     match requested {
         Some(n) if n >= 1 => n,
@@ -227,16 +232,6 @@ impl Pool {
 /// Runs of consecutive indices a fan-out is cut into, per participant.
 const RUNS_PER_WORKER: usize = 8;
 
-/// A fan-out of many items wakes parked helpers only when the work still
-/// unclaimed would take its caller about this long. Waking costs the
-/// caller a system call (~10 µs on the reference VM) and the worker
-/// arrives ~40 µs later, so less than this is finished sooner alone.
-const WAKE_WORTH: Duration = Duration::from_micros(100);
-
-/// How long a caller watches for its last helper to leave before it
-/// blocks: about one sleep/wake round trip of a parked thread.
-const CLOSE_SPIN: Duration = Duration::from_micros(50);
-
 thread_local! {
     /// Whether this thread is one of the pool's workers.
     static ON_WORKER: Cell<bool> = const { Cell::new(false) };
@@ -290,14 +285,9 @@ fn worker_loop() {
 /// has left. A panic — `caller`'s first, else the first helper's — is
 /// re-raised here, after that same wait.
 ///
-/// The tickets are posted at once, so a worker that is already awake
-/// takes one unasked; parked workers stay parked until `caller` calls the
-/// wake function it is handed.
-fn fan_out<R>(
-    helpers: usize,
-    helper: &(dyn Fn() + Sync),
-    caller: impl FnOnce(&dyn Fn()) -> R,
-) -> R {
+/// The tickets are posted and as many parked workers woken before
+/// `caller` starts; a worker that is already awake takes one unasked.
+fn fan_out<R>(helpers: usize, helper: &(dyn Fn() + Sync), caller: impl FnOnce() -> R) -> R {
     let job = Job {
         helper,
         running: AtomicUsize::new(0),
@@ -326,31 +316,18 @@ fn fan_out<R>(
             state.spawned += 1;
         }
         state.tickets.extend((0..helpers).map(|_| Ticket(erased)));
-    }
-    let wake = || {
-        // A worker that is not idle finds the ticket on its own.
-        let idle = POOL.lock().idle;
-        for _ in 0..helpers.min(idle) {
+        // A worker that is not idle finds its ticket on its own.
+        for _ in 0..helpers.min(state.idle) {
             POOL.work.notify_one();
         }
-    };
-    let mine = catch_unwind(AssertUnwindSafe(|| caller(&wake)));
+    }
+    let mine = catch_unwind(AssertUnwindSafe(caller));
     {
         // Close the job: no new worker can enter once the tickets are
-        // gone, and the ones inside are counted.
+        // gone, and the ones inside are counted. Each leaves under this
+        // lock, so waiting on `done` while it is held misses no leave.
         let mut state = POOL.lock();
         state.tickets.retain(|t| !std::ptr::eq(t.0, erased));
-    }
-    // Every index is claimed, so a helper still inside is finishing its
-    // last run. Blocking costs a sleep and a wake-up — more than most
-    // runs take — so watch the count for about that long first.
-    let spin_until = Instant::now() + CLOSE_SPIN;
-    while job.running.load(Ordering::Acquire) != 0 {
-        if Instant::now() < spin_until {
-            std::hint::spin_loop();
-            continue;
-        }
-        let mut state = POOL.lock();
         while job.running.load(Ordering::Acquire) != 0 {
             state = POOL
                 .done
@@ -407,41 +384,17 @@ where
         let lo = next.fetch_add(run, Ordering::Relaxed);
         (lo < n).then(|| (lo, (lo..n.min(lo + run)).map(&f).collect()))
     };
-    let keep = |mine: Vec<(usize, Vec<U>)>| {
+    // The caller and each helper claim runs until none is left.
+    let work = || {
+        let mut mine = Vec::new();
+        while let Some(claimed) = claim_run() {
+            mine.push(claimed);
+        }
         runs.lock()
             .unwrap_or_else(PoisonError::into_inner)
             .extend(mine);
     };
-    let helper = || {
-        let mut mine = Vec::new();
-        while let Some(claimed) = claim_run() {
-            mine.push(claimed);
-        }
-        keep(mine);
-    };
-    fan_out(workers - 1, &helper, |wake| {
-        // A fan-out of single items is coarse (folds, model fits): wake
-        // the helpers at once. One of many items wakes them when, at the
-        // pace so far, what is still unclaimed is worth a wake.
-        let mut parked = run > 1;
-        if !parked {
-            wake();
-        }
-        let started = Instant::now();
-        let mut mine = Vec::new();
-        while let Some(claimed) = claim_run() {
-            mine.push(claimed);
-            if parked {
-                let claimed = next.load(Ordering::Relaxed).min(n) as u128;
-                let unclaimed = n as u128 - claimed;
-                if started.elapsed().as_nanos() * unclaimed >= WAKE_WORTH.as_nanos() * claimed {
-                    wake();
-                    parked = false;
-                }
-            }
-        }
-        keep(mine);
-    });
+    fan_out(workers - 1, &work, work);
     let mut runs = runs.into_inner().unwrap_or_else(PoisonError::into_inner);
     runs.sort_unstable_by_key(|&(start, _)| start);
     // Each result moves once more, from its run into the output.
@@ -478,8 +431,7 @@ where
             *b.lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
         }
     };
-    let a = fan_out(1, &run_b, |wake| {
-        wake();
+    let a = fan_out(1, &run_b, || {
         let a = fa();
         run_b();
         a
@@ -492,6 +444,7 @@ where
 pub(crate) mod tests {
     use super::*;
     use std::sync::Barrier;
+    use std::time::Duration;
 
     /// Serializes the tests that pin the process-wide worker count.
     static THREADS_LOCK: Mutex<()> = Mutex::new(());

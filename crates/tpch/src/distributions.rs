@@ -237,29 +237,10 @@ pub fn selectivity(c: ColRef, op: CmpOp, value: f64, sf: f64) -> f64 {
         Distribution::UniformFloat { lo, hi } => uniform_float_sel(lo, hi, op, value),
         Distribution::Categorical { n } => uniform_int_sel(0, (n - 1) as i64, op, value),
         Distribution::OrderDate => uniform_int_sel(0, (ORDERDATE_VALUES - 1) as i64, op, value),
-        Distribution::ShipDate => lagged_date_sel(op, value, ship_lags()),
-        Distribution::CommitDate => lagged_date_sel(op, value, commit_lags()),
-        Distribution::ReceiptDate => lagged_date_sel(op, value, receipt_lags()),
+        Distribution::ShipDate => lagged_date_sel(op, value, &SHIP_LAGS),
+        Distribution::CommitDate => lagged_date_sel(op, value, &COMMIT_LAGS),
+        Distribution::ReceiptDate => lagged_date_sel(op, value, &RECEIPT_LAGS),
         Distribution::Text => 0.0,
-    }
-}
-
-/// [`selectivity`] of one column over a lag table built afresh by the
-/// uncached constructor instead of the process-wide memo: the reference
-/// the identity tests (here and in `engine::histogram`) hold the memoised
-/// path to. A column that is not a derived date has no table and goes to
-/// [`selectivity`].
-#[doc(hidden)]
-pub fn selectivity_reference(c: ColRef, sf: f64) -> impl Fn(CmpOp, f64) -> f64 {
-    let lags = match column_distribution(c) {
-        Distribution::ShipDate => Some(ship_lags_uncached()),
-        Distribution::CommitDate => Some(commit_lags_uncached()),
-        Distribution::ReceiptDate => Some(receipt_lags_uncached()),
-        _ => None,
-    };
-    move |op, value| match &lags {
-        Some(lags) => lagged_date_sel(op, value, lags),
-        None => selectivity(c, op, value, sf),
     }
 }
 
@@ -307,48 +288,44 @@ fn uniform_float_sel(lo: f64, hi: f64, op: CmpOp, value: f64) -> f64 {
 }
 
 /// Lag distributions as (offset, probability) lists. The tables are
-/// constants of the generative model, so each is built once per process:
-/// a histogram build inverts the CDF through ~1 200 [`selectivity`] calls,
+/// constants of the generative model, so the compiler builds them: a
+/// histogram build inverts the CDF through ~1 200 [`selectivity`] calls,
 /// and rebuilding the receipt convolution inside each was most of a cold
 /// start (DESIGN.md §7).
-fn ship_lags() -> &'static [(i32, f64)] {
-    static TABLE: OnceLock<Vec<(i32, f64)>> = OnceLock::new();
-    TABLE.get_or_init(ship_lags_uncached)
+const SHIP_LAGS: [(i32, f64); SHIP_LAG_MAX as usize] = uniform_lags(1);
+const COMMIT_LAGS: [(i32, f64); (COMMIT_LAG.1 - COMMIT_LAG.0 + 1) as usize] =
+    uniform_lags(COMMIT_LAG.0);
+/// From `1 + RECEIPT_LAG.0` to `SHIP_LAG_MAX + RECEIPT_LAG.1`.
+const RECEIPT_LAGS: [(i32, f64); (SHIP_LAG_MAX + RECEIPT_LAG.1 - RECEIPT_LAG.0) as usize] =
+    receipt_lags();
+
+/// `N` consecutive lags from `first`, each with probability `1 / N`.
+const fn uniform_lags<const N: usize>(first: i32) -> [(i32, f64); N] {
+    let mut out = [(0, 0.0); N];
+    let mut i = 0;
+    while i < N {
+        out[i] = (first + i as i32, 1.0 / N as f64);
+        i += 1;
+    }
+    out
 }
 
-fn commit_lags() -> &'static [(i32, f64)] {
-    static TABLE: OnceLock<Vec<(i32, f64)>> = OnceLock::new();
-    TABLE.get_or_init(commit_lags_uncached)
-}
-
-fn receipt_lags() -> &'static [(i32, f64)] {
-    static TABLE: OnceLock<Vec<(i32, f64)>> = OnceLock::new();
-    TABLE.get_or_init(receipt_lags_uncached)
-}
-
-fn ship_lags_uncached() -> Vec<(i32, f64)> {
-    let p = 1.0 / SHIP_LAG_MAX as f64;
-    (1..=SHIP_LAG_MAX).map(|d| (d, p)).collect()
-}
-
-fn commit_lags_uncached() -> Vec<(i32, f64)> {
-    let n = (COMMIT_LAG.1 - COMMIT_LAG.0 + 1) as f64;
-    (COMMIT_LAG.0..=COMMIT_LAG.1).map(|d| (d, 1.0 / n)).collect()
-}
-
-fn receipt_lags_uncached() -> Vec<(i32, f64)> {
-    // receipt = orderdate + ship_lag + receipt_lag: convolve the two lags.
-    let mut out = Vec::new();
+const fn receipt_lags<const N: usize>() -> [(i32, f64); N] {
+    // receipt = orderdate + ship_lag + receipt_lag: convolve the two lags,
+    // accumulating each offset's share in ship-then-receipt order.
     let ps = 1.0 / SHIP_LAG_MAX as f64;
     let pr = 1.0 / (RECEIPT_LAG.1 - RECEIPT_LAG.0 + 1) as f64;
-    let mut acc = std::collections::BTreeMap::new();
-    for s in 1..=SHIP_LAG_MAX {
-        for r in RECEIPT_LAG.0..=RECEIPT_LAG.1 {
-            *acc.entry(s + r).or_insert(0.0) += ps * pr;
+    let first = 1 + RECEIPT_LAG.0;
+    let mut out = [(0, 0.0); N];
+    let mut s = 1;
+    while s <= SHIP_LAG_MAX {
+        let mut r = RECEIPT_LAG.0;
+        while r <= RECEIPT_LAG.1 {
+            let (_, p) = out[(s + r - first) as usize];
+            out[(s + r - first) as usize] = (s + r, p + ps * pr);
+            r += 1;
         }
-    }
-    for (d, p) in acc {
-        out.push((d, p));
+        s += 1;
     }
     out
 }
@@ -393,7 +370,7 @@ pub fn p_name_contains_color(color: u32) -> f64 {
 pub fn joint_order_before_ship_after(cut: i32) -> f64 {
     let n = ORDERDATE_VALUES as f64;
     let mut total = 0.0;
-    for &(d, p) in ship_lags() {
+    for &(d, p) in &SHIP_LAGS {
         // o < cut and o > cut - d  =>  o in (cut-d, cut) intersect domain.
         let lo = (cut - d + 1).max(0);
         let hi = (cut - 1).min(ORDERDATE_VALUES - 1);
@@ -585,44 +562,6 @@ mod tests {
         // Weights are a probability distribution.
         let total: f64 = (0..dicts::N_COLORS).map(color_weight).sum();
         assert!((total - 1.0).abs() < 1e-9);
-    }
-
-    fn assert_same_table(memoised: &[(i32, f64)], reference: &[(i32, f64)]) {
-        assert_eq!(memoised.len(), reference.len());
-        for (m, r) in memoised.iter().zip(reference) {
-            assert_eq!((m.0, m.1.to_bits()), (r.0, r.1.to_bits()));
-        }
-    }
-
-    #[test]
-    fn memoised_lag_tables_equal_the_uncached_constructors() {
-        // Twice: the first call may be the one that fills the table.
-        for _ in 0..2 {
-            assert_same_table(ship_lags(), &ship_lags_uncached());
-            assert_same_table(commit_lags(), &commit_lags_uncached());
-            assert_same_table(receipt_lags(), &receipt_lags_uncached());
-        }
-    }
-
-    #[test]
-    fn date_selectivity_equals_the_reference_on_a_grid() {
-        const OPS: [CmpOp; 6] = [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge];
-        for name in ["l_shipdate", "l_commitdate", "l_receiptdate"] {
-            let c = col(TableId::Lineitem, name);
-            let reference = selectivity_reference(c, 1.0);
-            // Whole days and half days, from before the calendar to past
-            // the last receipt date.
-            for step in -10..=110 {
-                let value = step as f64 * 25.5;
-                for op in OPS {
-                    assert_eq!(
-                        selectivity(c, op, value, 1.0).to_bits(),
-                        reference(op, value).to_bits(),
-                        "{c} {op:?} {value}"
-                    );
-                }
-            }
-        }
     }
 
     /// Every midpoint the 60-step bisection of `engine::histogram` visits

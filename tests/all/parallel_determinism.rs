@@ -8,8 +8,12 @@
 use crate::support::{log, with_threads, METHODS};
 use engine::faults::{DriftPlan, FaultPlan};
 use engine::{Catalog, Simulator};
-use qpp::{CollectionConfig, ExecutedQuery, FeatureSource, QppConfig, QppPredictor, QueryDataset};
+use qpp::{
+    CollectionConfig, ExecutedQuery, FeatureSource, HybridConfig, OpLevelModel, OpModelConfig,
+    QppConfig, QppPredictor, QueryDataset,
+};
 use rng::StdRng;
+use std::sync::Arc;
 use tpch::Workload;
 
 #[test]
@@ -146,4 +150,44 @@ fn parallel_full_training_matches_serial() {
     let serial = with_threads(1, run);
     let parallel = with_threads(8, run);
     assert_eq!(serial, parallel);
+}
+
+/// Algorithm 1 with sub-plan models kept (the forcing settings of
+/// `hybrid`'s own tests): each candidate's start and run heads train on
+/// two threads, so the kept models, the iteration records and the
+/// predictions must not depend on who trained them.
+#[test]
+fn hybrid_training_with_kept_models_is_identical_at_1_2_and_8_threads() {
+    let ds = with_threads(1, || log(8));
+    let refs: Vec<&ExecutedQuery> = ds.queries.iter().collect();
+    let op = Arc::new(with_threads(1, || {
+        OpLevelModel::train(&refs, &OpModelConfig::default()).expect("op training")
+    }));
+    let config = HybridConfig {
+        max_iterations: 8,
+        min_frequency: 3,
+        ..HybridConfig::default()
+    };
+    let run = || {
+        let (model, records) =
+            qpp::train_hybrid(&refs, Arc::clone(&op), &config).expect("hybrid training");
+        // `{:?}` prints every f64 in its shortest round-trip form, so two
+        // models print alike only when their numbers are bit-equal.
+        let mut models: Vec<String> = model
+            .plan_models
+            .iter()
+            .map(|(key, sub)| format!("{key:?} {sub:?}"))
+            .collect();
+        models.sort();
+        let records: Vec<(usize, u64, bool, u64)> = records
+            .iter()
+            .map(|r| (r.iteration, r.key.0, r.accepted, r.error.to_bits()))
+            .collect();
+        let predictions: Vec<u64> = refs.iter().map(|q| model.predict(q).to_bits()).collect();
+        (models, records, predictions)
+    };
+    let serial = with_threads(1, run);
+    assert!(!serial.0.is_empty(), "no sub-plan model was kept");
+    assert_eq!(serial, with_threads(2, run));
+    assert_eq!(serial, with_threads(8, run));
 }
