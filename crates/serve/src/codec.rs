@@ -75,11 +75,10 @@ const KIND_ERROR: u8 = 3;
 /// The `QppError::Internal` messages the product raises, for interning on
 /// decode (`scripts/ci.sh`'s message gate holds the list to the raise
 /// sites).
-const INTERNAL_MESSAGES: [&str; 8] = [
+const INTERNAL_MESSAGES: [&str; 7] = [
     "serving worker dropped the reply",
     "tenant server is shutting down",
     "unknown tenant",
-    "duplicate tenant name",
     "sub-plan structure not in the training index",
     "malformed request frame",
     "request aborted at shutdown",

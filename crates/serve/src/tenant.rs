@@ -592,10 +592,38 @@ impl TenantServer {
     /// (up to the resolved `workers`), and a blocking
     /// [`TenantServer::predict`] on an idle server needs none.
     pub fn start(tenants: Vec<TenantSpec>, config: TenantServeConfig) -> TenantServer {
-        let server = TenantServer {
-            shards: Arc::new(RwLock::new(Vec::new())),
-            by_name: RwLock::new(HashMap::new()),
-            queue: Arc::new(WeightedFairQueue::new(config.global_capacity)),
+        let mut by_name = HashMap::with_capacity(tenants.len());
+        for (idx, spec) in tenants.iter().enumerate() {
+            if by_name.insert(spec.name.clone(), idx).is_some() {
+                panic!("duplicate tenant name {:?} in the tenant set", spec.name);
+            }
+        }
+        // Each tenant gets the next lane (all join at virtual time zero)
+        // and the shard slot of the same index.
+        let queue = WeightedFairQueue::new(config.global_capacity);
+        let shards = tenants
+            .into_iter()
+            .enumerate()
+            .map(|(idx, spec)| {
+                let lane = queue.add_tenant(spec.budget.weight, spec.budget.queue_quota);
+                debug_assert_eq!(lane, idx);
+                Arc::new(TenantShard {
+                    name: spec.name,
+                    registry: spec.registry,
+                    rate: spec
+                        .budget
+                        .rate_limit
+                        .map(|limit| Mutex::new(TokenBucket::new(limit))),
+                    budget: spec.budget,
+                    stats: Arc::default(),
+                    monitor: Mutex::default(),
+                })
+            })
+            .collect();
+        TenantServer {
+            shards: Arc::new(RwLock::new(shards)),
+            by_name: RwLock::new(by_name),
+            queue: Arc::new(queue),
             global_admission: Mutex::new(AdmissionController::new(
                 config.global_rate_limit,
                 config.global_capacity,
@@ -605,13 +633,7 @@ impl TenantServer {
             worker_stall: config.worker_stall,
             max_batch: config.max_batch.max(1),
             workers: Mutex::new(Vec::new()),
-        };
-        for spec in tenants {
-            if let Err(e) = server.add_tenant(spec) {
-                panic!("tenant set rejected at start: {e}");
-            }
         }
-        server
     }
 
     /// Starts one more worker unless `workers` are running or the queue
@@ -630,35 +652,6 @@ impl TenantServer {
             .spawn(move || tenant_worker_loop(&queue, &shards, worker_stall, max_batch))
             .expect("spawning a serving worker");
         workers.push(handle);
-    }
-
-    /// Attaches a tenant (each of [`TenantServer::start`]'s): opens a
-    /// weighted-fair lane (it joins at the current virtual time) and
-    /// registers the shard. Returns the tenant's lane index, or an error
-    /// when the name is already taken.
-    pub(crate) fn add_tenant(&self, spec: TenantSpec) -> Result<usize, QppError> {
-        // Held across lane + shard append so the lane index and the shard
-        // slot cannot be torn apart by a concurrent add.
-        let mut by_name = self.by_name.write().unwrap();
-        if by_name.contains_key(&spec.name) {
-            return Err(QppError::Internal("duplicate tenant name"));
-        }
-        let idx = self.queue.add_tenant(spec.budget.weight, spec.budget.queue_quota);
-        let shard = Arc::new(TenantShard {
-            name: spec.name.clone(),
-            registry: spec.registry,
-            rate: spec
-                .budget
-                .rate_limit
-                .map(|limit| Mutex::new(TokenBucket::new(limit))),
-            budget: spec.budget,
-            stats: Arc::default(),
-            monitor: Mutex::default(),
-        });
-        self.shards.write().unwrap().push(shard);
-        debug_assert_eq!(self.shards.read().unwrap().len(), idx + 1);
-        by_name.insert(spec.name, idx);
-        Ok(idx)
     }
 
     /// Detaches a tenant under load. New submissions fail immediately
@@ -1208,5 +1201,35 @@ mod tests {
         assert!(matches!(q.try_push(a, 3), Err(TenantPushError::Closed(3))));
         assert_eq!(q.pop_blocking_batch(8), Some((a, vec![1, 2])));
         assert_eq!(q.pop_blocking_batch(8), None);
+    }
+
+    /// A tenant set that names one tenant twice is refused at start, by a
+    /// panic that names the duplicate.
+    #[test]
+    #[should_panic(expected = "duplicate tenant name \"a\"")]
+    fn start_refuses_a_duplicate_tenant_name() {
+        let catalog = engine::Catalog::new(0.1, 1);
+        let workload = tpch::Workload::generate(&[1, 3, 6], 8, 0.1, 7);
+        let sim = engine::Simulator::with_config(engine::SimConfig {
+            additive_noise_secs: 0.05,
+            ..engine::SimConfig::default()
+        });
+        let ds = qpp::QueryDataset::execute(&catalog, &workload, &sim, 11, f64::INFINITY);
+        let refs: Vec<&qpp::ExecutedQuery> = ds.queries.iter().collect();
+        let predictor = qpp::QppPredictor::train(&refs, qpp::QppConfig::default()).unwrap();
+        let dir = std::env::temp_dir().join(format!("qpp-tenant-dup-{}", std::process::id()));
+        let registry =
+            Arc::new(ModelRegistry::create(&dir, predictor, qpp::QppConfig::default()).unwrap());
+        // The check runs before the registry is read again.
+        std::fs::remove_dir_all(&dir).unwrap();
+        let spec = |name: &str| TenantSpec {
+            name: name.to_string(),
+            registry: Arc::clone(&registry),
+            budget: TenantBudget::default(),
+        };
+        TenantServer::start(
+            vec![spec("a"), spec("b"), spec("a")],
+            TenantServeConfig::default(),
+        );
     }
 }

@@ -6,9 +6,11 @@
 //! `ModelRegistry::create` (the harness's own request stream is left
 //! out). After each stage it prints the process's resident memory from
 //! `/proc/self/status` — `VmHWM` (its high-water mark), `RssAnon` and
-//! `RssFile` — and the heap as a counting allocator sees it: bytes live,
-//! and the most that were live during the stage. All in KiB. DESIGN.md §7
-//! ("Where `peak_rss_mb` goes") quotes its table.
+//! `RssFile` — then, from `/proc/self/smaps`, what is resident of the
+//! executable's own mappings (`exe`) and of the shared libraries' (`libs`:
+//! libc, libm, ld.so), and the heap as a counting allocator sees it: bytes
+//! live, and the most that were live during the stage. All in KiB.
+//! DESIGN.md §7 ("Where `peak_rss_mb` goes") quotes its table.
 //!
 //! ```text
 //! cargo run --release --example memory_stages
@@ -17,6 +19,7 @@
 use engine::{Catalog, SimConfig, Simulator};
 use qpp::{ExecutedQuery, ModelRegistry, QppConfig, QppPredictor, QueryDataset};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::io::{BufRead, BufReader};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
 use tpch::Workload;
@@ -89,23 +92,63 @@ fn status(field: &str) -> String {
         .unwrap_or_else(|| "-".into())
 }
 
-/// Prints one stage's line and starts the next stage's heap peak.
+/// The resident KiB of the executable's own mappings and of the shared
+/// libraries' (every mapped path with `.so` in it), summed over their
+/// `Rss:` lines in `/proc/self/smaps`; `-` where there is no such file.
+/// Read a line at a time, so the reading adds little to what it measures.
+fn mapped() -> [String; 2] {
+    let (Ok(smaps), Ok(exe)) = (
+        std::fs::File::open("/proc/self/smaps"),
+        std::fs::read_link("/proc/self/exe"),
+    ) else {
+        return ["-".into(), "-".into()];
+    };
+    let exe = exe.to_string_lossy();
+    let mut smaps = BufReader::new(smaps);
+    let mut line = String::new();
+    let mut kib = [0u64; 2];
+    let mut slot = None;
+    while smaps.read_line(&mut line).is_ok_and(|n| n > 0) {
+        if let Some(rss) = line.strip_prefix("Rss:") {
+            if let Some(i) = slot {
+                kib[i] += rss.trim().trim_end_matches(" kB").parse::<u64>().unwrap_or(0);
+            }
+        } else if line.split_whitespace().next().is_some_and(|t| t.contains('-')) {
+            // A mapping's header: range, perms, offset, device, inode, path.
+            let path = line.split_whitespace().nth(5).unwrap_or("");
+            slot = if path == exe {
+                Some(0)
+            } else if path.contains(".so") {
+                Some(1)
+            } else {
+                None
+            };
+        }
+        line.clear();
+    }
+    kib.map(|k| k.to_string())
+}
+
+/// Prints one stage's line and starts the next stage's heap peak. The heap
+/// is read before the `/proc` files, and the peak restarts after them.
 fn stage(name: &str) {
-    let live = LIVE.load(Relaxed);
+    let (live, peak) = (LIVE.load(Relaxed), PEAK.load(Relaxed));
+    let [exe, libs] = mapped();
     println!(
-        "{name:<34} {:>7} {:>7} {:>7} {:>9.1} {:>9.1}",
+        "{name:<34} {:>7} {:>7} {:>7} {exe:>7} {libs:>7} {:>9.1} {:>9.1}",
         status("VmHWM"),
         status("RssAnon"),
         status("RssFile"),
         live as f64 / 1024.0,
-        PEAK.swap(live, Relaxed) as f64 / 1024.0,
+        peak as f64 / 1024.0,
     );
+    PEAK.store(LIVE.load(Relaxed), Relaxed);
 }
 
 fn main() {
     println!(
-        "{:<34} {:>7} {:>7} {:>7} {:>9} {:>9}",
-        "stage (KiB)", "VmHWM", "RssAnon", "RssFile", "live", "peak"
+        "{:<34} {:>7} {:>7} {:>7} {:>7} {:>7} {:>9} {:>9}",
+        "stage (KiB)", "VmHWM", "RssAnon", "RssFile", "exe", "libs", "live", "peak"
     );
     stage("process start");
     let catalog = Catalog::new(SF, 1);

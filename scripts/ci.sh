@@ -388,36 +388,50 @@ git diff --exit-code tests/data/codec_corpus.bin
 # Nothing in the language makes the body inline into its wrapper; if it
 # stays out of line, the wrapper calls the baseline compilation and AVX2
 # buys nothing without any test noticing (both compilations give the same
-# bits, which the `ml::linalg` unit tests check). So every wrapper in the
-# release build of `qpp-ml`'s unit tests must contain ymm instructions,
-# and that build's linalg tests run too: the debug suites above compare
-# the two compilations unvectorized.
+# bits, which the `ml::linalg` unit tests check). So every wrapper must
+# contain ymm instructions in the release build of `qpp-ml`'s unit tests,
+# and in the release `repro`: the release profile links each binary as
+# one program (fat LTO, one codegen unit), so the code that ships is
+# compiled again at link time and is checked where it ships. That unit-test
+# build's linalg tests run too: the debug suites above compare the two
+# compilations unvectorized.
 if [ "$(uname -m)" = x86_64 ]; then
+    # Fails unless each of the three wrappers in binary $1 has a ymm
+    # instruction.
+    avx2_wrappers() {
+        echo "  $1"
+        local ymm_counts
+        ymm_counts="$(objdump -d --no-show-raw-insn -C "$1" | awk '
+            /^[0-9a-f]+ <.*>:$/ {
+                sym = ""
+                if (match($0, /<ml::linalg::[a-z_]+_avx2/)) {
+                    sym = substr($0, RSTART + 1, RLENGTH - 1)
+                    n++
+                    name[n] = sym
+                    ymm[n] = 0
+                }
+                next
+            }
+            sym != "" && /%ymm/ { ymm[n]++ }
+            END { for (i = 1; i <= n; i++) print name[i], ymm[i] }')"
+        echo "$ymm_counts"
+        for primitive in grad_pair_update scan_violating scan_second_order; do
+            if ! grep -q "^ml::linalg::${primitive}_avx2 " <<< "$ymm_counts" \
+                || grep -q "^ml::linalg::${primitive}_avx2 0$" <<< "$ymm_counts"; then
+                echo "FAIL: ml::linalg::${primitive}_avx2 is missing or has no ymm instruction in $1"
+                exit 1
+            fi
+        done
+    }
     echo "==> AVX2 codegen: linalg's three wrappers use ymm registers"
     cargo test --release -q -p qpp-ml --lib --no-run
     ml_tests="$(cargo test --release -p qpp-ml --lib --no-run --message-format=json 2>/dev/null \
         | grep -o '"executable":"[^"]*"' | cut -d'"' -f4)"
-    ymm_counts="$(objdump -d --no-show-raw-insn -C "$ml_tests" | awk '
-        /^[0-9a-f]+ <.*>:$/ {
-            sym = ""
-            if (match($0, /<ml::linalg::[a-z_]+_avx2/)) {
-                sym = substr($0, RSTART + 1, RLENGTH - 1)
-                n++
-                name[n] = sym
-                ymm[n] = 0
-            }
-            next
-        }
-        sym != "" && /%ymm/ { ymm[n]++ }
-        END { for (i = 1; i <= n; i++) print name[i], ymm[i] }')"
-    echo "$ymm_counts"
-    for primitive in grad_pair_update scan_violating scan_second_order; do
-        if ! grep -q "^ml::linalg::${primitive}_avx2 " <<< "$ymm_counts" \
-            || grep -q "^ml::linalg::${primitive}_avx2 0$" <<< "$ymm_counts"; then
-            echo "FAIL: ml::linalg::${primitive}_avx2 is missing or has no ymm instruction"
-            exit 1
-        fi
-    done
+    avx2_wrappers "$ml_tests"
+    cargo build --release -q -p qpp-bench --bin repro
+    repro="$(cargo build --release -p qpp-bench --bin repro --message-format=json 2>/dev/null \
+        | grep -o '"executable":"[^"]*"' | cut -d'"' -f4)"
+    avx2_wrappers "$repro"
     "$ml_tests" -q linalg::
 fi
 
