@@ -30,11 +30,15 @@ pub fn relative_error(actual: f64, estimate: f64) -> f64 {
     (actual - estimate).abs() / actual.abs().max(1e-12)
 }
 
-/// Coefficient of determination R².
+/// Predictive risk (Ganapathi et al.): `1 − Σ(aᵢ−eᵢ)² / Σ(aᵢ−ā)²`, the
+/// coefficient of determination R².
 ///
 /// 1 is a perfect fit; 0 matches predicting the mean; negative is worse
-/// than the mean. Returns 0 when the actuals are constant.
-pub(crate) fn r2_score(actual: &[f64], estimate: &[f64]) -> f64 {
+/// than the mean. Returns 0 when the actuals are constant. The paper's
+/// Section 5.2 footnote reports it (≈0.93 for the optimizer-cost
+/// baseline) to show how a scale-dependent metric can look deceptively
+/// good while per-query relative errors are terrible.
+pub fn predictive_risk(actual: &[f64], estimate: &[f64]) -> f64 {
     assert_eq!(actual.len(), estimate.len(), "metric length mismatch");
     assert!(!actual.is_empty(), "metric on empty slice");
     let mean = actual.iter().sum::<f64>() / actual.len() as f64;
@@ -48,16 +52,6 @@ pub(crate) fn r2_score(actual: &[f64], estimate: &[f64]) -> f64 {
         return 0.0;
     }
     1.0 - ss_res / ss_tot
-}
-
-/// Predictive risk (Ganapathi et al.): `1 − Σ(aᵢ−eᵢ)² / Σ(aᵢ−ā)²`.
-///
-/// Numerically identical to R²; exposed under the paper's name because the
-/// Section 5.2 footnote reports it (≈0.93 for the optimizer-cost baseline)
-/// to show how a scale-dependent metric can look deceptively good while
-/// per-query relative errors are terrible.
-pub fn predictive_risk(actual: &[f64], estimate: &[f64]) -> f64 {
-    r2_score(actual, estimate)
 }
 
 #[cfg(test)]
@@ -89,16 +83,9 @@ mod tests {
     #[test]
     fn r2_perfect_and_mean_baseline() {
         let a = [1.0, 2.0, 3.0, 4.0];
-        assert!((r2_score(&a, &a) - 1.0).abs() < 1e-12);
+        assert!((predictive_risk(&a, &a) - 1.0).abs() < 1e-12);
         let mean_pred = [2.5; 4];
-        assert!(r2_score(&a, &mean_pred).abs() < 1e-12);
-    }
-
-    #[test]
-    fn predictive_risk_matches_r2() {
-        let a = [1.0, 5.0, 9.0];
-        let e = [2.0, 5.0, 8.0];
-        assert_eq!(predictive_risk(&a, &e), r2_score(&a, &e));
+        assert!(predictive_risk(&a, &mean_pred).abs() < 1e-12);
     }
 
     #[test]
@@ -113,6 +100,6 @@ mod tests {
 
     #[test]
     fn r2_constant_actuals_is_zero() {
-        assert_eq!(r2_score(&[2.0, 2.0], &[1.0, 3.0]), 0.0);
+        assert_eq!(predictive_risk(&[2.0, 2.0], &[1.0, 3.0]), 0.0);
     }
 }

@@ -68,10 +68,10 @@ pub enum ShedReason {
     /// The queue depth reached the shedding threshold: the backlog is
     /// already longer than the service capacity can clear in time.
     QueueFull,
-    /// The queue was closed (server shutdown) or the tenant's lane was
-    /// removed between admission and the push. Recorded so a request that
-    /// was already counted `submitted` still lands exactly once in the
-    /// ledger — otherwise shutdown reconciliation could never balance.
+    /// The queue was closed (server shutdown) between admission and the
+    /// push. Recorded so a request that was already counted `submitted`
+    /// still lands exactly once in the ledger — otherwise shutdown
+    /// reconciliation could never balance.
     Shutdown,
 }
 

@@ -75,14 +75,13 @@ const KIND_ERROR: u8 = 3;
 /// The `QppError::Internal` messages the product raises, for interning on
 /// decode (`scripts/ci.sh`'s message gate holds the list to the raise
 /// sites).
-const INTERNAL_MESSAGES: [&str; 7] = [
+const INTERNAL_MESSAGES: [&str; 6] = [
     "serving worker dropped the reply",
     "tenant server is shutting down",
     "unknown tenant",
     "sub-plan structure not in the training index",
     "malformed request frame",
     "request aborted at shutdown",
-    "tenant was removed while the request was in flight",
 ];
 
 /// Fallback when a peer sends an `Internal` message we do not know.

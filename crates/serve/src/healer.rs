@@ -6,7 +6,7 @@
 //! unattended model refresh as the layer where learned predictors rot.
 //! [`Healer`] is that somebody: a single background thread that, on a
 //! *jittered* cadence (deterministic given the seed, but de-phased from any
-//! client's retry loop), walks the live tenants and runs a healing round
+//! client's retry loop), walks the tenants and runs a healing round
 //! for any tenant that needs one ([`TenantServer::any_quarantined`]: a
 //! quarantined tier or an open learned-tier breaker). Overload alone never
 //! triggers a round.
@@ -14,9 +14,9 @@
 //! The thread is **supervised**, not trusted:
 //!
 //! - The workload source ([`HealSource`]) is caller-provided and runs
-//!   *before* [`TenantServer::heal`], outside every server lock — a
-//!   panicking source unwinds through no registry or monitor mutex, so
-//!   nothing is poisoned.
+//!   *before* the tenant's healing round (the one [`TenantServer::heal`]
+//!   runs), outside every server lock — a panicking source unwinds
+//!   through no registry or monitor mutex, so nothing is poisoned.
 //! - Every round runs under `catch_unwind`; a panic is counted
 //!   ([`crate::ServeStatsSnapshot::heal_panics`]) and the tenant enters a
 //!   breaker-style backoff: the next `2^k` ticks are skipped (capped),
@@ -27,7 +27,6 @@
 //!   operator sees promotes/rollbacks/panics in the same ledger as
 //!   serving outcomes.
 
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -125,7 +124,7 @@ pub struct Healer {
 
 impl Healer {
     /// Starts the healer thread. It wakes on the configured jittered
-    /// cadence and runs one supervised round per live tenant; see the
+    /// cadence and runs one supervised round per tenant; see the
     /// module docs for the failure semantics.
     pub fn spawn(
         server: Arc<TenantServer>,
@@ -182,53 +181,48 @@ fn healer_loop(
     stop: &StopFlag,
 ) {
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut backoff: HashMap<String, Backoff> = HashMap::new();
+    let shards = server.shards();
+    // Tenant `i`'s backoff, `None` while its rounds are clean.
+    let mut backoff: Vec<Option<Backoff>> = shards.iter().map(|_| None).collect();
     loop {
         let sleep = jittered(config.interval, config.jitter, &mut rng);
         if stop.wait_for(sleep) {
             return;
         }
-        for tenant in server.tenant_names() {
-            // The tenant may be removed between the listing and here;
-            // every call below then fails softly with `unknown tenant`.
-            let Ok(stats) = server.stats_handle(&tenant) else {
-                continue;
-            };
-            if let Some(b) = backoff.get_mut(&tenant) {
+        for (shard, backoff) in shards.iter().zip(&mut backoff) {
+            if let Some(b) = backoff {
                 if b.skip_remaining > 0 {
                     b.skip_remaining -= 1;
-                    stats.record_heal_backoff_skip();
+                    shard.stats.record_heal_backoff_skip();
                     continue;
                 }
             }
             let round = catch_unwind(AssertUnwindSafe(|| -> Result<(), QppError> {
-                if !server.any_quarantined(&tenant)? {
+                if !shard.needs_heal() {
                     return Ok(());
                 }
                 // Pull the retrain window *before* heal touches the
                 // registry, outside every server lock: a panicking
                 // source unwinds through nothing it could poison.
-                let recent = source.recent(&tenant);
+                let recent = source.recent(&shard.name);
                 let refs: Vec<&qpp::ExecutedQuery> = recent.iter().collect();
-                server.heal(&tenant, &refs).map(|_| ())
+                shard.heal(&refs).map(|_| ())
             }));
             match round {
-                Ok(Ok(())) => {
-                    backoff.remove(&tenant);
-                }
-                Ok(Err(_)) => bump_backoff(&mut backoff, &tenant, config),
+                Ok(Ok(())) => *backoff = None,
+                Ok(Err(_)) => bump_backoff(backoff, config),
                 Err(_panic) => {
-                    stats.record_heal_panic();
-                    bump_backoff(&mut backoff, &tenant, config);
+                    shard.stats.record_heal_panic();
+                    bump_backoff(backoff, config);
                 }
             }
         }
     }
 }
 
-fn bump_backoff(backoff: &mut HashMap<String, Backoff>, tenant: &str, config: &HealerConfig) {
+fn bump_backoff(backoff: &mut Option<Backoff>, config: &HealerConfig) {
     let cap = config.backoff_cap.max(1);
-    let entry = backoff.entry(tenant.to_string()).or_insert(Backoff {
+    let entry = backoff.get_or_insert(Backoff {
         skip_remaining: 0,
         next: config.backoff_start.max(1),
     });
@@ -263,17 +257,23 @@ mod tests {
             backoff_cap: 8,
             ..HealerConfig::default()
         };
-        let mut map = HashMap::new();
-        let skips: Vec<u32> = (0..6)
-            .map(|_| {
-                bump_backoff(&mut map, "t", &config);
-                map["t"].skip_remaining
-            })
-            .collect();
+        let mut backoff = None;
+        let mut skips = || {
+            bump_backoff(&mut backoff, &config);
+            backoff.as_ref().unwrap().skip_remaining
+        };
         // Consecutive failures: skip 1, 2, 4, 8, then pinned at the cap.
-        assert_eq!(skips, vec![1, 2, 4, 8, 8, 8]);
-        map.remove("t");
-        bump_backoff(&mut map, "t", &config);
-        assert_eq!(map["t"].skip_remaining, 1, "clean round resets the breaker");
+        assert_eq!(
+            (0..6).map(|_| skips()).collect::<Vec<_>>(),
+            vec![1, 2, 4, 8, 8, 8]
+        );
+        // A clean round removes the tenant's backoff.
+        backoff = None;
+        bump_backoff(&mut backoff, &config);
+        assert_eq!(
+            backoff.unwrap().skip_remaining,
+            1,
+            "clean round resets the breaker"
+        );
     }
 }

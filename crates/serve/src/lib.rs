@@ -15,16 +15,17 @@
 //!   shed / deadline-miss / degraded-tier counters and per-endpoint
 //!   log-bucketed latency histograms ([`SloRecorder`]).
 //! - [`tenant`] — the one worker pool, queue and `submit` of the crate:
-//!   per-tenant registries, admission budgets, queue quotas and
-//!   weighted-fair dequeue (with dynamic add/remove under load) in front
-//!   of workers, started on demand, that coalesce requests into the
-//!   batched predictor path and snapshot the model once per batch, so
-//!   registry hot swaps are safe under load; a blocking `predict` on an
-//!   idle server is served on the calling thread instead; plus the per-tenant healing loop (a quarantined
-//!   tier or an open breaker → shadow retrain → validated promote). A
-//!   request whose deadline has passed when a worker dequeues it is
-//!   refused with [`qpp::QppError::DeadlineExceeded`]; every other
-//!   request is served at the tier it asked for.
+//!   a tenant set fixed at start, with per-tenant registries, admission
+//!   budgets, queue quotas and weighted-fair dequeue in front of workers,
+//!   started on demand, that coalesce requests into the batched predictor
+//!   path and snapshot the model once per batch, so registry hot swaps
+//!   are safe under load; a blocking `predict` on an idle server is
+//!   served on the calling thread instead; plus the per-tenant healing
+//!   loop (a quarantined tier or an open breaker → shadow retrain →
+//!   validated promote). A request whose deadline has passed when a
+//!   worker dequeues it is refused with
+//!   [`qpp::QppError::DeadlineExceeded`]; every other request is served
+//!   at the tier it asked for.
 //! - `server` — [`PredictionServer`], the front-end over a single
 //!   registry: a [`TenantServer`] with exactly one tenant. Also the
 //!   request plumbing both share (the queued job, the reply handle, how
@@ -70,6 +71,6 @@ pub use net::{Client, NetConfig, NetServer, NetStatsSnapshot};
 pub use server::{PendingPrediction, PredictionServer, ServeConfig};
 pub use stats::{Endpoint, ServeStatsSnapshot, SloRecorder};
 pub use tenant::{
-    HealAction, HealReport, RemovedTenant, ShutdownReport, TenantBudget, TenantPushError,
-    TenantServeConfig, TenantServer, TenantSpec, WeightedFairQueue,
+    HealAction, HealReport, ShutdownReport, TenantBudget, TenantPushError, TenantServeConfig,
+    TenantServer, TenantSpec, WeightedFairQueue,
 };

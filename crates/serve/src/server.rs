@@ -238,7 +238,7 @@ impl PredictionServer {
     pub fn stats(&self) -> ServeStatsSnapshot {
         self.inner
             .stats(TENANT)
-            .expect("the one tenant is never removed")
+            .expect("the one tenant is in the fixed set")
     }
 
     /// Submits a prediction request. Admission control runs synchronously

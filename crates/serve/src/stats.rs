@@ -143,8 +143,8 @@ pub struct ServeStatsSnapshot {
     pub shed_rate_limited: u64,
     /// Requests shed by queue-depth load shedding.
     pub shed_queue_full: u64,
-    /// Requests refused because the server was shutting down or the
-    /// tenant was removed after the request was counted `submitted`.
+    /// Requests refused because the server was shutting down after the
+    /// request was counted `submitted`.
     pub shed_shutdown: u64,
     /// Requests answered with a prediction.
     pub served: u64,
@@ -158,7 +158,7 @@ pub struct ServeStatsSnapshot {
     /// Batches served, by workers and by callers.
     pub batches: u64,
     /// Of those, the batches served on the thread that asked: a blocking
-    /// `predict` on an idle server, and a removed tenant's drained lane.
+    /// `predict` on an idle server.
     pub caller_batches: u64,
     /// Requests carried in those batches.
     pub batched_jobs: u64,
@@ -196,7 +196,7 @@ impl ServeStatsSnapshot {
     }
 
     /// Requests admitted past the front door.
-    pub fn accepted(&self) -> u64 {
+    pub(crate) fn accepted(&self) -> u64 {
         self.submitted - self.shed()
     }
 
@@ -228,7 +228,6 @@ const SLO_BUCKETS: usize = SLO_BUCKETS_PER_DECADE * SLO_DECADES;
 pub struct SloRecorder {
     buckets: [u64; SLO_BUCKETS],
     count: u64,
-    sum: f64,
     min: f64,
     max: f64,
 }
@@ -245,7 +244,6 @@ impl SloRecorder {
         SloRecorder {
             buckets: [0; SLO_BUCKETS],
             count: 0,
-            sum: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
@@ -265,7 +263,6 @@ impl SloRecorder {
         }
         self.buckets[Self::bucket_index(secs)] += 1;
         self.count += 1;
-        self.sum += secs;
         self.min = self.min.min(secs);
         self.max = self.max.max(secs);
     }
@@ -273,16 +270,6 @@ impl SloRecorder {
     /// Number of recorded observations.
     pub fn count(&self) -> u64 {
         self.count
-    }
-
-    /// Mean recorded latency (NaN when empty).
-    #[cfg(test)]
-    pub(crate) fn mean(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.sum / self.count as f64
-        }
     }
 
     /// Largest recorded latency (NaN when empty).
@@ -350,7 +337,6 @@ mod tests {
         assert_eq!(snap.batched_jobs, 4);
         let hybrid = snap.endpoint(Endpoint::Hybrid);
         assert_eq!(hybrid.count(), 6);
-        assert!(hybrid.mean() > 0.0);
         assert!(hybrid.quantile(0.5) <= hybrid.quantile(0.99));
         assert!(hybrid.quantile(0.99) <= hybrid.max() * 1.3);
         assert_eq!(snap.endpoint(Endpoint::PlanLevel).count(), 0);
@@ -398,7 +384,6 @@ mod tests {
             r.record(i as f64 * 1e-3);
         }
         assert_eq!(r.count(), 1000);
-        assert!((r.mean() - 0.5005).abs() < 1e-9);
         assert_eq!(r.max(), 1.0);
         // Each quantile lands within one geometric bucket (~26%) above the
         // true value and never below the bucket's floor.

@@ -20,12 +20,10 @@
 //!   service capacity divides by weight no matter how asymmetric the
 //!   arrival streams are. A global capacity bounds total memory on top of
 //!   the per-tenant quotas.
-//! - **Dynamic tenancy.** The tenant set is given at start, and a
-//!   tenant can be removed while the server is under load:
-//!   [`TenantServer::remove_tenant`] closes the lane, serves what was
-//!   already queued in it, and hands back the tenant's registry and a
-//!   final stats snapshot. Shard slots are tombstoned, never deleted, so
-//!   a worker holding a popped batch can always resolve its shard.
+//! - **A fixed tenant set.** The tenants are given at
+//!   [`TenantServer::start`] and stay for the server's life: tenant `i`
+//!   owns lane `i` and shard `i`, so a request's admission and a worker's
+//!   batch find their shard by index, without a lock.
 //! - **The caller serves when it can.** The model answers in about 2 µs,
 //!   and handing a request to a worker and back costs more than that. So
 //!   a blocking [`TenantServer::predict`] that finds no request of any
@@ -66,7 +64,7 @@ use qpp::{
     QppError, MODEL_TIERS,
 };
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -83,16 +81,13 @@ pub enum TenantPushError<T> {
     /// The queue's *global* capacity is exhausted; the item is handed back
     /// with the total depth at rejection.
     GlobalFull(T, usize),
-    /// The tenant's lane was removed (`WeightedFairQueue::remove_tenant`);
-    /// the item is handed back. Other lanes keep serving.
-    Removed(T),
     /// The queue was closed for shutdown; the item is handed back.
     Closed(T),
 }
 
 /// One tenant's lane plus its scheduling state. Weight and quota live
-/// inside the queue lock so lanes can be added and removed while
-/// producers and consumers are active.
+/// inside the queue lock so lanes can be added while producers and
+/// consumers are active.
 struct Lane<T> {
     items: VecDeque<T>,
     /// Virtual finish time: advanced by `items / weight` on every
@@ -101,14 +96,6 @@ struct Lane<T> {
     vtime: f64,
     weight: f64,
     quota: usize,
-    /// False after [`WeightedFairQueue::remove_tenant`]: pushes are
-    /// refused with [`TenantPushError::Removed`] and the (already empty)
-    /// lane is never selected again.
-    open: bool,
-    /// Batches popped (or claimed, [`WeightedFairQueue::try_claim`]) from
-    /// this lane whose consumer has not yet called
-    /// [`WeightedFairQueue::finish`].
-    in_service: usize,
 }
 
 struct WfqInner<T> {
@@ -118,7 +105,8 @@ struct WfqInner<T> {
     /// at least this value, so idle tenants cannot bank credit while away.
     global_v: f64,
     total: usize,
-    /// Batches in service over all lanes.
+    /// Batches popped (or claimed, [`WeightedFairQueue::try_claim`])
+    /// whose consumer has not yet called [`WeightedFairQueue::finish`].
     in_service: usize,
     /// Consumers parked in [`WeightedFairQueue::pop_blocking_batch`] that
     /// no push has woken yet: a push wakes one of them, or reports that
@@ -127,8 +115,7 @@ struct WfqInner<T> {
     closed: bool,
 }
 
-/// A bounded multi-lane MPMC queue with weighted-fair dequeue and a
-/// dynamic lane set.
+/// A bounded multi-lane MPMC queue with weighted-fair dequeue.
 ///
 /// Producers push into their tenant's lane and are rejected synchronously
 /// when either the tenant's quota or the global capacity is exhausted —
@@ -140,10 +127,8 @@ struct WfqInner<T> {
 /// virtual-time WFQ argument; the properties in `tenant_props.rs` pin the
 /// `batch / min_weight` fairness bound exactly).
 ///
-/// Lanes can be added ([`WeightedFairQueue::add_tenant`]) and removed
-/// (`WeightedFairQueue::remove_tenant`, by [`TenantServer::remove_tenant`])
-/// concurrently with pushes and pops; lane indices are never reused, a
-/// removed lane is tombstoned.
+/// Lanes can be added ([`WeightedFairQueue::add_tenant`]) concurrently
+/// with pushes and pops; a lane is never removed.
 pub struct WeightedFairQueue<T> {
     inner: Mutex<WfqInner<T>>,
     not_empty: Condvar,
@@ -174,6 +159,8 @@ impl<T> WeightedFairQueue<T> {
     /// and returns its tenant index. The lane joins at the current global
     /// virtual time, so it competes fairly from now on but starts with no
     /// banked credit. Safe to call while producers and consumers run.
+    /// A weight that is not finite counts as 1, one below `1e-6` as
+    /// `1e-6`, and a quota below 1 as 1.
     pub fn add_tenant(&self, weight: f64, quota: usize) -> usize {
         let mut inner = self.inner.lock().unwrap();
         let vtime = inner.global_v;
@@ -182,24 +169,8 @@ impl<T> WeightedFairQueue<T> {
             vtime,
             weight: if weight.is_finite() { weight.max(1e-6) } else { 1.0 },
             quota: quota.max(1),
-            open: true,
-            in_service: 0,
         });
         inner.lanes.len() - 1
-    }
-
-    /// Tombstones a lane: subsequent pushes are refused with
-    /// [`TenantPushError::Removed`] and everything queued is handed back
-    /// to the caller in FIFO order (the caller decides whether to serve
-    /// or refuse the drained items). The index is never reused; other
-    /// lanes are untouched.
-    pub(crate) fn remove_tenant(&self, tenant: usize) -> Vec<T> {
-        let mut inner = self.inner.lock().unwrap();
-        let lane = &mut inner.lanes[tenant];
-        lane.open = false;
-        let drained: Vec<T> = lane.items.drain(..).collect();
-        inner.total -= drained.len();
-        drained
     }
 
     /// Total queued items across all lanes.
@@ -214,9 +185,9 @@ impl<T> WeightedFairQueue<T> {
     }
 
     /// Non-blocking push into `tenant`'s lane: enqueues and returns the
-    /// lane depth after the push, or rejects (shutdown and tombstone
-    /// first, then the tenant quota — the bulkhead — then global
-    /// capacity) without waiting.
+    /// lane depth after the push, or rejects (shutdown first, then the
+    /// tenant quota — the bulkhead — then global capacity) without
+    /// waiting.
     pub fn try_push(&self, tenant: usize, item: T) -> Result<usize, TenantPushError<T>> {
         self.push(tenant, item).map(|(depth, _)| depth)
     }
@@ -227,9 +198,6 @@ impl<T> WeightedFairQueue<T> {
         let mut inner = self.inner.lock().unwrap();
         if inner.closed {
             return Err(TenantPushError::Closed(item));
-        }
-        if !inner.lanes[tenant].open {
-            return Err(TenantPushError::Removed(item));
         }
         let depth = inner.lanes[tenant].items.len();
         if depth >= inner.lanes[tenant].quota {
@@ -299,8 +267,7 @@ impl<T> WeightedFairQueue<T> {
     fn take_batch(inner: &mut WfqInner<T>, max_batch: usize) -> (usize, Vec<T>) {
         debug_assert!(inner.total > 0);
         // Backlogged lane with the smallest vtime; ties go to the lowest
-        // index so the selection is deterministic. Tombstoned lanes are
-        // drained at removal, so the emptiness filter skips them too.
+        // index so the selection is deterministic.
         let tenant = (0..inner.lanes.len())
             .filter(|&t| !inner.lanes[t].items.is_empty())
             .min_by(|&a, &b| {
@@ -316,25 +283,20 @@ impl<T> WeightedFairQueue<T> {
         inner.total -= k;
         let weight = inner.lanes[tenant].weight;
         inner.lanes[tenant].vtime += k as f64 / weight;
-        inner.lanes[tenant].in_service += 1;
         inner.in_service += 1;
         (tenant, batch)
     }
 
     /// Claims a batch of one item for `tenant` that the caller serves
-    /// itself, without queueing it: succeeds only while the queue and the
-    /// lane are open, no item of any lane is queued and fewer than
-    /// `max_in_service` batches are in service. The lane is charged as a
-    /// pop of one item from idle would charge it (it joins at the global
-    /// virtual time, then advances by `1 / weight`), and the claim counts
-    /// as in service until [`WeightedFairQueue::finish`].
+    /// itself, without queueing it: succeeds only while the queue is open,
+    /// no item of any lane is queued and fewer than `max_in_service`
+    /// batches are in service. The lane is charged as a pop of one item
+    /// from idle would charge it (it joins at the global virtual time,
+    /// then advances by `1 / weight`), and the claim counts as in service
+    /// until [`WeightedFairQueue::finish`].
     pub(crate) fn try_claim(&self, tenant: usize, max_in_service: usize) -> bool {
         let mut inner = self.inner.lock().unwrap();
-        if inner.closed
-            || !inner.lanes[tenant].open
-            || inner.total > 0
-            || inner.in_service >= max_in_service
-        {
+        if inner.closed || inner.total > 0 || inner.in_service >= max_in_service {
             return false;
         }
         let global_v = inner.global_v;
@@ -342,41 +304,24 @@ impl<T> WeightedFairQueue<T> {
         lane.vtime = lane.vtime.max(global_v);
         let vtime = lane.vtime;
         lane.vtime += 1.0 / lane.weight;
-        lane.in_service += 1;
         inner.global_v = global_v.max(vtime);
         inner.in_service += 1;
         true
     }
 
-    /// Reports that a batch popped or claimed from `tenant`'s lane has
-    /// been handled. A consumer need only report when some caller waits
-    /// on the lane with `WeightedFairQueue::wait_finished`, counts on
-    /// the caller path's limit, or reads through
-    /// `WeightedFairQueue::quiesced`.
-    pub(crate) fn finish(&self, tenant: usize) {
-        let mut inner = self.inner.lock().unwrap();
-        inner.lanes[tenant].in_service -= 1;
-        inner.in_service -= 1;
-        drop(inner);
+    /// Reports that a popped or claimed batch has been handled. A
+    /// consumer need only report when it counts on the caller path's
+    /// limit or reads through `WeightedFairQueue::quiesced`.
+    pub(crate) fn finish(&self) {
+        self.inner.lock().unwrap().in_service -= 1;
         self.finished.notify_all();
-    }
-
-    /// Blocks until every batch popped from `tenant`'s lane has been
-    /// reported handled. After [`WeightedFairQueue::remove_tenant`] nothing
-    /// more can be popped from the lane, so this returns once the consumers
-    /// holding its last batches are done with them.
-    pub(crate) fn wait_finished(&self, tenant: usize) {
-        let mut inner = self.inner.lock().unwrap();
-        while inner.lanes[tenant].in_service > 0 {
-            inner = self.finished.wait(inner).unwrap();
-        }
     }
 
     /// Waits until no batch is in service, then runs `f` while holding
     /// the queue lock, so the closure cannot interleave with any push,
-    /// pop, claim, add, or remove. Used for the final shutdown
-    /// reconciliation read ([`TenantServer::shutdown`]), after the close
-    /// has stopped new claims.
+    /// pop, claim or add. Used for the final shutdown reconciliation read
+    /// ([`TenantServer::shutdown`]), after the close has stopped new
+    /// claims.
     pub(crate) fn quiesced<R>(&self, f: impl FnOnce() -> R) -> R {
         let mut inner = self.inner.lock().unwrap();
         while inner.in_service > 0 {
@@ -473,7 +418,7 @@ pub(crate) struct TenantShard {
     budget: TenantBudget,
     /// The tenant's own rate budget (its lane quota bounds its depth).
     rate: Option<Mutex<TokenBucket>>,
-    pub(crate) stats: Arc<ServeStats>,
+    pub(crate) stats: ServeStats,
     monitor: Mutex<DriftMonitor>,
 }
 
@@ -482,7 +427,7 @@ impl TenantShard {
     /// quarantined a learned tier, or its serving predictor has an open
     /// learned-tier breaker. An open breaker stays open until a reset or a
     /// promotion, so this cannot flicker back to false on its own.
-    fn needs_heal(&self) -> bool {
+    pub(crate) fn needs_heal(&self) -> bool {
         if self.monitor.lock().unwrap().any_quarantined() {
             return true;
         }
@@ -490,6 +435,56 @@ impl TenantShard {
         MODEL_TIERS
             .iter()
             .any(|&tier| predictor.breaker_tripped(tier))
+    }
+
+    /// One healing round ([`TenantServer::heal`]); its action lands in
+    /// the tenant's stats.
+    pub(crate) fn heal(&self, recent: &[&qpp::ExecutedQuery]) -> Result<HealReport, QppError> {
+        let result = self.heal_round(recent);
+        if let Ok(report) = &result {
+            self.stats.record_heal(&report.action);
+        }
+        result
+    }
+
+    fn heal_round(&self, recent: &[&qpp::ExecutedQuery]) -> Result<HealReport, QppError> {
+        if !self.needs_heal() {
+            return Ok(HealReport {
+                action: HealAction::NotNeeded,
+                report: None,
+                version: self.registry.version(),
+            });
+        }
+        let report = self.registry.shadow_retrain(recent)?;
+        if !report.promoted {
+            return Ok(HealReport {
+                action: HealAction::KeptIncumbent,
+                version: report.version,
+                report: Some(report),
+            });
+        }
+        // Post-promotion validation on fresh traffic: the served model is
+        // the snapshot round-trip of the candidate, so score *it*, not
+        // the in-memory candidate the comparison used.
+        let promoted_error = self.registry.score_current(recent);
+        if !promoted_error.is_finite()
+            || promoted_error > report.incumbent_error * (1.0 + ROLLBACK_TOLERANCE)
+        {
+            let version = self.registry.rollback()?;
+            return Ok(HealReport {
+                action: HealAction::RolledBack,
+                version,
+                report: Some(report),
+            });
+        }
+        let mut monitor = self.monitor.lock().unwrap();
+        monitor.reset_all();
+        self.registry.current().reset_breakers();
+        Ok(HealReport {
+            action: HealAction::Promoted,
+            version: report.version,
+            report: Some(report),
+        })
     }
 }
 
@@ -526,27 +521,11 @@ pub struct HealReport {
     pub version: u64,
 }
 
-/// What [`TenantServer::remove_tenant`] hands back: the tenant's registry
-/// (so models survive the eviction) and its final serving ledger.
-pub struct RemovedTenant {
-    /// The removed tenant's name.
-    pub name: String,
-    /// The tenant's model registry, snapshotted at removal: the models
-    /// outlive the tenant, and the caller may serve them from another
-    /// server.
-    pub registry: Arc<ModelRegistry>,
-    /// Final stats snapshot, taken after the drained backlog was served.
-    pub stats: ServeStatsSnapshot,
-    /// Requests that were queued in the tenant's lane at removal and were
-    /// served (or deadline-refused) during the drain.
-    pub drained: usize,
-}
-
 /// Per-tenant final ledgers from [`TenantServer::shutdown`], read under
 /// the queue lock after every worker was joined.
 pub struct ShutdownReport {
-    /// `(tenant name, final stats)` for every shard ever attached,
-    /// including removed ones, in tenant-index order.
+    /// `(tenant name, final stats)` for every tenant, in tenant-index
+    /// order.
     pub tenants: Vec<(String, ServeStatsSnapshot)>,
 }
 
@@ -563,16 +542,15 @@ impl ShutdownReport {
 
 /// A tenant-isolated prediction service: per-tenant registries, budgets,
 /// SLO accounting, and drift monitors behind one weighted-fair worker
-/// pool. The tenant set is given at start, and a tenant can be removed
-/// under load ([`TenantServer::remove_tenant`]). Dropping the server
-/// closes the queue, drains what was admitted, and joins all workers;
-/// call [`TenantServer::shutdown`] first to get the reconciliation report.
+/// pool. The tenant set is given at start and never changes. Dropping
+/// the server closes the queue, drains what was admitted, and joins all
+/// workers; call [`TenantServer::shutdown`] first to get the
+/// reconciliation report.
 pub struct TenantServer {
-    /// Shard slots are append-only: a removed tenant's slot stays (its
-    /// name is dropped from `by_name`), so a worker holding a popped
-    /// batch for lane `i` can always resolve shard `i`.
-    shards: Arc<RwLock<Vec<Arc<TenantShard>>>>,
-    by_name: RwLock<HashMap<String, usize>>,
+    /// Shard `i` is tenant `i`'s, the owner of lane `i`; shared with the
+    /// workers, which find a popped batch's shard by its lane index.
+    shards: Arc<[TenantShard]>,
+    by_name: HashMap<String, usize>,
     queue: Arc<WeightedFairQueue<Job>>,
     global_admission: Mutex<AdmissionController>,
     started: Instant,
@@ -607,7 +585,7 @@ impl TenantServer {
             .map(|(idx, spec)| {
                 let lane = queue.add_tenant(spec.budget.weight, spec.budget.queue_quota);
                 debug_assert_eq!(lane, idx);
-                Arc::new(TenantShard {
+                TenantShard {
                     name: spec.name,
                     registry: spec.registry,
                     rate: spec
@@ -615,14 +593,14 @@ impl TenantServer {
                         .rate_limit
                         .map(|limit| Mutex::new(TokenBucket::new(limit))),
                     budget: spec.budget,
-                    stats: Arc::default(),
+                    stats: ServeStats::default(),
                     monitor: Mutex::default(),
-                })
+                }
             })
             .collect();
         TenantServer {
-            shards: Arc::new(RwLock::new(shards)),
-            by_name: RwLock::new(by_name),
+            shards,
+            by_name,
             queue: Arc::new(queue),
             global_admission: Mutex::new(AdmissionController::new(
                 config.global_rate_limit,
@@ -654,59 +632,9 @@ impl TenantServer {
         workers.push(handle);
     }
 
-    /// Detaches a tenant under load. New submissions fail immediately
-    /// (`unknown tenant`); requests already queued in the tenant's lane
-    /// are drained and served on the *calling* thread as one caller batch
-    /// (their replies still arrive, and the ledger stays balanced); the
-    /// tenant's registry and final stats are handed back. Other tenants'
-    /// lanes, budgets, and latencies are untouched.
-    pub fn remove_tenant(&self, tenant: &str) -> Result<RemovedTenant, QppError> {
-        let idx = self
-            .by_name
-            .write()
-            .unwrap()
-            .remove(tenant)
-            .ok_or(QppError::Internal("unknown tenant"))?;
-        let shard = Arc::clone(&self.shards.read().unwrap()[idx]);
-        let drained = self.queue.remove_tenant(idx);
-        let n = drained.len();
-        if n > 0 {
-            // Serve the backlog here rather than dropping it: every job
-            // was already counted `submitted`, so dropping would leak
-            // accepted-but-unaccounted requests.
-            self.serve_on_caller(&shard, drained);
-        }
-        // A worker that popped a batch from this lane just before the
-        // drain, or a caller serving its own request in place, still
-        // resolves the shard (slots are never deleted); the final ledger
-        // waits for it to record that batch.
-        self.queue.wait_finished(idx);
-        Ok(RemovedTenant {
-            name: shard.name.clone(),
-            registry: Arc::clone(&shard.registry),
-            stats: shard.stats.snapshot(),
-            drained: n,
-        })
-    }
-
-    /// The live tenant names (removed tenants excluded), in tenant-index
-    /// order.
-    pub fn tenant_names(&self) -> Vec<String> {
-        let by_name = self.by_name.read().unwrap();
-        let mut named: Vec<(usize, &String)> = by_name.iter().map(|(n, &i)| (i, n)).collect();
-        named.sort_by_key(|&(i, _)| i);
-        named.into_iter().map(|(_, n)| n.clone()).collect()
-    }
-
     /// One tenant's serving statistics snapshot.
     pub fn stats(&self, tenant: &str) -> Result<ServeStatsSnapshot, QppError> {
         Ok(self.shard(tenant)?.stats.snapshot())
-    }
-
-    /// One tenant's live stats handle (for recorders outside this module,
-    /// like the healer's supervision counters).
-    pub(crate) fn stats_handle(&self, tenant: &str) -> Result<Arc<ServeStats>, QppError> {
-        Ok(Arc::clone(&self.shard(tenant)?.stats))
     }
 
     /// Submits a prediction request on behalf of `tenant` to the queue; a
@@ -733,7 +661,7 @@ impl TenantServer {
         deadline: Option<Duration>,
     ) -> Result<PendingPrediction, QppError> {
         let (idx, shard, job) = self.admit(tenant, query, method, deadline)?;
-        self.enqueue(idx, &shard, job)
+        self.enqueue(idx, shard, job)
     }
 
     /// Blocks for the answer to a request on behalf of `tenant`, after the
@@ -766,16 +694,13 @@ impl TenantServer {
     ) -> Result<PendingPrediction, QppError> {
         let (idx, shard, job) = self.admit(tenant, query, method, deadline)?;
         if !self.queue.try_claim(idx, self.worker_cap) {
-            return self.enqueue(idx, &shard, job);
+            return self.enqueue(idx, shard, job);
         }
         // Counted in service until dropped, even if serving panics, so
-        // `remove_tenant` and `shutdown` wait for this batch.
-        let _finish = Finish {
-            queue: &self.queue,
-            tenant: idx,
-        };
+        // `shutdown` waits for this batch.
+        let _finish = Finish(&self.queue);
         let answer = self
-            .serve_on_caller(&shard, vec![job])
+            .serve_on_caller(shard, vec![job])
             .expect("a job without a reply slot is answered in place");
         Ok(PendingPrediction::ready(answer))
     }
@@ -789,7 +714,7 @@ impl TenantServer {
         query: Arc<qpp::ExecutedQuery>,
         method: Method,
         deadline: Option<Duration>,
-    ) -> Result<(usize, Arc<TenantShard>, Job), QppError> {
+    ) -> Result<(usize, &TenantShard, Job), QppError> {
         let (idx, shard) = self.lookup(tenant)?;
         shard.stats.record_submitted();
         let now = Instant::now();
@@ -860,15 +785,6 @@ impl TenantServer {
             Err(TenantPushError::GlobalFull(_, depth)) => {
                 shard.stats.record_shed(ShedReason::QueueFull);
                 Err(QppError::Overloaded { queue_depth: depth })
-            }
-            Err(TenantPushError::Removed(_)) => {
-                // The tenant raced a remove between the name lookup and
-                // the push. Recorded as shutdown-shed so this shard's
-                // ledger still balances (`submitted` was already counted).
-                shard.stats.record_shed(ShedReason::Shutdown);
-                Err(QppError::Internal(
-                    "tenant was removed while the request was in flight",
-                ))
             }
             Err(TenantPushError::Closed(_)) => {
                 // Without this recording, the submission above would leak
@@ -945,71 +861,24 @@ impl TenantServer {
         tenant: &str,
         recent: &[&qpp::ExecutedQuery],
     ) -> Result<HealReport, QppError> {
-        let shard = self.shard(tenant)?;
-        let result = Self::heal_shard(&shard, recent);
-        if let Ok(report) = &result {
-            shard.stats.record_heal(&report.action);
-        }
-        result
+        self.shard(tenant)?.heal(recent)
     }
 
-    fn heal_shard(
-        shard: &TenantShard,
-        recent: &[&qpp::ExecutedQuery],
-    ) -> Result<HealReport, QppError> {
-        if !shard.needs_heal() {
-            return Ok(HealReport {
-                action: HealAction::NotNeeded,
-                report: None,
-                version: shard.registry.version(),
-            });
-        }
-        let report = shard.registry.shadow_retrain(recent)?;
-        if !report.promoted {
-            return Ok(HealReport {
-                action: HealAction::KeptIncumbent,
-                version: report.version,
-                report: Some(report),
-            });
-        }
-        // Post-promotion validation on fresh traffic: the served model is
-        // the snapshot round-trip of the candidate, so score *it*, not
-        // the in-memory candidate the comparison used.
-        let promoted_error = shard.registry.score_current(recent);
-        if !promoted_error.is_finite()
-            || promoted_error > report.incumbent_error * (1.0 + ROLLBACK_TOLERANCE)
-        {
-            let version = shard.registry.rollback()?;
-            return Ok(HealReport {
-                action: HealAction::RolledBack,
-                version,
-                report: Some(report),
-            });
-        }
-        let mut monitor = shard.monitor.lock().unwrap();
-        monitor.reset_all();
-        shard.registry.current().reset_breakers();
-        Ok(HealReport {
-            action: HealAction::Promoted,
-            version: report.version,
-            report: Some(report),
-        })
-    }
-
-    fn lookup(&self, tenant: &str) -> Result<(usize, Arc<TenantShard>), QppError> {
-        let idx = self
+    fn lookup(&self, tenant: &str) -> Result<(usize, &TenantShard), QppError> {
+        let &idx = self
             .by_name
-            .read()
-            .unwrap()
             .get(tenant)
-            .copied()
             .ok_or(QppError::Internal("unknown tenant"))?;
-        let shard = Arc::clone(&self.shards.read().unwrap()[idx]);
-        Ok((idx, shard))
+        Ok((idx, &self.shards[idx]))
     }
 
-    fn shard(&self, tenant: &str) -> Result<Arc<TenantShard>, QppError> {
+    fn shard(&self, tenant: &str) -> Result<&TenantShard, QppError> {
         Ok(self.lookup(tenant)?.1)
+    }
+
+    /// The tenant shards, in tenant-index order.
+    pub(crate) fn shards(&self) -> &[TenantShard] {
+        &self.shards
     }
 
     /// Graceful shutdown, idempotent: closes the queue (new submissions
@@ -1032,9 +901,8 @@ impl TenantServer {
         // to start (the close stops starts): the closing thread serves
         // what is left as the last worker, and returns once it is drained.
         tenant_worker_loop(&self.queue, &self.shards, self.worker_stall, self.max_batch);
-        let shards = self.shards.read().unwrap().clone();
         let tenants = self.queue.quiesced(|| {
-            shards
+            self.shards
                 .iter()
                 .map(|s| (s.name.clone(), s.stats.snapshot()))
                 .collect()
@@ -1051,17 +919,15 @@ impl Drop for TenantServer {
 
 fn tenant_worker_loop(
     queue: &WeightedFairQueue<Job>,
-    shards: &RwLock<Vec<Arc<TenantShard>>>,
+    shards: &[TenantShard],
     worker_stall: Duration,
     max_batch: usize,
 ) {
     while let Some((tenant, batch)) = queue.pop_blocking_batch(max_batch) {
-        // Reports the batch handled even if serving it panics, so a
-        // `remove_tenant` waiting on the lane cannot hang.
-        let _finish = Finish { queue, tenant };
-        // Jobs only enter lane `i` after shard `i` is registered, and
-        // slots are never deleted, so the index always resolves.
-        let shard = Arc::clone(&shards.read().unwrap()[tenant]);
+        // Reports the batch handled even if serving it panics, so
+        // `shutdown`'s final read cannot hang.
+        let _finish = Finish(queue);
+        let shard = &shards[tenant];
         shard.stats.record_batch(batch.len());
         inject_stall(&shard.stats, worker_stall);
 
@@ -1085,14 +951,11 @@ fn inject_stall(stats: &ServeStats, stall: Duration) {
 
 /// Calls [`WeightedFairQueue::finish`] for one popped or claimed batch
 /// when dropped.
-struct Finish<'a> {
-    queue: &'a WeightedFairQueue<Job>,
-    tenant: usize,
-}
+struct Finish<'a>(&'a WeightedFairQueue<Job>);
 
 impl Drop for Finish<'_> {
     fn drop(&mut self) {
-        self.queue.finish(self.tenant);
+        self.0.finish();
     }
 }
 
@@ -1134,60 +997,50 @@ mod tests {
         });
     }
 
-    /// Removing a lane under load hands back exactly its FIFO backlog,
-    /// refuses further pushes with `Removed`, and never disturbs the other
-    /// lanes' contents or quotas.
+    /// Caller-given lane parameters are clamped (`TenantBudget::weight` is
+    /// caller input): a capacity or quota of 0 holds one item, and a lane
+    /// whose weight is NaN, infinite, zero or negative takes pushes, is
+    /// served, and does not shut a backlogged weight-1 lane out. Unclamped,
+    /// a NaN vtime panics `take_batch`'s comparison in a serving worker and
+    /// an infinite or negative weight never advances its lane's vtime.
     #[test]
-    fn remove_tenant_drains_its_lane_and_spares_the_rest() {
-        let q = WeightedFairQueue::new(1024);
-        let a = q.add_tenant(1.0, 64);
-        let b = q.add_tenant(1.0, 64);
-        for i in 0..10 {
-            q.try_push(a, i).unwrap();
-            q.try_push(b, 100 + i).unwrap();
-        }
-        let drained = q.remove_tenant(a);
-        assert_eq!(drained, (0..10).collect::<Vec<_>>(), "FIFO drain");
-        assert_eq!(q.tenant_len(a), 0);
-        assert_eq!(q.tenant_len(b), 10, "quiet lane untouched");
-        assert_eq!(q.len(), 10);
-        assert!(matches!(
-            q.try_push(a, 99),
-            Err(TenantPushError::Removed(99))
-        ));
-        // The tombstoned lane is never selected again; b drains normally.
-        let (t, batch) = q.try_pop_batch(64).unwrap();
-        assert_eq!(t, b);
-        assert_eq!(batch.len(), 10);
-        // A lane added after the removal gets a fresh index, not a's slot.
-        let c = q.add_tenant(1.0, 8);
-        assert_eq!(c, 2);
-        q.try_push(c, 7).unwrap();
-        assert_eq!(q.try_pop_batch(8), Some((c, vec![7])));
-    }
-
-    /// Waiting on a removed lane returns only after the consumer holding its
-    /// last popped batch reports that batch finished.
-    #[test]
-    fn wait_finished_outlasts_a_batch_popped_before_removal() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let q = WeightedFairQueue::new(16);
-        let a = q.add_tenant(1.0, 16);
+    fn lane_parameters_are_clamped_to_a_serving_lane() {
+        let q = WeightedFairQueue::new(0);
+        let (a, b) = (q.add_tenant(1.0, 0), q.add_tenant(1.0, 0));
         q.try_push(a, 1).unwrap();
-        let (t, batch) = q.try_pop_batch(8).unwrap();
-        assert_eq!((t, batch), (a, vec![1]));
-        assert!(q.remove_tenant(a).is_empty());
-        let finished = AtomicBool::new(false);
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                std::thread::sleep(std::time::Duration::from_millis(20));
-                finished.store(true, Ordering::SeqCst);
-                q.finish(a);
-            });
-            q.wait_finished(a);
-            assert!(finished.load(Ordering::SeqCst), "returned before finish");
-        });
-        q.wait_finished(a);
+        assert!(matches!(
+            q.try_push(a, 2),
+            Err(TenantPushError::TenantFull(2, 1))
+        ));
+        assert!(matches!(
+            q.try_push(b, 3),
+            Err(TenantPushError::GlobalFull(3, 1))
+        ));
+        assert_eq!(q.try_pop_batch(8), Some((a, vec![1])));
+        q.try_push(b, 3).unwrap();
+        assert_eq!(q.try_pop_batch(8), Some((b, vec![3])));
+
+        for weight in [f64::NAN, f64::INFINITY, 0.0, -1.0] {
+            let q = WeightedFairQueue::new(64);
+            let odd = q.add_tenant(weight, 8);
+            let plain = q.add_tenant(1.0, 8);
+            for round in 0..3 {
+                for i in 0..4 {
+                    q.try_push(odd, i).unwrap();
+                    q.try_push(plain, i).unwrap();
+                }
+                let mut order = Vec::new();
+                while let Some((t, batch)) = q.try_pop_batch(1) {
+                    assert_eq!(batch.len(), 1);
+                    order.push(t);
+                }
+                assert_eq!(order.len(), 8, "weight {weight}: {order:?}");
+                assert!(
+                    order[..2].contains(&plain),
+                    "weight {weight}, round {round}: the weight-1 lane waited: {order:?}"
+                );
+            }
+        }
     }
 
     /// Closing the queue drains what was admitted, then reports shutdown.

@@ -176,9 +176,7 @@ fn admission_and_quotas_reconcile_exactly() {
                     Ok(_) => {}
                     Err(TenantPushError::TenantFull(_, _))
                     | Err(TenantPushError::GlobalFull(_, _)) => shed[a.tenant] += 1,
-                    Err(TenantPushError::Removed(_)) | Err(TenantPushError::Closed(_)) => {
-                        panic!("queue closed mid-run");
-                    }
+                    Err(TenantPushError::Closed(_)) => panic!("queue closed mid-run"),
                 }
             }
             if i % drain_every == 0 {

@@ -54,19 +54,20 @@ if [ "$feature_files" != "crates/ml/src/linalg.rs" ]; then
     exit 1
 fi
 
-# An RBF term is evaluated in one place: `ml::compiled::rbf_lanes`, the
-# kernel of one row against one lane-packed block, which the Gram matrix's
-# tiles and the serving lane tree both call (DESIGN.md §7, "Compiled
-# inference path"). Nothing else in ml's product code takes an
-# exponential, so its one `.exp()` outside `#[cfg(test)]` items and the
-# test-only modules is that kernel's; a second copy of the kernel (or a
-# second `exp` to keep in step with it) comes back only by editing this.
-echo "==> RBF gate: one .exp() in ml's product code, in ml::compiled"
-ml_test_mods="$(awk '/^#\[cfg\(test\)\]$/ { t = 1; next }
-    t && /^mod [a-z_0-9]+;$/ { sub(/^mod /, ""); sub(/;$/, ""); print "crates/ml/src/" $0 ".rs" } { t = 0 }' crates/ml/src/lib.rs)"
-rbf_sites="$(for file in crates/ml/src/*.rs; do
-        grep -qxF "$file" <<< "$ml_test_mods" || echo "$file"
-    done | xargs awk '
+# The RBF and message gates below read product code only. Two helpers
+# find it: test_modules lists the test-only modules (`#[cfg(test)]` over
+# `mod name;`) that the given lib.rs files declare, one path a line;
+# outside_cfg_test reads file paths on stdin and prints each line that
+# lies outside a `#[cfg(test)]` item as `file:line:text`.
+test_modules() {
+    local lib
+    for lib; do
+        awk -v dir="${lib%lib.rs}" '/^#\[cfg\(test\)\]$/ { t = 1; next }
+            t && /^mod [a-z_0-9]+;$/ { sub(/^mod /, ""); sub(/;$/, ""); print dir $0 ".rs" } { t = 0 }' "$lib"
+    done
+}
+outside_cfg_test() {
+    xargs awk '
     FNR == 1 { skip = 0 }
     /^[[:space:]]*#\[cfg\(test\)\]/ { skip = 1; depth = 0; opened = 0; next }
     skip {
@@ -77,7 +78,19 @@ rbf_sites="$(for file in crates/ml/src/*.rs; do
         if ((opened && depth <= 0) || (!opened && $0 ~ /;[[:space:]]*$/)) skip = 0
         next
     }
-    /\.exp\(\)|f64::exp\b/ { print FILENAME ":" FNR ":" $0 }')"
+    { print FILENAME ":" FNR ":" $0 }'
+}
+
+# An RBF term is evaluated in one place: `ml::compiled::rbf_lanes`, the
+# kernel of one row against one lane-packed block, which the Gram matrix's
+# tiles and the serving lane tree both call (DESIGN.md §7, "Compiled
+# inference path"). Nothing else in ml's product code takes an
+# exponential, so its one `.exp()` outside `#[cfg(test)]` items and the
+# test-only modules is that kernel's; a second copy of the kernel (or a
+# second `exp` to keep in step with it) comes back only by editing this.
+echo "==> RBF gate: one .exp() in ml's product code, in ml::compiled"
+rbf_sites="$(printf '%s\n' crates/ml/src/*.rs | grep -vxF "$(test_modules crates/ml/src/lib.rs)" \
+    | outside_cfg_test | grep -E '\.exp\(\)|f64::exp\b' || true)"
 if [ "$(grep -c . <<< "$rbf_sites")" != 1 ] || ! grep -q '^crates/ml/src/compiled\.rs:' <<< "$rbf_sites"; then
     echo "$rbf_sites"
     echo "FAIL: ml's product code does not hold exactly one .exp(), the RBF kernel in ml::compiled"
@@ -173,12 +186,12 @@ crates/core/src/hybrid.rs:cache.insert( 1" ]; then
 fi
 
 # A batch is served in two places: the tenant worker loop, and the thread
-# that asked (a blocking `predict` on an idle server, a removed tenant's
-# drained lane), which applies the same stall, snapshot and ledger
-# (DESIGN.md §10, "The caller serves when it can"). A third server of
-# batches would be a second copy of that contract. A queued request's
-# answer travels through a one-slot hand-off, one allocation, not a
-# `mpsc` channel (two allocations, 1.76 KiB, for a 32-byte answer).
+# that asked (a blocking `predict` on an idle server), which applies the
+# same stall, snapshot and ledger (DESIGN.md §10, "The caller serves when
+# it can"). A third server of batches would be a second copy of that
+# contract. A queued request's answer travels through a one-slot
+# hand-off, one allocation, not a `mpsc` channel (two allocations,
+# 1.76 KiB, for a 32-byte answer).
 echo "==> serving gate: serve_batch called by the worker loop and the caller path only; no mpsc reply"
 serve_sites="$(grep -rnE '\bserve_batch\(' crates/*/src src | grep -v -e '^crates/e2e/' -e 'fn serve_batch(' \
     | cut -d: -f1,2 | while IFS=: read -r file line; do
@@ -204,22 +217,9 @@ fi
 # product file under crates/*/src outside the frozen crates/e2e, skipping
 # `#[cfg(test)]` items and the test-only modules a lib.rs declares.
 echo "==> message gate: the codec's message tables are the Internal and InvalidParameter messages raised"
-test_mods="$(for lib in crates/*/src/lib.rs; do
-        awk -v dir="${lib%lib.rs}" '/^#\[cfg\(test\)\]$/ { t = 1; next }
-            t && /^mod [a-z_0-9]+;$/ { sub(/^mod /, ""); sub(/;$/, ""); print dir $0 ".rs" } { t = 0 }' "$lib"
-    done)"
-raised="$(git ls-files 'crates/*/src/*.rs' | grep -v '^crates/e2e/' | grep -vxF "$test_mods" | xargs awk '
-    FNR == 1 { skip = 0 }
-    /^[[:space:]]*#\[cfg\(test\)\]/ { skip = 1; depth = 0; opened = 0; next }
-    skip {
-        line = $0
-        o = gsub(/\{/, "", line); c = gsub(/\}/, "", line)
-        depth += o - c
-        if (o > 0) opened = 1
-        if ((opened && depth <= 0) || (!opened && $0 ~ /;[[:space:]]*$/)) skip = 0
-        next
-    }
-    { print }' | perl -0777 -ne 'print "$1 $2\n" while /\b(Internal|InvalidParameter)\(\s*"([^"]*)"/g' \
+raised="$(git ls-files 'crates/*/src/*.rs' | grep -v '^crates/e2e/' \
+    | grep -vxF "$(test_modules crates/*/src/lib.rs)" | outside_cfg_test | cut -d: -f3- \
+    | perl -0777 -ne 'print "$1 $2\n" while /\b(Internal|InvalidParameter)\(\s*"([^"]*)"/g' \
     | LC_ALL=C sort -u)"
 tables="$(perl -0777 -ne 'for my $t (["INTERNAL_MESSAGES", "Internal"], ["INVALID_PARAM_MESSAGES", "InvalidParameter"]) {
         next unless /const $t->[0]: \[&str; \d+\] = \[(.*?)\];/s;
@@ -227,7 +227,7 @@ tables="$(perl -0777 -ne 'for my $t (["INTERNAL_MESSAGES", "Internal"], ["INVALI
         print "$t->[1] $1\n" while $list =~ /"([^"]*)"/g;
     }' crates/serve/src/codec.rs | LC_ALL=C sort -u)"
 if [ -z "$tables" ] || [ "$raised" != "$tables" ]; then
-    diff <(echo "$tables") <(echo "$raised") | sed -e 's/^>/  raised but not in a table:/' -e 's/^</  in a table but never raised:/' | grep '^  '
+    diff <(echo "$tables") <(echo "$raised") | sed -e 's/^>/  raised but not in a table:/' -e 's/^</  in a table but never raised:/' | grep '^  ' || true
     echo "FAIL: the codec's message tables are not exactly the messages the product raises"
     exit 1
 fi
@@ -368,7 +368,8 @@ done' _ $examples
 # The paper gate: every Section 5 experiment on seeds 0-5 at the paper's
 # scale, asserting who wins and where behaviour flips
 # (crates/bench/tests/paper_shapes.rs), plus qpp-bench's unit tests.
-# Release only: it takes about 40 s here, minutes in debug.
+# Release only: its 8 tests ran in 44-45 s on a 2-vCPU host once built,
+# minutes in debug.
 echo "==> paper gate: cargo test --release -q -p qpp-bench (bounded time)"
 cargo test --release -q -p qpp-bench --no-run
 timeout 300 cargo test --release -q -p qpp-bench

@@ -5,8 +5,9 @@
 //!    its answers are bit-identical to `predict_checked`;
 //! 2. a `predict` that finds a request queued is queued behind it and
 //!    waits its weighted-fair turn; `submit` never serves in place;
-//! 3. a caller serving in place counts as in service: `remove_tenant`
-//!    waits for it, and after `shutdown` nothing is served in place;
+//! 3. a caller serving in place counts as in service: `shutdown` waits
+//!    for it before the final ledger read, and after `shutdown` nothing
+//!    is served in place;
 //! 4. the front door's connection workers start as connections arrive;
 //! 5. the ledgers reconcile exactly under mixed caller and queued traffic.
 
@@ -121,29 +122,28 @@ fn a_predict_behind_a_queued_request_waits_its_wfq_turn() {
 }
 
 #[test]
-fn remove_tenant_waits_for_a_caller_serving_in_place() {
-    let (ds, dir) = (log(6), TempDir::new("caller-remove"));
+fn shutdown_waits_for_a_caller_serving_in_place() {
+    let (ds, dir) = (log(6), TempDir::new("caller-shutdown"));
     let (registry, queries) = (registry_over(&ds, &dir), arcs(&ds));
     let server = TenantServer::start(
         vec![spec("t", &registry)],
         one_worker(Duration::from_millis(200)),
     );
-    let removed = std::thread::scope(|scope| {
+    let report = std::thread::scope(|scope| {
         let caller = scope.spawn(|| server.predict("t", Arc::clone(&queries[0]), METHODS[0], None));
         // The caller's batch is recorded before its stall starts.
         while server.stats("t").unwrap().caller_batches == 0 {
             std::thread::yield_now();
         }
-        let removed = server.remove_tenant("t").expect("removed");
+        let report = server.shutdown();
         caller.join().unwrap().expect("served in place");
-        removed
+        report
     });
-    assert_eq!(removed.drained, 0);
-    assert_eq!(removed.stats.caller_batches, 1);
-    assert_eq!(
-        removed.stats.served, 1,
-        "the final ledger waited for the caller"
-    );
+    let (name, stats) = &report.tenants[0];
+    assert_eq!(name, "t");
+    assert_eq!(stats.caller_batches, 1);
+    assert_eq!(stats.served, 1, "the final ledger waited for the caller");
+    assert!(report.reconciles());
 }
 
 #[test]
